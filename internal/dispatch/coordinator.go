@@ -626,45 +626,42 @@ type leaseResponse struct {
 	Job Job `json:"job"`
 }
 
-type heartbeatRequest struct {
-	// Rounds carries the stats recorded since the previous heartbeat; the
-	// coordinator relays them to the job's progress subscribers.
-	Rounds []fl.RoundStat `json:"rounds,omitempty"`
-}
-
-type resultRequest struct {
-	History *fl.History `json:"history,omitempty"`
-	Error   string      `json:"error,omitempty"`
-}
-
 type resultResponse struct {
 	Status string `json:"status"` // "stored", "duplicate" or "failed"
 }
 
-// isWire reports whether the request body carries the binary wire codec
-// (internal/wire). Anything else falls back to JSON, so old workers keep
-// talking to a new coordinator.
-func isWire(req *http.Request) bool {
-	return strings.HasPrefix(req.Header.Get("Content-Type"), wire.ContentType)
+// readWire reads a heartbeat or result body. Both ends of this hop ship from
+// one tree, so the binary codec (internal/wire) is the only encoding: any
+// other Content-Type is answered 415 (and false returned).
+func readWire(w http.ResponseWriter, req *http.Request, what string) ([]byte, bool) {
+	if !strings.HasPrefix(req.Header.Get("Content-Type"), wire.ContentType) {
+		httpErr(w, http.StatusUnsupportedMediaType, "%s must be %s", what, wire.ContentType)
+		return nil, false
+	}
+	body, err := io.ReadAll(req.Body)
+	if err != nil {
+		httpErr(w, http.StatusBadRequest, "reading %s: %v", what, err)
+		return nil, false
+	}
+	return body, true
 }
 
-// errorBody mirrors internal/serve's error shape so worker-endpoint errors
-// read like the rest of the API.
-func httpErr(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
+// writeJSON and httpErr keep internal/serve's response shape and its
+// encode-before-write rule (an encode failure is a well-formed 500, never a
+// truncated 200), so worker-endpoint replies read like the rest of the API.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		httpErr(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
+		b, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
+		code = http.StatusInternalServerError
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	w.Write(append(b, '\n'))
+}
+
+func httpErr(w http.ResponseWriter, code int, format string, args ...any) {
+	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // Mount attaches the worker protocol to mux. Endpoint reference with
@@ -850,26 +847,21 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 // incarnation delivered — the result upload backfills the full history.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	wid, jid := req.PathValue("id"), req.PathValue("job")
-	var hb heartbeatRequest
+	// rounds are the stats recorded since the previous heartbeat, relayed to
+	// the job's progress subscribers. An empty body is a bare liveness ping.
+	var rounds []fl.RoundStat
 	if req.ContentLength != 0 {
-		if isWire(req) {
-			body, err := io.ReadAll(req.Body)
-			if err != nil {
-				httpErr(w, http.StatusBadRequest, "reading heartbeat: %v", err)
-				return
-			}
-			start := time.Now()
-			rounds, err := wire.DecodeStats(body)
-			if err != nil {
-				httpErr(w, http.StatusBadRequest, "decoding heartbeat: %v", err)
-				return
-			}
-			c.cm.wire.observeDecode("stats", len(body), time.Since(start).Seconds())
-			hb.Rounds = rounds
-		} else if err := json.NewDecoder(req.Body).Decode(&hb); err != nil {
+		body, ok := readWire(w, req, "heartbeat")
+		if !ok {
+			return
+		}
+		start := time.Now()
+		var err error
+		if rounds, err = wire.DecodeStats(body); err != nil {
 			httpErr(w, http.StatusBadRequest, "decoding heartbeat: %v", err)
 			return
 		}
+		c.cm.wire.observeDecode("stats", len(body), time.Since(start).Seconds())
 	}
 	c.mu.Lock()
 	wk, ok := c.workers[wid]
@@ -929,13 +921,13 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 			}
 		}
 	}
-	if !suppress && len(hb.Rounds) > 0 {
+	if !suppress && len(rounds) > 0 {
 		// Relay only rounds past the high-water mark: a retry of a requeued
 		// job re-reports the rounds its predecessor already delivered.
 		// relayMu is held across the subscriber calls themselves so a
 		// concurrent result backfill cannot interleave with this delivery.
 		j.relayMu.Lock()
-		for _, st := range hb.Rounds {
+		for _, st := range rounds {
 			j.attemptSeen++
 			if j.attemptSeen > j.relayed {
 				j.relayed = j.attemptSeen
@@ -956,25 +948,17 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 // expired mid-upload, is acknowledged without a second store write.
 func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	wid, jid := req.PathValue("id"), req.PathValue("job")
-	var rr resultRequest
-	if isWire(req) {
-		body, err := io.ReadAll(req.Body)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, "reading result: %v", err)
-			return
-		}
-		start := time.Now()
-		hist, errMsg, derr := wire.DecodeResult(body)
-		if derr != nil {
-			httpErr(w, http.StatusBadRequest, "decoding result: %v", derr)
-			return
-		}
-		c.cm.wire.observeDecode("result", len(body), time.Since(start).Seconds())
-		rr = resultRequest{History: hist, Error: errMsg}
-	} else if err := json.NewDecoder(req.Body).Decode(&rr); err != nil {
+	body, ok := readWire(w, req, "result")
+	if !ok {
+		return
+	}
+	start := time.Now()
+	hist, errMsg, err := wire.DecodeResult(body)
+	if err != nil {
 		httpErr(w, http.StatusBadRequest, "decoding result: %v", err)
 		return
 	}
+	c.cm.wire.observeDecode("result", len(body), time.Since(start).Seconds())
 	c.mu.Lock()
 	if wk, ok := c.workers[wid]; ok {
 		wk.lastSeen = time.Now()
@@ -999,7 +983,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	// failure must not kill a retry that is actively recomputing the job.
 	// Successful uploads are accepted from anyone — the result is a
 	// deterministic function of the job, so whoever finishes first wins.
-	if rr.Error != "" && (j.state != jobLeased || j.worker != wid) {
+	if errMsg != "" && (j.state != jobLeased || j.worker != wid) {
 		c.cm.uploads.With("rejected").Inc()
 		c.mu.Unlock()
 		httpErr(w, http.StatusGone, "lease on job %s lost; error discarded", jid)
@@ -1009,9 +993,9 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	// span carries it.
 	outcome := ""
 	switch {
-	case rr.Error != "":
+	case errMsg != "":
 		outcome = "worker error"
-	case rr.History == nil || len(rr.History.Stats) == 0:
+	case hist == nil || len(hist.Stats) == 0:
 		outcome = "empty history"
 	}
 	// Detach the job wherever it currently lives: its uploader's inflight
@@ -1038,17 +1022,17 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	c.notifyLocked() // capacity freed
 	c.mu.Unlock()
 
-	if rr.Error != "" {
+	if errMsg != "" {
 		// An execution error is deterministic (same spec, same code path on
 		// every worker) — retrying elsewhere would fail identically, so the
 		// job fails now; the retry budget is reserved for lease expiry.
 		c.cm.uploads.With("failed").Inc()
 		c.noteCompleteAndMaybeCheckpoint(jid, "failed")
-		j.h.complete(nil, fmt.Errorf("dispatch: job %.12s failed on worker %s: %s", jid, wid, rr.Error))
+		j.h.complete(nil, fmt.Errorf("dispatch: job %.12s failed on worker %s: %s", jid, wid, errMsg))
 		writeJSON(w, http.StatusOK, resultResponse{Status: "failed"})
 		return
 	}
-	if rr.History == nil || len(rr.History.Stats) == 0 {
+	if hist == nil || len(hist.Stats) == 0 {
 		// Reject before completing the handle: an empty upload must not pin
 		// the cell "done" with nothing in the store. The job is already
 		// detached; the worker sees the error and the submitter sees the
@@ -1060,7 +1044,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	c.cm.uploads.With("stored").Inc()
-	if err := c.cfg.Store.Put(jid, rr.History); err != nil {
+	if err := c.cfg.Store.Put(jid, hist); err != nil {
 		// Mirror the local backend: the computation succeeded, so the
 		// submitter gets the history even though re-serving after restart
 		// is lost.
@@ -1087,15 +1071,15 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	// deliveries so a straggling heartbeat relay for the same job cannot
 	// interleave its rounds with (or duplicate) the backfill.
 	j.relayMu.Lock()
-	if j.relayed < len(rr.History.Stats) {
-		for _, st := range rr.History.Stats[j.relayed:] {
+	if j.relayed < len(hist.Stats) {
+		for _, st := range hist.Stats[j.relayed:] {
 			for _, f := range subs {
 				f(st)
 			}
 		}
-		j.relayed = len(rr.History.Stats)
+		j.relayed = len(hist.Stats)
 	}
 	j.relayMu.Unlock()
-	j.h.complete(rr.History, nil)
+	j.h.complete(hist, nil)
 	writeJSON(w, http.StatusOK, resultResponse{Status: "stored"})
 }

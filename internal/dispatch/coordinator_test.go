@@ -13,6 +13,7 @@ import (
 
 	"fedwcm/internal/fl"
 	"fedwcm/internal/store"
+	"fedwcm/internal/wire"
 )
 
 // coordHarness is a coordinator mounted on a test server plus hand-driven
@@ -44,13 +45,21 @@ func newCoordHarness(t *testing.T, cfg CoordinatorConfig) *coordHarness {
 	return &coordHarness{t: t, coord: c, ts: ts, store: cfg.Store}
 }
 
+// post sends a JSON control message (register, lease).
 func (h *coordHarness) post(url string, body any, out any) int {
 	h.t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	resp, err := http.Post(h.ts.URL+url, "application/json", bytes.NewReader(b))
+	return h.postBody(url, "application/json", b, out)
+}
+
+// postBody posts pre-encoded bytes; heartbeats and results ride the wire
+// codec, like the real worker's.
+func (h *coordHarness) postBody(url, contentType string, b []byte, out any) int {
+	h.t.Helper()
+	resp, err := http.Post(h.ts.URL+url, contentType, bytes.NewReader(b))
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -103,14 +112,49 @@ func (h *coordHarness) leaseUntil(wid string, deadline time.Duration) Job {
 
 func (h *coordHarness) heartbeat(wid, jobID string, rounds []fl.RoundStat) int {
 	h.t.Helper()
-	return h.post(fmt.Sprintf("/v1/workers/%s/jobs/%s/heartbeat", wid, jobID), heartbeatRequest{Rounds: rounds}, nil)
+	return h.postBody(fmt.Sprintf("/v1/workers/%s/jobs/%s/heartbeat", wid, jobID), wire.ContentType, wire.EncodeStats(rounds, wire.StatsOptions{}), nil)
 }
 
 func (h *coordHarness) upload(wid, jobID string, hist *fl.History, errStr string) (int, resultResponse) {
 	h.t.Helper()
 	var resp resultResponse
-	code := h.post(fmt.Sprintf("/v1/workers/%s/jobs/%s/result", wid, jobID), resultRequest{History: hist, Error: errStr}, &resp)
+	code := h.postBody(fmt.Sprintf("/v1/workers/%s/jobs/%s/result", wid, jobID), wire.ContentType, wire.EncodeResult(hist, errStr), &resp)
 	return code, resp
+}
+
+// TestWorkerHopIsWireOnly: heartbeat and result bodies are the binary codec
+// or nothing. JSON (what pre-wire workers sent) is refused with 415 and
+// changes no state; an empty heartbeat is still a liveness ping.
+func TestWorkerHopIsWireOnly(t *testing.T) {
+	h := newCoordHarness(t, CoordinatorConfig{})
+	hd, err := h.coord.Submit(testJob(1), SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wid := h.register(1)
+	job := h.leaseUntil(wid, 2*time.Second)
+	hbURL := fmt.Sprintf("/v1/workers/%s/jobs/%s/heartbeat", wid, job.ID)
+	resURL := fmt.Sprintf("/v1/workers/%s/jobs/%s/result", wid, job.ID)
+
+	if code := h.postBody(hbURL, "application/json", []byte(`{"rounds":[{"round":1}]}`), nil); code != http.StatusUnsupportedMediaType {
+		t.Fatalf("JSON heartbeat: HTTP %d, want 415", code)
+	}
+	jsonResult, _ := json.Marshal(map[string]any{"history": cannedHist(2)})
+	if code := h.postBody(resURL, "application/json", jsonResult, nil); code != http.StatusUnsupportedMediaType {
+		t.Fatalf("JSON result: HTTP %d, want 415", code)
+	}
+	select {
+	case <-hd.Done():
+		t.Fatal("a refused JSON result completed the job")
+	default:
+	}
+	if code := h.postBody(hbURL, "", nil, nil); code != http.StatusOK {
+		t.Fatalf("empty heartbeat: HTTP %d, want 200", code)
+	}
+	if code, ack := h.upload(wid, job.ID, cannedHist(2), ""); code != http.StatusOK || ack.Status != "stored" {
+		t.Fatalf("wire result: HTTP %d status %q", code, ack.Status)
+	}
+	<-hd.Done()
 }
 
 // TestCoordinatorLeaseLifecycle walks the happy path end to end: submit →

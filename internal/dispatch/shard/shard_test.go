@@ -117,10 +117,10 @@ type fakeHandle struct {
 	done chan struct{}
 }
 
-func (f fakeHandle) Job() dispatch.Job                { return f.job }
-func (f fakeHandle) Done() <-chan struct{}            { return f.done }
-func (f fakeHandle) Result() (*fl.History, error)     { return cannedHist(0), nil }
-func (f *fakeMember) Close()                          {}
+func (f fakeHandle) Job() dispatch.Job                 { return f.job }
+func (f fakeHandle) Done() <-chan struct{}             { return f.done }
+func (f fakeHandle) Result() (*fl.History, error)      { return cannedHist(0), nil }
+func (f *fakeMember) Close()                           {}
 func (f *fakeMember) Stats() dispatch.CoordinatorStats { return f.stats }
 
 func (f *fakeMember) Submit(job dispatch.Job, _ dispatch.SubmitOpts) (dispatch.Handle, error) {

@@ -26,8 +26,8 @@ type WorkerConfig struct {
 	// straggling shard doesn't strand capacity parked on an empty one.
 	// Entries equal to Coordinator are ignored; empty means never spill.
 	Shards []string
-	Name        string // reported at registration; defaults to the hostname-free "worker"
-	Slots       int    // concurrent jobs; 0 = 1 (the coordinator may cap it)
+	Name   string // reported at registration; defaults to the hostname-free "worker"
+	Slots  int    // concurrent jobs; 0 = 1 (the coordinator may cap it)
 	// PollWait is the long-poll budget per lease request. 0 = 10s.
 	PollWait time.Duration
 	// HeartbeatEvery overrides the heartbeat cadence; 0 derives it from the

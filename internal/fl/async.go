@@ -5,10 +5,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
-	"fedwcm/internal/scenario"
 	"fedwcm/internal/xrand"
 )
 
@@ -168,7 +168,6 @@ func StalenessDiscount(stale int, mode string, exp float64) float64 {
 // deltas by Weights for methods without an AsyncAggregator.
 type AsyncInfo struct {
 	Version   int       // server version this flush produces (1-based, = RoundStat.Round)
-	Time      float64   // virtual wall-clock of the flush
 	Partial   bool      // liveness flush below K (everything in flight had arrived)
 	Stale     []int     // per-result staleness, aligned with results
 	Discounts []float64 // raw d(s_i) ∈ (0,1]
@@ -194,11 +193,10 @@ type AsyncAggregator interface {
 // deep copy of the worker's ClientResult (scratch slots recycle every
 // batch, buffered updates outlive many batches) plus its event coordinates.
 type asyncUpdate struct {
-	res  ClientResult
-	ver  int     // server version at dispatch (staleness = flush ver − this)
-	wave int     // sampling wave that drew the client
-	seq  uint64  // dispatch sequence number, the event-order tiebreaker
-	t    float64 // virtual completion time
+	res ClientResult
+	ver int     // server version at dispatch (staleness = flush ver − this)
+	seq uint64  // dispatch sequence number, the event-order tiebreaker
+	t   float64 // virtual completion time
 }
 
 // copyFrom deep-copies a worker result, reusing this update's buffers.
@@ -212,20 +210,23 @@ func (u *asyncUpdate) copyFrom(res *ClientResult) {
 	u.res.Payload = append(payload, res.Payload...)
 }
 
+// before is the canonical (ClientID, seq) order of updates: the tiebreaker of
+// simultaneous completions and the order a flush aggregates in — the barrier
+// loop's sorted-cohort order when waves don't interleave.
+func (u *asyncUpdate) before(v *asyncUpdate) bool {
+	if u.res.ClientID != v.res.ClientID {
+		return u.res.ClientID < v.res.ClientID
+	}
+	return u.seq < v.seq
+}
+
 // eventQueue is the virtual-time completion heap, ordered by
 // (time, client, seq) — the deterministic pop order the property tests pin.
 type eventQueue []*asyncUpdate
 
 func (q eventQueue) Len() int { return len(q) }
 func (q eventQueue) Less(i, j int) bool {
-	a, b := q[i], q[j]
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	if a.res.ClientID != b.res.ClientID {
-		return a.res.ClientID < b.res.ClientID
-	}
-	return a.seq < b.seq
+	return q[i].t < q[j].t || q[i].t == q[j].t && q[i].before(q[j])
 }
 func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*asyncUpdate)) }
@@ -245,38 +246,24 @@ type pendingJob struct {
 	dur    float64 // virtual duration of its local round
 }
 
-// asyncEngine is the event-driven core. All state transitions happen
-// single-threaded in run(); the worker pool only ever executes one
-// deterministic batch at a time, so — exactly like the synchronous loop —
-// which worker trains which client is unobservable.
+// asyncEngine is the event scheduler over a roundCore: it owns only what
+// buffered aggregation adds to a round — pending dispatches, the virtual-time
+// completion heap, the update buffer and its staleness weights. All state
+// transitions happen single-threaded in run(); the worker pool only ever
+// executes one deterministic batch at a time, so — exactly like the barrier
+// loop — which worker trains which client is unobservable.
 type asyncEngine struct {
-	env *Env
-	m   Method
-	cfg Config
-	ac  AsyncConfig
-	rt  *workerRuntime
-	mx  *RunMetrics
+	*roundCore
 
 	k    int // flush threshold, clamped to the cohort
 	conc int // concurrency M, clamped to the population
-	kc   int // cohort size per wave: min(SampleClients, clients)
+	seq  uint64
 
-	global    []float64
-	sim       *scenario.Sim
-	sampleRNG *xrand.RNG
-	dropRNG   *xrand.RNG
-
-	now     float64
-	version int
-	wave    int
-	seq     uint64
-
-	events   eventQueue
-	buffer   []*asyncUpdate
-	pending  []pendingJob
-	inflight int
-	busy     []bool // client currently dispatched (between dispatch and completion)
-	free     []*asyncUpdate
+	events  eventQueue // in-flight updates
+	buffer  []*asyncUpdate
+	pending []pendingJob
+	busy    []bool // client is in flight (between dispatch and completion)
+	free    []*asyncUpdate
 
 	discount func(stale int) float64
 
@@ -287,237 +274,98 @@ type asyncEngine struct {
 	weightbuf []float64
 	histbuf   []int
 	jobbuf    []clientJob
-	jobmeta   []pendingJob
 }
 
-// runAsync executes the buffered-async mode of RunWithProgressCtx. The
-// contract matches the synchronous loop: ctx is checked between events,
-// cancellation returns the history so far, and identical (env.Cfg, seed)
-// give bit-identical histories at any Workers value.
-func runAsync(ctx context.Context, env *Env, m Method, onRound func(RoundStat)) (*History, error) {
-	cfg := env.Cfg
-	ac := *cfg.Async
-	globalNet := env.Build(cfg.Seed)
-	dim := globalNet.NumParams()
-	global := make([]float64, dim)
-	globalNet.VectorInto(global)
-	m.Init(env, dim)
-
-	nClients := len(env.Clients)
-	kc := min(cfg.SampleClients, nClients)
-	e := &asyncEngine{
-		env: env, m: m, cfg: cfg, ac: ac, global: global,
-		kc:   kc,
-		k:    max(1, min(ac.K, kc)),
-		conc: max(1, min(ac.Concurrency, nClients)),
-		busy: make([]bool, nClients),
+func newAsyncEngine(c *roundCore) *asyncEngine {
+	ac, nClients := *c.cfg.Async, len(c.env.Clients)
+	return &asyncEngine{
+		roundCore: c,
+		k:         max(1, min(ac.K, c.cohort)),
+		conc:      max(1, min(ac.Concurrency, nClients)),
+		busy:      make([]bool, nClients),
+		discount:  func(stale int) float64 { return StalenessDiscount(stale, ac.Staleness, ac.StaleExp) },
 	}
-	e.discount = func(stale int) float64 { return StalenessDiscount(stale, ac.Staleness, ac.StaleExp) }
-	workers := min(max(cfg.Workers, 1), e.conc)
-	e.rt = newRuntime(env, m, global, workers)
-	defer e.rt.close()
+}
 
-	e.sampleRNG = xrand.New(xrand.DeriveSeed(cfg.Seed, 0x5a3317))
-	e.dropRNG = xrand.New(xrand.DeriveSeed(cfg.Seed, 0xd20b))
-	hist := &History{Method: m.Name()}
-
-	if !cfg.Scenario.IsZero() {
-		e.sim = scenario.NewSim(cfg.Scenario, cfg.Seed, nClients, cfg.Rounds)
-		if e.sim.HasDrift() {
-			base := env.Clients
-			defer func() { env.Clients = base }()
-		}
-	}
-	shotBuckets := ShotBuckets(env.GlobalCounts())
-	testTotals := env.Test.ClassCounts()
-	curStage := 0
-
-	mx := env.Metrics
-	if mx == nil {
-		mx = DefaultRunMetrics()
-	}
-	e.mx = mx
-	e.rt.metrics = mx
-	tracer := env.Tracer
-
-	dropped := make([]bool, e.kc)
-	lastTrainLoss := 0.0
-
-	// eval mirrors the synchronous loop's evaluation block exactly, keyed by
-	// server version instead of round index.
-	eval := func(info *AsyncInfo) {
-		globalNet.SetVector(e.global)
-		acc, perClass := Evaluate(globalNet, env.Test, 256)
-		stat := RoundStat{Round: e.version, TestAcc: acc, PerClass: perClass,
-			TrainLoss: lastTrainLoss,
-			Shot:      ShotAccuracy(perClass, testTotals, shotBuckets)}
-		if mr, ok := m.(MetricsReporter); ok {
-			stat.Metrics = mr.RoundMetrics()
-		}
-		if cfg.Clock {
-			stat.Time = e.now
-			stat.Async = asyncRoundStat(info, e.wave)
-		}
-		for _, probe := range env.Probes {
-			probe(e.version, globalNet)
-		}
-		hist.Stats = append(hist.Stats, stat)
-		mx.TestAcc.Set(acc)
-		mx.TrainLoss.Set(lastTrainLoss)
-		if stat.Shot != nil {
-			mx.ShotHead.Set(stat.Shot.Head)
-			mx.ShotMedium.Set(stat.Shot.Medium)
-			mx.ShotTail.Set(stat.Shot.Tail)
-		}
-		mx.ReportDiag(stat.Metrics)
-		if onRound != nil {
-			onRound(stat)
-		}
-	}
-
-	// commit advances the server version after a flush (info non-nil) or an
-	// empty wave (info nil) and evaluates on the synchronous cadence.
-	commit := func(info *AsyncInfo) {
-		e.version++
-		mx.Rounds.Inc()
-		mx.AsyncClock.Set(e.now)
-		if e.version%cfg.EvalEvery == 0 || e.version == cfg.Rounds {
-			eval(info)
-		}
-	}
-
-	flush := func() {
-		flushStart := time.Now()
-		span := tracer.Start(env.TraceID, "fl.async.flush").WithRound(e.version + 1)
-		info := e.aggregate()
-		// Empty-client updates (Steps == 0) carry no loss signal; like the
-		// synchronous loop, an all-empty flush keeps the last observed loss.
-		lossSum, cnt := 0.0, 0
-		for _, res := range e.resbuf {
-			if res.Steps > 0 {
-				lossSum += res.MeanLoss
-				cnt++
-			}
-		}
-		if cnt > 0 {
-			lastTrainLoss = lossSum / float64(cnt)
-		}
-		commit(info)
-		for _, u := range e.buffer {
-			e.free = append(e.free, u)
-		}
-		e.buffer = e.buffer[:0]
-		mx.AsyncBufferFill.Set(0)
-		mx.RoundSeconds.Observe(time.Since(flushStart).Seconds())
-		span.End()
-	}
-
-	for e.version < cfg.Rounds {
+// run is the buffered-async scheduler of RunWithProgressCtx. The contract
+// matches the barrier loop: ctx is checked between events, cancellation
+// leaves the history so far, and identical (env.Cfg, seed) give bit-identical
+// histories at any Workers value.
+func (e *asyncEngine) run(ctx context.Context) error {
+	for e.version < e.cfg.Rounds {
 		if err := ctx.Err(); err != nil {
-			return hist, err
+			return err
 		}
 		// Replenish: once the previous wave is fully dispatched and the
 		// buffer has flushed, draw the next cohort (clients run continuously;
 		// the buffer gate keeps wave order deterministic and makes K = cohort
 		// degenerate to the synchronous barrier).
-		if len(e.pending) == 0 && len(e.buffer) == 0 && e.inflight < e.conc {
-			e.drawWave(dropped, &curStage)
-			if len(e.pending) == 0 && e.inflight == 0 {
-				// A wave with zero survivors and nothing in flight is the
-				// async analogue of the synchronous loop's empty round: the
-				// version advances with no aggregation.
-				commit(nil)
+		if len(e.pending) == 0 && len(e.buffer) == 0 && e.events.Len() < e.conc {
+			e.drawWave()
+			if len(e.pending) == 0 && e.events.Len() == 0 {
+				e.emptyRound()
+				e.mx.AsyncClock.Set(e.now)
 				continue
 			}
 		}
-		if free := e.conc - e.inflight; free > 0 && len(e.pending) > 0 {
+		if free := e.conc - e.events.Len(); free > 0 && len(e.pending) > 0 {
 			e.dispatch(free)
 		}
 		if e.events.Len() == 0 {
 			// Nothing left in flight. A sub-K buffer would deadlock waiting
 			// for updates that can never come — flush it (liveness rule).
 			if len(e.buffer) > 0 {
-				flush()
+				e.flush()
 			}
 			continue
 		}
 		u := heap.Pop(&e.events).(*asyncUpdate)
 		e.now = u.t
-		e.inflight--
 		e.busy[u.res.ClientID] = false
 		e.buffer = append(e.buffer, u)
-		mx.AsyncEvents.Inc()
-		mx.AsyncBufferFill.Set(float64(len(e.buffer)))
+		e.mx.AsyncEvents.Inc()
+		e.mx.AsyncClock.Set(e.now)
+		e.mx.AsyncBufferFill.Set(float64(len(e.buffer)))
 		if len(e.buffer) >= e.k {
-			flush()
+			e.flush()
 		}
 	}
-	return hist, nil
+	return nil
 }
 
-// drawWave samples the next cohort with the exact RNG streams and drop
-// logic of the synchronous loop (same sampling stream, same availability /
-// DropProb decisions per sampled position), so the K = cohort degenerate
-// case replays synchronous rounds bit-for-bit. Survivors already dispatched
-// (still in flight) are skipped — a client cannot train twice concurrently.
-func (e *asyncEngine) drawWave(dropped []bool, curStage *int) {
-	w := e.wave
-	e.wave++
+// flush aggregates the buffer into the next server version and recycles it.
+func (e *asyncEngine) flush() {
+	flushStart := time.Now()
+	span := e.env.Tracer.Start(e.env.TraceID, "fl.async.flush").WithRound(e.version + 1)
+	info := e.aggregate()
+	e.noteLoss(e.resbuf)
+	e.commit(info)
+	e.free = append(e.free, e.buffer...)
+	e.buffer = e.buffer[:0]
+	e.mx.AsyncBufferFill.Set(0)
+	e.mx.RoundSeconds.Observe(time.Since(flushStart).Seconds())
+	span.End()
+}
+
+// drawWave queues the survivors of the next cohort. Survivors already
+// dispatched (still in flight) are skipped — a client cannot train twice
+// concurrently.
+func (e *asyncEngine) drawWave() {
+	w := e.draws
 	e.mx.AsyncWaves.Inc()
-	if e.sim != nil {
-		if st := e.sim.Stage(w); st != *curStage && e.env.Repartition != nil && e.env.BaseBeta > 0 {
-			*curStage = st
-			beta, ifac := e.sim.StageParams(st, e.env.BaseBeta, e.env.BaseIF)
-			part := e.env.Repartition(scenario.DriftSeed(e.cfg.Seed, st), beta)
-			e.env.Clients = driftClients(e.env.Train, part, scenario.KeepFracs(e.env.Train.Classes, e.env.BaseIF, ifac))
-		}
-		e.sim.BeginRound(w)
-	}
-	sampled := e.sampleRNG.SampleWithoutReplacement(len(e.env.Clients), e.kc)
-	sort.Ints(sampled)
-	dropped = dropped[:len(sampled)]
-	for i := range dropped {
-		dropped[i] = false
-	}
-	switch {
-	case e.sim != nil && e.sim.HasAvailability():
-		for i, id := range sampled {
-			dropped[i] = !e.sim.Available(id)
-		}
-	case e.cfg.DropProb > 0:
-		anySurvives := false
-		for i := range dropped {
-			dropped[i] = e.dropRNG.Float64() < e.cfg.DropProb
-			anySurvives = anySurvives || !dropped[i]
-		}
-		if !anySurvives {
-			dropped[0] = false
-		}
-	}
-	for i, id := range sampled {
-		if dropped[i] {
-			e.mx.Dropped.Inc()
-			continue
-		}
+	for _, id := range e.draw(w) {
 		if e.busy[id] {
 			continue
 		}
-		frac := 1.0
-		if e.sim != nil && e.sim.HasStraggler() {
-			frac = e.sim.WorkFraction(w, id)
-		}
-		if frac < 1 {
-			e.mx.Stragglers.Inc()
-		}
 		dur := 1.0
-		if frac > 0 && frac < 1 {
+		if frac := e.workFrac(w, id); frac > 0 && frac < 1 {
 			// Stragglers are slow, not partial: without a round deadline the
 			// client finishes its full step budget over 1/frac time units.
 			dur = 1 / frac
 		}
-		if e.ac.Jitter > 0 {
+		if jitter := e.cfg.Async.Jitter; jitter > 0 {
 			jrng := xrand.New(xrand.DeriveSeed(e.cfg.Seed, uint64(w), uint64(id), 0xa57e))
-			dur *= 1 + e.ac.Jitter*(2*jrng.Float64()-1)
+			dur *= 1 + jitter*(2*jrng.Float64()-1)
 		}
 		e.pending = append(e.pending, pendingJob{client: id, wave: w, dur: dur})
 	}
@@ -530,49 +378,32 @@ func (e *asyncEngine) drawWave(dropped []bool, curStage *int) {
 func (e *asyncEngine) dispatch(n int) {
 	n = min(n, len(e.pending))
 	e.jobbuf = e.jobbuf[:0]
-	e.jobmeta = e.jobmeta[:0]
-	for i := 0; i < n; i++ {
-		p := e.pending[i]
-		e.jobbuf = append(e.jobbuf, clientJob{pos: i, client: p.client, round: p.wave, frac: 1})
-		e.jobmeta = append(e.jobmeta, p)
+	for _, p := range e.pending[:n] {
+		e.jobbuf = append(e.jobbuf, clientJob{client: p.client, round: p.wave, frac: 1})
 	}
-	e.pending = e.pending[:copy(e.pending, e.pending[n:])]
-	results := e.rt.runBatch(n, e.jobbuf)
-	for i, res := range results {
-		u := e.newUpdate()
+	for i, res := range e.rt.runBatch(e.jobbuf) {
+		var u *asyncUpdate
+		if n := len(e.free); n > 0 {
+			u, e.free = e.free[n-1], e.free[:n-1]
+		} else {
+			u = &asyncUpdate{}
+		}
 		u.copyFrom(res)
 		u.ver = e.version
-		u.wave = e.jobmeta[i].wave
 		u.seq = e.seq
 		e.seq++
-		u.t = e.now + e.jobmeta[i].dur
+		u.t = e.now + e.pending[i].dur
 		heap.Push(&e.events, u)
-		e.inflight++
 		e.busy[u.res.ClientID] = true
 	}
-}
-
-func (e *asyncEngine) newUpdate() *asyncUpdate {
-	if n := len(e.free); n > 0 {
-		u := e.free[n-1]
-		e.free = e.free[:n-1]
-		return u
-	}
-	return &asyncUpdate{}
+	e.pending = e.pending[:copy(e.pending, e.pending[n:])]
 }
 
 // aggregate flushes the buffer through the method: updates sort into the
-// canonical (ClientID, seq) order — the synchronous loop's sorted-cohort
-// order when waves don't interleave — staleness discounts are computed, and
-// the method (or the generic fallback) folds them into the server update.
+// canonical order, staleness discounts are computed, and the method (or the
+// generic fallback) folds them into the server update.
 func (e *asyncEngine) aggregate() *AsyncInfo {
-	sort.Slice(e.buffer, func(i, j int) bool {
-		a, b := e.buffer[i], e.buffer[j]
-		if a.res.ClientID != b.res.ClientID {
-			return a.res.ClientID < b.res.ClientID
-		}
-		return a.seq < b.seq
-	})
+	sort.Slice(e.buffer, func(i, j int) bool { return e.buffer[i].before(e.buffer[j]) })
 	n := len(e.buffer)
 	e.resbuf = e.resbuf[:0]
 	e.stalebuf = e.stalebuf[:0]
@@ -594,17 +425,14 @@ func (e *asyncEngine) aggregate() *AsyncInfo {
 	for i, d := range e.discbuf {
 		e.weightbuf[i] = d / total
 	}
-	e.histbuf = e.histbuf[:0]
-	for i := 0; i <= maxStale; i++ {
-		e.histbuf = append(e.histbuf, 0)
-	}
+	e.histbuf = slices.Grow(e.histbuf[:0], maxStale+1)[:maxStale+1]
+	clear(e.histbuf)
 	for _, s := range e.stalebuf {
 		e.histbuf[s]++
 		e.mx.AsyncStaleness.Observe(float64(s))
 	}
 	info := &AsyncInfo{
 		Version:   e.version + 1,
-		Time:      e.now,
 		Partial:   n < e.k,
 		Stale:     e.stalebuf,
 		Discounts: e.discbuf,
@@ -648,17 +476,13 @@ func asyncRoundStat(info *AsyncInfo, waves int) *AsyncRoundStat {
 	if info == nil {
 		return st
 	}
-	st.Buffer = len(info.Stale)
-	st.Partial = info.Partial
-	st.MaxStale = 0
+	st.Buffer, st.Partial = len(info.Stale), info.Partial
+	st.MaxStale = len(info.Hist) - 1
 	sum := 0
-	for _, s := range info.Stale {
-		sum += s
-		st.MaxStale = max(st.MaxStale, s)
+	for s, n := range info.Hist {
+		sum += s * n
 	}
-	if len(info.Stale) > 0 {
-		st.MeanStale = float64(sum) / float64(len(info.Stale))
-	}
-	st.StaleHist = append([]int(nil), info.Hist...)
+	st.MeanStale = float64(sum) / float64(st.Buffer)
+	st.StaleHist = slices.Clone(info.Hist)
 	return st
 }

@@ -2,11 +2,7 @@ package fl
 
 import (
 	"context"
-	"sort"
 	"time"
-
-	"fedwcm/internal/scenario"
-	"fedwcm/internal/xrand"
 )
 
 // Run executes a full federated training run of method m in env and returns
@@ -39,201 +35,45 @@ func RunWithProgress(env *Env, m Method, onRound func(RoundStat)) *History {
 // source, and it never fires between the check and the round's stat, so an
 // uncancelled ctx yields a history identical to RunWithProgress's.
 func RunWithProgressCtx(ctx context.Context, env *Env, m Method, onRound func(RoundStat)) (*History, error) {
-	cfg := env.Cfg
-	if !cfg.Async.IsZero() {
-		// Buffered asynchronous mode: the event-driven core in async.go
-		// replaces the barrier round loop below. Same determinism contract.
-		return runAsync(ctx, env, m, onRound)
+	if ac := env.Cfg.Async; !ac.IsZero() { // buffered-async event scheduler
+		c := newRoundCore(env, m, onRound, ac.Concurrency)
+		defer c.close()
+		return c.hist, newAsyncEngine(c).run(ctx)
 	}
-	globalNet := env.Build(cfg.Seed)
-	dim := globalNet.NumParams()
-	global := make([]float64, dim)
-	globalNet.VectorInto(global)
-	m.Init(env, dim)
+	c := newRoundCore(env, m, onRound, env.Cfg.SampleClients)
+	defer c.close()
+	return c.hist, c.runBarrier(ctx)
+}
 
-	nClients := len(env.Clients)
-	k := cfg.SampleClients
-	if k > nClients {
-		k = nClients
-	}
-	workers := cfg.Workers
-	if workers > k {
-		workers = k
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	rt := newRuntime(env, m, global, workers)
-	defer rt.close()
-
-	sampleRNG := xrand.New(xrand.DeriveSeed(cfg.Seed, 0x5a3317))
-	hist := &History{Method: m.Name()}
-
-	// Scenario dynamics: a Sim answers availability / partial-work / drift
-	// queries deterministically from (seed, round, client). Shot buckets are
-	// fixed from the round-0 global train profile so the reported series
-	// stays comparable even when drift reshapes the environment.
-	var sim *scenario.Sim
-	if !cfg.Scenario.IsZero() {
-		sim = scenario.NewSim(cfg.Scenario, cfg.Seed, nClients, cfg.Rounds)
-		if sim.HasDrift() {
-			// Drift rebuilds replace env.Clients mid-run; restore the base
-			// views on exit so an Env reused across Run calls starts every
-			// run from the same world (same spec ⇒ same history).
-			base := env.Clients
-			defer func() { env.Clients = base }()
-		}
-	}
-	shotBuckets := ShotBuckets(env.GlobalCounts())
-	testTotals := env.Test.ClassCounts()
-	curStage := 0
-
-	// Observability: mx is never nil past this point (no-op bundles carry
-	// nil handles, so every call below is safe and free when disabled); the
-	// tracer stays optional — plain fl.Run has no trace to join.
-	mx := env.Metrics
-	if mx == nil {
-		mx = DefaultRunMetrics()
-	}
-	rt.metrics = mx
-	tracer := env.Tracer
-
-	dropRNG := xrand.New(xrand.DeriveSeed(cfg.Seed, 0xd20b))
-	dropped := make([]bool, k)
-	var fracs []float64
-	arrived := make([]*ClientResult, 0, k)
-	lastTrainLoss := 0.0
-	for r := 0; r < cfg.Rounds; r++ {
+// runBarrier is the synchronous scheduler: every round draws a cohort,
+// trains all of its survivors as one batch against the same global weights,
+// and aggregates at the deadline. It is not "async with K = cohort" because
+// of what happens at that deadline — a straggler reports the partial work it
+// got through (WorkFrac < 1) instead of arriving late — and because it hands
+// the runtime's result slots straight to the method, with no per-update copy.
+func (c *roundCore) runBarrier(ctx context.Context) error {
+	jobs := make([]clientJob, 0, c.cohort)
+	for r := 0; r < c.cfg.Rounds; r++ {
 		if err := ctx.Err(); err != nil {
-			return hist, err
+			return err
 		}
 		roundStart := time.Now()
-		roundSpan := tracer.Start(env.TraceID, "fl.round").WithRound(r + 1)
-		if sim != nil {
-			// Drift: at a stage boundary, re-partition the (immutable) train
-			// set under the stage's interpolated β and trim tail classes
-			// toward the stage's IF. The rebuild replaces env.Clients while
-			// all workers are idle; the runtime observes it through the same
-			// happens-before edges as the rest of the round state.
-			if st := sim.Stage(r); st != curStage && env.Repartition != nil && env.BaseBeta > 0 {
-				curStage = st
-				beta, ifac := sim.StageParams(st, env.BaseBeta, env.BaseIF)
-				part := env.Repartition(scenario.DriftSeed(cfg.Seed, st), beta)
-				env.Clients = driftClients(env.Train, part, scenario.KeepFracs(env.Train.Classes, env.BaseIF, ifac))
-			}
-			sim.BeginRound(r)
+		roundSpan := c.env.Tracer.Start(c.env.TraceID, "fl.round").WithRound(r + 1)
+		jobs = jobs[:0]
+		for _, id := range c.draw(r) {
+			jobs = append(jobs, clientJob{client: id, round: r, frac: c.workFrac(r, id)})
 		}
-		sampled := sampleRNG.SampleWithoutReplacement(nClients, k)
-		sort.Ints(sampled) // canonical order; keeps aggregation reproducible
-		// Failure injection: decide upfront (deterministically) which of the
-		// sampled clients drop out this round. A dropped client does no work
-		// at all — the worker never trains it — so the simulated cost model
-		// is "failed before training", not "trained but unreported".
-		dropped = dropped[:len(sampled)]
-		for i := range dropped {
-			dropped[i] = false
+		if len(jobs) == 0 {
+			c.emptyRound()
+		} else {
+			arrived := c.rt.runBatch(jobs)
+			c.m.Aggregate(r, c.global, arrived)
+			c.noteLoss(arrived)
+			c.now++ // one deadline per round, however slow the stragglers
+			c.commit(nil)
 		}
-		switch {
-		case sim != nil && sim.HasAvailability():
-			// The availability trace replaces the flat coin-flip. A round
-			// where the whole sampled cohort is down aggregates nothing —
-			// the engine already tolerates empty rounds, as a real server
-			// facing an outage must.
-			for i, id := range sampled {
-				dropped[i] = !sim.Available(id)
-			}
-		case cfg.DropProb > 0:
-			anySurvives := false
-			for i := range dropped {
-				dropped[i] = dropRNG.Float64() < cfg.DropProb
-				anySurvives = anySurvives || !dropped[i]
-			}
-			if !anySurvives {
-				dropped[0] = false // a round with zero reports would stall
-			}
-		}
-		fracs = fracs[:0]
-		if sim != nil && sim.HasStraggler() {
-			for i, id := range sampled {
-				if dropped[i] {
-					fracs = append(fracs, 0) // never trained; value unused
-					continue
-				}
-				fracs = append(fracs, sim.WorkFraction(r, id))
-			}
-		}
-		for i := range dropped {
-			if dropped[i] {
-				mx.Dropped.Inc()
-			}
-		}
-		for i, f := range fracs {
-			if !dropped[i] && f < 1 {
-				mx.Stragglers.Inc()
-			}
-		}
-		results := rt.runRound(r, sampled, dropped, fracs)
-
-		// Compact away dropped clients so methods aggregate only over the
-		// reports that actually arrived.
-		arrived = arrived[:0]
-		for _, res := range results {
-			if res != nil {
-				arrived = append(arrived, res)
-			}
-		}
-		if len(arrived) > 0 {
-			m.Aggregate(r, global, arrived)
-		}
-
-		// Track the train loss across rounds so an evaluation landing on a
-		// round whose whole cohort was unavailable (possible under outage
-		// scenarios) reports the last observed loss instead of a spurious
-		// 0.0 dip in the curve.
-		lossSum, cnt := 0.0, 0
-		for _, res := range arrived {
-			if res.Steps > 0 {
-				lossSum += res.MeanLoss
-				cnt++
-			}
-		}
-		if cnt > 0 {
-			lastTrainLoss = lossSum / float64(cnt)
-		}
-		if (r+1)%cfg.EvalEvery == 0 || r == cfg.Rounds-1 {
-			globalNet.SetVector(global)
-			acc, perClass := Evaluate(globalNet, env.Test, 256)
-			stat := RoundStat{Round: r + 1, TestAcc: acc, PerClass: perClass,
-				TrainLoss: lastTrainLoss,
-				Shot:      ShotAccuracy(perClass, testTotals, shotBuckets)}
-			if cfg.Clock {
-				// Virtual wall-clock: every synchronous round costs exactly
-				// one deadline unit (stragglers report partial work at the
-				// deadline rather than extending it).
-				stat.Time = float64(r + 1)
-			}
-			if mr, ok := m.(MetricsReporter); ok {
-				stat.Metrics = mr.RoundMetrics()
-			}
-			for _, probe := range env.Probes {
-				probe(r+1, globalNet)
-			}
-			hist.Stats = append(hist.Stats, stat)
-			mx.TestAcc.Set(acc)
-			mx.TrainLoss.Set(lastTrainLoss)
-			if stat.Shot != nil {
-				mx.ShotHead.Set(stat.Shot.Head)
-				mx.ShotMedium.Set(stat.Shot.Medium)
-				mx.ShotTail.Set(stat.Shot.Tail)
-			}
-			mx.ReportDiag(stat.Metrics)
-			if onRound != nil {
-				onRound(stat)
-			}
-		}
-		mx.Rounds.Inc()
-		mx.RoundSeconds.Observe(time.Since(roundStart).Seconds())
+		c.mx.RoundSeconds.Observe(time.Since(roundStart).Seconds())
 		roundSpan.End()
 	}
-	return hist, nil
+	return nil
 }

@@ -352,16 +352,45 @@ func TestRunSameSeedSameHistory(t *testing.T) {
 	}
 }
 
+// reportingSGD counts RoundMetrics calls, so a test can tell how often the
+// engine snapshots a MetricsReporter.
+type reportingSGD struct {
+	sgdMethod
+	reports int
+}
+
+func (m *reportingSGD) RoundMetrics() map[string]float64 {
+	m.reports++
+	return map[string]float64{"reports": float64(m.reports)}
+}
+
+// TestRunInvokesProbes: under either scheduler every recorded RoundStat
+// fires each probe, one RoundMetrics snapshot and one onRound call — exactly
+// once, with the stat's own version number.
 func TestRunInvokesProbes(t *testing.T) {
-	cfg := Config{Rounds: 4, SampleClients: 2, LocalEpochs: 1, BatchSize: 20, Seed: 37, EvalEvery: 2}
-	env := testEnv(37, cfg, 3, 4, 1, 1)
-	var probed []int
-	env.Probes = append(env.Probes, func(round int, net *nn.Network) {
-		probed = append(probed, round)
-	})
-	Run(env, &sgdMethod{})
-	if len(probed) != 2 || probed[0] != 2 || probed[1] != 4 {
-		t.Fatalf("probe rounds %v, want [2 4]", probed)
+	for name, async := range map[string]*AsyncConfig{"barrier": nil, "events": {K: 1}} {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Rounds: 5, SampleClients: 2, LocalEpochs: 1, BatchSize: 20, Seed: 37, EvalEvery: 2, Async: async}
+			env := testEnv(37, cfg, 3, 4, 1, 1)
+			var probed, progressed []int
+			env.Probes = append(env.Probes, func(round int, net *nn.Network) {
+				probed = append(probed, round)
+			})
+			m := &reportingSGD{}
+			hist := RunWithProgress(env, m, func(st RoundStat) { progressed = append(progressed, st.Round) })
+			want := []int{2, 4, 5} // every EvalEvery-th version, and the last
+			if len(hist.Stats) != len(want) || m.reports != len(want) {
+				t.Fatalf("%d stats and %d RoundMetrics calls, want %d of each", len(hist.Stats), m.reports, len(want))
+			}
+			if len(probed) != len(want) || len(progressed) != len(want) {
+				t.Fatalf("probes %v and onRound %v, want %v", probed, progressed, want)
+			}
+			for i, st := range hist.Stats {
+				if st.Round != want[i] || probed[i] != want[i] || progressed[i] != want[i] || st.Metrics["reports"] != float64(i+1) {
+					t.Fatalf("stat %d: round %d, probe %v, onRound %v, metrics %v; want round %d", i, st.Round, probed, progressed, st.Metrics, want[i])
+				}
+			}
+		})
 	}
 }
 

@@ -85,7 +85,7 @@ func (s *ClientScratch) proxBuf() []float64 {
 // happens-before edges that make those writes visible to workers.
 //
 // Determinism is preserved by construction: results land in a slice indexed
-// by sampled position, every job reloads the global weights and reseeds its
+// by job position, every job reloads the global weights and reseeds its
 // RNG from (seed, round, client), and scratch buffers are fully overwritten
 // before use — so which worker runs which client is unobservable.
 type workerRuntime struct {
@@ -93,8 +93,8 @@ type workerRuntime struct {
 	m    Method
 	jobs chan int
 	wg   sync.WaitGroup
-	// metrics is set by the engine before the first round (never nil after
-	// that; its handles are nil-safe, so an all-no-op bundle costs nothing).
+	// metrics is never nil; its handles are nil-safe, so an all-no-op bundle
+	// costs nothing.
 	metrics *RunMetrics
 
 	// Per-batch state, written by the engine loop while all workers are
@@ -102,19 +102,16 @@ type workerRuntime struct {
 	// batches); batch describes the jobs of the current runBatch call.
 	global  []float64
 	batch   []clientJob
-	jobBuf  []clientJob // runRound's reusable job list
 	results []*ClientResult
 
 	workers []*runWorker
 }
 
-// clientJob is one unit of local training: which client, which result slot
-// it lands in, which (round-or-wave, client) RNG stream it draws, and what
-// fraction of the local step budget it runs (sync straggler semantics; the
-// async engine always dispatches full work and models slowness as virtual
-// duration instead).
+// clientJob is one unit of local training: which client, which
+// (round-or-wave, client) RNG stream it draws, and what fraction of the local
+// step budget it runs (sync straggler semantics; the async engine always
+// dispatches full work and models slowness as virtual duration instead).
 type clientJob struct {
-	pos    int
 	client int
 	round  int
 	frac   float64
@@ -130,8 +127,8 @@ type runWorker struct {
 
 // newRuntime builds n workers (each with a private network and scratch) and
 // starts their goroutines. Callers must close() the runtime when done.
-func newRuntime(env *Env, m Method, global []float64, n int) *workerRuntime {
-	rt := &workerRuntime{env: env, m: m, global: global, jobs: make(chan int)}
+func newRuntime(env *Env, m Method, global []float64, n int, mx *RunMetrics) *workerRuntime {
+	rt := &workerRuntime{env: env, m: m, metrics: mx, global: global, jobs: make(chan int)}
 	for w := 0; w < n; w++ {
 		wk := &runWorker{
 			rt:      rt,
@@ -149,40 +146,17 @@ func newRuntime(env *Env, m Method, global []float64, n int) *workerRuntime {
 // flight).
 func (rt *workerRuntime) close() { close(rt.jobs) }
 
-// runRound trains the sampled cohort (minus dropped positions, which never
-// train) and returns the per-position results; dropped positions stay nil.
-// fracs, when non-empty, is the per-position work fraction a straggler
-// scenario assigns (parallel to sampled; dropped positions unused). The
-// returned slice is valid until the next runRound call.
-func (rt *workerRuntime) runRound(round int, sampled []int, dropped []bool, fracs []float64) []*ClientResult {
-	rt.jobBuf = rt.jobBuf[:0]
-	for pos, id := range sampled {
-		if dropped[pos] {
-			continue
-		}
-		frac := 1.0
-		if len(fracs) > pos {
-			frac = fracs[pos]
-		}
-		rt.jobBuf = append(rt.jobBuf, clientJob{pos: pos, client: id, round: round, frac: frac})
-	}
-	return rt.runBatch(len(sampled), rt.jobBuf)
-}
-
-// runBatch executes one deterministic batch of jobs over the pool: results
-// land in a slots-sized slice indexed by each job's pos (slots without a
-// job stay nil). Scratch result slots recycle at every batch boundary, so
-// callers that keep results across batches (the async engine's buffer) must
-// deep-copy them first. The returned slice is valid until the next call.
-func (rt *workerRuntime) runBatch(slots int, jobs []clientJob) []*ClientResult {
+// runBatch executes one deterministic batch of jobs over the pool and returns
+// their results in job order. Scratch result slots recycle at every batch
+// boundary, so callers that keep results across batches (the async engine's
+// buffer) must deep-copy them first. The returned slice is valid until the
+// next call.
+func (rt *workerRuntime) runBatch(jobs []clientJob) []*ClientResult {
 	rt.batch = jobs
-	if cap(rt.results) < slots {
-		rt.results = make([]*ClientResult, slots)
+	if cap(rt.results) < len(jobs) {
+		rt.results = make([]*ClientResult, len(jobs))
 	}
-	rt.results = rt.results[:slots]
-	for i := range rt.results {
-		rt.results[i] = nil
-	}
+	rt.results = rt.results[:len(jobs)]
 	for _, w := range rt.workers {
 		w.scratch.Reset()
 	}
@@ -218,9 +192,7 @@ func (w *runWorker) runClient(i int) {
 		WorkFrac: job.frac,
 	}
 	start := time.Now()
-	rt.results[job.pos] = rt.m.LocalTrain(&w.ctx)
-	if mx := rt.metrics; mx != nil {
-		mx.ClientsTrained.Inc()
-		mx.ClientSeconds.Observe(time.Since(start).Seconds())
-	}
+	rt.results[i] = rt.m.LocalTrain(&w.ctx)
+	rt.metrics.ClientsTrained.Inc()
+	rt.metrics.ClientSeconds.Observe(time.Since(start).Seconds())
 }

@@ -178,7 +178,9 @@ func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 // neither reads as empty and backpressure never triggers.
 func (s *Server) execPending() int {
 	switch e := s.exec.(type) {
-	case interface{ Stats() dispatch.CoordinatorStats }:
+	case interface {
+		Stats() dispatch.CoordinatorStats
+	}:
 		return e.Stats().Pending
 	case interface{ Pending() int }:
 		return e.Pending()

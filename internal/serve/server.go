@@ -371,7 +371,7 @@ func (s *Server) ensureCell(spec sweep.RunSpec, fp string, block bool) (r *run, 
 	}
 	h, err := s.exec.Submit(dispatch.Job{ID: fp, Spec: specJSON}, dispatch.SubmitOpts{
 		Block:   block,
-		OnRound: r.onRound,
+		OnRound: r.progress.publish,
 		OnStart: r.setRunning,
 	})
 	if err != nil {
@@ -491,67 +491,24 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown run %s", id)
 		return
 	}
-	flusher, canFlush := w.(http.Flusher)
-	if !canFlush {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	s.sm.sseRuns.Inc()
-	defer s.sm.sseRuns.Dec()
-
-	emit := func(event string, v any) {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return // never send an event with an empty payload
-		}
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-		flusher.Flush()
-	}
-
-	if r == nil { // artifact with no live record: replay and finish
-		for _, st := range stored.Stats {
-			emit("round", st)
-		}
-		emit("done", map[string]string{"status": StatusCached})
-		return
-	}
-
-	replay, ch, terminal := r.subscribe()
-	defer r.unsubscribe(ch)
-	for _, st := range replay {
-		emit("round", st)
-	}
-	for !terminal {
-		select {
-		case st := <-ch:
-			emit("round", st)
-		case <-r.done:
-			// Drain events that raced with completion, then terminate.
-			for {
-				select {
-				case st := <-ch:
-					emit("round", st)
-				default:
-					terminal = true
-				}
-				if terminal {
-					break
-				}
+	serveSSE(w, s.sm.sseRuns, func(emit func(event string, v any)) {
+		if r == nil { // artifact with no live record: replay and finish
+			for _, st := range stored.Stats {
+				emit("round", st)
 			}
-		case <-req.Context().Done():
+			emit("done", map[string]string{"status": StatusCached})
 			return
 		}
-	}
-	status, _, _, errMsg := r.snapshot()
-	final := map[string]string{"status": status}
-	if errMsg != "" {
-		final["error"] = errMsg
-	}
-	emit("done", final)
+		if !stream(req.Context(), r.progress, func(st fl.RoundStat) { emit("round", st) }) {
+			return
+		}
+		status, _, _, errMsg := r.snapshot()
+		final := map[string]string{"status": status}
+		if errMsg != "" {
+			final["error"] = errMsg
+		}
+		emit("done", final)
+	})
 }
 
 // registryResponse lists what can be submitted: the paper's registered

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 
@@ -30,11 +29,13 @@ type sweepRun struct {
 	spec  sweep.Spec
 	cells []sweep.Cell
 
+	// finished carries the index of each cell as it turns terminal, and
+	// finishes with the last one.
+	finished *broadcaster[int]
+
 	mu        sync.Mutex
 	states    []sweepCellState // parallel to cells
 	remaining int
-	subs      map[chan sweepCellEvent]struct{}
-	done      chan struct{} // closed when every cell is terminal
 }
 
 // sweepCellState tracks one cell. While the cell executes, live is the run
@@ -63,29 +64,29 @@ func newSweepRun(id string, spec sweep.Spec, cells []sweep.Cell) *sweepRun {
 		cells:     cells,
 		states:    make([]sweepCellState, len(cells)),
 		remaining: len(cells),
-		subs:      make(map[chan sweepCellEvent]struct{}),
-		done:      make(chan struct{}),
+		finished:  newBroadcaster[int](),
 	}
 }
 
-// finishCell records a cell's terminal state and fans the event out to SSE
-// subscribers; the last cell closes done.
+// finishCell records a cell's terminal state and publishes the event; the
+// last cell finishes the feed. Publishing under sw.mu keeps a concurrent
+// finisher's event ahead of the last cell's finish.
 func (sw *sweepRun) finishCell(i int, status string, errMsg string) {
-	ev := sweepCellEvent{ID: sw.cells[i].ID, Axes: sw.cells[i].Axes, Status: status, Error: errMsg}
 	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	sw.states[i] = sweepCellState{status: status, err: errMsg}
 	sw.remaining--
-	last := sw.remaining == 0
-	for ch := range sw.subs {
-		select {
-		case ch <- ev:
-		default: // SSE is best-effort; the status endpoint is authoritative
-		}
+	sw.finished.publish(i)
+	if sw.remaining == 0 {
+		sw.finished.finish()
 	}
-	sw.mu.Unlock()
-	if last {
-		close(sw.done)
-	}
+}
+
+// cellEvent is the SSE payload for terminal cell i.
+func (sw *sweepRun) cellEvent(i int) sweepCellEvent {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sweepCellEvent{ID: sw.cells[i].ID, Axes: sw.cells[i].Axes, Status: sw.states[i].status, Error: sw.states[i].err}
 }
 
 // markScheduled notes a cell that entered the pool (or was found in
@@ -110,28 +111,6 @@ func (sw *sweepRun) terminal() (done bool, failed int) {
 		}
 	}
 	return true, failed
-}
-
-func (sw *sweepRun) subscribe() (replay []sweepCellEvent, ch chan sweepCellEvent, terminal bool) {
-	ch = make(chan sweepCellEvent, 256)
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	for i, st := range sw.states {
-		if st.status != "" {
-			replay = append(replay, sweepCellEvent{ID: sw.cells[i].ID, Axes: sw.cells[i].Axes, Status: st.status, Error: st.err})
-		}
-	}
-	terminal = sw.remaining == 0
-	if !terminal {
-		sw.subs[ch] = struct{}{}
-	}
-	return replay, ch, terminal
-}
-
-func (sw *sweepRun) unsubscribe(ch chan sweepCellEvent) {
-	sw.mu.Lock()
-	delete(sw.subs, ch)
-	sw.mu.Unlock()
 }
 
 // feed schedules every cell through the shared pool: store hits finish
@@ -162,7 +141,7 @@ func (s *Server) feed(sw *sweepRun) {
 		s.wg.Add(1)
 		go func(i int, r *run) { // watch the run to its terminal state
 			defer s.wg.Done()
-			<-r.done
+			<-r.progress.done
 			st, _, _, errMsg := r.snapshot()
 			if st == StatusFailed {
 				sw.finishCell(i, StatusFailed, errMsg)
@@ -442,51 +421,9 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown sweep %s", req.PathValue("id"))
 		return
 	}
-	flusher, canFlush := w.(http.Flusher)
-	if !canFlush {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	s.sm.sseSweeps.Inc()
-	defer s.sm.sseSweeps.Dec()
-
-	emit := func(event string, v any) {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return
+	serveSSE(w, s.sm.sseSweeps, func(emit func(event string, v any)) {
+		if stream(req.Context(), sw.finished, func(i int) { emit("cell", sw.cellEvent(i)) }) {
+			emit("done", sw.summary(false))
 		}
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-		flusher.Flush()
-	}
-
-	replay, ch, terminal := sw.subscribe()
-	defer sw.unsubscribe(ch)
-	for _, ev := range replay {
-		emit("cell", ev)
-	}
-	for !terminal {
-		select {
-		case ev := <-ch:
-			emit("cell", ev)
-		case <-sw.done:
-			for {
-				select {
-				case ev := <-ch:
-					emit("cell", ev)
-				default:
-					terminal = true
-				}
-				if terminal {
-					break
-				}
-			}
-		case <-req.Context().Done():
-			return
-		}
-	}
-	emit("done", sw.summary(false))
+	})
 }

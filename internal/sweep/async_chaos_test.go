@@ -13,6 +13,7 @@ import (
 	"fedwcm/internal/fl"
 	"fedwcm/internal/scenario"
 	"fedwcm/internal/store"
+	"fedwcm/internal/wire"
 )
 
 // asyncChaosSpec is a small but genuinely asynchronous run under stragglers:
@@ -37,7 +38,13 @@ func postJSON(t *testing.T, url string, body, out any) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
+	return postBody(t, url, "application/json", b, out)
+}
+
+// postBody posts pre-encoded bytes (heartbeats ride the wire codec).
+func postBody(t *testing.T, url, contentType string, b []byte, out any) int {
+	t.Helper()
+	resp, err := http.Post(url, contentType, bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +127,8 @@ func TestAsyncJobSurvivesWorkerCrash(t *testing.T) {
 	if leased.Job.ID != fp {
 		t.Fatalf("doomed worker leased %q, want %q", leased.Job.ID, fp)
 	}
-	beat := map[string]any{"rounds": []fl.RoundStat{{Round: 1, TestAcc: 0.2, Time: 1.5}}}
-	if code := postJSON(t, ts.URL+"/v1/workers/"+reg.ID+"/jobs/"+fp+"/heartbeat", beat, nil); code != http.StatusOK {
+	beat := wire.EncodeStats([]fl.RoundStat{{Round: 1, TestAcc: 0.2, Time: 1.5}}, wire.StatsOptions{})
+	if code := postBody(t, ts.URL+"/v1/workers/"+reg.ID+"/jobs/"+fp+"/heartbeat", wire.ContentType, beat, nil); code != http.StatusOK {
 		t.Fatalf("mid-run heartbeat: HTTP %d", code)
 	}
 
@@ -167,7 +174,7 @@ func TestAsyncJobSurvivesWorkerCrash(t *testing.T) {
 	}
 
 	// The dead worker's world has moved on: its late heartbeat is rejected.
-	if code := postJSON(t, ts.URL+"/v1/workers/"+reg.ID+"/jobs/"+fp+"/heartbeat", beat, nil); code != http.StatusGone {
+	if code := postBody(t, ts.URL+"/v1/workers/"+reg.ID+"/jobs/"+fp+"/heartbeat", wire.ContentType, beat, nil); code != http.StatusGone {
 		t.Fatalf("dead worker heartbeat after requeue: HTTP %d, want 410", code)
 	}
 

@@ -31,6 +31,85 @@ func TestAsyncSyncEquivalence(t *testing.T) {
 	}
 }
 
+// TestBarrierReplayAcrossParticipation widens the equivalence above from the
+// one golden fixture to every participation process the round core
+// implements: the barrier scheduler and the event scheduler at K = cohort
+// must see the same cohorts, drops, drift stages, loss carry and evaluations
+// (equal history bytes with the clock off) and must charge the same virtual
+// time for them (equal Time series with the clock on). "blackout" forces
+// whole-cohort outages, where the event scheduler used to burn server
+// versions in zero virtual time. Stragglers are absent by design: partial
+// work at the deadline versus full work arriving late is the one observable
+// difference between the two schedulers.
+func TestBarrierReplayAcrossParticipation(t *testing.T) {
+	named := func(name string) *scenario.Scenario {
+		sc, err := scenario.Named(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	cases := []struct {
+		name     string
+		dropProb float64
+		scenario *scenario.Scenario
+	}{
+		{"dropprob", 0.25, nil},
+		{"churn", 0, named("churn")},
+		{"outage", 0, named("outage")},
+		{"blackout", 0, &scenario.Scenario{Availability: &scenario.Availability{OutageProb: 0.5, OutageFrac: 1}}},
+		{"drift", 0, named("drift")},
+	}
+	run := func(t *testing.T, spec RunSpec, async, clock bool) *fl.History {
+		t.Helper()
+		spec.Cfg.Clock = clock
+		if async {
+			spec.Cfg.Async = &fl.AsyncConfig{
+				K:           spec.Cfg.SampleClients,
+				Concurrency: spec.Cfg.SampleClients,
+				Staleness:   fl.StaleUniform,
+			}
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("spec must validate: %v", err)
+		}
+		h, err := spec.Run()
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return h
+	}
+	for _, method := range []string{"fedavg", "fedcm", "fedwcm"} {
+		for _, tc := range cases {
+			t.Run(method+"/"+tc.name, func(t *testing.T) {
+				spec := goldenSpec(method)
+				spec.Cfg.Rounds, spec.Cfg.EvalEvery = 8, 1
+				spec.Cfg.DropProb, spec.Cfg.Scenario = tc.dropProb, tc.scenario
+
+				if s, a := historyHash(t, run(t, spec, false, false)), historyHash(t, run(t, spec, true, false)); s != a {
+					t.Errorf("clock off: barrier history %s != event history %s", s, a)
+				}
+				sync, async := run(t, spec, false, true), run(t, spec, true, true)
+				if len(sync.Stats) != len(async.Stats) {
+					t.Fatalf("clock on: %d barrier stats vs %d event stats", len(sync.Stats), len(async.Stats))
+				}
+				empty := 0
+				for i, st := range async.Stats {
+					if st.Time != sync.Stats[i].Time {
+						t.Errorf("version %d: event scheduler at virtual time %v, barrier at %v", st.Round, st.Time, sync.Stats[i].Time)
+					}
+					if st.Async.Buffer == 0 {
+						empty++
+					}
+				}
+				if tc.name == "blackout" && empty == 0 {
+					t.Fatal("blackout produced no whole-cohort outage; the case is vacuous")
+				}
+			})
+		}
+	}
+}
+
 // asyncGoldenSpec is the golden fixture in genuinely asynchronous mode:
 // buffer size below the cohort (the default K = SampleClients/2), poly
 // staleness discounts, duration jitter so the event queue interleaves waves,

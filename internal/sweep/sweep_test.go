@@ -262,13 +262,13 @@ func TestEngineReportsFailures(t *testing.T) {
 		var n atomic.Int64
 		return cannedRunner(&n)(context.Background(), spec, nil)
 	}}
-	updates := 0
-	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg", "fedcm"}, Effort: 0.1}, func(u CellUpdate) { updates++ })
+	var updates atomic.Int64 // onCell fires from both workers
+	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg", "fedcm"}, Effort: 0.1}, func(u CellUpdate) { updates.Add(1) })
 	if err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("expected failure error, got %v", err)
 	}
-	if res == nil || res.Failed != 1 || res.Computed != 1 || updates != 2 {
-		t.Fatalf("partial result: %+v (updates %d)", res, updates)
+	if res == nil || res.Failed != 1 || res.Computed != 1 || updates.Load() != 2 {
+		t.Fatalf("partial result: %+v (updates %d)", res, updates.Load())
 	}
 	// The surviving cell still aggregates.
 	if g := res.Find(Axes{Method: "fedavg"}); g == nil {

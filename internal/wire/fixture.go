@@ -9,7 +9,7 @@ import (
 
 // SampleHistory builds a deterministic history shaped like real engine
 // output, used as the reference workload for transport-size tracking (the
-// wire-vs-JSON ratio in BENCH_wire.json and the size pin in wire_test.go).
+// bench/ wire.* probes and the size pin in wire_test.go).
 // It mirrors what Evaluate and the async engine actually emit: accuracy
 // columns are correct/total quotients over a fixed test set (2000 samples,
 // 200 per class) that plateau as the run converges, losses and adaptive

@@ -5,9 +5,9 @@
 // Design:
 //
 //   - Every message is an envelope: 4-byte magic "FWR1", a kind byte, then
-//     the payload. Unknown magic or kind fails decoding loudly, so HTTP
-//     handlers can sniff the Content-Type (wire.ContentType) and fall back
-//     to JSON for old peers.
+//     the payload. Unknown magic or kind fails decoding loudly. The
+//     worker→coordinator hop speaks only this (wire.ContentType, anything
+//     else is a 415); the public run API negotiates it against JSON.
 //
 //   - Float64 series (accuracy, loss, per-class accuracy, metric values)
 //     are XOR-delta encoded: each value's IEEE-754 bits are XORed with the

@@ -327,7 +327,7 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 // TestWireSmallerThanJSON pins the transport-size win on the reference
 // workload (SampleHistory: engine-shaped accuracy quotients, plateaus,
 // shot/async blocks): the wire encoding must be at least 5× smaller than
-// the JSON body it replaces. BENCH_wire.json tracks the exact numbers.
+// the JSON body it replaces. The bench/ wire.* probes track the exact numbers.
 func TestWireSmallerThanJSON(t *testing.T) {
 	h := SampleHistory(100, 10)
 	jsonBody, err := json.Marshal(struct {

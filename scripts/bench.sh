@@ -8,21 +8,19 @@
 # BENCH_obs.json (or $3) with the observability-layer overhead (a full
 # /metrics exposition of a realistically sized registry, and the per-event
 # instrumentation cost — which must stay at 0 allocs/op), plus
-# BENCH_async.json (or $4) with the async-vs-sync wall-clock-to-target
-# comparison and the virtual-time core's event throughput (cmd/asyncbench),
-# plus BENCH_wire.json (or $5) with the binary transport codec's byte
-# reduction vs. the JSON bodies it replaced (cmd/wirebench), plus
-# BENCH_control_plane.json (or $6) with the coordinator load test
+# BENCH_control_plane.json (or $4) with the coordinator load test
 # (cmd/ctlbench: submit throughput/latency, WAL recovery time, sustained
 # drain rate with worker crashes mid-sweep, and a fingerprint-sharded
 # 2-coordinator topology vs the single-shard WAL), so performance work lands as
-# tracked numbers instead of claims. CI smoke-runs this with BENCHTIME=1x
+# tracked numbers instead of claims. End-to-end sweeps, the async-vs-sync
+# table (fedbench -run async) and the wire codec's size and cost live in the
+# bench/ benchmark (bash bench/run.sh). CI smoke-runs this with BENCHTIME=1x
 # to keep it executable; real numbers come from the default BENCHTIME (or a
 # longer one on quiet hardware):
 #
-#   scripts/bench.sh                    # writes BENCH_hotpath.json + BENCH_dispatch.json + BENCH_obs.json + BENCH_async.json + BENCH_wire.json + BENCH_control_plane.json
+#   scripts/bench.sh                    # writes BENCH_hotpath.json + BENCH_dispatch.json + BENCH_obs.json + BENCH_control_plane.json
 #   BENCHTIME=100x scripts/bench.sh     # steadier numbers
-#   BENCHTIME=1x scripts/bench.sh /tmp/bench.json /tmp/dispatch.json /tmp/obs.json /tmp/async.json /tmp/wire.json /tmp/ctl.json   # CI smoke
+#   BENCHTIME=1x scripts/bench.sh /tmp/bench.json /tmp/dispatch.json /tmp/obs.json /tmp/ctl.json   # CI smoke
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,9 +30,7 @@ BENCHTIME="${BENCHTIME:-20x}"
 OUT="${1:-BENCH_hotpath.json}"
 DISPATCH_OUT="${2:-BENCH_dispatch.json}"
 OBS_OUT="${3:-BENCH_obs.json}"
-ASYNC_OUT="${4:-BENCH_async.json}"
-WIRE_OUT="${5:-BENCH_wire.json}"
-CTL_OUT="${6:-BENCH_control_plane.json}"
+CTL_OUT="${4:-BENCH_control_plane.json}"
 # The system's hot paths: one aggregation round, one client's local round,
 # server-side aggregation, evaluation, the CNN forward/backward, and the
 # Dirichlet partitioner. Table/figure regeneration benches are excluded —
@@ -99,22 +95,6 @@ echo "wrote $OBS_OUT"
 
 obs_allocs=$(grep -o '"name": "MetricsHotPath"[^}]*' "$OBS_OUT" | grep -o '"allocs_per_op": [0-9]*' | grep -o '[0-9]*$')
 [ "$obs_allocs" = 0 ] || { echo "bench.sh: metrics hot path allocates ($obs_allocs allocs/op) — must be 0"; exit 1; }
-
-# Async-vs-sync comparison: virtual wall-clock to target accuracy per
-# scenario plus the event throughput of the virtual-time core. The smoke
-# setting (BENCHTIME=1x) shrinks the runs to prove executability; tracked
-# numbers come from the full default.
-if [ "$BENCHTIME" = "1x" ]; then ASYNC_ROUNDS=6; else ASYNC_ROUNDS=60; fi
-go run ./cmd/asyncbench -rounds "$ASYNC_ROUNDS" -out "$ASYNC_OUT"
-
-# Wire transport: bytes moved per result upload and heartbeat batch, binary
-# codec vs. the JSON bodies it replaced. Deterministic (a fixed reference
-# workload, no timing in the gated number), so the 5× reduction target is
-# asserted even on the CI smoke run.
-go run ./cmd/wirebench -out "$WIRE_OUT"
-wire_ratio=$(grep -o '"ratio": [0-9.]*' "$WIRE_OUT" | head -1 | grep -o '[0-9.]*$')
-awk -v r="$wire_ratio" 'BEGIN { exit !(r >= 5) }' \
-  || { echo "bench.sh: wire result-upload reduction ${wire_ratio}x is below the 5x target"; exit 1; }
 
 # Control-plane load test: submit latency at depth, WAL crash recovery,
 # sustained drain with workers killed and joining mid-sweep, and the
