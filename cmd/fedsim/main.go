@@ -14,10 +14,10 @@ import (
 	"strings"
 
 	"fedwcm/internal/data"
-	"fedwcm/internal/experiments"
 	"fedwcm/internal/fl"
 	"fedwcm/internal/fl/methods"
 	"fedwcm/internal/obs"
+	"fedwcm/internal/sweep"
 	"fedwcm/internal/trace"
 )
 
@@ -51,7 +51,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	spec := experiments.RunSpec{
+	spec := sweep.RunSpec{
 		Dataset:   *dataset,
 		Method:    *method,
 		Beta:      *beta,

@@ -13,13 +13,13 @@ import (
 	"log"
 
 	"fedwcm/internal/collapse"
-	"fedwcm/internal/experiments"
 	"fedwcm/internal/fl"
+	"fedwcm/internal/sweep"
 )
 
 func run(method string, imf float64) (*fl.History, *collapse.Series) {
 	var series *collapse.Series
-	spec := experiments.RunSpec{
+	spec := sweep.RunSpec{
 		Dataset: "cifar10-syn",
 		Method:  method,
 		Beta:    0.1,

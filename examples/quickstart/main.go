@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"log"
 
-	"fedwcm/internal/experiments"
 	"fedwcm/internal/fl"
+	"fedwcm/internal/sweep"
 )
 
 func main() {
@@ -25,7 +25,7 @@ func main() {
 	fmt.Println()
 
 	for _, method := range []string{"fedavg", "fedcm", "fedwcm"} {
-		spec := experiments.RunSpec{
+		spec := sweep.RunSpec{
 			Dataset: "cifar10-syn",
 			Method:  method,
 			Beta:    0.1, // Dirichlet label skew (smaller = more heterogeneous)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fedwcm/internal/fl"
+	"fedwcm/internal/sweep"
 )
 
 // TestCNNFederatedIntegration exercises the full image path end to end:
@@ -14,7 +15,7 @@ func TestCNNFederatedIntegration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CNN integration run skipped in -short mode")
 	}
-	spec := RunSpec{
+	spec := sweep.RunSpec{
 		Dataset: "svhn-img",
 		Method:  "fedwcm",
 		Beta:    0.3,
@@ -51,7 +52,7 @@ func TestCNNMethodsAgreeOnShapes(t *testing.T) {
 		t.Skip("CNN shape run skipped in -short mode")
 	}
 	for _, m := range []string{"fedavg", "fedcm"} {
-		spec := RunSpec{
+		spec := sweep.RunSpec{
 			Dataset: "cifar10-img", Method: m, Beta: 0.5, IF: 0.5,
 			Clients: 4, Model: "resnet", Scale: 0.3,
 			Cfg: fl.Config{Rounds: 3, SampleClients: 2, LocalEpochs: 1,

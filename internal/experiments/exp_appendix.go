@@ -171,7 +171,7 @@ func init() {
 			trainAcc := make(map[string]*[]float64, len(methodsList))
 			var cells []cell
 			for _, m := range methodsList {
-				spec := specFor(opt, "cifar10-syn", m, 0.1, 1)
+				spec := sweep.PresetSpec("cifar10-syn", m, 0.1, 1, opt.Seed, opt.Effort)
 				series := new([]float64)
 				trainAcc[m] = series
 				spec.Mod = func(env *fl.Env) {

@@ -62,7 +62,7 @@ func init() {
 				f := f
 				key := fmt.Sprintf("IF=%g", f)
 				labels = append(labels, key)
-				spec := specFor(opt, "cifar10-syn", "fedcm", 0.1, f)
+				spec := sweep.PresetSpec("cifar10-syn", "fedcm", 0.1, f, opt.Seed, opt.Effort)
 				spec.Mod = func(env *fl.Env) {
 					probe, series := collapse.NewProbe(collapse.ProbeBatch(env.Test, 200))
 					env.Probes = append(env.Probes, probe)
@@ -112,7 +112,7 @@ func init() {
 			for _, st := range settings {
 				for _, m := range methodsList {
 					key := m + " " + st.name
-					spec := specFor(opt, "cifar10-syn", m, 0.1, st.imf)
+					spec := sweep.PresetSpec("cifar10-syn", m, 0.1, st.imf, opt.Seed, opt.Effort)
 					spec.Mod = func(env *fl.Env) {
 						probe, series := collapse.NewProbe(collapse.ProbeBatch(env.Test, 200))
 						env.Probes = append(env.Probes, probe)

@@ -8,14 +8,15 @@ import (
 	"fedwcm/internal/data"
 	"fedwcm/internal/fl"
 	"fedwcm/internal/store"
+	"fedwcm/internal/sweep"
 )
 
 func TestRunSpecDefaults(t *testing.T) {
-	s := RunSpec{}.Defaults()
+	s := sweep.RunSpec{}.Defaults()
 	if s.Dataset == "" || s.Method == "" || s.Partition == "" || s.Clients == 0 || s.Scale == 0 {
 		t.Fatalf("defaults not filled: %+v", s)
 	}
-	s2 := RunSpec{Dataset: "fmnist-syn", Clients: 7}.Defaults()
+	s2 := sweep.RunSpec{Dataset: "fmnist-syn", Clients: 7}.Defaults()
 	if s2.Dataset != "fmnist-syn" || s2.Clients != 7 {
 		t.Fatal("explicit values must be preserved")
 	}
@@ -23,7 +24,7 @@ func TestRunSpecDefaults(t *testing.T) {
 
 func TestBuildEnvPartitions(t *testing.T) {
 	for _, p := range []string{"equal", "fedgrab"} {
-		s := RunSpec{Partition: p, Scale: 0.1, Cfg: fl.Config{Seed: 3}}.Defaults()
+		s := sweep.RunSpec{Partition: p, Scale: 0.1, Cfg: fl.Config{Seed: 3}}.Defaults()
 		s.Partition = p
 		env, err := s.BuildEnv()
 		if err != nil {
@@ -33,7 +34,7 @@ func TestBuildEnvPartitions(t *testing.T) {
 			t.Fatalf("%s: %d clients, want %d", p, len(env.Clients), s.Clients)
 		}
 	}
-	s := RunSpec{Partition: "nope", Scale: 0.1}.Defaults()
+	s := sweep.RunSpec{Partition: "nope", Scale: 0.1}.Defaults()
 	s.Partition = "nope"
 	if _, err := s.BuildEnv(); err == nil {
 		t.Fatal("unknown partition must error")
@@ -41,7 +42,7 @@ func TestBuildEnvPartitions(t *testing.T) {
 }
 
 func TestBuildEnvUnknownDataset(t *testing.T) {
-	s := RunSpec{Dataset: "nope"}.Defaults()
+	s := sweep.RunSpec{Dataset: "nope"}.Defaults()
 	if _, err := s.BuildEnv(); err == nil {
 		t.Fatal("unknown dataset must error")
 	}
@@ -50,7 +51,7 @@ func TestBuildEnvUnknownDataset(t *testing.T) {
 func TestModelFor(t *testing.T) {
 	spec, _ := data.Lookup("cifar10-syn")
 	for _, m := range []string{"auto", "linear", "mlp", "mlpbn"} {
-		b, err := ModelFor(spec, m)
+		b, err := sweep.ModelFor(spec, m)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -59,20 +60,20 @@ func TestModelFor(t *testing.T) {
 			t.Fatalf("%s: model shape mismatch", m)
 		}
 	}
-	if _, err := ModelFor(spec, "resnet"); err == nil {
+	if _, err := sweep.ModelFor(spec, "resnet"); err == nil {
 		t.Fatal("resnet on a feature dataset must error")
 	}
 	img, _ := data.Lookup("svhn-img")
-	if _, err := ModelFor(img, "resnet"); err != nil {
+	if _, err := sweep.ModelFor(img, "resnet"); err != nil {
 		t.Fatalf("resnet on image dataset: %v", err)
 	}
-	if _, err := ModelFor(spec, "alexnet"); err == nil {
+	if _, err := sweep.ModelFor(spec, "alexnet"); err == nil {
 		t.Fatal("unknown model must error")
 	}
 }
 
 func TestRunSpecTinyRun(t *testing.T) {
-	s := RunSpec{
+	s := sweep.RunSpec{
 		Method: "fedavg",
 		Scale:  0.1,
 		Cfg:    fl.Config{Rounds: 3, SampleClients: 3, LocalEpochs: 1, BatchSize: 20, Seed: 5, EvalEvery: 3},
@@ -88,7 +89,7 @@ func TestRunSpecTinyRun(t *testing.T) {
 
 func TestRunSpecModHook(t *testing.T) {
 	called := false
-	s := RunSpec{
+	s := sweep.RunSpec{
 		Method: "fedavg",
 		Scale:  0.1,
 		Cfg:    fl.Config{Rounds: 2, SampleClients: 2, LocalEpochs: 1, BatchSize: 20, Seed: 6, EvalEvery: 2},

@@ -1,3 +1,10 @@
+// Package experiments defines one registered experiment per table and
+// figure in the paper's evaluation. Most experiments are declarative: a
+// sweep.Spec grid plus a Render function that formats the aggregated
+// result, executed through the sweep engine so overlapping grids share
+// cached cells (see internal/sweep). Experiments that attach process-local
+// probes (Mod hooks) keep a hand-rolled Run instead. cmd/fedbench and the
+// top-level benchmarks are thin wrappers over this package.
 package experiments
 
 import (
@@ -90,6 +97,7 @@ func (e *Experiment) Execute(opt Options) error {
 		sp.Name = e.ID
 	}
 	eng := &sweep.Engine{Store: opt.Store, Workers: opt.CellWorkers, Envs: opt.Envs, Executor: opt.Executor}
+	defer eng.Close()
 	before := opt.Envs.Stats()
 	res, err := eng.RunSweep(sp, nil)
 	if res != nil && res.Failed > 0 {
@@ -166,51 +174,37 @@ func All() []*Experiment {
 // cell is one (label, spec) pair of a hand-rolled experiment's sweep.
 type cell struct {
 	Key  string
-	Spec RunSpec
+	Spec sweep.RunSpec
 }
 
 // runCells executes cells, up to `workers` concurrently, returning
-// histories keyed by cell key. Errors abort the sweep. Declarative
+// histories keyed by cell key; any error fails the whole batch. Declarative
 // experiments go through sweep.Engine instead; this path remains for cells
-// with Mod hooks, which have no fingerprint and so cannot be cached.
+// with Mod hooks, which have no fingerprint and so can be neither cached
+// nor dispatched.
 func runCells(cells []cell, workers int) (map[string]*fl.History, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	type outcome struct {
-		key  string
-		hist *fl.History
-		err  error
-	}
-	jobs := make(chan cell)
-	results := make(chan outcome)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	var (
+		mu       sync.Mutex
+		out      = make(map[string]*fl.History, len(cells))
+		firstErr error
+		wg       sync.WaitGroup
+		slots    = make(chan struct{}, max(workers, 1))
+	)
+	for _, c := range cells {
+		slots <- struct{}{}
 		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for c := range jobs {
-				h, err := c.Spec.Run()
-				results <- outcome{key: c.Key, hist: h, err: err}
+			defer func() { <-slots; wg.Done() }()
+			h, err := c.Spec.Run()
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("cell %s: %w", c.Key, err)
 			}
+			out[c.Key] = h
 		}()
 	}
-	go func() {
-		for _, c := range cells {
-			jobs <- c
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-	out := make(map[string]*fl.History, len(cells))
-	var firstErr error
-	for r := range results {
-		if r.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cell %s: %w", r.key, r.err)
-		}
-		out[r.key] = r.hist
-	}
+	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
 	}

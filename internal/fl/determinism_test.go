@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -31,7 +32,8 @@ func TestRunWithProgressMatchesRun(t *testing.T) {
 	mk := func(onRound func(RoundStat)) *History {
 		cfg := Config{Rounds: 6, SampleClients: 3, LocalEpochs: 1, BatchSize: 20, Seed: 93, EvalEvery: 2}
 		env := testEnv(93, cfg, 3, 6, 0.5, 0.5)
-		return RunWithProgress(env, &sgdMethod{}, onRound)
+		hist, _ := RunWithProgressCtx(context.Background(), env, &sgdMethod{}, onRound)
+		return hist
 	}
 	var seen []RoundStat
 	withHook := mk(func(s RoundStat) { seen = append(seen, s) })

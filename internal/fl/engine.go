@@ -15,25 +15,19 @@ import (
 // the sampled position, and aggregation happens single-threaded afterwards,
 // so the run is deterministic regardless of scheduling.
 func Run(env *Env, m Method) *History {
-	return RunWithProgress(env, m, nil)
-}
-
-// RunWithProgress is Run with a per-round progress hook: onRound, when
-// non-nil, is invoked synchronously from the round loop with each RoundStat
-// as it is recorded (the same values appended to the returned History).
-// Serving layers use it to stream live progress; it has no effect on the
-// run itself, so Run(env, m) and RunWithProgress(env, m, cb) produce
-// identical histories.
-func RunWithProgress(env *Env, m Method, onRound func(RoundStat)) *History {
-	hist, _ := RunWithProgressCtx(context.Background(), env, m, onRound)
+	hist, _ := RunWithProgressCtx(context.Background(), env, m, nil)
 	return hist
 }
 
-// RunWithProgressCtx is RunWithProgress with cooperative cancellation:
-// ctx is checked once per round, and a cancelled run returns the history
-// accumulated so far alongside ctx's error. Cancellation is the only error
-// source, and it never fires between the check and the round's stat, so an
-// uncancelled ctx yields a history identical to RunWithProgress's.
+// RunWithProgressCtx is Run with a per-round progress hook and cooperative
+// cancellation. onRound, when non-nil, is invoked synchronously from the
+// round loop with each RoundStat as it is recorded (the same values appended
+// to the returned History); serving layers use it to stream live progress,
+// and it has no effect on the run itself. ctx is checked once per round, and
+// a cancelled run returns the history accumulated so far alongside ctx's
+// error. Cancellation is the only error source, and it never fires between
+// the check and the round's stat, so an uncancelled ctx yields a history
+// identical to Run's.
 func RunWithProgressCtx(ctx context.Context, env *Env, m Method, onRound func(RoundStat)) (*History, error) {
 	if ac := env.Cfg.Async; !ac.IsZero() { // buffered-async event scheduler
 		c := newRoundCore(env, m, onRound, ac.Concurrency)

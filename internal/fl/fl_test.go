@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -377,7 +378,7 @@ func TestRunInvokesProbes(t *testing.T) {
 				probed = append(probed, round)
 			})
 			m := &reportingSGD{}
-			hist := RunWithProgress(env, m, func(st RoundStat) { progressed = append(progressed, st.Round) })
+			hist, _ := RunWithProgressCtx(context.Background(), env, m, func(st RoundStat) { progressed = append(progressed, st.Round) })
 			want := []int{2, 4, 5} // every EvalEvery-th version, and the last
 			if len(hist.Stats) != len(want) || m.reports != len(want) {
 				t.Fatalf("%d stats and %d RoundMetrics calls, want %d of each", len(hist.Stats), m.reports, len(want))

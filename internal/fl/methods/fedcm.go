@@ -5,10 +5,45 @@ import (
 	"fedwcm/internal/loss"
 )
 
+// serverMomentum is the server side of client-level momentum, the part the
+// FedCM family shares: Δ_r, the aggregate gradient direction of the previous
+// round, handed to every local step and refreshed from each aggregation. A
+// method embedding it is its weights and its α — the rest is here.
+type serverMomentum struct {
+	env          *fl.Env
+	momentum     []float64
+	haveMomentum bool
+	wbuf         []float64 // reusable per-round weight vector
+}
+
+func (s *serverMomentum) init(env *fl.Env, dim int) {
+	s.env = env
+	s.momentum = make([]float64, dim)
+	s.haveMomentum = false
+	s.wbuf = make([]float64, 0, env.Cfg.SampleClients)
+}
+
+// localOpts mixes Δ_r into local steps with coefficient alpha. The first
+// round runs plain SGD (Δ_0 is undefined), matching common implementations.
+func (s *serverMomentum) localOpts(alpha float64) fl.LocalOpts {
+	opts := fl.LocalOpts{Alpha: alpha}
+	if s.haveMomentum {
+		opts.Momentum = s.momentum
+	}
+	return opts
+}
+
+// step applies the server update under weights w and refreshes the momentum
+// from the same weights: Δ_{r+1} = Σ w_k·Delta_k/(η_l·B_k).
+func (s *serverMomentum) step(global []float64, results []*fl.ClientResult, w []float64) {
+	fl.WeightedDeltaInto(global, s.env.Cfg.EtaG, results, w)
+	fl.MomentumFrom(s.momentum, s.env.Cfg.EtaL, results, w)
+	s.haveMomentum = true
+}
+
 // FedCM is client-level momentum federated learning (Xu et al. 2021):
 // every local step uses v = α·g + (1−α)·Δ_r, where Δ_r is the server's
-// aggregate gradient direction from the previous round. The first round
-// runs plain SGD (Δ_0 is undefined), matching common implementations.
+// aggregate gradient direction from the previous round (see serverMomentum).
 //
 // LossFor and Balanced implement the paper's "FedCM + Focal Loss",
 // "FedCM + Balance Loss" and "FedCM + Balance Sampler" baselines without
@@ -20,18 +55,9 @@ type FedCM struct {
 	LossFor func(c *fl.Client) loss.Loss
 	// Balanced switches local training to the class-balanced sampler.
 	Balanced bool
-	// StaleScale, when set, replaces the engine's staleness discount in
-	// buffered-async aggregation: update i is weighted ∝ StaleScale(s_i)
-	// (normalised to a convex combination) in both the server step and the
-	// momentum refresh — the staleness-corrected-momentum hook. Nil uses
-	// the discounts the engine derived from AsyncConfig.
-	StaleScale func(stale int) float64
 
-	name         string
-	env          *fl.Env
-	momentum     []float64
-	haveMomentum bool
-	wbuf         []float64
+	serverMomentum
+	name string
 	// lossCache holds one LossFor-built loss per client, materialised at
 	// Init: client losses are pure functions of static client state, so
 	// rebuilding them per round was pure allocation churn. Safe because a
@@ -80,10 +106,7 @@ func (m *FedCM) Name() string { return m.name }
 
 // Init implements fl.Method.
 func (m *FedCM) Init(env *fl.Env, dim int) {
-	m.env = env
-	m.momentum = make([]float64, dim)
-	m.haveMomentum = false
-	m.wbuf = make([]float64, 0, env.Cfg.SampleClients)
+	m.serverMomentum.init(env, dim)
 	m.lossCache = nil
 	if m.LossFor != nil {
 		m.lossCache = make([]loss.Loss, len(env.Clients))
@@ -95,56 +118,28 @@ func (m *FedCM) Init(env *fl.Env, dim int) {
 
 // LocalTrain implements fl.Method.
 func (m *FedCM) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
-	opts := fl.LocalOpts{Alpha: m.Alpha, Balanced: m.Balanced}
-	if m.haveMomentum {
-		opts.Momentum = m.momentum
-	}
+	opts := m.localOpts(m.Alpha)
+	opts.Balanced = m.Balanced
 	if m.lossCache != nil {
 		opts.Loss = m.lossCache[ctx.Client.ID]
 	}
 	return fl.RunLocalSGD(ctx, opts)
 }
 
-// Aggregate implements fl.Method: uniform delta averaging plus momentum
-// refresh Δ_{r+1} = Σ w_k·Delta_k/(η_l·B_k).
+// Aggregate implements fl.Method: uniform delta averaging plus the momentum
+// refresh.
 func (m *FedCM) Aggregate(round int, global []float64, results []*fl.ClientResult) {
 	m.wbuf = fl.UniformWeightsInto(m.wbuf, len(results))
-	w := m.wbuf
-	fl.WeightedDeltaInto(global, m.env.Cfg.EtaG, results, w)
-	fl.MomentumFrom(m.momentum, m.env.Cfg.EtaL, results, w)
-	m.haveMomentum = true
+	m.step(global, results, m.wbuf)
 }
 
-// AggregateAsync implements fl.AsyncAggregator: the uniform base weights
-// compose with the per-update staleness discounts and renormalise, so both
-// the server step and the momentum refresh stay convex combinations in
-// which stale updates count less (staleness-corrected momentum). With unit
-// discounts and no StaleScale override this is exactly Aggregate — the
-// degenerate-case goldens rely on that being bit-identical.
+// AggregateAsync implements fl.AsyncAggregator: FedCM's base weights are
+// uniform, so composing them with the staleness discounts and renormalising
+// is the engine's convex info.Weights itself. Both the server step and the
+// momentum refresh stay convex combinations in which stale updates count
+// less (staleness-corrected momentum); with unit discounts the weights are
+// exactly 1/n and this is Aggregate bit for bit, which the degenerate-case
+// goldens rely on.
 func (m *FedCM) AggregateAsync(info *fl.AsyncInfo, global []float64, results []*fl.ClientResult) {
-	if info.Uniform && m.StaleScale == nil {
-		m.Aggregate(info.Version-1, global, results)
-		return
-	}
-	m.wbuf = fl.GrowWeights(m.wbuf, len(results))
-	w := m.wbuf
-	total := 0.0
-	for i := range results {
-		d := info.Discounts[i]
-		if m.StaleScale != nil {
-			d = m.StaleScale(info.Stale[i])
-		}
-		w[i] = d
-		total += d
-	}
-	if total <= 0 {
-		fl.UniformWeightsInto(w, len(results))
-	} else {
-		for i := range w {
-			w[i] /= total
-		}
-	}
-	fl.WeightedDeltaInto(global, m.env.Cfg.EtaG, results, w)
-	fl.MomentumFrom(m.momentum, m.env.Cfg.EtaL, results, w)
-	m.haveMomentum = true
+	m.step(global, results, info.Weights)
 }

@@ -64,26 +64,19 @@ func DefaultWCMOptions() WCMOptions {
 // imbalance level and the sampled cohort's scarcity ratio q_r.
 type FedWCM struct {
 	Opt WCMOptions
-	// StaleScale, when set, replaces the engine's staleness discount in
-	// buffered-async aggregation (see FedCM.StaleScale); it feeds both the
-	// per-update weight composition and the histogram-derived damping of
-	// the adaptive α.
-	StaleScale func(stale int) float64
 
-	name         string
-	env          *fl.Env
-	scores       []float64 // s_k per client
-	meanScore    float64
-	temp         float64 // softmax temperature T
-	imbFactor    float64 // 1 − exp(−DevGain·D·C/2)
-	alpha        float64 // current α_r
-	momentum     []float64
-	haveMomentum bool
-	refSteps     float64 // reference local step count B̂·E for FedWCM-X
+	serverMomentum
+	name      string
+	scores    []float64 // s_k per client
+	meanScore float64
+	temp      float64 // softmax temperature T
+	imbFactor float64 // 1 − exp(−DevGain·D·C/2)
+	alpha     float64 // current α_r
+	refSteps  float64 // reference local step count B̂·E for FedWCM-X
 
-	// Per-round accumulators, sized at Init so Aggregate runs without
-	// per-round temporaries.
-	wbuf, rawbuf []float64
+	// rawbuf holds the sampled clients' scores, sized at Init so Aggregate
+	// runs without per-round temporaries.
+	rawbuf []float64
 
 	lastAlpha, lastQ, lastWMax float64
 }
@@ -111,10 +104,7 @@ func (m *FedWCM) Name() string { return m.name }
 // every client with Eq. 3, and derives the temperature and the imbalance
 // factor used by Eq. 5.
 func (m *FedWCM) Init(env *fl.Env, dim int) {
-	m.env = env
-	m.momentum = make([]float64, dim)
-	m.haveMomentum = false
-	m.wbuf = make([]float64, 0, env.Cfg.SampleClients)
+	m.serverMomentum.init(env, dim)
 	m.rawbuf = make([]float64, 0, env.Cfg.SampleClients)
 	classes := env.Train.Classes
 	target := m.Opt.Target
@@ -197,10 +187,7 @@ func ClientScore(classWeight []float64, counts []int) float64 {
 // current adaptive α_r (plain SGD on the bootstrap round), plus FedWCM-X's
 // learning-rate normalisation when enabled.
 func (m *FedWCM) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
-	opts := fl.LocalOpts{Alpha: m.alpha}
-	if m.haveMomentum {
-		opts.Momentum = m.momentum
-	}
+	opts := m.localOpts(m.alpha)
 	if m.Opt.QuantityWeighted && ctx.Client.N > 0 {
 		batches := math.Ceil(float64(ctx.Client.N) / float64(ctx.Env.Cfg.BatchSize))
 		steps := batches * float64(ctx.Env.Cfg.LocalEpochs)
@@ -259,17 +246,13 @@ func (m *FedWCM) aggregate(global []float64, results []*fl.ClientResult, info *f
 	// fresh buffers (where the reweighting below is skipped entirely, so the
 	// degenerate async case stays bit-identical to the sync path).
 	dbar := 1.0
-	if info != nil && (!info.Uniform || m.StaleScale != nil) {
-		scale := info.Discount
-		if m.StaleScale != nil {
-			scale = m.StaleScale
-		}
-		for i := range results {
-			w[i] *= scale(info.Stale[i])
+	if info != nil && !info.Uniform {
+		for i, d := range info.Discounts {
+			w[i] *= d
 		}
 		dsum := 0.0
 		for s, c := range info.Hist {
-			dsum += float64(c) * scale(s)
+			dsum += float64(c) * info.Discount(s)
 		}
 		dbar = dsum / float64(n)
 		wsum := 0.0
@@ -284,9 +267,7 @@ func (m *FedWCM) aggregate(global []float64, results []*fl.ClientResult, info *f
 	}
 	m.lastWMax = tensor.Max(w)
 
-	fl.WeightedDeltaInto(global, m.env.Cfg.EtaG, results, w)
-	fl.MomentumFrom(m.momentum, m.env.Cfg.EtaL, results, w)
-	m.haveMomentum = true
+	m.step(global, results, w)
 
 	// Eq. 5: α_{r+1} = base + (1−base)·(1 − e^{−D·C/2})·q_r, clamped; async
 	// buffers additionally damp by the mean staleness discount dbar.

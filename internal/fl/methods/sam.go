@@ -40,11 +40,8 @@ func (m *FedSAM) Aggregate(round int, global []float64, results []*fl.ClientResu
 // MoFedSAM combines FedSAM's local perturbation with FedCM's client-level
 // momentum mixing.
 type MoFedSAM struct {
-	Alpha, Rho   float64
-	env          *fl.Env
-	momentum     []float64
-	haveMomentum bool
-	wbuf         []float64
+	Alpha, Rho float64
+	serverMomentum
 }
 
 // NewMoFedSAM returns MoFedSAM.
@@ -54,28 +51,19 @@ func NewMoFedSAM(alpha, rho float64) *MoFedSAM { return &MoFedSAM{Alpha: alpha, 
 func (m *MoFedSAM) Name() string { return "mofedsam" }
 
 // Init implements fl.Method.
-func (m *MoFedSAM) Init(env *fl.Env, dim int) {
-	m.env = env
-	m.momentum = make([]float64, dim)
-	m.wbuf = make([]float64, 0, env.Cfg.SampleClients)
-}
+func (m *MoFedSAM) Init(env *fl.Env, dim int) { m.serverMomentum.init(env, dim) }
 
 // LocalTrain implements fl.Method.
 func (m *MoFedSAM) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
-	opts := fl.LocalOpts{Alpha: m.Alpha, SAMRho: m.Rho}
-	if m.haveMomentum {
-		opts.Momentum = m.momentum
-	}
+	opts := m.localOpts(m.Alpha)
+	opts.SAMRho = m.Rho
 	return fl.RunLocalSGD(ctx, opts)
 }
 
 // Aggregate implements fl.Method.
 func (m *MoFedSAM) Aggregate(round int, global []float64, results []*fl.ClientResult) {
 	m.wbuf = fl.UniformWeightsInto(m.wbuf, len(results))
-	w := m.wbuf
-	fl.WeightedDeltaInto(global, m.env.Cfg.EtaG, results, w)
-	fl.MomentumFrom(m.momentum, m.env.Cfg.EtaL, results, w)
-	m.haveMomentum = true
+	m.step(global, results, m.wbuf)
 }
 
 // FedLESAM perturbs along a *globally estimated* direction — the previous

@@ -177,7 +177,7 @@ func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 // export it via Stats, the local pool via Pending. An executor exposing
 // neither reads as empty and backpressure never triggers.
 func (s *Server) execPending() int {
-	switch e := s.exec.(type) {
+	switch e := s.eng.Executor.(type) {
 	case interface {
 		Stats() dispatch.CoordinatorStats
 	}:

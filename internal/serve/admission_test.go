@@ -11,14 +11,13 @@ import (
 	"testing"
 	"time"
 
-	"fedwcm/internal/experiments"
 	"fedwcm/internal/fl"
 	"fedwcm/internal/sweep"
 )
 
 // postSpecAs submits a run spec under a tenant header (empty = none) and
 // returns the status code plus the Retry-After header.
-func postSpecAs(t *testing.T, ts *httptest.Server, spec experiments.RunSpec, tenant string) (int, string) {
+func postSpecAs(t *testing.T, ts *httptest.Server, spec sweep.RunSpec, tenant string) (int, string) {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -45,7 +44,7 @@ func postSpecAs(t *testing.T, ts *httptest.Server, spec experiments.RunSpec, ten
 // specN varies the seed so each submission is a distinct cell (distinct
 // fingerprint — a cached hit would bypass nothing, but distinct cells make
 // the executed/queued accounting unambiguous).
-func specN(n int) experiments.RunSpec {
+func specN(n int) sweep.RunSpec {
 	sp := tinySpec()
 	sp.Cfg.Seed = uint64(100 + n)
 	return sp

@@ -5,8 +5,8 @@ import (
 )
 
 // serveMetrics is the server's handle set, resolved once in New. Sweep cell
-// terminations are counted on the same code path that updates the status API
-// (feed/watch → finishCell), so /metrics and /v1/sweeps/{id} cannot diverge.
+// terminations are counted where the driver reports them (feed, next to
+// finishCell), so /metrics and /v1/sweeps/{id} cannot diverge.
 type serveMetrics struct {
 	http      *obs.HTTPMetrics
 	sseRuns   *obs.Gauge      // live /v1/runs/{id}/events subscribers
@@ -25,9 +25,7 @@ func newServeMetrics(reg *obs.Registry, s *Server) serveMetrics {
 		return serveMetrics{}
 	}
 	reg.GaugeFunc("fedwcm_serve_runs_active", "Run records held in memory (in-flight or failed).", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(len(s.runs))
+		return float64(s.eng.Inflight())
 	})
 	reg.GaugeFunc("fedwcm_serve_sweeps_tracked", "Sweep records held in memory.", func() float64 {
 		s.mu.Lock()
@@ -43,9 +41,6 @@ func newServeMetrics(reg *obs.Registry, s *Server) serveMetrics {
 		wireEncode: reg.Histogram("fedwcm_wire_encode_seconds", "Latency of wire-codec encodes.", nil),
 	}
 }
-
-// noteCell counts one terminal sweep cell; call exactly where finishCell is.
-func (sm serveMetrics) noteCell(status string) { sm.cells.With(status).Inc() }
 
 // observeWireEncode counts one wire-encoded response body (nil-safe on an
 // unmetered server).

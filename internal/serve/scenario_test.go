@@ -14,7 +14,7 @@ import (
 
 // shotRunner returns canned histories carrying shot-bucket data, counting
 // executions so cache behaviour stays observable.
-func shotRunner(execs *atomic.Int64) Runner {
+func shotRunner(execs *atomic.Int64) sweep.Runner {
 	return func(_ context.Context, spec sweep.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
 		execs.Add(1)
 		stats := []fl.RoundStat{{

@@ -14,15 +14,15 @@ import (
 	"testing"
 	"time"
 
-	"fedwcm/internal/experiments"
 	"fedwcm/internal/fl"
 	"fedwcm/internal/store"
+	"fedwcm/internal/sweep"
 )
 
 // tinySpec is a real grid cell scaled down far enough to train in
 // milliseconds: linear model, two rounds, a sliver of the dataset.
-func tinySpec() experiments.RunSpec {
-	return experiments.RunSpec{
+func tinySpec() sweep.RunSpec {
+	return sweep.RunSpec{
 		Dataset: "cifar10-syn", Method: "fedavg", Model: "linear",
 		Clients: 4, Scale: 0.08,
 		Cfg: fl.Config{Rounds: 2, SampleClients: 2, LocalEpochs: 1, BatchSize: 10, EvalEvery: 1, Seed: 7},
@@ -47,7 +47,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postSpec(t *testing.T, ts *httptest.Server, spec experiments.RunSpec) (int, runResponse) {
+func postSpec(t *testing.T, ts *httptest.Server, spec sweep.RunSpec) (int, runResponse) {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -108,9 +108,9 @@ func TestSubmitCachesSecondIdenticalRun(t *testing.T) {
 	}
 	_, ts := newTestServer(t, Config{
 		Store: st,
-		Runner: func(_ context.Context, spec experiments.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
+		Runner: func(_ context.Context, spec sweep.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
 			executions.Add(1)
-			return spec.RunWithProgress(onRound)
+			return spec.RunCtx(context.Background(), nil, onRound)
 		},
 	})
 
@@ -160,7 +160,7 @@ func newBlockingRunner() *blockingRunner {
 	return &blockingRunner{started: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (b *blockingRunner) run(ctx context.Context, spec experiments.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
+func (b *blockingRunner) run(ctx context.Context, spec sweep.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
 	b.execs.Add(1)
 	stat := fl.RoundStat{Round: 1, TestAcc: 0.5, TrainLoss: 1.0}
 	if onRound != nil {
@@ -380,7 +380,7 @@ func TestQueueFullReturns503(t *testing.T) {
 
 	// One spec occupies the single worker, one sits in the queue; the next
 	// distinct spec must be refused, not buffered without bound.
-	specs := make([]experiments.RunSpec, 3)
+	specs := make([]sweep.RunSpec, 3)
 	for i := range specs {
 		specs[i] = tinySpec()
 		specs[i].Cfg.Seed = uint64(i + 100)
@@ -396,14 +396,8 @@ func TestQueueFullReturns503(t *testing.T) {
 		t.Fatalf("over-queue submission: HTTP %d (%+v), want 503", code2, resp2)
 	}
 	// A refused spec must be resubmittable once there is room again.
-	if _, ok := func() (*run, bool) {
-		s := tsServer(t, ts)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		fp, _ := specs[2].Fingerprint()
-		r, ok := s.runs[fp]
-		return r, ok
-	}(); ok {
+	fp, _ := specs[2].Fingerprint()
+	if tsServer(t, ts).eng.Lookup(fp) != nil {
 		t.Fatal("refused submission left a stale run record")
 	}
 }
@@ -449,7 +443,7 @@ func TestRegistryEndpoint(t *testing.T) {
 func TestFailedRunRetries(t *testing.T) {
 	var attempts atomic.Int64
 	_, ts := newTestServer(t, Config{
-		Runner: func(_ context.Context, spec experiments.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
+		Runner: func(_ context.Context, spec sweep.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
 			if attempts.Add(1) == 1 {
 				return nil, fmt.Errorf("transient failure")
 			}

@@ -1,10 +1,10 @@
-// Package serve exposes the experiment harness as an HTTP service backed by
-// the content-addressed store (internal/store): specs come in as JSON, run
-// ids are spec fingerprints, and results are cached so any grid cell is
-// computed at most once no matter how many clients ask for it. Above single
-// runs sits the sweep API: a declarative grid (sweep.Spec) expands into
-// cells scheduled through the same pool and store, and its results
-// aggregate server-side into mean±std groups.
+// Package serve exposes the experiment harness as an HTTP service: specs
+// come in as JSON, run ids are spec fingerprints, and every cell — a direct
+// run or one of a sweep's — is resolved by one sweep.Engine (store hit,
+// join of the in-flight execution, or one submit to the dispatch backend),
+// so a grid cell is computed at most once no matter how many clients ask
+// for it. This package owns what is HTTP: request decoding and admission,
+// sweep records and their eviction, SSE streams and content negotiation.
 //
 // Endpoints (full reference with examples in docs/API.md):
 //
@@ -26,18 +26,15 @@
 //	GET  /v1/experiments        registry listing: experiment ids, methods,
 //	                            datasets
 //
-// Identical in-flight submissions coalesce onto one execution
-// (single-flight), for sweeps cell-by-cell; identical finished submissions
-// are store hits. Execution itself is delegated to a dispatch.Executor —
-// an in-process bounded pool by default, or a remote-worker coordinator
-// (fedserve -remote) whose lease endpoints this server mounts alongside
-// the public API. Either way the executor's queue bounds memory: a full
-// queue rejects direct run submissions with 503, while accepted sweeps
-// trickle their cells in as space frees up.
+// Execution is delegated to a dispatch.Executor — an in-process bounded
+// pool by default, or a remote-worker coordinator (fedserve -remote) whose
+// lease endpoints this server mounts alongside the public API. Either way
+// the executor's queue bounds memory: a full queue rejects direct run
+// submissions with 503, while accepted sweeps trickle their cells in as
+// space frees up.
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -57,11 +54,6 @@ import (
 	"fedwcm/internal/wire"
 )
 
-// Runner executes one spec, reporting per-round progress and honouring ctx
-// cancellation. The default is sweep.RunSpec.RunCtx against the shared env
-// cache; tests substitute counting or canned runners.
-type Runner = sweep.Runner
-
 // Config wires a Server.
 type Config struct {
 	Store *store.Store // required: result cache and artifact store
@@ -70,9 +62,11 @@ type Config struct {
 	// are mounted automatically). The server owns it from here on: Close
 	// closes it. Nil builds a dispatch.Local from the fields below.
 	Executor   dispatch.Executor
-	Workers    int    // local backend: concurrent training runs; 0 = 2
-	QueueDepth int    // local backend: queued (not yet running) submissions; 0 = 64
-	Runner     Runner // local backend: nil = run specs for real
+	Workers    int // local backend: concurrent training runs; 0 = 2
+	QueueDepth int // local backend: queued (not yet running) submissions; 0 = 64
+	// Runner overrides how the local backend executes a spec (tests
+	// substitute counting or canned runners); nil runs specs for real.
+	Runner sweep.Runner
 	// Envs backs environment construction for the default runner: runs and
 	// sweep cells sharing a dataset+partition sub-spec build it once. Nil
 	// gets a fresh cache of DefaultEnvCacheCap; ignored when Runner or
@@ -94,20 +88,16 @@ type Config struct {
 // Server is the run service. Create with New, serve with net/http, stop
 // with Close.
 type Server struct {
-	cfg  Config
-	mux  *http.ServeMux
-	exec dispatch.Executor
+	cfg Config
+	mux *http.ServeMux
+	eng *sweep.Engine // resolves every cell, over the dispatch backend and cfg.Store
 
 	mu       sync.Mutex
-	runs     map[string]*run      // fingerprint → in-process record
 	sweeps   map[string]*sweepRun // sweep fingerprint → in-process record
 	sweepSeq uint64               // creation counter for sweep eviction order
-	closing  bool                 // set by Close under mu; no enqueue once true
+	closing  bool                 // set by Close under mu; no new sweep once true
 
-	closeOnce sync.Once
-	closed    chan struct{}
-	wg        sync.WaitGroup // run watchers
-	feedWg    sync.WaitGroup // sweep feeders
+	feedWg sync.WaitGroup // sweep feeders
 
 	sm  serveMetrics
 	adm *admission // nil unless Config.Admission asks for limits
@@ -140,28 +130,16 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		mux:    http.NewServeMux(),
-		runs:   make(map[string]*run),
 		sweeps: make(map[string]*sweepRun),
-		closed: make(chan struct{}),
 	}
 	s.sm = newServeMetrics(cfg.Metrics, s)
 	cfg.Store.Instrument(cfg.Metrics)
 	cfg.Envs.Instrument(cfg.Metrics)
-	if cfg.Executor != nil {
-		s.exec = cfg.Executor
-	} else {
-		runner := dispatch.Runner(sweep.DispatchRunner(cfg.Envs))
+	exec := cfg.Executor
+	if exec == nil {
+		runner := sweep.DispatchRunner(cfg.Envs)
 		if cfg.Runner != nil {
-			// Test/override path: decode the dispatched job back into the
-			// spec shape the override expects.
-			override := cfg.Runner
-			runner = func(ctx context.Context, job dispatch.Job, onRound func(fl.RoundStat)) (*fl.History, error) {
-				var spec sweep.RunSpec
-				if err := json.Unmarshal(job.Spec, &spec); err != nil {
-					return nil, fmt.Errorf("serve: decoding job spec: %w", err)
-				}
-				return override(ctx, spec, onRound)
-			}
+			runner = cfg.Runner.Dispatch()
 		}
 		local, err := dispatch.NewLocal(dispatch.LocalConfig{
 			Runner:  runner,
@@ -175,8 +153,9 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.exec = local
+		exec = local
 	}
+	s.eng = &sweep.Engine{Store: cfg.Store, Executor: exec}
 	// Routes are wrapped with the http-layer metrics under their static
 	// patterns, so label cardinality is the route table, not the URL space.
 	handle := func(pattern, route string, h http.HandlerFunc) {
@@ -196,7 +175,7 @@ func New(cfg Config) (*Server, error) {
 	handle("GET /v1/artifacts/{id}", "/v1/artifacts/{id}", cfg.Store.ArtifactHandler())
 	// A backend with worker-facing endpoints (the remote coordinator)
 	// serves them from this listener too.
-	if m, ok := s.exec.(interface{ Mount(*http.ServeMux) }); ok {
+	if m, ok := exec.(interface{ Mount(*http.ServeMux) }); ok {
 		m.Mount(s.mux)
 	}
 	obs.Mount(s.mux, cfg.Metrics, cfg.Tracer, nil)
@@ -206,42 +185,31 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // Close stops accepting new work, cancels in-flight jobs and drains every
-// subscriber. Ordering: refuse new submissions (closing flag), close the
-// executor — which unblocks sweep feeders waiting for queue space, fails
-// queued jobs, and cancels running ones via context so they return within
-// a round — then wait for the feeders and run watchers. Every run record
-// reaches a terminal state on this path, so SSE streams end with a "done"
-// event instead of being abandoned mid-stream.
+// subscriber. Ordering: refuse new sweeps (closing flag), close the executor
+// — which unblocks sweep feeders waiting for queue space, fails queued jobs,
+// and cancels running ones via context so they return within a round — then
+// wait for the engine's live cells and the feeders. Every live cell reaches
+// a terminal state on this path, so SSE streams end with a "done" event
+// instead of being abandoned mid-stream.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		s.mu.Lock()
-		s.closing = true
-		s.mu.Unlock()
-		close(s.closed)
-	})
-	s.exec.Close()
+	s.mu.Lock()
+	s.closing = true
+	s.mu.Unlock()
+	s.eng.Executor.Close()
+	s.eng.Close()
 	s.feedWg.Wait()
-	s.wg.Wait()
 }
 
-// watch drives one run record from its dispatch handle: the handle
-// completes (the backend has already persisted a success to the store),
-// the record finishes, and — once the artifact is servable from the store
-// — the record is dropped so s.runs stays bounded by in-flight + failed
-// work.
-func (s *Server) watch(r *run, h dispatch.Handle) {
-	defer s.wg.Done()
-	<-h.Done()
-	hist, err := h.Result()
-	r.finish(hist, err)
-	if err == nil {
-		if _, ok, serr := s.cfg.Store.Get(r.id); serr == nil && ok {
-			s.dropRun(r.id, r)
-		}
-		// A run whose persist failed keeps its record: callers still get
-		// the history from memory, only re-serving after restart is lost.
-	}
-}
+// Run lifecycle states as reported over the API — the engine's live-cell
+// states, plus "cached": the status of a response served straight from the
+// store (submission hit, or a GET for an artifact with no live record).
+const (
+	StatusQueued  = sweep.StatusQueued
+	StatusRunning = sweep.StatusRunning
+	StatusDone    = sweep.StatusDone
+	StatusFailed  = sweep.StatusFailed
+	StatusCached  = sweep.CellCached
+)
 
 // runResponse is the JSON shape shared by submit and status responses.
 type runResponse struct {
@@ -294,106 +262,10 @@ func (s *Server) writeRun(w http.ResponseWriter, req *http.Request, code int, rr
 	w.Write(body)
 }
 
-// Sentinel failures from ensureCell, mapped to HTTP statuses by the
-// handlers that can hit them.
-var (
-	errQueueFull = errors.New("run queue full")
-	errClosing   = errors.New("server shutting down")
-)
-
-// ensureCell resolves one grid cell to either a finished history (hist !=
-// nil, status "cached") or a live run record (r != nil) — submitting a
-// fresh job to the dispatch backend when the cell is neither stored nor in
-// flight. It is the single-flight core shared by direct run submission and
-// sweep scheduling; block selects between failing fast on a full queue
-// (direct submissions → 503) and waiting for space (sweep feeders
-// trickling a grid in).
-func (s *Server) ensureCell(spec sweep.RunSpec, fp string, block bool) (r *run, hist *fl.History, status string, err error) {
-	// Fast path, outside the lock: the grid cell has been computed before.
-	if hist, ok, err := s.cfg.Store.Get(fp); err != nil {
-		return nil, nil, "", fmt.Errorf("store: %w", err)
-	} else if ok {
-		return nil, hist, StatusCached, nil
-	}
-
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return nil, nil, "", errClosing
-	}
-	// Single-flight: identical in-flight submissions share one record. A
-	// done record only lingers here when persisting it failed (or in the
-	// instant before execute drops it), so it is served as a cache hit.
-	if r, ok := s.runs[fp]; ok {
-		status, _, hist, _ := r.snapshot()
-		switch status {
-		case StatusDone:
-			s.mu.Unlock()
-			return nil, hist, StatusCached, nil
-		case StatusFailed:
-			// A failed attempt does not pin the cell failed forever; fall
-			// through and replace the record with a fresh attempt.
-		default:
-			s.mu.Unlock()
-			return r, nil, status, nil
-		}
-	}
-	// Re-check the store under the lock: a run can Put its artifact and
-	// drop its record between the unlocked Get above and here, and
-	// re-executing a computed cell would break compute-at-most-once. On a
-	// true miss this is a cheap ENOENT probe.
-	if hist, ok, err := s.cfg.Store.Get(fp); err != nil {
-		s.mu.Unlock()
-		return nil, nil, "", fmt.Errorf("store: %w", err)
-	} else if ok {
-		s.mu.Unlock()
-		return nil, hist, StatusCached, nil
-	}
-	// The record must be visible (for coalescing) before the submit, and
-	// the submit cannot hold the lock (a blocking submit waits for queue
-	// space). A recorded-but-not-yet-submitted run is indistinguishable
-	// from a queued one to observers; a refused submit finishes the record
-	// (any coalescer that joined meanwhile observes the failure) and drops
-	// it so a later resubmission starts fresh. The watcher's wg.Add happens
-	// under the same critical section as the closing check, so Close — which
-	// sets closing under mu before waiting — can never start waiting between
-	// the check and the Add.
-	r = newRun(fp, spec)
-	s.runs[fp] = r
-	s.wg.Add(1)
-	s.mu.Unlock()
-	specJSON, err := spec.CanonicalJSON()
-	if err != nil {
-		s.wg.Done()
-		r.finish(nil, err)
-		s.dropRun(fp, r)
-		return nil, nil, "", err
-	}
-	h, err := s.exec.Submit(dispatch.Job{ID: fp, Spec: specJSON}, dispatch.SubmitOpts{
-		Block:   block,
-		OnRound: r.progress.publish,
-		OnStart: r.setRunning,
-	})
-	if err != nil {
-		s.wg.Done()
-		r.finish(nil, err)
-		s.dropRun(fp, r)
-		switch {
-		case errors.Is(err, dispatch.ErrQueueFull):
-			return nil, nil, "", errQueueFull
-		case errors.Is(err, dispatch.ErrClosed):
-			return nil, nil, "", errClosing
-		}
-		return nil, nil, "", err
-	}
-	go s.watch(r, h) // owns the wg slot added above
-	return r, nil, StatusQueued, nil
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	dec := json.NewDecoder(req.Body)
 	dec.DisallowUnknownFields() // a typo'd field means a different cell than intended
-	var spec experiments.RunSpec
+	var spec sweep.RunSpec
 	if err := dec.Decode(&spec); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding spec: %v", err)
 		return
@@ -407,70 +279,56 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	_, hist, status, err := s.ensureCell(spec, fp, false)
+	hist, live, err := s.eng.Resolve(sweep.Cell{ID: fp, Spec: spec}, false)
 	switch {
-	case errors.Is(err, errClosing):
+	case errors.Is(err, dispatch.ErrClosed):
 		httpError(w, http.StatusServiceUnavailable, "server shutting down")
-	case errors.Is(err, errQueueFull):
+	case errors.Is(err, dispatch.ErrQueueFull):
 		httpError(w, http.StatusServiceUnavailable, "run queue full (%d pending)", s.cfg.QueueDepth)
 	case err != nil:
 		httpError(w, http.StatusInternalServerError, "%v", err)
-	case hist != nil:
+	case live == nil:
 		s.writeRun(w, req, http.StatusOK, runResponse{ID: fp, Status: StatusCached, History: hist})
 	default:
-		s.writeRun(w, req, http.StatusAccepted, runResponse{ID: fp, Status: status})
+		s.writeRun(w, req, http.StatusAccepted, runResponse{ID: fp, Status: live.Status()})
 	}
 }
 
-// dropRun removes a run's record once its artifact is in the store (or the
-// record was superseded), so s.runs stays bounded by live + failed work.
-func (s *Server) dropRun(fp string, r *run) {
-	s.mu.Lock()
-	if s.runs[fp] == r {
-		delete(s.runs, fp)
+// lookup resolves the request's run id against the engine's live records
+// first, then the store — read-through: on a replicated store (shards
+// pointing at each other), an artifact computed by a peer is fetched,
+// verified and served as if it were local. When ok is false the error
+// response has been written: a malformed id cannot name anything, so it is
+// 404 like an unknown one; 500 means the store itself failed.
+func (s *Server) lookup(w http.ResponseWriter, req *http.Request) (id string, r *sweep.LiveCell, stored *fl.History, ok bool) {
+	id = req.PathValue("id")
+	if store.ValidFingerprint(id) {
+		if r = s.eng.Lookup(id); r != nil {
+			return id, r, nil, true
+		}
+		hist, found, err := s.cfg.Store.Fetch(req.Context(), id)
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "%v", err)
+			return id, nil, nil, false
+		}
+		if found {
+			return id, nil, hist, true
+		}
 	}
-	s.mu.Unlock()
-}
-
-// lookup resolves a run id against in-process records first, then the
-// store — read-through: on a replicated store (shards pointing at each
-// other), an artifact computed by a peer is fetched, verified and served
-// as if it were local. The bool reports whether the id is known at all; a
-// malformed id cannot name anything, so it is "not found" rather than an
-// error (errors mean the store itself failed and map to 500).
-func (s *Server) lookup(ctx context.Context, id string) (*run, *fl.History, bool, error) {
-	if !store.ValidFingerprint(id) {
-		return nil, nil, false, nil
-	}
-	s.mu.Lock()
-	r, ok := s.runs[id]
-	s.mu.Unlock()
-	if ok {
-		return r, nil, true, nil
-	}
-	hist, ok, err := s.cfg.Store.Fetch(ctx, id)
-	if err != nil || !ok {
-		return nil, nil, false, err
-	}
-	return nil, hist, true, nil
+	httpError(w, http.StatusNotFound, "unknown run %s", id)
+	return id, nil, nil, false
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	r, stored, ok, err := s.lookup(req.Context(), id)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
+	id, r, stored, ok := s.lookup(w, req)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown run %s", id)
 		return
 	}
 	if r == nil {
 		s.writeRun(w, req, http.StatusOK, runResponse{ID: id, Status: StatusCached, History: stored})
 		return
 	}
-	status, progress, hist, errMsg := r.snapshot()
+	status, progress, hist, errMsg := r.Snapshot()
 	if hist != nil {
 		progress = nil // history carries the same stats; don't send both
 	}
@@ -481,14 +339,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 // "round" event per RoundStat (replayed from the start for late joiners),
 // then a terminal "done" event carrying the final status.
 func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	r, stored, ok, err := s.lookup(req.Context(), id)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
+	_, r, stored, ok := s.lookup(w, req)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown run %s", id)
 		return
 	}
 	serveSSE(w, s.sm.sseRuns, func(emit func(event string, v any)) {
@@ -499,13 +351,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 			emit("done", map[string]string{"status": StatusCached})
 			return
 		}
-		if !stream(req.Context(), r.progress, func(st fl.RoundStat) { emit("round", st) }) {
+		if !r.Rounds.Stream(req.Context(), func(st fl.RoundStat) { emit("round", st) }) {
 			return
 		}
-		status, _, _, errMsg := r.snapshot()
-		final := map[string]string{"status": status}
-		if errMsg != "" {
-			final["error"] = errMsg
+		final := map[string]string{"status": r.Status()}
+		if _, err := r.Result(); err != nil {
+			final["error"] = err.Error()
 		}
 		emit("done", final)
 	})

@@ -3,19 +3,14 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"sync"
 
 	"fedwcm/internal/dispatch"
+	"fedwcm/internal/fl"
 	"fedwcm/internal/sweep"
 )
 
-// sweepRun is the in-process record of one submitted grid. The sweep id is
-// the spec's fingerprint, so submission is idempotent exactly like runs: a
-// second POST of the same grid lands on the same record, and a grid
-// overlapping an earlier one finds its shared cells in the store or behind
-// the same in-flight run records (single-flight per cell).
 // maxSweepRecords caps how many sweep records the server retains. Records
 // are metadata-only (axes + status per cell), so the cap bounds memory at
 // roughly maxSweepRecords × MaxCells rows; terminal records beyond it are
@@ -23,6 +18,11 @@ import (
 // resubmits cheaply: every completed cell is a store hit.
 const maxSweepRecords = 128
 
+// sweepRun is the in-process record of one submitted grid. The sweep id is
+// the spec's fingerprint, so submission is idempotent exactly like runs: a
+// second POST of the same grid lands on the same record, and a grid
+// overlapping an earlier one finds its shared cells in the store or behind
+// the engine's live cells.
 type sweepRun struct {
 	id    string
 	seq   uint64 // creation order, for oldest-first eviction
@@ -31,41 +31,32 @@ type sweepRun struct {
 
 	// finished carries the index of each cell as it turns terminal, and
 	// finishes with the last one.
-	finished *broadcaster[int]
+	finished *sweep.Feed[int]
 
 	mu        sync.Mutex
 	states    []sweepCellState // parallel to cells
-	remaining int
+	remaining int              // cells not yet terminal
+	failed    int              // terminal cells that failed
 }
 
-// sweepCellState tracks one cell. While the cell executes, live is the run
-// record to query for queued/running; once terminal, status/err are
+// sweepCellState tracks one cell. While the cell executes, live is the
+// engine's record to query for queued/running; once terminal, status/err are
 // authoritative. Histories are deliberately NOT retained here — the store
 // holds every persisted artifact, and the result endpoint rehydrates from
 // it — so a sweep record costs O(cells) metadata, not O(cells) histories.
 type sweepCellState struct {
 	status string // "" while scheduling, then cached/queued/running/done/failed
 	err    string
-	live   *run
+	live   *sweep.LiveCell
 }
 
-// sweepCellEvent is one SSE "cell" event: a cell reached a terminal state.
-type sweepCellEvent struct {
+// sweepCellRow is one cell as the API shows it: a row of the status listing,
+// and the payload of the SSE "cell" event once the cell is terminal.
+type sweepCellRow struct {
 	ID     string     `json:"id"`
 	Axes   sweep.Axes `json:"axes"`
 	Status string     `json:"status"`
 	Error  string     `json:"error,omitempty"`
-}
-
-func newSweepRun(id string, spec sweep.Spec, cells []sweep.Cell) *sweepRun {
-	return &sweepRun{
-		id:        id,
-		spec:      spec,
-		cells:     cells,
-		states:    make([]sweepCellState, len(cells)),
-		remaining: len(cells),
-		finished:  newBroadcaster[int](),
-	}
 }
 
 // finishCell records a cell's terminal state and publishes the event; the
@@ -76,25 +67,28 @@ func (sw *sweepRun) finishCell(i int, status string, errMsg string) {
 	defer sw.mu.Unlock()
 	sw.states[i] = sweepCellState{status: status, err: errMsg}
 	sw.remaining--
-	sw.finished.publish(i)
+	if status == StatusFailed {
+		sw.failed++
+	}
+	sw.finished.Publish(i)
 	if sw.remaining == 0 {
-		sw.finished.finish()
+		sw.finished.Finish()
 	}
 }
 
 // cellEvent is the SSE payload for terminal cell i.
-func (sw *sweepRun) cellEvent(i int) sweepCellEvent {
+func (sw *sweepRun) cellEvent(i int) sweepCellRow {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	return sweepCellEvent{ID: sw.cells[i].ID, Axes: sw.cells[i].Axes, Status: sw.states[i].status, Error: sw.states[i].err}
+	return sweepCellRow{ID: sw.cells[i].ID, Axes: sw.cells[i].Axes, Status: sw.states[i].status, Error: sw.states[i].err}
 }
 
-// markScheduled notes a cell that entered the pool (or was found in
-// flight), so status queries can report queued/running from the live
-// record.
-func (sw *sweepRun) markScheduled(i int, r *run) {
+// markScheduled notes a cell that is executing (submitted by this sweep or
+// found in flight), so status queries can report queued/running from the
+// live record.
+func (sw *sweepRun) markScheduled(i int, l *sweep.LiveCell) {
 	sw.mu.Lock()
-	sw.states[i].live = r
+	sw.states[i].live = l
 	sw.mu.Unlock()
 }
 
@@ -102,56 +96,25 @@ func (sw *sweepRun) markScheduled(i int, r *run) {
 func (sw *sweepRun) terminal() (done bool, failed int) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	if sw.remaining > 0 {
-		return false, 0
-	}
-	for _, st := range sw.states {
-		if st.status == sweep.CellFailed {
-			failed++
-		}
-	}
-	return true, failed
+	return sw.remaining == 0, sw.failed
 }
 
-// feed schedules every cell through the shared pool: store hits finish
-// immediately, misses enqueue (blocking — a grid larger than the queue
-// trickles in as workers free up) and are watched to completion. Runs on
-// its own goroutine, tracked by s.feedWg so Close can stop producers
-// before draining the queue.
+// feed drives the grid through the engine, recording each cell as it turns
+// terminal. Runs on its own goroutine, tracked by s.feedWg so Close can wait
+// for the record to be complete.
 func (s *Server) feed(sw *sweepRun) {
 	defer s.feedWg.Done()
-	for i, c := range sw.cells {
-		r, hist, status, err := s.ensureCell(c.Spec, c.ID, true)
+	s.eng.Drive(sw.cells, sw.markScheduled, func(i int, status string, _ *fl.History, err error) {
+		errMsg := ""
 		switch {
-		case errors.Is(err, errClosing):
-			sw.finishCell(i, StatusFailed, errClosing.Error())
-			s.sm.noteCell(StatusFailed)
-			continue
 		case err != nil:
-			sw.finishCell(i, StatusFailed, err.Error())
-			s.sm.noteCell(StatusFailed)
-			continue
-		case hist != nil:
-			sw.finishCell(i, StatusCached, "")
-			s.sm.noteCell(StatusCached)
-			continue
+			errMsg = err.Error()
+		case status == sweep.CellComputed:
+			status = StatusDone
 		}
-		_ = status // queued or running; observers query the live record
-		sw.markScheduled(i, r)
-		s.wg.Add(1)
-		go func(i int, r *run) { // watch the run to its terminal state
-			defer s.wg.Done()
-			<-r.progress.done
-			st, _, _, errMsg := r.snapshot()
-			if st == StatusFailed {
-				sw.finishCell(i, StatusFailed, errMsg)
-				s.sm.noteCell(StatusFailed)
-			} else {
-				sw.finishCell(i, StatusDone, "")
-				s.sm.noteCell(StatusDone)
-			}
-		}(i, r)
-	}
+		sw.finishCell(i, status, errMsg)
+		s.sm.cells.With(status).Inc()
+	})
 }
 
 // sweepSummary is the JSON shape shared by submit and status responses.
@@ -183,7 +146,7 @@ func (s *Server) envStats() *sweep.EnvCacheStats {
 // backend exposes one (a dispatch.Coordinator in remote mode); nil for the
 // local pool, so the field stays absent from local responses.
 func (s *Server) dispatchStats() *dispatch.CoordinatorStats {
-	if c, ok := s.exec.(interface {
+	if c, ok := s.eng.Executor.(interface {
 		Stats() dispatch.CoordinatorStats
 	}); ok {
 		cs := c.Stats()
@@ -192,17 +155,10 @@ func (s *Server) dispatchStats() *dispatch.CoordinatorStats {
 	return nil
 }
 
-type sweepCellRow struct {
-	ID     string     `json:"id"`
-	Axes   sweep.Axes `json:"axes"`
-	Status string     `json:"status"`
-	Error  string     `json:"error,omitempty"`
-}
-
 // summary builds the status view; withCells includes the per-cell listing.
 // Counts and the overall status come from one snapshot under sw.mu, so a
 // "done" response can never list a cell as still running. (Taking sw.mu
-// before a live record's r.mu matches the lock order everywhere else.)
+// before a live cell's lock matches the lock order everywhere else.)
 func (sw *sweepRun) summary(withCells bool) sweepSummary {
 	out := sweepSummary{
 		ID:     sw.id,
@@ -210,20 +166,16 @@ func (sw *sweepRun) summary(withCells bool) sweepSummary {
 		Total:  len(sw.cells),
 		Counts: make(map[string]int),
 	}
-	failed := 0
 	sw.mu.Lock()
-	remaining := sw.remaining
+	remaining, failed := sw.remaining, sw.failed
 	for i := range sw.cells {
 		st := sw.states[i]
 		status, errMsg := st.status, st.err
 		if status == "" {
 			status = StatusQueued // not yet scheduled by the feeder
 			if st.live != nil {
-				status, _, _, _ = st.live.snapshot()
+				status = st.live.Status()
 			}
-		}
-		if status == StatusFailed {
-			failed++
 		}
 		out.Counts[status]++
 		if withCells {
@@ -245,8 +197,8 @@ func (sw *sweepRun) summary(withCells bool) sweepSummary {
 }
 
 // sweepResult assembles the terminal cells into a sweep.Result,
-// rehydrating histories from the store (the record keeps none — execute
-// persists before a run reports done, so the store is the source of
+// rehydrating histories from the store (the record keeps none — the engine
+// persists before a cell reports done, so the store is the source of
 // truth). A computed cell whose persist failed rehydrates as a miss and is
 // excluded from aggregation; its status still counts.
 func (s *Server) sweepResult(ctx context.Context, sw *sweepRun) *sweep.Result {
@@ -314,9 +266,12 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	sw := newSweepRun(id, spec, cells)
 	s.sweepSeq++
-	sw.seq = s.sweepSeq
+	sw := &sweepRun{
+		id: id, seq: s.sweepSeq, spec: spec, cells: cells,
+		states: make([]sweepCellState, len(cells)), remaining: len(cells),
+		finished: sweep.NewFeed[int](),
+	}
 	s.sweeps[id] = sw
 	s.evictSweepsLocked()
 	s.feedWg.Add(1) // under s.mu alongside the closing check, so Close
@@ -346,17 +301,21 @@ func (s *Server) evictSweepsLocked() {
 	}
 }
 
-// lookupSweep resolves a sweep id to its in-process record.
-func (s *Server) lookupSweep(id string) *sweepRun {
+// lookupSweep resolves the request's sweep id to its in-process record; nil
+// means the 404 has been written.
+func (s *Server) lookupSweep(w http.ResponseWriter, req *http.Request) *sweepRun {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sweeps[id]
+	sw := s.sweeps[req.PathValue("id")]
+	s.mu.Unlock()
+	if sw == nil {
+		httpError(w, http.StatusNotFound, "unknown sweep %s", req.PathValue("id"))
+	}
+	return sw
 }
 
 func (s *Server) handleSweepStatus(w http.ResponseWriter, req *http.Request) {
-	sw := s.lookupSweep(req.PathValue("id"))
+	sw := s.lookupSweep(w, req)
 	if sw == nil {
-		httpError(w, http.StatusNotFound, "unknown sweep %s", req.PathValue("id"))
 		return
 	}
 	sum := sw.summary(true)
@@ -381,9 +340,8 @@ type sweepResultResponse struct {
 }
 
 func (s *Server) handleSweepResult(w http.ResponseWriter, req *http.Request) {
-	sw := s.lookupSweep(req.PathValue("id"))
+	sw := s.lookupSweep(w, req)
 	if sw == nil {
-		httpError(w, http.StatusNotFound, "unknown sweep %s", req.PathValue("id"))
 		return
 	}
 	if done, _ := sw.terminal(); !done {
@@ -416,13 +374,12 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, req *http.Request) {
 // progress for an individual cell remains available on
 // /v1/runs/{cell-id}/events.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, req *http.Request) {
-	sw := s.lookupSweep(req.PathValue("id"))
+	sw := s.lookupSweep(w, req)
 	if sw == nil {
-		httpError(w, http.StatusNotFound, "unknown sweep %s", req.PathValue("id"))
 		return
 	}
 	serveSSE(w, s.sm.sseSweeps, func(emit func(event string, v any)) {
-		if stream(req.Context(), sw.finished, func(i int) { emit("cell", sw.cellEvent(i)) }) {
+		if sw.finished.Stream(req.Context(), func(i int) { emit("cell", sw.cellEvent(i)) }) {
 			emit("done", sw.summary(false))
 		}
 	})

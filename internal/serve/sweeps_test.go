@@ -18,7 +18,7 @@ import (
 )
 
 // countingRunner returns canned two-point histories and counts executions.
-func countingRunner(execs *atomic.Int64) Runner {
+func countingRunner(execs *atomic.Int64) sweep.Runner {
 	return func(_ context.Context, spec sweep.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
 		execs.Add(1)
 		stats := []fl.RoundStat{{Round: 1, TestAcc: 0.4}, {Round: 2, TestAcc: 0.6}}
@@ -273,7 +273,7 @@ func TestSweepEventsStream(t *testing.T) {
 		if ev.name != "cell" {
 			t.Fatalf("unexpected event %q", ev.name)
 		}
-		var ce sweepCellEvent
+		var ce sweepCellRow
 		if err := json.Unmarshal([]byte(ev.data), &ce); err != nil {
 			t.Fatalf("cell payload %q: %v", ev.data, err)
 		}
@@ -287,12 +287,13 @@ func TestSweepEventsStream(t *testing.T) {
 	}
 }
 
-// TestSweepSharesInflightRuns: a sweep whose cell is already running (from
-// a direct /v1/runs submission) attaches to that run instead of starting a
-// second execution.
+// TestSweepSharesInflightRuns: every way of asking goes through the one
+// engine, so a cell that is already running (from a direct /v1/runs
+// submission) is joined — by an HTTP sweep and by an in-process RunSweep
+// over an overlapping grid alike — instead of being executed again.
 func TestSweepSharesInflightRuns(t *testing.T) {
 	br := newBlockingRunner()
-	_, ts := newTestServer(t, Config{Runner: br.run, Workers: 2})
+	s, ts := newTestServer(t, Config{Runner: br.run, Workers: 2})
 
 	sp := sweep.Spec{Methods: []string{"fedavg"}, Effort: 0.1}
 	cells, err := sp.Expand()
@@ -306,13 +307,24 @@ func TestSweepSharesInflightRuns(t *testing.T) {
 	<-br.started // the cell is provably running
 
 	_, sub := postSweep(t, ts, sp)
+	inproc := make(chan *sweep.Result, 1)
+	go func() {
+		res, _ := s.eng.RunSweep(sweep.Spec{Methods: []string{"fedavg", "fedwcm"}, Effort: 0.1}, nil)
+		inproc <- res
+	}()
+	for s.eng.Inflight() < 2 { // the in-process sweep has submitted its own cell
+		time.Sleep(time.Millisecond)
+	}
 	close(br.release)
 	sum := waitSweepDone(t, ts, sub.ID)
 	if sum.Status != StatusDone {
 		t.Fatalf("sweep status %+v", sum)
 	}
-	if got := br.execs.Load(); got != 1 {
-		t.Fatalf("cell executed %d times, want 1 (shared with the direct run)", got)
+	if res := <-inproc; res == nil || res.Computed != 2 || res.Failed != 0 {
+		t.Fatalf("in-process sweep: %+v", res)
+	}
+	if got := br.execs.Load(); got != 2 {
+		t.Fatalf("runner executed %d times, want 2 (fedavg shared three ways, fedwcm once)", got)
 	}
 	if sum.Cells[0].ID != first.ID {
 		t.Fatalf("sweep cell id %s differs from run id %s", sum.Cells[0].ID, first.ID)

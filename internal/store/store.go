@@ -1,7 +1,7 @@
 // Package store is the content-addressed, on-disk result store behind the
 // experiment run service (internal/serve): histories are filed under the
 // SHA-256 fingerprint of their spec's canonical JSON (see
-// experiments.RunSpec.Fingerprint), so identical specs always resolve to
+// sweep.RunSpec.Fingerprint), so identical specs always resolve to
 // the same artifact and a sweep's repeated cells cost one run each.
 //
 // Layout mirrors git's object store: <root>/<fp[:2]>/<fp>.json, one JSONL

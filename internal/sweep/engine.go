@@ -7,71 +7,356 @@ import (
 
 	"fedwcm/internal/dispatch"
 	"fedwcm/internal/fl"
-	"fedwcm/internal/obs"
 	"fedwcm/internal/store"
 )
 
 // Runner executes one cell, reporting per-round progress and honouring ctx
-// cancellation between rounds. The default runs the spec for real; tests
-// substitute counting or canned runners. It is the same shape
-// internal/serve.Runner has, so one implementation serves both.
+// cancellation between rounds. It is the spec-level seam of the local
+// backend: nil runs the spec for real, tests substitute counting or canned
+// runners.
 type Runner func(ctx context.Context, spec RunSpec, onRound func(fl.RoundStat)) (*fl.History, error)
 
-// Engine executes sweeps: cells run on a bounded worker pool,
-// short-circuit on store hits, coalesce with identical in-flight cells
-// (single-flight), and persist results so the next overlapping sweep costs
-// only its missing fingerprints. It is the in-process counterpart of the
-// HTTP run service — cmd/fedbench drives experiments through it.
+// Dispatch adapts r to the dispatch layer: the job's canonical spec JSON is
+// decoded back into the spec shape r expects.
+func (r Runner) Dispatch() dispatch.Runner {
+	return func(ctx context.Context, job dispatch.Job, onRound func(fl.RoundStat)) (*fl.History, error) {
+		spec, err := jobSpec(job)
+		if err != nil {
+			return nil, err
+		}
+		return r(ctx, spec, onRound)
+	}
+}
+
+// States of a LiveCell, as the run API reports them. A cell served from the
+// store never has a LiveCell; its status is CellCached.
+const (
+	StatusQueued  = "queued"
+	StatusRunning = "running"
+	StatusDone    = "done"
+	StatusFailed  = CellFailed
+)
+
+// LiveCell is the in-process record of one cell's single execution: its
+// state machine and its per-round progress feed. Every caller that needs
+// the same fingerprint while it executes — a direct run submission, any
+// number of overlapping sweeps — shares the one record.
+type LiveCell struct {
+	ID string
+	// Rounds replays and streams per-round progress; it finishes on the
+	// transition to done/failed.
+	Rounds *Feed[fl.RoundStat]
+
+	mu      sync.Mutex
+	status  string
+	hist    *fl.History
+	err     error
+	waiters []func() // run once, after the transition to done/failed
+}
+
+func (l *LiveCell) setRunning() {
+	l.mu.Lock()
+	l.status = StatusRunning
+	l.mu.Unlock()
+}
+
+func (l *LiveCell) finish(h *fl.History, err error) {
+	l.mu.Lock()
+	if err != nil {
+		l.status, l.err = StatusFailed, err
+	} else {
+		l.status, l.hist = StatusDone, h
+	}
+	waiters := l.waiters
+	l.waiters = nil
+	l.mu.Unlock()
+	l.Rounds.Finish()
+	for _, fn := range waiters {
+		fn()
+	}
+}
+
+// onDone runs fn once the cell is terminal — immediately if it already is.
+func (l *LiveCell) onDone(fn func()) {
+	l.mu.Lock()
+	if l.status != StatusDone && l.status != StatusFailed {
+		l.waiters = append(l.waiters, fn)
+		l.mu.Unlock()
+		return
+	}
+	l.mu.Unlock()
+	fn()
+}
+
+// Status returns the current state alone — what a poll over many cells
+// needs, without copying the progress log.
+func (l *LiveCell) Status() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.status
+}
+
+// Done is closed when the cell reaches a terminal state.
+func (l *LiveCell) Done() <-chan struct{} { return l.Rounds.Done() }
+
+// Result returns the history or the failure; valid only after Done is closed.
+func (l *LiveCell) Result() (*fl.History, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.hist, l.err
+}
+
+// Snapshot returns the fields a status response needs, consistently.
+func (l *LiveCell) Snapshot() (status string, progress []fl.RoundStat, hist *fl.History, errMsg string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		errMsg = l.err.Error()
+	}
+	return l.status, l.Rounds.Events(), l.hist, errMsg
+}
+
+// Engine is the one place that knows how a cell is resolved: a store hit, a
+// join of the cell's in-flight execution, or exactly one Executor.Submit
+// whose completion is persisted and whose record is then dropped. Resolve
+// is that decision for one cell, Drive walks a grid through it, RunSweep
+// expands and aggregates around Drive; internal/serve's run and sweep
+// endpoints and cmd/fedbench are all callers, so a fingerprint is computed
+// at most once per engine no matter who asks.
 //
-// With Executor set, cell execution is delegated to a dispatch backend
-// (remote coordinator, HTTP client, or a shared local pool) instead of
-// running inline; the engine keeps store short-circuiting and
-// single-flight, so a backend only ever sees each missing fingerprint
-// once. Cells carrying process-local Mod hooks have no fingerprint and
-// cannot travel, so they always run inline.
+// The backend's bounded queue is the only back-pressure. Without an
+// Executor the engine runs cells on its own dispatch.Local (Workers,
+// Runner, Envs), built on the first miss and released by Close.
 type Engine struct {
 	Store   *store.Store // optional: nil runs without result caching
-	Workers int          // concurrent cells; 0 = 3
-	Runner  Runner       // nil = run specs for real
-	// Envs, when set, backs environment construction for the default
-	// runner: cells sharing a dataset+partition sub-spec build it once
-	// (see EnvCache). Ignored when Runner is overridden.
+	Workers int          // own local backend: concurrent cells; 0 = 3
+	Runner  Runner       // own local backend: nil = run specs for real
+	// Envs backs environment construction for the own local backend's
+	// default runner: cells sharing a dataset+partition sub-spec build it
+	// once (see EnvCache). Ignored when Runner is overridden.
 	Envs *EnvCache
-	// Executor, when set, dispatches cells instead of running them inline.
-	// The backend persists successful histories to its own store; when the
-	// engine's Store is a different instance it additionally persists what
-	// comes back, so fedbench -remote still fills a local cache.
+	// Executor, when set, is the dispatch backend cells execute on (remote
+	// coordinator, HTTP client, or a shared local pool); it stays the
+	// caller's to close. A backend persists successful histories to its own
+	// store; the engine persists what comes back only when its Store cannot
+	// already serve it, so fedbench -remote still fills a local cache and a
+	// shared store is written once.
 	Executor dispatch.Executor
-	// Metrics receives cell-outcome counters (fedwcm_sweep_cells_total);
-	// nil uses the process default registry. The counters are incremented
-	// on the same code path that tallies Result.Cached/Computed/Failed.
-	Metrics *obs.Registry
 
 	mu       sync.Mutex
-	inflight map[string]*flight
-
-	emOnce sync.Once
-	em     engineMetrics
+	inflight map[string]*LiveCell // live + failed cells by fingerprint
+	local    *dispatch.Local
+	closing  bool
+	watchers sync.WaitGroup
 }
 
-// obsMetrics resolves the engine's counter handles once.
-func (e *Engine) obsMetrics() engineMetrics {
-	e.emOnce.Do(func() {
-		reg := e.Metrics
-		if reg == nil {
-			reg = obs.Default()
+// executorLocked returns the backend misses are submitted to. Caller holds
+// e.mu.
+func (e *Engine) executorLocked() (dispatch.Executor, error) {
+	if e.Executor != nil {
+		return e.Executor, nil
+	}
+	if e.local == nil {
+		runner := DispatchRunner(e.Envs)
+		if e.Runner != nil {
+			runner = e.Runner.Dispatch()
 		}
-		e.em = newEngineMetrics(reg)
-	})
-	return e.em
+		workers := e.Workers
+		if workers <= 0 {
+			workers = 3
+		}
+		local, err := dispatch.NewLocal(dispatch.LocalConfig{Runner: runner, Workers: workers, Store: e.Store})
+		if err != nil {
+			return nil, err
+		}
+		e.local = local
+	}
+	return e.local, nil
 }
 
-// flight is one in-progress cell execution shared by every sweep that
-// needs its fingerprint.
-type flight struct {
-	done chan struct{}
-	hist *fl.History
-	err  error
+// Resolve resolves one cell to either its finished history (a store hit) or
+// the live record of its one execution — submitting a fresh job when the
+// cell is neither stored nor in flight. block selects between failing fast
+// on a full backend queue (dispatch.ErrQueueFull) and waiting for space; a
+// closed engine or backend yields dispatch.ErrClosed.
+func (e *Engine) Resolve(c Cell, block bool) (*fl.History, *LiveCell, error) {
+	// Fast path, outside the lock: the cell has been computed before.
+	if hist, ok, err := e.stored(c.ID); err != nil || ok {
+		return hist, nil, err
+	}
+	e.mu.Lock()
+	if e.closing {
+		e.mu.Unlock()
+		return nil, nil, dispatch.ErrClosed
+	}
+	// Single-flight: identical in-flight cells share one record. A done
+	// record only lingers here when persisting it failed (or in the instant
+	// before watch drops it), so it is served as a hit.
+	if l, ok := e.inflight[c.ID]; ok {
+		switch l.Status() {
+		case StatusDone:
+			e.mu.Unlock()
+			hist, _ := l.Result()
+			return hist, nil, nil
+		case StatusFailed:
+			// A failed attempt does not pin the cell failed forever; fall
+			// through and replace the record with a fresh attempt.
+		default:
+			e.mu.Unlock()
+			return nil, l, nil
+		}
+	}
+	// Re-check the store under the lock: an execution can persist its
+	// artifact and drop its record between the unlocked probe above and
+	// here, and re-executing a computed cell would break
+	// compute-at-most-once. On a true miss this is a cheap ENOENT probe.
+	if hist, ok, err := e.stored(c.ID); err != nil || ok {
+		e.mu.Unlock()
+		return hist, nil, err
+	}
+	exec, err := e.executorLocked()
+	if err != nil {
+		e.mu.Unlock()
+		return nil, nil, err
+	}
+	// The record must be visible (for coalescing) before the submit, and
+	// the submit cannot hold the lock (a blocking submit waits for queue
+	// space). A recorded-but-not-yet-submitted cell is indistinguishable
+	// from a queued one to observers; a refused submit finishes the record
+	// (any coalescer that joined meanwhile observes the failure) and drops
+	// it so a later attempt starts fresh. The watcher slot is taken under
+	// the same critical section as the closing check, so Close can never
+	// start waiting between the check and the Add.
+	l := &LiveCell{ID: c.ID, Rounds: NewFeed[fl.RoundStat](), status: StatusQueued}
+	if e.inflight == nil {
+		e.inflight = make(map[string]*LiveCell)
+	}
+	e.inflight[c.ID] = l
+	e.watchers.Add(1)
+	e.mu.Unlock()
+	specJSON, err := c.Spec.CanonicalJSON()
+	var h dispatch.Handle
+	if err == nil {
+		h, err = exec.Submit(dispatch.Job{ID: c.ID, Spec: specJSON}, dispatch.SubmitOpts{
+			Block:   block,
+			OnRound: l.Rounds.Publish,
+			OnStart: l.setRunning,
+		})
+	}
+	if err != nil {
+		e.watchers.Done()
+		l.finish(nil, err)
+		e.drop(l)
+		return nil, nil, err
+	}
+	go e.watch(l, h)
+	return nil, l, nil
+}
+
+// stored probes the engine's store (a miss when there is none).
+func (e *Engine) stored(fp string) (*fl.History, bool, error) {
+	if e.Store == nil {
+		return nil, false, nil
+	}
+	hist, ok, err := e.Store.Get(fp)
+	if err != nil {
+		return nil, false, fmt.Errorf("store: %w", err)
+	}
+	return hist, ok, nil
+}
+
+// watch drives one live cell from its dispatch handle to its terminal
+// state. The artifact is persisted — unless the backend already put it
+// where the engine's store serves it — before the record finishes, so
+// whoever sees "done" can read the store; the record is then dropped, which
+// keeps e.inflight bounded by live + failed work. A cell whose persist
+// failed keeps its record: callers still get the history from memory, only
+// re-serving after restart is lost.
+func (e *Engine) watch(l *LiveCell, h dispatch.Handle) {
+	defer e.watchers.Done()
+	<-h.Done()
+	hist, err := h.Result()
+	keep := err != nil
+	if err == nil && e.Store != nil {
+		if _, ok, _ := e.Store.Get(l.ID); !ok {
+			keep = e.Store.Put(l.ID, hist) != nil
+		}
+	}
+	l.finish(hist, err)
+	if !keep {
+		e.drop(l)
+	}
+}
+
+// drop removes l's record unless a fresh attempt already superseded it.
+func (e *Engine) drop(l *LiveCell) {
+	e.mu.Lock()
+	if e.inflight[l.ID] == l {
+		delete(e.inflight, l.ID)
+	}
+	e.mu.Unlock()
+}
+
+// Lookup returns the in-process record for a fingerprint: an executing
+// cell, a failed one, or nil when the store is the only place to look.
+func (e *Engine) Lookup(fp string) *LiveCell {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.inflight[fp]
+}
+
+// Inflight counts the records held in memory (executing or failed cells).
+func (e *Engine) Inflight() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.inflight)
+}
+
+// Close refuses further misses, releases the engine's own local backend
+// (cancelling what it was running) and waits until every live cell is
+// terminal and reported. With a caller-supplied Executor, close that first.
+func (e *Engine) Close() {
+	e.mu.Lock()
+	e.closing = true
+	local := e.local
+	e.mu.Unlock()
+	if local != nil {
+		local.Close()
+	}
+	e.watchers.Wait()
+}
+
+// Drive is the one sweep driver: it walks cells in order, resolves each
+// with a blocking submit — so a grid larger than the backend's queue
+// trickles in as space frees up — and calls report exactly once per cell as
+// it turns terminal (CellCached / CellComputed / CellFailed), returning when
+// all have. onLive (may be nil) sees each cell that is executing rather
+// than stored, before its report. report is invoked concurrently.
+func (e *Engine) Drive(cells []Cell, onLive func(i int, l *LiveCell), report func(i int, status string, hist *fl.History, err error)) {
+	var pending sync.WaitGroup
+	for i := range cells {
+		hist, l, err := e.Resolve(cells[i], true)
+		switch {
+		case err != nil:
+			report(i, CellFailed, nil, err)
+		case l == nil:
+			report(i, CellCached, hist, nil)
+		default:
+			if onLive != nil {
+				onLive(i, l)
+			}
+			pending.Add(1)
+			l.onDone(func() {
+				defer pending.Done()
+				if hist, err := l.Result(); err != nil {
+					report(i, CellFailed, nil, err)
+				} else {
+					report(i, CellComputed, hist, nil)
+				}
+			})
+		}
+	}
+	pending.Wait()
 }
 
 // CellUpdate is one progress notification from RunSweep: the cell has
@@ -84,8 +369,8 @@ type CellUpdate struct {
 	Err    error
 }
 
-// RunSweep expands the grid and executes every cell, invoking onCell (may
-// be nil) as each reaches a terminal state. It always returns the Result —
+// RunSweep expands the grid and drives every cell, invoking onCell (may be
+// nil) as each reaches a terminal state. It always returns the Result —
 // aggregated over whatever succeeded — and a non-nil error if any cell
 // failed.
 func (e *Engine) RunSweep(sp Spec, onCell func(CellUpdate)) (*Result, error) {
@@ -93,37 +378,16 @@ func (e *Engine) RunSweep(sp Spec, onCell func(CellUpdate)) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = 3
-	}
-	if workers > len(cells) {
-		workers = max(1, len(cells))
-	}
 	results := make([]CellResult, len(cells))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = e.runCell(cells[i])
-				if onCell != nil {
-					var cerr error
-					if results[i].Err != "" {
-						cerr = fmt.Errorf("%s", results[i].Err)
-					}
-					onCell(CellUpdate{Index: i, Total: len(cells), Cell: cells[i], Status: results[i].Status, Err: cerr})
-				}
-			}
-		}()
-	}
-	for i := range cells {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	e.Drive(cells, nil, func(i int, status string, hist *fl.History, err error) {
+		results[i] = CellResult{Cell: cells[i], Status: status, Hist: hist}
+		if err != nil {
+			results[i].Err = err.Error()
+		}
+		if onCell != nil {
+			onCell(CellUpdate{Index: i, Total: len(cells), Cell: cells[i], Status: status, Err: err})
+		}
+	})
 	res := NewResult(sp, results)
 	if res.Failed > 0 {
 		for _, c := range results {
@@ -134,78 +398,4 @@ func (e *Engine) RunSweep(sp Spec, onCell func(CellUpdate)) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// runCell resolves one cell: store hit, joined in-flight execution, or a
-// fresh run (persisted on success) — executed inline or through the
-// dispatch backend.
-func (e *Engine) runCell(c Cell) (out CellResult) {
-	defer func() { e.obsMetrics().note(out.Status) }()
-	out = CellResult{Cell: c}
-	if e.Store != nil {
-		if hist, ok, err := e.Store.Get(c.ID); err != nil {
-			out.Status, out.Err = CellFailed, err.Error()
-			return out
-		} else if ok {
-			out.Status, out.Hist = CellCached, hist
-			return out
-		}
-	}
-	e.mu.Lock()
-	if e.inflight == nil {
-		e.inflight = make(map[string]*flight)
-	}
-	if f, ok := e.inflight[c.ID]; ok {
-		e.mu.Unlock()
-		<-f.done // another sweep is computing this exact cell; share it
-		if f.err != nil {
-			out.Status, out.Err = CellFailed, f.err.Error()
-		} else {
-			out.Status, out.Hist = CellComputed, f.hist
-		}
-		return out
-	}
-	f := &flight{done: make(chan struct{})}
-	e.inflight[c.ID] = f
-	e.mu.Unlock()
-
-	f.hist, f.err = e.executeCell(c)
-	if f.err == nil && e.Store != nil {
-		// The run itself succeeded; a failed Put only costs re-serving later.
-		_ = e.Store.Put(c.ID, f.hist)
-	}
-	close(f.done)
-	e.mu.Lock()
-	delete(e.inflight, c.ID)
-	e.mu.Unlock()
-	if f.err != nil {
-		out.Status, out.Err = CellFailed, f.err.Error()
-	} else {
-		out.Status, out.Hist = CellComputed, f.hist
-	}
-	return out
-}
-
-// executeCell performs one cell's training: through the dispatch backend
-// when configured (and the spec is content-addressable), inline otherwise.
-func (e *Engine) executeCell(c Cell) (*fl.History, error) {
-	if e.Executor != nil && c.Spec.Mod == nil {
-		specJSON, err := c.Spec.CanonicalJSON()
-		if err != nil {
-			return nil, err
-		}
-		h, err := e.Executor.Submit(dispatch.Job{ID: c.ID, Spec: specJSON}, dispatch.SubmitOpts{Block: true})
-		if err != nil {
-			return nil, err
-		}
-		<-h.Done()
-		return h.Result()
-	}
-	run := e.Runner
-	if run == nil {
-		run = func(ctx context.Context, spec RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
-			return spec.RunCtx(ctx, e.Envs, onRound)
-		}
-	}
-	return run(context.Background(), c.Spec, nil)
 }

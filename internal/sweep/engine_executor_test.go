@@ -13,9 +13,9 @@ import (
 )
 
 // TestEngineDelegatesToExecutor: with an Executor set, cells execute on
-// the dispatch backend (the inline Runner must never fire), results
-// aggregate exactly as inline execution would, and the engine's store
-// still fills so the next sweep is cache hits.
+// that backend (the engine's own Runner must never fire), results aggregate
+// exactly as its own backend's would, and the engine's store — a different
+// instance from the backend's — still fills so the next sweep is cache hits.
 func TestEngineDelegatesToExecutor(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
@@ -99,34 +99,5 @@ func TestFailureSummaryGroupsErrors(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "fedwcm") || !strings.Contains(lines[1], "disk full") {
 		t.Fatalf("fedwcm group line: %q", lines[1])
-	}
-}
-
-// TestEngineExecutorSkipsModSpecs: a Mod-hook cell has no fingerprint and
-// cannot travel; it must run inline even when an Executor is configured.
-func TestEngineExecutorSkipsModSpecs(t *testing.T) {
-	local, err := dispatch.NewLocal(dispatch.LocalConfig{
-		Runner: func(ctx context.Context, job dispatch.Job, onRound func(fl.RoundStat)) (*fl.History, error) {
-			t.Error("Mod-hook cell reached the executor")
-			return nil, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer local.Close()
-
-	inline := 0
-	eng := &Engine{
-		Executor: local,
-		Runner: func(ctx context.Context, spec RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
-			inline++
-			return &fl.History{Method: spec.Method, Stats: []fl.RoundStat{{Round: 1, TestAcc: 0.5}}}, nil
-		},
-	}
-	spec := RunSpec{Method: "fedavg", Mod: func(env *fl.Env) {}}
-	out := eng.runCell(Cell{Axes: Axes{Method: "fedavg"}, ID: "modcell", Spec: spec})
-	if out.Status != CellComputed || inline != 1 {
-		t.Fatalf("Mod cell: status %s inline=%d, want computed/1", out.Status, inline)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"fedwcm/internal/data"
+	"fedwcm/internal/obs"
 	"fedwcm/internal/partition"
 )
 
@@ -179,4 +180,26 @@ func (c *EnvCache) remove(e *envEntry) {
 		c.order.Remove(e.elem)
 	}
 	c.mu.Unlock()
+}
+
+// Instrument registers the env cache's metric series on reg as Func metrics
+// over Stats() — the same snapshot the sweep status API and fedbench's
+// "envs built/reused" summary line read, so all three surfaces agree by
+// construction. A nil reg is a no-op.
+func (c *EnvCache) Instrument(reg *obs.Registry) {
+	if c == nil || reg == nil {
+		return
+	}
+	reg.CounterFunc("fedwcm_envcache_hits_total", "Environment-cache hits (construction shared).", func() float64 {
+		return float64(c.Stats().Hits)
+	})
+	reg.CounterFunc("fedwcm_envcache_misses_total", "Environment-cache misses (fresh dataset+partition builds).", func() float64 {
+		return float64(c.Stats().Misses)
+	})
+	reg.CounterFunc("fedwcm_envcache_evictions_total", "Environment-cache LRU evictions.", func() float64 {
+		return float64(c.Stats().Evictions)
+	})
+	reg.GaugeFunc("fedwcm_envcache_entries", "Environments currently cached.", func() float64 {
+		return float64(c.Stats().Entries)
+	})
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestEnvCacheSharesConstruction(t *testing.T) {
 func TestEnvCacheMatchesUncachedHistories(t *testing.T) {
 	c := NewEnvCache(2)
 	spec := envSpec("fedcm", 3)
-	cached, err := spec.RunWithProgressCached(c, nil)
+	cached, err := spec.RunCtx(context.Background(), c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

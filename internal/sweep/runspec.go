@@ -214,27 +214,17 @@ func (s RunSpec) BuildEnvCached(cache *EnvCache) (*fl.Env, error) {
 
 // Run executes the spec and returns its history.
 func (s RunSpec) Run() (*fl.History, error) {
-	return s.RunWithProgress(nil)
+	return s.RunCtx(context.Background(), nil, nil)
 }
 
-// RunWithProgress executes the spec, invoking onRound with each recorded
-// RoundStat (see fl.RunWithProgress). The callback does not influence the
-// result.
-func (s RunSpec) RunWithProgress(onRound func(fl.RoundStat)) (*fl.History, error) {
-	return s.RunWithProgressCached(nil, onRound)
-}
-
-// RunWithProgressCached is RunWithProgress with environment construction
-// served from cache when cache is non-nil. Histories are identical either
-// way; the cache only removes redundant dataset+partition builds.
-func (s RunSpec) RunWithProgressCached(cache *EnvCache, onRound func(fl.RoundStat)) (*fl.History, error) {
-	return s.RunCtx(context.Background(), cache, onRound)
-}
-
-// RunCtx is RunWithProgressCached with cooperative cancellation: a
-// cancelled ctx aborts the run between rounds and returns ctx's error (see
-// fl.RunWithProgressCtx). Dispatch backends use it so a shutting-down
-// executor can abandon in-flight training instead of finishing it.
+// RunCtx executes the spec, invoking onRound (may be nil) with each recorded
+// RoundStat; the callback does not influence the result. Environment
+// construction is served from cache when cache is non-nil — histories are
+// identical either way, the cache only removes redundant dataset+partition
+// builds. A cancelled ctx aborts the run between rounds and returns ctx's
+// error (see fl.RunWithProgressCtx): dispatch backends rely on it so a
+// shutting-down executor can abandon in-flight training instead of
+// finishing it.
 func (s RunSpec) RunCtx(ctx context.Context, cache *EnvCache, onRound func(fl.RoundStat)) (*fl.History, error) {
 	s = s.Defaults() // a spec relying on defaults must run, not fail on Method ""
 	env, err := s.BuildEnvCached(cache)
@@ -265,9 +255,9 @@ func (s RunSpec) RunCtx(ctx context.Context, cache *EnvCache, onRound func(fl.Ro
 // never influence the computed history.
 func DispatchRunner(envs *EnvCache) dispatch.Runner {
 	return func(ctx context.Context, job dispatch.Job, onRound func(fl.RoundStat)) (*fl.History, error) {
-		var spec RunSpec
-		if err := json.Unmarshal(job.Spec, &spec); err != nil {
-			return nil, fmt.Errorf("sweep: decoding dispatched spec: %w", err)
+		spec, err := jobSpec(job)
+		if err != nil {
+			return nil, err
 		}
 		spec.Mod = func(env *fl.Env) {
 			env.TraceID = job.ID
@@ -275,6 +265,15 @@ func DispatchRunner(envs *EnvCache) dispatch.Runner {
 		}
 		return spec.RunCtx(ctx, envs, onRound)
 	}
+}
+
+// jobSpec decodes a dispatched job's canonical spec JSON.
+func jobSpec(job dispatch.Job) (RunSpec, error) {
+	var spec RunSpec
+	if err := json.Unmarshal(job.Spec, &spec); err != nil {
+		return spec, fmt.Errorf("sweep: decoding dispatched spec: %w", err)
+	}
+	return spec, nil
 }
 
 // ModelFor maps a dataset spec and model name to a network builder. "auto"

@@ -14,16 +14,20 @@
 //     into deduplicated Cells via the per-dataset presets. Specs themselves
 //     fingerprint the same way, which is what makes sweep submission
 //     idempotent in internal/serve.
-//   - Engine — runs a Spec's cells through a bounded worker pool with
-//     store-hit short-circuiting and in-process single-flight, so repeating
-//     or overlapping sweeps cost O(missing cells), not O(grid).
+//   - Engine — the one cell resolver (store hit, join of the in-flight
+//     LiveCell, or exactly one submit to a dispatch backend, then persist)
+//     and the one sweep driver over it, so repeating or overlapping sweeps
+//     cost O(missing cells), not O(grid), whoever asks: RunSweep here,
+//     internal/serve's run and sweep endpoints over HTTP.
+//   - Feed — the replay log + live fan-out a LiveCell's per-round progress
+//     and a served sweep's per-cell completions stream through.
 //   - Result / Group — server-side aggregation: cells that differ only in
 //     seed collapse into mean±std scalars and mean convergence curves, the
 //     shapes the paper's tables and figures report.
 //
 // internal/experiments declares each paper table/figure as a Spec plus a
-// renderer; internal/serve exposes the same machinery over HTTP
-// (POST /v1/sweeps); cmd/fedbench is a thin client of both.
+// renderer; internal/serve puts HTTP and SSE in front of one Engine
+// (POST /v1/runs, POST /v1/sweeps); cmd/fedbench is a thin client of both.
 package sweep
 
 import (

@@ -1,23 +1,14 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "math"
 
-// Float16 and int8 vector codecs for update transport where full float64
-// precision is wasted bandwidth. Error bounds (tested in quant_test.go):
-//
-//   - float16: round-to-nearest-even. Relative error ≤ 2⁻¹¹ for normal
-//     half-precision magnitudes (2⁻¹⁴ ≤ |v| ≤ 65504); |v| > 65504 saturates
-//     to ±Inf, |v| < 2⁻¹⁴ falls into subnormals with absolute error ≤ 2⁻²⁵.
-//     NaN and ±Inf are preserved (NaN payloads are not).
-//
-//   - int8: per-block-of-64 absmax scaling, scale = max|v|/127, codes
-//     round-to-nearest. Absolute error ≤ scale/2 per element; an all-zero
-//     block roundtrips exactly. Inputs must be finite (a non-finite value
-//     poisons its block's scale).
+// Float16 conversion for the monitoring-only columns of the wire codec (the
+// heartbeat per-class accuracies), where full float64 precision is wasted
+// bandwidth. Round-to-nearest-even; error bounds (tested in quant_test.go):
+// relative error ≤ 2⁻¹¹ for normal half-precision magnitudes
+// (2⁻¹⁴ ≤ |v| ≤ 65504); |v| > 65504 saturates to ±Inf, |v| < 2⁻¹⁴ falls
+// into subnormals with absolute error ≤ 2⁻²⁵. NaN and ±Inf are preserved
+// (NaN payloads are not).
 
 // F16Bits converts v to IEEE-754 binary16 bits, rounding to nearest-even.
 func F16Bits(v float64) uint16 {
@@ -82,111 +73,4 @@ func F16Value(h uint16) float64 {
 	default:
 		return sign * (1 + mant*0x1p-10) * math.Ldexp(1, exp-15)
 	}
-}
-
-// AppendVecF16 appends v encoded as a length-prefixed float16 vector.
-func AppendVecF16(dst []byte, v []float64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(v)))
-	for _, x := range v {
-		h := F16Bits(x)
-		dst = append(dst, byte(h), byte(h>>8))
-	}
-	return dst
-}
-
-// DecodeVecF16 decodes an AppendVecF16 vector, returning it and the
-// remaining input.
-func DecodeVecF16(p []byte) ([]float64, []byte, error) {
-	n, w := binary.Uvarint(p)
-	if w <= 0 || n > uint64(len(p[w:]))/2 {
-		return nil, nil, errTruncated
-	}
-	p = p[w:]
-	if n == 0 {
-		return nil, p, nil
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = F16Value(uint16(p[2*i]) | uint16(p[2*i+1])<<8)
-	}
-	return v, p[2*n:], nil
-}
-
-// q8Block is the int8 quantization block size: each block carries its own
-// float32 absmax scale, so outliers only inflate error locally.
-const q8Block = 64
-
-// AppendVecQ8 appends v quantized to int8 with per-block absmax scales.
-// Layout: uvarint len, then per block a little-endian float32 scale followed
-// by the block's int8 codes. Reconstruction is code·scale with absolute
-// error ≤ scale/2. Inputs must be finite.
-func AppendVecQ8(dst []byte, v []float64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(v)))
-	for lo := 0; lo < len(v); lo += q8Block {
-		hi := lo + q8Block
-		if hi > len(v) {
-			hi = len(v)
-		}
-		block := v[lo:hi]
-		absmax := 0.0
-		for _, x := range block {
-			if a := math.Abs(x); a > absmax {
-				absmax = a
-			}
-		}
-		scale := float32(absmax / 127)
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(scale))
-		if scale == 0 {
-			for range block {
-				dst = append(dst, 0)
-			}
-			continue
-		}
-		inv := 1 / float64(scale)
-		for _, x := range block {
-			q := math.RoundToEven(x * inv)
-			if q > 127 {
-				q = 127
-			} else if q < -127 {
-				q = -127
-			}
-			dst = append(dst, byte(int8(q)))
-		}
-	}
-	return dst
-}
-
-// DecodeVecQ8 decodes an AppendVecQ8 vector, returning it and the remaining
-// input.
-func DecodeVecQ8(p []byte) ([]float64, []byte, error) {
-	n, w := binary.Uvarint(p)
-	if w <= 0 {
-		return nil, nil, errTruncated
-	}
-	p = p[w:]
-	if n == 0 {
-		return nil, p, nil
-	}
-	blocks := (n + q8Block - 1) / q8Block
-	need := n + 4*blocks
-	if need > uint64(len(p)) {
-		return nil, nil, errTruncated
-	}
-	v := make([]float64, n)
-	for lo := uint64(0); lo < n; lo += q8Block {
-		hi := lo + q8Block
-		if hi > n {
-			hi = n
-		}
-		scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(p)))
-		p = p[4:]
-		if !(scale >= 0) || math.IsInf(scale, 0) {
-			return nil, nil, fmt.Errorf("wire: invalid q8 block scale %v", scale)
-		}
-		for i := lo; i < hi; i++ {
-			v[i] = float64(int8(p[i-lo])) * scale
-		}
-		p = p[hi-lo:]
-	}
-	return v, p, nil
 }

@@ -84,106 +84,3 @@ func TestF16ErrorBound(t *testing.T) {
 		}
 	}
 }
-
-func TestVecF16Roundtrip(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	for _, n := range []int{0, 1, 7, 64, 321} {
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = r.NormFloat64()
-		}
-		p := AppendVecF16([]byte{0xAA}, v) // prefix survives
-		got, rest, err := DecodeVecF16(p[1:])
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("n=%d: %d trailing bytes", n, len(rest))
-		}
-		if len(got) != n {
-			t.Fatalf("n=%d: decoded %d", n, len(got))
-		}
-		for i := range v {
-			if want := F16Value(F16Bits(v[i])); !bitsEq(got[i], want) {
-				t.Fatalf("n=%d i=%d: %v, want %v", n, i, got[i], want)
-			}
-		}
-	}
-	if _, _, err := DecodeVecF16([]byte{200}); err == nil {
-		t.Fatal("truncated f16 vector accepted")
-	}
-}
-
-// TestVecQ8ErrorBound: per-element reconstruction error is ≤ scale/2 where
-// scale is that block's absmax/127; all-zero blocks roundtrip exactly.
-func TestVecQ8ErrorBound(t *testing.T) {
-	r := rand.New(rand.NewSource(37))
-	for _, n := range []int{0, 1, 63, 64, 65, 640, 1000} {
-		v := make([]float64, n)
-		for i := range v {
-			switch {
-			case i/q8Block == 1: // second block all zeros
-				v[i] = 0
-			case r.Intn(20) == 0: // occasional outlier
-				v[i] = r.NormFloat64() * 100
-			default:
-				v[i] = r.NormFloat64() * 0.01
-			}
-		}
-		p := AppendVecQ8(nil, v)
-		got, rest, err := DecodeVecQ8(p)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if len(rest) != 0 || len(got) != n {
-			t.Fatalf("n=%d: len=%d rest=%d", n, len(got), len(rest))
-		}
-		for lo := 0; lo < n; lo += q8Block {
-			hi := lo + q8Block
-			if hi > n {
-				hi = n
-			}
-			absmax := 0.0
-			for _, x := range v[lo:hi] {
-				if a := math.Abs(x); a > absmax {
-					absmax = a
-				}
-			}
-			// The stored scale is the float32 rounding of absmax/127; allow
-			// that rounding on top of the half-step bound.
-			scale := float64(float32(absmax / 127))
-			bound := scale/2 + absmax*0x1p-23
-			for i := lo; i < hi; i++ {
-				if absmax == 0 {
-					if got[i] != 0 {
-						t.Fatalf("zero block reconstructed %v", got[i])
-					}
-					continue
-				}
-				if math.Abs(got[i]-v[i]) > bound {
-					t.Fatalf("n=%d i=%d: |%v - %v| > %v (scale %v)", n, i, got[i], v[i], bound, scale)
-				}
-			}
-		}
-	}
-	if _, _, err := DecodeVecQ8([]byte{70, 0, 0}); err == nil {
-		t.Fatal("truncated q8 vector accepted")
-	}
-}
-
-// BenchmarkQ8Encode tracks the vector quantization cost at model-update
-// scale.
-func BenchmarkQ8Encode(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	v := make([]float64, 1<<16)
-	for i := range v {
-		v[i] = r.NormFloat64() * 0.01
-	}
-	buf := AppendVecQ8(nil, v)
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = AppendVecQ8(buf[:0], v)
-	}
-}
