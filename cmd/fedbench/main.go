@@ -86,9 +86,10 @@ func main() {
 	envs := sweep.NewEnvCache(*envCap)
 	envs.Instrument(obs.Default())
 
-	// -remote dispatches declarative cells to a running fedserve (which may
-	// itself be coordinator-backed), so a laptop drives a grid that trains
-	// on a fleet. Hand-rolled experiments with Mod hooks still run locally.
+	// -remote dispatches sweep cells to a running fedserve (which may itself
+	// be coordinator-backed), so a laptop drives a grid that trains on a
+	// fleet. Every training experiment is a sweep; only fig11 and table6,
+	// which train nothing, compute locally.
 	var executor dispatch.Executor
 	if *remote != "" {
 		client, err := dispatch.NewClient(dispatch.ClientConfig{BaseURL: *remote})

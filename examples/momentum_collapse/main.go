@@ -12,13 +12,11 @@ import (
 	"fmt"
 	"log"
 
-	"fedwcm/internal/collapse"
 	"fedwcm/internal/fl"
 	"fedwcm/internal/sweep"
 )
 
-func run(method string, imf float64) (*fl.History, *collapse.Series) {
-	var series *collapse.Series
+func run(method string, imf float64) *fl.History {
 	spec := sweep.RunSpec{
 		Dataset: "cifar10-syn",
 		Method:  method,
@@ -30,17 +28,15 @@ func run(method string, imf float64) (*fl.History, *collapse.Series) {
 			Rounds: 50, SampleClients: 10, LocalEpochs: 5, BatchSize: 50,
 			EtaL: 0.1, EtaG: 1, Seed: 11, EvalEvery: 5,
 		},
-		Mod: func(env *fl.Env) {
-			probe, s := collapse.NewProbe(collapse.ProbeBatch(env.Test, 200))
-			env.Probes = append(env.Probes, probe)
-			series = s
-		},
+		// The "collapse" probe records neuron concentration on a fixed test
+		// batch into every evaluation's Metrics.
+		Probes: []string{"collapse"},
 	}
 	hist, err := spec.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	return hist, series
+	return hist
 }
 
 func main() {
@@ -54,11 +50,11 @@ func main() {
 		{"fedwcm", 0.05}, // the fix
 	}
 	for _, st := range settings {
-		hist, series := run(st.method, st.imf)
+		hist := run(st.method, st.imf)
 		fmt.Printf("%s IF=%g\n", st.method, st.imf)
 		fmt.Printf("  %-8s %-10s %s\n", "round", "test acc", "neuron concentration")
-		for i, s := range hist.Stats {
-			fmt.Printf("  %-8d %-10.3f %.3f\n", s.Round, s.TestAcc, series.Mean[i])
+		for _, s := range hist.Stats {
+			fmt.Printf("  %-8d %-10.3f %.3f\n", s.Round, s.TestAcc, s.Metrics["concentration"])
 		}
 		fmt.Println()
 	}

@@ -7,6 +7,7 @@ package collapse
 
 import (
 	"math"
+	"strconv"
 
 	"fedwcm/internal/data"
 	"fedwcm/internal/fl"
@@ -151,36 +152,22 @@ scan:
 	return st
 }
 
-// Series records concentration over training rounds; it is filled by the
-// Probe below and rendered by the figure-4 style experiments.
-type Series struct {
-	Rounds   []int
-	Mean     []float64
-	PerLayer [][]float64
-}
-
-// NewProbe returns an fl.Probe that measures concentration on a fixed probe
-// batch after every evaluation, appending to the returned Series.
-func NewProbe(probe *tensor.Dense) (fl.Probe, *Series) {
-	series := &Series{}
-	return func(round int, net *nn.Network) {
-		rep := Concentration(net, probe)
-		series.Rounds = append(series.Rounds, round)
-		series.Mean = append(series.Mean, rep.Mean)
-		series.PerLayer = append(series.PerLayer, rep.PerLayer)
-	}, series
+// Probe returns the fl.Probe behind the "collapse" run probe: at every
+// evaluation it measures concentration on the fixed batch x and reports the
+// mean as metric "concentration" and each measured layer as
+// "concentration/act<i>" (1-based, in network order).
+func Probe(x *tensor.Dense) fl.Probe {
+	return func(net *nn.Network, metrics map[string]float64) {
+		rep := Concentration(net, x)
+		metrics["concentration"] = rep.Mean
+		for i, v := range rep.PerLayer {
+			metrics["concentration/act"+strconv.Itoa(i+1)] = v
+		}
+	}
 }
 
 // ProbeBatch extracts an evaluation probe batch (the first n rows) from a
 // dataset.
 func ProbeBatch(ds *data.Dataset, n int) *tensor.Dense {
-	if n > ds.Len() {
-		n = ds.Len()
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	x, _ := ds.Gather(idx, nil, nil)
-	return x
+	return ds.Head(n).X
 }

@@ -113,20 +113,27 @@ func TestProbeRecordsSeries(t *testing.T) {
 	part := partition.EqualQuantity(xrand.New(10), train, 4, 1)
 	cfg := fl.Config{Rounds: 6, SampleClients: 2, LocalEpochs: 1, BatchSize: 20, Seed: 11, EvalEvery: 2}
 	env := fl.NewEnv(cfg, train, test, part, nn.MLPBuilder(8, []int{12}, 3, false), nil)
-	probe, series := NewProbe(ProbeBatch(test, 30))
-	env.Probes = append(env.Probes, probe)
-	method := struct{ simpleFedAvg }{}
-	fl.Run(env, &method.simpleFedAvg)
-	if len(series.Rounds) != 3 {
-		t.Fatalf("expected 3 probe points, got %d", len(series.Rounds))
+	env.Probes = append(env.Probes, Probe(ProbeBatch(test, 30)))
+	hist := fl.Run(env, &simpleFedAvg{})
+	rounds, mean := hist.MetricSeries("concentration")
+	if len(rounds) != 3 || rounds[0] != 2 || rounds[2] != 6 {
+		t.Fatalf("expected probe points at rounds 2,4,6, got %v", rounds)
 	}
-	for i, m := range series.Mean {
+	_, layer := hist.MetricSeries("concentration/act1")
+	if len(layer) != 3 {
+		t.Fatalf("per-layer series has %d points, want 3", len(layer))
+	}
+	for i, m := range mean {
 		if m < 1-1e-9 {
 			t.Fatalf("probe %d concentration %v below bound", i, m)
 		}
-		if len(series.PerLayer[i]) == 0 {
-			t.Fatal("per-layer series empty")
+		// one hidden activation: the mean is that layer's reading
+		if layer[i] != m {
+			t.Fatalf("probe %d: single-layer mean %v != act1 %v", i, m, layer[i])
 		}
+	}
+	if r, _ := hist.MetricSeries("concentration/act2"); r != nil {
+		t.Fatalf("network has one activation layer, got act2 at %v", r)
 	}
 }
 

@@ -62,6 +62,16 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return &Dataset{X: x, Y: y, Classes: d.Classes, Chans: d.Chans, H: d.H, W: d.W}
 }
 
+// Head copies the first n rows (all of them when n exceeds Len) into a new
+// Dataset — the fixed probe sets evaluation-time measurements use.
+func (d *Dataset) Head(n int) *Dataset {
+	idx := make([]int, min(n, d.Len()))
+	for i := range idx {
+		idx[i] = i
+	}
+	return d.Subset(idx)
+}
+
 // Gather copies rows idx into a batch matrix and label slice, reusing the
 // provided buffers when they are large enough.
 func (d *Dataset) Gather(idx []int, x *tensor.Dense, y []int) (*tensor.Dense, []int) {

@@ -635,33 +635,15 @@ type resultResponse struct {
 // other Content-Type is answered 415 (and false returned).
 func readWire(w http.ResponseWriter, req *http.Request, what string) ([]byte, bool) {
 	if !strings.HasPrefix(req.Header.Get("Content-Type"), wire.ContentType) {
-		httpErr(w, http.StatusUnsupportedMediaType, "%s must be %s", what, wire.ContentType)
+		obs.HTTPError(w, http.StatusUnsupportedMediaType, "%s must be %s", what, wire.ContentType)
 		return nil, false
 	}
 	body, err := io.ReadAll(req.Body)
 	if err != nil {
-		httpErr(w, http.StatusBadRequest, "reading %s: %v", what, err)
+		obs.HTTPError(w, http.StatusBadRequest, "reading %s: %v", what, err)
 		return nil, false
 	}
 	return body, true
-}
-
-// writeJSON and httpErr keep internal/serve's response shape and its
-// encode-before-write rule (an encode failure is a well-formed 500, never a
-// truncated 200), so worker-endpoint replies read like the rest of the API.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		b, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
-		code = http.StatusInternalServerError
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(b, '\n'))
-}
-
-func httpErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // Mount attaches the worker protocol to mux. Endpoint reference with
@@ -680,7 +662,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, req *http.Request) {
 	// worker, one slot) — the decoder's io.EOF on zero bytes is not an
 	// error, matching handleLease/handleHeartbeat. Malformed JSON still 400s.
 	if err := json.NewDecoder(req.Body).Decode(&r); err != nil && !errors.Is(err, io.EOF) {
-		httpErr(w, http.StatusBadRequest, "decoding registration: %v", err)
+		obs.HTTPError(w, http.StatusBadRequest, "decoding registration: %v", err)
 		return
 	}
 	if r.Slots <= 0 {
@@ -699,7 +681,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, req *http.Request) {
 	}
 	c.mu.Unlock()
 	c.cfg.Logf("dispatch: worker %s registered (name %q, %d slots)", id, r.Name, r.Slots)
-	writeJSON(w, http.StatusCreated, registerResponse{
+	obs.WriteJSON(w, http.StatusCreated, registerResponse{
 		ID: id, Slots: r.Slots, LeaseTTL: c.cfg.LeaseTTL.Milliseconds(),
 	})
 }
@@ -713,7 +695,7 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, req *http.Request)
 	wk, ok := c.workers[id]
 	if !ok {
 		c.mu.Unlock()
-		httpErr(w, http.StatusNotFound, "unknown worker %s", id)
+		obs.HTTPError(w, http.StatusNotFound, "unknown worker %s", id)
 		return
 	}
 	requeued := 0
@@ -737,7 +719,7 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, req *http.Request)
 	c.mu.Unlock()
 	c.appendWALAsync(walRecs...) // journals the refunded attempt counts
 	c.cfg.Logf("dispatch: worker %s deregistered (%d jobs requeued)", id, requeued)
-	writeJSON(w, http.StatusOK, map[string]int{"requeued": requeued})
+	obs.WriteJSON(w, http.StatusOK, map[string]int{"requeued": requeued})
 }
 
 // handleLease hands the next pending job to the worker, long-polling up to
@@ -749,7 +731,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 	var lr leaseRequest
 	if req.ContentLength != 0 {
 		if err := json.NewDecoder(req.Body).Decode(&lr); err != nil {
-			httpErr(w, http.StatusBadRequest, "decoding lease request: %v", err)
+			obs.HTTPError(w, http.StatusBadRequest, "decoding lease request: %v", err)
 			return
 		}
 	}
@@ -763,7 +745,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 		wk, ok := c.workers[id]
 		if !ok {
 			c.mu.Unlock()
-			httpErr(w, http.StatusNotFound, "unknown worker %s (re-register)", id)
+			obs.HTTPError(w, http.StatusNotFound, "unknown worker %s (re-register)", id)
 			return
 		}
 		wk.lastSeen = time.Now()
@@ -799,7 +781,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 				}
 			}
 			w.Header().Set(obs.TraceHeader, j.h.job.ID)
-			writeJSON(w, http.StatusOK, leaseResponse{Job: j.h.job})
+			obs.WriteJSON(w, http.StatusOK, leaseResponse{Job: j.h.job})
 			return
 		}
 		notify := c.notify
@@ -858,7 +840,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 		start := time.Now()
 		var err error
 		if rounds, err = wire.DecodeStats(body); err != nil {
-			httpErr(w, http.StatusBadRequest, "decoding heartbeat: %v", err)
+			obs.HTTPError(w, http.StatusBadRequest, "decoding heartbeat: %v", err)
 			return
 		}
 		c.cm.wire.observeDecode("stats", len(body), time.Since(start).Seconds())
@@ -867,7 +849,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 	wk, ok := c.workers[wid]
 	if !ok {
 		c.mu.Unlock()
-		httpErr(w, http.StatusNotFound, "unknown worker %s (re-register)", wid)
+		obs.HTTPError(w, http.StatusNotFound, "unknown worker %s (re-register)", wid)
 		return
 	}
 	wk.lastSeen = time.Now()
@@ -877,7 +859,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 		j2, live := c.jobs[jid]
 		if !live || j2.state != jobPending || len(wk.inflight) >= wk.slots {
 			c.mu.Unlock()
-			httpErr(w, http.StatusGone, "lease on job %s lost", jid)
+			obs.HTTPError(w, http.StatusGone, "lease on job %s lost", jid)
 			return
 		}
 		for i, p := range c.pending {
@@ -938,7 +920,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 		}
 		j.relayMu.Unlock()
 	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	obs.WriteJSON(w, http.StatusOK, struct{}{})
 }
 
 // handleResult ingests a finished job: the history is persisted under the
@@ -955,7 +937,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	hist, errMsg, err := wire.DecodeResult(body)
 	if err != nil {
-		httpErr(w, http.StatusBadRequest, "decoding result: %v", err)
+		obs.HTTPError(w, http.StatusBadRequest, "decoding result: %v", err)
 		return
 	}
 	c.cm.wire.observeDecode("result", len(body), time.Since(start).Seconds())
@@ -972,10 +954,10 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 		if _, found, err := c.cfg.Store.Get(jid); err == nil && found {
 			c.cm.dup.Inc()
 			c.cm.uploads.With("duplicate").Inc()
-			writeJSON(w, http.StatusOK, resultResponse{Status: "duplicate"})
+			obs.WriteJSON(w, http.StatusOK, resultResponse{Status: "duplicate"})
 			return
 		}
-		httpErr(w, http.StatusNotFound, "unknown job %s", jid)
+		obs.HTTPError(w, http.StatusNotFound, "unknown job %s", jid)
 		return
 	}
 	// An error upload is only honoured from the current lease holder: a
@@ -986,7 +968,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	if errMsg != "" && (j.state != jobLeased || j.worker != wid) {
 		c.cm.uploads.With("rejected").Inc()
 		c.mu.Unlock()
-		httpErr(w, http.StatusGone, "lease on job %s lost; error discarded", jid)
+		obs.HTTPError(w, http.StatusGone, "lease on job %s lost; error discarded", jid)
 		return
 	}
 	// The span outcome is decided before the job is detached so the lease
@@ -1029,7 +1011,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 		c.cm.uploads.With("failed").Inc()
 		c.noteCompleteAndMaybeCheckpoint(jid, "failed")
 		j.h.complete(nil, fmt.Errorf("dispatch: job %.12s failed on worker %s: %s", jid, wid, errMsg))
-		writeJSON(w, http.StatusOK, resultResponse{Status: "failed"})
+		obs.WriteJSON(w, http.StatusOK, resultResponse{Status: "failed"})
 		return
 	}
 	if hist == nil || len(hist.Stats) == 0 {
@@ -1040,7 +1022,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 		c.cm.uploads.With("rejected").Inc()
 		c.noteCompleteAndMaybeCheckpoint(jid, "failed")
 		j.h.complete(nil, fmt.Errorf("dispatch: job %.12s: worker %s uploaded an empty history", jid, wid))
-		httpErr(w, http.StatusBadRequest, "empty history for job %s", jid)
+		obs.HTTPError(w, http.StatusBadRequest, "empty history for job %s", jid)
 		return
 	}
 	c.cm.uploads.With("stored").Inc()
@@ -1081,5 +1063,5 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	}
 	j.relayMu.Unlock()
 	j.h.complete(hist, nil)
-	writeJSON(w, http.StatusOK, resultResponse{Status: "stored"})
+	obs.WriteJSON(w, http.StatusOK, resultResponse{Status: "stored"})
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"fedwcm/internal/data"
-	"fedwcm/internal/fl"
 	"fedwcm/internal/he"
-	"fedwcm/internal/nn"
 	"fedwcm/internal/partition"
 	"fedwcm/internal/sweep"
 	"fedwcm/internal/xrand"
@@ -157,54 +155,32 @@ func init() {
 }
 
 // fig18 (Appendix D): ten heterogeneous-FL methods on the balanced (IF=1)
-// non-IID setting — train accuracy (fig 18) and test accuracy (fig 19).
-// Hand-rolled: each cell probes train accuracy via the Mod hook.
+// non-IID setting — train accuracy (fig 18, the "train_acc" probe) and test
+// accuracy (fig 19).
 func init() {
+	methodsList := []string{
+		"fedavg", "fedcm", "fedprox", "scaffold", "feddyn",
+		"fedsam", "mofedsam", "fedspeed", "fedsmoo", "fedlesam",
+	}
 	register(&Experiment{
 		ID:    "fig18",
 		Title: "Figures 18-19 (Appendix D): heterogeneous-FL baselines (beta=0.1, IF=1)",
-		Run: func(opt Options) error {
-			methodsList := []string{
-				"fedavg", "fedcm", "fedprox", "scaffold", "feddyn",
-				"fedsam", "mofedsam", "fedspeed", "fedsmoo", "fedlesam",
+		Sweep: func(opt Options) sweep.Spec {
+			return sweep.Spec{
+				Methods: methodsList,
+				IFs:     []float64{1},
+				Probes:  []string{"train_acc"},
+				Seeds:   []uint64{opt.Seed},
+				Effort:  opt.Effort,
 			}
-			trainAcc := make(map[string]*[]float64, len(methodsList))
-			var cells []cell
-			for _, m := range methodsList {
-				spec := sweep.PresetSpec("cifar10-syn", m, 0.1, 1, opt.Seed, opt.Effort)
-				series := new([]float64)
-				trainAcc[m] = series
-				spec.Mod = func(env *fl.Env) {
-					n := env.Train.Len()
-					if n > 1000 {
-						n = 1000
-					}
-					idx := make([]int, n)
-					for i := range idx {
-						idx[i] = i
-					}
-					probeDS := env.Train.Subset(idx)
-					env.Probes = append(env.Probes, func(round int, net *nn.Network) {
-						acc, _ := fl.Evaluate(net, probeDS, 256)
-						*series = append(*series, acc)
-					})
-				}
-				cells = append(cells, cell{Key: m, Spec: spec})
-			}
-			hists, err := runCells(cells, opt.CellWorkers)
-			if err != nil {
-				return err
-			}
+		},
+		Render: func(opt Options, res *sweep.Result) error {
 			var rounds []int
 			testSeries := make([][]float64, len(methodsList))
 			trainSeries := make([][]float64, len(methodsList))
 			for i, m := range methodsList {
-				r, a := hists[m].AccSeries()
-				if rounds == nil {
-					rounds = r
-				}
-				testSeries[i] = a
-				trainSeries[i] = *trainAcc[m]
+				rounds, testSeries[i] = res.CurveOf(sweep.Axes{Method: m})
+				_, trainSeries[i] = res.MetricCurveOf(sweep.Axes{Method: m}, "train_acc")
 			}
 			sweep.SeriesTable("Figure 18 (train accuracy over rounds)", rounds, methodsList, trainSeries).Render(opt.Out)
 			fmt.Fprintln(opt.Out)

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"fedwcm/internal/collapse"
-	"fedwcm/internal/fl"
 	"fedwcm/internal/sweep"
 )
 
@@ -46,44 +44,31 @@ func init() {
 }
 
 // fig4: FedCM's average neuron concentration (top) and test accuracy
-// (bottom) across six imbalance factors. Hand-rolled: each cell attaches a
-// collapse probe via the Mod hook, which makes the runs
-// non-content-addressable (see sweep.ErrNotAddressable) and so unsweepable.
+// (bottom) across six imbalance factors; the "collapse" probe records the
+// concentration series beside each cell's accuracy.
 func init() {
+	ifs := []float64{1, 0.5, 0.1, 0.06, 0.04, 0.01}
 	register(&Experiment{
 		ID:    "fig4",
 		Title: "Figure 4: FedCM neuron concentration and accuracy across six IF settings",
-		Run: func(opt Options) error {
-			ifs := []float64{1, 0.5, 0.1, 0.06, 0.04, 0.01}
-			var cells []cell
-			var labels []string
-			seriesByKey := map[string]*collapse.Series{}
-			for _, f := range ifs {
-				f := f
-				key := fmt.Sprintf("IF=%g", f)
-				labels = append(labels, key)
-				spec := sweep.PresetSpec("cifar10-syn", "fedcm", 0.1, f, opt.Seed, opt.Effort)
-				spec.Mod = func(env *fl.Env) {
-					probe, series := collapse.NewProbe(collapse.ProbeBatch(env.Test, 200))
-					env.Probes = append(env.Probes, probe)
-					seriesByKey[key] = series
-				}
-				cells = append(cells, cell{Key: key, Spec: spec})
+		Sweep: func(opt Options) sweep.Spec {
+			return sweep.Spec{
+				Methods: []string{"fedcm"},
+				IFs:     ifs,
+				Probes:  []string{"collapse"},
+				Seeds:   []uint64{opt.Seed},
+				Effort:  opt.Effort,
 			}
-			hists, err := runCells(cells, opt.CellWorkers)
-			if err != nil {
-				return err
-			}
+		},
+		Render: func(opt Options, res *sweep.Result) error {
 			var rounds []int
-			conc := make([][]float64, len(labels))
-			accs := make([][]float64, len(labels))
-			for i, l := range labels {
-				r, a := hists[l].AccSeries()
-				if rounds == nil {
-					rounds = r
-				}
-				accs[i] = a
-				conc[i] = seriesByKey[l].Mean
+			labels := make([]string, len(ifs))
+			conc := make([][]float64, len(ifs))
+			accs := make([][]float64, len(ifs))
+			for i, f := range ifs {
+				labels[i] = fmt.Sprintf("IF=%g", f)
+				rounds, accs[i] = res.CurveOf(sweep.Axes{IF: f})
+				_, conc[i] = res.MetricCurveOf(sweep.Axes{IF: f}, "concentration")
 			}
 			sweep.SeriesTable("Figure 4 top (FedCM mean neuron concentration)", rounds, labels, conc).Render(opt.Out)
 			fmt.Fprintln(opt.Out)
@@ -94,49 +79,33 @@ func init() {
 }
 
 // fig13_17 (Appendix B): mean and per-layer neuron concentration for
-// FedAvg / FedCM / FedWCM under balanced and long-tailed settings.
-// Hand-rolled for the same reason as fig4: probe Mod hooks.
+// FedAvg / FedCM / FedWCM under balanced and long-tailed settings. Its two
+// FedCM cells are fig4's IF=1 and IF=0.1 cells, so either figure run after
+// the other finds them in the store.
 func init() {
+	ifs := []float64{1, 0.1}
+	methodsList := []string{"fedavg", "fedcm", "fedwcm"}
 	register(&Experiment{
 		ID:    "fig13",
 		Title: "Figures 13-17 (Appendix B): neuron concentration for FedAvg/FedCM/FedWCM",
-		Run: func(opt Options) error {
-			type setting struct {
-				name string
-				imf  float64
+		Sweep: func(opt Options) sweep.Spec {
+			return sweep.Spec{
+				Methods: methodsList,
+				IFs:     ifs,
+				Probes:  []string{"collapse"},
+				Seeds:   []uint64{opt.Seed},
+				Effort:  opt.Effort,
 			}
-			settings := []setting{{"IF=1", 1}, {"IF=0.1", 0.1}}
-			methodsList := []string{"fedavg", "fedcm", "fedwcm"}
-			var cells []cell
-			seriesByKey := map[string]*collapse.Series{}
-			for _, st := range settings {
-				for _, m := range methodsList {
-					key := m + " " + st.name
-					spec := sweep.PresetSpec("cifar10-syn", m, 0.1, st.imf, opt.Seed, opt.Effort)
-					spec.Mod = func(env *fl.Env) {
-						probe, series := collapse.NewProbe(collapse.ProbeBatch(env.Test, 200))
-						env.Probes = append(env.Probes, probe)
-						seriesByKey[key] = series
-					}
-					cells = append(cells, cell{Key: key, Spec: spec})
-				}
-			}
-			if _, err := runCells(cells, opt.CellWorkers); err != nil {
-				return err
-			}
-			for _, st := range settings {
-				labels := make([]string, len(methodsList))
-				series := make([][]float64, len(methodsList))
+		},
+		Render: func(opt Options, res *sweep.Result) error {
+			for _, f := range ifs {
 				var rounds []int
+				series := make([][]float64, len(methodsList))
 				for i, m := range methodsList {
-					key := m + " " + st.name
-					s := seriesByKey[key]
-					labels[i] = m
-					series[i] = s.Mean
-					rounds = s.Rounds
+					rounds, series[i] = res.MetricCurveOf(sweep.Axes{Method: m, IF: f}, "concentration")
 				}
-				sweep.SeriesTable(fmt.Sprintf("Figure 13 (%s): mean neuron concentration", st.name),
-					rounds, labels, series).Render(opt.Out)
+				sweep.SeriesTable(fmt.Sprintf("Figure 13 (IF=%g): mean neuron concentration", f),
+					rounds, methodsList, series).Render(opt.Out)
 				fmt.Fprintln(opt.Out)
 			}
 			// Per-layer detail (figures 14-16): final snapshot per method.
@@ -145,13 +114,13 @@ func init() {
 				Headers: []string{"method", "layer", "concentration"},
 			}
 			for _, m := range methodsList {
-				s := seriesByKey[m+" IF=0.1"]
-				if len(s.PerLayer) == 0 {
-					continue
-				}
-				last := s.PerLayer[len(s.PerLayer)-1]
-				for li, v := range last {
-					detail.AddRow(m, fmt.Sprintf("act%d", li+1), sweep.F(v))
+				for li := 1; ; li++ {
+					layer := fmt.Sprintf("act%d", li)
+					_, v := res.MetricCurveOf(sweep.Axes{Method: m, IF: 0.1}, "concentration/"+layer)
+					if len(v) == 0 {
+						break
+					}
+					detail.AddRow(m, layer, sweep.F(v[len(v)-1]))
 				}
 			}
 			detail.Render(opt.Out)

@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
 	"fedwcm/internal/data"
+	"fedwcm/internal/dispatch"
 	"fedwcm/internal/fl"
 	"fedwcm/internal/store"
 	"fedwcm/internal/sweep"
@@ -87,19 +91,23 @@ func TestRunSpecTinyRun(t *testing.T) {
 	}
 }
 
-func TestRunSpecModHook(t *testing.T) {
-	called := false
+// TestRunSpecProbes: named probes record their readings into every
+// evaluation's Metrics through the ordinary Run path.
+func TestRunSpecProbes(t *testing.T) {
 	s := sweep.RunSpec{
 		Method: "fedavg",
 		Scale:  0.1,
-		Cfg:    fl.Config{Rounds: 2, SampleClients: 2, LocalEpochs: 1, BatchSize: 20, Seed: 6, EvalEvery: 2},
-		Mod:    func(env *fl.Env) { called = true },
+		Cfg:    fl.Config{Rounds: 2, SampleClients: 2, LocalEpochs: 1, BatchSize: 20, Seed: 6, EvalEvery: 1},
+		Probes: []string{"train_acc", "collapse"},
 	}
-	if _, err := s.Run(); err != nil {
+	hist, err := s.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !called {
-		t.Fatal("Mod hook not invoked")
+	for _, key := range []string{"concentration", "concentration/act1", "train_acc"} {
+		if rounds, _ := hist.MetricSeries(key); len(rounds) != 2 {
+			t.Fatalf("metric %q recorded at rounds %v, want both evaluations", key, rounds)
+		}
 	}
 }
 
@@ -134,15 +142,18 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestRegistryShape: every registered experiment is exactly one of
-// declarative (Sweep+Render) or hand-rolled (Run), and every declared grid
-// expands and validates at benchmark effort.
+// TestRegistryShape: training experiments are sweeps and Run is for the
+// experiments that train nothing — exactly fig11 (the partitioner) and
+// table6 (the HE protocol). Every declared grid expands and validates at
+// benchmark effort.
 func TestRegistryShape(t *testing.T) {
+	var handRolled []string
 	for _, e := range All() {
 		if (e.Sweep == nil) == (e.Run == nil) {
 			t.Errorf("%s: must set exactly one of Sweep and Run", e.ID)
 		}
 		if e.Sweep == nil {
+			handRolled = append(handRolled, e.ID)
 			continue
 		}
 		if e.Render == nil {
@@ -153,11 +164,47 @@ func TestRegistryShape(t *testing.T) {
 			t.Errorf("%s: grid does not validate: %v", e.ID, err)
 		}
 	}
+	if got := strings.Join(handRolled, ","); got != "fig11,table6" {
+		t.Errorf("experiments with a Run: %s; want exactly fig11,table6 (anything that trains is a sweep)", got)
+	}
+}
+
+// TestDeclaredCellFingerprintsUnchanged: making probes part of a cell's
+// identity moved no pre-existing cell — the digest of every cell id of every
+// experiment that was already declarative (everything but the three probed
+// figures) and one spelled-out Table 1 cell are as recorded on the parent
+// commit.
+func TestDeclaredCellFingerprintsUnchanged(t *testing.T) {
+	h := sha256.New()
+	for _, e := range All() {
+		if e.Sweep == nil || e.ID == "fig4" || e.ID == "fig13" || e.ID == "fig18" {
+			continue
+		}
+		cells, err := e.Sweep(Options{Seed: 1, Effort: 0.1}.Defaults()).Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			fmt.Fprintf(h, "%s %s\n", e.ID, c.ID)
+		}
+		if e.ID == "table1" {
+			const first = "076f333dd3fd7ee9e7e25919deb8a5e9404a7ff4767567d883860b8d86758afe" // fmnist-syn/fedavg beta=0.6 IF=1 seed=1
+			if len(cells) != 350 || cells[0].ID != first {
+				t.Errorf("table1: %d cells, first %s; want 350, %s", len(cells), cells[0].ID, first)
+			}
+		}
+	}
+	const want = "35fbb3f6e2ff06215e671fe5a0b3fe1991f5a50577a849565a54eef1c00a4578"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("declared cell ids moved: digest %s, want %s", got, want)
+	}
 }
 
 // TestSmallExperimentsEndToEnd runs the cheap experiments at minimum effort
 // to ensure every registered pipeline executes, and that re-running a
-// declarative experiment against the same store recomputes nothing.
+// declarative experiment against the same store recomputes nothing. fig4
+// goes through a dispatch backend: probed cells ship as spec JSON and come
+// back with their readings, like any other cell.
 func TestSmallExperimentsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke runs skipped in -short mode")
@@ -166,7 +213,12 @@ func TestSmallExperimentsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"fig11", "abl_parts", "fig8"} {
+	local, err := dispatch.NewLocal(dispatch.LocalConfig{Runner: sweep.DispatchRunner(nil), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	for _, id := range []string{"fig11", "abl_parts", "fig8", "fig4"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			e, err := ByID(id)
@@ -175,6 +227,9 @@ func TestSmallExperimentsEndToEnd(t *testing.T) {
 			}
 			var buf bytes.Buffer
 			opt := Options{Seed: 2, Effort: 0.08, CellWorkers: 4, Store: st, Out: &buf}
+			if id == "fig4" {
+				opt.Executor = local
+			}
 			if err := e.Execute(opt); err != nil {
 				t.Fatal(err)
 			}
@@ -200,6 +255,45 @@ func TestSmallExperimentsEndToEnd(t *testing.T) {
 				t.Fatalf("cached rerun rendered differently:\nfirst:\n%s\nsecond:\n%s", first, second)
 			}
 		})
+	}
+}
+
+// TestProbedFiguresShareTheStore is the path a closure could never take:
+// fig4's probed cells are content-addressed, so a rerun is all store hits,
+// and fig13 — whose two FedCM cells are fig4's IF=1 and IF=0.1 cells —
+// computes only the other four of its six.
+func TestProbedFiguresShareTheStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment smoke runs skipped in -short mode")
+	}
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := func(id string) string {
+		t.Helper()
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := e.Execute(Options{Seed: 3, Effort: 0.05, Store: st, Out: &buf}); err != nil {
+			t.Fatal(err)
+		}
+		line, rest, _ := strings.Cut(buf.String(), "\n")
+		if !strings.Contains(rest, "1.") { // concentration is ≥ 1 by construction
+			t.Fatalf("%s rendered no concentration series:\n%s", id, rest)
+		}
+		return line
+	}
+	for _, step := range []struct{ id, want string }{
+		{"fig4", "6 cells — 0 cached, 6 computed"},
+		{"fig4", "6 cells — 6 cached, 0 computed"},
+		{"fig13", "6 cells — 2 cached, 4 computed"},
+	} {
+		if got := status(step.id); !strings.Contains(got, step.want) {
+			t.Fatalf("%s: %q, want %q", step.id, got, step.want)
+		}
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package experiments defines one registered experiment per table and
-// figure in the paper's evaluation. Most experiments are declarative: a
-// sweep.Spec grid plus a Render function that formats the aggregated
-// result, executed through the sweep engine so overlapping grids share
-// cached cells (see internal/sweep). Experiments that attach process-local
-// probes (Mod hooks) keep a hand-rolled Run instead. cmd/fedbench and the
-// top-level benchmarks are thin wrappers over this package.
+// figure in the paper's evaluation. Every experiment that trains is
+// declarative: a sweep.Spec grid (probes included) plus a Render function
+// that formats the aggregated result, executed through the sweep engine so
+// overlapping grids share cached cells (see internal/sweep). Run is only for
+// the experiments that train nothing. cmd/fedbench and the top-level
+// benchmarks are thin wrappers over this package.
 package experiments
 
 import (
@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"fedwcm/internal/dispatch"
-	"fedwcm/internal/fl"
 	"fedwcm/internal/store"
 	"fedwcm/internal/sweep"
 )
@@ -38,10 +37,10 @@ type Options struct {
 	// build it once. Nil gets a per-Execute cache; callers running many
 	// experiments (cmd/fedbench) pass one cache to share across them.
 	Envs *sweep.EnvCache
-	// Executor, when set, dispatches declarative sweep cells to a dispatch
-	// backend (e.g. a remote fedserve via fedbench -remote) instead of
-	// training in-process. Hand-rolled experiments with Mod hooks always
-	// run locally.
+	// Executor, when set, dispatches sweep cells to a dispatch backend (e.g.
+	// a remote fedserve via fedbench -remote) instead of training
+	// in-process. Every training experiment is a sweep, so this covers all
+	// training the registry does.
 	Executor dispatch.Executor
 	Out      io.Writer
 }
@@ -66,15 +65,12 @@ func (o Options) Defaults() Options {
 	return o
 }
 
-// Experiment regenerates one paper table or figure. Two shapes exist:
-//
-//   - Declarative (the default): Sweep returns the experiment's grid and
-//     Render formats the aggregated result. Execute runs the grid through
-//     the sweep engine, so cells shared with other experiments are cache
-//     hits.
-//   - Hand-rolled: Run does everything itself. Used by experiments whose
-//     cells attach Mod hooks (probes make runs non-content-addressable) or
-//     that measure something other than training runs.
+// Experiment regenerates one paper table or figure. Training experiments
+// are sweeps: Sweep returns the grid and Render formats the aggregated
+// result; Execute runs the grid through the sweep engine, so cells shared
+// with other experiments are cache hits. Run is for the experiments that
+// train nothing (fig11 measures the partitioner, table6 the HE protocol)
+// and does everything itself.
 type Experiment struct {
 	ID    string
 	Title string
@@ -85,8 +81,8 @@ type Experiment struct {
 	Run func(opt Options) error
 }
 
-// Execute runs the experiment: the declarative sweep path when Sweep is
-// set, the hand-rolled Run otherwise.
+// Execute runs the experiment: the sweep path when Sweep is set, Run
+// otherwise.
 func (e *Experiment) Execute(opt Options) error {
 	opt = opt.Defaults()
 	if e.Sweep == nil {
@@ -169,44 +165,4 @@ func All() []*Experiment {
 		out = append(out, e)
 	}
 	return out
-}
-
-// cell is one (label, spec) pair of a hand-rolled experiment's sweep.
-type cell struct {
-	Key  string
-	Spec sweep.RunSpec
-}
-
-// runCells executes cells, up to `workers` concurrently, returning
-// histories keyed by cell key; any error fails the whole batch. Declarative
-// experiments go through sweep.Engine instead; this path remains for cells
-// with Mod hooks, which have no fingerprint and so can be neither cached
-// nor dispatched.
-func runCells(cells []cell, workers int) (map[string]*fl.History, error) {
-	var (
-		mu       sync.Mutex
-		out      = make(map[string]*fl.History, len(cells))
-		firstErr error
-		wg       sync.WaitGroup
-		slots    = make(chan struct{}, max(workers, 1))
-	)
-	for _, c := range cells {
-		slots <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() { <-slots; wg.Done() }()
-			h, err := c.Spec.Run()
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("cell %s: %w", c.Key, err)
-			}
-			out[c.Key] = h
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
 }

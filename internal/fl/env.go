@@ -29,10 +29,14 @@ func (c *Client) Proportions() []float64 {
 	return out
 }
 
-// Probe is called after each evaluation with a network loaded with the
-// current global weights; experiments use probes to record neuron
-// concentration and other layer-wise statistics.
-type Probe func(round int, net *nn.Network)
+// Probe measures the global model at each evaluation: it is called with a
+// network loaded with the current global weights and writes its readings
+// into that evaluation's RoundStat.Metrics (neuron concentration, train
+// accuracy, ...). A probe observes and never perturbs — it must leave the
+// network's weights and statistics untouched, so a probed run's history
+// differs from the unprobed one only by the keys its probes add. Probes are
+// attached by name through sweep.RunSpec.Probes.
+type Probe func(net *nn.Network, metrics map[string]float64)
 
 // Env is the world a federated run executes in. Datasets and the initial
 // partition are immutable and may be shared across concurrent runs (see

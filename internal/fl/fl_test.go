@@ -367,15 +367,18 @@ func (m *reportingSGD) RoundMetrics() map[string]float64 {
 
 // TestRunInvokesProbes: under either scheduler every recorded RoundStat
 // fires each probe, one RoundMetrics snapshot and one onRound call — exactly
-// once, with the stat's own version number.
+// once — and the probe's reading lands in that stat's Metrics beside the
+// method's own.
 func TestRunInvokesProbes(t *testing.T) {
 	for name, async := range map[string]*AsyncConfig{"barrier": nil, "events": {K: 1}} {
 		t.Run(name, func(t *testing.T) {
 			cfg := Config{Rounds: 5, SampleClients: 2, LocalEpochs: 1, BatchSize: 20, Seed: 37, EvalEvery: 2, Async: async}
 			env := testEnv(37, cfg, 3, 4, 1, 1)
-			var probed, progressed []int
-			env.Probes = append(env.Probes, func(round int, net *nn.Network) {
-				probed = append(probed, round)
+			probed := 0
+			var progressed []int
+			env.Probes = append(env.Probes, func(net *nn.Network, metrics map[string]float64) {
+				probed++
+				metrics["probed"] = float64(probed)
 			})
 			m := &reportingSGD{}
 			hist, _ := RunWithProgressCtx(context.Background(), env, m, func(st RoundStat) { progressed = append(progressed, st.Round) })
@@ -383,15 +386,35 @@ func TestRunInvokesProbes(t *testing.T) {
 			if len(hist.Stats) != len(want) || m.reports != len(want) {
 				t.Fatalf("%d stats and %d RoundMetrics calls, want %d of each", len(hist.Stats), m.reports, len(want))
 			}
-			if len(probed) != len(want) || len(progressed) != len(want) {
-				t.Fatalf("probes %v and onRound %v, want %v", probed, progressed, want)
+			if probed != len(want) || len(progressed) != len(want) {
+				t.Fatalf("%d probe calls and onRound %v, want %v", probed, progressed, want)
 			}
 			for i, st := range hist.Stats {
-				if st.Round != want[i] || probed[i] != want[i] || progressed[i] != want[i] || st.Metrics["reports"] != float64(i+1) {
-					t.Fatalf("stat %d: round %d, probe %v, onRound %v, metrics %v; want round %d", i, st.Round, probed, progressed, st.Metrics, want[i])
+				if st.Round != want[i] || progressed[i] != want[i] || st.Metrics["reports"] != float64(i+1) || st.Metrics["probed"] != float64(i+1) {
+					t.Fatalf("stat %d: round %d, onRound %v, metrics %v; want round %d", i, st.Round, progressed, st.Metrics, want[i])
 				}
 			}
+			if rounds, vals := hist.MetricSeries("probed"); len(rounds) != len(want) || rounds[2] != 5 || vals[2] != 3 {
+				t.Fatalf("MetricSeries(probed) = %v %v", rounds, vals)
+			}
+			if rounds, _ := hist.MetricSeries("absent"); rounds != nil {
+				t.Fatalf("MetricSeries of an absent key = %v, want nil", rounds)
+			}
 		})
+	}
+}
+
+// TestProbeOnlyMetrics: a probe on a method that reports nothing still gets
+// a map to write into, and a run with neither allocates none.
+func TestProbeOnlyMetrics(t *testing.T) {
+	cfg := Config{Rounds: 2, SampleClients: 2, LocalEpochs: 1, BatchSize: 20, Seed: 38, EvalEvery: 1}
+	env := testEnv(38, cfg, 3, 4, 1, 1)
+	if hist := Run(env, &sgdMethod{}); hist.Stats[0].Metrics != nil {
+		t.Fatalf("probe-less run of a silent method carries metrics %v", hist.Stats[0].Metrics)
+	}
+	env.Probes = []Probe{func(net *nn.Network, metrics map[string]float64) { metrics["one"] = 1 }}
+	if hist := Run(env, &sgdMethod{}); hist.Stats[1].Metrics["one"] != 1 {
+		t.Fatalf("probe reading missing: %v", hist.Stats[1].Metrics)
 	}
 }
 

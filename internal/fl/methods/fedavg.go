@@ -42,7 +42,18 @@ func (m *FedAvg) Aggregate(round int, global []float64, results []*fl.ClientResu
 }
 
 // FedAvgM adds server-side momentum over the aggregated delta (SlowMo /
-// server-momentum style).
+// server-momentum style): FedAvg with the server optimiser swapped, nothing
+// else — with Beta = 0 it is FedAvg (pinned by TestFedAvgMZeroBetaIsFedAvg).
+//
+// It deliberately does not embed serverMomentum, although both keep "a
+// momentum vector on the server". serverMomentum is the FedCM family's
+// client-level momentum: Δ_r is the *last* aggregate gradient direction,
+// overwritten every round (no β, no accumulation), rescaled by 1/(η_l·B_k)
+// and handed into every local step, while the server update itself stays
+// plain FedAvg. FedAvgM is the opposite on each point: an *accumulating*
+// buffer m ← β·m + Σ w·Δ that exists only on the server, never reaches a
+// client, and replaces the server update (x ← x − η_g·m). Sharing a type
+// would share a name and one slice, and need a switch for everything else.
 type FedAvgM struct {
 	Beta float64
 	env  *fl.Env

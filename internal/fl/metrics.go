@@ -256,6 +256,20 @@ func (h *History) AccSeries() ([]int, []float64) {
 	return rounds, accs
 }
 
+// MetricSeries returns (rounds, values) of one RoundStat.Metrics key — a
+// method diagnostic or a probe reading — over the evaluations that carry it.
+func (h *History) MetricSeries(key string) ([]int, []float64) {
+	var rounds []int
+	var vals []float64
+	for _, s := range h.Stats {
+		if v, ok := s.Metrics[key]; ok {
+			rounds = append(rounds, s.Round)
+			vals = append(vals, v)
+		}
+	}
+	return rounds, vals
+}
+
 func (h *History) String() string {
 	return fmt.Sprintf("%s: final=%.4f best=%.4f evals=%d", h.Method, h.FinalAcc(), h.BestAcc(), len(h.Stats))
 }

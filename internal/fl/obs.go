@@ -34,8 +34,9 @@ type RunMetrics struct {
 	AsyncClock      *obs.Gauge     // fedwcm_fl_async_virtual_time
 	AsyncStaleness  *obs.Histogram // fedwcm_fl_async_staleness
 
-	// diag exposes MetricsReporter values (FedWCM's alpha/q/wmax — the
-	// collapse diagnostic) as fedwcm_fl_diag{metric=...}. Children are
+	// diag exposes RoundStat.Metrics — MetricsReporter values (FedWCM's
+	// alpha/q/wmax) and probe readings (neuron concentration, train
+	// accuracy) — as fedwcm_fl_diag{metric=...}. Children are
 	// cached here because Vec.With takes the family lock and allocates its
 	// variadic slice: the eval path stays allocation-free after the first
 	// evaluation names a metric.
@@ -70,7 +71,7 @@ func NewRunMetrics(reg *obs.Registry) *RunMetrics {
 	m.AsyncBufferFill = reg.Gauge("fedwcm_fl_async_buffer_fill", "Updates currently buffered toward the next async aggregation.")
 	m.AsyncClock = reg.Gauge("fedwcm_fl_async_virtual_time", "Virtual wall-clock of the async run (1 unit = one non-straggler local round).")
 	m.AsyncStaleness = reg.Histogram("fedwcm_fl_async_staleness", "Staleness (server versions behind) of aggregated async updates.", []float64{0, 1, 2, 4, 8, 16, 32})
-	m.diagVec = reg.GaugeVec("fedwcm_fl_diag", "Method-reported per-round diagnostics (momentum norms, FedWCM alpha/q/wmax).", "metric")
+	m.diagVec = reg.GaugeVec("fedwcm_fl_diag", "Per-evaluation diagnostics: method-reported (FedWCM alpha/q/wmax) and probe readings (concentration, train_acc).", "metric")
 	return m
 }
 
@@ -88,7 +89,7 @@ func DefaultRunMetrics() *RunMetrics {
 	return defaultRunMetrics
 }
 
-// ReportDiag publishes a MetricsReporter snapshot to the diag gauges.
+// ReportDiag publishes one evaluation's RoundStat.Metrics to the diag gauges.
 func (m *RunMetrics) ReportDiag(vals map[string]float64) {
 	if m == nil || m.diagVec == nil || len(vals) == 0 {
 		return

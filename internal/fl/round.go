@@ -163,7 +163,8 @@ func (c *roundCore) emptyRound() {
 
 // commit advances the server version after an aggregation (info is the
 // event engine's flush, nil otherwise) and, on the evaluation cadence,
-// records the RoundStat every consumer sees: history, probes, gauges, hook.
+// records the RoundStat every consumer sees: the method's metrics, then the
+// probes' readings merged beside them, then history, gauges and the hook.
 func (c *roundCore) commit(info *AsyncInfo) {
 	c.version++
 	c.mx.Rounds.Inc()
@@ -184,8 +185,11 @@ func (c *roundCore) commit(info *AsyncInfo) {
 			stat.Async = asyncRoundStat(info, c.draws)
 		}
 	}
+	if len(c.env.Probes) > 0 && stat.Metrics == nil {
+		stat.Metrics = make(map[string]float64)
+	}
 	for _, probe := range c.env.Probes {
-		probe(c.version, c.globalNet)
+		probe(c.globalNet, stat.Metrics)
 	}
 	c.hist.Stats = append(c.hist.Stats, stat)
 	c.mx.TestAcc.Set(acc)

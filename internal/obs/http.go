@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -94,6 +96,27 @@ func itoa3(code int) string {
 	}
 	b := [3]byte{byte('0' + code/100), byte('0' + code/10%10), byte('0' + code%10)}
 	return string(b[:])
+}
+
+// WriteJSON is the one JSON response writer of the API surface (run/sweep
+// endpoints in internal/serve, the worker protocol in internal/dispatch). It
+// encodes v before touching the response, so an encode failure (e.g. a NaN
+// in a diverged run's history — json.Marshal rejects NaN) turns into a
+// well-formed 500 instead of a 200 with a truncated body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		b, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
+		code = http.StatusInternalServerError
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(append(b, '\n'))
+}
+
+// HTTPError writes the API's error shape: {"error": "<formatted message>"}.
+func HTTPError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // Mount registers the observability HTTP surface on mux:

@@ -165,7 +165,7 @@ func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 				secs = 1
 			}
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-			httpError(w, http.StatusTooManyRequests, "submission shed (%s); retry after %ds", reason, secs)
+			obs.HTTPError(w, http.StatusTooManyRequests, "submission shed (%s); retry after %ds", reason, secs)
 			return
 		}
 		h(w, req)

@@ -13,7 +13,7 @@ import (
 func serveSSE(w http.ResponseWriter, open *obs.Gauge, body func(emit func(event string, v any))) {
 	flusher, canFlush := w.(http.Flusher)
 	if !canFlush {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
+		obs.HTTPError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

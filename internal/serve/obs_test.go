@@ -19,9 +19,18 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	// DefaultRunMetrics, so the scrape is the full process view.
 	_, ts := newTestServer(t, Config{})
 
-	_, first := postSpec(t, ts, tinySpec())
-	if done := waitTerminal(t, ts, first.ID); done.Status == StatusFailed {
+	// The cell carries the collapse probe: its readings are ordinary per-round
+	// metrics, so they reach the served history and the diag gauges with no
+	// series code of their own.
+	spec := tinySpec()
+	spec.Probes = []string{"collapse"}
+	_, first := postSpec(t, ts, spec)
+	done := waitTerminal(t, ts, first.ID)
+	if done.Status == StatusFailed {
 		t.Fatalf("run failed: %+v", done)
+	}
+	if _, vals := done.History.MetricSeries("concentration"); len(vals) != 2 || vals[1] < 1 {
+		t.Fatalf("served history carries concentration %v, want a reading ≥ 1 per evaluation", vals)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -75,13 +84,14 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	}
 	// Gauges and runtime series that must at least be present in the scrape.
 	for _, name := range []string{
-		"fedwcm_serve_runs_active",          // serve: gauge
-		"fedwcm_serve_sweeps_tracked",       // serve: gauge
-		"fedwcm_dispatch_local_queue_depth", // dispatch: gauge
-		"fedwcm_envcache_entries",           // sweep env cache: gauge
-		"fedwcm_fl_test_acc",                // fl engine: gauge
-		"fedwcm_go_goroutines",              // runtime
-		"fedwcm_go_heap_bytes",              // runtime
+		"fedwcm_serve_runs_active",               // serve: gauge
+		"fedwcm_serve_sweeps_tracked",            // serve: gauge
+		"fedwcm_dispatch_local_queue_depth",      // dispatch: gauge
+		"fedwcm_envcache_entries",                // sweep env cache: gauge
+		"fedwcm_fl_test_acc",                     // fl engine: gauge
+		`fedwcm_fl_diag{metric="concentration"}`, // fl engine: probe reading
+		"fedwcm_go_goroutines",                   // runtime
+		"fedwcm_go_heap_bytes",                   // runtime
 	} {
 		if _, ok := series[name]; !ok {
 			t.Errorf("scrape is missing %s", name)

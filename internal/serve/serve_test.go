@@ -334,6 +334,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		`{"beta":-1}`,
 		`{"cfg":{"eta_l":-0.1}}`,
 		`{"cfg":{"drop_prob":1.5}}`,
+		`{"probes":["collapse","nope"]}`,
 		`{"datasett":"cifar10-syn"}`, // unknown field = probable typo
 	} {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))

@@ -220,24 +220,6 @@ type runResponse struct {
 	Error    string         `json:"error,omitempty"`
 }
 
-// writeJSON encodes v before touching the response so an encode failure
-// (e.g. a NaN in a diverged run's history — json.Marshal rejects NaN) turns
-// into a well-formed 500 instead of a 200 with a truncated body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		b, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
-		code = http.StatusInternalServerError
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(b, '\n'))
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // writeRun writes a run status response in whichever encoding the client
 // asked for: clients that list wire.ContentType in Accept (the dispatch
 // client does) get the compact binary codec, everyone else gets the JSON
@@ -245,7 +227,7 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 // way — only success bodies are worth compressing.
 func (s *Server) writeRun(w http.ResponseWriter, req *http.Request, code int, rr runResponse) {
 	if !strings.Contains(req.Header.Get("Accept"), wire.ContentType) {
-		writeJSON(w, code, rr)
+		obs.WriteJSON(w, code, rr)
 		return
 	}
 	start := time.Now()
@@ -267,26 +249,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	dec.DisallowUnknownFields() // a typo'd field means a different cell than intended
 	var spec sweep.RunSpec
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding spec: %v", err)
+		obs.HTTPError(w, http.StatusBadRequest, "decoding spec: %v", err)
 		return
 	}
 	if err := spec.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid spec: %v", err)
+		obs.HTTPError(w, http.StatusBadRequest, "invalid spec: %v", err)
 		return
 	}
 	fp, err := spec.Fingerprint()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		obs.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	hist, live, err := s.eng.Resolve(sweep.Cell{ID: fp, Spec: spec}, false)
 	switch {
 	case errors.Is(err, dispatch.ErrClosed):
-		httpError(w, http.StatusServiceUnavailable, "server shutting down")
+		obs.HTTPError(w, http.StatusServiceUnavailable, "server shutting down")
 	case errors.Is(err, dispatch.ErrQueueFull):
-		httpError(w, http.StatusServiceUnavailable, "run queue full (%d pending)", s.cfg.QueueDepth)
+		obs.HTTPError(w, http.StatusServiceUnavailable, "run queue full (%d pending)", s.cfg.QueueDepth)
 	case err != nil:
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		obs.HTTPError(w, http.StatusInternalServerError, "%v", err)
 	case live == nil:
 		s.writeRun(w, req, http.StatusOK, runResponse{ID: fp, Status: StatusCached, History: hist})
 	default:
@@ -308,14 +290,14 @@ func (s *Server) lookup(w http.ResponseWriter, req *http.Request) (id string, r 
 		}
 		hist, found, err := s.cfg.Store.Fetch(req.Context(), id)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
+			obs.HTTPError(w, http.StatusInternalServerError, "%v", err)
 			return id, nil, nil, false
 		}
 		if found {
 			return id, nil, hist, true
 		}
 	}
-	httpError(w, http.StatusNotFound, "unknown run %s", id)
+	obs.HTTPError(w, http.StatusNotFound, "unknown run %s", id)
 	return id, nil, nil, false
 }
 
@@ -380,5 +362,5 @@ func (s *Server) handleRegistry(w http.ResponseWriter, req *http.Request) {
 	for _, e := range experiments.All() {
 		resp.Experiments = append(resp.Experiments, experimentInfo{ID: e.ID, Title: e.Title})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obs.WriteJSON(w, http.StatusOK, resp)
 }

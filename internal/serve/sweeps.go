@@ -8,6 +8,7 @@ import (
 
 	"fedwcm/internal/dispatch"
 	"fedwcm/internal/fl"
+	"fedwcm/internal/obs"
 	"fedwcm/internal/sweep"
 )
 
@@ -230,24 +231,24 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, req *http.Request) {
 	dec.DisallowUnknownFields() // a typo'd axis means a different grid than intended
 	var spec sweep.Spec
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding sweep: %v", err)
+		obs.HTTPError(w, http.StatusBadRequest, "decoding sweep: %v", err)
 		return
 	}
 	cells, err := spec.ExpandValidated()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "invalid sweep: %v", err)
+		obs.HTTPError(w, http.StatusBadRequest, "invalid sweep: %v", err)
 		return
 	}
 	id, err := spec.Fingerprint()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		obs.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "server shutting down")
+		obs.HTTPError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
 	}
 	if sw, ok := s.sweeps[id]; ok {
@@ -262,7 +263,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, req *http.Request) {
 			if done {
 				code = http.StatusOK
 			}
-			writeJSON(w, code, sw.summary(false))
+			obs.WriteJSON(w, code, sw.summary(false))
 			return
 		}
 	}
@@ -277,7 +278,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, req *http.Request) {
 	s.feedWg.Add(1) // under s.mu alongside the closing check, so Close
 	s.mu.Unlock()   // cannot start waiting between them
 	go s.feed(sw)
-	writeJSON(w, http.StatusAccepted, sw.summary(false))
+	obs.WriteJSON(w, http.StatusAccepted, sw.summary(false))
 }
 
 // evictSweepsLocked drops the oldest terminal sweep records until the map
@@ -308,7 +309,7 @@ func (s *Server) lookupSweep(w http.ResponseWriter, req *http.Request) *sweepRun
 	sw := s.sweeps[req.PathValue("id")]
 	s.mu.Unlock()
 	if sw == nil {
-		httpError(w, http.StatusNotFound, "unknown sweep %s", req.PathValue("id"))
+		obs.HTTPError(w, http.StatusNotFound, "unknown sweep %s", req.PathValue("id"))
 	}
 	return sw
 }
@@ -321,7 +322,7 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, req *http.Request) {
 	sum := sw.summary(true)
 	sum.EnvCache = s.envStats()
 	sum.Dispatch = s.dispatchStats()
-	writeJSON(w, http.StatusOK, sum)
+	obs.WriteJSON(w, http.StatusOK, sum)
 }
 
 // sweepResultResponse is the aggregated view of a finished sweep: the
@@ -345,7 +346,7 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if done, _ := sw.terminal(); !done {
-		writeJSON(w, http.StatusAccepted, sw.summary(false))
+		obs.WriteJSON(w, http.StatusAccepted, sw.summary(false))
 		return
 	}
 	res := s.sweepResult(req.Context(), sw)
@@ -354,7 +355,7 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, req *http.Request) {
 		title = "sweep " + sw.id[:12]
 	}
 	summary := sw.summary(false)
-	writeJSON(w, http.StatusOK, sweepResultResponse{
+	obs.WriteJSON(w, http.StatusOK, sweepResultResponse{
 		ID:       sw.id,
 		Status:   summary.Status,
 		Total:    len(sw.cells),

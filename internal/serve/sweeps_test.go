@@ -225,6 +225,7 @@ func TestSweepRejectsBadGrids(t *testing.T) {
 		`{"methods":["nope"]}`,
 		`{"ifs":[2]}`,
 		`{"seed_count":100000}`,
+		`{"probes":["nope"]}`,
 		`{"methodz":["fedavg"]}`, // unknown field = probable typo
 	} {
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))

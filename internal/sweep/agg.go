@@ -53,24 +53,43 @@ func (g *Group) MeanStd() string {
 // each. Rounds come from the first seed's history; seeds of one sweep share
 // the evaluation cadence by construction.
 func (g *Group) Curve() (rounds []int, acc []float64) {
-	if len(g.Hists) == 0 {
+	return g.meanSeries(func(s *fl.RoundStat) float64 { return s.TestAcc })
+}
+
+// MetricCurve is Curve for one RoundStat.Metrics key — a method diagnostic
+// ("alpha") or a probe reading ("concentration", "train_acc"). Returns nils
+// when the histories do not carry the key.
+func (g *Group) MetricCurve(key string) (rounds []int, vals []float64) {
+	if g == nil || len(g.Hists) == 0 || len(g.Hists[0].Stats) == 0 {
 		return nil, nil
 	}
-	rounds, _ = g.Hists[0].AccSeries()
-	acc = make([]float64, len(rounds))
-	for i := range rounds {
+	if _, ok := g.Hists[0].Stats[0].Metrics[key]; !ok {
+		return nil, nil
+	}
+	return g.meanSeries(func(s *fl.RoundStat) float64 { return s.Metrics[key] })
+}
+
+// meanSeries averages one per-evaluation value pointwise across seeds. A nil
+// group (Result.Find matched nothing) has no series.
+func (g *Group) meanSeries(value func(*fl.RoundStat) float64) (rounds []int, vals []float64) {
+	if g == nil || len(g.Hists) == 0 {
+		return nil, nil
+	}
+	first := g.Hists[0].Stats
+	rounds = make([]int, len(first))
+	vals = make([]float64, len(first))
+	for i := range first {
+		rounds[i] = first[i].Round
 		n := 0
 		for _, h := range g.Hists {
 			if i < len(h.Stats) {
-				acc[i] += h.Stats[i].TestAcc
+				vals[i] += value(&h.Stats[i])
 				n++
 			}
 		}
-		if n > 0 {
-			acc[i] /= float64(n)
-		}
+		vals[i] /= float64(n) // n ≥ 1: the first seed always contributes
 	}
-	return rounds, acc
+	return rounds, vals
 }
 
 // RoundsToAcc returns the first evaluated round whose across-seed mean
@@ -314,11 +333,12 @@ func (r *Result) CellValue(probe Axes) string {
 // CurveOf returns the matching group's mean convergence curve, or nils when
 // no group matches.
 func (r *Result) CurveOf(probe Axes) ([]int, []float64) {
-	g := r.Find(probe)
-	if g == nil {
-		return nil, nil
-	}
-	return g.Curve()
+	return r.Find(probe).Curve()
+}
+
+// MetricCurveOf is CurveOf for one Metrics key (see Group.MetricCurve).
+func (r *Result) MetricCurveOf(probe Axes, key string) ([]int, []float64) {
+	return r.Find(probe).MetricCurve(key)
 }
 
 // AggTable renders the default aggregate view: one row per group, one

@@ -145,6 +145,15 @@ func TestAsyncGoldenHistoriesBitIdentical(t *testing.T) {
 	}
 }
 
+// TestAsyncGoldenProbedHistory: probes attach to the one round body, so the
+// event scheduler records them exactly like the barrier loop — pinned, and
+// identical to the probe-less async golden once the readings are stripped.
+func TestAsyncGoldenProbedHistory(t *testing.T) {
+	runProbedGolden(t, asyncGoldenSpec("fedcm"), "collapse",
+		"ce5ac0a4aa19742902bf61aa916253b23daf8858e54ad2150d0c1b2365c52f88",
+		asyncGoldenHistories["fedcm"])
+}
+
 // asyncStragglerGolden pins the async engine under the straggler scenario —
 // the regime it exists for: slow clients stretch to 1/WorkFraction virtual
 // time units, so waves overlap and staleness discounts actually bite. FedWCM

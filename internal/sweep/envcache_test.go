@@ -59,7 +59,7 @@ func TestEnvCacheSharesConstruction(t *testing.T) {
 		t.Fatal("same env fingerprint must share dataset construction")
 	}
 	if e1 == e2 {
-		t.Fatal("the Env wrapper itself must be fresh per build (Mod/probe safety)")
+		t.Fatal("the Env wrapper itself must be fresh per build (probes, clients and loss are per-run state)")
 	}
 	st := c.Stats()
 	if st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {

@@ -4,30 +4,21 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 )
-
-// ErrNotAddressable is returned by Fingerprint for specs whose result is not
-// a pure function of their serializable fields.
-var ErrNotAddressable = errors.New("sweep: spec with Mod hook is not content-addressable")
 
 // CanonicalJSON returns the canonical wire encoding of the spec: defaults
 // applied, fields in declaration order (encoding/json emits struct fields
-// deterministically), Mod excluded. Two specs that run identically — e.g.
-// one written with zero fields and one with the defaults spelled out —
-// canonicalise to the same bytes.
+// deterministically), probes sorted and deduplicated. Two specs that run
+// identically — e.g. one written with zero fields and one with the defaults
+// spelled out — canonicalise to the same bytes.
 func (s RunSpec) CanonicalJSON() ([]byte, error) {
-	if s.Mod != nil {
-		return nil, ErrNotAddressable
-	}
 	return json.Marshal(s.Defaults())
 }
 
 // Fingerprint returns the hex SHA-256 of the spec's canonical JSON: the
 // content address under which internal/store files the spec's history and
-// the run id internal/serve hands out. Specs carrying a Mod hook have no
-// fingerprint (the hook is opaque, so equal JSON would not imply equal
-// results).
+// the run id internal/serve hands out. Every spec has one: a run's result is
+// a pure function of its serializable fields.
 func (s RunSpec) Fingerprint() (string, error) {
 	b, err := s.CanonicalJSON()
 	if err != nil {

@@ -37,6 +37,10 @@ func FuzzRunSpecFingerprint(f *testing.F) {
 	f.Add(`{"cfg":{"async":{"k":2,"staleness":"poly","stale_exp":0.5,"jitter":0.25},"clock":true}}`)
 	f.Add(`{"cfg":{"async":{"staleness":"uniform","concurrency":8}}}`)
 	f.Add(`{"cfg":{"async":{"k":1},"scenario":{"straggler":{"prob":0.5}}}}`)
+	f.Add(`{"probes":[]}`)
+	f.Add(`{"probes":null}`)
+	f.Add(`{"probes":["train_acc","collapse","collapse"]}`)
+	f.Add(`{"probes":["","no-such-probe"],"method":"fedcm"}`)
 	f.Fuzz(func(t *testing.T, doc string) {
 		var s RunSpec
 		if err := json.Unmarshal([]byte(doc), &s); err != nil {

@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"fedwcm/internal/fl"
+	"fedwcm/internal/fl/methods"
 	"fedwcm/internal/scenario"
 )
 
@@ -89,17 +91,14 @@ func TestGoldenTrajectoriesMatchPreShotDigests(t *testing.T) {
 // round-trip encoding).
 func historyHash(t *testing.T, h *fl.History) string {
 	t.Helper()
-	b, err := json.Marshal(h)
-	if err != nil {
-		t.Fatalf("marshal history: %v", err)
-	}
-	sum := sha256.Sum256(b)
+	sum := sha256.Sum256([]byte(mustJSON(t, h)))
 	return hex.EncodeToString(sum[:])
 }
 
 // runGolden executes spec at Workers=1 and Workers=4, asserts the two
-// histories hash identically, and compares against the pinned digest.
-func runGolden(t *testing.T, spec RunSpec, want string) {
+// histories hash identically, and compares against the pinned digest. It
+// returns the Workers=1 history.
+func runGolden(t *testing.T, spec RunSpec, want string) *fl.History {
 	t.Helper()
 	h1, err := spec.Run()
 	if err != nil {
@@ -123,12 +122,93 @@ func runGolden(t *testing.T, spec RunSpec, want string) {
 	if got != want {
 		t.Errorf("history hash changed: got %s want %s", got, want)
 	}
+	return h1
 }
 
 func TestGoldenHistoriesBitIdentical(t *testing.T) {
 	for method, want := range goldenHistories {
 		t.Run(method, func(t *testing.T) {
 			runGolden(t, goldenSpec(method), want)
+		})
+	}
+}
+
+// TestFedAvgMZeroBetaIsFedAvg is the first executable algebraic identity:
+// FedAvgM is FedAvg with the server optimiser swapped (m ← β·m + Σ w·Δ,
+// x ← x − η_g·m), so at β = 0 it must follow FedAvg's golden trajectory.
+// Every evaluation (accuracy, per-class, shot) is bit-identical. The weights
+// themselves are not: FedAvg folds clients in one at a time,
+// (x − s₁d₁) − s₂d₂ …, FedAvgM sums first, x − η_g·(w₁d₁ + w₂d₂ + …) — the
+// same real number under a different rounding association, so the models
+// differ in the last bit and the carried train loss is allowed the few ulps
+// that leaves (measured: ≤ 1 ulp on this fixture, ≤ 2 over 40 rounds).
+func TestFedAvgMZeroBetaIsFedAvg(t *testing.T) {
+	run := func(m fl.Method) *fl.History {
+		env, err := goldenSpec("fedavg").BuildEnv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fl.Run(env, m)
+	}
+	avg, avgm := run(methods.NewFedAvg()), run(methods.NewFedAvgM(0))
+	if got := historyHash(t, avg); got != goldenHistories["fedavg"] {
+		t.Fatalf("the FedAvg side is not the golden trajectory: %s", got)
+	}
+	for i := range avg.Stats {
+		a, b := avg.Stats[i], avgm.Stats[i]
+		ulps := int64(math.Float64bits(a.TrainLoss)) - int64(math.Float64bits(b.TrainLoss))
+		if ulps < -4 || ulps > 4 {
+			t.Errorf("round %d: train loss %v vs %v (%d ulps apart)", a.Round, a.TrainLoss, b.TrainLoss, ulps)
+		}
+		b.TrainLoss = a.TrainLoss
+		if ja, jb := mustJSON(t, a), mustJSON(t, b); ja != jb {
+			t.Errorf("round %d: FedAvgM(β=0) evaluation differs from FedAvg:\n %s\n %s", a.Round, jb, ja)
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// goldenProbedHistories pins the golden fixture with a probe attached: the
+// probe's readings are part of the history bytes (and so of what the store,
+// the wire codec and SSE carry), pinned bit-for-bit like the trajectory.
+var goldenProbedHistories = map[string]struct{ probe, hash string }{
+	"fedcm":  {"collapse", "6f316e5d43083eac326e865260634456b5c5b78da121db1d2572d4b34d25e37d"},
+	"fedavg": {"train_acc", "c24e11747f5d5a3d89f1b7ad575e84d9aa41a18bd03729f3604ff0d25da9e8fb"},
+}
+
+// runProbedGolden pins spec+probe against want, then strips the metrics the
+// probe added and requires the probe-less digest: probes observe, never
+// perturb. Only for methods that report no metrics of their own.
+func runProbedGolden(t *testing.T, spec RunSpec, probe, want, bare string) {
+	t.Helper()
+	spec.Probes = []string{probe}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("probed golden spec must validate: %v", err)
+	}
+	h := runGolden(t, spec, want)
+	for i := range h.Stats {
+		if len(h.Stats[i].Metrics) == 0 {
+			t.Fatalf("evaluation %d carries no probe reading", i)
+		}
+		h.Stats[i].Metrics = nil
+	}
+	if got := historyHash(t, h); got != bare {
+		t.Errorf("probe %q perturbed the run: metrics-stripped history %s, probe-less golden %s", probe, got, bare)
+	}
+}
+
+func TestGoldenProbedHistoriesBitIdentical(t *testing.T) {
+	for method, g := range goldenProbedHistories {
+		t.Run(method+"+"+g.probe, func(t *testing.T) {
+			runProbedGolden(t, goldenSpec(method), g.probe, g.hash, goldenHistories[method])
 		})
 	}
 }

@@ -36,8 +36,8 @@ func presetFor(dataset string) datasetPreset {
 
 // PresetSpec builds the RunSpec for one grid cell under the dataset preset,
 // applying the effort multiplier. It is the single source of the evaluation
-// defaults (learning rates, local epochs, batch size) shared by grid
-// expansion and the hand-rolled experiments that cannot be swept.
+// defaults (learning rates, local epochs, batch size): grid expansion builds
+// every cell from it.
 func PresetSpec(dataset, method string, beta, imf float64, seed uint64, effort float64) RunSpec {
 	p := presetFor(dataset)
 	return RunSpec{

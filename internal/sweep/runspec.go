@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 
+	"fedwcm/internal/collapse"
 	"fedwcm/internal/data"
 	"fedwcm/internal/dispatch"
 	"fedwcm/internal/fl"
@@ -16,10 +18,10 @@ import (
 )
 
 // RunSpec pins down a single experiment cell: dataset, method, distribution
-// parameters and engine configuration. The JSON form is the wire/storage
-// encoding used by internal/store and internal/serve; Mod is a process-local
-// hook and is deliberately excluded (specs carrying a Mod are not
-// content-addressable — see Fingerprint).
+// parameters, engine configuration and the probes that observe it. The JSON
+// form is the wire/storage encoding used by internal/store and
+// internal/serve, and every field is part of the cell's identity (see
+// Fingerprint).
 type RunSpec struct {
 	Dataset   string    `json:"dataset"`
 	Method    string    `json:"method"`
@@ -30,9 +32,12 @@ type RunSpec struct {
 	Model     string    `json:"model"` // "auto", "linear", "mlp", "resnet"
 	Scale     float64   `json:"scale"` // dataset scale factor (1 = registry default)
 	Cfg       fl.Config `json:"cfg"`
-	// Mod, when set, adjusts the environment before the run (attach probes,
-	// override the loss, ...).
-	Mod func(env *fl.Env) `json:"-"`
+	// Probes names the per-evaluation measurements recorded into
+	// RoundStat.Metrics beside the method's own diagnostics (see probeFor for
+	// the known names and the keys each emits). Order and repeats are
+	// irrelevant; empty canonicalises away, so a probe-less spec keeps the
+	// bytes and fingerprint it had before probes existed.
+	Probes []string `json:"probes,omitempty"`
 }
 
 // Defaults fills unset fields with the evaluation defaults used throughout
@@ -63,7 +68,20 @@ func (s RunSpec) Defaults() RunSpec {
 		s.Scale = 1
 	}
 	s.Cfg = s.Cfg.Defaults()
+	s.Probes = canonicalProbes(s.Probes)
 	return s
+}
+
+// canonicalProbes is the identity form of a probe list: nil when empty,
+// otherwise a fresh sorted, deduplicated copy — never a sort in place, since
+// every cell of a grid shares its Spec's slice.
+func canonicalProbes(names []string) []string {
+	if len(names) == 0 {
+		return nil
+	}
+	out := slices.Clone(names)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Validate resolves the spec's symbolic fields against the dataset, method
@@ -89,6 +107,11 @@ func (s RunSpec) Validate() error {
 	}
 	if _, err := ModelFor(spec, s.Model); err != nil {
 		return err
+	}
+	for _, name := range s.Probes {
+		if _, err := probeFor(name); err != nil {
+			return err
+		}
 	}
 	if s.Beta <= 0 || s.IF <= 0 || s.IF > 1 || s.Clients <= 0 || s.Scale <= 0 {
 		return fmt.Errorf("sweep: out-of-range spec: beta=%v if=%v clients=%d scale=%v",
@@ -146,6 +169,32 @@ func partitionFor(name string) (func(prng *xrand.RNG, ds *data.Dataset, clients 
 	}
 }
 
+// probeFor maps a probe name to its constructor over a built environment;
+// the single place the known names live, shared by Validate and
+// BuildEnvCached.
+//
+//	"collapse"   neuron concentration (collapse.Concentration) on the first
+//	             200 test rows: "concentration" (mean over layers) and
+//	             "concentration/act<i>" per measured layer
+//	"train_acc"  accuracy on the first 1000 train rows: "train_acc"
+func probeFor(name string) (func(env *fl.Env) fl.Probe, error) {
+	switch name {
+	case "collapse":
+		return func(env *fl.Env) fl.Probe {
+			return collapse.Probe(collapse.ProbeBatch(env.Test, 200))
+		}, nil
+	case "train_acc":
+		return func(env *fl.Env) fl.Probe {
+			head := env.Train.Head(1000)
+			return func(net *nn.Network, metrics map[string]float64) {
+				metrics["train_acc"], _ = fl.Evaluate(net, head, 256)
+			}
+		}, nil
+	default:
+		return nil, fmt.Errorf("sweep: unknown probe %q", name)
+	}
+}
+
 // buildPieces constructs the cacheable parts of the environment: train/test
 // datasets and the partition. It assumes s has Defaults applied. This is
 // the single construction path — EnvCache memoises exactly this function,
@@ -174,8 +223,9 @@ func (s RunSpec) BuildEnv() (*fl.Env, error) {
 // BuildEnvCached is BuildEnv with dataset+partition construction served
 // from cache when cache is non-nil. The Env wrapper itself is always fresh
 // (its clients, probes and loss are per-run state); only the immutable
-// pieces — datasets and partition — are shared, so Mod hooks and probes
-// remain safe on cached environments.
+// pieces — datasets and partition — are shared, and probes only read them.
+// This is the single env-construction path and the one place probes attach,
+// so a caller that builds and then runs sees exactly what RunCtx runs.
 func (s RunSpec) BuildEnvCached(cache *EnvCache) (*fl.Env, error) {
 	s = s.Defaults()
 	spec, err := data.Lookup(s.Dataset)
@@ -209,6 +259,13 @@ func (s RunSpec) BuildEnvCached(cache *EnvCache) (*fl.Env, error) {
 	env.Repartition = func(seed uint64, beta float64) *partition.Partition {
 		return makePart(xrand.New(seed), pieces.train, clients, beta)
 	}
+	for _, name := range s.Probes {
+		mk, err := probeFor(name)
+		if err != nil {
+			return nil, err
+		}
+		env.Probes = append(env.Probes, mk(env))
+	}
 	return env, nil
 }
 
@@ -226,13 +283,19 @@ func (s RunSpec) Run() (*fl.History, error) {
 // shutting-down executor can abandon in-flight training instead of
 // finishing it.
 func (s RunSpec) RunCtx(ctx context.Context, cache *EnvCache, onRound func(fl.RoundStat)) (*fl.History, error) {
+	return s.run(ctx, cache, onRound, "")
+}
+
+// run is RunCtx; a non-empty traceID additionally records the run's round
+// spans on the process tracer under that id.
+func (s RunSpec) run(ctx context.Context, cache *EnvCache, onRound func(fl.RoundStat), traceID string) (*fl.History, error) {
 	s = s.Defaults() // a spec relying on defaults must run, not fail on Method ""
 	env, err := s.BuildEnvCached(cache)
 	if err != nil {
 		return nil, err
 	}
-	if s.Mod != nil {
-		s.Mod(env)
+	if traceID != "" {
+		env.TraceID, env.Tracer = traceID, obs.DefaultTracer()
 	}
 	m, err := methods.New(s.Method)
 	if err != nil {
@@ -259,11 +322,7 @@ func DispatchRunner(envs *EnvCache) dispatch.Runner {
 		if err != nil {
 			return nil, err
 		}
-		spec.Mod = func(env *fl.Env) {
-			env.TraceID = job.ID
-			env.Tracer = obs.DefaultTracer()
-		}
-		return spec.RunCtx(ctx, envs, onRound)
+		return spec.run(ctx, envs, onRound, job.ID)
 	}
 }
 

@@ -94,6 +94,10 @@ type Spec struct {
 	Partition string `json:"partition,omitempty"` // "equal" (default) or "fedgrab"
 	Model     string `json:"model,omitempty"`     // "auto" (default), "linear", "mlp", "resnet"
 
+	// Probes is RunSpec.Probes for every cell of the grid (a grid constant,
+	// not an axis). Empty canonicalises away like Scenarios and Async.
+	Probes []string `json:"probes,omitempty"`
+
 	// Rounds overrides the preset round count (before effort scaling);
 	// Effort ∈ (0,1] scales rounds and data size exactly like
 	// experiments.Options.Effort.
@@ -197,6 +201,7 @@ func (sp Spec) Defaults() Spec {
 	if sp.Model == "" {
 		sp.Model = "auto"
 	}
+	sp.Probes = canonicalProbes(sp.Probes)
 	if sp.Effort <= 0 || sp.Effort > 1 {
 		sp.Effort = 1
 	}
@@ -360,6 +365,7 @@ func (sp Spec) Expand() ([]Cell, error) {
 											spec := PresetSpec(ds, m, b, f, seed, sp.Effort)
 											spec.Partition = sp.Partition
 											spec.Model = sp.Model
+											spec.Probes = sp.Probes
 											if nc > 0 {
 												spec.Clients = nc
 											}

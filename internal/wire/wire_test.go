@@ -1,12 +1,15 @@
 package wire
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"fedwcm/internal/fl"
+	"fedwcm/internal/store"
 )
 
 // nastyFloat draws from a distribution heavy on encoder edge cases: exact
@@ -182,11 +185,15 @@ func TestResultRoundtripExact(t *testing.T) {
 // TestResultJSONBytesIdentical is the store-boundary guarantee: a decoded
 // history must JSON-marshal to exactly the bytes of the original, so
 // artifact contents and content addresses are unaffected by the transport
-// (JSON can't represent NaN/Inf, so this fixture stays finite — the
-// bit-level cases are covered above).
+// (JSON can't represent NaN/Inf, so these fixtures stay finite — the
+// bit-level cases are covered above). The "probed" fixture carries the keys
+// run probes emit beside a method's own diagnostics: they are ordinary
+// dynamic Metrics keys to the codec and to the store, which is why a probed
+// cell can be dispatched, uploaded and cached like any other.
 func TestResultJSONBytesIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	h := &fl.History{Method: "fedwcm"}
+	engine := &fl.History{Method: "fedwcm"}
+	probed := &fl.History{Method: "fedwcm"}
 	for i := 0; i < 60; i++ {
 		s := fl.RoundStat{Round: i + 1, TestAcc: r.Float64(), TrainLoss: 2.3 * math.Exp(-float64(i)/40) * (1 + 0.01*r.Float64())}
 		if i%2 == 0 {
@@ -203,22 +210,56 @@ func TestResultJSONBytesIdentical(t *testing.T) {
 			s.Time = float64(i) * 1.5
 			s.Async = &fl.AsyncRoundStat{Buffer: 8, Waves: i, MeanStale: r.Float64() * 3, MaxStale: 7, StaleHist: []int{4, 2, 1, 1}}
 		}
-		h.Stats = append(h.Stats, s)
+		engine.Stats = append(engine.Stats, s)
+		s.Time, s.Async = 0, nil // probed figures run on the barrier loop, clock off
+		s.Metrics = map[string]float64{
+			"alpha": r.Float64(), "q": r.Float64(), "wmax": 1 + r.Float64(),
+			"concentration": 1 + r.Float64(), "concentration/act1": 1 + r.Float64(), "concentration/act2": 1 + r.Float64(),
+			"train_acc": float64(r.Intn(1001)) / 1000,
+		}
+		probed.Stats = append(probed.Stats, s)
 	}
-	want, err := json.Marshal(h)
+	roundtrip := func(name string, h *fl.History) *fl.History {
+		want, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := DecodeResult(EncodeResult(h, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gotJSON) != string(want) {
+			t.Fatalf("%s: decoded history JSON differs from original:\n got  %s\n want %s", name, gotJSON, want)
+		}
+		return got
+	}
+	roundtrip("engine", engine)
+	decoded := roundtrip("probed", probed)
+	// …and what the coordinator then files for the probed cell is what a later
+	// reader (a fresh process: nothing in the memory tier) gets back.
+	want, _ := json.Marshal(probed)
+	fp := fmt.Sprintf("%x", sha256.Sum256(want))
+	dir := t.TempDir()
+	st, err := store.Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := DecodeResult(EncodeResult(h, ""))
-	if err != nil {
+	if err := st.Put(fp, decoded); err != nil {
 		t.Fatal(err)
 	}
-	gotJSON, err := json.Marshal(got)
-	if err != nil {
+	if st, err = store.Open(dir, 0); err != nil {
 		t.Fatal(err)
 	}
-	if string(gotJSON) != string(want) {
-		t.Fatalf("decoded history JSON differs from original:\n got  %s\n want %s", gotJSON, want)
+	stored, ok, err := st.Get(fp)
+	if err != nil || !ok {
+		t.Fatalf("stored artifact not readable: %v %v", ok, err)
+	}
+	if storedJSON, _ := json.Marshal(stored); string(storedJSON) != string(want) {
+		t.Fatalf("stored probed history differs from the original (%d vs %d JSON bytes)", len(storedJSON), len(want))
 	}
 }
 

@@ -32,7 +32,7 @@ go build -o "$WORK/fedserve" ./cmd/fedserve
 
 COORD_ADDR="127.0.0.1:18091"
 LOCAL_ADDR="127.0.0.1:18092"
-SWEEP='{"methods":["fedavg"],"seed_count":2,"clients":[4],"sample_rates":[0.5],"local_epochs":[1],"model":"linear","rounds":8,"effort":0.01}'
+SWEEP='{"methods":["fedavg"],"seed_count":2,"clients":[4],"sample_rates":[0.5],"local_epochs":[1],"model":"linear","rounds":8,"effort":0.01,"probes":["collapse"]}'
 
 wait_up() { # addr
   for _ in $(seq 1 100); do
@@ -132,10 +132,14 @@ fi
 computed=$(jq -r .computed "$WORK/remote.json")
 [ "$computed" = 2 ] || { echo "smoke_dispatch: expected 2 computed cells, got $computed"; exit 1; }
 
-# Artifact files must match bit-for-bit across the two stores.
+# Artifact files must match bit-for-bit across the two stores — probe
+# readings included: the sweep carries the collapse probe, so every
+# artifact's metrics crossed the worker→coordinator wire hop.
 for f in $(cd "$WORK/local-store" && find . -name '*.json'); do
   cmp -s "$WORK/local-store/$f" "$WORK/remote-store/$f" \
     || { echo "smoke_dispatch: artifact $f differs between stores"; exit 1; }
+  grep -q '"concentration"' "$WORK/remote-store/$f" \
+    || { echo "smoke_dispatch: artifact $f carries no probe reading"; exit 1; }
 done
 
 echo "== WAL crash recovery: SIGKILL the coordinator mid-sweep"
