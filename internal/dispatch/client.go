@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -78,8 +79,10 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 
 // Submit posts the job's spec to the server. A cached response completes
 // the handle immediately; an accepted one is polled to completion on a
-// background goroutine. A 503 (full server queue) returns ErrQueueFull,
-// or retries with backoff under opts.Block.
+// background goroutine. A refusal for load — 503 (full server queue) or 429
+// (admission control: tenant quota, pending cap) — returns ErrQueueFull, or
+// under opts.Block waits and retries: the server's Retry-After when it sent
+// one, an escalating backoff otherwise.
 func (c *Client) Submit(job Job, opts SubmitOpts) (Handle, error) {
 	backoff := 200 * time.Millisecond
 	for {
@@ -88,21 +91,25 @@ func (c *Client) Submit(job Job, opts SubmitOpts) (Handle, error) {
 			return nil, ErrClosed
 		default:
 		}
-		code, rs, err := c.post(job)
+		code, retryAfter, rs, err := c.post(job)
 		switch {
 		case err != nil:
 			return nil, err
-		case code == http.StatusServiceUnavailable:
+		case code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests:
 			if !opts.Block {
 				return nil, ErrQueueFull
+			}
+			wait := retryAfter
+			if wait <= 0 {
+				wait = backoff
+				if backoff < 5*time.Second {
+					backoff *= 2
+				}
 			}
 			select {
 			case <-c.ctx.Done():
 				return nil, ErrClosed
-			case <-time.After(backoff):
-			}
-			if backoff < 5*time.Second {
-				backoff *= 2
+			case <-time.After(wait):
 			}
 			continue
 		case code != http.StatusOK && code != http.StatusAccepted:
@@ -124,24 +131,31 @@ func (c *Client) Submit(job Job, opts SubmitOpts) (Handle, error) {
 	}
 }
 
-func (c *Client) post(job Job) (int, runStatus, error) {
+// post submits the job once, returning the status code, the server's
+// Retry-After (integer seconds; 0 when absent or malformed) and the decoded
+// body.
+func (c *Client) post(job Job) (int, time.Duration, runStatus, error) {
 	req, err := http.NewRequestWithContext(c.ctx, http.MethodPost, c.cfg.BaseURL+"/v1/runs", bytes.NewReader(job.Spec))
 	if err != nil {
-		return 0, runStatus{}, err
+		return 0, 0, runStatus{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("Accept", wire.ContentType)
 	req.Header.Set(obs.TraceHeader, job.ID)
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		return 0, runStatus{}, fmt.Errorf("dispatch: submitting job %.12s: %w", job.ID, err)
+		return 0, 0, runStatus{}, fmt.Errorf("dispatch: submitting job %.12s: %w", job.ID, err)
 	}
 	defer resp.Body.Close()
+	var retryAfter time.Duration
+	if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
+		retryAfter = time.Duration(secs) * time.Second
+	}
 	rs, err := decodeRunStatus(resp)
 	if err != nil {
-		return resp.StatusCode, runStatus{}, fmt.Errorf("dispatch: decoding submit response: %w", err)
+		return resp.StatusCode, 0, runStatus{}, fmt.Errorf("dispatch: decoding submit response: %w", err)
 	}
-	return resp.StatusCode, rs, nil
+	return resp.StatusCode, retryAfter, rs, nil
 }
 
 // decodeRunStatus reads a run status body in whichever encoding the server

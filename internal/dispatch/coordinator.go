@@ -628,6 +628,9 @@ type leaseResponse struct {
 
 type resultResponse struct {
 	Status string `json:"status"` // "stored", "duplicate" or "failed"
+	// Next is the job granted to the slot this upload freed, when the upload
+	// asked for one (?lease=1) and one was pending.
+	Next *Job `json:"next,omitempty"`
 }
 
 // readWire reads a heartbeat or result body. Both ends of this hop ship from
@@ -722,6 +725,81 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, req *http.Request)
 	obs.WriteJSON(w, http.StatusOK, map[string]int{"requeued": requeued})
 }
 
+// grant is the part of a lease grant that must run outside c.mu: the journal
+// record and the OnStart callbacks (see announce).
+type grant struct {
+	job      Job
+	worker   string
+	attempts int
+	starts   []func() // OnStart callbacks owed; nil once the job has started before
+}
+
+// grantLocked leases the head of the pending queue to wk — the one place a
+// queued job becomes a leased one, shared by the lease long-poll and the
+// result ack (complete-and-lease-next). ok is false when wk is at its
+// in-flight limit or nothing is pending. Caller holds c.mu and must call
+// announce with the returned grant after releasing it.
+func (c *Coordinator) grantLocked(wk *remoteWorker) (grant, bool) {
+	if len(wk.inflight) >= wk.slots || len(c.pending) == 0 {
+		return grant{}, false
+	}
+	j := c.pending[0]
+	c.pending = c.pending[1:]
+	now := time.Now()
+	j.state, j.worker = jobLeased, wk.id
+	j.expiry = now.Add(c.cfg.LeaseTTL)
+	j.attempts++
+	j.suppressRelay = false // a fresh attempt re-reports from round zero, so relaying can resume
+	j.relayMu.Lock()
+	j.attemptSeen = 0 // fresh attempt re-runs from round zero
+	j.relayMu.Unlock()
+	c.cm.leaseWait.Observe(now.Sub(j.enqueuedAt).Seconds())
+	j.leasedAt, j.lastBeat = now, now
+	wk.inflight[j.h.job.ID] = j
+	c.cm.slotsBusy.With(wk.label()).Set(float64(len(wk.inflight)))
+	g := grant{job: j.h.job, worker: wk.id, attempts: j.attempts}
+	if !j.started {
+		g.starts = j.onStart
+	}
+	j.started, j.onStart = true, nil
+	c.spaceLocked()
+	return g, true
+}
+
+// announce finishes a grant outside c.mu. The lease is journaled without
+// waiting for the fsync: if the append is lost to a crash, recovery simply
+// replays the job as pending — the worker's in-flight computation re-attaches
+// via heartbeat adoption, so the window costs nothing.
+func (c *Coordinator) announce(g grant) {
+	c.appendWALAsync(wal.Record{Type: wal.TypeLease, Job: g.job.ID, Worker: g.worker, Attempts: g.attempts})
+	for _, f := range g.starts {
+		f()
+	}
+}
+
+// leaseOnAck is complete-and-lease-next: the worker whose upload is being
+// acknowledged asked (?lease=1) for the slot it just freed to be refilled,
+// so the ack carries the next job instead of costing a lease round trip.
+// The grant is an ordinary one — same fields, same journal record, lost to a
+// crash or a dropped response exactly like a polled lease — held under the
+// worker id the upload was posted as. nil when that worker is unknown, at
+// its in-flight limit, or nothing is pending.
+func (c *Coordinator) leaseOnAck(wid string) *Job {
+	c.mu.Lock()
+	wk, ok := c.workers[wid]
+	var g grant
+	if ok {
+		g, ok = c.grantLocked(wk)
+	}
+	c.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	c.cm.leasesOnAck.Inc()
+	c.announce(g)
+	return &g.job
+}
+
 // handleLease hands the next pending job to the worker, long-polling up to
 // the requested budget when the queue is empty or the worker is at its
 // in-flight limit. 204 means "nothing yet, poll again"; 404 means the
@@ -749,39 +827,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		wk.lastSeen = time.Now()
-		if len(wk.inflight) < wk.slots && len(c.pending) > 0 {
-			j := c.pending[0]
-			c.pending = c.pending[1:]
-			now := time.Now()
-			j.state, j.worker = jobLeased, id
-			j.expiry = now.Add(c.cfg.LeaseTTL)
-			j.attempts++
-			j.suppressRelay = false // a fresh attempt re-reports from round zero, so relaying can resume
-			j.relayMu.Lock()
-			j.attemptSeen = 0 // fresh attempt re-runs from round zero
-			j.relayMu.Unlock()
-			c.cm.leaseWait.Observe(now.Sub(j.enqueuedAt).Seconds())
-			j.leasedAt, j.lastBeat = now, now
-			wk.inflight[j.h.job.ID] = j
-			c.cm.slotsBusy.With(wk.label()).Set(float64(len(wk.inflight)))
-			starts := j.onStart
-			started := j.started
-			j.started, j.onStart = true, nil
-			attempts := j.attempts
-			c.spaceLocked()
+		if g, ok := c.grantLocked(wk); ok {
 			c.mu.Unlock()
-			// Journal the grant without waiting for the fsync. If the append
-			// is lost to a crash, recovery simply replays the job as pending —
-			// the worker's in-flight computation re-attaches via heartbeat
-			// adoption, so the window costs nothing.
-			c.appendWALAsync(wal.Record{Type: wal.TypeLease, Job: j.h.job.ID, Worker: id, Attempts: attempts})
-			if !started {
-				for _, f := range starts {
-					f()
-				}
-			}
-			w.Header().Set(obs.TraceHeader, j.h.job.ID)
-			obs.WriteJSON(w, http.StatusOK, leaseResponse{Job: j.h.job})
+			c.announce(g)
+			w.Header().Set(obs.TraceHeader, g.job.ID)
+			obs.WriteJSON(w, http.StatusOK, leaseResponse{Job: g.job})
 			return
 		}
 		notify := c.notify
@@ -928,8 +978,19 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 // Uploads are idempotent by content address — a duplicate from a second
 // worker that computed the same requeued job, or from a worker whose lease
 // expired mid-upload, is acknowledged without a second store write.
+//
+// With ?lease=1 every 200 ack may carry the uploader's next job (see
+// leaseOnAck); 4xx answers never do.
 func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	wid, jid := req.PathValue("id"), req.PathValue("job")
+	wantNext := req.URL.Query().Get("lease") == "1"
+	ack := func(status string) {
+		resp := resultResponse{Status: status}
+		if wantNext {
+			resp.Next = c.leaseOnAck(wid)
+		}
+		obs.WriteJSON(w, http.StatusOK, resp)
+	}
 	body, ok := readWire(w, req, "result")
 	if !ok {
 		return
@@ -954,7 +1015,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 		if _, found, err := c.cfg.Store.Get(jid); err == nil && found {
 			c.cm.dup.Inc()
 			c.cm.uploads.With("duplicate").Inc()
-			obs.WriteJSON(w, http.StatusOK, resultResponse{Status: "duplicate"})
+			ack("duplicate")
 			return
 		}
 		obs.HTTPError(w, http.StatusNotFound, "unknown job %s", jid)
@@ -1011,7 +1072,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 		c.cm.uploads.With("failed").Inc()
 		c.noteCompleteAndMaybeCheckpoint(jid, "failed")
 		j.h.complete(nil, fmt.Errorf("dispatch: job %.12s failed on worker %s: %s", jid, wid, errMsg))
-		obs.WriteJSON(w, http.StatusOK, resultResponse{Status: "failed"})
+		ack("failed")
 		return
 	}
 	if hist == nil || len(hist.Stats) == 0 {
@@ -1063,5 +1124,5 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	}
 	j.relayMu.Unlock()
 	j.h.complete(hist, nil)
-	obs.WriteJSON(w, http.StatusOK, resultResponse{Status: "stored"})
+	ack("stored")
 }

@@ -28,6 +28,13 @@ type coordHarness struct {
 
 func newCoordHarness(t *testing.T, cfg CoordinatorConfig) *coordHarness {
 	t.Helper()
+	return newWrappedCoordHarness(t, cfg, func(h http.Handler) http.Handler { return h })
+}
+
+// newWrappedCoordHarness serves the coordinator's mux behind wrap, for tests
+// that observe the worker protocol from the server side.
+func newWrappedCoordHarness(t *testing.T, cfg CoordinatorConfig, wrap func(http.Handler) http.Handler) *coordHarness {
+	t.Helper()
 	if cfg.Store == nil {
 		cfg.Store = tstore(t)
 	}
@@ -40,7 +47,7 @@ func newCoordHarness(t *testing.T, cfg CoordinatorConfig) *coordHarness {
 	}
 	mux := http.NewServeMux()
 	c.Mount(mux)
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer(wrap(mux))
 	t.Cleanup(func() { ts.Close(); c.Close() })
 	return &coordHarness{t: t, coord: c, ts: ts, store: cfg.Store}
 }

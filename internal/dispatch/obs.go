@@ -18,6 +18,10 @@ type coordMetrics struct {
 	uploads   *obs.CounterVec // result uploads by terminal status
 	slotsBusy *obs.GaugeVec   // in-flight leases per worker
 	wire      wireMetrics     // binary-transport ingest accounting
+	// leasesOnAck counts leases granted on a result ack instead of a poll; the
+	// worker routes sit outside obs.HTTPMetrics, so no other series can tell
+	// the two apart.
+	leasesOnAck *obs.Counter
 	// Durability series (all zero on an in-memory coordinator).
 	reattached     *obs.Counter // leases adopted by re-attaching workers
 	walRecords     *obs.Counter // records journaled to the WAL
@@ -91,6 +95,8 @@ func newCoordMetrics(reg *obs.Registry, stats func() CoordinatorStats) coordMetr
 		uploads:   reg.CounterVec("fedwcm_dispatch_uploads_total", "Result uploads ingested, by terminal status.", "status"),
 		slotsBusy: reg.GaugeVec("fedwcm_dispatch_worker_slots_busy", "In-flight leases per registered worker.", "worker"),
 		wire:      newWireMetrics(reg),
+		leasesOnAck: reg.Counter("fedwcm_dispatch_leases_on_ack_total",
+			"Leases granted on a result-upload ack (complete-and-lease-next) instead of a lease poll."),
 		reattached: reg.Counter("fedwcm_dispatch_reattached_total",
 			"Leases adopted by workers that re-attached to an in-flight job (coordinator restart or lease expiry) without a recompute."),
 		walRecords: reg.Counter("fedwcm_dispatch_wal_records_total",

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 
 	"fedwcm/internal/fl"
 	"fedwcm/internal/obs"
+	"fedwcm/internal/store"
 )
 
 // scrapeMetrics GETs /metrics from the harness mux and parses the text
@@ -61,7 +63,13 @@ func scrapeMetrics(t *testing.T, baseURL string) map[string]float64 {
 func TestCoordinatorMetricsEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(64)
+	root := t.TempDir()
+	st, err := store.Open(root, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := newCoordHarness(t, CoordinatorConfig{
+		Store:    st,
 		LeaseTTL: 60 * time.Millisecond,
 		Metrics:  reg,
 		Tracer:   tracer,
@@ -126,13 +134,14 @@ func TestCoordinatorMetricsEndToEnd(t *testing.T) {
 	if spans[0].Err == "" || spans[1].Err != "" {
 		t.Fatalf("span outcomes: first %q (want expiry), second %q (want clean)", spans[0].Err, spans[1].Err)
 	}
-	// The trace was persisted next to the history as JSONL.
-	data, err := os.ReadFile(h.store.TracePath(job.ID))
+	// The trace was appended to the store's span log, one line per span,
+	// each naming the job.
+	data, err := os.ReadFile(filepath.Join(root, "traces.jsonl"))
 	if err != nil {
 		t.Fatalf("persisted trace: %v", err)
 	}
-	if !strings.Contains(string(data), `"dispatch.lease"`) {
-		t.Fatalf("persisted trace lacks lease spans:\n%s", data)
+	if n := strings.Count(string(data), `"trace":"`+job.ID+`","name":"dispatch.lease"`); n != 2 {
+		t.Fatalf("span log holds %d lease lines for the job, want 2:\n%s", n, data)
 	}
 }
 

@@ -228,27 +228,38 @@ func (w *Worker) deregister() {
 	}
 }
 
-// slotLoop leases and executes jobs one at a time until ctx cancels. After
+// slotLoop leases and executes jobs one at a time until ctx cancels. While
+// the queue is busy each upload's ack hands the slot its next job (see
+// execute), so the lease poll below is only where an idle slot parks. After
 // a spilled job it drains the spill shard further before parking on the
 // primary's long poll again.
 func (w *Worker) slotLoop(ctx context.Context) {
 	var backoff time.Duration
 	spilled := false
 	for ctx.Err() == nil {
+		var (
+			job Job
+			cn  *conn
+			id  string
+			ok  bool
+		)
 		if spilled {
-			if job, cn, id, ok := w.spillLease(ctx); ok {
-				w.execute(ctx, job, cn, id)
-				continue
+			if job, cn, id, ok = w.spillLease(ctx); !ok {
+				spilled = false
 			}
-			spilled = false
 		}
-		job, cn, id, ok := w.lease(ctx, &backoff)
 		if !ok {
-			continue // no job this poll (or transient error; lease backs off)
+			if job, cn, id, ok = w.lease(ctx, &backoff); !ok {
+				continue // no job this poll (or transient error; lease backs off)
+			}
+			backoff = 0
+			spilled = cn != w.primary
 		}
-		backoff = 0
-		spilled = cn != w.primary
-		w.execute(ctx, job, cn, id)
+		// A job the ack granted but a shutdown got to first stays leased to
+		// this worker; deregistration hands it back without costing an attempt.
+		for ok && ctx.Err() == nil {
+			job, id, ok = w.execute(ctx, job, cn, id)
+		}
 	}
 }
 
@@ -456,7 +467,13 @@ func (w *Worker) reregister(ctx context.Context, cn *conn, stale string) {
 // under the worker id it was leased to: heartbeats flow while training,
 // the result (or execution error) is uploaded at the end. A lost lease
 // cancels the job's context and abandons the upload.
-func (w *Worker) execute(ctx context.Context, job Job, cn *conn, id string) {
+//
+// The upload asks for the freed slot's next job (?lease=1) unless the worker
+// is shutting down; when the ack carries one, execute returns it with the
+// worker id it was granted under — the id the upload was posted as, which is
+// not the slot's original id if a coordinator restart forced a
+// re-registration mid-job.
+func (w *Worker) execute(ctx context.Context, job Job, cn *conn, id string) (next Job, nextID string, ok bool) {
 	cn.mu.Lock()
 	ttl := cn.ttl
 	cn.mu.Unlock()
@@ -569,12 +586,12 @@ func (w *Worker) execute(ctx context.Context, job Job, cn *conn, id string) {
 	lost := leaseLost
 	statsMu.Unlock()
 	if lost {
-		return // requeued elsewhere; never upload a zombie result
+		return Job{}, "", false // requeued elsewhere; never upload a zombie result
 	}
 	if ctx.Err() != nil && err != nil {
 		// Shutting down mid-job: deregistration (or lease lapse) requeues
 		// it; an aborted partial run must not be uploaded as a failure.
-		return
+		return Job{}, "", false
 	}
 	// The result upload uses the codec's lossless profile: the decoded
 	// history is bit-identical, so the artifact the coordinator stores (and
@@ -596,29 +613,37 @@ func (w *Worker) execute(ctx context.Context, job Job, cn *conn, id string) {
 		defer upCancel()
 	}
 	resURL := fmt.Sprintf("%s/v1/workers/%s/jobs/%s/result", cn.base, curID, job.ID)
-	var ack resultResponse
+	if ctx.Err() == nil {
+		resURL += "?lease=1" // a worker on its way out must not be handed more work
+	}
 	for attempt := 0; attempt < 3; attempt++ {
+		var ack resultResponse
 		code, uerr := w.postWire(upCtx, resURL, job.ID, resBody, &ack)
 		if uerr == nil && code < 500 {
 			if code >= 400 {
 				w.wm.uploads.With("rejected").Inc()
 				w.cfg.Logf("dispatch: result for job %.12s rejected: HTTP %d", job.ID, code)
-				return
+				return Job{}, "", false
 			}
 			status := ack.Status
 			if status == "" {
 				status = "stored"
 			}
 			w.wm.uploads.With(status).Inc()
-			return
+			if ack.Next == nil {
+				return Job{}, "", false
+			}
+			w.wm.leases.Inc() // a lease like any other, it just skipped the poll
+			return *ack.Next, curID, true
 		}
 		select {
 		case <-upCtx.Done():
-			return
+			return Job{}, "", false
 		case <-time.After(200 * time.Millisecond << attempt):
 		}
 	}
 	w.cfg.Logf("dispatch: giving up uploading job %.12s; lease will expire and requeue", job.ID)
+	return Job{}, "", false
 }
 
 // postJSON posts body as JSON and decodes the response into out (when

@@ -14,6 +14,16 @@ import (
 // returns its cancel func; cleanup waits for the run loop to exit.
 func startWorker(t *testing.T, h *coordHarness, runner Runner, slots int) context.CancelFunc {
 	t.Helper()
+	cancel, _ := runWorker(t, h, slots, runner)
+	return cancel
+}
+
+// runWorker is startWorker that also returns a channel closed once Run has
+// returned (deregistration included). A request reaches a routeLog before
+// its response reaches the worker, so after exited every exchange the worker
+// saw answered is in the log.
+func runWorker(t *testing.T, h *coordHarness, slots int, runner Runner) (cancel context.CancelFunc, exited <-chan struct{}) {
+	t.Helper()
 	w, err := NewWorker(WorkerConfig{
 		Coordinator: h.ts.URL,
 		Runner:      runner,
@@ -35,7 +45,7 @@ func startWorker(t *testing.T, h *coordHarness, runner Runner, slots int) contex
 			t.Error("worker never exited")
 		}
 	})
-	return cancel
+	return cancel, done
 }
 
 // echoRunner decodes the job's spec as {"cell":N} and returns cannedHist(N)

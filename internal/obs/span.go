@@ -149,12 +149,26 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// Collect returns the buffered spans for one trace ID, oldest first.
+// Collect returns the buffered spans for one trace ID, oldest first. It
+// filters under the ring lock and allocates only its matches — it runs once
+// per completed cell, where a snapshot of the whole ring would dominate the
+// cell's allocation. A nil Tracer returns nil.
 func (t *Tracer) Collect(trace string) []Span {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var out []Span
-	for _, s := range t.Spans() {
-		if s.Trace == trace {
-			out = append(out, s)
+	start := 0
+	if len(t.ring) == cap(t.ring) {
+		start = t.next // wrapped: the oldest span sits at the write cursor
+	}
+	for _, part := range [2][]Span{t.ring[start:], t.ring[:start]} {
+		for i := range part {
+			if part[i].Trace == trace {
+				out = append(out, part[i])
+			}
 		}
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -81,5 +82,61 @@ func TestTraceHandlerFiltersJSONL(t *testing.T) {
 	}
 	if len(names) != 2 || names[0] != "one" || names[1] != "three" {
 		t.Fatalf("filtered spans: %v", names)
+	}
+}
+
+// TestCollectOnWrappedRing: Collect runs once per completed cell against a
+// ring that is normally full and wrapped. It must return exactly the trace's
+// surviving spans, oldest first, and allocate for its matches only — not
+// snapshot the ring to find them.
+func TestCollectOnWrappedRing(t *testing.T) {
+	tr := NewTracer(DefaultTraceCap)
+	// Fill the ring one and a half times; every 512th span belongs to the
+	// trace under test, so some of its spans have been overwritten and the
+	// survivors straddle the wrap point.
+	const total = DefaultTraceCap + DefaultTraceCap/2
+	var want []int
+	for i := 0; i < total; i++ {
+		s := Span{Trace: "noise", Name: "fill", Round: i}
+		if i%512 == 100 {
+			s.Trace = "mine"
+			if i >= total-DefaultTraceCap {
+				want = append(want, i)
+			}
+		}
+		tr.Record(s)
+	}
+	got := tr.Collect("mine")
+	if len(got) != len(want) || len(want) < 2 {
+		t.Fatalf("collected %d spans, want %d (≥ 2)", len(got), len(want))
+	}
+	for i, s := range got {
+		if s.Round != want[i] {
+			t.Fatalf("span %d is round %d, want %d (oldest first)", i, s.Round, want[i])
+		}
+	}
+	if tr.Collect("absent") != nil {
+		t.Fatal("a trace with no spans must collect to nil")
+	}
+	var nilTr *Tracer
+	if nilTr.Collect("mine") != nil {
+		t.Fatal("nil tracer must collect nothing")
+	}
+
+	// One match costs its own slice and nothing else: a snapshot of the ring
+	// would be one more allocation — of 4096 spans.
+	tr.Record(Span{Trace: "single", Name: "one"})
+	if allocs := testing.AllocsPerRun(20, func() { tr.Collect("single") }); allocs > 3 {
+		t.Fatalf("Collect of one match allocates %.0f times, want ≤ 3", allocs)
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		tr.Collect("single")
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > 1024 {
+		t.Fatalf("Collect of one match allocates %d B per call, want ≤ 1 KiB (a ring snapshot is ≈ 384 KiB)", perCall)
 	}
 }

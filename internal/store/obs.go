@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -40,20 +42,16 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	s.putBytes = reg.Counter("fedwcm_store_put_bytes_total", "Bytes written by store Puts.")
 }
 
-// TracePath returns the on-disk location for a fingerprint's span dump, or
-// "" if fp is invalid. Traces sit beside the history artifact
-// (<fp>.trace.jsonl next to <fp>.json) but are diagnostics, not artifacts:
-// Keys ignores them and they carry no determinism guarantees.
-func (s *Store) TracePath(fp string) string {
-	if !ValidFingerprint(fp) {
-		return ""
-	}
-	return filepath.Join(s.root, fp[:2], fp+".trace.jsonl")
-}
+// traceLog is the store's span log: one append-only JSONL file at the store
+// root. It is a diagnostic, not an artifact — Keys ignores it, it carries no
+// determinism or durability guarantee, and every line names its run
+// ("trace":"<fp>"), so `grep <fp> traces.jsonl` is one run's dump.
+const traceLog = "traces.jsonl"
 
-// PutTrace persists the spans recorded for fp's run alongside its history,
-// atomically (temp + rename), replacing any previous dump. Empty spans are
-// a no-op: an uninstrumented run leaves no trace file.
+// PutTrace appends the spans recorded for fp's run to the store's span log
+// with a single write — no temp file, no rename, no per-run inode. A re-run
+// of the same fingerprint appends rather than replaces. Empty spans are a
+// no-op: an uninstrumented run leaves no lines.
 func (s *Store) PutTrace(fp string, spans []obs.Span) error {
 	if !ValidFingerprint(fp) {
 		return fmt.Errorf("store: invalid fingerprint %q", fp)
@@ -61,28 +59,25 @@ func (s *Store) PutTrace(fp string, spans []obs.Span) error {
 	if len(spans) == 0 {
 		return nil
 	}
-	dir := filepath.Dir(s.TracePath(fp))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, sp := range spans {
+		if err := enc.Encode(sp); err != nil {
+			return fmt.Errorf("store: encode trace %s: %w", fp, err)
+		}
 	}
-	tmp, err := os.CreateTemp(dir, "."+fp[:8]+"-trace-*.tmp")
+	s.traceMu.Lock()
+	defer s.traceMu.Unlock()
+	f, err := os.OpenFile(filepath.Join(s.root, traceLog), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	t := obs.NewTracer(len(spans))
-	for _, sp := range spans {
-		t.Record(sp)
-	}
-	err = t.WriteJSONL(tmp, fp)
-	if cerr := tmp.Close(); err == nil {
+	_, err = f.Write(buf.Bytes())
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return fmt.Errorf("store: write trace %s: %w", fp, err)
-	}
-	if err := os.Rename(tmp.Name(), s.TracePath(fp)); err != nil {
-		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }

@@ -71,7 +71,7 @@ func (s *Store) Fetch(ctx context.Context, fp string) (*fl.History, bool, error)
 		}
 		// Persist the raw bytes, not a re-encode: byte identity with the
 		// origin is part of the replication contract.
-		if err := s.putRaw(fp, raw); err != nil {
+		if err := s.writeAtomic(fp, raw); err != nil {
 			return nil, false, err
 		}
 		s.mu.Lock()
@@ -129,39 +129,6 @@ func (s *Store) fetchPeer(ctx context.Context, hc *http.Client, base, fp string)
 		return nil, nil, fmt.Errorf("store: peer %s: artifact %s is empty", base, fp)
 	}
 	return hist, raw, nil
-}
-
-// putRaw persists pre-encoded artifact bytes with the same atomic, durable
-// dance as Put: temp file in the target directory, fsync, rename, directory
-// fsync. The caller has already verified and decoded raw.
-func (s *Store) putRaw(fp string, raw []byte) error {
-	dir, err := s.ensureDir(fp)
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, "."+fp[:8]+"-*.tmp")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	_, err = tmp.Write(raw)
-	if err == nil {
-		err = SyncFile(tmp)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("store: write %s: %w", fp, err)
-	}
-	if err := os.Rename(tmp.Name(), s.Path(fp)); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := SyncDir(dir); err != nil {
-		return err
-	}
-	s.putBytes.Add(uint64(len(raw)))
-	return nil
 }
 
 // ArtifactHandler serves GET /v1/artifacts/{id}: the raw on-disk bytes of

@@ -14,9 +14,9 @@
 package store
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
-	"io"
 	"io/fs"
 	"net/http"
 	"os"
@@ -65,6 +65,10 @@ type Store struct {
 	order *list.List // front = most recently used; element value is *entry
 	idx   map[string]*list.Element
 	stats Stats
+	dirs  map[string]struct{} // prefix directories known created and fsynced into root
+
+	// traceMu serializes appends to the span log (see PutTrace).
+	traceMu sync.Mutex
 
 	// Read-through replication, set by Replicate; empty means Fetch == Get.
 	peers      []string
@@ -93,6 +97,7 @@ func Open(root string, lruSize int) (*Store, error) {
 		cap:   lruSize,
 		order: list.New(),
 		idx:   make(map[string]*list.Element),
+		dirs:  make(map[string]struct{}),
 	}, nil
 }
 
@@ -181,6 +186,26 @@ func (s *Store) Put(fp string, h *fl.History) error {
 	if s.putSeconds != nil {
 		defer func(start time.Time) { s.putSeconds.Observe(time.Since(start).Seconds()) }(time.Now())
 	}
+	var buf bytes.Buffer
+	if err := trace.WriteJSONL(&buf, map[string]*fl.History{fp: h}); err != nil {
+		return fmt.Errorf("store: encode %s: %w", fp, err)
+	}
+	if err := s.writeAtomic(fp, buf.Bytes()); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.stats.Puts++
+	s.insertLocked(fp, h)
+	s.mu.Unlock()
+	return nil
+}
+
+// writeAtomic durably publishes data as fp's artifact — the one
+// implementation of the store's write protocol, shared by Put and the
+// replication path: temp file in the target directory, fsync, rename,
+// directory fsync. The temp file is removed on the error paths only; after a
+// successful rename there is nothing left under its name.
+func (s *Store) writeAtomic(fp string, data []byte) error {
 	dir, err := s.ensureDir(fp)
 	if err != nil {
 		return err
@@ -189,9 +214,7 @@ func (s *Store) Put(fp string, h *fl.History) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	cw := &countingWriter{w: tmp}
-	err = trace.WriteJSONL(cw, map[string]*fl.History{fp: h})
+	_, err = tmp.Write(data)
 	if err == nil {
 		// The data must be on stable storage before the rename publishes the
 		// name: rename-then-crash without this can leave the final path
@@ -202,28 +225,33 @@ func (s *Store) Put(fp string, h *fl.History) error {
 		err = cerr
 	}
 	if err != nil {
+		os.Remove(tmp.Name())
 		return fmt.Errorf("store: write %s: %w", fp, err)
 	}
 	if err := os.Rename(tmp.Name(), s.Path(fp)); err != nil {
+		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
 	if err := SyncDir(dir); err != nil {
 		return err
 	}
-	s.putBytes.Add(uint64(cw.n))
-	s.mu.Lock()
-	s.stats.Puts++
-	s.insertLocked(fp, h)
-	s.mu.Unlock()
+	s.putBytes.Add(uint64(len(data)))
 	return nil
 }
 
 // ensureDir creates (durably) the prefix directory an artifact for fp
 // lives in, returning its path. A fresh prefix directory is fsynced into
 // the root before use so the rename that later publishes the artifact has
-// a parent that survives a crash.
+// a parent that survives a crash. Prefixes that have been through this once
+// are remembered, so the steady state issues no stat or mkdir at all.
 func (s *Store) ensureDir(fp string) (string, error) {
-	dir := filepath.Dir(s.Path(fp))
+	dir := filepath.Join(s.root, fp[:2])
+	s.mu.Lock()
+	_, known := s.dirs[fp[:2]]
+	s.mu.Unlock()
+	if known {
+		return dir, nil
+	}
 	newDir := false
 	if _, serr := os.Stat(dir); serr != nil {
 		newDir = true
@@ -236,20 +264,10 @@ func (s *Store) ensureDir(fp string) (string, error) {
 			return "", err
 		}
 	}
+	s.mu.Lock()
+	s.dirs[fp[:2]] = struct{}{}
+	s.mu.Unlock()
 	return dir, nil
-}
-
-// countingWriter counts bytes on their way to the underlying writer, so
-// Put can report artifact sizes without a second stat call.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // insertLocked adds or refreshes an LRU entry, evicting from the back once

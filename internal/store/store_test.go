@@ -3,6 +3,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -163,5 +164,46 @@ func TestKeysListsArtifacts(t *testing.T) {
 		if !want[k] {
 			t.Fatalf("unexpected key %s", k)
 		}
+	}
+}
+
+// TestEnsureDirRemembersPrefixes: a prefix directory goes through the
+// stat/mkdir/root-fsync path once per store; afterwards puts under it go
+// straight to the temp file.
+func TestEnsureDirRemembersPrefixes(t *testing.T) {
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixes := make(map[string]struct{})
+	for i := 0; i < 40; i++ {
+		fp := fpFor(fmt.Sprintf("prefix-%d", i))
+		prefixes[fp[:2]] = struct{}{}
+		if err := s.Put(fp, testHistory(float64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(fp, testHistory(float64(i))); err != nil { // re-put: same prefix, already known
+			t.Fatal(err)
+		}
+	}
+	if len(s.dirs) != len(prefixes) {
+		t.Fatalf("store remembers %d prefix directories, want %d", len(s.dirs), len(prefixes))
+	}
+	for p := range prefixes {
+		if fi, err := os.Stat(filepath.Join(s.root, p)); err != nil || !fi.IsDir() {
+			t.Fatalf("prefix %s: %v", p, err)
+		}
+	}
+	// A reopened store starts with nothing remembered and re-learns existing
+	// directories without recreating them.
+	s2, err := Open(s.root, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Put(fpFor("prefix-0"), testHistory(0)); err != nil {
+		t.Fatal(err)
+	}
+	if len(s2.dirs) != 1 {
+		t.Fatalf("reopened store remembers %d prefixes after one put, want 1", len(s2.dirs))
 	}
 }

@@ -184,6 +184,12 @@ func (e *Engine) Resolve(c Cell, block bool) (*fl.History, *LiveCell, error) {
 	if hist, ok, err := e.stored(c.ID); err != nil || ok {
 		return hist, nil, err
 	}
+	return e.resolveMiss(c, block)
+}
+
+// resolveMiss is Resolve past the unlocked store probe: join or start the
+// cell's one execution.
+func (e *Engine) resolveMiss(c Cell, block bool) (*fl.History, *LiveCell, error) {
 	e.mu.Lock()
 	if e.closing {
 		e.mu.Unlock()
@@ -326,16 +332,31 @@ func (e *Engine) Close() {
 	e.watchers.Wait()
 }
 
-// Drive is the one sweep driver: it walks cells in order, resolves each
-// with a blocking submit — so a grid larger than the backend's queue
-// trickles in as space frees up — and calls report exactly once per cell as
-// it turns terminal (CellCached / CellComputed / CellFailed), returning when
-// all have. onLive (may be nil) sees each cell that is executing rather
-// than stored, before its report. report is invoked concurrently.
+// submitWindow bounds how many of a grid's misses Drive has inside
+// Executor.Submit at once. One submitter at a time leaves a journaled
+// backend's group commit with a single waiter, so every cell pays a whole
+// fsync; 32 is where the WAL's append cost stops falling (the benchmark's
+// wal.append_ms_c32 vs _c1). A constant, not an option: the backend's
+// bounded queue remains the only back-pressure anyone tunes.
+const submitWindow = 32
+
+// Drive is the one sweep driver: it walks cells in order and calls report
+// exactly once per cell as it turns terminal (CellCached / CellComputed /
+// CellFailed), returning when all have. Store hits are reported inline, on
+// the caller's goroutine, in grid order — a fully cached grid starts no
+// goroutine. Misses are handed, in order, to at most submitWindow feeder
+// goroutines (started only while every earlier one is busy), each resolving
+// with a blocking submit — so a grid larger than the backend's queue still
+// trickles in as space frees up, and a backend that batches concurrent
+// submits (the WAL's group commit) sees more than one. This is a window, not
+// a batch API: Executor stays Submit+Close, and every backend — Local,
+// Coordinator, the shard router, the HTTP client — gets it unchanged.
+//
+// onLive (may be nil) sees each cell that is executing rather than stored,
+// before its report. onLive and report are both invoked concurrently.
 func (e *Engine) Drive(cells []Cell, onLive func(i int, l *LiveCell), report func(i int, status string, hist *fl.History, err error)) {
-	var pending sync.WaitGroup
-	for i := range cells {
-		hist, l, err := e.Resolve(cells[i], true)
+	var pending, feeders sync.WaitGroup
+	resolved := func(i int, hist *fl.History, l *LiveCell, err error) {
 		switch {
 		case err != nil:
 			report(i, CellFailed, nil, err)
@@ -356,6 +377,33 @@ func (e *Engine) Drive(cells []Cell, onLive func(i int, l *LiveCell), report fun
 			})
 		}
 	}
+	misses := make(chan int)
+	started := 0
+	for i := range cells {
+		if hist, ok, err := e.stored(cells[i].ID); err != nil || ok {
+			resolved(i, hist, nil, err)
+			continue
+		}
+		select {
+		case misses <- i: // an idle feeder took it
+			continue
+		default:
+		}
+		if started < submitWindow {
+			started++
+			feeders.Add(1)
+			go func() {
+				defer feeders.Done()
+				for i := range misses {
+					hist, l, err := e.resolveMiss(cells[i], true)
+					resolved(i, hist, l, err)
+				}
+			}()
+		}
+		misses <- i
+	}
+	close(misses)
+	feeders.Wait()
 	pending.Wait()
 }
 

@@ -32,7 +32,9 @@ go build -o "$WORK/fedserve" ./cmd/fedserve
 
 COORD_ADDR="127.0.0.1:18091"
 LOCAL_ADDR="127.0.0.1:18092"
-SWEEP='{"methods":["fedavg"],"seed_count":2,"clients":[4],"sample_rates":[0.5],"local_epochs":[1],"model":"linear","rounds":8,"effort":0.01,"probes":["collapse"]}'
+# Six cells for two single-slot workers: each must come back for more, so at
+# least one lease is granted on an upload's ack rather than on a poll.
+SWEEP='{"methods":["fedavg"],"seed_count":6,"clients":[4],"sample_rates":[0.5],"local_epochs":[1],"model":"linear","rounds":8,"effort":0.01,"probes":["collapse"]}'
 
 wait_up() { # addr
   for _ in $(seq 1 100); do
@@ -90,18 +92,19 @@ curl -sf "http://$W2_OBS/metrics"     > "$WORK/w2.metrics"
 require_nonzero "$WORK/coord.metrics" \
   fedwcm_dispatch_lease_wait_seconds_count \
   fedwcm_dispatch_lease_hold_seconds_count \
+  fedwcm_dispatch_leases_on_ack_total \
   'fedwcm_dispatch_uploads_total{status="stored"}' \
   fedwcm_store_puts_total \
   fedwcm_go_goroutines
 # Workers: lease/upload counters live on whichever worker won each cell, so
-# assert the fleet-wide sums; each worker must at least be scrapeable and
-# report a live runtime.
+# assert the fleet-wide sums — exactly one lease and one stored upload per
+# cell, a lease that arrived on an ack counting like a polled one; each
+# worker must at least be scrapeable and report a live runtime.
 require_nonzero "$WORK/w1.metrics" fedwcm_go_goroutines
 require_nonzero "$WORK/w2.metrics" fedwcm_go_goroutines
 for series in fedwcm_worker_leases_total 'fedwcm_worker_uploads_total{status="stored"}'; do
   total=$(awk -v a="$(metric "$WORK/w1.metrics" "$series")" -v b="$(metric "$WORK/w2.metrics" "$series")" 'BEGIN { print a + b }')
-  awk -v v="$total" 'BEGIN { exit !(v >= 2) }' \
-    || { echo "smoke_dispatch: fleet-wide $series = $total, want >= 2"; exit 1; }
+  [ "$total" = 6 ] || { echo "smoke_dispatch: fleet-wide $series = $total, want 6"; exit 1; }
 done
 # Worker health surface: registered workers must report ready.
 for obs in "$W1_OBS" "$W2_OBS"; do
@@ -130,7 +133,7 @@ if ! cmp -s "$WORK/remote.canon.json" "$WORK/local.canon.json"; then
   exit 1
 fi
 computed=$(jq -r .computed "$WORK/remote.json")
-[ "$computed" = 2 ] || { echo "smoke_dispatch: expected 2 computed cells, got $computed"; exit 1; }
+[ "$computed" = 6 ] || { echo "smoke_dispatch: expected 6 computed cells, got $computed"; exit 1; }
 
 # Artifact files must match bit-for-bit across the two stores — probe
 # readings included: the sweep carries the collapse probe, so every
@@ -140,7 +143,14 @@ for f in $(cd "$WORK/local-store" && find . -name '*.json'); do
     || { echo "smoke_dispatch: artifact $f differs between stores"; exit 1; }
   grep -q '"concentration"' "$WORK/remote-store/$f" \
     || { echo "smoke_dispatch: artifact $f carries no probe reading"; exit 1; }
+  # One inode per completed cell: the coordinator appended the cell's lease
+  # span to the store-wide span log instead of writing a file beside it.
+  fp=$(basename "$f" .json)
+  grep "\"trace\":\"$fp\"" "$WORK/remote-store/traces.jsonl" | grep -q '"name":"dispatch.lease"' \
+    || { echo "smoke_dispatch: traces.jsonl has no dispatch.lease line for $fp"; exit 1; }
 done
+[ -z "$(find "$WORK/remote-store" -name '*.trace.jsonl')" ] \
+  || { echo "smoke_dispatch: per-run trace files are back in the store"; exit 1; }
 
 echo "== WAL crash recovery: SIGKILL the coordinator mid-sweep"
 # A WAL-backed coordinator is killed with no warning while a bigger sweep
