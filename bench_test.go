@@ -153,6 +153,7 @@ func BenchmarkResNetLiteForward(b *testing.B) {
 	net := nn.NewResNetLite(1, 3, 12, 12, 10, 8)
 	x := tensor.NewDense(32, 3*12*12)
 	xrand.New(2).FillNorm(x.Data, 0, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Forward(x, true)
@@ -170,6 +171,7 @@ func BenchmarkResNetLiteTrainStep(b *testing.B) {
 		labels[i] = r.Intn(10)
 	}
 	ce := loss.CrossEntropy{}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.ZeroGrad()
@@ -225,14 +227,19 @@ func BenchmarkMatMulShapes(b *testing.B) {
 	type shape struct {
 		name    string
 		n, k, m int
+		conv    bool
 	}
+	// The conv rows are the per-sample products of ResNetLite at the width
+	// sweep.ModelFor builds (8) on 12×12 inputs: OutC × InC·9 × OutH·OutW.
+	// The 36-column ones leave a 4-column remainder after the 8-wide tiles.
 	shapes := []shape{
-		{"mlp_48x64", 32, 48, 64},         // hidden layer 1
-		{"mlp_64x32", 32, 64, 32},         // hidden layer 2
-		{"mlp_32x10", 32, 32, 10},         // classifier (edge tiles: 10 cols)
-		{"conv_16x27x144", 16, 27, 144},   // ResNetLite stem, per sample
-		{"conv_16x144x144", 16, 144, 144}, // ResNetLite body conv
-		{"conv_32x288x36", 32, 288, 36},   // ResNetLite stride-2 conv
+		{"mlp_48x64", 32, 48, 64, false},      // hidden layer 1
+		{"mlp_64x32", 32, 64, 32, false},      // hidden layer 2
+		{"mlp_32x10", 32, 32, 10, false},      // classifier (edge tiles: 10 cols)
+		{"conv_8x27x144", 8, 27, 144, true},   // stem
+		{"conv_8x72x144", 8, 72, 144, true},   // stage-1 body conv
+		{"conv_16x72x36", 16, 72, 36, true},   // stride-2 downsampling conv
+		{"conv_16x144x36", 16, 144, 36, true}, // stage-2 body conv
 	}
 	r := xrand.New(7)
 	for _, s := range shapes {
@@ -252,9 +259,15 @@ func BenchmarkMatMulShapes(b *testing.B) {
 				tensor.MatMulInto(dst, a, bm)
 			}
 		})
+		// A Linear layer's BT product is dX = dY·Wᵀ. A conv layer's is
+		// dWᵀ = cols·dOutᵀ: the forward product's B and C operands.
+		btDst, btA, btB := dst, a, bt
+		if s.conv {
+			btDst, btA, btB = tensor.NewDense(s.k, s.n), bm, at
+		}
 		b.Run("MatMulBT/"+s.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tensor.MatMulBTInto(dst, a, bt)
+				tensor.MatMulBTInto(btDst, btA, btB)
 			}
 		})
 		b.Run("MatMulAT/"+s.name, func(b *testing.B) {

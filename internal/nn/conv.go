@@ -19,26 +19,48 @@ type Conv2D struct {
 
 	x *tensor.Dense // cached input
 
-	// colsPool recycles per-chunk im2col scratch. The layer used to cache
-	// one cols matrix per sample (≈ k·p floats each) so Backward could
-	// reuse them; that working set dwarfed L2 for real geometries, so the
-	// fused path instead keeps one scratch per goroutine chunk and
-	// recomputes im2col in Backward — the recompute is cheap next to the
-	// matmuls it feeds and the results are identical by construction.
-	colsPool sync.Pool
+	// The layer does not cache one im2col matrix per sample for Backward
+	// (≈ k·p floats each, a working set that dwarfs L2 for real
+	// geometries); Backward recomputes it from the cached input, which is
+	// cheap next to the matmuls it feeds and identical by construction.
+	//
+	// Forward has no reduction, so it takes whatever chunks ParallelFor
+	// makes and draws one scratch per chunk from fwdPool. Backward reduces
+	// dW and dB over the batch, and a floating-point sum depends on its
+	// tree, so its chunking is fixed at the two halves below, each with
+	// its own scratch, allocated on the first Backward and kept for the
+	// layer's lifetime like the workspaces.
+	fwdPool sync.Pool // of *convScratch
+	half    [2]convHalf
 
+	taps     []shiftedTap  // non-nil selects the shifted-copy im2col/col2im
 	wview    *tensor.Dense // Wt.Data viewed as OutC×(InC·KH·KW)
 	fwd, bwd workspace
 }
 
-// getCols returns a pooled k×p im2col scratch (contents undefined).
-func (l *Conv2D) getCols(k, p int) *tensor.Dense {
-	if v := l.colsPool.Get(); v != nil {
-		if c := v.(*tensor.Dense); c.R == k && c.C == p {
-			return c
-		}
-	}
-	return tensor.NewDense(k, p)
+// convScratch is what one goroutine needs to push samples through the
+// layer's GEMMs: the k×p im2col matrix and an OutC×p header that is
+// re-pointed at each sample's row of the batch output (or of dOut), so no
+// per-sample Dense is allocated.
+type convScratch struct {
+	cols *tensor.Dense
+	seg  tensor.Dense
+}
+
+// convHalf is the private state of one half of Backward's batch reduction:
+// the half's dW/dB partial sums and the per-sample products they are
+// accumulated from.
+type convHalf struct {
+	convScratch
+	dcols  *tensor.Dense // k×p: Wᵀ·dOut before col2im
+	dwT    *tensor.Dense // k×OutC: one sample's dWᵀ
+	dwPart []float64     // OutC×k
+	dbPart []float64
+}
+
+func (l *Conv2D) newScratch() convScratch {
+	k, p := l.InC*l.KH*l.KW, l.OutH*l.OutW
+	return convScratch{cols: tensor.NewDense(k, p), seg: tensor.Dense{R: l.OutC, C: p}}
 }
 
 // NewConv2D creates a convolution layer with He initialisation.
@@ -58,6 +80,8 @@ func NewConv2D(r *xrand.RNG, inC, h, w, outC, k, stride, pad int) *Conv2D {
 	}
 	heInit(r, l.Wt.Data, inC*k*k)
 	l.wview = tensor.FromSlice(outC, inC*k*k, l.Wt.Data)
+	l.taps = l.shiftedTaps()
+	l.fwdPool.New = func() any { sc := l.newScratch(); return &sc }
 	return l
 }
 
@@ -66,6 +90,121 @@ func (l *Conv2D) OutDim() int { return l.OutC * l.OutH * l.OutW }
 
 // im2col fills cols (K × P) from one sample's flattened image.
 func (l *Conv2D) im2col(img []float64, cols *tensor.Dense) {
+	if l.taps != nil {
+		l.im2colShifted(img, cols)
+	} else {
+		l.im2colGeneral(img, cols)
+	}
+}
+
+// col2im scatter-adds a (K × P) gradient matrix back into one sample's
+// flattened image gradient. The shifted path zeroes entries of cols.
+func (l *Conv2D) col2im(cols *tensor.Dense, dimg []float64) {
+	if l.taps != nil {
+		l.col2imShifted(cols, dimg)
+	} else {
+		l.col2imGeneral(cols, dimg)
+	}
+}
+
+// shiftedTap describes kernel tap (dy, dx) = (ky-Pad, kx-Pad) of a same-size
+// convolution, where output pixel pi reads input pixel pi+shift of the same
+// channel. [lo, hi) is the part of the flat pixel range whose input row
+// exists and for which pi+shift is an index at all. Within output rows
+// [oyLo, oyHi), columns [oxLo, oxHi) are the ones where pi+shift is a valid
+// index but belongs to the neighbouring image row: the shift wrapped around
+// the edge.
+type shiftedTap struct {
+	shift, lo, hi          int
+	oyLo, oyHi, oxLo, oxHi int
+}
+
+// shiftedTaps returns the layer's KH·KW taps in (ky, kx) order when every
+// output pixel sits on the input pixel of the same index (stride 1, output
+// as large as the input — five of ResNetLite's six convolutions), and nil
+// otherwise. With taps, row (c, ky, kx) of the im2col matrix is channel c
+// moved by a constant offset, so im2col/col2im move whole rows instead of
+// testing bounds per element. The strided downsampling convolution keeps
+// the general loops, which are also the reference the shifted path is
+// tested against bit for bit.
+func (l *Conv2D) shiftedTaps() []shiftedTap {
+	if l.Stride != 1 || l.OutH != l.H || l.OutW != l.W {
+		return nil
+	}
+	taps := make([]shiftedTap, 0, l.KH*l.KW)
+	for ky := 0; ky < l.KH; ky++ {
+		for kx := 0; kx < l.KW; kx++ {
+			dy, dx := ky-l.Pad, kx-l.Pad
+			t := shiftedTap{shift: dy*l.W + dx}
+			t.oyLo, t.oyHi = max(0, -dy), min(l.H, l.H-dy)
+			t.lo = max(t.oyLo*l.W, -t.shift)
+			t.hi = min(t.oyHi*l.W, l.H*l.W-t.shift)
+			if t.lo >= t.hi {
+				// The tap lies wholly outside a small image: an empty
+				// range that slices validly at any shift.
+				t.shift, t.lo, t.hi = 0, 0, 0
+			}
+			if dx < 0 {
+				t.oxLo, t.oxHi = 0, min(l.W, -dx)
+			} else {
+				t.oxLo, t.oxHi = max(0, l.W-dx), l.W
+			}
+			taps = append(taps, t)
+		}
+	}
+	return taps
+}
+
+// zeroWrapped clears the entries of one cols row that the shift carried in
+// from the neighbouring image row.
+func (t *shiftedTap) zeroWrapped(row []float64, w int) {
+	for ox := t.oxLo; ox < t.oxHi; ox++ {
+		for i := t.oyLo*w + ox; i < t.oyHi*w; i += w {
+			row[i] = 0
+		}
+	}
+}
+
+// im2colShifted is im2col for same-size geometry: per row one copy, one
+// clear of the output rows above or below the image, and a few stores for
+// the wrapped column. Pure data movement, so trivially bit-identical to
+// im2colGeneral.
+func (l *Conv2D) im2colShifted(img []float64, cols *tensor.Dense) {
+	p := l.H * l.W
+	for c := 0; c < l.InC; c++ {
+		ch := img[c*p : (c+1)*p]
+		for ti := range l.taps {
+			t := &l.taps[ti]
+			row := cols.Data[(c*len(l.taps)+ti)*p:][:p]
+			clear(row[:t.lo])
+			copy(row[t.lo:t.hi], ch[t.lo+t.shift:t.hi+t.shift])
+			clear(row[t.hi:])
+			t.zeroWrapped(row, l.W)
+		}
+	}
+}
+
+// col2imShifted is col2im for same-size geometry: zero the wrapped entries
+// of each cols row, then add the row to the channel at its shift in one
+// AddVec. Each pixel still receives its taps in ascending (ky, kx) order;
+// where col2imGeneral skips a tap this path adds +0, and a sum that starts
+// at +0 (dimg is zeroed) can never be -0, so the extra term changes no bit
+// — the argument tensor/gemm.go makes for its zero products.
+func (l *Conv2D) col2imShifted(cols *tensor.Dense, dimg []float64) {
+	p := l.H * l.W
+	for c := 0; c < l.InC; c++ {
+		ch := dimg[c*p : (c+1)*p]
+		for ti := range l.taps {
+			t := &l.taps[ti]
+			row := cols.Data[(c*len(l.taps)+ti)*p:][:p]
+			t.zeroWrapped(row, l.W)
+			tensor.AddVec(ch[t.lo+t.shift:t.hi+t.shift], row[t.lo:t.hi])
+		}
+	}
+}
+
+// im2colGeneral is im2col for any geometry: one bounds test per element.
+func (l *Conv2D) im2colGeneral(img []float64, cols *tensor.Dense) {
 	p := l.OutW * l.OutH
 	for c := 0; c < l.InC; c++ {
 		chanBase := c * l.H * l.W
@@ -99,9 +238,8 @@ func (l *Conv2D) im2col(img []float64, cols *tensor.Dense) {
 	}
 }
 
-// col2im scatter-adds a (K × P) gradient matrix back into one sample's
-// flattened image gradient.
-func (l *Conv2D) col2im(cols *tensor.Dense, dimg []float64) {
+// col2imGeneral is col2im for any geometry.
+func (l *Conv2D) col2imGeneral(cols *tensor.Dense, dimg []float64) {
 	p := l.OutW * l.OutH
 	for c := 0; c < l.InC; c++ {
 		chanBase := c * l.H * l.W
@@ -137,73 +275,92 @@ func (l *Conv2D) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	}
 	l.x = x
 	n := x.R
-	k := l.InC * l.KH * l.KW
-	p := l.OutH * l.OutW
 	out := l.fwd.get(n, l.OutDim())
-	wt := l.wview
 	tensor.ParallelFor(n, 1, func(lo, hi int) {
-		cols := l.getCols(k, p)
+		sc := l.fwdPool.Get().(*convScratch)
 		for s := lo; s < hi; s++ {
-			l.im2col(x.Row(s), cols)
-			oseg := tensor.FromSlice(l.OutC, p, out.Row(s))
-			tensor.MatMulInto(oseg, wt, cols)
+			l.im2col(x.Row(s), sc.cols)
+			sc.seg.Data = out.Row(s)
+			tensor.MatMulInto(&sc.seg, l.wview, sc.cols)
 			for oc := 0; oc < l.OutC; oc++ {
 				b := l.B.Data[oc]
-				row := oseg.Row(oc)
+				row := sc.seg.Row(oc)
 				for i := range row {
 					row[i] += b
 				}
 			}
 		}
-		l.colsPool.Put(cols)
+		l.fwdPool.Put(sc)
 	})
 	return out
 }
 
 // Backward accumulates weight/bias gradients and returns the input gradient.
-// Samples are processed in parallel with per-chunk weight-gradient partials
-// merged under a mutex, so results are independent of scheduling.
+//
+// The batch is always reduced as two halves split at ⌈n/2⌉: each half sums
+// its samples' dW and dB in ascending order into its own partial, and the
+// partials are added to Grad in index order after the join. That tree is
+// the one ParallelFor(n, 1, ·) produced at GOMAXPROCS=2, which is what every
+// recorded golden encodes; fixing it makes the bits independent of the
+// host. ParallelFor(2, 1, ·) only decides whether the halves overlap in
+// time.
 func (l *Conv2D) Backward(dout *tensor.Dense) *tensor.Dense {
 	if l.x == nil {
 		panic("nn: Conv2D Backward before Forward")
 	}
 	n := l.x.R
-	k := l.InC * l.KH * l.KW
-	p := l.OutH * l.OutW
 	dx := l.bwd.getZeroed(n, l.x.C) // col2im scatter-adds: must start clean
-	wt := l.wview
-	var mu sync.Mutex
-	tensor.ParallelFor(n, 1, func(lo, hi int) {
-		// Per-chunk scratch, reused across the chunk's samples: the partials
-		// must stay goroutine-private, but need not be per-sample. The
-		// im2col matrix is recomputed from the cached input rather than
-		// held per sample since Forward (see colsPool).
-		dwPart := make([]float64, len(l.Wt.Data))
-		dbPart := make([]float64, len(l.B.Data))
-		dwMat := tensor.FromSlice(l.OutC, k, dwPart)
-		dw := tensor.NewDense(l.OutC, k)
-		dcols := tensor.NewDense(k, p)
-		cols := l.getCols(k, p)
-		for s := lo; s < hi; s++ {
-			dseg := tensor.FromSlice(l.OutC, p, dout.Row(s))
-			l.im2col(l.x.Row(s), cols)
-			// dW += dOut·colsᵀ
-			tensor.MatMulBTInto(dw, dseg, cols)
-			tensor.AddVec(dwMat.Data, dw.Data)
-			for oc := 0; oc < l.OutC; oc++ {
-				dbPart[oc] += tensor.Sum(dseg.Row(oc))
+	if l.half[0].cols == nil {
+		k, p := l.InC*l.KH*l.KW, l.OutH*l.OutW
+		for h := range l.half {
+			l.half[h] = convHalf{
+				convScratch: l.newScratch(),
+				dcols:       tensor.NewDense(k, p),
+				dwT:         tensor.NewDense(k, l.OutC),
+				dwPart:      make([]float64, len(l.Wt.Data)),
+				dbPart:      make([]float64, len(l.B.Data)),
 			}
-			// dcols = Wᵀ·dOut, scattered back to image space
-			tensor.MatMulATInto(dcols, wt, dseg)
-			l.col2im(dcols, dx.Row(s))
 		}
-		l.colsPool.Put(cols)
-		mu.Lock()
-		tensor.AddVec(l.Wt.Grad, dwPart)
-		tensor.AddVec(l.B.Grad, dbPart)
-		mu.Unlock()
+	}
+	mid := (n + 1) / 2
+	halves := min(len(l.half), n) // a one-sample batch has no second half
+	tensor.ParallelFor(halves, 1, func(lo, hi int) {
+		for h := lo; h < hi; h++ {
+			l.backwardHalf(&l.half[h], dout, dx, h*mid, min(n, (h+1)*mid))
+		}
 	})
+	for h := 0; h < halves; h++ {
+		tensor.AddVec(l.Wt.Grad, l.half[h].dwPart)
+		tensor.AddVec(l.B.Grad, l.half[h].dbPart)
+	}
 	return dx
+}
+
+// backwardHalf runs samples [lo, hi) of the batch through the backward
+// products, leaving their dW/dB sums in hf's partials and their input
+// gradients in dx.
+func (l *Conv2D) backwardHalf(hf *convHalf, dout, dx *tensor.Dense, lo, hi int) {
+	k := l.InC * l.KH * l.KW
+	tensor.Zero(hf.dwPart)
+	tensor.Zero(hf.dbPart)
+	for s := lo; s < hi; s++ {
+		hf.seg.Data = dout.Row(s)
+		l.im2col(l.x.Row(s), hf.cols)
+		// dW += dOut·colsᵀ, computed as (cols·dOutᵀ)ᵀ: MatMulBTInto packs
+		// its second operand, and dOut is k/OutC times smaller than cols.
+		// Each element is the same ascending-p sum of the same products.
+		tensor.MatMulBTInto(hf.dwT, hf.cols, &hf.seg)
+		for oc := 0; oc < l.OutC; oc++ {
+			dw := hf.dwPart[oc*k : (oc+1)*k]
+			for i := range dw {
+				dw[i] += hf.dwT.Data[i*l.OutC+oc]
+			}
+			hf.dbPart[oc] += tensor.Sum(hf.seg.Row(oc))
+		}
+		// dcols = Wᵀ·dOut, scattered back to image space
+		tensor.MatMulATInto(hf.dcols, l.wview, &hf.seg)
+		l.col2im(hf.dcols, dx.Row(s))
+	}
 }
 
 // Params returns [W, B].

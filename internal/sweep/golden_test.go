@@ -4,12 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
 	"fedwcm/internal/fl"
 	"fedwcm/internal/fl/methods"
 	"fedwcm/internal/scenario"
+	"fedwcm/internal/tensor"
 )
 
 // goldenSpec is the shared fixture: a deliberately small but fully featured
@@ -130,6 +132,52 @@ func TestGoldenHistoriesBitIdentical(t *testing.T) {
 		t.Run(method, func(t *testing.T) {
 			runGolden(t, goldenSpec(method), want)
 		})
+	}
+}
+
+// goldenCNNSpec is the image-path fixture: ResNetLite on cifar10-img, so the
+// convolution kernels, their batch reduction and the 2-D BatchNorm sit under
+// a tier-1 pin like the MLP path does. Batch size 9 gives the backward
+// reduction two unequal halves and the epoch a short last batch.
+func goldenCNNSpec(method string) RunSpec {
+	return RunSpec{
+		Dataset:   "cifar10-img",
+		Method:    method,
+		Beta:      0.3,
+		IF:        0.2,
+		Partition: "equal",
+		Clients:   4,
+		Model:     "resnet",
+		Scale:     0.2,
+		Cfg: fl.Config{
+			Rounds: 3, SampleClients: 3, LocalEpochs: 1, BatchSize: 9,
+			EtaL: 0.05, EtaG: 1, Seed: 7, EvalEvery: 1, Workers: 1,
+		},
+	}
+}
+
+// goldenCNNHistories were recorded on the commit before Conv2D's reduction
+// order was fixed, at tensor.SetMaxWorkers(2) — the only setting at which
+// that commit was reproducible (it gave other digests at 1 worker and
+// run-to-run different ones from 3 up), and the reduction tree the frozen
+// bench/golden.json was recorded with. They prove fixing the order moved
+// no bit.
+var goldenCNNHistories = map[string]string{
+	"fedavg": "f30a529ab23ed21d5d13a7eaed6c6db37013b1630bb6673f602642386f725c14",
+	"fedwcm": "ded0c1bb62e70e04dc88df0b4bb53fd712909d615d8549dcb15914d1d17c950b",
+}
+
+// TestGoldenCNNHistoriesBitIdentical pins the image path and requires the
+// pin to hold whatever parallelism the kernels are given: a history is
+// addressed by its spec, so it cannot depend on the host's core count.
+func TestGoldenCNNHistoriesBitIdentical(t *testing.T) {
+	for method, want := range goldenCNNHistories {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/kernel-workers=%d", method, workers), func(t *testing.T) {
+				defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(workers))
+				runGolden(t, goldenCNNSpec(method), want)
+			})
+		}
 	}
 }
 

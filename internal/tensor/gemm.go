@@ -17,14 +17,19 @@ import "sync"
 // Layout: gemmBlock computes dst[r][c] += Σ_p a[r][p]·b[p][c] over
 // row-major operands with explicit element strides, split into mr×nr
 // micro-tiles whose accumulators live in registers. On amd64 with AVX the
-// micro-kernel is hand-written assembly (4 rows × 8 columns of float64);
-// elsewhere, and on edge tiles, a pure-Go register-tiled kernel with the
-// same accumulation order runs instead.
+// micro-kernel is hand-written assembly (4 rows × 8 columns of float64, and
+// a 4×4 one for a column remainder of four or more); elsewhere, and on the
+// remaining edge tiles, a pure-Go register-tiled kernel with the same
+// accumulation order runs instead.
 
 // gemmMR×gemmNR is the micro-tile shape: 4×8 doubles = 8 YMM accumulators.
+// A column remainder of gemmNRHalf or more takes one half-width AVX tile
+// (4×4, one YMM per row) before the scalar edge loops: the 6×6 feature maps
+// (36 columns) would otherwise leave a ninth of every product to them.
 const (
-	gemmMR = 4
-	gemmNR = 8
+	gemmMR     = 4
+	gemmNR     = 8
+	gemmNRHalf = 4
 )
 
 // gemmBlock computes dst += A·B for rows [0, n): B is k×m with row stride
@@ -44,8 +49,15 @@ func gemmBlock(dst []float64, ldc int, a []float64, lda, astep int, b []float64,
 		for j := 0; j < mFull; j += gemmNR {
 			gemmKernel(dst[i*ldc+j:], ldc, a[i*lda:], lda, astep, b[j:], ldb, k)
 		}
-		if mFull < m {
-			gemmEdge(dst[i*ldc+mFull:], ldc, a[i*lda:], lda, astep, b[mFull:], ldb, gemmMR, k, m-mFull)
+		j := mFull
+		if hasAVX && m-j >= gemmNRHalf {
+			// Same bounds argument as gemmKernel: a full 4-row strip and at
+			// least four columns left.
+			gemmKernel4x4AVX(&dst[i*ldc+j], &a[i*lda], &b[j], int64(ldc), int64(lda), int64(astep), int64(ldb), int64(k))
+			j += gemmNRHalf
+		}
+		if j < m {
+			gemmEdge(dst[i*ldc+j:], ldc, a[i*lda:], lda, astep, b[j:], ldb, gemmMR, k, m-j)
 		}
 	}
 	if nFull < n {

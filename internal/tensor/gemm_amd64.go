@@ -6,6 +6,9 @@ package tensor
 func gemmKernel4x8AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
 
 //go:noescape
+func gemmKernel4x4AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
+
+//go:noescape
 func axpyBlocksAVX(dst, x *float64, alpha float64, blocks int64)
 
 //go:noescape

@@ -100,6 +100,79 @@ gemmloop:
 	VZEROUPPER
 	RET
 
+// func gemmKernel4x4AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
+//
+// dst[4][4] += A[4][k]·B[k][4]: the 4×8 kernel above at half width, one YMM
+// accumulator per row (Y0-Y3). gemmBlock runs it on a column remainder of
+// 4-7 so those columns do not fall to the scalar edge loops. Addressing,
+// the separate VMULPD/VADDPD and the ascending-k order are the same.
+TEXT ·gemmKernel4x4AVX(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ ldc+24(FP), CX
+	MOVQ lda+32(FP), R8
+	MOVQ astep+40(FP), R14
+	MOVQ ldb+48(FP), R9
+	MOVQ k+56(FP), R10
+	SHLQ $3, CX // strides: elements → bytes
+	SHLQ $3, R8
+	SHLQ $3, R14
+	SHLQ $3, R9
+
+	// A row pointers: SI, R11, R12, R13.
+	LEAQ (SI)(R8*1), R11
+	LEAQ (SI)(R8*2), R12
+	LEAQ (R11)(R8*2), R13
+
+	// Load the 4×4 C tile into Y0-Y3.
+	MOVQ    DI, AX
+	VMOVUPD (AX), Y0
+	ADDQ    CX, AX
+	VMOVUPD (AX), Y1
+	ADDQ    CX, AX
+	VMOVUPD (AX), Y2
+	ADDQ    CX, AX
+	VMOVUPD (AX), Y3
+
+gemm4loop:
+	VMOVUPD (DX), Y8
+
+	VBROADCASTSD (SI), Y4
+	VMULPD       Y8, Y4, Y4
+	VADDPD       Y4, Y0, Y0
+
+	VBROADCASTSD (R11), Y5
+	VMULPD       Y8, Y5, Y5
+	VADDPD       Y5, Y1, Y1
+
+	VBROADCASTSD (R12), Y6
+	VMULPD       Y8, Y6, Y6
+	VADDPD       Y6, Y2, Y2
+
+	VBROADCASTSD (R13), Y7
+	VMULPD       Y8, Y7, Y7
+	VADDPD       Y7, Y3, Y3
+
+	ADDQ R14, SI
+	ADDQ R14, R11
+	ADDQ R14, R12
+	ADDQ R14, R13
+	ADDQ R9, DX
+	DECQ R10
+	JNZ  gemm4loop
+
+	// Store the tile back.
+	VMOVUPD Y0, (DI)
+	ADDQ    CX, DI
+	VMOVUPD Y1, (DI)
+	ADDQ    CX, DI
+	VMOVUPD Y2, (DI)
+	ADDQ    CX, DI
+	VMOVUPD Y3, (DI)
+	VZEROUPPER
+	RET
+
 // func axpyBlocksAVX(dst, x *float64, alpha float64, blocks int64)
 // dst[i] += alpha*x[i] over blocks×4 elements.
 TEXT ·axpyBlocksAVX(SB), NOSPLIT, $0-32

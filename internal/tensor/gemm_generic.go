@@ -10,6 +10,8 @@ func gemmKernel(dst []float64, ldc int, a []float64, lda, astep int, b []float64
 	gemmKernelGo(dst, ldc, a, lda, astep, b, ldb, k)
 }
 
+func gemmKernel4x4AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64) { panic("tensor: no AVX") }
+
 func axpyBlocksAVX(dst, x *float64, alpha float64, blocks int64) { panic("tensor: no AVX") }
 
 func addVecBlocksAVX(dst, x *float64, blocks int64) { panic("tensor: no AVX") }

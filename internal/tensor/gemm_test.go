@@ -51,6 +51,19 @@ var gemmShapes = [][3]int{
 	{16, 27, 144}, {10, 64, 1}, // conv im2col, matvec-like
 }
 
+// Column counts ≡ 4…7 (mod 8) take the 4×4 remainder tile and then leave
+// 0…3 columns to the scalar edge; inner sizes 1, 27 and 144 are the
+// shortest sum and the conv layers' own. Each pair appears with the inner
+// size second (MatMul, MatMulBT) and first (MatMulAT), over 6 rows: one
+// 4-row strip plus leftover rows that never reach the tile.
+func init() {
+	for _, m := range []int{4, 5, 6, 7, 12, 13, 14, 15, 36, 39} {
+		for _, k := range []int{1, 27, 144} {
+			gemmShapes = append(gemmShapes, [3]int{6, k, m}, [3]int{k, 6, m})
+		}
+	}
+}
+
 func TestMatMulIntoMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, s := range gemmShapes {
@@ -87,6 +100,56 @@ func TestMatMulATIntoMatchesReference(t *testing.T) {
 		want := NewDense(r, c)
 		matmulATRange(want, a, b, 0, r)
 		bitsEqual(t, "MatMulATInto", got, want)
+	}
+}
+
+// TestMatMulBTSwappedIsTranspose pins the identity Conv2D.Backward rests on:
+// dOut·colsᵀ accumulated into dW equals (cols·dOutᵀ)ᵀ accumulated into dW,
+// bit for bit — the products commute, the sums ascend the same index, and
+// each element is followed by the same single add. Shapes are the per-sample
+// ones ResNetLite runs at width 8 (OutC, p, k).
+func TestMatMulBTSwappedIsTranspose(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, s := range [][3]int{{8, 144, 27}, {8, 144, 72}, {16, 36, 72}, {16, 36, 144}, {3, 35, 50}} {
+		outC, p, k := s[0], s[1], s[2]
+		dout, cols := randDenseMixed(rng, outC, p), randDenseMixed(rng, k, p)
+		want, got := randDenseMixed(rng, outC, k), NewDense(outC, k)
+		copy(got.Data, want.Data)
+
+		dw := NewDense(outC, k)
+		matmulBTRange(dw, dout, cols, 0, outC)
+		AddVec(want.Data, dw.Data)
+
+		dwT := NewDense(k, outC)
+		MatMulBTInto(dwT, cols, dout)
+		for oc := 0; oc < outC; oc++ {
+			for i := 0; i < k; i++ {
+				got.Data[oc*k+i] += dwT.Data[i*outC+oc]
+			}
+		}
+		bitsEqual(t, "dW via dWᵀ", got, want)
+	}
+}
+
+// TestMatMulIntoAllocFree: below the parallel threshold the *Into variants
+// must not allocate — a conv layer calls them three times per sample.
+func TestMatMulIntoAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("MatMulBTInto's panel pool allocates under -race")
+	}
+	prev := SetMaxWorkers(2)
+	defer SetMaxWorkers(prev)
+	const n, k, m = 8, 72, 144 // ResNetLite stage-1 body conv, per sample
+	a, b, bt, c := NewDense(n, k), NewDense(k, m), NewDense(m, k), NewDense(n, m)
+	dst, dstAT := NewDense(n, m), NewDense(k, m)
+	for name, fn := range map[string]func(){
+		"MatMulInto":   func() { MatMulInto(dst, a, b) },
+		"MatMulBTInto": func() { MatMulBTInto(dst, a, bt) },
+		"MatMulATInto": func() { MatMulATInto(dstAT, a, c) },
+	} {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, allocs)
+		}
 	}
 }
 

@@ -59,15 +59,17 @@ func MatMulInto(dst, a, b *Dense) {
 	}
 	Zero(dst.Data)
 	n, k, m := a.R, a.C, b.C
-	tiled := func(lo, hi int) {
-		gemmBlock(dst.Data[lo*m:], m, a.Data[lo*k:], k, 1, b.Data, m, hi-lo, k, m)
-	}
+	// The serial branch calls gemmBlock directly: a chunk closure built
+	// before the branch escapes through ParallelFor and costs every call an
+	// allocation, parallel or not.
 	minRows := rowsForFlops(n, k, m)
 	if serialFor(n, minRows) {
-		tiled(0, n)
+		gemmBlock(dst.Data, m, a.Data, k, 1, b.Data, m, n, k, m)
 		return
 	}
-	ParallelFor(n, minRows, tiled)
+	ParallelFor(n, minRows, func(lo, hi int) {
+		gemmBlock(dst.Data[lo*m:], m, a.Data[lo*k:], k, 1, b.Data, m, hi-lo, k, m)
+	})
 }
 
 // MatMulBT returns A·Bᵀ, where B is given untransposed (m×k against A n×k).
@@ -106,14 +108,13 @@ func MatMulBTInto(dst, a, b *Dense) {
 	panel := getPanel(k * m)
 	packTranspose(*panel, b.Data, m, k) // b (m×k) → panel (k×m)
 	bp := *panel
-	tiled := func(lo, hi int) {
-		gemmBlock(dst.Data[lo*m:], m, a.Data[lo*k:], k, 1, bp, m, hi-lo, k, m)
-	}
 	minRows := rowsForFlops(n, k, m)
 	if serialFor(n, minRows) {
-		tiled(0, n)
+		gemmBlock(dst.Data, m, a.Data, k, 1, bp, m, n, k, m)
 	} else {
-		ParallelFor(n, minRows, tiled)
+		ParallelFor(n, minRows, func(lo, hi int) {
+			gemmBlock(dst.Data[lo*m:], m, a.Data[lo*k:], k, 1, bp, m, hi-lo, k, m)
+		})
 	}
 	putPanel(panel)
 }
@@ -160,15 +161,14 @@ func MatMulATInto(dst, a, b *Dense) {
 	if n == 0 || r == 0 || c == 0 {
 		return
 	}
-	tiled := func(lo, hi int) {
-		gemmBlock(dst.Data[lo*c:], c, a.Data[lo:], 1, r, b.Data, c, hi-lo, n, c)
-	}
 	minRows := rowsForFlops(r, n, c)
 	if serialFor(r, minRows) {
-		tiled(0, r)
-	} else {
-		ParallelFor(r, minRows, tiled)
+		gemmBlock(dst.Data, c, a.Data, 1, r, b.Data, c, r, n, c)
+		return
 	}
+	ParallelFor(r, minRows, func(lo, hi int) {
+		gemmBlock(dst.Data[lo*c:], c, a.Data[lo:], 1, r, b.Data, c, hi-lo, n, c)
+	})
 }
 
 // MatVec returns A·x for a length-C vector x.
