@@ -89,6 +89,7 @@ func benchLocalEnv(b *testing.B) (*fl.Env, *fl.ClientCtx) {
 func BenchmarkClientLocalRound(b *testing.B) {
 	_, ctx := benchLocalEnv(b)
 	mom := make([]float64, len(ctx.Global))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx.Net.SetVector(ctx.Global)
@@ -229,13 +230,22 @@ func BenchmarkMatMulShapes(b *testing.B) {
 		n, k, m int
 		conv    bool
 	}
-	// The conv rows are the per-sample products of ResNetLite at the width
-	// sweep.ModelFor builds (8) on 12×12 inputs: OutC × InC·9 × OutH·OutW.
-	// The 36-column ones leave a 4-column remainder after the 8-wide tiles.
+	// The MLP rows come at three batch sizes: 32 rows (whole 4-row strips
+	// only), the presets' 50 (twelve strips and two leftover rows) and a
+	// tail client's 3 (leftover rows only). The conv rows are the per-sample
+	// products of ResNetLite at the width sweep.ModelFor builds (8) on 12×12
+	// inputs: OutC × InC·9 × OutH·OutW. The 36-column ones leave a 4-column
+	// remainder after the 8-wide tiles.
 	shapes := []shape{
-		{"mlp_48x64", 32, 48, 64, false},      // hidden layer 1
-		{"mlp_64x32", 32, 64, 32, false},      // hidden layer 2
-		{"mlp_32x10", 32, 32, 10, false},      // classifier (edge tiles: 10 cols)
+		{"mlp_48x64", 32, 48, 64, false}, // hidden layer 1
+		{"mlp_64x32", 32, 64, 32, false}, // hidden layer 2
+		{"mlp_32x10", 32, 32, 10, false}, // classifier (edge tiles: 10 cols)
+		{"mlp_48x64_rows50", 50, 48, 64, false},
+		{"mlp_64x32_rows50", 50, 64, 32, false},
+		{"mlp_32x10_rows50", 50, 32, 10, false},
+		{"mlp_48x64_rows3", 3, 48, 64, false},
+		{"mlp_64x32_rows3", 3, 64, 32, false},
+		{"mlp_32x10_rows3", 3, 32, 10, false},
 		{"conv_8x27x144", 8, 27, 144, true},   // stem
 		{"conv_8x72x144", 8, 72, 144, true},   // stage-1 body conv
 		{"conv_16x72x36", 16, 72, 36, true},   // stride-2 downsampling conv

@@ -89,7 +89,6 @@ func RunLocalSGD(ctx *ClientCtx, opts LocalOpts) *ClientResult {
 
 	net := ctx.Net
 	gbuf := scratch.gbuf
-	dir := scratch.dir
 	var xcur []float64
 	if opts.ProxMu > 0 {
 		xcur = scratch.proxBuf()
@@ -132,7 +131,7 @@ func RunLocalSGD(ctx *ClientCtx, opts LocalOpts) *ClientResult {
 				}
 			}
 		}
-		net.Backward(dl)
+		net.BackwardParams(dl)
 		net.GradVectorInto(gbuf)
 		return l
 	}
@@ -191,10 +190,10 @@ local:
 			if opts.Correction != nil {
 				tensor.AddVec(gbuf, opts.Correction)
 			}
+			dir := gbuf
 			if useMomentum {
+				dir = scratch.dir
 				tensor.Lerp(dir, opts.Alpha, gbuf, opts.Momentum)
-			} else {
-				copy(dir, gbuf)
 			}
 			net.StepVec(lr, dir)
 			steps++

@@ -296,6 +296,14 @@ func (l *Conv2D) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 }
 
 // Backward accumulates weight/bias gradients and returns the input gradient.
+func (l *Conv2D) Backward(dout *tensor.Dense) *tensor.Dense { return l.backward(dout, true) }
+
+// backwardParams accumulates weight/bias gradients only: the same pass
+// with the Wᵀ·dOut product, col2im and the zeroed dx workspace skipped.
+func (l *Conv2D) backwardParams(dout *tensor.Dense) { l.backward(dout, false) }
+
+// backward is the one pass behind Backward and backwardParams; without
+// wantDx it returns nil.
 //
 // The batch is always reduced as two halves split at ⌈n/2⌉: each half sums
 // its samples' dW and dB in ascending order into its own partial, and the
@@ -304,12 +312,15 @@ func (l *Conv2D) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 // recorded golden encodes; fixing it makes the bits independent of the
 // host. ParallelFor(2, 1, ·) only decides whether the halves overlap in
 // time.
-func (l *Conv2D) Backward(dout *tensor.Dense) *tensor.Dense {
+func (l *Conv2D) backward(dout *tensor.Dense, wantDx bool) *tensor.Dense {
 	if l.x == nil {
 		panic("nn: Conv2D Backward before Forward")
 	}
 	n := l.x.R
-	dx := l.bwd.getZeroed(n, l.x.C) // col2im scatter-adds: must start clean
+	var dx *tensor.Dense
+	if wantDx {
+		dx = l.bwd.getZeroed(n, l.x.C) // col2im scatter-adds: must start clean
+	}
 	if l.half[0].cols == nil {
 		k, p := l.InC*l.KH*l.KW, l.OutH*l.OutW
 		for h := range l.half {
@@ -337,8 +348,8 @@ func (l *Conv2D) Backward(dout *tensor.Dense) *tensor.Dense {
 }
 
 // backwardHalf runs samples [lo, hi) of the batch through the backward
-// products, leaving their dW/dB sums in hf's partials and their input
-// gradients in dx.
+// products, leaving their dW/dB sums in hf's partials and, unless dx is
+// nil, their input gradients in dx.
 func (l *Conv2D) backwardHalf(hf *convHalf, dout, dx *tensor.Dense, lo, hi int) {
 	k := l.InC * l.KH * l.KW
 	tensor.Zero(hf.dwPart)
@@ -356,6 +367,9 @@ func (l *Conv2D) backwardHalf(hf *convHalf, dout, dx *tensor.Dense, lo, hi int) 
 				dw[i] += hf.dwT.Data[i*l.OutC+oc]
 			}
 			hf.dbPart[oc] += tensor.Sum(hf.seg.Row(oc))
+		}
+		if dx == nil {
+			continue
 		}
 		// dcols = Wᵀ·dOut, scattered back to image space
 		tensor.MatMulATInto(hf.dcols, l.wview, &hf.seg)

@@ -51,11 +51,11 @@ func (l *Linear) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	return out
 }
 
-// Backward accumulates dW = Xᵀ·dY, db = Σ rows(dY) and returns dX = dY·Wᵀ.
-// Gradient contributions are computed into scratch buffers and then added,
+// backwardParams accumulates dW = Xᵀ·dY and db = Σ rows(dY). Gradient
+// contributions are computed into scratch buffers and then added,
 // preserving the summation order (and hence the bits) of the allocating
 // implementation.
-func (l *Linear) Backward(dout *tensor.Dense) *tensor.Dense {
+func (l *Linear) backwardParams(dout *tensor.Dense) {
 	if l.x == nil {
 		panic("nn: Linear Backward before Forward")
 	}
@@ -65,6 +65,11 @@ func (l *Linear) Backward(dout *tensor.Dense) *tensor.Dense {
 	db := l.db.get(l.Out)
 	dout.ColSumsInto(db)
 	tensor.AddVec(l.B.Grad, db)
+}
+
+// Backward accumulates the parameter gradients and returns dX = dY·Wᵀ.
+func (l *Linear) Backward(dout *tensor.Dense) *tensor.Dense {
+	l.backwardParams(dout)
 	dx := l.bwd.get(dout.R, l.In)
 	tensor.MatMulBTInto(dx, dout, l.wview)
 	return dx

@@ -54,6 +54,26 @@ func (n *Network) DeltaInto(dst, ref []float64) {
 	}
 }
 
+// BackwardParams is Backward for callers that want only the parameter
+// gradients — a training step, which has no use for d(loss)/d(input data).
+// Every layer but the first runs Backward as always; the first runs its
+// backwardParams when it has one (Linear, Conv2D), skipping the product
+// that would have formed the input gradient, and plain Backward otherwise.
+// Every Param.Grad ends bit-identical to Backward's.
+func (n *Network) BackwardParams(dout *tensor.Dense) {
+	if len(n.Layers) == 0 {
+		return
+	}
+	for i := len(n.Layers) - 1; i > 0; i-- {
+		dout = n.Layers[i].Backward(dout)
+	}
+	if l, ok := n.Layers[0].(interface{ backwardParams(*tensor.Dense) }); ok {
+		l.backwardParams(dout)
+	} else {
+		n.Layers[0].Backward(dout)
+	}
+}
+
 // GradVector copies all gradients into a fresh flat vector.
 func (n *Network) GradVector() []float64 {
 	return FlattenGrads(n.params, make([]float64, n.NumParams()))

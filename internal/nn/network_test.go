@@ -133,6 +133,39 @@ func TestZeroGrad(t *testing.T) {
 	}
 }
 
+// TestBackwardParamsMatchesBackward: the training step's backward pass
+// leaves every Param.Grad bit-identical to the full one — for first layers
+// that skip their input gradient (Linear, Conv2D) and for one that cannot
+// (BatchNorm, the fallback), at batch sizes that are all leftover rows, and
+// on a second pass that accumulates into the first one's non-zero Grad.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	builds := map[string]func() *Network{
+		"mlp":        func() *Network { return NewMLP(1, 48, []int{64, 32}, 10, false) },
+		"mlp-bn":     func() *Network { return NewMLP(1, 48, []int{64, 32}, 10, true) },
+		"softmax":    func() *Network { return NewSoftmaxRegression(1, 48, 10) },
+		"resnetlite": func() *Network { return NewResNetLite(1, 3, 4, 4, 10, 4) },
+		"bn-first": func() *Network {
+			return WrapNetwork(48, 10, NewBatchNorm(48, 1), NewLinearXavier(xrand.New(1), 48, 10))
+		},
+	}
+	for name, build := range builds {
+		for _, n := range []int{1, 3, 50} {
+			full, params := build(), build()
+			for pass := 0; pass < 2; pass++ {
+				x := randSigned(uint64(10*n+pass), n, full.InDim)
+				labels := randLabels(uint64(n+pass), n, full.Classes)
+				_, dl := loss.CrossEntropy{}.LossAndGrad(full.Forward(x, true), labels)
+				full.Backward(dl)
+				_, dl = loss.CrossEntropy{}.LossAndGrad(params.Forward(x, true), labels)
+				params.BackwardParams(dl)
+				for i, p := range full.Params() {
+					sameBits(t, name+" "+p.Name, params.Params()[i].Grad, p.Grad)
+				}
+			}
+		}
+	}
+}
+
 // TestMLPOverfitsTinyDataset is the classic smoke test: a small MLP trained
 // by plain SGD must drive training accuracy to 100% on a separable toy set.
 func TestMLPOverfitsTinyDataset(t *testing.T) {

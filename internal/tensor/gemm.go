@@ -2,7 +2,7 @@ package tensor
 
 import "sync"
 
-// Cache-blocked, register-tiled GEMM shared by the three matmul variants.
+// Register-tiled GEMM shared by the three matmul variants.
 //
 // The kernel contract that keeps golden histories bit-identical: every
 // output element accumulates its k products in ascending-k order, exactly
@@ -15,19 +15,26 @@ import "sync"
 // ±0 products is a bit-exact no-op. See DESIGN.md "Kernels & wire format".)
 //
 // Layout: gemmBlock computes dst[r][c] += Σ_p a[r][p]·b[p][c] over
-// row-major operands with explicit element strides, split into mr×nr
-// micro-tiles whose accumulators live in registers. On amd64 with AVX the
-// micro-kernel is hand-written assembly (4 rows × 8 columns of float64, and
-// a 4×4 one for a column remainder of four or more); elsewhere, and on the
-// remaining edge tiles, a pure-Go register-tiled kernel with the same
-// accumulation order runs instead.
+// row-major operands with explicit element strides, four rows at a time,
+// each strip split into micro-tiles whose accumulators live in registers.
+// Nothing is cache-blocked (the operands of every product the models run
+// fit in L2) and only A·Bᵀ packs an operand. On amd64 the micro-kernels
+// are hand-written assembly — 4 rows × 16 columns of float64 with AVX-512,
+// 4×8 with AVX, and a 4×4 one for a column remainder of four or more;
+// elsewhere a pure-Go register-tiled 4×8 kernel with the same accumulation
+// order runs instead. Columns past the last tile take a scalar loop over
+// the same four rows, and rows past the last full strip are padded to a
+// strip of their own (gemmTailRows), so no row count runs scalar code.
 
 // gemmMR×gemmNR is the micro-tile shape: 4×8 doubles = 8 YMM accumulators.
-// A column remainder of gemmNRHalf or more takes one half-width AVX tile
-// (4×4, one YMM per row) before the scalar edge loops: the 6×6 feature maps
-// (36 columns) would otherwise leave a ninth of every product to them.
+// With AVX-512 a strip takes its columns gemmNRWide at a time first (the
+// same tile in 8 ZMM accumulators). A column remainder of gemmNRHalf or
+// more takes one half-width AVX tile (4×4, one YMM per row) before the
+// scalar edge loop: the 6×6 feature maps (36 columns) would otherwise leave
+// a ninth of every product to it.
 const (
 	gemmMR     = 4
+	gemmNRWide = 16
 	gemmNR     = 8
 	gemmNRHalf = 4
 )
@@ -44,67 +51,88 @@ func gemmBlock(dst []float64, ldc int, a []float64, lda, astep int, b []float64,
 		return
 	}
 	nFull := n - n%gemmMR
-	mFull := m - m%gemmNR
 	for i := 0; i < nFull; i += gemmMR {
-		for j := 0; j < mFull; j += gemmNR {
-			gemmKernel(dst[i*ldc+j:], ldc, a[i*lda:], lda, astep, b[j:], ldb, k)
-		}
-		j := mFull
-		if hasAVX && m-j >= gemmNRHalf {
-			// Same bounds argument as gemmKernel: a full 4-row strip and at
-			// least four columns left.
-			gemmKernel4x4AVX(&dst[i*ldc+j], &a[i*lda], &b[j], int64(ldc), int64(lda), int64(astep), int64(ldb), int64(k))
-			j += gemmNRHalf
-		}
-		if j < m {
-			gemmEdge(dst[i*ldc+j:], ldc, a[i*lda:], lda, astep, b[j:], ldb, gemmMR, k, m-j)
-		}
+		gemmStrip(dst[i*ldc:], ldc, a[i*lda:], lda, astep, b, ldb, k, m)
 	}
 	if nFull < n {
-		gemmEdge(dst[nFull*ldc:], ldc, a[nFull*lda:], lda, astep, b, ldb, n-nFull, k, m)
+		gemmTailRows(dst[nFull*ldc:], ldc, a[nFull*lda:], lda, astep, b, ldb, n-nFull, k, m)
 	}
 }
 
-// gemmEdge handles partial tiles (rows < gemmMR or cols < gemmNR) with the
-// same per-element ascending-k accumulation as the micro-kernel. Full
-// 4-row strips keep their four accumulators in locals and share each B
-// element across the strip; leftover rows fall back to plain dots.
-func gemmEdge(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, rows, k, cols int) {
-	i := 0
-	for ; i+gemmMR <= rows; i += gemmMR {
-		a0 := a[i*lda:]
-		a1 := a[(i+1)*lda:]
-		a2 := a[(i+2)*lda:]
-		a3 := a[(i+3)*lda:]
-		d := dst[i*ldc:]
-		for j := 0; j < cols; j++ {
-			c0, c1, c2, c3 := d[j], d[ldc+j], d[2*ldc+j], d[3*ldc+j]
-			bi, ai := j, 0
-			for p := 0; p < k; p++ {
-				bv := b[bi]
-				c0 += a0[ai] * bv
-				c1 += a1[ai] * bv
-				c2 += a2[ai] * bv
-				c3 += a3[ai] * bv
-				bi += ldb
-				ai += astep
-			}
-			d[j], d[ldc+j], d[2*ldc+j], d[3*ldc+j] = c0, c1, c2, c3
+// gemmStrip computes one full gemmMR-row strip of gemmBlock. The tile width
+// is chosen by the columns that remain and the CPU alone: 16 while at least
+// 16 remain (AVX-512), then 8, then one 4×4 tile (AVX), then the scalar
+// edge. Columns are independent elements, so the width cannot change a bit.
+// The assembly kernels touch C through 3·ldc+width, A through
+// 3·lda+(k-1)·astep+1 and B through (k-1)·ldb+width — inside the caller's
+// slices because the strip is full and the tile fits the remaining columns.
+func gemmStrip(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, k, m int) {
+	j := 0
+	if hasAVX512 {
+		for ; m-j >= gemmNRWide; j += gemmNRWide {
+			gemmKernel4x16AVX512(&dst[j], &a[0], &b[j], int64(ldc), int64(lda), int64(astep), int64(ldb), int64(k))
 		}
 	}
-	for ; i < rows; i++ {
-		arow := a[i*lda:]
-		crow := dst[i*ldc : i*ldc+cols]
-		for j := 0; j < cols; j++ {
-			s := crow[j]
-			bi, ai := j, 0
-			for p := 0; p < k; p++ {
-				s += arow[ai] * b[bi]
-				bi += ldb
-				ai += astep
-			}
-			crow[j] = s
+	for ; m-j >= gemmNR; j += gemmNR {
+		gemmKernel(dst[j:], ldc, a, lda, astep, b[j:], ldb, k)
+	}
+	if hasAVX && m-j >= gemmNRHalf {
+		gemmKernel4x4AVX(&dst[j], &a[0], &b[j], int64(ldc), int64(lda), int64(astep), int64(ldb), int64(k))
+		j += gemmNRHalf
+	}
+	if j < m {
+		gemmEdge(dst[j:], ldc, a, lda, astep, b[j:], ldb, k, m-j)
+	}
+}
+
+// gemmTailRows computes the rows (fewer than gemmMR) past the last full
+// strip: it copies them, and their dst rows, into one zero-padded strip in
+// a pooled panel, runs gemmStrip on it and copies the real rows back. An
+// element's sum starts from the same value and adds the same products in
+// the same order as it would in place — the padded rows never enter it —
+// so every bit, the sign of a zero included, is what a scalar dot gives;
+// the padding costs up to 4× the arithmetic at ≈ 16× the speed.
+func gemmTailRows(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, rows, k, m int) {
+	panel := getPanel(gemmMR * (k + m))
+	ap, cp := (*panel)[:gemmMR*k], (*panel)[gemmMR*k:]
+	for r := 0; r < rows; r++ {
+		arow, prow := a[r*lda:], ap[r*k:(r+1)*k]
+		for p := range prow {
+			prow[p] = arow[p*astep]
 		}
+		copy(cp[r*m:(r+1)*m], dst[r*ldc:])
+	}
+	Zero(ap[rows*k:])
+	Zero(cp[rows*m:])
+	gemmStrip(cp, m, ap, k, 1, b, ldb, k, m)
+	for r := 0; r < rows; r++ {
+		copy(dst[r*ldc:r*ldc+m], cp[r*m:])
+	}
+	putPanel(panel)
+}
+
+// gemmEdge handles the columns of a strip past its last tile (fewer than
+// gemmNRHalf with AVX, than gemmNR without) with the same per-element
+// ascending-k accumulation as the micro-kernels: four accumulators in
+// locals, each B element shared across the strip's rows.
+func gemmEdge(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, k, cols int) {
+	a0 := a
+	a1 := a[lda:]
+	a2 := a[2*lda:]
+	a3 := a[3*lda:]
+	for j := 0; j < cols; j++ {
+		c0, c1, c2, c3 := dst[j], dst[ldc+j], dst[2*ldc+j], dst[3*ldc+j]
+		bi, ai := j, 0
+		for p := 0; p < k; p++ {
+			bv := b[bi]
+			c0 += a0[ai] * bv
+			c1 += a1[ai] * bv
+			c2 += a2[ai] * bv
+			c3 += a3[ai] * bv
+			bi += ldb
+			ai += astep
+		}
+		dst[j], dst[ldc+j], dst[2*ldc+j], dst[3*ldc+j] = c0, c1, c2, c3
 	}
 }
 
@@ -179,8 +207,8 @@ func gemmKernelGo(dst []float64, ldc int, a []float64, lda, astep int, b []float
 	r3[0], r3[1], r3[2], r3[3], r3[4], r3[5], r3[6], r3[7] = c30, c31, c32, c33, c34, c35, c36, c37
 }
 
-// packPool recycles transpose panels so the BT/AT paths stay allocation-free
-// in steady state.
+// packPool recycles the A·Bᵀ transpose panels and the padded tail strips so
+// the kernels stay allocation-free in steady state.
 var packPool = sync.Pool{New: func() any { s := make([]float64, 0, 4096); return &s }}
 
 func getPanel(n int) *[]float64 {

@@ -9,6 +9,9 @@ func gemmKernel4x8AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
 func gemmKernel4x4AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
 
 //go:noescape
+func gemmKernel4x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
+
+//go:noescape
 func axpyBlocksAVX(dst, x *float64, alpha float64, blocks int64)
 
 //go:noescape
@@ -25,6 +28,9 @@ func subVecBlocksAVX(dst, x *float64, blocks int64)
 
 //go:noescape
 func scaleBlocksAVX(dst *float64, alpha float64, blocks int64)
+
+//go:noescape
+func lerpBlocksAVX(dst, x, y *float64, a, b float64, blocks int64)
 
 //go:noescape
 func bnNormBlocksAVX(out, xmu, x, mean, gam, bet, inv *float64, blocks int64)
@@ -58,6 +64,21 @@ func detectAVX() bool {
 	}
 	eax, _ := xgetbvAsm()
 	return eax&0x6 == 0x6 // XMM and YMM state enabled by the OS
+}
+
+// hasAVX512 reports whether the 512-bit kernels may run: AVX as above, the
+// CPU has AVX-512F (CPUID.7.0:EBX bit 16), and the OS saves the opmask
+// registers and both halves of the ZMM state (XCR0 bits 5, 6, 7) on top of
+// XMM and YMM.
+var hasAVX512 = hasAVX && detectAVX512()
+
+func detectAVX512() bool {
+	if maxID, _, _, _ := cpuidAsm(0, 0); maxID < 7 {
+		return false
+	}
+	_, ebx, _, _ := cpuidAsm(7, 0)
+	eax, _ := xgetbvAsm()
+	return ebx&(1<<16) != 0 && eax&0xe6 == 0xe6
 }
 
 // gemmKernel computes one full gemmMR×gemmNR tile (see gemm.go for the

@@ -1,10 +1,10 @@
-// AVX micro-kernels for the float64 hot paths. Every kernel preserves the
-// per-element operation order of its pure-Go counterpart (see gemm.go):
-// multiplies and adds are emitted as separate VMULPD/VADDPD so no FMA
-// contraction changes rounding, and each output element accumulates in the
-// same sequence as the scalar loops — only independent elements are
-// processed in parallel. Results are therefore bit-identical to the Go
-// fallbacks on every input.
+// AVX micro-kernels (and one AVX-512 GEMM tile) for the float64 hot paths.
+// Every kernel preserves the per-element operation order of its pure-Go
+// counterpart (see gemm.go): multiplies and adds are emitted as separate
+// VMULPD/VADDPD so no FMA contraction changes rounding, and each output
+// element accumulates in the same sequence as the scalar loops — only
+// independent elements are processed in parallel. Results are therefore
+// bit-identical to the Go fallbacks on every input.
 
 #include "textflag.h"
 
@@ -103,7 +103,7 @@ gemmloop:
 // func gemmKernel4x4AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
 //
 // dst[4][4] += A[4][k]·B[k][4]: the 4×8 kernel above at half width, one YMM
-// accumulator per row (Y0-Y3). gemmBlock runs it on a column remainder of
+// accumulator per row (Y0-Y3). gemmStrip runs it on a column remainder of
 // 4-7 so those columns do not fall to the scalar edge loops. Addressing,
 // the separate VMULPD/VADDPD and the ascending-k order are the same.
 TEXT ·gemmKernel4x4AVX(SB), NOSPLIT, $0-64
@@ -170,6 +170,96 @@ gemm4loop:
 	VMOVUPD Y2, (DI)
 	ADDQ    CX, DI
 	VMOVUPD Y3, (DI)
+	VZEROUPPER
+	RET
+
+// func gemmKernel4x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
+//
+// dst[4][16] += A[4][k]·B[k][16]: the 4×8 kernel at twice the width, eight
+// ZMM accumulators (Z0-Z7, two per row). Per k step one 16-wide B row (Z8,
+// Z9), four broadcasts, separate VMULPD/VADDPD, ascending k. gemmStrip runs
+// it while at least 16 columns remain, on hosts where hasAVX512 holds.
+TEXT ·gemmKernel4x16AVX512(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ ldc+24(FP), CX
+	MOVQ lda+32(FP), R8
+	MOVQ astep+40(FP), R14
+	MOVQ ldb+48(FP), R9
+	MOVQ k+56(FP), R10
+	SHLQ $3, CX // strides: elements → bytes
+	SHLQ $3, R8
+	SHLQ $3, R14
+	SHLQ $3, R9
+
+	// A row pointers: SI, R11, R12, R13.
+	LEAQ (SI)(R8*1), R11
+	LEAQ (SI)(R8*2), R12
+	LEAQ (R11)(R8*2), R13
+
+	// Load the 4×16 C tile into Z0-Z7.
+	MOVQ    DI, AX
+	VMOVUPD (AX), Z0
+	VMOVUPD 64(AX), Z1
+	ADDQ    CX, AX
+	VMOVUPD (AX), Z2
+	VMOVUPD 64(AX), Z3
+	ADDQ    CX, AX
+	VMOVUPD (AX), Z4
+	VMOVUPD 64(AX), Z5
+	ADDQ    CX, AX
+	VMOVUPD (AX), Z6
+	VMOVUPD 64(AX), Z7
+
+gemm16loop:
+	VMOVUPD (DX), Z8
+	VMOVUPD 64(DX), Z9
+
+	VBROADCASTSD (SI), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z0, Z0
+	VMULPD       Z9, Z10, Z11
+	VADDPD       Z11, Z1, Z1
+
+	VBROADCASTSD (R11), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z2, Z2
+	VMULPD       Z9, Z10, Z11
+	VADDPD       Z11, Z3, Z3
+
+	VBROADCASTSD (R12), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z4, Z4
+	VMULPD       Z9, Z10, Z11
+	VADDPD       Z11, Z5, Z5
+
+	VBROADCASTSD (R13), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z6, Z6
+	VMULPD       Z9, Z10, Z11
+	VADDPD       Z11, Z7, Z7
+
+	ADDQ R14, SI
+	ADDQ R14, R11
+	ADDQ R14, R12
+	ADDQ R14, R13
+	ADDQ R9, DX
+	DECQ R10
+	JNZ  gemm16loop
+
+	// Store the tile back.
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	ADDQ    CX, DI
+	VMOVUPD Z2, (DI)
+	VMOVUPD Z3, 64(DI)
+	ADDQ    CX, DI
+	VMOVUPD Z4, (DI)
+	VMOVUPD Z5, 64(DI)
+	ADDQ    CX, DI
+	VMOVUPD Z6, (DI)
+	VMOVUPD Z7, 64(DI)
 	VZEROUPPER
 	RET
 
@@ -311,6 +401,31 @@ scaleloop:
 	ADDQ    $32, DI
 	DECQ    CX
 	JNZ     scaleloop
+	VZEROUPPER
+	RET
+
+// func lerpBlocksAVX(dst, x, y *float64, a, b float64, blocks int64)
+// dst[i] = a*x[i] + b*y[i] over blocks×4 elements: two products, one add.
+TEXT ·lerpBlocksAVX(SB), NOSPLIT, $0-48
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         y+16(FP), DX
+	VBROADCASTSD a+24(FP), Y0
+	VBROADCASTSD b+32(FP), Y1
+	MOVQ         blocks+40(FP), CX
+
+lerploop:
+	VMOVUPD (SI), Y2
+	VMULPD  Y2, Y0, Y2 // a*x
+	VMOVUPD (DX), Y3
+	VMULPD  Y3, Y1, Y3 // b*y
+	VADDPD  Y3, Y2, Y2
+	VMOVUPD Y2, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     lerploop
 	VZEROUPPER
 	RET
 

@@ -55,13 +55,47 @@ var gemmShapes = [][3]int{
 // 0…3 columns to the scalar edge; inner sizes 1, 27 and 144 are the
 // shortest sum and the conv layers' own. Each pair appears with the inner
 // size second (MatMul, MatMulBT) and first (MatMulAT), over 6 rows: one
-// 4-row strip plus leftover rows that never reach the tile.
+// 4-row strip plus two leftover rows for the padded strip.
+//
+// Then the leftover rows themselves: every remainder below, around and
+// far past one strip (50 is the preset batch) against the k×m of the MLP's
+// own products — forward and Aᵀ·B as (48,64) (64,32) (32,10), A·Bᵀ as their
+// mirrors — and against the widths at which a strip hands over from the
+// 16-wide tile to the 8-wide, the 4-wide and the scalar edge. The last two
+// shapes are large enough to split into four row chunks.
 func init() {
 	for _, m := range []int{4, 5, 6, 7, 12, 13, 14, 15, 36, 39} {
 		for _, k := range []int{1, 27, 144} {
 			gemmShapes = append(gemmShapes, [3]int{6, k, m}, [3]int{k, 6, m})
 		}
 	}
+	for _, n := range []int{1, 2, 3, 5, 6, 7, 49, 50, 51} {
+		for _, km := range [][2]int{{48, 64}, {64, 32}, {32, 10}, {64, 48}, {32, 64}, {10, 32}} {
+			gemmShapes = append(gemmShapes, [3]int{n, km[0], km[1]}, [3]int{km[0], n, km[1]})
+		}
+		for _, m := range []int{16, 17, 24, 31, 36, 144} {
+			gemmShapes = append(gemmShapes, [3]int{n, 9, m}, [3]int{9, n, m})
+		}
+	}
+	gemmShapes = append(gemmShapes, [3]int{51, 144, 144}, [3]int{144, 51, 144})
+}
+
+// eachWorkerCount runs fn at SetMaxWorkers 1 to 4: the row chunking of the
+// parallel branch decides how many chunks end in leftover rows.
+func eachWorkerCount(fn func()) {
+	defer SetMaxWorkers(SetMaxWorkers(1))
+	for w := 1; w <= 4; w++ {
+		SetMaxWorkers(w)
+		fn()
+	}
+}
+
+// nanDense returns an r×c matrix of NaN: an *Into call that leaves a row
+// unwritten — a tail strip not copied back — cannot pass for zero.
+func nanDense(r, c int) *Dense {
+	d := NewDense(r, c)
+	Fill(d.Data, math.NaN())
+	return d
 }
 
 func TestMatMulIntoMatchesReference(t *testing.T) {
@@ -69,11 +103,13 @@ func TestMatMulIntoMatchesReference(t *testing.T) {
 	for _, s := range gemmShapes {
 		n, k, m := s[0], s[1], s[2]
 		a, b := randDenseMixed(rng, n, k), randDenseMixed(rng, k, m)
-		got := NewDense(n, m)
-		MatMulInto(got, a, b)
 		want := NewDense(n, m)
 		matmulRange(want, a, b, 0, n)
-		bitsEqual(t, "MatMulInto", got, want)
+		eachWorkerCount(func() {
+			got := nanDense(n, m)
+			MatMulInto(got, a, b)
+			bitsEqual(t, "MatMulInto", got, want)
+		})
 	}
 }
 
@@ -82,11 +118,13 @@ func TestMatMulBTIntoMatchesReference(t *testing.T) {
 	for _, s := range gemmShapes {
 		n, k, m := s[0], s[1], s[2]
 		a, b := randDenseMixed(rng, n, k), randDenseMixed(rng, m, k)
-		got := NewDense(n, m)
-		MatMulBTInto(got, a, b)
 		want := NewDense(n, m)
 		matmulBTRange(want, a, b, 0, n)
-		bitsEqual(t, "MatMulBTInto", got, want)
+		eachWorkerCount(func() {
+			got := nanDense(n, m)
+			MatMulBTInto(got, a, b)
+			bitsEqual(t, "MatMulBTInto", got, want)
+		})
 	}
 }
 
@@ -95,11 +133,44 @@ func TestMatMulATIntoMatchesReference(t *testing.T) {
 	for _, s := range gemmShapes {
 		n, r, c := s[0], s[1], s[2]
 		a, b := randDenseMixed(rng, n, r), randDenseMixed(rng, n, c)
-		got := NewDense(r, c)
-		MatMulATInto(got, a, b)
 		want := NewDense(r, c)
 		matmulATRange(want, a, b, 0, r)
-		bitsEqual(t, "MatMulATInto", got, want)
+		eachWorkerCount(func() {
+			got := nanDense(r, c)
+			MatMulATInto(got, a, b)
+			bitsEqual(t, "MatMulATInto", got, want)
+		})
+	}
+}
+
+// TestGemmBlockAccumulatesIntoDst pins gemmBlock's own contract on shapes
+// with leftover rows: dst holds the caller's starting partial sums, and
+// each element continues from its own — through the padded strip too, for
+// both A addressings. The reference is the scalar loop from the same start.
+func TestGemmBlockAccumulatesIntoDst(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, s := range [][3]int{{3, 5, 7}, {6, 27, 36}, {50, 48, 64}, {51, 32, 10}, {7, 9, 31}} {
+		n, k, m := s[0], s[1], s[2]
+		a, at, b := randDenseMixed(rng, n, k), NewDense(k, n), randDenseMixed(rng, k, m)
+		packTranspose(at.Data, a.Data, n, k)
+		start := randDenseMixed(rng, n, m)
+		want := NewDense(n, m)
+		for i := 0; i < n; i++ {
+			for j := 0; j < m; j++ {
+				sum := start.Data[i*m+j]
+				for p := 0; p < k; p++ {
+					sum += a.Data[i*k+p] * b.Data[p*m+j]
+				}
+				want.Data[i*m+j] = sum
+			}
+		}
+		got := NewDense(n, m)
+		copy(got.Data, start.Data)
+		gemmBlock(got.Data, m, a.Data, k, 1, b.Data, m, n, k, m)
+		bitsEqual(t, "gemmBlock row-major A", got, want)
+		copy(got.Data, start.Data)
+		gemmBlock(got.Data, m, at.Data, 1, n, b.Data, m, n, k, m)
+		bitsEqual(t, "gemmBlock transposed A", got, want)
 	}
 }
 
@@ -132,23 +203,30 @@ func TestMatMulBTSwappedIsTranspose(t *testing.T) {
 }
 
 // TestMatMulIntoAllocFree: below the parallel threshold the *Into variants
-// must not allocate — a conv layer calls them three times per sample.
+// must not allocate — a conv layer calls them three times per sample, and
+// the MLP's 50-row batch sends its A·B and A·Bᵀ products through the pooled
+// tail strip.
 func TestMatMulIntoAllocFree(t *testing.T) {
 	if raceEnabled {
-		t.Skip("MatMulBTInto's panel pool allocates under -race")
+		t.Skip("the panel pool allocates under -race")
 	}
 	prev := SetMaxWorkers(2)
 	defer SetMaxWorkers(prev)
-	const n, k, m = 8, 72, 144 // ResNetLite stage-1 body conv, per sample
-	a, b, bt, c := NewDense(n, k), NewDense(k, m), NewDense(m, k), NewDense(n, m)
-	dst, dstAT := NewDense(n, m), NewDense(k, m)
-	for name, fn := range map[string]func(){
-		"MatMulInto":   func() { MatMulInto(dst, a, b) },
-		"MatMulBTInto": func() { MatMulBTInto(dst, a, bt) },
-		"MatMulATInto": func() { MatMulATInto(dstAT, a, c) },
+	for _, s := range [][3]int{
+		{8, 72, 144}, // ResNetLite stage-1 body conv, per sample
+		{50, 64, 32}, // MLP second layer at the preset batch: 48 rows + 2
 	} {
-		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
-			t.Errorf("%s allocates %v times per call, want 0", name, allocs)
+		n, k, m := s[0], s[1], s[2]
+		a, b, bt, c := NewDense(n, k), NewDense(k, m), NewDense(m, k), NewDense(n, m)
+		dst, dstAT := NewDense(n, m), NewDense(k, m)
+		for name, fn := range map[string]func(){
+			"MatMulInto":   func() { MatMulInto(dst, a, b) },
+			"MatMulBTInto": func() { MatMulBTInto(dst, a, bt) },
+			"MatMulATInto": func() { MatMulATInto(dstAT, a, c) },
+		} {
+			if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+				t.Errorf("%s %dx%dx%d allocates %v times per call, want 0", name, n, k, m, allocs)
+			}
 		}
 	}
 }

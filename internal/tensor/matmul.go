@@ -13,8 +13,9 @@ package tensor
 // products in ascending order — the same order as the retained reference
 // kernels (matmulRange / matmulBTRange / matmulATRange below), so results
 // are bit-identical and golden histories stay pinned. Each variant
-// parallelises over output rows when the work is large enough to pay for
-// goroutine startup.
+// parallelises over 4-row strips of the output when the work is large
+// enough to pay for goroutine startup, so only the last chunk of a product
+// can end in leftover rows (gemmTailRows).
 
 // matmulMinFlops is the approximate flop count under which a matmul stays
 // serial. The tiled kernels retire flops ~4× faster than the old naive
@@ -62,12 +63,13 @@ func MatMulInto(dst, a, b *Dense) {
 	// The serial branch calls gemmBlock directly: a chunk closure built
 	// before the branch escapes through ParallelFor and costs every call an
 	// allocation, parallel or not.
-	minRows := rowsForFlops(n, k, m)
-	if serialFor(n, minRows) {
+	strips, minStrips := stripsForFlops(n, k, m)
+	if serialFor(strips, minStrips) {
 		gemmBlock(dst.Data, m, a.Data, k, 1, b.Data, m, n, k, m)
 		return
 	}
-	ParallelFor(n, minRows, func(lo, hi int) {
+	ParallelFor(strips, minStrips, func(lo, hi int) {
+		lo, hi = lo*gemmMR, min(hi*gemmMR, n)
 		gemmBlock(dst.Data[lo*m:], m, a.Data[lo*k:], k, 1, b.Data, m, hi-lo, k, m)
 	})
 }
@@ -108,11 +110,12 @@ func MatMulBTInto(dst, a, b *Dense) {
 	panel := getPanel(k * m)
 	packTranspose(*panel, b.Data, m, k) // b (m×k) → panel (k×m)
 	bp := *panel
-	minRows := rowsForFlops(n, k, m)
-	if serialFor(n, minRows) {
+	strips, minStrips := stripsForFlops(n, k, m)
+	if serialFor(strips, minStrips) {
 		gemmBlock(dst.Data, m, a.Data, k, 1, bp, m, n, k, m)
 	} else {
-		ParallelFor(n, minRows, func(lo, hi int) {
+		ParallelFor(strips, minStrips, func(lo, hi int) {
+			lo, hi = lo*gemmMR, min(hi*gemmMR, n)
 			gemmBlock(dst.Data[lo*m:], m, a.Data[lo*k:], k, 1, bp, m, hi-lo, k, m)
 		})
 	}
@@ -161,12 +164,13 @@ func MatMulATInto(dst, a, b *Dense) {
 	if n == 0 || r == 0 || c == 0 {
 		return
 	}
-	minRows := rowsForFlops(r, n, c)
-	if serialFor(r, minRows) {
+	strips, minStrips := stripsForFlops(r, n, c)
+	if serialFor(strips, minStrips) {
 		gemmBlock(dst.Data, c, a.Data, 1, r, b.Data, c, r, n, c)
 		return
 	}
-	ParallelFor(r, minRows, func(lo, hi int) {
+	ParallelFor(strips, minStrips, func(lo, hi int) {
+		lo, hi = lo*gemmMR, min(hi*gemmMR, r)
 		gemmBlock(dst.Data[lo*c:], c, a.Data[lo:], 1, r, b.Data, c, hi-lo, n, c)
 	})
 }
@@ -193,16 +197,14 @@ func MatVecInto(dst []float64, a *Dense, x []float64) {
 	}
 }
 
-// rowsForFlops returns the minimum number of rows each goroutine chunk
-// should own so that a chunk performs at least matmulMinFlops work.
-func rowsForFlops(n, k, m int) int {
-	perRow := 2 * k * m
-	if perRow <= 0 {
-		return n + 1
+// stripsForFlops returns how many gemmMR-row strips an n-row product has
+// and the minimum number each goroutine chunk should own so that a chunk
+// performs at least matmulMinFlops work.
+func stripsForFlops(n, k, m int) (strips, minStrips int) {
+	strips = (n + gemmMR - 1) / gemmMR
+	perStrip := 2 * gemmMR * k * m
+	if perStrip <= 0 {
+		return strips, strips + 1
 	}
-	rows := matmulMinFlops / perRow
-	if rows < 1 {
-		rows = 1
-	}
-	return rows
+	return strips, max(1, matmulMinFlops/perStrip)
 }

@@ -118,7 +118,13 @@ func Lerp(dst []float64, a float64, x, y []float64) {
 		panic("tensor: Lerp length mismatch")
 	}
 	b := 1 - a
-	for i := range dst {
+	i := 0
+	if hasAVX && len(dst) >= simdMinLen {
+		blocks := len(dst) >> 2
+		lerpBlocksAVX(&dst[0], &x[0], &y[0], a, b, int64(blocks))
+		i = blocks << 2
+	}
+	for ; i < len(dst); i++ {
 		dst[i] = a*x[i] + b*y[i]
 	}
 }

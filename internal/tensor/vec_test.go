@@ -68,6 +68,40 @@ func TestLerpEndpoints(t *testing.T) {
 	}
 }
 
+// TestLerpMatchesScalarBits holds the AVX block kernel to the scalar
+// expression a*x + (1-a)*y bit for bit: every length around the 4-wide
+// blocks and the simdMinLen cut, values that include zeros of both signs,
+// NaN and both infinities, and the endpoint mixes whose zero coefficient
+// meets them.
+func TestLerpMatchesScalarBits(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 1, -1.5}
+	r := xrand.New(12)
+	for n := 0; n <= 21; n++ {
+		x, y, dst := make([]float64, n), make([]float64, n), make([]float64, n)
+		for _, a := range []float64{0, 0.1, 0.5, 1} {
+			r.FillNorm(x, 0, 1)
+			r.FillNorm(y, 0, 1)
+			for i := 0; i < n; i++ {
+				if r.Intn(2) == 0 {
+					x[i] = special[r.Intn(len(special))]
+				}
+				if r.Intn(2) == 0 {
+					y[i] = special[r.Intn(len(special))]
+				}
+			}
+			Lerp(dst, a, x, y)
+			b := 1 - a
+			for i := range dst {
+				want := a*x[i] + b*y[i]
+				if math.Float64bits(dst[i]) != math.Float64bits(want) {
+					t.Fatalf("n=%d a=%v: Lerp(%v, %v) = %v (bits %#x), want %v (bits %#x)", n, a, x[i], y[i],
+						dst[i], math.Float64bits(dst[i]), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
 func TestDotNormRelations(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
