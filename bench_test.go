@@ -8,6 +8,7 @@ package fedwcm
 
 import (
 	"io"
+	"strings"
 	"testing"
 
 	"fedwcm/internal/data"
@@ -18,7 +19,10 @@ import (
 	"fedwcm/internal/loss"
 	"fedwcm/internal/nn"
 	"fedwcm/internal/partition"
+	"fedwcm/internal/store"
+	"fedwcm/internal/sweep"
 	"fedwcm/internal/tensor"
+	"fedwcm/internal/wire"
 	"fedwcm/internal/xrand"
 )
 
@@ -219,6 +223,65 @@ func BenchmarkDirichletPartition(b *testing.B) {
 		partition.EqualQuantity(xrand.New(uint64(i)), train, 100, 0.1)
 	}
 }
+
+// BenchmarkStoreGetDisk measures a store read that misses the LRU: one file
+// read plus the decode of a 20-evaluation artifact (the LRU is disabled, so
+// every Get is that read).
+func BenchmarkStoreGetDisk(b *testing.B) {
+	dir := b.TempDir()
+	fp := strings.Repeat("ab", 32)
+	warm, err := store.Open(dir, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := warm.Put(fp, wire.SampleHistory(20, 10)); err != nil {
+		b.Fatal(err)
+	}
+	cold, err := store.Open(dir, -1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok, err := cold.Get(fp); err != nil || !ok {
+			b.Fatalf("Get: ok=%v err=%v", ok, err)
+		}
+	}
+}
+
+// BenchmarkAggTable measures the text rendering the sweep-result endpoint
+// embeds, on Table 4's axes at the size of an average overlapping sub-grid:
+// 3 methods × 2 β × 3 IF, one seed, with shot columns — 18 groups, three
+// axis columns.
+func BenchmarkAggTable(b *testing.B) {
+	var cells []sweep.CellResult
+	for _, m := range []string{"fedavg", "fedcm", "fedwcm"} {
+		for _, beta := range []float64{0.1, 0.6} {
+			for _, f := range []float64{1, 0.06, 0.01} {
+				h := wire.SampleHistory(20, 10)
+				h.Method = m
+				cells = append(cells, sweep.CellResult{
+					Cell: sweep.Cell{Axes: sweep.Axes{Dataset: "cifar10-syn", Method: m, Beta: beta, IF: f,
+						Clients: 100, SampleClients: 10, LocalEpochs: 5, Seed: 1}},
+					Status: sweep.CellCached, Hist: h,
+				})
+			}
+		}
+	}
+	res := sweep.NewResult(sweep.Spec{}, cells)
+	if len(res.Groups) != 18 {
+		b.Fatalf("%d groups, want 18", len(res.Groups))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = res.AggTable("Table 4").String()
+	}
+}
+
+// benchSink keeps a benchmarked call's result alive.
+var benchSink string
 
 // BenchmarkMatMulShapes sweeps the three matmul variants over the layer
 // shapes the models actually run — MLP forward/backward products and the

@@ -319,21 +319,27 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 
 // handleEvents streams per-round progress as Server-Sent Events: one
 // "round" event per RoundStat (replayed from the start for late joiners),
-// then a terminal "done" event carrying the final status.
+// then a terminal "done" event carrying the final status. Every round is
+// delivered — a slow reader catches up from the log — and rounds that were
+// ready together leave in one flush.
 func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 	_, r, stored, ok := s.lookup(w, req)
 	if !ok {
 		return
 	}
-	serveSSE(w, s.sm.sseRuns, func(emit func(event string, v any)) {
-		if r == nil { // artifact with no live record: replay and finish
-			for _, st := range stored.Stats {
+	serveSSE(w, s.sm.sseRuns, func(emit func(event string, v any), flush func()) {
+		rounds := func(batch []fl.RoundStat) {
+			for _, st := range batch {
 				emit("round", st)
 			}
+		}
+		if r == nil { // artifact with no live record: replay and finish
+			rounds(stored.Stats)
 			emit("done", map[string]string{"status": StatusCached})
+			flush()
 			return
 		}
-		if !r.Rounds.Stream(req.Context(), func(st fl.RoundStat) { emit("round", st) }) {
+		if !r.Rounds.Stream(req.Context(), func(batch []fl.RoundStat) { rounds(batch); flush() }) {
 			return
 		}
 		final := map[string]string{"status": r.Status()}
@@ -341,6 +347,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 			final["error"] = err.Error()
 		}
 		emit("done", final)
+		flush()
 	})
 }
 

@@ -371,17 +371,25 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, req *http.Request) {
 
 // handleSweepEvents streams per-cell completion as Server-Sent Events: one
 // "cell" event per terminal cell (replayed from the start for late
-// joiners), then a terminal "done" event with the final counts. Round-level
-// progress for an individual cell remains available on
-// /v1/runs/{cell-id}/events.
+// joiners), then a terminal "done" event with the final counts. Every cell
+// is delivered — a slow reader catches up from the log — and cells that were
+// terminal together leave in one flush. Round-level progress for an
+// individual cell remains available on /v1/runs/{cell-id}/events.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, req *http.Request) {
 	sw := s.lookupSweep(w, req)
 	if sw == nil {
 		return
 	}
-	serveSSE(w, s.sm.sseSweeps, func(emit func(event string, v any)) {
-		if sw.finished.Stream(req.Context(), func(i int) { emit("cell", sw.cellEvent(i)) }) {
+	serveSSE(w, s.sm.sseSweeps, func(emit func(event string, v any), flush func()) {
+		done := sw.finished.Stream(req.Context(), func(batch []int) {
+			for _, i := range batch {
+				emit("cell", sw.cellEvent(i))
+			}
+			flush()
+		})
+		if done {
 			emit("done", sw.summary(false))
+			flush()
 		}
 	})
 }

@@ -3,8 +3,12 @@ package store
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
+
+	"fedwcm/internal/fl"
+	"fedwcm/internal/wire"
 )
 
 // keyedHistory mints a history whose contents encode its key, so a
@@ -90,5 +94,63 @@ func TestConcurrentGetPutWithEviction(t *testing.T) {
 	st := s.Stats()
 	if st.Puts == 0 || st.MemHits == 0 || st.DiskHits == 0 {
 		t.Fatalf("hammer did not exercise all paths: %+v", st)
+	}
+}
+
+// TestDiskGetEqualsPutConcurrently: with the LRU disabled every Get decodes
+// the artifact file, and what it decodes is the history that was put —
+// from eight goroutines at once, so the decoder shares nothing between calls.
+// The fixtures are synchronous histories: an artifact carries no time/async
+// (DESIGN.md "What an artifact does not carry").
+func TestDiskGetEqualsPutConcurrently(t *testing.T) {
+	dir := t.TempDir()
+	writer, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := wire.SampleHistory(20, 10)
+	for i := range sample.Stats {
+		sample.Stats[i].Time, sample.Stats[i].Async = 0, nil
+	}
+	shot := testHistory(3)
+	shot.Stats[1].Shot = &fl.ShotAcc{Head: 0.9, Medium: 0.5, Tail: 0.125}
+	want := map[string]*fl.History{
+		fpFor("sample"): sample,
+		fpFor("plain"):  testHistory(1),
+		fpFor("shot"):   shot,
+	}
+	for fp, h := range want {
+		if err := writer.Put(fp, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(dir, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers, laps = 8, 20
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < laps; i++ {
+				for fp, h := range want {
+					got, ok, err := s.Get(fp)
+					if err != nil || !ok {
+						t.Errorf("Get %s: ok=%v err=%v", fp[:8], ok, err)
+						return
+					}
+					if !reflect.DeepEqual(got, h) {
+						t.Errorf("Get %s:\n got %+v\nwant %+v", fp[:8], got, h)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := s.Stats(); st.DiskHits != int64(readers*laps*len(want)) || st.MemHits != 0 {
+		t.Fatalf("every Get should have read the disk: %+v", st)
 	}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -120,13 +119,9 @@ func (s *Store) fetchPeer(ctx context.Context, hc *http.Client, base, fp string)
 	if want := resp.Header.Get(ArtifactHashHeader); want != got {
 		return nil, nil, fmt.Errorf("store: peer %s: artifact %s hash %s, header says %q", base, fp, got[:12], want)
 	}
-	recs, err := trace.ReadJSONL(bytes.NewReader(raw))
+	hist, err := trace.DecodeHistory(raw)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: peer %s: decoding %s: %w", base, fp, err)
-	}
-	hist := historyFromRecords(recs)
-	if len(hist.Stats) == 0 {
-		return nil, nil, fmt.Errorf("store: peer %s: artifact %s is empty", base, fp)
 	}
 	return hist, raw, nil
 }

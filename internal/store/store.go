@@ -145,7 +145,7 @@ func (s *Store) Get(fp string) (*fl.History, bool, error) {
 	}
 	s.mu.Unlock()
 
-	f, err := os.Open(s.Path(fp))
+	data, err := os.ReadFile(s.Path(fp))
 	if err != nil {
 		if os.IsNotExist(err) {
 			s.mu.Lock()
@@ -155,12 +155,10 @@ func (s *Store) Get(fp string) (*fl.History, bool, error) {
 		}
 		return nil, false, fmt.Errorf("store: %w", err)
 	}
-	defer f.Close()
-	recs, err := trace.ReadJSONL(f)
+	h, err := trace.DecodeHistory(data)
 	if err != nil {
 		return nil, false, fmt.Errorf("store: decode %s: %w", fp, err)
 	}
-	h := historyFromRecords(recs)
 	s.mu.Lock()
 	s.stats.DiskHits++
 	s.insertLocked(fp, h)
@@ -317,24 +315,4 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
-}
-
-// historyFromRecords reassembles a History from its JSONL rows. Rows carry
-// the method name redundantly; the first one wins.
-func historyFromRecords(recs []trace.Record) *fl.History {
-	h := &fl.History{}
-	for _, r := range recs {
-		if h.Method == "" {
-			h.Method = r.Method
-		}
-		h.Stats = append(h.Stats, fl.RoundStat{
-			Round:     r.Round,
-			TestAcc:   r.TestAcc,
-			PerClass:  r.PerClass,
-			TrainLoss: r.Loss,
-			Metrics:   r.Metrics,
-			Shot:      r.Shot,
-		})
-	}
-	return h
 }

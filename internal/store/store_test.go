@@ -143,6 +143,40 @@ func TestPutRejectsEmptyHistory(t *testing.T) {
 	}
 }
 
+// TestGetRejectsEmptyArtifact: a file without a single evaluation row is an
+// undecodable artifact like any other — Put refuses to write one, a peer
+// fetch refuses to accept one — not a cached cell of accuracy 0.
+func TestGetRejectsEmptyArtifact(t *testing.T) {
+	for name, content := range map[string]string{"zero-byte": "", "whitespace": " \n\t\n"} {
+		t.Run(name, func(t *testing.T) {
+			s, err := Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp := fpFor(name)
+			if err := os.MkdirAll(filepath.Dir(s.Path(fp)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(s.Path(fp), []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			h, ok, err := s.Get(fp)
+			if err == nil || ok || h != nil {
+				t.Fatalf("Get of an empty artifact = %+v, ok=%v, err=%v; want an error", h, ok, err)
+			}
+			if !strings.HasPrefix(err.Error(), "store: decode "+fp) {
+				t.Fatalf("error %q does not name the decode", err)
+			}
+			if st := s.Stats(); st != (Stats{}) {
+				t.Fatalf("a failed decode moved the counters: %+v", st)
+			}
+			if s.order.Len() != 0 || len(s.idx) != 0 {
+				t.Fatalf("a failed decode entered the LRU (%d entries)", s.order.Len())
+			}
+		})
+	}
+}
+
 func TestKeysListsArtifacts(t *testing.T) {
 	s, _ := Open(t.TempDir(), 0)
 	want := map[string]bool{}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"fedwcm/internal/fl"
 	"fedwcm/internal/scenario"
@@ -341,43 +342,53 @@ func (r *Result) MetricCurveOf(probe Axes, key string) ([]int, []float64) {
 	return r.Find(probe).MetricCurve(key)
 }
 
+// aggAxes are the axis columns AggTable can show, in column order, each with
+// the one formatter for its values.
+var aggAxes = []struct {
+	name   string
+	format func(Axes) string
+}{
+	{"dataset", func(a Axes) string { return a.Dataset }},
+	{"method", func(a Axes) string { return a.Method }},
+	{"beta", func(a Axes) string { return strconv.FormatFloat(a.Beta, 'g', -1, 64) }},
+	{"IF", func(a Axes) string { return strconv.FormatFloat(a.IF, 'g', -1, 64) }},
+	{"clients", func(a Axes) string { return strconv.Itoa(a.Clients) }},
+	{"sample", func(a Axes) string { return strconv.Itoa(a.SampleClients) }},
+	{"epochs", func(a Axes) string { return strconv.Itoa(a.LocalEpochs) }},
+	{"scenario", func(a Axes) string {
+		if a.Scenario == "" {
+			return "static"
+		}
+		return a.Scenario
+	}},
+	{"async", func(a Axes) string {
+		if a.Async == "" {
+			return "sync"
+		}
+		return a.Async
+	}},
+}
+
 // AggTable renders the default aggregate view: one row per group, one
 // column per axis that actually varies across the sweep, then n / mean /
 // std. The HTTP sweep-result endpoint embeds this rendering.
 func (r *Result) AggTable(title string) *Table {
-	type column struct {
-		name string
-		get  func(Axes) string
-	}
-	all := []column{
-		{"dataset", func(a Axes) string { return a.Dataset }},
-		{"method", func(a Axes) string { return a.Method }},
-		{"beta", func(a Axes) string { return fmt.Sprintf("%g", a.Beta) }},
-		{"IF", func(a Axes) string { return fmt.Sprintf("%g", a.IF) }},
-		{"clients", func(a Axes) string { return fmt.Sprintf("%d", a.Clients) }},
-		{"sample", func(a Axes) string { return fmt.Sprintf("%d", a.SampleClients) }},
-		{"epochs", func(a Axes) string { return fmt.Sprintf("%d", a.LocalEpochs) }},
-		{"scenario", func(a Axes) string {
-			if a.Scenario == "" {
-				return "static"
-			}
-			return a.Scenario
-		}},
-		{"async", func(a Axes) string {
-			if a.Async == "" {
-				return "sync"
-			}
-			return a.Async
-		}},
-	}
-	var cols []column
-	for _, c := range all {
-		distinct := map[string]struct{}{}
-		for _, g := range r.Groups {
-			distinct[c.get(g.Axes)] = struct{}{}
+	// Each group's axis values are formatted once, here; which columns vary,
+	// the row order and the rows themselves all read these strings.
+	n := len(r.Groups)
+	formatted := make([]string, len(aggAxes)*n)
+	var cols [][]string // cols[c][g]: shown column c of group g
+	headers := make([]string, 0, len(aggAxes)+6)
+	for a, ax := range aggAxes {
+		vals := formatted[a*n : (a+1)*n]
+		varies := false
+		for g, grp := range r.Groups {
+			vals[g] = ax.format(grp.Axes)
+			varies = varies || vals[g] != vals[0]
 		}
-		if len(distinct) > 1 || c.name == "method" {
-			cols = append(cols, c)
+		if varies || ax.name == "method" {
+			cols = append(cols, vals)
+			headers = append(headers, ax.name)
 		}
 	}
 	// Shot-bucket columns appear whenever any group carries shot data (the
@@ -386,34 +397,33 @@ func (r *Result) AggTable(title string) *Table {
 	for _, g := range r.Groups {
 		withShot = withShot || g.Shot != nil
 	}
-	headers := make([]string, 0, len(cols)+6)
-	for _, c := range cols {
-		headers = append(headers, c.name)
-	}
 	headers = append(headers, "n", "mean", "std")
 	if withShot {
 		headers = append(headers, "head", "medium", "tail")
 	}
-	t := &Table{Title: title, Headers: headers}
-	groups := append([]*Group(nil), r.Groups...)
-	sort.SliceStable(groups, func(i, j int) bool { // stable row order for diffs
-		for _, c := range cols {
-			a, b := c.get(groups[i].Axes), c.get(groups[j].Axes)
-			if a != b {
+	t := &Table{Title: title, Headers: headers, Rows: make([][]string, 0, n)}
+	order := make([]int, n)
+	for g := range order {
+		order[g] = g
+	}
+	sort.SliceStable(order, func(i, j int) bool { // stable row order for diffs
+		for _, vals := range cols {
+			if a, b := vals[order[i]], vals[order[j]]; a != b {
 				return a < b
 			}
 		}
 		return false
 	})
-	for _, g := range groups {
+	for _, g := range order {
+		grp := r.Groups[g]
 		row := make([]string, 0, len(headers))
-		for _, c := range cols {
-			row = append(row, c.get(g.Axes))
+		for _, vals := range cols {
+			row = append(row, vals[g])
 		}
-		row = append(row, fmt.Sprintf("%d", g.N), F(g.Mean), F(g.Std))
+		row = append(row, strconv.Itoa(grp.N), F(grp.Mean), F(grp.Std))
 		if withShot {
-			if g.Shot != nil {
-				row = append(row, F(g.Shot.Head), F(g.Shot.Medium), F(g.Shot.Tail))
+			if grp.Shot != nil {
+				row = append(row, F(grp.Shot.Head), F(grp.Shot.Medium), F(grp.Shot.Tail))
 			} else {
 				row = append(row, "-", "-", "-")
 			}

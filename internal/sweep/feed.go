@@ -6,32 +6,31 @@ import (
 	"sync"
 )
 
-// Feed is the replay log and live fan-out behind every progress stream
-// (per-round progress of a live cell, per-cell completion of a served
-// sweep): every published event is kept for late joiners and offered to
-// each current subscriber. Slow subscribers are skipped rather than
-// blocking the publisher (the training loop, a cell's completion): a feed
-// is a best-effort live view, status queries and the store are
-// authoritative.
+// Feed is the append-only log behind every progress stream (per-round
+// progress of a live cell, per-cell completion of a served sweep). A
+// subscriber is a cursor into the log: it reads what it has not seen yet, in
+// batches, so it never misses an event however slowly it reads, and a late
+// joiner's replay is simply its first batch. A publisher (the training loop,
+// a cell's completion) never blocks: it appends and nudges the subscribers.
 type Feed[T any] struct {
 	mu   sync.Mutex
 	log  []T
-	subs map[chan T]struct{}
-	done chan struct{} // closed by Finish: nothing is published afterwards
+	subs map[chan struct{}]struct{} // one wake channel per Stream call
+	done chan struct{}              // closed by Finish: nothing is published afterwards
 }
 
 func NewFeed[T any]() *Feed[T] {
-	return &Feed[T]{subs: make(map[chan T]struct{}), done: make(chan struct{})}
+	return &Feed[T]{subs: make(map[chan struct{}]struct{}), done: make(chan struct{})}
 }
 
 func (f *Feed[T]) Publish(ev T) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.log = append(f.log, ev)
-	for ch := range f.subs {
+	for wake := range f.subs {
 		select {
-		case ch <- ev:
-		default:
+		case wake <- struct{}{}:
+		default: // already told there is something to read
 		}
 	}
 }
@@ -50,39 +49,47 @@ func (f *Feed[T]) Events() []T {
 	return slices.Clone(f.log)
 }
 
-// Stream hands the feed's events to emit: the replay, then live events until
-// the feed finishes (draining what raced with the finish). It reports false
-// when ctx ended first, in which case the caller's terminal event has nobody
-// to go to. The subscription is buffered generously relative to event
-// cadence; Publish drops events for a listener that falls further behind
-// than that.
-func (f *Feed[T]) Stream(ctx context.Context, emit func(T)) bool {
-	ch := make(chan T, 256)
+// Stream hands every event of the feed to emit, in order and in batches:
+// first whatever was published before the call, then each run of events
+// that accumulated while emit was busy — one event per batch when the
+// subscriber keeps up. A batch is a read-only view of the log, valid for
+// good. Stream returns true once the feed has finished and everything
+// published before the Finish has been emitted, false when ctx ended first
+// (the caller's terminal event then has nobody to go to).
+func (f *Feed[T]) Stream(ctx context.Context, emit func(batch []T)) bool {
+	wake := make(chan struct{}, 1)
 	f.mu.Lock()
-	f.subs[ch] = struct{}{}
-	replay := slices.Clone(f.log)
+	f.subs[wake] = struct{}{}
 	f.mu.Unlock()
 	defer func() {
 		f.mu.Lock()
-		delete(f.subs, ch)
+		delete(f.subs, wake)
 		f.mu.Unlock()
 	}()
-	for _, ev := range replay {
-		emit(ev)
-	}
+	cursor := 0
 	for {
+		// Look at done before the log: if the feed had finished by now, the
+		// log read next holds every event there will ever be.
+		finished := false
 		select {
-		case ev := <-ch:
-			emit(ev)
 		case <-f.done:
-			for {
-				select {
-				case ev := <-ch:
-					emit(ev)
-				default:
-					return true
-				}
-			}
+			finished = true
+		default:
+		}
+		f.mu.Lock()
+		n := len(f.log)
+		batch := f.log[cursor:n:n] // appends land past n, or in a new array
+		f.mu.Unlock()
+		if len(batch) > 0 {
+			emit(batch)
+			cursor = n
+		}
+		if finished {
+			return true
+		}
+		select {
+		case <-wake:
+		case <-f.done:
 		case <-ctx.Done():
 			return false
 		}

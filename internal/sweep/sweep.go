@@ -19,8 +19,9 @@
 //     and the one sweep driver over it, so repeating or overlapping sweeps
 //     cost O(missing cells), not O(grid), whoever asks: RunSweep here,
 //     internal/serve's run and sweep endpoints over HTTP.
-//   - Feed — the replay log + live fan-out a LiveCell's per-round progress
-//     and a served sweep's per-cell completions stream through.
+//   - Feed — the append-only log a LiveCell's per-round progress and a
+//     served sweep's per-cell completions stream through; a subscriber is a
+//     cursor into it, so a slow one catches up instead of missing events.
 //   - Result / Group — server-side aggregation: cells that differ only in
 //     seed collapse into mean±std scalars and mean convergence curves, the
 //     shapes the paper's tables and figures report.
@@ -236,15 +237,12 @@ func (sp Spec) Validate() error {
 	return err
 }
 
-// ExpandValidated bounds, expands and per-cell-validates the grid in one
-// pass, so serving layers don't pay for the expansion twice (validation
-// fingerprints every cell already).
-func (sp Spec) ExpandValidated() ([]Cell, error) {
-	sp = sp.Defaults()
-	// Overflow-safe product: bail as soon as the running total passes the
-	// bound, so adversarial axis lengths can neither wrap the counter past
-	// the guard nor reach Expand's cross-product loop.
-	n := 1
+// axisProduct is the size of a defaulted spec's axis cross product: how many
+// cells it expands to before deduplication. The product is overflow-safe —
+// it stops as soon as the running total passes MaxCells, reporting MaxCells
+// and false, so no axis lengths can wrap the counter past the bound.
+func (sp Spec) axisProduct() (n int, ok bool) {
+	n = 1
 	for _, k := range []int{
 		len(sp.Datasets), len(sp.Methods), len(sp.Betas), len(sp.IFs), len(sp.Seeds),
 		max(1, len(sp.SampleRates)), max(1, len(sp.Clients)), max(1, len(sp.LocalEpochs)),
@@ -252,8 +250,20 @@ func (sp Spec) ExpandValidated() ([]Cell, error) {
 	} {
 		n *= k
 		if n > MaxCells {
-			return nil, fmt.Errorf("sweep: grid expands to more than %d cells", MaxCells)
+			return MaxCells, false
 		}
+	}
+	return n, true
+}
+
+// ExpandValidated bounds, expands and per-cell-validates the grid in one
+// pass, so serving layers don't pay for the expansion twice (validation
+// fingerprints every cell already).
+func (sp Spec) ExpandValidated() ([]Cell, error) {
+	sp = sp.Defaults()
+	// Adversarial axis lengths must not reach Expand's cross-product loop.
+	if _, ok := sp.axisProduct(); !ok {
+		return nil, fmt.Errorf("sweep: grid expands to more than %d cells", MaxCells)
 	}
 	// The optional axes use non-positive values as the "preset" sentinel
 	// inside Expand, so a mistyped list entry would otherwise silently run
@@ -348,8 +358,11 @@ func (sp Spec) Expand() ([]Cell, error) {
 		}
 		asyncResolved[i] = ac
 	}
-	var cells []Cell
-	seen := make(map[string]struct{})
+	// A Cell is some 350 bytes: size both from the axis product (clamped to
+	// MaxCells) instead of growing them a doubling at a time.
+	size, _ := sp.axisProduct()
+	cells := make([]Cell, 0, size)
+	seen := make(map[string]struct{}, size)
 	for _, ds := range sp.Datasets {
 		for _, m := range sp.Methods {
 			for _, b := range sp.Betas {

@@ -1,9 +1,12 @@
 package sweep
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a simple aligned text table used to render every experiment's
@@ -19,9 +22,6 @@ func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
 // Render writes the table to w with aligned columns.
 func (t *Table) Render(w io.Writer) {
-	if t.Title != "" {
-		fmt.Fprintln(w, t.Title)
-	}
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
 		widths[i] = len(h)
@@ -33,23 +33,40 @@ func (t *Table) Render(w io.Writer) {
 			}
 		}
 	}
-	line := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			if i < len(widths) {
-				parts[i] = fmt.Sprintf("%-*s", widths[i], c)
-			} else {
-				parts[i] = c
-			}
-		}
-		fmt.Fprintln(w, strings.TrimRight(strings.Join(parts, "  "), " "))
-	}
-	line(t.Headers)
 	total := len(widths) - 1
 	for _, wd := range widths {
 		total += wd + 1
 	}
-	fmt.Fprintln(w, strings.Repeat("-", total))
+	// Every line is built in this one buffer and written whole.
+	buf := make([]byte, 0, total+1)
+	if t.Title != "" {
+		buf = append(append(buf, t.Title...), '\n')
+		w.Write(buf)
+	}
+	line := func(cells []string) {
+		buf = buf[:0]
+		for i, c := range cells {
+			if i > 0 {
+				buf = append(buf, "  "...)
+			}
+			buf = append(buf, c...)
+			if i < len(widths) {
+				// widths count bytes, padding counts runes (as %-*s did): a
+				// column holding a "±" cell comes out one wider than it.
+				for pad := widths[i] - utf8.RuneCountInString(c); pad > 0; pad-- {
+					buf = append(buf, ' ')
+				}
+			}
+		}
+		buf = append(bytes.TrimRight(buf, " "), '\n')
+		w.Write(buf)
+	}
+	line(t.Headers)
+	buf = buf[:0]
+	for i := 0; i < total; i++ {
+		buf = append(buf, '-')
+	}
+	w.Write(append(buf, '\n'))
 	for _, row := range t.Rows {
 		line(row)
 	}
@@ -64,7 +81,7 @@ func (t *Table) String() string {
 }
 
 // F formats an accuracy/metric for table cells.
-func F(v float64) string { return fmt.Sprintf("%.4f", v) }
+func F(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 
 // SeriesTable renders aligned accuracy-vs-round curves: one column per
 // labelled series, one row per evaluation round.

@@ -159,10 +159,11 @@ echo "== WAL crash recovery: SIGKILL the coordinator mid-sweep"
 # its own, and resubmitting the same sweep must coalesce onto the
 # recovered jobs and finish with every cell accounted for.
 WAL_ADDR="127.0.0.1:18095"
-# Slower cells than the equivalence sweep on purpose: the kill must land
-# while jobs are still journaled in the WAL, not in the gap after the last
-# complete compacted the log.
-WAL_SWEEP='{"methods":["fedavg"],"seed_count":4,"clients":[8],"sample_rates":[0.5],"local_epochs":[2],"model":"mlp","rounds":30,"effort":0.2}'
+# Slower cells than the equivalence sweep on purpose, and eight of them: the
+# kill must land while jobs are still journaled in the WAL, not in the gap
+# after the last complete compacted the log. (With four ≈ 0.1 s cells the
+# kill regularly landed at 3/4 done and the last cell finished before it.)
+WAL_SWEEP='{"methods":["fedavg"],"seed_count":8,"clients":[8],"sample_rates":[0.5],"local_epochs":[2],"model":"mlp","rounds":30,"effort":0.2}'
 
 "$WORK/fedserve" -remote -addr "$WAL_ADDR" -store "$WORK/wal-store" -lease 5s \
   -wal "$WORK/coord.wal" 2>"$WORK/coord1.log" &
@@ -175,12 +176,13 @@ PIDS+=($!)
 wal_id=$(curl -sf -X POST "http://$WAL_ADDR/v1/sweeps" -d "$WAL_SWEEP" | jq -r .id)
 echo "   sweep $wal_id submitted to the WAL-backed coordinator"
 
-# Wait until the sweep is genuinely mid-flight: >=1 cell finished, >=1 not.
+# Wait until the sweep is genuinely mid-flight: >=1 cell finished, >=2 not
+# (one may still finish between this poll and the kill).
 for _ in $(seq 1 300); do
   summary=$(curl -s "http://$WAL_ADDR/v1/sweeps/$wal_id")
   done_cells=$(jq -r '(.counts.done // 0) + (.counts.cached // 0)' <<<"$summary")
   total_cells=$(jq -r .total <<<"$summary")
-  [ "$done_cells" -ge 1 ] && [ "$done_cells" -lt "$total_cells" ] && break
+  [ "$done_cells" -ge 1 ] && [ "$done_cells" -le $((total_cells - 2)) ] && break
   sleep 0.1
 done
 [ "${done_cells:-0}" -ge 1 ] || { echo "smoke_dispatch: sweep never got mid-flight"; exit 1; }
@@ -203,8 +205,8 @@ wal_id2=$(curl -sf -X POST "http://$WAL_ADDR/v1/sweeps" -d "$WAL_SWEEP" | jq -r 
 wait_result "$WAL_ADDR" "$wal_id2" "$WORK/wal.json"
 wal_total=$(jq -r '.cached + .computed' "$WORK/wal.json")
 wal_failed=$(jq -r .failed "$WORK/wal.json")
-[ "$wal_total" = 4 ] && [ "$wal_failed" = 0 ] \
-  || { echo "smoke_dispatch: post-recovery sweep: cached+computed=$wal_total failed=$wal_failed, want 4/0"; exit 1; }
+[ "$wal_total" = 8 ] && [ "$wal_failed" = 0 ] \
+  || { echo "smoke_dispatch: post-recovery sweep: cached+computed=$wal_total failed=$wal_failed, want 8/0"; exit 1; }
 echo "   post-recovery sweep complete: cached+computed=$wal_total, 0 failed"
 
 echo "== sharded control plane: front router + 2 WAL shards"
