@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"fedwcm/internal/dispatch"
-	"fedwcm/internal/dispatch/shard"
 	"fedwcm/internal/fl"
 	"fedwcm/internal/obs"
 	"fedwcm/internal/store"
@@ -76,8 +75,7 @@ type drainReport struct {
 }
 
 type runReport struct {
-	Mode     string          `json:"mode"`             // memory | wal | shards
-	Shards   int             `json:"shards,omitempty"` // shard count (shards mode)
+	Mode     string          `json:"mode"` // memory | wal
 	Submit   submitReport    `json:"submit"`
 	Recovery *recoveryReport `json:"recovery,omitempty"`
 	Drain    drainReport     `json:"drain"`
@@ -151,9 +149,7 @@ func printRun(r runReport, cfg benchConfig) {
 }
 
 // submitPhase pushes every job through exec from cfg.submitters concurrent
-// goroutines, recording per-call latency. exec is a bare coordinator on the
-// memory/wal runs and the shard router on the sharded run — the same
-// client-visible contract either way.
+// goroutines, recording per-call latency.
 func submitPhase(exec dispatch.Executor, jobs []dispatch.Job, cfg benchConfig) ([]dispatch.Handle, submitReport, error) {
 	handles := make([]dispatch.Handle, len(jobs))
 	lat := make([]float64, len(jobs))
@@ -198,21 +194,17 @@ func submitPhase(exec dispatch.Executor, jobs []dispatch.Job, cfg benchConfig) (
 	}, nil
 }
 
-// runDrain is the shared phase 3: real dispatch.Worker clients pull the
-// queue dry over localhost HTTP while the harness crashes cfg.kill of them
-// at one-third drained and brings up cfg.join late joiners. place assigns
-// worker i its coordinator URL and (for sharded runs) the spill list;
-// reattached reads the final reattach count once the queue is dry.
-func runDrain(cfg benchConfig, handles []dispatch.Handle, reattached func() int, place func(i int, late bool) (coordinator string, shards []string)) (drainReport, error) {
+// runDrain is phase 3: real dispatch.Worker clients pull coord's queue dry
+// over localhost HTTP (coordURL) while the harness crashes cfg.kill of them
+// at one-third drained and brings up cfg.join late joiners.
+func runDrain(cfg benchConfig, handles []dispatch.Handle, coord *dispatch.Coordinator, coordURL string) (drainReport, error) {
 	var workerWG sync.WaitGroup
 	var cancelMu sync.Mutex
 	var cancels []context.CancelFunc
-	startWorker := func(name string, i int, late bool) (*killableTransport, context.CancelFunc, error) {
-		coordURL, shards := place(i, late)
+	startWorker := func(name string) (*killableTransport, context.CancelFunc, error) {
 		kt := &killableTransport{base: http.DefaultTransport}
 		w, err := dispatch.NewWorker(dispatch.WorkerConfig{
 			Coordinator: coordURL,
-			Shards:      shards,
 			Runner:      noopRunner,
 			Name:        name,
 			Slots:       cfg.slots,
@@ -255,7 +247,7 @@ func runDrain(cfg benchConfig, handles []dispatch.Handle, reattached func() int,
 	}
 	victims := make([]victim, 0, cfg.kill)
 	for i := 0; i < cfg.workers; i++ {
-		kt, cancel, err := startWorker(fmt.Sprintf("bench-%d", i), i, false)
+		kt, cancel, err := startWorker(fmt.Sprintf("bench-%d", i))
 		if err != nil {
 			return drainReport{}, err
 		}
@@ -278,7 +270,7 @@ func runDrain(cfg benchConfig, handles []dispatch.Handle, reattached func() int,
 			v.cancel()
 		}
 		for i := 0; i < cfg.join; i++ {
-			if _, _, err := startWorker(fmt.Sprintf("bench-late-%d", i), i, true); err != nil {
+			if _, _, err := startWorker(fmt.Sprintf("bench-late-%d", i)); err != nil {
 				fmt.Fprintln(os.Stderr, "ctlbench: late joiner:", err)
 			}
 		}
@@ -293,7 +285,7 @@ func runDrain(cfg benchConfig, handles []dispatch.Handle, reattached func() int,
 		CellsPerSec: float64(completed.Load()) / drainSecs,
 		Killed:      cfg.kill,
 		Joined:      cfg.join,
-		Reattached:  reattached(),
+		Reattached:  coord.Stats().Reattached,
 	}
 
 	cancelMu.Lock()
@@ -315,7 +307,6 @@ func main() {
 		joiners = flag.Int("join", 2, "workers joining mid-drain")
 		lease   = flag.Duration("lease", 2*time.Second, "coordinator lease TTL")
 		subs    = flag.Int("submitters", 32, "concurrent submit goroutines")
-		shards  = flag.Int("shards", 2, "WAL shards behind a router for the sharded run (0 skips it)")
 		verbose = flag.Bool("v", false, "log coordinator and worker chatter to stderr")
 	)
 	flag.Parse()
@@ -332,15 +323,6 @@ func main() {
 		r, err := runMode(mode, cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ctlbench: %s run: %v\n", mode, err)
-			os.Exit(1)
-		}
-		rep.Runs = append(rep.Runs, r)
-		printRun(r, cfg)
-	}
-	if *shards > 1 {
-		r, err := runShards(*shards, cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ctlbench: shards run: %v\n", err)
 			os.Exit(1)
 		}
 		rep.Runs = append(rep.Runs, r)
@@ -438,9 +420,7 @@ func runMode(mode string, cfg benchConfig) (runReport, error) {
 	defer srv.Close()
 	coordURL := "http://" + ln.Addr().String()
 
-	rep.Drain, err = runDrain(cfg, handles,
-		func() int { return coord.Stats().Reattached },
-		func(int, bool) (string, []string) { return coordURL, nil })
+	rep.Drain, err = runDrain(cfg, handles, coord, coordURL)
 	if err != nil {
 		return runReport{}, err
 	}
@@ -448,101 +428,6 @@ func runMode(mode string, cfg benchConfig) (runReport, error) {
 	if walPath != "" {
 		if fi, err := os.Stat(walPath); err == nil {
 			rep.WALBytes = fi.Size()
-		}
-	}
-	return rep, nil
-}
-
-// runShards is the scale-out run: n WAL-backed shard coordinators, each
-// owning a fingerprint range, behind an in-process Router. Submissions fan
-// out by content address, so n group-commit leaders fsync in parallel and
-// the serialized queue/journal work splits n ways. Workers join their own
-// shard and carry the full shard list, so idle ones spill to whichever
-// shard still holds work — the drain survives the same kill/join chaos as
-// the single-coordinator runs.
-func runShards(n int, cfg benchConfig) (runReport, error) {
-	dir, err := os.MkdirTemp("", "ctlbench-shards-*")
-	if err != nil {
-		return runReport{}, err
-	}
-	defer os.RemoveAll(dir)
-	m, err := shard.NewMap(n, nil)
-	if err != nil {
-		return runReport{}, err
-	}
-
-	members := make([]shard.Member, n)
-	shardURLs := make([]string, n)
-	walPaths := make([]string, n)
-	for i := 0; i < n; i++ {
-		// Each shard owns its store, like a real shard process would (peers
-		// read through /v1/artifacts, they don't share a directory) — and so
-		// the store's submit fast path doesn't re-serialize what sharding
-		// just split.
-		st, err := store.Open(filepath.Join(dir, fmt.Sprintf("store%d", i)), store.DefaultLRUSize)
-		if err != nil {
-			return runReport{}, err
-		}
-		walPaths[i] = filepath.Join(dir, fmt.Sprintf("shard%d.wal", i))
-		coord, err := dispatch.NewCoordinator(dispatch.CoordinatorConfig{
-			Store:    st,
-			LeaseTTL: cfg.lease,
-			Queue:    cfg.cells + 16,
-			WALPath:  walPaths[i],
-			Logf:     chatter,
-			Metrics:  obs.NewRegistry(),
-			Tracer:   obs.NewTracer(0),
-		})
-		if err != nil {
-			return runReport{}, err
-		}
-		self, err := shard.NewSelf(coord, m, i)
-		if err != nil {
-			coord.Close()
-			return runReport{}, err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			coord.Close()
-			return runReport{}, err
-		}
-		mux := http.NewServeMux()
-		self.Mount(mux)
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(ln)
-		defer srv.Close()
-		shardURLs[i] = "http://" + ln.Addr().String()
-		members[i] = self
-	}
-	router, err := shard.NewRouter(shard.RouterConfig{
-		Map: m, Members: members, Logf: chatter, Metrics: obs.NewRegistry(),
-	})
-	if err != nil {
-		return runReport{}, err
-	}
-	defer router.Close() // owns the members
-
-	jobs := make([]dispatch.Job, cfg.cells)
-	for i := range jobs {
-		jobs[i] = benchJob(i)
-	}
-	handles, sub, err := submitPhase(router, jobs, cfg)
-	if err != nil {
-		return runReport{}, err
-	}
-	rep := runReport{Mode: "shards", Shards: n, Submit: sub}
-
-	// Drain: worker i homes on shard i%n and spills across the full list.
-	rep.Drain, err = runDrain(cfg, handles,
-		func() int { return router.Stats().Reattached },
-		func(i int, _ bool) (string, []string) { return shardURLs[i%n], shardURLs })
-	if err != nil {
-		return runReport{}, err
-	}
-	router.Close()
-	for _, p := range walPaths {
-		if fi, err := os.Stat(p); err == nil {
-			rep.WALBytes += fi.Size()
 		}
 	}
 	return rep, nil

@@ -10,6 +10,8 @@
 // fleet of worker processes that join over HTTP, lease jobs, heartbeat
 // progress and upload finished histories — so one grid spreads across as
 // many machines as register. A worker is this same binary in -worker mode.
+// One coordinator is the whole control plane (DESIGN.md "Why one
+// coordinator"); -wal makes its queue survive a restart.
 //
 // Examples:
 //
@@ -27,12 +29,9 @@
 //	fedserve -worker -join http://localhost:8080 -slots 2
 //	fedserve -worker -join http://localhost:8080 -slots 2
 //
-//	# sharded: two WAL-backed shard coordinators behind a front router;
-//	# workers join their shard and spill to the other when idle
-//	fedserve -shard-peers http://h0:8081,http://h1:8082 -shard-index 0 -wal s0.wal -addr :8081
-//	fedserve -shard-peers http://h0:8081,http://h1:8082 -shard-index 1 -wal s1.wal -addr :8082
-//	fedserve -shards http://h0:8081,http://h1:8082 -addr :8080
-//	fedserve -worker -join http://h0:8081 -spill http://h0:8081,http://h1:8082
+//	# durable: the coordinator journals its queue; a restart on the same
+//	# -wal and -store replays it and the workers re-attach on their own
+//	fedserve -remote -wal ./coord.wal -addr :8080 -store ./results
 package main
 
 import (
@@ -43,12 +42,10 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
 	"fedwcm/internal/dispatch"
-	"fedwcm/internal/dispatch/shard"
 	"fedwcm/internal/obs"
 	"fedwcm/internal/serve"
 	"fedwcm/internal/store"
@@ -68,17 +65,12 @@ func main() {
 		leaseTTL = flag.Duration("lease", 15*time.Second, "remote backend: lease TTL before a silent worker's job requeues")
 		walPath  = flag.String("wal", "", "remote backend: write-ahead log path; queued and leased jobs survive a coordinator restart (empty = in-memory only)")
 
-		shards     = flag.String("shards", "", "front-router mode: comma-separated shard base URLs; submissions fan out to the shard owning each fingerprint")
-		shardPeers = flag.String("shard-peers", "", "shard mode: comma-separated base URLs of every shard in index order (implies -remote semantics)")
-		shardIndex = flag.Int("shard-index", -1, "shard mode: this process's slot in -shard-peers")
-
 		tenantRPS   = flag.Float64("tenant-rps", 0, "admission: sustained run/sweep submissions per second per tenant, keyed by the X-Tenant header (0 = unlimited)")
 		tenantBurst = flag.Int("tenant-burst", 0, "admission: per-tenant burst above -tenant-rps (0 derives from the rate)")
 		maxPending  = flag.Int("max-pending", 0, "admission: shed submissions with 429 while the executor queue holds this many jobs (0 = no backpressure)")
 
 		workerMode = flag.Bool("worker", false, "run as a worker: join a coordinator, lease and execute jobs")
 		join       = flag.String("join", "", "worker mode: coordinator base URL, e.g. http://host:8080")
-		spill      = flag.String("spill", "", "worker mode: comma-separated shard URLs to borrow work from when the joined queue is idle")
 		name       = flag.String("name", "", "worker mode: name reported at registration")
 		slots      = flag.Int("slots", 1, "worker mode: concurrent jobs this worker executes")
 		obsAddr    = flag.String("obs-addr", "", "worker mode: serve /metrics, /healthz, /readyz and /debug on this address (empty = disabled)")
@@ -86,6 +78,12 @@ func main() {
 		logFormat = flag.String("log-format", "text", "log output format: text | json")
 	)
 	flag.Parse()
+	if *walPath != "" && !*remote {
+		// Only the coordinator journals; a local pool given -wal would run
+		// without the durability the operator asked for.
+		fmt.Fprintln(os.Stderr, "fedserve: -wal requires -remote (only the remote-worker coordinator journals its queue)")
+		os.Exit(2)
+	}
 
 	if err := obs.SetupLogging(os.Stderr, *logFormat, "fedserve"); err != nil {
 		fmt.Fprintln(os.Stderr, "fedserve:", err)
@@ -94,7 +92,7 @@ func main() {
 	logf := obs.Logf("fedserve")
 
 	if *workerMode {
-		if err := runWorker(*join, *name, *spill, *slots, *envCap, *obsAddr); err != nil && err != context.Canceled {
+		if err := runWorker(*join, *name, *slots, *envCap, *obsAddr); err != nil && err != context.Canceled {
 			fmt.Fprintln(os.Stderr, "fedserve:", err)
 			os.Exit(1)
 		}
@@ -111,75 +109,7 @@ func main() {
 		Admission: serve.AdmissionConfig{TenantRPS: *tenantRPS, TenantBurst: *tenantBurst, MaxPending: *maxPending},
 	}
 	backend := fmt.Sprintf("local pool, %d workers", *workers)
-	switch {
-	case *shards != "":
-		// Front router: stateless fan-out over N shard processes, with
-		// read-through artifact replication so any shard's results serve
-		// from here.
-		urls := splitCSV(*shards)
-		m, err := shard.NewMap(len(urls), urls)
-		if err == nil {
-			members := make([]shard.Member, len(urls))
-			for i, u := range urls {
-				if members[i], err = shard.NewRemote(u, nil); err != nil {
-					break
-				}
-			}
-			if err == nil {
-				var router *shard.Router
-				router, err = shard.NewRouter(shard.RouterConfig{Map: m, Members: members, Metrics: obs.Default()})
-				if err == nil {
-					cfg.Executor = router
-				}
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedserve:", err)
-			os.Exit(1)
-		}
-		st.Replicate(urls, nil)
-		backend = fmt.Sprintf("shard router over %d shards", len(urls))
-	case *shardPeers != "":
-		// Shard process: one WAL-capable coordinator owning a slice of the
-		// fingerprint space, replicating reads from its peers.
-		urls := splitCSV(*shardPeers)
-		if *shardIndex < 0 || *shardIndex >= len(urls) {
-			fmt.Fprintf(os.Stderr, "fedserve: -shard-index %d outside -shard-peers of %d\n", *shardIndex, len(urls))
-			os.Exit(1)
-		}
-		m, err := shard.NewMap(len(urls), urls)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedserve:", err)
-			os.Exit(1)
-		}
-		coord, err := dispatch.NewCoordinator(dispatch.CoordinatorConfig{
-			Store:    st,
-			LeaseTTL: *leaseTTL,
-			Queue:    *queue,
-			WALPath:  *walPath,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedserve:", err)
-			os.Exit(1)
-		}
-		self, err := shard.NewSelf(coord, m, *shardIndex)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedserve:", err)
-			os.Exit(1)
-		}
-		cfg.Executor = self
-		var peers []string
-		for i, u := range urls {
-			if i != *shardIndex {
-				peers = append(peers, u)
-			}
-		}
-		st.Replicate(peers, nil)
-		backend = fmt.Sprintf("shard %d/%d, lease TTL %v", *shardIndex, len(urls), *leaseTTL)
-		if *walPath != "" {
-			backend += fmt.Sprintf(", WAL %s (%d jobs recovered)", *walPath, coord.Stats().Recovered)
-		}
-	case *remote:
+	if *remote {
 		coord, err := dispatch.NewCoordinator(dispatch.CoordinatorConfig{
 			Store:    st,
 			LeaseTTL: *leaseTTL,
@@ -230,23 +160,12 @@ func main() {
 	<-shutdownDone // let in-flight responses (SSE done events) drain before exit
 }
 
-// splitCSV splits a comma-separated flag value, dropping empty elements.
-func splitCSV(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // runWorker joins a coordinator and serves leases until SIGTERM/SIGINT,
 // then deregisters so in-flight jobs hand over cleanly. obsAddr, when set,
 // serves the worker's own observability surface (/metrics, /healthz,
 // /readyz, /debug); readiness reflects a live registration with the
 // coordinator.
-func runWorker(join, name, spill string, slots, envCap int, obsAddr string) error {
+func runWorker(join, name string, slots, envCap int, obsAddr string) error {
 	if join == "" {
 		return fmt.Errorf("-worker requires -join <coordinator url>")
 	}
@@ -258,7 +177,6 @@ func runWorker(join, name, spill string, slots, envCap int, obsAddr string) erro
 		Runner:      sweep.DispatchRunner(envs),
 		Name:        name,
 		Slots:       slots,
-		Shards:      splitCSV(spill),
 	})
 	if err != nil {
 		return err

@@ -64,6 +64,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.BaseURL == "" {
 		return nil, fmt.Errorf("dispatch: ClientConfig.BaseURL is required")
 	}
+	// "host:8080/" + "/v1/runs" is "//v1/runs": ServeMux answers 301 to the
+	// cleaned path and http.Client replays a redirected POST as GET.
+	cfg.BaseURL = strings.TrimRight(cfg.BaseURL, "/")
 	if cfg.PollEvery <= 0 {
 		cfg.PollEvery = 250 * time.Millisecond
 	}

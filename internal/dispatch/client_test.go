@@ -34,9 +34,9 @@ func TestClientBlockingSubmitRetriesAdmission429(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	mk := func() *Client {
+	mk := func(base string) *Client {
 		// A poll cadence the test never reaches: only Submit is under test.
-		c, err := NewClient(ClientConfig{BaseURL: ts.URL, PollEvery: time.Hour, Logf: t.Logf})
+		c, err := NewClient(ClientConfig{BaseURL: base, PollEvery: time.Hour, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,13 +44,15 @@ func TestClientBlockingSubmitRetriesAdmission429(t *testing.T) {
 		return c
 	}
 
-	if _, err := mk().Submit(job, SubmitOpts{}); !errors.Is(err, ErrQueueFull) {
+	if _, err := mk(ts.URL).Submit(job, SubmitOpts{}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("fail-fast submit against a 429: %v, want ErrQueueFull", err)
 	}
 
 	posts.Store(0)
 	start := time.Now()
-	h, err := mk().Submit(job, SubmitOpts{Block: true})
+	// The base URL as an operator types it (-remote http://host:8080/): the
+	// trailing slash must not turn the POST into a redirected GET.
+	h, err := mk(ts.URL+"/").Submit(job, SubmitOpts{Block: true})
 	if err != nil {
 		t.Fatalf("blocking submit against 429 then 202: %v", err)
 	}

@@ -11,7 +11,10 @@
 //     (POST /v1/workers), pull work via time-limited leases, heartbeat
 //     progress, and upload finished histories keyed by the job fingerprint.
 //     A lease that expires (worker crash, heartbeat loss) requeues the job
-//     onto surviving workers with capped retries.
+//     onto surviving workers with capped retries. One Coordinator is the
+//     whole control plane — with WALPath its queue survives a restart — and
+//     a Worker talks to exactly one (DESIGN.md "Why one coordinator" has
+//     the measurement behind that).
 //   - Worker is the pull-side client of a Coordinator: fedserve -worker
 //     -join <url> wraps one around the local runner.
 //   - Client submits jobs to a remote fedserve over the public run API —

@@ -327,7 +327,7 @@ func TestSlotDrainsQueueOnOneLeasePoll(t *testing.T) {
 func TestShuttingDownWorkerDoesNotAskForMore(t *testing.T) {
 	h, rl := newLoggedHarness(t, CoordinatorConfig{LeaseTTL: 10 * time.Second})
 	running, release := make(chan struct{}, 1), make(chan struct{})
-	cancel, exited := runWorker(t, h, 1, func(ctx context.Context, job Job, onRound func(fl.RoundStat)) (*fl.History, error) {
+	cancel, exited := runWorker(t, h.ts.URL, 1, func(ctx context.Context, job Job, onRound func(fl.RoundStat)) (*fl.History, error) {
 		running <- struct{}{}
 		<-release // finishes regardless of ctx: the work is done, ship it
 		return cannedHist(241), nil
@@ -373,7 +373,7 @@ func TestAckedJobHandedBackOnShutdown(t *testing.T) {
 		}
 	}
 	rl.mu.Unlock()
-	cancel, exited := runWorker(t, h, 1, echoRunner(nil))
+	cancel, exited := runWorker(t, h.ts.URL, 1, echoRunner(nil))
 	close(armed)
 	if _, err := waitDone(t, hd1); err != nil {
 		t.Fatal(err)
@@ -461,9 +461,9 @@ func TestAckedJobRunsUnderUploadingID(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	w.primary.mu.Lock()
-	newID := w.primary.id
-	w.primary.mu.Unlock()
+	w.mu.Lock()
+	newID := w.id
+	w.mu.Unlock()
 	cancel()
 	<-done // every answered request is in the route log once the worker is gone
 	if newID == oldID {

@@ -112,7 +112,6 @@ func newCoordMetrics(reg *obs.Registry, stats func() CoordinatorStats) coordMetr
 // process's own /metrics listener).
 type workerMetrics struct {
 	leases     *obs.Counter
-	spills     *obs.Counter // leases borrowed from a non-primary shard
 	heartbeats *obs.Counter
 	leaseLost  *obs.Counter
 	uploads    *obs.CounterVec // by coordinator ack status
@@ -125,7 +124,6 @@ func newWorkerMetrics(reg *obs.Registry) workerMetrics {
 	}
 	return workerMetrics{
 		leases:     reg.Counter("fedwcm_worker_leases_total", "Jobs leased from the coordinator."),
-		spills:     reg.Counter("fedwcm_worker_spills_total", "Jobs leased from a non-primary shard while the worker's own queue was idle."),
 		heartbeats: reg.Counter("fedwcm_worker_heartbeats_total", "Heartbeats delivered to the coordinator."),
 		leaseLost:  reg.Counter("fedwcm_worker_lease_lost_total", "Leases lost mid-run (job abandoned)."),
 		uploads:    reg.CounterVec("fedwcm_worker_uploads_total", "Result uploads, by coordinator acknowledgement.", "status"),

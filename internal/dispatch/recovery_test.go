@@ -159,6 +159,16 @@ func TestCorruptWALFailsStartup(t *testing.T) {
 	}
 }
 
+// serveCoord serves c's worker protocol on l — a coordinator "process" a
+// test can kill (srv.Close, c.Close) and restart on the same address.
+func serveCoord(c *Coordinator, l net.Listener) *http.Server {
+	mux := http.NewServeMux()
+	c.Mount(mux)
+	srv := &http.Server{Handler: mux}
+	go srv.Serve(l)
+	return srv
+}
+
 // TestWorkerReattachesAcrossCoordinatorRestart is the end-to-end crash
 // story with a real Worker: the coordinator dies mid-computation and a new
 // one on the same address + WAL + store takes over. The worker — still
@@ -181,16 +191,9 @@ func TestWorkerReattachesAcrossCoordinatorRestart(t *testing.T) {
 		}
 		return c
 	}
-	serve := func(c *Coordinator, l net.Listener) *http.Server {
-		mux := http.NewServeMux()
-		c.Mount(mux)
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(l)
-		return srv
-	}
 
 	c1 := mkCoord()
-	srv1 := serve(c1, ln)
+	srv1 := serveCoord(c1, ln)
 
 	var execs atomic.Int64
 	started := make(chan struct{}, 4)
@@ -248,7 +251,7 @@ func TestWorkerReattachesAcrossCoordinatorRestart(t *testing.T) {
 	if s := c2.Stats(); !s.Durable || s.Recovered != 1 || s.Pending != 1 {
 		t.Fatalf("restart recovered %+v, want the in-flight job back in the queue", s)
 	}
-	srv2 := serve(c2, ln2)
+	srv2 := serveCoord(c2, ln2)
 	defer srv2.Close()
 
 	// The restarted server's sweep layer would re-POST the sweep; the
@@ -276,6 +279,192 @@ func TestWorkerReattachesAcrossCoordinatorRestart(t *testing.T) {
 	}
 	if _, ok, _ := st.Get(job.ID); !ok {
 		t.Fatal("artifact missing from the store after re-attached upload")
+	}
+}
+
+// TestCoordinatorKilledMidSweepWithDeepQueue is the crash story at sweep
+// depth: a WAL-backed coordinator is "SIGKILLed" (listener torn down,
+// coordinator dropped without journaling completes — the crash signature
+// the smoke test produces with a real kill -9) while a 40-job sweep has
+// cells done, cells leased and most of the queue still pending, then
+// restarted on the same address + WAL + store. The resubmitted sweep must
+// finish with every cell completing exactly once and every artifact
+// byte-identical to a local-backend run of the same jobs.
+//
+// Execution (not completion) is at-least-once by design: a worker whose
+// upload window straddles the crash abandons the job, the recovered lease
+// expires, and a retry recomputes it — the idempotent content-addressed
+// upload still completes the cell once. The choreography keeps the kill
+// window narrow enough that a duplicate execution stays the rare case, and
+// asserts it never exceeds the one-retry budget.
+func TestCoordinatorKilledMidSweepWithDeepQueue(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "coord.wal")
+	st := tstore(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	mkCoord := func() *Coordinator {
+		c, err := NewCoordinator(CoordinatorConfig{
+			Store: st, WALPath: walPath, LeaseTTL: 5 * time.Second, Logf: t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	// Deterministic runner whose artifact derives from the spec alone, so a
+	// local-backend reference run must produce byte-identical store files.
+	var execMu sync.Mutex
+	execs := map[string]int{}
+	slowCounting := func(ctx context.Context, job Job, onRound func(fl.RoundStat)) (*fl.History, error) {
+		execMu.Lock()
+		execs[job.ID]++
+		execMu.Unlock()
+		select {
+		case <-time.After(30 * time.Millisecond):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return echoRunner(nil)(ctx, job, onRound)
+	}
+
+	const n = 40
+	jobs := make([]Job, n)
+	for i := range jobs {
+		jobs[i] = testJob(i)
+	}
+
+	c1 := mkCoord()
+	srv1 := serveCoord(c1, ln)
+
+	// Three slots over two workers, slow enough that the sweep is genuinely
+	// mid-flight when the kill lands.
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for i, slots := range []int{2, 1} {
+		w, err := NewWorker(WorkerConfig{
+			Coordinator: "http://" + addr, Runner: slowCounting, Name: "w" + string(rune('0'+i)),
+			Slots: slots, PollWait: 250 * time.Millisecond, Logf: t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() { defer wg.Done(); w.Run(ctx) }()
+	}
+	defer func() { cancel(); wg.Wait() }()
+
+	for _, j := range jobs {
+		if _, err := c1.Submit(j, SubmitOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Wait until the sweep is mid-flight: several cells done, every slot
+	// holding a lease, most of the queue still pending.
+	stored := func() int {
+		k := 0
+		for _, j := range jobs {
+			if _, ok, _ := st.Get(j.ID); ok {
+				k++
+			}
+		}
+		return k
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		done, s := stored(), c1.Stats()
+		if done >= 4 && done <= n-12 && s.Leased == 3 && s.Pending >= 8 {
+			break
+		}
+		if done > n-12 {
+			t.Fatalf("sweep drained to %d/%d before the kill window", done, n)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep never got mid-flight (%d/%d done, %+v)", done, n, s)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	// "SIGKILL": Close journals no completes, so the WAL still carries every
+	// unfinished job — the on-disk state a real kill -9 leaves behind.
+	killedAt := c1.Stats()
+	srv1.Close()
+	c1.Close()
+	t.Logf("coordinator killed with %d/%d cells stored, %d leased, %d pending", stored(), n, killedAt.Leased, killedAt.Pending)
+
+	ln2, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("rebinding %s: %v", addr, err)
+	}
+	c2 := mkCoord()
+	defer c2.Close()
+	if s := c2.Stats(); !s.Durable || s.Recovered == 0 {
+		t.Fatalf("restarted coordinator recovered %+v, want journaled jobs back", s)
+	}
+	srv2 := serveCoord(c2, ln2)
+	defer srv2.Close()
+	t.Logf("coordinator restarted: %d jobs recovered", c2.Stats().Recovered)
+
+	// The orchestration layer re-submits the sweep after a backend restart;
+	// resubmissions coalesce onto recovered (or already-stored) jobs.
+	handles := make([]Handle, n)
+	for i, j := range jobs {
+		if handles[i], err = c2.Submit(j, SubmitOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, h := range handles {
+		if _, err := waitDone(t, h); err != nil {
+			t.Fatalf("cell %d (%.12s) after the restart: %v", i, h.Job().ID, err)
+		}
+	}
+
+	// Byte-identity: run the same jobs on the local backend and compare the
+	// artifact files bit for bit.
+	refStore := tstore(t)
+	local, err := NewLocal(LocalConfig{Store: refStore, Workers: 2, Runner: echoRunner(nil), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	for _, j := range jobs {
+		h, err := local.Submit(j, SubmitOpts{Block: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := waitDone(t, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, j := range jobs {
+		got, err := os.ReadFile(st.Path(j.ID))
+		if err != nil {
+			t.Fatalf("artifact %.12s missing after recovery: %v", j.ID, err)
+		}
+		want, err := os.ReadFile(refStore.Path(j.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("artifact %.12s differs from the local-backend run", j.ID)
+		}
+	}
+
+	// Exactly-once completion, bounded re-execution: every cell ran, and no
+	// cell burned more than one crash retry.
+	execMu.Lock()
+	defer execMu.Unlock()
+	for _, j := range jobs {
+		switch k := execs[j.ID]; {
+		case k == 0:
+			t.Errorf("cell %.12s never executed", j.ID)
+		case k > 2:
+			t.Errorf("cell %.12s executed %d times; the crash budget is one retry", j.ID, k)
+		}
 	}
 }
 
@@ -384,9 +573,9 @@ func TestDeregisterTimesOutOnWedgedCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.primary.mu.Lock()
-	w.primary.id = "w-wedged"
-	w.primary.mu.Unlock()
+	w.mu.Lock()
+	w.id = "w-wedged"
+	w.mu.Unlock()
 	start := time.Now()
 	w.deregister()
 	if elapsed := time.Since(start); elapsed > deregisterTimeout+5*time.Second {

@@ -101,10 +101,11 @@ const (
 	// preallocChunk is how far the file is extended ahead of the write
 	// offset. Appends then land inside the allocated size, so the per-commit
 	// sync is a data-only fdatasync instead of an fsync that must also
-	// journal an inode size change — the journal commit is what serializes
-	// concurrent WALs (one per shard) on a shared filesystem. The zeroed
-	// tail doubles as the end-of-log marker: replay stops at the first
-	// all-zero frame header, since a real frame is never empty.
+	// journal an inode size change — a filesystem journal commit the log
+	// would otherwise share with every store.Put fsyncing artifacts on the
+	// same disk. The zeroed tail doubles as the end-of-log marker: replay
+	// stops at the first all-zero frame header, since a real frame is never
+	// empty.
 	preallocChunk = 1 << 20
 )
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -20,14 +21,8 @@ import (
 type WorkerConfig struct {
 	Coordinator string // required: coordinator base URL, e.g. http://host:8080
 	Runner      Runner // required: how one leased job executes
-	// Shards lists the other coordinators of a sharded control plane (base
-	// URLs). The worker leases from Coordinator; when that queue is idle it
-	// spills to the listed shard with the deepest pending backlog, so a
-	// straggling shard doesn't strand capacity parked on an empty one.
-	// Entries equal to Coordinator are ignored; empty means never spill.
-	Shards []string
-	Name   string // reported at registration; defaults to the hostname-free "worker"
-	Slots  int    // concurrent jobs; 0 = 1 (the coordinator may cap it)
+	Name        string // reported at registration; defaults to the hostname-free "worker"
+	Slots       int    // concurrent jobs; 0 = 1 (the coordinator may cap it)
 	// PollWait is the long-poll budget per lease request. 0 = 10s.
 	PollWait time.Duration
 	// HeartbeatEvery overrides the heartbeat cadence; 0 derives it from the
@@ -55,30 +50,16 @@ type WorkerConfig struct {
 // coordinator recovered, so the computation survives the restart instead
 // of being redone.
 type Worker struct {
-	cfg WorkerConfig
-
-	primary *conn   // the coordinator the worker joined and long-polls
-	spills  []*conn // other shards, registered with lazily on first spill
-
-	wm workerMetrics
-}
-
-// conn is one coordinator relationship: the primary the worker joined, or
-// a spill shard it borrows work from when its own queue is idle. Each
-// carries its own registration (worker ids are per-coordinator) and a
-// briefly cached queue-depth snapshot for spill targeting.
-type conn struct {
-	base string
+	cfg  WorkerConfig
+	base string // cfg.Coordinator without trailing slashes
 
 	mu  sync.Mutex
-	id  string
-	ttl time.Duration
+	id  string        // live registration; "" until the first one lands
+	ttl time.Duration // the coordinator's lease TTL, reported at registration
 
 	regMu sync.Mutex // single-flights re-registration across slot loops
 
-	statsMu sync.Mutex
-	pending int       // last observed queue depth (spill shards only)
-	statsAt time.Time // when pending was fetched
+	wm workerMetrics
 }
 
 // NewWorker validates cfg and returns the worker; Run starts it.
@@ -109,13 +90,9 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.Default()
 	}
-	w := &Worker{cfg: cfg, primary: &conn{base: cfg.Coordinator}, wm: newWorkerMetrics(cfg.Metrics)}
-	for _, base := range cfg.Shards {
-		if base != "" && base != cfg.Coordinator {
-			w.spills = append(w.spills, &conn{base: base})
-		}
-	}
-	return w, nil
+	// "host:8080/" + "/v1/workers" is "//v1/workers": ServeMux answers 301 to
+	// the cleaned path and http.Client replays a redirected POST as GET.
+	return &Worker{cfg: cfg, base: strings.TrimRight(cfg.Coordinator, "/"), wm: newWorkerMetrics(cfg.Metrics)}, nil
 }
 
 // jitter scales d by a uniform factor in [0.8, 1.2). N workers whose empty
@@ -129,16 +106,16 @@ func jitter(d time.Duration) time.Duration {
 // signal for a worker process: healthy the moment it boots, ready once the
 // coordinator knows it.
 func (w *Worker) Ready() bool {
-	w.primary.mu.Lock()
-	defer w.primary.mu.Unlock()
-	return w.primary.id != ""
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.id != ""
 }
 
 // Run registers and serves leases until ctx is cancelled, then deregisters
 // so in-flight leases hand over cleanly instead of timing out. It returns
 // ctx.Err() on cancellation.
 func (w *Worker) Run(ctx context.Context) error {
-	if err := w.registerLoop(ctx, w.primary); err != nil {
+	if err := w.register(ctx); err != nil {
 		return err
 	}
 	var wg sync.WaitGroup
@@ -154,36 +131,27 @@ func (w *Worker) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// registerOnce makes a single registration attempt against cn.
-func (w *Worker) registerOnce(ctx context.Context, cn *conn) error {
-	var resp registerResponse
-	code, err := w.postJSON(ctx, cn.base+"/v1/workers", "",
-		registerRequest{Name: w.cfg.Name, Slots: w.cfg.Slots}, &resp)
-	if err != nil {
-		return err
-	}
-	if code != http.StatusCreated {
-		return fmt.Errorf("registration returned HTTP %d", code)
-	}
-	ttl := time.Duration(resp.LeaseTTL) * time.Millisecond
-	cn.mu.Lock()
-	cn.id, cn.ttl = resp.ID, ttl
-	cn.mu.Unlock()
-	w.cfg.Logf("dispatch: registered with %s as %s (lease TTL %v)", cn.base, resp.ID, ttl)
-	return nil
-}
-
-// registerLoop retries registerOnce with backoff until it lands or ctx
-// cancels — the boot path, where a worker started before its coordinator
-// must wait it out.
-func (w *Worker) registerLoop(ctx context.Context, cn *conn) error {
+// register (re-)registers with the coordinator, retrying with backoff until
+// it lands or ctx cancels — a worker started before its coordinator, or
+// outliving a restart of it, must wait it out.
+func (w *Worker) register(ctx context.Context) error {
 	backoff := 100 * time.Millisecond
 	for {
-		err := w.registerOnce(ctx, cn)
-		if err == nil {
+		var resp registerResponse
+		code, err := w.postJSON(ctx, w.base+"/v1/workers", "",
+			registerRequest{Name: w.cfg.Name, Slots: w.cfg.Slots}, &resp)
+		if err == nil && code == http.StatusCreated {
+			ttl := time.Duration(resp.LeaseTTL) * time.Millisecond
+			w.mu.Lock()
+			w.id, w.ttl = resp.ID, ttl
+			w.mu.Unlock()
+			w.cfg.Logf("dispatch: registered with %s as %s (lease TTL %v)", w.base, resp.ID, ttl)
 			return nil
 		}
-		w.cfg.Logf("dispatch: registering with %s: %v (retrying in %v)", cn.base, err, backoff)
+		if err == nil {
+			err = fmt.Errorf("registration returned HTTP %d", code)
+		}
+		w.cfg.Logf("dispatch: registering with %s: %v (retrying in %v)", w.base, err, backoff)
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -202,86 +170,65 @@ func (w *Worker) registerLoop(ctx context.Context, cn *conn) error {
 const deregisterTimeout = 3 * time.Second
 
 func (w *Worker) deregister() {
-	for _, cn := range append([]*conn{w.primary}, w.spills...) {
-		cn.mu.Lock()
-		id := cn.id
-		cn.mu.Unlock()
-		if id == "" {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), deregisterTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, cn.base+"/v1/workers/"+id, nil)
-		if err != nil {
-			cancel()
-			continue
-		}
-		resp, err := w.cfg.HTTPClient.Do(req)
-		if err != nil {
-			w.cfg.Logf("dispatch: deregistering %s: %v (lease will lapse instead)", id, err)
-			cancel()
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		cancel()
-		w.cfg.Logf("dispatch: worker %s deregistered", id)
+	w.mu.Lock()
+	id := w.id
+	w.mu.Unlock()
+	if id == "" {
+		return
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), deregisterTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, w.base+"/v1/workers/"+id, nil)
+	if err != nil {
+		return
+	}
+	resp, err := w.cfg.HTTPClient.Do(req)
+	if err != nil {
+		w.cfg.Logf("dispatch: deregistering %s: %v (lease will lapse instead)", id, err)
+		return
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	w.cfg.Logf("dispatch: worker %s deregistered", id)
 }
 
 // slotLoop leases and executes jobs one at a time until ctx cancels. While
 // the queue is busy each upload's ack hands the slot its next job (see
-// execute), so the lease poll below is only where an idle slot parks. After
-// a spilled job it drains the spill shard further before parking on the
-// primary's long poll again.
+// execute), so the lease poll is only where an idle slot parks.
 func (w *Worker) slotLoop(ctx context.Context) {
 	var backoff time.Duration
-	spilled := false
 	for ctx.Err() == nil {
-		var (
-			job Job
-			cn  *conn
-			id  string
-			ok  bool
-		)
-		if spilled {
-			if job, cn, id, ok = w.spillLease(ctx); !ok {
-				spilled = false
-			}
-		}
+		job, id, ok := w.lease(ctx, &backoff)
 		if !ok {
-			if job, cn, id, ok = w.lease(ctx, &backoff); !ok {
-				continue // no job this poll (or transient error; lease backs off)
-			}
-			backoff = 0
-			spilled = cn != w.primary
+			continue // no job this poll (or transient error; lease backs off)
 		}
+		backoff = 0
 		// A job the ack granted but a shutdown got to first stays leased to
 		// this worker; deregistration hands it back without costing an attempt.
 		for ok && ctx.Err() == nil {
-			job, id, ok = w.execute(ctx, job, cn, id)
+			job, id, ok = w.execute(ctx, job, id)
 		}
 	}
 }
 
-// lease asks the primary for one job, long-polling server-side, and
-// returns the connection + worker id the lease was granted under — the id
-// the job must heartbeat and upload as, even if another slot re-registers
-// meanwhile. An empty primary queue first tries a spill shard. false means
-// "nothing leased": empty queues, transient error, or a 404 that forced a
-// re-registration. backoff carries the escalating transient-error delay
-// across calls (reset by the caller on success); every sleep here is
-// jittered ±20% so a fleet re-polling an empty shard spreads out.
-func (w *Worker) lease(ctx context.Context, backoff *time.Duration) (Job, *conn, string, bool) {
-	w.primary.mu.Lock()
-	id := w.primary.id
-	w.primary.mu.Unlock()
+// lease asks the coordinator for one job, long-polling server-side, and
+// returns the worker id the lease was granted under — the id the job must
+// heartbeat and upload as, even if another slot re-registers meanwhile.
+// false means "nothing leased": empty queue, transient error, or a 404 that
+// forced a re-registration. backoff carries the escalating transient-error
+// delay across calls (reset by the caller on success); every sleep here is
+// jittered ±20% so a fleet re-polling an empty queue spreads out.
+func (w *Worker) lease(ctx context.Context, backoff *time.Duration) (Job, string, bool) {
+	w.mu.Lock()
+	id := w.id
+	w.mu.Unlock()
 	var resp leaseResponse
 	t0 := time.Now()
-	code, err := w.postJSON(ctx, w.primary.base+"/v1/workers/"+id+"/lease", "",
+	code, err := w.postJSON(ctx, w.base+"/v1/workers/"+id+"/lease", "",
 		leaseRequest{WaitMS: w.cfg.PollWait.Milliseconds()}, &resp)
 	switch {
 	case ctx.Err() != nil:
-		return Job{}, w.primary, id, false
+		return Job{}, id, false
 	case err != nil:
 		w.cfg.Logf("dispatch: lease: %v", err)
 		// Transient (coordinator restarting?): escalate from 500ms toward the
@@ -295,20 +242,14 @@ func (w *Worker) lease(ctx context.Context, backoff *time.Duration) (Job, *conn,
 		case <-ctx.Done():
 		case <-time.After(jitter(*backoff)):
 		}
-		return Job{}, w.primary, id, false
+		return Job{}, id, false
 	case code == http.StatusOK:
 		w.wm.leases.Inc()
-		return resp.Job, w.primary, id, true
+		return resp.Job, id, true
 	case code == http.StatusNotFound:
-		w.reregister(ctx, w.primary, id)
-		return Job{}, w.primary, id, false
+		w.reregister(ctx, id)
+		return Job{}, id, false
 	case code == http.StatusNoContent:
-		// The primary has nothing. Borrow from the deepest-backlogged spill
-		// shard before sleeping — idle capacity here is exactly what a
-		// straggling shard needs.
-		if job, cn, sid, ok := w.spillLease(ctx); ok {
-			return job, cn, sid, true
-		}
 		// An empty poll normally holds server-side for ~PollWait. One that
 		// returns much sooner means the coordinator is not pacing us (it is
 		// draining for shutdown, or granted the wait to another slot) — sleep
@@ -319,164 +260,44 @@ func (w *Worker) lease(ctx context.Context, backoff *time.Duration) (Job, *conn,
 			case <-time.After(jitter(w.cfg.PollWait - elapsed)):
 			}
 		}
-		return Job{}, w.primary, id, false
+		return Job{}, id, false
 	default:
 		w.cfg.Logf("dispatch: lease returned HTTP %d", code)
-		return Job{}, w.primary, id, false
+		return Job{}, id, false
 	}
 }
 
-// spillLease tries to lease from the spill shard with the deepest pending
-// backlog. The poll is non-blocking (WaitMS 0): the primary's long poll is
-// where an idle worker parks; a foreign shard is only borrowed from when
-// it has queued work right now.
-func (w *Worker) spillLease(ctx context.Context) (Job, *conn, string, bool) {
-	var target *conn
-	deepest := 0
-	for _, cn := range w.spills {
-		if p := w.shardPending(ctx, cn); p > deepest {
-			target, deepest = cn, p
-		}
-	}
-	if target == nil {
-		return Job{}, nil, "", false
-	}
-	id, ok := w.connID(ctx, target)
-	if !ok {
-		return Job{}, nil, "", false
-	}
-	var resp leaseResponse
-	code, err := w.postJSON(ctx, target.base+"/v1/workers/"+id+"/lease", "", leaseRequest{WaitMS: 0}, &resp)
-	switch {
-	case ctx.Err() != nil || err != nil:
-		return Job{}, nil, "", false
-	case code == http.StatusOK:
-		w.wm.leases.Inc()
-		w.wm.spills.Inc()
-		w.cfg.Logf("dispatch: spilled to shard %s for job %.12s", target.base, resp.Job.ID)
-		return resp.Job, target, id, true
-	case code == http.StatusNotFound:
-		// The shard forgot us (restart); drop the registration so the next
-		// spill re-registers fresh.
-		target.mu.Lock()
-		if target.id == id {
-			target.id = ""
-		}
-		target.mu.Unlock()
-		return Job{}, nil, "", false
-	default:
-		return Job{}, nil, "", false
-	}
-}
-
-// shardPending reads cn's own queue depth from its /v1/shards snapshot,
-// cached briefly so a fleet of idle slots doesn't turn spill targeting
-// into a scrape storm. Unreachable shards (or ones not publishing the
-// endpoint) read as empty and are simply not spilled to.
-func (w *Worker) shardPending(ctx context.Context, cn *conn) int {
-	cn.statsMu.Lock()
-	defer cn.statsMu.Unlock()
-	if !cn.statsAt.IsZero() && time.Since(cn.statsAt) < time.Second {
-		return cn.pending
-	}
-	cn.pending, cn.statsAt = 0, time.Now()
-	pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, cn.base+"/v1/shards", nil)
-	if err != nil {
-		return 0
-	}
-	resp, err := w.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return 0
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	var st struct {
-		Self  int                `json:"self"`
-		Stats []CoordinatorStats `json:"stats"`
-	}
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil {
-		return 0
-	}
-	if st.Self >= 0 && st.Self < len(st.Stats) {
-		cn.pending = st.Stats[st.Self].Pending
-	}
-	return cn.pending
-}
-
-// connID returns cn's live registration id, registering on first use. One
-// attempt, no retry loop: a spill shard that is down just isn't spilled to
-// this round.
-func (w *Worker) connID(ctx context.Context, cn *conn) (string, bool) {
-	cn.mu.Lock()
-	id := cn.id
-	cn.mu.Unlock()
-	if id != "" {
-		return id, true
-	}
-	cn.regMu.Lock()
-	defer cn.regMu.Unlock()
-	cn.mu.Lock()
-	id = cn.id
-	cn.mu.Unlock()
-	if id != "" {
-		return id, true // another slot registered meanwhile
-	}
-	if err := w.registerOnce(ctx, cn); err != nil {
-		w.cfg.Logf("dispatch: registering with spill shard %s: %v", cn.base, err)
-		return "", false
-	}
-	cn.mu.Lock()
-	id = cn.id
-	cn.mu.Unlock()
-	return id, true
-}
-
-// reregister obtains a fresh registration after a coordinator forgot the
-// worker (restart, idle pruning). Single-flighted per connection: when both
-// slot loops hit 404 at once, only the first re-registers — a second would
-// leave a phantom registration and flap the id under the first one's
-// leases. The primary retries until it lands (the worker is useless
-// without it); a spill shard gets one attempt and is otherwise dropped.
-func (w *Worker) reregister(ctx context.Context, cn *conn, stale string) {
-	cn.regMu.Lock()
-	defer cn.regMu.Unlock()
-	cn.mu.Lock()
-	cur := cn.id
-	cn.mu.Unlock()
+// reregister obtains a fresh registration after the coordinator forgot the
+// worker (restart, idle pruning). Single-flighted: when both slot loops hit
+// 404 at once, only the first re-registers — a second would leave a phantom
+// registration and flap w.id under the first one's leases.
+func (w *Worker) reregister(ctx context.Context, stale string) {
+	w.regMu.Lock()
+	defer w.regMu.Unlock()
+	w.mu.Lock()
+	cur := w.id
+	w.mu.Unlock()
 	if cur != stale {
 		return // another slot already re-registered
 	}
-	w.cfg.Logf("dispatch: coordinator %s forgot worker %s; re-registering", cn.base, stale)
-	if cn == w.primary {
-		w.registerLoop(ctx, cn)
-		return
-	}
-	cn.mu.Lock()
-	cn.id = ""
-	cn.mu.Unlock()
-	if err := w.registerOnce(ctx, cn); err != nil {
-		w.cfg.Logf("dispatch: re-registering with spill shard %s: %v", cn.base, err)
-	}
+	w.cfg.Logf("dispatch: coordinator %s forgot worker %s; re-registering", w.base, stale)
+	w.register(ctx)
 }
 
-// execute runs one leased job against the coordinator it was leased from,
-// under the worker id it was leased to: heartbeats flow while training,
-// the result (or execution error) is uploaded at the end. A lost lease
-// cancels the job's context and abandons the upload.
+// execute runs one leased job under the worker id it was leased to:
+// heartbeats flow while training, the result (or execution error) is
+// uploaded at the end. A lost lease cancels the job's context and abandons
+// the upload.
 //
 // The upload asks for the freed slot's next job (?lease=1) unless the worker
 // is shutting down; when the ack carries one, execute returns it with the
 // worker id it was granted under — the id the upload was posted as, which is
 // not the slot's original id if a coordinator restart forced a
 // re-registration mid-job.
-func (w *Worker) execute(ctx context.Context, job Job, cn *conn, id string) (next Job, nextID string, ok bool) {
-	cn.mu.Lock()
-	ttl := cn.ttl
-	cn.mu.Unlock()
+func (w *Worker) execute(ctx context.Context, job Job, id string) (next Job, nextID string, ok bool) {
+	w.mu.Lock()
+	ttl := w.ttl
+	w.mu.Unlock()
 	every := w.cfg.HeartbeatEvery
 	if every <= 0 {
 		every = ttl / 3
@@ -513,7 +334,7 @@ func (w *Worker) execute(ctx context.Context, job Job, cn *conn, id string) (nex
 	// heartbeat goroutine writes it, and the upload path reads it strictly
 	// after <-hbDone.
 	curID := id
-	hbURL := fmt.Sprintf("%s/v1/workers/%s/jobs/%s/heartbeat", cn.base, curID, job.ID)
+	hbURL := fmt.Sprintf("%s/v1/workers/%s/jobs/%s/heartbeat", w.base, curID, job.ID)
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
@@ -553,16 +374,16 @@ func (w *Worker) execute(ctx context.Context, job Job, cn *conn, id string) (nex
 					statsMu.Lock()
 					stats = append(batch, stats...)
 					statsMu.Unlock()
-					w.reregister(jobCtx, cn, curID)
-					cn.mu.Lock()
-					next := cn.id
-					cn.mu.Unlock()
+					w.reregister(jobCtx, curID)
+					w.mu.Lock()
+					next := w.id
+					w.mu.Unlock()
 					if next == "" || next == curID {
 						continue // re-registration interrupted; retry next beat
 					}
 					w.cfg.Logf("dispatch: job %.12s: re-attaching as %s (was %s)", job.ID, next, curID)
 					curID = next
-					hbURL = fmt.Sprintf("%s/v1/workers/%s/jobs/%s/heartbeat", cn.base, curID, job.ID)
+					hbURL = fmt.Sprintf("%s/v1/workers/%s/jobs/%s/heartbeat", w.base, curID, job.ID)
 					continue
 				}
 				if code == http.StatusGone {
@@ -612,7 +433,7 @@ func (w *Worker) execute(ctx context.Context, job Job, cn *conn, id string) (nex
 		upCtx, upCancel = context.WithTimeout(context.Background(), 10*time.Second)
 		defer upCancel()
 	}
-	resURL := fmt.Sprintf("%s/v1/workers/%s/jobs/%s/result", cn.base, curID, job.ID)
+	resURL := fmt.Sprintf("%s/v1/workers/%s/jobs/%s/result", w.base, curID, job.ID)
 	if ctx.Err() == nil {
 		resURL += "?lease=1" // a worker on its way out must not be handed more work
 	}

@@ -14,7 +14,7 @@ import (
 // returns its cancel func; cleanup waits for the run loop to exit.
 func startWorker(t *testing.T, h *coordHarness, runner Runner, slots int) context.CancelFunc {
 	t.Helper()
-	cancel, _ := runWorker(t, h, slots, runner)
+	cancel, _ := runWorker(t, h.ts.URL, slots, runner)
 	return cancel
 }
 
@@ -22,10 +22,10 @@ func startWorker(t *testing.T, h *coordHarness, runner Runner, slots int) contex
 // returned (deregistration included). A request reaches a routeLog before
 // its response reaches the worker, so after exited every exchange the worker
 // saw answered is in the log.
-func runWorker(t *testing.T, h *coordHarness, slots int, runner Runner) (cancel context.CancelFunc, exited <-chan struct{}) {
+func runWorker(t *testing.T, coordinator string, slots int, runner Runner) (cancel context.CancelFunc, exited <-chan struct{}) {
 	t.Helper()
 	w, err := NewWorker(WorkerConfig{
-		Coordinator: h.ts.URL,
+		Coordinator: coordinator,
 		Runner:      runner,
 		Slots:       slots,
 		PollWait:    200 * time.Millisecond,
@@ -73,12 +73,20 @@ func echoRunner(execs *atomic.Int64) Runner {
 
 // TestWorkersDrainJobQueue fans a batch of jobs across two real workers;
 // every handle completes with the job's own history and every artifact
-// lands in the store.
+// lands in the store. The second worker joins the way an operator types it
+// (-join http://host:8080/): the trailing slash must not cost it its
+// registration.
 func TestWorkersDrainJobQueue(t *testing.T) {
 	h := newCoordHarness(t, CoordinatorConfig{LeaseTTL: 2 * time.Second})
 	var execs atomic.Int64
 	startWorker(t, h, echoRunner(&execs), 1)
-	startWorker(t, h, echoRunner(&execs), 1)
+	runWorker(t, h.ts.URL+"/", 1, echoRunner(&execs))
+	for deadline := time.Now().Add(5 * time.Second); h.coord.Stats().Workers != 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 2 workers registered", h.coord.Stats().Workers)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	const n = 8
 	handles := make([]Handle, n)
@@ -195,5 +203,23 @@ func TestWorkerShutdownDeregisters(t *testing.T) {
 	startWorker(t, h, echoRunner(nil), 1)
 	if _, err := waitDone(t, hd); err != nil {
 		t.Fatalf("job lost across graceful worker shutdown: %v", err)
+	}
+}
+
+// TestJitterStaysWithinBounds pins the jitter envelope: every sample lands
+// in [0.8d, 1.2d) and the samples actually spread (a constant factor would
+// defeat the desynchronization it exists for).
+func TestJitterStaysWithinBounds(t *testing.T) {
+	d := time.Second
+	lo, hi := d, d
+	for i := 0; i < 1000; i++ {
+		j := jitter(d)
+		if j < 800*time.Millisecond || j >= 1200*time.Millisecond {
+			t.Fatalf("jitter(%v) = %v, outside [800ms, 1200ms)", d, j)
+		}
+		lo, hi = min(lo, j), max(hi, j)
+	}
+	if hi-lo < 100*time.Millisecond {
+		t.Fatalf("1000 jitter samples spread only [%v, %v]; expected a wide spread", lo, hi)
 	}
 }

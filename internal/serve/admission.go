@@ -173,9 +173,11 @@ func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // execPending reads the executor's undispatched queue depth for the
-// backpressure check: remote-style executors (Coordinator, shard router)
-// export it via Stats, the local pool via Pending. An executor exposing
-// neither reads as empty and backpressure never triggers.
+// backpressure check: the Coordinator exports it via Stats, the local pool
+// via Pending. Both are matched by method set, not by type, so an executor
+// that wraps one (the benchmark's tracing shim embeds a Coordinator) keeps
+// its backpressure. An executor exposing neither reads as empty and
+// backpressure never triggers.
 func (s *Server) execPending() int {
 	switch e := s.eng.Executor.(type) {
 	case interface {

@@ -322,6 +322,15 @@ func TestEventsReplayForStoredRun(t *testing.T) {
 	if rounds != 2 {
 		t.Fatalf("replayed %d rounds, want 2", rounds)
 	}
+	// The status route reads the same artifact: cached, whole history, and
+	// no live record appears (a read never triggers compute).
+	code, rr := getStatus(t, ts, fp)
+	if code != http.StatusOK || rr.Status != StatusCached || rr.History == nil || len(rr.History.Stats) != 2 {
+		t.Fatalf("status of a stored run = HTTP %d %+v, want 200 cached with its 2-point history", code, rr)
+	}
+	if tsServer(t, ts).eng.Lookup(fp) != nil {
+		t.Fatal("reading a stored run created a live record")
+	}
 }
 
 func TestSubmitRejectsBadSpecs(t *testing.T) {

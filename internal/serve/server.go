@@ -170,9 +170,6 @@ func New(cfg Config) (*Server, error) {
 	handle("GET /v1/sweeps/{id}/result", "/v1/sweeps/{id}/result", s.handleSweepResult)
 	handle("GET /v1/sweeps/{id}/events", "/v1/sweeps/{id}/events", s.handleSweepEvents)
 	handle("GET /v1/experiments", "/v1/experiments", s.handleRegistry)
-	// Raw artifact bytes for store replication: every server (shard or not)
-	// exports what its store holds, so peers can read through to it.
-	handle("GET /v1/artifacts/{id}", "/v1/artifacts/{id}", cfg.Store.ArtifactHandler())
 	// A backend with worker-facing endpoints (the remote coordinator)
 	// serves them from this listener too.
 	if m, ok := exec.(interface{ Mount(*http.ServeMux) }); ok {
@@ -277,18 +274,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 }
 
 // lookup resolves the request's run id against the engine's live records
-// first, then the store — read-through: on a replicated store (shards
-// pointing at each other), an artifact computed by a peer is fetched,
-// verified and served as if it were local. When ok is false the error
-// response has been written: a malformed id cannot name anything, so it is
-// 404 like an unknown one; 500 means the store itself failed.
+// first, then the store. When ok is false the error response has been
+// written: a malformed id cannot name anything, so it is 404 like an
+// unknown one; 500 means the store itself failed.
 func (s *Server) lookup(w http.ResponseWriter, req *http.Request) (id string, r *sweep.LiveCell, stored *fl.History, ok bool) {
 	id = req.PathValue("id")
 	if store.ValidFingerprint(id) {
 		if r = s.eng.Lookup(id); r != nil {
 			return id, r, nil, true
 		}
-		hist, found, err := s.cfg.Store.Fetch(req.Context(), id)
+		hist, found, err := s.cfg.Store.Get(id)
 		if err != nil {
 			obs.HTTPError(w, http.StatusInternalServerError, "%v", err)
 			return id, nil, nil, false

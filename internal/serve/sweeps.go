@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -144,8 +143,9 @@ func (s *Server) envStats() *sweep.EnvCacheStats {
 }
 
 // dispatchStats snapshots the executor's control-plane view when the
-// backend exposes one (a dispatch.Coordinator in remote mode); nil for the
-// local pool, so the field stays absent from local responses.
+// backend exposes one (a dispatch.Coordinator in remote mode, or a wrapper
+// that embeds one — hence the method-set match, as in execPending); nil for
+// the local pool, so the field stays absent from local responses.
 func (s *Server) dispatchStats() *dispatch.CoordinatorStats {
 	if c, ok := s.eng.Executor.(interface {
 		Stats() dispatch.CoordinatorStats
@@ -202,7 +202,7 @@ func (sw *sweepRun) summary(withCells bool) sweepSummary {
 // persists before a cell reports done, so the store is the source of
 // truth). A computed cell whose persist failed rehydrates as a miss and is
 // excluded from aggregation; its status still counts.
-func (s *Server) sweepResult(ctx context.Context, sw *sweepRun) *sweep.Result {
+func (s *Server) sweepResult(sw *sweepRun) *sweep.Result {
 	sw.mu.Lock()
 	cells := make([]sweep.CellResult, len(sw.cells))
 	for i, st := range sw.states {
@@ -217,7 +217,7 @@ func (s *Server) sweepResult(ctx context.Context, sw *sweepRun) *sweep.Result {
 		if cells[i].Status == sweep.CellFailed {
 			continue
 		}
-		if hist, ok, err := s.cfg.Store.Fetch(ctx, cells[i].ID); err == nil && ok {
+		if hist, ok, err := s.cfg.Store.Get(cells[i].ID); err == nil && ok {
 			cells[i].Hist = hist
 		} else if err != nil {
 			s.cfg.Logf("serve: rehydrating sweep cell %s: %v", cells[i].ID, err)
@@ -349,7 +349,7 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, req *http.Request) {
 		obs.WriteJSON(w, http.StatusAccepted, sw.summary(false))
 		return
 	}
-	res := s.sweepResult(req.Context(), sw)
+	res := s.sweepResult(sw)
 	title := sw.spec.Name
 	if title == "" {
 		title = "sweep " + sw.id[:12]

@@ -31,12 +31,6 @@ func (s *Store) Instrument(reg *obs.Registry) {
 		stat(func(st Stats) int64 { return st.Puts }))
 	reg.CounterFunc("fedwcm_store_lru_evictions_total", "Store LRU entries evicted to stay within capacity.",
 		stat(func(st Stats) int64 { return st.Evictions }))
-	reg.CounterFunc("fedwcm_store_peer_hits_total", "Local misses served by a replication peer (verified and persisted).",
-		stat(func(st Stats) int64 { return st.PeerHits }))
-	reg.CounterFunc("fedwcm_store_peer_misses_total", "Replication peers that answered 404 for a fetched fingerprint.",
-		stat(func(st Stats) int64 { return st.PeerMisses }))
-	reg.CounterFunc("fedwcm_store_peer_errors_total", "Peer fetches dropped for transport failure, hash mismatch or bad decode.",
-		stat(func(st Stats) int64 { return st.PeerErrors }))
 	s.getSeconds = reg.Histogram("fedwcm_store_get_seconds", "Store Get latency in seconds.", nil)
 	s.putSeconds = reg.Histogram("fedwcm_store_put_seconds", "Store Put latency in seconds.", nil)
 	s.putBytes = reg.Counter("fedwcm_store_put_bytes_total", "Bytes written by store Puts.")

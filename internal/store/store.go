@@ -18,7 +18,6 @@ import (
 	"container/list"
 	"fmt"
 	"io/fs"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,10 +42,6 @@ type Stats struct {
 	Misses    int64 // Get found nothing
 	Puts      int64 // successful Put calls
 	Evictions int64 // LRU entries dropped to stay within capacity
-	// Read-through replication traffic (all zero without Replicate).
-	PeerHits   int64 // Fetch misses served by a peer, verified and persisted
-	PeerMisses int64 // peers that answered 404 for a fetched fingerprint
-	PeerErrors int64 // peer fetches dropped: transport, hash mismatch, bad decode
 }
 
 type entry struct {
@@ -69,10 +64,6 @@ type Store struct {
 
 	// traceMu serializes appends to the span log (see PutTrace).
 	traceMu sync.Mutex
-
-	// Read-through replication, set by Replicate; empty means Fetch == Get.
-	peers      []string
-	peerClient *http.Client
 
 	// Observation handles, set by Instrument; nil (no-op) until then.
 	getSeconds *obs.Histogram
@@ -198,10 +189,9 @@ func (s *Store) Put(fp string, h *fl.History) error {
 	return nil
 }
 
-// writeAtomic durably publishes data as fp's artifact — the one
-// implementation of the store's write protocol, shared by Put and the
-// replication path: temp file in the target directory, fsync, rename,
-// directory fsync. The temp file is removed on the error paths only; after a
+// writeAtomic durably publishes data as fp's artifact — the store's write
+// protocol: temp file in the target directory, fsync, rename, directory
+// fsync. The temp file is removed on the error paths only; after a
 // successful rename there is nothing left under its name.
 func (s *Store) writeAtomic(fp string, data []byte) error {
 	dir, err := s.ensureDir(fp)

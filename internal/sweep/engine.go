@@ -350,7 +350,7 @@ const submitWindow = 32
 // trickles in as space frees up, and a backend that batches concurrent
 // submits (the WAL's group commit) sees more than one. This is a window, not
 // a batch API: Executor stays Submit+Close, and every backend — Local,
-// Coordinator, the shard router, the HTTP client — gets it unchanged.
+// Coordinator, the HTTP client — gets it unchanged.
 //
 // onLive (may be nil) sees each cell that is executing rather than stored,
 // before its report. onLive and report are both invoked concurrently.

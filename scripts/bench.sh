@@ -10,8 +10,7 @@
 # instrumentation cost — which must stay at 0 allocs/op), plus
 # BENCH_control_plane.json (or $4) with the coordinator load test
 # (cmd/ctlbench: submit throughput/latency, WAL recovery time, sustained
-# drain rate with worker crashes mid-sweep, and a fingerprint-sharded
-# 2-coordinator topology vs the single-shard WAL), so performance work lands as
+# drain rate with worker crashes mid-sweep), so performance work lands as
 # tracked numbers instead of claims. End-to-end sweeps, the async-vs-sync
 # table (fedbench -run async) and the wire codec's size and cost live in the
 # bench/ benchmark (bash bench/run.sh). CI smoke-runs this with BENCHTIME=1x
@@ -96,32 +95,22 @@ echo "wrote $OBS_OUT"
 obs_allocs=$(grep -o '"name": "MetricsHotPath"[^}]*' "$OBS_OUT" | grep -o '"allocs_per_op": [0-9]*' | grep -o '[0-9]*$')
 [ "$obs_allocs" = 0 ] || { echo "bench.sh: metrics hot path allocates ($obs_allocs allocs/op) — must be 0"; exit 1; }
 
-# Control-plane load test: submit latency at depth, WAL crash recovery,
-# sustained drain with workers killed and joining mid-sweep, and the
-# fingerprint-sharded topology (router + 2 WAL shards). The smoke setting
-# shrinks the queue; the correctness gates hold either way — every cell
-# must complete in all three modes, and the WAL run must replay the full
+# Control-plane load test: submit latency at depth, WAL crash recovery and
+# sustained drain with workers killed and joining mid-sweep. The smoke
+# setting shrinks the queue; the correctness gates hold either way — every
+# cell must complete in both modes, and the WAL run must replay the full
 # queue after its crash-restart.
 #
-# Perf gates on the same output:
-#   - WAL drain must stay within 5% of the memory-mode drain (the WAL
-#     rides the drain path via async group commit, so it must not slow
-#     draining down).
-#   - 2-shard aggregate submit vs single-shard WAL: sharding scales submit
-#     by splitting the coordinator's CPU across cores; with ≥2 CPUs the
-#     gate demands ≥1.7×. On a single-CPU host both topologies share one
-#     core and group commit already overlaps batch accumulation with the
-#     in-flight sync, so scale-out cannot exceed ~1×: the gate degrades to
-#     a no-regression bound (≥0.9×, routing must be ~free).
-# Both are timing-based and CI runners are noisy, so the perf gates get
-# up to 3 attempts (correctness gates must hold on every attempt).
+# Perf gate on the same output: WAL drain must stay within 5% of the
+# memory-mode drain (the WAL rides the drain path via async group commit,
+# so it must not slow draining down). It is timing-based and CI runners are
+# noisy, so it gets up to 3 attempts (correctness gates must hold on every
+# attempt).
 if [ "$BENCHTIME" = "1x" ]; then CTL_CELLS=1500; else CTL_CELLS=12000; fi
-NCPU=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
-if [ "$NCPU" -ge 2 ]; then SHARD_GATE=1.7; else SHARD_GATE=0.9; fi
 ctl_ok=""
 for attempt in 1 2 3; do
-  go run ./cmd/ctlbench -cells "$CTL_CELLS" -shards 2 -out "$CTL_OUT"
-  for mode in memory wal shards; do
+  go run ./cmd/ctlbench -cells "$CTL_CELLS" -out "$CTL_OUT"
+  for mode in memory wal; do
     completed=$(jq -r ".runs[] | select(.mode==\"$mode\") | .drain.completed" "$CTL_OUT")
     [ "$completed" = "$CTL_CELLS" ] \
       || { echo "bench.sh: ctlbench $mode run completed $completed/$CTL_CELLS cells"; exit 1; }
@@ -134,14 +123,11 @@ for attempt in 1 2 3; do
     || { echo "bench.sh: WAL submit p99 missing from $CTL_OUT"; exit 1; }
   mem_drain=$(jq -r '.runs[] | select(.mode=="memory") | .drain.cells_per_sec' "$CTL_OUT")
   wal_drain=$(jq -r '.runs[] | select(.mode=="wal") | .drain.cells_per_sec' "$CTL_OUT")
-  wal_submit=$(jq -r '.runs[] | select(.mode=="wal") | .submit.per_sec' "$CTL_OUT")
-  shard_submit=$(jq -r '.runs[] | select(.mode=="shards") | .submit.per_sec' "$CTL_OUT")
-  if awk -v w="$wal_drain" -v m="$mem_drain" 'BEGIN { exit !(w >= 0.95 * m) }' \
-     && awk -v s="$shard_submit" -v w="$wal_submit" -v g="$SHARD_GATE" 'BEGIN { exit !(s >= g * w) }'; then
+  if awk -v w="$wal_drain" -v m="$mem_drain" 'BEGIN { exit !(w >= 0.95 * m) }'; then
     ctl_ok=1
     break
   fi
-  echo "bench.sh: control-plane perf gates missed on attempt $attempt (wal drain ${wal_drain} vs memory ${mem_drain}; 2-shard submit ${shard_submit} vs wal ${wal_submit}, need ${SHARD_GATE}x) — retrying"
+  echo "bench.sh: control-plane perf gate missed on attempt $attempt (wal drain ${wal_drain} vs memory ${mem_drain}) — retrying"
 done
 [ -n "$ctl_ok" ] \
-  || { echo "bench.sh: control-plane perf gates failed after 3 attempts"; exit 1; }
+  || { echo "bench.sh: control-plane perf gate failed after 3 attempts"; exit 1; }

@@ -8,10 +8,9 @@
 # stripped first: they live on whichever side builds environments, workers
 # remotely vs. the server pool locally — everything else must match
 # exactly: fingerprints, counts, groups, rendered table). Then SIGKILLs a
-# WAL-backed coordinator mid-sweep and asserts it recovers, and finally
-# boots a fingerprint-sharded topology (front router + 2 WAL shard
-# coordinators + spill-enabled workers) and asserts it too matches the
-# local reference byte-for-byte.
+# WAL-backed coordinator mid-sweep and asserts it recovers, finishes the
+# sweep, and that what it stored and aggregates equals the local backend's
+# run of the same sweep byte-for-byte.
 #
 #   scripts/smoke_dispatch.sh          # used by CI's dispatch-smoke job
 set -euo pipefail
@@ -165,6 +164,14 @@ WAL_ADDR="127.0.0.1:18095"
 # kill regularly landed at 3/4 done and the last cell finished before it.)
 WAL_SWEEP='{"methods":["fedavg"],"seed_count":8,"clients":[8],"sample_rates":[0.5],"local_epochs":[2],"model":"mlp","rounds":30,"effort":0.2}'
 
+# Only the coordinator journals: -wal without -remote must refuse to start
+# (exit 2 within a second), not serve a local pool that journals nothing.
+rc=0
+timeout 1 "$WORK/fedserve" -addr "$WAL_ADDR" -store "$WORK/wal-store" \
+  -wal "$WORK/coord.wal" 2>"$WORK/refused.log" || rc=$?
+[ "$rc" = 2 ] && grep -q -- '-remote' "$WORK/refused.log" \
+  || { echo "smoke_dispatch: fedserve -wal without -remote exited $rc, want 2 and a line naming -remote: $(cat "$WORK/refused.log")"; exit 1; }
+
 "$WORK/fedserve" -remote -addr "$WAL_ADDR" -store "$WORK/wal-store" -lease 5s \
   -wal "$WORK/coord.wal" 2>"$WORK/coord1.log" &
 WAL_PID=$!
@@ -209,62 +216,26 @@ wal_failed=$(jq -r .failed "$WORK/wal.json")
   || { echo "smoke_dispatch: post-recovery sweep: cached+computed=$wal_total failed=$wal_failed, want 8/0"; exit 1; }
 echo "   post-recovery sweep complete: cached+computed=$wal_total, 0 failed"
 
-echo "== sharded control plane: front router + 2 WAL shards"
-# Two WAL-backed shard coordinators partition the job space by fingerprint
-# prefix; a stateless front router owns the public API and proxies each
-# submit to the owning shard. One worker joins each shard with the full
-# shard list as its spill set. The sweep runs through the router and its
-# aggregate must match the local reference byte-for-byte, with every
-# artifact bit-identical to the local store's copy.
-S0_ADDR="127.0.0.1:18096"
-S1_ADDR="127.0.0.1:18097"
-RT_ADDR="127.0.0.1:18098"
-SHARD_URLS="http://$S0_ADDR,http://$S1_ADDR"
-
-"$WORK/fedserve" -remote -addr "$S0_ADDR" -store "$WORK/shard0-store" -lease 5s \
-  -shard-peers "$SHARD_URLS" -shard-index 0 -wal "$WORK/shard0.wal" 2>"$WORK/shard0.log" &
-PIDS+=($!)
-"$WORK/fedserve" -remote -addr "$S1_ADDR" -store "$WORK/shard1-store" -lease 5s \
-  -shard-peers "$SHARD_URLS" -shard-index 1 -wal "$WORK/shard1.wal" 2>"$WORK/shard1.log" &
-PIDS+=($!)
-wait_up "$S0_ADDR"
-wait_up "$S1_ADDR"
-"$WORK/fedserve" -remote -addr "$RT_ADDR" -store "$WORK/router-store" -lease 5s \
-  -shards "$SHARD_URLS" 2>"$WORK/router.log" &
-PIDS+=($!)
-wait_up "$RT_ADDR"
-
-# The shard map is public: every shard (and the router's members) agree on
-# a 2-way partition of the fingerprint space.
-nshards=$(curl -sf "http://$S0_ADDR/v1/shards" | jq '.shards | length')
-[ "$nshards" = 2 ] || { echo "smoke_dispatch: /v1/shards reports $nshards shards, want 2"; exit 1; }
-
-"$WORK/fedserve" -worker -join "http://$S0_ADDR" -name w4 -spill "$SHARD_URLS" &
-PIDS+=($!)
-"$WORK/fedserve" -worker -join "http://$S1_ADDR" -name w5 -spill "$SHARD_URLS" &
-PIDS+=($!)
-
-shard_id=$(curl -sf -X POST "http://$RT_ADDR/v1/sweeps" -d "$SWEEP" | jq -r .id)
-[ "$shard_id" = "$remote_id" ] || { echo "smoke_dispatch: sharded sweep id diverges: $shard_id vs $remote_id"; exit 1; }
-echo "   sweep $shard_id submitted through the front router"
-wait_result "$RT_ADDR" "$shard_id" "$WORK/sharded.json"
-
-jq -S 'del(.env_cache, .dispatch)' "$WORK/sharded.json" > "$WORK/sharded.canon.json"
-if ! cmp -s "$WORK/sharded.canon.json" "$WORK/local.canon.json"; then
-  echo "smoke_dispatch: sharded topology result diverges from the local backend:"
-  diff "$WORK/local.canon.json" "$WORK/sharded.canon.json" || true
+# The recovered topology must agree with the local backend like the
+# in-memory one did above: same sweep on the still-running reference server,
+# every artifact of it bit-identical in the WAL coordinator's store, and the
+# same aggregate once the fields that say who computed what are stripped
+# (the restart turned some of the WAL side's cells into cache hits).
+wal_local_id=$(curl -sf -X POST "http://$LOCAL_ADDR/v1/sweeps" -d "$WAL_SWEEP" | jq -r .id)
+[ "$wal_local_id" = "$wal_id" ] || { echo "smoke_dispatch: WAL sweep ids diverge: $wal_local_id vs $wal_id"; exit 1; }
+wait_result "$LOCAL_ADDR" "$wal_local_id" "$WORK/wal-local.json"
+for fp in $(curl -sf "http://$LOCAL_ADDR/v1/sweeps/$wal_local_id" | jq -r '.cells[].id'); do
+  f="${fp:0:2}/$fp.json"
+  cmp -s "$WORK/local-store/$f" "$WORK/wal-store/$f" \
+    || { echo "smoke_dispatch: artifact $f differs between the local and the recovered WAL store"; exit 1; }
+done
+jq -S 'del(.env_cache, .dispatch, .cached, .computed)' "$WORK/wal.json" > "$WORK/wal.canon.json"
+jq -S 'del(.env_cache, .dispatch, .cached, .computed)' "$WORK/wal-local.json" > "$WORK/wal-local.canon.json"
+if ! cmp -s "$WORK/wal.canon.json" "$WORK/wal-local.canon.json"; then
+  echo "smoke_dispatch: recovered WAL sweep diverges from the local backend:"
+  diff "$WORK/wal-local.canon.json" "$WORK/wal.canon.json" || true
   exit 1
 fi
+echo "   recovered WAL topology agrees with the local backend byte-for-byte"
 
-# Every artifact the local reference produced must exist bit-identically on
-# whichever shard owns its fingerprint.
-for f in $(cd "$WORK/local-store" && find . -name '*.json'); do
-  if cmp -s "$WORK/local-store/$f" "$WORK/shard0-store/$f" 2>/dev/null \
-     || cmp -s "$WORK/local-store/$f" "$WORK/shard1-store/$f" 2>/dev/null; then
-    continue
-  fi
-  echo "smoke_dispatch: artifact $f missing or differing on both shards"; exit 1
-done
-echo "   sharded topology agrees with the local backend byte-for-byte"
-
-echo "smoke_dispatch: OK — remote (2 workers), sharded (router + 2 WAL shards) and local backends agree byte-for-byte, and a SIGKILLed WAL coordinator recovers mid-sweep"
+echo "smoke_dispatch: OK — remote (2 workers), WAL-recovered and local backends agree byte-for-byte, and a SIGKILLed WAL coordinator recovers mid-sweep"
