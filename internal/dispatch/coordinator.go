@@ -59,21 +59,19 @@ type CoordinatorConfig struct {
 // the job (capped by MaxAttempts); an explicit deregistration requeues
 // without consuming an attempt (clean handover).
 //
+// Every one of those rules lives in the queue (queue.go); the Coordinator is
+// what is not the state machine: the lock, the wake channels, the log and
+// its durability rules, the reaper's clock, the order progress callbacks
+// are delivered in, and five handlers of one shape — decode; lock, one queue
+// call, wake, unlock; carry out the effects; encode.
+//
 // Mount attaches the worker-facing endpoints to a mux; internal/serve does
 // this for any Executor that implements it, so `fedserve -remote` serves
 // the public run API and the worker protocol from one listener.
 type Coordinator struct {
 	cfg CoordinatorConfig
+	lockedQueue
 
-	mu      sync.Mutex
-	workers map[string]*remoteWorker
-	jobs    map[string]*remoteJob // every non-terminal job by fingerprint
-	pending []*remoteJob          // FIFO awaiting a lease; requeues go to the front
-	notify  chan struct{}         // closed+remade when work or capacity appears
-	space   chan struct{}         // closed+remade when the pending queue shrinks
-	seq     uint64
-
-	closed    chan struct{}
 	closeOnce sync.Once
 	reaperWG  sync.WaitGroup
 
@@ -92,63 +90,40 @@ type Coordinator struct {
 	cm coordMetrics
 }
 
-type remoteWorker struct {
-	id       string
-	name     string
-	slots    int // max concurrent leases
-	inflight map[string]*remoteJob
-	lastSeen time.Time
-}
-
-// label is the worker's metric label: the operator-chosen name when one was
-// registered (stable across restarts), the coordinator-assigned id otherwise.
-func (w *remoteWorker) label() string {
-	if w.name != "" {
-		return w.name
-	}
-	return w.id
-}
-
-// remoteJob states.
-const (
-	jobPending = iota
-	jobLeased
-)
-
-type remoteJob struct {
-	h        *handle
-	onRound  []func(fl.RoundStat)
-	onStart  []func()
-	started  bool
-	state    int
-	worker   string // current lease holder when leased
-	expiry   time.Time
-	attempts int // leases granted so far
-	// Observation timestamps: enqueuedAt feeds the lease-wait histogram
-	// (reset on requeue — each wait is its own observation), leasedAt the
-	// lease-hold histogram and lease spans, lastBeat the heartbeat-gap one.
-	enqueuedAt time.Time
-	leasedAt   time.Time
-	lastBeat   time.Time
-	// Heartbeat dedup across attempts: a requeued job is re-run from round
-	// zero by the next worker (runs are deterministic, so the stats repeat
-	// exactly). relayed counts rounds already delivered to subscribers over
-	// the job's lifetime; attemptSeen counts rounds received in the current
-	// attempt and resets on each lease grant, so only genuinely new rounds
-	// are relayed.
-	//
-	// relayMu — not c.mu — guards relayed/attemptSeen and is held across the
-	// subscriber callbacks themselves, so a heartbeat relay and the result
-	// backfill can never interleave or reorder a job's round stream. Lock
-	// order is c.mu → relayMu; delivery only ever holds relayMu.
-	relayMu     sync.Mutex
+// relay is a job's progress high-water mark. A requeued job is re-run from
+// round zero by the next worker (runs are deterministic, so the stats repeat
+// exactly): relayed counts rounds already delivered to subscribers over the
+// job's lifetime, attemptSeen the rounds received in the current attempt —
+// reset by every fresh grant — so only genuinely new rounds are relayed.
+//
+// mu — not c.mu — guards both and is held across the subscriber callbacks
+// themselves, so a heartbeat relay and the result backfill can never
+// interleave or reorder a job's round stream. Delivery only ever holds mu.
+type relay struct {
+	mu          sync.Mutex
 	relayed     int
 	attemptSeen int
-	// suppressRelay (guarded by c.mu) marks an adopted lease: the worker is
-	// mid-stream, so its heartbeat rounds cannot be ordered against what an
-	// earlier incarnation already delivered. Heartbeats only extend the
-	// lease; the result upload backfills the full ordered history.
-	suppressRelay bool
+}
+
+// deliver relays the rounds of stats past the high-water mark. counted says
+// stats are the next rounds of the current attempt (a heartbeat) rather than
+// the job's whole history (the upload's backfill).
+func (r *relay) deliver(subs []func(fl.RoundStat), stats []fl.RoundStat, counted bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	seen := 0
+	if counted {
+		seen = r.attemptSeen
+		r.attemptSeen += len(stats)
+	}
+	for _, st := range stats {
+		if seen++; seen > r.relayed {
+			r.relayed = seen
+			for _, f := range subs {
+				f(st)
+			}
+		}
+	}
 }
 
 // NewCoordinator validates cfg, starts the lease reaper and returns the
@@ -182,12 +157,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg.Tracer = obs.DefaultTracer()
 	}
 	c := &Coordinator{
-		cfg:     cfg,
-		workers: make(map[string]*remoteWorker),
-		jobs:    make(map[string]*remoteJob),
-		notify:  make(chan struct{}),
-		space:   make(chan struct{}),
-		closed:  make(chan struct{}),
+		cfg:         cfg,
+		lockedQueue: newLockedQueue(newQueue(cfg.Queue, cfg.MaxAttempts, cfg.LeaseTTL, cfg.WALPath != "")),
 	}
 	c.cm = newCoordMetrics(cfg.Metrics, c.Stats)
 	if cfg.WALPath != "" {
@@ -200,15 +171,16 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// recoverWAL opens (creating if absent) the write-ahead log and re-enters
-// every non-terminal job it journals. Jobs whose artifact already landed in
-// the store — the crash window between store.Put and the complete record —
-// are dropped as done. A job that was leased when the log ended requeues at
-// the front WITHOUT consuming an attempt: the crash was the coordinator's,
-// not the worker's, and the worker may still finish it (heartbeat adoption
-// in handleHeartbeat resumes such a lease without a recompute). Recovery
-// ends with a checkpoint, so replayed completes don't accrete across
-// restarts.
+// recoverWAL opens (creating if absent) the write-ahead log and rebuilds the
+// queue from it: apply the records, drop what the store already holds, hand
+// over every lease. A job whose artifact landed in the store — the crash
+// window between store.Put and the complete record — is finished, not
+// re-entered. A job that was leased when the log ended requeues at the front
+// WITHOUT consuming an attempt: the crash was the coordinator's, not the
+// worker's, and the worker may still finish it (its next heartbeat adopts
+// the lease without a recompute). Recovery ends with a checkpoint, so
+// replayed completes don't accrete across restarts — and nothing the steps
+// above would journal needs to be.
 func (c *Coordinator) recoverWAL() error {
 	lg, recov, err := wal.Open(c.cfg.WALPath)
 	if err != nil {
@@ -218,35 +190,26 @@ func (c *Coordinator) recoverWAL() error {
 	if recov.Torn {
 		c.cfg.Logf("dispatch: wal %s: truncated %d-byte torn tail (crash mid-append)", c.cfg.WALPath, recov.Truncated)
 	}
-	var leased, pending []*remoteJob
 	now := time.Now()
-	for _, js := range recov.Jobs {
-		if _, ok, gerr := c.cfg.Store.Get(js.ID); gerr == nil && ok {
-			continue // already computed: the store, not the WAL, is the artifact of record
+	for _, r := range recov.Records {
+		c.q.apply(now, r)
+	}
+	stored := 0
+	for _, r := range c.q.live() {
+		if r.Type != wal.TypeSubmit {
+			continue
 		}
-		j := &remoteJob{
-			h:          newHandle(Job{ID: js.ID, Spec: js.Spec}),
-			state:      jobPending,
-			attempts:   js.Attempts,
-			enqueuedAt: now,
-		}
-		if js.Leased && j.attempts > 0 {
-			j.attempts--
-		}
-		c.jobs[js.ID] = j
-		if js.Leased {
-			leased = append(leased, j)
-		} else {
-			pending = append(pending, j)
+		// The store, not the log, is the artifact of record.
+		if _, ok, gerr := c.cfg.Store.Get(r.Job); gerr == nil && ok {
+			c.q.finish(now, "", r.Job, outcomeStored)
+			stored++
 		}
 	}
-	// Previously leased jobs go first: they have waited longest, and their
-	// workers may re-attach to them.
-	c.pending = append(leased, pending...)
-	c.recovered = len(c.pending)
-	if c.recovered > 0 || recov.Completes > 0 {
-		c.cfg.Logf("dispatch: wal %s: recovered %d jobs (%d previously leased; %d already terminal)",
-			c.cfg.WALPath, c.recovered, len(leased), recov.Records-len(recov.Jobs))
+	leased := len(c.q.restart(now).ended)
+	c.recovered = len(c.q.jobs)
+	if len(recov.Records) > 0 {
+		c.cfg.Logf("dispatch: wal %s: %d records, recovered %d jobs (%d previously leased; %d more already stored)",
+			c.cfg.WALPath, len(recov.Records), c.recovered, leased, stored)
 	}
 	c.checkpoint()
 	return nil
@@ -256,20 +219,14 @@ func (c *Coordinator) recoverWAL() error {
 // Never call it while holding c.mu: appends fsync. A failed append is
 // reported to the caller so acknowledgement-bearing paths (Submit) can
 // fail closed instead of promising durability the log didn't deliver.
-func (c *Coordinator) appendWAL(recs ...wal.Record) error {
+func (c *Coordinator) appendWAL(recs []wal.Record) error {
 	if c.wal == nil || len(recs) == 0 {
 		return nil
 	}
 	c.walMu.RLock()
 	err := c.wal.Append(recs...)
 	c.walMu.RUnlock()
-	if err != nil {
-		c.cm.walErrors.Inc()
-		c.cfg.Logf("dispatch: wal append: %v", err)
-		return err
-	}
-	c.cm.walRecords.Add(uint64(len(recs)))
-	return nil
+	return c.appended(len(recs), err)
 }
 
 // appendWALAsync journals drain-path records (lease grants, requeues,
@@ -278,22 +235,29 @@ func (c *Coordinator) appendWAL(recs ...wal.Record) error {
 // recovery replays the pre-transition state and the queue converges (a
 // lost lease replays as pending and the live worker re-attaches via
 // heartbeat adoption; a lost complete replays the job, which the store
-// fast-path drops on recovery; a lost requeue expires again) — so the
-// drain path amortizes fsyncs in the background leader instead of paying
-// commit latency on every transition.
-func (c *Coordinator) appendWALAsync(recs ...wal.Record) {
+// fast-path drops on recovery; a lost requeue replays as leased and is
+// handed over anyway; a lost exhausted-fail replays as one more requeue and
+// fails again on its next expiry) — so the drain path amortizes fsyncs in
+// the background leader instead of paying commit latency on every
+// transition.
+func (c *Coordinator) appendWALAsync(recs []wal.Record) {
 	if c.wal == nil || len(recs) == 0 {
 		return
 	}
 	c.walMu.RLock()
 	err := c.wal.AppendAsync(recs...)
 	c.walMu.RUnlock()
+	c.appended(len(recs), err)
+}
+
+func (c *Coordinator) appended(n int, err error) error {
 	if err != nil {
 		c.cm.walErrors.Inc()
 		c.cfg.Logf("dispatch: wal append: %v", err)
-		return
+		return err
 	}
-	c.cm.walRecords.Add(uint64(len(recs)))
+	c.cm.walRecords.Add(uint64(n))
+	return nil
 }
 
 // checkpoint rewrites the WAL down to the live job set. The exclusive walMu
@@ -306,13 +270,7 @@ func (c *Coordinator) checkpoint() {
 	c.walMu.Lock()
 	defer c.walMu.Unlock()
 	c.mu.Lock()
-	live := make([]wal.Record, 0, len(c.jobs)+4)
-	for id, j := range c.jobs {
-		live = append(live, wal.Record{Type: wal.TypeSubmit, Job: id, Spec: j.h.job.Spec, Attempts: j.attempts})
-		if j.state == jobLeased {
-			live = append(live, wal.Record{Type: wal.TypeLease, Job: id, Worker: j.worker, Attempts: j.attempts})
-		}
-	}
+	live := c.q.live()
 	c.completes = 0
 	c.mu.Unlock()
 	if err := c.wal.Compact(live); err != nil {
@@ -322,56 +280,54 @@ func (c *Coordinator) checkpoint() {
 	c.cm.walCheckpoints.Inc()
 }
 
-// noteCompleteAndMaybeCheckpoint journals a terminal transition and, every
-// WALCompactEvery completions, checkpoints so the log tracks the live set
-// instead of the full submission history.
-func (c *Coordinator) noteCompleteAndMaybeCheckpoint(jid, status string) {
-	if c.wal == nil {
-		return
+// run carries out what a transition left to do once c.mu is released:
+// journal (drain-path records never wait for their fsync), then callbacks,
+// metrics and spans — and every WALCompactEvery terminal jobs, however they
+// ended, a checkpoint, so the log tracks the live set instead of the
+// submission history.
+func (c *Coordinator) run(fx effects) {
+	c.appendWALAsync(fx.recs)
+	if g := fx.granted; g.j != nil {
+		if g.fresh { // a fresh attempt re-reports from round zero
+			g.j.relay.mu.Lock()
+			g.j.relay.attemptSeen = 0
+			g.j.relay.mu.Unlock()
+		}
+		c.cm.leaseWait.Observe(g.waited.Seconds())
+		c.cm.slotsBusy.With(g.label).Set(float64(g.busy))
 	}
-	c.appendWALAsync(wal.Record{Type: wal.TypeComplete, Job: jid, Status: status})
-	c.mu.Lock()
-	c.completes++
-	due := c.completes >= c.cfg.WALCompactEvery
-	c.mu.Unlock()
-	if due {
-		c.checkpoint()
+	for _, f := range fx.starts {
+		f()
 	}
-}
-
-// endLeaseLocked observes the end of j's current lease (upload, expiry or
-// clean handover): the lease-hold histogram and a "dispatch.lease" span
-// under the job's trace ID. outcome "" means a successful upload; anything
-// else lands in the span's error field. Caller holds c.mu.
-func (c *Coordinator) endLeaseLocked(j *remoteJob, wid, outcome string) {
-	if j.leasedAt.IsZero() {
-		return
+	for _, e := range fx.ended {
+		c.cm.leaseHold.Observe(e.held.Seconds())
+		c.cfg.Tracer.Record(obs.Span{
+			Trace: e.job, Name: "dispatch.lease",
+			Start: e.since.UnixMicro(), DurMS: float64(e.held) / float64(time.Millisecond),
+			Worker: e.worker, Attempt: e.attempt, Err: e.outcome,
+		})
+		c.cm.slotsBusy.With(e.label).Set(float64(e.busy))
+		if e.requeued {
+			c.cm.requeues.Inc()
+		}
+		if e.outcome == outcomeExpired {
+			c.cm.expiries.Inc()
+			c.cfg.Logf("dispatch: job %.12s: lease expired on worker %s, attempt %d/%d — %s",
+				e.job, e.worker, e.attempt, c.cfg.MaxAttempts, map[bool]string{true: "requeueing", false: "failing"}[e.requeued])
+		}
 	}
-	now := time.Now()
-	held := now.Sub(j.leasedAt)
-	c.cm.leaseHold.Observe(held.Seconds())
-	sp := obs.Span{
-		Trace: j.h.job.ID, Name: "dispatch.lease",
-		Start: j.leasedAt.UnixMicro(), DurMS: float64(held) / float64(time.Millisecond),
-		Worker: wid, Attempt: j.attempts, Err: outcome,
+	for _, f := range fx.failed {
+		f.h.complete(nil, f.err)
 	}
-	c.cfg.Tracer.Record(sp)
-	if wk, ok := c.workers[wid]; ok {
-		c.cm.slotsBusy.With(wk.label()).Set(float64(len(wk.inflight)))
+	if fx.terminal > 0 && c.wal != nil {
+		c.mu.Lock()
+		c.completes += fx.terminal
+		due := c.completes >= c.cfg.WALCompactEvery
+		c.mu.Unlock()
+		if due {
+			c.checkpoint()
+		}
 	}
-	j.leasedAt = time.Time{}
-}
-
-// notifyLocked wakes every lease long-poller; caller holds c.mu.
-func (c *Coordinator) notifyLocked() {
-	close(c.notify)
-	c.notify = make(chan struct{})
-}
-
-// spaceLocked wakes every blocked Submit; caller holds c.mu.
-func (c *Coordinator) spaceLocked() {
-	close(c.space)
-	c.space = make(chan struct{})
 }
 
 // Submit queues the job for the next free worker. Identical in-flight
@@ -379,99 +335,42 @@ func (c *Coordinator) spaceLocked() {
 // relayed), and a job whose artifact is already stored completes
 // immediately without queueing — cached cells are never re-shipped.
 func (c *Coordinator) Submit(job Job, opts SubmitOpts) (Handle, error) {
-	for {
-		select {
-		case <-c.closed:
-			return nil, ErrClosed
-		default:
-		}
-		// Store fast path: the artifact exchange already has this cell.
-		if hist, ok, err := c.cfg.Store.Get(job.ID); err != nil {
-			return nil, err
-		} else if ok {
-			h := newHandle(job)
-			h.complete(hist, nil)
-			return h, nil
-		}
-		c.mu.Lock()
-		// Re-check under the lock: Close fails jobs while holding c.mu, so a
-		// submission that only saw the pre-lock check could otherwise insert
-		// into an already-drained coordinator and orphan its handle forever.
-		select {
-		case <-c.closed:
-			c.mu.Unlock()
-			return nil, ErrClosed
-		default:
-		}
-		if j, ok := c.jobs[job.ID]; ok { // single-flight: share the execution
-			if opts.OnRound != nil {
-				j.onRound = append(j.onRound, opts.OnRound)
-			}
-			if opts.OnStart != nil {
-				if j.started {
-					c.mu.Unlock()
-					opts.OnStart()
-					return j.h, nil
-				}
-				j.onStart = append(j.onStart, opts.OnStart)
-			}
-			c.mu.Unlock()
-			return j.h, nil
-		}
-		if len(c.pending) >= c.cfg.Queue {
-			space := c.space
-			c.mu.Unlock()
-			if !opts.Block {
-				return nil, ErrQueueFull
-			}
-			select {
-			case <-space:
-				continue // re-check from the top (including the store)
-			case <-c.closed:
-				return nil, ErrClosed
-			}
-		}
-		j := &remoteJob{h: newHandle(job), state: jobPending, enqueuedAt: time.Now()}
-		if opts.OnRound != nil {
-			j.onRound = append(j.onRound, opts.OnRound)
-		}
-		if opts.OnStart != nil {
-			j.onStart = append(j.onStart, opts.OnStart)
-		}
-		c.jobs[job.ID] = j
-		if c.wal == nil {
-			c.pending = append(c.pending, j)
-			c.notifyLocked()
-			c.mu.Unlock()
-			return j.h, nil
-		}
-		// Durable submit: the job is visible for coalescing (in c.jobs) but
-		// not leasable until its record is on disk — a lease granted before
-		// the fsync could complete a job a crashed coordinator would forget
-		// it ever accepted. The fsync itself runs outside c.mu; concurrent
+	h, j, fx, err := c.enqueue(job, opts, c.cached)
+	if err != nil {
+		return nil, err
+	}
+	if len(fx.recs) > 0 {
+		// Durable submit: the job is visible for coalescing but not leasable
+		// until its record is on disk. The fsync runs outside c.mu; concurrent
 		// submitters share it via the log's group commit.
-		c.mu.Unlock()
-		if err := c.appendWAL(wal.Record{Type: wal.TypeSubmit, Job: job.ID, Spec: job.Spec}); err != nil {
-			c.mu.Lock()
-			if c.jobs[job.ID] == j {
-				delete(c.jobs, job.ID)
-			}
-			c.mu.Unlock()
-			j.h.complete(nil, err)
-			return nil, err
-		}
+		werr := c.appendWAL(fx.recs)
 		c.mu.Lock()
+		fx = c.q.admit(time.Now(), j, werr)
+		c.wakeLocked(fx)
+		c.mu.Unlock()
+		if werr != nil {
+			c.run(fx) // fails the handle, for whoever joined it meanwhile
+			return nil, werr
+		}
 		select {
 		case <-c.closed: // Close raced the fsync and already failed the handle
-			c.mu.Unlock()
 			return nil, ErrClosed
 		default:
 		}
-		c.pending = append(c.pending, j)
-		c.notifyLocked()
-		c.mu.Unlock()
-		return j.h, nil
 	}
+	c.run(fx)
+	return h, nil
+}
+
+// cached is the store fast path: the artifact exchange already has this cell.
+func (c *Coordinator) cached(job Job) (*handle, error) {
+	hist, ok, err := c.cfg.Store.Get(job.ID)
+	if err != nil || !ok {
+		return nil, err
+	}
+	h := newHandle(job)
+	h.complete(hist, nil)
+	return h, nil
 }
 
 // Close fails every non-terminal job with ErrClosed and stops the reaper.
@@ -482,19 +381,10 @@ func (c *Coordinator) Submit(job Job, opts SubmitOpts) (Handle, error) {
 // the same path re-enters them.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
-		close(c.closed)
-		c.mu.Lock()
-		for id, j := range c.jobs {
-			j.h.complete(nil, ErrClosed)
-			delete(c.jobs, id)
+		queued, running := c.shutdown()
+		for _, h := range append(queued, running...) {
+			h.complete(nil, ErrClosed)
 		}
-		c.pending = nil
-		for _, w := range c.workers {
-			w.inflight = make(map[string]*remoteJob)
-		}
-		c.notifyLocked()
-		c.spaceLocked()
-		c.mu.Unlock()
 		if c.wal != nil {
 			c.walMu.Lock()
 			c.wal.Close()
@@ -506,19 +396,11 @@ func (c *Coordinator) Close() {
 
 var _ Executor = (*Coordinator)(nil)
 
-// reaper expires leases: a job whose worker stopped heartbeating is
-// requeued to the front of the queue (it has waited longest), consuming
-// one attempt; past MaxAttempts it fails for good. Workers with no
-// in-flight leases that have not been seen for ten TTLs are pruned.
+// reaper is the queue's clock: every quarter TTL it expires the leases whose
+// workers stopped heartbeating.
 func (c *Coordinator) reaper() {
 	defer c.reaperWG.Done()
-	tick := c.cfg.LeaseTTL / 4
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	if tick > time.Second {
-		tick = time.Second
-	}
+	tick := min(max(c.cfg.LeaseTTL/4, 5*time.Millisecond), time.Second)
 	t := time.NewTicker(tick)
 	defer t.Stop()
 	for {
@@ -526,54 +408,13 @@ func (c *Coordinator) reaper() {
 		case <-c.closed:
 			return
 		case now := <-t.C:
-			c.expireLeases(now)
+			c.mu.Lock()
+			fx := c.q.expire(now)
+			c.wakeLocked(fx)
+			c.mu.Unlock()
+			c.run(fx)
 		}
 	}
-}
-
-func (c *Coordinator) expireLeases(now time.Time) {
-	var walRecs []wal.Record
-	c.mu.Lock()
-	woke := false
-	for wid, w := range c.workers {
-		for id, j := range w.inflight {
-			if now.Before(j.expiry) {
-				continue
-			}
-			delete(w.inflight, id)
-			j.worker = ""
-			c.cm.expiries.Inc()
-			c.endLeaseLocked(j, wid, "lease expired")
-			if j.attempts >= c.cfg.MaxAttempts {
-				c.cfg.Logf("dispatch: job %.12s: lease expired on worker %s, attempt %d/%d — failing",
-					id, wid, j.attempts, c.cfg.MaxAttempts)
-				j.h.complete(nil, fmt.Errorf("dispatch: job %.12s failed: lease expired after %d attempts", id, j.attempts))
-				delete(c.jobs, id)
-				walRecs = append(walRecs, wal.Record{Type: wal.TypeComplete, Job: id, Status: "failed"})
-				continue
-			}
-			c.cfg.Logf("dispatch: job %.12s: lease expired on worker %s, attempt %d/%d — requeueing",
-				id, wid, j.attempts, c.cfg.MaxAttempts)
-			j.state = jobPending
-			j.enqueuedAt = now
-			c.cm.requeues.Inc()
-			c.pending = append([]*remoteJob{j}, c.pending...)
-			walRecs = append(walRecs, wal.Record{Type: wal.TypeRequeue, Job: id, Attempts: j.attempts})
-			woke = true
-		}
-		if len(w.inflight) == 0 && now.Sub(w.lastSeen) > 10*c.cfg.LeaseTTL {
-			delete(c.workers, wid)
-		}
-	}
-	if woke {
-		c.notifyLocked()
-	}
-	c.mu.Unlock()
-	// Journal outside c.mu. Crash windows here are safe in both directions:
-	// a requeue the log missed replays as "leased" and requeues on recovery
-	// anyway; an exhausted-fail the log missed replays as one more requeue
-	// and fails again on its next expiry.
-	c.appendWALAsync(walRecs...)
 }
 
 // Stats is a point-in-time snapshot of the coordinator, reported by sweep
@@ -595,14 +436,10 @@ type CoordinatorStats struct {
 func (c *Coordinator) Stats() CoordinatorStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := CoordinatorStats{
-		Workers: len(c.workers), Pending: len(c.pending),
+	return CoordinatorStats{
+		Workers: len(c.q.workers), Pending: len(c.q.fifo), Leased: c.q.leased(),
 		Durable: c.wal != nil, Recovered: c.recovered, Reattached: c.reattached,
 	}
-	for _, w := range c.workers {
-		st.Leased += len(w.inflight)
-	}
-	return st
 }
 
 // --- wire types (shared with Worker, which lives in this package) ---
@@ -668,20 +505,9 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, req *http.Request) {
 		obs.HTTPError(w, http.StatusBadRequest, "decoding registration: %v", err)
 		return
 	}
-	if r.Slots <= 0 {
-		r.Slots = 1
-	}
-	if r.Slots > c.cfg.MaxWorkerSlots {
-		r.Slots = c.cfg.MaxWorkerSlots
-	}
+	r.Slots = min(max(r.Slots, 1), c.cfg.MaxWorkerSlots)
 	c.mu.Lock()
-	c.seq++
-	id := fmt.Sprintf("w-%d", c.seq)
-	c.workers[id] = &remoteWorker{
-		id: id, name: r.Name, slots: r.Slots,
-		inflight: make(map[string]*remoteJob),
-		lastSeen: time.Now(),
-	}
+	id := c.q.register(time.Now(), r.Name, r.Slots)
 	c.mu.Unlock()
 	c.cfg.Logf("dispatch: worker %s registered (name %q, %d slots)", id, r.Name, r.Slots)
 	obs.WriteJSON(w, http.StatusCreated, registerResponse{
@@ -695,109 +521,51 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, req *http.Request) {
 func (c *Coordinator) handleDeregister(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	c.mu.Lock()
-	wk, ok := c.workers[id]
-	if !ok {
-		c.mu.Unlock()
+	label, fx, err := c.q.forget(time.Now(), id)
+	c.wakeLocked(fx)
+	c.mu.Unlock()
+	if err != nil {
 		obs.HTTPError(w, http.StatusNotFound, "unknown worker %s", id)
 		return
 	}
-	requeued := 0
-	var walRecs []wal.Record
-	for jid, j := range wk.inflight {
-		delete(wk.inflight, jid)
-		c.endLeaseLocked(j, id, "handover")
-		j.state, j.worker = jobPending, ""
-		j.attempts-- // clean handover: the retry budget is for crashes
-		j.enqueuedAt = time.Now()
-		c.cm.requeues.Inc()
-		c.pending = append([]*remoteJob{j}, c.pending...)
-		walRecs = append(walRecs, wal.Record{Type: wal.TypeRequeue, Job: jid, Attempts: j.attempts})
-		requeued++
-	}
-	delete(c.workers, id)
-	c.cm.slotsBusy.With(wk.label()).Set(0)
-	if requeued > 0 {
-		c.notifyLocked()
-	}
-	c.mu.Unlock()
-	c.appendWALAsync(walRecs...) // journals the refunded attempt counts
-	c.cfg.Logf("dispatch: worker %s deregistered (%d jobs requeued)", id, requeued)
-	obs.WriteJSON(w, http.StatusOK, map[string]int{"requeued": requeued})
+	c.run(fx) // journals the refunded attempt counts
+	c.cm.slotsBusy.With(label).Set(0)
+	c.cfg.Logf("dispatch: worker %s deregistered (%d jobs requeued)", id, len(fx.ended))
+	obs.WriteJSON(w, http.StatusOK, map[string]int{"requeued": len(fx.ended)})
 }
 
-// grant is the part of a lease grant that must run outside c.mu: the journal
-// record and the OnStart callbacks (see announce).
-type grant struct {
-	job      Job
-	worker   string
-	attempts int
-	starts   []func() // OnStart callbacks owed; nil once the job has started before
-}
-
-// grantLocked leases the head of the pending queue to wk — the one place a
-// queued job becomes a leased one, shared by the lease long-poll and the
-// result ack (complete-and-lease-next). ok is false when wk is at its
-// in-flight limit or nothing is pending. Caller holds c.mu and must call
-// announce with the returned grant after releasing it.
-func (c *Coordinator) grantLocked(wk *remoteWorker) (grant, bool) {
-	if len(wk.inflight) >= wk.slots || len(c.pending) == 0 {
-		return grant{}, false
-	}
-	j := c.pending[0]
-	c.pending = c.pending[1:]
-	now := time.Now()
-	j.state, j.worker = jobLeased, wk.id
-	j.expiry = now.Add(c.cfg.LeaseTTL)
-	j.attempts++
-	j.suppressRelay = false // a fresh attempt re-reports from round zero, so relaying can resume
-	j.relayMu.Lock()
-	j.attemptSeen = 0 // fresh attempt re-runs from round zero
-	j.relayMu.Unlock()
-	c.cm.leaseWait.Observe(now.Sub(j.enqueuedAt).Seconds())
-	j.leasedAt, j.lastBeat = now, now
-	wk.inflight[j.h.job.ID] = j
-	c.cm.slotsBusy.With(wk.label()).Set(float64(len(wk.inflight)))
-	g := grant{job: j.h.job, worker: wk.id, attempts: j.attempts}
-	if !j.started {
-		g.starts = j.onStart
-	}
-	j.started, j.onStart = true, nil
-	c.spaceLocked()
-	return g, true
-}
-
-// announce finishes a grant outside c.mu. The lease is journaled without
+// leaseTo leases the head of the queue to the worker, for the lease long-poll
+// and the result ack (complete-and-lease-next) alike; notify is the channel
+// to wait on when nothing was granted. The lease is journaled without
 // waiting for the fsync: if the append is lost to a crash, recovery simply
-// replays the job as pending — the worker's in-flight computation re-attaches
-// via heartbeat adoption, so the window costs nothing.
-func (c *Coordinator) announce(g grant) {
-	c.appendWALAsync(wal.Record{Type: wal.TypeLease, Job: g.job.ID, Worker: g.worker, Attempts: g.attempts})
-	for _, f := range g.starts {
-		f()
+// replays the job as pending — the worker's in-flight computation
+// re-attaches via heartbeat adoption, so the window costs nothing.
+func (c *Coordinator) leaseTo(wid string) (job *Job, notify <-chan struct{}, err error) {
+	c.mu.Lock()
+	fx, err := c.q.grant(time.Now(), wid)
+	c.wakeLocked(fx)
+	notify = c.notify
+	c.mu.Unlock()
+	if err != nil || fx.granted.j == nil {
+		return nil, notify, err
 	}
+	c.run(fx)
+	return &fx.granted.j.h.job, nil, nil
 }
 
 // leaseOnAck is complete-and-lease-next: the worker whose upload is being
 // acknowledged asked (?lease=1) for the slot it just freed to be refilled,
 // so the ack carries the next job instead of costing a lease round trip.
-// The grant is an ordinary one — same fields, same journal record, lost to a
-// crash or a dropped response exactly like a polled lease — held under the
-// worker id the upload was posted as. nil when that worker is unknown, at
-// its in-flight limit, or nothing is pending.
+// The grant is an ordinary one — same transition, same journal record, lost
+// to a crash or a dropped response exactly like a polled lease — held under
+// the worker id the upload was posted as. nil when that worker is unknown,
+// at its in-flight limit, or nothing is pending.
 func (c *Coordinator) leaseOnAck(wid string) *Job {
-	c.mu.Lock()
-	wk, ok := c.workers[wid]
-	var g grant
-	if ok {
-		g, ok = c.grantLocked(wk)
+	job, _, _ := c.leaseTo(wid)
+	if job != nil {
+		c.cm.leasesOnAck.Inc()
 	}
-	c.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	c.cm.leasesOnAck.Inc()
-	c.announce(g)
-	return &g.job
+	return job
 }
 
 // handleLease hands the next pending job to the worker, long-polling up to
@@ -819,23 +587,16 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 	}
 	deadline := time.Now().Add(wait)
 	for {
-		c.mu.Lock()
-		wk, ok := c.workers[id]
-		if !ok {
-			c.mu.Unlock()
+		job, notify, err := c.leaseTo(id)
+		if err != nil {
 			obs.HTTPError(w, http.StatusNotFound, "unknown worker %s (re-register)", id)
 			return
 		}
-		wk.lastSeen = time.Now()
-		if g, ok := c.grantLocked(wk); ok {
-			c.mu.Unlock()
-			c.announce(g)
-			w.Header().Set(obs.TraceHeader, g.job.ID)
-			obs.WriteJSON(w, http.StatusOK, leaseResponse{Job: g.job})
+		if job != nil {
+			w.Header().Set(obs.TraceHeader, job.ID)
+			obs.WriteJSON(w, http.StatusOK, leaseResponse{Job: *job})
 			return
 		}
-		notify := c.notify
-		c.mu.Unlock()
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			w.WriteHeader(http.StatusNoContent)
@@ -896,79 +657,37 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 		c.cm.wire.observeDecode("stats", len(body), time.Since(start).Seconds())
 	}
 	c.mu.Lock()
-	wk, ok := c.workers[wid]
-	if !ok {
-		c.mu.Unlock()
+	j, gap, fx, err := c.q.beat(time.Now(), wid, jid)
+	c.wakeLocked(fx)
+	adopted := fx.granted.j != nil
+	if adopted {
+		c.reattached++
+	}
+	var subs []func(fl.RoundStat)
+	relayed := err == nil && !j.adopted
+	if relayed {
+		subs = j.onRound
+	}
+	c.mu.Unlock()
+	switch {
+	case errors.Is(err, errUnknownWorker):
 		obs.HTTPError(w, http.StatusNotFound, "unknown worker %s (re-register)", wid)
 		return
-	}
-	wk.lastSeen = time.Now()
-	j, held := wk.inflight[jid]
-	adopted := false
-	if !held {
-		j2, live := c.jobs[jid]
-		if !live || j2.state != jobPending || len(wk.inflight) >= wk.slots {
-			c.mu.Unlock()
-			obs.HTTPError(w, http.StatusGone, "lease on job %s lost", jid)
-			return
-		}
-		for i, p := range c.pending {
-			if p == j2 {
-				c.pending = append(c.pending[:i], c.pending[i+1:]...)
-				c.spaceLocked()
-				break
-			}
-		}
-		now := time.Now()
-		j2.state, j2.worker = jobLeased, wid
-		j2.attempts++
-		j2.suppressRelay = true
-		c.cm.leaseWait.Observe(now.Sub(j2.enqueuedAt).Seconds())
-		j2.leasedAt = now
-		wk.inflight[jid] = j2
-		c.cm.slotsBusy.With(wk.label()).Set(float64(len(wk.inflight)))
+	case err != nil:
+		obs.HTTPError(w, http.StatusGone, "lease on job %s lost", jid)
+		return
+	case adopted:
 		c.cm.reattached.Inc()
-		c.reattached++
-		j, adopted = j2, true
+		c.cfg.Logf("dispatch: job %.12s: worker %s re-attached mid-flight (attempt %d resumes)", jid, wid, fx.granted.attempt)
+	default:
+		c.cm.beatGap.Observe(gap.Seconds())
 	}
-	now := time.Now()
-	j.expiry = now.Add(c.cfg.LeaseTTL)
-	if !adopted {
-		c.cm.beatGap.Observe(now.Sub(j.lastBeat).Seconds())
-	}
-	j.lastBeat = now
-	subs := append([]func(fl.RoundStat){}, j.onRound...)
-	starts := j.onStart
-	started := j.started
-	j.started, j.onStart = true, nil
-	suppress := j.suppressRelay
-	attempts := j.attempts
-	c.mu.Unlock()
-	if adopted {
-		c.cfg.Logf("dispatch: job %.12s: worker %s re-attached mid-flight (attempt %d resumes)", jid, wid, attempts)
-		c.appendWALAsync(wal.Record{Type: wal.TypeLease, Job: jid, Worker: wid, Attempts: attempts})
-		if !started {
-			for _, f := range starts {
-				f()
-			}
-		}
-	}
-	if !suppress && len(rounds) > 0 {
-		// Relay only rounds past the high-water mark: a retry of a requeued
-		// job re-reports the rounds its predecessor already delivered.
-		// relayMu is held across the subscriber calls themselves so a
-		// concurrent result backfill cannot interleave with this delivery.
-		j.relayMu.Lock()
-		for _, st := range rounds {
-			j.attemptSeen++
-			if j.attemptSeen > j.relayed {
-				j.relayed = j.attemptSeen
-				for _, f := range subs {
-					f(st)
-				}
-			}
-		}
-		j.relayMu.Unlock()
+	c.run(fx)
+	// A retry of a requeued job re-reports the rounds its predecessor already
+	// delivered; deliver relays only those past the high-water mark. An
+	// adopted lease's rounds are not even counted: the upload backfills.
+	if relayed {
+		j.relay.deliver(subs, rounds, true)
 	}
 	obs.WriteJSON(w, http.StatusOK, struct{}{})
 }
@@ -1002,13 +721,21 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	c.cm.wire.observeDecode("result", len(body), time.Since(start).Seconds())
-	c.mu.Lock()
-	if wk, ok := c.workers[wid]; ok {
-		wk.lastSeen = time.Now()
+	// The outcome is decided before the job is detached so the lease span
+	// carries it.
+	outcome := outcomeStored
+	switch {
+	case errMsg != "":
+		outcome = outcomeWorkerError
+	case hist == nil || len(hist.Stats) == 0:
+		outcome = outcomeEmpty
 	}
-	j, ok := c.jobs[jid]
-	if !ok {
-		c.mu.Unlock()
+	c.mu.Lock()
+	j, fx, err := c.q.finish(time.Now(), wid, jid, outcome)
+	c.wakeLocked(fx)
+	c.mu.Unlock()
+	switch {
+	case errors.Is(err, errUnknownJob):
 		// Terminal already (or never submitted): the store arbitrates. An
 		// artifact under this fingerprint means an equivalent upload landed
 		// first — acknowledge the duplicate so the worker frees its slot.
@@ -1020,68 +747,26 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 		}
 		obs.HTTPError(w, http.StatusNotFound, "unknown job %s", jid)
 		return
-	}
-	// An error upload is only honoured from the current lease holder: a
-	// stale worker (lease expired, job requeued) reporting a worker-local
-	// failure must not kill a retry that is actively recomputing the job.
-	// Successful uploads are accepted from anyone — the result is a
-	// deterministic function of the job, so whoever finishes first wins.
-	if errMsg != "" && (j.state != jobLeased || j.worker != wid) {
+	case err != nil:
 		c.cm.uploads.With("rejected").Inc()
-		c.mu.Unlock()
 		obs.HTTPError(w, http.StatusGone, "lease on job %s lost; error discarded", jid)
 		return
-	}
-	// The span outcome is decided before the job is detached so the lease
-	// span carries it.
-	outcome := ""
-	switch {
-	case errMsg != "":
-		outcome = "worker error"
-	case hist == nil || len(hist.Stats) == 0:
-		outcome = "empty history"
-	}
-	// Detach the job wherever it currently lives: its uploader's inflight
-	// set, another worker's (requeued + re-leased), or the pending queue.
-	subs := append([]func(fl.RoundStat){}, j.onRound...)
-	delete(c.jobs, jid)
-	if j.worker != "" {
-		if wk, ok := c.workers[j.worker]; ok {
-			delete(wk.inflight, jid)
-		}
-		c.endLeaseLocked(j, j.worker, outcome)
-	}
-	if j.state == jobPending {
-		for i, p := range c.pending {
-			if p == j {
-				c.pending = append(c.pending[:i], c.pending[i+1:]...)
-				// The queue shrank: wake submitters blocked on a full queue,
-				// not just lease long-pollers.
-				c.spaceLocked()
-				break
-			}
-		}
-	}
-	c.notifyLocked() // capacity freed
-	c.mu.Unlock()
-
-	if errMsg != "" {
+	case outcome == outcomeWorkerError:
 		// An execution error is deterministic (same spec, same code path on
 		// every worker) — retrying elsewhere would fail identically, so the
 		// job fails now; the retry budget is reserved for lease expiry.
 		c.cm.uploads.With("failed").Inc()
-		c.noteCompleteAndMaybeCheckpoint(jid, "failed")
+		c.run(fx)
 		j.h.complete(nil, fmt.Errorf("dispatch: job %.12s failed on worker %s: %s", jid, wid, errMsg))
 		ack("failed")
 		return
-	}
-	if hist == nil || len(hist.Stats) == 0 {
+	case outcome == outcomeEmpty:
 		// Reject before completing the handle: an empty upload must not pin
 		// the cell "done" with nothing in the store. The job is already
 		// detached; the worker sees the error and the submitter sees the
 		// failure.
 		c.cm.uploads.With("rejected").Inc()
-		c.noteCompleteAndMaybeCheckpoint(jid, "failed")
+		c.run(fx)
 		j.h.complete(nil, fmt.Errorf("dispatch: job %.12s: worker %s uploaded an empty history", jid, wid))
 		obs.HTTPError(w, http.StatusBadRequest, "empty history for job %s", jid)
 		return
@@ -1097,7 +782,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	// the store: a crash between the two replays the job, finds the artifact
 	// on recovery, and drops it — never the reverse, where the log says done
 	// but the store has nothing.
-	c.noteCompleteAndMaybeCheckpoint(jid, "stored")
+	c.run(fx)
 	// Persist the job's trace alongside the history: lease spans recorded by
 	// this coordinator (workers keep their own execution spans). Best-effort
 	// — traces are debugging artifacts, not part of the result contract.
@@ -1107,22 +792,12 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	// Backfill progress the heartbeats never carried (rounds recorded after
-	// the final beat — or all of them, for a job faster than one beat):
-	// the history holds the full ordered round list, so relaying past the
-	// high-water mark delivers every round exactly once, matching the
-	// local backend's progress contract. relayMu is held across the
-	// deliveries so a straggling heartbeat relay for the same job cannot
-	// interleave its rounds with (or duplicate) the backfill.
-	j.relayMu.Lock()
-	if j.relayed < len(hist.Stats) {
-		for _, st := range hist.Stats[j.relayed:] {
-			for _, f := range subs {
-				f(st)
-			}
-		}
-		j.relayed = len(hist.Stats)
-	}
-	j.relayMu.Unlock()
+	// the final beat — or all of them, for a job faster than one beat): the
+	// history holds the full ordered round list, so relaying past the
+	// high-water mark delivers every round exactly once, matching the local
+	// backend's progress contract, and a straggling heartbeat relay for the
+	// same job cannot interleave its rounds with (or duplicate) the backfill.
+	j.relay.deliver(j.onRound, hist.Stats, false)
 	j.h.complete(hist, nil)
 	ack("stored")
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -115,6 +116,21 @@ func (h *coordHarness) leaseUntil(wid string, deadline time.Duration) Job {
 	}
 	h.t.Fatalf("worker %s never received a lease", wid)
 	return Job{}
+}
+
+// deregister sends the clean-shutdown DELETE for wid — on a live worker's
+// behalf, when a test wants its registration gone without telling it.
+func (h *coordHarness) deregister(wid string) {
+	h.t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, h.ts.URL+"/v1/workers/"+wid, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		h.t.Fatalf("deregistering %q: HTTP %d", wid, resp.StatusCode)
+	}
 }
 
 func (h *coordHarness) heartbeat(wid, jobID string, rounds []fl.RoundStat) int {
@@ -312,15 +328,7 @@ func TestDeregisterRequeuesCleanly(t *testing.T) {
 	if got := h.leaseUntil(leaving, 5*time.Second); got.ID != job.ID {
 		t.Fatal("lease missing")
 	}
-	req, _ := http.NewRequest(http.MethodDelete, h.ts.URL+"/v1/workers/"+leaving, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("deregister: HTTP %d", resp.StatusCode)
-	}
+	h.deregister(leaving)
 	// The TTL is 10s, far beyond this test: only the deregistration can
 	// have requeued the job.
 	survivor := h.register(1)
@@ -364,6 +372,36 @@ func TestResultBackfillsUnheartbeatedRounds(t *testing.T) {
 	}
 	if len(rounds) != 3 || rounds[2].Round != 3 {
 		t.Fatalf("progress subscribers saw %d rounds (%+v), want the full 3", len(rounds), rounds)
+	}
+}
+
+// TestAdoptedLeaseRelaysOnlyOnUpload: a worker that re-attaches mid-run
+// cannot be ordered against what an earlier incarnation streamed, so the
+// rounds its heartbeats carry are neither relayed nor counted as relayed —
+// the upload's backfill then delivers every round, once, in order.
+func TestAdoptedLeaseRelaysOnlyOnUpload(t *testing.T) {
+	h := newCoordHarness(t, CoordinatorConfig{LeaseTTL: 10 * time.Second})
+	var rounds []int
+	job, hd := h.submit(13, SubmitOpts{OnRound: func(st fl.RoundStat) { rounds = append(rounds, st.Round) }})
+	first := h.register(1)
+	h.leaseUntil(first, 5*time.Second)
+	h.deregister(first)
+	hist := &fl.History{Method: "fedavg", Stats: []fl.RoundStat{{Round: 1}, {Round: 2}, {Round: 3}}}
+	second := h.register(1)
+	if code := h.heartbeat(second, job.ID, hist.Stats[:2]); code != http.StatusOK || h.coord.Stats().Reattached != 1 {
+		t.Fatalf("heartbeat under the new id: HTTP %d, stats %+v; want the lease adopted", code, h.coord.Stats())
+	}
+	if len(rounds) != 0 {
+		t.Fatalf("an adopted lease's heartbeat relayed rounds %v", rounds)
+	}
+	if code, _ := h.upload(second, job.ID, hist, ""); code != http.StatusOK {
+		t.Fatalf("upload: HTTP %d", code)
+	}
+	if _, err := waitDone(t, hd); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rounds, []int{1, 2, 3}) {
+		t.Fatalf("subscriber saw rounds %v, want 1 2 3 from the upload's backfill", rounds)
 	}
 }
 

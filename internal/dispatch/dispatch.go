@@ -20,6 +20,16 @@
 //   - Client submits jobs to a remote fedserve over the public run API —
 //     the backend behind fedbench -remote.
 //
+// Local and Coordinator are adapters around one state machine: the
+// unexported queue (queue.go) is the only code that moves a job between
+// submitting, pending, leased and done. It is pure — handed the time,
+// returning the effects (records to journal, who to wake, callbacks owed,
+// what to observe) for the adapter to carry out — and a job changes state
+// only by applying a wal.Record, so WAL replay and live traffic run the same
+// transitions. Coordinator adds the lock, the log, the reaper's clock and
+// the HTTP handlers; Local adds a pool of goroutines playing one worker.
+// DESIGN.md "Dispatch layer" has the transition table.
+//
 // Jobs deliberately carry the spec as opaque canonical JSON rather than a
 // decoded struct: the layer above owns spec semantics (validation,
 // fingerprinting, env construction), dispatch owns queueing, leases and
@@ -33,6 +43,7 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
+	"time"
 
 	"fedwcm/internal/fl"
 )
@@ -139,12 +150,76 @@ func (h *handle) complete(hist *fl.History, err error) bool {
 	return true
 }
 
-// completed reports whether the handle is terminal without blocking.
-func (h *handle) completed() bool {
-	select {
-	case <-h.done:
-		return true
-	default:
-		return false
+// lockedQueue is what both queueing backends put around the pure queue
+// (queue.go): the mutex its transitions run under, the two broadcast
+// channels their effects wake, and the signal blocked callers give up on.
+type lockedQueue struct {
+	mu     sync.Mutex
+	q      *queue
+	notify chan struct{} // closed+remade when work or capacity appears
+	space  chan struct{} // closed+remade when the FIFO shrinks
+	closed chan struct{} // closed by shutdown
+}
+
+func newLockedQueue(q *queue) lockedQueue {
+	return lockedQueue{q: q, notify: make(chan struct{}), space: make(chan struct{}), closed: make(chan struct{})}
+}
+
+// wakeLocked broadcasts to whoever a transition's effects say to wake. The
+// caller still holds lq.mu from the transition: a waiter that saw the old
+// state also captured the old channel under it.
+func (lq *lockedQueue) wakeLocked(fx effects) {
+	if fx.wake {
+		close(lq.notify)
+		lq.notify = make(chan struct{})
 	}
+	if fx.space {
+		close(lq.space)
+		lq.space = make(chan struct{})
+	}
+}
+
+// enqueue is the queueing half of Submit: queue.submit, and for a blocking
+// submission the wait for space. A non-nil cached is asked before every
+// attempt — the first, and each retry after a wait — whether the job needs
+// to run at all; a handle from it ends the submission.
+func (lq *lockedQueue) enqueue(job Job, opts SubmitOpts, cached func(Job) (*handle, error)) (*handle, *job, effects, error) {
+	for {
+		select {
+		case <-lq.closed:
+			return nil, nil, effects{}, ErrClosed
+		default:
+		}
+		if cached != nil {
+			if h, err := cached(job); h != nil || err != nil {
+				return h, nil, effects{}, err
+			}
+		}
+		lq.mu.Lock()
+		j, fx, err := lq.q.submit(time.Now(), job, opts)
+		lq.wakeLocked(fx)
+		space := lq.space
+		lq.mu.Unlock()
+		if err == nil {
+			return j.h, j, fx, nil
+		}
+		if !opts.Block || !errors.Is(err, ErrQueueFull) {
+			return nil, nil, fx, err
+		}
+		select {
+		case <-space:
+		case <-lq.closed:
+			return nil, nil, fx, ErrClosed
+		}
+	}
+}
+
+// shutdown closes the queue — later submissions get ErrClosed, every waiter
+// wakes — and returns the handles queue.shutdown sorted.
+func (lq *lockedQueue) shutdown() (queued, running []*handle) {
+	close(lq.closed)
+	lq.mu.Lock()
+	defer lq.mu.Unlock()
+	lq.wakeLocked(effects{wake: true, space: true})
+	return lq.q.shutdown()
 }

@@ -187,23 +187,25 @@ func TestAckedLeaseIsJournaledLikeAPolledOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	lg.Close()
-	if len(recov.Jobs) != 1 || recov.Jobs[0].ID != jb.ID {
-		t.Fatalf("log holds live jobs %+v, want only %.12s (the uploaded job is complete)", recov.Jobs, jb.ID)
+	// The uploaded job's last record is its complete; the acked grant's is
+	// the lease a poll would have written.
+	last := map[string]wal.Record{}
+	for _, r := range recov.Records {
+		last[r.Job] = r
 	}
-	if js := recov.Jobs[0]; !js.Leased || js.Worker != wid || js.Attempts != 1 {
-		t.Fatalf("acked grant replays as %+v, want leased to %s on attempt 1", js, wid)
+	if r := last[ja.ID]; r.Type != wal.TypeComplete {
+		t.Fatalf("uploaded job's last record is %+v, want its complete", r)
+	}
+	if r := last[jb.ID]; r.Type != wal.TypeLease || r.Worker != wid || r.Attempts != 1 {
+		t.Fatalf("acked grant journaled as %+v, want a lease to %s on attempt 1", r, wid)
 	}
 
 	h2 := mk()
 	if s := h2.coord.Stats(); s.Recovered != 1 || s.Pending != 1 {
 		t.Fatalf("recovery stats %+v, want the acked job back in the queue", s)
 	}
-	h2.coord.mu.Lock()
-	attempts := h2.coord.jobs[jb.ID].attempts
-	h2.coord.mu.Unlock()
-	if attempts != 0 {
-		t.Fatalf("recovered job carries %d attempts, want 0 (the interrupted lease is refunded)", attempts)
-	}
+	// MaxAttempts is 1 and the job was leased once before the crash: it can
+	// only be re-leased if recovery refunded the interrupted attempt.
 	wid2 := h2.register(1)
 	if got := h2.leaseUntil(wid2, 5*time.Second); got.ID != jb.ID {
 		t.Fatalf("re-leased %.12s, want %.12s", got.ID, jb.ID)
@@ -390,12 +392,10 @@ func TestAckedJobHandedBackOnShutdown(t *testing.T) {
 		t.Fatalf("%d uploads, want 1 (the acked job must not have run)", got)
 	}
 	h.wantQueue("after deregistration", 1, 0)
-	h.coord.mu.Lock()
-	j := h.coord.jobs[j2.ID]
-	attempts, state := j.attempts, j.state
-	h.coord.mu.Unlock()
-	if state != jobPending || attempts != 0 {
-		t.Fatalf("handed-back job: state %d with %d attempts, want pending with 0", state, attempts)
+	// MaxAttempts is 1 and the ack's grant consumed it: the job is leasable
+	// again only because the handover refunded the attempt.
+	if got := h.leaseUntil(h.register(1), 5*time.Second); got.ID != j2.ID {
+		t.Fatalf("handed-back job: re-leased %.12s, want %.12s", got.ID, j2.ID)
 	}
 }
 
@@ -434,19 +434,18 @@ func TestAckedJobRunsUnderUploadingID(t *testing.T) {
 		t.Fatal("worker never started the job")
 	}
 	// What a coordinator restart leaves behind: the registration is gone and
-	// the job is back in the queue, while the worker keeps computing.
-	h.coord.mu.Lock()
+	// the job is back in the queue, while the worker keeps computing. The
+	// test, not the worker, deregisters the worker's id — the worker stays
+	// ignorant, and its next heartbeat 404s, re-registers and adopts.
 	var oldID string
-	for id, wk := range h.coord.workers {
-		oldID = id
-		for jid, j := range wk.inflight {
-			delete(wk.inflight, jid)
-			j.state, j.worker = jobPending, ""
-			h.coord.pending = append(h.coord.pending, j)
+	rl.mu.Lock()
+	for _, r := range rl.hits {
+		if isLease(r) {
+			oldID = strings.Split(r.path, "/")[3] // /v1/workers/{id}/lease
 		}
-		delete(h.coord.workers, id)
 	}
-	h.coord.mu.Unlock()
+	rl.mu.Unlock()
+	h.deregister(oldID)
 	deadline := time.Now().Add(10 * time.Second)
 	for h.coord.Stats().Reattached == 0 {
 		if time.Now().After(deadline) {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
+	"fedwcm/internal/fl"
 	"fedwcm/internal/obs"
 	"fedwcm/internal/store"
 )
@@ -25,29 +27,23 @@ type LocalConfig struct {
 }
 
 // Local executes jobs on an in-process bounded worker pool — the
-// single-machine backend. It preserves the pre-dispatch serve semantics: a
-// bounded queue with fail-fast or blocking submission, and persistence of
-// successful histories before the handle completes. Close cancels in-flight
-// jobs via context; queued jobs fail with ErrClosed.
+// single-machine backend: a bounded queue with fail-fast or blocking
+// submission, and persistence of successful histories before the handle
+// completes. It is the same queue the Coordinator runs (queue.go) with one
+// worker of cfg.Workers slots — the pool — and no journal; it has no leases
+// to lose, so it never heartbeats, adopts or expires. Close cancels
+// in-flight jobs via context; queued jobs fail with ErrClosed.
 type Local struct {
-	cfg    LocalConfig
-	jobs   chan *localTask
-	space  chan struct{} // signalled when a worker dequeues (capacity freed)
+	cfg LocalConfig
+	lockedQueue
+	pool   string // the pool's worker id in the queue
 	ctx    context.Context
 	cancel context.CancelFunc
-	closed chan struct{}
 	wg     sync.WaitGroup
 
-	mu        sync.Mutex // guards the closing flag vs. enqueue (see Submit)
-	closing   bool
 	closeOnce sync.Once
 
 	lm localMetrics
-}
-
-type localTask struct {
-	h    *handle
-	opts SubmitOpts
 }
 
 // NewLocal starts the pool and returns the executor.
@@ -71,15 +67,9 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 		cfg.Tracer = obs.DefaultTracer()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	l := &Local{
-		cfg:    cfg,
-		jobs:   make(chan *localTask, cfg.Queue),
-		space:  make(chan struct{}, 1),
-		ctx:    ctx,
-		cancel: cancel,
-		closed: make(chan struct{}),
-	}
-	l.lm = newLocalMetrics(cfg.Metrics, func() float64 { return float64(len(l.jobs)) })
+	l := &Local{cfg: cfg, lockedQueue: newLockedQueue(newQueue(cfg.Queue, 1, 0, false)), ctx: ctx, cancel: cancel}
+	l.pool = l.q.register(time.Now(), "local", cfg.Workers)
+	l.lm = newLocalMetrics(cfg.Metrics, func() float64 { return float64(l.Pending()) })
 	for i := 0; i < cfg.Workers; i++ {
 		l.wg.Add(1)
 		go l.worker()
@@ -87,131 +77,110 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 	return l, nil
 }
 
+// worker is one pool goroutine — one of the pool's slots: grant, run,
+// finish, until Close.
 func (l *Local) worker() {
 	defer l.wg.Done()
 	for {
+		l.mu.Lock()
+		fx, _ := l.q.grant(time.Now(), l.pool)
+		l.wakeLocked(fx)
+		notify := l.notify
+		l.mu.Unlock()
+		if j := fx.granted.j; j != nil {
+			for _, f := range fx.starts {
+				f()
+			}
+			l.execute(j)
+			continue
+		}
 		select {
+		case <-notify:
 		case <-l.closed:
-			// Fail whatever is still queued, then exit. Workers drain
-			// cooperatively; complete() is idempotent so races are harmless.
-			for {
-				select {
-				case t := <-l.jobs:
-					t.h.complete(nil, ErrClosed)
-				default:
-					return
-				}
-			}
-		case t := <-l.jobs:
-			select {
-			case l.space <- struct{}{}: // wake one blocked submitter
-			default:
-			}
-			select {
-			case <-l.closed:
-				// Dequeued after Close: fail it like the drain path would,
-				// instead of running it against an already-cancelled context.
-				t.h.complete(nil, ErrClosed)
-			default:
-				l.execute(t)
-			}
+			return
 		}
 	}
 }
 
-func (l *Local) execute(t *localTask) {
-	if t.opts.OnStart != nil {
-		t.opts.OnStart()
-	}
+func (l *Local) execute(j *job) {
+	id := j.h.job.ID
 	l.lm.running.Inc()
-	sp := l.cfg.Tracer.Start(t.h.job.ID, "dispatch.execute")
-	hist, err := l.cfg.Runner(l.ctx, t.h.job, t.opts.OnRound)
+	sp := l.cfg.Tracer.Start(id, "dispatch.execute")
+	hist, err := l.cfg.Runner(l.ctx, j.h.job, func(st fl.RoundStat) {
+		l.mu.Lock()
+		subs := j.onRound // a submission that joined mid-run sees the rounds from here on
+		l.mu.Unlock()
+		for _, f := range subs {
+			f(st)
+		}
+	})
 	sp.EndErr(err)
 	l.lm.running.Dec()
+	outcome := outcomeStored
 	if err != nil {
+		outcome = outcomeWorkerError
 		l.lm.jobs.With("err").Inc()
 	} else {
 		l.lm.jobs.With("ok").Inc()
 	}
 	if err == nil && l.cfg.Store != nil {
-		if perr := l.cfg.Store.Put(t.h.job.ID, hist); perr != nil {
+		if perr := l.cfg.Store.Put(id, hist); perr != nil {
 			// The run itself succeeded; callers still get the history from
 			// the handle, only re-serving after restart is lost.
-			l.cfg.Logf("dispatch: persisting job %s: %v", t.h.job.ID, perr)
+			l.cfg.Logf("dispatch: persisting job %s: %v", id, perr)
 		}
 		// Persist the job's trace (execution + per-round spans) alongside
 		// the history; best-effort, debugging artifact only.
-		if spans := l.cfg.Tracer.Collect(t.h.job.ID); len(spans) > 0 {
-			if terr := l.cfg.Store.PutTrace(t.h.job.ID, spans); terr != nil {
-				l.cfg.Logf("dispatch: persisting trace for job %s: %v", t.h.job.ID, terr)
+		if spans := l.cfg.Tracer.Collect(id); len(spans) > 0 {
+			if terr := l.cfg.Store.PutTrace(id, spans); terr != nil {
+				l.cfg.Logf("dispatch: persisting trace for job %s: %v", id, terr)
 			}
 		}
 	}
-	t.h.complete(hist, err)
+	// After Close the queue no longer knows the job; its handle still ends
+	// with what the runner returned — the executor context's cancellation.
+	l.mu.Lock()
+	_, fx, _ := l.q.finish(time.Now(), l.pool, id, outcome)
+	l.wakeLocked(fx)
+	l.mu.Unlock()
+	j.h.complete(hist, err)
 }
 
-// Submit enqueues the job. With opts.Block it waits for queue space (or
-// Close); without, a full queue returns ErrQueueFull immediately.
-//
-// The closing check and the channel send happen under one lock so a task
-// can never land in the queue after Close's final drain — the send itself
-// is always non-blocking (blocking submissions wait for a space signal
-// outside the lock and retry), so holding the lock is fine.
+// Submit enqueues the job, or joins the in-flight submission of the same id.
+// With opts.Block it waits for queue space (or Close); without, a full queue
+// returns ErrQueueFull immediately.
 func (l *Local) Submit(job Job, opts SubmitOpts) (Handle, error) {
-	h := newHandle(job)
-	t := &localTask{h: h, opts: opts}
-	for {
-		l.mu.Lock()
-		if l.closing {
-			l.mu.Unlock()
-			return nil, ErrClosed
-		}
-		select {
-		case l.jobs <- t:
-			l.mu.Unlock()
-			return h, nil
-		default:
-		}
-		l.mu.Unlock()
-		if !opts.Block {
-			return nil, ErrQueueFull
-		}
-		select {
-		case <-l.space:
-		case <-l.closed:
-			return nil, ErrClosed
-		}
+	h, _, fx, err := l.enqueue(job, opts, nil)
+	if err != nil {
+		return nil, err
 	}
+	for _, f := range fx.starts { // joined a job that is already running
+		f()
+	}
+	return h, nil
 }
 
 // Pending reports the queued (not yet running) submissions — the same
 // depth the fedwcm_dispatch_local_queue_depth gauge exports, exposed for
 // admission-control backpressure.
-func (l *Local) Pending() int { return len(l.jobs) }
+func (l *Local) Pending() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.q.fifo)
+}
 
 // Close cancels in-flight jobs (the runner observes the executor context
 // between rounds and returns early), fails queued jobs with ErrClosed, and
-// waits for the pool to exit. The closing flag is set under the same lock
-// Submit enqueues under, so once the pool has drained nothing can slip a
-// task in behind it; the final drain catches whatever the exiting workers
-// left behind.
+// waits for the pool to exit.
 func (l *Local) Close() {
 	l.closeOnce.Do(func() {
-		l.mu.Lock()
-		l.closing = true
-		l.mu.Unlock()
-		close(l.closed)
+		queued, _ := l.shutdown()
 		l.cancel()
+		for _, h := range queued {
+			h.complete(nil, ErrClosed)
+		}
 	})
 	l.wg.Wait()
-	for {
-		select {
-		case t := <-l.jobs:
-			t.h.complete(nil, ErrClosed)
-		default:
-			return
-		}
-	}
 }
 
 var _ Executor = (*Local)(nil)

@@ -183,3 +183,46 @@ func TestLocalCloseCancelsInFlight(t *testing.T) {
 		t.Fatalf("submit after Close: %v, want ErrClosed", err)
 	}
 }
+
+// TestLocalSubmitCoalesces: Local runs the Coordinator's queue, so identical
+// in-flight submissions share one execution and one handle, queued or
+// already running, and each one's callbacks fire.
+func TestLocalSubmitCoalesces(t *testing.T) {
+	started, release := make(chan struct{}, 2), make(chan struct{})
+	execs := 0
+	l, err := NewLocal(LocalConfig{Workers: 1, Runner: func(ctx context.Context, job Job, onRound func(fl.RoundStat)) (*fl.History, error) {
+		execs++
+		started <- struct{}{}
+		<-release
+		onRound(fl.RoundStat{Round: 1})
+		return cannedHist(0), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var rounds, starts [2]int
+	var handles [2]Handle
+	for i := range handles {
+		handles[i], err = l.Submit(testJob(0), SubmitOpts{
+			OnRound: func(fl.RoundStat) { rounds[i]++ },
+			OnStart: func() { starts[i]++ },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			<-started // the second submission joins a job that is already running
+		}
+	}
+	if handles[0] != handles[1] || l.Pending() != 0 {
+		t.Fatalf("the second submission got its own handle (or was queued: %d pending)", l.Pending())
+	}
+	close(release)
+	if _, err := waitDone(t, handles[0]); err != nil {
+		t.Fatal(err)
+	}
+	if execs != 1 || rounds != [2]int{1, 1} || starts != [2]int{1, 1} {
+		t.Fatalf("%d executions, rounds %v, starts %v; want one run reported to both", execs, rounds, starts)
+	}
+}

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,6 +18,8 @@ import (
 
 	"fedwcm/internal/dispatch/wal"
 	"fedwcm/internal/fl"
+	"fedwcm/internal/obs"
+	"fedwcm/internal/wire"
 )
 
 // TestCoordinatorRecoversWALJobs is the tentpole contract: a WAL-backed
@@ -156,6 +159,94 @@ func TestCorruptWALFailsStartup(t *testing.T) {
 	}
 	if _, err := NewCoordinator(CoordinatorConfig{Store: tstore(t), WALPath: walPath, Logf: t.Logf}); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("NewCoordinator on corrupt WAL: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSubmitRacingWorkerNeverDoubleBooksJob is bug (i) end to end: while a
+// durable Submit waits for its record's fsync, a worker that is already
+// running the job heartbeats (even rounds) or uploads its result (odd
+// rounds) as fast as it can. The job must never be leased before it is
+// durable and queued as well, nor queued after the upload finished it: one
+// live job is at most one of pending / leased, and none once its handle is
+// done.
+func TestSubmitRacingWorkerNeverDoubleBooksJob(t *testing.T) {
+	h := newCoordHarness(t, CoordinatorConfig{
+		WALPath: filepath.Join(t.TempDir(), "coord.wal"), LeaseTTL: 10 * time.Second, Logf: func(string, ...any) {},
+	})
+	wid := h.register(8)
+	for round := 0; round < 60; round++ {
+		job := testJob(700 + round)
+		url, body := h.ts.URL+"/v1/workers/"+wid+"/jobs/"+job.ID+"/heartbeat", []byte(nil)
+		if round%2 == 1 {
+			url, body = h.ts.URL+"/v1/workers/"+wid+"/jobs/"+job.ID+"/result", wire.EncodeResult(cannedHist(round), "")
+		}
+		stop, spun := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(spun)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Post(url, wire.ContentType, bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+			}
+		}()
+		hd, err := h.coord.Submit(job, SubmitOpts{})
+		close(stop)
+		<-spun
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := h.coord.Stats(); s.Pending+s.Leased > 1 {
+			t.Fatalf("round %d: one live job is %d pending and %d leased", round, s.Pending, s.Leased)
+		}
+		if code, _ := h.upload(wid, job.ID, cannedHist(round), ""); code != http.StatusOK {
+			t.Fatalf("round %d: upload: HTTP %d", round, code)
+		}
+		if _, err := waitDone(t, hd); err != nil {
+			t.Fatal(err)
+		}
+		if s := h.coord.Stats(); s.Pending+s.Leased != 0 {
+			t.Fatalf("round %d: the job is done and %d pending, %d leased remain", round, s.Pending, s.Leased)
+		}
+	}
+}
+
+// TestExpiryFailuresCountTowardCheckpoint is bug (ii): a job that exhausts
+// MaxAttempts by lease expiry is as terminal as an uploaded one, and counts
+// toward WALCompactEvery like one.
+func TestExpiryFailuresCountTowardCheckpoint(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := newCoordHarness(t, CoordinatorConfig{
+		WALPath: filepath.Join(t.TempDir(), "coord.wal"), LeaseTTL: 40 * time.Millisecond,
+		MaxAttempts: 1, WALCompactEvery: 2, Metrics: reg,
+	})
+	checkpoints := func() float64 { return registryValues(t, reg)["fedwcm_dispatch_wal_checkpoints_total"] }
+	if n := checkpoints(); n != 1 {
+		t.Fatalf("%v checkpoints after startup, want 1", n)
+	}
+	wid := h.register(2)
+	var handles []Handle
+	for _, n := range []int{721, 722} {
+		_, hd := h.submit(n, SubmitOpts{})
+		h.leaseUntil(wid, 5*time.Second)
+		handles = append(handles, hd)
+	}
+	for _, hd := range handles { // the worker goes silent; each job's only attempt expires
+		if _, err := waitDone(t, hd); err == nil || !strings.Contains(err.Error(), "lease expired") {
+			t.Fatalf("job completed with %v, want lease-expiry failure", err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); checkpoints() != 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%v checkpoints after two jobs failed by expiry, want 2", checkpoints())
+		}
 	}
 }
 

@@ -39,8 +39,8 @@ func TestPreallocZeroTailIsCleanEnd(t *testing.T) {
 	if rec.Torn {
 		t.Fatalf("zero tail reported as torn: %+v", rec)
 	}
-	if len(rec.Jobs) != 2 || rec.Jobs[0].ID != "job-a" || rec.Jobs[1].ID != "job-b" {
-		t.Fatalf("recovered jobs = %+v, want job-a, job-b", rec.Jobs)
+	if ids := jobIDs(rec); len(ids) != 2 || ids[0] != "job-a" || ids[1] != "job-b" {
+		t.Fatalf("replayed %v, want job-a, job-b", ids)
 	}
 	// The reopened log appends on the framed boundary, not after the tail.
 	if err := l2.Append(Record{Type: TypeSubmit, Job: "job-c", Spec: []byte(`{}`)}); err != nil {
@@ -67,8 +67,8 @@ func TestTornFrameThenZerosIsTruncated(t *testing.T) {
 	if !rec.Torn {
 		t.Fatal("torn frame before zero tail not reported as a tear")
 	}
-	if len(rec.Jobs) != 1 || rec.Jobs[0].ID != "job-keep" {
-		t.Fatalf("recovered jobs = %+v, want job-keep only", rec.Jobs)
+	if ids := jobIDs(rec); len(ids) != 1 || ids[0] != "job-keep" {
+		t.Fatalf("replayed %v, want job-keep only", ids)
 	}
 }
 
@@ -92,13 +92,14 @@ func TestZeroHoleBeforeFramesIsTornNotReplayed(t *testing.T) {
 	if !rec.Torn {
 		t.Fatal("zero hole before frames not reported as a tear")
 	}
-	for _, j := range rec.Jobs {
-		if j.ID == "job-late" {
+	ids := jobIDs(rec)
+	for _, id := range ids {
+		if id == "job-late" {
 			t.Fatal("replayed a frame from beyond the zero hole")
 		}
 	}
-	if len(rec.Jobs) != 1 || rec.Jobs[0].ID != "job-first" {
-		t.Fatalf("recovered jobs = %+v, want job-first only", rec.Jobs)
+	if len(ids) != 1 || ids[0] != "job-first" {
+		t.Fatalf("replayed %v, want job-first only", ids)
 	}
 }
 

@@ -1,7 +1,10 @@
 // Package wal is the coordinator's write-ahead log: an append-only journal
 // of job-state transitions (submit, lease, requeue, complete) that lets a
 // restarted coordinator rebuild its queue instead of dumping every
-// submitted cell.
+// submitted cell. The package is framing, group commit and compaction only:
+// it hands the records back in order and does not know what a job is — what
+// a record means is dispatch's queue.apply, for replay and live traffic
+// alike.
 //
 // On-disk format: a 6-byte magic header ("FWAL1\n") followed by
 // length-prefixed frames —
@@ -52,7 +55,7 @@ const (
 	// post-adjustment attempt count: unchanged after expiry, refunded after
 	// a clean handover).
 	TypeRequeue
-	// TypeComplete journals a terminal outcome; replay drops the job.
+	// TypeComplete journals a terminal outcome.
 	TypeComplete
 )
 
@@ -66,22 +69,11 @@ type Record struct {
 	Spec     []byte // canonical spec JSON (TypeSubmit only)
 }
 
-// JobState is one live (non-terminal) job reconstructed by replay.
-type JobState struct {
-	ID       string
-	Spec     []byte
-	Attempts int    // leases granted before the crash
-	Leased   bool   // a lease was active when the log ended
-	Worker   string // last lease holder (informational)
-}
-
 // Recovery reports what Open found in an existing log.
 type Recovery struct {
-	Jobs      []JobState // live jobs, in submission order
-	Records   int        // valid records replayed
-	Completes int        // terminal records seen (compaction pressure)
-	Torn      bool       // the log ended in a partial or half-written frame
-	Truncated int64      // bytes dropped from the torn tail
+	Records   []Record // the valid prefix, in append order
+	Torn      bool     // the log ended in a partial or half-written frame
+	Truncated int64    // bytes dropped from the torn tail
 }
 
 // ErrCorrupt means the log is damaged before its tail: a record that was
@@ -580,9 +572,9 @@ func readString(p []byte) (string, []byte, error) {
 
 // --- replay ---
 
-// replay scans f from the start and folds every valid record into live job
-// state. It returns the recovery summary and the byte offset of the valid
-// prefix (everything past it is a torn tail the caller truncates).
+// replay scans f from the start and decodes every valid record. It returns
+// the recovery summary and the byte offset of the valid prefix (everything
+// past it is a torn tail the caller truncates).
 func replay(f *os.File) (*Recovery, int64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, 0, fmt.Errorf("wal: %w", err)
@@ -602,8 +594,6 @@ func replay(f *os.File) (*Recovery, int64, error) {
 	if string(data[:len(fileMagic)]) != fileMagic {
 		return nil, 0, fmt.Errorf("%w: bad file header", ErrCorrupt)
 	}
-	jobs := make(map[string]*JobState)
-	var order []string
 	off := len(fileMagic)
 	for off < len(data) {
 		if len(data)-off < headerLen {
@@ -652,39 +642,8 @@ func replay(f *os.File) (*Recovery, int64, error) {
 		if derr != nil {
 			return nil, 0, fmt.Errorf("wal: frame at offset %d: %w", off, derr)
 		}
-		applyRecord(jobs, &order, r, rec)
-		rec.Records++
+		rec.Records = append(rec.Records, r)
 		off += headerLen + int(plen)
 	}
-	for _, id := range order {
-		if j, ok := jobs[id]; ok && j != nil {
-			rec.Jobs = append(rec.Jobs, *j)
-			delete(jobs, id) // a resubmitted id appears once per live epoch
-		}
-	}
 	return rec, int64(off), nil
-}
-
-// applyRecord folds one record into the live-job map. Records for unknown
-// jobs (stale lease/requeue/complete surviving a compaction race) are
-// ignored: replay is a conservative fold, not a strict state machine.
-func applyRecord(jobs map[string]*JobState, order *[]string, r Record, rec *Recovery) {
-	switch r.Type {
-	case TypeSubmit:
-		if jobs[r.Job] == nil {
-			jobs[r.Job] = &JobState{ID: r.Job, Spec: r.Spec, Attempts: r.Attempts}
-			*order = append(*order, r.Job)
-		}
-	case TypeLease:
-		if j := jobs[r.Job]; j != nil {
-			j.Leased, j.Worker, j.Attempts = true, r.Worker, r.Attempts
-		}
-	case TypeRequeue:
-		if j := jobs[r.Job]; j != nil {
-			j.Leased, j.Worker, j.Attempts = false, "", r.Attempts
-		}
-	case TypeComplete:
-		rec.Completes++
-		delete(jobs, r.Job)
-	}
 }
