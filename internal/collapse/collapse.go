@@ -1,8 +1,6 @@
-// Package collapse implements the layer-wise activation analyses behind the
+// Package collapse implements the layer-wise activation analysis behind the
 // paper's motivation (§4) and Appendix B: the "neuron concentration" metric
-// whose spikes track FedCM's minority collapse under long-tailed data, and
-// per-class feature statistics in the spirit of the Neural Collapse /
-// Minority Collapse literature the paper builds on.
+// whose spikes track FedCM's minority collapse under long-tailed data.
 package collapse
 
 import (
@@ -26,14 +24,14 @@ type Report struct {
 }
 
 // Concentration measures neuron concentration of net on probe inputs x.
-// It measures after each activation layer (ReLU/LeakyReLU/Tanh); networks
-// without activations (linear models) are measured at every layer output.
+// It measures after each ReLU, the only activation the network builders
+// use; networks without activations (linear models) are measured at every
+// layer output.
 func Concentration(net *nn.Network, x *tensor.Dense) Report {
 	outs := net.ForwardCollect(x, false)
 	var perLayer []float64
 	for i, l := range net.Layers {
-		switch l.(type) {
-		case *nn.ReLU, *nn.LeakyReLU, *nn.Tanh:
+		if _, ok := l.(*nn.ReLU); ok {
 			perLayer = append(perLayer, unitConcentration(outs[i]))
 		}
 	}
@@ -72,84 +70,6 @@ func unitConcentration(out *tensor.Dense) float64 {
 		hhi += p * p
 	}
 	return hhi * float64(d)
-}
-
-// ClassFeatureStats summarises last-hidden-layer class geometry: the mean
-// pairwise cosine similarity between class-mean features, split into
-// head-vs-head and tail-vs-rest pairs. Under minority collapse the tail
-// cosines rise toward 1 (tail features merge into head directions).
-type ClassFeatureStats struct {
-	MeanCosineAll  float64
-	MeanCosineTail float64 // pairs involving the tail half of the classes
-	DeadTailRate   float64 // fraction of tail classes with ~zero feature mass
-}
-
-// ClassFeatures computes ClassFeatureStats from the output of the last
-// activation layer over a labelled probe set. Classes are assumed ordered
-// head→tail (as the long-tail generator produces them).
-func ClassFeatures(net *nn.Network, ds *data.Dataset, maxSamples int) ClassFeatureStats {
-	n := ds.Len()
-	if maxSamples > 0 && n > maxSamples {
-		n = maxSamples
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	x, y := ds.Gather(idx, nil, nil)
-	outs := net.ForwardCollect(x, false)
-	// feature layer = output of the last activation; networks without
-	// activations fall back to the final logits.
-	featIdx := len(outs) - 1
-scan:
-	for i := len(net.Layers) - 1; i >= 0; i-- {
-		switch net.Layers[i].(type) {
-		case *nn.ReLU, *nn.LeakyReLU, *nn.Tanh:
-			featIdx = i
-			break scan
-		}
-	}
-	feat := outs[featIdx]
-	classes := ds.Classes
-	means := make([][]float64, classes)
-	counts := make([]float64, classes)
-	for c := range means {
-		means[c] = make([]float64, feat.C)
-	}
-	for s := 0; s < feat.R; s++ {
-		tensor.AddVec(means[y[s]], feat.Row(s))
-		counts[y[s]]++
-	}
-	for c := range means {
-		if counts[c] > 0 {
-			tensor.Scale(means[c], 1/counts[c])
-		}
-	}
-	tailStart := classes / 2
-	var all, tail []float64
-	dead := 0
-	for a := 0; a < classes; a++ {
-		for b := a + 1; b < classes; b++ {
-			cos := tensor.CosineSim(means[a], means[b])
-			all = append(all, cos)
-			if b >= tailStart {
-				tail = append(tail, cos)
-			}
-		}
-	}
-	for c := tailStart; c < classes; c++ {
-		if tensor.Norm2(means[c]) < 1e-6 {
-			dead++
-		}
-	}
-	st := ClassFeatureStats{
-		MeanCosineAll:  tensor.Mean(all),
-		MeanCosineTail: tensor.Mean(tail),
-	}
-	if classes-tailStart > 0 {
-		st.DeadTailRate = float64(dead) / float64(classes-tailStart)
-	}
-	return st
 }
 
 // Probe returns the fl.Probe behind the "collapse" run probe: at every

@@ -6,7 +6,6 @@ import (
 
 	"fedwcm/internal/data"
 	"fedwcm/internal/fl"
-	"fedwcm/internal/loss"
 	"fedwcm/internal/nn"
 	"fedwcm/internal/partition"
 	"fedwcm/internal/tensor"
@@ -23,7 +22,7 @@ func TestUnitConcentrationBounds(t *testing.T) {
 	// single dominant unit → D
 	spike := tensor.NewDense(4, 8)
 	for s := 0; s < 4; s++ {
-		spike.Set(s, 3, 5)
+		spike.Row(s)[3] = 5
 	}
 	if got := unitConcentration(spike); math.Abs(got-8) > 1e-9 {
 		t.Fatalf("spike concentration %v, want 8", got)
@@ -39,7 +38,7 @@ func TestUnitConcentrationOrdering(t *testing.T) {
 	r := xrand.New(1)
 	flat := tensor.NewDense(16, 32)
 	r.FillNorm(flat.Data, 0, 1)
-	skewed := flat.Clone()
+	skewed := tensor.FromSlice(flat.R, flat.C, tensor.CopyVec(flat.Data))
 	// amplify a few columns
 	for s := 0; s < skewed.R; s++ {
 		row := skewed.Row(s)
@@ -80,32 +79,6 @@ func TestConcentrationLinearModelFallback(t *testing.T) {
 	}
 }
 
-func TestClassFeaturesDetectsMergedTail(t *testing.T) {
-	// Train a small MLP on 4-class data, then compare tail cosine stats
-	// between a healthy model and one whose tail-class structure never got
-	// learned (random init barely separates classes).
-	spec := data.GaussianSpec{Classes: 4, Dim: 12, Sep: 4, Noise: 0.5}
-	train := spec.Generate(7, 1, data.UniformCounts(60, 4))
-	net := nn.NewMLP(8, 12, []int{16}, 4, false)
-	untrained := ClassFeatures(net, train, 200)
-	ce := loss.CrossEntropy{}
-	for i := 0; i < 150; i++ {
-		net.ZeroGrad()
-		logits := net.Forward(train.X, true)
-		_, dl := ce.LossAndGrad(logits, train.Y)
-		net.Backward(dl)
-		net.Step(0.2)
-	}
-	trained := ClassFeatures(net, train, 200)
-	if trained.MeanCosineAll >= untrained.MeanCosineAll {
-		t.Fatalf("training should separate class features: %v vs %v",
-			trained.MeanCosineAll, untrained.MeanCosineAll)
-	}
-	if trained.DeadTailRate > 0.5 {
-		t.Fatalf("healthy training should not kill tail features: %v", trained.DeadTailRate)
-	}
-}
-
 func TestProbeRecordsSeries(t *testing.T) {
 	spec := data.GaussianSpec{Classes: 3, Dim: 8, Sep: 3, Noise: 0.8}
 	train := spec.Generate(9, 1, data.UniformCounts(40, 3))
@@ -115,25 +88,21 @@ func TestProbeRecordsSeries(t *testing.T) {
 	env := fl.NewEnv(cfg, train, test, part, nn.MLPBuilder(8, []int{12}, 3, false), nil)
 	env.Probes = append(env.Probes, Probe(ProbeBatch(test, 30)))
 	hist := fl.Run(env, &simpleFedAvg{})
-	rounds, mean := hist.MetricSeries("concentration")
-	if len(rounds) != 3 || rounds[0] != 2 || rounds[2] != 6 {
-		t.Fatalf("expected probe points at rounds 2,4,6, got %v", rounds)
+	if len(hist.Stats) != 3 || hist.Stats[0].Round != 2 || hist.Stats[2].Round != 6 {
+		t.Fatalf("expected probe points at rounds 2,4,6, got %+v", hist.Stats)
 	}
-	_, layer := hist.MetricSeries("concentration/act1")
-	if len(layer) != 3 {
-		t.Fatalf("per-layer series has %d points, want 3", len(layer))
-	}
-	for i, m := range mean {
-		if m < 1-1e-9 {
-			t.Fatalf("probe %d concentration %v below bound", i, m)
+	for i, st := range hist.Stats {
+		m, ok := st.Metrics["concentration"]
+		if !ok || m < 1-1e-9 {
+			t.Fatalf("probe %d concentration %v (recorded %v) below bound", i, m, ok)
 		}
 		// one hidden activation: the mean is that layer's reading
-		if layer[i] != m {
-			t.Fatalf("probe %d: single-layer mean %v != act1 %v", i, m, layer[i])
+		if layer, ok := st.Metrics["concentration/act1"]; !ok || layer != m {
+			t.Fatalf("probe %d: single-layer mean %v != act1 %v", i, m, layer)
 		}
-	}
-	if r, _ := hist.MetricSeries("concentration/act2"); r != nil {
-		t.Fatalf("network has one activation layer, got act2 at %v", r)
+		if _, ok := st.Metrics["concentration/act2"]; ok {
+			t.Fatalf("network has one activation layer, got act2 at round %d", st.Round)
+		}
 	}
 }
 
@@ -148,7 +117,7 @@ func (m *simpleFedAvg) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
 	return fl.RunLocalSGD(ctx, fl.LocalOpts{})
 }
 func (m *simpleFedAvg) Aggregate(_ int, global []float64, results []*fl.ClientResult) {
-	fl.WeightedDeltaInto(global, m.env.Cfg.EtaG, results, fl.SizeWeights(results))
+	fl.WeightedDeltaInto(global, m.env.Cfg.EtaG, results, fl.SizeWeightsInto(nil, results))
 }
 
 func TestProbeBatchBounds(t *testing.T) {

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -221,19 +222,6 @@ func TestIndicesByClass(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	spec := GaussianSpec{Classes: 2, Dim: 3, Sep: 1, Noise: 1}
-	a := spec.Generate(1, 1, []int{2, 2})
-	b := spec.Generate(1, 2, []int{1, 1})
-	c := Concat(a, b)
-	if c.Len() != 6 {
-		t.Fatalf("concat len %d", c.Len())
-	}
-	if tensor.L2Dist(c.X.Row(4), b.X.Row(0)) != 0 {
-		t.Fatal("concat rows misplaced")
-	}
-}
-
 func TestRegistryLookup(t *testing.T) {
 	for _, name := range Names() {
 		s, err := Lookup(name)
@@ -254,7 +242,7 @@ func TestSpecMakeProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, test := s.Make(1, 0.1)
+	train, test := s.MakeScaled(1, 0.1, 1)
 	if err := train.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +256,7 @@ func TestSpecMakeProfiles(t *testing.T) {
 
 func TestMakeScaledShrinks(t *testing.T) {
 	s, _ := Lookup("cifar10-syn")
-	full, _ := s.Make(1, 0.5)
+	full, _ := s.MakeScaled(1, 0.5, 1)
 	small, smallTest := s.MakeScaled(1, 0.5, 0.2)
 	if small.Len() >= full.Len()/3 {
 		t.Fatalf("scaled train %d not much smaller than %d", small.Len(), full.Len())
@@ -353,4 +341,23 @@ func TestValidateCatchesBadLabels(t *testing.T) {
 	if ds.Validate() == nil {
 		t.Fatal("Validate should reject out-of-range labels")
 	}
+}
+
+// Validate checks the dataset's internal consistency.
+func (d *Dataset) Validate() error {
+	if d.X.R != len(d.Y) {
+		return fmt.Errorf("data: %d rows but %d labels", d.X.R, len(d.Y))
+	}
+	if d.Classes <= 0 {
+		return fmt.Errorf("data: non-positive class count %d", d.Classes)
+	}
+	for i, y := range d.Y {
+		if y < 0 || y >= d.Classes {
+			return fmt.Errorf("data: label %d out of range at row %d", y, i)
+		}
+	}
+	if d.Chans != 0 && d.Chans*d.H*d.W != d.Dim() {
+		return fmt.Errorf("data: image geometry %dx%dx%d does not match dim %d", d.Chans, d.H, d.W, d.Dim())
+	}
+	return nil
 }

@@ -6,11 +6,7 @@
 // samplers including the class-balanced sampler used as a baseline.
 package data
 
-import (
-	"fmt"
-
-	"fedwcm/internal/tensor"
-)
+import "fedwcm/internal/tensor"
 
 // Dataset is an in-memory labelled dataset. X rows are flat feature vectors;
 // image datasets use channel-outer flattening and record their geometry.
@@ -99,39 +95,4 @@ func (d *Dataset) IndicesByClass() [][]int {
 		out[y] = append(out[y], i)
 	}
 	return out
-}
-
-// Validate checks internal consistency; it is used by tests and when
-// loading externally constructed datasets.
-func (d *Dataset) Validate() error {
-	if d.X.R != len(d.Y) {
-		return fmt.Errorf("data: %d rows but %d labels", d.X.R, len(d.Y))
-	}
-	if d.Classes <= 0 {
-		return fmt.Errorf("data: non-positive class count %d", d.Classes)
-	}
-	for i, y := range d.Y {
-		if y < 0 || y >= d.Classes {
-			return fmt.Errorf("data: label %d out of range at row %d", y, i)
-		}
-	}
-	if d.Chans != 0 && d.Chans*d.H*d.W != d.Dim() {
-		return fmt.Errorf("data: image geometry %dx%dx%d does not match dim %d", d.Chans, d.H, d.W, d.Dim())
-	}
-	return nil
-}
-
-// Concat appends the rows of other (same dim/classes) to d, returning a new
-// dataset.
-func Concat(a, b *Dataset) *Dataset {
-	if a.Dim() != b.Dim() || a.Classes != b.Classes {
-		panic("data: Concat shape mismatch")
-	}
-	x := tensor.NewDense(a.Len()+b.Len(), a.Dim())
-	copy(x.Data[:len(a.X.Data)], a.X.Data)
-	copy(x.Data[len(a.X.Data):], b.X.Data)
-	y := make([]int, 0, a.Len()+b.Len())
-	y = append(y, a.Y...)
-	y = append(y, b.Y...)
-	return &Dataset{X: x, Y: y, Classes: a.Classes, Chans: a.Chans, H: a.H, W: a.W}
 }

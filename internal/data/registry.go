@@ -98,20 +98,11 @@ func (s *Spec) Dim() int {
 	}
 }
 
-// Make generates the long-tailed train split (imbalance factor f) and the
-// balanced test split for this spec. Both derive class structure from the
-// same seed so they share prototypes, while their sample noise streams are
-// independent.
-func (s *Spec) Make(seed uint64, imbalance float64) (train, test *Dataset) {
-	trainCounts := LongTailCounts(s.TrainHead, s.Classes, imbalance)
-	testCounts := UniformCounts(s.TestPerClass, s.Classes)
-	train = s.generate(seed, 1, trainCounts)
-	test = s.generate(seed, 2, testCounts)
-	return train, test
-}
-
-// MakeScaled is Make with the train head count scaled by factor (used by
-// benchmarks that shrink workloads while preserving shape).
+// MakeScaled generates the long-tailed train split (imbalance factor f) and
+// the balanced test split for this spec, with the train head count and the
+// per-class test count scaled by factor (sweeps shrink workloads while
+// preserving shape). Both derive class structure from the same seed so they
+// share prototypes, while their sample noise streams are independent.
 func (s *Spec) MakeScaled(seed uint64, imbalance, factor float64) (train, test *Dataset) {
 	head := int(float64(s.TrainHead) * factor)
 	if head < s.Classes {

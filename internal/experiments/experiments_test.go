@@ -104,9 +104,14 @@ func TestRunSpecProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(hist.Stats) != 2 {
+		t.Fatalf("%d evaluations, want 2", len(hist.Stats))
+	}
 	for _, key := range []string{"concentration", "concentration/act1", "train_acc"} {
-		if rounds, _ := hist.MetricSeries(key); len(rounds) != 2 {
-			t.Fatalf("metric %q recorded at rounds %v, want both evaluations", key, rounds)
+		for _, st := range hist.Stats {
+			if _, ok := st.Metrics[key]; !ok {
+				t.Fatalf("metric %q missing at round %d, want both evaluations", key, st.Round)
+			}
 		}
 	}
 }
@@ -160,7 +165,7 @@ func TestRegistryShape(t *testing.T) {
 			t.Errorf("%s: sweep without renderer", e.ID)
 		}
 		sp := e.Sweep(Options{Seed: 1, Effort: 0.1}.Defaults())
-		if err := sp.Validate(); err != nil {
+		if _, err := sp.ExpandValidated(); err != nil {
 			t.Errorf("%s: grid does not validate: %v", e.ID, err)
 		}
 	}

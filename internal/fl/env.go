@@ -17,18 +17,6 @@ type Client struct {
 	N           int
 }
 
-// Proportions returns the client's local label distribution.
-func (c *Client) Proportions() []float64 {
-	out := make([]float64, len(c.ClassCounts))
-	if c.N == 0 {
-		return out
-	}
-	for i, n := range c.ClassCounts {
-		out[i] = float64(n) / float64(c.N)
-	}
-	return out
-}
-
 // Probe measures the global model at each evaluation: it is called with a
 // network loaded with the current global weights and writes its readings
 // into that evaluation's RoundStat.Metrics (neuron concentration, train

@@ -37,7 +37,7 @@ func (m *sgdMethod) LocalTrain(ctx *ClientCtx) *ClientResult {
 	return RunLocalSGD(ctx, m.opts)
 }
 func (m *sgdMethod) Aggregate(round int, global []float64, results []*ClientResult) {
-	WeightedDeltaInto(global, m.env.Cfg.EtaG, results, SizeWeights(results))
+	WeightedDeltaInto(global, m.env.Cfg.EtaG, results, SizeWeightsInto(nil, results))
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -76,14 +76,6 @@ func TestEnvClientViews(t *testing.T) {
 	}
 	if env.TotalSamples() != env.Train.Len() {
 		t.Fatal("TotalSamples mismatch")
-	}
-}
-
-func TestClientProportions(t *testing.T) {
-	c := &Client{ClassCounts: []int{3, 1}, N: 4}
-	p := c.Proportions()
-	if p[0] != 0.75 || p[1] != 0.25 {
-		t.Fatalf("proportions %v", p)
 	}
 }
 
@@ -141,7 +133,7 @@ func TestRunLocalSGDMomentumPullsTowardDirection(t *testing.T) {
 	ctx := &ClientCtx{Round: 0, Client: env.Clients[0], Env: env, Net: net, Global: global, RNG: xrand.New(8)}
 	res := RunLocalSGD(ctx, LocalOpts{Alpha: 0.01, Momentum: dir})
 	// Delta ≈ etaL·steps·dir (for stat-free linear model)
-	cos := tensor.CosineSim(res.Delta, dir)
+	cos := tensor.Dot(res.Delta, dir) / (tensor.Norm2(res.Delta) * tensor.Norm2(dir))
 	if cos < 0.99 {
 		t.Fatalf("delta should align with momentum at alpha≈0, cos=%v", cos)
 	}
@@ -211,14 +203,14 @@ func TestRunLocalSGDTrackPreds(t *testing.T) {
 
 func TestWeightHelpers(t *testing.T) {
 	results := []*ClientResult{{N: 10}, {N: 30}}
-	w := SizeWeights(results)
+	w := SizeWeightsInto(nil, results)
 	if math.Abs(w[0]-0.25) > 1e-12 || math.Abs(w[1]-0.75) > 1e-12 {
-		t.Fatalf("SizeWeights %v", w)
+		t.Fatalf("SizeWeightsInto %v", w)
 	}
-	u := UniformWeights(4)
+	u := UniformWeightsInto(nil, 4)
 	for _, v := range u {
 		if v != 0.25 {
-			t.Fatalf("UniformWeights %v", u)
+			t.Fatalf("UniformWeightsInto %v", u)
 		}
 	}
 }
@@ -286,18 +278,8 @@ func TestHistoryHelpers(t *testing.T) {
 	if h.FinalAcc() != 0.5 || h.BestAcc() != 0.6 {
 		t.Fatalf("final=%v best=%v", h.FinalAcc(), h.BestAcc())
 	}
-	if h.RoundsToAcc(0.55) != 10 {
-		t.Fatalf("RoundsToAcc got %d", h.RoundsToAcc(0.55))
-	}
-	if h.RoundsToAcc(0.9) != -1 {
-		t.Fatal("unreachable threshold should return -1")
-	}
 	if math.Abs(h.TailMeanAcc(2)-0.55) > 1e-12 {
 		t.Fatalf("TailMeanAcc got %v", h.TailMeanAcc(2))
-	}
-	rounds, accs := h.AccSeries()
-	if len(rounds) != 3 || rounds[2] != 15 || accs[1] != 0.6 {
-		t.Fatal("AccSeries mismatch")
 	}
 	if h.String() == "" {
 		t.Fatal("String empty")
@@ -393,12 +375,6 @@ func TestRunInvokesProbes(t *testing.T) {
 				if st.Round != want[i] || progressed[i] != want[i] || st.Metrics["reports"] != float64(i+1) || st.Metrics["probed"] != float64(i+1) {
 					t.Fatalf("stat %d: round %d, onRound %v, metrics %v; want round %d", i, st.Round, progressed, st.Metrics, want[i])
 				}
-			}
-			if rounds, vals := hist.MetricSeries("probed"); len(rounds) != len(want) || rounds[2] != 5 || vals[2] != 3 {
-				t.Fatalf("MetricSeries(probed) = %v %v", rounds, vals)
-			}
-			if rounds, _ := hist.MetricSeries("absent"); rounds != nil {
-				t.Fatalf("MetricSeries of an absent key = %v, want nil", rounds)
 			}
 		})
 	}

@@ -31,7 +31,7 @@ func (m *cmMethod) LocalTrain(ctx *ClientCtx) *ClientResult {
 	return RunLocalSGD(ctx, opts)
 }
 func (m *cmMethod) Aggregate(round int, global []float64, results []*ClientResult) {
-	w := UniformWeights(len(results))
+	w := UniformWeightsInto(nil, len(results))
 	WeightedDeltaInto(global, m.env.Cfg.EtaG, results, w)
 	MomentumFrom(m.momentum, m.env.Cfg.EtaL, results, w)
 	m.have = true
@@ -138,7 +138,7 @@ func (m *sgdSAM) LocalTrain(ctx *ClientCtx) *ClientResult {
 	return RunLocalSGD(ctx, LocalOpts{SAMRho: m.rho})
 }
 func (m *sgdSAM) Aggregate(_ int, global []float64, results []*ClientResult) {
-	WeightedDeltaInto(global, m.env.Cfg.EtaG, results, SizeWeights(results))
+	WeightedDeltaInto(global, m.env.Cfg.EtaG, results, SizeWeightsInto(nil, results))
 }
 
 // TestLogitScaleScalesGradientExactly: with a single full-batch step on a

@@ -105,13 +105,8 @@ func GrowWeights(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// UniformWeights returns 1/n for each of n results.
-func UniformWeights(n int) []float64 {
-	return UniformWeightsInto(nil, n)
-}
-
-// UniformWeightsInto is UniformWeights into a reusable buffer (see
-// GrowWeights).
+// UniformWeightsInto returns 1/n for each of n results, in a reusable
+// buffer (see GrowWeights).
 func UniformWeightsInto(buf []float64, n int) []float64 {
 	w := GrowWeights(buf, n)
 	for i := range w {
@@ -120,12 +115,8 @@ func UniformWeightsInto(buf []float64, n int) []float64 {
 	return w
 }
 
-// SizeWeights returns weights proportional to client sample counts.
-func SizeWeights(results []*ClientResult) []float64 {
-	return SizeWeightsInto(nil, results)
-}
-
-// SizeWeightsInto is SizeWeights into a reusable buffer (see GrowWeights).
+// SizeWeightsInto returns weights proportional to client sample counts, in
+// a reusable buffer (see GrowWeights).
 func SizeWeightsInto(buf []float64, results []*ClientResult) []float64 {
 	w := GrowWeights(buf, len(results))
 	total := 0.0

@@ -294,9 +294,6 @@ func (m *FedWCM) aggregate(global []float64, results []*fl.ClientResult, info *f
 	m.lastAlpha = m.alpha
 }
 
-// Scores exposes the per-client scarcity scores (for tests/diagnostics).
-func (m *FedWCM) Scores() []float64 { return m.scores }
-
 // RoundMetrics implements fl.MetricsReporter.
 func (m *FedWCM) RoundMetrics() map[string]float64 {
 	return map[string]float64{

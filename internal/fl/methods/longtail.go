@@ -131,6 +131,3 @@ func (m *FedGraB) Aggregate(round int, global []float64, results []*fl.ClientRes
 		}
 	}
 }
-
-// Gains exposes the balancer state (for tests and diagnostics).
-func (m *FedGraB) Gains() []float64 { return m.gains }

@@ -65,15 +65,6 @@ func New(name string) (fl.Method, error) {
 	return f(), nil
 }
 
-// MustNew is New that panics on unknown names (for experiment tables).
-func MustNew(name string) fl.Method {
-	m, err := New(name)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Names lists registered method names, sorted.
 func Names() []string {
 	out := make([]string, 0, len(factories))

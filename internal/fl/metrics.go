@@ -234,42 +234,6 @@ func (h *History) TailMeanAcc(k int) float64 {
 	return sum / float64(k)
 }
 
-// RoundsToAcc returns the first evaluated round whose accuracy reaches the
-// threshold, or -1 if never reached (used for convergence-speed reporting).
-func (h *History) RoundsToAcc(threshold float64) int {
-	for _, s := range h.Stats {
-		if s.TestAcc >= threshold {
-			return s.Round
-		}
-	}
-	return -1
-}
-
-// AccSeries returns (rounds, accuracies) for plotting/printing curves.
-func (h *History) AccSeries() ([]int, []float64) {
-	rounds := make([]int, len(h.Stats))
-	accs := make([]float64, len(h.Stats))
-	for i, s := range h.Stats {
-		rounds[i] = s.Round
-		accs[i] = s.TestAcc
-	}
-	return rounds, accs
-}
-
-// MetricSeries returns (rounds, values) of one RoundStat.Metrics key — a
-// method diagnostic or a probe reading — over the evaluations that carry it.
-func (h *History) MetricSeries(key string) ([]int, []float64) {
-	var rounds []int
-	var vals []float64
-	for _, s := range h.Stats {
-		if v, ok := s.Metrics[key]; ok {
-			rounds = append(rounds, s.Round)
-			vals = append(vals, v)
-		}
-	}
-	return rounds, vals
-}
-
 func (h *History) String() string {
 	return fmt.Sprintf("%s: final=%.4f best=%.4f evals=%d", h.Method, h.FinalAcc(), h.BestAcc(), len(h.Stats))
 }

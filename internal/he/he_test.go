@@ -80,15 +80,6 @@ func TestAdditiveHomomorphismProperty(t *testing.T) {
 	}
 }
 
-func TestMulPlain(t *testing.T) {
-	sk := getKey(t)
-	ct, _ := sk.PublicKey.Encrypt(big.NewInt(9))
-	got := sk.Decrypt(sk.PublicKey.MulPlain(ct, big.NewInt(5)))
-	if got.Int64() != 45 {
-		t.Fatalf("MulPlain got %v, want 45", got)
-	}
-}
-
 func TestCiphertextSizeConstant(t *testing.T) {
 	sk := getKey(t)
 	size := sk.PublicKey.CiphertextSize()
@@ -96,8 +87,8 @@ func TestCiphertextSizeConstant(t *testing.T) {
 		t.Fatalf("ciphertext size %dB for 256-bit key, want ~64B", size)
 	}
 	ct, _ := sk.PublicKey.Encrypt(big.NewInt(3))
-	if len(ct.Bytes()) > size {
-		t.Fatalf("actual ciphertext %dB exceeds reported max %dB", len(ct.Bytes()), size)
+	if n := len(ct.C.Bytes()); n > size {
+		t.Fatalf("actual ciphertext %dB exceeds reported max %dB", n, size)
 	}
 }
 

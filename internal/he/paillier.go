@@ -127,14 +127,6 @@ func (pk *PublicKey) Add(a, b *Ciphertext) *Ciphertext {
 	return &Ciphertext{C: c}
 }
 
-// MulPlain returns a ciphertext of k·m (mod n): c^k mod n².
-func (pk *PublicKey) MulPlain(a *Ciphertext, k *big.Int) *Ciphertext {
-	return &Ciphertext{C: new(big.Int).Exp(a.C, k, pk.N2)}
-}
-
-// Bytes returns the serialised ciphertext (big-endian).
-func (ct *Ciphertext) Bytes() []byte { return ct.C.Bytes() }
-
 // CiphertextSize reports the worst-case ciphertext size in bytes for a key:
 // ⌈bits(n²)/8⌉. Table 6 compares this against the plaintext size.
 func (pk *PublicKey) CiphertextSize() int {

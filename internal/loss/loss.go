@@ -1,8 +1,8 @@
 // Package loss implements the classification losses used in the paper's
-// evaluation: softmax cross-entropy, Focal loss, PriorCELoss (logit-adjusted
-// / balanced softmax) and LDAM. Each loss returns the batch-mean loss value
-// together with d(loss)/d(logits), already averaged over the batch, so a
-// training step is: logits → LossAndGrad → network.Backward(dLogits).
+// evaluation: softmax cross-entropy, Focal loss and PriorCELoss
+// (logit-adjusted / balanced softmax). Each loss returns the batch-mean
+// loss value together with d(loss)/d(logits), already averaged over the
+// batch, so a training step is: logits → LossAndGrad → network.Backward(dLogits).
 package loss
 
 import (
@@ -178,76 +178,6 @@ func (l *PriorCE) LossAndGradInto(grad *tensor.Dense, logits *tensor.Dense, labe
 			p[j] *= invN
 		}
 		p[t] -= invN
-	}
-	return total * invN
-}
-
-// LDAM is the label-distribution-aware margin loss: the true-class logit is
-// reduced by a per-class margin Δ_c ∝ n_c^{-1/4} before a scaled softmax
-// cross-entropy.
-type LDAM struct {
-	Margins []float64
-	Scale   float64
-}
-
-// NewLDAM builds an LDAM loss with max margin maxM from class counts.
-func NewLDAM(counts []float64, maxM, scale float64) *LDAM {
-	margins := make([]float64, len(counts))
-	maxInv := 0.0
-	for i, c := range counts {
-		if c <= 0 {
-			c = 1
-		}
-		margins[i] = 1 / math.Sqrt(math.Sqrt(c))
-		if margins[i] > maxInv {
-			maxInv = margins[i]
-		}
-	}
-	if maxInv > 0 {
-		for i := range margins {
-			margins[i] *= maxM / maxInv
-		}
-	}
-	return &LDAM{Margins: margins, Scale: scale}
-}
-
-// Name implements Loss.
-func (l *LDAM) Name() string { return "ldam" }
-
-// LossAndGrad implements Loss.
-func (l *LDAM) LossAndGrad(logits *tensor.Dense, labels []int) (float64, *tensor.Dense) {
-	grad := tensor.NewDense(logits.R, logits.C)
-	return l.LossAndGradInto(grad, logits, labels), grad
-}
-
-// LossAndGradInto implements GradInto.
-func (l *LDAM) LossAndGradInto(grad *tensor.Dense, logits *tensor.Dense, labels []int) float64 {
-	checkLabels(logits, labels)
-	if len(l.Margins) != logits.C {
-		panic("loss: LDAM margin length mismatch")
-	}
-	n := logits.R
-	total := 0.0
-	invN := 1 / float64(n)
-	adj := make([]float64, logits.C)
-	for s := 0; s < n; s++ {
-		row := logits.Row(s)
-		t := labels[s]
-		for j := range adj {
-			adj[j] = row[j]
-		}
-		adj[t] -= l.Margins[t]
-		for j := range adj {
-			adj[j] *= l.Scale
-		}
-		p := grad.Row(s)
-		softmaxRow(p, adj)
-		total += -math.Log(clampProb(p[t]))
-		// chain rule through the scale: d/dz_j = S·(p_j − δ_tj)/N
-		for j := range p {
-			p[j] *= l.Scale * invN
-		}
-		p[t] -= l.Scale * invN
 	}
 	return total * invN
 }

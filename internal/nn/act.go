@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"fedwcm/internal/tensor"
-)
+import "fedwcm/internal/tensor"
 
 // ReLU applies max(0, x) elementwise. Instead of materialising a []bool
 // mask it keeps a reference to the forward input and recomputes the sign
@@ -37,79 +33,3 @@ func (l *ReLU) Backward(dout *tensor.Dense) *tensor.Dense {
 
 // Params returns nil: ReLU has no parameters.
 func (l *ReLU) Params() []*Param { return nil }
-
-// LeakyReLU applies x for x>0 and slope*x otherwise.
-type LeakyReLU struct {
-	Slope    float64
-	mask     []bool
-	fwd, bwd workspace
-}
-
-// NewLeakyReLU returns a LeakyReLU with the given negative slope.
-func NewLeakyReLU(slope float64) *LeakyReLU { return &LeakyReLU{Slope: slope} }
-
-// Forward applies the leaky rectifier.
-func (l *LeakyReLU) Forward(x *tensor.Dense, train bool) *tensor.Dense {
-	out := l.fwd.get(x.R, x.C)
-	if cap(l.mask) < len(out.Data) {
-		l.mask = make([]bool, len(out.Data))
-	}
-	l.mask = l.mask[:len(out.Data)]
-	for i, v := range x.Data {
-		if v <= 0 {
-			out.Data[i] = l.Slope * v
-			l.mask[i] = false
-		} else {
-			out.Data[i] = v
-			l.mask[i] = true
-		}
-	}
-	return out
-}
-
-// Backward scales gradients by the slope on the negative side.
-func (l *LeakyReLU) Backward(dout *tensor.Dense) *tensor.Dense {
-	dx := l.bwd.get(dout.R, dout.C)
-	for i, v := range dout.Data {
-		if l.mask[i] {
-			dx.Data[i] = v
-		} else {
-			dx.Data[i] = v * l.Slope
-		}
-	}
-	return dx
-}
-
-// Params returns nil.
-func (l *LeakyReLU) Params() []*Param { return nil }
-
-// Tanh applies the hyperbolic tangent elementwise.
-type Tanh struct {
-	out      []float64
-	fwd, bwd workspace
-}
-
-// NewTanh returns a Tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward computes tanh(x).
-func (l *Tanh) Forward(x *tensor.Dense, train bool) *tensor.Dense {
-	out := l.fwd.get(x.R, x.C)
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	l.out = out.Data
-	return out
-}
-
-// Backward multiplies by 1 - tanh².
-func (l *Tanh) Backward(dout *tensor.Dense) *tensor.Dense {
-	dx := l.bwd.get(dout.R, dout.C)
-	for i, v := range dout.Data {
-		dx.Data[i] = v * (1 - l.out[i]*l.out[i])
-	}
-	return dx
-}
-
-// Params returns nil.
-func (l *Tanh) Params() []*Param { return nil }

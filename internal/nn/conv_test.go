@@ -87,11 +87,15 @@ func refConvBackward(l *Conv2D, x, dout *tensor.Dense) (dw, db []float64, dx *te
 			cols := tensor.NewDense(k, p)
 			l.im2colGeneral(x.Row(s), cols)
 			dseg := tensor.FromSlice(l.OutC, p, dout.Row(s))
-			tensor.AddVec(dwPart, tensor.MatMulBT(dseg, cols).Data)
+			dwSeg := tensor.NewDense(l.OutC, k)
+			tensor.MatMulBTInto(dwSeg, dseg, cols)
+			tensor.AddVec(dwPart, dwSeg.Data)
 			for oc := 0; oc < l.OutC; oc++ {
 				dbPart[oc] += tensor.Sum(dseg.Row(oc))
 			}
-			l.col2imGeneral(tensor.MatMulAT(l.wview, dseg), dx.Row(s))
+			dcols := tensor.NewDense(k, p)
+			tensor.MatMulATInto(dcols, l.wview, dseg)
+			l.col2imGeneral(dcols, dx.Row(s))
 		}
 		tensor.AddVec(dw, dwPart)
 		tensor.AddVec(db, dbPart)
@@ -185,7 +189,7 @@ func TestConvBackwardIndependentOfWorkers(t *testing.T) {
 				dx = net.Backward(dl)
 				net.Step(0.05)
 			}
-			return []vec{{"grads", net.GradVector()}, {"weights", net.Vector()}, {"dx", dx.Data}}
+			return []vec{{"grads", gradVector(net)}, {"weights", net.Vector()}, {"dx", dx.Data}}
 		})
 	})
 }

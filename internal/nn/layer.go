@@ -7,8 +7,7 @@ import "fedwcm/internal/tensor"
 // d(loss)/d(output).
 type Layer interface {
 	// Forward computes the layer output for input x. When train is false
-	// the layer runs in inference mode (BatchNorm uses running statistics,
-	// Dropout is a no-op).
+	// the layer runs in inference mode (BatchNorm uses running statistics).
 	Forward(x *tensor.Dense, train bool) *tensor.Dense
 	// Backward consumes d(loss)/d(output) and returns d(loss)/d(input),
 	// accumulating parameter gradients along the way.
@@ -46,7 +45,7 @@ func (s *Sequential) Backward(dout *tensor.Dense) *tensor.Dense {
 
 // ForwardCollect runs the forward pass and returns every layer's output in
 // order (outputs[i] is the output of Layers[i]). It powers the layer-wise
-// activation analyses (neuron concentration, minority collapse).
+// neuron-concentration analysis.
 func (s *Sequential) ForwardCollect(x *tensor.Dense, train bool) []*tensor.Dense {
 	outs := make([]*tensor.Dense, len(s.Layers))
 	for i, l := range s.Layers {

@@ -74,11 +74,6 @@ func (n *Network) BackwardParams(dout *tensor.Dense) {
 	}
 }
 
-// GradVector copies all gradients into a fresh flat vector.
-func (n *Network) GradVector() []float64 {
-	return FlattenGrads(n.params, make([]float64, n.NumParams()))
-}
-
 // GradVectorInto copies all gradients into dst.
 func (n *Network) GradVectorInto(dst []float64) { FlattenGrads(n.params, dst) }
 
@@ -115,29 +110,9 @@ func (n *Network) StepVec(lr float64, dir []float64) {
 	}
 }
 
-// StatMask returns a boolean vector marking which flat-vector positions
-// belong to Stat (non-learnable) parameters.
-func (n *Network) StatMask() []bool {
-	mask := make([]bool, n.NumParams())
-	off := 0
-	for _, p := range n.params {
-		if p.Stat {
-			for i := 0; i < len(p.Data); i++ {
-				mask[off+i] = true
-			}
-		}
-		off += len(p.Data)
-	}
-	return mask
-}
-
-// Predict returns the argmax class for each row of x (inference mode).
-func (n *Network) Predict(x *tensor.Dense) []int {
-	return n.PredictInto(nil, x)
-}
-
-// PredictInto is Predict writing into dst (grown as needed), so repeated
-// evaluation loops stop allocating a fresh prediction slice per chunk.
+// PredictInto writes the argmax class of each row of x (inference mode)
+// into dst (grown as needed), so repeated evaluation loops stop allocating
+// a fresh prediction slice per chunk.
 func (n *Network) PredictInto(dst []int, x *tensor.Dense) []int {
 	logits := n.Forward(x, false)
 	if cap(dst) < logits.R {

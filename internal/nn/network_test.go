@@ -97,25 +97,11 @@ func TestStepVecMatchesStep(t *testing.T) {
 	}
 }
 
-func TestStatMask(t *testing.T) {
-	net := NewMLP(5, 4, []int{3}, 2, true)
-	mask := net.StatMask()
-	statCount := 0
-	for _, m := range mask {
-		if m {
-			statCount++
-		}
-	}
-	// one BN layer with 3 channels: runmean+runvar = 6 stat scalars
-	if statCount != 6 {
-		t.Fatalf("stat scalar count %d, want 6", statCount)
-	}
-	plain := NewMLP(5, 4, []int{3}, 2, false)
-	for _, m := range plain.StatMask() {
-		if m {
-			t.Fatal("plain MLP should have no stat params")
-		}
-	}
+// gradVector copies all gradients into a fresh flat vector.
+func gradVector(n *Network) []float64 {
+	g := make([]float64, n.NumParams())
+	n.GradVectorInto(g)
+	return g
 }
 
 func TestZeroGrad(t *testing.T) {
@@ -126,7 +112,7 @@ func TestZeroGrad(t *testing.T) {
 		}
 	}
 	net.ZeroGrad()
-	for _, v := range net.GradVector() {
+	for _, v := range gradVector(net) {
 		if v != 0 {
 			t.Fatal("ZeroGrad left residue")
 		}
@@ -189,7 +175,7 @@ func TestMLPOverfitsTinyDataset(t *testing.T) {
 		net.Backward(dl)
 		net.Step(0.5)
 	}
-	pred := net.Predict(x)
+	pred := net.PredictInto(nil, x)
 	correct := 0
 	for i, p := range pred {
 		if p == labels[i] {
@@ -239,7 +225,7 @@ func TestResNetLiteLearns(t *testing.T) {
 	if last > first*0.5 {
 		t.Fatalf("ResNetLite loss barely moved: %v -> %v", first, last)
 	}
-	pred := net.Predict(x)
+	pred := net.PredictInto(nil, x)
 	correct := 0
 	for i, p := range pred {
 		if p == labels[i] {
@@ -253,9 +239,9 @@ func TestResNetLiteLearns(t *testing.T) {
 
 func TestPredictShapes(t *testing.T) {
 	net := NewSoftmaxRegression(5, 4, 3)
-	pred := net.Predict(tensor.NewDense(7, 4))
+	pred := net.PredictInto(nil, tensor.NewDense(7, 4))
 	if len(pred) != 7 {
-		t.Fatalf("Predict returned %d predictions for 7 rows", len(pred))
+		t.Fatalf("PredictInto returned %d predictions for 7 rows", len(pred))
 	}
 	for _, p := range pred {
 		if p < 0 || p >= 3 {

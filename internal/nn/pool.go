@@ -1,99 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"fedwcm/internal/tensor"
-)
-
-// MaxPool2D applies max pooling over channel-outer flattened images.
-type MaxPool2D struct {
-	C, H, W    int
-	K, Stride  int
-	OutH, OutW int
-
-	argmax []int // flat input index of each output element's winner
-	inCols int
-
-	fwd, bwd workspace
-}
-
-// NewMaxPool2D creates a pooling layer with kernel k and stride s.
-func NewMaxPool2D(c, h, w, k, stride int) *MaxPool2D {
-	outH := (h-k)/stride + 1
-	outW := (w-k)/stride + 1
-	if outH <= 0 || outW <= 0 {
-		panic("nn: MaxPool2D output would be empty")
-	}
-	return &MaxPool2D{C: c, H: h, W: w, K: k, Stride: stride, OutH: outH, OutW: outW}
-}
-
-// OutDim returns the flattened output width.
-func (l *MaxPool2D) OutDim() int { return l.C * l.OutH * l.OutW }
-
-// Forward computes per-window maxima, remembering winner positions.
-func (l *MaxPool2D) Forward(x *tensor.Dense, train bool) *tensor.Dense {
-	if x.C != l.C*l.H*l.W {
-		panic("nn: MaxPool2D input width mismatch")
-	}
-	n := x.R
-	l.inCols = x.C
-	out := l.fwd.get(n, l.OutDim())
-	if cap(l.argmax) < n*l.OutDim() {
-		l.argmax = make([]int, n*l.OutDim())
-	}
-	l.argmax = l.argmax[:n*l.OutDim()]
-	tensor.ParallelFor(n, 4, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			img := x.Row(s)
-			orow := out.Row(s)
-			amRow := l.argmax[s*l.OutDim() : (s+1)*l.OutDim()]
-			oi := 0
-			for c := 0; c < l.C; c++ {
-				base := c * l.H * l.W
-				for oy := 0; oy < l.OutH; oy++ {
-					for ox := 0; ox < l.OutW; ox++ {
-						best := math.Inf(-1)
-						bi := -1
-						for ky := 0; ky < l.K; ky++ {
-							iy := oy*l.Stride + ky
-							for kx := 0; kx < l.K; kx++ {
-								ix := ox*l.Stride + kx
-								idx := base + iy*l.W + ix
-								if img[idx] > best {
-									best = img[idx]
-									bi = idx
-								}
-							}
-						}
-						orow[oi] = best
-						amRow[oi] = bi
-						oi++
-					}
-				}
-			}
-		}
-	})
-	return out
-}
-
-// Backward routes gradients to the winning positions.
-func (l *MaxPool2D) Backward(dout *tensor.Dense) *tensor.Dense {
-	n := dout.R
-	dx := l.bwd.getZeroed(n, l.inCols) // scatter-add target: must start clean
-	for s := 0; s < n; s++ {
-		drow := dout.Row(s)
-		dxr := dx.Row(s)
-		amRow := l.argmax[s*l.OutDim() : (s+1)*l.OutDim()]
-		for i, g := range drow {
-			dxr[amRow[i]] += g
-		}
-	}
-	return dx
-}
-
-// Params returns nil.
-func (l *MaxPool2D) Params() []*Param { return nil }
+import "fedwcm/internal/tensor"
 
 // GlobalAvgPool reduces each channel's spatial map to its mean:
 // (N, C·H·W) → (N, C).

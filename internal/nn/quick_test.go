@@ -9,6 +9,11 @@ import (
 	"fedwcm/internal/xrand"
 )
 
+// clone returns a deep copy of m.
+func clone(m *tensor.Dense) *tensor.Dense {
+	return tensor.FromSlice(m.R, m.C, tensor.CopyVec(m.Data))
+}
+
 // TestForwardDeterministicProperty: identical weights + identical inputs
 // must produce identical outputs regardless of instance.
 func TestForwardDeterministicProperty(t *testing.T) {
@@ -38,8 +43,8 @@ func TestLinearHomogeneityProperty(t *testing.T) {
 		tensor.Zero(l.B.Data)
 		x := tensor.NewDense(3, 6)
 		r.FillNorm(x.Data, 0, 1)
-		fx := l.Forward(x, true).Clone()
-		scaled := x.Clone()
+		fx := clone(l.Forward(x, true))
+		scaled := clone(x)
 		tensor.Scale(scaled.Data, c)
 		fcx := l.Forward(scaled, true)
 		want := fx
@@ -58,7 +63,7 @@ func TestReLUIdempotentProperty(t *testing.T) {
 		x := tensor.NewDense(2, 9)
 		r.FillNorm(x.Data, 0, 2)
 		relu := NewReLU()
-		once := relu.Forward(x, true).Clone()
+		once := clone(relu.Forward(x, true))
 		twice := relu.Forward(once, true)
 		return tensor.Equal(once, twice, 0)
 	}
@@ -74,7 +79,9 @@ func TestBatchNormEvalIsAffineProperty(t *testing.T) {
 		r := xrand.New(seed)
 		bn := NewBatchNorm(5, 1)
 		r.FillNorm(bn.RunMean.Data, 0, 1)
-		r.FillUniform(bn.RunVar.Data, 0.5, 2)
+		for i := range bn.RunVar.Data {
+			bn.RunVar.Data[i] = r.Float64Range(0.5, 2)
+		}
 		r.FillNorm(bn.Gamma.Data, 1, 0.2)
 		r.FillNorm(bn.Beta.Data, 0, 0.5)
 		mk := func() *tensor.Dense {
@@ -83,7 +90,7 @@ func TestBatchNormEvalIsAffineProperty(t *testing.T) {
 			return x
 		}
 		a, b := mk(), mk()
-		sum := a.Clone()
+		sum := clone(a)
 		tensor.AddVec(sum.Data, b.Data)
 		zero := tensor.NewDense(1, 5)
 		fa := bn.Forward(a, false)
@@ -117,19 +124,19 @@ func TestGradientAdditivityProperty(t *testing.T) {
 	net.ZeroGrad()
 	net.Forward(x1, true)
 	net.Backward(dout)
-	g1 := net.GradVector()
+	g1 := gradVector(net)
 
 	net.ZeroGrad()
 	net.Forward(x2, true)
 	net.Backward(dout)
-	g2 := net.GradVector()
+	g2 := gradVector(net)
 
 	net.ZeroGrad()
 	net.Forward(x1, true)
 	net.Backward(dout)
 	net.Forward(x2, true)
 	net.Backward(dout)
-	gBoth := net.GradVector()
+	gBoth := gradVector(net)
 
 	want := make([]float64, len(g1))
 	copy(want, g1)

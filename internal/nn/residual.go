@@ -1,15 +1,11 @@
 package nn
 
-import (
-	"fedwcm/internal/tensor"
-	"fedwcm/internal/xrand"
-)
+import "fedwcm/internal/tensor"
 
-// Residual computes Body(x) + Proj(x), where Proj defaults to identity.
-// Use a 1×1 convolution or Linear as Proj when the body changes shape.
+// Residual computes Body(x) + x: an identity skip around a body that keeps
+// the input's shape.
 type Residual struct {
 	Body Layer
-	Proj Layer // nil for identity skip
 
 	fwd, bwd workspace
 }
@@ -17,23 +13,11 @@ type Residual struct {
 // NewResidual wraps body with an identity skip connection.
 func NewResidual(body Layer) *Residual { return &Residual{Body: body} }
 
-// NewResidualProj wraps body with a projection skip connection.
-func NewResidualProj(body, proj Layer) *Residual {
-	return &Residual{Body: body, Proj: proj}
-}
-
 // Forward computes the residual sum into the block's own workspace: the
 // body's last layer may have cached a reference to its output buffer, which
 // must not be mutated in place.
 func (l *Residual) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	out := l.Body.Forward(x, train)
-	if l.Proj != nil {
-		skip := l.Proj.Forward(x, train)
-		res := l.fwd.get(out.R, out.C)
-		copy(res.Data, out.Data)
-		tensor.AddVec(res.Data, skip.Data)
-		return res
-	}
 	if out.C != x.C {
 		panic("nn: Residual identity skip requires matching shapes")
 	}
@@ -46,88 +30,11 @@ func (l *Residual) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 // Backward splits the gradient between the body and the skip path.
 func (l *Residual) Backward(dout *tensor.Dense) *tensor.Dense {
 	dx := l.Body.Backward(dout)
-	if l.Proj != nil {
-		dskip := l.Proj.Backward(dout)
-		tensor.AddVec(dx.Data, dskip.Data)
-		return dx
-	}
 	sum := l.bwd.get(dx.R, dx.C)
 	copy(sum.Data, dx.Data)
 	tensor.AddVec(sum.Data, dout.Data)
 	return sum
 }
 
-// Params concatenates body and projection parameters.
-func (l *Residual) Params() []*Param {
-	out := l.Body.Params()
-	if l.Proj != nil {
-		out = append(out, l.Proj.Params()...)
-	}
-	return out
-}
-
-// Dropout zeroes activations with probability P during training and rescales
-// the survivors by 1/(1-P); inference is a no-op.
-type Dropout struct {
-	P    float64
-	rng  *xrand.RNG
-	mask []bool
-
-	fwd, bwd workspace
-}
-
-// NewDropout creates a dropout layer driven by the given RNG stream.
-func NewDropout(r *xrand.RNG, p float64) *Dropout {
-	if p < 0 || p >= 1 {
-		panic("nn: Dropout probability must be in [0,1)")
-	}
-	return &Dropout{P: p, rng: r}
-}
-
-// Reseed rebases the dropout stream (used when a worker network is reused
-// for a different client).
-func (l *Dropout) Reseed(seed uint64) { l.rng = xrand.New(seed) }
-
-// Forward applies the mask in training mode.
-func (l *Dropout) Forward(x *tensor.Dense, train bool) *tensor.Dense {
-	if !train || l.P == 0 {
-		l.mask = l.mask[:0]
-		return x
-	}
-	out := l.fwd.get(x.R, x.C)
-	if cap(l.mask) < len(out.Data) {
-		l.mask = make([]bool, len(out.Data))
-	}
-	l.mask = l.mask[:len(out.Data)]
-	scale := 1 / (1 - l.P)
-	for i, v := range x.Data {
-		if l.rng.Float64() < l.P {
-			out.Data[i] = 0
-			l.mask[i] = false
-		} else {
-			out.Data[i] = v * scale
-			l.mask[i] = true
-		}
-	}
-	return out
-}
-
-// Backward applies the same mask to the gradient.
-func (l *Dropout) Backward(dout *tensor.Dense) *tensor.Dense {
-	if len(l.mask) == 0 {
-		return dout
-	}
-	dx := l.bwd.get(dout.R, dout.C)
-	scale := 1 / (1 - l.P)
-	for i, v := range dout.Data {
-		if l.mask[i] {
-			dx.Data[i] = v * scale
-		} else {
-			dx.Data[i] = 0
-		}
-	}
-	return dx
-}
-
-// Params returns nil.
-func (l *Dropout) Params() []*Param { return nil }
+// Params returns the body's parameters.
+func (l *Residual) Params() []*Param { return l.Body.Params() }

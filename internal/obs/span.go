@@ -47,7 +47,6 @@ type Tracer struct {
 	mu   sync.Mutex
 	ring []Span
 	next int
-	n    int // total recorded (may exceed len(ring))
 }
 
 // DefaultTraceCap bounds the default tracer's ring: enough for several
@@ -104,12 +103,6 @@ func (l Live) EndErr(err error) {
 // WithRound sets the round number on the in-flight span.
 func (l Live) WithRound(round int) Live { l.span.Round = round; return l }
 
-// WithWorker sets the worker ID on the in-flight span.
-func (l Live) WithWorker(w string) Live { l.span.Worker = w; return l }
-
-// WithAttempt sets the attempt number on the in-flight span.
-func (l Live) WithAttempt(a int) Live { l.span.Attempt = a; return l }
-
 func (t *Tracer) record(s Span) {
 	t.mu.Lock()
 	if len(t.ring) < cap(t.ring) {
@@ -118,7 +111,6 @@ func (t *Tracer) record(s Span) {
 		t.ring[t.next] = s
 		t.next = (t.next + 1) % cap(t.ring)
 	}
-	t.n++
 	t.mu.Unlock()
 }
 
@@ -172,17 +164,6 @@ func (t *Tracer) Collect(trace string) []Span {
 		}
 	}
 	return out
-}
-
-// Total returns the number of spans recorded over the tracer's lifetime
-// (including ones the ring has since overwritten).
-func (t *Tracer) Total() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
 }
 
 // WriteJSONL dumps the buffered spans as JSON lines, oldest first,

@@ -12,8 +12,6 @@
 package partition
 
 import (
-	"fmt"
-
 	"fedwcm/internal/data"
 	"fedwcm/internal/xrand"
 )
@@ -56,28 +54,6 @@ func (p *Partition) Proportions() [][]float64 {
 		out[k] = row
 	}
 	return out
-}
-
-// Validate checks the partition is a disjoint cover of [0, n).
-func (p *Partition) Validate(n int) error {
-	seen := make([]bool, n)
-	total := 0
-	for k, idx := range p.ClientIndices {
-		for _, i := range idx {
-			if i < 0 || i >= n {
-				return fmt.Errorf("partition: client %d has out-of-range index %d", k, i)
-			}
-			if seen[i] {
-				return fmt.Errorf("partition: index %d assigned twice", i)
-			}
-			seen[i] = true
-			total++
-		}
-	}
-	if total != n {
-		return fmt.Errorf("partition: covers %d of %d samples", total, n)
-	}
-	return nil
 }
 
 func countsFor(ds *data.Dataset, clientIdx [][]int) [][]int {

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -213,4 +214,26 @@ func TestProportionsRowsSumToOne(t *testing.T) {
 			t.Fatalf("client %d proportions sum %v", k, sum)
 		}
 	}
+}
+
+// Validate checks the partition is a disjoint cover of [0, n).
+func (p *Partition) Validate(n int) error {
+	seen := make([]bool, n)
+	total := 0
+	for k, idx := range p.ClientIndices {
+		for _, i := range idx {
+			if i < 0 || i >= n {
+				return fmt.Errorf("partition: client %d has out-of-range index %d", k, i)
+			}
+			if seen[i] {
+				return fmt.Errorf("partition: index %d assigned twice", i)
+			}
+			seen[i] = true
+			total++
+		}
+	}
+	if total != n {
+		return fmt.Errorf("partition: covers %d of %d samples", total, n)
+	}
+	return nil
 }

@@ -29,8 +29,8 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	if done.Status == StatusFailed {
 		t.Fatalf("run failed: %+v", done)
 	}
-	if _, vals := done.History.MetricSeries("concentration"); len(vals) != 2 || vals[1] < 1 {
-		t.Fatalf("served history carries concentration %v, want a reading ≥ 1 per evaluation", vals)
+	if st := done.History.Stats; len(st) != 2 || st[0].Metrics["concentration"] < 1 || st[1].Metrics["concentration"] < 1 {
+		t.Fatalf("served history carries %+v, want a concentration reading ≥ 1 per evaluation", st)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")

@@ -207,7 +207,7 @@ func TestConcurrentIdenticalSubmissionsCoalesce(t *testing.T) {
 		if resps[i].ID != first.ID {
 			t.Fatalf("concurrent submit %d coalesced onto %s, want %s", i, resps[i].ID, first.ID)
 		}
-		if resps[i].Status != StatusRunning && resps[i].Status != StatusQueued {
+		if resps[i].Status != sweep.StatusRunning && resps[i].Status != StatusQueued {
 			t.Fatalf("concurrent submit %d status %q", i, resps[i].Status)
 		}
 	}

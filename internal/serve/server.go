@@ -201,11 +201,10 @@ func (s *Server) Close() {
 // states, plus "cached": the status of a response served straight from the
 // store (submission hit, or a GET for an artifact with no live record).
 const (
-	StatusQueued  = sweep.StatusQueued
-	StatusRunning = sweep.StatusRunning
-	StatusDone    = sweep.StatusDone
-	StatusFailed  = sweep.StatusFailed
-	StatusCached  = sweep.CellCached
+	StatusQueued = sweep.StatusQueued
+	StatusDone   = sweep.StatusDone
+	StatusFailed = sweep.StatusFailed
+	StatusCached = sweep.CellCached
 )
 
 // runResponse is the JSON shape shared by submit and status responses.

@@ -37,7 +37,7 @@ func (s *Store) Instrument(reg *obs.Registry) {
 }
 
 // traceLog is the store's span log: one append-only JSONL file at the store
-// root. It is a diagnostic, not an artifact — Keys ignores it, it carries no
+// root. It is a diagnostic, not an artifact — no lookup reads it, it carries no
 // determinism or durability guarantee, and every line names its run
 // ("trace":"<fp>"), so `grep <fp> traces.jsonl` is one run's dump.
 const traceLog = "traces.jsonl"

@@ -17,10 +17,8 @@ import (
 	"bytes"
 	"container/list"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -276,28 +274,6 @@ func (s *Store) insertLocked(fp string, h *fl.History) {
 		delete(s.idx, back.Value.(*entry).fp)
 		s.stats.Evictions++
 	}
-}
-
-// Keys walks the store directory and returns every stored fingerprint
-// (unordered). It reads the directory, not the LRU, so it reflects what
-// would survive a restart.
-func (s *Store) Keys() ([]string, error) {
-	var out []string
-	err := filepath.WalkDir(s.root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		name := d.Name()
-		fp, ok := strings.CutSuffix(name, ".json")
-		if ok && ValidFingerprint(fp) {
-			out = append(out, fp)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return out, nil
 }
 
 // Stats returns a snapshot of the traffic counters.

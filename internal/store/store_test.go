@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -177,27 +178,40 @@ func TestGetRejectsEmptyArtifact(t *testing.T) {
 	}
 }
 
-func TestKeysListsArtifacts(t *testing.T) {
-	s, _ := Open(t.TempDir(), 0)
-	want := map[string]bool{}
-	for _, m := range []string{"fedavg", "fedcm", "fedwcm"} {
-		fp := fpFor(m)
-		want[fp] = true
-		if err := s.Put(fp, testHistory(0)); err != nil {
-			t.Fatal(err)
+// artifactCount counts the artifacts in the store directory: what would
+// survive a restart, read from disk rather than the LRU.
+func artifactCount(t *testing.T, s *Store) int {
+	t.Helper()
+	n := 0
+	err := filepath.WalkDir(s.root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			if fp, ok := strings.CutSuffix(d.Name(), ".json"); ok && ValidFingerprint(fp) {
+				n++
+			}
 		}
-	}
-	keys, err := s.Keys()
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != len(want) {
-		t.Fatalf("Keys returned %d entries, want %d", len(keys), len(want))
-	}
-	for _, k := range keys {
-		if !want[k] {
-			t.Fatalf("unexpected key %s", k)
+	return n
+}
+
+// TestKeysListsArtifacts: every Put leaves one artifact at Path(fp), which
+// is how a restarted store (or an operator's ls) lists the keys it holds.
+func TestKeysListsArtifacts(t *testing.T) {
+	s, _ := Open(t.TempDir(), 0)
+	for _, m := range []string{"fedavg", "fedcm", "fedwcm"} {
+		fp := fpFor(m)
+		if err := s.Put(fp, testHistory(0)); err != nil {
+			t.Fatal(err)
 		}
+		if _, err := os.Stat(s.Path(fp)); err != nil {
+			t.Fatalf("no artifact for %s: %v", m, err)
+		}
+	}
+	if n := artifactCount(t, s); n != 3 {
+		t.Fatalf("%d artifacts on disk, want 3", n)
 	}
 }
 

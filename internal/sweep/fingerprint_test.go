@@ -127,7 +127,7 @@ func TestProbesCanonicalise(t *testing.T) {
 	if err := b.Validate(); err == nil {
 		t.Fatal("unknown probe name must fail validation")
 	}
-	if err := (Spec{Probes: []string{"gradient_noise"}, Effort: 0.1}).Validate(); err == nil {
+	if _, err := (Spec{Probes: []string{"gradient_noise"}, Effort: 0.1}).ExpandValidated(); err == nil {
 		t.Fatal("unknown probe name must fail sweep validation")
 	}
 }

@@ -99,7 +99,7 @@ func TestScenarioAxisCanonicalises(t *testing.T) {
 // validation, not silently run static.
 func TestScenarioAxisRejectsUnknownNames(t *testing.T) {
 	sp := Spec{Scenarios: []string{"chrun"}}
-	if err := sp.Validate(); err == nil {
+	if _, err := sp.ExpandValidated(); err == nil {
 		t.Fatal("unknown scenario name must fail validation")
 	}
 	if _, err := sp.Expand(); err == nil {

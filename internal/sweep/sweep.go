@@ -230,13 +230,6 @@ func (sp Spec) Fingerprint() (string, error) {
 	return fingerprintJSON(b), nil
 }
 
-// Validate expands the grid and validates every resulting cell, bounding
-// the total first so a malicious cross product fails fast.
-func (sp Spec) Validate() error {
-	_, err := sp.ExpandValidated()
-	return err
-}
-
 // axisProduct is the size of a defaulted spec's axis cross product: how many
 // cells it expands to before deduplication. The product is overflow-safe —
 // it stops as soon as the running total passes MaxCells, reporting MaxCells

@@ -98,11 +98,11 @@ func TestValidateRejectsBadGrids(t *testing.T) {
 		{SampleRates: []float64{1.5}},
 		{LocalEpochs: []int{0}},
 	} {
-		if err := sp.Validate(); err == nil {
+		if _, err := sp.ExpandValidated(); err == nil {
 			t.Errorf("grid %+v must not validate", sp)
 		}
 	}
-	if err := (Spec{Effort: 0.1}).Validate(); err != nil {
+	if _, err := (Spec{Effort: 0.1}).ExpandValidated(); err != nil {
 		t.Fatalf("zero grid must validate: %v", err)
 	}
 }
@@ -121,7 +121,10 @@ func TestOverflowingAxisProductRejected(t *testing.T) {
 	}
 	sp := Spec{Betas: big, IFs: big, SampleRates: big, LocalEpochs: bigInts} // 65536^4 wraps to 0
 	done := make(chan error, 1)
-	go func() { done <- sp.Validate() }()
+	go func() {
+		_, err := sp.ExpandValidated()
+		done <- err
+	}()
 	select {
 	case err := <-done:
 		if err == nil {
@@ -173,7 +176,7 @@ func TestExpandCanonicalizesResolvedCells(t *testing.T) {
 // allocation, not the rejection, is the hazard for a serving deployment).
 func TestHugeSeedCountRejectedCheaply(t *testing.T) {
 	sp := Spec{SeedCount: 2_000_000_000}
-	if err := sp.Validate(); err == nil {
+	if _, err := sp.ExpandValidated(); err == nil {
 		t.Fatal("huge seed_count must not validate")
 	}
 	if got := len(sp.Defaults().Seeds); got > MaxCells+1 {

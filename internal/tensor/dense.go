@@ -44,42 +44,11 @@ func ReuseDense(d *Dense, r, c int) *Dense {
 	return d
 }
 
-// At returns element (i, j).
-func (m *Dense) At(i, j int) float64 { return m.Data[i*m.C+j] }
-
-// Set assigns element (i, j).
-func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.C+j] = v }
-
 // Row returns row i as a slice view (not a copy).
 func (m *Dense) Row(i int) []float64 { return m.Data[i*m.C : (i+1)*m.C] }
 
-// Clone returns a deep copy.
-func (m *Dense) Clone() *Dense {
-	return &Dense{R: m.R, C: m.C, Data: CopyVec(m.Data)}
-}
-
-// Reshape reinterprets the matrix as r×c sharing the same backing data.
-func (m *Dense) Reshape(r, c int) *Dense {
-	if r*c != len(m.Data) {
-		panic("tensor: Reshape size mismatch")
-	}
-	return &Dense{R: r, C: c, Data: m.Data}
-}
-
 // ZeroAll sets all elements to zero.
 func (m *Dense) ZeroAll() { Zero(m.Data) }
-
-// T returns a newly allocated transpose.
-func (m *Dense) T() *Dense {
-	out := NewDense(m.C, m.R)
-	for i := 0; i < m.R; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*m.R+i] = v
-		}
-	}
-	return out
-}
 
 // AddRowVec adds vector v (len C) to every row.
 func (m *Dense) AddRowVec(v []float64) {
@@ -91,16 +60,8 @@ func (m *Dense) AddRowVec(v []float64) {
 	}
 }
 
-// ColSums returns the per-column sums (a length-C vector).
-func (m *Dense) ColSums() []float64 {
-	out := make([]float64, m.C)
-	m.ColSumsInto(out)
-	return out
-}
-
-// ColSumsInto writes the per-column sums into dst (len C), overwriting it.
-// Summation order matches ColSums (zeroed, rows ascending) so buffer-reusing
-// callers stay bit-identical.
+// ColSumsInto writes the per-column sums into dst (len C), overwriting it:
+// zeroed, then rows added in ascending order.
 func (m *Dense) ColSumsInto(dst []float64) {
 	if len(dst) != m.C {
 		panic("tensor: ColSumsInto length mismatch")

@@ -1,78 +1,44 @@
 package tensor
 
-import (
-	"testing"
-	"testing/quick"
-
-	"fedwcm/internal/xrand"
-)
+import "testing"
 
 func TestDenseBasics(t *testing.T) {
 	m := NewDense(2, 3)
-	m.Set(0, 0, 1)
-	m.Set(1, 2, 5)
-	if m.At(0, 0) != 1 || m.At(1, 2) != 5 {
-		t.Fatal("Set/At broken")
-	}
 	row := m.Row(1)
 	row[0] = 7
-	if m.At(1, 0) != 7 {
+	if m.Data[3] != 7 {
 		t.Fatal("Row should be a view, not a copy")
 	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	m := FromSlice(1, 2, []float64{1, 2})
-	c := m.Clone()
-	c.Set(0, 0, 99)
-	if m.At(0, 0) != 1 {
-		t.Fatal("Clone shares backing storage")
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	f := func(seed uint64, rRaw, cRaw uint8) bool {
-		rows := int(rRaw%8) + 1
-		cols := int(cRaw%8) + 1
-		rng := xrand.New(seed)
-		m := randDense(rng, rows, cols)
-		return Equal(m.T().T(), m, 0)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReshapeSharesData(t *testing.T) {
-	m := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	r := m.Reshape(3, 2)
-	r.Set(0, 0, 42)
-	if m.At(0, 0) != 42 {
-		t.Fatal("Reshape should share data")
-	}
-	if r.At(2, 1) != 6 {
-		t.Fatalf("Reshape layout wrong: %v", r.Data)
-	}
-}
-
-func TestReshapePanicsOnSizeMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDense(2, 3).Reshape(4, 2)
 }
 
 func TestAddRowVecAndColSums(t *testing.T) {
 	m := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	m.AddRowVec([]float64{10, 20})
-	if m.At(0, 0) != 11 || m.At(1, 1) != 24 {
+	if m.Data[0] != 11 || m.Data[3] != 24 {
 		t.Fatalf("AddRowVec got %v", m.Data)
 	}
-	cs := m.ColSums()
+	cs := []float64{-1, -1} // garbage that must be overwritten
+	m.ColSumsInto(cs)
 	if cs[0] != 24 || cs[1] != 46 {
-		t.Fatalf("ColSums got %v", cs)
+		t.Fatalf("ColSumsInto got %v", cs)
+	}
+}
+
+// TestTransposeInvolution checks packTranspose, the production transpose,
+// against itself: transposing twice is the identity.
+func TestTransposeInvolution(t *testing.T) {
+	for _, s := range [][2]int{{1, 1}, {1, 9}, {8, 3}, {13, 29}} {
+		r, c := s[0], s[1]
+		src := make([]float64, r*c)
+		for i := range src {
+			src[i] = float64(i)
+		}
+		tr, back := make([]float64, r*c), make([]float64, r*c)
+		packTranspose(tr, src, r, c)
+		packTranspose(back, tr, c, r)
+		if !Equal(FromSlice(r, c, back), FromSlice(r, c, src), 0) {
+			t.Fatalf("packTranspose twice (%d×%d) is not the identity", r, c)
+		}
 	}
 }
 

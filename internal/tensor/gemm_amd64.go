@@ -24,9 +24,6 @@ func reluFwdBlocksAVX(dst, x *float64, blocks int64)
 func reluBwdBlocksAVX(dst, dout, x *float64, blocks int64)
 
 //go:noescape
-func subVecBlocksAVX(dst, x *float64, blocks int64)
-
-//go:noescape
 func scaleBlocksAVX(dst *float64, alpha float64, blocks int64)
 
 //go:noescape

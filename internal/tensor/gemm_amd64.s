@@ -368,25 +368,6 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	MOVL   DX, edx+4(FP)
 	RET
 
-// func subVecBlocksAVX(dst, x *float64, blocks int64)
-// dst[i] -= x[i] over blocks×4 elements.
-TEXT ·subVecBlocksAVX(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ blocks+16(FP), CX
-
-subloop:
-	VMOVUPD (SI), Y1
-	VMOVUPD (DI), Y2
-	VSUBPD  Y1, Y2, Y2 // dst - x
-	VMOVUPD Y2, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     subloop
-	VZEROUPPER
-	RET
-
 // func scaleBlocksAVX(dst *float64, alpha float64, blocks int64)
 // dst[i] *= alpha over blocks×4 elements.
 TEXT ·scaleBlocksAVX(SB), NOSPLIT, $0-24

@@ -28,8 +28,6 @@ func reluFwdBlocksAVX(dst, x *float64, blocks int64) { panic("tensor: no AVX") }
 
 func reluBwdBlocksAVX(dst, dout, x *float64, blocks int64) { panic("tensor: no AVX") }
 
-func subVecBlocksAVX(dst, x *float64, blocks int64) { panic("tensor: no AVX") }
-
 func scaleBlocksAVX(dst *float64, alpha float64, blocks int64) { panic("tensor: no AVX") }
 
 func lerpBlocksAVX(dst, x, y *float64, a, b float64, blocks int64) { panic("tensor: no AVX") }

@@ -249,38 +249,30 @@ func TestGemmParallelMatchesSerial(t *testing.T) {
 	bitsEqual(t, "parallel gemm", par, serial)
 }
 
+// TestMatVecIntoMatchesMatVec pins the matrix-vector shape (a one-row B) of
+// the tiled MatMulBTInto against the BT reference kernel.
 func TestMatVecIntoMatchesMatVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randDenseMixed(rng, 13, 29)
-	x := make([]float64, 29)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := MatVec(a, x)
-	got := make([]float64, 13)
-	MatVecInto(got, a, x)
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("MatVecInto[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// And against the BT reference: MatVec is a 1-column MatMulBT.
-	ref := NewDense(13, 1)
-	matmulBTRange(ref, a, FromSlice(1, 29, x), 0, 13)
-	for i := range want {
-		if math.Float64bits(want[i]) != math.Float64bits(ref.Data[i]) {
-			t.Fatalf("MatVec[%d] = %v, want BT reference %v", i, want[i], ref.Data[i])
-		}
-	}
+	x := randDenseMixed(rng, 1, 29)
+	got := NewDense(13, 1)
+	MatMulBTInto(got, a, x)
+	want := NewDense(13, 1)
+	matmulBTRange(want, a, x, 0, 13)
+	bitsEqual(t, "A·x", got, want)
 }
 
 func TestMatVecIntoAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the panel pool allocates under -race")
+	}
 	a := NewDense(32, 48)
-	x := make([]float64, 48)
-	dst := make([]float64, 32)
-	allocs := testing.AllocsPerRun(100, func() { MatVecInto(dst, a, x) })
+	x := NewDense(1, 48)
+	dst := NewDense(32, 1)
+	MatMulBTInto(dst, a, x) // warm the panel pool
+	allocs := testing.AllocsPerRun(100, func() { MatMulBTInto(dst, a, x) })
 	if allocs != 0 {
-		t.Fatalf("MatVecInto allocates %v times per call, want 0", allocs)
+		t.Fatalf("A·x through MatMulBTInto allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -3,9 +3,9 @@ package tensor
 // The three matmul variants below cover forward and backward passes of a
 // Linear layer without materialising transposes:
 //
-//	forward:      Y = X·W            → MatMul
-//	grad input:   dX = dY·Wᵀ         → MatMulBT
-//	grad weight:  dW = Xᵀ·dY         → MatMulAT
+//	forward:      Y = X·W            → MatMulInto
+//	grad input:   dX = dY·Wᵀ         → MatMulBTInto
+//	grad weight:  dW = Xᵀ·dY         → MatMulATInto
 //
 // All three route through the register-tiled GEMM in gemm.go: the transpose
 // variants pack the transposed operand into a pooled panel so the kernel
@@ -22,16 +22,6 @@ package tensor
 // loops, so the cut point sits 4× higher to keep the per-goroutine chunk
 // wall-time (and thus the spawn-overhead ratio) where it was tuned.
 const matmulMinFlops = 256 * 1024
-
-// MatMul returns A·B. Panics on inner-dimension mismatch.
-func MatMul(a, b *Dense) *Dense {
-	if a.C != b.R {
-		panic("tensor: MatMul dimension mismatch")
-	}
-	out := NewDense(a.R, b.C)
-	MatMulInto(out, a, b)
-	return out
-}
 
 // matmulRange computes rows [lo, hi) of dst = A·B; dst rows must be zeroed.
 // Retained as the reference implementation the tiled path is tested
@@ -72,13 +62,6 @@ func MatMulInto(dst, a, b *Dense) {
 		lo, hi = lo*gemmMR, min(hi*gemmMR, n)
 		gemmBlock(dst.Data[lo*m:], m, a.Data[lo*k:], k, 1, b.Data, m, hi-lo, k, m)
 	})
-}
-
-// MatMulBT returns A·Bᵀ, where B is given untransposed (m×k against A n×k).
-func MatMulBT(a, b *Dense) *Dense {
-	out := NewDense(a.R, b.R)
-	MatMulBTInto(out, a, b)
-	return out
 }
 
 // matmulBTRange computes rows [lo, hi) of dst = A·Bᵀ. Retained as the
@@ -122,15 +105,6 @@ func MatMulBTInto(dst, a, b *Dense) {
 	putPanel(panel)
 }
 
-// MatMulAT returns Aᵀ·B, where A is given untransposed (n×r against B n×c).
-// The result is r×c. This is the weight-gradient product, parallelised over
-// result rows (columns of A) so goroutines never write the same cell.
-func MatMulAT(a, b *Dense) *Dense {
-	out := NewDense(a.C, b.C)
-	MatMulATInto(out, a, b)
-	return out
-}
-
 // matmulATRange computes rows [lo, hi) of dst = Aᵀ·B; dst rows must be
 // zeroed. Retained as the reference implementation for the tiled path.
 func matmulATRange(dst, a, b *Dense, lo, hi int) {
@@ -153,8 +127,7 @@ func matmulATRange(dst, a, b *Dense, lo, hi int) {
 // MatMulATInto computes dst = Aᵀ·B, overwriting dst (which must be a.C×b.C).
 // No packing needed: the kernel's generalized A addressing streams Aᵀ
 // directly (row stride 1, column stride a.C). Accumulation order matches
-// matmulATRange exactly (zeroed, then p-ascending per element), so
-// buffer-reusing callers stay bit-identical to the allocating path.
+// matmulATRange exactly (zeroed, then p-ascending per element).
 func MatMulATInto(dst, a, b *Dense) {
 	if a.R != b.R || dst.R != a.C || dst.C != b.C {
 		panic("tensor: MatMulATInto dimension mismatch")
@@ -173,28 +146,6 @@ func MatMulATInto(dst, a, b *Dense) {
 		lo, hi = lo*gemmMR, min(hi*gemmMR, r)
 		gemmBlock(dst.Data[lo*c:], c, a.Data[lo:], 1, r, b.Data, c, hi-lo, n, c)
 	})
-}
-
-// MatVec returns A·x for a length-C vector x.
-func MatVec(a *Dense, x []float64) []float64 {
-	out := make([]float64, a.R)
-	MatVecInto(out, a, x)
-	return out
-}
-
-// MatVecInto computes dst = A·x, overwriting dst (which must have length
-// A.R). It reuses the serial Dot kernel — the same per-row ascending-k
-// reduction as the matmul reference kernels — and allocates nothing.
-func MatVecInto(dst []float64, a *Dense, x []float64) {
-	if a.C != len(x) {
-		panic("tensor: MatVecInto dimension mismatch")
-	}
-	if len(dst) != a.R {
-		panic("tensor: MatVecInto output length mismatch")
-	}
-	for i := 0; i < a.R; i++ {
-		dst[i] = Dot(a.Row(i), x)
-	}
 }
 
 // stripsForFlops returns how many gemmMR-row strips an n-row product has

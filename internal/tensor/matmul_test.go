@@ -15,9 +15,20 @@ func naiveMatMul(a, b *Dense) *Dense {
 		for j := 0; j < b.C; j++ {
 			s := 0.0
 			for p := 0; p < a.C; p++ {
-				s += a.At(i, p) * b.At(p, j)
+				s += a.Data[i*a.C+p] * b.Data[p*b.C+j]
 			}
-			out.Set(i, j, s)
+			out.Data[i*out.C+j] = s
+		}
+	}
+	return out
+}
+
+// transpose returns a newly allocated transpose of m.
+func transpose(m *Dense) *Dense {
+	out := NewDense(m.C, m.R)
+	for i := 0; i < m.R; i++ {
+		for j, v := range m.Row(i) {
+			out.Data[j*m.R+i] = v
 		}
 	}
 	return out
@@ -37,7 +48,8 @@ func TestMatMulAgainstNaive(t *testing.T) {
 		m := 1 + r.Intn(12)
 		a := randDense(r, n, k)
 		b := randDense(r, k, m)
-		got := MatMul(a, b)
+		got := NewDense(n, m)
+		MatMulInto(got, a, b)
 		want := naiveMatMul(a, b)
 		if !Equal(got, want, 1e-10) {
 			t.Fatalf("MatMul mismatch at %dx%dx%d", n, k, m)
@@ -53,8 +65,9 @@ func TestMatMulBTAgainstNaive(t *testing.T) {
 		m := 1 + r.Intn(10)
 		a := randDense(r, n, k)
 		b := randDense(r, m, k)
-		got := MatMulBT(a, b)
-		want := naiveMatMul(a, b.T())
+		got := NewDense(n, m)
+		MatMulBTInto(got, a, b)
+		want := naiveMatMul(a, transpose(b))
 		if !Equal(got, want, 1e-10) {
 			t.Fatalf("MatMulBT mismatch at %dx%dx%d", n, k, m)
 		}
@@ -69,8 +82,9 @@ func TestMatMulATAgainstNaive(t *testing.T) {
 		c := 1 + r.Intn(10)
 		a := randDense(r, n, rr)
 		b := randDense(r, n, c)
-		got := MatMulAT(a, b)
-		want := naiveMatMul(a.T(), b)
+		got := NewDense(rr, c)
+		MatMulATInto(got, a, b)
+		want := naiveMatMul(transpose(a), b)
 		if !Equal(got, want, 1e-10) {
 			t.Fatalf("MatMulAT mismatch at n=%d r=%d c=%d", n, rr, c)
 		}
@@ -81,10 +95,11 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	r := xrand.New(4)
 	a := randDense(r, 200, 64)
 	b := randDense(r, 64, 96)
+	serial, parallel := NewDense(200, 96), NewDense(200, 96)
 	prev := SetMaxWorkers(1)
-	serial := MatMul(a, b)
+	MatMulInto(serial, a, b)
 	SetMaxWorkers(8)
-	parallel := MatMul(a, b)
+	MatMulInto(parallel, a, b)
 	SetMaxWorkers(prev)
 	if !Equal(serial, parallel, 0) {
 		t.Fatal("parallel matmul differs from serial (must be bit-identical: same summation order)")
@@ -96,12 +111,13 @@ func TestMatMulIdentity(t *testing.T) {
 	a := randDense(r, 7, 7)
 	eye := NewDense(7, 7)
 	for i := 0; i < 7; i++ {
-		eye.Set(i, i, 1)
+		eye.Data[i*7+i] = 1
 	}
-	if !Equal(MatMul(a, eye), a, 1e-12) {
+	got := NewDense(7, 7)
+	if MatMulInto(got, a, eye); !Equal(got, a, 1e-12) {
 		t.Error("A·I != A")
 	}
-	if !Equal(MatMul(eye, a), a, 1e-12) {
+	if MatMulInto(got, eye, a); !Equal(got, a, 1e-12) {
 		t.Error("I·A != A")
 	}
 }
@@ -112,14 +128,17 @@ func TestMatMulDimensionPanic(t *testing.T) {
 			t.Fatal("expected panic on dimension mismatch")
 		}
 	}()
-	MatMul(NewDense(2, 3), NewDense(4, 2))
+	MatMulInto(NewDense(2, 2), NewDense(2, 3), NewDense(4, 2))
 }
 
+// TestMatVec checks A·x in its production form: a MatMulBTInto against a
+// one-row operand.
 func TestMatVec(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	got := MatVec(a, []float64{1, 0, -1})
-	if got[0] != -2 || got[1] != -2 {
-		t.Fatalf("MatVec got %v", got)
+	got := NewDense(2, 1)
+	MatMulBTInto(got, a, FromSlice(1, 3, []float64{1, 0, -1}))
+	if got.Data[0] != -2 || got.Data[1] != -2 {
+		t.Fatalf("A·x got %v", got.Data)
 	}
 }
 
@@ -131,11 +150,13 @@ func TestMatMulLinearityProperty(t *testing.T) {
 		a := randDense(r, n, k)
 		b := randDense(r, n, k)
 		c := randDense(r, k, m)
-		sum := a.Clone()
+		sum := FromSlice(n, k, CopyVec(a.Data))
 		AddVec(sum.Data, b.Data)
-		left := MatMul(sum, c)
-		right := MatMul(a, c)
-		AddVec(right.Data, MatMul(b, c).Data)
+		left, right, bc := NewDense(n, m), NewDense(n, m), NewDense(n, m)
+		MatMulInto(left, sum, c)
+		MatMulInto(right, a, c)
+		MatMulInto(bc, b, c)
+		AddVec(right.Data, bc.Data)
 		return Equal(left, right, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

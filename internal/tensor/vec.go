@@ -72,45 +72,6 @@ func AddVec(dst, x []float64) {
 	}
 }
 
-// SubVec computes dst -= x elementwise.
-func SubVec(dst, x []float64) {
-	if len(dst) != len(x) {
-		panic("tensor: SubVec length mismatch")
-	}
-	i := 0
-	if hasAVX && len(x) >= simdMinLen {
-		blocks := len(x) >> 2
-		subVecBlocksAVX(&dst[0], &x[0], int64(blocks))
-		i = blocks << 2
-	}
-	for ; i < len(x); i++ {
-		dst[i] -= x[i]
-	}
-}
-
-// MulVec computes dst *= x elementwise (Hadamard).
-func MulVec(dst, x []float64) {
-	if len(dst) != len(x) {
-		panic("tensor: MulVec length mismatch")
-	}
-	for i, v := range x {
-		dst[i] *= v
-	}
-}
-
-// DiffInto computes dst = x - y elementwise: the fused client-delta kernel
-// (delta = x_global - x_end) for callers holding two flat vectors. The
-// engine runtime itself goes one step further with nn.Network.DeltaInto,
-// which reads x_end straight out of the parameter segments.
-func DiffInto(dst, x, y []float64) {
-	if len(dst) != len(x) || len(dst) != len(y) {
-		panic("tensor: DiffInto length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] - y[i]
-	}
-}
-
 // Lerp computes dst = a*x + (1-a)*y elementwise into dst.
 // This is exactly the momentum-mixing rule v = alpha*g + (1-alpha)*Delta.
 func Lerp(dst []float64, a float64, x, y []float64) {
@@ -144,15 +105,6 @@ func Dot(x, y []float64) float64 {
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v []float64) float64 {
 	return math.Sqrt(Dot(v, v))
-}
-
-// Norm1 returns the L1 norm of v.
-func Norm1(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
 }
 
 // Sum returns the sum of all elements.
@@ -201,29 +153,6 @@ func ArgMax(v []float64) int {
 	return bi
 }
 
-// Clip bounds every element of v into [lo, hi].
-func Clip(v []float64, lo, hi float64) {
-	for i, x := range v {
-		if x < lo {
-			v[i] = lo
-		} else if x > hi {
-			v[i] = hi
-		}
-	}
-}
-
-// Normalize scales v so it sums to 1. If the sum is not positive, it sets
-// the uniform distribution instead. Returns the original sum.
-func Normalize(v []float64) float64 {
-	s := Sum(v)
-	if s <= 0 {
-		Fill(v, 1/float64(len(v)))
-		return s
-	}
-	Scale(v, 1/s)
-	return s
-}
-
 // Softmax writes softmax(x/temp) into dst (dst may alias x).
 // temp must be > 0.
 func Softmax(dst, x []float64, temp float64) {
@@ -256,14 +185,4 @@ func L2Dist(x, y []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-// CosineSim returns the cosine similarity of x and y, or 0 when either has
-// zero norm. Used to diagnose momentum direction alignment.
-func CosineSim(x, y []float64) float64 {
-	nx, ny := Norm2(x), Norm2(y)
-	if nx == 0 || ny == 0 {
-		return 0
-	}
-	return Dot(x, y) / (nx * ny)
 }

@@ -133,29 +133,6 @@ func TestSumMeanMaxArgMax(t *testing.T) {
 	}
 }
 
-func TestClip(t *testing.T) {
-	v := []float64{-5, 0.5, 5}
-	Clip(v, 0, 1)
-	if v[0] != 0 || v[1] != 0.5 || v[2] != 1 {
-		t.Errorf("Clip got %v", v)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	v := []float64{1, 3}
-	Normalize(v)
-	if !almostEq(v[0], 0.25, 1e-12) || !almostEq(v[1], 0.75, 1e-12) {
-		t.Errorf("Normalize got %v", v)
-	}
-	z := []float64{0, 0, 0}
-	Normalize(z)
-	for _, x := range z {
-		if !almostEq(x, 1.0/3, 1e-12) {
-			t.Errorf("Normalize of zeros should be uniform, got %v", z)
-		}
-	}
-}
-
 func TestSoftmaxProperties(t *testing.T) {
 	f := func(seed uint64, tempRaw uint8) bool {
 		r := xrand.New(seed)
@@ -211,21 +188,6 @@ func TestSoftmaxLargeValuesStable(t *testing.T) {
 	}
 }
 
-func TestCosineSim(t *testing.T) {
-	if !almostEq(CosineSim([]float64{1, 0}, []float64{2, 0}), 1, 1e-12) {
-		t.Error("parallel vectors should have cos 1")
-	}
-	if !almostEq(CosineSim([]float64{1, 0}, []float64{0, 5}), 0, 1e-12) {
-		t.Error("orthogonal vectors should have cos 0")
-	}
-	if !almostEq(CosineSim([]float64{1, 0}, []float64{-3, 0}), -1, 1e-12) {
-		t.Error("antiparallel vectors should have cos -1")
-	}
-	if CosineSim([]float64{0, 0}, []float64{1, 1}) != 0 {
-		t.Error("zero vector should give cos 0")
-	}
-}
-
 func TestL2Dist(t *testing.T) {
 	if !almostEq(L2Dist([]float64{0, 0}, []float64{3, 4}), 5, 1e-12) {
 		t.Error("L2Dist(origin, (3,4)) should be 5")
@@ -235,29 +197,11 @@ func TestL2Dist(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	dst := []float64{1, 2, 3}
 	AddVec(dst, []float64{1, 1, 1})
-	SubVec(dst, []float64{0, 1, 2})
-	MulVec(dst, []float64{2, 2, 2})
-	want := []float64{4, 4, 4}
+	Scale(dst, 2)
+	want := []float64{4, 6, 8}
 	for i := range want {
 		if dst[i] != want[i] {
 			t.Fatalf("elementwise chain got %v want %v", dst, want)
 		}
 	}
-}
-
-func TestDiffInto(t *testing.T) {
-	dst := []float64{9, 9, 9}
-	DiffInto(dst, []float64{5, 3, 1}, []float64{1, 1, 4})
-	want := []float64{4, 2, -3}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("DiffInto got %v want %v", dst, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DiffInto must panic on length mismatch")
-		}
-	}()
-	DiffInto(dst, []float64{1}, []float64{1})
 }

@@ -63,24 +63,6 @@ func (r *RNG) Dirichlet(alpha float64, dim int) []float64 {
 	return p
 }
 
-// DirichletVec samples from Dirichlet(alphas). Every alphas[i] must be > 0.
-func (r *RNG) DirichletVec(alphas []float64) []float64 {
-	p := make([]float64, len(alphas))
-	sum := 0.0
-	for i, a := range alphas {
-		p[i] = r.Gamma(a)
-		sum += p[i]
-	}
-	if sum == 0 {
-		p[r.Intn(len(p))] = 1
-		return p
-	}
-	for i := range p {
-		p[i] /= sum
-	}
-	return p
-}
-
 // Categorical draws an index with probability proportional to weights[i].
 // Weights need not be normalised; negative weights are treated as zero.
 func (r *RNG) Categorical(weights []float64) int {
@@ -107,30 +89,6 @@ func (r *RNG) Categorical(weights []float64) int {
 	return len(weights) - 1
 }
 
-// Multinomial distributes n draws across categories with the given
-// (unnormalised) probabilities, returning per-category counts.
-func (r *RNG) Multinomial(n int, probs []float64) []int {
-	counts := make([]int, len(probs))
-	total := 0.0
-	for _, p := range probs {
-		if p > 0 {
-			total += p
-		}
-	}
-	if total <= 0 {
-		for i := 0; i < n; i++ {
-			counts[r.Intn(len(probs))]++
-		}
-		return counts
-	}
-	// Sequential conditional binomial would be exact and O(k); simple
-	// categorical draws are fine at simulator scale and easier to audit.
-	for i := 0; i < n; i++ {
-		counts[r.Categorical(probs)]++
-	}
-	return counts
-}
-
 // SampleWithoutReplacement returns k distinct integers drawn uniformly from
 // [0, n), in random order. It panics if k > n or k < 0.
 func (r *RNG) SampleWithoutReplacement(n, k int) []int {
@@ -150,46 +108,9 @@ func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	return idx[:k]
 }
 
-// Binomial returns a Binomial(n, p) variate by direct simulation. The
-// simulator only uses it for modest n.
-func (r *RNG) Binomial(n int, p float64) int {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	c := 0
-	for i := 0; i < n; i++ {
-		if r.Float64() < p {
-			c++
-		}
-	}
-	return c
-}
-
-// Exponential returns an Exp(rate) variate.
-func (r *RNG) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("xrand: Exponential with non-positive rate")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / rate
-}
-
 // FillNorm fills dst with independent N(mu, sigma^2) samples.
 func (r *RNG) FillNorm(dst []float64, mu, sigma float64) {
 	for i := range dst {
 		dst[i] = mu + sigma*r.NormFloat64()
-	}
-}
-
-// FillUniform fills dst with independent U[lo, hi) samples.
-func (r *RNG) FillUniform(dst []float64, lo, hi float64) {
-	for i := range dst {
-		dst[i] = r.Float64Range(lo, hi)
 	}
 }

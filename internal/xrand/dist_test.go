@@ -88,26 +88,6 @@ func TestDirichletConcentration(t *testing.T) {
 	}
 }
 
-func TestDirichletVecMeansMatchAlphas(t *testing.T) {
-	r := New(29)
-	alphas := []float64{1, 2, 3, 4}
-	sums := make([]float64, len(alphas))
-	const trials = 30000
-	for i := 0; i < trials; i++ {
-		p := r.DirichletVec(alphas)
-		for j, v := range p {
-			sums[j] += v
-		}
-	}
-	for j, a := range alphas {
-		want := a / 10
-		got := sums[j] / trials
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("component %d mean %v, want ~%v", j, got, want)
-		}
-	}
-}
-
 func TestCategoricalRespectsWeights(t *testing.T) {
 	r := New(31)
 	w := []float64{1, 0, 3}
@@ -122,24 +102,6 @@ func TestCategoricalRespectsWeights(t *testing.T) {
 	ratio := float64(counts[2]) / float64(counts[0])
 	if math.Abs(ratio-3) > 0.2 {
 		t.Errorf("weight ratio %v, want ~3", ratio)
-	}
-}
-
-func TestMultinomialTotal(t *testing.T) {
-	f := func(seed uint64, nRaw uint16) bool {
-		n := int(nRaw % 500)
-		counts := New(seed).Multinomial(n, []float64{0.2, 0.5, 0.3})
-		total := 0
-		for _, c := range counts {
-			if c < 0 {
-				return false
-			}
-			total += c
-		}
-		return total == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -179,34 +141,6 @@ func TestSampleWithoutReplacementUniform(t *testing.T) {
 	}
 }
 
-func TestBinomialBounds(t *testing.T) {
-	r := New(43)
-	for i := 0; i < 100; i++ {
-		v := r.Binomial(20, 0.5)
-		if v < 0 || v > 20 {
-			t.Fatalf("Binomial out of range: %d", v)
-		}
-	}
-	if r.Binomial(10, 0) != 0 {
-		t.Error("Binomial(n,0) should be 0")
-	}
-	if r.Binomial(10, 1) != 10 {
-		t.Error("Binomial(n,1) should be n")
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := New(47)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(2)
-	}
-	if math.Abs(sum/n-0.5) > 0.01 {
-		t.Errorf("Exp(2) mean %v, want ~0.5", sum/n)
-	}
-}
-
 func TestFillHelpers(t *testing.T) {
 	r := New(53)
 	buf := make([]float64, 10000)
@@ -217,11 +151,5 @@ func TestFillHelpers(t *testing.T) {
 	}
 	if math.Abs(sum/float64(len(buf))-3) > 0.05 {
 		t.Errorf("FillNorm mean %v, want ~3", sum/float64(len(buf)))
-	}
-	r.FillUniform(buf, -1, 1)
-	for _, v := range buf {
-		if v < -1 || v >= 1 {
-			t.Fatalf("FillUniform out of range: %v", v)
-		}
 	}
 }

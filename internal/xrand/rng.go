@@ -1,6 +1,6 @@
 // Package xrand provides a deterministic, seedable random number generator
 // and the sampling distributions used throughout the FedWCM simulator
-// (Gaussian, Gamma, Dirichlet, multinomial, sampling without replacement).
+// (Gaussian, Gamma, Dirichlet, categorical, sampling without replacement).
 //
 // Determinism matters more than raw speed here: every stochastic decision in
 // an experiment (data synthesis, partitioning, client sampling, minibatch
@@ -14,7 +14,7 @@ import "math"
 
 // RNG is a deterministic pseudo-random number generator (xoshiro256**).
 // It is NOT safe for concurrent use; derive per-goroutine generators with
-// Split or New(DeriveSeed(...)).
+// New(DeriveSeed(...)).
 type RNG struct {
 	s [4]uint64
 	// cached second Gaussian from Box-Muller
@@ -64,12 +64,6 @@ func DeriveSeed(parts ...uint64) uint64 {
 	return mix64(x)
 }
 
-// Split returns a new RNG whose stream is independent from r's, derived from
-// r's current state plus the given tag.
-func (r *RNG) Split(tag uint64) *RNG {
-	return New(DeriveSeed(r.Uint64(), tag))
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits (xoshiro256** scrambler).
@@ -84,9 +78,6 @@ func (r *RNG) Uint64() uint64 {
 	r.s[3] = rotl(r.s[3], 45)
 	return result
 }
-
-// Int63 returns a non-negative random int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
@@ -136,28 +127,10 @@ func (r *RNG) NormFloat64() float64 {
 	return u * f
 }
 
-// Perm returns a random permutation of [0, n) (Fisher-Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.ShuffleInts(p)
-	return p
-}
-
 // ShuffleInts shuffles s in place.
 func (r *RNG) ShuffleInts(s []int) {
 	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// Shuffle shuffles n elements using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }

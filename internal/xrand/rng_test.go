@@ -131,14 +131,15 @@ func TestNormFloat64Moments(t *testing.T) {
 func TestPermIsPermutation(t *testing.T) {
 	r := New(17)
 	for n := 0; n < 50; n++ {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) returned %d elements", n, len(p))
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
 		}
+		r.ShuffleInts(p)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
+				t.Fatalf("ShuffleInts of %d elements invalid: %v", n, p)
 			}
 			seen[v] = true
 		}
@@ -166,10 +167,11 @@ func TestShuffleProperty(t *testing.T) {
 	}
 }
 
+// TestSplitStreamsIndependent: streams split off one seed by tag, the way
+// per-goroutine generators are derived, are uncorrelated.
 func TestSplitStreamsIndependent(t *testing.T) {
-	r := New(23)
-	a := r.Split(1)
-	b := r.Split(2)
+	a := New(DeriveSeed(23, 1))
+	b := New(DeriveSeed(23, 2))
 	same := 0
 	for i := 0; i < 100; i++ {
 		if a.Uint64() == b.Uint64() {
