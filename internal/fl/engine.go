@@ -9,8 +9,10 @@ import (
 // the recorded history.
 //
 // Concurrency model: the run owns a persistent pool of workers (see
-// runtime), each with a private network instance (layers cache state and are
-// not shareable) and a reusable ClientScratch. Every round the sampled
+// runtime), each training with a kit — a private network instance (layers
+// cache state and are not shareable), a reusable ClientScratch and an RNG —
+// taken from, and at the end returned to, a process-wide pool per
+// architecture. Every round the sampled
 // clients are distributed over the pool; results land in a slice indexed by
 // the sampled position, and aggregation happens single-threaded afterwards,
 // so the run is deterministic regardless of scheduling.

@@ -3,7 +3,6 @@ package fl
 import (
 	"sort"
 
-	"fedwcm/internal/nn"
 	"fedwcm/internal/scenario"
 	"fedwcm/internal/xrand"
 )
@@ -23,9 +22,8 @@ type roundCore struct {
 	mx      *RunMetrics // never nil; handles are nil-safe no-ops when disabled
 	rt      *workerRuntime
 
-	globalNet *nn.Network
-	global    []float64
-	cohort    int // clients drawn per round: min(SampleClients, population)
+	global []float64
+	cohort int // clients drawn per round: min(SampleClients, population)
 
 	sampleRNG, dropRNG *xrand.RNG
 	sim                *scenario.Sim
@@ -49,9 +47,10 @@ func newRoundCore(env *Env, m Method, onRound func(RoundStat), parallel int) *ro
 	cfg := env.Cfg
 	c := &roundCore{env: env, m: m, cfg: cfg, onRound: onRound,
 		hist: &History{Method: m.Name()}, mx: env.Metrics, baseClients: env.Clients}
-	c.globalNet = env.Build(cfg.Seed)
-	c.global = make([]float64, c.globalNet.NumParams())
-	c.globalNet.VectorInto(c.global)
+	// The initial model is built only for its weights and its architecture;
+	// evaluation runs on a worker's kit (see commit).
+	net := env.Build(cfg.Seed)
+	c.global = net.Vector()
 	m.Init(env, len(c.global))
 
 	nClients := len(env.Clients)
@@ -59,7 +58,7 @@ func newRoundCore(env *Env, m Method, onRound func(RoundStat), parallel int) *ro
 	if c.mx == nil {
 		c.mx = DefaultRunMetrics()
 	}
-	c.rt = newRuntime(env, m, c.global, max(1, min(cfg.Workers, parallel, nClients)), c.mx)
+	c.rt = newRuntime(env, m, c.global, max(1, min(cfg.Workers, parallel, nClients)), c.mx, net.Arch())
 
 	c.sampleRNG = xrand.New(xrand.DeriveSeed(cfg.Seed, 0x5a3317))
 	c.dropRNG = xrand.New(xrand.DeriveSeed(cfg.Seed, 0xd20b))
@@ -171,8 +170,11 @@ func (c *roundCore) commit(info *AsyncInfo) {
 	if c.version%c.cfg.EvalEvery != 0 && c.version != c.cfg.Rounds {
 		return
 	}
-	c.globalNet.SetVector(c.global)
-	acc, perClass := Evaluate(c.globalNet, c.env.Test, 256)
+	// Evaluation and probes borrow worker 0's network: workers are idle
+	// between batches, and its next job reloads the global weights anyway.
+	net := c.rt.workers[0].net
+	net.SetVector(c.global)
+	acc, perClass := Evaluate(net, c.env.Test, 256)
 	stat := RoundStat{Round: c.version, TestAcc: acc, PerClass: perClass,
 		TrainLoss: c.trainLoss,
 		Shot:      ShotAccuracy(perClass, c.testTotals, c.shotBuckets)}
@@ -189,7 +191,7 @@ func (c *roundCore) commit(info *AsyncInfo) {
 		stat.Metrics = make(map[string]float64)
 	}
 	for _, probe := range c.env.Probes {
-		probe(c.globalNet, stat.Metrics)
+		probe(net, stat.Metrics)
 	}
 	c.hist.Stats = append(c.hist.Stats, stat)
 	c.mx.TestAcc.Set(acc)

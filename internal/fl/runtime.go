@@ -77,22 +77,53 @@ func (s *ClientScratch) proxBuf() []float64 {
 	return s.xcur
 }
 
-// runtime is the persistent per-run worker pool: each worker owns a private
-// network instance, a ClientScratch and a reusable RNG, and lives for the
-// whole run instead of being respawned every round. Round state (sampled
-// cohort, result slots, the global vector) is written single-threaded
-// between rounds; the jobs channel and WaitGroup provide the
-// happens-before edges that make those writes visible to workers.
+// kit is one worker's training equipment: a private network, its
+// ClientScratch and its RNG. Nothing in a kit is read before it is written
+// for the job at hand — SetVector loads every parameter (BatchNorm running
+// statistics included, they are Stat params), the RNG is reseeded per job,
+// workspaces, result slots and batch buffers are overwritten before use —
+// so a kit that trained another run is indistinguishable from a fresh one,
+// and kits outlive the run that built them (see kitPools).
+type kit struct {
+	net     *nn.Network
+	scratch *ClientScratch
+	rng     *xrand.RNG
+}
+
+// kitPools maps an architecture ((*nn.Network).Arch) to the *sync.Pool of
+// idle kits for networks of that architecture. A run takes its workers'
+// kits from the pool of its architecture and returns them when it ends, so
+// consecutive runs of one model stop rebuilding networks, regrowing
+// workspaces and reallocating result slots. A sync.Pool drops idle kits at
+// GC, which bounds what the process retains with no cap to tune.
+var kitPools = new(sync.Map)
+
+func kitPool(arch string) *sync.Pool {
+	if p, ok := kitPools.Load(arch); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := kitPools.LoadOrStore(arch, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// runtime is the persistent per-run worker pool: each worker trains with a
+// kit (private network, ClientScratch, reusable RNG) and lives for the whole
+// run instead of being respawned every round. Round state (sampled cohort,
+// result slots, the global vector) is written single-threaded between
+// rounds; the jobs channel and WaitGroup provide the happens-before edges
+// that make those writes visible to workers.
 //
 // Determinism is preserved by construction: results land in a slice indexed
 // by job position, every job reloads the global weights and reseeds its
 // RNG from (seed, round, client), and scratch buffers are fully overwritten
-// before use — so which worker runs which client is unobservable.
+// before use — so which worker runs which client, and which run a kit
+// served before, is unobservable.
 type workerRuntime struct {
 	env  *Env
 	m    Method
 	jobs chan int
 	wg   sync.WaitGroup
+	kits *sync.Pool // where the workers' kits go back at close
 	// metrics is never nil; its handles are nil-safe, so an all-no-op bundle
 	// costs nothing.
 	metrics *RunMetrics
@@ -118,33 +149,41 @@ type clientJob struct {
 }
 
 type runWorker struct {
-	rt      *workerRuntime
-	net     *nn.Network
-	scratch *ClientScratch
-	rng     *xrand.RNG
-	ctx     ClientCtx // reused per job; never retained past LocalTrain
+	rt *workerRuntime
+	*kit
+	ctx ClientCtx // reused per job; never retained past LocalTrain
 }
 
-// newRuntime builds n workers (each with a private network and scratch) and
-// starts their goroutines. Callers must close() the runtime when done.
-func newRuntime(env *Env, m Method, global []float64, n int, mx *RunMetrics) *workerRuntime {
-	rt := &workerRuntime{env: env, m: m, metrics: mx, global: global, jobs: make(chan int)}
+// newRuntime starts n workers over kits for networks of architecture arch:
+// idle ones from that architecture's pool, fresh ones built by env.Build
+// when it runs dry. Callers must close() the runtime when done.
+func newRuntime(env *Env, m Method, global []float64, n int, mx *RunMetrics, arch string) *workerRuntime {
+	rt := &workerRuntime{env: env, m: m, metrics: mx, global: global, jobs: make(chan int), kits: kitPool(arch)}
 	for w := 0; w < n; w++ {
-		wk := &runWorker{
-			rt:      rt,
-			net:     env.Build(env.Cfg.Seed), // weights overwritten every job
-			scratch: NewClientScratch(len(global)),
-			rng:     xrand.New(0), // reseeded per job
+		k, _ := rt.kits.Get().(*kit)
+		if k == nil {
+			k = &kit{
+				net:     env.Build(env.Cfg.Seed), // weights overwritten every job
+				scratch: NewClientScratch(len(global)),
+				rng:     xrand.New(0), // reseeded per job
+			}
 		}
+		wk := &runWorker{rt: rt, kit: k}
 		rt.workers = append(rt.workers, wk)
 		go wk.loop()
 	}
 	return rt
 }
 
-// close stops the worker goroutines. The runtime must be idle (no round in
-// flight).
-func (rt *workerRuntime) close() { close(rt.jobs) }
+// close stops the worker goroutines and returns their kits to the pool. The
+// runtime must be idle (no round in flight): the last runBatch's Wait
+// ordered every worker's last touch of its kit before this.
+func (rt *workerRuntime) close() {
+	close(rt.jobs)
+	for _, w := range rt.workers {
+		rt.kits.Put(w.kit)
+	}
+}
 
 // runBatch executes one deterministic batch of jobs over the pool and returns
 // their results in job order. Scratch result slots recycle at every batch

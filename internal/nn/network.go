@@ -1,6 +1,9 @@
 package nn
 
 import (
+	"fmt"
+	"strings"
+
 	"fedwcm/internal/tensor"
 )
 
@@ -107,6 +110,51 @@ func (n *Network) StepVec(lr float64, dir []float64) {
 			tensor.Axpy(p.Data, -lr, dir[off:off+len(p.Data)])
 		}
 		off += len(p.Data)
+	}
+}
+
+// Arch names the network's architecture: InDim, Classes and every layer's
+// type with its construction arguments (Linear dims, Conv2D geometry,
+// BatchNorm width and constants, pooling geometry), nested blocks in order.
+// Two networks with equal Arch have the same parameter layout and the same
+// activation shapes, so either can load the other's weights and compute
+// bit-identically; the federated engine keys its reusable worker kits by it.
+// Initialisation is not part of it: SetVector overwrites every parameter.
+func (n *Network) Arch() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "in=%d classes=%d", n.InDim, n.Classes)
+	for _, l := range n.Layers {
+		writeArch(&b, l)
+	}
+	return b.String()
+}
+
+func writeArch(b *strings.Builder, l Layer) {
+	switch l := l.(type) {
+	case *Linear:
+		fmt.Fprintf(b, " linear(%d,%d)", l.In, l.Out)
+	case *BatchNorm:
+		fmt.Fprintf(b, " bn(%d,%d,%g,%g)", l.Channels, l.Spatial, l.Momentum, l.Eps)
+	case *Conv2D:
+		fmt.Fprintf(b, " conv(%d,%d,%d,%d,%d,%d,%d,%d)", l.InC, l.H, l.W, l.OutC, l.KH, l.KW, l.Stride, l.Pad)
+	case *GlobalAvgPool:
+		fmt.Fprintf(b, " gap(%d,%d,%d)", l.C, l.H, l.W)
+	case *ReLU:
+		b.WriteString(" relu")
+	case *Residual:
+		b.WriteString(" res[")
+		writeArch(b, l.Body)
+		b.WriteString(" ]")
+	case *Sequential:
+		b.WriteString(" seq[")
+		for _, c := range l.Layers {
+			writeArch(b, c)
+		}
+		b.WriteString(" ]")
+	default:
+		// A layer Arch cannot describe would let two different geometries
+		// share a key; refuse instead of guessing.
+		panic(fmt.Sprintf("nn: Arch: unknown layer type %T", l))
 	}
 }
 

@@ -238,3 +238,35 @@ func TestDriveTricklesThroughTinyQueue(t *testing.T) {
 		t.Fatalf("%d records left in flight", eng.Inflight())
 	}
 }
+
+// TestDriveBuildsEachEnvOncePerGrid: the Table 4 grid (3 methods × 2 β × 6
+// IF) names 12 environments, more than a default-cap EnvCache holds, and
+// Expand lists it method-major. Fed in grid order, the environments cycle
+// through the cache once per method (27–36 builds); grouped by environment,
+// each is built about once — the slack is the feeders' race to the queue.
+// Two clients a round for one epoch keep the training, which only has to
+// take time, cheap enough for ten laps under -race.
+func TestDriveBuildsEachEnvOncePerGrid(t *testing.T) {
+	sp := Spec{Methods: []string{"fedavg", "fedcm", "fedwcm"}, Betas: []float64{0.1, 0.6},
+		IFs: []float64{1, 0.4, 0.1, 0.06, 0.04, 0.01}, Effort: 0.01,
+		SampleRates: []float64{0.02}, LocalEpochs: []int{1}}
+	var builds []uint64
+	for rep := 0; rep < 10; rep++ {
+		envs := NewEnvCache(0)
+		eng := &Engine{Workers: 2, Envs: envs}
+		res, err := eng.RunSweep(sp, nil)
+		eng.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Cells) != 36 {
+			t.Fatalf("%d cells, want 36", len(res.Cells))
+		}
+		st := envs.Stats()
+		if st.Misses > 16 {
+			t.Fatalf("rep %d: %d environment builds for a 12-environment grid, want ≤ 16 (%+v)", rep, st.Misses, st)
+		}
+		builds = append(builds, st.Misses)
+	}
+	t.Logf("environment builds per rep: %v", builds)
+}

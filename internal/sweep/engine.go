@@ -344,13 +344,22 @@ const submitWindow = 32
 // exactly once per cell as it turns terminal (CellCached / CellComputed /
 // CellFailed), returning when all have. Store hits are reported inline, on
 // the caller's goroutine, in grid order — a fully cached grid starts no
-// goroutine. Misses are handed, in order, to at most submitWindow feeder
-// goroutines (started only while every earlier one is busy), each resolving
-// with a blocking submit — so a grid larger than the backend's queue still
-// trickles in as space frees up, and a backend that batches concurrent
-// submits (the WAL's group commit) sees more than one. This is a window, not
-// a batch API: Executor stays Submit+Close, and every backend — Local,
-// Coordinator, the HTTP client — gets it unchanged.
+// goroutine. Misses are handed to at most submitWindow feeder goroutines
+// (started only while every earlier one is busy), each resolving with a
+// blocking submit — so a grid larger than the backend's queue still trickles
+// in as space frees up, and a backend that batches concurrent submits (the
+// WAL's group commit) sees more than one. This is a window, not a batch API:
+// Executor stays Submit+Close, and every backend — Local, Coordinator, the
+// HTTP client — gets it unchanged.
+//
+// Misses reach the feeders grouped by environment (envKey): a miss is held
+// until the grid's last cell of its environment has been probed, and then
+// that environment's misses go out together, in grid order. So cells that
+// share a dataset+partition run back to back and an EnvCache builds each
+// environment once per grid, even when the grid's order (Expand is
+// method-major) cycles through more environments than the cache holds. A
+// miss whose environment has no later cell goes out at once, so a grid of
+// distinct environments feeds exactly as an ungrouped walk would.
 //
 // onLive (may be nil) sees each cell that is executing rather than stored,
 // before its report. onLive and report are both invoked concurrently.
@@ -379,14 +388,10 @@ func (e *Engine) Drive(cells []Cell, onLive func(i int, l *LiveCell), report fun
 	}
 	misses := make(chan int)
 	started := 0
-	for i := range cells {
-		if hist, ok, err := e.stored(cells[i].ID); err != nil || ok {
-			resolved(i, hist, nil, err)
-			continue
-		}
+	feed := func(i int) {
 		select {
 		case misses <- i: // an idle feeder took it
-			continue
+			return
 		default:
 		}
 		if started < submitWindow {
@@ -402,9 +407,69 @@ func (e *Engine) Drive(cells []Cell, onLive func(i int, l *LiveCell), report fun
 		}
 		misses <- i
 	}
+	var envs *envGroups // built at the first miss: a cached grid never needs it
+	for i := range cells {
+		hist, ok, err := e.stored(cells[i].ID)
+		miss := err == nil && !ok
+		if !miss {
+			resolved(i, hist, nil, err)
+		} else if envs == nil {
+			envs = groupByEnv(cells)
+		}
+		if envs != nil {
+			envs.probed(i, miss, feed)
+		}
+	}
 	close(misses)
 	feeders.Wait()
 	pending.Wait()
+}
+
+// envGroups is Drive's hold-and-release bookkeeping over one grid: which
+// environment each cell belongs to, which cell is each environment's last,
+// and the misses each environment is holding back.
+type envGroups struct {
+	group []int   // cell → environment
+	last  []int   // environment → its last cell in grid order
+	held  [][]int // environment → misses awaiting release, in grid order
+}
+
+func groupByEnv(cells []Cell) *envGroups {
+	index := make(map[envKey]int, len(cells))
+	g := &envGroups{group: make([]int, len(cells))}
+	for i := range cells {
+		k := cells[i].Spec.envKey()
+		env, ok := index[k]
+		if !ok {
+			env = len(g.last)
+			index[k] = env
+			g.last = append(g.last, i)
+		}
+		g.group[i] = env
+		g.last[env] = i
+	}
+	g.held = make([][]int, len(g.last))
+	return g
+}
+
+// probed records that cell i has been probed (miss: not in the store) and,
+// when i is its environment's last cell, releases that environment's held
+// misses to feed in grid order.
+func (g *envGroups) probed(i int, miss bool, feed func(int)) {
+	env := g.group[i]
+	if g.last[env] != i {
+		if miss {
+			g.held[env] = append(g.held[env], i)
+		}
+		return
+	}
+	for _, j := range g.held[env] {
+		feed(j)
+	}
+	g.held[env] = nil
+	if miss {
+		feed(i)
+	}
 }
 
 // CellUpdate is one progress notification from RunSweep: the cell has

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"container/list"
-	"encoding/json"
 	"sync"
 
 	"fedwcm/internal/data"
@@ -15,24 +14,24 @@ import (
 // seed) and its partition on (partition, clients, beta, seed). Everything
 // else in a RunSpec — method, model, rounds, learning rates, participation —
 // configures how the environment is *used*, not what it is, so a grid
-// sweeping those axes over one dataset shares a single construction.
+// sweeping those axes over one dataset shares a single construction. It is
+// comparable: EnvCache keys its map by it and Engine.Drive groups misses by
+// it, with no hashing of its own.
 type envKey struct {
-	Dataset   string  `json:"dataset"`
-	Beta      float64 `json:"beta"`
-	IF        float64 `json:"if"`
-	Partition string  `json:"partition"`
-	Clients   int     `json:"clients"`
-	Scale     float64 `json:"scale"`
-	Seed      uint64  `json:"seed"`
+	Dataset   string
+	Beta      float64
+	IF        float64
+	Partition string
+	Clients   int
+	Scale     float64
+	Seed      uint64
 }
 
-// EnvFingerprint is the content address of the spec's environment: the hex
-// SHA-256 of the canonical JSON of its env-determining fields (defaults
-// applied). Two specs with equal EnvFingerprints build byte-identical
+// envKey reads the environment key off a spec that has Defaults applied
+// (every Cell.Spec has). Two specs with equal keys build byte-identical
 // train/test datasets and partitions.
-func (s RunSpec) EnvFingerprint() string {
-	s = s.Defaults()
-	b, err := json.Marshal(envKey{
+func (s RunSpec) envKey() envKey {
+	return envKey{
 		Dataset:   s.Dataset,
 		Beta:      s.Beta,
 		IF:        s.IF,
@@ -40,12 +39,7 @@ func (s RunSpec) EnvFingerprint() string {
 		Clients:   s.Clients,
 		Scale:     s.Scale,
 		Seed:      s.Cfg.Seed,
-	})
-	if err != nil {
-		// envKey is a fixed struct of marshalable scalars; this cannot fail.
-		panic("sweep: marshal envKey: " + err.Error())
 	}
-	return fingerprintJSON(b)
 }
 
 // envPieces is what a cache entry holds: the immutable, shareable parts of
@@ -61,7 +55,7 @@ type envPieces struct {
 // joiners block on it (single-flight), so a 4096-cell grid over one dataset
 // performs exactly one construction no matter how many cells race.
 type envEntry struct {
-	key    string
+	key    envKey
 	ready  chan struct{}
 	pieces envPieces
 	err    error
@@ -82,7 +76,7 @@ type EnvCacheStats struct {
 	Entries   int    `json:"entries"`
 }
 
-// EnvCache memoises environment construction keyed by EnvFingerprint, with
+// EnvCache memoises environment construction keyed by envKey, with
 // LRU eviction and single-flight builds. It is safe for concurrent use and
 // is shared by sweep.Engine and the internal/serve worker pool: repeated
 // sweep expansion over one dataset pays dataset synthesis and partitioning
@@ -90,7 +84,7 @@ type EnvCacheStats struct {
 type EnvCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*envEntry
+	entries map[envKey]*envEntry
 	order   *list.List // front = most recently used
 	stats   EnvCacheStats
 }
@@ -103,7 +97,7 @@ func NewEnvCache(capacity int) *EnvCache {
 	}
 	return &EnvCache{
 		cap:     capacity,
-		entries: make(map[string]*envEntry),
+		entries: make(map[envKey]*envEntry),
 		order:   list.New(),
 	}
 }
@@ -122,7 +116,7 @@ func (c *EnvCache) Stats() EnvCacheStats {
 // cached: the next request retries.
 func (c *EnvCache) get(s RunSpec) (envPieces, error) {
 	s = s.Defaults()
-	key := s.EnvFingerprint()
+	key := s.envKey()
 
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {

@@ -25,23 +25,38 @@ func envSpec(method string, seed uint64) RunSpec {
 	}
 }
 
-func TestEnvFingerprintIgnoresNonEnvAxes(t *testing.T) {
+func TestEnvKeyIgnoresNonEnvAxes(t *testing.T) {
+	key := func(s RunSpec) envKey { return s.Defaults().envKey() }
 	a := envSpec("fedavg", 1)
 	b := envSpec("fedwcm", 1) // different method, rates, model — same world
 	b.Model = "mlp"
 	b.Cfg.Rounds = 9
 	b.Cfg.EtaL = 0.2
-	if a.EnvFingerprint() != b.EnvFingerprint() {
-		t.Fatal("method/model/config axes must not change the env fingerprint")
+	b.Probes = []string{"collapse"}
+	if key(a) != key(b) {
+		t.Fatal("method/model/config/probe axes must not change the env key")
 	}
-	c := envSpec("fedavg", 2) // seed drives dataset synthesis and partition
-	if a.EnvFingerprint() == c.EnvFingerprint() {
-		t.Fatal("seed must change the env fingerprint")
+	// Every env-determining field moves the key, the defaulted spelling of a
+	// field does not.
+	for name, mut := range map[string]func(*RunSpec){
+		"seed":      func(s *RunSpec) { s.Cfg.Seed = 2 },
+		"beta":      func(s *RunSpec) { s.Beta = 0.7 },
+		"if":        func(s *RunSpec) { s.IF = 0.5 },
+		"dataset":   func(s *RunSpec) { s.Dataset = "svhn-syn" },
+		"partition": func(s *RunSpec) { s.Partition = "fedgrab" },
+		"clients":   func(s *RunSpec) { s.Clients = 6 },
+		"scale":     func(s *RunSpec) { s.Scale = 0.09 },
+	} {
+		d := envSpec("fedavg", 1)
+		mut(&d)
+		if key(a) == key(d) {
+			t.Errorf("%s must change the env key", name)
+		}
 	}
-	d := envSpec("fedavg", 1)
-	d.Beta = 0.7
-	if a.EnvFingerprint() == d.EnvFingerprint() {
-		t.Fatal("beta must change the env fingerprint")
+	spelled, implicit := envSpec("fedavg", 1), envSpec("fedavg", 1)
+	spelled.Partition, implicit.Partition = "equal", ""
+	if key(spelled) != key(implicit) {
+		t.Fatal("a defaulted field must key like its spelled-out default")
 	}
 }
 
