@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -242,7 +243,7 @@ func TestSpecMakeProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, test := s.MakeScaled(1, 0.1, 1)
+	train, test := s.MakeTrain(1, 0.1, 1), s.MakeTest(1, 1)
 	if err := train.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +257,8 @@ func TestSpecMakeProfiles(t *testing.T) {
 
 func TestMakeScaledShrinks(t *testing.T) {
 	s, _ := Lookup("cifar10-syn")
-	full, _ := s.MakeScaled(1, 0.5, 1)
-	small, smallTest := s.MakeScaled(1, 0.5, 0.2)
+	full := s.MakeTrain(1, 0.5, 1)
+	small, smallTest := s.MakeTrain(1, 0.5, 0.2), s.MakeTest(1, 0.2)
 	if small.Len() >= full.Len()/3 {
 		t.Fatalf("scaled train %d not much smaller than %d", small.Len(), full.Len())
 	}
@@ -270,7 +271,8 @@ func TestMakeScaledShrinks(t *testing.T) {
 }
 
 func TestShuffleSamplerCoversEpoch(t *testing.T) {
-	s := NewShuffleSampler(xrand.New(1), 10, 3)
+	var s ShuffleSampler
+	s.Reset(xrand.New(1), 10, 3)
 	if s.BatchesPerEpoch() != 4 {
 		t.Fatalf("BatchesPerEpoch = %d, want 4", s.BatchesPerEpoch())
 	}
@@ -291,7 +293,8 @@ func TestShuffleSamplerCoversEpoch(t *testing.T) {
 }
 
 func TestShuffleSamplerReshuffles(t *testing.T) {
-	s := NewShuffleSampler(xrand.New(2), 100, 100)
+	var s ShuffleSampler
+	s.Reset(xrand.New(2), 100, 100)
 	first := append([]int(nil), s.NextBatch()...)
 	second := s.NextBatch()
 	diff := 0
@@ -311,7 +314,8 @@ func TestBalancedSamplerOversamplesRareClasses(t *testing.T) {
 	for i := 90; i < 100; i++ {
 		labels[i] = 1
 	}
-	s := NewBalancedSampler(xrand.New(3), labels, 2, 20)
+	var s BalancedSampler
+	s.Reset(xrand.New(3), labels, 2, 20)
 	counts := [2]int{}
 	for b := 0; b < 200; b++ {
 		for _, pos := range s.NextBatch() {
@@ -326,13 +330,124 @@ func TestBalancedSamplerOversamplesRareClasses(t *testing.T) {
 
 func TestBalancedSamplerSkipsAbsentClasses(t *testing.T) {
 	labels := []int{2, 2, 2} // only class 2 present out of 5
-	s := NewBalancedSampler(xrand.New(4), labels, 5, 2)
+	var s BalancedSampler
+	s.Reset(xrand.New(4), labels, 5, 2)
 	for b := 0; b < 10; b++ {
 		for _, pos := range s.NextBatch() {
 			if labels[pos] != 2 {
 				t.Fatal("sampled an absent class")
 			}
 		}
+	}
+}
+
+// freshShuffle and freshBalanced are the samplers as built from nothing —
+// a new identity permutation, per-class lists appended in label order — the
+// reference a re-armed sampler must match draw for draw.
+func freshShuffle(rng *xrand.RNG, n, batch, batches int) []int {
+	if batch > n {
+		batch = n
+	}
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	rng.ShuffleInts(perm)
+	var out []int
+	pos := 0
+	for b := 0; b < batches; b++ {
+		if pos >= n {
+			rng.ShuffleInts(perm)
+			pos = 0
+		}
+		end := min(pos+batch, n)
+		out = append(out, perm[pos:end]...)
+		pos = end
+	}
+	return out
+}
+
+func freshBalanced(rng *xrand.RNG, labels []int, classes, batch, batches int) []int {
+	batch = min(batch, len(labels))
+	byClass := make([][]int, classes)
+	for pos, y := range labels {
+		byClass[y] = append(byClass[y], pos)
+	}
+	var present []int
+	for c, idx := range byClass {
+		if len(idx) > 0 {
+			present = append(present, c)
+		}
+	}
+	var out []int
+	for b := 0; b < batches; b++ {
+		for i := 0; i < batch; i++ {
+			pool := byClass[present[rng.Intn(len(present))]]
+			out = append(out, pool[rng.Intn(len(pool))])
+		}
+	}
+	return out
+}
+
+// TestRearmedSamplersDrawLikeFresh: one sampler of each kind is re-armed
+// over shards of changing size and class mix — larger, then smaller, than
+// what its buffers last held — and every batch equals the reference
+// sampler's on the same seed.
+func TestRearmedSamplersDrawLikeFresh(t *testing.T) {
+	var sh ShuffleSampler
+	var bal BalancedSampler
+	for i, shard := range []struct{ n, classes, batch int }{
+		{37, 5, 8}, {120, 10, 16}, {9, 3, 50}, {64, 10, 10}, {1, 2, 4},
+	} {
+		seed := uint64(100 + i)
+		labels := make([]int, shard.n)
+		lr := xrand.New(seed + 50)
+		for j := range labels {
+			labels[j] = lr.Intn(shard.classes) * lr.Intn(2) // skewed toward class 0
+		}
+		batches := 3*shard.n/shard.batch + 2 // crosses epoch boundaries
+
+		sh.Reset(xrand.New(seed), shard.n, shard.batch)
+		var got []int
+		for b := 0; b < batches; b++ {
+			got = append(got, sh.NextBatch()...)
+		}
+		if want := freshShuffle(xrand.New(seed), shard.n, shard.batch, batches); !slices.Equal(got, want) {
+			t.Fatalf("shard %d: re-armed shuffle sampler drew %v, fresh %v", i, got, want)
+		}
+
+		bal.Reset(xrand.New(seed), labels, shard.classes, shard.batch)
+		got = got[:0]
+		for b := 0; b < batches; b++ {
+			got = append(got, bal.NextBatch()...)
+		}
+		if want := freshBalanced(xrand.New(seed), labels, shard.classes, shard.batch, batches); !slices.Equal(got, want) {
+			t.Fatalf("shard %d: re-armed balanced sampler drew %v, fresh %v", i, got, want)
+		}
+	}
+}
+
+// TestRearmedSamplersAllocateNothing: once their buffers have grown, re-arming
+// and drawing a round's batches allocates nothing.
+func TestRearmedSamplersAllocateNothing(t *testing.T) {
+	labels := make([]int, 200)
+	for i := range labels {
+		labels[i] = i % 7
+	}
+	rng := xrand.New(1)
+	var sh ShuffleSampler
+	var bal BalancedSampler
+	round := func() {
+		sh.Reset(rng, len(labels), 32)
+		bal.Reset(rng, labels, 10, 32)
+		for b := 0; b < 20; b++ {
+			sh.NextBatch()
+			bal.NextBatch()
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("a warm round of re-armed samplers allocates %v times, want 0", allocs)
 	}
 }
 

@@ -69,14 +69,10 @@ func (d *Dataset) Head(n int) *Dataset {
 }
 
 // Gather copies rows idx into a batch matrix and label slice, reusing the
-// provided buffers when they are large enough.
+// provided buffers — x's header included — when they are large enough.
 func (d *Dataset) Gather(idx []int, x *tensor.Dense, y []int) (*tensor.Dense, []int) {
 	n := len(idx)
-	if x == nil || cap(x.Data) < n*d.Dim() {
-		x = tensor.NewDense(n, d.Dim())
-	} else {
-		x = tensor.FromSlice(n, d.Dim(), x.Data[:n*d.Dim()])
-	}
+	x = tensor.ReuseDense(x, n, d.Dim())
 	if cap(y) < n {
 		y = make([]int, n)
 	}

@@ -98,23 +98,28 @@ func (s *Spec) Dim() int {
 	}
 }
 
-// MakeScaled generates the long-tailed train split (imbalance factor f) and
-// the balanced test split for this spec, with the train head count and the
-// per-class test count scaled by factor (sweeps shrink workloads while
-// preserving shape). Both derive class structure from the same seed so they
-// share prototypes, while their sample noise streams are independent.
-func (s *Spec) MakeScaled(seed uint64, imbalance, factor float64) (train, test *Dataset) {
+// MakeTrain generates the long-tailed train split (imbalance factor
+// imbalance) with the head-class count scaled by factor (sweeps shrink
+// workloads while preserving shape). It is a function of (seed, imbalance,
+// factor) alone, so environments that differ only in how they partition it
+// may share one synthesis.
+func (s *Spec) MakeTrain(seed uint64, imbalance, factor float64) *Dataset {
 	head := int(float64(s.TrainHead) * factor)
 	if head < s.Classes {
 		head = s.Classes
 	}
-	trainCounts := LongTailCounts(head, s.Classes, imbalance)
+	return s.generate(seed, 1, LongTailCounts(head, s.Classes, imbalance))
+}
+
+// MakeTest generates the balanced test split with the per-class count scaled
+// by factor. It shares class prototypes with MakeTrain of the same seed (both
+// derive class structure from it) while its sample noise stream is
+// independent, and it does not depend on the imbalance factor, so every
+// environment of one (dataset, scale, seed) may share one synthesis.
+func (s *Spec) MakeTest(seed uint64, factor float64) *Dataset {
 	testPC := int(float64(s.TestPerClass) * factor)
 	if testPC < 2 {
 		testPC = 2
 	}
-	testCounts := UniformCounts(testPC, s.Classes)
-	train = s.generate(seed, 1, trainCounts)
-	test = s.generate(seed, 2, testCounts)
-	return train, test
+	return s.generate(seed, 2, UniformCounts(testPC, s.Classes))
 }

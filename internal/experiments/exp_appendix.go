@@ -58,7 +58,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			train, _ := spec.MakeScaled(opt.Seed, 0.1, sweep.ScaleData(5, opt.Effort))
+			train := spec.MakeTrain(opt.Seed, 0.1, sweep.ScaleData(5, opt.Effort))
 			rng := xrand.New(xrand.DeriveSeed(opt.Seed, 0x9a27))
 			for _, mode := range []string{"fedgrab", "equal"} {
 				var part *partition.Partition

@@ -11,7 +11,7 @@ import (
 // Concurrency model: the run owns a persistent pool of workers (see
 // runtime), each training with a kit — a private network instance (layers
 // cache state and are not shareable), a reusable ClientScratch and an RNG —
-// taken from, and at the end returned to, a process-wide pool per
+// taken from, and at the end returned to, a process-wide free list per
 // architecture. Every round the sampled
 // clients are distributed over the pool; results land in a slice indexed by
 // the sampled position, and aggregation happens single-threaded afterwards,

@@ -78,13 +78,17 @@ func RunLocalSGD(ctx *ClientCtx, opts LocalOpts) *ClientResult {
 		return res
 	}
 
+	// Both samplers live in the scratch and are re-armed here over buffers
+	// they keep, so a warm round allocates nothing for them. The balanced
+	// one groups client.Labels (the label view precomputed once at NewEnv)
+	// by class with one counting pass.
 	var sampler data.Sampler
 	if opts.Balanced {
-		// client.Labels is the label view precomputed once at NewEnv; the
-		// per-round cost is only the sampler's RNG-dependent state.
-		sampler = data.NewBalancedSampler(ctx.RNG, client.Labels, ds.Classes, cfg.BatchSize)
+		scratch.balanced.Reset(ctx.RNG, client.Labels, ds.Classes, cfg.BatchSize)
+		sampler = &scratch.balanced
 	} else {
-		sampler = data.NewShuffleSampler(ctx.RNG, n, cfg.BatchSize)
+		scratch.shuffle.Reset(ctx.RNG, n, cfg.BatchSize)
+		sampler = &scratch.shuffle
 	}
 
 	net := ctx.Net

@@ -10,9 +10,10 @@ import (
 	"fedwcm/internal/tensor"
 )
 
-// evalScratch holds the reusable buffers of one Evaluate call; pooled so
-// periodic evaluation inside training loops stays allocation-free apart
-// from the per-class result slice (which the caller retains in RoundStat).
+// evalScratch holds the reusable buffers of one evaluation, so periodic
+// evaluation stays allocation-free apart from the per-class result slice
+// (which the caller retains in RoundStat). A run evaluates on worker 0's
+// kit with that kit's scratch; other callers draw one from evalPool.
 type evalScratch struct {
 	correct, totals []int
 	idx, yb, pred   []int
@@ -31,11 +32,16 @@ func growInts(s []int, n int) []int {
 // Evaluate runs the network over ds in chunks and returns overall accuracy
 // plus per-class accuracy.
 func Evaluate(net *nn.Network, ds *data.Dataset, chunk int) (float64, []float64) {
+	sc := evalPool.Get().(*evalScratch)
+	defer evalPool.Put(sc)
+	return sc.evaluate(net, ds, chunk)
+}
+
+// evaluate is Evaluate over sc's buffers.
+func (sc *evalScratch) evaluate(net *nn.Network, ds *data.Dataset, chunk int) (float64, []float64) {
 	if chunk <= 0 {
 		chunk = 256
 	}
-	sc := evalPool.Get().(*evalScratch)
-	defer evalPool.Put(sc)
 	sc.correct = growInts(sc.correct, ds.Classes)
 	sc.totals = growInts(sc.totals, ds.Classes)
 	correct, totals := sc.correct, sc.totals

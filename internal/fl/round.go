@@ -170,11 +170,12 @@ func (c *roundCore) commit(info *AsyncInfo) {
 	if c.version%c.cfg.EvalEvery != 0 && c.version != c.cfg.Rounds {
 		return
 	}
-	// Evaluation and probes borrow worker 0's network: workers are idle
-	// between batches, and its next job reloads the global weights anyway.
-	net := c.rt.workers[0].net
+	// Evaluation and probes borrow worker 0's kit: workers are idle between
+	// batches, and its next job reloads the global weights anyway.
+	w0 := c.rt.workers[0]
+	net := w0.net
 	net.SetVector(c.global)
-	acc, perClass := Evaluate(net, c.env.Test, 256)
+	acc, perClass := w0.eval.evaluate(net, c.env.Test, 256)
 	stat := RoundStat{Round: c.version, TestAcc: acc, PerClass: perClass,
 		TrainLoss: c.trainLoss,
 		Shot:      ShotAccuracy(perClass, c.testTotals, c.shotBuckets)}

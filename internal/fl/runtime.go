@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"fedwcm/internal/data"
 	"fedwcm/internal/nn"
 	"fedwcm/internal/tensor"
 	"fedwcm/internal/xrand"
@@ -11,11 +12,11 @@ import (
 
 // ClientScratch is the per-worker reusable workspace for local training: the
 // dim-sized vectors RunLocalSGD needs every client (gradient, step direction,
-// prox snapshot), the batch-gather buffers, and a pool of result slots whose
-// Delta vectors live exactly one round. One scratch belongs to one worker, so
-// nothing here is shared between goroutines; the runtime resets the slot
-// cursor at every round boundary, after which the previous round's results
-// are dead (Aggregate has consumed them).
+// prox snapshot), the samplers and batch-gather buffers, and a pool of
+// result slots whose Delta vectors live exactly one round. One scratch
+// belongs to one worker, so nothing here is shared between goroutines; the
+// runtime resets the slot cursor at every round boundary, after which the
+// previous round's results are dead (Aggregate has consumed them).
 type ClientScratch struct {
 	dim int
 
@@ -28,6 +29,11 @@ type ClientScratch struct {
 	yb   []int         // gathered batch labels
 	gidx []int         // global row indices of the current batch
 	dl   *tensor.Dense // d(loss)/d(logits) buffer (losses implementing GradInto)
+
+	// The local round's sampler, re-armed per client round over buffers
+	// that outlive it.
+	shuffle  data.ShuffleSampler
+	balanced data.BalancedSampler
 
 	results []*ClientResult // result slots, reused round-over-round
 	used    int             // slots handed out since the last Reset
@@ -78,7 +84,8 @@ func (s *ClientScratch) proxBuf() []float64 {
 }
 
 // kit is one worker's training equipment: a private network, its
-// ClientScratch and its RNG. Nothing in a kit is read before it is written
+// ClientScratch and its RNG, plus the evaluation buffers a run uses on
+// worker 0's kit. Nothing in a kit is read before it is written
 // for the job at hand — SetVector loads every parameter (BatchNorm running
 // statistics included, they are Stat params), the RNG is reseeded per job,
 // workspaces, result slots and batch buffers are overwritten before use —
@@ -88,22 +95,55 @@ type kit struct {
 	net     *nn.Network
 	scratch *ClientScratch
 	rng     *xrand.RNG
+	eval    evalScratch
 }
 
-// kitPools maps an architecture ((*nn.Network).Arch) to the *sync.Pool of
+// kitPools maps an architecture ((*nn.Network).Arch) to the *kitList of
 // idle kits for networks of that architecture. A run takes its workers'
-// kits from the pool of its architecture and returns them when it ends, so
+// kits from the list of its architecture and returns them when it ends, so
 // consecutive runs of one model stop rebuilding networks, regrowing
-// workspaces and reallocating result slots. A sync.Pool drops idle kits at
-// GC, which bounds what the process retains with no cap to tune.
+// workspaces and reallocating result slots.
 var kitPools = new(sync.Map)
 
-func kitPool(arch string) *sync.Pool {
+func kitPool(arch string) *kitList {
 	if p, ok := kitPools.Load(arch); ok {
-		return p.(*sync.Pool)
+		return p.(*kitList)
 	}
-	p, _ := kitPools.LoadOrStore(arch, new(sync.Pool))
-	return p.(*sync.Pool)
+	p, _ := kitPools.LoadOrStore(arch, new(kitList))
+	return p.(*kitList)
+}
+
+// kitList is one architecture's free list of idle kits, first in first out.
+// A kit is built only when the list is empty, so an architecture retains at
+// most the largest number of its kits ever checked out at once — what the
+// process already held at that peak — and no cap is needed. Unlike a
+// sync.Pool it keeps its kits across GC. FIFO because close returns kits
+// in worker order, so the next run's worker 0 gets the previous run's
+// worker-0 kit, whose network and evaluation buffers are evaluation-sized.
+type kitList struct {
+	mu   sync.Mutex
+	idle []*kit
+}
+
+// get takes the oldest idle kit, or returns nil when there is none.
+func (l *kitList) get() *kit {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.idle) == 0 {
+		return nil
+	}
+	k := l.idle[0]
+	n := copy(l.idle, l.idle[1:])
+	l.idle[n] = nil
+	l.idle = l.idle[:n]
+	return k
+}
+
+// put returns k to the back of the list.
+func (l *kitList) put(k *kit) {
+	l.mu.Lock()
+	l.idle = append(l.idle, k)
+	l.mu.Unlock()
 }
 
 // runtime is the persistent per-run worker pool: each worker trains with a
@@ -123,7 +163,7 @@ type workerRuntime struct {
 	m    Method
 	jobs chan int
 	wg   sync.WaitGroup
-	kits *sync.Pool // where the workers' kits go back at close
+	kits *kitList // where the workers' kits go back at close
 	// metrics is never nil; its handles are nil-safe, so an all-no-op bundle
 	// costs nothing.
 	metrics *RunMetrics
@@ -155,12 +195,12 @@ type runWorker struct {
 }
 
 // newRuntime starts n workers over kits for networks of architecture arch:
-// idle ones from that architecture's pool, fresh ones built by env.Build
-// when it runs dry. Callers must close() the runtime when done.
+// idle ones from that architecture's free list, fresh ones built by
+// env.Build when it is empty. Callers must close() the runtime when done.
 func newRuntime(env *Env, m Method, global []float64, n int, mx *RunMetrics, arch string) *workerRuntime {
 	rt := &workerRuntime{env: env, m: m, metrics: mx, global: global, jobs: make(chan int), kits: kitPool(arch)}
 	for w := 0; w < n; w++ {
-		k, _ := rt.kits.Get().(*kit)
+		k := rt.kits.get()
 		if k == nil {
 			k = &kit{
 				net:     env.Build(env.Cfg.Seed), // weights overwritten every job
@@ -175,13 +215,14 @@ func newRuntime(env *Env, m Method, global []float64, n int, mx *RunMetrics, arc
 	return rt
 }
 
-// close stops the worker goroutines and returns their kits to the pool. The
-// runtime must be idle (no round in flight): the last runBatch's Wait
-// ordered every worker's last touch of its kit before this.
+// close stops the worker goroutines and returns their kits, in worker
+// order, to their architecture's free list. The runtime must be idle (no
+// round in flight): the last runBatch's Wait ordered every worker's last
+// touch of its kit before this.
 func (rt *workerRuntime) close() {
 	close(rt.jobs)
 	for _, w := range rt.workers {
-		rt.kits.Put(w.kit)
+		rt.kits.put(w.kit)
 	}
 }
 

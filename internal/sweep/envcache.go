@@ -10,13 +10,14 @@ import (
 )
 
 // envKey is the sub-spec that environment construction is a deterministic
-// function of: BuildEnv's dataset synthesis depends on (dataset, IF, scale,
-// seed) and its partition on (partition, clients, beta, seed). Everything
-// else in a RunSpec — method, model, rounds, learning rates, participation —
-// configures how the environment is *used*, not what it is, so a grid
-// sweeping those axes over one dataset shares a single construction. It is
-// comparable: EnvCache keys its map by it and Engine.Drive groups misses by
-// it, with no hashing of its own.
+// function of: BuildEnv's partition depends on (partition, clients, beta,
+// seed) and the train split, the train split on (dataset, IF, scale, seed)
+// and the test split on (dataset, scale, seed) — see sharesTrain and
+// sharesTest. Everything else in a RunSpec — method, model, rounds,
+// learning rates, participation — configures how the environment is
+// *used*, not what it is, so a grid sweeping those axes over one dataset
+// shares a single construction. It is comparable: EnvCache keys its map by
+// it and Engine.Drive groups misses by it, with no hashing of its own.
 type envKey struct {
 	Dataset   string
 	Beta      float64
@@ -42,6 +43,18 @@ func (s RunSpec) envKey() envKey {
 	}
 }
 
+// sharesTrain reports whether environments k and o have the same train
+// split: data.Spec.MakeTrain is a function of (dataset, IF, scale, seed).
+func (k envKey) sharesTrain(o envKey) bool {
+	return k.Dataset == o.Dataset && k.IF == o.IF && k.Scale == o.Scale && k.Seed == o.Seed
+}
+
+// sharesTest reports whether environments k and o have the same test split:
+// data.Spec.MakeTest is a function of (dataset, scale, seed).
+func (k envKey) sharesTest(o envKey) bool {
+	return k.Dataset == o.Dataset && k.Scale == o.Scale && k.Seed == o.Seed
+}
+
 // envPieces is what a cache entry holds: the immutable, shareable parts of
 // an environment. Datasets are read-only after synthesis and partitions are
 // read-only after construction, so concurrent runs can share them; the
@@ -62,13 +75,22 @@ type envEntry struct {
 	elem   *list.Element // position in the LRU list
 }
 
-// DefaultEnvCacheCap bounds a zero-configured cache. Entries hold full
-// datasets, so the cap is deliberately modest; sweeps touch few distinct
-// environments at a time (seeds are the usual multiplier).
+// built waits for e's build to finish and reports whether it succeeded.
+func (e *envEntry) built() bool {
+	<-e.ready
+	return e.err == nil
+}
+
+// DefaultEnvCacheCap bounds a zero-configured cache. Entries hold
+// partitions and reference datasets, which sibling entries share, so the
+// cap is deliberately modest; sweeps touch few distinct environments at a
+// time (seeds are the usual multiplier).
 const DefaultEnvCacheCap = 8
 
 // EnvCacheStats is a point-in-time counter snapshot, reported by sweep
-// status responses and the fedbench summary alongside store hits.
+// status responses and the fedbench summary alongside store hits. Misses
+// counts environments built, i.e. partition builds; a miss synthesizes a
+// dataset only when no cached sibling holds it.
 type EnvCacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -79,8 +101,14 @@ type EnvCacheStats struct {
 // EnvCache memoises environment construction keyed by envKey, with
 // LRU eviction and single-flight builds. It is safe for concurrent use and
 // is shared by sweep.Engine and the internal/serve worker pool: repeated
-// sweep expansion over one dataset pays dataset synthesis and partitioning
-// once instead of once per cell.
+// sweep expansion over one dataset pays partitioning once per environment
+// instead of once per cell. Datasets are shared further, between
+// environments: a new entry borrows its train split from a cached entry of
+// equal (dataset, IF, scale, seed) and its test split from one of equal
+// (dataset, scale, seed), and synthesizes only what no cached entry holds —
+// a Table 4 grid (12 environments over 6 IFs) synthesizes 7 datasets, not
+// 24. A dataset lives as long as some entry (or run) references it, so the
+// one cap bounds datasets too.
 type EnvCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -113,7 +141,10 @@ func (c *EnvCache) Stats() EnvCacheStats {
 
 // get returns the pieces for spec, building them at most once per key.
 // Build errors are returned to every waiter of that flight but are not
-// cached: the next request retries.
+// cached: the next request retries. A miss looks for siblings among the
+// cached entries before inserting its own, so it waits only on entries
+// inserted before it and waits cannot form a cycle; it takes a sibling's
+// split only if that sibling's build succeeded, and synthesizes it otherwise.
 func (c *EnvCache) get(s RunSpec) (envPieces, error) {
 	s = s.Defaults()
 	key := s.envKey()
@@ -127,13 +158,30 @@ func (c *EnvCache) get(s RunSpec) (envPieces, error) {
 		return e.pieces, e.err
 	}
 	c.stats.Misses++
+	var trainSib, testSib *envEntry
+	for el := c.order.Front(); el != nil && (trainSib == nil || testSib == nil); el = el.Next() {
+		o := el.Value.(*envEntry)
+		if trainSib == nil && key.sharesTrain(o.key) {
+			trainSib = o
+		}
+		if testSib == nil && key.sharesTest(o.key) {
+			testSib = o
+		}
+	}
 	e := &envEntry{key: key, ready: make(chan struct{})}
 	e.elem = c.order.PushFront(e)
 	c.entries[key] = e
 	c.evictLocked()
 	c.mu.Unlock()
 
-	e.pieces, e.err = s.buildPieces()
+	var train, test *data.Dataset
+	if trainSib != nil && trainSib.built() {
+		train = trainSib.pieces.train
+	}
+	if testSib != nil && testSib.built() {
+		test = testSib.pieces.test
+	}
+	e.pieces, e.err = s.buildPieces(train, test)
 	close(e.ready)
 	if e.err != nil {
 		c.remove(e)
@@ -187,7 +235,7 @@ func (c *EnvCache) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("fedwcm_envcache_hits_total", "Environment-cache hits (construction shared).", func() float64 {
 		return float64(c.Stats().Hits)
 	})
-	reg.CounterFunc("fedwcm_envcache_misses_total", "Environment-cache misses (fresh dataset+partition builds).", func() float64 {
+	reg.CounterFunc("fedwcm_envcache_misses_total", "Environment-cache misses (partition builds; datasets are synthesized only when no cached environment holds them).", func() float64 {
 		return float64(c.Stats().Misses)
 	})
 	reg.CounterFunc("fedwcm_envcache_evictions_total", "Environment-cache LRU evictions.", func() float64 {

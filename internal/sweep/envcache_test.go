@@ -2,9 +2,16 @@ package sweep
 
 import (
 	"context"
+	"errors"
+	"math"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"fedwcm/internal/data"
 	"fedwcm/internal/fl"
 )
 
@@ -163,5 +170,162 @@ func TestEngineSweepBuildsEnvOnce(t *testing.T) {
 	}
 	if st.Hits != uint64(len(cells)-1) {
 		t.Fatalf("want %d env-cache hits, got %+v", len(cells)-1, st)
+	}
+}
+
+// sameDataset reports whether a and b hold the same samples, bit for bit.
+func sameDataset(a, b *data.Dataset) bool {
+	if a.Classes != b.Classes || a.X.R != b.X.R || a.X.C != b.X.C || !slices.Equal(a.Y, b.Y) {
+		return false
+	}
+	for i, v := range a.X.Data {
+		if math.Float64bits(v) != math.Float64bits(b.X.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEnvCacheSharesDatasetsBetweenSiblings: environments that differ only
+// in how they partition (β, partition, clients) share both splits; ones that
+// differ in IF share the test split only; seed, scale and dataset share
+// nothing. Every borrowed split equals a fresh synthesis element for element.
+func TestEnvCacheSharesDatasetsBetweenSiblings(t *testing.T) {
+	c := NewEnvCache(0)
+	build := func(mut func(*RunSpec)) (cached, fresh *fl.Env) {
+		t.Helper()
+		s := envSpec("fedavg", 1)
+		mut(&s)
+		cached, err := s.BuildEnvCached(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh, err = s.BuildEnv(); err != nil {
+			t.Fatal(err)
+		}
+		if !sameDataset(cached.Train, fresh.Train) || !sameDataset(cached.Test, fresh.Test) {
+			t.Fatal("a cached split differs from a fresh synthesis")
+		}
+		return cached, fresh
+	}
+	base, _ := build(func(*RunSpec) {})
+	for name, mut := range map[string]func(*RunSpec){
+		"beta":      func(s *RunSpec) { s.Beta = 0.7 },
+		"partition": func(s *RunSpec) { s.Partition = "fedgrab" },
+		"clients":   func(s *RunSpec) { s.Clients = 6 },
+	} {
+		if env, _ := build(mut); env.Train != base.Train || env.Test != base.Test {
+			t.Errorf("%s: siblings must share both splits", name)
+		}
+	}
+	if env, fresh := build(func(s *RunSpec) { s.IF = 0.5 }); env.Test != base.Test || env.Train == base.Train {
+		t.Error("if: siblings must share the test split and only it")
+	} else if sameDataset(fresh.Train, base.Train) {
+		t.Error("if: a different IF must synthesize a different train split")
+	}
+	for name, mut := range map[string]func(*RunSpec){
+		"seed":    func(s *RunSpec) { s.Cfg.Seed = 2 },
+		"scale":   func(s *RunSpec) { s.Scale = 0.09 },
+		"dataset": func(s *RunSpec) { s.Dataset = "svhn-syn" },
+	} {
+		if env, _ := build(mut); env.Train == base.Train || env.Test == base.Test {
+			t.Errorf("%s: environments must share no split", name)
+		}
+	}
+	if st := c.Stats(); st.Misses != 8 || st.Hits != 0 {
+		t.Fatalf("want 8 misses (one partition build per environment), got %+v", st)
+	}
+}
+
+// TestEnvCacheDoesNotBorrowFromFailedSibling: a miss that finds a sibling
+// still in flight waits for it, and when that build fails it synthesizes
+// the splits itself instead of taking whatever the failed entry holds.
+func TestEnvCacheDoesNotBorrowFromFailedSibling(t *testing.T) {
+	c := NewEnvCache(0)
+	spec := envSpec("fedavg", 1)
+	sib := spec.Defaults()
+	sib.Beta = 0.7
+	failed := &envEntry{key: sib.envKey(), ready: make(chan struct{})}
+	c.mu.Lock()
+	failed.elem = c.order.PushFront(failed)
+	c.entries[failed.key] = failed
+	c.mu.Unlock()
+
+	type built struct {
+		env *fl.Env
+		err error
+	}
+	done := make(chan built)
+	go func() {
+		env, err := spec.BuildEnvCached(c)
+		done <- built{env, err}
+	}()
+	// The miss has scanned for siblings once its own entry is in the map.
+	for c.Stats().Entries < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	decoy := &data.Dataset{}
+	failed.pieces, failed.err = envPieces{train: decoy, test: decoy}, errors.New("sibling build failed")
+	close(failed.ready)
+	c.remove(failed)
+
+	got := <-done
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.env.Train == decoy || got.env.Test == decoy {
+		t.Fatal("borrowed a split from a sibling whose build failed")
+	}
+	fresh, err := spec.BuildEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameDataset(got.env.Train, fresh.Train) || !sameDataset(got.env.Test, fresh.Test) {
+		t.Fatal("the splits synthesized after a failed sibling differ from a fresh synthesis")
+	}
+}
+
+// TestTableGridSynthesizesEachDatasetOnce: the paper's Table 4 grid — 3
+// methods × 2 β × 6 IF, 12 environments — driven through a 2-worker engine
+// builds its environments from 6 train splits (one per IF) and 1 test split,
+// lap after lap, whatever order the workers take the cells in. The cache
+// holds the grid's 12 environments: Drive releases misses grouped by
+// environment, but its feeders race to Submit, so the order cells execute
+// in is not the release order, and at the default cap of 8 an environment
+// that runs 8 environments after its sibling synthesizes the train split
+// again (7–9 train splits in 1–3 % of laps, measured with this runner).
+func TestTableGridSynthesizesEachDatasetOnce(t *testing.T) {
+	sp := Spec{Methods: []string{"fedavg", "fedcm", "fedwcm"}, Betas: []float64{0.1, 0.6},
+		IFs: []float64{1, 0.4, 0.1, 0.06, 0.04, 0.01}, Effort: 0.05}
+	for lap := 0; lap < 10; lap++ {
+		envs := NewEnvCache(12)
+		var mu sync.Mutex
+		trains, tests := map[*data.Dataset]bool{}, map[*data.Dataset]bool{}
+		var execs atomic.Int64
+		canned := cannedRunner(&execs)
+		eng := &Engine{Workers: 2, Runner: func(ctx context.Context, spec RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
+			env, err := spec.BuildEnvCached(envs)
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			trains[env.Train], tests[env.Test] = true, true
+			mu.Unlock()
+			return canned(ctx, spec, onRound)
+		}}
+		res, err := eng.RunSweep(sp, nil)
+		eng.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Computed != 36 {
+			t.Fatalf("lap %d: %d cells computed, want 36", lap, res.Computed)
+		}
+		if len(trains) != 6 || len(tests) != 1 {
+			t.Fatalf("lap %d: %d train and %d test splits, want 6 and 1", lap, len(trains), len(tests))
+		}
+		if st := envs.Stats(); st.Misses != 12 {
+			t.Fatalf("lap %d: %d environment builds, want 12", lap, st.Misses)
+		}
 	}
 }

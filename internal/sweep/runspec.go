@@ -196,10 +196,13 @@ func probeFor(name string) (func(env *fl.Env) fl.Probe, error) {
 }
 
 // buildPieces constructs the cacheable parts of the environment: train/test
-// datasets and the partition. It assumes s has Defaults applied. This is
+// datasets and the partition. It assumes s has Defaults applied. train and
+// test, when non-nil, are splits borrowed from a sibling environment (see
+// EnvCache) and are used as they are; a nil split is synthesized. This is
 // the single construction path — EnvCache memoises exactly this function,
-// so cached and uncached builds are byte-identical by construction.
-func (s RunSpec) buildPieces() (envPieces, error) {
+// and a borrowed split is what synthesis would return, so cached and
+// uncached builds are byte-identical by construction.
+func (s RunSpec) buildPieces(train, test *data.Dataset) (envPieces, error) {
 	spec, err := data.Lookup(s.Dataset)
 	if err != nil {
 		return envPieces{}, err
@@ -208,7 +211,12 @@ func (s RunSpec) buildPieces() (envPieces, error) {
 	if err != nil {
 		return envPieces{}, err
 	}
-	train, test := spec.MakeScaled(s.Cfg.Seed, s.IF, s.Scale)
+	if train == nil {
+		train = spec.MakeTrain(s.Cfg.Seed, s.IF, s.Scale)
+	}
+	if test == nil {
+		test = spec.MakeTest(s.Cfg.Seed, s.Scale)
+	}
 	prng := xrand.New(xrand.DeriveSeed(s.Cfg.Seed, 0x9a27))
 	part := makePart(prng, train, s.Clients, s.Beta)
 	return envPieces{train: train, test: test, part: part}, nil
@@ -240,7 +248,7 @@ func (s RunSpec) BuildEnvCached(cache *EnvCache) (*fl.Env, error) {
 	if cache != nil {
 		pieces, err = cache.get(s)
 	} else {
-		pieces, err = s.buildPieces()
+		pieces, err = s.buildPieces(nil, nil)
 	}
 	if err != nil {
 		return nil, err
