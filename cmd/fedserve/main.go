@@ -79,8 +79,8 @@ func main() {
 	)
 	flag.Parse()
 	if *walPath != "" && !*remote {
-		// Only the coordinator journals; a local pool given -wal would run
-		// without the durability the operator asked for.
+		// Only the remote coordinator journals; the local backend given -wal
+		// would run without the durability the operator asked for.
 		fmt.Fprintln(os.Stderr, "fedserve: -wal requires -remote (only the remote-worker coordinator journals its queue)")
 		os.Exit(2)
 	}
@@ -108,7 +108,7 @@ func main() {
 		Store: st, Workers: *workers, QueueDepth: *queue, Envs: sweep.NewEnvCache(*envCap),
 		Admission: serve.AdmissionConfig{TenantRPS: *tenantRPS, TenantBurst: *tenantBurst, MaxPending: *maxPending},
 	}
-	backend := fmt.Sprintf("local pool, %d workers", *workers)
+	backend := fmt.Sprintf("local, %d in-process worker slots", *workers)
 	if *remote {
 		coord, err := dispatch.NewCoordinator(dispatch.CoordinatorConfig{
 			Store:    st,

@@ -1,11 +1,14 @@
 package dispatch
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"fedwcm/internal/fl"
 	"fedwcm/internal/obs"
 	"fedwcm/internal/store"
+	"fedwcm/internal/trace"
 	"fedwcm/internal/wire"
 )
 
@@ -50,27 +54,34 @@ type CoordinatorConfig struct {
 	Tracer  *obs.Tracer
 }
 
-// Coordinator is the remote dispatch backend: jobs queue here, workers
-// registered over HTTP pull them via time-limited leases, heartbeat
-// progress, and upload finished histories keyed by the job fingerprint.
-// The upload path writes straight into the store, so duplicate uploads —
-// a requeued job finished by two workers, a tardy worker acking after its
-// lease expired — are idempotent by content address. Lease expiry requeues
-// the job (capped by MaxAttempts); an explicit deregistration requeues
-// without consuming an attempt (clean handover).
+// Coordinator is the dispatch backend every topology runs: jobs queue here,
+// workers — remote over HTTP (Mount), or Local's in process — pull them via
+// leases, heartbeat progress, and upload finished histories keyed by the
+// job fingerprint. The upload path writes straight into the store, so
+// duplicate uploads — a requeued job finished by two workers, a tardy worker
+// acking after its lease expired — are idempotent by content address. Lease
+// expiry requeues the job (capped by MaxAttempts); an explicit
+// deregistration requeues without consuming an attempt (clean handover).
 //
 // Every one of those rules lives in the queue (queue.go); the Coordinator is
 // what is not the state machine: the lock, the wake channels, the log and
 // its durability rules, the reaper's clock, the order progress callbacks
-// are delivered in, and five handlers of one shape — decode; lock, one queue
-// call, wake, unlock; carry out the effects; encode.
+// are delivered in, and five worker-facing methods — register, lease,
+// heartbeat, result, deregister — each of one shape: lock, one queue call,
+// wake, unlock; carry out the effects. The HTTP handlers decode, call one of
+// them, and encode.
 //
 // Mount attaches the worker-facing endpoints to a mux; internal/serve does
 // this for any Executor that implements it, so `fedserve -remote` serves
 // the public run API and the worker protocol from one listener.
 type Coordinator struct {
 	cfg CoordinatorConfig
-	lockedQueue
+
+	mu     sync.Mutex // what the queue's transitions run under
+	q      *queue
+	notify signal        // work or capacity appeared: lease pollers wake
+	space  signal        // the FIFO shrank: blocked submitters wake
+	closed chan struct{} // closed by shutdown
 
 	closeOnce sync.Once
 	reaperWG  sync.WaitGroup
@@ -135,6 +146,19 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 15 * time.Second
 	}
+	c, err := newCoordinator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.reaperWG.Add(1)
+	go c.reaper()
+	return c, nil
+}
+
+// newCoordinator is NewCoordinator without its checks and its reaper, for
+// NewLocal: no store means nothing persisted, a zero LeaseTTL leases that
+// never expire.
+func newCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
 	}
@@ -157,8 +181,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg.Tracer = obs.DefaultTracer()
 	}
 	c := &Coordinator{
-		cfg:         cfg,
-		lockedQueue: newLockedQueue(newQueue(cfg.Queue, cfg.MaxAttempts, cfg.LeaseTTL, cfg.WALPath != "")),
+		cfg:    cfg,
+		q:      newQueue(cfg.Queue, cfg.MaxAttempts, cfg.LeaseTTL, cfg.WALPath != ""),
+		notify: newSignal(), space: newSignal(), closed: make(chan struct{}),
 	}
 	c.cm = newCoordMetrics(cfg.Metrics, c.Stats)
 	if cfg.WALPath != "" {
@@ -166,9 +191,41 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			return nil, err
 		}
 	}
-	c.reaperWG.Add(1)
-	go c.reaper()
 	return c, nil
+}
+
+// signal is a broadcast channel guarded by c.mu: a waiter takes the channel
+// under the lock, a broadcast closes it. It is remade only once taken — most
+// transitions wake nobody.
+type signal struct {
+	ch    chan struct{}
+	taken bool
+}
+
+func newSignal() signal { return signal{ch: make(chan struct{})} }
+
+func (s *signal) wait() <-chan struct{} {
+	s.taken = true
+	return s.ch
+}
+
+func (s *signal) broadcast() {
+	if s.taken {
+		close(s.ch)
+		*s = newSignal()
+	}
+}
+
+// wakeLocked broadcasts to whoever a transition's effects say to wake. The
+// caller still holds c.mu from the transition: a waiter that saw the old
+// state also took the old channel under it.
+func (c *Coordinator) wakeLocked(fx effects) {
+	if fx.wake {
+		c.notify.broadcast()
+	}
+	if fx.space {
+		c.space.broadcast()
+	}
 }
 
 // recoverWAL opens (creating if absent) the write-ahead log and rebuilds the
@@ -333,9 +390,11 @@ func (c *Coordinator) run(fx effects) {
 // Submit queues the job for the next free worker. Identical in-flight
 // submissions coalesce onto one job (their progress callbacks are all
 // relayed), and a job whose artifact is already stored completes
-// immediately without queueing — cached cells are never re-shipped.
+// immediately without queueing — cached cells are never re-shipped. With
+// opts.Block it waits for queue space (or Close); without, a full queue
+// returns ErrQueueFull immediately.
 func (c *Coordinator) Submit(job Job, opts SubmitOpts) (Handle, error) {
-	h, j, fx, err := c.enqueue(job, opts, c.cached)
+	h, j, fx, err := c.enqueue(job, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -362,8 +421,48 @@ func (c *Coordinator) Submit(job Job, opts SubmitOpts) (Handle, error) {
 	return h, nil
 }
 
+// enqueue is the queueing half of Submit: queue.submit, and for a blocking
+// submission the wait for space. The store is asked before every attempt —
+// the first, and each retry after a wait — whether the job needs to run at
+// all; a stored artifact ends the submission with a completed handle and a
+// nil job.
+func (c *Coordinator) enqueue(job Job, opts SubmitOpts) (*handle, *job, effects, error) {
+	for {
+		select {
+		case <-c.closed:
+			return nil, nil, effects{}, ErrClosed
+		default:
+		}
+		if h, err := c.cached(job); h != nil || err != nil {
+			return h, nil, effects{}, err
+		}
+		c.mu.Lock()
+		j, fx, err := c.q.submit(time.Now(), job, opts)
+		c.wakeLocked(fx)
+		var space <-chan struct{} // taken only by a submission that will wait
+		if opts.Block && errors.Is(err, ErrQueueFull) {
+			space = c.space.wait()
+		}
+		c.mu.Unlock()
+		if err == nil {
+			return j.h, j, fx, nil
+		}
+		if space == nil {
+			return nil, nil, fx, err
+		}
+		select {
+		case <-space:
+		case <-c.closed:
+			return nil, nil, fx, ErrClosed
+		}
+	}
+}
+
 // cached is the store fast path: the artifact exchange already has this cell.
 func (c *Coordinator) cached(job Job) (*handle, error) {
+	if c.cfg.Store == nil {
+		return nil, nil
+	}
 	hist, ok, err := c.cfg.Store.Get(job.ID)
 	if err != nil || !ok {
 		return nil, err
@@ -381,7 +480,11 @@ func (c *Coordinator) cached(job Job) (*handle, error) {
 // the same path re-enters them.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
-		queued, running := c.shutdown()
+		close(c.closed) // later submissions get ErrClosed, every waiter wakes
+		c.mu.Lock()
+		c.wakeLocked(effects{wake: true, space: true})
+		queued, running := c.q.shutdown()
+		c.mu.Unlock()
 		for _, h := range append(queued, running...) {
 			h.complete(nil, ErrClosed)
 		}
@@ -442,7 +545,261 @@ func (c *Coordinator) Stats() CoordinatorStats {
 	}
 }
 
-// --- wire types (shared with Worker, which lives in this package) ---
+// --- the worker-facing methods: both transports call these ---
+
+var errEmptyHistory = errors.New("dispatch: empty history")
+
+// register admits a worker that may hold up to slots leases at once.
+func (c *Coordinator) register(name string, slots int) registerResponse {
+	c.mu.Lock()
+	id := c.q.register(time.Now(), name, slots)
+	c.mu.Unlock()
+	return registerResponse{ID: id, Slots: slots, LeaseTTL: c.cfg.LeaseTTL.Milliseconds()}
+}
+
+// deregister is the clean-shutdown path: the worker's in-flight jobs
+// requeue immediately (to the front, without consuming an attempt) instead
+// of waiting out their leases. It returns how many did.
+func (c *Coordinator) deregister(wid string) (int, error) {
+	c.mu.Lock()
+	label, fx, err := c.q.forget(time.Now(), wid)
+	c.wakeLocked(fx)
+	c.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	c.run(fx) // journals the refunded attempt counts
+	c.cm.slotsBusy.With(label).Set(0)
+	return len(fx.ended), nil
+}
+
+// leaseTo leases the head of the queue to the worker, for the lease long-poll
+// and the result ack (complete-and-lease-next) alike; notify is the channel
+// to wait on when nothing was granted. The lease is journaled without
+// waiting for the fsync: if the append is lost to a crash, recovery simply
+// replays the job as pending — the worker's in-flight computation
+// re-attaches via heartbeat adoption, so the window costs nothing.
+func (c *Coordinator) leaseTo(wid string) (job *Job, notify <-chan struct{}, err error) {
+	c.mu.Lock()
+	fx, err := c.q.grant(time.Now(), wid)
+	c.wakeLocked(fx)
+	if err == nil && fx.granted.j == nil {
+		notify = c.notify.wait()
+	}
+	c.mu.Unlock()
+	if err != nil || fx.granted.j == nil {
+		return nil, notify, err
+	}
+	c.run(fx)
+	return &fx.granted.j.h.job, nil, nil
+}
+
+// lease hands the next pending job to the worker, waiting up to wait for one
+// (or for a free slot). A nil job means the wait ran out, ctx ended or the
+// coordinator closed; errUnknownWorker means the worker must re-register.
+func (c *Coordinator) lease(ctx context.Context, wid string, wait time.Duration) (*Job, error) {
+	var timeout <-chan time.Time // armed at the first wait: a job at hand costs no timer
+	for {
+		job, notify, err := c.leaseTo(wid)
+		if job != nil || err != nil {
+			return job, err
+		}
+		if timeout == nil {
+			t := time.NewTimer(wait)
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-notify:
+			continue
+		case <-timeout:
+		case <-ctx.Done():
+		case <-c.closed:
+		}
+		return nil, nil
+	}
+}
+
+// heartbeat extends the lease and relays the rounds recorded since the
+// previous beat. errLeaseLost tells the worker its lease is gone (expired
+// and requeued, or the job finished elsewhere): abandon the work.
+//
+// A heartbeat for a job this worker does NOT hold, but which is sitting in
+// the pending queue, is a re-attach: the worker kept computing across a
+// coordinator restart (the job came back via WAL replay) or across its own
+// lease expiry, re-registered, and is now heartbeating under its new id.
+// Adopting the lease — instead of answering errLeaseLost and forcing a
+// recompute — lets in-flight work survive a coordinator crash. Adoption
+// counts as a lease grant (attempts++, journaled); its heartbeat rounds are
+// not relayed because a mid-stream worker cannot be ordered against what an
+// earlier incarnation delivered — the result upload backfills the full
+// history.
+func (c *Coordinator) heartbeat(wid, jid string, rounds []fl.RoundStat) error {
+	c.mu.Lock()
+	j, gap, fx, err := c.q.beat(time.Now(), wid, jid)
+	c.wakeLocked(fx)
+	adopted := fx.granted.j != nil
+	if adopted {
+		c.reattached++
+	}
+	var subs []func(fl.RoundStat)
+	relayed := err == nil && !j.adopted
+	if relayed {
+		subs = j.onRound
+	}
+	c.mu.Unlock()
+	switch {
+	case err != nil:
+		return err
+	case adopted:
+		c.cm.reattached.Inc()
+		c.cfg.Logf("dispatch: job %.12s: worker %s re-attached mid-flight (attempt %d resumes)", jid, wid, fx.granted.attempt)
+	default:
+		c.cm.beatGap.Observe(gap.Seconds())
+	}
+	c.run(fx)
+	// A retry of a requeued job re-reports the rounds its predecessor already
+	// delivered; deliver relays only those past the high-water mark. An
+	// adopted lease's rounds are not even counted: the upload backfills.
+	if relayed {
+		j.relay.deliver(subs, rounds, true)
+	}
+	return nil
+}
+
+// result ingests a finished job — its history, or the execution error
+// runErr — persisting the history under the job fingerprint before the
+// handle completes. Uploads are idempotent by content address: a duplicate
+// from a second worker that computed the same requeued job, or from a
+// worker whose lease expired mid-upload, is acknowledged without a second
+// store write, and counted as divergent if its bytes are not the stored
+// ones.
+//
+// With next the ack is complete-and-lease-next: the uploader asked for the
+// slot it just freed to be refilled, so the ack carries the next job instead
+// of costing a lease round trip. The grant is an ordinary one — same
+// transition, same journal record, lost to a crash or a dropped response
+// exactly like a polled lease — held under the worker id the upload was
+// posted as; none when that worker is unknown, at its in-flight limit, or
+// nothing is pending. Refusals carry no next job: errUnknownJob (never
+// submitted, or terminal with nothing stored), errLeaseLost (an error from
+// a worker that no longer holds the lease) and errEmptyHistory.
+func (c *Coordinator) result(wid, jid string, hist *fl.History, runErr error, next bool) (resultResponse, error) {
+	ack := func(status string) resultResponse {
+		resp := resultResponse{Status: status}
+		if next {
+			if resp.Next, _, _ = c.leaseTo(wid); resp.Next != nil {
+				c.cm.leasesOnAck.Inc()
+			}
+		}
+		return resp
+	}
+	// The outcome is decided before the job is detached so the lease span
+	// carries it.
+	outcome := outcomeStored
+	switch {
+	case runErr != nil:
+		outcome = outcomeWorkerError
+	case hist == nil || len(hist.Stats) == 0:
+		outcome = outcomeEmpty
+	}
+	c.mu.Lock()
+	j, fx, err := c.q.finish(time.Now(), wid, jid, outcome)
+	c.wakeLocked(fx)
+	c.mu.Unlock()
+	switch {
+	case errors.Is(err, errUnknownJob):
+		// Terminal already (or never submitted): the store arbitrates. An
+		// artifact under this fingerprint means an equivalent upload landed
+		// first — acknowledge the duplicate so the worker frees its slot.
+		if c.cfg.Store == nil {
+			return resultResponse{}, err
+		}
+		if _, found, gerr := c.cfg.Store.Get(jid); gerr != nil || !found {
+			return resultResponse{}, err
+		}
+		c.cm.dup.Inc()
+		c.cm.uploads.With("duplicate").Inc()
+		if c.divergent(jid, hist) {
+			c.cm.divergent.Inc()
+			c.cfg.Logf("dispatch: job %s: worker %s uploaded a history whose bytes differ from the stored artifact; keeping the stored one", jid, wid)
+		}
+		return ack("duplicate"), nil
+	case err != nil:
+		c.cm.uploads.With("rejected").Inc()
+		return resultResponse{}, err
+	case outcome == outcomeWorkerError:
+		// An execution error is deterministic (same spec, same code path on
+		// every worker) — retrying elsewhere would fail identically, so the
+		// job fails now; the retry budget is reserved for lease expiry.
+		c.cm.uploads.With("failed").Inc()
+		c.run(fx)
+		j.h.complete(nil, fmt.Errorf("dispatch: job %.12s failed on worker %s: %w", jid, wid, runErr))
+		return ack("failed"), nil
+	case outcome == outcomeEmpty:
+		// Refuse before completing the handle: an empty upload must not pin
+		// the cell "done" with nothing in the store. The job is already
+		// detached; the worker sees the error and the submitter sees the
+		// failure.
+		c.cm.uploads.With("rejected").Inc()
+		c.run(fx)
+		j.h.complete(nil, fmt.Errorf("dispatch: job %.12s: worker %s uploaded an empty history", jid, wid))
+		return resultResponse{}, errEmptyHistory
+	}
+	c.cm.uploads.With("stored").Inc()
+	if c.cfg.Store != nil {
+		if err := c.cfg.Store.Put(jid, hist); err != nil {
+			// The computation succeeded, so the submitter gets the history
+			// even though re-serving after restart is lost.
+			c.cfg.Logf("dispatch: persisting job %.12s: %v", jid, err)
+		}
+	}
+	// The complete record is journaled only after the artifact is durably in
+	// the store: a crash between the two replays the job, finds the artifact
+	// on recovery, and drops it — never the reverse, where the log says done
+	// but the store has nothing.
+	c.run(fx)
+	// Persist the job's trace alongside the history: the lease spans this
+	// coordinator recorded, plus the execution and round spans of a worker
+	// that shares its tracer (Local's). Best-effort — traces are debugging
+	// artifacts, not part of the result contract.
+	if c.cfg.Store != nil {
+		if spans := c.cfg.Tracer.Collect(jid); len(spans) > 0 {
+			if err := c.cfg.Store.PutTrace(jid, spans); err != nil {
+				c.cfg.Logf("dispatch: persisting trace for job %.12s: %v", jid, err)
+			}
+		}
+	}
+	// Backfill progress the heartbeats never carried (rounds recorded after
+	// the final beat — or all of them, for a job faster than one beat): the
+	// history holds the full ordered round list, so relaying past the
+	// high-water mark delivers every round exactly once, and a straggling
+	// heartbeat relay for the same job cannot interleave its rounds with (or
+	// duplicate) the backfill.
+	j.relay.deliver(j.onRound, hist.Stats, false)
+	j.h.complete(hist, nil)
+	return ack("stored"), nil
+}
+
+// divergent reports whether a duplicate upload's history, encoded as
+// store.Put encodes it, differs from the bytes stored under jid — two
+// workers computed different bytes for one deterministic spec.
+func (c *Coordinator) divergent(jid string, hist *fl.History) bool {
+	if hist == nil || len(hist.Stats) == 0 {
+		return false
+	}
+	stored, err := os.ReadFile(c.cfg.Store.Path(jid))
+	if err != nil {
+		return false
+	}
+	var upload bytes.Buffer
+	if err := trace.WriteJSONL(&upload, map[string]*fl.History{jid: hist}); err != nil {
+		return false
+	}
+	return !bytes.Equal(upload.Bytes(), stored)
+}
+
+// --- the HTTP transport's server side ---
 
 type registerRequest struct {
 	Name  string `json:"name,omitempty"`
@@ -505,73 +862,23 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, req *http.Request) {
 		obs.HTTPError(w, http.StatusBadRequest, "decoding registration: %v", err)
 		return
 	}
-	r.Slots = min(max(r.Slots, 1), c.cfg.MaxWorkerSlots)
-	c.mu.Lock()
-	id := c.q.register(time.Now(), r.Name, r.Slots)
-	c.mu.Unlock()
-	c.cfg.Logf("dispatch: worker %s registered (name %q, %d slots)", id, r.Name, r.Slots)
-	obs.WriteJSON(w, http.StatusCreated, registerResponse{
-		ID: id, Slots: r.Slots, LeaseTTL: c.cfg.LeaseTTL.Milliseconds(),
-	})
+	resp := c.register(r.Name, min(max(r.Slots, 1), c.cfg.MaxWorkerSlots))
+	c.cfg.Logf("dispatch: worker %s registered (name %q, %d slots)", resp.ID, r.Name, resp.Slots)
+	obs.WriteJSON(w, http.StatusCreated, resp)
 }
 
-// handleDeregister is the clean-shutdown path: the worker's in-flight jobs
-// requeue immediately (to the front, without consuming an attempt) instead
-// of waiting out their leases.
 func (c *Coordinator) handleDeregister(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	c.mu.Lock()
-	label, fx, err := c.q.forget(time.Now(), id)
-	c.wakeLocked(fx)
-	c.mu.Unlock()
+	requeued, err := c.deregister(id)
 	if err != nil {
 		obs.HTTPError(w, http.StatusNotFound, "unknown worker %s", id)
 		return
 	}
-	c.run(fx) // journals the refunded attempt counts
-	c.cm.slotsBusy.With(label).Set(0)
-	c.cfg.Logf("dispatch: worker %s deregistered (%d jobs requeued)", id, len(fx.ended))
-	obs.WriteJSON(w, http.StatusOK, map[string]int{"requeued": len(fx.ended)})
+	c.cfg.Logf("dispatch: worker %s deregistered (%d jobs requeued)", id, requeued)
+	obs.WriteJSON(w, http.StatusOK, map[string]int{"requeued": requeued})
 }
 
-// leaseTo leases the head of the queue to the worker, for the lease long-poll
-// and the result ack (complete-and-lease-next) alike; notify is the channel
-// to wait on when nothing was granted. The lease is journaled without
-// waiting for the fsync: if the append is lost to a crash, recovery simply
-// replays the job as pending — the worker's in-flight computation
-// re-attaches via heartbeat adoption, so the window costs nothing.
-func (c *Coordinator) leaseTo(wid string) (job *Job, notify <-chan struct{}, err error) {
-	c.mu.Lock()
-	fx, err := c.q.grant(time.Now(), wid)
-	c.wakeLocked(fx)
-	notify = c.notify
-	c.mu.Unlock()
-	if err != nil || fx.granted.j == nil {
-		return nil, notify, err
-	}
-	c.run(fx)
-	return &fx.granted.j.h.job, nil, nil
-}
-
-// leaseOnAck is complete-and-lease-next: the worker whose upload is being
-// acknowledged asked (?lease=1) for the slot it just freed to be refilled,
-// so the ack carries the next job instead of costing a lease round trip.
-// The grant is an ordinary one — same transition, same journal record, lost
-// to a crash or a dropped response exactly like a polled lease — held under
-// the worker id the upload was posted as. nil when that worker is unknown,
-// at its in-flight limit, or nothing is pending.
-func (c *Coordinator) leaseOnAck(wid string) *Job {
-	job, _, _ := c.leaseTo(wid)
-	if job != nil {
-		c.cm.leasesOnAck.Inc()
-	}
-	return job
-}
-
-// handleLease hands the next pending job to the worker, long-polling up to
-// the requested budget when the queue is empty or the worker is at its
-// in-flight limit. 204 means "nothing yet, poll again"; 404 means the
-// worker is unknown (pruned or post-restart) and must re-register.
+// handleLease answers 204 for "nothing yet, poll again".
 func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	var lr leaseRequest
@@ -581,67 +888,21 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	wait := time.Duration(lr.WaitMS) * time.Millisecond
-	if wait > 30*time.Second {
-		wait = 30 * time.Second
-	}
-	deadline := time.Now().Add(wait)
-	for {
-		job, notify, err := c.leaseTo(id)
-		if err != nil {
-			obs.HTTPError(w, http.StatusNotFound, "unknown worker %s (re-register)", id)
-			return
-		}
-		if job != nil {
-			w.Header().Set(obs.TraceHeader, job.ID)
-			obs.WriteJSON(w, http.StatusOK, leaseResponse{Job: *job})
-			return
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		timer := time.NewTimer(remaining)
-		select {
-		case <-notify:
-		case <-timer.C:
-		case <-req.Context().Done():
-		case <-c.closed:
-		}
-		timer.Stop()
-		select {
-		case <-req.Context().Done():
-			return
-		case <-c.closed:
-			w.WriteHeader(http.StatusNoContent)
-			return
-		default:
-		}
-		if !time.Now().Before(deadline) {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
+	job, err := c.lease(req.Context(), id, min(time.Duration(lr.WaitMS)*time.Millisecond, 30*time.Second))
+	switch {
+	case err != nil:
+		obs.HTTPError(w, http.StatusNotFound, "unknown worker %s (re-register)", id)
+	case job != nil:
+		w.Header().Set(obs.TraceHeader, job.ID)
+		obs.WriteJSON(w, http.StatusOK, leaseResponse{Job: *job})
+	case req.Context().Err() == nil:
+		w.WriteHeader(http.StatusNoContent)
 	}
 }
 
-// handleHeartbeat extends the lease and relays progress. 410 tells the
-// worker its lease is gone (expired and requeued, or the job finished
-// elsewhere): abandon the work.
-//
-// A heartbeat for a job this worker does NOT hold, but which is sitting in
-// the pending queue, is a re-attach: the worker kept computing across a
-// coordinator restart (the job came back via WAL replay) or across its own
-// lease expiry, re-registered on 404, and is now heartbeating under its new
-// id. Adopting the lease — instead of answering 410 and forcing a recompute
-// — lets in-flight work survive a coordinator crash. Adoption counts as a
-// lease grant (attempts++, journaled); its heartbeat rounds are not relayed
-// because a mid-stream worker cannot be ordered against what an earlier
-// incarnation delivered — the result upload backfills the full history.
+// handleHeartbeat takes an empty body as a bare liveness ping.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	wid, jid := req.PathValue("id"), req.PathValue("job")
-	// rounds are the stats recorded since the previous heartbeat, relayed to
-	// the job's progress subscribers. An empty body is a bare liveness ping.
 	var rounds []fl.RoundStat
 	if req.ContentLength != 0 {
 		body, ok := readWire(w, req, "heartbeat")
@@ -656,60 +917,19 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 		}
 		c.cm.wire.observeDecode("stats", len(body), time.Since(start).Seconds())
 	}
-	c.mu.Lock()
-	j, gap, fx, err := c.q.beat(time.Now(), wid, jid)
-	c.wakeLocked(fx)
-	adopted := fx.granted.j != nil
-	if adopted {
-		c.reattached++
-	}
-	var subs []func(fl.RoundStat)
-	relayed := err == nil && !j.adopted
-	if relayed {
-		subs = j.onRound
-	}
-	c.mu.Unlock()
-	switch {
+	switch err := c.heartbeat(wid, jid, rounds); {
 	case errors.Is(err, errUnknownWorker):
 		obs.HTTPError(w, http.StatusNotFound, "unknown worker %s (re-register)", wid)
-		return
 	case err != nil:
 		obs.HTTPError(w, http.StatusGone, "lease on job %s lost", jid)
-		return
-	case adopted:
-		c.cm.reattached.Inc()
-		c.cfg.Logf("dispatch: job %.12s: worker %s re-attached mid-flight (attempt %d resumes)", jid, wid, fx.granted.attempt)
 	default:
-		c.cm.beatGap.Observe(gap.Seconds())
+		obs.WriteJSON(w, http.StatusOK, struct{}{})
 	}
-	c.run(fx)
-	// A retry of a requeued job re-reports the rounds its predecessor already
-	// delivered; deliver relays only those past the high-water mark. An
-	// adopted lease's rounds are not even counted: the upload backfills.
-	if relayed {
-		j.relay.deliver(subs, rounds, true)
-	}
-	obs.WriteJSON(w, http.StatusOK, struct{}{})
 }
 
-// handleResult ingests a finished job: the history is persisted under the
-// job fingerprint (the ack the worker waits for) and the handle completes.
-// Uploads are idempotent by content address — a duplicate from a second
-// worker that computed the same requeued job, or from a worker whose lease
-// expired mid-upload, is acknowledged without a second store write.
-//
-// With ?lease=1 every 200 ack may carry the uploader's next job (see
-// leaseOnAck); 4xx answers never do.
+// handleResult asks for the uploader's next job with ?lease=1.
 func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	wid, jid := req.PathValue("id"), req.PathValue("job")
-	wantNext := req.URL.Query().Get("lease") == "1"
-	ack := func(status string) {
-		resp := resultResponse{Status: status}
-		if wantNext {
-			resp.Next = c.leaseOnAck(wid)
-		}
-		obs.WriteJSON(w, http.StatusOK, resp)
-	}
 	body, ok := readWire(w, req, "result")
 	if !ok {
 		return
@@ -721,83 +941,19 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	c.cm.wire.observeDecode("result", len(body), time.Since(start).Seconds())
-	// The outcome is decided before the job is detached so the lease span
-	// carries it.
-	outcome := outcomeStored
-	switch {
-	case errMsg != "":
-		outcome = outcomeWorkerError
-	case hist == nil || len(hist.Stats) == 0:
-		outcome = outcomeEmpty
+	var runErr error
+	if errMsg != "" {
+		runErr = errors.New(errMsg)
 	}
-	c.mu.Lock()
-	j, fx, err := c.q.finish(time.Now(), wid, jid, outcome)
-	c.wakeLocked(fx)
-	c.mu.Unlock()
+	resp, err := c.result(wid, jid, hist, runErr, req.URL.Query().Get("lease") == "1")
 	switch {
 	case errors.Is(err, errUnknownJob):
-		// Terminal already (or never submitted): the store arbitrates. An
-		// artifact under this fingerprint means an equivalent upload landed
-		// first — acknowledge the duplicate so the worker frees its slot.
-		if _, found, err := c.cfg.Store.Get(jid); err == nil && found {
-			c.cm.dup.Inc()
-			c.cm.uploads.With("duplicate").Inc()
-			ack("duplicate")
-			return
-		}
 		obs.HTTPError(w, http.StatusNotFound, "unknown job %s", jid)
-		return
-	case err != nil:
-		c.cm.uploads.With("rejected").Inc()
-		obs.HTTPError(w, http.StatusGone, "lease on job %s lost; error discarded", jid)
-		return
-	case outcome == outcomeWorkerError:
-		// An execution error is deterministic (same spec, same code path on
-		// every worker) — retrying elsewhere would fail identically, so the
-		// job fails now; the retry budget is reserved for lease expiry.
-		c.cm.uploads.With("failed").Inc()
-		c.run(fx)
-		j.h.complete(nil, fmt.Errorf("dispatch: job %.12s failed on worker %s: %s", jid, wid, errMsg))
-		ack("failed")
-		return
-	case outcome == outcomeEmpty:
-		// Reject before completing the handle: an empty upload must not pin
-		// the cell "done" with nothing in the store. The job is already
-		// detached; the worker sees the error and the submitter sees the
-		// failure.
-		c.cm.uploads.With("rejected").Inc()
-		c.run(fx)
-		j.h.complete(nil, fmt.Errorf("dispatch: job %.12s: worker %s uploaded an empty history", jid, wid))
+	case errors.Is(err, errEmptyHistory):
 		obs.HTTPError(w, http.StatusBadRequest, "empty history for job %s", jid)
-		return
+	case err != nil:
+		obs.HTTPError(w, http.StatusGone, "lease on job %s lost; error discarded", jid)
+	default:
+		obs.WriteJSON(w, http.StatusOK, resp)
 	}
-	c.cm.uploads.With("stored").Inc()
-	if err := c.cfg.Store.Put(jid, hist); err != nil {
-		// Mirror the local backend: the computation succeeded, so the
-		// submitter gets the history even though re-serving after restart
-		// is lost.
-		c.cfg.Logf("dispatch: persisting job %.12s: %v", jid, err)
-	}
-	// The complete record is journaled only after the artifact is durably in
-	// the store: a crash between the two replays the job, finds the artifact
-	// on recovery, and drops it — never the reverse, where the log says done
-	// but the store has nothing.
-	c.run(fx)
-	// Persist the job's trace alongside the history: lease spans recorded by
-	// this coordinator (workers keep their own execution spans). Best-effort
-	// — traces are debugging artifacts, not part of the result contract.
-	if spans := c.cfg.Tracer.Collect(jid); len(spans) > 0 {
-		if err := c.cfg.Store.PutTrace(jid, spans); err != nil {
-			c.cfg.Logf("dispatch: persisting trace for job %.12s: %v", jid, err)
-		}
-	}
-	// Backfill progress the heartbeats never carried (rounds recorded after
-	// the final beat — or all of them, for a job faster than one beat): the
-	// history holds the full ordered round list, so relaying past the
-	// high-water mark delivers every round exactly once, matching the local
-	// backend's progress contract, and a straggling heartbeat relay for the
-	// same job cannot interleave its rounds with (or duplicate) the backfill.
-	j.relay.deliver(j.onRound, hist.Stats, false)
-	j.h.complete(hist, nil)
-	ack("stored")
 }

@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"fedwcm/internal/fl"
+	"fedwcm/internal/obs"
 	"fedwcm/internal/store"
 	"fedwcm/internal/wire"
 )
@@ -135,7 +137,7 @@ func (h *coordHarness) deregister(wid string) {
 
 func (h *coordHarness) heartbeat(wid, jobID string, rounds []fl.RoundStat) int {
 	h.t.Helper()
-	return h.postBody(fmt.Sprintf("/v1/workers/%s/jobs/%s/heartbeat", wid, jobID), wire.ContentType, wire.EncodeStats(rounds, wire.StatsOptions{}), nil)
+	return h.postBody(fmt.Sprintf("/v1/workers/%s/jobs/%s/heartbeat", wid, jobID), wire.ContentType, wire.EncodeStats(rounds), nil)
 }
 
 func (h *coordHarness) upload(wid, jobID string, hist *fl.History, errStr string) (int, resultResponse) {
@@ -281,9 +283,13 @@ func TestLeaseExpiryCapFailsJob(t *testing.T) {
 
 // TestDuplicateResultUploadIdempotent: two workers racing the same
 // requeued job both upload; the second ack is a no-op keyed by the
-// fingerprint — one store write, one history.
+// fingerprint — one store write, one history. A duplicate whose bytes
+// differ from the stored artifact is still acked, and the first artifact
+// kept, but it is counted as divergent; an identical one is not.
 func TestDuplicateResultUploadIdempotent(t *testing.T) {
-	h := newCoordHarness(t, CoordinatorConfig{LeaseTTL: 60 * time.Millisecond})
+	reg := obs.NewRegistry()
+	divergent := func() float64 { return registryValues(t, reg)["fedwcm_dispatch_divergent_uploads_total"] }
+	h := newCoordHarness(t, CoordinatorConfig{LeaseTTL: 60 * time.Millisecond, Metrics: reg})
 	job := testJob(4)
 	hd, err := h.coord.Submit(job, SubmitOpts{})
 	if err != nil {
@@ -311,6 +317,23 @@ func TestDuplicateResultUploadIdempotent(t *testing.T) {
 	}
 	if hist, err := waitDone(t, hd); err != nil || hist.FinalAcc() != 0.54 {
 		t.Fatalf("handle: %+v, %v", hist, err)
+	}
+	if n := divergent(); n != 0 {
+		t.Fatalf("an identical re-upload counted as divergent (%v)", n)
+	}
+	stored, err := os.ReadFile(h.store.Path(job.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A worker that computed other bytes for the same spec.
+	if code, ack := h.upload(slow, job.ID, cannedHist(5), ""); code != http.StatusOK || ack.Status != "duplicate" {
+		t.Fatalf("divergent upload: HTTP %d %+v, want 200 duplicate", code, ack)
+	}
+	if n := divergent(); n != 1 {
+		t.Fatalf("fedwcm_dispatch_divergent_uploads_total = %v after a differing upload, want 1", n)
+	}
+	if after, err := os.ReadFile(h.store.Path(job.ID)); err != nil || !bytes.Equal(after, stored) {
+		t.Fatalf("the divergent upload replaced the stored artifact (%v)", err)
 	}
 }
 

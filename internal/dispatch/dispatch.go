@@ -4,31 +4,30 @@
 // plus its SHA-256 fingerprint — and an Executor turns jobs into fl.History
 // artifacts:
 //
-//   - Local runs jobs on an in-process bounded worker pool (the backend a
-//     single-machine fedserve or fedbench uses; it wraps the same runner +
-//     env-cache path the pre-dispatch server had).
-//   - Coordinator queues jobs for remote workers, which register over HTTP
-//     (POST /v1/workers), pull work via time-limited leases, heartbeat
-//     progress, and upload finished histories keyed by the job fingerprint.
-//     A lease that expires (worker crash, heartbeat loss) requeues the job
-//     onto surviving workers with capped retries. One Coordinator is the
-//     whole control plane — with WALPath its queue survives a restart — and
-//     a Worker talks to exactly one (DESIGN.md "Why one coordinator" has
-//     the measurement behind that).
-//   - Worker is the pull-side client of a Coordinator: fedserve -worker
-//     -join <url> wraps one around the local runner.
+//   - Coordinator queues jobs for workers, which pull work via leases,
+//     heartbeat progress, and upload finished histories keyed by the job
+//     fingerprint. A lease that expires (worker crash, heartbeat loss)
+//     requeues the job onto surviving workers with capped retries. One
+//     Coordinator is the whole control plane — with WALPath its queue
+//     survives a restart — and a Worker talks to exactly one (DESIGN.md
+//     "Why one coordinator" has the measurement behind that).
+//   - Worker is the pull side; fedserve -worker -join <url> runs one over
+//     HTTP (POST /v1/workers, ...).
+//   - Local, the backend of a plain fedserve or fedbench, is a Coordinator
+//     with no WAL and leases that never expire plus an in-process Worker
+//     that calls it directly.
 //   - Client submits jobs to a remote fedserve over the public run API —
 //     the backend behind fedbench -remote.
 //
-// Local and Coordinator are adapters around one state machine: the
-// unexported queue (queue.go) is the only code that moves a job between
-// submitting, pending, leased and done. It is pure — handed the time,
-// returning the effects (records to journal, who to wake, callbacks owed,
-// what to observe) for the adapter to carry out — and a job changes state
-// only by applying a wal.Record, so WAL replay and live traffic run the same
-// transitions. Coordinator adds the lock, the log, the reaper's clock and
-// the HTTP handlers; Local adds a pool of goroutines playing one worker.
-// DESIGN.md "Dispatch layer" has the transition table.
+// So every cell in every topology runs one lease, relay, persist and finish
+// path; only the Worker's transport differs. Under the Coordinator is one
+// state machine: the unexported queue (queue.go) is the only code that
+// moves a job between submitting, pending, leased and done. It is pure —
+// handed the time, returning the effects (records to journal, who to wake,
+// callbacks owed, what to observe) for the Coordinator to carry out — and a
+// job changes state only by applying a wal.Record, so WAL replay and live
+// traffic run the same transitions. DESIGN.md "Dispatch layer" has the
+// transition table.
 //
 // Jobs deliberately carry the spec as opaque canonical JSON rather than a
 // decoded struct: the layer above owns spec semantics (validation,
@@ -43,7 +42,6 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
-	"time"
 
 	"fedwcm/internal/fl"
 )
@@ -68,13 +66,12 @@ type SubmitOpts struct {
 	// submissions → HTTP 503) and waiting for space (sweep feeders trickling
 	// a grid in).
 	Block bool
-	// OnRound, when non-nil, receives per-round progress. Local backends
-	// invoke it synchronously from the training loop; remote backends relay
-	// it from worker heartbeats, so cadence differs but content does not.
+	// OnRound, when non-nil, receives per-round progress exactly once and in
+	// order, relayed losslessly from worker heartbeats (and the result), so
+	// a round reads the same whichever topology ran the job.
 	OnRound func(fl.RoundStat)
 	// OnStart, when non-nil, is invoked once when the job leaves the queue
-	// and begins executing (locally: a pool worker picked it; remotely: a
-	// worker leased it).
+	// and begins executing: when a worker, in process or remote, leases it.
 	OnStart func()
 }
 
@@ -148,78 +145,4 @@ func (h *handle) complete(hist *fl.History, err error) bool {
 	close(h.done)
 	h.mu.Unlock()
 	return true
-}
-
-// lockedQueue is what both queueing backends put around the pure queue
-// (queue.go): the mutex its transitions run under, the two broadcast
-// channels their effects wake, and the signal blocked callers give up on.
-type lockedQueue struct {
-	mu     sync.Mutex
-	q      *queue
-	notify chan struct{} // closed+remade when work or capacity appears
-	space  chan struct{} // closed+remade when the FIFO shrinks
-	closed chan struct{} // closed by shutdown
-}
-
-func newLockedQueue(q *queue) lockedQueue {
-	return lockedQueue{q: q, notify: make(chan struct{}), space: make(chan struct{}), closed: make(chan struct{})}
-}
-
-// wakeLocked broadcasts to whoever a transition's effects say to wake. The
-// caller still holds lq.mu from the transition: a waiter that saw the old
-// state also captured the old channel under it.
-func (lq *lockedQueue) wakeLocked(fx effects) {
-	if fx.wake {
-		close(lq.notify)
-		lq.notify = make(chan struct{})
-	}
-	if fx.space {
-		close(lq.space)
-		lq.space = make(chan struct{})
-	}
-}
-
-// enqueue is the queueing half of Submit: queue.submit, and for a blocking
-// submission the wait for space. A non-nil cached is asked before every
-// attempt — the first, and each retry after a wait — whether the job needs
-// to run at all; a handle from it ends the submission.
-func (lq *lockedQueue) enqueue(job Job, opts SubmitOpts, cached func(Job) (*handle, error)) (*handle, *job, effects, error) {
-	for {
-		select {
-		case <-lq.closed:
-			return nil, nil, effects{}, ErrClosed
-		default:
-		}
-		if cached != nil {
-			if h, err := cached(job); h != nil || err != nil {
-				return h, nil, effects{}, err
-			}
-		}
-		lq.mu.Lock()
-		j, fx, err := lq.q.submit(time.Now(), job, opts)
-		lq.wakeLocked(fx)
-		space := lq.space
-		lq.mu.Unlock()
-		if err == nil {
-			return j.h, j, fx, nil
-		}
-		if !opts.Block || !errors.Is(err, ErrQueueFull) {
-			return nil, nil, fx, err
-		}
-		select {
-		case <-space:
-		case <-lq.closed:
-			return nil, nil, fx, ErrClosed
-		}
-	}
-}
-
-// shutdown closes the queue — later submissions get ErrClosed, every waiter
-// wakes — and returns the handles queue.shutdown sorted.
-func (lq *lockedQueue) shutdown() (queued, running []*handle) {
-	close(lq.closed)
-	lq.mu.Lock()
-	defer lq.mu.Unlock()
-	lq.wakeLocked(effects{wake: true, space: true})
-	return lq.q.shutdown()
 }

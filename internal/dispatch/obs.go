@@ -15,6 +15,7 @@ type coordMetrics struct {
 	expiries  *obs.Counter    // leases expired by the reaper
 	requeues  *obs.Counter    // jobs requeued (expiry or clean handover)
 	dup       *obs.Counter    // idempotent duplicate uploads
+	divergent *obs.Counter    // duplicate uploads whose bytes differ from the stored artifact
 	uploads   *obs.CounterVec // result uploads by terminal status
 	slotsBusy *obs.GaugeVec   // in-flight leases per worker
 	wire      wireMetrics     // binary-transport ingest accounting
@@ -92,6 +93,8 @@ func newCoordMetrics(reg *obs.Registry, stats func() CoordinatorStats) coordMetr
 		expiries:  reg.Counter("fedwcm_dispatch_lease_expiries_total", "Leases expired by the reaper (worker stopped heartbeating)."),
 		requeues:  reg.Counter("fedwcm_dispatch_requeues_total", "Jobs requeued after lease expiry or worker deregistration."),
 		dup:       reg.Counter("fedwcm_dispatch_duplicate_uploads_total", "Result uploads acknowledged idempotently without a store write."),
+		divergent: reg.Counter("fedwcm_dispatch_divergent_uploads_total",
+			"Duplicate result uploads whose history bytes differ from the stored artifact (the first upload is kept)."),
 		uploads:   reg.CounterVec("fedwcm_dispatch_uploads_total", "Result uploads ingested, by terminal status.", "status"),
 		slotsBusy: reg.GaugeVec("fedwcm_dispatch_worker_slots_busy", "In-flight leases per registered worker.", "worker"),
 		wire:      newWireMetrics(reg),
@@ -109,13 +112,12 @@ func newCoordMetrics(reg *obs.Registry, stats func() CoordinatorStats) coordMetr
 }
 
 // workerMetrics is the pull-worker's handle set (exposed on the worker
-// process's own /metrics listener).
+// process's own /metrics listener); Local's worker leaves it zero.
 type workerMetrics struct {
 	leases     *obs.Counter
 	heartbeats *obs.Counter
 	leaseLost  *obs.Counter
 	uploads    *obs.CounterVec // by coordinator ack status
-	wire       wireMetrics     // binary-transport upload accounting
 }
 
 func newWorkerMetrics(reg *obs.Registry) workerMetrics {
@@ -127,23 +129,5 @@ func newWorkerMetrics(reg *obs.Registry) workerMetrics {
 		heartbeats: reg.Counter("fedwcm_worker_heartbeats_total", "Heartbeats delivered to the coordinator."),
 		leaseLost:  reg.Counter("fedwcm_worker_lease_lost_total", "Leases lost mid-run (job abandoned)."),
 		uploads:    reg.CounterVec("fedwcm_worker_uploads_total", "Result uploads, by coordinator acknowledgement.", "status"),
-		wire:       newWireMetrics(reg),
-	}
-}
-
-// localMetrics is the in-process pool's handle set.
-type localMetrics struct {
-	running *obs.Gauge
-	jobs    *obs.CounterVec // by outcome
-}
-
-func newLocalMetrics(reg *obs.Registry, queued func() float64) localMetrics {
-	if reg == nil {
-		return localMetrics{}
-	}
-	reg.GaugeFunc("fedwcm_dispatch_local_queue_depth", "Jobs queued on the local pool, not yet running.", queued)
-	return localMetrics{
-		running: reg.Gauge("fedwcm_dispatch_local_running", "Jobs executing on the local pool right now."),
-		jobs:    reg.CounterVec("fedwcm_dispatch_local_jobs_total", "Local-pool jobs finished, by outcome.", "status"),
 	}
 }

@@ -9,12 +9,13 @@ import (
 	"fedwcm/internal/fl"
 )
 
-// queue is the job state machine both backends run: the job table, the FIFO
-// (requeues go to the front), workers with slot limits, the attempts cap and
-// the queue bound. It is pure — no clock (every method that needs the time
-// is handed it), no I/O, no lock, no goroutine, no metric handle; the
-// adapter around it (Coordinator, Local) serialises calls and carries out
-// the effects each method returns. queue_test.go enforces the purity.
+// queue is the job state machine every topology runs: the job table, the
+// FIFO (requeues go to the front), workers with slot limits, the attempts
+// cap and the queue bound. It is pure — no clock (every method that needs
+// the time is handed it), no I/O, no lock, no goroutine, no metric handle;
+// the adapter around it (the Coordinator, Local's included) serialises
+// calls and carries out the effects each method returns. queue_test.go
+// enforces the purity.
 //
 //	(submitting →) pending → leased → done
 //

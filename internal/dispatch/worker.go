@@ -1,11 +1,9 @@
 package dispatch
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net/http"
 	"strings"
@@ -14,7 +12,6 @@ import (
 
 	"fedwcm/internal/fl"
 	"fedwcm/internal/obs"
-	"fedwcm/internal/wire"
 )
 
 // WorkerConfig wires a Worker.
@@ -36,9 +33,10 @@ type WorkerConfig struct {
 	Metrics *obs.Registry
 }
 
-// Worker is the pull side of the remote backend: it registers with a
+// Worker is the pull side of the dispatch layer: it registers with a
 // coordinator, leases jobs, heartbeats progress while training, and
-// uploads finished histories. fedserve -worker -join <url> runs one.
+// uploads finished histories — over HTTP for fedserve -worker -join <url>,
+// through direct calls for Local, by the same rules either way.
 //
 // Failure behaviour: a heartbeat answered with 410 Gone means the lease
 // was lost (expired and requeued elsewhere) — the job's context is
@@ -50,8 +48,9 @@ type WorkerConfig struct {
 // coordinator recovered, so the computation survives the restart instead
 // of being redone.
 type Worker struct {
-	cfg  WorkerConfig
-	base string // cfg.Coordinator without trailing slashes
+	cfg    WorkerConfig
+	t      transport
+	tracer *obs.Tracer // records dispatch.execute around every run
 
 	mu  sync.Mutex
 	id  string        // live registration; "" until the first one lands
@@ -62,7 +61,8 @@ type Worker struct {
 	wm workerMetrics
 }
 
-// NewWorker validates cfg and returns the worker; Run starts it.
+// NewWorker validates cfg and returns a worker that reaches its coordinator
+// over HTTP; Run starts it.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Coordinator == "" {
 		return nil, fmt.Errorf("dispatch: WorkerConfig.Coordinator is required")
@@ -70,6 +70,29 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Runner == nil {
 		return nil, fmt.Errorf("dispatch: WorkerConfig.Runner is required")
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.Default()
+	}
+	w := newWorker(cfg, newWorkerMetrics(cfg.Metrics), obs.DefaultTracer())
+	if w.cfg.HTTPClient == nil {
+		// Lease long-polls hold the connection open for PollWait; leave
+		// headroom over it instead of inheriting a tight global timeout.
+		w.cfg.HTTPClient = &http.Client{Timeout: w.cfg.PollWait + 30*time.Second}
+	}
+	w.t = &httpTransport{
+		// "host:8080/" + "/v1/workers" is "//v1/workers": ServeMux answers
+		// 301 to the cleaned path and http.Client replays a redirected POST
+		// as GET.
+		base:   strings.TrimRight(cfg.Coordinator, "/"),
+		client: w.cfg.HTTPClient,
+		logf:   w.cfg.Logf,
+		wire:   newWireMetrics(cfg.Metrics),
+	}
+	return w, nil
+}
+
+// newWorker fills cfg's remaining defaults; the caller sets the transport.
+func newWorker(cfg WorkerConfig, wm workerMetrics, tracer *obs.Tracer) *Worker {
 	if cfg.Name == "" {
 		cfg.Name = "worker"
 	}
@@ -79,20 +102,10 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.PollWait <= 0 {
 		cfg.PollWait = 10 * time.Second
 	}
-	if cfg.HTTPClient == nil {
-		// Lease long-polls hold the connection open for PollWait; leave
-		// headroom over it instead of inheriting a tight global timeout.
-		cfg.HTTPClient = &http.Client{Timeout: cfg.PollWait + 30*time.Second}
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = obs.Logf("worker")
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.Default()
-	}
-	// "host:8080/" + "/v1/workers" is "//v1/workers": ServeMux answers 301 to
-	// the cleaned path and http.Client replays a redirected POST as GET.
-	return &Worker{cfg: cfg, base: strings.TrimRight(cfg.Coordinator, "/"), wm: newWorkerMetrics(cfg.Metrics)}, nil
+	return &Worker{cfg: cfg, tracer: tracer, wm: wm}
 }
 
 // jitter scales d by a uniform factor in [0.8, 1.2). N workers whose empty
@@ -137,21 +150,14 @@ func (w *Worker) Run(ctx context.Context) error {
 func (w *Worker) register(ctx context.Context) error {
 	backoff := 100 * time.Millisecond
 	for {
-		var resp registerResponse
-		code, err := w.postJSON(ctx, w.base+"/v1/workers", "",
-			registerRequest{Name: w.cfg.Name, Slots: w.cfg.Slots}, &resp)
-		if err == nil && code == http.StatusCreated {
-			ttl := time.Duration(resp.LeaseTTL) * time.Millisecond
+		resp, err := w.t.register(ctx, w.cfg.Name, w.cfg.Slots)
+		if err == nil {
 			w.mu.Lock()
-			w.id, w.ttl = resp.ID, ttl
+			w.id, w.ttl = resp.ID, time.Duration(resp.LeaseTTL)*time.Millisecond
 			w.mu.Unlock()
-			w.cfg.Logf("dispatch: registered with %s as %s (lease TTL %v)", w.base, resp.ID, ttl)
 			return nil
 		}
-		if err == nil {
-			err = fmt.Errorf("registration returned HTTP %d", code)
-		}
-		w.cfg.Logf("dispatch: registering with %s: %v (retrying in %v)", w.base, err, backoff)
+		w.cfg.Logf("dispatch: registering with %s: %v (retrying in %v)", w.t, err, backoff)
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
@@ -163,9 +169,9 @@ func (w *Worker) register(ctx context.Context) error {
 	}
 }
 
-// deregisterTimeout bounds the clean-handover DELETE: deregistration runs
-// on the SIGTERM path, and a wedged coordinator must not hang shutdown —
-// past the deadline the worker leaves anyway and its leases lapse, which
+// deregisterTimeout bounds the clean-handover call: deregistration runs on
+// the SIGTERM path, and a wedged coordinator must not hang shutdown — past
+// the deadline the worker leaves anyway and its leases lapse, which
 // requeues the same jobs a few seconds later.
 const deregisterTimeout = 3 * time.Second
 
@@ -178,18 +184,9 @@ func (w *Worker) deregister() {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), deregisterTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, w.base+"/v1/workers/"+id, nil)
-	if err != nil {
-		return
-	}
-	resp, err := w.cfg.HTTPClient.Do(req)
-	if err != nil {
+	if err := w.t.deregister(ctx, id); err != nil {
 		w.cfg.Logf("dispatch: deregistering %s: %v (lease will lapse instead)", id, err)
-		return
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	w.cfg.Logf("dispatch: worker %s deregistered", id)
 }
 
 // slotLoop leases and executes jobs one at a time until ctx cancels. While
@@ -211,23 +208,25 @@ func (w *Worker) slotLoop(ctx context.Context) {
 	}
 }
 
-// lease asks the coordinator for one job, long-polling server-side, and
+// lease asks the coordinator for one job, long-polling on its side, and
 // returns the worker id the lease was granted under — the id the job must
 // heartbeat and upload as, even if another slot re-registers meanwhile.
-// false means "nothing leased": empty queue, transient error, or a 404 that
-// forced a re-registration. backoff carries the escalating transient-error
-// delay across calls (reset by the caller on success); every sleep here is
-// jittered ±20% so a fleet re-polling an empty queue spreads out.
+// false means "nothing leased": empty queue, transient error, or an unknown
+// worker that forced a re-registration. backoff carries the escalating
+// transient-error delay across calls (reset by the caller on success); every
+// sleep here is jittered ±20% so a fleet re-polling an empty queue spreads
+// out.
 func (w *Worker) lease(ctx context.Context, backoff *time.Duration) (Job, string, bool) {
 	w.mu.Lock()
 	id := w.id
 	w.mu.Unlock()
-	var resp leaseResponse
 	t0 := time.Now()
-	code, err := w.postJSON(ctx, w.base+"/v1/workers/"+id+"/lease", "",
-		leaseRequest{WaitMS: w.cfg.PollWait.Milliseconds()}, &resp)
+	job, err := w.t.lease(ctx, id, w.cfg.PollWait)
 	switch {
 	case ctx.Err() != nil:
+		return Job{}, id, false
+	case errors.Is(err, errUnknownWorker):
+		w.reregister(ctx, id)
 		return Job{}, id, false
 	case err != nil:
 		w.cfg.Logf("dispatch: lease: %v", err)
@@ -243,28 +242,21 @@ func (w *Worker) lease(ctx context.Context, backoff *time.Duration) (Job, string
 		case <-time.After(jitter(*backoff)):
 		}
 		return Job{}, id, false
-	case code == http.StatusOK:
+	case job != nil:
 		w.wm.leases.Inc()
-		return resp.Job, id, true
-	case code == http.StatusNotFound:
-		w.reregister(ctx, id)
-		return Job{}, id, false
-	case code == http.StatusNoContent:
-		// An empty poll normally holds server-side for ~PollWait. One that
-		// returns much sooner means the coordinator is not pacing us (it is
-		// draining for shutdown, or granted the wait to another slot) — sleep
-		// the remainder here or this loop spins at connection speed.
-		if elapsed := time.Since(t0); elapsed < w.cfg.PollWait/2 {
-			select {
-			case <-ctx.Done():
-			case <-time.After(jitter(w.cfg.PollWait - elapsed)):
-			}
-		}
-		return Job{}, id, false
-	default:
-		w.cfg.Logf("dispatch: lease returned HTTP %d", code)
-		return Job{}, id, false
+		return *job, id, true
 	}
+	// An empty poll normally holds on the coordinator's side for ~PollWait.
+	// One that returns much sooner means the coordinator is not pacing us
+	// (it is draining for shutdown, or granted the wait to another slot) —
+	// sleep the remainder here or this loop spins at connection speed.
+	if elapsed := time.Since(t0); elapsed < w.cfg.PollWait/2 {
+		select {
+		case <-ctx.Done():
+		case <-time.After(jitter(w.cfg.PollWait - elapsed)):
+		}
+	}
+	return Job{}, id, false
 }
 
 // reregister obtains a fresh registration after the coordinator forgot the
@@ -280,7 +272,7 @@ func (w *Worker) reregister(ctx context.Context, stale string) {
 	if cur != stale {
 		return // another slot already re-registered
 	}
-	w.cfg.Logf("dispatch: coordinator %s forgot worker %s; re-registering", w.base, stale)
+	w.cfg.Logf("dispatch: %s forgot worker %s; re-registering", w.t, stale)
 	w.register(ctx)
 }
 
@@ -289,8 +281,8 @@ func (w *Worker) reregister(ctx context.Context, stale string) {
 // uploaded at the end. A lost lease cancels the job's context and abandons
 // the upload.
 //
-// The upload asks for the freed slot's next job (?lease=1) unless the worker
-// is shutting down; when the ack carries one, execute returns it with the
+// The upload asks for the freed slot's next job unless the worker is
+// shutting down; when the ack carries one, execute returns it with the
 // worker id it was granted under — the id the upload was posted as, which is
 // not the slot's original id if a coordinator restart forced a
 // re-registration mid-job.
@@ -298,6 +290,7 @@ func (w *Worker) execute(ctx context.Context, job Job, id string) (next Job, nex
 	w.mu.Lock()
 	ttl := w.ttl
 	w.mu.Unlock()
+	// Local's leases never expire, so its cadence is the 10ms floor.
 	every := w.cfg.HeartbeatEvery
 	if every <= 0 {
 		every = ttl / 3
@@ -312,32 +305,35 @@ func (w *Worker) execute(ctx context.Context, job Job, id string) (next Job, nex
 	// Progress accumulates under a lock; each heartbeat drains and relays
 	// whatever arrived since the last one.
 	var (
-		statsMu   sync.Mutex
-		stats     []fl.RoundStat
-		leaseLost bool
+		statsMu sync.Mutex
+		stats   []fl.RoundStat
 	)
 	onRound := func(st fl.RoundStat) {
 		statsMu.Lock()
 		stats = append(stats, st)
 		statsMu.Unlock()
 	}
-	drain := func() []fl.RoundStat {
-		statsMu.Lock()
-		out := stats
-		stats = nil
-		statsMu.Unlock()
-		return out
-	}
 	// curID is the worker id the job currently heartbeats and uploads as. It
 	// starts as the id the lease was granted under and advances when a
-	// coordinator restart forces a re-registration mid-job; only the
-	// heartbeat goroutine writes it, and the upload path reads it strictly
-	// after <-hbDone.
-	curID := id
-	hbURL := fmt.Sprintf("%s/v1/workers/%s/jobs/%s/heartbeat", w.base, curID, job.ID)
+	// coordinator restart forces a re-registration mid-job. Only the
+	// heartbeat goroutine writes it and leaseLost, and the upload path reads
+	// them strictly after <-hbDone.
+	curID, leaseLost := id, false
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
+		drain := func() []fl.RoundStat {
+			statsMu.Lock()
+			defer statsMu.Unlock()
+			out := stats
+			stats = nil
+			return out
+		}
+		putBack := func(batch []fl.RoundStat) {
+			statsMu.Lock()
+			stats = append(batch, stats...)
+			statsMu.Unlock()
+		}
 		t := time.NewTicker(every)
 		defer t.Stop()
 		for {
@@ -345,68 +341,49 @@ func (w *Worker) execute(ctx context.Context, job Job, id string) (next Job, nex
 			case <-jobCtx.Done():
 				return
 			case <-t.C:
-				batch := drain()
-				// Heartbeats ride the binary codec with float16 per-class
-				// accuracy: the relay feeds dashboards and progress polls only,
-				// never the store, so monitoring precision is enough.
-				start := time.Now()
-				body := wire.EncodeStats(batch, wire.StatsOptions{QuantizePerClass: true})
-				w.wm.wire.observeEncode("stats", len(body), time.Since(start).Seconds())
-				code, err := w.postWire(jobCtx, hbURL, job.ID, body, nil)
-				if err == nil && code == http.StatusOK {
-					w.wm.heartbeats.Inc()
+			}
+			batch := drain()
+			switch err := w.t.beat(jobCtx, curID, job.ID, batch); {
+			case err == nil:
+				w.wm.heartbeats.Inc()
+			case errors.Is(err, errUnknownWorker):
+				// The coordinator forgot this worker — a restart, not a lost
+				// lease. Re-register and keep computing: the next beat under
+				// the fresh id re-attaches to the job if the restarted
+				// coordinator recovered it from its WAL (it adopts the lease
+				// without a recompute), and draws an honest lease loss if it
+				// did not.
+				putBack(batch)
+				w.reregister(jobCtx, curID)
+				w.mu.Lock()
+				next := w.id
+				w.mu.Unlock()
+				if next == "" || next == curID {
+					continue // re-registration interrupted; retry next beat
 				}
-				if err != nil {
-					// Transient: put the drained rounds back so the next beat
-					// relays them instead of losing that progress forever.
-					statsMu.Lock()
-					stats = append(batch, stats...)
-					statsMu.Unlock()
-					continue
-				}
-				if code == http.StatusNotFound {
-					// The coordinator forgot this worker — a restart, not a
-					// lost lease. Re-register and keep computing: the next
-					// beat under the fresh id re-attaches to the job if the
-					// restarted coordinator recovered it from its WAL (it
-					// adopts the lease without a recompute), and draws an
-					// honest 410 if it did not.
-					statsMu.Lock()
-					stats = append(batch, stats...)
-					statsMu.Unlock()
-					w.reregister(jobCtx, curID)
-					w.mu.Lock()
-					next := w.id
-					w.mu.Unlock()
-					if next == "" || next == curID {
-						continue // re-registration interrupted; retry next beat
-					}
-					w.cfg.Logf("dispatch: job %.12s: re-attaching as %s (was %s)", job.ID, next, curID)
-					curID = next
-					hbURL = fmt.Sprintf("%s/v1/workers/%s/jobs/%s/heartbeat", w.base, curID, job.ID)
-					continue
-				}
-				if code == http.StatusGone {
-					w.wm.leaseLost.Inc()
-					w.cfg.Logf("dispatch: lease on job %.12s lost (HTTP %d); abandoning", job.ID, code)
-					statsMu.Lock()
-					leaseLost = true
-					statsMu.Unlock()
-					cancel()
-					return
-				}
+				w.cfg.Logf("dispatch: job %.12s: re-attaching as %s (was %s)", job.ID, next, curID)
+				curID = next
+			case errors.Is(err, errLeaseLost):
+				w.wm.leaseLost.Inc()
+				w.cfg.Logf("dispatch: lease on job %.12s lost; abandoning", job.ID)
+				leaseLost = true
+				cancel()
+				return
+			default:
+				// Transient: put the drained rounds back so the next beat
+				// relays them instead of losing that progress forever.
+				putBack(batch)
 			}
 		}
 	}()
 
+	sp := w.tracer.Start(job.ID, "dispatch.execute")
 	hist, err := w.cfg.Runner(jobCtx, job, onRound)
+	sp.EndErr(err)
 	cancel()
 	<-hbDone
 
-	statsMu.Lock()
-	lost := leaseLost
-	statsMu.Unlock()
-	if lost {
+	if leaseLost {
 		return Job{}, "", false // requeued elsewhere; never upload a zombie result
 	}
 	if ctx.Err() != nil && err != nil {
@@ -414,17 +391,9 @@ func (w *Worker) execute(ctx context.Context, job Job, id string) (next Job, nex
 		// it; an aborted partial run must not be uploaded as a failure.
 		return Job{}, "", false
 	}
-	// The result upload uses the codec's lossless profile: the decoded
-	// history is bit-identical, so the artifact the coordinator stores (and
-	// its content address) matches a local-backend run exactly.
-	errMsg := ""
 	if err != nil {
 		hist = nil
-		errMsg = err.Error()
 	}
-	encStart := time.Now()
-	resBody := wire.EncodeResult(hist, errMsg)
-	w.wm.wire.observeEncode("result", len(resBody), time.Since(encStart).Seconds())
 	// A run that finished uploads even while the worker shuts down — the
 	// work is done, shipping it beats making a survivor redo it.
 	upCtx := ctx
@@ -433,82 +402,25 @@ func (w *Worker) execute(ctx context.Context, job Job, id string) (next Job, nex
 		upCtx, upCancel = context.WithTimeout(context.Background(), 10*time.Second)
 		defer upCancel()
 	}
-	resURL := fmt.Sprintf("%s/v1/workers/%s/jobs/%s/result", w.base, curID, job.ID)
-	if ctx.Err() == nil {
-		resURL += "?lease=1" // a worker on its way out must not be handed more work
+	// A worker on its way out must not be handed more work.
+	ack, uerr := w.t.upload(upCtx, curID, job.ID, hist, err, ctx.Err() == nil)
+	switch {
+	case errors.Is(uerr, errRejected):
+		w.wm.uploads.With("rejected").Inc()
+		w.cfg.Logf("dispatch: result for job %.12s rejected: %v", job.ID, uerr)
+		return Job{}, "", false
+	case uerr != nil:
+		w.cfg.Logf("dispatch: giving up uploading job %.12s (%v); lease will expire and requeue", job.ID, uerr)
+		return Job{}, "", false
 	}
-	for attempt := 0; attempt < 3; attempt++ {
-		var ack resultResponse
-		code, uerr := w.postWire(upCtx, resURL, job.ID, resBody, &ack)
-		if uerr == nil && code < 500 {
-			if code >= 400 {
-				w.wm.uploads.With("rejected").Inc()
-				w.cfg.Logf("dispatch: result for job %.12s rejected: HTTP %d", job.ID, code)
-				return Job{}, "", false
-			}
-			status := ack.Status
-			if status == "" {
-				status = "stored"
-			}
-			w.wm.uploads.With(status).Inc()
-			if ack.Next == nil {
-				return Job{}, "", false
-			}
-			w.wm.leases.Inc() // a lease like any other, it just skipped the poll
-			return *ack.Next, curID, true
-		}
-		select {
-		case <-upCtx.Done():
-			return Job{}, "", false
-		case <-time.After(200 * time.Millisecond << attempt):
-		}
+	status := ack.Status
+	if status == "" {
+		status = "stored"
 	}
-	w.cfg.Logf("dispatch: giving up uploading job %.12s; lease will expire and requeue", job.ID)
-	return Job{}, "", false
-}
-
-// postJSON posts body as JSON and decodes the response into out (when
-// non-nil and the status is 2xx). It returns the status code; err covers
-// transport-level failures only. trace, when non-empty, is echoed in the
-// X-Trace-Id header so job-scoped calls (heartbeat, result) join the
-// fleet-wide trace the coordinator stamped on the lease.
-func (w *Worker) postJSON(ctx context.Context, url, trace string, body, out any) (int, error) {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return 0, err
+	w.wm.uploads.With(status).Inc()
+	if ack.Next == nil {
+		return Job{}, "", false
 	}
-	return w.post(ctx, url, trace, "application/json", b, out)
-}
-
-// postWire posts a pre-encoded wire-codec payload (responses stay JSON —
-// acks are a handful of bytes).
-func (w *Worker) postWire(ctx context.Context, url, trace string, body []byte, out any) (int, error) {
-	return w.post(ctx, url, trace, wire.ContentType, body, out)
-}
-
-func (w *Worker) post(ctx context.Context, url, trace, contentType string, body []byte, out any) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", contentType)
-	if trace != "" {
-		req.Header.Set(obs.TraceHeader, trace)
-	}
-	resp, err := w.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	// 204 (empty lease poll) carries no body by definition; don't feed the
-	// decoder an EOF.
-	if out != nil && resp.StatusCode >= 200 && resp.StatusCode < 300 && resp.StatusCode != http.StatusNoContent {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, fmt.Errorf("decoding %s response: %w", url, err)
-		}
-	}
-	return resp.StatusCode, nil
+	w.wm.leases.Inc() // a lease like any other, it just skipped the poll
+	return *ack.Next, curID, true
 }

@@ -142,21 +142,35 @@ func (t *Tracer) Spans() []Span {
 }
 
 // Collect returns the buffered spans for one trace ID, oldest first. It
-// filters under the ring lock and allocates only its matches — it runs once
-// per completed cell, where a snapshot of the whole ring would dominate the
-// cell's allocation. A nil Tracer returns nil.
+// filters under the ring lock and allocates only its matches, counted first
+// so the result is one allocation of exactly their size — it runs once per
+// completed cell, where a snapshot of the whole ring (or the doublings of an
+// appended slice) would dominate the cell's allocation. A nil Tracer
+// returns nil.
 func (t *Tracer) Collect(trace string) []Span {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Span
 	start := 0
 	if len(t.ring) == cap(t.ring) {
 		start = t.next // wrapped: the oldest span sits at the write cursor
 	}
-	for _, part := range [2][]Span{t.ring[start:], t.ring[:start]} {
+	parts := [2][]Span{t.ring[start:], t.ring[:start]}
+	n := 0
+	for _, part := range parts {
+		for i := range part {
+			if part[i].Trace == trace {
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Span, 0, n)
+	for _, part := range parts {
 		for i := range part {
 			if part[i].Trace == trace {
 				out = append(out, part[i])

@@ -173,7 +173,7 @@ func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // execPending reads the executor's undispatched queue depth for the
-// backpressure check: the Coordinator exports it via Stats, the local pool
+// backpressure check: the Coordinator exports it via Stats, dispatch.Local
 // via Pending. Both are matched by method set, not by type, so an executor
 // that wraps one (the benchmark's tracing shim embeds a Coordinator) keeps
 // its backpressure. An executor exposing neither reads as empty and

@@ -118,3 +118,22 @@ func TestDocumentedRoutesAreMounted(t *testing.T) {
 		}
 	}
 }
+
+// TestLocalBackendServesNoWorkerRoutes: the local backend runs its jobs on
+// in-process workers that reach the coordinator without HTTP, so a plain
+// fedserve mounts no worker protocol — registration is the mux's own 404.
+func TestLocalBackendServesNoWorkerRoutes(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/v1/workers", "application/json", strings.NewReader(`{"slots":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !muxMiss(resp.StatusCode, string(body)) || resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/workers on a local-backend server: HTTP %d %q, want the mux's 404", resp.StatusCode, body)
+	}
+}

@@ -11,7 +11,7 @@ import (
 // TestMetricsEndpointCoversAllLayers runs one real cell through the server's
 // default local-dispatch path and asserts a single /metrics scrape surfaces
 // series from every instrumented layer: serve (HTTP + SSE + run gauges),
-// dispatch (local backend), sweep (env cache), store, fl engine, and the Go
+// dispatch (the coordinator behind the local backend), sweep (env cache), store, fl engine, and the Go
 // runtime — the fedserve process view an operator actually scrapes.
 func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	// nil Metrics in Config resolves to obs.Default(), exactly as the
@@ -69,7 +69,7 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	for _, name := range []string{
 		`fedwcm_http_requests_total{route="/v1/runs",code="202"}`, // serve: counter
 		`fedwcm_http_request_seconds_count{route="/v1/runs"}`,     // serve: histogram
-		`fedwcm_dispatch_local_jobs_total{status="ok"}`,           // dispatch: counter
+		`fedwcm_dispatch_uploads_total{status="stored"}`,          // dispatch: counter
 		"fedwcm_store_puts_total",                                 // store: counter
 		"fedwcm_store_put_seconds_count",                          // store: histogram
 		"fedwcm_store_put_bytes_total",                            // store: bytes
@@ -86,7 +86,7 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	for _, name := range []string{
 		"fedwcm_serve_runs_active",               // serve: gauge
 		"fedwcm_serve_sweeps_tracked",            // serve: gauge
-		"fedwcm_dispatch_local_queue_depth",      // dispatch: gauge
+		"fedwcm_dispatch_queue_depth",            // dispatch: gauge
 		"fedwcm_envcache_entries",                // sweep env cache: gauge
 		"fedwcm_fl_test_acc",                     // fl engine: gauge
 		`fedwcm_fl_diag{metric="concentration"}`, // fl engine: probe reading

@@ -145,7 +145,8 @@ func (s *Server) envStats() *sweep.EnvCacheStats {
 // dispatchStats snapshots the executor's control-plane view when the
 // backend exposes one (a dispatch.Coordinator in remote mode, or a wrapper
 // that embeds one — hence the method-set match, as in execPending); nil for
-// the local pool, so the field stays absent from local responses.
+// dispatch.Local, which keeps its coordinator to itself, so the field stays
+// absent from local responses.
 func (s *Server) dispatchStats() *dispatch.CoordinatorStats {
 	if c, ok := s.eng.Executor.(interface {
 		Stats() dispatch.CoordinatorStats

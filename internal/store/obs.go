@@ -42,6 +42,10 @@ func (s *Store) Instrument(reg *obs.Registry) {
 // ("trace":"<fp>"), so `grep <fp> traces.jsonl` is one run's dump.
 const traceLog = "traces.jsonl"
 
+// spanLineBytes sizes PutTrace's buffer: a span line with a fingerprint
+// trace ID and a short name is ≈ 150 bytes.
+const spanLineBytes = 192
+
 // PutTrace appends the spans recorded for fp's run to the store's span log
 // with a single write — no temp file, no rename, no per-run inode. A re-run
 // of the same fingerprint appends rather than replaces. Empty spans are a
@@ -54,6 +58,7 @@ func (s *Store) PutTrace(fp string, spans []obs.Span) error {
 		return nil
 	}
 	var buf bytes.Buffer
+	buf.Grow(spanLineBytes * len(spans)) // one allocation for the common line
 	enc := json.NewEncoder(&buf)
 	for _, sp := range spans {
 		if err := enc.Encode(sp); err != nil {

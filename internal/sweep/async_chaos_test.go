@@ -127,7 +127,7 @@ func TestAsyncJobSurvivesWorkerCrash(t *testing.T) {
 	if leased.Job.ID != fp {
 		t.Fatalf("doomed worker leased %q, want %q", leased.Job.ID, fp)
 	}
-	beat := wire.EncodeStats([]fl.RoundStat{{Round: 1, TestAcc: 0.2, Time: 1.5}}, wire.StatsOptions{})
+	beat := wire.EncodeStats([]fl.RoundStat{{Round: 1, TestAcc: 0.2, Time: 1.5}})
 	if code := postBody(t, ts.URL+"/v1/workers/"+reg.ID+"/jobs/"+fp+"/heartbeat", wire.ContentType, beat, nil); code != http.StatusOK {
 		t.Fatalf("mid-run heartbeat: HTTP %d", code)
 	}

@@ -126,7 +126,10 @@ func (l *LiveCell) Snapshot() (status string, progress []fl.RoundStat, hist *fl.
 //
 // The backend's bounded queue is the only back-pressure. Without an
 // Executor the engine runs cells on its own dispatch.Local (Workers,
-// Runner, Envs), built on the first miss and released by Close.
+// Runner, Envs), built on the first miss and released by Close: an
+// in-process coordinator whose worker slots call it directly, so a cell
+// computed here takes the lease, heartbeat relay and upload path a fleet's
+// cells take. With a nil Store that Local persists nothing.
 type Engine struct {
 	Store   *store.Store // optional: nil runs without result caching
 	Workers int          // own local backend: concurrent cells; 0 = 3
@@ -136,7 +139,7 @@ type Engine struct {
 	// once (see EnvCache). Ignored when Runner is overridden.
 	Envs *EnvCache
 	// Executor, when set, is the dispatch backend cells execute on (remote
-	// coordinator, HTTP client, or a shared local pool); it stays the
+	// coordinator, HTTP client, or a shared dispatch.Local); it stays the
 	// caller's to close. A backend persists successful histories to its own
 	// store; the engine persists what comes back only when its Store cannot
 	// already serve it, so fedbench -remote still fills a local cache and a

@@ -27,8 +27,8 @@ func seedCorpus(f *testing.F) {
 	h := &fl.History{Method: "fedwcm", Stats: randStats(r, 6)}
 	f.Add(EncodeResult(h, "client 3 diverged"))
 	f.Add(EncodeResult(nil, ""))
-	f.Add(EncodeStats(randStats(r, 4), StatsOptions{}))
-	f.Add(EncodeStats(randStats(r, 4), StatsOptions{QuantizePerClass: true}))
+	f.Add(EncodeStats(randStats(r, 4)))
+	f.Add(retiredFloat16Stats(randStats(r, 4)))
 	f.Add(EncodeRunStatus(&RunStatus{ID: "ab12", Status: "running", Progress: randStats(r, 3)}))
 	f.Add(EncodeRunStatus(&RunStatus{ID: "cd34", Status: "done", History: h}))
 	// A few deliberate corruptions of a valid message.
@@ -71,15 +71,13 @@ func FuzzDecodeStats(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// The quantized flag is not preserved in the decoded value, so the
-		// lossless re-encode is the fixed point to check against.
-		p2 := EncodeStats(stats, StatsOptions{})
+		p2 := EncodeStats(stats)
 		stats2, err := DecodeStats(p2)
 		if err != nil {
 			t.Fatalf("re-encode of decoded value does not decode: %v", err)
 		}
 		statsEqual(t, stats2, stats)
-		p3 := EncodeStats(stats2, StatsOptions{})
+		p3 := EncodeStats(stats2)
 		if !bytes.Equal(p2, p3) {
 			t.Fatal("lossless encoding is not a fixed point")
 		}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -39,16 +40,12 @@ func (st *statsState) staleHistPrev(i int) *int64 {
 	return &st.staleHist[i]
 }
 
-// encStats appends a batch of RoundStats. With quantizePerClass the
-// per-class accuracy column is float16 (monitoring precision, see quant.go);
-// everything else is always lossless.
-func encStats(e *enc, stats []fl.RoundStat, quantizePerClass bool) {
+// encStats appends a batch of RoundStats, every column lossless. The byte
+// after the count is a retired column-format flag, always 0: it once marked a
+// float16 per-class column, which decoders now refuse.
+func encStats(e *enc, stats []fl.RoundStat) {
 	e.u(uint64(len(stats)))
-	if quantizePerClass {
-		e.byte1(1)
-	} else {
-		e.byte1(0)
-	}
+	e.byte1(0)
 	st := &statsState{metricIndex: map[string]int{}}
 	for i := range stats {
 		s := &stats[i]
@@ -60,12 +57,7 @@ func encStats(e *enc, stats []fl.RoundStat, quantizePerClass bool) {
 
 		e.u(uint64(len(s.PerClass)))
 		for j, v := range s.PerClass {
-			if quantizePerClass {
-				h := F16Bits(v)
-				e.b = append(e.b, byte(h), byte(h>>8))
-			} else {
-				e.fx(st.perClassPrev(j), v)
-			}
+			e.fx(st.perClassPrev(j), v)
 		}
 
 		e.u(uint64(len(s.Metrics)))
@@ -125,7 +117,9 @@ func encStats(e *enc, stats []fl.RoundStat, quantizePerClass bool) {
 
 func decStats(d *dec) []fl.RoundStat {
 	n := d.length()
-	quantized := d.byte1() != 0
+	if d.byte1() != 0 {
+		d.fail(errors.New("wire: float16 per-class column is no longer supported"))
+	}
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -145,15 +139,7 @@ func decStats(d *dec) []fl.RoundStat {
 		if pc := d.length(); pc > 0 {
 			s.PerClass = make([]float64, pc)
 			for j := range s.PerClass {
-				if quantized {
-					raw := d.take(2)
-					if d.err != nil {
-						return nil
-					}
-					s.PerClass[j] = F16Value(uint16(raw[0]) | uint16(raw[1])<<8)
-				} else {
-					s.PerClass[j] = d.fx(st.perClassPrev(j))
-				}
+				s.PerClass[j] = d.fx(st.perClassPrev(j))
 			}
 		}
 
@@ -218,7 +204,7 @@ func encHistory(e *enc, h *fl.History) {
 	}
 	e.byte1(1)
 	e.str(h.Method)
-	encStats(e, h.Stats, false)
+	encStats(e, h.Stats)
 }
 
 func decHistory(d *dec) *fl.History {
@@ -260,20 +246,13 @@ func DecodeResult(p []byte) (*fl.History, string, error) {
 	return h, msg, nil
 }
 
-// StatsOptions controls EncodeStats.
-type StatsOptions struct {
-	// QuantizePerClass stores the per-class accuracy column as float16
-	// (relative error ≤ 2⁻¹¹ — plenty for dashboards). Only for
-	// monitoring-path payloads (heartbeat relays); result uploads that reach
-	// the store must stay lossless.
-	QuantizePerClass bool
-}
-
-// EncodeStats encodes a batch of round stats (heartbeat progress relay).
-func EncodeStats(stats []fl.RoundStat, opts StatsOptions) []byte {
+// EncodeStats encodes a batch of round stats (heartbeat progress relay),
+// losslessly like every other payload: a relayed round is the round the
+// worker recorded.
+func EncodeStats(stats []fl.RoundStat) []byte {
 	e := &enc{}
 	e.envelope(kindStats)
-	encStats(e, stats, opts.QuantizePerClass)
+	encStats(e, stats)
 	return e.b
 }
 
@@ -307,7 +286,7 @@ func EncodeRunStatus(rs *RunStatus) []byte {
 	e.str(rs.ID)
 	e.str(rs.Status)
 	e.str(rs.Error)
-	encStats(e, rs.Progress, false)
+	encStats(e, rs.Progress)
 	encHistory(e, rs.History)
 	return e.b
 }

@@ -22,11 +22,11 @@
 //   - Integer series (round numbers, staleness histograms) are zigzag
 //     varint deltas against the previous row.
 //
-//   - Update vectors can additionally be quantized (see quant.go): float16
-//     with relative error ≤ 2⁻¹¹, or int8 with a per-block-of-64 absmax
-//     scale and absolute error ≤ scale/2. Quantized forms are only used
-//     for monitoring-path payloads (heartbeat progress relays), never for
-//     results that reach the store.
+//   - Nothing is quantized, on any path: a heartbeat's progress relay is
+//     as exact as the result upload, so a round a subscriber sees is the
+//     round the worker recorded. A stats batch still carries the byte that
+//     once flagged a float16 per-class column; it is always 0, and a
+//     payload that sets it fails to decode.
 //
 // See DESIGN.md "Kernels & wire format" and docs/API.md for the protocol
 // surface.

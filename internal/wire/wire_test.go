@@ -2,6 +2,7 @@ package wire
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -267,7 +268,7 @@ func TestStatsRoundtripExact(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
 		stats := randStats(r, r.Intn(20))
-		got, err := DecodeStats(EncodeStats(stats, StatsOptions{}))
+		got, err := DecodeStats(EncodeStats(stats))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -275,39 +276,26 @@ func TestStatsRoundtripExact(t *testing.T) {
 	}
 }
 
-// TestStatsQuantizedPerClass: the monitoring-path float16 option keeps
-// per-class accuracies within the documented 2⁻¹¹ relative error and leaves
-// every other column bit-exact.
-func TestStatsQuantizedPerClass(t *testing.T) {
+// retiredFloat16Stats is EncodeStats(stats) with the retired column-format
+// flag set — the byte after the row count, which once marked a float16
+// per-class column.
+func retiredFloat16Stats(stats []fl.RoundStat) []byte {
+	p := EncodeStats(stats)
+	p[len(magic)+1+len(binary.AppendUvarint(nil, uint64(len(stats))))] = 1
+	return p
+}
+
+// TestRetiredFloat16ColumnIsRefused: no path quantizes any more, so a
+// payload flagging the old float16 per-class column is an error, never a
+// silently lossy decode (and never a panic).
+func TestRetiredFloat16ColumnIsRefused(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	stats := make([]fl.RoundStat, 40)
-	for i := range stats {
-		stats[i].Round = i
-		stats[i].TestAcc = r.Float64()
-		stats[i].TrainLoss = r.Float64() * 3
-		stats[i].PerClass = make([]float64, 10)
-		for j := range stats[i].PerClass {
-			stats[i].PerClass[j] = r.Float64()
-		}
+	if _, err := DecodeStats(retiredFloat16Stats(randStats(r, 3))); err == nil {
+		t.Fatal("a float16-flagged stats payload decoded")
 	}
-	got, err := DecodeStats(EncodeStats(stats, StatsOptions{QuantizePerClass: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range stats {
-		if !bitsEq(got[i].TestAcc, stats[i].TestAcc) || !bitsEq(got[i].TrainLoss, stats[i].TrainLoss) {
-			t.Fatalf("row %d: scalar columns must stay lossless under quantization", i)
-		}
-		for j, want := range stats[i].PerClass {
-			gotV := got[i].PerClass[j]
-			bound := math.Abs(want) * 0x1p-11
-			if bound < 0x1p-25 {
-				bound = 0x1p-25 // subnormal-half absolute floor
-			}
-			if math.Abs(gotV-want) > bound {
-				t.Fatalf("row %d class %d: |%v - %v| > %v", i, j, gotV, want, bound)
-			}
-		}
+	p := EncodeStats(randStats(r, 3))
+	if _, err := DecodeStats(p); err != nil {
+		t.Fatalf("lossless payload: %v", err)
 	}
 }
 

@@ -95,6 +95,11 @@ require_nonzero "$WORK/coord.metrics" \
   'fedwcm_dispatch_uploads_total{status="stored"}' \
   fedwcm_store_puts_total \
   fedwcm_go_goroutines
+# Every worker computed the bytes the store holds: no upload diverged from
+# the artifact stored under its fingerprint.
+grep -q '^fedwcm_dispatch_divergent_uploads_total ' "$WORK/coord.metrics" &&
+  [ "$(metric "$WORK/coord.metrics" fedwcm_dispatch_divergent_uploads_total)" = 0 ] ||
+  { echo "smoke_dispatch: fedwcm_dispatch_divergent_uploads_total is missing or nonzero"; exit 1; }
 # Workers: lease/upload counters live on whichever worker won each cell, so
 # assert the fleet-wide sums — exactly one lease and one stored upload per
 # cell, a lease that arrived on an ack counting like a polled one; each
