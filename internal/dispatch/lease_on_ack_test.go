@@ -224,6 +224,10 @@ type routeLog struct {
 	after func(routeHit)
 }
 
+// routeHit is one answered request. code is what the handler wrote — 0
+// when it wrote nothing, as a lease long-poll does once the worker that
+// sent it hangs up — so a poll abandoned at shutdown is not mistaken for
+// one answered 200 with a job.
 type routeHit struct {
 	method, path, query string
 	code                int
@@ -235,13 +239,23 @@ type codeRecorder struct {
 }
 
 func (c *codeRecorder) WriteHeader(code int) {
-	c.code = code
+	if c.code == 0 {
+		c.code = code
+	}
 	c.ResponseWriter.WriteHeader(code)
+}
+
+// Write without a WriteHeader first is an implicit 200, as in net/http.
+func (c *codeRecorder) Write(b []byte) (int, error) {
+	if c.code == 0 {
+		c.code = http.StatusOK
+	}
+	return c.ResponseWriter.Write(b)
 }
 
 func (r *routeLog) wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		rec := &codeRecorder{ResponseWriter: w, code: http.StatusOK}
+		rec := &codeRecorder{ResponseWriter: w}
 		next.ServeHTTP(rec, req)
 		hit := routeHit{req.Method, req.URL.Path, req.URL.RawQuery, rec.code}
 		r.mu.Lock()

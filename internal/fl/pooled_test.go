@@ -15,7 +15,6 @@ import (
 	"fedwcm/internal/loss"
 	"fedwcm/internal/nn"
 	"fedwcm/internal/partition"
-	"fedwcm/internal/tensor"
 	"fedwcm/internal/xrand"
 )
 
@@ -229,14 +228,11 @@ func TestRepeatRunAllocatesAQuarter(t *testing.T) {
 // TestPooledKitsSurviveGC: idle kits stay on their free list through
 // garbage collections, so a run after two forced GCs still takes the kit
 // the previous run left — it builds only its global network — and
-// allocates at most a quarter of what the first run did. One worker and
-// one kernel worker: with two workers, which clients each kit trains (and
-// so how far its workspaces grow) follows the scheduler, and at GOMAXPROCS
-// 1 a kit that trained no large client in the first run grows in the
-// second (up to 0.38× measured); parallel GEMM calls add per-call
-// bookkeeping that grows with the core count.
+// allocates at most a quarter of what the first run did. One worker: with
+// two, which clients each kit trains (and so how far its workspaces grow)
+// follows the scheduler, and at GOMAXPROCS 1 a kit that trained no large
+// client in the first run grows in the second (up to 0.38× measured).
 func TestPooledKitsSurviveGC(t *testing.T) {
-	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
 	fl.FreshKitPools(t)
 	builds := 0
 	env := repeatEnv(&builds, 1)

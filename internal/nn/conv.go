@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"sync"
-
 	"fedwcm/internal/tensor"
 	"fedwcm/internal/xrand"
 )
@@ -23,44 +21,26 @@ type Conv2D struct {
 	// (≈ k·p floats each, a working set that dwarfs L2 for real
 	// geometries); Backward recomputes it from the cached input, which is
 	// cheap next to the matmuls it feeds and identical by construction.
-	//
-	// Forward has no reduction, so it takes whatever chunks ParallelFor
-	// makes and draws one scratch per chunk from fwdPool. Backward reduces
-	// dW and dB over the batch, and a floating-point sum depends on its
-	// tree, so its chunking is fixed at the two halves below, each with
-	// its own scratch, allocated on the first Backward and kept for the
-	// layer's lifetime like the workspaces.
-	fwdPool sync.Pool // of *convScratch
-	half    [2]convHalf
+	sc convScratch
 
 	taps     []shiftedTap  // non-nil selects the shifted-copy im2col/col2im
 	wview    *tensor.Dense // Wt.Data viewed as OutC×(InC·KH·KW)
 	fwd, bwd workspace
 }
 
-// convScratch is what one goroutine needs to push samples through the
-// layer's GEMMs: the k×p im2col matrix and an OutC×p header that is
-// re-pointed at each sample's row of the batch output (or of dOut), so no
-// per-sample Dense is allocated.
+// convScratch is what the layer needs to push samples through its GEMMs,
+// allocated on first use and kept for the layer's lifetime like the
+// workspaces: the k×p im2col matrix and an OutC×p header that is re-pointed
+// at each sample's row of the batch output (or of dOut), so no per-sample
+// Dense is allocated; then, from the first Backward on, the backward
+// products and one half's dW/dB partial sums.
 type convScratch struct {
-	cols *tensor.Dense
-	seg  tensor.Dense
-}
-
-// convHalf is the private state of one half of Backward's batch reduction:
-// the half's dW/dB partial sums and the per-sample products they are
-// accumulated from.
-type convHalf struct {
-	convScratch
+	cols   *tensor.Dense
+	seg    tensor.Dense
 	dcols  *tensor.Dense // k×p: Wᵀ·dOut before col2im
 	dwT    *tensor.Dense // k×OutC: one sample's dWᵀ
 	dwPart []float64     // OutC×k
 	dbPart []float64
-}
-
-func (l *Conv2D) newScratch() convScratch {
-	k, p := l.InC*l.KH*l.KW, l.OutH*l.OutW
-	return convScratch{cols: tensor.NewDense(k, p), seg: tensor.Dense{R: l.OutC, C: p}}
 }
 
 // NewConv2D creates a convolution layer with He initialisation.
@@ -81,7 +61,6 @@ func NewConv2D(r *xrand.RNG, inC, h, w, outC, k, stride, pad int) *Conv2D {
 	heInit(r, l.Wt.Data, inC*k*k)
 	l.wview = tensor.FromSlice(outC, inC*k*k, l.Wt.Data)
 	l.taps = l.shiftedTaps()
-	l.fwdPool.New = func() any { sc := l.newScratch(); return &sc }
 	return l
 }
 
@@ -268,7 +247,7 @@ func (l *Conv2D) col2imGeneral(cols *tensor.Dense, dimg []float64) {
 	}
 }
 
-// Forward convolves each sample (parallel across the batch).
+// Forward convolves each sample in turn.
 func (l *Conv2D) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	if x.C != l.InC*l.H*l.W {
 		panic("nn: Conv2D input width mismatch")
@@ -276,22 +255,23 @@ func (l *Conv2D) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	l.x = x
 	n := x.R
 	out := l.fwd.get(n, l.OutDim())
-	tensor.ParallelFor(n, 1, func(lo, hi int) {
-		sc := l.fwdPool.Get().(*convScratch)
-		for s := lo; s < hi; s++ {
-			l.im2col(x.Row(s), sc.cols)
-			sc.seg.Data = out.Row(s)
-			tensor.MatMulInto(&sc.seg, l.wview, sc.cols)
-			for oc := 0; oc < l.OutC; oc++ {
-				b := l.B.Data[oc]
-				row := sc.seg.Row(oc)
-				for i := range row {
-					row[i] += b
-				}
+	sc := &l.sc
+	if sc.cols == nil {
+		sc.cols = tensor.NewDense(l.InC*l.KH*l.KW, l.OutH*l.OutW)
+		sc.seg = tensor.Dense{R: l.OutC, C: l.OutH * l.OutW}
+	}
+	for s := 0; s < n; s++ {
+		l.im2col(x.Row(s), sc.cols)
+		sc.seg.Data = out.Row(s)
+		tensor.MatMulInto(&sc.seg, l.wview, sc.cols)
+		for oc := 0; oc < l.OutC; oc++ {
+			b := l.B.Data[oc]
+			row := sc.seg.Row(oc)
+			for i := range row {
+				row[i] += b
 			}
 		}
-		l.fwdPool.Put(sc)
-	})
+	}
 	return out
 }
 
@@ -305,13 +285,11 @@ func (l *Conv2D) backwardParams(dout *tensor.Dense) { l.backward(dout, false) }
 // backward is the one pass behind Backward and backwardParams; without
 // wantDx it returns nil.
 //
-// The batch is always reduced as two halves split at ⌈n/2⌉: each half sums
-// its samples' dW and dB in ascending order into its own partial, and the
-// partials are added to Grad in index order after the join. That tree is
-// the one ParallelFor(n, 1, ·) produced at GOMAXPROCS=2, which is what every
-// recorded golden encodes; fixing it makes the bits independent of the
-// host. ParallelFor(2, 1, ·) only decides whether the halves overlap in
-// time.
+// A floating-point sum depends on its tree, and every recorded golden
+// encodes this one, so it must not change with the host or the core count:
+// the batch is reduced as two halves split at ⌈n/2⌉, each half sums its
+// samples' dW and dB in ascending order into a zeroed partial, and each
+// half's partial is added to Grad before the next half starts.
 func (l *Conv2D) backward(dout *tensor.Dense, wantDx bool) *tensor.Dense {
 	if l.x == nil {
 		panic("nn: Conv2D Backward before Forward")
@@ -321,59 +299,51 @@ func (l *Conv2D) backward(dout *tensor.Dense, wantDx bool) *tensor.Dense {
 	if wantDx {
 		dx = l.bwd.getZeroed(n, l.x.C) // col2im scatter-adds: must start clean
 	}
-	if l.half[0].cols == nil {
-		k, p := l.InC*l.KH*l.KW, l.OutH*l.OutW
-		for h := range l.half {
-			l.half[h] = convHalf{
-				convScratch: l.newScratch(),
-				dcols:       tensor.NewDense(k, p),
-				dwT:         tensor.NewDense(k, l.OutC),
-				dwPart:      make([]float64, len(l.Wt.Data)),
-				dbPart:      make([]float64, len(l.B.Data)),
-			}
-		}
+	sc := &l.sc
+	if sc.dcols == nil {
+		k := l.InC * l.KH * l.KW
+		sc.dcols = tensor.NewDense(k, l.OutH*l.OutW)
+		sc.dwT = tensor.NewDense(k, l.OutC)
+		sc.dwPart = make([]float64, len(l.Wt.Data))
+		sc.dbPart = make([]float64, len(l.B.Data))
 	}
 	mid := (n + 1) / 2
-	halves := min(len(l.half), n) // a one-sample batch has no second half
-	tensor.ParallelFor(halves, 1, func(lo, hi int) {
-		for h := lo; h < hi; h++ {
-			l.backwardHalf(&l.half[h], dout, dx, h*mid, min(n, (h+1)*mid))
-		}
-	})
-	for h := 0; h < halves; h++ {
-		tensor.AddVec(l.Wt.Grad, l.half[h].dwPart)
-		tensor.AddVec(l.B.Grad, l.half[h].dbPart)
+	for h := 0; h < min(2, n); h++ { // a one-sample batch has no second half
+		l.backwardHalf(dout, dx, h*mid, min(n, (h+1)*mid))
+		tensor.AddVec(l.Wt.Grad, sc.dwPart)
+		tensor.AddVec(l.B.Grad, sc.dbPart)
 	}
 	return dx
 }
 
 // backwardHalf runs samples [lo, hi) of the batch through the backward
-// products, leaving their dW/dB sums in hf's partials and, unless dx is
-// nil, their input gradients in dx.
-func (l *Conv2D) backwardHalf(hf *convHalf, dout, dx *tensor.Dense, lo, hi int) {
+// products, leaving their dW/dB sums in the scratch partials and, unless dx
+// is nil, their input gradients in dx.
+func (l *Conv2D) backwardHalf(dout, dx *tensor.Dense, lo, hi int) {
+	sc := &l.sc
 	k := l.InC * l.KH * l.KW
-	tensor.Zero(hf.dwPart)
-	tensor.Zero(hf.dbPart)
+	tensor.Zero(sc.dwPart)
+	tensor.Zero(sc.dbPart)
 	for s := lo; s < hi; s++ {
-		hf.seg.Data = dout.Row(s)
-		l.im2col(l.x.Row(s), hf.cols)
+		sc.seg.Data = dout.Row(s)
+		l.im2col(l.x.Row(s), sc.cols)
 		// dW += dOut·colsᵀ, computed as (cols·dOutᵀ)ᵀ: MatMulBTInto packs
 		// its second operand, and dOut is k/OutC times smaller than cols.
 		// Each element is the same ascending-p sum of the same products.
-		tensor.MatMulBTInto(hf.dwT, hf.cols, &hf.seg)
+		tensor.MatMulBTInto(sc.dwT, sc.cols, &sc.seg)
 		for oc := 0; oc < l.OutC; oc++ {
-			dw := hf.dwPart[oc*k : (oc+1)*k]
+			dw := sc.dwPart[oc*k : (oc+1)*k]
 			for i := range dw {
-				dw[i] += hf.dwT.Data[i*l.OutC+oc]
+				dw[i] += sc.dwT.Data[i*l.OutC+oc]
 			}
-			hf.dbPart[oc] += tensor.Sum(hf.seg.Row(oc))
+			sc.dbPart[oc] += tensor.Sum(sc.seg.Row(oc))
 		}
 		if dx == nil {
 			continue
 		}
 		// dcols = Wᵀ·dOut, scattered back to image space
-		tensor.MatMulATInto(hf.dcols, l.wview, &hf.seg)
-		l.col2im(hf.dcols, dx.Row(s))
+		tensor.MatMulATInto(sc.dcols, l.wview, &sc.seg)
+		l.col2im(sc.dcols, dx.Row(s))
 	}
 }
 

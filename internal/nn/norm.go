@@ -105,8 +105,8 @@ func (l *BatchNorm) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 			}
 			for c := 0; c < C; c++ {
 				variance := sq[c] / m
-				l.RunMean.Data[c] = (1-l.Momentum)*l.RunMean.Data[c] + l.Momentum*mean[c]
-				l.RunVar.Data[c] = (1-l.Momentum)*l.RunVar.Data[c] + l.Momentum*variance
+				l.RunMean.Data[c] = float64((1-l.Momentum)*l.RunMean.Data[c]) + float64(l.Momentum*mean[c])
+				l.RunVar.Data[c] = float64((1-l.Momentum)*l.RunVar.Data[c]) + float64(l.Momentum*variance)
 				l.invstd[c] = 1 / math.Sqrt(variance+l.Eps)
 			}
 		} else {
@@ -137,12 +137,12 @@ func (l *BatchNorm) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 				seg := x.Row(s)[c*sp : (c+1)*sp]
 				for _, v := range seg {
 					d := v - mean
-					sq += d * d
+					sq += float64(d * d)
 				}
 			}
 			variance = sq / m
-			l.RunMean.Data[c] = (1-l.Momentum)*l.RunMean.Data[c] + l.Momentum*mean
-			l.RunVar.Data[c] = (1-l.Momentum)*l.RunVar.Data[c] + l.Momentum*variance
+			l.RunMean.Data[c] = float64((1-l.Momentum)*l.RunMean.Data[c]) + float64(l.Momentum*mean)
+			l.RunVar.Data[c] = float64((1-l.Momentum)*l.RunVar.Data[c]) + float64(l.Momentum*variance)
 		} else {
 			mean = l.RunMean.Data[c]
 			variance = l.RunVar.Data[c]
@@ -155,7 +155,7 @@ func (l *BatchNorm) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 			for j := 0; j < sp; j++ {
 				d := x.Data[off+j] - mean
 				l.xmu[off+j] = d
-				out.Data[off+j] = g*d*inv + b
+				out.Data[off+j] = float64(g*d*inv) + b
 			}
 		}
 	}
@@ -184,7 +184,7 @@ func (l *BatchNorm) Backward(dout *tensor.Dense) *tensor.Dense {
 		}
 		for c := 0; c < C; c++ {
 			l.Beta.Grad[c] += sumD[c]
-			l.Gamma.Grad[c] += sumDXmu[c] * l.invstd[c]
+			l.Gamma.Grad[c] += float64(sumDXmu[c] * l.invstd[c])
 		}
 		if !l.train {
 			for s := 0; s < n; s++ {
@@ -221,11 +221,11 @@ func (l *BatchNorm) Backward(dout *tensor.Dense) *tensor.Dense {
 			for j := 0; j < sp; j++ {
 				d := dout.Data[off+j]
 				sumD += d
-				sumDXmu += d * l.xmu[off+j]
+				sumDXmu += float64(d * l.xmu[off+j])
 			}
 		}
 		l.Beta.Grad[c] += sumD
-		l.Gamma.Grad[c] += sumDXmu * inv
+		l.Gamma.Grad[c] += float64(sumDXmu * inv)
 		if !l.train {
 			for s := 0; s < n; s++ {
 				off := s*dout.C + c*sp
@@ -238,12 +238,12 @@ func (l *BatchNorm) Backward(dout *tensor.Dense) *tensor.Dense {
 		// dxhat = dout*gamma; dx = inv/m * (m*dxhat - Σdxhat - xhat*Σ(dxhat·xhat))
 		// expressed with xmu: xhat = xmu*inv.
 		k1 := g * inv
-		k2 := g * inv / m * sumD
+		k2 := float64(g * inv / m * sumD)
 		k3 := g * inv * inv * inv / m * sumDXmu
 		for s := 0; s < n; s++ {
 			off := s*dout.C + c*sp
 			for j := 0; j < sp; j++ {
-				dx.Data[off+j] = k1*dout.Data[off+j] - k2 - k3*l.xmu[off+j]
+				dx.Data[off+j] = float64(k1*dout.Data[off+j]) - k2 - float64(k3*l.xmu[off+j])
 			}
 		}
 	}

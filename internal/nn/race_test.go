@@ -2,6 +2,6 @@
 
 package nn
 
-// raceEnabled: under -race sync.Pool drops a quarter of what is Put, so
-// allocation counts of pool-backed paths are not meaningful.
+// raceEnabled: under -race tensor's GEMM panel sync.Pool drops a quarter of
+// what is Put, so allocation counts of paths through it are not meaningful.
 const raceEnabled = true

@@ -6,12 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"fedwcm/internal/fl"
 	"fedwcm/internal/fl/methods"
 	"fedwcm/internal/scenario"
-	"fedwcm/internal/tensor"
 )
 
 // goldenSpec is the shared fixture: a deliberately small but fully featured
@@ -156,25 +156,25 @@ func goldenCNNSpec(method string) RunSpec {
 	}
 }
 
-// goldenCNNHistories were recorded on the commit before Conv2D's reduction
-// order was fixed, at tensor.SetMaxWorkers(2) — the only setting at which
-// that commit was reproducible (it gave other digests at 1 worker and
-// run-to-run different ones from 3 up), and the reduction tree the frozen
-// bench/golden.json was recorded with. They prove fixing the order moved
-// no bit.
+// goldenCNNHistories were recorded before Conv2D's reduction order was
+// fixed, with the two-half reduction tree the frozen bench/golden.json was
+// also recorded with (that code gave other digests on one goroutine and
+// run-to-run different ones on three or more). They prove fixing the order
+// moved no bit.
 var goldenCNNHistories = map[string]string{
 	"fedavg": "f30a529ab23ed21d5d13a7eaed6c6db37013b1630bb6673f602642386f725c14",
 	"fedwcm": "ded0c1bb62e70e04dc88df0b4bb53fd712909d615d8549dcb15914d1d17c950b",
 }
 
 // TestGoldenCNNHistoriesBitIdentical pins the image path and requires the
-// pin to hold whatever parallelism the kernels are given: a history is
-// addressed by its spec, so it cannot depend on the host's core count.
+// pin to hold however many threads the kernels get to run on: a history is
+// addressed by its spec, so it cannot depend on the host's core count. The
+// kernels are serial, so the kernel-workers axis is GOMAXPROCS.
 func TestGoldenCNNHistoriesBitIdentical(t *testing.T) {
 	for method, want := range goldenCNNHistories {
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/kernel-workers=%d", method, workers), func(t *testing.T) {
-				defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(workers))
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				runGolden(t, goldenCNNSpec(method), want)
 			})
 		}

@@ -56,26 +56,3 @@ func TestFromSlicePanics(t *testing.T) {
 	}()
 	FromSlice(2, 2, []float64{1, 2, 3})
 }
-
-func TestParallelForCoversRange(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, 1001} {
-		hits := make([]int32, n)
-		ParallelFor(n, 3, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				hits[i]++
-			}
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d index %d visited %d times", n, i, h)
-			}
-		}
-	}
-}
-
-func TestSetMaxWorkersRestores(t *testing.T) {
-	prev := SetMaxWorkers(1)
-	if got := SetMaxWorkers(prev); got != 1 {
-		t.Fatalf("SetMaxWorkers returned %d, want 1", got)
-	}
-}

@@ -125,10 +125,10 @@ func gemmEdge(dst []float64, ldc int, a []float64, lda, astep int, b []float64, 
 		bi, ai := j, 0
 		for p := 0; p < k; p++ {
 			bv := b[bi]
-			c0 += a0[ai] * bv
-			c1 += a1[ai] * bv
-			c2 += a2[ai] * bv
-			c3 += a3[ai] * bv
+			c0 += float64(a0[ai] * bv)
+			c1 += float64(a1[ai] * bv)
+			c2 += float64(a2[ai] * bv)
+			c3 += float64(a3[ai] * bv)
 			bi += ldb
 			ai += astep
 		}
@@ -164,41 +164,41 @@ func gemmKernelGo(dst []float64, ldc int, a []float64, lda, astep int, b []float
 		brow := b[p*ldb : p*ldb+gemmNR]
 		b0, b1, b2, b3, b4, b5, b6, b7 := brow[0], brow[1], brow[2], brow[3], brow[4], brow[5], brow[6], brow[7]
 		av := a0[ai]
-		c00 += av * b0
-		c01 += av * b1
-		c02 += av * b2
-		c03 += av * b3
-		c04 += av * b4
-		c05 += av * b5
-		c06 += av * b6
-		c07 += av * b7
+		c00 += float64(av * b0)
+		c01 += float64(av * b1)
+		c02 += float64(av * b2)
+		c03 += float64(av * b3)
+		c04 += float64(av * b4)
+		c05 += float64(av * b5)
+		c06 += float64(av * b6)
+		c07 += float64(av * b7)
 		av = a1[ai]
-		c10 += av * b0
-		c11 += av * b1
-		c12 += av * b2
-		c13 += av * b3
-		c14 += av * b4
-		c15 += av * b5
-		c16 += av * b6
-		c17 += av * b7
+		c10 += float64(av * b0)
+		c11 += float64(av * b1)
+		c12 += float64(av * b2)
+		c13 += float64(av * b3)
+		c14 += float64(av * b4)
+		c15 += float64(av * b5)
+		c16 += float64(av * b6)
+		c17 += float64(av * b7)
 		av = a2[ai]
-		c20 += av * b0
-		c21 += av * b1
-		c22 += av * b2
-		c23 += av * b3
-		c24 += av * b4
-		c25 += av * b5
-		c26 += av * b6
-		c27 += av * b7
+		c20 += float64(av * b0)
+		c21 += float64(av * b1)
+		c22 += float64(av * b2)
+		c23 += float64(av * b3)
+		c24 += float64(av * b4)
+		c25 += float64(av * b5)
+		c26 += float64(av * b6)
+		c27 += float64(av * b7)
 		av = a3[ai]
-		c30 += av * b0
-		c31 += av * b1
-		c32 += av * b2
-		c33 += av * b3
-		c34 += av * b4
-		c35 += av * b5
-		c36 += av * b6
-		c37 += av * b7
+		c30 += float64(av * b0)
+		c31 += float64(av * b1)
+		c32 += float64(av * b2)
+		c33 += float64(av * b3)
+		c34 += float64(av * b4)
+		c35 += float64(av * b5)
+		c36 += float64(av * b6)
+		c37 += float64(av * b7)
 		ai += astep
 	}
 	r0[0], r0[1], r0[2], r0[3], r0[4], r0[5], r0[6], r0[7] = c00, c01, c02, c03, c04, c05, c06, c07

@@ -80,16 +80,6 @@ func init() {
 	gemmShapes = append(gemmShapes, [3]int{51, 144, 144}, [3]int{144, 51, 144})
 }
 
-// eachWorkerCount runs fn at SetMaxWorkers 1 to 4: the row chunking of the
-// parallel branch decides how many chunks end in leftover rows.
-func eachWorkerCount(fn func()) {
-	defer SetMaxWorkers(SetMaxWorkers(1))
-	for w := 1; w <= 4; w++ {
-		SetMaxWorkers(w)
-		fn()
-	}
-}
-
 // nanDense returns an r×c matrix of NaN: an *Into call that leaves a row
 // unwritten — a tail strip not copied back — cannot pass for zero.
 func nanDense(r, c int) *Dense {
@@ -105,11 +95,9 @@ func TestMatMulIntoMatchesReference(t *testing.T) {
 		a, b := randDenseMixed(rng, n, k), randDenseMixed(rng, k, m)
 		want := NewDense(n, m)
 		matmulRange(want, a, b, 0, n)
-		eachWorkerCount(func() {
-			got := nanDense(n, m)
-			MatMulInto(got, a, b)
-			bitsEqual(t, "MatMulInto", got, want)
-		})
+		got := nanDense(n, m)
+		MatMulInto(got, a, b)
+		bitsEqual(t, "MatMulInto", got, want)
 	}
 }
 
@@ -120,11 +108,9 @@ func TestMatMulBTIntoMatchesReference(t *testing.T) {
 		a, b := randDenseMixed(rng, n, k), randDenseMixed(rng, m, k)
 		want := NewDense(n, m)
 		matmulBTRange(want, a, b, 0, n)
-		eachWorkerCount(func() {
-			got := nanDense(n, m)
-			MatMulBTInto(got, a, b)
-			bitsEqual(t, "MatMulBTInto", got, want)
-		})
+		got := nanDense(n, m)
+		MatMulBTInto(got, a, b)
+		bitsEqual(t, "MatMulBTInto", got, want)
 	}
 }
 
@@ -135,11 +121,9 @@ func TestMatMulATIntoMatchesReference(t *testing.T) {
 		a, b := randDenseMixed(rng, n, r), randDenseMixed(rng, n, c)
 		want := NewDense(r, c)
 		matmulATRange(want, a, b, 0, r)
-		eachWorkerCount(func() {
-			got := nanDense(r, c)
-			MatMulATInto(got, a, b)
-			bitsEqual(t, "MatMulATInto", got, want)
-		})
+		got := nanDense(r, c)
+		MatMulATInto(got, a, b)
+		bitsEqual(t, "MatMulATInto", got, want)
 	}
 }
 
@@ -202,19 +186,18 @@ func TestMatMulBTSwappedIsTranspose(t *testing.T) {
 	}
 }
 
-// TestMatMulIntoAllocFree: below the parallel threshold the *Into variants
-// must not allocate — a conv layer calls them three times per sample, and
-// the MLP's 50-row batch sends its A·B and A·Bᵀ products through the pooled
-// tail strip.
+// TestMatMulIntoAllocFree: the *Into variants must not allocate at any
+// size — a conv layer calls them three times per sample, and the MLP's
+// 50-row batch sends its A·B and A·Bᵀ products through the pooled tail
+// strip.
 func TestMatMulIntoAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the panel pool allocates under -race")
 	}
-	prev := SetMaxWorkers(2)
-	defer SetMaxWorkers(prev)
 	for _, s := range [][3]int{
-		{8, 72, 144}, // ResNetLite stage-1 body conv, per sample
-		{50, 64, 32}, // MLP second layer at the preset batch: 48 rows + 2
+		{8, 72, 144},   // ResNetLite stage-1 body conv, per sample
+		{50, 64, 32},   // MLP second layer at the preset batch: 48 rows + 2
+		{51, 144, 144}, // the largest gemm test shape, leftover rows included
 	} {
 		n, k, m := s[0], s[1], s[2]
 		a, b, bt, c := NewDense(n, k), NewDense(k, m), NewDense(m, k), NewDense(n, m)
@@ -229,24 +212,6 @@ func TestMatMulIntoAllocFree(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestGemmParallelMatchesSerial pins that chunked parallel execution cannot
-// change bits either (each output element is owned by exactly one chunk).
-func TestGemmParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a, b := randDenseMixed(rng, 64, 96), randDenseMixed(rng, 96, 80)
-	serial := NewDense(64, 80)
-	MatMulInto(serial, a, b)
-
-	SetMaxWorkers(4)
-	defer SetMaxWorkers(1)
-	par := NewDense(64, 80)
-	// Force chunking by calling the chunk body directly through ParallelFor.
-	ParallelFor(64, 8, func(lo, hi int) {
-		gemmBlock(par.Data[lo*80:], 80, a.Data[lo*96:], 96, 1, b.Data, 80, hi-lo, 96, 80)
-	})
-	bitsEqual(t, "parallel gemm", par, serial)
 }
 
 // TestMatVecIntoMatchesMatVec pins the matrix-vector shape (a one-row B) of

@@ -12,16 +12,10 @@ package tensor
 // always streams row-major data, and every output element accumulates its k
 // products in ascending order — the same order as the retained reference
 // kernels (matmulRange / matmulBTRange / matmulATRange below), so results
-// are bit-identical and golden histories stay pinned. Each variant
-// parallelises over 4-row strips of the output when the work is large
-// enough to pay for goroutine startup, so only the last chunk of a product
-// can end in leftover rows (gemmTailRows).
-
-// matmulMinFlops is the approximate flop count under which a matmul stays
-// serial. The tiled kernels retire flops ~4× faster than the old naive
-// loops, so the cut point sits 4× higher to keep the per-goroutine chunk
-// wall-time (and thus the spawn-overhead ratio) where it was tuned.
-const matmulMinFlops = 256 * 1024
+// are bit-identical and golden histories stay pinned. Each variant is one
+// gemmBlock call on the calling goroutine (a run's parallelism is its
+// client pool, which already keeps every core busy), so only a product's
+// last ≤ 3 rows take the padded tail strip (gemmTailRows).
 
 // matmulRange computes rows [lo, hi) of dst = A·B; dst rows must be zeroed.
 // Retained as the reference implementation the tiled path is tested
@@ -37,7 +31,7 @@ func matmulRange(dst, a, b *Dense, lo, hi int) {
 			}
 			brow := b.Data[p*m : (p+1)*m]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -50,18 +44,7 @@ func MatMulInto(dst, a, b *Dense) {
 	}
 	Zero(dst.Data)
 	n, k, m := a.R, a.C, b.C
-	// The serial branch calls gemmBlock directly: a chunk closure built
-	// before the branch escapes through ParallelFor and costs every call an
-	// allocation, parallel or not.
-	strips, minStrips := stripsForFlops(n, k, m)
-	if serialFor(strips, minStrips) {
-		gemmBlock(dst.Data, m, a.Data, k, 1, b.Data, m, n, k, m)
-		return
-	}
-	ParallelFor(strips, minStrips, func(lo, hi int) {
-		lo, hi = lo*gemmMR, min(hi*gemmMR, n)
-		gemmBlock(dst.Data[lo*m:], m, a.Data[lo*k:], k, 1, b.Data, m, hi-lo, k, m)
-	})
+	gemmBlock(dst.Data, m, a.Data, k, 1, b.Data, m, n, k, m)
 }
 
 // matmulBTRange computes rows [lo, hi) of dst = A·Bᵀ. Retained as the
@@ -92,16 +75,7 @@ func MatMulBTInto(dst, a, b *Dense) {
 	}
 	panel := getPanel(k * m)
 	packTranspose(*panel, b.Data, m, k) // b (m×k) → panel (k×m)
-	bp := *panel
-	strips, minStrips := stripsForFlops(n, k, m)
-	if serialFor(strips, minStrips) {
-		gemmBlock(dst.Data, m, a.Data, k, 1, bp, m, n, k, m)
-	} else {
-		ParallelFor(strips, minStrips, func(lo, hi int) {
-			lo, hi = lo*gemmMR, min(hi*gemmMR, n)
-			gemmBlock(dst.Data[lo*m:], m, a.Data[lo*k:], k, 1, bp, m, hi-lo, k, m)
-		})
-	}
+	gemmBlock(dst.Data, m, a.Data, k, 1, *panel, m, n, k, m)
 	putPanel(panel)
 }
 
@@ -118,7 +92,7 @@ func matmulATRange(dst, a, b *Dense, lo, hi int) {
 			}
 			brow := b.Data[p*c : (p+1)*c]
 			for j, bv := range brow {
-				crow[j] += av * bv
+				crow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -134,28 +108,5 @@ func MatMulATInto(dst, a, b *Dense) {
 	}
 	Zero(dst.Data)
 	n, r, c := a.R, a.C, b.C
-	if n == 0 || r == 0 || c == 0 {
-		return
-	}
-	strips, minStrips := stripsForFlops(r, n, c)
-	if serialFor(strips, minStrips) {
-		gemmBlock(dst.Data, c, a.Data, 1, r, b.Data, c, r, n, c)
-		return
-	}
-	ParallelFor(strips, minStrips, func(lo, hi int) {
-		lo, hi = lo*gemmMR, min(hi*gemmMR, r)
-		gemmBlock(dst.Data[lo*c:], c, a.Data[lo:], 1, r, b.Data, c, hi-lo, n, c)
-	})
-}
-
-// stripsForFlops returns how many gemmMR-row strips an n-row product has
-// and the minimum number each goroutine chunk should own so that a chunk
-// performs at least matmulMinFlops work.
-func stripsForFlops(n, k, m int) (strips, minStrips int) {
-	strips = (n + gemmMR - 1) / gemmMR
-	perStrip := 2 * gemmMR * k * m
-	if perStrip <= 0 {
-		return strips, strips + 1
-	}
-	return strips, max(1, matmulMinFlops/perStrip)
+	gemmBlock(dst.Data, c, a.Data, 1, r, b.Data, c, r, n, c)
 }

@@ -91,21 +91,6 @@ func TestMatMulATAgainstNaive(t *testing.T) {
 	}
 }
 
-func TestMatMulParallelMatchesSerial(t *testing.T) {
-	r := xrand.New(4)
-	a := randDense(r, 200, 64)
-	b := randDense(r, 64, 96)
-	serial, parallel := NewDense(200, 96), NewDense(200, 96)
-	prev := SetMaxWorkers(1)
-	MatMulInto(serial, a, b)
-	SetMaxWorkers(8)
-	MatMulInto(parallel, a, b)
-	SetMaxWorkers(prev)
-	if !Equal(serial, parallel, 0) {
-		t.Fatal("parallel matmul differs from serial (must be bit-identical: same summation order)")
-	}
-}
-
 func TestMatMulIdentity(t *testing.T) {
 	r := xrand.New(5)
 	a := randDense(r, 7, 7)

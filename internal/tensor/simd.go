@@ -72,7 +72,7 @@ func BNNormInto(out, xmu, x, mean, g, b, inv []float64) {
 	for ; i < n; i++ {
 		d := x[i] - mean[i]
 		xmu[i] = d
-		out[i] = g[i]*d*inv[i] + b[i]
+		out[i] = float64(g[i]*d*inv[i]) + b[i]
 	}
 }
 
@@ -90,7 +90,7 @@ func BNVarAccum(sq, x, mean []float64) {
 	}
 	for ; i < n; i++ {
 		d := x[i] - mean[i]
-		sq[i] += d * d
+		sq[i] += float64(d * d)
 	}
 }
 
@@ -110,7 +110,7 @@ func BNBwdAccum(sumD, sumDXmu, dout, xmu []float64) {
 	for ; i < n; i++ {
 		d := dout[i]
 		sumD[i] += d
-		sumDXmu[i] += d * xmu[i]
+		sumDXmu[i] += float64(d * xmu[i])
 	}
 }
 
@@ -131,6 +131,6 @@ func BNBwdDx(dx, dout, xmu, k1, k2, k3 []float64) {
 		i = blocks << 2
 	}
 	for ; i < n; i++ {
-		dx[i] = k1[i]*dout[i] - k2[i] - k3[i]*xmu[i]
+		dx[i] = float64(k1[i]*dout[i]) - k2[i] - float64(k3[i]*xmu[i])
 	}
 }

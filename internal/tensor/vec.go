@@ -1,6 +1,6 @@
 // Package tensor implements the dense linear algebra used by the neural
 // network substrate and the federated aggregation rules: flat float64
-// vectors, row-major matrices, and a blocked goroutine-parallel matmul.
+// vectors, row-major matrices, and a register-tiled matmul.
 // It deliberately stays small and allocation-conscious rather than general.
 package tensor
 
@@ -39,7 +39,7 @@ func Axpy(dst []float64, a float64, x []float64) {
 		i = blocks << 2
 	}
 	for ; i < len(x); i++ {
-		dst[i] += a * x[i]
+		dst[i] += float64(a * x[i])
 	}
 }
 
@@ -86,7 +86,7 @@ func Lerp(dst []float64, a float64, x, y []float64) {
 		i = blocks << 2
 	}
 	for ; i < len(dst); i++ {
-		dst[i] = a*x[i] + b*y[i]
+		dst[i] = float64(a*x[i]) + float64(b*y[i])
 	}
 }
 
@@ -97,7 +97,7 @@ func Dot(x, y []float64) float64 {
 	}
 	s := 0.0
 	for i, v := range x {
-		s += v * y[i]
+		s += float64(v * y[i])
 	}
 	return s
 }
@@ -182,7 +182,7 @@ func L2Dist(x, y []float64) float64 {
 	s := 0.0
 	for i := range x {
 		d := x[i] - y[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }

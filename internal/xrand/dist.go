@@ -111,6 +111,6 @@ func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 // FillNorm fills dst with independent N(mu, sigma^2) samples.
 func (r *RNG) FillNorm(dst []float64, mu, sigma float64) {
 	for i := range dst {
-		dst[i] = mu + sigma*r.NormFloat64()
+		dst[i] = mu + float64(sigma*r.NormFloat64())
 	}
 }
