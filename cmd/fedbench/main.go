@@ -6,7 +6,10 @@
 // content-addressed result store (-store), so cells shared across tables —
 // and whole repeated invocations — are cache hits instead of recompute.
 // Each experiment prints a "[sweep ...]" line reporting how many cells were
-// cached versus computed.
+// cached versus computed. With -remote, each grid is submitted to a running
+// fedserve's POST /v1/sweeps (which may itself be coordinator-backed, so a
+// laptop drives a grid that trains on a fleet) and the counts are the
+// server's; fig11 and table6, which train nothing, still compute locally.
 //
 // Examples:
 //
@@ -15,7 +18,7 @@
 //	fedbench -run table1 -effort 0.3
 //	fedbench -run all -effort 0.5 -out results
 //	fedbench -run table1 -store ""          # disable the result store
-//	fedbench -run table1 -remote http://localhost:8080   # cells run on fedserve
+//	fedbench -run table1 -remote http://localhost:8080   # the grid runs on fedserve
 //
 // A failed sweep prints one line per failed axes group (its first error)
 // and exits non-zero.
@@ -30,7 +33,6 @@ import (
 	"strings"
 	"time"
 
-	"fedwcm/internal/dispatch"
 	"fedwcm/internal/experiments"
 	"fedwcm/internal/obs"
 	"fedwcm/internal/store"
@@ -47,7 +49,7 @@ func main() {
 		cells     = flag.Int("cellworkers", 3, "concurrent sweep cells")
 		storeDir  = flag.String("store", "results/store", "result store root (empty disables caching)")
 		envCap    = flag.Int("envcache", sweep.DefaultEnvCacheCap, "environments kept in the shared env cache")
-		remote    = flag.String("remote", "", "execute sweep cells on a running fedserve at this base URL instead of in-process")
+		remote    = flag.String("remote", "", "submit each experiment's grid to the fedserve at this base URL (POST /v1/sweeps) and render its results, instead of training in-process")
 		logFormat = flag.String("log-format", "text", "log output format: text | json")
 	)
 	flag.Parse()
@@ -86,21 +88,6 @@ func main() {
 	envs := sweep.NewEnvCache(*envCap)
 	envs.Instrument(obs.Default())
 
-	// -remote dispatches sweep cells to a running fedserve (which may itself
-	// be coordinator-backed), so a laptop drives a grid that trains on a
-	// fleet. Every training experiment is a sweep; only fig11 and table6,
-	// which train nothing, compute locally.
-	var executor dispatch.Executor
-	if *remote != "" {
-		client, err := dispatch.NewClient(dispatch.ClientConfig{BaseURL: *remote})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedbench:", err)
-			os.Exit(1)
-		}
-		defer client.Close()
-		executor = client
-	}
-
 	ids := []string{*run}
 	if *run == "all" {
 		ids = experiments.IDs()
@@ -133,7 +120,7 @@ func main() {
 			CellWorkers: *cells,
 			Store:       st,
 			Envs:        envs,
-			Executor:    executor,
+			Remote:      *remote,
 			Out:         w,
 		})
 		if f != nil {

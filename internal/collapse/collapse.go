@@ -67,7 +67,7 @@ func unitConcentration(out *tensor.Dense) float64 {
 	hhi := 0.0
 	for _, m := range mass {
 		p := m / total
-		hhi += p * p
+		hhi += float64(p * p)
 	}
 	return hhi * float64(d)
 }

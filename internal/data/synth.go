@@ -134,8 +134,8 @@ func (s ImageSpec) Generate(seed, streamTag uint64, counts []int) *Dataset {
 				base := ch * s.H * s.W
 				for py := 0; py < s.H; py++ {
 					for px := 0; px < s.W; px++ {
-						v := s.Contrast * math.Sin(g.fx*float64(px)*2+g.fy*float64(py)*2+g.phase+jitter)
-						img[base+py*s.W+px] = v + s.Noise*r.NormFloat64()
+						v := s.Contrast * math.Sin(float64(g.fx*float64(px))*2+float64(g.fy*float64(py))*2+g.phase+jitter)
+						img[base+py*s.W+px] = float64(v) + float64(s.Noise*r.NormFloat64())
 					}
 				}
 			}

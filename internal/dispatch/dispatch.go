@@ -16,8 +16,9 @@
 //   - Local, the backend of a plain fedserve or fedbench, is a Coordinator
 //     with no WAL and leases that never expire plus an in-process Worker
 //     that calls it directly.
-//   - Client submits jobs to a remote fedserve over the public run API —
-//     the backend behind fedbench -remote.
+//
+// fedbench -remote is no backend: it submits a whole grid to a fedserve's
+// public sweep API, and that server's own Local or Coordinator runs it.
 //
 // So every cell in every topology runs one lease, relay, persist and finish
 // path; only the Worker's transport differs. Under the Coordinator is one

@@ -32,8 +32,8 @@ type coordMetrics struct {
 
 // wireMetrics instruments the binary wire codec (internal/wire) wherever a
 // component encodes or decodes it. The same family names are registered by
-// the coordinator (rx), the worker (tx) and the serve layer (tx), so a
-// shared registry shows one fedwcm_wire_bytes_total across the process.
+// the coordinator (rx) and the worker (tx), so a shared registry shows one
+// fedwcm_wire_bytes_total across the process.
 type wireMetrics struct {
 	bytes  *obs.CounterVec // payload bytes by message kind and direction
 	encode *obs.Histogram  // encode latency, seconds

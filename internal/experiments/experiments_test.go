@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"fedwcm/internal/data"
-	"fedwcm/internal/dispatch"
 	"fedwcm/internal/fl"
 	"fedwcm/internal/store"
 	"fedwcm/internal/sweep"
@@ -207,9 +206,9 @@ func TestDeclaredCellFingerprintsUnchanged(t *testing.T) {
 
 // TestSmallExperimentsEndToEnd runs the cheap experiments at minimum effort
 // to ensure every registered pipeline executes, and that re-running a
-// declarative experiment against the same store recomputes nothing. fig4
-// goes through a dispatch backend: probed cells ship as spec JSON and come
-// back with their readings, like any other cell.
+// declarative experiment against the same store recomputes nothing. Every
+// engine runs its cells on a dispatch.Local, so fig4's probed cells ship as
+// spec JSON and come back with their readings, like any other cell.
 func TestSmallExperimentsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke runs skipped in -short mode")
@@ -218,11 +217,6 @@ func TestSmallExperimentsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := dispatch.NewLocal(dispatch.LocalConfig{Runner: sweep.DispatchRunner(nil), Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer local.Close()
 	for _, id := range []string{"fig11", "abl_parts", "fig8", "fig4"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -232,9 +226,6 @@ func TestSmallExperimentsEndToEnd(t *testing.T) {
 			}
 			var buf bytes.Buffer
 			opt := Options{Seed: 2, Effort: 0.08, CellWorkers: 4, Store: st, Out: &buf}
-			if id == "fig4" {
-				opt.Executor = local
-			}
 			if err := e.Execute(opt); err != nil {
 				t.Fatal(err)
 			}

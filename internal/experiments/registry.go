@@ -13,7 +13,6 @@ import (
 	"sort"
 	"sync"
 
-	"fedwcm/internal/dispatch"
 	"fedwcm/internal/store"
 	"fedwcm/internal/sweep"
 )
@@ -37,12 +36,13 @@ type Options struct {
 	// build it once. Nil gets a per-Execute cache; callers running many
 	// experiments (cmd/fedbench) pass one cache to share across them.
 	Envs *sweep.EnvCache
-	// Executor, when set, dispatches sweep cells to a dispatch backend (e.g.
-	// a remote fedserve via fedbench -remote) instead of training
-	// in-process. Every training experiment is a sweep, so this covers all
+	// Remote, when set, is the base URL of a running fedserve: the
+	// experiment's grid is submitted to its POST /v1/sweeps and the finished
+	// histories are fetched back, instead of training in-process (fedbench
+	// -remote). Every training experiment is a sweep, so this covers all
 	// training the registry does.
-	Executor dispatch.Executor
-	Out      io.Writer
+	Remote string
+	Out    io.Writer
 }
 
 // Defaults normalises options.
@@ -81,7 +81,8 @@ type Experiment struct {
 	Run func(opt Options) error
 }
 
-// Execute runs the experiment: the sweep path when Sweep is set, Run
+// Execute runs the experiment: the sweep path when Sweep is set — on the
+// server at opt.Remote when that is set, in-process otherwise — and Run
 // otherwise.
 func (e *Experiment) Execute(opt Options) error {
 	opt = opt.Defaults()
@@ -92,10 +93,16 @@ func (e *Experiment) Execute(opt Options) error {
 	if sp.Name == "" {
 		sp.Name = e.ID
 	}
-	eng := &sweep.Engine{Store: opt.Store, Workers: opt.CellWorkers, Envs: opt.Envs, Executor: opt.Executor}
-	defer eng.Close()
 	before := opt.Envs.Stats()
-	res, err := eng.RunSweep(sp, nil)
+	var res *sweep.Result
+	var err error
+	if opt.Remote != "" {
+		res, err = runRemote(opt.Remote, sp, opt.Store)
+	} else {
+		eng := &sweep.Engine{Store: opt.Store, Workers: opt.CellWorkers, Envs: opt.Envs}
+		defer eng.Close()
+		res, err = eng.RunSweep(sp, nil)
+	}
 	if res != nil && res.Failed > 0 {
 		// Surface per-group causes, not a bare count: one line per failed
 		// axes group with its first error.

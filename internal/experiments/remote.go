@@ -1,0 +1,186 @@
+package experiments
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strconv"
+	"strings"
+	"time"
+
+	"fedwcm/internal/fl"
+	"fedwcm/internal/store"
+	"fedwcm/internal/sweep"
+)
+
+// remotePoll is the status-poll cadence while a remote sweep runs.
+const remotePoll = 250 * time.Millisecond
+
+var remoteHTTP = &http.Client{Timeout: 30 * time.Second}
+
+// remoteSweepStatus is the part of GET /v1/sweeps/{id} a remote run reads.
+type remoteSweepStatus struct {
+	ID     string `json:"id"`
+	Status string `json:"status"`
+	Error  string `json:"error"`
+	Cells  []struct {
+		ID     string `json:"id"`
+		Status string `json:"status"`
+		Error  string `json:"error"`
+	} `json:"cells"`
+}
+
+// runRemote executes sp on the fedserve at base through its public sweep
+// API: one POST /v1/sweeps, a status poll until the grid is terminal, then
+// each finished cell's history from GET /v1/runs/{id}. The server resolves
+// every cell against its own store and executor, and each row's status is
+// what the result counts, so a server-side cache hit reads "cached" here.
+// Histories are read from st first and put into it after a fetch, when st is
+// set. Like Engine.RunSweep it returns the result together with a non-nil
+// error when any cell failed.
+func runRemote(base string, sp sweep.Spec, st *store.Store) (*sweep.Result, error) {
+	// "host:8080/" + "/v1/sweeps" is "//v1/sweeps": ServeMux answers 301 to
+	// the cleaned path and http.Client replays a redirected POST as GET.
+	base = strings.TrimRight(base, "/")
+	cells, err := sp.Expand()
+	if err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(sp)
+	if err != nil {
+		return nil, err
+	}
+	var sub remoteSweepStatus
+	var code int
+	for {
+		var retryAfter time.Duration
+		code, retryAfter, err = remoteCall(http.MethodPost, base+"/v1/sweeps", body, &sub)
+		if err != nil {
+			return nil, err
+		}
+		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
+			if retryAfter <= 0 {
+				retryAfter = remotePoll
+			}
+			time.Sleep(retryAfter)
+			continue
+		}
+		if code != http.StatusOK && code != http.StatusAccepted {
+			return nil, fmt.Errorf("experiments: submitting sweep %s: HTTP %d: %s", sp.Name, code, sub.Error)
+		}
+		break
+	}
+	// 200 answers a grid whose finished record the server already held:
+	// nothing was computed for this request, so every row counts as cached.
+	held := code == http.StatusOK
+
+	var sum remoteSweepStatus
+	for {
+		sum = remoteSweepStatus{}
+		code, _, err := remoteCall(http.MethodGet, base+"/v1/sweeps/"+sub.ID, nil, &sum)
+		if err != nil {
+			return nil, err
+		}
+		if code != http.StatusOK {
+			// A 404 means the server forgot the sweep (restarted, or evicted
+			// the record): it will never finish there, so stop polling.
+			return nil, fmt.Errorf("experiments: polling sweep %.12s: HTTP %d: %s", sub.ID, code, sum.Error)
+		}
+		if sum.Status != sweep.StatusRunning {
+			break
+		}
+		time.Sleep(remotePoll)
+	}
+
+	if len(sum.Cells) != len(cells) {
+		return nil, fmt.Errorf("experiments: server expanded sweep %.12s into %d cells, local expansion has %d",
+			sub.ID, len(sum.Cells), len(cells))
+	}
+	results := make([]sweep.CellResult, len(cells))
+	for i, row := range sum.Cells {
+		if row.ID != cells[i].ID {
+			// Both sides hash the same canonical bytes; a mismatch means
+			// the server trained something other than the local grid.
+			return nil, fmt.Errorf("experiments: server filed cell %d under %s, local expansion computed %s",
+				i, row.ID, cells[i].ID)
+		}
+		results[i] = sweep.CellResult{Cell: cells[i], Status: row.Status, Err: row.Error}
+		switch row.Status {
+		case sweep.CellFailed:
+			continue
+		case sweep.StatusDone:
+			results[i].Status = sweep.CellComputed
+			if held {
+				results[i].Status = sweep.CellCached
+			}
+		case sweep.CellCached:
+		default:
+			return nil, fmt.Errorf("experiments: cell %.12s ended %q", row.ID, row.Status)
+		}
+		if results[i].Hist, err = remoteHistory(base, row.ID, st); err != nil {
+			return nil, err
+		}
+	}
+	res := sweep.NewResult(sp, results)
+	if res.Failed > 0 {
+		return res, fmt.Errorf("experiments: sweep %s: %d/%d cells failed on %s", sp.Name, res.Failed, len(cells), base)
+	}
+	return res, nil
+}
+
+// remoteHistory returns cell id's history: from st when it holds it,
+// otherwise from the server's run endpoint, then put into st.
+func remoteHistory(base, id string, st *store.Store) (*fl.History, error) {
+	if st != nil {
+		if hist, ok, err := st.Get(id); err == nil && ok {
+			return hist, nil
+		}
+	}
+	var run struct {
+		History *fl.History `json:"history"`
+		Error   string      `json:"error"`
+	}
+	code, _, err := remoteCall(http.MethodGet, base+"/v1/runs/"+id, nil, &run)
+	if err != nil {
+		return nil, err
+	}
+	if code != http.StatusOK {
+		return nil, fmt.Errorf("experiments: fetching cell %.12s: HTTP %d: %s", id, code, run.Error)
+	}
+	if run.History == nil {
+		return nil, fmt.Errorf("experiments: cell %.12s finished with no history", id)
+	}
+	if st != nil {
+		if err := st.Put(id, run.History); err != nil {
+			return nil, err
+		}
+	}
+	return run.History, nil
+}
+
+// remoteCall sends one JSON request and decodes the JSON response, error
+// bodies included, into out. It returns the status code and the server's
+// Retry-After (integer seconds; 0 when absent or malformed).
+func remoteCall(method, url string, body []byte, out any) (int, time.Duration, error) {
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		return 0, 0, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := remoteHTTP.Do(req)
+	if err != nil {
+		return 0, 0, fmt.Errorf("experiments: %w", err)
+	}
+	defer resp.Body.Close()
+	var retryAfter time.Duration
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+		retryAfter = time.Duration(secs) * time.Second
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return resp.StatusCode, 0, fmt.Errorf("experiments: decoding %s %s: HTTP %d: %w", method, url, resp.StatusCode, err)
+	}
+	return resp.StatusCode, retryAfter, nil
+}

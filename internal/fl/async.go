@@ -365,7 +365,7 @@ func (e *asyncEngine) drawWave() {
 		}
 		if jitter := e.cfg.Async.Jitter; jitter > 0 {
 			jrng := xrand.New(xrand.DeriveSeed(e.cfg.Seed, uint64(w), uint64(id), 0xa57e))
-			dur *= 1 + jitter*(2*jrng.Float64()-1)
+			dur *= 1 + float64(jitter*(float64(2*jrng.Float64())-1))
 		}
 		e.pending = append(e.pending, pendingJob{client: id, wave: w, dur: dur})
 	}

@@ -120,7 +120,7 @@ func driftClients(train *data.Dataset, part *partition.Partition, keepFrac []flo
 		idx := part.ClientIndices[k]
 		counts := part.Counts[k]
 		for c, n := range counts {
-			exact := keepFrac[c]*float64(n) + carry[c]
+			exact := float64(keepFrac[c]*float64(n)) + carry[c]
 			kept[c] = int(exact)
 			carry[c] = exact - float64(kept[c])
 			// Guard against float drift starving a class of its last unit.

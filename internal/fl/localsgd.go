@@ -188,7 +188,7 @@ local:
 			if opts.ProxMu > 0 {
 				net.VectorInto(xcur)
 				for j := range gbuf {
-					gbuf[j] += opts.ProxMu * (xcur[j] - ctx.Global[j])
+					gbuf[j] += float64(opts.ProxMu * (xcur[j] - ctx.Global[j]))
 				}
 			}
 			if opts.Correction != nil {

@@ -90,7 +90,7 @@ func WeightedDeltaInto(global []float64, etaG float64, results []*ClientResult, 
 		}
 		s := etaG * w
 		for j, d := range res.Delta {
-			global[j] -= s * d
+			global[j] -= float64(s * d)
 		}
 	}
 }
@@ -148,7 +148,7 @@ func MomentumFrom(dst []float64, etaL float64, results []*ClientResult, weights 
 		}
 		s := weights[i] / (etaL * float64(res.Steps))
 		for j, d := range res.Delta {
-			dst[j] += s * d
+			dst[j] += float64(s * d)
 		}
 	}
 }

@@ -116,7 +116,7 @@ func (m *FedWCM) Init(env *fl.Env, dim int) {
 	dev := data.L1Deviation(global, target)
 	m.imbFactor = 1 - math.Exp(-m.Opt.DevGain*dev*float64(classes)/2)
 
-	m.temp = 1 / (float64(classes)*dev + 1e-9)
+	m.temp = 1 / (float64(float64(classes)*dev) + 1e-9)
 	if m.temp < m.Opt.TempMin {
 		m.temp = m.Opt.TempMin
 	}
@@ -174,7 +174,7 @@ func ClassRelevance(mode ScoreMode, global, target []float64) []float64 {
 func ClientScore(classWeight []float64, counts []int) float64 {
 	num, den := 0.0, 0.0
 	for c, n := range counts {
-		num += classWeight[c] * float64(n)
+		num += float64(classWeight[c] * float64(n))
 		den += float64(n)
 	}
 	if den == 0 {
@@ -234,7 +234,7 @@ func (m *FedWCM) aggregate(global []float64, results []*fl.ClientResult, info *f
 		// per-client lr normalisation).
 		total := 0.0
 		for i, res := range results {
-			w[i] *= float64(res.N)
+			w[i] = float64(w[i] * float64(res.N))
 			total += w[i]
 		}
 		if total > 0 {
@@ -252,7 +252,7 @@ func (m *FedWCM) aggregate(global []float64, results []*fl.ClientResult, info *f
 		}
 		dsum := 0.0
 		for s, c := range info.Hist {
-			dsum += float64(c) * info.Discount(s)
+			dsum += float64(float64(c) * info.Discount(s))
 		}
 		dbar = dsum / float64(n)
 		wsum := 0.0
@@ -282,7 +282,7 @@ func (m *FedWCM) aggregate(global []float64, results []*fl.ClientResult, info *f
 	}
 	m.lastQ = q
 	if !m.Opt.DisableAdaptiveAlpha {
-		a := m.Opt.AlphaBase + (1-m.Opt.AlphaBase)*m.imbFactor*q*dbar
+		a := m.Opt.AlphaBase + float64((1-m.Opt.AlphaBase)*m.imbFactor*q*dbar)
 		if a < m.Opt.AlphaBase {
 			a = m.Opt.AlphaBase
 		}

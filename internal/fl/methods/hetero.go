@@ -77,7 +77,7 @@ func (m *SCAFFOLD) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
 		ciNew := make([]float64, len(m.c))
 		payload := make([]float64, len(m.c))
 		for j := range ciNew {
-			ciNew[j] = m.ci[k][j] - m.c[j] + res.Delta[j]*inv
+			ciNew[j] = m.ci[k][j] - m.c[j] + float64(res.Delta[j]*inv)
 			payload[j] = ciNew[j] - m.ci[k][j]
 		}
 		m.ci[k] = ciNew // disjoint per client within a round: race-free

@@ -143,7 +143,7 @@ func ShotAccuracy(perClass []float64, testTotals []int, buckets []int) *ShotAcc 
 			return nil
 		}
 		n := float64(testTotals[c])
-		correct[b] += acc * n
+		correct[b] += float64(acc * n)
 		total[b] += n
 	}
 	out := &ShotAcc{}

@@ -112,13 +112,13 @@ func (f Focal) LossAndGradInto(grad *tensor.Dense, logits *tensor.Dense, labels 
 		pt := clampProb(p[t])
 		logPt := math.Log(pt)
 		omp := 1 - pt
-		total += -math.Pow(omp, g) * logPt
+		total += float64(-math.Pow(omp, g) * logPt)
 		// dL/dz_j = [γ·p_t·(1-p_t)^{γ-1}·log(p_t) − (1-p_t)^γ]·(δ_tj − p_j)
 		var coef float64
 		if g == 0 {
 			coef = -1
 		} else {
-			coef = g*pt*math.Pow(omp, g-1)*logPt - math.Pow(omp, g)
+			coef = float64(g*pt*math.Pow(omp, g-1)*logPt) - math.Pow(omp, g)
 		}
 		row := grad.Row(s)
 		for j := range row {
@@ -168,7 +168,7 @@ func (l *PriorCE) LossAndGradInto(grad *tensor.Dense, logits *tensor.Dense, labe
 	for s := 0; s < n; s++ {
 		row := logits.Row(s)
 		for j := range adj {
-			adj[j] = row[j] + l.Tau*l.LogPrior[j]
+			adj[j] = row[j] + float64(l.Tau*l.LogPrior[j])
 		}
 		p := grad.Row(s)
 		softmaxRow(p, adj)

@@ -211,7 +211,7 @@ func largestRemainder(share []float64, total int) []int {
 		if s < 0 {
 			s = 0
 		}
-		exact := s / sum * float64(total)
+		exact := float64(s / sum * float64(total))
 		counts[i] = int(exact)
 		assigned += counts[i]
 		rems[i] = rem{idx: i, frac: exact - float64(counts[i])}

@@ -73,7 +73,7 @@ func gini(sorted []int) float64 {
 	var cum, weighted float64
 	for i, s := range sorted {
 		cum += float64(s)
-		weighted += float64(i+1) * float64(s)
+		weighted += float64(float64(i+1) * float64(s))
 	}
 	if cum == 0 {
 		return 0

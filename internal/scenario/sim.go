@@ -77,7 +77,7 @@ func (s *Sim) BeginRound(round int) {
 	if a.OutageProb > 0 && a.OutageFrac > 0 {
 		orng := xrand.New(xrand.DeriveSeed(s.seed, uint64(round), tagOutage))
 		if orng.Float64() < a.OutageProb {
-			k := int(a.OutageFrac*float64(s.clients) + 0.5)
+			k := int(float64(a.OutageFrac*float64(s.clients)) + 0.5)
 			if k > s.clients {
 				k = s.clients
 			}
@@ -108,7 +108,7 @@ func (s *Sim) WorkFraction(round, id int) float64 {
 	if rng.Float64() >= st.Prob {
 		return 1
 	}
-	return st.MinFrac + (st.MaxFrac-st.MinFrac)*rng.Float64()
+	return st.MinFrac + float64((st.MaxFrac-st.MinFrac)*rng.Float64())
 }
 
 // Stage returns the drift stage for `round`: 0..stages-1, constant 0

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fedwcm/internal/dispatch"
+	"fedwcm/internal/experiments"
 	"fedwcm/internal/store"
 	"fedwcm/internal/sweep"
 )
@@ -210,10 +211,11 @@ func TestRemoteSweepMatchesLocalBackend(t *testing.T) {
 	}
 }
 
-// TestClientExecutorDrivesEngine is the fedbench -remote path: a sweep
-// engine whose Executor is the HTTP client runs its grid on a fedserve
-// instance; histories come back over the API and match a purely local
-// engine run of the same spec.
+// TestClientExecutorDrivesEngine is the fedbench -remote path: an
+// experiment whose Options.Remote names a fedserve instance runs its grid on
+// that server's engine through POST /v1/sweeps; histories come back over the
+// API and match a purely local engine run of the same spec. The counts are
+// the server's, so a repeat remote run is all cache hits.
 func TestClientExecutorDrivesEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full distributed equivalence run")
@@ -223,48 +225,52 @@ func TestClientExecutorDrivesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, Config{Store: stServer, Workers: 2})
-	client, err := dispatch.NewClient(dispatch.ClientConfig{
-		BaseURL: ts.URL, PollEvery: 10 * time.Millisecond, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
 
 	sp := sweep.Spec{
 		Methods: []string{"fedavg"}, SeedCount: 2,
 		Clients: []int{4}, SampleRates: []float64{0.5}, LocalEpochs: []int{1},
 		Model: "linear", Rounds: 8, Effort: 0.01,
 	}
-	remoteEng := &sweep.Engine{Workers: 2, Executor: client}
-	remoteRes, err := remoteEng.RunSweep(sp, nil)
-	if err != nil {
+	// A one-off experiment around sp; its renderer keeps the result.
+	var remoteRes *sweep.Result
+	exp := &experiments.Experiment{
+		ID:    "remote-equivalence",
+		Sweep: func(experiments.Options) sweep.Spec { return sp },
+		Render: func(_ experiments.Options, res *sweep.Result) error {
+			remoteRes = res
+			return nil
+		},
+	}
+	// The trailing slash is trimmed, not sent as "//v1/sweeps".
+	if err := exp.Execute(experiments.Options{Remote: ts.URL + "/", Out: io.Discard}); err != nil {
 		t.Fatal(err)
 	}
+	first := remoteRes
 	localEng := &sweep.Engine{Workers: 2, Envs: sweep.NewEnvCache(0)}
+	defer localEng.Close()
+	sp.Name = exp.ID
 	localRes, err := localEng.RunSweep(sp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if remoteRes.Computed != 2 || localRes.Computed != 2 {
-		t.Fatalf("computed: remote %d local %d, want 2/2", remoteRes.Computed, localRes.Computed)
+	if first.Computed != 2 || localRes.Computed != 2 {
+		t.Fatalf("computed: remote %d local %d, want 2/2", first.Computed, localRes.Computed)
 	}
 	for i := range localRes.Cells {
-		lh, rh := localRes.Cells[i].Hist, remoteRes.Cells[i].Hist
+		lh, rh := localRes.Cells[i].Hist, first.Cells[i].Hist
 		lb, _ := json.Marshal(lh)
 		rb, _ := json.Marshal(rh)
 		if string(lb) != string(rb) {
-			t.Fatalf("cell %d histories diverge over the client executor:\nlocal:  %s\nremote: %s", i, lb, rb)
+			t.Fatalf("cell %d histories diverge over the remote client:\nlocal:  %s\nremote: %s", i, lb, rb)
 		}
 	}
-	// The server's store holds the artifacts; a second client-driven sweep
-	// is all cache hits server-side (client receives status "cached").
-	remoteRes2, err := (&sweep.Engine{Workers: 2, Executor: client}).RunSweep(sp, nil)
-	if err != nil {
+	// The server's store holds the artifacts; a second remote run is all
+	// cache hits server-side, and the client counts them as cached.
+	if err := exp.Execute(experiments.Options{Remote: ts.URL, Out: io.Discard}); err != nil {
 		t.Fatal(err)
 	}
-	if remoteRes2.Computed != 2 { // engine-side: no local store, so "computed" — but instant
-		t.Fatalf("repeat client sweep: %+v", remoteRes2.Computed)
+	if remoteRes.Cached != 2 || remoteRes.Computed != 0 {
+		t.Fatalf("repeat remote run: %d cached, %d computed, want 2/0", remoteRes.Cached, remoteRes.Computed)
 	}
 }
 

@@ -12,12 +12,6 @@ type serveMetrics struct {
 	sseRuns   *obs.Gauge      // live /v1/runs/{id}/events subscribers
 	sseSweeps *obs.Gauge      // live /v1/sweeps/{id}/events subscribers
 	cells     *obs.CounterVec // sweep cells reaching a terminal state, by status
-
-	// Binary-transport accounting for Accept-negotiated run responses. The
-	// same family names are registered by dispatch's coordinator and worker;
-	// on a shared registry they resolve to one family.
-	wireBytes  *obs.CounterVec
-	wireEncode *obs.Histogram
 }
 
 func newServeMetrics(reg *obs.Registry, s *Server) serveMetrics {
@@ -33,21 +27,9 @@ func newServeMetrics(reg *obs.Registry, s *Server) serveMetrics {
 		return float64(len(s.sweeps))
 	})
 	return serveMetrics{
-		http:       obs.NewHTTPMetrics(reg),
-		sseRuns:    reg.Gauge("fedwcm_serve_sse_run_subscribers", "Open SSE streams on /v1/runs/{id}/events."),
-		sseSweeps:  reg.Gauge("fedwcm_serve_sse_sweep_subscribers", "Open SSE streams on /v1/sweeps/{id}/events."),
-		cells:      reg.CounterVec("fedwcm_serve_sweep_cells_total", "Sweep cells reaching a terminal state, by status.", "status"),
-		wireBytes:  reg.CounterVec("fedwcm_wire_bytes_total", "Wire-codec payload bytes moved, by message kind and direction (tx/rx).", "kind", "dir"),
-		wireEncode: reg.Histogram("fedwcm_wire_encode_seconds", "Latency of wire-codec encodes.", nil),
+		http:      obs.NewHTTPMetrics(reg),
+		sseRuns:   reg.Gauge("fedwcm_serve_sse_run_subscribers", "Open SSE streams on /v1/runs/{id}/events."),
+		sseSweeps: reg.Gauge("fedwcm_serve_sse_sweep_subscribers", "Open SSE streams on /v1/sweeps/{id}/events."),
+		cells:     reg.CounterVec("fedwcm_serve_sweep_cells_total", "Sweep cells reaching a terminal state, by status.", "status"),
 	}
-}
-
-// observeWireEncode counts one wire-encoded response body (nil-safe on an
-// unmetered server).
-func (sm serveMetrics) observeWireEncode(kind string, n int, seconds float64) {
-	if sm.wireBytes == nil {
-		return
-	}
-	sm.wireBytes.With(kind, "tx").Add(uint64(n))
-	sm.wireEncode.Observe(seconds)
 }

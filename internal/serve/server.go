@@ -4,7 +4,7 @@
 // join of the in-flight execution, or one submit to the dispatch backend),
 // so a grid cell is computed at most once no matter how many clients ask
 // for it. This package owns what is HTTP: request decoding and admission,
-// sweep records and their eviction, SSE streams and content negotiation.
+// sweep records and their eviction, and SSE streams.
 //
 // Endpoints (full reference with examples in docs/API.md):
 //
@@ -39,9 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
-	"time"
 
 	"fedwcm/internal/data"
 	"fedwcm/internal/dispatch"
@@ -51,7 +49,6 @@ import (
 	"fedwcm/internal/obs"
 	"fedwcm/internal/store"
 	"fedwcm/internal/sweep"
-	"fedwcm/internal/wire"
 )
 
 // Config wires a Server.
@@ -216,30 +213,6 @@ type runResponse struct {
 	Error    string         `json:"error,omitempty"`
 }
 
-// writeRun writes a run status response in whichever encoding the client
-// asked for: clients that list wire.ContentType in Accept (the dispatch
-// client does) get the compact binary codec, everyone else gets the JSON
-// shape unchanged. Errors keep flowing through httpError as JSON either
-// way — only success bodies are worth compressing.
-func (s *Server) writeRun(w http.ResponseWriter, req *http.Request, code int, rr runResponse) {
-	if !strings.Contains(req.Header.Get("Accept"), wire.ContentType) {
-		obs.WriteJSON(w, code, rr)
-		return
-	}
-	start := time.Now()
-	body := wire.EncodeRunStatus(&wire.RunStatus{
-		ID:       rr.ID,
-		Status:   rr.Status,
-		Error:    rr.Error,
-		Progress: rr.Progress,
-		History:  rr.History,
-	})
-	s.sm.observeWireEncode("runstatus", len(body), time.Since(start).Seconds())
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(code)
-	w.Write(body)
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	dec := json.NewDecoder(req.Body)
 	dec.DisallowUnknownFields() // a typo'd field means a different cell than intended
@@ -266,9 +239,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	case err != nil:
 		obs.HTTPError(w, http.StatusInternalServerError, "%v", err)
 	case live == nil:
-		s.writeRun(w, req, http.StatusOK, runResponse{ID: fp, Status: StatusCached, History: hist})
+		obs.WriteJSON(w, http.StatusOK, runResponse{ID: fp, Status: StatusCached, History: hist})
 	default:
-		s.writeRun(w, req, http.StatusAccepted, runResponse{ID: fp, Status: live.Status()})
+		obs.WriteJSON(w, http.StatusAccepted, runResponse{ID: fp, Status: live.Status()})
 	}
 }
 
@@ -301,14 +274,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if r == nil {
-		s.writeRun(w, req, http.StatusOK, runResponse{ID: id, Status: StatusCached, History: stored})
+		obs.WriteJSON(w, http.StatusOK, runResponse{ID: id, Status: StatusCached, History: stored})
 		return
 	}
 	status, progress, hist, errMsg := r.Snapshot()
 	if hist != nil {
 		progress = nil // history carries the same stats; don't send both
 	}
-	s.writeRun(w, req, http.StatusOK, runResponse{ID: id, Status: status, Progress: progress, History: hist, Error: errMsg})
+	obs.WriteJSON(w, http.StatusOK, runResponse{ID: id, Status: status, Progress: progress, History: hist, Error: errMsg})
 }
 
 // handleEvents streams per-round progress as Server-Sent Events: one

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"testing"
@@ -10,16 +8,14 @@ import (
 	"fedwcm/internal/wire"
 )
 
-// TestWireNegotiatedStatus pins the transport negotiation end to end: a
-// client that lists the wire codec in Accept gets a binary run-status body
-// that decodes to exactly the same run state — history included,
-// bit-for-bit at the JSON level — as the default JSON response, while
-// plain clients are untouched.
+// TestWireNegotiatedStatus pins the run-status encoding: /v1/runs/{id}
+// speaks JSON only, so a client that lists the wire codec in Accept gets
+// the same application/json body, byte for byte, as a plain client. The
+// wire codec is the worker→coordinator hop's, not the public API's.
 func TestWireNegotiatedStatus(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
-	spec := tinySpec()
-	code, first := postSpec(t, ts, spec)
+	code, first := postSpec(t, ts, tinySpec())
 	if code != http.StatusAccepted && code != http.StatusOK {
 		t.Fatalf("submit: HTTP %d", code)
 	}
@@ -28,63 +24,35 @@ func TestWireNegotiatedStatus(t *testing.T) {
 		t.Fatalf("run failed: %s", fin.Error)
 	}
 
-	// JSON stays the default: no Accept header → application/json.
-	resp, err := http.Get(ts.URL + "/v1/runs/" + first.ID)
-	if err != nil {
-		t.Fatal(err)
+	get := func(accept string) []byte {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/runs/"+first.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("Accept %q: HTTP %d", accept, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("Accept %q: Content-Type = %q, want application/json", accept, ct)
+		}
+		return body
 	}
-	jsonBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("default Content-Type = %q", ct)
-	}
-	var viaJSON runResponse
-	if err := json.Unmarshal(jsonBody, &viaJSON); err != nil {
-		t.Fatal(err)
-	}
-
-	// Accept: wire → the binary codec, identified by the response header.
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/runs/"+first.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", wire.ContentType)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wireBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("wire status: HTTP %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentType {
-		t.Fatalf("negotiated Content-Type = %q, want %q", ct, wire.ContentType)
-	}
-	rs, err := wire.DecodeRunStatus(wireBody)
-	if err != nil {
-		t.Fatalf("decoding wire body: %v", err)
-	}
-	if rs.ID != viaJSON.ID || rs.Status != viaJSON.Status || rs.Error != viaJSON.Error {
-		t.Fatalf("wire status %+v disagrees with JSON %+v", rs, viaJSON)
-	}
-	if rs.History == nil {
-		t.Fatal("wire status carries no history")
-	}
-	// The lossless contract at the serving boundary: both encodings carry
-	// the identical history, byte-for-byte in canonical JSON.
-	wantHist, err := json.Marshal(viaJSON.History)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotHist, err := json.Marshal(rs.History)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantHist, gotHist) {
-		t.Fatalf("wire history diverges from JSON history:\n%s\nvs\n%s", gotHist, wantHist)
-	}
-	if len(wireBody) >= len(jsonBody) {
-		t.Fatalf("wire body (%d bytes) not smaller than JSON (%d bytes)", len(wireBody), len(jsonBody))
+	plain := get("")
+	viaWire := get(wire.ContentType)
+	if string(plain) != string(viaWire) {
+		t.Fatalf("Accept %q changed the body:\n%s\nvs\n%s", wire.ContentType, viaWire, plain)
 	}
 }

@@ -222,7 +222,7 @@ func NewResult(sp Spec, cells []CellResult) *Result {
 		if g.N > 1 {
 			ss := 0.0
 			for _, v := range vals {
-				ss += (v - g.Mean) * (v - g.Mean)
+				ss += float64((v - g.Mean) * (v - g.Mean))
 			}
 			g.Std = math.Sqrt(ss / float64(g.N-1)) // sample std across seeds
 		}

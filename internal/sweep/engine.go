@@ -138,12 +138,10 @@ type Engine struct {
 	// default runner: cells sharing a dataset+partition sub-spec build it
 	// once (see EnvCache). Ignored when Runner is overridden.
 	Envs *EnvCache
-	// Executor, when set, is the dispatch backend cells execute on (remote
-	// coordinator, HTTP client, or a shared dispatch.Local); it stays the
-	// caller's to close. A backend persists successful histories to its own
-	// store; the engine persists what comes back only when its Store cannot
-	// already serve it, so fedbench -remote still fills a local cache and a
-	// shared store is written once.
+	// Executor, when set, is the dispatch backend cells execute on (a
+	// remote-worker coordinator, or a shared dispatch.Local); it stays the
+	// caller's to close. A backend persists successful histories to the
+	// store it shares with the engine, so a shared store is written once.
 	Executor dispatch.Executor
 
 	mu       sync.Mutex
@@ -275,12 +273,13 @@ func (e *Engine) stored(fp string) (*fl.History, bool, error) {
 }
 
 // watch drives one live cell from its dispatch handle to its terminal
-// state. The artifact is persisted — unless the backend already put it
-// where the engine's store serves it — before the record finishes, so
-// whoever sees "done" can read the store; the record is then dropped, which
-// keeps e.inflight bounded by live + failed work. A cell whose persist
-// failed keeps its record: callers still get the history from memory, only
-// re-serving after restart is lost.
+// state; the record is then dropped, which keeps e.inflight bounded by
+// live + failed work. The backend persists a finished history to the store
+// it shares with the engine, so the Put here runs only when that backend
+// Put failed: it is the retry, made before the record finishes so whoever
+// sees "done" can read the store. A cell whose retry failed too keeps its
+// record: callers still get the history from memory, only re-serving after
+// restart is lost.
 func (e *Engine) watch(l *LiveCell, h dispatch.Handle) {
 	defer e.watchers.Done()
 	<-h.Done()
@@ -352,8 +351,8 @@ const submitWindow = 32
 // blocking submit — so a grid larger than the backend's queue still trickles
 // in as space frees up, and a backend that batches concurrent submits (the
 // WAL's group commit) sees more than one. This is a window, not a batch API:
-// Executor stays Submit+Close, and every backend — Local, Coordinator, the
-// HTTP client — gets it unchanged.
+// Executor stays Submit+Close, and both backends — Local and Coordinator —
+// get it unchanged.
 //
 // Misses reach the feeders grouped by environment (envKey): a miss is held
 // until the grid's last cell of its environment has been probed, and then

@@ -82,7 +82,7 @@ func ScaleData(scale, effort float64) float64 {
 // never below one. Grid expansion and renderers share it so a rate axis
 // labels the same cells it produced.
 func SampleFor(clients int, rate float64) int {
-	n := int(float64(clients)*rate + 0.5)
+	n := int(float64(float64(clients)*rate) + 0.5)
 	if n < 1 {
 		n = 1
 	}

@@ -48,12 +48,12 @@ func SampleHistory(rounds, classes int) *fl.History {
 			Round:     i + 1,
 			TestAcc:   float64(sumCorrect) / float64(classes*perClassN),
 			PerClass:  perClass,
-			TrainLoss: 2.3*math.Exp(-float64(i)/40) + 0.01*r.Float64(),
+			TrainLoss: float64(2.3*math.Exp(-float64(i)/40)) + float64(0.01*r.Float64()),
 			Time:      float64(i + 1),
 		}
 		if i%2 == 0 {
 			s.Metrics = map[string]float64{
-				"alpha":       0.1 + 0.02*r.Float64(),
+				"alpha":       0.1 + float64(0.02*r.Float64()),
 				"buffer_wait": float64(r.Intn(20)),
 			}
 		}

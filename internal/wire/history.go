@@ -268,40 +268,3 @@ func DecodeStats(p []byte) ([]fl.RoundStat, error) {
 	}
 	return stats, nil
 }
-
-// RunStatus is the serve-layer run snapshot (mirrors the JSON status
-// response body field-for-field).
-type RunStatus struct {
-	ID       string
-	Status   string
-	Error    string
-	Progress []fl.RoundStat
-	History  *fl.History
-}
-
-// EncodeRunStatus encodes a run status response.
-func EncodeRunStatus(rs *RunStatus) []byte {
-	e := &enc{}
-	e.envelope(kindRunStatus)
-	e.str(rs.ID)
-	e.str(rs.Status)
-	e.str(rs.Error)
-	encStats(e, rs.Progress)
-	encHistory(e, rs.History)
-	return e.b
-}
-
-// DecodeRunStatus decodes an EncodeRunStatus payload.
-func DecodeRunStatus(p []byte) (*RunStatus, error) {
-	d, err := openEnvelope(p, kindRunStatus)
-	if err != nil {
-		return nil, err
-	}
-	rs := &RunStatus{ID: d.str(), Status: d.str(), Error: d.str()}
-	rs.Progress = decStats(d)
-	rs.History = decHistory(d)
-	if d.err != nil {
-		return nil, d.err
-	}
-	return rs, nil
-}

@@ -1,13 +1,13 @@
 // Package wire implements the compact binary transport encoding used to
-// move round histories and update vectors between dispatch workers, the
-// coordinator and the serving layer.
+// move round histories and progress batches from dispatch workers to the
+// coordinator.
 //
 // Design:
 //
 //   - Every message is an envelope: 4-byte magic "FWR1", a kind byte, then
 //     the payload. Unknown magic or kind fails decoding loudly. The
 //     worker→coordinator hop speaks only this (wire.ContentType, anything
-//     else is a 415); the public run API negotiates it against JSON.
+//     else is a 415); the public API speaks only JSON.
 //
 //   - Float64 series (accuracy, loss, per-class accuracy, metric values)
 //     are XOR-delta encoded: each value's IEEE-754 bits are XORed with the
@@ -40,16 +40,16 @@ import (
 	"math/bits"
 )
 
-// ContentType is the MIME type negotiating this encoding over HTTP.
+// ContentType is the MIME type of this encoding over HTTP.
 const ContentType = "application/x-fedwcm-wire"
 
 var magic = [4]byte{'F', 'W', 'R', '1'}
 
-// Message kinds (the byte after the magic).
+// Message kinds (the byte after the magic). Kind 3 is retired: a payload
+// carrying it fails to decode, so it is never reused.
 const (
-	kindResult    byte = 1 // worker result upload: history + error string
-	kindStats     byte = 2 // heartbeat progress relay: a batch of RoundStats
-	kindRunStatus byte = 3 // serve run status: id/status/progress/history
+	kindResult byte = 1 // worker result upload: history + error string
+	kindStats  byte = 2 // heartbeat progress relay: a batch of RoundStats
 )
 
 var errTruncated = errors.New("wire: truncated message")

@@ -299,35 +299,6 @@ func TestRetiredFloat16ColumnIsRefused(t *testing.T) {
 	}
 }
 
-func TestRunStatusRoundtrip(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 50; trial++ {
-		rs := &RunStatus{
-			ID:       "a1b2c3",
-			Status:   []string{"queued", "running", "done", "error"}[r.Intn(4)],
-			Error:    []string{"", "boom"}[r.Intn(2)],
-			Progress: randStats(r, r.Intn(10)),
-		}
-		if r.Intn(2) == 0 {
-			rs.History = &fl.History{Method: "fedwcm", Stats: randStats(r, r.Intn(10))}
-		}
-		got, err := DecodeRunStatus(EncodeRunStatus(rs))
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if got.ID != rs.ID || got.Status != rs.Status || got.Error != rs.Error {
-			t.Fatalf("trial %d: header mismatch: %+v vs %+v", trial, got, rs)
-		}
-		statsEqual(t, got.Progress, rs.Progress)
-		if (got.History == nil) != (rs.History == nil) {
-			t.Fatalf("trial %d: history presence mismatch", trial)
-		}
-		if rs.History != nil {
-			statsEqual(t, got.History.Stats, rs.History.Stats)
-		}
-	}
-}
-
 // TestDecodeRejectsCorrupt: every truncation of a valid message, plus bad
 // magic and kind confusion, must error — never panic, never silently
 // succeed with wrong data.
@@ -347,9 +318,6 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := DecodeStats(p); err == nil {
 		t.Fatal("result payload accepted as stats")
-	}
-	if _, err := DecodeRunStatus(p); err == nil {
-		t.Fatal("result payload accepted as run status")
 	}
 }
 

@@ -22,17 +22,17 @@ func (r *RNG) Gamma(shape float64) float64 {
 		var x, v float64
 		for {
 			x = r.NormFloat64()
-			v = 1 + c*x
+			v = 1 + float64(c*x)
 			if v > 0 {
 				break
 			}
 		}
 		v = v * v * v
 		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-float64(v)+math.Log(v))) {
 			return d * v
 		}
 	}

@@ -96,14 +96,14 @@ func (r *RNG) Intn(n int) int {
 	}
 }
 
-// Float64 returns a uniform float64 in [0, 1).
+// Float64 returns a uniform float64 in [0, 1), rounded so it never fuses.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Float64Range returns a uniform float64 in [lo, hi).
 func (r *RNG) Float64Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // NormFloat64 returns a standard normal variate (Box-Muller with caching).
@@ -114,9 +114,9 @@ func (r *RNG) NormFloat64() float64 {
 	}
 	var u, v, s float64
 	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		u = float64(2*r.Float64()) - 1
+		v = float64(2*r.Float64()) - 1
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}

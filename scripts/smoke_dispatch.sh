@@ -10,7 +10,8 @@
 # exactly: fingerprints, counts, groups, rendered table). Then SIGKILLs a
 # WAL-backed coordinator mid-sweep and asserts it recovers, finishes the
 # sweep, and that what it stored and aggregates equals the local backend's
-# run of the same sweep byte-for-byte.
+# run of the same sweep byte-for-byte. In between, fedbench -remote runs
+# fig4 against the coordinator and must render what a local fedbench does.
 #
 #   scripts/smoke_dispatch.sh          # used by CI's dispatch-smoke job
 set -euo pipefail
@@ -28,6 +29,7 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$WORK/fedserve" ./cmd/fedserve
+go build -o "$WORK/fedbench" ./cmd/fedbench
 
 COORD_ADDR="127.0.0.1:18091"
 LOCAL_ADDR="127.0.0.1:18092"
@@ -156,6 +158,26 @@ done
 [ -z "$(find "$WORK/remote-store" -name '*.trace.jsonl')" ] \
   || { echo "smoke_dispatch: per-run trace files are back in the store"; exit 1; }
 
+echo "== fedbench -remote against the coordinator"
+# An experiment's grid submitted through fedbench -remote renders what a
+# local fedbench renders (minus the === banners and the [sweep ...] line,
+# whose cached/computed counts are the server's), and a second -remote run
+# is all server-side cache hits. After the metrics above, so their
+# six-lease counts still hold.
+"$WORK/fedbench" -run fig4 -effort 0.05 -store "" -remote "http://$COORD_ADDR" > "$WORK/fig4-remote.txt"
+"$WORK/fedbench" -run fig4 -effort 0.05 -store "" > "$WORK/fig4-local.txt"
+grep -v -e '^===' -e '^\[sweep' "$WORK/fig4-remote.txt" > "$WORK/fig4-remote.body"
+grep -v -e '^===' -e '^\[sweep' "$WORK/fig4-local.txt" > "$WORK/fig4-local.body"
+if ! cmp -s "$WORK/fig4-remote.body" "$WORK/fig4-local.body"; then
+  echo "smoke_dispatch: fedbench -remote renders fig4 differently from a local run:"
+  diff "$WORK/fig4-local.body" "$WORK/fig4-remote.body" || true
+  exit 1
+fi
+"$WORK/fedbench" -run fig4 -effort 0.05 -store "" -remote "http://$COORD_ADDR" > "$WORK/fig4-again.txt"
+grep -q '6 cached, 0 computed' "$WORK/fig4-again.txt" \
+  || { echo "smoke_dispatch: second fedbench -remote run was not all cached: $(grep '^\[sweep' "$WORK/fig4-again.txt")"; exit 1; }
+echo "   fedbench -remote fig4 matches a local run; the rerun is 6 cached, 0 computed"
+
 echo "== WAL crash recovery: SIGKILL the coordinator mid-sweep"
 # A WAL-backed coordinator is killed with no warning while a bigger sweep
 # is in flight, then restarted on the same log + store. The restarted
@@ -243,4 +265,4 @@ if ! cmp -s "$WORK/wal.canon.json" "$WORK/wal-local.canon.json"; then
 fi
 echo "   recovered WAL topology agrees with the local backend byte-for-byte"
 
-echo "smoke_dispatch: OK — remote (2 workers), WAL-recovered and local backends agree byte-for-byte, and a SIGKILLed WAL coordinator recovers mid-sweep"
+echo "smoke_dispatch: OK — remote (2 workers), WAL-recovered and local backends agree byte-for-byte, fedbench -remote renders like a local run, and a SIGKILLed WAL coordinator recovers mid-sweep"
