@@ -1,12 +1,14 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"runtime/metrics"
+	"sync"
 	"time"
 )
 
@@ -98,20 +100,44 @@ func itoa3(code int) string {
 	return string(b[:])
 }
 
+// jsonBuf is a pooled response buffer with its encoder.
+type jsonBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// jsonBufs holds WriteJSON's buffers. One that grew past maxPooledJSON (a
+// large sweep's status listing) is left to the GC, so a rare big body does
+// not pin its memory.
+var jsonBufs = sync.Pool{New: func() any {
+	jb := new(jsonBuf)
+	jb.enc = json.NewEncoder(&jb.buf)
+	return jb
+}}
+
+const maxPooledJSON = 64 << 10
+
 // WriteJSON is the one JSON response writer of the API surface (run/sweep
 // endpoints in internal/serve, the worker protocol in internal/dispatch). It
-// encodes v before touching the response, so an encode failure (e.g. a NaN
-// in a diverged run's history — json.Marshal rejects NaN) turns into a
-// well-formed 500 instead of a 200 with a truncated body.
+// encodes v, and its trailing newline, before touching the response, so an
+// encode failure (e.g. a NaN in a diverged run's history — encoding/json
+// rejects NaN) turns into a well-formed 500 instead of a 200 with a
+// truncated body.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		b, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
+	jb := jsonBufs.Get().(*jsonBuf)
+	defer func() {
+		if jb.buf.Cap() <= maxPooledJSON {
+			jb.buf.Reset()
+			jsonBufs.Put(jb)
+		}
+	}()
+	if err := jb.enc.Encode(v); err != nil {
+		jb.enc.Encode(map[string]string{"error": "encoding response: " + err.Error()})
 		code = http.StatusInternalServerError
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(append(b, '\n'))
+	w.Write(jb.buf.Bytes())
 }
 
 // HTTPError writes the API's error shape: {"error": "<formatted message>"}.

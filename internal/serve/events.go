@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 
@@ -24,17 +25,19 @@ func serveSSE(w http.ResponseWriter, open *obs.Gauge, body func(emit func(event 
 	w.WriteHeader(http.StatusOK)
 	open.Inc()
 	defer open.Dec()
-	var frame []byte // one event at a time, reused
+	// One event at a time, encoded straight into the reused frame: Encode
+	// writes nothing on failure and ends the payload with one newline.
+	var frame bytes.Buffer
+	enc := json.NewEncoder(&frame)
 	body(func(event string, v any) {
-		b, err := json.Marshal(v)
-		if err != nil {
+		frame.Reset()
+		frame.WriteString("event: ")
+		frame.WriteString(event)
+		frame.WriteString("\ndata: ")
+		if enc.Encode(v) != nil {
 			return // never send an event with an empty payload
 		}
-		frame = append(frame[:0], "event: "...)
-		frame = append(frame, event...)
-		frame = append(frame, "\ndata: "...)
-		frame = append(frame, b...)
-		frame = append(frame, "\n\n"...)
-		w.Write(frame)
+		frame.WriteByte('\n')
+		w.Write(frame.Bytes())
 	}, flusher.Flush)
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"fedwcm/internal/fl"
@@ -139,5 +141,82 @@ func TestRunEventsBytesForStoredArtifact(t *testing.T) {
 	// The replay of a stored artifact is one batch.
 	if rec.flushes != 1 {
 		t.Fatalf("%d flushes for a stored artifact's replay, want 1", rec.flushes)
+	}
+}
+
+// cachedTable1Grid is a Table-1-shaped block (methods × β × IF) at two
+// seeds. resultGoldenHistory is the canned history stored for cell i of its
+// expansion: four evaluation points whose accuracies differ per cell, shot
+// data on the final point of every cell but i = 3, so a group averages its
+// shot over fewer seeds than its mean.
+func cachedTable1Grid() sweep.Spec {
+	return sweep.Spec{
+		Name:    "table1 golden",
+		Methods: []string{"fedavg", "fedwcm"},
+		Betas:   []float64{0.1, 0.6},
+		IFs:     []float64{1, 0.1},
+		Seeds:   []uint64{1, 2},
+		Effort:  0.1,
+	}
+}
+
+func resultGoldenHistory(method string, i int) *fl.History {
+	h := &fl.History{Method: method}
+	for k := 0; k < 4; k++ {
+		h.Stats = append(h.Stats, fl.RoundStat{
+			Round:     k + 1,
+			TestAcc:   0.3 + 0.07*float64(i%5) + 0.011*float64(k) + 0.003*float64(i),
+			TrainLoss: 1.5 - 0.1*float64(k),
+		})
+	}
+	if i != 3 {
+		h.Stats[3].Shot = &fl.ShotAcc{Head: 0.9 - 0.01*float64(i), Medium: 0.5 + 0.02*float64(i%3), Tail: 0.1 + 0.013*float64(i)}
+	}
+	return h
+}
+
+// TestSweepResultBytesForCachedGrid pins the /result body of a cached grid
+// with one failed cell (cell 5, left out of the store, fails in a canned
+// runner): counts, groups in grid order, each group's mean, std and shot as
+// summed in grid order, and the rendered table. Recorded on the commit
+// before a cell's score replaced the second store read per cell.
+func TestSweepResultBytesForCachedGrid(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := cachedTable1Grid()
+	cells, err := sp.Expand()
+	if err != nil || len(cells) != 16 {
+		t.Fatalf("expand: %d cells, %v", len(cells), err)
+	}
+	for i, c := range cells {
+		if i == 5 {
+			continue
+		}
+		if err := st.Put(c.ID, resultGoldenHistory(c.Axes.Method, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	failing := func(context.Context, sweep.RunSpec, func(fl.RoundStat)) (*fl.History, error) {
+		return nil, errors.New("canned failure")
+	}
+	s, ts := newTestServer(t, Config{Store: st, Runner: failing})
+	_, sub := postSweep(t, ts, sp)
+	if sum := waitSweepDone(t, ts, sub.ID); sum.Counts[StatusCached] != 15 || sum.Counts[StatusFailed] != 1 {
+		t.Fatalf("sweep counts: %+v", sum)
+	}
+
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+sub.ID+"/result", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("result: HTTP %d: %s", rec.Code, rec.Body)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "cached_sweep_result.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Body.String(); got != string(want) {
+		t.Fatalf("sweep result body changed\n--- got\n%s--- want\n%s", got, want)
 	}
 }

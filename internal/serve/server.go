@@ -89,10 +89,10 @@ type Server struct {
 	mux *http.ServeMux
 	eng *sweep.Engine // resolves every cell, over the dispatch backend and cfg.Store
 
-	mu       sync.Mutex
-	sweeps   map[string]*sweepRun // sweep fingerprint → in-process record
-	sweepSeq uint64               // creation counter for sweep eviction order
-	closing  bool                 // set by Close under mu; no new sweep once true
+	mu         sync.Mutex
+	sweeps     map[string]*sweepRun // sweep fingerprint → in-process record
+	sweepOrder []*sweepRun          // the records of sweeps, oldest first
+	closing    bool                 // set by Close under mu; no new sweep once true
 
 	feedWg sync.WaitGroup // sweep feeders
 

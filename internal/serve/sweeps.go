@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"sync"
 
 	"fedwcm/internal/dispatch"
@@ -12,10 +13,10 @@ import (
 )
 
 // maxSweepRecords caps how many sweep records the server retains. Records
-// are metadata-only (axes + status per cell), so the cap bounds memory at
-// roughly maxSweepRecords × MaxCells rows; terminal records beyond it are
-// evicted oldest-first (live sweeps are never evicted). An evicted grid
-// resubmits cheaply: every completed cell is a store hit.
+// hold no histories (axes, status and score per cell), so the cap bounds
+// memory at roughly maxSweepRecords × MaxCells rows; terminal records beyond
+// it are evicted oldest-first (live sweeps are never evicted). An evicted
+// grid resubmits cheaply: every completed cell is a store hit.
 const maxSweepRecords = 128
 
 // sweepRun is the in-process record of one submitted grid. The sweep id is
@@ -25,7 +26,6 @@ const maxSweepRecords = 128
 // the engine's live cells.
 type sweepRun struct {
 	id    string
-	seq   uint64 // creation order, for oldest-first eviction
 	spec  sweep.Spec
 	cells []sweep.Cell
 
@@ -41,13 +41,16 @@ type sweepRun struct {
 
 // sweepCellState tracks one cell. While the cell executes, live is the
 // engine's record to query for queued/running; once terminal, status/err are
-// authoritative. Histories are deliberately NOT retained here — the store
-// holds every persisted artifact, and the result endpoint rehydrates from
-// it — so a sweep record costs O(cells) metadata, not O(cells) histories.
+// authoritative, and a cell that finished with a history carries its score
+// (scored), taken from the history the engine reported. The score is all
+// /result needs of a cell, so the record holds no history and /result reads
+// no store: a sweep record costs O(cells) scalars, not O(cells) histories.
 type sweepCellState struct {
 	status string // "" while scheduling, then cached/queued/running/done/failed
 	err    string
 	live   *sweep.LiveCell
+	score  sweep.CellScore
+	scored bool
 }
 
 // sweepCellRow is one cell as the API shows it: a row of the status listing,
@@ -62,12 +65,12 @@ type sweepCellRow struct {
 // finishCell records a cell's terminal state and publishes the event; the
 // last cell finishes the feed. Publishing under sw.mu keeps a concurrent
 // finisher's event ahead of the last cell's finish.
-func (sw *sweepRun) finishCell(i int, status string, errMsg string) {
+func (sw *sweepRun) finishCell(i int, st sweepCellState) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	sw.states[i] = sweepCellState{status: status, err: errMsg}
+	sw.states[i] = st
 	sw.remaining--
-	if status == StatusFailed {
+	if st.status == StatusFailed {
 		sw.failed++
 	}
 	sw.finished.Publish(i)
@@ -99,21 +102,25 @@ func (sw *sweepRun) terminal() (done bool, failed int) {
 	return sw.remaining == 0, sw.failed
 }
 
-// feed drives the grid through the engine, recording each cell as it turns
+// feed drives the grid through the engine, recording each cell's status
+// and, from the history the engine reports with it, its score as it turns
 // terminal. Runs on its own goroutine, tracked by s.feedWg so Close can wait
 // for the record to be complete.
 func (s *Server) feed(sw *sweepRun) {
 	defer s.feedWg.Done()
-	s.eng.Drive(sw.cells, sw.markScheduled, func(i int, status string, _ *fl.History, err error) {
-		errMsg := ""
+	s.eng.Drive(sw.cells, sw.markScheduled, func(i int, status string, hist *fl.History, err error) {
+		st := sweepCellState{status: status}
 		switch {
 		case err != nil:
-			errMsg = err.Error()
+			st.err = err.Error()
 		case status == sweep.CellComputed:
-			status = StatusDone
+			st.status = StatusDone
 		}
-		sw.finishCell(i, status, errMsg)
-		s.sm.cells.With(status).Inc()
+		if err == nil && hist != nil {
+			st.score, st.scored = sweep.ScoreOf(hist), true
+		}
+		sw.finishCell(i, st)
+		s.sm.cells.With(st.status).Inc()
 	})
 }
 
@@ -198,33 +205,25 @@ func (sw *sweepRun) summary(withCells bool) sweepSummary {
 	return out
 }
 
-// sweepResult assembles the terminal cells into a sweep.Result,
-// rehydrating histories from the store (the record keeps none — the engine
-// persists before a cell reports done, so the store is the source of
-// truth). A computed cell whose persist failed rehydrates as a miss and is
-// excluded from aggregation; its status still counts.
-func (s *Server) sweepResult(sw *sweepRun) *sweep.Result {
+// sweepResult folds the terminal cells' recorded scores into a
+// sweep.Result (groups and counts; no cells, no histories), in grid order.
+// It reads no store: every score was taken from the history the engine
+// reported when the cell finished, so a computed cell whose persist failed
+// is aggregated like any other, as Engine.RunSweep aggregates it.
+func (sw *sweepRun) sweepResult() *sweep.Result {
 	sw.mu.Lock()
-	cells := make([]sweep.CellResult, len(sw.cells))
-	for i, st := range sw.states {
+	defer sw.mu.Unlock()
+	return sweep.Fold(sw.spec, len(sw.cells), func(i int) (*sweep.Axes, string, *sweep.CellScore) {
+		st := &sw.states[i]
 		status := st.status
 		if status == StatusDone {
 			status = sweep.CellComputed
 		}
-		cells[i] = sweep.CellResult{Cell: sw.cells[i], Status: status, Err: st.err}
-	}
-	sw.mu.Unlock()
-	for i := range cells {
-		if cells[i].Status == sweep.CellFailed {
-			continue
+		if !st.scored {
+			return &sw.cells[i].Axes, status, nil
 		}
-		if hist, ok, err := s.cfg.Store.Get(cells[i].ID); err == nil && ok {
-			cells[i].Hist = hist
-		} else if err != nil {
-			s.cfg.Logf("serve: rehydrating sweep cell %s: %v", cells[i].ID, err)
-		}
-	}
-	return sweep.NewResult(sw.spec, cells)
+		return &sw.cells[i].Axes, status, &st.score
+	})
 }
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, req *http.Request) {
@@ -268,38 +267,40 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	s.sweepSeq++
 	sw := &sweepRun{
-		id: id, seq: s.sweepSeq, spec: spec, cells: cells,
+		id: id, spec: spec, cells: cells,
 		states: make([]sweepCellState, len(cells)), remaining: len(cells),
 		finished: sweep.NewFeed[int](),
 	}
-	s.sweeps[id] = sw
-	s.evictSweepsLocked()
+	s.addSweepLocked(sw)
 	s.feedWg.Add(1) // under s.mu alongside the closing check, so Close
 	s.mu.Unlock()   // cannot start waiting between them
 	go s.feed(sw)
 	obs.WriteJSON(w, http.StatusAccepted, sw.summary(false))
 }
 
-// evictSweepsLocked drops the oldest terminal sweep records until the map
-// is back under maxSweepRecords. Caller holds s.mu (the s.mu → sw.mu lock
+// addSweepLocked records sw under its id, replacing a failed record of the
+// same grid, then evicts the oldest terminal records until the server is
+// back under maxSweepRecords. s.sweepOrder holds exactly the records of
+// s.sweeps, oldest first, so eviction walks only the live records older
+// than the first terminal one. Caller holds s.mu (the s.mu → sw.mu lock
 // order matches the resubmission path).
-func (s *Server) evictSweepsLocked() {
-	for len(s.sweeps) > maxSweepRecords {
-		var oldest *sweepRun
-		for _, sw := range s.sweeps {
-			if done, _ := sw.terminal(); !done {
-				continue
-			}
-			if oldest == nil || sw.seq < oldest.seq {
-				oldest = sw
-			}
-		}
-		if oldest == nil {
+func (s *Server) addSweepLocked(sw *sweepRun) {
+	if old, ok := s.sweeps[sw.id]; ok {
+		s.sweepOrder = slices.DeleteFunc(s.sweepOrder, func(r *sweepRun) bool { return r == old })
+	}
+	s.sweeps[sw.id] = sw
+	s.sweepOrder = append(s.sweepOrder, sw)
+	for len(s.sweepOrder) > maxSweepRecords {
+		k := slices.IndexFunc(s.sweepOrder, func(r *sweepRun) bool {
+			done, _ := r.terminal()
+			return done
+		})
+		if k < 0 {
 			return // everything over the cap is still live; never evict those
 		}
-		delete(s.sweeps, oldest.id)
+		delete(s.sweeps, s.sweepOrder[k].id)
+		s.sweepOrder = slices.Delete(s.sweepOrder, k, k+1)
 	}
 }
 
@@ -350,7 +351,7 @@ func (s *Server) handleSweepResult(w http.ResponseWriter, req *http.Request) {
 		obs.WriteJSON(w, http.StatusAccepted, sw.summary(false))
 		return
 	}
-	res := s.sweepResult(sw)
+	res := sw.sweepResult()
 	title := sw.spec.Name
 	if title == "" {
 		title = "sweep " + sw.id[:12]

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -390,5 +392,153 @@ func TestCannedRunnerKeepsEnvCounters(t *testing.T) {
 	}
 	if done.EnvCache.Misses != 0 || done.EnvCache.Hits != 0 {
 		t.Fatalf("canned runner must not touch the env cache: %+v", done.EnvCache)
+	}
+}
+
+// divergedRunner finishes every run with a NaN training loss, as a diverged
+// run does. encoding/json rejects NaN, so the run completes but no store
+// Put of its history can succeed.
+func divergedRunner(_ context.Context, spec sweep.RunSpec, _ func(fl.RoundStat)) (*fl.History, error) {
+	return &fl.History{Method: spec.Method, Stats: []fl.RoundStat{
+		{Round: 1, TestAcc: 0.25, TrainLoss: math.NaN()},
+		{Round: 2, TestAcc: 0.5, TrainLoss: math.NaN()},
+	}}, nil
+}
+
+func storeGets(st *store.Store) int64 {
+	s := st.Stats()
+	return s.MemHits + s.DiskHits + s.Misses
+}
+
+// TestSweepResultReadsNoStoreAndMatchesRunSweep: a warm sweep reads each
+// cell from the store once, /result reads it no more, and /result's groups
+// and table are Engine.RunSweep's over the same store and grid. One cell is
+// computed and its persist fails; it is "done", so both aggregate it.
+func TestSweepResultReadsNoStoreAndMatchesRunSweep(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := cachedTable1Grid()
+	cells, err := sp.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const diverged = 7 // fedavg β=0.6 IF=0.1 seed 2
+	for i, c := range cells {
+		if i != diverged {
+			if err := st.Put(c.ID, resultGoldenHistory(c.Axes.Method, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s, ts := newTestServer(t, Config{Store: st, Runner: divergedRunner})
+	getResult := func(id string) sweepResultResponse {
+		t.Helper()
+		before := storeGets(st)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+id+"/result", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("result: HTTP %d: %s", rec.Code, rec.Body)
+		}
+		if n := storeGets(st) - before; n != 0 {
+			t.Fatalf("GET /result made %d store reads, want 0", n)
+		}
+		var res sweepResultResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	// Seed 1 alone is fully cached: one Get per cell, from Drive's probe.
+	warm := sp
+	warm.Seeds = []uint64{1}
+	before := storeGets(st)
+	_, sub := postSweep(t, ts, warm)
+	if sum := waitSweepDone(t, ts, sub.ID); sum.Counts[StatusCached] != 8 {
+		t.Fatalf("warm sweep counts: %+v", sum)
+	}
+	if n := storeGets(st) - before; n != 8 {
+		t.Fatalf("warm 8-cell sweep made %d store reads, want 8", n)
+	}
+	getResult(sub.ID)
+
+	_, sub = postSweep(t, ts, sp)
+	if sum := waitSweepDone(t, ts, sub.ID); sum.Counts[StatusCached] != 15 || sum.Counts[StatusDone] != 1 {
+		t.Fatalf("sweep counts: %+v", sum)
+	}
+	if _, ok, _ := st.Get(cells[diverged].ID); ok {
+		t.Fatal("the diverged cell's history was persisted; the test needs a failed persist")
+	}
+	got := getResult(sub.ID)
+
+	eng := &sweep.Engine{Store: st, Runner: divergedRunner}
+	defer eng.Close()
+	want, err := eng.RunSweep(sp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cached != want.Cached || got.Computed != want.Computed || got.Failed != want.Failed {
+		t.Fatalf("counts: serve %d/%d/%d, RunSweep %d/%d/%d (cached/computed/failed)",
+			got.Cached, got.Computed, got.Failed, want.Cached, want.Computed, want.Failed)
+	}
+	gotGroups, _ := json.Marshal(got.Groups)
+	wantGroups, _ := json.Marshal(want.Groups)
+	if !bytes.Equal(gotGroups, wantGroups) {
+		t.Fatalf("groups differ\n serve    %s\n RunSweep %s", gotGroups, wantGroups)
+	}
+	if wantTable := want.AggTable(sp.Name).String(); got.Table != wantTable {
+		t.Fatalf("tables differ\n--- serve\n%s--- RunSweep\n%s", got.Table, wantTable)
+	}
+	if g := want.Find(cells[diverged].Axes); g == nil || g.N != 2 {
+		t.Fatalf("the diverged cell's group %+v, want both seeds aggregated", g)
+	}
+}
+
+// TestSweepEvictionKeepsLiveDropsOldestTerminal: over maxSweepRecords, the
+// oldest terminal record goes first, a live one is never evicted, and a
+// replaced record leaves no stale entry behind.
+func TestSweepEvictionKeepsLiveDropsOldestTerminal(t *testing.T) {
+	s, _ := newTestServer(t, Config{Runner: neverRun})
+	record := func(i int, live bool) *sweepRun {
+		sw := &sweepRun{id: fmt.Sprintf("%064x", i), finished: sweep.NewFeed[int]()}
+		if live {
+			sw.remaining = 1
+		}
+		return sw
+	}
+	has := func(i int) bool { _, ok := s.sweeps[fmt.Sprintf("%064x", i)]; return ok }
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Records 0–2 are live, 3 to the cap terminal.
+	for i := 0; i < maxSweepRecords; i++ {
+		s.addSweepLocked(record(i, i < 3))
+	}
+	s.addSweepLocked(record(maxSweepRecords, true))
+	if len(s.sweeps) != maxSweepRecords || has(3) || !has(0) || !has(1) || !has(2) || !has(4) {
+		t.Fatalf("after one over the cap: %d records; want record 3 (the oldest terminal) gone", len(s.sweeps))
+	}
+	s.addSweepLocked(record(maxSweepRecords+1, false))
+	if has(4) || !has(5) || !has(maxSweepRecords+1) {
+		t.Fatal("the second eviction must take record 4, the next oldest terminal")
+	}
+	// Resubmitting a grid replaces its record in place.
+	s.addSweepLocked(record(10, false))
+	if len(s.sweepOrder) != len(s.sweeps) || len(s.sweeps) != maxSweepRecords {
+		t.Fatalf("after a replacement: %d ordered, %d records", len(s.sweepOrder), len(s.sweeps))
+	}
+	if s.sweepOrder[len(s.sweepOrder)-1] != s.sweeps[fmt.Sprintf("%064x", 10)] {
+		t.Fatal("a replaced record must move to the newest end")
+	}
+	// With every record live, nothing is evicted.
+	for _, sw := range s.sweepOrder {
+		sw.remaining = 1
+	}
+	for i := 0; i < 3; i++ {
+		s.addSweepLocked(record(1000+i, true))
+	}
+	if len(s.sweeps) != maxSweepRecords+3 || len(s.sweepOrder) != len(s.sweeps) {
+		t.Fatalf("all live: %d records, %d ordered; want %d of each", len(s.sweeps), len(s.sweepOrder), maxSweepRecords+3)
 	}
 }

@@ -113,7 +113,44 @@ func (s *Store) Path(fp string) string {
 	if !ValidFingerprint(fp) {
 		return ""
 	}
+	return s.path(fp)
+}
+
+// path is Path for a fingerprint already validated.
+func (s *Store) path(fp string) string {
 	return filepath.Join(s.root, fp[:2], fp+".json")
+}
+
+// readBufs holds the buffers Get reads artifacts into. DecodeHistory copies
+// every string it keeps, so a buffer is free again once its artifact is
+// decoded. One that grew past maxPooledRead is left to the GC.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledRead = 1 << 20
+
+// readArtifact decodes fp's artifact from disk through a pooled buffer. A
+// missing artifact is the open's own error, so a miss formats nothing.
+func (s *Store) readArtifact(fp string) (*fl.History, error) {
+	f, err := os.Open(s.path(fp))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledRead {
+			buf.Reset()
+			readBufs.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, err
+	}
+	h, err := trace.DecodeHistory(buf.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("decode %s: %w", fp, err)
+	}
+	return h, nil
 }
 
 // Get returns the stored history for fp, or ok=false if none exists.
@@ -134,19 +171,15 @@ func (s *Store) Get(fp string) (*fl.History, bool, error) {
 	}
 	s.mu.Unlock()
 
-	data, err := os.ReadFile(s.Path(fp))
-	if err != nil {
-		if os.IsNotExist(err) {
-			s.mu.Lock()
-			s.stats.Misses++
-			s.mu.Unlock()
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("store: %w", err)
+	h, err := s.readArtifact(fp)
+	if os.IsNotExist(err) {
+		s.mu.Lock()
+		s.stats.Misses++
+		s.mu.Unlock()
+		return nil, false, nil
 	}
-	h, err := trace.DecodeHistory(data)
 	if err != nil {
-		return nil, false, fmt.Errorf("store: decode %s: %w", fp, err)
+		return nil, false, fmt.Errorf("store: %w", err)
 	}
 	s.mu.Lock()
 	s.stats.DiskHits++

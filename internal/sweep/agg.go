@@ -179,15 +179,82 @@ type Result struct {
 	Cached, Computed, Failed int
 }
 
-// NewResult aggregates terminal cell outcomes into groups. Failed cells are
-// counted but excluded from aggregation, so a partial result still renders
-// what it has.
+// CellScore is everything a cell contributes to its group's scalars: its
+// TailMeanAcc(3) and its final evaluation's shot accuracies. A sweep that
+// keeps only scores can aggregate without its cells' histories.
+type CellScore struct {
+	Acc     float64
+	Shot    fl.ShotAcc // valid when HasShot
+	HasShot bool
+}
+
+// ScoreOf scores one cell's history.
+func ScoreOf(h *fl.History) CellScore {
+	sc := CellScore{Acc: h.TailMeanAcc(3)}
+	if s := h.FinalShot(); s != nil {
+		sc.Shot, sc.HasShot = *s, true
+	}
+	return sc
+}
+
+// NewResult aggregates terminal cell outcomes into groups: each history is
+// scored, then folded as Fold folds scores, and each group keeps its
+// members' histories for the curve views. Failed cells are counted but
+// excluded from aggregation, so a partial result still renders what it has.
 func NewResult(sp Spec, cells []CellResult) *Result {
-	r := &Result{Spec: sp.Defaults(), Cells: cells}
-	groups := make(map[Axes]*Group)
-	var order []Axes
-	for _, c := range cells {
-		switch c.Status {
+	scores := make([]CellScore, len(cells))
+	for i := range cells {
+		if cells[i].Hist != nil {
+			scores[i] = ScoreOf(cells[i].Hist)
+		}
+	}
+	r, member := fold(sp, len(cells), func(i int) (*Axes, string, *CellScore) {
+		if cells[i].Hist == nil {
+			return &cells[i].Axes, cells[i].Status, nil
+		}
+		return &cells[i].Axes, cells[i].Status, &scores[i]
+	})
+	r.Cells = cells
+	for _, g := range r.Groups {
+		g.Hists = make([]*fl.History, 0, g.N)
+	}
+	for i, gi := range member {
+		if gi >= 0 {
+			r.Groups[gi].Hists = append(r.Groups[gi].Hists, cells[i].Hist)
+		}
+	}
+	return r
+}
+
+// Fold aggregates n terminal cells into groups from their scores alone.
+// cell(i) returns cell i's axes, its status (CellCached, CellComputed or
+// CellFailed) and its score, nil when there is nothing to aggregate. Every
+// status is counted; a failed or unscored cell joins no group. Cells are
+// folded in index order, so each group's seeds, mean, std and shot are
+// summed in grid order: the same bytes whichever order the cells finished
+// in. cell is called up to twice per index.
+func Fold(sp Spec, n int, cell func(i int) (axes *Axes, status string, score *CellScore)) *Result {
+	r, _ := fold(sp, n, cell)
+	return r
+}
+
+// fold is Fold, also returning each cell's group index (-1: none).
+func fold(sp Spec, n int, cell func(i int) (*Axes, string, *CellScore)) (*Result, []int) {
+	r := &Result{Spec: sp.Defaults()}
+	// A full grid has one group per seedless axis combination.
+	size := n
+	if k := len(r.Spec.Seeds); k > 1 {
+		size = n / k
+	}
+	index := make(map[Axes]int, size)
+	member := make([]int, n)
+	scored := 0
+	// First pass: count statuses, place each scored cell in its group and
+	// sum the group's accuracies.
+	for i := range member {
+		member[i] = -1
+		axes, status, sc := cell(i)
+		switch status {
 		case CellCached:
 			r.Cached++
 		case CellComputed:
@@ -196,55 +263,62 @@ func NewResult(sp Spec, cells []CellResult) *Result {
 			r.Failed++
 			continue
 		}
-		if c.Hist == nil {
+		if sc == nil {
 			continue
 		}
-		key := c.Axes
+		key := *axes
 		key.Seed = 0
-		g, ok := groups[key]
+		gi, ok := index[key]
 		if !ok {
-			g = &Group{Axes: key}
-			groups[key] = g
-			order = append(order, key)
+			gi = len(r.Groups)
+			index[key] = gi
+			r.Groups = append(r.Groups, &Group{Axes: key})
 		}
-		g.Seeds = append(g.Seeds, c.Axes.Seed)
-		g.Hists = append(g.Hists, c.Hist)
+		g := r.Groups[gi]
+		g.N++
+		g.Mean += sc.Acc
+		member[i] = gi
+		scored++
 	}
-	for _, key := range order {
-		g := groups[key]
-		g.N = len(g.Hists)
-		vals := make([]float64, g.N)
-		for i, h := range g.Hists {
-			vals[i] = h.TailMeanAcc(3)
-			g.Mean += vals[i]
-		}
+	seeds := make([]uint64, 0, scored)
+	shots := make([]fl.ShotAcc, len(r.Groups))
+	shotN := make([]int, len(r.Groups))
+	for _, g := range r.Groups {
 		g.Mean /= float64(g.N)
-		if g.N > 1 {
-			ss := 0.0
-			for _, v := range vals {
-				ss += float64((v - g.Mean) * (v - g.Mean))
-			}
-			g.Std = math.Sqrt(ss / float64(g.N-1)) // sample std across seeds
-		}
-		shotN := 0
-		var shot fl.ShotAcc
-		for _, h := range g.Hists {
-			if s := h.FinalShot(); s != nil {
-				shot.Head += s.Head
-				shot.Medium += s.Medium
-				shot.Tail += s.Tail
-				shotN++
-			}
-		}
-		if shotN > 0 {
-			shot.Head /= float64(shotN)
-			shot.Medium /= float64(shotN)
-			shot.Tail /= float64(shotN)
-			g.Shot = &shot
-		}
-		r.Groups = append(r.Groups, g)
+		g.Seeds = seeds[len(seeds) : len(seeds) : len(seeds)+g.N]
+		seeds = seeds[:len(seeds)+g.N]
 	}
-	return r
+	// Second pass, with every mean known: seeds, squared deviations (summed
+	// in g.Std until the end) and shot sums.
+	for i, gi := range member {
+		if gi < 0 {
+			continue
+		}
+		axes, _, sc := cell(i)
+		g := r.Groups[gi]
+		g.Seeds = append(g.Seeds, axes.Seed)
+		if g.N > 1 {
+			g.Std += float64((sc.Acc - g.Mean) * (sc.Acc - g.Mean))
+		}
+		if sc.HasShot {
+			shots[gi].Head += sc.Shot.Head
+			shots[gi].Medium += sc.Shot.Medium
+			shots[gi].Tail += sc.Shot.Tail
+			shotN[gi]++
+		}
+	}
+	for gi, g := range r.Groups {
+		if g.N > 1 {
+			g.Std = math.Sqrt(g.Std / float64(g.N-1)) // sample std across seeds
+		}
+		if k := shotN[gi]; k > 0 {
+			shots[gi].Head /= float64(k)
+			shots[gi].Medium /= float64(k)
+			shots[gi].Tail /= float64(k)
+			g.Shot = &shots[gi]
+		}
+	}
+	return r, member
 }
 
 // FailureSummary reports failed cells grouped the same way successes

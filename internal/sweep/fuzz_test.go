@@ -169,3 +169,44 @@ func TestAsyncZeroVsOmittedFingerprint(t *testing.T) {
 		t.Fatal("spelled-out async defaults must not change the fingerprint")
 	}
 }
+
+// FuzzSpecExpandIDs fuzzes grid expansion with arbitrary JSON spellings of
+// a sweep.Spec. Expand fingerprints every cell through one reused encoder;
+// the invariant is that each id it hands out is exactly the cell spec's own
+// Fingerprint, so a cell's id never depends on the grid it was expanded in.
+// The seed corpus (the declared experiments' grid shapes plus every
+// optional axis) runs as a regression on every plain `go test`.
+func FuzzSpecExpandIDs(f *testing.F) {
+	f.Add(`{}`)
+	f.Add(`{"datasets":["fmnist-syn","cifar10-syn"],"methods":["fedavg","fedcm","fedwcm"],"betas":[0.6,0.1],"ifs":[1,0.1,0.01],"seeds":[1],"effort":0.1}`)
+	f.Add(`{"methods":["fedavg","fedwcm"],"betas":[0.1,0.6],"ifs":[0.1,0.01],"seed_count":2,"effort":0.1}`)
+	f.Add(`{"datasets":["svhn-syn"],"methods":["fedwcm"],"ifs":[1,0.5,0.1,0.05,0.01],"seed_base":7,"seed_count":2,"effort":0.05}`)
+	f.Add(`{"methods":["fedavg","fedwcm"],"scenarios":["static","churn+drift","stragglers"],"effort":0.1}`)
+	f.Add(`{"methods":["fedwcm"],"async":["sync","async","eager"],"effort":0.1}`)
+	f.Add(`{"methods":["fedcm","fedwcm"],"probes":["train_acc","collapse","collapse"],"effort":0.05}`)
+	f.Add(`{"clients":[10,20,50],"sample_rates":[0.1,0.5,1],"effort":0.1}`)
+	f.Add(`{"local_epochs":[1,5],"partition":"fedgrab","model":"mlp","rounds":40,"effort":0.2}`)
+	f.Add(`{"clients":[5],"sample_rates":[1],"scenarios":["hostile"],"async":["async"],"probes":["collapse"],"seeds":[3,3,4]}`)
+	f.Fuzz(func(t *testing.T, doc string) {
+		var sp Spec
+		if err := json.Unmarshal([]byte(doc), &sp); err != nil {
+			t.Skip() // not a Spec spelling
+		}
+		if n, ok := sp.Defaults().axisProduct(); !ok || n > 512 {
+			t.Skip() // keep each input cheap; the bound itself is tested elsewhere
+		}
+		cells, err := sp.ExpandValidated()
+		if err != nil {
+			t.Skip() // an invalid grid has no ids
+		}
+		for _, c := range cells {
+			fp, err := c.Spec.Fingerprint()
+			if err != nil {
+				t.Fatalf("cell %s: %v", describeAxes(c.Axes), err)
+			}
+			if c.ID != fp {
+				t.Fatalf("cell %s: Expand id %s, spec fingerprint %s\n doc %s", describeAxes(c.Axes), c.ID, fp, doc)
+			}
+		}
+	})
+}

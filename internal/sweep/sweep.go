@@ -32,6 +32,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -356,6 +357,14 @@ func (sp Spec) Expand() ([]Cell, error) {
 	size, _ := sp.axisProduct()
 	cells := make([]Cell, 0, size)
 	seen := make(map[string]struct{}, size)
+	// Every cell is fingerprinted through one encoder into one buffer: the
+	// bytes are CanonicalJSON's (json.Marshal and Encoder.Encode share an
+	// encoder; Encode adds a newline, which is not hashed), without a fresh
+	// slice per cell. The encoder is handed a pointer to one variable, so
+	// no cell's spec is boxed either.
+	var canon bytes.Buffer
+	enc := json.NewEncoder(&canon)
+	var encoded RunSpec
 	for _, ds := range sp.Datasets {
 		for _, m := range sp.Methods {
 			for _, b := range sp.Betas {
@@ -400,10 +409,12 @@ func (sp Spec) Expand() ([]Cell, error) {
 											// defaults-applied spec (e.g. a listed beta of 0 means
 											// the 0.1 default, and that is what Find must match).
 											spec = spec.Defaults()
-											fp, err := spec.Fingerprint()
-											if err != nil {
+											canon.Reset()
+											encoded = spec
+											if err := enc.Encode(&encoded); err != nil {
 												return nil, err
 											}
+											fp := fingerprintJSON(canon.Bytes()[:canon.Len()-1])
 											if _, dup := seen[fp]; dup {
 												continue
 											}
