@@ -40,6 +40,15 @@ type Env struct {
 	Loss    loss.Loss
 	Probes  []Probe
 
+	// Arch, when set, is Build's architecture ((*nn.Network).Arch, the same
+	// for every seed), the key of the worker kits a run takes. Setting it
+	// also promises that (*nn.Network).Init(seed) draws what Build(seed)
+	// does, as it does for every builder in package nn: a run then takes
+	// its initial weights from a pooled kit and, on a warm pool, builds no
+	// network. Empty (an Env assembled by NewEnv), each run builds one
+	// network to learn the key and its initial weights.
+	Arch string
+
 	// Dynamics hooks for drift scenarios, set by the layer that knows how
 	// the environment was constructed (sweep.RunSpec.BuildEnvCached).
 	// BaseBeta/BaseIF are the partition's Dirichlet concentration and the

@@ -47,7 +47,9 @@ type kitRun struct {
 	probe   bool
 }
 
-// env builds the run's world, counting how many networks it builds.
+// env builds the run's world, counting how many networks it builds. It
+// names its architecture as sweep.RunSpec.BuildEnvCached does, so a run
+// takes its initial weights from worker 0's kit.
 func (r kitRun) env(builds *int) *fl.Env {
 	spec := data.GaussianSpec{Classes: 4, Dim: 36, Sep: 3, Noise: 1, SubModes: 1}
 	train := spec.Generate(r.seed, 1, data.LongTailCounts(60, 4, r.imf))
@@ -64,6 +66,7 @@ func (r kitRun) env(builds *int) *fl.Env {
 		*builds++
 		return build(seed)
 	}, loss.CrossEntropy{})
+	env.Arch = build(0).Arch()
 	env.Metrics = fl.NewRunMetrics(nil)
 	if r.probe {
 		env.Probes = []fl.Probe{collapse.Probe(collapse.ProbeBatch(test, 12))}
@@ -167,7 +170,8 @@ func TestPooledKitsSharedByConcurrentRuns(t *testing.T) {
 
 // repeatEnv is a Table 4 cell's shape — 48-feature BatchNorm MLP, 10
 // classes, batch 50 — on the given number of workers, whose network
-// constructor counts the networks it makes.
+// constructor counts the networks it makes. Like a sweep cell's Env it
+// names its architecture, so a run on a warm kit pool builds nothing.
 func repeatEnv(builds *int, workers int) *fl.Env {
 	spec := data.GaussianSpec{Classes: 10, Dim: 48, Sep: 3.6, Noise: 1, SubModes: 2}
 	train := spec.Generate(5, 1, data.LongTailCounts(200, 10, 0.1))
@@ -180,6 +184,7 @@ func repeatEnv(builds *int, workers int) *fl.Env {
 		*builds++
 		return build(seed)
 	}, loss.CrossEntropy{})
+	env.Arch = build(0).Arch()
 	env.Metrics = fl.NewRunMetrics(nil)
 	return env
 }
@@ -210,16 +215,20 @@ const raceBytes = "tensor's panel sync.Pool drops Puts under -race: a repeat run
 
 // TestRepeatRunAllocatesAQuarter: a second run of one environment reuses the
 // first's worker kits — networks, their workspaces, result slots — and the
-// evaluation workspaces on worker 0's net, so it allocates at most a quarter
-// of the bytes the first did.
+// evaluation workspaces and global vector on worker 0's kit, so it builds
+// no network and allocates at most a quarter of the bytes the first did.
 func TestRepeatRunAllocatesAQuarter(t *testing.T) {
 	if raceEnabled {
 		t.Skip(raceBytes)
 	}
 	fl.FreshKitPools(t)
 	builds := 0
-	first, second := repeatRun(repeatEnv(&builds, 2), func() {})
+	var firstBuilds int
+	first, second := repeatRun(repeatEnv(&builds, 2), func() { firstBuilds = builds })
 	t.Logf("first run %d B, second %d B (%.2f×)", first, second, float64(second)/float64(first))
+	if got := builds - firstBuilds; got != 0 {
+		t.Fatalf("the second run built %d networks, want 0 (the kits are reused)", got)
+	}
 	if 4*second > first {
 		t.Fatalf("second run allocated %d B, more than a quarter of the first's %d B", second, first)
 	}
@@ -227,11 +236,12 @@ func TestRepeatRunAllocatesAQuarter(t *testing.T) {
 
 // TestPooledKitsSurviveGC: idle kits stay on their free list through
 // garbage collections, so a run after two forced GCs still takes the kit
-// the previous run left — it builds only its global network — and
-// allocates at most a quarter of what the first run did. One worker: with
-// two, which clients each kit trains (and so how far its workspaces grow)
-// follows the scheduler, and at GOMAXPROCS 1 a kit that trained no large
-// client in the first run grows in the second (up to 0.38× measured).
+// the previous run left — it builds no network, not even for its initial
+// weights — and allocates at most a quarter of what the first run did. One
+// worker: with two, which clients each kit trains (and so how far its
+// workspaces grow) follows the scheduler, and at GOMAXPROCS 1 a kit that
+// trained no large client in the first run grows in the second (up to
+// 0.38× measured).
 func TestPooledKitsSurviveGC(t *testing.T) {
 	fl.FreshKitPools(t)
 	builds := 0
@@ -244,8 +254,8 @@ func TestPooledKitsSurviveGC(t *testing.T) {
 	})
 	t.Logf("first run %d B and %d networks, after two GCs %d B and %d networks (%.2f×)",
 		first, firstBuilds, second, builds-firstBuilds, float64(second)/float64(first))
-	if got := builds - firstBuilds; got != 1 {
-		t.Fatalf("the run after GC built %d networks, want 1 (its global net; the kits are reused)", got)
+	if got := builds - firstBuilds; got != 0 {
+		t.Fatalf("the run after GC built %d networks, want 0 (the kits are reused)", got)
 	}
 	if raceEnabled {
 		t.Skip(raceBytes)

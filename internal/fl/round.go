@@ -47,18 +47,17 @@ func newRoundCore(env *Env, m Method, onRound func(RoundStat), parallel int) *ro
 	cfg := env.Cfg
 	c := &roundCore{env: env, m: m, cfg: cfg, onRound: onRound,
 		hist: &History{Method: m.Name()}, mx: env.Metrics, baseClients: env.Clients}
-	// The initial model is built only for its weights and its architecture;
-	// evaluation runs on a worker's kit (see commit).
-	net := env.Build(cfg.Seed)
-	c.global = net.Vector()
-	m.Init(env, len(c.global))
-
 	nClients := len(env.Clients)
 	c.cohort = min(cfg.SampleClients, nClients)
 	if c.mx == nil {
 		c.mx = DefaultRunMetrics()
 	}
-	c.rt = newRuntime(env, m, c.global, max(1, min(cfg.Workers, parallel, nClients)), c.mx, net.Arch())
+	// The runtime opens first: worker 0's kit holds the global vector,
+	// loaded with the initial weights (see newRuntime), and evaluation runs
+	// on that kit too (see commit).
+	c.rt = newRuntime(env, m, max(1, min(cfg.Workers, parallel, nClients)), c.mx)
+	c.global = c.rt.global
+	m.Init(env, len(c.global))
 
 	c.sampleRNG = xrand.New(xrand.DeriveSeed(cfg.Seed, 0x5a3317))
 	c.dropRNG = xrand.New(xrand.DeriveSeed(cfg.Seed, 0xd20b))
@@ -72,7 +71,8 @@ func newRoundCore(env *Env, m Method, onRound func(RoundStat), parallel int) *ro
 
 // close stops the workers and restores the base client views, so an Env
 // reused across Run calls starts every run from the same world (same spec ⇒
-// same history) even after drift rebuilt env.Clients.
+// same history) even after drift rebuilt env.Clients. c.global goes back to
+// the kit pool with worker 0's kit: nothing may read it after close.
 func (c *roundCore) close() {
 	c.rt.close()
 	c.env.Clients = c.baseClients

@@ -84,18 +84,21 @@ func (s *ClientScratch) proxBuf() []float64 {
 }
 
 // kit is one worker's training equipment: a private network, its
-// ClientScratch and its RNG, plus the evaluation buffers a run uses on
-// worker 0's kit. Nothing in a kit is read before it is written
-// for the job at hand — SetVector loads every parameter (BatchNorm running
-// statistics included, they are Stat params), the RNG is reseeded per job,
-// workspaces, result slots and batch buffers are overwritten before use —
-// so a kit that trained another run is indistinguishable from a fresh one,
-// and kits outlive the run that built them (see kitPools).
+// ClientScratch and its RNG, plus what a run uses of worker 0's kit: the
+// evaluation buffers and the global vector. Nothing in a kit is read before
+// it is written for the job at hand — SetVector loads every parameter
+// (BatchNorm running statistics included, they are Stat params), the RNG is
+// reseeded per job, workspaces, result slots and batch buffers are
+// overwritten before use, and a run opening on the kit as worker 0 writes
+// the whole global vector from its initial weights — so a kit that trained
+// another run is indistinguishable from a fresh one, and kits outlive the
+// run that built them (see kitPools).
 type kit struct {
 	net     *nn.Network
 	scratch *ClientScratch
 	rng     *xrand.RNG
 	eval    evalScratch
+	global  []float64 // the run's global vector while this is worker 0's kit; dim-sized once used
 }
 
 // kitPools maps an architecture ((*nn.Network).Arch) to the *kitList of
@@ -169,8 +172,9 @@ type workerRuntime struct {
 	metrics *RunMetrics
 
 	// Per-batch state, written by the engine loop while all workers are
-	// idle. global aliases the engine's vector (updated in place between
-	// batches); batch describes the jobs of the current runBatch call.
+	// idle. global is worker 0's kit's vector, which the engine aliases and
+	// updates in place between batches; batch describes the jobs of the
+	// current runBatch call.
 	global  []float64
 	batch   []clientJob
 	results []*ClientResult
@@ -194,23 +198,43 @@ type runWorker struct {
 	ctx ClientCtx // reused per job; never retained past LocalTrain
 }
 
-// newRuntime starts n workers over kits for networks of architecture arch:
+// newRuntime starts n workers over kits for env.Build's architecture:
 // idle ones from that architecture's free list, fresh ones built by
-// env.Build when it is empty. Callers must close() the runtime when done.
-func newRuntime(env *Env, m Method, global []float64, n int, mx *RunMetrics, arch string) *workerRuntime {
-	rt := &workerRuntime{env: env, m: m, metrics: mx, global: global, jobs: make(chan int), kits: kitPool(arch)}
+// env.Build when it is empty. Worker 0's kit holds the run's global vector,
+// loaded with the initial weights: with env.Arch set they are its network's
+// Init(seed), so a run on a warm pool builds no network; an Env that names
+// no architecture builds one to learn it and takes the weights from that
+// network. Callers must close() the runtime when done.
+func newRuntime(env *Env, m Method, n int, mx *RunMetrics) *workerRuntime {
+	seed := env.Cfg.Seed
+	arch, initial := env.Arch, (*nn.Network)(nil)
+	if arch == "" {
+		initial = env.Build(seed)
+		arch = initial.Arch()
+	}
+	rt := &workerRuntime{env: env, m: m, metrics: mx, jobs: make(chan int), kits: kitPool(arch)}
 	for w := 0; w < n; w++ {
 		k := rt.kits.get()
 		if k == nil {
-			k = &kit{
-				net:     env.Build(env.Cfg.Seed), // weights overwritten every job
-				scratch: NewClientScratch(len(global)),
-				rng:     xrand.New(0), // reseeded per job
-			}
+			// The weights are overwritten every job and the RNG is
+			// reseeded per job.
+			net := env.Build(seed)
+			k = &kit{net: net, scratch: NewClientScratch(net.NumParams()), rng: xrand.New(0)}
 		}
-		wk := &runWorker{rt: rt, kit: k}
-		rt.workers = append(rt.workers, wk)
-		go wk.loop()
+		rt.workers = append(rt.workers, &runWorker{rt: rt, kit: k})
+	}
+	k0 := rt.workers[0].kit
+	if initial == nil {
+		initial = k0.net
+		initial.Init(seed)
+	}
+	if k0.global == nil {
+		k0.global = make([]float64, k0.scratch.dim)
+	}
+	rt.global = k0.global
+	initial.VectorInto(rt.global)
+	for _, w := range rt.workers {
+		go w.loop()
 	}
 	return rt
 }

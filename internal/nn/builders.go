@@ -4,7 +4,10 @@ import "fedwcm/internal/xrand"
 
 // Builder constructs a fresh network with weights initialised from seed.
 // The federated engine uses builders so every worker can instantiate an
-// identical architecture and then load the global weight vector.
+// identical architecture and then load the global weight vector. Every
+// builder here draws its layers from one xrand.New(seed) stream in layer
+// order, so (*Network).Init(seed) on any network of the same Arch reproduces
+// Build(seed)'s weights bit for bit.
 type Builder func(seed uint64) *Network
 
 // NewMLP builds inDim → hidden... → classes with ReLU activations and

@@ -58,10 +58,17 @@ func NewConv2D(r *xrand.RNG, inC, h, w, outC, k, stride, pad int) *Conv2D {
 		Wt: NewParam("conv.W", outC*inC*k*k),
 		B:  NewParam("conv.B", outC),
 	}
-	heInit(r, l.Wt.Data, inC*k*k)
 	l.wview = tensor.FromSlice(outC, inC*k*k, l.Wt.Data)
 	l.taps = l.shiftedTaps()
+	l.init(r)
 	return l
+}
+
+// init draws the He weights from r and zeroes the bias: the layer's share
+// of Build, and of Network.Init.
+func (l *Conv2D) init(r *xrand.RNG) {
+	heInit(r, l.Wt.Data, l.InC*l.KH*l.KW)
+	clear(l.B.Data)
 }
 
 // OutDim returns the flattened output width (outC·outH·outW).

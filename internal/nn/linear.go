@@ -11,6 +11,8 @@ type Linear struct {
 	In, Out int
 	W, B    *Param
 
+	xavier bool // NewLinearXavier: Xavier draw after the He draw
+
 	x *tensor.Dense // cached input for backward
 
 	wview        *tensor.Dense // W.Data viewed as In×Out (W.Data is stable)
@@ -19,24 +21,36 @@ type Linear struct {
 }
 
 // NewLinear creates a Linear layer with He-initialised weights.
-func NewLinear(r *xrand.RNG, in, out int) *Linear {
+func NewLinear(r *xrand.RNG, in, out int) *Linear { return newLinear(r, in, out, false) }
+
+// NewLinearXavier creates a Linear layer with Xavier initialisation,
+// appropriate for the final classification head. Its weights take two
+// draws from r, He and then Xavier over the same slice (the second
+// overwrites the first), and Init replays both: the He draw advances the
+// stream every later layer of the network reads.
+func NewLinearXavier(r *xrand.RNG, in, out int) *Linear { return newLinear(r, in, out, true) }
+
+func newLinear(r *xrand.RNG, in, out int, xavier bool) *Linear {
 	l := &Linear{
-		In:  in,
-		Out: out,
-		W:   NewParam("linear.W", in*out),
-		B:   NewParam("linear.B", out),
+		In:     in,
+		Out:    out,
+		W:      NewParam("linear.W", in*out),
+		B:      NewParam("linear.B", out),
+		xavier: xavier,
 	}
-	heInit(r, l.W.Data, in)
 	l.wview = tensor.FromSlice(in, out, l.W.Data)
+	l.init(r)
 	return l
 }
 
-// NewLinearXavier creates a Linear layer with Xavier initialisation,
-// appropriate for the final classification head.
-func NewLinearXavier(r *xrand.RNG, in, out int) *Linear {
-	l := NewLinear(r, in, out)
-	xavierInit(r, l.W.Data, in, out)
-	return l
+// init draws the weights from r (He, then Xavier for a head) and zeroes
+// the bias: the layer's share of Build, and of Network.Init.
+func (l *Linear) init(r *xrand.RNG) {
+	heInit(r, l.W.Data, l.In)
+	if l.xavier {
+		xavierInit(r, l.W.Data, l.In, l.Out)
+	}
+	clear(l.B.Data)
 }
 
 // Forward computes X·W + b.

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"fedwcm/internal/tensor"
+	"fedwcm/internal/xrand"
 )
 
 // Network is a Sequential with the bookkeeping the federated engine needs:
@@ -113,13 +114,44 @@ func (n *Network) StepVec(lr float64, dir []float64) {
 	}
 }
 
+// Init re-draws every parameter from seed exactly as Build(seed) draws it
+// for any of this package's builders: one xrand.New(seed) stream, read by
+// the layers in order, nested blocks depth first — He weights for Linear
+// and Conv2D, a second (Xavier) draw for a NewLinearXavier head, zero
+// biases, and BatchNorm's γ = 1, β = 0, running mean 0 and variance 1. The
+// constructors run the same per-layer init, so there is no second recipe
+// to drift from. A network that trained is then indistinguishable from a
+// fresh Build(seed), which lets the federated engine take a run's initial
+// weights from a pooled network instead of building one.
+func (n *Network) Init(seed uint64) { initLayer(n.Sequential, xrand.New(seed)) }
+
+func initLayer(l Layer, r *xrand.RNG) {
+	switch l := l.(type) {
+	case *Linear:
+		l.init(r)
+	case *Conv2D:
+		l.init(r)
+	case *BatchNorm:
+		l.init()
+	case *Residual:
+		initLayer(l.Body, r)
+	case *Sequential:
+		for _, c := range l.Layers {
+			initLayer(c, r)
+		}
+	case *ReLU, *GlobalAvgPool:
+	default:
+		panic(fmt.Sprintf("nn: Init: unknown layer type %T", l))
+	}
+}
+
 // Arch names the network's architecture: InDim, Classes and every layer's
-// type with its construction arguments (Linear dims, Conv2D geometry,
-// BatchNorm width and constants, pooling geometry), nested blocks in order.
-// Two networks with equal Arch have the same parameter layout and the same
-// activation shapes, so either can load the other's weights and compute
-// bit-identically; the federated engine keys its reusable worker kits by it.
-// Initialisation is not part of it: SetVector overwrites every parameter.
+// type with its construction arguments (Linear dims and whether it is a
+// Xavier head, Conv2D geometry, BatchNorm width and constants, pooling
+// geometry), nested blocks in order. Two networks with equal Arch have the
+// same parameter layout and the same activation shapes, so either can load
+// the other's weights and compute bit-identically, and Init draws the same
+// weights on both; the federated engine keys its reusable worker kits by it.
 func (n *Network) Arch() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "in=%d classes=%d", n.InDim, n.Classes)
@@ -132,7 +164,11 @@ func (n *Network) Arch() string {
 func writeArch(b *strings.Builder, l Layer) {
 	switch l := l.(type) {
 	case *Linear:
-		fmt.Fprintf(b, " linear(%d,%d)", l.In, l.Out)
+		if l.xavier {
+			fmt.Fprintf(b, " linearx(%d,%d)", l.In, l.Out)
+		} else {
+			fmt.Fprintf(b, " linear(%d,%d)", l.In, l.Out)
+		}
 	case *BatchNorm:
 		fmt.Fprintf(b, " bn(%d,%d,%g,%g)", l.Channels, l.Spatial, l.Momentum, l.Eps)
 	case *Conv2D:

@@ -55,9 +55,17 @@ func NewBatchNorm(channels, spatial int) *BatchNorm {
 	}
 	l.RunMean.Stat = true
 	l.RunVar.Stat = true
-	tensor.Fill(l.Gamma.Data, 1)
-	tensor.Fill(l.RunVar.Data, 1)
+	l.init()
 	return l
+}
+
+// init sets the identity transform and fresh running statistics: γ = 1,
+// β = 0, running mean 0, running variance 1. BatchNorm draws nothing.
+func (l *BatchNorm) init() {
+	tensor.Fill(l.Gamma.Data, 1)
+	clear(l.Beta.Data)
+	clear(l.RunMean.Data)
+	tensor.Fill(l.RunVar.Data, 1)
 }
 
 // Forward normalises by batch statistics (train) or running statistics.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fedwcm/internal/data"
+	"fedwcm/internal/fl"
 	"fedwcm/internal/nn"
 	"fedwcm/internal/tensor"
 	"fedwcm/internal/xrand"
@@ -34,13 +35,16 @@ func interchangeable(a, b *nn.Network) bool {
 // (*nn.Network).Arch, so two networks share a key exactly when they are
 // interchangeable. Checked over every (dataset, model) pair ModelFor can
 // build, plus the hard case — two ResNetLites with equal InDim and equal
-// parameter sizes whose geometry differs (3×32×32 vs 3×16×64).
+// parameter sizes whose geometry differs (3×32×32 vs 3×16×64). For every
+// pair, the key BuildEnvCached memoises onto the Env equals the built
+// network's Arch.
 func TestArchDistinguishesGeometry(t *testing.T) {
 	type built struct {
 		name string
 		net  *nn.Network
 	}
 	var nets []built
+	envs := NewEnvCache(0)
 	for _, ds := range data.Names() {
 		spec, err := data.Lookup(ds)
 		if err != nil {
@@ -54,6 +58,19 @@ func TestArchDistinguishesGeometry(t *testing.T) {
 			net := build(1)
 			if build(2).Arch() != net.Arch() {
 				t.Fatalf("%s/%s: Arch depends on the init seed", ds, model)
+			}
+			// The key a cell's Env carries is what its builder's networks
+			// answer, whatever the cell's seed.
+			for _, seed := range []uint64{1, 3} {
+				env, err := RunSpec{Dataset: ds, Model: model, Scale: 0.05, Clients: 4,
+					Cfg: fl.Config{Seed: seed}}.BuildEnvCached(envs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := build(seed).Arch(); env.Arch != want {
+					t.Fatalf("%s/%s seed %d: BuildEnvCached put key %q on the Env, Build(seed).Arch() is %q",
+						ds, model, seed, env.Arch, want)
+				}
 			}
 			nets = append(nets, built{ds + "/" + model, net})
 		}

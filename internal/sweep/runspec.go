@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"sync"
 
 	"fedwcm/internal/collapse"
 	"fedwcm/internal/data"
@@ -254,6 +255,7 @@ func (s RunSpec) BuildEnvCached(cache *EnvCache) (*fl.Env, error) {
 		return nil, err
 	}
 	env := fl.NewEnv(s.Cfg, pieces.train, pieces.test, pieces.part, build, nil)
+	env.Arch = modelArch(s.Dataset, s.Model, build)
 	// Dynamics hooks: drift scenarios re-partition the (shared, immutable)
 	// train set at stage boundaries with the same strategy this spec used.
 	// Set unconditionally — they are inert without a drift scenario — so a
@@ -341,6 +343,21 @@ func jobSpec(job dispatch.Job) (RunSpec, error) {
 		return spec, fmt.Errorf("sweep: decoding dispatched spec: %w", err)
 	}
 	return spec, nil
+}
+
+// archs memoises each (dataset, model) pair's network architecture, the
+// worker-kit key BuildEnvCached puts on the Env, so a run on a warm kit pool
+// builds no network to learn it. Arch does not depend on the seed, so one
+// build per pair per process answers for every cell.
+var archs sync.Map // [2]string{dataset, model} → string
+
+func modelArch(dataset, model string, build nn.Builder) string {
+	key := [2]string{dataset, model}
+	if a, ok := archs.Load(key); ok {
+		return a.(string)
+	}
+	a, _ := archs.LoadOrStore(key, build(0).Arch())
+	return a.(string)
 }
 
 // ModelFor maps a dataset spec and model name to a network builder. "auto"
