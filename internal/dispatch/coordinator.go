@@ -65,11 +65,11 @@ type CoordinatorConfig struct {
 //
 // Every one of those rules lives in the queue (queue.go); the Coordinator is
 // what is not the state machine: the lock, the wake channels, the log and
-// its durability rules, the reaper's clock, the order progress callbacks
-// are delivered in, and five worker-facing methods — register, lease,
-// heartbeat, result, deregister — each of one shape: lock, one queue call,
-// wake, unlock; carry out the effects. The HTTP handlers decode, call one of
-// them, and encode.
+// its durability rules, the reaper's clock, the order progress is published
+// in, the handles it retains after their jobs left the queue, and five
+// worker-facing methods — register, lease, heartbeat, result, deregister —
+// each of one shape: lock, one queue call, settle, unlock; carry out the
+// effects. The HTTP handlers decode, call one of them, and encode.
 //
 // Mount attaches the worker-facing endpoints to a mux; internal/serve does
 // this for any Executor that implements it, so `fedserve -remote` serves
@@ -77,11 +77,18 @@ type CoordinatorConfig struct {
 type Coordinator struct {
 	cfg CoordinatorConfig
 
-	mu     sync.Mutex // what the queue's transitions run under
-	q      *queue
-	notify signal        // work or capacity appeared: lease pollers wake
-	space  signal        // the FIFO shrank: blocked submitters wake
-	closed chan struct{} // closed by shutdown
+	mu sync.Mutex // what the queue's transitions run under
+	q  *queue
+	// retained holds, by id, the handles of jobs that left the queue's table
+	// but are still the record of their cell: a failed job (for status
+	// queries; a resubmission replaces it with a fresh attempt), and a
+	// finished one until its history is in the store — for good when the
+	// store refused it, so its history is still served from memory. Guarded
+	// by mu.
+	retained map[string]*handle
+	notify   signal        // work or capacity appeared: lease pollers wake
+	space    signal        // the FIFO shrank: blocked submitters wake
+	closed   chan struct{} // closed by shutdown
 
 	closeOnce sync.Once
 	reaperWG  sync.WaitGroup
@@ -107,9 +114,9 @@ type Coordinator struct {
 // job's lifetime, attemptSeen the rounds received in the current attempt —
 // reset by every fresh grant — so only genuinely new rounds are relayed.
 //
-// mu — not c.mu — guards both and is held across the subscriber callbacks
-// themselves, so a heartbeat relay and the result backfill can never
-// interleave or reorder a job's round stream. Delivery only ever holds mu.
+// mu — not c.mu — guards both and is held across the publishes themselves,
+// so a heartbeat relay and the result backfill can never interleave or
+// reorder a job's round feed. Delivery only ever holds mu.
 type relay struct {
 	mu          sync.Mutex
 	relayed     int
@@ -119,21 +126,17 @@ type relay struct {
 // deliver relays the rounds of stats past the high-water mark. counted says
 // stats are the next rounds of the current attempt (a heartbeat) rather than
 // the job's whole history (the upload's backfill).
-func (r *relay) deliver(subs []func(fl.RoundStat), stats []fl.RoundStat, counted bool) {
+func (r *relay) deliver(feed *Feed[fl.RoundStat], stats []fl.RoundStat, counted bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	seen := 0
+	seen := 0 // rounds of the attempt before stats[0]
 	if counted {
 		seen = r.attemptSeen
 		r.attemptSeen += len(stats)
 	}
-	for _, st := range stats {
-		if seen++; seen > r.relayed {
-			r.relayed = seen
-			for _, f := range subs {
-				f(st)
-			}
-		}
+	if fresh := stats[min(max(r.relayed-seen, 0), len(stats)):]; len(fresh) > 0 {
+		r.relayed = seen + len(stats)
+		feed.publishAll(fresh)
 	}
 }
 
@@ -181,9 +184,10 @@ func newCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg.Tracer = obs.DefaultTracer()
 	}
 	c := &Coordinator{
-		cfg:    cfg,
-		q:      newQueue(cfg.Queue, cfg.MaxAttempts, cfg.LeaseTTL, cfg.WALPath != ""),
-		notify: newSignal(), space: newSignal(), closed: make(chan struct{}),
+		cfg:      cfg,
+		q:        newQueue(cfg.Queue, cfg.MaxAttempts, cfg.LeaseTTL, cfg.WALPath != ""),
+		retained: make(map[string]*handle),
+		notify:   newSignal(), space: newSignal(), closed: make(chan struct{}),
 	}
 	c.cm = newCoordMetrics(cfg.Metrics, c.Stats)
 	if cfg.WALPath != "" {
@@ -216,10 +220,14 @@ func (s *signal) broadcast() {
 	}
 }
 
-// wakeLocked broadcasts to whoever a transition's effects say to wake. The
-// caller still holds c.mu from the transition: a waiter that saw the old
-// state also took the old channel under it.
-func (c *Coordinator) wakeLocked(fx effects) {
+// settleLocked broadcasts to whoever a transition's effects say to wake, and
+// retains the handles it failed. The caller still holds c.mu from the
+// transition: a waiter that saw the old state also took the old channel
+// under it, and no submission can miss both the job and its failed record.
+func (c *Coordinator) settleLocked(fx effects) {
+	for _, f := range fx.failed {
+		c.retained[f.h.job.ID] = f.h
+	}
 	if fx.wake {
 		c.notify.broadcast()
 	}
@@ -338,13 +346,14 @@ func (c *Coordinator) checkpoint() {
 }
 
 // run carries out what a transition left to do once c.mu is released:
-// journal (drain-path records never wait for their fsync), then callbacks,
-// metrics and spans — and every WALCompactEvery terminal jobs, however they
-// ended, a checkpoint, so the log tracks the live set instead of the
-// submission history.
+// journal (drain-path records never wait for their fsync), then the granted
+// handle's status, failed handles, metrics and spans — and every
+// WALCompactEvery terminal jobs, however they ended, a checkpoint, so the
+// log tracks the live set instead of the submission history.
 func (c *Coordinator) run(fx effects) {
 	c.appendWALAsync(fx.recs)
 	if g := fx.granted; g.j != nil {
+		g.j.h.start()
 		if g.fresh { // a fresh attempt re-reports from round zero
 			g.j.relay.mu.Lock()
 			g.j.relay.attemptSeen = 0
@@ -352,9 +361,6 @@ func (c *Coordinator) run(fx effects) {
 		}
 		c.cm.leaseWait.Observe(g.waited.Seconds())
 		c.cm.slotsBusy.With(g.label).Set(float64(g.busy))
-	}
-	for _, f := range fx.starts {
-		f()
 	}
 	for _, e := range fx.ended {
 		c.cm.leaseHold.Observe(e.held.Seconds())
@@ -387,14 +393,14 @@ func (c *Coordinator) run(fx effects) {
 	}
 }
 
-// Submit queues the job for the next free worker. Identical in-flight
-// submissions coalesce onto one job (their progress callbacks are all
-// relayed), and a job whose artifact is already stored completes
-// immediately without queueing — cached cells are never re-shipped. With
-// opts.Block it waits for queue space (or Close); without, a full queue
-// returns ErrQueueFull immediately.
+// Submit queues the job for the next free worker. An identical submission
+// joins the job's one record: the live job, or the handle retained after it
+// (a failed one is replaced by a fresh attempt instead). A job whose
+// artifact is already stored completes immediately without queueing —
+// cached cells are never re-shipped. With opts.Block it waits for queue
+// space (or Close); without, a full queue returns ErrQueueFull immediately.
 func (c *Coordinator) Submit(job Job, opts SubmitOpts) (Handle, error) {
-	h, j, fx, err := c.enqueue(job, opts)
+	h, j, fx, err := c.enqueue(job, opts.Block)
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +411,7 @@ func (c *Coordinator) Submit(job Job, opts SubmitOpts) (Handle, error) {
 		werr := c.appendWAL(fx.recs)
 		c.mu.Lock()
 		fx = c.q.admit(time.Now(), j, werr)
-		c.wakeLocked(fx)
+		c.settleLocked(fx)
 		c.mu.Unlock()
 		if werr != nil {
 			c.run(fx) // fails the handle, for whoever joined it meanwhile
@@ -421,31 +427,25 @@ func (c *Coordinator) Submit(job Job, opts SubmitOpts) (Handle, error) {
 	return h, nil
 }
 
-// enqueue is the queueing half of Submit: queue.submit, and for a blocking
-// submission the wait for space. The store is asked before every attempt —
-// the first, and each retry after a wait — whether the job needs to run at
-// all; a stored artifact ends the submission with a completed handle and a
-// nil job.
-func (c *Coordinator) enqueue(job Job, opts SubmitOpts) (*handle, *job, effects, error) {
+// enqueue is the queueing half of Submit: one enter attempt, and for a
+// blocking submission the wait for space and the next attempt.
+func (c *Coordinator) enqueue(job Job, block bool) (*handle, *job, effects, error) {
 	for {
 		select {
 		case <-c.closed:
 			return nil, nil, effects{}, ErrClosed
 		default:
 		}
-		if h, err := c.cached(job); h != nil || err != nil {
-			return h, nil, effects{}, err
-		}
 		c.mu.Lock()
-		j, fx, err := c.q.submit(time.Now(), job, opts)
-		c.wakeLocked(fx)
+		h, j, fx, err := c.enterLocked(job)
+		c.settleLocked(fx)
 		var space <-chan struct{} // taken only by a submission that will wait
-		if opts.Block && errors.Is(err, ErrQueueFull) {
+		if block && errors.Is(err, ErrQueueFull) {
 			space = c.space.wait()
 		}
 		c.mu.Unlock()
 		if err == nil {
-			return j.h, j, fx, nil
+			return h, j, fx, nil
 		}
 		if space == nil {
 			return nil, nil, fx, err
@@ -456,6 +456,32 @@ func (c *Coordinator) enqueue(job Job, opts SubmitOpts) (*handle, *job, effects,
 			return nil, nil, fx, ErrClosed
 		}
 	}
+}
+
+// enterLocked joins the job's record or enters it into the queue. On a
+// table miss it first looks at what the job may have left behind: a retained
+// handle that did not fail is joined, and the store is asked whether the job
+// needs to run at all (a stored artifact ends the submission with a
+// completed handle and a nil job). Both are read under c.mu, and result
+// retains a finished job's handle in the same critical section that takes
+// the job off the table, keeping it until its history is stored — so a
+// submission racing a finishing job either joins it or reads its artifact,
+// and never computes it twice. Caller holds c.mu.
+func (c *Coordinator) enterLocked(job Job) (*handle, *job, effects, error) {
+	if c.q.jobs[job.ID] == nil {
+		if h := c.retained[job.ID]; h != nil && h.Status() != StatusFailed {
+			return h, nil, effects{}, nil
+		}
+		if h, err := c.cached(job); h != nil || err != nil {
+			return h, nil, effects{}, err
+		}
+	}
+	j, fx, err := c.q.submit(time.Now(), job)
+	if err != nil {
+		return nil, nil, fx, err
+	}
+	delete(c.retained, job.ID) // a failed record is not pinned: the new job replaces it
+	return j.h, j, fx, nil
 }
 
 // cached is the store fast path: the artifact exchange already has this cell.
@@ -472,6 +498,39 @@ func (c *Coordinator) cached(job Job) (*handle, error) {
 	return h, nil
 }
 
+// Lookup returns the record of the job with this id: the live job's
+// handle, else the handle retained after it, else nil (the store is then the
+// only place to look).
+func (c *Coordinator) Lookup(id string) Handle {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if j := c.q.jobs[id]; j != nil {
+		return j.h
+	}
+	if h := c.retained[id]; h != nil {
+		return h
+	}
+	return nil
+}
+
+// Records counts the jobs the coordinator holds a record of: live and
+// retained.
+func (c *Coordinator) Records() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.q.jobs) + len(c.retained)
+}
+
+// release drops h from the retained set once its history is in the store,
+// unless a fresh attempt already replaced it.
+func (c *Coordinator) release(h *handle) {
+	c.mu.Lock()
+	if c.retained[h.job.ID] == h {
+		delete(c.retained, h.job.ID)
+	}
+	c.mu.Unlock()
+}
+
 // Close fails every non-terminal job with ErrClosed and stops the reaper.
 // Workers discover the shutdown on their next poll (connection refused or
 // 404) and re-register when a coordinator returns. On a durable
@@ -482,7 +541,7 @@ func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.closed) // later submissions get ErrClosed, every waiter wakes
 		c.mu.Lock()
-		c.wakeLocked(effects{wake: true, space: true})
+		c.settleLocked(effects{wake: true, space: true})
 		queued, running := c.q.shutdown()
 		c.mu.Unlock()
 		for _, h := range append(queued, running...) {
@@ -513,7 +572,7 @@ func (c *Coordinator) reaper() {
 		case now := <-t.C:
 			c.mu.Lock()
 			fx := c.q.expire(now)
-			c.wakeLocked(fx)
+			c.settleLocked(fx)
 			c.mu.Unlock()
 			c.run(fx)
 		}
@@ -563,7 +622,7 @@ func (c *Coordinator) register(name string, slots int) registerResponse {
 func (c *Coordinator) deregister(wid string) (int, error) {
 	c.mu.Lock()
 	label, fx, err := c.q.forget(time.Now(), wid)
-	c.wakeLocked(fx)
+	c.settleLocked(fx)
 	c.mu.Unlock()
 	if err != nil {
 		return 0, err
@@ -582,7 +641,7 @@ func (c *Coordinator) deregister(wid string) (int, error) {
 func (c *Coordinator) leaseTo(wid string) (job *Job, notify <-chan struct{}, err error) {
 	c.mu.Lock()
 	fx, err := c.q.grant(time.Now(), wid)
-	c.wakeLocked(fx)
+	c.settleLocked(fx)
 	if err == nil && fx.granted.j == nil {
 		notify = c.notify.wait()
 	}
@@ -637,16 +696,12 @@ func (c *Coordinator) lease(ctx context.Context, wid string, wait time.Duration)
 func (c *Coordinator) heartbeat(wid, jid string, rounds []fl.RoundStat) error {
 	c.mu.Lock()
 	j, gap, fx, err := c.q.beat(time.Now(), wid, jid)
-	c.wakeLocked(fx)
+	c.settleLocked(fx)
 	adopted := fx.granted.j != nil
 	if adopted {
 		c.reattached++
 	}
-	var subs []func(fl.RoundStat)
 	relayed := err == nil && !j.adopted
-	if relayed {
-		subs = j.onRound
-	}
 	c.mu.Unlock()
 	switch {
 	case err != nil:
@@ -662,14 +717,19 @@ func (c *Coordinator) heartbeat(wid, jid string, rounds []fl.RoundStat) error {
 	// delivered; deliver relays only those past the high-water mark. An
 	// adopted lease's rounds are not even counted: the upload backfills.
 	if relayed {
-		j.relay.deliver(subs, rounds, true)
+		j.relay.deliver(&j.h.rounds, rounds, true)
 	}
 	return nil
 }
 
 // result ingests a finished job — its history, or the execution error
 // runErr — persisting the history under the job fingerprint before the
-// handle completes. Uploads are idempotent by content address: a duplicate
+// handle completes. The handle is retained from the moment the job leaves
+// the queue's table: a failed one for good (until a resubmission), a
+// finished one until its history is stored. A Put that fails is retried
+// once; if the retry fails too the handle stays retained as done, so the
+// history is served from memory and only re-serving it after a restart is
+// lost. Uploads are idempotent by content address: a duplicate
 // from a second worker that computed the same requeued job, or from a
 // worker whose lease expired mid-upload, is acknowledged without a second
 // store write, and counted as divergent if its bytes are not the stored
@@ -705,7 +765,10 @@ func (c *Coordinator) result(wid, jid string, hist *fl.History, runErr error, ne
 	}
 	c.mu.Lock()
 	j, fx, err := c.q.finish(time.Now(), wid, jid, outcome)
-	c.wakeLocked(fx)
+	if err == nil {
+		c.retained[jid] = j.h
+	}
+	c.settleLocked(fx)
 	c.mu.Unlock()
 	switch {
 	case errors.Is(err, errUnknownJob):
@@ -747,10 +810,16 @@ func (c *Coordinator) result(wid, jid string, hist *fl.History, runErr error, ne
 		return resultResponse{}, errEmptyHistory
 	}
 	c.cm.uploads.With("stored").Inc()
+	stored := true
 	if c.cfg.Store != nil {
-		if err := c.cfg.Store.Put(jid, hist); err != nil {
+		err := c.cfg.Store.Put(jid, hist)
+		if err != nil {
+			err = c.cfg.Store.Put(jid, hist)
+		}
+		if err != nil {
 			// The computation succeeded, so the submitter gets the history
 			// even though re-serving after restart is lost.
+			stored = false
 			c.cfg.Logf("dispatch: persisting job %.12s: %v", jid, err)
 		}
 	}
@@ -776,7 +845,10 @@ func (c *Coordinator) result(wid, jid string, hist *fl.History, runErr error, ne
 	// high-water mark delivers every round exactly once, and a straggling
 	// heartbeat relay for the same job cannot interleave its rounds with (or
 	// duplicate) the backfill.
-	j.relay.deliver(j.onRound, hist.Stats, false)
+	j.relay.deliver(&j.h.rounds, hist.Stats, false)
+	if stored {
+		c.release(j.h) // a submission from here on reads the artifact (with no store: runs afresh)
+	}
 	j.h.complete(hist, nil)
 	return ack("stored"), nil
 }

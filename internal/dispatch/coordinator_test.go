@@ -182,20 +182,19 @@ func TestWorkerHopIsWireOnly(t *testing.T) {
 	<-hd.Done()
 }
 
-// TestCoordinatorLeaseLifecycle walks the happy path end to end: submit →
-// lease (OnStart fires) → heartbeat progress (relayed to OnRound) →
-// result upload (persisted under the fingerprint, handle completes).
+// TestCoordinatorLeaseLifecycle walks the happy path end to end: submit
+// (queued) → lease (running) → heartbeat progress (published to the
+// handle's feed) → result upload (persisted under the fingerprint, handle
+// completes).
 func TestCoordinatorLeaseLifecycle(t *testing.T) {
 	h := newCoordHarness(t, CoordinatorConfig{})
 	job := testJob(1)
-	var rounds []fl.RoundStat
-	started := 0
-	hd, err := h.coord.Submit(job, SubmitOpts{
-		OnRound: func(st fl.RoundStat) { rounds = append(rounds, st) },
-		OnStart: func() { started++ },
-	})
+	hd, err := h.coord.Submit(job, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s := hd.Status(); s != StatusQueued {
+		t.Fatalf("status %s before any lease, want queued", s)
 	}
 
 	wid := h.register(1)
@@ -203,13 +202,13 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 	if leased.ID != job.ID || string(leased.Spec) != string(job.Spec) {
 		t.Fatalf("leased %+v, want %+v", leased, job)
 	}
-	if started != 1 {
-		t.Fatalf("OnStart fired %d times at lease, want 1", started)
+	if s := hd.Status(); s != StatusRunning {
+		t.Fatalf("status %s at lease, want running", s)
 	}
 	if code := h.heartbeat(wid, job.ID, []fl.RoundStat{{Round: 1, TestAcc: 0.4}}); code != http.StatusOK {
 		t.Fatalf("heartbeat: HTTP %d", code)
 	}
-	if len(rounds) != 1 || rounds[0].TestAcc != 0.4 {
+	if rounds := hd.Rounds().Events(); len(rounds) != 1 || rounds[0].TestAcc != 0.4 {
 		t.Fatalf("relayed progress: %+v", rounds)
 	}
 	code, ack := h.upload(wid, job.ID, cannedHist(1), "")
@@ -217,8 +216,8 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 		t.Fatalf("upload: HTTP %d %+v", code, ack)
 	}
 	hist, err := waitDone(t, hd)
-	if err != nil || hist.FinalAcc() != 0.51 {
-		t.Fatalf("handle result: %+v, %v", hist, err)
+	if err != nil || hist.FinalAcc() != 0.51 || hd.Status() != StatusDone {
+		t.Fatalf("handle result: %+v, %v, status %s", hist, err, hd.Status())
 	}
 	if _, ok, _ := h.store.Get(job.ID); !ok {
 		t.Fatal("artifact missing from the store after upload")
@@ -373,8 +372,7 @@ func TestDeregisterRequeuesCleanly(t *testing.T) {
 func TestResultBackfillsUnheartbeatedRounds(t *testing.T) {
 	h := newCoordHarness(t, CoordinatorConfig{})
 	job := testJob(12)
-	var rounds []fl.RoundStat
-	hd, err := h.coord.Submit(job, SubmitOpts{OnRound: func(st fl.RoundStat) { rounds = append(rounds, st) }})
+	hd, err := h.coord.Submit(job, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +391,7 @@ func TestResultBackfillsUnheartbeatedRounds(t *testing.T) {
 	if _, err := waitDone(t, hd); err != nil {
 		t.Fatal(err)
 	}
-	if len(rounds) != 3 || rounds[2].Round != 3 {
+	if rounds := hd.Rounds().Events(); len(rounds) != 3 || rounds[2].Round != 3 {
 		t.Fatalf("progress subscribers saw %d rounds (%+v), want the full 3", len(rounds), rounds)
 	}
 }
@@ -404,8 +402,7 @@ func TestResultBackfillsUnheartbeatedRounds(t *testing.T) {
 // the upload's backfill then delivers every round, once, in order.
 func TestAdoptedLeaseRelaysOnlyOnUpload(t *testing.T) {
 	h := newCoordHarness(t, CoordinatorConfig{LeaseTTL: 10 * time.Second})
-	var rounds []int
-	job, hd := h.submit(13, SubmitOpts{OnRound: func(st fl.RoundStat) { rounds = append(rounds, st.Round) }})
+	job, hd := h.submit(13, SubmitOpts{})
 	first := h.register(1)
 	h.leaseUntil(first, 5*time.Second)
 	h.deregister(first)
@@ -414,7 +411,7 @@ func TestAdoptedLeaseRelaysOnlyOnUpload(t *testing.T) {
 	if code := h.heartbeat(second, job.ID, hist.Stats[:2]); code != http.StatusOK || h.coord.Stats().Reattached != 1 {
 		t.Fatalf("heartbeat under the new id: HTTP %d, stats %+v; want the lease adopted", code, h.coord.Stats())
 	}
-	if len(rounds) != 0 {
+	if rounds := hd.Rounds().Events(); len(rounds) != 0 {
 		t.Fatalf("an adopted lease's heartbeat relayed rounds %v", rounds)
 	}
 	if code, _ := h.upload(second, job.ID, hist, ""); code != http.StatusOK {
@@ -423,7 +420,7 @@ func TestAdoptedLeaseRelaysOnlyOnUpload(t *testing.T) {
 	if _, err := waitDone(t, hd); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rounds, []int{1, 2, 3}) {
+	if rounds := <-streamRounds(hd); !reflect.DeepEqual(rounds, []int{1, 2, 3}) {
 		t.Fatalf("subscriber saw rounds %v, want 1 2 3 from the upload's backfill", rounds)
 	}
 }
@@ -503,35 +500,46 @@ func TestCoordinatorServesFromStore(t *testing.T) {
 	}
 }
 
-// TestSubmitCoalesces: identical in-flight submissions share one job and
-// both progress subscriptions fire.
+// TestSubmitCoalesces: identical in-flight submissions share one job — two
+// while it is queued, and a third that joins after round 1 was relayed —
+// and every one of them reads every round from the shared handle's feed,
+// the late joiner round 1 included.
 func TestSubmitCoalesces(t *testing.T) {
 	h := newCoordHarness(t, CoordinatorConfig{})
 	job := testJob(8)
-	var a, b int
-	h1, err := h.coord.Submit(job, SubmitOpts{OnRound: func(fl.RoundStat) { a++ }})
+	h1, err := h.coord.Submit(job, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := h.coord.Submit(job, SubmitOpts{OnRound: func(fl.RoundStat) { b++ }})
+	early := streamRounds(h1)
+	h2, err := h.coord.Submit(job, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := h.coord.Stats(); st.Pending != 1 {
-		t.Fatalf("coalesced submissions queued %d jobs, want 1", st.Pending)
+	if st := h.coord.Stats(); st.Pending != 1 || h2 != h1 {
+		t.Fatalf("coalesced submissions queued %d jobs (same handle: %t), want 1", st.Pending, h2 == h1)
 	}
 	wid := h.register(1)
 	h.leaseUntil(wid, 5*time.Second)
-	h.heartbeat(wid, job.ID, []fl.RoundStat{{Round: 1, TestAcc: 0.1}})
-	h.upload(wid, job.ID, cannedHist(8), "")
+	hist := &fl.History{Method: "fedavg", Stats: []fl.RoundStat{{Round: 1, TestAcc: 0.1}, {Round: 2, TestAcc: 0.2}, {Round: 3, TestAcc: 0.3}}}
+	h.heartbeat(wid, job.ID, hist.Stats[:1])
+	h3, err := h.coord.Submit(job, SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h3 != h1 || h3.Status() != StatusRunning {
+		t.Fatalf("the late submission got its own handle (or status %s), want the running job's", h3.Status())
+	}
+	late := streamRounds(h3)
+	h.heartbeat(wid, job.ID, hist.Stats[1:2])
+	h.upload(wid, job.ID, hist, "")
 	if _, err := waitDone(t, h1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := waitDone(t, h2); err != nil {
-		t.Fatal(err)
-	}
-	if a != 1 || b != 1 {
-		t.Fatalf("progress fan-out a=%d b=%d, want 1/1", a, b)
+	for who, ch := range map[string]<-chan []int{"first": early, "late": late} {
+		if rounds := <-ch; !reflect.DeepEqual(rounds, []int{1, 2, 3}) {
+			t.Fatalf("the %s subscriber read rounds %v, want 1 2 3", who, rounds)
+		}
 	}
 }
 

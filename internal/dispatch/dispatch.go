@@ -21,14 +21,18 @@
 // public sweep API, and that server's own Local or Coordinator runs it.
 //
 // So every cell in every topology runs one lease, relay, persist and finish
-// path; only the Worker's transport differs. Under the Coordinator is one
-// state machine: the unexported queue (queue.go) is the only code that
-// moves a job between submitting, pending, leased and done. It is pure —
-// handed the time, returning the effects (records to journal, who to wake,
-// callbacks owed, what to observe) for the Coordinator to carry out — and a
-// job changes state only by applying a wal.Record, so WAL replay and live
-// traffic run the same transitions. DESIGN.md "Dispatch layer" has the
-// transition table.
+// path; only the Worker's transport differs. A job's Handle is the one
+// record of its execution — status, replaying round Feed, result — and the
+// Coordinator's table of them is the only single-flight table: an identical
+// submission joins the live job, or the handle retained after it failed or
+// its history could not be stored (Lookup finds both). Under the
+// Coordinator is one state machine: the unexported queue (queue.go) is the
+// only code that moves a job between submitting, pending, leased and done.
+// It is pure — handed the time, returning the effects (records to journal,
+// who to wake, handles to fail, what to observe) for the Coordinator to
+// carry out — and a job changes state only by applying a wal.Record, so WAL
+// replay and live traffic run the same transitions. DESIGN.md "Dispatch
+// layer" has the transition table.
 //
 // Jobs deliberately carry the spec as opaque canonical JSON rather than a
 // decoded struct: the layer above owns spec semantics (validation,
@@ -42,7 +46,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"sync"
 
 	"fedwcm/internal/fl"
 )
@@ -67,19 +70,31 @@ type SubmitOpts struct {
 	// submissions → HTTP 503) and waiting for space (sweep feeders trickling
 	// a grid in).
 	Block bool
-	// OnRound, when non-nil, receives per-round progress exactly once and in
-	// order, relayed losslessly from worker heartbeats (and the result), so
-	// a round reads the same whichever topology ran the job.
-	OnRound func(fl.RoundStat)
-	// OnStart, when non-nil, is invoked once when the job leaves the queue
-	// and begins executing: when a worker, in process or remote, leases it.
-	OnStart func()
 }
 
-// Handle tracks one submitted job to completion.
+// A job's status, as Handle.Status reports it. It only moves forward:
+// queued until the job's first lease, running from then on (a requeue does
+// not move it back), done or failed once terminal.
+const (
+	StatusQueued  = "queued"
+	StatusRunning = "running"
+	StatusDone    = "done"
+	StatusFailed  = "failed"
+)
+
+// Handle is the one record of a job's execution. Every submission of the
+// same id while the job is live, or retained after it (see
+// Coordinator.Lookup), gets the same Handle.
 type Handle interface {
 	// Job returns the submitted job.
 	Job() Job
+	// Status returns the job's current status (StatusQueued, ...).
+	Status() string
+	// Rounds is the job's per-round progress, relayed losslessly from worker
+	// heartbeats (and the result), so a round reads the same whichever
+	// topology ran the job. It replays to a late subscriber and finishes when
+	// the job is terminal; only the backend publishes to it.
+	Rounds() *Feed[fl.RoundStat]
 	// Done is closed when the job reaches a terminal state.
 	Done() <-chan struct{}
 	// Result returns the history or error; valid only after Done is closed.
@@ -109,41 +124,60 @@ var (
 	ErrClosed = errors.New("dispatch: executor closed")
 )
 
-// handle is the one Handle implementation, shared by every backend.
+// handle is the one Handle implementation, shared by every backend. It
+// owns nothing beside its feed: the feed's done channel is the handle's
+// (complete finishes the feed), and the feed's mutex guards the fields
+// below too.
 type handle struct {
-	job  Job
-	done chan struct{}
-
-	mu   sync.Mutex
-	hist *fl.History
-	err  error
+	job    Job
+	rounds Feed[fl.RoundStat]
+	status string
+	hist   *fl.History
+	err    error
 }
 
 func newHandle(job Job) *handle {
-	return &handle{job: job, done: make(chan struct{})}
+	return &handle{job: job, rounds: Feed[fl.RoundStat]{done: make(chan struct{})}, status: StatusQueued}
 }
 
-func (h *handle) Job() Job              { return h.job }
-func (h *handle) Done() <-chan struct{} { return h.done }
+func (h *handle) Job() Job                    { return h.job }
+func (h *handle) Rounds() *Feed[fl.RoundStat] { return &h.rounds }
+func (h *handle) Done() <-chan struct{}       { return h.rounds.done }
+
+func (h *handle) Status() string {
+	h.rounds.mu.Lock()
+	defer h.rounds.mu.Unlock()
+	return h.status
+}
 
 func (h *handle) Result() (*fl.History, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	h.rounds.mu.Lock()
+	defer h.rounds.mu.Unlock()
 	return h.hist, h.err
+}
+
+// start marks the job running at a lease; a later lease (after a requeue)
+// leaves it so.
+func (h *handle) start() {
+	h.rounds.mu.Lock()
+	if h.status == StatusQueued {
+		h.status = StatusRunning
+	}
+	h.rounds.mu.Unlock()
 }
 
 // complete resolves the handle exactly once; later calls are no-ops (a
 // requeued job can race a tardy first worker's upload against the retry).
 func (h *handle) complete(hist *fl.History, err error) bool {
-	h.mu.Lock()
-	select {
-	case <-h.done:
-		h.mu.Unlock()
+	h.rounds.mu.Lock()
+	defer h.rounds.mu.Unlock()
+	if h.status == StatusDone || h.status == StatusFailed {
 		return false
-	default:
 	}
-	h.hist, h.err = hist, err
-	close(h.done)
-	h.mu.Unlock()
+	h.hist, h.err, h.status = hist, err, StatusDone
+	if err != nil {
+		h.status = StatusFailed
+	}
+	close(h.rounds.done)
 	return true
 }

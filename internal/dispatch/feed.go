@@ -1,4 +1,4 @@
-package sweep
+package dispatch
 
 import (
 	"context"
@@ -6,27 +6,47 @@ import (
 	"sync"
 )
 
-// Feed is the append-only log behind every progress stream (per-round
-// progress of a live cell, per-cell completion of a served sweep). A
-// subscriber is a cursor into the log: it reads what it has not seen yet, in
-// batches, so it never misses an event however slowly it reads, and a late
-// joiner's replay is simply its first batch. A publisher (the training loop,
-// a cell's completion) never blocks: it appends and nudges the subscribers.
+// Feed is the append-only log behind every progress stream (a job's
+// per-round progress, which its Handle carries; per-cell completion of a
+// served sweep). A subscriber is a cursor into the log: it reads what it has
+// not seen yet, in batches, so it never misses an event however slowly it
+// reads, and a late joiner's replay is simply its first batch. A publisher
+// (the coordinator's relay, a cell's completion) never blocks: it appends
+// and nudges the subscribers.
 type Feed[T any] struct {
 	mu   sync.Mutex
 	log  []T
-	subs map[chan struct{}]struct{} // one wake channel per Stream call
+	subs map[chan struct{}]struct{} // one wake channel per Stream call; made by the first
 	done chan struct{}              // closed by Finish: nothing is published afterwards
 }
 
 func NewFeed[T any]() *Feed[T] {
-	return &Feed[T]{subs: make(map[chan struct{}]struct{}), done: make(chan struct{})}
+	return &Feed[T]{done: make(chan struct{})}
 }
 
 func (f *Feed[T]) Publish(ev T) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.log = append(f.log, ev)
+	f.wakeLocked()
+}
+
+// publishAll appends a run of events at once. An empty log adopts evs
+// itself, capped so that a later append copies instead of writing into the
+// caller's array: the backfill of a job no heartbeat reported on costs no
+// copy of its history. The caller must not modify evs afterwards.
+func (f *Feed[T]) publishAll(evs []T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.log) == 0 {
+		f.log = evs[:len(evs):len(evs)]
+	} else {
+		f.log = append(f.log, evs...)
+	}
+	f.wakeLocked()
+}
+
+func (f *Feed[T]) wakeLocked() {
 	for wake := range f.subs {
 		select {
 		case wake <- struct{}{}:
@@ -36,7 +56,7 @@ func (f *Feed[T]) Publish(ev T) {
 }
 
 // Finish marks the feed complete; the owner calls it exactly once, after its
-// last Publish.
+// last Publish. A Handle's feed is finished by the job's completion.
 func (f *Feed[T]) Finish() { close(f.done) }
 
 // Done is closed once the feed is finished.
@@ -59,6 +79,9 @@ func (f *Feed[T]) Events() []T {
 func (f *Feed[T]) Stream(ctx context.Context, emit func(batch []T)) bool {
 	wake := make(chan struct{}, 1)
 	f.mu.Lock()
+	if f.subs == nil {
+		f.subs = make(map[chan struct{}]struct{})
+	}
 	f.subs[wake] = struct{}{}
 	f.mu.Unlock()
 	defer func() {

@@ -45,7 +45,7 @@ func (h *coordHarness) wantQueue(what string, pending, leased int) {
 // TestResultAckLeasesNext is the coordinator half of complete-and-lease-next:
 // an upload posted with ?lease=1 is acked with the FIFO head of the queue,
 // granted exactly like a polled lease (in the uploader's in-flight set,
-// OnStart fired, counted) — and only when a slot was really freed, work is
+// its handle running, counted) — and only when a slot was really freed, work is
 // really pending, the worker is known and the answer is a 200.
 func TestResultAckLeasesNext(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -53,8 +53,7 @@ func TestResultAckLeasesNext(t *testing.T) {
 	onAck := func() float64 { return registryValues(t, reg)["fedwcm_dispatch_leases_on_ack_total"] }
 
 	j1, _ := h.submit(201, SubmitOpts{})
-	started2 := 0
-	j2, _ := h.submit(202, SubmitOpts{OnStart: func() { started2++ }})
+	j2, hd2 := h.submit(202, SubmitOpts{})
 	j3, _ := h.submit(203, SubmitOpts{})
 	wid := h.register(1)
 	if got := h.leaseUntil(wid, 5*time.Second); got.ID != j1.ID {
@@ -70,8 +69,8 @@ func TestResultAckLeasesNext(t *testing.T) {
 		t.Fatalf("ack granted %.12s %q, want the queue head %.12s %q", ack.Next.ID, ack.Next.Spec, j2.ID, j2.Spec)
 	}
 	h.wantQueue("after the acked grant", 1, 1)
-	if started2 != 1 {
-		t.Fatalf("OnStart of the acked job fired %d times, want 1", started2)
+	if s := hd2.Status(); s != StatusRunning {
+		t.Fatalf("the acked job's status is %s, want running", s)
 	}
 	if n := onAck(); n != 1 {
 		t.Fatalf("fedwcm_dispatch_leases_on_ack_total = %v, want 1", n)

@@ -68,6 +68,12 @@ func (l *Local) Submit(job Job, opts SubmitOpts) (Handle, error) { return l.c.Su
 // admission-control backpressure.
 func (l *Local) Pending() int { return l.c.Stats().Pending }
 
+// Lookup is Coordinator.Lookup.
+func (l *Local) Lookup(id string) Handle { return l.c.Lookup(id) }
+
+// Records is Coordinator.Records.
+func (l *Local) Records() int { return l.c.Records() }
+
 // Close cancels in-flight jobs (the runner observes the context between
 // rounds and returns early), fails queued jobs with ErrClosed, and waits for
 // the worker to exit. A shutting-down worker uploads no aborted run and

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -65,11 +67,7 @@ func TestLocalRunsAndPersists(t *testing.T) {
 	defer l.Close()
 
 	job := testJob(1)
-	var rounds, started int
-	h, err := l.Submit(job, SubmitOpts{
-		OnRound: func(fl.RoundStat) { rounds++ },
-		OnStart: func() { started++ },
-	})
+	h, err := l.Submit(job, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +80,40 @@ func TestLocalRunsAndPersists(t *testing.T) {
 	if _, ok, err := st.Get(job.ID); err != nil || !ok {
 		t.Fatalf("artifact not persisted: ok=%v err=%v", ok, err)
 	}
-	if rounds != 1 || started != 1 {
-		t.Fatalf("rounds=%d started=%d, want 1/1", rounds, started)
+	if rounds, status := h.Rounds().Events(), h.Status(); len(rounds) != 1 || status != StatusDone {
+		t.Fatalf("rounds=%v status=%s, want 1 round, done", rounds, status)
+	}
+}
+
+// streamRounds follows h's feed on its own goroutine; the channel yields the
+// round numbers it read once the feed finishes.
+func streamRounds(h Handle) <-chan []int {
+	out := make(chan []int, 1)
+	go func() {
+		var rounds []int
+		h.Rounds().Stream(context.Background(), func(batch []fl.RoundStat) {
+			for _, st := range batch {
+				rounds = append(rounds, st.Round)
+			}
+		})
+		out <- rounds
+	}()
+	return out
+}
+
+// waitRounds blocks until h's feed holds n rounds.
+func waitRounds(t *testing.T, h Handle, n int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	seen := 0
+	h.Rounds().Stream(ctx, func(batch []fl.RoundStat) {
+		if seen += len(batch); seen >= n {
+			cancel()
+		}
+	})
+	if seen < n {
+		t.Fatalf("job %.12s relayed %d rounds, want %d", h.Job().ID, seen, n)
 	}
 }
 
@@ -185,44 +215,121 @@ func TestLocalCloseCancelsInFlight(t *testing.T) {
 }
 
 // TestLocalSubmitCoalesces: Local runs the Coordinator's queue, so identical
-// in-flight submissions share one execution and one handle, queued or
-// already running, and each one's callbacks fire.
+// in-flight submissions share one execution and one handle, and a
+// submission that joins after round 1 was relayed still reads round 1, then
+// the rest, from the handle's feed.
 func TestLocalSubmitCoalesces(t *testing.T) {
-	started, release := make(chan struct{}, 2), make(chan struct{})
+	release := make(chan struct{})
 	execs := 0
 	l, err := NewLocal(LocalConfig{Workers: 1, Runner: func(ctx context.Context, job Job, onRound func(fl.RoundStat)) (*fl.History, error) {
 		execs++
-		started <- struct{}{}
-		<-release
 		onRound(fl.RoundStat{Round: 1})
-		return cannedHist(0), nil
+		<-release
+		onRound(fl.RoundStat{Round: 2})
+		return &fl.History{Method: "fedavg", Stats: []fl.RoundStat{{Round: 1}, {Round: 2}}}, nil
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	var rounds, starts [2]int
 	var handles [2]Handle
 	for i := range handles {
-		handles[i], err = l.Submit(testJob(0), SubmitOpts{
-			OnRound: func(fl.RoundStat) { rounds[i]++ },
-			OnStart: func() { starts[i]++ },
-		})
-		if err != nil {
+		if handles[i], err = l.Submit(testJob(0), SubmitOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			<-started // the second submission joins a job that is already running
+			waitRounds(t, handles[0], 1) // the second submission joins a running job, after round 1
 		}
 	}
-	if handles[0] != handles[1] || l.Pending() != 0 {
-		t.Fatalf("the second submission got its own handle (or was queued: %d pending)", l.Pending())
+	if handles[0] != handles[1] || l.Pending() != 0 || handles[1].Status() != StatusRunning {
+		t.Fatalf("the second submission got its own handle (or was queued: %d pending, status %s)", l.Pending(), handles[1].Status())
 	}
+	late := streamRounds(handles[1])
 	close(release)
 	if _, err := waitDone(t, handles[0]); err != nil {
 		t.Fatal(err)
 	}
-	if execs != 1 || rounds != [2]int{1, 1} || starts != [2]int{1, 1} {
-		t.Fatalf("%d executions, rounds %v, starts %v; want one run reported to both", execs, rounds, starts)
+	if got := <-late; execs != 1 || !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("%d executions, the late joiner read rounds %v; want one run, rounds 1 2", execs, got)
+	}
+}
+
+// TestUnstorableHistoryIsRetainedDone: a history the store refuses (a NaN
+// loss, which JSON cannot encode, so every Put fails) still ends its job
+// done with the history. The coordinator keeps the handle: Lookup finds it,
+// and a second submission joins it instead of computing the cell again.
+func TestUnstorableHistoryIsRetainedDone(t *testing.T) {
+	st := tstore(t)
+	execs := 0
+	l, err := NewLocal(LocalConfig{Store: st, Workers: 1, Runner: func(ctx context.Context, job Job, onRound func(fl.RoundStat)) (*fl.History, error) {
+		execs++
+		return &fl.History{Method: "fedavg", Stats: []fl.RoundStat{{Round: 1, TestAcc: 0.5, TrainLoss: math.NaN()}}}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	job := testJob(30)
+	h, err := l.Submit(job, SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hist, err := waitDone(t, h); err != nil || hist == nil || h.Status() != StatusDone {
+		t.Fatalf("result %+v, %v, status %s; want done with its history", hist, err, h.Status())
+	}
+	if _, ok, _ := st.Get(job.ID); ok {
+		t.Fatal("the NaN history was stored; the test needs a failed persist")
+	}
+	if got := l.Lookup(job.ID); got != h {
+		t.Fatalf("Lookup = %v, want the retained done handle", got)
+	}
+	again, err := l.Submit(job, SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hist, _ := again.Result(); again != h || hist == nil || execs != 1 || l.Records() != 1 {
+		t.Fatalf("resubmission: same handle %t, history %v, %d executions, %d records; want the retained one, 1, 1",
+			again == h, hist, execs, l.Records())
+	}
+}
+
+// TestFailedJobIsRetainedUntilResubmitted: a job whose worker reported an
+// error is kept as failed for Lookup, and a resubmission is a fresh attempt
+// that replaces it.
+func TestFailedJobIsRetainedUntilResubmitted(t *testing.T) {
+	execs := 0
+	l, err := NewLocal(LocalConfig{Store: tstore(t), Workers: 1, Runner: func(ctx context.Context, job Job, onRound func(fl.RoundStat)) (*fl.History, error) {
+		if execs++; execs == 1 {
+			return nil, errors.New("diverged")
+		}
+		return cannedHist(31), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	job := testJob(31)
+	h, err := l.Submit(job, SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := waitDone(t, h); err == nil || h.Status() != StatusFailed {
+		t.Fatalf("first attempt: err %v, status %s; want the worker's failure", err, h.Status())
+	}
+	if got := l.Lookup(job.ID); got != h {
+		t.Fatalf("Lookup = %v, want the retained failed handle", got)
+	}
+	retry, err := l.Submit(job, SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retry == h {
+		t.Fatal("the resubmission joined the failed record")
+	}
+	if _, err := waitDone(t, retry); err != nil || execs != 2 || retry.Status() != StatusDone {
+		t.Fatalf("retry: err %v, %d executions, status %s; want success on the 2nd", err, execs, retry.Status())
+	}
+	if got := l.Lookup(job.ID); got != nil || l.Records() != 0 {
+		t.Fatalf("Lookup = %v with %d records after a stored retry, want nothing held", got, l.Records())
 	}
 }

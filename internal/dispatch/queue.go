@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"fedwcm/internal/dispatch/wal"
-	"fedwcm/internal/fl"
 )
 
 // queue is the job state machine every topology runs: the job table, the
@@ -53,10 +52,7 @@ const (
 
 type job struct {
 	h          *handle
-	prev, next *job                 // submission order
-	onRound    []func(fl.RoundStat) // append-only, so a reader may keep a slice of it
-	onStart    []func()             // owed at the first lease
-	started    bool
+	prev, next *job // submission order
 	state      jobState
 	worker     string // lease holder when leased
 	attempts   int    // leases granted so far
@@ -65,9 +61,9 @@ type job struct {
 	// enqueuedAt is reset on every requeue (each wait is its own
 	// observation); leasedAt and lastBeat belong to the current lease.
 	enqueuedAt, leasedAt, lastBeat time.Time
-	// relay is the Coordinator's delivery mark. It orders callbacks between
-	// goroutines — synchronisation, not queue state — and no queue method
-	// touches it.
+	// relay is the Coordinator's delivery mark. It orders publishes into the
+	// handle's feed between goroutines — synchronisation, not queue state —
+	// and no queue method touches it.
 	relay relay
 }
 
@@ -103,12 +99,12 @@ var (
 )
 
 // effects is what a transition leaves for its adapter to do. wake and space
-// are acted on before the adapter's lock is released, the rest after it.
+// are acted on before the adapter's lock is released, and so is the
+// retention of failed handles; the rest after it.
 type effects struct {
 	recs     []wal.Record // to journal, in order (journaled queues only)
 	wake     bool         // work or capacity appeared: wake lease pollers
 	space    bool         // the FIFO shrank: wake blocked submitters
-	starts   []func()     // OnStart callbacks owed
 	failed   []failure    // handles to complete with an error
 	terminal int          // jobs that left the table for good
 	granted  leaseStart   // the lease that began, if granted.j != nil
@@ -120,9 +116,9 @@ type failure struct {
 	err error
 }
 
-// leaseStart is what a grant leaves to observe: the lease wait, the slot
-// gauge, and whether the relay restarts from round zero (fresh) or stays
-// silent until the upload (adopted).
+// leaseStart is what a grant leaves to do and observe: the handle turns
+// running, the lease wait, the slot gauge, and whether the relay restarts
+// from round zero (fresh) or stays silent until the upload (adopted).
 type leaseStart struct {
 	j       *job
 	fresh   bool
@@ -286,7 +282,7 @@ func (q *queue) drop(j *job) {
 // ErrClosed, or enters a new job. On a journaled queue the new job is
 // submitting and fx.recs holds its submit record: the adapter makes that
 // durable and calls admit. Otherwise it is pending at once.
-func (q *queue) submit(now time.Time, jb Job, opts SubmitOpts) (j *job, fx effects, err error) {
+func (q *queue) submit(now time.Time, jb Job) (j *job, fx effects, err error) {
 	if q.closed {
 		return nil, fx, ErrClosed
 	}
@@ -297,16 +293,6 @@ func (q *queue) submit(now time.Time, jb Job, opts SubmitOpts) (j *job, fx effec
 	joined := j != nil
 	if !joined {
 		j = q.add(jb)
-	}
-	if opts.OnRound != nil {
-		j.onRound = append(j.onRound, opts.OnRound)
-	}
-	if opts.OnStart != nil {
-		if j.started {
-			fx.starts = []func(){opts.OnStart}
-		} else {
-			j.onStart = append(j.onStart, opts.OnStart)
-		}
 	}
 	switch rec := (wal.Record{Type: wal.TypeSubmit, Job: jb.ID, Spec: jb.Spec}); {
 	case joined: // single-flight: share the execution
@@ -434,10 +420,6 @@ func (q *queue) lease(now time.Time, w *worker, j *job, adopted bool) effects {
 	q.emit(&fx, now, wal.Record{Type: wal.TypeLease, Job: j.h.job.ID, Worker: w.id, Attempts: j.attempts + 1})
 	j.adopted, j.expiry = adopted, now.Add(q.ttl)
 	j.leasedAt, j.lastBeat = now, now
-	if !j.started {
-		fx.starts = j.onStart
-	}
-	j.started, j.onStart = true, nil
 	fx.granted = leaseStart{j: j, fresh: !adopted, attempt: j.attempts, waited: waited, label: w.label(), busy: w.held}
 	return fx
 }

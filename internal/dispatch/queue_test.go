@@ -105,11 +105,11 @@ func TestQueueApply(t *testing.T) {
 func TestQueueSubmittingJobIsNotLeasable(t *testing.T) {
 	q := newQueue(8, 3, testTTL, true)
 	w := q.register(t0, "", 8)
-	j, fx, err := q.submit(t0, Job{ID: "a", Spec: []byte(`{}`)}, SubmitOpts{})
+	j, fx, err := q.submit(t0, Job{ID: "a", Spec: []byte(`{}`)})
 	if err != nil || len(fx.recs) != 1 || fx.recs[0].Type != wal.TypeSubmit || fx.wake {
 		t.Fatalf("journaled submit: effects %+v, %v; want only the submit record to make durable", fx, err)
 	}
-	if j2, _, _ := q.submit(t0, Job{ID: "a"}, SubmitOpts{}); j2 != j {
+	if j2, _, _ := q.submit(t0, Job{ID: "a"}); j2 != j {
 		t.Fatal("a second submission did not join the submitting job")
 	}
 	if _, err := q.adopt(t0, w, "a"); !errors.Is(err, errLeaseLost) {
@@ -135,11 +135,11 @@ func TestQueueSubmittingJobIsNotLeasable(t *testing.T) {
 
 	// The ordinary order of events: admit makes it leasable; a failed append
 	// drops it and fails the handle instead.
-	j, _, _ = q.submit(t0, Job{ID: "b"}, SubmitOpts{})
+	j, _, _ = q.submit(t0, Job{ID: "b"})
 	if fx := q.admit(t0, j, nil); !fx.wake || !reflect.DeepEqual(fifoOf(q), []string{"b/0"}) {
 		t.Fatalf("admit: effects %+v, FIFO %v", fx, fifoOf(q))
 	}
-	j, _, _ = q.submit(t0, Job{ID: "c"}, SubmitOpts{})
+	j, _, _ = q.submit(t0, Job{ID: "c"})
 	boom := errors.New("disk full")
 	if fx := q.admit(t0, j, boom); len(fx.failed) != 1 || fx.failed[0].h != j.h || fx.failed[0].err != boom || q.jobs["c"] != nil {
 		t.Fatalf("admit after a failed append: effects %+v, want the handle failed and the job gone", fx)
@@ -282,8 +282,11 @@ type queueSim struct {
 	handles map[*handle]bool // every handle this life's submits returned → completed
 	durable map[*job]bool    // jobs whose submit record the log acknowledged
 	waiting map[string]*job  // submitting jobs, by id
-	starts  []*int           // OnStart deliveries, per submission
+	status  map[*handle]int  // the furthest status each handle has reported
 }
+
+// statusRank orders a handle's statuses: it may only ever move forward.
+var statusRank = map[string]int{StatusQueued: 0, StatusRunning: 1, StatusDone: 2, StatusFailed: 2}
 
 func (s *queueSim) complete(h *handle, err error) {
 	s.t.Helper()
@@ -303,8 +306,8 @@ func (s *queueSim) run(before int, fx effects) {
 	if len(fx.recs) > 0 && !s.q.journal {
 		s.t.Fatal("a queue with no journal emitted records")
 	}
-	for _, f := range fx.starts {
-		f()
+	if g := fx.granted.j; g != nil {
+		g.h.start()
 	}
 	for _, f := range fx.failed {
 		s.complete(f.h, f.err)
@@ -328,10 +331,12 @@ func (s *queueSim) check() {
 			s.t.Fatalf("job %s: handle completed=%t, in the table=%t", h.job.ID, done, !done)
 		}
 	}
-	for _, n := range s.starts {
-		if *n > 1 {
-			s.t.Fatalf("an OnStart callback fired %d times", *n)
+	for h := range s.handles {
+		rank, was := statusRank[h.Status()], s.status[h]
+		if rank < was {
+			s.t.Fatalf("job %s: status moved back to %s", h.job.ID, h.Status())
 		}
+		s.status[h] = rank
 	}
 	if !s.q.journal || s.closed { // shutdown journals nothing: the log keeps the jobs the queue dropped
 		return
@@ -384,7 +389,7 @@ func FuzzQueue(f *testing.F) {
 			return
 		}
 		s := &queueSim{t: t, now: t0, q: newQueue(2, 2, testTTL, data[0]%2 == 0)} // 'J' journaled, 'M' in memory
-		s.handles, s.durable, s.waiting = map[*handle]bool{}, map[*job]bool{}, map[string]*job{}
+		s.handles, s.durable, s.waiting, s.status = map[*handle]bool{}, map[*job]bool{}, map[string]*job{}, map[*handle]int{}
 		data = data[1:]
 		for ; len(data) >= 3 && len(s.log) < 256; data = data[3:] {
 			op := strings.IndexByte(simOps, data[0])
@@ -395,14 +400,12 @@ func FuzzQueue(f *testing.F) {
 			before := len(s.q.fifo)
 			switch simOps[op] {
 			case 's':
-				n := new(int)
-				j, fx, err := s.q.submit(s.now, Job{ID: id, Spec: []byte(id)}, SubmitOpts{OnStart: func() { *n++ }})
+				j, fx, err := s.q.submit(s.now, Job{ID: id, Spec: []byte(id)})
 				switch {
 				case errors.Is(err, ErrClosed) && s.closed, errors.Is(err, ErrQueueFull) && len(s.q.fifo) >= s.q.bound:
 				case err != nil:
 					t.Fatalf("submit: %v", err)
 				default:
-					s.starts = append(s.starts, n)
 					s.handles[j.h] = false
 					if len(fx.recs) > 0 {
 						s.waiting[id] = j
@@ -461,7 +464,7 @@ func FuzzQueue(f *testing.F) {
 					s.checkPrefixes()
 					s.q = recoverQueue(t, s.q, s.log[:len(s.log)-min(d, len(s.log))], s.now)
 					s.log, s.closed = s.q.live(), false
-					s.handles, s.durable, s.waiting = map[*handle]bool{}, map[*job]bool{}, map[string]*job{}
+					s.handles, s.durable, s.waiting, s.status = map[*handle]bool{}, map[*job]bool{}, map[string]*job{}, map[*handle]int{}
 					for _, j := range s.q.jobs {
 						s.durable[j] = true
 					}

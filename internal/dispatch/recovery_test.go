@@ -560,28 +560,31 @@ func TestCoordinatorKilledMidSweepWithDeepQueue(t *testing.T) {
 }
 
 // TestRelayOrderingUnderUploadRace is the regression for the progress-relay
-// race: a slow subscriber consuming a heartbeat relay while the result
-// upload backfills concurrently. Per-job delivery is serialized, so every
-// subscriber must observe rounds 1..N strictly in order, no duplicates, no
-// interleaving — under the race detector this also proves the relay state
-// is properly guarded.
+// race: a slow subscriber reading the feed while a heartbeat relay and the
+// result upload's backfill publish into it concurrently. Per-job delivery is
+// serialized, so every subscriber must observe rounds 1..N strictly in
+// order, no duplicates, no interleaving — under the race detector this also
+// proves the relay state is properly guarded.
 func TestRelayOrderingUnderUploadRace(t *testing.T) {
 	h := newCoordHarness(t, CoordinatorConfig{LeaseTTL: 10 * time.Second})
 	const rounds = 8
 	for iter := 0; iter < 10; iter++ {
 		job := testJob(500 + iter)
-		var mu sync.Mutex
-		var got []int
-		slowSub := func(st fl.RoundStat) {
-			time.Sleep(time.Millisecond) // widen the race window
-			mu.Lock()
-			got = append(got, st.Round)
-			mu.Unlock()
-		}
-		hd, err := h.coord.Submit(job, SubmitOpts{OnRound: slowSub})
+		hd, err := h.coord.Submit(job, SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		slowSub := make(chan []int, 1)
+		go func() {
+			var got []int
+			hd.Rounds().Stream(context.Background(), func(batch []fl.RoundStat) {
+				time.Sleep(time.Millisecond) // widen the race window
+				for _, st := range batch {
+					got = append(got, st.Round)
+				}
+			})
+			slowSub <- got
+		}()
 		wid := h.register(1)
 		h.leaseUntil(wid, 5*time.Second)
 		hist := &fl.History{Method: "fedavg"}
@@ -596,9 +599,7 @@ func TestRelayOrderingUnderUploadRace(t *testing.T) {
 		if _, err := waitDone(t, hd); err != nil {
 			t.Fatal(err)
 		}
-		mu.Lock()
-		seen := append([]int(nil), got...)
-		mu.Unlock()
+		seen := <-slowSub
 		if len(seen) != rounds {
 			t.Fatalf("iter %d: subscriber saw %d rounds (%v), want %d exactly once each", iter, len(seen), seen, rounds)
 		}

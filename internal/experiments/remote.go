@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"fedwcm/internal/dispatch"
 	"fedwcm/internal/fl"
 	"fedwcm/internal/store"
 	"fedwcm/internal/sweep"
@@ -87,7 +88,7 @@ func runRemote(base string, sp sweep.Spec, st *store.Store) (*sweep.Result, erro
 			// the record): it will never finish there, so stop polling.
 			return nil, fmt.Errorf("experiments: polling sweep %.12s: HTTP %d: %s", sub.ID, code, sum.Error)
 		}
-		if sum.Status != sweep.StatusRunning {
+		if sum.Status != dispatch.StatusRunning {
 			break
 		}
 		time.Sleep(remotePoll)
@@ -109,7 +110,7 @@ func runRemote(base string, sp sweep.Spec, st *store.Store) (*sweep.Result, erro
 		switch row.Status {
 		case sweep.CellFailed:
 			continue
-		case sweep.StatusDone:
+		case dispatch.StatusDone:
 			results[i].Status = sweep.CellComputed
 			if held {
 				results[i].Status = sweep.CellCached

@@ -18,8 +18,11 @@ func newServeMetrics(reg *obs.Registry, s *Server) serveMetrics {
 	if reg == nil {
 		return serveMetrics{}
 	}
-	reg.GaugeFunc("fedwcm_serve_runs_active", "Run records held in memory (in-flight or failed).", func() float64 {
-		return float64(s.eng.Inflight())
+	reg.GaugeFunc("fedwcm_serve_runs_active", "Job records the dispatch backend holds in memory (live, failed, or finished but not stored).", func() float64 {
+		if r, ok := s.eng.Executor.(interface{ Records() int }); ok {
+			return float64(r.Records())
+		}
+		return 0
 	})
 	reg.GaugeFunc("fedwcm_serve_sweeps_tracked", "Sweep records held in memory.", func() float64 {
 		s.mu.Lock()

@@ -8,12 +8,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"fedwcm/internal/dispatch"
 	"fedwcm/internal/fl"
 	"fedwcm/internal/store"
 	"fedwcm/internal/sweep"
@@ -99,22 +102,40 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string) runResponse {
 
 // TestSubmitCachesSecondIdenticalRun is the end-to-end acceptance path:
 // the same spec POSTed twice executes the underlying run exactly once and
-// the second submission is served from the store with status "cached".
+// the second submission is served from the store with status "cached". The
+// server's only worker slot is held by a gated run of another spec, so the
+// spec under test is really queued when its 202 is written.
 func TestSubmitCachesSecondIdenticalRun(t *testing.T) {
 	var executions atomic.Int64
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec, blocker := tinySpec(), tinySpec()
+	blocker.Cfg.Seed = spec.Cfg.Seed + 1
+	held, gate := make(chan struct{}), make(chan struct{})
 	_, ts := newTestServer(t, Config{
-		Store: st,
-		Runner: func(_ context.Context, spec sweep.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
+		Store:   st,
+		Workers: 1,
+		Runner: func(ctx context.Context, s sweep.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
+			if s.Cfg.Seed == blocker.Cfg.Seed {
+				close(held)
+				select {
+				case <-gate:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+				return &fl.History{Method: s.Method, Stats: []fl.RoundStat{{Round: 1, TestAcc: 0.5}}}, nil
+			}
 			executions.Add(1)
-			return spec.RunCtx(context.Background(), nil, onRound)
+			return s.RunCtx(context.Background(), nil, onRound)
 		},
 	})
+	if code, _ := postSpec(t, ts, blocker); code != http.StatusAccepted {
+		t.Fatalf("blocker submit: HTTP %d", code)
+	}
+	<-held // the only worker slot is taken
 
-	spec := tinySpec()
 	code, first := postSpec(t, ts, spec)
 	if code != http.StatusAccepted || first.Status != StatusQueued {
 		t.Fatalf("first submit: HTTP %d status %q", code, first.Status)
@@ -126,6 +147,7 @@ func TestSubmitCachesSecondIdenticalRun(t *testing.T) {
 	if first.ID != wantFP {
 		t.Fatalf("run id %s is not the spec fingerprint %s", first.ID, wantFP)
 	}
+	close(gate)
 	done := waitTerminal(t, ts, first.ID)
 	if done.Status == StatusFailed {
 		t.Fatalf("run failed: %s", done.Error)
@@ -207,7 +229,7 @@ func TestConcurrentIdenticalSubmissionsCoalesce(t *testing.T) {
 		if resps[i].ID != first.ID {
 			t.Fatalf("concurrent submit %d coalesced onto %s, want %s", i, resps[i].ID, first.ID)
 		}
-		if resps[i].Status != sweep.StatusRunning && resps[i].Status != StatusQueued {
+		if resps[i].Status != dispatch.StatusRunning && resps[i].Status != StatusQueued {
 			t.Fatalf("concurrent submit %d status %q", i, resps[i].Status)
 		}
 	}
@@ -476,5 +498,43 @@ func TestFailedRunRetries(t *testing.T) {
 	}
 	if attempts.Load() != 2 {
 		t.Fatalf("attempts %d, want 2", attempts.Load())
+	}
+}
+
+// TestUnstoredRunServedFromRecord: a run whose history the store refuses
+// still ends done, and GET /v1/runs/{id} answers done with that history,
+// read from the record the backend retains for it. The runner blocks the
+// run's store shard with a file once the submission's store probes are
+// past, so both of the backend's Puts fail. (A NaN history is refused by
+// the store as well, but no JSON response can carry it: obs.WriteJSON
+// answers 500 for it.)
+func TestUnstoredRunServedFromRecord(t *testing.T) {
+	root := t.TempDir()
+	st, err := store.Open(root, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec()
+	fp, err := spec.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var execs atomic.Int64
+	_, ts := newTestServer(t, Config{Store: st, Runner: func(_ context.Context, s sweep.RunSpec, _ func(fl.RoundStat)) (*fl.History, error) {
+		execs.Add(1)
+		if err := os.WriteFile(filepath.Join(root, fp[:2]), nil, 0o644); err != nil {
+			return nil, err
+		}
+		return &fl.History{Method: s.Method, Stats: []fl.RoundStat{{Round: 1, TestAcc: 0.25}, {Round: 2, TestAcc: 0.5}}}, nil
+	}})
+	if code, first := postSpec(t, ts, spec); code != http.StatusAccepted || first.ID != fp {
+		t.Fatalf("submit: HTTP %d %+v", code, first)
+	}
+	rr := waitTerminal(t, ts, fp)
+	if rr.Status != StatusDone || rr.History == nil || len(rr.History.Stats) != 2 || rr.Progress != nil {
+		t.Fatalf("status of the unstored run: %+v, want done with its 2-point history", rr)
+	}
+	if st.Stats().Puts != 0 || execs.Load() != 1 {
+		t.Fatalf("%d puts, %d executions; want the history held in memory only, computed once", st.Stats().Puts, execs.Load())
 	}
 }

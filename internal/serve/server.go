@@ -1,10 +1,12 @@
 // Package serve exposes the experiment harness as an HTTP service: specs
 // come in as JSON, run ids are spec fingerprints, and every cell — a direct
-// run or one of a sweep's — is resolved by one sweep.Engine (store hit,
-// join of the in-flight execution, or one submit to the dispatch backend),
-// so a grid cell is computed at most once no matter how many clients ask
-// for it. This package owns what is HTTP: request decoding and admission,
-// sweep records and their eviction, and SSE streams.
+// run or one of a sweep's — is resolved by one sweep.Engine (a store hit,
+// or one submit to the dispatch backend, which joins the cell's execution
+// if one is live), so a grid cell is computed at most once no matter how
+// many clients ask for it. A run's status, progress and SSE stream are read
+// from the backend's job handle (dispatch.Handle), the one record of its
+// execution. This package owns what is HTTP: request decoding and
+// admission, sweep records and their eviction, and SSE streams.
 //
 // Endpoints (full reference with examples in docs/API.md):
 //
@@ -182,9 +184,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // subscriber. Ordering: refuse new sweeps (closing flag), close the executor
 // — which unblocks sweep feeders waiting for queue space, fails queued jobs,
 // and cancels running ones via context so they return within a round — then
-// wait for the engine's live cells and the feeders. Every live cell reaches
-// a terminal state on this path, so SSE streams end with a "done" event
-// instead of being abandoned mid-stream.
+// wait for the feeders. Every job handle reaches a terminal state on this
+// path, so SSE streams end with a "done" event instead of being abandoned
+// mid-stream.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closing = true
@@ -194,13 +196,13 @@ func (s *Server) Close() {
 	s.feedWg.Wait()
 }
 
-// Run lifecycle states as reported over the API — the engine's live-cell
-// states, plus "cached": the status of a response served straight from the
-// store (submission hit, or a GET for an artifact with no live record).
+// Run lifecycle states as reported over the API — a job handle's states,
+// plus "cached": the status of a response served straight from the store
+// (submission hit, or a GET for an artifact with no job record).
 const (
-	StatusQueued = sweep.StatusQueued
-	StatusDone   = sweep.StatusDone
-	StatusFailed = sweep.StatusFailed
+	StatusQueued = dispatch.StatusQueued
+	StatusDone   = dispatch.StatusDone
+	StatusFailed = dispatch.StatusFailed
 	StatusCached = sweep.CellCached
 )
 
@@ -230,7 +232,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		obs.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	hist, live, err := s.eng.Resolve(sweep.Cell{ID: fp, Spec: spec}, false)
+	hist, h, err := s.eng.Resolve(sweep.Cell{ID: fp, Spec: spec}, false)
 	switch {
 	case errors.Is(err, dispatch.ErrClosed):
 		obs.HTTPError(w, http.StatusServiceUnavailable, "server shutting down")
@@ -238,18 +240,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		obs.HTTPError(w, http.StatusServiceUnavailable, "run queue full (%d pending)", s.cfg.QueueDepth)
 	case err != nil:
 		obs.HTTPError(w, http.StatusInternalServerError, "%v", err)
-	case live == nil:
+	case h == nil:
 		obs.WriteJSON(w, http.StatusOK, runResponse{ID: fp, Status: StatusCached, History: hist})
 	default:
-		obs.WriteJSON(w, http.StatusAccepted, runResponse{ID: fp, Status: live.Status()})
+		obs.WriteJSON(w, http.StatusAccepted, runResponse{ID: fp, Status: h.Status()})
 	}
 }
 
-// lookup resolves the request's run id against the engine's live records
+// lookup resolves the request's run id against the backend's job records
 // first, then the store. When ok is false the error response has been
 // written: a malformed id cannot name anything, so it is 404 like an
 // unknown one; 500 means the store itself failed.
-func (s *Server) lookup(w http.ResponseWriter, req *http.Request) (id string, r *sweep.LiveCell, stored *fl.History, ok bool) {
+func (s *Server) lookup(w http.ResponseWriter, req *http.Request) (id string, r dispatch.Handle, stored *fl.History, ok bool) {
 	id = req.PathValue("id")
 	if store.ValidFingerprint(id) {
 		if r = s.eng.Lookup(id); r != nil {
@@ -277,11 +279,17 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 		obs.WriteJSON(w, http.StatusOK, runResponse{ID: id, Status: StatusCached, History: stored})
 		return
 	}
-	status, progress, hist, errMsg := r.Snapshot()
-	if hist != nil {
-		progress = nil // history carries the same stats; don't send both
+	resp := runResponse{ID: id, Status: r.Status()}
+	if resp.Status == StatusDone || resp.Status == StatusFailed {
+		var err error
+		if resp.History, err = r.Result(); err != nil {
+			resp.Error = err.Error()
+		}
 	}
-	obs.WriteJSON(w, http.StatusOK, runResponse{ID: id, Status: status, Progress: progress, History: hist, Error: errMsg})
+	if resp.History == nil { // the history carries the same stats; don't send both
+		resp.Progress = r.Rounds().Events()
+	}
+	obs.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleEvents streams per-round progress as Server-Sent Events: one
@@ -300,13 +308,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 				emit("round", st)
 			}
 		}
-		if r == nil { // artifact with no live record: replay and finish
+		if r == nil { // artifact with no job record: replay and finish
 			rounds(stored.Stats)
 			emit("done", map[string]string{"status": StatusCached})
 			flush()
 			return
 		}
-		if !r.Rounds.Stream(req.Context(), func(batch []fl.RoundStat) { rounds(batch); flush() }) {
+		if !r.Rounds().Stream(req.Context(), func(batch []fl.RoundStat) { rounds(batch); flush() }) {
 			return
 		}
 		final := map[string]string{"status": r.Status()}

@@ -22,8 +22,8 @@ const maxSweepRecords = 128
 // sweepRun is the in-process record of one submitted grid. The sweep id is
 // the spec's fingerprint, so submission is idempotent exactly like runs: a
 // second POST of the same grid lands on the same record, and a grid
-// overlapping an earlier one finds its shared cells in the store or behind
-// the engine's live cells.
+// overlapping an earlier one finds its shared cells in the store or joins
+// their jobs on the backend.
 type sweepRun struct {
 	id    string
 	spec  sweep.Spec
@@ -31,7 +31,7 @@ type sweepRun struct {
 
 	// finished carries the index of each cell as it turns terminal, and
 	// finishes with the last one.
-	finished *sweep.Feed[int]
+	finished *dispatch.Feed[int]
 
 	mu        sync.Mutex
 	states    []sweepCellState // parallel to cells
@@ -39,8 +39,8 @@ type sweepRun struct {
 	failed    int              // terminal cells that failed
 }
 
-// sweepCellState tracks one cell. While the cell executes, live is the
-// engine's record to query for queued/running; once terminal, status/err are
+// sweepCellState tracks one cell. While the cell executes, live is its job
+// handle to query for queued/running; once terminal, status/err are
 // authoritative, and a cell that finished with a history carries its score
 // (scored), taken from the history the engine reported. The score is all
 // /result needs of a cell, so the record holds no history and /result reads
@@ -48,7 +48,7 @@ type sweepRun struct {
 type sweepCellState struct {
 	status string // "" while scheduling, then cached/queued/running/done/failed
 	err    string
-	live   *sweep.LiveCell
+	live   dispatch.Handle
 	score  sweep.CellScore
 	scored bool
 }
@@ -87,11 +87,11 @@ func (sw *sweepRun) cellEvent(i int) sweepCellRow {
 }
 
 // markScheduled notes a cell that is executing (submitted by this sweep or
-// found in flight), so status queries can report queued/running from the
-// live record.
-func (sw *sweepRun) markScheduled(i int, l *sweep.LiveCell) {
+// joined in flight), so status queries can report queued/running from its
+// job handle.
+func (sw *sweepRun) markScheduled(i int, h dispatch.Handle) {
 	sw.mu.Lock()
-	sw.states[i].live = l
+	sw.states[i].live = h
 	sw.mu.Unlock()
 }
 
@@ -167,7 +167,7 @@ func (s *Server) dispatchStats() *dispatch.CoordinatorStats {
 // summary builds the status view; withCells includes the per-cell listing.
 // Counts and the overall status come from one snapshot under sw.mu, so a
 // "done" response can never list a cell as still running. (Taking sw.mu
-// before a live cell's lock matches the lock order everywhere else.)
+// before a job handle's lock matches the lock order everywhere else.)
 func (sw *sweepRun) summary(withCells bool) sweepSummary {
 	out := sweepSummary{
 		ID:     sw.id,
@@ -270,7 +270,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, req *http.Request) {
 	sw := &sweepRun{
 		id: id, spec: spec, cells: cells,
 		states: make([]sweepCellState, len(cells)), remaining: len(cells),
-		finished: sweep.NewFeed[int](),
+		finished: dispatch.NewFeed[int](),
 	}
 	s.addSweepLocked(sw)
 	s.feedWg.Add(1) // under s.mu alongside the closing check, so Close

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"fedwcm/internal/dispatch"
 	"fedwcm/internal/fl"
 	"fedwcm/internal/store"
 	"fedwcm/internal/sweep"
@@ -315,7 +316,11 @@ func TestSweepSharesInflightRuns(t *testing.T) {
 		res, _ := s.eng.RunSweep(sweep.Spec{Methods: []string{"fedavg", "fedwcm"}, Effort: 0.1}, nil)
 		inproc <- res
 	}()
-	for s.eng.Inflight() < 2 { // the in-process sweep has submitted its own cell
+	wcm, err := sweep.Spec{Methods: []string{"fedwcm"}, Effort: 0.1}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.eng.Lookup(wcm[0].ID) == nil { // the in-process sweep has submitted its own cell
 		time.Sleep(time.Millisecond)
 	}
 	close(br.release)
@@ -502,7 +507,7 @@ func TestSweepResultReadsNoStoreAndMatchesRunSweep(t *testing.T) {
 func TestSweepEvictionKeepsLiveDropsOldestTerminal(t *testing.T) {
 	s, _ := newTestServer(t, Config{Runner: neverRun})
 	record := func(i int, live bool) *sweepRun {
-		sw := &sweepRun{id: fmt.Sprintf("%064x", i), finished: sweep.NewFeed[int]()}
+		sw := &sweepRun{id: fmt.Sprintf("%064x", i), finished: dispatch.NewFeed[int]()}
 		if live {
 			sw.remaining = 1
 		}

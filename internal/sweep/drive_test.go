@@ -21,11 +21,13 @@ type doneHandle struct {
 }
 
 func (h doneHandle) Job() dispatch.Job            { return h.job }
+func (h doneHandle) Status() string               { return dispatch.StatusDone }
 func (h doneHandle) Result() (*fl.History, error) { return h.hist, nil }
-func (h doneHandle) Done() <-chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
+func (h doneHandle) Done() <-chan struct{}        { return h.Rounds().Done() }
+func (h doneHandle) Rounds() *dispatch.Feed[fl.RoundStat] {
+	f := dispatch.NewFeed[fl.RoundStat]()
+	f.Finish()
+	return f
 }
 
 // windowExec is a backend that only makes progress when submits overlap:
@@ -137,7 +139,7 @@ func TestDriveSubmitsThroughBoundedWindow(t *testing.T) {
 	var log reportLog
 	live := make(map[int]bool)
 	var liveMu sync.Mutex
-	eng.Drive(cells, func(i int, l *LiveCell) {
+	eng.Drive(cells, func(i int, h dispatch.Handle) {
 		liveMu.Lock() // onLive is concurrent, like report
 		live[i] = true
 		liveMu.Unlock()
@@ -185,7 +187,7 @@ func TestDriveCachedGridStaysInline(t *testing.T) {
 	caller := goroutineID()
 	var log reportLog
 	report := log.report(t)
-	eng.Drive(cells, func(i int, l *LiveCell) { t.Errorf("cell %d went live on a cached grid", i) },
+	eng.Drive(cells, func(i int, h dispatch.Handle) { t.Errorf("cell %d went live on a cached grid", i) },
 		func(i int, status string, hist *fl.History, err error) {
 			if g := goroutineID(); g != caller {
 				t.Errorf("cell %d reported on goroutine %s, want the caller's (%s)", i, g, caller)
@@ -234,8 +236,8 @@ func TestDriveTricklesThroughTinyQueue(t *testing.T) {
 			t.Fatalf("store lacks cell %.12s (%v)", c.ID, err)
 		}
 	}
-	if eng.Inflight() != 0 {
-		t.Fatalf("%d records left in flight", eng.Inflight())
+	if n := local.Records(); n != 0 {
+		t.Fatalf("%d records left in flight", n)
 	}
 }
 

@@ -28,101 +28,14 @@ func (r Runner) Dispatch() dispatch.Runner {
 	}
 }
 
-// States of a LiveCell, as the run API reports them. A cell served from the
-// store never has a LiveCell; its status is CellCached.
-const (
-	StatusQueued  = "queued"
-	StatusRunning = "running"
-	StatusDone    = "done"
-	StatusFailed  = CellFailed
-)
-
-// LiveCell is the in-process record of one cell's single execution: its
-// state machine and its per-round progress feed. Every caller that needs
-// the same fingerprint while it executes — a direct run submission, any
-// number of overlapping sweeps — shares the one record.
-type LiveCell struct {
-	ID string
-	// Rounds replays and streams per-round progress; it finishes on the
-	// transition to done/failed.
-	Rounds *Feed[fl.RoundStat]
-
-	mu      sync.Mutex
-	status  string
-	hist    *fl.History
-	err     error
-	waiters []func() // run once, after the transition to done/failed
-}
-
-func (l *LiveCell) setRunning() {
-	l.mu.Lock()
-	l.status = StatusRunning
-	l.mu.Unlock()
-}
-
-func (l *LiveCell) finish(h *fl.History, err error) {
-	l.mu.Lock()
-	if err != nil {
-		l.status, l.err = StatusFailed, err
-	} else {
-		l.status, l.hist = StatusDone, h
-	}
-	waiters := l.waiters
-	l.waiters = nil
-	l.mu.Unlock()
-	l.Rounds.Finish()
-	for _, fn := range waiters {
-		fn()
-	}
-}
-
-// onDone runs fn once the cell is terminal — immediately if it already is.
-func (l *LiveCell) onDone(fn func()) {
-	l.mu.Lock()
-	if l.status != StatusDone && l.status != StatusFailed {
-		l.waiters = append(l.waiters, fn)
-		l.mu.Unlock()
-		return
-	}
-	l.mu.Unlock()
-	fn()
-}
-
-// Status returns the current state alone — what a poll over many cells
-// needs, without copying the progress log.
-func (l *LiveCell) Status() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.status
-}
-
-// Done is closed when the cell reaches a terminal state.
-func (l *LiveCell) Done() <-chan struct{} { return l.Rounds.Done() }
-
-// Result returns the history or the failure; valid only after Done is closed.
-func (l *LiveCell) Result() (*fl.History, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.hist, l.err
-}
-
-// Snapshot returns the fields a status response needs, consistently.
-func (l *LiveCell) Snapshot() (status string, progress []fl.RoundStat, hist *fl.History, errMsg string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		errMsg = l.err.Error()
-	}
-	return l.status, l.Rounds.Events(), l.hist, errMsg
-}
-
-// Engine is the one place that knows how a cell is resolved: a store hit, a
-// join of the cell's in-flight execution, or exactly one Executor.Submit
-// whose completion is persisted and whose record is then dropped. Resolve
+// Engine is the one place that knows how a cell is resolved: a store hit,
+// or one Executor.Submit, which joins the cell's execution when the backend
+// already holds a record of it and enters exactly one job otherwise. Resolve
 // is that decision for one cell, Drive walks a grid through it, RunSweep
 // expands and aggregates around Drive; internal/serve's run and sweep
 // endpoints and cmd/fedbench are all callers, so a fingerprint is computed
-// at most once per engine no matter who asks.
+// at most once per backend no matter who asks. The engine keeps no record
+// of its own: the backend's job handle is the cell's record.
 //
 // The backend's bounded queue is the only back-pressure. Without an
 // Executor the engine runs cells on its own dispatch.Local (Workers,
@@ -144,16 +57,18 @@ type Engine struct {
 	// store it shares with the engine, so a shared store is written once.
 	Executor dispatch.Executor
 
-	mu       sync.Mutex
-	inflight map[string]*LiveCell // live + failed cells by fingerprint
-	local    *dispatch.Local
-	closing  bool
-	watchers sync.WaitGroup
+	mu      sync.Mutex
+	local   *dispatch.Local
+	closing bool
 }
 
-// executorLocked returns the backend misses are submitted to. Caller holds
-// e.mu.
-func (e *Engine) executorLocked() (dispatch.Executor, error) {
+// executor returns the backend misses are submitted to.
+func (e *Engine) executor() (dispatch.Executor, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closing {
+		return nil, dispatch.ErrClosed
+	}
 	if e.Executor != nil {
 		return e.Executor, nil
 	}
@@ -176,88 +91,29 @@ func (e *Engine) executorLocked() (dispatch.Executor, error) {
 }
 
 // Resolve resolves one cell to either its finished history (a store hit) or
-// the live record of its one execution — submitting a fresh job when the
-// cell is neither stored nor in flight. block selects between failing fast
-// on a full backend queue (dispatch.ErrQueueFull) and waiting for space; a
-// closed engine or backend yields dispatch.ErrClosed.
-func (e *Engine) Resolve(c Cell, block bool) (*fl.History, *LiveCell, error) {
-	// Fast path, outside the lock: the cell has been computed before.
+// the handle of its one execution, which the submit joins when the backend
+// already holds it. block selects between failing fast on a full backend
+// queue (dispatch.ErrQueueFull) and waiting for space; a closed engine or
+// backend yields dispatch.ErrClosed.
+func (e *Engine) Resolve(c Cell, block bool) (*fl.History, dispatch.Handle, error) {
 	if hist, ok, err := e.stored(c.ID); err != nil || ok {
 		return hist, nil, err
 	}
-	return e.resolveMiss(c, block)
+	h, err := e.submit(c, block)
+	return nil, h, err
 }
 
-// resolveMiss is Resolve past the unlocked store probe: join or start the
-// cell's one execution.
-func (e *Engine) resolveMiss(c Cell, block bool) (*fl.History, *LiveCell, error) {
-	e.mu.Lock()
-	if e.closing {
-		e.mu.Unlock()
-		return nil, nil, dispatch.ErrClosed
-	}
-	// Single-flight: identical in-flight cells share one record. A done
-	// record only lingers here when persisting it failed (or in the instant
-	// before watch drops it), so it is served as a hit.
-	if l, ok := e.inflight[c.ID]; ok {
-		switch l.Status() {
-		case StatusDone:
-			e.mu.Unlock()
-			hist, _ := l.Result()
-			return hist, nil, nil
-		case StatusFailed:
-			// A failed attempt does not pin the cell failed forever; fall
-			// through and replace the record with a fresh attempt.
-		default:
-			e.mu.Unlock()
-			return nil, l, nil
-		}
-	}
-	// Re-check the store under the lock: an execution can persist its
-	// artifact and drop its record between the unlocked probe above and
-	// here, and re-executing a computed cell would break
-	// compute-at-most-once. On a true miss this is a cheap ENOENT probe.
-	if hist, ok, err := e.stored(c.ID); err != nil || ok {
-		e.mu.Unlock()
-		return hist, nil, err
-	}
-	exec, err := e.executorLocked()
+// submit hands a cell the store did not have to the backend.
+func (e *Engine) submit(c Cell, block bool) (dispatch.Handle, error) {
+	exec, err := e.executor()
 	if err != nil {
-		e.mu.Unlock()
-		return nil, nil, err
+		return nil, err
 	}
-	// The record must be visible (for coalescing) before the submit, and
-	// the submit cannot hold the lock (a blocking submit waits for queue
-	// space). A recorded-but-not-yet-submitted cell is indistinguishable
-	// from a queued one to observers; a refused submit finishes the record
-	// (any coalescer that joined meanwhile observes the failure) and drops
-	// it so a later attempt starts fresh. The watcher slot is taken under
-	// the same critical section as the closing check, so Close can never
-	// start waiting between the check and the Add.
-	l := &LiveCell{ID: c.ID, Rounds: NewFeed[fl.RoundStat](), status: StatusQueued}
-	if e.inflight == nil {
-		e.inflight = make(map[string]*LiveCell)
-	}
-	e.inflight[c.ID] = l
-	e.watchers.Add(1)
-	e.mu.Unlock()
 	specJSON, err := c.Spec.CanonicalJSON()
-	var h dispatch.Handle
-	if err == nil {
-		h, err = exec.Submit(dispatch.Job{ID: c.ID, Spec: specJSON}, dispatch.SubmitOpts{
-			Block:   block,
-			OnRound: l.Rounds.Publish,
-			OnStart: l.setRunning,
-		})
-	}
 	if err != nil {
-		e.watchers.Done()
-		l.finish(nil, err)
-		e.drop(l)
-		return nil, nil, err
+		return nil, err
 	}
-	go e.watch(l, h)
-	return nil, l, nil
+	return exec.Submit(dispatch.Job{ID: c.ID, Spec: specJSON}, dispatch.SubmitOpts{Block: block})
 }
 
 // stored probes the engine's store (a miss when there is none).
@@ -272,57 +128,27 @@ func (e *Engine) stored(fp string) (*fl.History, bool, error) {
 	return hist, ok, nil
 }
 
-// watch drives one live cell from its dispatch handle to its terminal
-// state; the record is then dropped, which keeps e.inflight bounded by
-// live + failed work. The backend persists a finished history to the store
-// it shares with the engine, so the Put here runs only when that backend
-// Put failed: it is the retry, made before the record finishes so whoever
-// sees "done" can read the store. A cell whose retry failed too keeps its
-// record: callers still get the history from memory, only re-serving after
-// restart is lost.
-func (e *Engine) watch(l *LiveCell, h dispatch.Handle) {
-	defer e.watchers.Done()
-	<-h.Done()
-	hist, err := h.Result()
-	keep := err != nil
-	if err == nil && e.Store != nil {
-		if _, ok, _ := e.Store.Get(l.ID); !ok {
-			keep = e.Store.Put(l.ID, hist) != nil
-		}
-	}
-	l.finish(hist, err)
-	if !keep {
-		e.drop(l)
-	}
-}
-
-// drop removes l's record unless a fresh attempt already superseded it.
-func (e *Engine) drop(l *LiveCell) {
+// Lookup returns the backend's record of a fingerprint's execution — a live
+// job, a failed one, or one whose history could not be stored — or nil when
+// the store is the only place to look. The backend's Lookup is found by
+// method set, as serve finds Stats and Pending; a backend without one (a
+// wrapper that forwards only Submit and Close) holds nothing to look up.
+func (e *Engine) Lookup(fp string) dispatch.Handle {
 	e.mu.Lock()
-	if e.inflight[l.ID] == l {
-		delete(e.inflight, l.ID)
+	exec := e.Executor
+	if exec == nil && e.local != nil {
+		exec = e.local
 	}
 	e.mu.Unlock()
+	if l, ok := exec.(interface{ Lookup(string) dispatch.Handle }); ok {
+		return l.Lookup(fp)
+	}
+	return nil
 }
 
-// Lookup returns the in-process record for a fingerprint: an executing
-// cell, a failed one, or nil when the store is the only place to look.
-func (e *Engine) Lookup(fp string) *LiveCell {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.inflight[fp]
-}
-
-// Inflight counts the records held in memory (executing or failed cells).
-func (e *Engine) Inflight() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.inflight)
-}
-
-// Close refuses further misses, releases the engine's own local backend
-// (cancelling what it was running) and waits until every live cell is
-// terminal and reported. With a caller-supplied Executor, close that first.
+// Close refuses further misses and releases the engine's own local backend,
+// which ends every job it holds (cancelling what it was running). With a
+// caller-supplied Executor, close that first.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closing = true
@@ -331,7 +157,6 @@ func (e *Engine) Close() {
 	if local != nil {
 		local.Close()
 	}
-	e.watchers.Wait()
 }
 
 // submitWindow bounds how many of a grid's misses Drive has inside
@@ -363,30 +188,33 @@ const submitWindow = 32
 // miss whose environment has no later cell goes out at once, so a grid of
 // distinct environments feeds exactly as an ungrouped walk would.
 //
-// onLive (may be nil) sees each cell that is executing rather than stored,
-// before its report. onLive and report are both invoked concurrently.
-func (e *Engine) Drive(cells []Cell, onLive func(i int, l *LiveCell), report func(i int, status string, hist *fl.History, err error)) {
+// onLive (may be nil) sees the handle of each cell that is executing rather
+// than stored, before its report. onLive and report are both invoked
+// concurrently. A computed history the engine's store lacks — the backend
+// files into another store, or none — is filed there before its report, so
+// the next probe is a hit.
+func (e *Engine) Drive(cells []Cell, onLive func(i int, h dispatch.Handle), report func(i int, status string, hist *fl.History, err error)) {
 	var pending, feeders sync.WaitGroup
-	resolved := func(i int, hist *fl.History, l *LiveCell, err error) {
-		switch {
-		case err != nil:
-			report(i, CellFailed, nil, err)
-		case l == nil:
-			report(i, CellCached, hist, nil)
-		default:
-			if onLive != nil {
-				onLive(i, l)
-			}
-			pending.Add(1)
-			l.onDone(func() {
-				defer pending.Done()
-				if hist, err := l.Result(); err != nil {
-					report(i, CellFailed, nil, err)
-				} else {
-					report(i, CellComputed, hist, nil)
-				}
-			})
+	live := func(i int, h dispatch.Handle) {
+		if onLive != nil {
+			onLive(i, h)
 		}
+		pending.Add(1)
+		go func() {
+			defer pending.Done()
+			<-h.Done()
+			hist, err := h.Result()
+			if err != nil {
+				report(i, CellFailed, nil, err)
+				return
+			}
+			if e.Store != nil {
+				if _, ok, _ := e.Store.Get(cells[i].ID); !ok {
+					e.Store.Put(cells[i].ID, hist)
+				}
+			}
+			report(i, CellComputed, hist, nil)
+		}()
 	}
 	misses := make(chan int)
 	started := 0
@@ -402,8 +230,11 @@ func (e *Engine) Drive(cells []Cell, onLive func(i int, l *LiveCell), report fun
 			go func() {
 				defer feeders.Done()
 				for i := range misses {
-					hist, l, err := e.resolveMiss(cells[i], true)
-					resolved(i, hist, l, err)
+					if h, err := e.submit(cells[i], true); err != nil {
+						report(i, CellFailed, nil, err)
+					} else {
+						live(i, h)
+					}
 				}
 			}()
 		}
@@ -413,9 +244,12 @@ func (e *Engine) Drive(cells []Cell, onLive func(i int, l *LiveCell), report fun
 	for i := range cells {
 		hist, ok, err := e.stored(cells[i].ID)
 		miss := err == nil && !ok
-		if !miss {
-			resolved(i, hist, nil, err)
-		} else if envs == nil {
+		switch {
+		case err != nil:
+			report(i, CellFailed, nil, err)
+		case ok:
+			report(i, CellCached, hist, nil)
+		case envs == nil:
 			envs = groupByEnv(cells)
 		}
 		if envs != nil {

@@ -57,19 +57,20 @@ func newResolveFixture(t *testing.T) *resolveFixture {
 }
 
 // TestResolve pins the one cell resolver: every way a fingerprint can be
-// asked for ends in a store hit, a join, or exactly one execution.
+// asked for ends in a store hit, a join of the backend's job handle, or
+// exactly one execution.
 func TestResolve(t *testing.T) {
 	cells, err := Spec{Methods: []string{"fedavg", "fedcm", "fedwcm"}, Effort: 0.1}.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	await := func(t *testing.T, l *LiveCell) (*fl.History, error) {
+	await := func(t *testing.T, h dispatch.Handle) (*fl.History, error) {
 		t.Helper()
-		if l == nil {
-			t.Fatal("want a live cell")
+		if h == nil {
+			t.Fatal("want a job handle")
 		}
-		<-l.Done()
-		return l.Result()
+		<-h.Done()
+		return h.Result()
 	}
 	for _, tc := range []struct {
 		name string
@@ -80,48 +81,48 @@ func TestResolve(t *testing.T) {
 			if err := f.st.Put(cells[0].ID, want); err != nil {
 				t.Fatal(err)
 			}
-			hist, l, err := f.eng.Resolve(cells[0], false)
-			if err != nil || l != nil || hist == nil || hist.Method != "stored" || f.runs.Load() != 0 {
-				t.Fatalf("hist=%v live=%v err=%v runs=%d, want the stored history and no execution", hist, l, err, f.runs.Load())
+			hist, h, err := f.eng.Resolve(cells[0], false)
+			if err != nil || h != nil || hist == nil || hist.Method != "stored" || f.runs.Load() != 0 {
+				t.Fatalf("hist=%v handle=%v err=%v runs=%d, want the stored history and no execution", hist, h, err, f.runs.Load())
 			}
 		}},
 		{"miss computes and persists once", func(t *testing.T, f *resolveFixture) {
-			_, l, err := f.eng.Resolve(cells[0], false)
+			_, h, err := f.eng.Resolve(cells[0], false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := await(t, l); err != nil {
+			if _, err := await(t, h); err != nil {
 				t.Fatal(err)
 			}
-			hist, l2, err := f.eng.Resolve(cells[0], false)
-			if err != nil || l2 != nil || hist == nil {
-				t.Fatalf("second resolve: hist=%v live=%v err=%v, want a hit", hist, l2, err)
+			hist, h2, err := f.eng.Resolve(cells[0], false)
+			if err != nil || h2 != nil || hist == nil {
+				t.Fatalf("second resolve: hist=%v handle=%v err=%v, want a hit", hist, h2, err)
 			}
-			f.eng.Close() // the watcher has dropped the record once this returns
-			if puts, n := f.st.Stats().Puts, f.eng.Inflight(); puts != 1 || n != 0 || f.runs.Load() != 1 {
-				t.Fatalf("puts=%d inflight=%d runs=%d, want 1/0/1 (the backend shares the store: no second Put)", puts, n, f.runs.Load())
+			// A stored job leaves no record behind once its handle is done.
+			if puts, n := f.st.Stats().Puts, f.local.Records(); puts != 1 || n != 0 || f.runs.Load() != 1 {
+				t.Fatalf("puts=%d records=%d runs=%d, want 1/0/1 (the backend shares the store: no second Put)", puts, n, f.runs.Load())
 			}
 		}},
 		{"concurrent callers share one execution", func(t *testing.T, f *resolveFixture) {
 			f.gate = make(chan struct{})
 			const callers = 8
-			lives := make([]*LiveCell, callers)
+			handles := make([]dispatch.Handle, callers)
 			var wg sync.WaitGroup
-			for i := range lives {
+			for i := range handles {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					_, lives[i], _ = f.eng.Resolve(cells[0], true)
+					_, handles[i], _ = f.eng.Resolve(cells[0], true)
 				}()
 			}
 			wg.Wait()
 			close(f.gate)
-			first, err := await(t, lives[0])
+			first, err := await(t, handles[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, l := range lives {
-				if hist, err := await(t, l); err != nil || hist != first {
+			for i, h := range handles {
+				if hist, err := await(t, h); err != nil || hist != first {
 					t.Fatalf("caller %d: hist=%p err=%v, want the shared %p", i, hist, err, first)
 				}
 			}
@@ -131,22 +132,22 @@ func TestResolve(t *testing.T) {
 		}},
 		{"failed then resubmitted is a fresh attempt", func(t *testing.T, f *resolveFixture) {
 			f.fail.Store(true)
-			_, l, err := f.eng.Resolve(cells[0], false)
+			_, h, err := f.eng.Resolve(cells[0], false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := await(t, l); err == nil {
+			if _, err := await(t, h); err == nil {
 				t.Fatal("want the runner's failure")
 			}
-			if got := f.eng.Lookup(cells[0].ID); got != l || got.Status() != StatusFailed {
+			if got := f.eng.Lookup(cells[0].ID); got != h || got.Status() != dispatch.StatusFailed {
 				t.Fatalf("failed record not retained for status queries: %v", got)
 			}
 			f.fail.Store(false)
-			_, l2, err := f.eng.Resolve(cells[0], false)
-			if err != nil || l2 == l {
-				t.Fatalf("resubmission: live=%p (failed %p) err=%v, want a new record", l2, l, err)
+			_, h2, err := f.eng.Resolve(cells[0], false)
+			if err != nil || h2 == h {
+				t.Fatalf("resubmission: handle=%p (failed %p) err=%v, want a new record", h2, h, err)
 			}
-			if _, err := await(t, l2); err != nil || f.runs.Load() != 2 {
+			if _, err := await(t, h2); err != nil || f.runs.Load() != 2 {
 				t.Fatalf("retry: err=%v runs=%d, want success on the 2nd execution", err, f.runs.Load())
 			}
 		}},
@@ -160,9 +161,9 @@ func TestResolve(t *testing.T) {
 			if _, _, err := f.eng.Resolve(cells[1], false); err != nil {
 				t.Fatal(err)
 			}
-			_, l, err := f.eng.Resolve(cells[2], false)
-			if !errors.Is(err, dispatch.ErrQueueFull) || l != nil {
-				t.Fatalf("live=%v err=%v, want dispatch.ErrQueueFull", l, err)
+			_, h, err := f.eng.Resolve(cells[2], false)
+			if !errors.Is(err, dispatch.ErrQueueFull) || h != nil {
+				t.Fatalf("handle=%v err=%v, want dispatch.ErrQueueFull", h, err)
 			}
 			if f.eng.Lookup(cells[2].ID) != nil {
 				t.Fatal("refused submission left a stale record")
@@ -170,9 +171,9 @@ func TestResolve(t *testing.T) {
 		}},
 		{"closed executor", func(t *testing.T, f *resolveFixture) {
 			f.local.Close()
-			_, l, err := f.eng.Resolve(cells[0], true)
-			if !errors.Is(err, dispatch.ErrClosed) || l != nil || f.eng.Lookup(cells[0].ID) != nil {
-				t.Fatalf("live=%v err=%v, want dispatch.ErrClosed and no record", l, err)
+			_, h, err := f.eng.Resolve(cells[0], true)
+			if !errors.Is(err, dispatch.ErrClosed) || h != nil || f.eng.Lookup(cells[0].ID) != nil {
+				t.Fatalf("handle=%v err=%v, want dispatch.ErrClosed and no record", h, err)
 			}
 		}},
 	} {

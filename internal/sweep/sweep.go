@@ -14,14 +14,13 @@
 //     into deduplicated Cells via the per-dataset presets. Specs themselves
 //     fingerprint the same way, which is what makes sweep submission
 //     idempotent in internal/serve.
-//   - Engine — the one cell resolver (store hit, join of the in-flight
-//     LiveCell, or exactly one submit to a dispatch backend, then persist)
-//     and the one sweep driver over it, so repeating or overlapping sweeps
-//     cost O(missing cells), not O(grid), whoever asks: RunSweep here,
-//     internal/serve's run and sweep endpoints over HTTP.
-//   - Feed — the append-only log a LiveCell's per-round progress and a
-//     served sweep's per-cell completions stream through; a subscriber is a
-//     cursor into it, so a slow one catches up instead of missing events.
+//   - Engine — the one cell resolver (a store hit, or one submit to a
+//     dispatch backend, which joins the cell's execution when the backend
+//     already holds it: the backend's job handle is the cell's one record,
+//     with its status and replaying round feed) and the one sweep driver
+//     over it, so repeating or overlapping sweeps cost O(missing cells),
+//     not O(grid), whoever asks: RunSweep here, internal/serve's run and
+//     sweep endpoints over HTTP.
 //   - Result / Group — server-side aggregation: cells that differ only in
 //     seed collapse into mean±std scalars and mean convergence curves, the
 //     shapes the paper's tables and figures report.

@@ -15,12 +15,13 @@ import (
 )
 
 // TestProgressMatchesAcrossTopologies: one spec, run on the local backend
-// and on a coordinator with an HTTP worker, reports the same OnRound stream
-// — the same rounds in the same order, each the same JSON down to the
-// per-class accuracies. The runner waits after every round until the
-// submitter has seen it, so on the remote leg every round travels in a
-// heartbeat rather than in the result upload's backfill: a heartbeat must
-// carry progress as exactly as the upload carries the history.
+// and on a coordinator with an HTTP worker, reports the same round feed on
+// its handle — the same rounds in the same order, each the same JSON down to
+// the per-class accuracies. The runner waits after every round until the
+// submitter has read it from the feed, so on the remote leg every round
+// travels in a heartbeat rather than in the result upload's backfill: a
+// heartbeat must carry progress as exactly as the upload carries the
+// history.
 func TestProgressMatchesAcrossTopologies(t *testing.T) {
 	spec := goldenSpec("fedwcm")
 	spec.Cfg.EvalEvery = 1
@@ -49,20 +50,23 @@ func TestProgressMatchesAcrossTopologies(t *testing.T) {
 	stream := func(ex dispatch.Executor) []string {
 		t.Helper()
 		var rounds []string
-		h, err := ex.Submit(job, dispatch.SubmitOpts{OnRound: func(st fl.RoundStat) {
-			b, err := json.Marshal(st)
-			if err != nil {
-				t.Error(err)
-			}
-			rounds = append(rounds, string(b))
-			seen <- struct{}{}
-		}})
+		h, err := ex.Submit(job, dispatch.SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case <-h.Done():
-		case <-time.After(30 * time.Second):
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		finished := h.Rounds().Stream(ctx, func(batch []fl.RoundStat) {
+			for _, st := range batch {
+				b, err := json.Marshal(st)
+				if err != nil {
+					t.Error(err)
+				}
+				rounds = append(rounds, string(b))
+				seen <- struct{}{}
+			}
+		})
+		if !finished {
 			t.Fatal("run never finished")
 		}
 		if _, err := h.Result(); err != nil {
