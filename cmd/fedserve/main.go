@@ -11,7 +11,7 @@
 // progress and upload finished histories — so one grid spreads across as
 // many machines as register. A worker is this same binary in -worker mode.
 // One coordinator is the whole control plane (DESIGN.md "Why one
-// coordinator"); -wal makes its queue survive a restart.
+// coordinator"); -wal makes the jobs it accepted survive a restart.
 //
 // Examples:
 //
@@ -29,8 +29,9 @@
 //	fedserve -worker -join http://localhost:8080 -slots 2
 //	fedserve -worker -join http://localhost:8080 -slots 2
 //
-//	# durable: the coordinator journals its queue; a restart on the same
-//	# -wal and -store replays it and the workers re-attach on their own
+//	# durable: the coordinator journals every job it accepts; a restart on
+//	# the same -wal and -store re-queues those the store does not hold, and
+//	# the workers re-attach on their own
 //	fedserve -remote -wal ./coord.wal -addr :8080 -store ./results
 package main
 
@@ -63,7 +64,7 @@ func main() {
 
 		remote   = flag.Bool("remote", false, "serve with the remote-worker backend: jobs wait for workers that -join")
 		leaseTTL = flag.Duration("lease", 15*time.Second, "remote backend: lease TTL before a silent worker's job requeues")
-		walPath  = flag.String("wal", "", "remote backend: write-ahead log path; queued and leased jobs survive a coordinator restart (empty = in-memory only)")
+		walPath  = flag.String("wal", "", "remote backend: write-ahead log of accepted jobs; every one the -store does not hold is re-queued after a coordinator restart (empty = in-memory only)")
 
 		tenantRPS   = flag.Float64("tenant-rps", 0, "admission: sustained run/sweep submissions per second per tenant, keyed by the X-Tenant header (0 = unlimited)")
 		tenantBurst = flag.Int("tenant-burst", 0, "admission: per-tenant burst above -tenant-rps (0 derives from the rate)")

@@ -36,13 +36,14 @@ type CoordinatorConfig struct {
 	// declare at registration. 0 = 8.
 	MaxWorkerSlots int
 	// WALPath, when non-empty, backs the queue with a write-ahead log
-	// (internal/dispatch/wal): submit/lease/requeue/complete transitions are
-	// journaled with per-append fsyncs, and NewCoordinator replays the log so
-	// a restarted coordinator re-enters pending jobs and requeues previously
-	// leased ones without consuming an attempt. Empty = in-memory only.
+	// (internal/dispatch/wal) of the jobs it accepted: one submit record per
+	// job, fsync'd (group-committed) before Submit returns. NewCoordinator
+	// replays the log, finishes every job whose artifact the store holds and
+	// queues the rest in submission order with no attempts used. Empty =
+	// in-memory only.
 	WALPath string
 	// WALCompactEvery checkpoints the WAL (rewriting it down to the live job
-	// set) after this many completed jobs. 0 = 1024.
+	// set) after this many terminal jobs. 0 = 1024.
 	WALCompactEvery int
 	// Logf defaults to the unified slog route (obs.Logf("dispatch")); tests
 	// pass t.Logf.
@@ -237,15 +238,14 @@ func (c *Coordinator) settleLocked(fx effects) {
 }
 
 // recoverWAL opens (creating if absent) the write-ahead log and rebuilds the
-// queue from it: apply the records, drop what the store already holds, hand
-// over every lease. A job whose artifact landed in the store — the crash
-// window between store.Put and the complete record — is finished, not
-// re-entered. A job that was leased when the log ended requeues at the front
-// WITHOUT consuming an attempt: the crash was the coordinator's, not the
-// worker's, and the worker may still finish it (its next heartbeat adopts
-// the lease without a recompute). Recovery ends with a checkpoint, so
-// replayed completes don't accrete across restarts — and nothing the steps
-// above would journal needs to be.
+// queue from it: replay the submits, then finish every job whose artifact
+// the store holds — the log records what was accepted, the store what
+// finished. The rest are pending in submission order with no attempts used,
+// whatever they were doing when the log ended: a worker still running one
+// re-attaches with its next heartbeat (adoption) without a recompute, and one
+// that failed since the last checkpoint runs again, as a resubmission would.
+// Recovery ends with a checkpoint, so finished submits don't accrete across
+// restarts.
 func (c *Coordinator) recoverWAL() error {
 	lg, recov, err := wal.Open(c.cfg.WALPath)
 	if err != nil {
@@ -261,73 +261,43 @@ func (c *Coordinator) recoverWAL() error {
 	}
 	stored := 0
 	for _, r := range c.q.live() {
-		if r.Type != wal.TypeSubmit {
-			continue
-		}
-		// The store, not the log, is the artifact of record.
 		if _, ok, gerr := c.cfg.Store.Get(r.Job); gerr == nil && ok {
 			c.q.finish(now, "", r.Job, outcomeStored)
 			stored++
 		}
 	}
-	leased := len(c.q.restart(now).ended)
 	c.recovered = len(c.q.jobs)
 	if len(recov.Records) > 0 {
-		c.cfg.Logf("dispatch: wal %s: %d records, recovered %d jobs (%d previously leased; %d more already stored)",
-			c.cfg.WALPath, len(recov.Records), c.recovered, leased, stored)
+		c.cfg.Logf("dispatch: wal %s: %d records, recovered %d jobs (%d more already stored)",
+			c.cfg.WALPath, len(recov.Records), c.recovered, stored)
 	}
 	c.checkpoint()
 	return nil
 }
 
-// appendWAL journals records on a durable coordinator (no-op otherwise).
-// Never call it while holding c.mu: appends fsync. A failed append is
-// reported to the caller so acknowledgement-bearing paths (Submit) can
-// fail closed instead of promising durability the log didn't deliver.
-func (c *Coordinator) appendWAL(recs []wal.Record) error {
-	if c.wal == nil || len(recs) == 0 {
-		return nil
-	}
+// appendWAL journals an accepted job's submit record and returns once it is
+// durable. Never call it while holding c.mu: appends fsync (concurrent
+// submitters share one through the log's group commit). A failed append is
+// returned so Submit fails closed instead of promising durability the log
+// didn't deliver.
+func (c *Coordinator) appendWAL(rec wal.Record) error {
 	c.walMu.RLock()
-	err := c.wal.Append(recs...)
+	err := c.wal.Append(rec)
 	c.walMu.RUnlock()
-	return c.appended(len(recs), err)
-}
-
-// appendWALAsync journals drain-path records (lease grants, requeues,
-// completes) through the log's group commit without waiting for the fsync.
-// Each of these transitions is individually safe to lose to a crash —
-// recovery replays the pre-transition state and the queue converges (a
-// lost lease replays as pending and the live worker re-attaches via
-// heartbeat adoption; a lost complete replays the job, which the store
-// fast-path drops on recovery; a lost requeue replays as leased and is
-// handed over anyway; a lost exhausted-fail replays as one more requeue and
-// fails again on its next expiry) — so the drain path amortizes fsyncs in
-// the background leader instead of paying commit latency on every
-// transition.
-func (c *Coordinator) appendWALAsync(recs []wal.Record) {
-	if c.wal == nil || len(recs) == 0 {
-		return
-	}
-	c.walMu.RLock()
-	err := c.wal.AppendAsync(recs...)
-	c.walMu.RUnlock()
-	c.appended(len(recs), err)
-}
-
-func (c *Coordinator) appended(n int, err error) error {
 	if err != nil {
 		c.cm.walErrors.Inc()
 		c.cfg.Logf("dispatch: wal append: %v", err)
 		return err
 	}
-	c.cm.walRecords.Add(uint64(n))
+	c.cm.walRecords.Inc()
 	return nil
 }
 
-// checkpoint rewrites the WAL down to the live job set. The exclusive walMu
-// hold means no append can land between the snapshot and the swap and be
-// lost with the old file.
+// checkpoint rewrites the WAL down to the live job set: the queue's jobs,
+// and the retained ones that did not fail — a job that finished but whose
+// artifact may not be in the store yet stays in the log until the store
+// holds it. The exclusive walMu hold means no append can land between the
+// snapshot and the swap and be lost with the old file.
 func (c *Coordinator) checkpoint() {
 	if c.wal == nil {
 		return
@@ -336,6 +306,11 @@ func (c *Coordinator) checkpoint() {
 	defer c.walMu.Unlock()
 	c.mu.Lock()
 	live := c.q.live()
+	for _, h := range c.retained {
+		if h.Status() != StatusFailed {
+			live = append(live, submitRecord(h.job))
+		}
+	}
 	c.completes = 0
 	c.mu.Unlock()
 	if err := c.wal.Compact(live); err != nil {
@@ -345,13 +320,11 @@ func (c *Coordinator) checkpoint() {
 	c.cm.walCheckpoints.Inc()
 }
 
-// run carries out what a transition left to do once c.mu is released:
-// journal (drain-path records never wait for their fsync), then the granted
-// handle's status, failed handles, metrics and spans — and every
+// run carries out what a transition left to do once c.mu is released: the
+// granted handle's status, failed handles, metrics and spans — and every
 // WALCompactEvery terminal jobs, however they ended, a checkpoint, so the
 // log tracks the live set instead of the submission history.
 func (c *Coordinator) run(fx effects) {
-	c.appendWALAsync(fx.recs)
 	if g := fx.granted; g.j != nil {
 		g.j.h.start()
 		if g.fresh { // a fresh attempt re-reports from round zero
@@ -404,11 +377,11 @@ func (c *Coordinator) Submit(job Job, opts SubmitOpts) (Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(fx.recs) > 0 {
+	if fx.journal {
 		// Durable submit: the job is visible for coalescing but not leasable
 		// until its record is on disk. The fsync runs outside c.mu; concurrent
 		// submitters share it via the log's group commit.
-		werr := c.appendWAL(fx.recs)
+		werr := c.appendWAL(submitRecord(job))
 		c.mu.Lock()
 		fx = c.q.admit(time.Now(), j, werr)
 		c.settleLocked(fx)
@@ -533,10 +506,9 @@ func (c *Coordinator) release(h *handle) {
 
 // Close fails every non-terminal job with ErrClosed and stops the reaper.
 // Workers discover the shutdown on their next poll (connection refused or
-// 404) and re-register when a coordinator returns. On a durable
-// coordinator the WAL is closed WITHOUT journaling completes for the
-// drained jobs: shutdown is not completion, and the next NewCoordinator on
-// the same path re-enters them.
+// 404) and re-register when a coordinator returns. On a durable coordinator
+// the log still holds the drained jobs' submits: shutdown is not
+// completion, and the next NewCoordinator on the same path re-enters them.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.closed) // later submissions get ErrClosed, every waiter wakes
@@ -627,17 +599,16 @@ func (c *Coordinator) deregister(wid string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.run(fx) // journals the refunded attempt counts
+	c.run(fx)
 	c.cm.slotsBusy.With(label).Set(0)
 	return len(fx.ended), nil
 }
 
 // leaseTo leases the head of the queue to the worker, for the lease long-poll
 // and the result ack (complete-and-lease-next) alike; notify is the channel
-// to wait on when nothing was granted. The lease is journaled without
-// waiting for the fsync: if the append is lost to a crash, recovery simply
-// replays the job as pending — the worker's in-flight computation
-// re-attaches via heartbeat adoption, so the window costs nothing.
+// to wait on when nothing was granted. A grant is not journaled: after a
+// crash the job replays as pending, and the worker's in-flight computation
+// re-attaches via heartbeat adoption.
 func (c *Coordinator) leaseTo(wid string) (job *Job, notify <-chan struct{}, err error) {
 	c.mu.Lock()
 	fx, err := c.q.grant(time.Now(), wid)
@@ -689,7 +660,7 @@ func (c *Coordinator) lease(ctx context.Context, wid string, wait time.Duration)
 // lease expiry, re-registered, and is now heartbeating under its new id.
 // Adopting the lease — instead of answering errLeaseLost and forcing a
 // recompute — lets in-flight work survive a coordinator crash. Adoption
-// counts as a lease grant (attempts++, journaled); its heartbeat rounds are
+// counts as a lease grant (attempts++); its heartbeat rounds are
 // not relayed because a mid-stream worker cannot be ordered against what an
 // earlier incarnation delivered — the result upload backfills the full
 // history.
@@ -738,8 +709,8 @@ func (c *Coordinator) heartbeat(wid, jid string, rounds []fl.RoundStat) error {
 // With next the ack is complete-and-lease-next: the uploader asked for the
 // slot it just freed to be refilled, so the ack carries the next job instead
 // of costing a lease round trip. The grant is an ordinary one — same
-// transition, same journal record, lost to a crash or a dropped response
-// exactly like a polled lease — held under the worker id the upload was
+// transition, lost to a crash or a dropped response exactly like a polled
+// lease — held under the worker id the upload was
 // posted as; none when that worker is unknown, at its in-flight limit, or
 // nothing is pending. Refusals carry no next job: errUnknownJob (never
 // submitted, or terminal with nothing stored), errLeaseLost (an error from
@@ -823,10 +794,8 @@ func (c *Coordinator) result(wid, jid string, hist *fl.History, runErr error, ne
 			c.cfg.Logf("dispatch: persisting job %.12s: %v", jid, err)
 		}
 	}
-	// The complete record is journaled only after the artifact is durably in
-	// the store: a crash between the two replays the job, finds the artifact
-	// on recovery, and drops it — never the reverse, where the log says done
-	// but the store has nothing.
+	// The store is the record of completion: a crash before the Put replays
+	// the job, and one after it finds the artifact on recovery.
 	c.run(fx)
 	// Persist the job's trace alongside the history: the lease spans this
 	// coordinator recorded, plus the execution and round spans of a worker

@@ -28,11 +28,12 @@
 // its history could not be stored (Lookup finds both). Under the
 // Coordinator is one state machine: the unexported queue (queue.go) is the
 // only code that moves a job between submitting, pending, leased and done.
-// It is pure — handed the time, returning the effects (records to journal,
-// who to wake, handles to fail, what to observe) for the Coordinator to
-// carry out — and a job changes state only by applying a wal.Record, so WAL
-// replay and live traffic run the same transitions. DESIGN.md "Dispatch
-// layer" has the transition table.
+// It is pure — handed the time, returning the effects (a submit record to
+// journal, who to wake, handles to fail, what to observe) for the
+// Coordinator to carry out. With WALPath the log holds one wal.Record per
+// accepted job, its submit, and the store is the record of completion:
+// replay re-enters every submitted job the store does not hold. DESIGN.md
+// "Dispatch layer" has the transition table.
 //
 // Jobs deliberately carry the spec as opaque canonical JSON rather than a
 // decoded struct: the layer above owns spec semantics (validation,

@@ -25,7 +25,7 @@ type coordMetrics struct {
 	leasesOnAck *obs.Counter
 	// Durability series (all zero on an in-memory coordinator).
 	reattached     *obs.Counter // leases adopted by re-attaching workers
-	walRecords     *obs.Counter // records journaled to the WAL
+	walRecords     *obs.Counter // submit records journaled to the WAL
 	walErrors      *obs.Counter // failed WAL appends (the log is poisoned)
 	walCheckpoints *obs.Counter // WAL compactions (startup + every WALCompactEvery completes)
 }
@@ -103,7 +103,7 @@ func newCoordMetrics(reg *obs.Registry, stats func() CoordinatorStats) coordMetr
 		reattached: reg.Counter("fedwcm_dispatch_reattached_total",
 			"Leases adopted by workers that re-attached to an in-flight job (coordinator restart or lease expiry) without a recompute."),
 		walRecords: reg.Counter("fedwcm_dispatch_wal_records_total",
-			"Job-state transitions journaled to the write-ahead log."),
+			"Accepted job submissions journaled to the write-ahead log (one submit record each)."),
 		walErrors: reg.Counter("fedwcm_dispatch_wal_append_errors_total",
 			"WAL appends that failed; the log is poisoned and durable submits fail closed."),
 		walCheckpoints: reg.Counter("fedwcm_dispatch_wal_checkpoints_total",

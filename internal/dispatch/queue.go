@@ -18,17 +18,17 @@ import (
 //
 //	(submitting →) pending → leased → done
 //
-// with expiry, clean handover and crash recovery looping back to pending.
-// A job changes state only by applying a wal.Record: a live transition
-// decides which record its event produces and passes it through the same
-// apply that recovery replays the log through, so the two cannot disagree
-// about what a record means. The transition table is in DESIGN.md
-// "Dispatch layer".
+// with expiry and clean handover looping back to pending. On a journaled
+// queue the log holds one submit record per accepted job and nothing else:
+// a job waits in submitting until its record is durable, every later
+// transition changes the table directly and produces no record, and replay
+// (apply) rebuilds every job the log names as pending with no attempts, in
+// submission order. The transition table is in DESIGN.md "Dispatch layer".
 type queue struct {
 	ttl         time.Duration // lease lifetime without a heartbeat
 	maxAttempts int           // leases a job may consume before expiry fails it
 	bound       int           // FIFO capacity
-	journal     bool          // effects carry records, and a new job waits in submitting for its own
+	journal     bool          // a new job waits in submitting until its submit record is durable
 
 	jobs        map[string]*job // every live job by fingerprint
 	first, last *job            // the same jobs in submission order, linked through prev/next
@@ -102,13 +102,13 @@ var (
 // are acted on before the adapter's lock is released, and so is the
 // retention of failed handles; the rest after it.
 type effects struct {
-	recs     []wal.Record // to journal, in order (journaled queues only)
-	wake     bool         // work or capacity appeared: wake lease pollers
-	space    bool         // the FIFO shrank: wake blocked submitters
-	failed   []failure    // handles to complete with an error
-	terminal int          // jobs that left the table for good
-	granted  leaseStart   // the lease that began, if granted.j != nil
-	ended    []leaseEnd   // the leases that ended
+	journal  bool       // the submitted job's record is owed to the log (journaled queues only)
+	wake     bool       // work or capacity appeared: wake lease pollers
+	space    bool       // the FIFO shrank: wake blocked submitters
+	failed   []failure  // handles to complete with an error
+	terminal int        // jobs that left the table for good
+	granted  leaseStart // the lease that began, if granted.j != nil
+	ended    []leaseEnd // the leases that ended
 }
 
 type failure struct {
@@ -149,77 +149,30 @@ func newQueue(bound, maxAttempts int, ttl time.Duration, journal bool) *queue {
 
 // --- records ---
 
-// apply is the only code that moves a job between states: it folds one
-// record into the table. It is deliberately tolerant, because a replayed log
-// is not a strict history — appends from different goroutines land out of
-// order, a crash loses any tail, a compaction races stale records: a second
-// submit of a live id is ignored, a resubmit after complete is a new job, a
-// compacted submit carries its attempts, and records for unknown jobs are
-// ignored.
+// apply replays one record of a log: a submit enters its job as pending,
+// unless the id is live already. Submits are all the log holds, so every
+// other record type — a lease, requeue or complete in a log written before
+// the log kept submits only — is ignored, and so is the Attempts field: a
+// replayed job starts with none. A job the log names that has since
+// finished is the store's to know; recovery asks it.
 func (q *queue) apply(now time.Time, r wal.Record) {
-	j := q.jobs[r.Job]
-	switch {
-	case r.Type == wal.TypeSubmit:
-		if j == nil {
-			j = q.add(Job{ID: r.Job, Spec: r.Spec})
-			j.attempts = r.Attempts
-		}
-		if j.state == jobSubmitting {
-			j.state, j.enqueuedAt = jobPending, now
-			q.fifo = append(q.fifo, j)
-		}
-	case j == nil || j.state == jobSubmitting && r.Type != wal.TypeComplete:
-		// Unknown job, or a stale record of an earlier life of this id.
-	case r.Type == wal.TypeLease:
-		q.detach(j)
-		j.state, j.worker, j.attempts = jobLeased, r.Worker, r.Attempts
-		if w := q.workers[r.Worker]; w != nil { // absent during replay: restart hands those over
-			w.held++
-		}
-	case r.Type == wal.TypeRequeue:
-		if j.state == jobLeased {
-			q.detach(j)
-			j.state, j.enqueuedAt = jobPending, now
-			q.fifo = append([]*job{j}, q.fifo...)
-		}
-		j.attempts = r.Attempts
-	case r.Type == wal.TypeComplete:
-		q.drop(j)
+	if r.Type == wal.TypeSubmit && q.jobs[r.Job] == nil {
+		q.pend(now, q.add(Job{ID: r.Job, Spec: r.Spec}))
 	}
 }
 
-// emit applies the record a live transition produced and, on a journaled
-// queue, owes it to the log.
-func (q *queue) emit(fx *effects, now time.Time, r wal.Record) {
-	q.apply(now, r)
-	if q.journal {
-		fx.recs = append(fx.recs, r)
-	}
+// submitRecord is what the log holds of an accepted job.
+func submitRecord(jb Job) wal.Record {
+	return wal.Record{Type: wal.TypeSubmit, Job: jb.ID, Spec: jb.Spec}
 }
 
-// live is the checkpoint: the records that, applied to an empty queue,
-// rebuild this one — a submit per live job carrying its attempts, plus the
-// lease of each held one — ordered so that replay rebuilds this FIFO: held
-// jobs, then the FIFO, then the submitting ones. Those are included because
-// their own record may sit in the very log the checkpoint replaces.
+// live is the checkpoint: a submit record per live job, in submission
+// order. Submitting jobs are included, because their own record may sit in
+// the very log the checkpoint replaces.
 func (q *queue) live() []wal.Record {
-	recs := make([]wal.Record, 0, len(q.jobs)+q.leased())
-	add := func(j *job) {
-		recs = append(recs, wal.Record{Type: wal.TypeSubmit, Job: j.h.job.ID, Spec: j.h.job.Spec, Attempts: j.attempts})
-	}
+	recs := make([]wal.Record, 0, len(q.jobs))
 	for j := q.first; j != nil; j = j.next {
-		if j.state == jobLeased {
-			add(j)
-			recs = append(recs, wal.Record{Type: wal.TypeLease, Job: j.h.job.ID, Worker: j.worker, Attempts: j.attempts})
-		}
-	}
-	for _, j := range q.fifo {
-		add(j)
-	}
-	for j := q.first; j != nil; j = j.next {
-		if j.state == jobSubmitting {
-			add(j)
-		}
+		recs = append(recs, submitRecord(j.h.job))
 	}
 	return recs
 }
@@ -235,6 +188,12 @@ func (q *queue) add(jb Job) *job {
 	q.last = j
 	q.jobs[jb.ID] = j
 	return j
+}
+
+// pend puts j, new or submitting, at the back of the FIFO.
+func (q *queue) pend(now time.Time, j *job) {
+	j.state, j.enqueuedAt = jobPending, now
+	q.fifo = append(q.fifo, j)
 }
 
 // detach takes j out of the FIFO or off its holder's slot count.
@@ -280,7 +239,7 @@ func (q *queue) drop(j *job) {
 
 // submit joins the live job with this id, refuses with ErrQueueFull or
 // ErrClosed, or enters a new job. On a journaled queue the new job is
-// submitting and fx.recs holds its submit record: the adapter makes that
+// submitting and fx.journal is set: the adapter makes its submitRecord
 // durable and calls admit. Otherwise it is pending at once.
 func (q *queue) submit(now time.Time, jb Job) (j *job, fx effects, err error) {
 	if q.closed {
@@ -294,12 +253,12 @@ func (q *queue) submit(now time.Time, jb Job) (j *job, fx effects, err error) {
 	if !joined {
 		j = q.add(jb)
 	}
-	switch rec := (wal.Record{Type: wal.TypeSubmit, Job: jb.ID, Spec: jb.Spec}); {
+	switch {
 	case joined: // single-flight: share the execution
 	case q.journal:
-		fx.recs = []wal.Record{rec}
+		fx.journal = true
 	default:
-		q.apply(now, rec)
+		q.pend(now, j)
 		fx.wake = true
 	}
 	return j, fx, nil
@@ -316,7 +275,7 @@ func (q *queue) admit(now time.Time, j *job, err error) (fx effects) {
 		q.drop(j)
 		fx.failed = []failure{{j.h, err}}
 	default:
-		q.apply(now, wal.Record{Type: wal.TypeSubmit, Job: j.h.job.ID, Spec: j.h.job.Spec})
+		q.pend(now, j)
 		fx.wake = true
 	}
 	return fx
@@ -330,48 +289,42 @@ func (q *queue) register(now time.Time, name string, slots int) string {
 	return id
 }
 
-// forget is a clean deregistration: the worker's leases are handed over and
-// its registration dropped.
+// forget is a clean deregistration: the worker's leases are handed over —
+// requeued at the front of the FIFO in submission order, each with its
+// attempt refunded, because the retry budget is for crashes and the holder
+// did not crash — and its registration dropped.
 func (q *queue) forget(now time.Time, wid string) (label string, fx effects, err error) {
 	w := q.workers[wid]
 	if w == nil {
 		return "", fx, errUnknownWorker
 	}
-	fx = q.handover(now, w)
+	for j := q.last; j != nil; j = j.prev { // backwards, so the oldest ends up first
+		if j.state == jobLeased && j.worker == wid {
+			q.release(&fx, now, j, outcomeHandover, true)
+			j.attempts = max(j.attempts-1, 0)
+		}
+	}
 	delete(q.workers, wid)
 	return w.label(), fx, nil
 }
 
-// restart follows the replay of a log: whoever held a lease when the log
-// ended lost it to the coordinator's crash, not their own, so every lease is
-// handed over.
-func (q *queue) restart(now time.Time) effects { return q.handover(now, nil) }
-
-// handover requeues the leases w holds — every lease when w is nil — at the
-// front of the FIFO in submission order, each with its attempt refunded: the
-// retry budget is for crashes, and the holder did not crash.
-func (q *queue) handover(now time.Time, w *worker) (fx effects) {
-	for j := q.last; j != nil; j = j.prev { // backwards, so the oldest ends up first
-		if j.state == jobLeased && (w == nil || j.worker == w.id) {
-			q.release(&fx, now, j, outcomeHandover, wal.Record{Type: wal.TypeRequeue, Job: j.h.job.ID, Attempts: max(j.attempts-1, 0)})
-		}
-	}
-	return fx
-}
-
-// release takes j out of where it is by the requeue or complete record r,
-// and reports the lease that ends with it, if j held one.
-func (q *queue) release(fx *effects, now time.Time, j *job, outcome string, r wal.Record) {
+// release takes j out of where it is — back to the front of the FIFO when
+// requeue is set, out of the table for good otherwise — and reports the
+// lease that ends with it, if j held one.
+func (q *queue) release(fx *effects, now time.Time, j *job, outcome string, requeue bool) {
 	end := leaseEnd{
-		job: r.Job, worker: j.worker, label: j.worker, outcome: outcome,
+		job: j.h.job.ID, worker: j.worker, label: j.worker, outcome: outcome,
 		since: j.leasedAt, held: now.Sub(j.leasedAt), attempt: j.attempts,
-		requeued: r.Type == wal.TypeRequeue,
+		requeued: requeue,
 	}
 	leased, w := j.state == jobLeased, q.workers[j.worker]
-	q.emit(fx, now, r)
-	if end.requeued {
+	if requeue {
+		q.detach(j)
+		j.state, j.enqueuedAt = jobPending, now
+		q.fifo = append([]*job{j}, q.fifo...)
 		fx.wake = true
 	} else {
+		q.drop(j)
 		fx.terminal++
 	}
 	if w != nil {
@@ -417,7 +370,10 @@ func (q *queue) adopt(now time.Time, wid, id string) (fx effects, err error) {
 func (q *queue) lease(now time.Time, w *worker, j *job, adopted bool) effects {
 	fx := effects{space: true}
 	waited := now.Sub(j.enqueuedAt)
-	q.emit(&fx, now, wal.Record{Type: wal.TypeLease, Job: j.h.job.ID, Worker: w.id, Attempts: j.attempts + 1})
+	q.detach(j)
+	j.state, j.worker = jobLeased, w.id
+	j.attempts++
+	w.held++
 	j.adopted, j.expiry = adopted, now.Add(q.ttl)
 	j.leasedAt, j.lastBeat = now, now
 	fx.granted = leaseStart{j: j, fresh: !adopted, attempt: j.attempts, waited: waited, label: w.label(), busy: w.held}
@@ -460,11 +416,7 @@ func (q *queue) finish(now time.Time, wid, id, outcome string) (j *job, fx effec
 		return nil, fx, errLeaseLost
 	}
 	fx.wake, fx.space = true, j.state == jobPending
-	status := "stored"
-	if outcome != outcomeStored {
-		status = "failed"
-	}
-	q.release(&fx, now, j, outcome, wal.Record{Type: wal.TypeComplete, Job: id, Status: status})
+	q.release(&fx, now, j, outcome, false)
 	return j, fx, nil
 }
 
@@ -472,17 +424,16 @@ func (q *queue) finish(now time.Time, wid, id, outcome string) (j *job, fx effec
 // the job goes back to the front of the FIFO, or past maxAttempts fails for
 // good. Workers holding nothing and unseen for ten TTLs are pruned.
 func (q *queue) expire(now time.Time) (fx effects) {
-	for j, prev := q.last, (*job)(nil); j != nil; j = prev { // backwards: see handover
+	for j, prev := q.last, (*job)(nil); j != nil; j = prev { // backwards: see forget
 		if prev = j.prev; j.state != jobLeased || now.Before(j.expiry) {
 			continue
 		}
-		id := j.h.job.ID
 		if j.attempts < q.maxAttempts {
-			q.release(&fx, now, j, outcomeExpired, wal.Record{Type: wal.TypeRequeue, Job: id, Attempts: j.attempts})
+			q.release(&fx, now, j, outcomeExpired, true)
 			continue
 		}
-		q.release(&fx, now, j, outcomeExpired, wal.Record{Type: wal.TypeComplete, Job: id, Status: "failed"})
-		fx.failed = append(fx.failed, failure{j.h, fmt.Errorf("dispatch: job %.12s failed: lease expired after %d attempts", id, j.attempts)})
+		q.release(&fx, now, j, outcomeExpired, false)
+		fx.failed = append(fx.failed, failure{j.h, fmt.Errorf("dispatch: job %.12s failed: lease expired after %d attempts", j.h.job.ID, j.attempts)})
 	}
 	for id, w := range q.workers {
 		if w.held == 0 && now.Sub(w.lastSeen) > 10*q.ttl {
@@ -492,9 +443,9 @@ func (q *queue) expire(now time.Time) (fx effects) {
 	return fx
 }
 
-// shutdown empties the queue and refuses everything after. It applies no
-// record — shutdown is not completion, and a journaled queue's next life
-// re-enters every job — and returns the handles of the jobs still waiting
+// shutdown empties the queue and refuses everything after. It is not
+// completion — a journaled queue's next life re-enters every job whose
+// submit the log holds — and returns the handles of the jobs still waiting
 // and of those some worker is running; what each set is told is the
 // adapter's call.
 func (q *queue) shutdown() (queued, running []*handle) {

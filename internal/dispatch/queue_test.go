@@ -30,10 +30,12 @@ func fifoOf(q *queue) []string {
 	return out
 }
 
-// TestQueueApply pins what a replayed log means — the written contract of
-// the fold package wal used to do, now the queue's: each case is a record
+// TestQueueApply pins what a replayed log means: each case is a record
 // history and the FIFO ("id/attempts", next lease first) recovery rebuilds
-// from it.
+// from it. The log keeps the jobs that were accepted and nothing else, so
+// replay enters each submitted id once, in submission order, with no
+// attempts — whatever lease, requeue or complete records a log written
+// before the log kept submits only holds beside them.
 func TestQueueApply(t *testing.T) {
 	sub := func(id string, attempts int) wal.Record {
 		return wal.Record{Type: wal.TypeSubmit, Job: id, Spec: []byte(`{}`), Attempts: attempts}
@@ -46,41 +48,31 @@ func TestQueueApply(t *testing.T) {
 	}
 	complete := func(id string) wal.Record { return wal.Record{Type: wal.TypeComplete, Job: id, Status: "stored"} }
 	for _, tc := range []struct {
-		name   string
-		recs   []wal.Record
-		leased int // leases held when the log ends, before recovery hands them over
-		want   []string
+		name string
+		recs []wal.Record
+		want []string
 	}{
-		{"empty log", nil, 0, []string{}},
-		{"expiry keeps the attempt, handover refunds it; a resubmit after complete is a new job", []wal.Record{
+		{"empty log", nil, []string{}},
+		{"lease, requeue and complete records are ignored", []wal.Record{
 			sub("j", 0), lease("j", "w-1", 1), requeue("j", 1), lease("j", "w-2", 2), requeue("j", 1),
 			sub("k", 0), complete("k"), sub("k", 0),
-		}, 0, []string{"j/1", "k/0"}},
+		}, []string{"j/0", "k/0"}},
 		{"a second submit of a live id is ignored", []wal.Record{
 			sub("a", 0), lease("a", "w-1", 1), sub("a", 0), sub("b", 0), sub("b", 0),
-		}, 1, []string{"a/0", "b/0"}},
-		{"a compacted submit carries its attempts", []wal.Record{sub("a", 2), sub("b", 1), lease("b", "w-1", 1)}, 1, []string{"b/0", "a/2"}},
+		}, []string{"a/0", "b/0"}},
+		{"a compacted submit's attempts are ignored", []wal.Record{sub("a", 2), sub("b", 1), lease("b", "w-1", 1)}, []string{"a/0", "b/0"}},
 		{"records for unknown jobs are ignored", []wal.Record{
 			lease("x", "w-1", 1), requeue("x", 1), complete("x"), sub("a", 0), complete("a"), lease("a", "w-1", 1),
-		}, 0, []string{}},
-		{"leased at the crash go first, in submission order, attempt refunded", []wal.Record{
+		}, []string{"a/0"}},
+		{"leased at the crash rejoin in submission order, no attempts", []wal.Record{
 			sub("a", 0), sub("b", 0), sub("c", 0), sub("d", 0), lease("a", "w-1", 1), lease("b", "w-1", 1), requeue("b", 1), lease("d", "w-2", 1),
-		}, 2, []string{"a/0", "d/0", "b/1", "c/0"}},
-		{"a requeue that lost the append race to the next lease still wins replay", []wal.Record{
-			sub("a", 0), lease("a", "w-1", 1), lease("a", "w-2", 2), requeue("a", 1),
-		}, 0, []string{"a/1"}},
-		{"a lost tail replays the state before it", []wal.Record{sub("a", 0), sub("b", 0), lease("a", "w-1", 1)}[:2], 0, []string{"a/0", "b/0"}},
+		}, []string{"a/0", "b/0", "c/0", "d/0"}},
+		{"a lost tail replays the state before it", []wal.Record{sub("a", 0), sub("b", 0), sub("c", 0)}[:2], []string{"a/0", "b/0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q := newQueue(8, 3, testTTL, true)
 			for _, r := range tc.recs {
 				q.apply(t0, r)
-			}
-			if got := len(q.jobs) - len(q.fifo); got != tc.leased {
-				t.Errorf("%d jobs leased when the log ends, want %d", got, tc.leased)
-			}
-			if got := len(q.restart(t0).ended); got != tc.leased {
-				t.Errorf("recovery handed over %d leases, want %d", got, tc.leased)
 			}
 			if got := fifoOf(q); !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("recovered FIFO %v, want %v", got, tc.want)
@@ -106,7 +98,7 @@ func TestQueueSubmittingJobIsNotLeasable(t *testing.T) {
 	q := newQueue(8, 3, testTTL, true)
 	w := q.register(t0, "", 8)
 	j, fx, err := q.submit(t0, Job{ID: "a", Spec: []byte(`{}`)})
-	if err != nil || len(fx.recs) != 1 || fx.recs[0].Type != wal.TypeSubmit || fx.wake {
+	if err != nil || !fx.journal || fx.wake {
 		t.Fatalf("journaled submit: effects %+v, %v; want only the submit record to make durable", fx, err)
 	}
 	if j2, _, _ := q.submit(t0, Job{ID: "a"}); j2 != j {
@@ -224,45 +216,36 @@ func checkQueue(t *testing.T, q *queue) {
 	}
 }
 
-// foldRecords is the reference the queue's replay is compared against: the
-// fold package wal used to do, written the obvious way. It returns each
-// live job's attempts after recovery's refund.
-func foldRecords(recs []wal.Record) map[string]int {
-	type st struct {
-		attempts int
-		leased   bool
-	}
-	jobs := map[string]*st{}
+// foldRecords is the reference the queue's replay is compared against,
+// written the obvious way: the ids the log's submits name, each once, in the
+// order they were first submitted since the last checkpoint, minus those the
+// store holds. Each comes back pending with no attempts.
+func foldRecords(recs []wal.Record, stored map[string]bool) []string {
+	out, seen := []string{}, map[string]bool{}
 	for _, r := range recs {
-		switch j := jobs[r.Job]; {
-		case r.Type == wal.TypeSubmit && j == nil:
-			jobs[r.Job] = &st{attempts: r.Attempts}
-		case j == nil:
-		case r.Type == wal.TypeLease:
-			j.leased, j.attempts = true, r.Attempts
-		case r.Type == wal.TypeRequeue:
-			j.leased, j.attempts = false, r.Attempts
-		case r.Type == wal.TypeComplete:
-			delete(jobs, r.Job)
-		}
-	}
-	out := map[string]int{}
-	for id, j := range jobs {
-		if out[id] = j.attempts; j.leased && j.attempts > 0 {
-			out[id]--
+		if r.Type == wal.TypeSubmit && !seen[r.Job] {
+			seen[r.Job] = true
+			if !stored[r.Job] {
+				out = append(out, r.Job+"/0")
+			}
 		}
 	}
 	return out
 }
 
-// recoverQueue is recovery without the store: apply, hand over every lease.
-func recoverQueue(t *testing.T, like *queue, recs []wal.Record, now time.Time) *queue {
+// recoverQueue is Coordinator.recoverWAL on a bare queue: replay the log,
+// then finish every job the store holds.
+func recoverQueue(t *testing.T, like *queue, recs []wal.Record, stored map[string]bool, now time.Time) *queue {
 	t.Helper()
 	q := newQueue(like.bound, like.maxAttempts, like.ttl, like.journal)
 	for _, r := range recs {
 		q.apply(now, r)
 	}
-	q.restart(now)
+	for _, r := range q.live() {
+		if stored[r.Job] {
+			q.finish(now, "", r.Job, outcomeStored)
+		}
+	}
 	checkQueue(t, q)
 	if n := q.leased(); n != 0 || len(q.fifo) != len(q.jobs) {
 		t.Fatalf("recovered queue holds %d leases, %d of %d jobs pending", n, len(q.fifo), len(q.jobs))
@@ -271,13 +254,15 @@ func recoverQueue(t *testing.T, like *queue, recs []wal.Record, now time.Time) *
 }
 
 // queueSim plays the adapter for FuzzQueue: it carries out effects the way
-// Coordinator.run does, keeps the log a journal would hold, and checks the
-// model after every step.
+// Coordinator.run does, keeps the log a journal would hold and the set of
+// ids the store holds, and checks the model after every step.
 type queueSim struct {
 	t       *testing.T
 	q       *queue
 	now     time.Time
 	log     []wal.Record
+	logged  map[string]bool // every id whose submit record reached the log, in any life
+	stored  map[string]bool // every id finished with a stored upload: the store outlives a crash
 	closed  bool
 	handles map[*handle]bool // every handle this life's submits returned → completed
 	durable map[*job]bool    // jobs whose submit record the log acknowledged
@@ -302,9 +287,8 @@ func (s *queueSim) complete(h *handle, err error) {
 // transition started from.
 func (s *queueSim) run(before int, fx effects) {
 	s.t.Helper()
-	s.log = append(s.log, fx.recs...)
-	if len(fx.recs) > 0 && !s.q.journal {
-		s.t.Fatal("a queue with no journal emitted records")
+	if fx.journal && !s.q.journal {
+		s.t.Fatal("a queue with no journal asked for a record")
 	}
 	if g := fx.granted.j; g != nil {
 		g.h.start()
@@ -338,35 +322,41 @@ func (s *queueSim) check() {
 		}
 		s.status[h] = rank
 	}
-	if !s.q.journal || s.closed { // shutdown journals nothing: the log keeps the jobs the queue dropped
+	if !s.q.journal || s.closed { // shutdown is not completion: the log keeps the jobs the queue dropped
 		return
 	}
-	r := recoverQueue(s.t, s.q, s.log, s.now)
-	for id, j := range s.q.jobs {
-		if rj := r.jobs[id]; rj == nil || rj.attempts > j.attempts {
-			s.t.Fatalf("job %s (%d attempts) replays as %+v", id, j.attempts, rj)
+	r := s.recoverPrefix(len(s.log))
+	for id := range s.q.jobs {
+		if !s.stored[id] && r.jobs[id] == nil {
+			s.t.Fatalf("live job %s is not in the queue the log recovers to", id)
 		}
-	}
-	if len(r.jobs) != len(s.q.jobs) {
-		s.t.Fatalf("the log replays to %d live jobs, the queue holds %d", len(r.jobs), len(s.q.jobs))
 	}
 }
 
+// recoverPrefix recovers the queue from the first k records of the log and
+// checks it: it holds what the reference fold says — every job submitted
+// since the last checkpoint and not stored, in submission order, pending
+// with no attempts — and so no job whose submit never reached the log.
+func (s *queueSim) recoverPrefix(k int) *queue {
+	s.t.Helper()
+	r := recoverQueue(s.t, s.q, s.log[:k], s.stored, s.now)
+	if got, want := fifoOf(r), foldRecords(s.log[:k], s.stored); !reflect.DeepEqual(got, want) {
+		s.t.Fatalf("prefix %d/%d recovers to %v, the reference fold says %v", k, len(s.log), got, want)
+	}
+	for id := range r.jobs {
+		if !s.logged[id] {
+			s.t.Fatalf("prefix %d/%d recovers job %s, whose submit never reached the log", k, len(s.log), id)
+		}
+	}
+	return r
+}
+
 // checkPrefixes: a crash may lose any tail of the log, so every prefix must
-// recover to a well-formed queue holding exactly what the reference fold
-// says it should.
+// recover to what the reference fold says.
 func (s *queueSim) checkPrefixes() {
 	s.t.Helper()
 	for k := 0; k <= len(s.log); k++ {
-		r, want := recoverQueue(s.t, s.q, s.log[:k], s.now), foldRecords(s.log[:k])
-		for id, j := range r.jobs {
-			if a, ok := want[id]; !ok || a != j.attempts {
-				s.t.Fatalf("prefix %d/%d: job %s recovers with %d attempts, the reference fold says %d (live: %t)", k, len(s.log), id, j.attempts, a, ok)
-			}
-		}
-		if len(r.jobs) != len(want) {
-			s.t.Fatalf("prefix %d/%d: %d jobs recovered, the reference fold says %d", k, len(s.log), len(r.jobs), len(want))
-		}
+		s.recoverPrefix(k)
 	}
 }
 
@@ -389,6 +379,7 @@ func FuzzQueue(f *testing.F) {
 			return
 		}
 		s := &queueSim{t: t, now: t0, q: newQueue(2, 2, testTTL, data[0]%2 == 0)} // 'J' journaled, 'M' in memory
+		s.logged, s.stored = map[string]bool{}, map[string]bool{}
 		s.handles, s.durable, s.waiting, s.status = map[*handle]bool{}, map[*job]bool{}, map[string]*job{}, map[*handle]int{}
 		data = data[1:]
 		for ; len(data) >= 3 && len(s.log) < 256; data = data[3:] {
@@ -407,8 +398,10 @@ func FuzzQueue(f *testing.F) {
 					t.Fatalf("submit: %v", err)
 				default:
 					s.handles[j.h] = false
-					if len(fx.recs) > 0 {
+					if fx.journal {
 						s.waiting[id] = j
+						s.log = append(s.log, submitRecord(j.h.job))
+						s.logged[id] = true
 					} else if !s.q.journal {
 						s.durable[j] = true
 					}
@@ -443,6 +436,7 @@ func FuzzQueue(f *testing.F) {
 				s.run(before, fx)
 				if err == nil {
 					s.complete(j.h, nil)
+					s.stored[id] = s.stored[id] || outcome == outcomeStored
 				}
 			case 'x':
 				s.now = s.now.Add(time.Duration(d) * testTTL / 2)
@@ -462,7 +456,7 @@ func FuzzQueue(f *testing.F) {
 			case 'c':
 				if s.q.journal {
 					s.checkPrefixes()
-					s.q = recoverQueue(t, s.q, s.log[:len(s.log)-min(d, len(s.log))], s.now)
+					s.q = s.recoverPrefix(len(s.log) - min(d, len(s.log)))
 					s.log, s.closed = s.q.live(), false
 					s.handles, s.durable, s.waiting, s.status = map[*handle]bool{}, map[*job]bool{}, map[string]*job{}, map[*handle]int{}
 					for _, j := range s.q.jobs {

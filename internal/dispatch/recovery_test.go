@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,15 +25,15 @@ import (
 
 // TestCoordinatorRecoversWALJobs is the tentpole contract: a WAL-backed
 // coordinator that dies with queued and leased jobs comes back with every
-// non-terminal job re-entered — pending jobs requeue, the previously leased
-// job requeues FIRST and without having consumed an attempt — and once the
-// jobs complete, a third incarnation recovers nothing.
+// non-terminal job re-entered, pending in submission order — the previously
+// leased job, submitted first, leases first and without having consumed an
+// attempt — and once the jobs complete, a third incarnation recovers
+// nothing.
 func TestCoordinatorRecoversWALJobs(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "coord.wal")
 	st := tstore(t)
-	// MaxAttempts: 1 makes the attempt refund observable: the job is leased
-	// once before the crash, so if recovery charged for that interrupted
-	// lease the re-lease below would be impossible.
+	// MaxAttempts: 1: the job is leased once before the crash, and recovery
+	// starts every job with no attempts used.
 	mk := func() *coordHarness {
 		return newCoordHarness(t, CoordinatorConfig{
 			Store: st, WALPath: walPath, LeaseTTL: 10 * time.Second, MaxAttempts: 1,
@@ -50,7 +51,7 @@ func TestCoordinatorRecoversWALJobs(t *testing.T) {
 	if leased := h1.leaseUntil(wid, 5*time.Second); leased.ID != jobs[0].ID {
 		t.Fatalf("leased %.12s, want the FIFO head %.12s", leased.ID, jobs[0].ID)
 	}
-	// Crash: Close drains in-memory state but journals no completes — a
+	// Crash: Close drains in-memory state, and the log keeps the submits — a
 	// shutdown is not a completion.
 	h1.coord.Close()
 	h1.ts.Close()
@@ -99,9 +100,8 @@ func TestCoordinatorRecoversWALJobs(t *testing.T) {
 	}
 }
 
-// TestRecoveryDropsJobsAlreadyStored covers the crash window between
-// store.Put and the WAL complete record: the store, not the log, is the
-// artifact of record, so a replayed job whose artifact exists is dropped.
+// TestRecoveryDropsJobsAlreadyStored: the store, not the log, is the record
+// of completion, so a replayed job whose artifact exists is dropped.
 func TestRecoveryDropsJobsAlreadyStored(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "coord.wal")
 	st := tstore(t)
@@ -131,6 +131,118 @@ func TestRecoveryDropsJobsAlreadyStored(t *testing.T) {
 	}
 	if hist, err := waitDone(t, hd); err != nil || hist == nil {
 		t.Fatalf("stored job should complete from the store: %v", err)
+	}
+}
+
+// TestTransitionLogReplaysSubmitsOnly opens a log in the format coordinators
+// wrote while they journaled every job transition (testdata/transitions.wal).
+// Its history, jobs testJob(61..66):
+//
+//	61  a compacted submit carrying Attempts: 2
+//	62  leased, completed "stored" — its artifact is in the store
+//	63  leased, requeued by expiry, leased again
+//	64  leased, completed "failed"
+//	65  leased, handed over (requeued with its attempt refunded)
+//	66  submitted last, leased when the log ends
+//
+// Every submitted job the store does not hold comes back pending, in
+// submission order, with no attempts; the stored one does not.
+func TestTransitionLogReplaysSubmitsOnly(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "transitions.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(t.TempDir(), "coord.wal")
+	if err := os.WriteFile(walPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := tstore(t)
+	if err := st.Put(testJob(62).ID, cannedHist(62)); err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCoordinator(CoordinatorConfig{Store: st, WALPath: walPath, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var want []string
+	for _, n := range []int{61, 63, 64, 65, 66} {
+		want = append(want, testJob(n).ID+"/0")
+	}
+	c.mu.Lock()
+	got := fifoOf(c.q)
+	c.mu.Unlock()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered FIFO %v, want %v", got, want)
+	}
+	if s := c.Stats(); s.Recovered != 5 || s.Pending != 5 || s.Leased != 0 {
+		t.Fatalf("recovery stats %+v, want 5 recovered, all pending", s)
+	}
+}
+
+// TestWorkerErrorJobRunsAgainAfterRestart: the log records what was
+// accepted and the store what finished, so a job that failed with a worker
+// error since the last checkpoint is neither — it comes back pending after a
+// restart and runs again, as a resubmission would.
+func TestWorkerErrorJobRunsAgainAfterRestart(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "coord.wal")
+	st := tstore(t)
+	mk := func() *coordHarness {
+		return newCoordHarness(t, CoordinatorConfig{Store: st, WALPath: walPath, LeaseTTL: 10 * time.Second})
+	}
+	h1 := mk()
+	job, hd := h1.submit(67, SubmitOpts{})
+	wid := h1.register(1)
+	h1.leaseUntil(wid, 5*time.Second)
+	if code, ack := h1.upload(wid, job.ID, nil, "boom"); code != http.StatusOK || ack.Status != "failed" {
+		t.Fatalf("error upload: HTTP %d %+v", code, ack)
+	}
+	if _, err := waitDone(t, hd); err == nil {
+		t.Fatal("the job did not fail")
+	}
+	h1.coord.Close()
+	h1.ts.Close()
+
+	h2 := mk()
+	if s := h2.coord.Stats(); s.Recovered != 1 || s.Pending != 1 {
+		t.Fatalf("recovery stats %+v, want the failed job pending again", s)
+	}
+	wid2 := h2.register(1)
+	if got := h2.leaseUntil(wid2, 5*time.Second); got.ID != job.ID {
+		t.Fatalf("leased %.12s after the restart, want %.12s", got.ID, job.ID)
+	}
+}
+
+// TestCheckpointKeepsJobsNotYetStored: a checkpoint that runs while a
+// finished job's Put is still in flight keeps the job's submit, so a crash
+// before the Put lands recovers the job instead of losing it.
+func TestCheckpointKeepsJobsNotYetStored(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "coord.wal")
+	st := tstore(t)
+	mk := func() *coordHarness {
+		return newCoordHarness(t, CoordinatorConfig{Store: st, WALPath: walPath, LeaseTTL: 10 * time.Second})
+	}
+	h1 := mk()
+	job, _ := h1.submit(68, SubmitOpts{})
+	wid := h1.register(1)
+	h1.leaseUntil(wid, 5*time.Second)
+	// What result does before its Put: the job leaves the queue, its handle
+	// is retained. Another job's completion checkpoints meanwhile.
+	h1.coord.mu.Lock()
+	j, fx, err := h1.coord.q.finish(time.Now(), wid, job.ID, outcomeStored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h1.coord.retained[job.ID] = j.h
+	h1.coord.settleLocked(fx)
+	h1.coord.mu.Unlock()
+	h1.coord.checkpoint()
+	h1.coord.Close() // the crash: the Put never ran
+	h1.ts.Close()
+
+	h2 := mk()
+	if s := h2.coord.Stats(); s.Recovered != 1 || s.Pending != 1 {
+		t.Fatalf("recovery stats %+v, want the unstored job recovered", s)
 	}
 }
 

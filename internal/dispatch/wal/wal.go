@@ -1,10 +1,12 @@
 // Package wal is the coordinator's write-ahead log: an append-only journal
-// of job-state transitions (submit, lease, requeue, complete) that lets a
-// restarted coordinator rebuild its queue instead of dumping every
-// submitted cell. The package is framing, group commit and compaction only:
-// it hands the records back in order and does not know what a job is — what
-// a record means is dispatch's queue.apply, for replay and live traffic
-// alike.
+// of the jobs it accepted — one submit record each — that lets a restarted
+// coordinator rebuild its queue instead of dumping every submitted cell.
+// Completion is not journaled: the artifact store is its record. The
+// package is framing, group commit and compaction only: it hands the
+// records back in order and does not know what a job is — what a record
+// means is dispatch's queue.apply. The lease, requeue and complete types
+// remain decodable, so a log written when the coordinator journaled every
+// transition still opens; replay ignores them.
 //
 // On-disk format: a 6-byte magic header ("FWAL1\n") followed by
 // length-prefixed frames —
@@ -15,9 +17,7 @@
 // uvarint-length-prefixed job / worker / status / spec fields and a uvarint
 // attempt counter. Every Append is fsync'd before it returns (concurrent
 // appenders share one fsync via group commit), so an acknowledged
-// submission survives power loss. AppendAsync rides the same group commit
-// without waiting for it — the right trade for drain-path transitions
-// (lease/requeue/complete) whose loss recovery tolerates by design.
+// submission survives power loss.
 //
 // Recovery semantics are deliberately asymmetric: a torn tail — a partial
 // frame, or a checksum mismatch on the final frame — is the expected
@@ -42,29 +42,28 @@ import (
 	"fedwcm/internal/store"
 )
 
-// Type enumerates the journaled transitions.
+// Type enumerates the record types. The coordinator writes TypeSubmit
+// only; the other three were written by coordinators that journaled every
+// job transition, and stay decodable so such a log still opens.
 type Type uint8
 
 const (
-	// TypeSubmit journals a job entering the queue (carries the spec).
+	// TypeSubmit journals a job the coordinator accepted (carries the spec).
 	TypeSubmit Type = iota + 1
-	// TypeLease journals a lease grant (carries the worker and the
-	// post-grant attempt count).
+	// TypeLease was a lease grant (worker, post-grant attempt count).
 	TypeLease
-	// TypeRequeue journals a job returning to the queue (carries the
-	// post-adjustment attempt count: unchanged after expiry, refunded after
-	// a clean handover).
+	// TypeRequeue was a job returning to the queue (attempt count).
 	TypeRequeue
-	// TypeComplete journals a terminal outcome.
+	// TypeComplete was a terminal outcome (status).
 	TypeComplete
 )
 
-// Record is one journaled transition.
+// Record is one journaled record.
 type Record struct {
 	Type     Type
 	Job      string // fingerprint
 	Worker   string // lease holder (TypeLease only)
-	Attempts int    // leases granted so far (TypeLease / TypeRequeue / compacted TypeSubmit)
+	Attempts int    // leases granted so far (TypeLease / TypeRequeue; a compacted TypeSubmit of an older log)
 	Status   string // terminal status (TypeComplete): "stored" or "failed"
 	Spec     []byte // canonical spec JSON (TypeSubmit only)
 }
@@ -237,38 +236,6 @@ func (l *Log) Append(recs ...Record) error {
 	return w.err
 }
 
-// AppendAsync buffers the records for the next group commit and returns
-// without waiting for the fsync. A background flush leader (started here if
-// none is running) writes and syncs the batch; until it does, a crash can
-// drop the records. That makes AppendAsync correct only for transitions
-// that are individually safe to lose — lease grants, requeues, completes —
-// where replaying the pre-transition state is benign. Submissions must stay
-// on Append: acknowledging a spec that was never persisted loses work.
-// Ordering is preserved relative to every other append (sync or async):
-// frames share one buffer, so recovery replays them in call order. A sticky
-// write/fsync error from a prior flush is returned just like Append's.
-func (l *Log) AppendAsync(recs ...Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	var frames []byte
-	for i := range recs {
-		frames = appendFrame(frames, &recs[i])
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	l.buf = append(l.buf, frames...)
-	l.seq++
-	if !l.syncing {
-		l.syncing = true
-		go l.flushLoop()
-	}
-	return nil
-}
-
 // flushLoop is the background commit leader spawned by the first append
 // that finds no leader running: it drains the buffer in write+sync batches
 // until nothing is pending, so a burst of appends amortizes into a handful
@@ -378,8 +345,8 @@ func (l *Log) Size() int64 {
 // Compact atomically replaces the log's contents with live: a fresh file
 // is written beside the log, fsync'd, and renamed over it. The caller must
 // guarantee no concurrent Append (the coordinator holds its WAL gate
-// exclusively during checkpoints); live is typically one TypeSubmit — plus
-// one TypeLease for held leases — per non-terminal job.
+// exclusively during checkpoints); live is one TypeSubmit per non-terminal
+// job.
 func (l *Log) Compact(live []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -401,13 +368,6 @@ func (l *Log) Compact(live []Record) error {
 	for i := range live {
 		frames = appendFrame(frames, &live[i])
 	}
-	// Any frames buffered by appenders that were pre-empted before flushing
-	// describe transitions older than the caller's snapshot; carrying them
-	// into the new file keeps their Append calls truthful (replay tolerates
-	// stale lease/complete records for unknown jobs).
-	frames = append(frames, l.buf...)
-	l.buf = nil
-	l.synced = l.seq
 	_, werr := tmp.Write(frames)
 	if werr == nil {
 		// Preallocate the replacement like Open does, so appends after the
@@ -437,16 +397,11 @@ func (l *Log) Compact(live []Record) error {
 	l.f = tmp
 	l.off = int64(len(frames))
 	l.alloc = l.off + preallocChunk
-	// Anyone whose buffered frames we carried is now durable.
-	w := l.wait
-	l.wait = &flushWait{done: make(chan struct{})}
-	close(w.done)
 	return nil
 }
 
-// Close flushes any frames still parked by AppendAsync (a clean shutdown
-// should not demote buffered transitions into crash losses), then releases
-// the file. Further appends fail.
+// Close waits out a running flush, then releases the file. Further
+// appends fail.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	for l.syncing {
@@ -454,11 +409,6 @@ func (l *Log) Close() error {
 		l.mu.Unlock()
 		<-w.done
 		l.mu.Lock()
-	}
-	if l.err == nil && len(l.buf) > 0 {
-		l.syncing = true
-		l.flushBatchLocked()
-		l.syncing = false
 	}
 	f := l.f
 	off := l.off
@@ -528,8 +478,9 @@ func decodePayload(p []byte) (Record, error) {
 	if len(p) < 1 {
 		return r, fmt.Errorf("%w: empty payload", ErrCorrupt)
 	}
-	r.Type = Type(p[0])
-	if r.Type < TypeSubmit || r.Type > TypeComplete {
+	switch r.Type = Type(p[0]); r.Type {
+	case TypeSubmit, TypeLease, TypeRequeue, TypeComplete: // every type a log may hold
+	default:
 		return r, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, p[0])
 	}
 	p = p[1:]

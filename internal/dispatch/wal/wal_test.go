@@ -373,143 +373,3 @@ func flipFuzz(b []byte, i int) []byte {
 	out[i] ^= 0x20
 	return out
 }
-
-func TestAppendAsyncDurableAfterClose(t *testing.T) {
-	path := walPath(t)
-	l, _ := openT(t, path)
-	const n = 200
-	if err := l.Append(Record{Type: TypeSubmit, Job: "job-sync", Spec: []byte(`{}`)}); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	for i := 0; i < n; i++ {
-		r := Record{Type: TypeLease, Job: "job-sync", Worker: fmt.Sprintf("w-%d", i), Attempts: i + 1}
-		if err := l.AppendAsync(r); err != nil {
-			t.Fatalf("AppendAsync: %v", err)
-		}
-	}
-	// Close must flush whatever the background leader has not yet synced:
-	// a clean shutdown loses nothing.
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	_, rec := openT(t, path)
-	if len(rec.Records) != n+1 {
-		t.Fatalf("replayed %d records, want %d", len(rec.Records), n+1)
-	}
-	if last := rec.Records[n]; last.Type != TypeLease || last.Worker != fmt.Sprintf("w-%d", n-1) {
-		t.Fatalf("last async lease lost: log ends with %+v", last)
-	}
-}
-
-func TestAppendAsyncOrderedWithSync(t *testing.T) {
-	// A sync Append issued after async appends must flush them too (shared
-	// buffer, shared commit): once Append returns, every earlier AppendAsync
-	// is durable and replay sees call order.
-	path := walPath(t)
-	l, _ := openT(t, path)
-	if err := l.Append(Record{Type: TypeSubmit, Job: "job-x", Spec: []byte(`{}`)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendAsync(Record{Type: TypeLease, Job: "job-x", Worker: "w-1", Attempts: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendAsync(Record{Type: TypeRequeue, Job: "job-x", Attempts: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(Record{Type: TypeSubmit, Job: "job-y", Spec: []byte(`{}`)}); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen without Close: everything acknowledged by the last sync Append
-	// must already be on disk (Close on the original handle would flush, so
-	// bypass it to prove the sync barrier alone suffices).
-	l2, rec := openT(t, path)
-	defer l2.Close()
-	wantRecords(t, rec, []Record{
-		{Type: TypeSubmit, Job: "job-x", Spec: []byte(`{}`)},
-		{Type: TypeLease, Job: "job-x", Worker: "w-1", Attempts: 1},
-		{Type: TypeRequeue, Job: "job-x", Attempts: 1},
-		{Type: TypeSubmit, Job: "job-y", Spec: []byte(`{}`)},
-	})
-	l.Close()
-}
-
-func TestAppendAsyncConcurrentMix(t *testing.T) {
-	path := walPath(t)
-	l, _ := openT(t, path)
-	const goroutines, per = 8, 40
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				id := fmt.Sprintf("job-%d-%d", g, i)
-				if err := l.Append(Record{Type: TypeSubmit, Job: id, Spec: []byte(`{}`)}); err != nil {
-					t.Errorf("Append: %v", err)
-					return
-				}
-				if err := l.AppendAsync(Record{Type: TypeLease, Job: id, Worker: "w", Attempts: 1}); err != nil {
-					t.Errorf("AppendAsync: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	_, rec := openT(t, path)
-	if len(rec.Records) != 2*goroutines*per {
-		t.Fatalf("replayed %d records, want %d", len(rec.Records), 2*goroutines*per)
-	}
-	// Every job's async lease made it, and after that job's own submit.
-	state := map[string]Type{}
-	for _, r := range rec.Records {
-		if r.Type == TypeLease && state[r.Job] != TypeSubmit {
-			t.Fatalf("lease of %s replayed before its submit", r.Job)
-		}
-		state[r.Job] = r.Type
-	}
-	for id, last := range state {
-		if last != TypeLease {
-			t.Fatalf("async lease lost for %s", id)
-		}
-	}
-	if len(state) != goroutines*per {
-		t.Fatalf("recovered %d jobs, want %d", len(state), goroutines*per)
-	}
-}
-
-func TestAppendAsyncCompactCarriesBuffered(t *testing.T) {
-	// Frames parked by AppendAsync but not yet flushed must survive a
-	// compaction: Compact carries the pending buffer into the new file.
-	path := walPath(t)
-	l, _ := openT(t, path)
-	if err := l.Append(Record{Type: TypeSubmit, Job: "job-a", Spec: []byte(`{}`)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendAsync(Record{Type: TypeLease, Job: "job-a", Worker: "w-1", Attempts: 1}); err != nil {
-		t.Fatal(err)
-	}
-	live := []Record{{Type: TypeSubmit, Job: "job-a", Spec: []byte(`{}`)}}
-	if err := l.Compact(live); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	_, rec := openT(t, path)
-	// Depending on whether the background leader won the race before
-	// Compact snapshotted, the lease frame was flushed to the old file (and
-	// went with it) or carried, before or after the new submit frame — every
-	// variant replays to the one job.
-	if n := len(rec.Records); n < 1 || n > 2 {
-		t.Fatalf("replayed %d records, want 1 or 2", n)
-	}
-	for _, id := range jobIDs(rec) {
-		if id != "job-a" {
-			t.Fatalf("replayed a record for %q, want only job-a", id)
-		}
-	}
-}

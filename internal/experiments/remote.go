@@ -3,8 +3,10 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -17,6 +19,11 @@ import (
 
 // remotePoll is the status-poll cadence while a remote sweep runs.
 const remotePoll = 250 * time.Millisecond
+
+// remoteOutage bounds how long a status poll keeps retrying a server it
+// cannot reach: long enough for a coordinator to be restarted on the same
+// address.
+const remoteOutage = 30 * time.Second
 
 var remoteHTTP = &http.Client{Timeout: 30 * time.Second}
 
@@ -37,6 +44,12 @@ type remoteSweepStatus struct {
 // each finished cell's history from GET /v1/runs/{id}. The server resolves
 // every cell against its own store and executor, and each row's status is
 // what the result counts, so a server-side cache hit reads "cached" here.
+// The poll survives a server restart: it retries a connection error every
+// remotePoll for up to remoteOutage, and when the restarted server answers
+// 404 — sweep records live in its memory — it posts the grid once more.
+// The sweep id is the spec's fingerprint, so the new record has the same
+// id, and the server joins its recovered jobs and reads its stored cells
+// rather than computing them again. A second 404 is an error.
 // Histories are read from st first and put into it after a fetch, when st is
 // set. Like Engine.RunSweep it returns the result together with a non-nil
 // error when any cell failed.
@@ -52,40 +65,41 @@ func runRemote(base string, sp sweep.Spec, st *store.Store) (*sweep.Result, erro
 	if err != nil {
 		return nil, err
 	}
-	var sub remoteSweepStatus
-	var code int
-	for {
-		var retryAfter time.Duration
-		code, retryAfter, err = remoteCall(http.MethodPost, base+"/v1/sweeps", body, &sub)
-		if err != nil {
-			return nil, err
-		}
-		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-			if retryAfter <= 0 {
-				retryAfter = remotePoll
-			}
-			time.Sleep(retryAfter)
-			continue
-		}
-		if code != http.StatusOK && code != http.StatusAccepted {
-			return nil, fmt.Errorf("experiments: submitting sweep %s: HTTP %d: %s", sp.Name, code, sub.Error)
-		}
-		break
+	sub, code, err := remoteSubmit(base, sp.Name, body)
+	if err != nil {
+		return nil, err
 	}
 	// 200 answers a grid whose finished record the server already held:
 	// nothing was computed for this request, so every row counts as cached.
 	held := code == http.StatusOK
 
 	var sum remoteSweepStatus
-	for {
+	var down time.Time // when the server stopped answering; zero while it answers
+	for reposted := false; ; {
 		sum = remoteSweepStatus{}
 		code, _, err := remoteCall(http.MethodGet, base+"/v1/sweeps/"+sub.ID, nil, &sum)
+		if ue := (*url.Error)(nil); errors.As(err, &ue) {
+			if down.IsZero() {
+				down = time.Now()
+			}
+			if time.Since(down) > remoteOutage {
+				return nil, err
+			}
+			time.Sleep(remotePoll)
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
+		down = time.Time{}
+		if code == http.StatusNotFound && !reposted {
+			reposted = true
+			if sub, _, err = remoteSubmit(base, sp.Name, body); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		if code != http.StatusOK {
-			// A 404 means the server forgot the sweep (restarted, or evicted
-			// the record): it will never finish there, so stop polling.
 			return nil, fmt.Errorf("experiments: polling sweep %.12s: HTTP %d: %s", sub.ID, code, sum.Error)
 		}
 		if sum.Status != dispatch.StatusRunning {
@@ -128,6 +142,30 @@ func runRemote(base string, sp sweep.Spec, st *store.Store) (*sweep.Result, erro
 		return res, fmt.Errorf("experiments: sweep %s: %d/%d cells failed on %s", sp.Name, res.Failed, len(cells), base)
 	}
 	return res, nil
+}
+
+// remoteSubmit posts the grid body to POST /v1/sweeps, waiting out 429 and
+// 503 answers, and returns the sweep's record with the status code (200 for
+// a grid the server already held finished, 202 otherwise).
+func remoteSubmit(base, name string, body []byte) (remoteSweepStatus, int, error) {
+	for {
+		var sub remoteSweepStatus
+		code, retryAfter, err := remoteCall(http.MethodPost, base+"/v1/sweeps", body, &sub)
+		if err != nil {
+			return sub, 0, err
+		}
+		switch code {
+		case http.StatusOK, http.StatusAccepted:
+			return sub, code, nil
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			if retryAfter <= 0 {
+				retryAfter = remotePoll
+			}
+			time.Sleep(retryAfter)
+		default:
+			return sub, 0, fmt.Errorf("experiments: submitting sweep %s: HTTP %d: %s", name, code, sub.Error)
+		}
+	}
 }
 
 // remoteHistory returns cell id's history: from st when it holds it,

@@ -149,3 +149,52 @@ func TestRemoteFailedCellFailsExecute(t *testing.T) {
 		t.Fatalf("output does not name the failed group:\n%s", out)
 	}
 }
+
+// TestRemoteSurvivesServerRestart: the server the grid was posted to goes
+// away mid-poll — the next polls find their connections dropped (more than
+// one, as http.Transport retries a GET once on its own) — and a fresh
+// server over the same store answers in its place, with no record of the
+// sweep. The client re-posts the grid once, polls the same id on, and
+// renders what a local run renders, after exactly two POSTs.
+func TestRemoteSurvivesServerRestart(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := func() *serve.Server {
+		s, err := serve.New(serve.Config{Store: st, Workers: 2, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	first, restarted := start(), start()
+	var posts, polls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Method == http.MethodPost && req.URL.Path == "/v1/sweeps" && posts.Add(1) == 1 {
+			first.ServeHTTP(w, req)
+			return
+		}
+		if req.Method == http.MethodGet && strings.HasPrefix(req.URL.Path, "/v1/sweeps/") && polls.Add(1) <= 3 {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			conn.Close() // the first server dies with the poll unanswered
+			return
+		}
+		restarted.ServeHTTP(w, req)
+	}))
+	t.Cleanup(ts.Close)
+
+	local := execute(t, "fig4", experiments.Options{})
+	remote := execute(t, "fig4", experiments.Options{Remote: ts.URL})
+	if n := posts.Load(); n != 2 {
+		t.Fatalf("%d sweep submissions, want 2", n)
+	}
+	if experiments.Tail(remote) != experiments.Tail(local) {
+		t.Fatalf("remote run across a restart rendered differently:\nlocal:\n%s\nremote:\n%s", local, remote)
+	}
+}

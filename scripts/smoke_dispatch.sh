@@ -11,7 +11,9 @@
 # WAL-backed coordinator mid-sweep and asserts it recovers, finishes the
 # sweep, and that what it stored and aggregates equals the local backend's
 # run of the same sweep byte-for-byte. In between, fedbench -remote runs
-# fig4 against the coordinator and must render what a local fedbench does.
+# fig4 against the coordinator and must render what a local fedbench does;
+# at the end it runs fig4 again while the WAL coordinator is SIGKILLed and
+# restarted, and must still finish and render the same.
 #
 #   scripts/smoke_dispatch.sh          # used by CI's dispatch-smoke job
 set -euo pipefail
@@ -22,7 +24,8 @@ command -v jq >/dev/null || { echo "smoke_dispatch: jq is required"; exit 1; }
 WORK="$(mktemp -d)"
 PIDS=()
 cleanup() {
-  for pid in "${PIDS[@]:-}"; do kill "$pid" 2>/dev/null || true; done
+  # CONT after TERM: a worker the script stopped must wake up to die.
+  for pid in "${PIDS[@]:-}"; do kill "$pid" 2>/dev/null || true; kill -CONT "$pid" 2>/dev/null || true; done
   wait 2>/dev/null || true
   rm -rf "$WORK"
 }
@@ -205,7 +208,8 @@ WAL_PID=$!
 PIDS+=("$WAL_PID")
 wait_up "$WAL_ADDR"
 "$WORK/fedserve" -worker -join "http://$WAL_ADDR" -name w3 &
-PIDS+=($!)
+W3_PID=$!
+PIDS+=("$W3_PID")
 
 wal_id=$(curl -sf -X POST "http://$WAL_ADDR/v1/sweeps" -d "$WAL_SWEEP" | jq -r .id)
 echo "   sweep $wal_id submitted to the WAL-backed coordinator"
@@ -226,7 +230,8 @@ echo "   coordinator SIGKILLed with $done_cells/$total_cells cells done"
 
 "$WORK/fedserve" -remote -addr "$WAL_ADDR" -store "$WORK/wal-store" -lease 5s \
   -wal "$WORK/coord.wal" 2>"$WORK/coord2.log" &
-PIDS+=($!)
+WAL_PID=$!
+PIDS+=("$WAL_PID")
 wait_up "$WAL_ADDR"
 grep -q 'jobs recovered' "$WORK/coord2.log" \
   || { echo "smoke_dispatch: restarted coordinator logged no WAL recovery:"; cat "$WORK/coord2.log"; exit 1; }
@@ -265,4 +270,42 @@ if ! cmp -s "$WORK/wal.canon.json" "$WORK/wal-local.canon.json"; then
 fi
 echo "   recovered WAL topology agrees with the local backend byte-for-byte"
 
-echo "smoke_dispatch: OK — remote (2 workers), WAL-recovered and local backends agree byte-for-byte, fedbench -remote renders like a local run, and a SIGKILLed WAL coordinator recovers mid-sweep"
+echo "== fedbench -remote across a coordinator SIGKILL"
+# fedbench -remote polls through a coordinator crash: it retries the
+# refused connections while the coordinator is down, and when the
+# restarted one answers 404 for the sweep (sweep records live in memory)
+# it posts the grid once more — same content-addressed id — and the
+# restarted coordinator joins the jobs it recovered from its log. A fig4
+# grid computes in well under a second, so the only worker is stopped
+# first: the kill then lands with every cell accepted and none computed.
+kill -STOP "$W3_PID"
+"$WORK/fedbench" -run fig4 -effort 0.05 -store "" -remote "http://$WAL_ADDR" > "$WORK/fig4-crash.txt" 2>&1 &
+FB_PID=$!
+PIDS+=("$FB_PID")
+for _ in $(seq 1 100); do
+  queued=$(curl -s "http://$WAL_ADDR/metrics" | awk '$1 == "fedwcm_dispatch_queue_depth" || $1 == "fedwcm_dispatch_leased" { n += $2 } END { print n + 0 }')
+  [ "$queued" -ge 6 ] && break
+  sleep 0.1
+done
+[ "$queued" -ge 6 ] || { echo "smoke_dispatch: fedbench -remote's fig4 grid never reached the coordinator ($queued jobs)"; exit 1; }
+kill -9 "$WAL_PID"
+echo "   coordinator SIGKILLed with fig4's $queued cells accepted and none computed"
+sleep 1 # fedbench's polls meet a dead address before the restart
+"$WORK/fedserve" -remote -addr "$WAL_ADDR" -store "$WORK/wal-store" -lease 5s \
+  -wal "$WORK/coord.wal" 2>"$WORK/coord3.log" &
+WAL_PID=$!
+PIDS+=("$WAL_PID")
+wait_up "$WAL_ADDR"
+kill -CONT "$W3_PID"
+recovered=$(sed -n 's/.*(\([0-9]*\) jobs recovered).*/\1/p' "$WORK/coord3.log" | head -1)
+[ "${recovered:-0}" -ge 6 ] || { echo "smoke_dispatch: the restarted coordinator recovered '${recovered:-}' jobs, want fig4's 6"; exit 1; }
+wait "$FB_PID" || { echo "smoke_dispatch: fedbench -remote failed across the coordinator restart:"; cat "$WORK/fig4-crash.txt"; exit 1; }
+grep -v -e '^===' -e '^\[sweep' "$WORK/fig4-crash.txt" > "$WORK/fig4-crash.body"
+if ! cmp -s "$WORK/fig4-crash.body" "$WORK/fig4-local.body"; then
+  echo "smoke_dispatch: fedbench -remote across a restart renders fig4 differently from a local run:"
+  diff "$WORK/fig4-local.body" "$WORK/fig4-crash.body" || true
+  exit 1
+fi
+echo "   fedbench -remote finished fig4 across the restart ($recovered jobs recovered) and matches a local run"
+
+echo "smoke_dispatch: OK — remote (2 workers), WAL-recovered and local backends agree byte-for-byte, fedbench -remote renders like a local run, a SIGKILLed WAL coordinator recovers mid-sweep, and fedbench -remote survives one"
