@@ -69,6 +69,17 @@ func (f *Feed[T]) Events() []T {
 	return slices.Clone(f.log)
 }
 
+// Last returns the newest event published so far, if any. Unlike Events
+// it copies nothing, so a status read can call it on every live feed.
+func (f *Feed[T]) Last() (last T, ok bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.log); n > 0 {
+		last, ok = f.log[n-1], true
+	}
+	return last, ok
+}
+
 // Stream hands every event of the feed to emit, in order and in batches:
 // first whatever was published before the call, then each run of events
 // that accumulated while emit was busy — one event per batch when the

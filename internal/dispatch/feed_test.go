@@ -205,3 +205,28 @@ func TestFeedBatchIsAStableView(t *testing.T) {
 	wantSequence(t, first, 2)
 	wantSequence(t, f.Events(), 3)
 }
+
+// TestFeedLast: an empty feed has no newest event; after Publish, and after
+// a publishAll that adopts or appends a run, Last answers the newest one.
+func TestFeedLast(t *testing.T) {
+	f := NewFeed[int]()
+	if v, ok := f.Last(); ok {
+		t.Fatalf("empty feed: Last = %d, true", v)
+	}
+	f.publishAll([]int{0, 1, 2}) // adopted by the empty log
+	if v, ok := f.Last(); !ok || v != 2 {
+		t.Fatalf("after adopting publishAll: Last = %d, %v; want 2, true", v, ok)
+	}
+	f.Publish(3)
+	if v, ok := f.Last(); !ok || v != 3 {
+		t.Fatalf("after Publish: Last = %d, %v; want 3, true", v, ok)
+	}
+	f.publishAll([]int{4, 5}) // appended to a non-empty log
+	if v, ok := f.Last(); !ok || v != 5 {
+		t.Fatalf("after appending publishAll: Last = %d, %v; want 5, true", v, ok)
+	}
+	f.Finish()
+	if v, ok := f.Last(); !ok || v != 5 {
+		t.Fatalf("after Finish: Last = %d, %v; want 5, true", v, ok)
+	}
+}

@@ -304,7 +304,6 @@ func (e *asyncEngine) run(ctx context.Context) error {
 			e.drawWave()
 			if len(e.pending) == 0 && e.events.Len() == 0 {
 				e.emptyRound()
-				e.mx.AsyncClock.Set(e.now)
 				continue
 			}
 		}
@@ -324,8 +323,6 @@ func (e *asyncEngine) run(ctx context.Context) error {
 		e.busy[u.res.ClientID] = false
 		e.buffer = append(e.buffer, u)
 		e.mx.AsyncEvents.Inc()
-		e.mx.AsyncClock.Set(e.now)
-		e.mx.AsyncBufferFill.Set(float64(len(e.buffer)))
 		if len(e.buffer) >= e.k {
 			e.flush()
 		}
@@ -342,7 +339,6 @@ func (e *asyncEngine) flush() {
 	e.commit(info)
 	e.free = append(e.free, e.buffer...)
 	e.buffer = e.buffer[:0]
-	e.mx.AsyncBufferFill.Set(0)
 	e.mx.RoundSeconds.Observe(time.Since(flushStart).Seconds())
 	span.End()
 }

@@ -67,7 +67,8 @@ type Env struct {
 	AsyncHook func(info *AsyncInfo)
 
 	// Observability. Metrics nil means "use the process default" (see
-	// DefaultRunMetrics) — pass NewRunMetrics(nil) for a guaranteed no-op.
+	// DefaultRunMetrics) — pass NewRunMetrics(nil) for a guaranteed no-op;
+	// this run's own readings reach its caller only through onRound.
 	// Tracer nil (the default) disables span recording; dispatch layers set
 	// it together with TraceID (the run's spec fingerprint) so round spans
 	// join the fleet-wide trace for that fingerprint. None of these affect

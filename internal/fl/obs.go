@@ -8,10 +8,12 @@ import (
 
 // RunMetrics is the fl-layer instrumentation bundle: every handle is
 // resolved once at construction, so the round loop touches only atomic
-// counters/gauges/histograms — zero allocations and no registry lookups on
+// counters and histograms — zero allocations and no registry lookups on
 // the hot path. Built over a nil registry it is a complete no-op (all
 // handles nil), which is how the golden-history tests prove
-// instrumentation cannot influence trajectories.
+// instrumentation cannot influence trajectories. Every run in the process
+// shares it, so it holds only series that sum across runs; a run's own
+// readings are its RoundStats.
 type RunMetrics struct {
 	Rounds         *obs.Counter   // fedwcm_fl_rounds_total
 	RoundSeconds   *obs.Histogram // fedwcm_fl_round_seconds
@@ -19,36 +21,19 @@ type RunMetrics struct {
 	ClientsTrained *obs.Counter   // fedwcm_fl_client_steps_total
 	Dropped        *obs.Counter   // fedwcm_fl_clients_dropped_total
 	Stragglers     *obs.Counter   // fedwcm_fl_stragglers_total (WorkFrac < 1)
-	TestAcc        *obs.Gauge     // fedwcm_fl_test_acc
-	TrainLoss      *obs.Gauge     // fedwcm_fl_train_loss
-	ShotHead       *obs.Gauge     // fedwcm_fl_shot_acc{bucket=head}
-	ShotMedium     *obs.Gauge
-	ShotTail       *obs.Gauge
 
 	// Buffered-async engine instrumentation (all zero-valued on sync runs).
-	AsyncAggs       *obs.Counter   // fedwcm_fl_async_aggregations_total
-	AsyncPartial    *obs.Counter   // fedwcm_fl_async_partial_flushes_total
-	AsyncEvents     *obs.Counter   // fedwcm_fl_async_events_total
-	AsyncWaves      *obs.Counter   // fedwcm_fl_async_waves_total
-	AsyncBufferFill *obs.Gauge     // fedwcm_fl_async_buffer_fill
-	AsyncClock      *obs.Gauge     // fedwcm_fl_async_virtual_time
-	AsyncStaleness  *obs.Histogram // fedwcm_fl_async_staleness
-
-	// diag exposes RoundStat.Metrics — MetricsReporter values (FedWCM's
-	// alpha/q/wmax) and probe readings (neuron concentration, train
-	// accuracy) — as fedwcm_fl_diag{metric=...}. Children are
-	// cached here because Vec.With takes the family lock and allocates its
-	// variadic slice: the eval path stays allocation-free after the first
-	// evaluation names a metric.
-	diagVec *obs.GaugeVec
-	diagMu  sync.RWMutex
-	diag    map[string]*obs.Gauge
+	AsyncAggs      *obs.Counter   // fedwcm_fl_async_aggregations_total
+	AsyncPartial   *obs.Counter   // fedwcm_fl_async_partial_flushes_total
+	AsyncEvents    *obs.Counter   // fedwcm_fl_async_events_total
+	AsyncWaves     *obs.Counter   // fedwcm_fl_async_waves_total
+	AsyncStaleness *obs.Histogram // fedwcm_fl_async_staleness
 }
 
 // NewRunMetrics resolves the fl metric family on reg. A nil reg returns a
 // usable all-no-op bundle.
 func NewRunMetrics(reg *obs.Registry) *RunMetrics {
-	m := &RunMetrics{diag: make(map[string]*obs.Gauge)}
+	m := &RunMetrics{}
 	if reg == nil {
 		return m
 	}
@@ -58,20 +43,11 @@ func NewRunMetrics(reg *obs.Registry) *RunMetrics {
 	m.ClientsTrained = reg.Counter("fedwcm_fl_client_steps_total", "Client local-training executions.")
 	m.Dropped = reg.Counter("fedwcm_fl_clients_dropped_total", "Sampled clients that dropped before training.")
 	m.Stragglers = reg.Counter("fedwcm_fl_stragglers_total", "Sampled clients trained with a partial work fraction.")
-	m.TestAcc = reg.Gauge("fedwcm_fl_test_acc", "Latest evaluated global test accuracy.")
-	m.TrainLoss = reg.Gauge("fedwcm_fl_train_loss", "Latest mean local training loss.")
-	shot := reg.GaugeVec("fedwcm_fl_shot_acc", "Latest test accuracy by shot bucket.", "bucket")
-	m.ShotHead = shot.With("head")
-	m.ShotMedium = shot.With("medium")
-	m.ShotTail = shot.With("tail")
 	m.AsyncAggs = reg.Counter("fedwcm_fl_async_aggregations_total", "Buffered-async aggregation events (server version bumps with a non-empty buffer).")
 	m.AsyncPartial = reg.Counter("fedwcm_fl_async_partial_flushes_total", "Async liveness flushes below the K threshold.")
 	m.AsyncEvents = reg.Counter("fedwcm_fl_async_events_total", "Client-completion events popped from the virtual-time queue.")
 	m.AsyncWaves = reg.Counter("fedwcm_fl_async_waves_total", "Cohort sampling waves drawn by the async engine.")
-	m.AsyncBufferFill = reg.Gauge("fedwcm_fl_async_buffer_fill", "Updates currently buffered toward the next async aggregation.")
-	m.AsyncClock = reg.Gauge("fedwcm_fl_async_virtual_time", "Virtual wall-clock of the async run (1 unit = one non-straggler local round).")
 	m.AsyncStaleness = reg.Histogram("fedwcm_fl_async_staleness", "Staleness (server versions behind) of aggregated async updates.", []float64{0, 1, 2, 4, 8, 16, 32})
-	m.diagVec = reg.GaugeVec("fedwcm_fl_diag", "Per-evaluation diagnostics: method-reported (FedWCM alpha/q/wmax) and probe readings (concentration, train_acc).", "metric")
 	return m
 }
 
@@ -87,23 +63,4 @@ var (
 func DefaultRunMetrics() *RunMetrics {
 	defaultRunMetricsOnce.Do(func() { defaultRunMetrics = NewRunMetrics(obs.Default()) })
 	return defaultRunMetrics
-}
-
-// ReportDiag publishes one evaluation's RoundStat.Metrics to the diag gauges.
-func (m *RunMetrics) ReportDiag(vals map[string]float64) {
-	if m == nil || m.diagVec == nil || len(vals) == 0 {
-		return
-	}
-	for k, v := range vals {
-		m.diagMu.RLock()
-		g, ok := m.diag[k]
-		m.diagMu.RUnlock()
-		if !ok {
-			g = m.diagVec.With(k)
-			m.diagMu.Lock()
-			m.diag[k] = g
-			m.diagMu.Unlock()
-		}
-		g.Set(v)
-	}
 }

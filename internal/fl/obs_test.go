@@ -3,6 +3,7 @@ package fl
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"fedwcm/internal/obs"
@@ -72,5 +73,33 @@ func TestRunMetricsPopulated(t *testing.T) {
 	}
 	if len(tracer.Collect("populated")) != 3 {
 		t.Errorf("round spans %d, want 3", len(tracer.Collect("populated")))
+	}
+}
+
+// TestRunMetricsHoldOnlyCrossRunSeries guards that the fl bundle stays safe
+// to share between concurrently training runs: every series it registers
+// must sum across runs (a counter or a histogram). An unlabeled gauge would
+// read whichever run wrote it last; a run's own readings belong in its
+// RoundStats.
+func TestRunMetricsHoldOnlyCrossRunSeries(t *testing.T) {
+	reg := obs.NewRegistry()
+	NewRunMetrics(reg)
+	var buf bytes.Buffer
+	if _, err := reg.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, "# TYPE fedwcm_fl_")
+		if !ok {
+			continue
+		}
+		n++
+		if typ := rest[strings.LastIndexByte(rest, ' ')+1:]; typ != "counter" && typ != "histogram" {
+			t.Errorf("%s: type %s, want counter or histogram", line, typ)
+		}
+	}
+	if n == 0 {
+		t.Fatalf("no fedwcm_fl_ series in the exposition:\n%s", buf.String())
 	}
 }

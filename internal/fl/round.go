@@ -163,7 +163,7 @@ func (c *roundCore) emptyRound() {
 // commit advances the server version after an aggregation (info is the
 // event engine's flush, nil otherwise) and, on the evaluation cadence,
 // records the RoundStat every consumer sees: the method's metrics, then the
-// probes' readings merged beside them, then history, gauges and the hook.
+// probes' readings merged beside them, then history and the hook.
 func (c *roundCore) commit(info *AsyncInfo) {
 	c.version++
 	c.mx.Rounds.Inc()
@@ -195,14 +195,6 @@ func (c *roundCore) commit(info *AsyncInfo) {
 		probe(net, stat.Metrics)
 	}
 	c.hist.Stats = append(c.hist.Stats, stat)
-	c.mx.TestAcc.Set(acc)
-	c.mx.TrainLoss.Set(c.trainLoss)
-	if stat.Shot != nil {
-		c.mx.ShotHead.Set(stat.Shot.Head)
-		c.mx.ShotMedium.Set(stat.Shot.Medium)
-		c.mx.ShotTail.Set(stat.Shot.Tail)
-	}
-	c.mx.ReportDiag(stat.Metrics)
 	if c.onRound != nil {
 		c.onRound(stat)
 	}

@@ -115,13 +115,19 @@ func canonicalResult(t *testing.T, raw []byte) string {
 // runner) to the given coordinator URL.
 func startTestWorker(t *testing.T, url string) {
 	t.Helper()
-	w, err := dispatch.NewWorker(dispatch.WorkerConfig{
+	startWorker(t, dispatch.WorkerConfig{
 		Coordinator: url,
 		Runner:      sweep.DispatchRunner(sweep.NewEnvCache(0)),
 		Slots:       1,
 		PollWait:    200 * time.Millisecond,
-		Logf:        t.Logf,
 	})
+}
+
+// startWorker runs a dispatch worker configured by cfg until the test ends.
+func startWorker(t *testing.T, cfg dispatch.WorkerConfig) {
+	t.Helper()
+	cfg.Logf = t.Logf
+	w, err := dispatch.NewWorker(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	// The cell carries the collapse probe: its readings are ordinary per-round
-	// metrics, so they reach the served history and the diag gauges with no
-	// series code of their own.
+	// metrics, so they reach the served history with no series code of their
+	// own. They are per-run readings, so no /metrics series carries them.
 	spec := tinySpec()
 	spec.Probes = []string{"collapse"}
 	_, first := postSpec(t, ts, spec)
@@ -84,14 +84,12 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	}
 	// Gauges and runtime series that must at least be present in the scrape.
 	for _, name := range []string{
-		"fedwcm_serve_runs_active",               // serve: gauge
-		"fedwcm_serve_sweeps_tracked",            // serve: gauge
-		"fedwcm_dispatch_queue_depth",            // dispatch: gauge
-		"fedwcm_envcache_entries",                // sweep env cache: gauge
-		"fedwcm_fl_test_acc",                     // fl engine: gauge
-		`fedwcm_fl_diag{metric="concentration"}`, // fl engine: probe reading
-		"fedwcm_go_goroutines",                   // runtime
-		"fedwcm_go_heap_bytes",                   // runtime
+		"fedwcm_serve_runs_active",    // serve: gauge
+		"fedwcm_serve_sweeps_tracked", // serve: gauge
+		"fedwcm_dispatch_queue_depth", // dispatch: gauge
+		"fedwcm_envcache_entries",     // sweep env cache: gauge
+		"fedwcm_go_goroutines",        // runtime
+		"fedwcm_go_heap_bytes",        // runtime
 	} {
 		if _, ok := series[name]; !ok {
 			t.Errorf("scrape is missing %s", name)

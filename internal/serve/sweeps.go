@@ -54,12 +54,14 @@ type sweepCellState struct {
 }
 
 // sweepCellRow is one cell as the API shows it: a row of the status listing,
-// and the payload of the SSE "cell" event once the cell is terminal.
+// and the payload of the SSE "cell" event once the cell is terminal. Only a
+// running row carries Latest: its job's newest evaluation.
 type sweepCellRow struct {
-	ID     string     `json:"id"`
-	Axes   sweep.Axes `json:"axes"`
-	Status string     `json:"status"`
-	Error  string     `json:"error,omitempty"`
+	ID     string        `json:"id"`
+	Axes   sweep.Axes    `json:"axes"`
+	Status string        `json:"status"`
+	Error  string        `json:"error,omitempty"`
+	Latest *fl.RoundStat `json:"latest,omitempty"`
 }
 
 // finishCell records a cell's terminal state and publishes the event; the
@@ -167,7 +169,7 @@ func (s *Server) dispatchStats() *dispatch.CoordinatorStats {
 // summary builds the status view; withCells includes the per-cell listing.
 // Counts and the overall status come from one snapshot under sw.mu, so a
 // "done" response can never list a cell as still running. (Taking sw.mu
-// before a job handle's lock matches the lock order everywhere else.)
+// before a job handle's or its feed's lock matches the lock order.)
 func (sw *sweepRun) summary(withCells bool) sweepSummary {
 	out := sweepSummary{
 		ID:     sw.id,
@@ -188,9 +190,13 @@ func (sw *sweepRun) summary(withCells bool) sweepSummary {
 		}
 		out.Counts[status]++
 		if withCells {
-			out.Cells = append(out.Cells, sweepCellRow{
-				ID: sw.cells[i].ID, Axes: sw.cells[i].Axes, Status: status, Error: errMsg,
-			})
+			row := sweepCellRow{ID: sw.cells[i].ID, Axes: sw.cells[i].Axes, Status: status, Error: errMsg}
+			if status == dispatch.StatusRunning {
+				if last, ok := st.live.Rounds().Last(); ok {
+					row.Latest = &last
+				}
+			}
+			out.Cells = append(out.Cells, row)
 		}
 	}
 	sw.mu.Unlock()

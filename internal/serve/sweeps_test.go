@@ -9,7 +9,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -545,5 +547,194 @@ func TestSweepEvictionKeepsLiveDropsOldestTerminal(t *testing.T) {
 	}
 	if len(s.sweeps) != maxSweepRecords+3 || len(s.sweepOrder) != len(s.sweeps) {
 		t.Fatalf("all live: %d records, %d ordered; want %d of each", len(s.sweeps), len(s.sweepOrder), maxSweepRecords+3)
+	}
+}
+
+// roundGate wraps a dispatch.Runner so that the jobs it names hold still
+// after their first evaluation: first[id] closes once that evaluation has
+// been handed to onRound, and the run resumes when release closes (or its
+// context ends). Other jobs run through untouched.
+type roundGate struct {
+	first   map[string]chan struct{}
+	release chan struct{}
+}
+
+func newRoundGate(ids ...string) *roundGate {
+	g := &roundGate{first: make(map[string]chan struct{}), release: make(chan struct{})}
+	for _, id := range ids {
+		g.first[id] = make(chan struct{})
+	}
+	return g
+}
+
+func (g *roundGate) wrap(run dispatch.Runner) dispatch.Runner {
+	return func(ctx context.Context, job dispatch.Job, onRound func(fl.RoundStat)) (*fl.History, error) {
+		first, gated := g.first[job.ID]
+		if !gated {
+			return run(ctx, job, onRound)
+		}
+		held := false
+		return run(ctx, job, func(st fl.RoundStat) {
+			onRound(st)
+			if !held {
+				held = true
+				close(first)
+				select {
+				case <-g.release:
+				case <-ctx.Done():
+				}
+			}
+		})
+	}
+}
+
+// firstRoundEvent reads the first SSE "round" event of run id.
+func firstRoundEvent(t *testing.T, ts *httptest.Server, id string) fl.RoundStat {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/runs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("events for %.12s: HTTP %d", id, resp.StatusCode)
+	}
+	ev := readSSE(t, bufio.NewReader(resp.Body))
+	if ev.name != "round" {
+		t.Fatalf("first event of %.12s is %q, want round", id, ev.name)
+	}
+	var st fl.RoundStat
+	if err := json.Unmarshal([]byte(ev.data), &st); err != nil {
+		t.Fatalf("round payload %q: %v", ev.data, err)
+	}
+	return st
+}
+
+// TestSweepStatusCarriesEachRunningCellsLatest: two cells of one grid train
+// at once — fedcm at IF = 1, fedwcm at IF = 0.01, both probed for collapse —
+// and the sweep status shows each running row its own latest evaluation,
+// the one its run's event stream delivered: FedWCM's alpha on the fedwcm
+// row, no alpha on the fedcm row, each its own concentration. No cached,
+// done or queued row carries one. It holds on the local backend and through
+// a coordinator, where the rounds arrive by worker heartbeat.
+func TestSweepStatusCarriesEachRunningCellsLatest(t *testing.T) {
+	sp := sweep.Spec{
+		Methods: []string{"fedavg", "fedcm", "fedwcm"},
+		IFs:     []float64{1, 0.01},
+		Clients: []int{4},
+		Model:   "mlp",
+		Probes:  []string{"collapse"},
+		Rounds:  4,
+		Effort:  0.05,
+	}
+	cells, err := sp.ExpandValidated()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cellOf := func(method string, imb float64) string {
+		for _, c := range cells {
+			if c.Axes.Method == method && c.Axes.IF == imb {
+				return c.ID
+			}
+		}
+		t.Fatalf("no %s cell at IF %g", method, imb)
+		return ""
+	}
+	fedcm, fedwcm := cellOf("fedcm", 1), cellOf("fedwcm", 0.01)
+	cached := map[string]bool{cellOf("fedcm", 0.01): true, cellOf("fedwcm", 1): true}
+
+	for _, topology := range []string{"local", "coordinator"} {
+		t.Run(topology, func(t *testing.T) {
+			st, err := store.Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := range cached {
+				if err := st.Put(id, &fl.History{Stats: []fl.RoundStat{{Round: 4, TestAcc: 0.3}}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Two slots, both held by the gated cells once they evaluate, so
+			// every other cell is cached, done or still queued by then.
+			gate := newRoundGate(fedcm, fedwcm)
+			runner := gate.wrap(sweep.DispatchRunner(sweep.NewEnvCache(0)))
+			var ts *httptest.Server
+			if topology == "local" {
+				local, err := dispatch.NewLocal(dispatch.LocalConfig{Runner: runner, Workers: 2, Store: st, Logf: t.Logf})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, ts = newTestServer(t, Config{Store: st, Executor: local})
+			} else {
+				coord, err := dispatch.NewCoordinator(dispatch.CoordinatorConfig{
+					Store: st, LeaseTTL: 30 * time.Second, Logf: t.Logf,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, ts = newTestServer(t, Config{Store: st, Executor: coord})
+				startWorker(t, dispatch.WorkerConfig{
+					Coordinator: ts.URL, Runner: runner, Slots: 2,
+					PollWait: 200 * time.Millisecond, HeartbeatEvery: 10 * time.Millisecond,
+				})
+			}
+			release := sync.OnceFunc(func() { close(gate.release) })
+			defer release() // before the server's cleanup closes it
+
+			code, sum := postSweep(t, ts, sp)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit: HTTP %d", code)
+			}
+			events := make(map[string]fl.RoundStat)
+			for _, id := range []string{fedcm, fedwcm} {
+				<-gate.first[id] // submitted, and its first evaluation reported
+				events[id] = firstRoundEvent(t, ts, id)
+			}
+
+			_, status := getSweep(t, ts, sum.ID)
+			if len(status.Cells) != len(cells) {
+				t.Fatalf("status lists %d cells, want %d", len(status.Cells), len(cells))
+			}
+			for _, row := range status.Cells {
+				ev, gated := events[row.ID]
+				switch {
+				case gated:
+					if row.Status != dispatch.StatusRunning || row.Latest == nil {
+						t.Fatalf("%s at IF %g: status %s, latest %v; want running with its latest evaluation",
+							row.Axes.Method, row.Axes.IF, row.Status, row.Latest)
+					}
+					// Its own event, so fedwcm's alpha and each row's
+					// concentration are the cell's and no other's.
+					if !reflect.DeepEqual(*row.Latest, ev) {
+						t.Errorf("%s at IF %g: latest %+v, its SSE round event %+v", row.Axes.Method, row.Axes.IF, *row.Latest, ev)
+					}
+					_, alpha := row.Latest.Metrics["alpha"]
+					if alpha != (row.Axes.Method == "fedwcm") || row.Latest.Metrics["concentration"] < 1 {
+						t.Errorf("%s at IF %g: metrics %v; want concentration >= 1, and alpha only on fedwcm",
+							row.Axes.Method, row.Axes.IF, row.Latest.Metrics)
+					}
+				case cached[row.ID]:
+					if row.Status != StatusCached || row.Latest != nil {
+						t.Errorf("pre-stored cell %s at IF %g: status %s, latest %v; want cached, no latest",
+							row.Axes.Method, row.Axes.IF, row.Status, row.Latest)
+					}
+				default:
+					if (row.Status != StatusDone && row.Status != StatusQueued) || row.Latest != nil {
+						t.Errorf("%s at IF %g: status %s, latest %v; want done or queued, no latest",
+							row.Axes.Method, row.Axes.IF, row.Status, row.Latest)
+					}
+				}
+			}
+			release()
+			done := waitSweepDone(t, ts, sum.ID)
+			if done.Status != StatusDone {
+				t.Fatalf("sweep finished %s", done.Status)
+			}
+			for _, row := range done.Cells {
+				if row.Latest != nil {
+					t.Errorf("%s at IF %g is %s and still carries latest", row.Axes.Method, row.Axes.IF, row.Status)
+				}
+			}
+		})
 	}
 }
