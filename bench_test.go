@@ -165,24 +165,27 @@ func BenchmarkResNetLiteForward(b *testing.B) {
 	}
 }
 
-// BenchmarkResNetLiteTrainStep measures a full CNN forward+backward+step.
+// BenchmarkResNetLiteTrainStep measures a CNN training step as
+// fl.RunLocalSGD takes it: forward, loss gradient, BackwardParams (no input
+// gradient for the stem) and the SGD step, on a full 50-row local batch.
 func BenchmarkResNetLiteTrainStep(b *testing.B) {
+	const rows = 50
 	net := nn.NewResNetLite(1, 3, 12, 12, 10, 8)
-	x := tensor.NewDense(32, 3*12*12)
+	x := tensor.NewDense(rows, 3*12*12)
 	r := xrand.New(2)
 	r.FillNorm(x.Data, 0, 1)
-	labels := make([]int, 32)
+	labels := make([]int, rows)
 	for i := range labels {
 		labels[i] = r.Intn(10)
 	}
+	dl := tensor.NewDense(rows, 10)
 	ce := loss.CrossEntropy{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.ZeroGrad()
-		logits := net.Forward(x, true)
-		_, dl := ce.LossAndGrad(logits, labels)
-		net.Backward(dl)
+		ce.LossAndGradInto(dl, net.Forward(x, true), labels)
+		net.BackwardParams(dl)
 		net.Step(0.1)
 	}
 }

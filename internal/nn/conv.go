@@ -19,11 +19,13 @@ type Conv2D struct {
 
 	// The layer does not cache one im2col matrix per sample for Backward
 	// (≈ k·p floats each, a working set that dwarfs L2 for real
-	// geometries); Backward recomputes it from the cached input, which is
-	// cheap next to the matmuls it feeds and identical by construction.
+	// geometries). With shifted taps Backward needs none: each tap's dW
+	// rows multiply the sample's channels where they lie. The strided
+	// geometry rebuilds the matrix from the cached input, which is cheap
+	// next to the matmuls it feeds and identical by construction.
 	sc convScratch
 
-	taps     []shiftedTap  // non-nil selects the shifted-copy im2col/col2im
+	taps     []shiftedTap  // non-nil selects the shifted-copy im2col and backwardTaps
 	wview    *tensor.Dense // Wt.Data viewed as OutC×(InC·KH·KW)
 	fwd, bwd workspace
 }
@@ -33,14 +35,23 @@ type Conv2D struct {
 // workspaces: the k×p im2col matrix and an OutC×p header that is re-pointed
 // at each sample's row of the batch output (or of dOut), so no per-sample
 // Dense is allocated; then, from the first Backward on, the backward
-// products and one half's dW/dB partial sums.
+// products and one half's dW/dB partial sums. dW is summed in the k×OutC
+// layout its product comes out in, so each sample's add is one AddVec; the
+// half's sum is transposed into Wt.Grad's OutC×k once.
 type convScratch struct {
 	cols   *tensor.Dense
 	seg    tensor.Dense
-	dcols  *tensor.Dense // k×p: Wᵀ·dOut before col2im
-	dwT    *tensor.Dense // k×OutC: one sample's dWᵀ
-	dwPart []float64     // OutC×k
+	dwT    *tensor.Dense // k×OutC: one sample's dWᵀ, then the half's dW
+	dwPart []float64     // k×OutC: the half's dWᵀ
 	dbPart []float64
+
+	// shifted taps only
+	doutT  []float64 // p×OutC: one sample's dOutᵀ
+	masked []float64 // (KW-1)×InC·p: the sample per kx ≠ Pad, wrapped columns zeroed
+	dtap   []float64 // InC×p: one tap's Wᵀ·dOut before it is added into dx
+
+	// strided geometry only
+	dcols *tensor.Dense // k×p: Wᵀ·dOut before col2im
 }
 
 // NewConv2D creates a convolution layer with He initialisation.
@@ -83,16 +94,6 @@ func (l *Conv2D) im2col(img []float64, cols *tensor.Dense) {
 	}
 }
 
-// col2im scatter-adds a (K × P) gradient matrix back into one sample's
-// flattened image gradient. The shifted path zeroes entries of cols.
-func (l *Conv2D) col2im(cols *tensor.Dense, dimg []float64) {
-	if l.taps != nil {
-		l.col2imShifted(cols, dimg)
-	} else {
-		l.col2imGeneral(cols, dimg)
-	}
-}
-
 // shiftedTap describes kernel tap (dy, dx) = (ky-Pad, kx-Pad) of a same-size
 // convolution, where output pixel pi reads input pixel pi+shift of the same
 // channel. [lo, hi) is the part of the flat pixel range whose input row
@@ -109,10 +110,10 @@ type shiftedTap struct {
 // output pixel sits on the input pixel of the same index (stride 1, output
 // as large as the input — five of ResNetLite's six convolutions), and nil
 // otherwise. With taps, row (c, ky, kx) of the im2col matrix is channel c
-// moved by a constant offset, so im2col/col2im move whole rows instead of
-// testing bounds per element. The strided downsampling convolution keeps
-// the general loops, which are also the reference the shifted path is
-// tested against bit for bit.
+// moved by a constant offset, so im2col moves whole rows instead of testing
+// bounds per element and Backward reads the rows in place (backwardTaps).
+// The strided downsampling convolution keeps the general loops, which are
+// also the reference the shifted path is tested against bit for bit.
 func (l *Conv2D) shiftedTaps() []shiftedTap {
 	if l.Stride != 1 || l.OutH != l.H || l.OutW != l.W {
 		return nil
@@ -141,8 +142,8 @@ func (l *Conv2D) shiftedTaps() []shiftedTap {
 	return taps
 }
 
-// zeroWrapped clears the entries of one cols row that the shift carried in
-// from the neighbouring image row.
+// zeroWrapped clears the entries of one cols (or dtap) row that the shift
+// carried in from the neighbouring image row.
 func (t *shiftedTap) zeroWrapped(row []float64, w int) {
 	for ox := t.oxLo; ox < t.oxHi; ox++ {
 		for i := t.oyLo*w + ox; i < t.oyHi*w; i += w {
@@ -170,23 +171,32 @@ func (l *Conv2D) im2colShifted(img []float64, cols *tensor.Dense) {
 	}
 }
 
-// col2imShifted is col2im for same-size geometry: zero the wrapped entries
-// of each cols row, then add the row to the channel at its shift in one
-// AddVec. Each pixel still receives its taps in ascending (ky, kx) order;
-// where col2imGeneral skips a tap this path adds +0, and a sum that starts
-// at +0 (dimg is zeroed) can never be -0, so the extra term changes no bit
-// — the argument tensor/gemm.go makes for its zero products.
-func (l *Conv2D) col2imShifted(cols *tensor.Dense, dimg []float64) {
-	p := l.H * l.W
-	for c := 0; c < l.InC; c++ {
-		ch := dimg[c*p : (c+1)*p]
-		for ti := range l.taps {
-			t := &l.taps[ti]
-			row := cols.Data[(c*len(l.taps)+ti)*p:][:p]
-			t.zeroWrapped(row, l.W)
-			tensor.AddVec(ch[t.lo+t.shift:t.hi+t.shift], row[t.lo:t.hi])
+// maskWrapped fills dst with the sample xs and zeroes, in every image row,
+// the columns a tap with column offset dx ≠ 0 reads only across a row edge:
+// the last -dx columns for dx < 0, the first dx for dx > 0. Every other
+// read of such a tap stays inside its row, so the copy serves all taps
+// with this dx.
+func (l *Conv2D) maskWrapped(dst, xs []float64, dx int) {
+	copy(dst, xs)
+	c0, c1 := max(0, l.W+dx), l.W
+	if dx > 0 {
+		c0, c1 = 0, min(l.W, dx)
+	}
+	for r := 0; r < len(dst); r += l.W {
+		for i := r + c0; i < r+c1; i++ {
+			dst[i] = 0
 		}
 	}
+}
+
+// maskedCopy is the part of sc.masked that holds the sample for the taps in
+// kernel column kx ≠ Pad.
+func (l *Conv2D) maskedCopy(kx int) []float64 {
+	if kx > l.Pad {
+		kx--
+	}
+	n := l.InC * l.H * l.W
+	return l.sc.masked[kx*n : (kx+1)*n]
 }
 
 // im2colGeneral is im2col for any geometry: one bounds test per element.
@@ -286,7 +296,8 @@ func (l *Conv2D) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 func (l *Conv2D) Backward(dout *tensor.Dense) *tensor.Dense { return l.backward(dout, true) }
 
 // backwardParams accumulates weight/bias gradients only: the same pass
-// with the Wᵀ·dOut product, col2im and the zeroed dx workspace skipped.
+// with the Wᵀ·dOut products, their scatter into dx and the zeroed dx
+// workspace skipped.
 func (l *Conv2D) backwardParams(dout *tensor.Dense) { l.backward(dout, false) }
 
 // backward is the one pass behind Backward and backwardParams; without
@@ -304,53 +315,130 @@ func (l *Conv2D) backward(dout *tensor.Dense, wantDx bool) *tensor.Dense {
 	n := l.x.R
 	var dx *tensor.Dense
 	if wantDx {
-		dx = l.bwd.getZeroed(n, l.x.C) // col2im scatter-adds: must start clean
+		dx = l.bwd.getZeroed(n, l.x.C) // the taps scatter-add: must start clean
 	}
 	sc := &l.sc
-	if sc.dcols == nil {
-		k := l.InC * l.KH * l.KW
-		sc.dcols = tensor.NewDense(k, l.OutH*l.OutW)
+	k, p := l.InC*l.KH*l.KW, l.OutH*l.OutW
+	if sc.dwT == nil {
 		sc.dwT = tensor.NewDense(k, l.OutC)
 		sc.dwPart = make([]float64, len(l.Wt.Data))
 		sc.dbPart = make([]float64, len(l.B.Data))
+		if l.taps != nil {
+			sc.doutT = make([]float64, p*l.OutC)
+			sc.masked = make([]float64, (l.KW-1)*l.InC*p)
+			sc.dtap = make([]float64, l.InC*p)
+		} else {
+			sc.dcols = tensor.NewDense(k, p)
+		}
 	}
 	mid := (n + 1) / 2
 	for h := 0; h < min(2, n); h++ { // a one-sample batch has no second half
 		l.backwardHalf(dout, dx, h*mid, min(n, (h+1)*mid))
-		tensor.AddVec(l.Wt.Grad, sc.dwPart)
+		tensor.TransposeInto(sc.dwT.Data, sc.dwPart, k, l.OutC)
+		tensor.AddVec(l.Wt.Grad, sc.dwT.Data)
 		tensor.AddVec(l.B.Grad, sc.dbPart)
 	}
 	return dx
 }
 
 // backwardHalf runs samples [lo, hi) of the batch through the backward
-// products, leaving their dW/dB sums in the scratch partials and, unless dx
-// is nil, their input gradients in dx.
+// products, leaving their dWᵀ/dB sums in the scratch partials and, unless
+// dx is nil, their input gradients in dx.
 func (l *Conv2D) backwardHalf(dout, dx *tensor.Dense, lo, hi int) {
 	sc := &l.sc
-	k := l.InC * l.KH * l.KW
+	p := l.OutH * l.OutW
 	tensor.Zero(sc.dwPart)
-	tensor.Zero(sc.dbPart)
 	for s := lo; s < hi; s++ {
-		sc.seg.Data = dout.Row(s)
-		l.im2col(l.x.Row(s), sc.cols)
-		// dW += dOut·colsᵀ, computed as (cols·dOutᵀ)ᵀ: MatMulBTInto packs
-		// its second operand, and dOut is k/OutC times smaller than cols.
-		// Each element is the same ascending-p sum of the same products.
-		tensor.MatMulBTInto(sc.dwT, sc.cols, &sc.seg)
-		for oc := 0; oc < l.OutC; oc++ {
-			dw := sc.dwPart[oc*k : (oc+1)*k]
-			for i := range dw {
-				dw[i] += sc.dwT.Data[i*l.OutC+oc]
-			}
-			sc.dbPart[oc] += tensor.Sum(sc.seg.Row(oc))
+		ds := dout.Row(s)
+		var dxs []float64
+		if dx != nil {
+			dxs = dx.Row(s)
 		}
-		if dx == nil {
+		if l.taps != nil {
+			l.backwardTaps(l.x.Row(s), ds, dxs)
+		} else {
+			l.backwardGeneral(l.x.Row(s), ds, dxs)
+		}
+		tensor.AddVec(sc.dwPart, sc.dwT.Data)
+	}
+	// dB: per output channel, each sample's Σ_p added in ascending s to a
+	// zeroed partial.
+	half := tensor.Dense{R: hi - lo, C: dout.C, Data: dout.Data[lo*dout.C : hi*dout.C]}
+	channelSums(sc.dbPart, &half, p)
+}
+
+// backwardGeneral leaves sample xs's dWᵀ in sc.dwT and, unless dxs is nil,
+// adds its input gradient into dxs, through the im2col matrix.
+func (l *Conv2D) backwardGeneral(xs, ds, dxs []float64) {
+	sc := &l.sc
+	sc.seg.Data = ds
+	l.im2colGeneral(xs, sc.cols)
+	// dWᵀ = cols·dOutᵀ: MatMulBTInto packs its second operand, and dOut is
+	// k/OutC times smaller than cols. Each element is the ascending-p sum
+	// of the products dW = dOut·colsᵀ would form.
+	tensor.MatMulBTInto(sc.dwT, sc.cols, &sc.seg)
+	if dxs == nil {
+		return
+	}
+	// dcols = Wᵀ·dOut, scattered back to image space
+	tensor.MatMulATInto(sc.dcols, l.wview, &sc.seg)
+	l.col2imGeneral(sc.dcols, dxs)
+}
+
+// backwardTaps is backwardGeneral for shifted taps, without the im2col
+// matrix; see DESIGN.md "Convolution data movement" for why every bit is
+// the same.
+//
+// dWᵀ: row (c, tap) of cols is channel c at offset lo+shift over [lo, hi)
+// and zero elsewhere, so the tap's InC rows are one strided product of the
+// sample's channels (lda = p) with dOutᵀ's rows [lo, hi). Products outside
+// [lo, hi) are ±0 and skipped: a sum that starts at +0 never becomes −0,
+// so adding them would change no bit. A read that wraps into the
+// neighbouring image row meets the zero a masked copy of the sample holds
+// there, as cols held it.
+//
+// dx: per tap, the InC×p slice Wᵀ_tap·dOut (the tap's column of the
+// weights, read in place) has its wrapped entries zeroed and is added into
+// each channel at its shift, as col2im added the tap's rows of dcols. Taps
+// run in ascending order, so every pixel receives them in that order.
+func (l *Conv2D) backwardTaps(xs, ds, dxs []float64) {
+	sc := &l.sc
+	p, kk, k := l.H*l.W, len(l.taps), l.InC*l.KH*l.KW
+	tensor.TransposeInto(sc.doutT, ds, l.OutC, p)
+	for kx := 0; kx < l.KW; kx++ {
+		if kx != l.Pad {
+			l.maskWrapped(l.maskedCopy(kx), xs, kx-l.Pad)
+		}
+	}
+	dwT := sc.dwT.Data
+	tensor.Zero(dwT)
+	for ti := range l.taps {
+		t := &l.taps[ti]
+		if t.lo == t.hi {
 			continue
 		}
-		// dcols = Wᵀ·dOut, scattered back to image space
-		tensor.MatMulATInto(sc.dcols, l.wview, &sc.seg)
-		l.col2im(sc.dcols, dx.Row(s))
+		src := xs
+		if kx := ti % l.KW; kx != l.Pad {
+			src = l.maskedCopy(kx)
+		}
+		tensor.GemmAcc(dwT[ti*l.OutC:], kk*l.OutC, src[t.lo+t.shift:], p, 1,
+			sc.doutT[t.lo*l.OutC:], l.OutC, l.InC, t.hi-t.lo, l.OutC)
+	}
+	if dxs == nil {
+		return
+	}
+	for ti := range l.taps {
+		t := &l.taps[ti]
+		if t.lo == t.hi {
+			continue
+		}
+		tensor.Zero(sc.dtap)
+		tensor.GemmAcc(sc.dtap, p, l.Wt.Data[ti:], kk, k, ds, p, l.InC, l.OutC, p)
+		for c := 0; c < l.InC; c++ {
+			row := sc.dtap[c*p:][:p]
+			t.zeroWrapped(row, l.W)
+			tensor.AddVec(dxs[c*p+t.lo+t.shift:c*p+t.hi+t.shift], row[t.lo:t.hi])
+		}
 	}
 }
 

@@ -40,9 +40,11 @@ func sameBits(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// TestConvShiftedMatchesGeneral holds the shifted-copy im2col/col2im to the
+// TestConvShiftedMatchesGeneral holds the shifted-copy im2col to the
 // general loops bit for bit, on kernels up to 5×5 and on images narrower
-// than the kernel's reach (where a shift skips whole rows).
+// than the kernel's reach (where a shift skips whole rows). The shifted
+// backward, which builds no im2col matrix, is held to the general loops by
+// TestConvBackwardMatchesReference.
 func TestConvShiftedMatchesGeneral(t *testing.T) {
 	for _, k := range []int{1, 3, 5} {
 		for _, hw := range [][2]int{{5, 7}, {7, 4}, {2, 3}, {1, 6}, {6, 1}, {12, 11}} {
@@ -60,12 +62,6 @@ func TestConvShiftedMatchesGeneral(t *testing.T) {
 			l.im2colShifted(img, got)
 			l.im2colGeneral(img, want)
 			sameBits(t, name+" im2col", got.Data, want.Data)
-
-			dcols := randSigned(uint64(20*k+w), rows, p)
-			dgot, dwant := make([]float64, l.InC*p), make([]float64, l.InC*p)
-			l.col2imGeneral(dcols, dwant)
-			l.col2imShifted(dcols, dgot) // last: it zeroes entries of dcols
-			sameBits(t, name+" col2im", dgot, dwant)
 		}
 	}
 }
@@ -105,7 +101,11 @@ func refConvBackward(l *Conv2D, x, dout *tensor.Dense) (dw, db []float64, dx *te
 
 // convGeometries: a same-size convolution (shifted path), a strided one
 // (general path) and ResNetLite's own stage-2 body conv, whose 36-column
-// products run the 4×4 remainder tile.
+// products run the 4×4 remainder tile. Then the shifted taps as ResNetLite
+// meets them at 12×12 — its stem, whose three input channels send every
+// tap's dW product through the padded tail strip, and its stage-1 body
+// conv — and a 5×5 kernel on images so small that some taps lie wholly
+// outside and others wrap by more than one column.
 var convGeometries = []struct {
 	name                            string
 	inC, h, w, outC, k, stride, pad int
@@ -113,12 +113,22 @@ var convGeometries = []struct {
 	{"same-size", 3, 6, 5, 4, 3, 1, 1},
 	{"stride-2", 3, 7, 6, 5, 3, 2, 1},
 	{"resnetlite-6x6", 16, 6, 6, 16, 3, 1, 1},
+	{"resnetlite-stem", 3, 12, 12, 8, 3, 1, 1},
+	{"resnetlite-12x12", 8, 12, 12, 8, 3, 1, 1},
+	{"5x5-on-6x1", 2, 6, 1, 3, 5, 1, 2},
+	{"5x5-on-2x3", 2, 2, 3, 3, 5, 1, 2},
 }
 
+// TestConvBackwardMatchesReference holds Backward (dW, dB and dx) and
+// backwardParams (dW and dB) to refConvBackward bit for bit, on inputs
+// with ±0, for batches from one sample to a full 50-row local batch.
 func TestConvBackwardMatchesReference(t *testing.T) {
 	for _, g := range convGeometries {
-		for _, n := range []int{1, 2, 5, 8} {
-			l := NewConv2D(xrand.New(3), g.inC, g.h, g.w, g.outC, g.k, g.stride, g.pad)
+		for _, n := range []int{1, 2, 5, 8, 50} {
+			newLayer := func() *Conv2D {
+				return NewConv2D(xrand.New(3), g.inC, g.h, g.w, g.outC, g.k, g.stride, g.pad)
+			}
+			l := newLayer()
 			x, dout := randSigned(4, n, g.inC*g.h*g.w), randSigned(5, n, l.OutDim())
 			wantW, wantB, wantX := refConvBackward(l, x, dout)
 			l.Forward(x, true)
@@ -127,6 +137,12 @@ func TestConvBackwardMatchesReference(t *testing.T) {
 			sameBits(t, name+" dW", l.Wt.Grad, wantW)
 			sameBits(t, name+" dB", l.B.Grad, wantB)
 			sameBits(t, name+" dx", dx.Data, wantX.Data)
+
+			p := newLayer()
+			p.Forward(x, true)
+			p.backwardParams(dout)
+			sameBits(t, name+" backwardParams dW", p.Wt.Grad, wantW)
+			sameBits(t, name+" backwardParams dB", p.B.Grad, wantB)
 		}
 	}
 }

@@ -23,7 +23,8 @@ type BatchNorm struct {
 	nIn    int       // batch size of the cached forward
 	train  bool
 
-	// per-channel scratch for the Spatial==1 row-major fast path
+	// per-channel scratch: batch mean and squared deviations, the two
+	// backward sums, and (Spatial == 1) the dx constant γ·inv
 	mean, varv    []float64
 	sumD, sumDXmu []float64
 	kg            []float64
@@ -88,174 +89,242 @@ func (l *BatchNorm) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	l.nIn = n
 	l.train = train
 
-	if sp == 1 {
-		// Row-major fast path for the dense (per-feature) variant: each
-		// pass streams whole rows through the fused tensor kernels instead
-		// of striding per channel. Per-channel arithmetic — accumulation
-		// order over the batch, the mean/variance expressions, the running
-		// stat update, and the normalisation expression — is identical to
-		// the per-channel loop below, so outputs match bit for bit.
-		C := l.Channels
-		var mean []float64
-		if train {
-			mean = ensureVec(&l.mean, C)
+	// Two layouts, one arithmetic. Dense features (Spatial == 1) stream
+	// whole rows through the fused per-feature kernels; conv maps
+	// (Spatial == H·W) reduce each channel's runs of sp pixels four channels
+	// at a time (channelSums, bnSqDev) and normalise each run on a row kernel
+	// with the channel's constants broadcast. Per channel, the accumulation
+	// order over the batch, the mean/variance expressions, the running-stat
+	// update and the normalisation expression are the same in both, and the
+	// same as the per-channel loops the layer was first written with, so
+	// outputs match those bit for bit.
+	C := l.Channels
+	var mean []float64
+	if train {
+		mean = ensureVec(&l.mean, C)
+		sq := ensureVec(&l.varv, C)
+		if sp == 1 {
 			tensor.Zero(mean)
 			for s := 0; s < n; s++ {
 				tensor.AddVec(mean, x.Row(s))
 			}
-			for c := range mean {
-				mean[c] /= m
-			}
-			sq := ensureVec(&l.varv, C)
+		} else {
+			channelSums(mean, x, sp)
+		}
+		for c := range mean {
+			mean[c] /= m
+		}
+		if sp == 1 {
 			tensor.Zero(sq)
 			for s := 0; s < n; s++ {
 				tensor.BNVarAccum(sq, x.Row(s), mean)
 			}
-			for c := 0; c < C; c++ {
-				variance := sq[c] / m
-				l.RunMean.Data[c] = float64((1-l.Momentum)*l.RunMean.Data[c]) + float64(l.Momentum*mean[c])
-				l.RunVar.Data[c] = float64((1-l.Momentum)*l.RunVar.Data[c]) + float64(l.Momentum*variance)
-				l.invstd[c] = 1 / math.Sqrt(variance+l.Eps)
-			}
 		} else {
-			mean = l.RunMean.Data
-			for c := 0; c < C; c++ {
-				l.invstd[c] = 1 / math.Sqrt(l.RunVar.Data[c]+l.Eps)
-			}
+			bnSqDev(sq, x, mean, sp)
 		}
-		for s := 0; s < n; s++ {
-			off := s * C
+		for c := 0; c < C; c++ {
+			variance := sq[c] / m
+			l.RunMean.Data[c] = float64((1-l.Momentum)*l.RunMean.Data[c]) + float64(l.Momentum*mean[c])
+			l.RunVar.Data[c] = float64((1-l.Momentum)*l.RunVar.Data[c]) + float64(l.Momentum*variance)
+			l.invstd[c] = 1 / math.Sqrt(variance+l.Eps)
+		}
+	} else {
+		mean = l.RunMean.Data
+		for c := 0; c < C; c++ {
+			l.invstd[c] = 1 / math.Sqrt(l.RunVar.Data[c]+l.Eps)
+		}
+	}
+	for s := 0; s < n; s++ {
+		off := s * x.C
+		if sp == 1 {
 			tensor.BNNormInto(out.Data[off:off+C], l.xmu[off:off+C], x.Row(s),
 				mean, l.Gamma.Data, l.Beta.Data, l.invstd)
+			continue
 		}
-		return out
-	}
-
-	for c := 0; c < l.Channels; c++ {
-		var mean, variance float64
-		if train {
-			sum := 0.0
-			for s := 0; s < n; s++ {
-				seg := x.Row(s)[c*sp : (c+1)*sp]
-				sum += tensor.Sum(seg)
-			}
-			mean = sum / m
-			sq := 0.0
-			for s := 0; s < n; s++ {
-				seg := x.Row(s)[c*sp : (c+1)*sp]
-				for _, v := range seg {
-					d := v - mean
-					sq += float64(d * d)
-				}
-			}
-			variance = sq / m
-			l.RunMean.Data[c] = float64((1-l.Momentum)*l.RunMean.Data[c]) + float64(l.Momentum*mean)
-			l.RunVar.Data[c] = float64((1-l.Momentum)*l.RunVar.Data[c]) + float64(l.Momentum*variance)
-		} else {
-			mean = l.RunMean.Data[c]
-			variance = l.RunVar.Data[c]
-		}
-		inv := 1 / math.Sqrt(variance+l.Eps)
-		l.invstd[c] = inv
-		g, b := l.Gamma.Data[c], l.Beta.Data[c]
-		for s := 0; s < n; s++ {
-			off := s*x.C + c*sp
-			for j := 0; j < sp; j++ {
-				d := x.Data[off+j] - mean
-				l.xmu[off+j] = d
-				out.Data[off+j] = float64(g*d*inv) + b
-			}
+		for c := 0; c < C; c++ {
+			o := off + c*sp
+			tensor.BNNormScalarInto(out.Data[o:o+sp], l.xmu[o:o+sp], x.Data[o:o+sp],
+				mean[c], l.Gamma.Data[c], l.Beta.Data[c], l.invstd[c])
 		}
 	}
 	return out
 }
 
+// channelSums leaves in sum[c] channel c's Σₛ(Σⱼ x[s][c·sp+j]): each inner
+// sum a chain from +0 (tensor.Sum's), added to the channel's total in
+// ascending s — BatchNorm's batch mean before the division, and Conv2D's
+// dB over half a batch. Channels go four at a time so the independent
+// chains overlap; each channel's own order is that of the one-channel
+// loop, which takes the remainder.
+func channelSums(sum []float64, x *tensor.Dense, sp int) {
+	C, n := len(sum), x.R
+	c := 0
+	for ; c+4 <= C; c += 4 {
+		var t0, t1, t2, t3 float64
+		for s := 0; s < n; s++ {
+			a0, a1, a2, a3 := quad(x.Row(s)[c*sp:], sp)
+			var s0, s1, s2, s3 float64
+			for j := range a0 {
+				s0 += a0[j]
+				s1 += a1[j]
+				s2 += a2[j]
+				s3 += a3[j]
+			}
+			t0, t1, t2, t3 = t0+s0, t1+s1, t2+s2, t3+s3
+		}
+		sum[c], sum[c+1], sum[c+2], sum[c+3] = t0, t1, t2, t3
+	}
+	for ; c < C; c++ {
+		t := 0.0
+		for s := 0; s < n; s++ {
+			t += tensor.Sum(x.Row(s)[c*sp : (c+1)*sp])
+		}
+		sum[c] = t
+	}
+}
+
+// quad returns the four consecutive runs of sp elements at the start of v,
+// each resliced to the first's length so that indexing all four by one
+// range over the first needs no bounds checks.
+func quad(v []float64, sp int) (a0, a1, a2, a3 []float64) {
+	a0 = v[:sp]
+	return a0, v[sp:][:len(a0)], v[2*sp:][:len(a0)], v[3*sp:][:len(a0)]
+}
+
+// bnSqDev leaves in sq[c] channel c's one chain Σₛ Σⱼ (x − mean[c])²,
+// four channels at a time like channelSums.
+func bnSqDev(sq []float64, x *tensor.Dense, mean []float64, sp int) {
+	C, n := len(sq), x.R
+	c := 0
+	for ; c+4 <= C; c += 4 {
+		m0, m1, m2, m3 := mean[c], mean[c+1], mean[c+2], mean[c+3]
+		var q0, q1, q2, q3 float64
+		for s := 0; s < n; s++ {
+			a0, a1, a2, a3 := quad(x.Row(s)[c*sp:], sp)
+			for j := range a0 {
+				d0, d1, d2, d3 := a0[j]-m0, a1[j]-m1, a2[j]-m2, a3[j]-m3
+				q0 += float64(d0 * d0)
+				q1 += float64(d1 * d1)
+				q2 += float64(d2 * d2)
+				q3 += float64(d3 * d3)
+			}
+		}
+		sq[c], sq[c+1], sq[c+2], sq[c+3] = q0, q1, q2, q3
+	}
+	for ; c < C; c++ {
+		q := 0.0
+		for s := 0; s < n; s++ {
+			for _, v := range x.Row(s)[c*sp : (c+1)*sp] {
+				d := v - mean[c]
+				q += float64(d * d)
+			}
+		}
+		sq[c] = q
+	}
+}
+
 // Backward implements the standard batch-norm gradient. In inference mode
 // the statistics are constants, so the layer behaves as a per-channel
-// affine map.
+// affine map. The two layouts split as in Forward.
 func (l *BatchNorm) Backward(dout *tensor.Dense) *tensor.Dense {
 	n := l.nIn
 	sp := l.Spatial
 	m := float64(n * sp)
+	C := l.Channels
 	dx := l.bwd.get(n, dout.C)
 
+	sumD := ensureVec(&l.sumD, C)
+	sumDXmu := ensureVec(&l.sumDXmu, C)
 	if sp == 1 {
-		// Row-major mirror of the per-channel loop below; see Forward.
-		C := dout.C
-		sumD := ensureVec(&l.sumD, C)
-		sumDXmu := ensureVec(&l.sumDXmu, C)
 		tensor.Zero(sumD)
 		tensor.Zero(sumDXmu)
 		for s := 0; s < n; s++ {
 			off := s * C
 			tensor.BNBwdAccum(sumD, sumDXmu, dout.Row(s), l.xmu[off:off+C])
 		}
-		for c := 0; c < C; c++ {
-			l.Beta.Grad[c] += sumD[c]
-			l.Gamma.Grad[c] += float64(sumDXmu[c] * l.invstd[c])
-		}
-		if !l.train {
-			for s := 0; s < n; s++ {
-				off := s * C
-				for c := 0; c < C; c++ {
-					dx.Data[off+c] = dout.Data[off+c] * l.Gamma.Data[c] * l.invstd[c]
+	} else {
+		bnBwdSums(sumD, sumDXmu, dout, l.xmu, sp)
+	}
+	for c := 0; c < C; c++ {
+		l.Beta.Grad[c] += sumD[c]
+		l.Gamma.Grad[c] += float64(sumDXmu[c] * l.invstd[c])
+	}
+	if !l.train {
+		for s := 0; s < n; s++ {
+			for c := 0; c < C; c++ {
+				g, inv := l.Gamma.Data[c], l.invstd[c]
+				off := s*dout.C + c*sp
+				for j := off; j < off+sp; j++ {
+					dx.Data[j] = dout.Data[j] * g * inv
 				}
 			}
-			return dx
-		}
-		// Fold the per-channel constants in place: sumD becomes k2 and
-		// sumDXmu becomes k3, with the same expression order as below.
-		kg := ensureVec(&l.kg, C)
-		for c := 0; c < C; c++ {
-			inv := l.invstd[c]
-			g := l.Gamma.Data[c]
-			kg[c] = g * inv
-			sumD[c] = g * inv / m * sumD[c]
-			sumDXmu[c] = g * inv * inv * inv / m * sumDXmu[c]
-		}
-		for s := 0; s < n; s++ {
-			off := s * C
-			tensor.BNBwdDx(dx.Data[off:off+C], dout.Row(s), l.xmu[off:off+C], kg, sumD, sumDXmu)
 		}
 		return dx
 	}
-
-	for c := 0; c < l.Channels; c++ {
+	// dxhat = dout*gamma; dx = inv/m * (m*dxhat - Σdxhat - xhat*Σ(dxhat·xhat))
+	// expressed with xmu: xhat = xmu*inv. Fold the per-channel constants in
+	// place: kg holds k1, sumD becomes k2 and sumDXmu becomes k3.
+	kg := ensureVec(&l.kg, C)
+	for c := 0; c < C; c++ {
 		inv := l.invstd[c]
 		g := l.Gamma.Data[c]
-		var sumD, sumDXmu float64
-		for s := 0; s < n; s++ {
-			off := s*dout.C + c*sp
-			for j := 0; j < sp; j++ {
-				d := dout.Data[off+j]
-				sumD += d
-				sumDXmu += float64(d * l.xmu[off+j])
-			}
-		}
-		l.Beta.Grad[c] += sumD
-		l.Gamma.Grad[c] += float64(sumDXmu * inv)
-		if !l.train {
-			for s := 0; s < n; s++ {
-				off := s*dout.C + c*sp
-				for j := 0; j < sp; j++ {
-					dx.Data[off+j] = dout.Data[off+j] * g * inv
-				}
-			}
+		kg[c] = g * inv
+		sumD[c] = g * inv / m * sumD[c]
+		sumDXmu[c] = g * inv * inv * inv / m * sumDXmu[c]
+	}
+	for s := 0; s < n; s++ {
+		off := s * dout.C
+		if sp == 1 {
+			tensor.BNBwdDx(dx.Data[off:off+C], dout.Row(s), l.xmu[off:off+C], kg, sumD, sumDXmu)
 			continue
 		}
-		// dxhat = dout*gamma; dx = inv/m * (m*dxhat - Σdxhat - xhat*Σ(dxhat·xhat))
-		// expressed with xmu: xhat = xmu*inv.
-		k1 := g * inv
-		k2 := float64(g * inv / m * sumD)
-		k3 := g * inv * inv * inv / m * sumDXmu
-		for s := 0; s < n; s++ {
-			off := s*dout.C + c*sp
-			for j := 0; j < sp; j++ {
-				dx.Data[off+j] = float64(k1*dout.Data[off+j]) - k2 - float64(k3*l.xmu[off+j])
-			}
+		for c := 0; c < C; c++ {
+			o := off + c*sp
+			tensor.BNBwdDxScalar(dx.Data[o:o+sp], dout.Data[o:o+sp], l.xmu[o:o+sp], kg[c], sumD[c], sumDXmu[c])
 		}
 	}
 	return dx
+}
+
+// bnBwdSums leaves in sumD[c] and sumDXmu[c] channel c's two backward
+// chains Σₛ Σⱼ dout and Σₛ Σⱼ dout·xmu, four channels at a time like
+// channelSums.
+func bnBwdSums(sumD, sumDXmu []float64, dout *tensor.Dense, xmu []float64, sp int) {
+	C, n, w := len(sumD), dout.R, dout.C
+	c := 0
+	for ; c+4 <= C; c += 4 {
+		var t0, t1, t2, t3, u0, u1, u2, u3 float64
+		for s := 0; s < n; s++ {
+			off := s*w + c*sp
+			a0, a1, a2, a3 := quad(dout.Data[off:], sp)
+			b0, b1, b2, b3 := quad(xmu[off:], sp)
+			for j := range a0 {
+				d0, d1, d2, d3 := a0[j], a1[j], a2[j], a3[j]
+				t0 += d0
+				t1 += d1
+				t2 += d2
+				t3 += d3
+				u0 += float64(d0 * b0[j])
+				u1 += float64(d1 * b1[j])
+				u2 += float64(d2 * b2[j])
+				u3 += float64(d3 * b3[j])
+			}
+		}
+		sumD[c], sumD[c+1], sumD[c+2], sumD[c+3] = t0, t1, t2, t3
+		sumDXmu[c], sumDXmu[c+1], sumDXmu[c+2], sumDXmu[c+3] = u0, u1, u2, u3
+	}
+	for ; c < C; c++ {
+		var t, u float64
+		for s := 0; s < n; s++ {
+			off := s*w + c*sp
+			xrow := xmu[off : off+sp]
+			for j, d := range dout.Data[off : off+sp] {
+				t += d
+				u += float64(d * xrow[j])
+			}
+		}
+		sumD[c], sumDXmu[c] = t, u
+	}
 }
 
 // Params returns [gamma, beta, running mean, running var].

@@ -24,7 +24,7 @@ func TestAddRowVecAndColSums(t *testing.T) {
 	}
 }
 
-// TestTransposeInvolution checks packTranspose, the production transpose,
+// TestTransposeInvolution checks TransposeInto, the production transpose,
 // against itself: transposing twice is the identity.
 func TestTransposeInvolution(t *testing.T) {
 	for _, s := range [][2]int{{1, 1}, {1, 9}, {8, 3}, {13, 29}} {
@@ -34,10 +34,10 @@ func TestTransposeInvolution(t *testing.T) {
 			src[i] = float64(i)
 		}
 		tr, back := make([]float64, r*c), make([]float64, r*c)
-		packTranspose(tr, src, r, c)
-		packTranspose(back, tr, c, r)
+		TransposeInto(tr, src, r, c)
+		TransposeInto(back, tr, c, r)
 		if !Equal(FromSlice(r, c, back), FromSlice(r, c, src), 0) {
-			t.Fatalf("packTranspose twice (%d×%d) is not the identity", r, c)
+			t.Fatalf("TransposeInto twice (%d×%d) is not the identity", r, c)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import "sync"
 // running sum that starts at +0 can never become -0, adding the resulting
 // ±0 products is a bit-exact no-op. See DESIGN.md "Kernels & wire format".)
 //
-// Layout: gemmBlock computes dst[r][c] += Σ_p a[r][p]·b[p][c] over
+// Layout: GemmAcc computes dst[r][c] += Σ_p a[r][p]·b[p][c] over
 // row-major operands with explicit element strides, four rows at a time,
 // each strip split into micro-tiles whose accumulators live in registers.
 // Nothing is cache-blocked (the operands of every product the models run
@@ -39,17 +39,23 @@ const (
 	gemmNRHalf = 4
 )
 
-// gemmBlock computes dst += A·B for rows [0, n): B is k×m with row stride
+// GemmAcc computes dst += A·B for rows [0, n): B is k×m with row stride
 // ldb, dst is n×m with row stride ldc, and A is addressed generally — row i,
 // element p lives at a[i*lda + p*astep]. A natural row-major operand uses
 // (lda = its width, astep = 1); a transposed view uses (lda = 1, astep =
-// its width), which lets the Aᵀ·B product stream A without packing. dst
-// rows must hold the caller's intended starting partial sums (usually
-// zero). Slices must cover the strided extents.
-func gemmBlock(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, n, k, m int) {
+// its width), which lets the Aᵀ·B product stream A without packing. Any
+// other spacing works the same way: Conv2D multiplies one kernel tap's
+// column of its weights (lda = KH·KW, astep = the weight row width) and a
+// sample's shifted channels (lda = H·W) where they lie. dst rows must hold
+// the caller's intended starting partial sums (usually zero). Slices must
+// cover the strided extents: the assembly kernels do not check bounds, so
+// the last element of each operand is indexed once here, and a short slice
+// panics instead of being read or written past its end.
+func GemmAcc(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, n, k, m int) {
 	if k == 0 || n == 0 || m == 0 {
 		return
 	}
+	_, _, _ = dst[(n-1)*ldc+m-1], a[(n-1)*lda+(k-1)*astep], b[(k-1)*ldb+m-1]
 	nFull := n - n%gemmMR
 	for i := 0; i < nFull; i += gemmMR {
 		gemmStrip(dst[i*ldc:], ldc, a[i*lda:], lda, astep, b, ldb, k, m)
@@ -59,7 +65,7 @@ func gemmBlock(dst []float64, ldc int, a []float64, lda, astep int, b []float64,
 	}
 }
 
-// gemmStrip computes one full gemmMR-row strip of gemmBlock. The tile width
+// gemmStrip computes one full gemmMR-row strip of GemmAcc. The tile width
 // is chosen by the columns that remain and the CPU alone: 16 while at least
 // 16 remain (AVX-512), then 8, then one 4×4 tile (AVX), then the scalar
 // edge. Columns are independent elements, so the width cannot change a bit.
@@ -97,8 +103,12 @@ func gemmTailRows(dst []float64, ldc int, a []float64, lda, astep int, b []float
 	ap, cp := (*panel)[:gemmMR*k], (*panel)[gemmMR*k:]
 	for r := 0; r < rows; r++ {
 		arow, prow := a[r*lda:], ap[r*k:(r+1)*k]
-		for p := range prow {
-			prow[p] = arow[p*astep]
+		if astep == 1 {
+			copy(prow, arow)
+		} else {
+			for p := range prow {
+				prow[p] = arow[p*astep]
+			}
 		}
 		copy(cp[r*m:(r+1)*m], dst[r*ldc:])
 	}
@@ -222,26 +232,27 @@ func getPanel(n int) *[]float64 {
 
 func putPanel(p *[]float64) { packPool.Put(p) }
 
-// packTranspose writes srcᵀ into dst: src is r×c row-major, dst becomes
-// c×r row-major. Blocked 8×8 so both sides stream through cache lines.
-func packTranspose(dst, src []float64, r, c int) {
-	const bs = 8
-	for i0 := 0; i0 < r; i0 += bs {
-		i1 := i0 + bs
-		if i1 > r {
-			i1 = r
+// TransposeInto writes srcᵀ into dst: src is r×c row-major, dst becomes
+// c×r row-major. Four source rows at a time, so each pass reads four rows
+// in order and writes four adjacent elements of every dst row; a leftover
+// row is written element by element. Pure data movement: every value
+// keeps its bits.
+func TransposeInto(dst, src []float64, r, c int) {
+	_, _ = dst[:r*c], src[:r*c]
+	i := 0
+	for ; i+4 <= r; i += 4 {
+		s0 := src[i*c : i*c+c]
+		s1 := src[(i+1)*c:][:len(s0)]
+		s2 := src[(i+2)*c:][:len(s0)]
+		s3 := src[(i+3)*c:][:len(s0)]
+		for j := range s0 {
+			d := dst[j*r+i:][:4]
+			d[0], d[1], d[2], d[3] = s0[j], s1[j], s2[j], s3[j]
 		}
-		for j0 := 0; j0 < c; j0 += bs {
-			j1 := j0 + bs
-			if j1 > c {
-				j1 = c
-			}
-			for i := i0; i < i1; i++ {
-				row := src[i*c : i*c+c]
-				for j := j0; j < j1; j++ {
-					dst[j*r+i] = row[j]
-				}
-			}
+	}
+	for ; i < r; i++ {
+		for j, v := range src[i*c : i*c+c] {
+			dst[j*r+i] = v
 		}
 	}
 }

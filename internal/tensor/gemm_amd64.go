@@ -41,6 +41,12 @@ func bnBwdAccumBlocksAVX(sumD, sumDXmu, dout, xmu *float64, blocks int64)
 //go:noescape
 func bnBwdDxBlocksAVX(dx, dout, xmu, k1, k2, k3 *float64, blocks int64)
 
+//go:noescape
+func bnNormScalarBlocksAVX(out, xmu, x *float64, mean, gam, bet, inv float64, blocks int64)
+
+//go:noescape
+func bnBwdDxScalarBlocksAVX(dx, dout, xmu *float64, k1, k2, k3 float64, blocks int64)
+
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbvAsm() (eax, edx uint32)

@@ -532,3 +532,60 @@ bndxloop:
 	JNZ     bndxloop
 	VZEROUPPER
 	RET
+
+// func bnNormScalarBlocksAVX(out, xmu, x *float64, mean, gam, bet, inv float64, blocks int64)
+// bnNormBlocksAVX with the per-channel constants broadcast from scalars:
+// d = x - mean; xmu = d; out = ((g*d)*inv) + b.
+TEXT ·bnNormScalarBlocksAVX(SB), NOSPLIT, $0-64
+	MOVQ         out+0(FP), DI
+	MOVQ         xmu+8(FP), SI
+	MOVQ         x+16(FP), DX
+	VBROADCASTSD mean+24(FP), Y2
+	VBROADCASTSD gam+32(FP), Y4
+	VBROADCASTSD bet+40(FP), Y7
+	VBROADCASTSD inv+48(FP), Y6
+	MOVQ         blocks+56(FP), CX
+
+bnnormsloop:
+	VMOVUPD (DX), Y1
+	VSUBPD  Y2, Y1, Y3 // d = x - mean
+	VMOVUPD Y3, (SI)
+	VMULPD  Y3, Y4, Y5 // g*d
+	VMULPD  Y6, Y5, Y5 // (g*d)*inv
+	VADDPD  Y7, Y5, Y5 // + b
+	VMOVUPD Y5, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	DECQ    CX
+	JNZ     bnnormsloop
+	VZEROUPPER
+	RET
+
+// func bnBwdDxScalarBlocksAVX(dx, dout, xmu *float64, k1, k2, k3 float64, blocks int64)
+// bnBwdDxBlocksAVX with the per-channel constants broadcast from scalars:
+// dx = ((k1*dout) - k2) - (k3*xmu).
+TEXT ·bnBwdDxScalarBlocksAVX(SB), NOSPLIT, $0-56
+	MOVQ         dx+0(FP), DI
+	MOVQ         dout+8(FP), SI
+	MOVQ         xmu+16(FP), DX
+	VBROADCASTSD k1+24(FP), Y2
+	VBROADCASTSD k2+32(FP), Y4
+	VBROADCASTSD k3+40(FP), Y6
+	MOVQ         blocks+48(FP), CX
+
+bndxsloop:
+	VMOVUPD (SI), Y1
+	VMULPD  Y1, Y2, Y3 // k1*dout
+	VSUBPD  Y4, Y3, Y3 // - k2
+	VMOVUPD (DX), Y5
+	VMULPD  Y5, Y6, Y7 // k3*xmu
+	VSUBPD  Y7, Y3, Y3 // - k3*xmu
+	VMOVUPD Y3, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	DECQ    CX
+	JNZ     bndxsloop
+	VZEROUPPER
+	RET

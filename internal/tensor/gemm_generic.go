@@ -39,3 +39,11 @@ func bnVarAccumBlocksAVX(sq, x, mean *float64, blocks int64) { panic("tensor: no
 func bnBwdAccumBlocksAVX(sumD, sumDXmu, dout, xmu *float64, blocks int64) { panic("tensor: no AVX") }
 
 func bnBwdDxBlocksAVX(dx, dout, xmu, k1, k2, k3 *float64, blocks int64) { panic("tensor: no AVX") }
+
+func bnNormScalarBlocksAVX(out, xmu, x *float64, mean, gam, bet, inv float64, blocks int64) {
+	panic("tensor: no AVX")
+}
+
+func bnBwdDxScalarBlocksAVX(dx, dout, xmu *float64, k1, k2, k3 float64, blocks int64) {
+	panic("tensor: no AVX")
+}

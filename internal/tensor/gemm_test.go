@@ -127,7 +127,7 @@ func TestMatMulATIntoMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGemmBlockAccumulatesIntoDst pins gemmBlock's own contract on shapes
+// TestGemmBlockAccumulatesIntoDst pins GemmAcc's own contract on shapes
 // with leftover rows: dst holds the caller's starting partial sums, and
 // each element continues from its own — through the padded strip too, for
 // both A addressings. The reference is the scalar loop from the same start.
@@ -136,7 +136,7 @@ func TestGemmBlockAccumulatesIntoDst(t *testing.T) {
 	for _, s := range [][3]int{{3, 5, 7}, {6, 27, 36}, {50, 48, 64}, {51, 32, 10}, {7, 9, 31}} {
 		n, k, m := s[0], s[1], s[2]
 		a, at, b := randDenseMixed(rng, n, k), NewDense(k, n), randDenseMixed(rng, k, m)
-		packTranspose(at.Data, a.Data, n, k)
+		TransposeInto(at.Data, a.Data, n, k)
 		start := randDenseMixed(rng, n, m)
 		want := NewDense(n, m)
 		for i := 0; i < n; i++ {
@@ -150,11 +150,11 @@ func TestGemmBlockAccumulatesIntoDst(t *testing.T) {
 		}
 		got := NewDense(n, m)
 		copy(got.Data, start.Data)
-		gemmBlock(got.Data, m, a.Data, k, 1, b.Data, m, n, k, m)
-		bitsEqual(t, "gemmBlock row-major A", got, want)
+		GemmAcc(got.Data, m, a.Data, k, 1, b.Data, m, n, k, m)
+		bitsEqual(t, "GemmAcc row-major A", got, want)
 		copy(got.Data, start.Data)
-		gemmBlock(got.Data, m, at.Data, 1, n, b.Data, m, n, k, m)
-		bitsEqual(t, "gemmBlock transposed A", got, want)
+		GemmAcc(got.Data, m, at.Data, 1, n, b.Data, m, n, k, m)
+		bitsEqual(t, "GemmAcc transposed A", got, want)
 	}
 }
 
@@ -267,15 +267,15 @@ func TestGemmZeroHeavyMatchesReference(t *testing.T) {
 
 func TestPackTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, s := range [][2]int{{1, 1}, {3, 5}, {8, 8}, {13, 29}, {64, 48}} {
+	for _, s := range [][2]int{{1, 1}, {3, 5}, {8, 8}, {13, 29}, {64, 48}, {6, 7}, {8, 144}, {72, 8}} {
 		r, c := s[0], s[1]
 		src := randDenseMixed(rng, r, c)
 		dst := make([]float64, r*c)
-		packTranspose(dst, src.Data, r, c)
+		TransposeInto(dst, src.Data, r, c)
 		for i := 0; i < r; i++ {
 			for j := 0; j < c; j++ {
 				if dst[j*r+i] != src.Data[i*c+j] {
-					t.Fatalf("packTranspose(%d,%d): [%d,%d] mismatch", r, c, i, j)
+					t.Fatalf("TransposeInto(%d,%d): [%d,%d] mismatch", r, c, i, j)
 				}
 			}
 		}

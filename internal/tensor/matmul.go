@@ -13,7 +13,7 @@ package tensor
 // products in ascending order — the same order as the retained reference
 // kernels (matmulRange / matmulBTRange / matmulATRange below), so results
 // are bit-identical and golden histories stay pinned. Each variant is one
-// gemmBlock call on the calling goroutine (a run's parallelism is its
+// GemmAcc call on the calling goroutine (a run's parallelism is its
 // client pool, which already keeps every core busy), so only a product's
 // last ≤ 3 rows take the padded tail strip (gemmTailRows).
 
@@ -44,7 +44,7 @@ func MatMulInto(dst, a, b *Dense) {
 	}
 	Zero(dst.Data)
 	n, k, m := a.R, a.C, b.C
-	gemmBlock(dst.Data, m, a.Data, k, 1, b.Data, m, n, k, m)
+	GemmAcc(dst.Data, m, a.Data, k, 1, b.Data, m, n, k, m)
 }
 
 // matmulBTRange computes rows [lo, hi) of dst = A·Bᵀ. Retained as the
@@ -74,8 +74,8 @@ func MatMulBTInto(dst, a, b *Dense) {
 		return
 	}
 	panel := getPanel(k * m)
-	packTranspose(*panel, b.Data, m, k) // b (m×k) → panel (k×m)
-	gemmBlock(dst.Data, m, a.Data, k, 1, *panel, m, n, k, m)
+	TransposeInto(*panel, b.Data, m, k) // b (m×k) → panel (k×m)
+	GemmAcc(dst.Data, m, a.Data, k, 1, *panel, m, n, k, m)
 	putPanel(panel)
 }
 
@@ -108,5 +108,5 @@ func MatMulATInto(dst, a, b *Dense) {
 	}
 	Zero(dst.Data)
 	n, r, c := a.R, a.C, b.C
-	gemmBlock(dst.Data, c, a.Data, 1, r, b.Data, c, r, n, c)
+	GemmAcc(dst.Data, c, a.Data, 1, r, b.Data, c, r, n, c)
 }

@@ -5,7 +5,13 @@ package tensor
 // (gemm_amd64.s) emits the same multiplies and adds in the same order with
 // no FMA contraction, so results are bit-identical to the scalar tails on
 // every input — including NaN (ordered compares treat it as "not ≤ 0") and
-// negative zero (clamped to +0 exactly like the scalar branch).
+// negative zero (clamped to +0 exactly like the scalar branch). The one
+// freedom is which NaN comes out when both operands of one operation are
+// NaNs with different bits (an input NaN meeting the one Inf−Inf or 0·Inf
+// makes): x86 returns the first operand's, and in a commutative scalar
+// operation the compiler picks which operand is first. A NaN result is a
+// NaN on every path, and no other result depends on a NaN's bits
+// (TestRowKernelsMatchScalarBits).
 
 // simdMinLen is the vector length below which the call overhead of an
 // assembly kernel outweighs its throughput; shorter inputs stay scalar.
@@ -132,5 +138,51 @@ func BNBwdDx(dx, dout, xmu, k1, k2, k3 []float64) {
 	}
 	for ; i < n; i++ {
 		dx[i] = float64(k1[i]*dout[i]) - k2[i] - float64(k3[i]*xmu[i])
+	}
+}
+
+// BNNormScalarInto is BNNormInto for one channel of a 2-D batch norm, whose
+// mean, γ, 1/σ and β are the same for the whole row. Per element:
+//
+//	d := x[i] - mean; xmu[i] = d; out[i] = g*d*inv + b
+//
+// with the product evaluated left to right, matching BNNormInto bit for bit.
+func BNNormScalarInto(out, xmu, x []float64, mean, g, b, inv float64) {
+	n := len(out)
+	if len(xmu) != n || len(x) != n {
+		panic("tensor: BNNormScalarInto length mismatch")
+	}
+	i := 0
+	if hasAVX && n >= simdMinLen {
+		blocks := n >> 2
+		bnNormScalarBlocksAVX(&out[0], &xmu[0], &x[0], mean, g, b, inv, int64(blocks))
+		i = blocks << 2
+	}
+	for ; i < n; i++ {
+		d := x[i] - mean
+		xmu[i] = d
+		out[i] = float64(g*d*inv) + b
+	}
+}
+
+// BNBwdDxScalar is BNBwdDx for one channel of a 2-D batch norm, whose
+// constants are the same for the whole row. Per element:
+//
+//	dx[i] = k1*dout[i] - k2 - k3*xmu[i]
+//
+// evaluated left to right, matching BNBwdDx bit for bit.
+func BNBwdDxScalar(dx, dout, xmu []float64, k1, k2, k3 float64) {
+	n := len(dx)
+	if len(dout) != n || len(xmu) != n {
+		panic("tensor: BNBwdDxScalar length mismatch")
+	}
+	i := 0
+	if hasAVX && n >= simdMinLen {
+		blocks := n >> 2
+		bnBwdDxScalarBlocksAVX(&dx[0], &dout[0], &xmu[0], k1, k2, k3, int64(blocks))
+		i = blocks << 2
+	}
+	for ; i < n; i++ {
+		dx[i] = float64(k1*dout[i]) - k2 - float64(k3*xmu[i])
 	}
 }
