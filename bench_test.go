@@ -36,7 +36,7 @@ func benchExperiment(b *testing.B, id string, effort float64) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := e.Execute(experiments.Options{
+		_, err := e.Execute(experiments.Options{
 			Seed:        uint64(i + 1),
 			Effort:      effort,
 			CellWorkers: 4,

@@ -114,7 +114,7 @@ func main() {
 		}
 		fmt.Printf("=== %s: %s (effort %.2f)\n", e.ID, e.Title, *effort)
 		start := time.Now()
-		err = e.Execute(experiments.Options{
+		_, err = e.Execute(experiments.Options{
 			Seed:        *seed,
 			Effort:      *effort,
 			CellWorkers: *cells,

@@ -10,42 +10,6 @@ import (
 	"fedwcm/internal/xrand"
 )
 
-// table5 (Appendix A): FedGraB-style quantity-skewed partition, comparing
-// FedAvg / FedCM / FedWCM-X across IFs at β=0.1.
-func init() {
-	ifs := []float64{1, 0.4, 0.1, 0.06, 0.04, 0.01}
-	methodsList := []string{"fedavg", "fedcm", "fedwcm-x"}
-	register(&Experiment{
-		ID:    "table5",
-		Title: "Table 5 (Appendix A): FedGraB partition, FedAvg/FedCM/FedWCM-X",
-		Sweep: func(opt Options) sweep.Spec {
-			return sweep.Spec{
-				Methods:   methodsList,
-				IFs:       ifs,
-				Partition: "fedgrab",
-				Seeds:     []uint64{opt.Seed},
-				Effort:    opt.Effort,
-			}
-		},
-		Render: func(opt Options, res *sweep.Result) error {
-			headers := []string{"method"}
-			for _, f := range ifs {
-				headers = append(headers, fmt.Sprintf("IF=%g", f))
-			}
-			t := &sweep.Table{Title: "Table 5 (beta=0.1, FedGraB partition)", Headers: headers}
-			for _, m := range methodsList {
-				row := []string{m}
-				for _, f := range ifs {
-					row = append(row, res.CellValue(sweep.Axes{Method: m, IF: f}))
-				}
-				t.AddRow(row...)
-			}
-			t.Render(opt.Out)
-			return nil
-		},
-	})
-}
-
 // fig11 (Appendix A): the data distribution produced by the FedGraB-style
 // partition — quantity-skew statistics and a size histogram. Hand-rolled:
 // it measures the partitioner, not a training run.
@@ -71,40 +35,6 @@ func init() {
 				fmt.Fprintf(opt.Out, "%s partition: %s\n", mode, st)
 				fmt.Fprintln(opt.Out, partition.Histogram(part, 8))
 			}
-			return nil
-		},
-	})
-}
-
-// fig12 (Appendix A): method curves under the FedGraB partition, with
-// FedWCM-X as "ours".
-func init() {
-	methodsList := []string{
-		"fedwcm-x", "fedavg", "balancefl", "fedgrab",
-		"fedcm", "fedcm+focal", "fedcm+balancesampler",
-	}
-	register(&Experiment{
-		ID:    "fig12",
-		Title: "Figure 12 (Appendix A): methods under FedGraB partition (beta=0.1, IF=0.1)",
-		Sweep: func(opt Options) sweep.Spec {
-			return sweep.Spec{
-				Methods:   methodsList,
-				Partition: "fedgrab",
-				Seeds:     []uint64{opt.Seed},
-				Effort:    opt.Effort,
-			}
-		},
-		Render: func(opt Options, res *sweep.Result) error {
-			var rounds []int
-			series := make([][]float64, len(methodsList))
-			for i, m := range methodsList {
-				r, a := res.CurveOf(sweep.Axes{Method: m})
-				if rounds == nil {
-					rounds = r
-				}
-				series[i] = a
-			}
-			sweep.SeriesTable("Figure 12 (test accuracy, FedGraB partition)", rounds, methodsList, series).Render(opt.Out)
 			return nil
 		},
 	})
@@ -149,42 +79,6 @@ func init() {
 				)
 			}
 			t.Render(opt.Out)
-			return nil
-		},
-	})
-}
-
-// fig18 (Appendix D): ten heterogeneous-FL methods on the balanced (IF=1)
-// non-IID setting — train accuracy (fig 18, the "train_acc" probe) and test
-// accuracy (fig 19).
-func init() {
-	methodsList := []string{
-		"fedavg", "fedcm", "fedprox", "scaffold", "feddyn",
-		"fedsam", "mofedsam", "fedspeed", "fedsmoo", "fedlesam",
-	}
-	register(&Experiment{
-		ID:    "fig18",
-		Title: "Figures 18-19 (Appendix D): heterogeneous-FL baselines (beta=0.1, IF=1)",
-		Sweep: func(opt Options) sweep.Spec {
-			return sweep.Spec{
-				Methods: methodsList,
-				IFs:     []float64{1},
-				Probes:  []string{"train_acc"},
-				Seeds:   []uint64{opt.Seed},
-				Effort:  opt.Effort,
-			}
-		},
-		Render: func(opt Options, res *sweep.Result) error {
-			var rounds []int
-			testSeries := make([][]float64, len(methodsList))
-			trainSeries := make([][]float64, len(methodsList))
-			for i, m := range methodsList {
-				rounds, testSeries[i] = res.CurveOf(sweep.Axes{Method: m})
-				_, trainSeries[i] = res.MetricCurveOf(sweep.Axes{Method: m}, "train_acc")
-			}
-			sweep.SeriesTable("Figure 18 (train accuracy over rounds)", rounds, methodsList, trainSeries).Render(opt.Out)
-			fmt.Fprintln(opt.Out)
-			sweep.SeriesTable("Figure 19 (test accuracy over rounds)", rounds, methodsList, testSeries).Render(opt.Out)
 			return nil
 		},
 	})

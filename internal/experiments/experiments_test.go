@@ -153,17 +153,14 @@ func TestRegistryComplete(t *testing.T) {
 func TestRegistryShape(t *testing.T) {
 	var handRolled []string
 	for _, e := range All() {
-		if (e.Sweep == nil) == (e.Run == nil) {
-			t.Errorf("%s: must set exactly one of Sweep and Run", e.ID)
+		if (len(e.Views) == 0) == (e.Run == nil) {
+			t.Errorf("%s: must set exactly one of Views and Run", e.ID)
 		}
-		if e.Sweep == nil {
+		if e.Run != nil {
 			handRolled = append(handRolled, e.ID)
 			continue
 		}
-		if e.Render == nil {
-			t.Errorf("%s: sweep without renderer", e.ID)
-		}
-		sp := e.Sweep(Options{Seed: 1, Effort: 0.1}.Defaults())
+		sp := e.grid(Options{Seed: 1, Effort: 0.1}.Defaults())
 		if _, err := sp.ExpandValidated(); err != nil {
 			t.Errorf("%s: grid does not validate: %v", e.ID, err)
 		}
@@ -181,10 +178,10 @@ func TestRegistryShape(t *testing.T) {
 func TestDeclaredCellFingerprintsUnchanged(t *testing.T) {
 	h := sha256.New()
 	for _, e := range All() {
-		if e.Sweep == nil || e.ID == "fig4" || e.ID == "fig13" || e.ID == "fig18" {
+		if e.Run != nil || e.ID == "fig4" || e.ID == "fig13" || e.ID == "fig18" {
 			continue
 		}
-		cells, err := e.Sweep(Options{Seed: 1, Effort: 0.1}.Defaults()).Expand()
+		cells, err := e.grid(Options{Seed: 1, Effort: 0.1}.Defaults()).Expand()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,19 +223,19 @@ func TestSmallExperimentsEndToEnd(t *testing.T) {
 			}
 			var buf bytes.Buffer
 			opt := Options{Seed: 2, Effort: 0.08, CellWorkers: 4, Store: st, Out: &buf}
-			if err := e.Execute(opt); err != nil {
+			if _, err := e.Execute(opt); err != nil {
 				t.Fatal(err)
 			}
 			if buf.Len() == 0 {
 				t.Fatal("experiment produced no output")
 			}
-			if e.Sweep == nil {
+			if e.Run != nil {
 				return
 			}
 			// Second execution: every cell must be a store hit.
 			first := buf.String()
 			buf.Reset()
-			if err := e.Execute(opt); err != nil {
+			if _, err := e.Execute(opt); err != nil {
 				t.Fatal(err)
 			}
 			second := buf.String()
@@ -273,7 +270,7 @@ func TestProbedFiguresShareTheStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := e.Execute(Options{Seed: 3, Effort: 0.05, Store: st, Out: &buf}); err != nil {
+		if _, err := e.Execute(Options{Seed: 3, Effort: 0.05, Store: st, Out: &buf}); err != nil {
 			t.Fatal(err)
 		}
 		line, rest, _ := strings.Cut(buf.String(), "\n")

@@ -1,10 +1,11 @@
 // Package experiments defines one registered experiment per table and
-// figure in the paper's evaluation. Every experiment that trains is
-// declarative: a sweep.Spec grid (probes included) plus a Render function
-// that formats the aggregated result, executed through the sweep engine so
-// overlapping grids share cached cells (see internal/sweep). Run is only for
-// the experiments that train nothing. cmd/fedbench and the top-level
-// benchmarks are thin wrappers over this package.
+// figure in the paper's evaluation. Every experiment that trains is a
+// declaration: a sweep.Spec grid (probes included) plus Views, which one
+// renderer lays out as tables of named statistics, series over rounds or
+// final vectors. It executes through the sweep engine, so overlapping grids
+// share cached cells (see internal/sweep). Run is only for the experiments
+// that train nothing. cmd/fedbench and the top-level benchmarks are thin
+// wrappers over this package.
 package experiments
 
 import (
@@ -65,9 +66,9 @@ func (o Options) Defaults() Options {
 	return o
 }
 
-// Experiment regenerates one paper table or figure. Training experiments
-// are sweeps: Sweep returns the grid and Render formats the aggregated
-// result; Execute runs the grid through the sweep engine, so cells shared
+// Experiment regenerates one paper table or figure. A training experiment
+// is a declaration: Grid is its sweep and Views lay out the aggregated
+// result. Execute runs the grid through the sweep engine, so cells shared
 // with other experiments are cache hits. Run is for the experiments that
 // train nothing (fig11 measures the partitioner, table6 the HE protocol)
 // and does everything itself.
@@ -75,24 +76,24 @@ type Experiment struct {
 	ID    string
 	Title string
 
-	Sweep  func(opt Options) sweep.Spec
-	Render func(opt Options, res *sweep.Result) error
+	// Grid is the experiment's sweep. Execute sets its seeds to opt.Seed
+	// and its effort to opt.Effort, and names it after ID when unnamed.
+	Grid  sweep.Spec
+	Views []View
 
 	Run func(opt Options) error
 }
 
-// Execute runs the experiment: the sweep path when Sweep is set — on the
-// server at opt.Remote when that is set, in-process otherwise — and Run
-// otherwise.
-func (e *Experiment) Execute(opt Options) error {
+// Execute runs the experiment: the grid — on the server at opt.Remote when
+// that is set, in-process otherwise — rendered through Views, unless Run is
+// set. It returns the grid's result, partial when an error names failed
+// cells, and nil for Run.
+func (e *Experiment) Execute(opt Options) (*sweep.Result, error) {
 	opt = opt.Defaults()
-	if e.Sweep == nil {
-		return e.Run(opt)
+	if e.Run != nil {
+		return nil, e.Run(opt)
 	}
-	sp := e.Sweep(opt)
-	if sp.Name == "" {
-		sp.Name = e.ID
-	}
+	sp := e.grid(opt)
 	before := opt.Envs.Stats()
 	var res *sweep.Result
 	var err error
@@ -112,13 +113,24 @@ func (e *Experiment) Execute(opt Options) error {
 		}
 	}
 	if err != nil {
-		return err
+		return res, err
 	}
 	after := opt.Envs.Stats()
 	fmt.Fprintf(opt.Out, "[sweep %s: %d cells — %d cached, %d computed; envs — %d built, %d reused]\n",
 		sp.Name, len(res.Cells), res.Cached, res.Computed,
 		after.Misses-before.Misses, after.Hits-before.Hits)
-	return e.Render(opt, res)
+	e.render(opt.Out, res)
+	return res, nil
+}
+
+// grid is the experiment's sweep at opt.
+func (e *Experiment) grid(opt Options) sweep.Spec {
+	sp := e.Grid
+	sp.Seeds, sp.Effort = []uint64{opt.Seed}, opt.Effort
+	if sp.Name == "" {
+		sp.Name = e.ID
+	}
+	return sp
 }
 
 var (
@@ -132,11 +144,8 @@ func register(e *Experiment) {
 	if _, dup := registry[e.ID]; dup {
 		panic("experiments: duplicate id " + e.ID)
 	}
-	if (e.Sweep == nil) == (e.Run == nil) {
-		panic("experiments: " + e.ID + " must set exactly one of Sweep and Run")
-	}
-	if e.Sweep != nil && e.Render == nil {
-		panic("experiments: " + e.ID + " declares a sweep without a renderer")
+	if (len(e.Views) == 0) == (e.Run == nil) {
+		panic("experiments: " + e.ID + " must set exactly one of Views and Run")
 	}
 	registry[e.ID] = e
 }

@@ -48,7 +48,7 @@ func execute(t *testing.T, id string, opt experiments.Options) string {
 	}
 	var buf bytes.Buffer
 	opt.Seed, opt.Effort, opt.Out = 2, 0.08, &buf
-	if err := e.Execute(opt); err != nil {
+	if _, err := e.Execute(opt); err != nil {
 		t.Fatalf("%s: %v\n%s", id, err, buf.String())
 	}
 	return buf.String()
@@ -140,7 +140,7 @@ func TestRemoteFailedCellFailsExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	err = e.Execute(experiments.Options{Seed: 2, Effort: 0.08, Remote: base, Out: &buf})
+	_, err = e.Execute(experiments.Options{Seed: 2, Effort: 0.08, Remote: base, Out: &buf})
 	if err == nil {
 		t.Fatalf("a failed remote cell did not fail Execute:\n%s", buf.String())
 	}

@@ -54,10 +54,9 @@ func cannedHistory(id string, clocked bool) *fl.History {
 // cannedResult expands e's grid at seed 1, effort 0.05 and gives every cell
 // its canned history; fail marks the cells whose axes it returns true for
 // as failed instead.
-func cannedResult(t *testing.T, e *Experiment, fail func(sweep.Axes) bool) (Options, *sweep.Result) {
+func cannedResult(t *testing.T, e *Experiment, fail func(sweep.Axes) bool) *sweep.Result {
 	t.Helper()
-	opt := Options{Seed: 1, Effort: 0.05}.Defaults()
-	sp := e.Sweep(opt)
+	sp := e.grid(Options{Seed: 1, Effort: 0.05}.Defaults())
 	cells, err := sp.Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -71,17 +70,13 @@ func cannedResult(t *testing.T, e *Experiment, fail func(sweep.Axes) bool) (Opti
 		}
 		results[i].Hist = cannedHistory(c.ID, len(sp.Async) > 0)
 	}
-	return opt, sweep.NewResult(sp, results)
+	return sweep.NewResult(sp, results)
 }
 
 // render returns what e prints for res.
-func render(t *testing.T, e *Experiment, opt Options, res *sweep.Result) string {
-	t.Helper()
+func render(e *Experiment, res *sweep.Result) string {
 	var buf bytes.Buffer
-	opt.Out = &buf
-	if err := e.Render(opt, res); err != nil {
-		t.Fatal(err)
-	}
+	e.render(&buf, res)
 	return buf.String()
 }
 
@@ -90,13 +85,12 @@ func render(t *testing.T, e *Experiment, opt Options, res *sweep.Result) string 
 func TestRenderGolden(t *testing.T) {
 	n := 0
 	for _, e := range All() {
-		if e.Sweep == nil {
+		if e.Run != nil {
 			continue
 		}
 		n++
 		t.Run(e.ID, func(t *testing.T) {
-			opt, res := cannedResult(t, e, nil)
-			got := render(t, e, opt, res)
+			got := render(e, cannedResult(t, e, nil))
 			want, err := os.ReadFile(filepath.Join("testdata", "render", e.ID+".txt"))
 			if err != nil {
 				t.Fatal(err)

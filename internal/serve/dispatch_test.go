@@ -232,29 +232,26 @@ func TestClientExecutorDrivesEngine(t *testing.T) {
 	}
 	_, ts := newTestServer(t, Config{Store: stServer, Workers: 2})
 
-	sp := sweep.Spec{
-		Methods: []string{"fedavg"}, SeedCount: 2,
-		Clients: []int{4}, SampleRates: []float64{0.5}, LocalEpochs: []int{1},
-		Model: "linear", Rounds: 8, Effort: 0.01,
-	}
-	// A one-off experiment around sp; its renderer keeps the result.
-	var remoteRes *sweep.Result
+	// A one-off experiment around a two-cell grid; Execute runs it at seed
+	// 1 and effort 0.01 and returns the result.
 	exp := &experiments.Experiment{
-		ID:    "remote-equivalence",
-		Sweep: func(experiments.Options) sweep.Spec { return sp },
-		Render: func(_ experiments.Options, res *sweep.Result) error {
-			remoteRes = res
-			return nil
+		ID: "remote-equivalence",
+		Grid: sweep.Spec{
+			Methods: []string{"fedavg", "fedcm"},
+			Clients: []int{4}, SampleRates: []float64{0.5}, LocalEpochs: []int{1},
+			Model: "linear", Rounds: 8,
 		},
 	}
+	opt := experiments.Options{Seed: 1, Effort: 0.01, Remote: ts.URL + "/", Out: io.Discard}
 	// The trailing slash is trimmed, not sent as "//v1/sweeps".
-	if err := exp.Execute(experiments.Options{Remote: ts.URL + "/", Out: io.Discard}); err != nil {
+	first, err := exp.Execute(opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	first := remoteRes
 	localEng := &sweep.Engine{Workers: 2, Envs: sweep.NewEnvCache(0)}
 	defer localEng.Close()
-	sp.Name = exp.ID
+	sp := exp.Grid
+	sp.Name, sp.Seeds, sp.Effort = exp.ID, []uint64{opt.Seed}, opt.Effort
 	localRes, err := localEng.RunSweep(sp, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -272,11 +269,13 @@ func TestClientExecutorDrivesEngine(t *testing.T) {
 	}
 	// The server's store holds the artifacts; a second remote run is all
 	// cache hits server-side, and the client counts them as cached.
-	if err := exp.Execute(experiments.Options{Remote: ts.URL, Out: io.Discard}); err != nil {
+	opt.Remote = ts.URL
+	again, err := exp.Execute(opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if remoteRes.Cached != 2 || remoteRes.Computed != 0 {
-		t.Fatalf("repeat remote run: %d cached, %d computed, want 2/0", remoteRes.Cached, remoteRes.Computed)
+	if again.Cached != 2 || again.Computed != 0 {
+		t.Fatalf("repeat remote run: %d cached, %d computed, want 2/0", again.Cached, again.Computed)
 	}
 }
 

@@ -28,9 +28,10 @@ type CellResult struct {
 // Group aggregates the cells that differ only in seed — the unit the
 // paper's tables report. Scalars aggregate TailMeanAcc(3) (the same "mean
 // test accuracy over the tail evaluations" metric the single-seed tables
-// used); curves average pointwise across seeds. Shot is the across-seed
-// mean of the final evaluation's head/medium/tail accuracies (nil when no
-// seed's history carries shot data, e.g. pre-scenario store artifacts).
+// used). Shot is the across-seed mean of the final evaluation's
+// head/medium/tail accuracies (nil when no seed's history carries shot
+// data, e.g. pre-scenario store artifacts). Hists keeps the members'
+// histories, in grid order, for views that read more than the scalars.
 type Group struct {
 	Axes  Axes          `json:"axes"` // Seed zeroed
 	Seeds []uint64      `json:"seeds"`
@@ -39,134 +40,6 @@ type Group struct {
 	Std   float64       `json:"std"`
 	Shot  *fl.ShotAcc   `json:"shot,omitempty"`
 	Hists []*fl.History `json:"-"`
-}
-
-// MeanStd renders the group's scalar: "0.5123" for a single seed,
-// "0.5123±0.0045" once there is a spread to report.
-func (g *Group) MeanStd() string {
-	if g.N <= 1 {
-		return F(g.Mean)
-	}
-	return fmt.Sprintf("%s±%s", F(g.Mean), F(g.Std))
-}
-
-// Curve returns the evaluation rounds and the across-seed mean accuracy at
-// each. Rounds come from the first seed's history; seeds of one sweep share
-// the evaluation cadence by construction.
-func (g *Group) Curve() (rounds []int, acc []float64) {
-	return g.meanSeries(func(s *fl.RoundStat) float64 { return s.TestAcc })
-}
-
-// MetricCurve is Curve for one RoundStat.Metrics key — a method diagnostic
-// ("alpha") or a probe reading ("concentration", "train_acc"). Returns nils
-// when the histories do not carry the key.
-func (g *Group) MetricCurve(key string) (rounds []int, vals []float64) {
-	if g == nil || len(g.Hists) == 0 || len(g.Hists[0].Stats) == 0 {
-		return nil, nil
-	}
-	if _, ok := g.Hists[0].Stats[0].Metrics[key]; !ok {
-		return nil, nil
-	}
-	return g.meanSeries(func(s *fl.RoundStat) float64 { return s.Metrics[key] })
-}
-
-// meanSeries averages one per-evaluation value pointwise across seeds. A nil
-// group (Result.Find matched nothing) has no series.
-func (g *Group) meanSeries(value func(*fl.RoundStat) float64) (rounds []int, vals []float64) {
-	if g == nil || len(g.Hists) == 0 {
-		return nil, nil
-	}
-	first := g.Hists[0].Stats
-	rounds = make([]int, len(first))
-	vals = make([]float64, len(first))
-	for i := range first {
-		rounds[i] = first[i].Round
-		n := 0
-		for _, h := range g.Hists {
-			if i < len(h.Stats) {
-				vals[i] += value(&h.Stats[i])
-				n++
-			}
-		}
-		vals[i] /= float64(n) // n ≥ 1: the first seed always contributes
-	}
-	return rounds, vals
-}
-
-// RoundsToAcc returns the first evaluated round whose across-seed mean
-// accuracy reaches the threshold, or -1 if never reached.
-func (g *Group) RoundsToAcc(threshold float64) int {
-	rounds, acc := g.Curve()
-	for i, a := range acc {
-		if a >= threshold {
-			return rounds[i]
-		}
-	}
-	return -1
-}
-
-// TimeCurve returns the virtual wall-clock of each evaluation and the
-// across-seed mean accuracy at it — the time-to-accuracy view async sweeps
-// compare execution modes on. Times come from the first seed's history
-// (seeds share the event schedule's shape, not necessarily its exact clock;
-// the first seed is the deterministic representative, mirroring Curve).
-// Returns nils when histories carry no clock (Cfg.Clock unset).
-func (g *Group) TimeCurve() (times []float64, acc []float64) {
-	if len(g.Hists) == 0 || len(g.Hists[0].Stats) == 0 {
-		return nil, nil
-	}
-	stats := g.Hists[0].Stats
-	if stats[len(stats)-1].Time == 0 {
-		return nil, nil // clock-free run: Time is omitted everywhere
-	}
-	times = make([]float64, len(stats))
-	for i, s := range stats {
-		times[i] = s.Time
-	}
-	_, acc = g.Curve()
-	return times, acc
-}
-
-// TimeToAcc returns the virtual wall-clock at which the across-seed mean
-// accuracy first reaches the threshold, or -1 if it never does (or the
-// histories carry no clock).
-func (g *Group) TimeToAcc(threshold float64) float64 {
-	times, acc := g.TimeCurve()
-	for i, a := range acc {
-		if a >= threshold {
-			return times[i]
-		}
-	}
-	return -1
-}
-
-// FinalPerClass returns the across-seed mean of the final evaluation's
-// per-class accuracies (nil if histories carry none).
-func (g *Group) FinalPerClass() []float64 {
-	var out []float64
-	n := 0
-	for _, h := range g.Hists {
-		if len(h.Stats) == 0 {
-			continue
-		}
-		pc := h.Stats[len(h.Stats)-1].PerClass
-		if len(pc) == 0 {
-			continue
-		}
-		if out == nil {
-			out = make([]float64, len(pc))
-		}
-		for c := range out {
-			if c < len(pc) {
-				out[c] += pc[c]
-			}
-		}
-		n++
-	}
-	for c := range out {
-		out[c] /= float64(n)
-	}
-	return out
 }
 
 // Result is a completed (or partially failed) sweep: per-cell outcomes plus
@@ -199,8 +72,9 @@ func ScoreOf(h *fl.History) CellScore {
 
 // NewResult aggregates terminal cell outcomes into groups: each history is
 // scored, then folded as Fold folds scores, and each group keeps its
-// members' histories for the curve views. Failed cells are counted but
-// excluded from aggregation, so a partial result still renders what it has.
+// members' histories for the views that read them. Failed cells are counted
+// but excluded from aggregation, so a partial result still renders what it
+// has.
 func NewResult(sp Spec, cells []CellResult) *Result {
 	scores := make([]CellScore, len(cells))
 	for i := range cells {
@@ -356,8 +230,8 @@ func (r *Result) FailureSummary() []string {
 
 // Find returns the first group matching the non-zero fields of the probe
 // (zero fields are wildcards; Seed is ignored — groups are seedless), or
-// nil. Renderers use it to place groups into table cells by the axes they
-// swept.
+// nil. Experiment views use it to place groups into table cells by the axes
+// they swept.
 func (r *Result) Find(probe Axes) *Group {
 	for _, g := range r.Groups {
 		if probe.Dataset != "" && g.Axes.Dataset != probe.Dataset {
@@ -393,27 +267,6 @@ func (r *Result) Find(probe Axes) *Group {
 		return g
 	}
 	return nil
-}
-
-// CellValue renders the matching group's mean±std scalar, or "-" when no
-// group matches (e.g. the cell failed and was excluded from aggregation).
-func (r *Result) CellValue(probe Axes) string {
-	g := r.Find(probe)
-	if g == nil {
-		return "-"
-	}
-	return g.MeanStd()
-}
-
-// CurveOf returns the matching group's mean convergence curve, or nils when
-// no group matches.
-func (r *Result) CurveOf(probe Axes) ([]int, []float64) {
-	return r.Find(probe).Curve()
-}
-
-// MetricCurveOf is CurveOf for one Metrics key (see Group.MetricCurve).
-func (r *Result) MetricCurveOf(probe Axes, key string) ([]int, []float64) {
-	return r.Find(probe).MetricCurve(key)
 }
 
 // aggAxes are the axis columns AggTable can show, in column order, each with

@@ -22,12 +22,13 @@
 //     not O(grid), whoever asks: RunSweep here, internal/serve's run and
 //     sweep endpoints over HTTP.
 //   - Result / Group — server-side aggregation: cells that differ only in
-//     seed collapse into mean±std scalars and mean convergence curves, the
-//     shapes the paper's tables and figures report.
+//     seed collapse into one group with mean±std scalars, keeping its
+//     members' histories for views that read more.
 //
-// internal/experiments declares each paper table/figure as a Spec plus a
-// renderer; internal/serve puts HTTP and SSE in front of one Engine
-// (POST /v1/runs, POST /v1/sweeps); cmd/fedbench is a thin client of both.
+// internal/experiments declares each paper table/figure as a Spec plus the
+// views its one renderer lays out over a Result; internal/serve puts HTTP
+// and SSE in front of one Engine (POST /v1/runs, POST /v1/sweeps);
+// cmd/fedbench is a thin client of both.
 package sweep
 
 import (

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -82,21 +81,3 @@ func (t *Table) String() string {
 
 // F formats an accuracy/metric for table cells.
 func F(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
-
-// SeriesTable renders aligned accuracy-vs-round curves: one column per
-// labelled series, one row per evaluation round.
-func SeriesTable(title string, rounds []int, labels []string, series [][]float64) *Table {
-	t := &Table{Title: title, Headers: append([]string{"round"}, labels...)}
-	for i, r := range rounds {
-		row := []string{fmt.Sprintf("%d", r)}
-		for _, s := range series {
-			if i < len(s) {
-				row = append(row, F(s[i]))
-			} else {
-				row = append(row, "-")
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
