@@ -11,11 +11,11 @@ import (
 	"fedwcm/internal/store"
 )
 
-// The dispatch-overhead benchmarks (scripts/bench.sh → BENCH_dispatch.json)
-// measure time-to-complete for a 16-cell trivial sweep — the runner does no
-// training, so the number is pure dispatch cost: queueing, scheduling and
-// handle plumbing locally; plus HTTP leases, heartbeat wiring and artifact
-// upload for the 2-worker remote backend on localhost.
+// The dispatch-overhead benchmarks measure time-to-complete for a 16-cell
+// trivial sweep — the runner does no training, so the number is pure
+// dispatch cost: queueing, scheduling and handle plumbing locally; plus HTTP
+// leases, heartbeat wiring and artifact upload for the 2-worker remote
+// backend on localhost.
 
 const benchCells = 16
 
@@ -93,5 +93,19 @@ func BenchmarkDispatchRemote16Cell(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runBatch(b, c, i*benchCells)
+	}
+}
+
+// TestDispatchRemote16CellAllocBound: heap bytes per remote 16-cell sweep
+// stay under 1.7 MB. B/op counts allocations, which do not depend on the
+// machine, so a fixed bound holds on any runner and trips on a marshalling
+// or buffering regression.
+func TestDispatchRemote16CellAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	const bound = 1_700_000
+	if b := testing.Benchmark(BenchmarkDispatchRemote16Cell).AllocedBytesPerOp(); b >= bound {
+		t.Fatalf("DispatchRemote16Cell at %d B/op, want < %d", b, bound)
 	}
 }

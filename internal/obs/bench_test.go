@@ -34,8 +34,7 @@ func populatedRegistry() *Registry {
 }
 
 // BenchmarkMetricsExposition is the /metrics scrape cost: one full text
-// exposition of a realistically sized registry. Recorded in BENCH_obs.json
-// by scripts/bench.sh.
+// exposition of a realistically sized registry.
 func BenchmarkMetricsExposition(b *testing.B) {
 	r := populatedRegistry()
 	b.ReportAllocs()
@@ -47,22 +46,40 @@ func BenchmarkMetricsExposition(b *testing.B) {
 	}
 }
 
-// BenchmarkMetricsHotPath is the per-event instrumentation cost on the
-// paths the fl engine and dispatch hit every round: counter inc, gauge set,
-// histogram observe, and a pre-resolved vec child. Must stay allocation-free.
-func BenchmarkMetricsHotPath(b *testing.B) {
+// hotPath is the per-event instrumentation the fl engine and dispatch hit
+// every round: counter inc, gauge set, histogram observe, and a
+// pre-resolved vec child.
+func hotPath() func(i int) {
 	r := NewRegistry()
 	c := r.Counter("hot_total", "")
 	g := r.Gauge("hot_gauge", "")
 	h := r.Histogram("hot_seconds", "", DefBuckets)
 	child := r.CounterVec("hot_vec_total", "", "worker").With("w1")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		c.Inc()
 		g.Set(float64(i))
 		h.Observe(float64(i&63) * 0.01)
 		child.Inc()
+	}
+}
+
+// BenchmarkMetricsHotPath is the per-event instrumentation cost.
+func BenchmarkMetricsHotPath(b *testing.B) {
+	event := hotPath()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		event(i)
+	}
+}
+
+// TestMetricsHotPathAllocatesNothing: the fl engine observes every round
+// through these calls, so they must stay allocation-free.
+func TestMetricsHotPathAllocatesNothing(t *testing.T) {
+	event := hotPath()
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() { event(i); i++ }); allocs != 0 {
+		t.Fatalf("metrics hot path: %v allocs per event, want 0", allocs)
 	}
 }
 

@@ -434,6 +434,32 @@ func TestQueueFullReturns503(t *testing.T) {
 	}
 }
 
+// TestQueueFullReportsExecutorPending: the 503 names the executor's own
+// queue depth. Config.QueueDepth sizes only the local backend, so a full
+// coordinator queue of 1 must not read as that field's default of 64.
+func TestQueueFullReportsExecutorPending(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := dispatch.NewCoordinator(dispatch.CoordinatorConfig{Store: st, Queue: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Store: st, Executor: coord})
+
+	// No worker joins, so the first spec stays pending and fills the queue.
+	first, second := tinySpec(), tinySpec()
+	second.Cfg.Seed++
+	if code, resp := postSpec(t, ts, first); code != http.StatusAccepted {
+		t.Fatalf("first submission: HTTP %d (%+v), want 202", code, resp)
+	}
+	code, resp := postSpec(t, ts, second)
+	if want := "run queue full (1 pending)"; code != http.StatusServiceUnavailable || resp.Error != want {
+		t.Fatalf("over-queue submission: HTTP %d %q, want 503 %q", code, resp.Error, want)
+	}
+}
+
 // tsServer digs the *Server back out for white-box assertions.
 func tsServer(t *testing.T, ts *httptest.Server) *Server {
 	t.Helper()

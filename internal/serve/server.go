@@ -237,7 +237,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	case errors.Is(err, dispatch.ErrClosed):
 		obs.HTTPError(w, http.StatusServiceUnavailable, "server shutting down")
 	case errors.Is(err, dispatch.ErrQueueFull):
-		obs.HTTPError(w, http.StatusServiceUnavailable, "run queue full (%d pending)", s.cfg.QueueDepth)
+		obs.HTTPError(w, http.StatusServiceUnavailable, "run queue full (%d pending)", s.execPending())
 	case err != nil:
 		obs.HTTPError(w, http.StatusInternalServerError, "%v", err)
 	case h == nil:
