@@ -12,6 +12,9 @@
 // many machines as register. A worker is this same binary in -worker mode.
 // One coordinator is the whole control plane (DESIGN.md "Why one
 // coordinator"); -wal makes the jobs it accepted survive a restart.
+// Either way -queue bounds the backend's queue, and that queue is the one
+// backpressure: a full queue answers POST /v1/runs with 503, while an
+// accepted sweep feeds its cells in as space frees.
 //
 // Examples:
 //
@@ -66,10 +69,6 @@ func main() {
 		leaseTTL = flag.Duration("lease", 15*time.Second, "remote backend: lease TTL before a silent worker's job requeues")
 		walPath  = flag.String("wal", "", "remote backend: write-ahead log of accepted jobs; every one the -store does not hold is re-queued after a coordinator restart (empty = in-memory only)")
 
-		tenantRPS   = flag.Float64("tenant-rps", 0, "admission: sustained run/sweep submissions per second per tenant, keyed by the X-Tenant header (0 = unlimited)")
-		tenantBurst = flag.Int("tenant-burst", 0, "admission: per-tenant burst above -tenant-rps (0 derives from the rate)")
-		maxPending  = flag.Int("max-pending", 0, "admission: shed submissions with 429 while the executor queue holds this many jobs (0 = no backpressure)")
-
 		workerMode = flag.Bool("worker", false, "run as a worker: join a coordinator, lease and execute jobs")
 		join       = flag.String("join", "", "worker mode: coordinator base URL, e.g. http://host:8080")
 		name       = flag.String("name", "", "worker mode: name reported at registration")
@@ -105,10 +104,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fedserve:", err)
 		os.Exit(1)
 	}
-	cfg := serve.Config{
-		Store: st, Workers: *workers, QueueDepth: *queue, Envs: sweep.NewEnvCache(*envCap),
-		Admission: serve.AdmissionConfig{TenantRPS: *tenantRPS, TenantBurst: *tenantBurst, MaxPending: *maxPending},
-	}
+	cfg := serve.Config{Store: st, Workers: *workers, QueueDepth: *queue, Envs: sweep.NewEnvCache(*envCap)}
 	backend := fmt.Sprintf("local, %d in-process worker slots", *workers)
 	if *remote {
 		coord, err := dispatch.NewCoordinator(dispatch.CoordinatorConfig{

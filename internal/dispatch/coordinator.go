@@ -32,9 +32,6 @@ type CoordinatorConfig struct {
 	MaxAttempts int
 	// Queue bounds jobs waiting for a lease. 0 = 4096 (one maximal sweep).
 	Queue int
-	// MaxWorkerSlots caps the per-worker in-flight limit a worker may
-	// declare at registration. 0 = 8.
-	MaxWorkerSlots int
 	// WALPath, when non-empty, backs the queue with a write-ahead log
 	// (internal/dispatch/wal) of the jobs it accepted: one submit record per
 	// job, fsync'd (group-committed) before Submit returns. NewCoordinator
@@ -168,9 +165,6 @@ func newCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	if cfg.Queue <= 0 {
 		cfg.Queue = 4096
-	}
-	if cfg.MaxWorkerSlots <= 0 {
-		cfg.MaxWorkerSlots = 8
 	}
 	if cfg.WALCompactEvery <= 0 {
 		cfg.WALCompactEvery = 1024
@@ -894,6 +888,10 @@ func (c *Coordinator) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/workers/{id}/jobs/{job}/result", c.handleResult)
 }
 
+// maxWorkerSlots caps the in-flight limit a worker may declare at
+// registration: the number arrives over the network.
+const maxWorkerSlots = 8
+
 func (c *Coordinator) handleRegister(w http.ResponseWriter, req *http.Request) {
 	var r registerRequest
 	// An empty body is a valid registration (defaults apply: anonymous
@@ -903,7 +901,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, req *http.Request) {
 		obs.HTTPError(w, http.StatusBadRequest, "decoding registration: %v", err)
 		return
 	}
-	resp := c.register(r.Name, min(max(r.Slots, 1), c.cfg.MaxWorkerSlots))
+	resp := c.register(r.Name, min(max(r.Slots, 1), maxWorkerSlots))
 	c.cfg.Logf("dispatch: worker %s registered (name %q, %d slots)", resp.ID, r.Name, resp.Slots)
 	obs.WriteJSON(w, http.StatusCreated, resp)
 }
@@ -934,7 +932,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 	case err != nil:
 		obs.HTTPError(w, http.StatusNotFound, "unknown worker %s (re-register)", id)
 	case job != nil:
-		w.Header().Set(obs.TraceHeader, job.ID)
 		obs.WriteJSON(w, http.StatusOK, leaseResponse{Job: *job})
 	case req.Context().Err() == nil:
 		w.WriteHeader(http.StatusNoContent)

@@ -64,8 +64,8 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 // Submit is Coordinator.Submit.
 func (l *Local) Submit(job Job, opts SubmitOpts) (Handle, error) { return l.c.Submit(job, opts) }
 
-// Pending reports the queued (not yet running) submissions, for
-// admission-control backpressure.
+// Pending reports the queued (not yet running) submissions, for the
+// service's queue-full message.
 func (l *Local) Pending() int { return l.c.Stats().Pending }
 
 // Lookup is Coordinator.Lookup.

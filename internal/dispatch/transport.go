@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"fedwcm/internal/fl"
-	"fedwcm/internal/obs"
 	"fedwcm/internal/wire"
 )
 
@@ -74,7 +73,7 @@ func (h *httpTransport) String() string { return h.base }
 
 func (h *httpTransport) register(ctx context.Context, name string, slots int) (registerResponse, error) {
 	var resp registerResponse
-	code, err := h.postJSON(ctx, h.base+"/v1/workers", "", registerRequest{Name: name, Slots: slots}, &resp)
+	code, err := h.postJSON(ctx, h.base+"/v1/workers", registerRequest{Name: name, Slots: slots}, &resp)
 	if err == nil && code != http.StatusCreated {
 		err = fmt.Errorf("registration returned HTTP %d", code)
 	}
@@ -86,7 +85,7 @@ func (h *httpTransport) register(ctx context.Context, name string, slots int) (r
 
 func (h *httpTransport) lease(ctx context.Context, wid string, wait time.Duration) (*Job, error) {
 	var resp leaseResponse
-	code, err := h.postJSON(ctx, h.base+"/v1/workers/"+wid+"/lease", "", leaseRequest{WaitMS: wait.Milliseconds()}, &resp)
+	code, err := h.postJSON(ctx, h.base+"/v1/workers/"+wid+"/lease", leaseRequest{WaitMS: wait.Milliseconds()}, &resp)
 	switch {
 	case err != nil:
 		return nil, err
@@ -102,7 +101,7 @@ func (h *httpTransport) beat(ctx context.Context, wid, jid string, rounds []fl.R
 	start := time.Now()
 	body := wire.EncodeStats(rounds)
 	h.wire.observeEncode("stats", len(body), time.Since(start).Seconds())
-	code, err := h.do(ctx, http.MethodPost, fmt.Sprintf("%s/v1/workers/%s/jobs/%s/heartbeat", h.base, wid, jid), jid, wire.ContentType, body, nil)
+	code, err := h.do(ctx, http.MethodPost, fmt.Sprintf("%s/v1/workers/%s/jobs/%s/heartbeat", h.base, wid, jid), wire.ContentType, body, nil)
 	if err != nil || code == http.StatusOK {
 		return err
 	}
@@ -136,7 +135,7 @@ func (h *httpTransport) upload(ctx context.Context, wid, jid string, hist *fl.Hi
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
 		var ack resultResponse
-		code, perr := h.do(ctx, http.MethodPost, url, jid, wire.ContentType, body, &ack)
+		code, perr := h.do(ctx, http.MethodPost, url, wire.ContentType, body, &ack)
 		switch {
 		case perr != nil:
 			err = perr
@@ -157,7 +156,7 @@ func (h *httpTransport) upload(ctx context.Context, wid, jid string, hist *fl.Hi
 }
 
 func (h *httpTransport) deregister(ctx context.Context, wid string) error {
-	if _, err := h.do(ctx, http.MethodDelete, h.base+"/v1/workers/"+wid, "", "", nil, nil); err != nil {
+	if _, err := h.do(ctx, http.MethodDelete, h.base+"/v1/workers/"+wid, "", nil, nil); err != nil {
 		return err
 	}
 	h.logf("dispatch: worker %s deregistered", wid)
@@ -166,29 +165,24 @@ func (h *httpTransport) deregister(ctx context.Context, wid string) error {
 
 // postJSON posts body as JSON and decodes the response into out (when
 // non-nil and the status is 2xx). It returns the status code; err covers
-// transport-level failures only. trace, when non-empty, is echoed in the
-// X-Trace-Id header so job-scoped calls (heartbeat, result) join the
-// fleet-wide trace the coordinator stamped on the lease.
-func (h *httpTransport) postJSON(ctx context.Context, url, trace string, body, out any) (int, error) {
+// transport-level failures only.
+func (h *httpTransport) postJSON(ctx context.Context, url string, body, out any) (int, error) {
 	b, err := json.Marshal(body)
 	if err != nil {
 		return 0, err
 	}
-	return h.do(ctx, http.MethodPost, url, trace, "application/json", b, out)
+	return h.do(ctx, http.MethodPost, url, "application/json", b, out)
 }
 
 // do sends one request; heartbeat and result bodies arrive pre-encoded in
 // the wire codec (responses stay JSON — acks are a handful of bytes).
-func (h *httpTransport) do(ctx context.Context, method, url, trace, contentType string, body []byte, out any) (int, error) {
+func (h *httpTransport) do(ctx context.Context, method, url, contentType string, body []byte, out any) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
-	}
-	if trace != "" {
-		req.Header.Set(obs.TraceHeader, trace)
 	}
 	resp, err := h.client.Do(req)
 	if err != nil {

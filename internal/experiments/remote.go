@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"time"
 
@@ -77,7 +76,7 @@ func runRemote(base string, sp sweep.Spec, st *store.Store) (*sweep.Result, erro
 	var down time.Time // when the server stopped answering; zero while it answers
 	for reposted := false; ; {
 		sum = remoteSweepStatus{}
-		code, _, err := remoteCall(http.MethodGet, base+"/v1/sweeps/"+sub.ID, nil, &sum)
+		code, err := remoteCall(http.MethodGet, base+"/v1/sweeps/"+sub.ID, nil, &sum)
 		if ue := (*url.Error)(nil); errors.As(err, &ue) {
 			if down.IsZero() {
 				down = time.Now()
@@ -144,24 +143,22 @@ func runRemote(base string, sp sweep.Spec, st *store.Store) (*sweep.Result, erro
 	return res, nil
 }
 
-// remoteSubmit posts the grid body to POST /v1/sweeps, waiting out 429 and
-// 503 answers, and returns the sweep's record with the status code (200 for
-// a grid the server already held finished, 202 otherwise).
+// remoteSubmit posts the grid body to POST /v1/sweeps, retrying a 503 (a
+// server shutting down for a restart) every remotePoll, and returns the
+// sweep's record with the status code (200 for a grid the server already
+// held finished, 202 otherwise).
 func remoteSubmit(base, name string, body []byte) (remoteSweepStatus, int, error) {
 	for {
 		var sub remoteSweepStatus
-		code, retryAfter, err := remoteCall(http.MethodPost, base+"/v1/sweeps", body, &sub)
+		code, err := remoteCall(http.MethodPost, base+"/v1/sweeps", body, &sub)
 		if err != nil {
 			return sub, 0, err
 		}
 		switch code {
 		case http.StatusOK, http.StatusAccepted:
 			return sub, code, nil
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			if retryAfter <= 0 {
-				retryAfter = remotePoll
-			}
-			time.Sleep(retryAfter)
+		case http.StatusServiceUnavailable:
+			time.Sleep(remotePoll)
 		default:
 			return sub, 0, fmt.Errorf("experiments: submitting sweep %s: HTTP %d: %s", name, code, sub.Error)
 		}
@@ -180,7 +177,7 @@ func remoteHistory(base, id string, st *store.Store) (*fl.History, error) {
 		History *fl.History `json:"history"`
 		Error   string      `json:"error"`
 	}
-	code, _, err := remoteCall(http.MethodGet, base+"/v1/runs/"+id, nil, &run)
+	code, err := remoteCall(http.MethodGet, base+"/v1/runs/"+id, nil, &run)
 	if err != nil {
 		return nil, err
 	}
@@ -199,27 +196,22 @@ func remoteHistory(base, id string, st *store.Store) (*fl.History, error) {
 }
 
 // remoteCall sends one JSON request and decodes the JSON response, error
-// bodies included, into out. It returns the status code and the server's
-// Retry-After (integer seconds; 0 when absent or malformed).
-func remoteCall(method, url string, body []byte, out any) (int, time.Duration, error) {
+// bodies included, into out, and returns the status code.
+func remoteCall(method, url string, body []byte, out any) (int, error) {
 	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := remoteHTTP.Do(req)
 	if err != nil {
-		return 0, 0, fmt.Errorf("experiments: %w", err)
+		return 0, fmt.Errorf("experiments: %w", err)
 	}
 	defer resp.Body.Close()
-	var retryAfter time.Duration
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-		retryAfter = time.Duration(secs) * time.Second
-	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return resp.StatusCode, 0, fmt.Errorf("experiments: decoding %s %s: HTTP %d: %w", method, url, resp.StatusCode, err)
+		return resp.StatusCode, fmt.Errorf("experiments: decoding %s %s: HTTP %d: %w", method, url, resp.StatusCode, err)
 	}
-	return resp.StatusCode, retryAfter, nil
+	return resp.StatusCode, nil
 }

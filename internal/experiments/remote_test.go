@@ -104,15 +104,15 @@ func cannedRunner(fail string) sweep.Runner {
 	}
 }
 
-// TestRemoteRetriesShedSubmit: a 429 with Retry-After: 1 is waited out
-// and retried, and a base URL with a trailing slash still reaches the API.
+// TestRemoteRetriesShedSubmit: a 503 with no Retry-After (what a server
+// shutting down answers) is retried after remotePoll, and a base URL with a
+// trailing slash still reaches the API.
 func TestRemoteRetriesShedSubmit(t *testing.T) {
 	var posts atomic.Int64
 	base := newRemote(t, cannedRunner(""), func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 			if req.Method == http.MethodPost && req.URL.Path == "/v1/sweeps" && posts.Add(1) == 1 {
-				w.Header().Set("Retry-After", "1")
-				http.Error(w, `{"error":"submission shed (rate); retry after 1s"}`, http.StatusTooManyRequests)
+				http.Error(w, `{"error":"server shutting down"}`, http.StatusServiceUnavailable)
 				return
 			}
 			next.ServeHTTP(w, req)
@@ -120,8 +120,8 @@ func TestRemoteRetriesShedSubmit(t *testing.T) {
 	})
 	start := time.Now()
 	out := execute(t, "abl_parts", experiments.Options{Remote: base + "/"})
-	if waited := time.Since(start); waited < time.Second {
-		t.Fatalf("retried after %v, want at least the 1 s Retry-After", waited)
+	if waited := time.Since(start); waited < 250*time.Millisecond {
+		t.Fatalf("retried after %v, want at least the 250 ms poll interval", waited)
 	}
 	if n := posts.Load(); n != 2 {
 		t.Fatalf("%d sweep submissions, want 2", n)

@@ -9,13 +9,6 @@ import (
 	"time"
 )
 
-// TraceHeader carries the trace ID across the coordinator/worker HTTP
-// protocol: the coordinator stamps it on lease responses, workers echo it
-// on heartbeats and uploads, and both sides attach it to their spans, so a
-// run's lease/round timeline can be reassembled fleet-wide from /debug/trace
-// dumps keyed by one ID.
-const TraceHeader = "X-Trace-Id"
-
 // Span is one completed timed event. Fields are fixed (no attribute map) so
 // spans record without heap allocation; the Trace ID is the run fingerprint
 // for run-scoped spans, tying traces to store artifacts.

@@ -435,29 +435,52 @@ func TestQueueFullReturns503(t *testing.T) {
 }
 
 // TestQueueFullReportsExecutorPending: the 503 names the executor's own
-// queue depth. Config.QueueDepth sizes only the local backend, so a full
-// coordinator queue of 1 must not read as that field's default of 64.
+// queue depth, read through Stats on a coordinator and through Pending on
+// the local backend. Config.QueueDepth sizes only the local backend, so a
+// full coordinator queue of 1 must not read as that field's default of 64.
 func TestQueueFullReportsExecutorPending(t *testing.T) {
-	st, err := store.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := dispatch.NewCoordinator(dispatch.CoordinatorConfig{Store: st, Queue: 1, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newTestServer(t, Config{Store: st, Executor: coord})
-
-	// No worker joins, so the first spec stays pending and fills the queue.
-	first, second := tinySpec(), tinySpec()
+	first, second, third := tinySpec(), tinySpec(), tinySpec()
 	second.Cfg.Seed++
-	if code, resp := postSpec(t, ts, first); code != http.StatusAccepted {
-		t.Fatalf("first submission: HTTP %d (%+v), want 202", code, resp)
+	third.Cfg.Seed += 2
+	overQueue := func(t *testing.T, ts *httptest.Server, spec sweep.RunSpec) {
+		t.Helper()
+		code, resp := postSpec(t, ts, spec)
+		if want := "run queue full (1 pending)"; code != http.StatusServiceUnavailable || resp.Error != want {
+			t.Fatalf("over-queue submission: HTTP %d %q, want 503 %q", code, resp.Error, want)
+		}
 	}
-	code, resp := postSpec(t, ts, second)
-	if want := "run queue full (1 pending)"; code != http.StatusServiceUnavailable || resp.Error != want {
-		t.Fatalf("over-queue submission: HTTP %d %q, want 503 %q", code, resp.Error, want)
+	accept := func(t *testing.T, ts *httptest.Server, spec sweep.RunSpec) {
+		t.Helper()
+		if code, resp := postSpec(t, ts, spec); code != http.StatusAccepted {
+			t.Fatalf("submission: HTTP %d (%+v), want 202", code, resp)
+		}
 	}
+
+	t.Run("coordinator", func(t *testing.T) {
+		st, err := store.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord, err := dispatch.NewCoordinator(dispatch.CoordinatorConfig{Store: st, Queue: 1, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newTestServer(t, Config{Store: st, Executor: coord})
+		// No worker joins, so the first spec stays pending and fills the queue.
+		accept(t, ts, first)
+		overQueue(t, ts, second)
+	})
+
+	t.Run("local", func(t *testing.T) {
+		br := newBlockingRunner()
+		_, ts := newTestServer(t, Config{Runner: br.run, Workers: 1, QueueDepth: 1})
+		defer close(br.release)
+		// The first spec holds the one worker, the second fills the queue.
+		accept(t, ts, first)
+		<-br.started
+		accept(t, ts, second)
+		overQueue(t, ts, third)
+	})
 }
 
 // tsServer digs the *Server back out for white-box assertions.

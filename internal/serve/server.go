@@ -5,8 +5,8 @@
 // if one is live), so a grid cell is computed at most once no matter how
 // many clients ask for it. A run's status, progress and SSE stream are read
 // from the backend's job handle (dispatch.Handle), the one record of its
-// execution. This package owns what is HTTP: request decoding and
-// admission, sweep records and their eviction, and SSE streams.
+// execution. This package owns what is HTTP: request decoding, sweep
+// records and their eviction, and SSE streams.
 //
 // Endpoints (full reference with examples in docs/API.md):
 //
@@ -71,10 +71,6 @@ type Config struct {
 	// gets a fresh cache of DefaultEnvCacheCap; ignored when Runner or
 	// Executor is overridden (the cache counters then stay zero).
 	Envs *sweep.EnvCache
-	// Admission bounds what the run/sweep submission endpoints accept
-	// (per-tenant rate limits, queue-depth backpressure). The zero value
-	// admits everything.
-	Admission AdmissionConfig
 	// Logf defaults to the unified slog route (obs.Logf("serve")).
 	Logf func(format string, args ...any)
 	// Metrics receives the server's series (HTTP, SSE, sweep cells, plus the
@@ -98,8 +94,7 @@ type Server struct {
 
 	feedWg sync.WaitGroup // sweep feeders
 
-	sm  serveMetrics
-	adm *admission // nil unless Config.Admission asks for limits
+	sm serveMetrics
 }
 
 // New validates cfg, builds (or adopts) the dispatch backend and returns
@@ -160,11 +155,10 @@ func New(cfg Config) (*Server, error) {
 	handle := func(pattern, route string, h http.HandlerFunc) {
 		s.mux.Handle(pattern, s.sm.http.Wrap(route, h))
 	}
-	s.adm = newAdmission(cfg.Admission, s.execPending, cfg.Metrics)
-	handle("POST /v1/runs", "/v1/runs", s.admitted(s.handleSubmit))
+	handle("POST /v1/runs", "/v1/runs", s.handleSubmit)
 	handle("GET /v1/runs/{id}", "/v1/runs/{id}", s.handleStatus)
 	handle("GET /v1/runs/{id}/events", "/v1/runs/{id}/events", s.handleEvents)
-	handle("POST /v1/sweeps", "/v1/sweeps", s.admitted(s.handleSweepSubmit))
+	handle("POST /v1/sweeps", "/v1/sweeps", s.handleSweepSubmit)
 	handle("GET /v1/sweeps/{id}", "/v1/sweeps/{id}", s.handleSweepStatus)
 	handle("GET /v1/sweeps/{id}/result", "/v1/sweeps/{id}/result", s.handleSweepResult)
 	handle("GET /v1/sweeps/{id}/events", "/v1/sweeps/{id}/events", s.handleSweepEvents)
@@ -245,6 +239,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	default:
 		obs.WriteJSON(w, http.StatusAccepted, runResponse{ID: fp, Status: h.Status()})
 	}
+}
+
+// execPending reads the executor's undispatched queue depth for the 503
+// message: the Coordinator exports it via Stats, dispatch.Local via
+// Pending. Both are matched by method set, not by type, so an executor that
+// wraps one (the benchmark's tracing shim embeds a Coordinator) still
+// reports it. An executor exposing neither reads as empty.
+func (s *Server) execPending() int {
+	switch e := s.eng.Executor.(type) {
+	case interface {
+		Stats() dispatch.CoordinatorStats
+	}:
+		return e.Stats().Pending
+	case interface{ Pending() int }:
+		return e.Pending()
+	}
+	return 0
 }
 
 // lookup resolves the request's run id against the backend's job records
