@@ -279,7 +279,6 @@ func (c *Coordinator) appendWAL(rec wal.Record) error {
 	err := c.wal.Append(rec)
 	c.walMu.RUnlock()
 	if err != nil {
-		c.cm.walErrors.Inc()
 		c.cfg.Logf("dispatch: wal append: %v", err)
 		return err
 	}
@@ -327,7 +326,6 @@ func (c *Coordinator) run(fx effects) {
 			g.j.relay.mu.Unlock()
 		}
 		c.cm.leaseWait.Observe(g.waited.Seconds())
-		c.cm.slotsBusy.With(g.label).Set(float64(g.busy))
 	}
 	for _, e := range fx.ended {
 		c.cm.leaseHold.Observe(e.held.Seconds())
@@ -336,7 +334,6 @@ func (c *Coordinator) run(fx effects) {
 			Start: e.since.UnixMicro(), DurMS: float64(e.held) / float64(time.Millisecond),
 			Worker: e.worker, Attempt: e.attempt, Err: e.outcome,
 		})
-		c.cm.slotsBusy.With(e.label).Set(float64(e.busy))
 		if e.requeued {
 			c.cm.requeues.Inc()
 		}
@@ -575,9 +572,9 @@ func (c *Coordinator) Stats() CoordinatorStats {
 var errEmptyHistory = errors.New("dispatch: empty history")
 
 // register admits a worker that may hold up to slots leases at once.
-func (c *Coordinator) register(name string, slots int) registerResponse {
+func (c *Coordinator) register(slots int) registerResponse {
 	c.mu.Lock()
-	id := c.q.register(time.Now(), name, slots)
+	id := c.q.register(time.Now(), slots)
 	c.mu.Unlock()
 	return registerResponse{ID: id, Slots: slots, LeaseTTL: c.cfg.LeaseTTL.Milliseconds()}
 }
@@ -587,14 +584,13 @@ func (c *Coordinator) register(name string, slots int) registerResponse {
 // of waiting out their leases. It returns how many did.
 func (c *Coordinator) deregister(wid string) (int, error) {
 	c.mu.Lock()
-	label, fx, err := c.q.forget(time.Now(), wid)
+	fx, err := c.q.forget(time.Now(), wid)
 	c.settleLocked(fx)
 	c.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
 	c.run(fx)
-	c.cm.slotsBusy.With(label).Set(0)
 	return len(fx.ended), nil
 }
 
@@ -672,7 +668,6 @@ func (c *Coordinator) heartbeat(wid, jid string, rounds []fl.RoundStat) error {
 	case err != nil:
 		return err
 	case adopted:
-		c.cm.reattached.Inc()
 		c.cfg.Logf("dispatch: job %.12s: worker %s re-attached mid-flight (attempt %d resumes)", jid, wid, fx.granted.attempt)
 	default:
 		c.cm.beatGap.Observe(gap.Seconds())
@@ -901,7 +896,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, req *http.Request) {
 		obs.HTTPError(w, http.StatusBadRequest, "decoding registration: %v", err)
 		return
 	}
-	resp := c.register(r.Name, min(max(r.Slots, 1), maxWorkerSlots))
+	resp := c.register(min(max(r.Slots, 1), maxWorkerSlots))
 	c.cfg.Logf("dispatch: worker %s registered (name %q, %d slots)", resp.ID, r.Name, resp.Slots)
 	obs.WriteJSON(w, http.StatusCreated, resp)
 }
@@ -947,13 +942,11 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 		if !ok {
 			return
 		}
-		start := time.Now()
 		var err error
 		if rounds, err = wire.DecodeStats(body); err != nil {
 			obs.HTTPError(w, http.StatusBadRequest, "decoding heartbeat: %v", err)
 			return
 		}
-		c.cm.wire.observeDecode("stats", len(body), time.Since(start).Seconds())
 	}
 	switch err := c.heartbeat(wid, jid, rounds); {
 	case errors.Is(err, errUnknownWorker):
@@ -972,13 +965,11 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	start := time.Now()
 	hist, errMsg, err := wire.DecodeResult(body)
 	if err != nil {
 		obs.HTTPError(w, http.StatusBadRequest, "decoding result: %v", err)
 		return
 	}
-	c.cm.wire.observeDecode("result", len(body), time.Since(start).Seconds())
 	var runErr error
 	if errMsg != "" {
 		runErr = errors.New(errMsg)

@@ -68,19 +68,10 @@ type job struct {
 }
 
 type worker struct {
-	id, name string
+	id       string
 	slots    int // max concurrent leases
 	held     int // leases held now: the jobs with state leased and worker == id
 	lastSeen time.Time
-}
-
-// label is the worker's metric label: the operator-chosen name when one was
-// registered (stable across restarts), the assigned id otherwise.
-func (w *worker) label() string {
-	if w.name != "" {
-		return w.name
-	}
-	return w.id
 }
 
 // Lease outcomes, as the dispatch.lease span's error field reports them.
@@ -117,27 +108,24 @@ type failure struct {
 }
 
 // leaseStart is what a grant leaves to do and observe: the handle turns
-// running, the lease wait, the slot gauge, and whether the relay restarts
-// from round zero (fresh) or stays silent until the upload (adopted).
+// running, the lease wait, and whether the relay restarts from round zero
+// (fresh) or stays silent until the upload (adopted).
 type leaseStart struct {
 	j       *job
 	fresh   bool
 	attempt int
 	waited  time.Duration
-	label   string
-	busy    int // the holder's in-flight count, this lease included
 }
 
-// leaseEnd is what an ended lease leaves to observe: the hold histogram, the
-// dispatch.lease span and the slot gauge.
+// leaseEnd is what an ended lease leaves to observe: the hold histogram and
+// the dispatch.lease span.
 type leaseEnd struct {
-	job, worker, label string
-	outcome            string
-	since              time.Time
-	held               time.Duration
-	attempt            int
-	busy               int  // the holder's in-flight count once this lease is gone
-	requeued           bool // back in the FIFO rather than terminal
+	job, worker string
+	outcome     string
+	since       time.Time
+	held        time.Duration
+	attempt     int
+	requeued    bool // back in the FIFO rather than terminal
 }
 
 func newQueue(bound, maxAttempts int, ttl time.Duration, journal bool) *queue {
@@ -282,10 +270,10 @@ func (q *queue) admit(now time.Time, j *job, err error) (fx effects) {
 }
 
 // register adds a worker with the given slot limit and returns its id.
-func (q *queue) register(now time.Time, name string, slots int) string {
+func (q *queue) register(now time.Time, slots int) string {
 	q.seq++
 	id := fmt.Sprintf("w-%d", q.seq)
-	q.workers[id] = &worker{id: id, name: name, slots: slots, lastSeen: now}
+	q.workers[id] = &worker{id: id, slots: slots, lastSeen: now}
 	return id
 }
 
@@ -293,10 +281,9 @@ func (q *queue) register(now time.Time, name string, slots int) string {
 // requeued at the front of the FIFO in submission order, each with its
 // attempt refunded, because the retry budget is for crashes and the holder
 // did not crash — and its registration dropped.
-func (q *queue) forget(now time.Time, wid string) (label string, fx effects, err error) {
-	w := q.workers[wid]
-	if w == nil {
-		return "", fx, errUnknownWorker
+func (q *queue) forget(now time.Time, wid string) (fx effects, err error) {
+	if q.workers[wid] == nil {
+		return fx, errUnknownWorker
 	}
 	for j := q.last; j != nil; j = j.prev { // backwards, so the oldest ends up first
 		if j.state == jobLeased && j.worker == wid {
@@ -305,7 +292,7 @@ func (q *queue) forget(now time.Time, wid string) (label string, fx effects, err
 		}
 	}
 	delete(q.workers, wid)
-	return w.label(), fx, nil
+	return fx, nil
 }
 
 // release takes j out of where it is — back to the front of the FIFO when
@@ -313,11 +300,11 @@ func (q *queue) forget(now time.Time, wid string) (label string, fx effects, err
 // lease that ends with it, if j held one.
 func (q *queue) release(fx *effects, now time.Time, j *job, outcome string, requeue bool) {
 	end := leaseEnd{
-		job: j.h.job.ID, worker: j.worker, label: j.worker, outcome: outcome,
+		job: j.h.job.ID, worker: j.worker, outcome: outcome,
 		since: j.leasedAt, held: now.Sub(j.leasedAt), attempt: j.attempts,
 		requeued: requeue,
 	}
-	leased, w := j.state == jobLeased, q.workers[j.worker]
+	leased := j.state == jobLeased
 	if requeue {
 		q.detach(j)
 		j.state, j.enqueuedAt = jobPending, now
@@ -326,9 +313,6 @@ func (q *queue) release(fx *effects, now time.Time, j *job, outcome string, requ
 	} else {
 		q.drop(j)
 		fx.terminal++
-	}
-	if w != nil {
-		end.label, end.busy = w.label(), w.held
 	}
 	if leased {
 		fx.ended = append(fx.ended, end)
@@ -376,7 +360,7 @@ func (q *queue) lease(now time.Time, w *worker, j *job, adopted bool) effects {
 	w.held++
 	j.adopted, j.expiry = adopted, now.Add(q.ttl)
 	j.leasedAt, j.lastBeat = now, now
-	fx.granted = leaseStart{j: j, fresh: !adopted, attempt: j.attempts, waited: waited, label: w.label(), busy: w.held}
+	fx.granted = leaseStart{j: j, fresh: !adopted, attempt: j.attempts, waited: waited}
 	return fx
 }
 

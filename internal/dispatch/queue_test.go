@@ -96,7 +96,7 @@ func TestQueueApply(t *testing.T) {
 // that window, nothing is left for admit to enqueue.
 func TestQueueSubmittingJobIsNotLeasable(t *testing.T) {
 	q := newQueue(8, 3, testTTL, true)
-	w := q.register(t0, "", 8)
+	w := q.register(t0, 8)
 	j, fx, err := q.submit(t0, Job{ID: "a", Spec: []byte(`{}`)})
 	if err != nil || !fx.journal || fx.wake {
 		t.Fatalf("journaled submit: effects %+v, %v; want only the submit record to make durable", fx, err)
@@ -414,9 +414,9 @@ func FuzzQueue(f *testing.F) {
 					s.run(before, s.q.admit(s.now, j, nil))
 				}
 			case 'r':
-				s.q.register(s.now, "", max(1, d%3))
+				s.q.register(s.now, max(1, d%3))
 			case 'f':
-				_, fx, _ := s.q.forget(s.now, wid)
+				fx, _ := s.q.forget(s.now, wid)
 				s.run(before, fx)
 			case 'g':
 				fx, _ := s.q.grant(s.now, wid)

@@ -33,8 +33,8 @@ var errRejected = errors.New("dispatch: upload rejected")
 // decoding, and encodes nothing.
 type directTransport struct{ c *Coordinator }
 
-func (d directTransport) register(_ context.Context, name string, slots int) (registerResponse, error) {
-	return d.c.register(name, slots), nil
+func (d directTransport) register(_ context.Context, _ string, slots int) (registerResponse, error) {
+	return d.c.register(slots), nil
 }
 
 func (d directTransport) lease(ctx context.Context, wid string, wait time.Duration) (*Job, error) {
@@ -66,7 +66,6 @@ type httpTransport struct {
 	base   string // coordinator base URL without trailing slashes
 	client *http.Client
 	logf   func(format string, args ...any)
-	wire   wireMetrics // encode accounting
 }
 
 func (h *httpTransport) String() string { return h.base }
@@ -98,9 +97,7 @@ func (h *httpTransport) lease(ctx context.Context, wid string, wait time.Duratio
 }
 
 func (h *httpTransport) beat(ctx context.Context, wid, jid string, rounds []fl.RoundStat) error {
-	start := time.Now()
 	body := wire.EncodeStats(rounds)
-	h.wire.observeEncode("stats", len(body), time.Since(start).Seconds())
 	code, err := h.do(ctx, http.MethodPost, fmt.Sprintf("%s/v1/workers/%s/jobs/%s/heartbeat", h.base, wid, jid), wire.ContentType, body, nil)
 	if err != nil || code == http.StatusOK {
 		return err
@@ -125,9 +122,7 @@ func (h *httpTransport) upload(ctx context.Context, wid, jid string, hist *fl.Hi
 	if runErr != nil {
 		errMsg = runErr.Error()
 	}
-	start := time.Now()
 	body := wire.EncodeResult(hist, errMsg)
-	h.wire.observeEncode("result", len(body), time.Since(start).Seconds())
 	url := fmt.Sprintf("%s/v1/workers/%s/jobs/%s/result", h.base, wid, jid)
 	if next {
 		url += "?lease=1"

@@ -86,7 +86,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		base:   strings.TrimRight(cfg.Coordinator, "/"),
 		client: w.cfg.HTTPClient,
 		logf:   w.cfg.Logf,
-		wire:   newWireMetrics(cfg.Metrics),
 	}
 	return w, nil
 }
@@ -344,8 +343,6 @@ func (w *Worker) execute(ctx context.Context, job Job, id string) (next Job, nex
 			}
 			batch := drain()
 			switch err := w.t.beat(jobCtx, curID, job.ID, batch); {
-			case err == nil:
-				w.wm.heartbeats.Inc()
 			case errors.Is(err, errUnknownWorker):
 				// The coordinator forgot this worker — a restart, not a lost
 				// lease. Re-register and keep computing: the next beat under
@@ -364,12 +361,11 @@ func (w *Worker) execute(ctx context.Context, job Job, id string) (next Job, nex
 				w.cfg.Logf("dispatch: job %.12s: re-attaching as %s (was %s)", job.ID, next, curID)
 				curID = next
 			case errors.Is(err, errLeaseLost):
-				w.wm.leaseLost.Inc()
 				w.cfg.Logf("dispatch: lease on job %.12s lost; abandoning", job.ID)
 				leaseLost = true
 				cancel()
 				return
-			default:
+			case err != nil:
 				// Transient: put the drained rounds back so the next beat
 				// relays them instead of losing that progress forever.
 				putBack(batch)

@@ -322,7 +322,6 @@ func (e *asyncEngine) run(ctx context.Context) error {
 		e.now = u.t
 		e.busy[u.res.ClientID] = false
 		e.buffer = append(e.buffer, u)
-		e.mx.AsyncEvents.Inc()
 		if len(e.buffer) >= e.k {
 			e.flush()
 		}
@@ -348,7 +347,6 @@ func (e *asyncEngine) flush() {
 // concurrently.
 func (e *asyncEngine) drawWave() {
 	w := e.draws
-	e.mx.AsyncWaves.Inc()
 	for _, id := range e.draw(w) {
 		if e.busy[id] {
 			continue
@@ -425,7 +423,6 @@ func (e *asyncEngine) aggregate() *AsyncInfo {
 	clear(e.histbuf)
 	for _, s := range e.stalebuf {
 		e.histbuf[s]++
-		e.mx.AsyncStaleness.Observe(float64(s))
 	}
 	info := &AsyncInfo{
 		Version:   e.version + 1,
@@ -457,10 +454,6 @@ func (e *asyncEngine) aggregate() *AsyncInfo {
 			}
 		}
 		e.m.Aggregate(info.Version-1, e.global, e.resbuf)
-	}
-	e.mx.AsyncAggs.Inc()
-	if info.Partial {
-		e.mx.AsyncPartial.Inc()
 	}
 	return info
 }

@@ -21,13 +21,6 @@ type RunMetrics struct {
 	ClientsTrained *obs.Counter   // fedwcm_fl_client_steps_total
 	Dropped        *obs.Counter   // fedwcm_fl_clients_dropped_total
 	Stragglers     *obs.Counter   // fedwcm_fl_stragglers_total (WorkFrac < 1)
-
-	// Buffered-async engine instrumentation (all zero-valued on sync runs).
-	AsyncAggs      *obs.Counter   // fedwcm_fl_async_aggregations_total
-	AsyncPartial   *obs.Counter   // fedwcm_fl_async_partial_flushes_total
-	AsyncEvents    *obs.Counter   // fedwcm_fl_async_events_total
-	AsyncWaves     *obs.Counter   // fedwcm_fl_async_waves_total
-	AsyncStaleness *obs.Histogram // fedwcm_fl_async_staleness
 }
 
 // NewRunMetrics resolves the fl metric family on reg. A nil reg returns a
@@ -43,11 +36,6 @@ func NewRunMetrics(reg *obs.Registry) *RunMetrics {
 	m.ClientsTrained = reg.Counter("fedwcm_fl_client_steps_total", "Client local-training executions.")
 	m.Dropped = reg.Counter("fedwcm_fl_clients_dropped_total", "Sampled clients that dropped before training.")
 	m.Stragglers = reg.Counter("fedwcm_fl_stragglers_total", "Sampled clients trained with a partial work fraction.")
-	m.AsyncAggs = reg.Counter("fedwcm_fl_async_aggregations_total", "Buffered-async aggregation events (server version bumps with a non-empty buffer).")
-	m.AsyncPartial = reg.Counter("fedwcm_fl_async_partial_flushes_total", "Async liveness flushes below the K threshold.")
-	m.AsyncEvents = reg.Counter("fedwcm_fl_async_events_total", "Client-completion events popped from the virtual-time queue.")
-	m.AsyncWaves = reg.Counter("fedwcm_fl_async_waves_total", "Cohort sampling waves drawn by the async engine.")
-	m.AsyncStaleness = reg.Histogram("fedwcm_fl_async_staleness", "Staleness (server versions behind) of aggregated async updates.", []float64{0, 1, 2, 4, 8, 16, 32})
 	return m
 }
 

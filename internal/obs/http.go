@@ -181,7 +181,7 @@ func Mount(mux *http.ServeMux, reg *Registry, tracer *Tracer, ready func() bool)
 }
 
 // RegisterRuntimeMetrics registers process-level gauges (goroutines, heap
-// bytes, GC cycles) read from runtime/metrics at scrape time.
+// bytes) read at scrape time.
 func RegisterRuntimeMetrics(reg *Registry) {
 	if reg == nil {
 		return
@@ -190,7 +190,6 @@ func RegisterRuntimeMetrics(reg *Registry) {
 		return float64(runtime.NumGoroutine())
 	})
 	reg.GaugeFunc("fedwcm_go_heap_bytes", "Heap memory in use, from runtime/metrics.", runtimeSampler("/memory/classes/heap/objects:bytes"))
-	reg.CounterFunc("fedwcm_go_gc_cycles_total", "Completed GC cycles, from runtime/metrics.", runtimeSampler("/gc/cycles/total:gc-cycles"))
 }
 
 // runtimeSampler returns a closure sampling one runtime/metrics value.

@@ -20,7 +20,7 @@
 //     process metrics come from runtime/metrics.
 //
 // Metric naming follows fedwcm_<layer>_<what>[_<unit>][_total]: the layer
-// prefix (http, dispatch, worker, sweep, envcache, store, fl) locates the
+// prefix (http, serve, dispatch, worker, store, envcache, fl, go) locates the
 // subsystem, durations are seconds, sizes are bytes, and monotonic series
 // end in _total. See docs/API.md for the full series reference.
 package obs
@@ -66,13 +66,6 @@ func (c *Counter) Value() uint64 {
 // A nil Gauge is a no-op.
 type Gauge struct {
 	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
 }
 
 // Add adds delta (CAS loop; contended adds retry).
@@ -325,9 +318,8 @@ func newHistogramSeries(buckets []float64) *series {
 
 // CounterFunc registers a counter whose value is read from fn at exposition
 // time — the bridge for components that already keep their own counters
-// (store.Stats, EnvCache.Stats): /metrics and the JSON endpoints then share
-// one source of truth by construction. Re-registering replaces fn (the
-// newest component instance wins).
+// (store.Stats, EnvCache.Stats), so the series cannot drift from the struct.
+// Re-registering replaces fn (the newest component instance wins).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	if r == nil {
 		return
@@ -370,25 +362,6 @@ func (v *CounterVec) With(lvs ...string) *Counter {
 		return nil
 	}
 	return v.f.child(lvs, func() *series { return &series{c: &Counter{}} }).c
-}
-
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec returns the labelled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.family(name, help, typeGauge, labels, nil)}
-}
-
-// With returns the child gauge for the given label values (interned).
-func (v *GaugeVec) With(lvs ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.child(lvs, func() *series { return &series{g: &Gauge{}} }).g
 }
 
 // HistogramVec is a histogram family with labels.

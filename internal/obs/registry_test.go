@@ -7,6 +7,14 @@ import (
 	"testing"
 )
 
+// Set stores v. No production gauge is set outright (the one plain gauge,
+// HTTP in-flight, moves by Inc/Dec), so only the tests' fixtures use it.
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "a counter")
@@ -36,7 +44,6 @@ func TestNilHandlesAreNoops(t *testing.T) {
 	r.Gauge("x", "").Set(1)
 	r.Histogram("x", "", nil).Observe(1)
 	r.CounterVec("x", "", "l").With("v").Inc()
-	r.GaugeVec("x", "", "l").With("v").Set(1)
 	r.HistogramVec("x", "", nil, "l").With("v").Observe(1)
 	r.CounterFunc("x", "", func() float64 { return 0 })
 	r.GaugeFunc("x", "", func() float64 { return 0 })

@@ -12,8 +12,8 @@ import (
 // with the stream's two verbs: emit frames one event into the response's
 // buffer, flush sends what has been framed (one write on the connection), so
 // a body that emits a batch and flushes once costs one write however many
-// events the batch holds. open counts the streams currently held.
-func serveSSE(w http.ResponseWriter, open *obs.Gauge, body func(emit func(event string, v any), flush func())) {
+// events the batch holds.
+func serveSSE(w http.ResponseWriter, body func(emit func(event string, v any), flush func())) {
 	flusher, canFlush := w.(http.Flusher)
 	if !canFlush {
 		obs.HTTPError(w, http.StatusInternalServerError, "streaming unsupported")
@@ -23,8 +23,6 @@ func serveSSE(w http.ResponseWriter, open *obs.Gauge, body func(emit func(event 
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
-	open.Inc()
-	defer open.Dec()
 	// One event at a time, encoded straight into the reused frame: Encode
 	// writes nothing on failure and ends the payload with one newline.
 	var frame bytes.Buffer

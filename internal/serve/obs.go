@@ -8,10 +8,8 @@ import (
 // terminations are counted where the driver reports them (feed, next to
 // finishCell), so /metrics and /v1/sweeps/{id} cannot diverge.
 type serveMetrics struct {
-	http      *obs.HTTPMetrics
-	sseRuns   *obs.Gauge      // live /v1/runs/{id}/events subscribers
-	sseSweeps *obs.Gauge      // live /v1/sweeps/{id}/events subscribers
-	cells     *obs.CounterVec // sweep cells reaching a terminal state, by status
+	http  *obs.HTTPMetrics
+	cells *obs.CounterVec // sweep cells reaching a terminal state, by status
 }
 
 func newServeMetrics(reg *obs.Registry, s *Server) serveMetrics {
@@ -30,9 +28,7 @@ func newServeMetrics(reg *obs.Registry, s *Server) serveMetrics {
 		return float64(len(s.sweeps))
 	})
 	return serveMetrics{
-		http:      obs.NewHTTPMetrics(reg),
-		sseRuns:   reg.Gauge("fedwcm_serve_sse_run_subscribers", "Open SSE streams on /v1/runs/{id}/events."),
-		sseSweeps: reg.Gauge("fedwcm_serve_sse_sweep_subscribers", "Open SSE streams on /v1/sweeps/{id}/events."),
-		cells:     reg.CounterVec("fedwcm_serve_sweep_cells_total", "Sweep cells reaching a terminal state, by status.", "status"),
+		http:  obs.NewHTTPMetrics(reg),
+		cells: reg.CounterVec("fedwcm_serve_sweep_cells_total", "Sweep cells reaching a terminal state, by status.", "status"),
 	}
 }

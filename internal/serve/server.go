@@ -73,9 +73,14 @@ type Config struct {
 	Envs *sweep.EnvCache
 	// Logf defaults to the unified slog route (obs.Logf("serve")).
 	Logf func(format string, args ...any)
-	// Metrics receives the server's series (HTTP, SSE, sweep cells, plus the
-	// store's and env cache's); nil uses the process default registry. Tracer
-	// backs /debug/trace; nil uses the process default tracer.
+	// Metrics receives the server's series (HTTP, sweep cells, the local
+	// backend's dispatch series, the store's and the env cache's) and is the
+	// registry /metrics serves; nil uses the process default, obs.Default().
+	// Training's fedwcm_fl_* series always land on obs.Default(), through
+	// fl.DefaultRunMetrics, whatever is passed here: the sweep runner never
+	// sets Env.Metrics. So a server built on obs.NewRegistry() scrapes no fl
+	// series (and no fedwcm_go_* series, which only obs.Default() registers).
+	// Tracer backs /debug/trace; nil uses the process default tracer.
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
 }
@@ -313,7 +318,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	serveSSE(w, s.sm.sseRuns, func(emit func(event string, v any), flush func()) {
+	serveSSE(w, func(emit func(event string, v any), flush func()) {
 		rounds := func(batch []fl.RoundStat) {
 			for _, st := range batch {
 				emit("round", st)

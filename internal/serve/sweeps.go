@@ -388,7 +388,7 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, req *http.Request) {
 	if sw == nil {
 		return
 	}
-	serveSSE(w, s.sm.sseSweeps, func(emit func(event string, v any), flush func()) {
+	serveSSE(w, func(emit func(event string, v any), flush func()) {
 		done := sw.finished.Stream(req.Context(), func(batch []int) {
 			for _, i := range batch {
 				emit("cell", sw.cellEvent(i))

@@ -10,28 +10,17 @@ import (
 	"fedwcm/internal/obs"
 )
 
-// Instrument registers the store's metric series on reg. Counter series are
-// Func metrics reading the same Stats fields the JSON status surface
-// reports — one source of truth, no drift. Latency histograms and the
-// bytes counter attach to the store itself. A nil reg is a no-op.
+// Instrument registers the store's write-side series on reg: the Put count,
+// a Func metric over Stats().Puts, and the Put latency histogram and bytes
+// counter, which attach to the store itself. No HTTP route serves Stats;
+// tests and the benchmark read it directly. A nil reg is a no-op.
 func (s *Store) Instrument(reg *obs.Registry) {
 	if s == nil || reg == nil {
 		return
 	}
-	stat := func(pick func(Stats) int64) func() float64 {
-		return func() float64 { return float64(pick(s.Stats())) }
-	}
-	reg.CounterFunc("fedwcm_store_mem_hits_total", "Store Gets served from the in-memory LRU.",
-		stat(func(st Stats) int64 { return st.MemHits }))
-	reg.CounterFunc("fedwcm_store_disk_hits_total", "Store Gets served from disk.",
-		stat(func(st Stats) int64 { return st.DiskHits }))
-	reg.CounterFunc("fedwcm_store_misses_total", "Store Gets that found nothing.",
-		stat(func(st Stats) int64 { return st.Misses }))
-	reg.CounterFunc("fedwcm_store_puts_total", "Successful store Puts.",
-		stat(func(st Stats) int64 { return st.Puts }))
-	reg.CounterFunc("fedwcm_store_lru_evictions_total", "Store LRU entries evicted to stay within capacity.",
-		stat(func(st Stats) int64 { return st.Evictions }))
-	s.getSeconds = reg.Histogram("fedwcm_store_get_seconds", "Store Get latency in seconds.", nil)
+	reg.CounterFunc("fedwcm_store_puts_total", "Successful store Puts.", func() float64 {
+		return float64(s.Stats().Puts)
+	})
 	s.putSeconds = reg.Histogram("fedwcm_store_put_seconds", "Store Put latency in seconds.", nil)
 	s.putBytes = reg.Counter("fedwcm_store_put_bytes_total", "Bytes written by store Puts.")
 }

@@ -64,7 +64,6 @@ type Store struct {
 	traceMu sync.Mutex
 
 	// Observation handles, set by Instrument; nil (no-op) until then.
-	getSeconds *obs.Histogram
 	putSeconds *obs.Histogram
 	putBytes   *obs.Counter
 }
@@ -157,9 +156,6 @@ func (s *Store) readArtifact(fp string) (*fl.History, error) {
 func (s *Store) Get(fp string) (*fl.History, bool, error) {
 	if !ValidFingerprint(fp) {
 		return nil, false, fmt.Errorf("store: invalid fingerprint %q", fp)
-	}
-	if s.getSeconds != nil {
-		defer func(start time.Time) { s.getSeconds.Observe(time.Since(start).Seconds()) }(time.Now())
 	}
 	s.mu.Lock()
 	if el, ok := s.idx[fp]; ok {

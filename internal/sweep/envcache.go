@@ -232,14 +232,8 @@ func (c *EnvCache) Instrument(reg *obs.Registry) {
 	if c == nil || reg == nil {
 		return
 	}
-	reg.CounterFunc("fedwcm_envcache_hits_total", "Environment-cache hits (construction shared).", func() float64 {
-		return float64(c.Stats().Hits)
-	})
 	reg.CounterFunc("fedwcm_envcache_misses_total", "Environment-cache misses (partition builds; datasets are synthesized only when no cached environment holds them).", func() float64 {
 		return float64(c.Stats().Misses)
-	})
-	reg.CounterFunc("fedwcm_envcache_evictions_total", "Environment-cache LRU evictions.", func() float64 {
-		return float64(c.Stats().Evictions)
 	})
 	reg.GaugeFunc("fedwcm_envcache_entries", "Environments currently cached.", func() float64 {
 		return float64(c.Stats().Entries)
