@@ -84,9 +84,13 @@ func (f *Feed[T]) Last() (last T, ok bool) {
 // first whatever was published before the call, then each run of events
 // that accumulated while emit was busy — one event per batch when the
 // subscriber keeps up. A batch is a read-only view of the log, valid for
-// good. Stream returns true once the feed has finished and everything
-// published before the Finish has been emitted, false when ctx ended first
-// (the caller's terminal event then has nobody to go to).
+// good. If Stream is about to wait before it has emitted anything, it
+// first hands emit one empty batch, so a caller that flushes per batch
+// sends its response header before the first event exists; a first look
+// that finds events, or a finished feed, emits no empty batch. Stream
+// returns true once the feed has finished and everything published before
+// the Finish has been emitted, false when ctx ended first (the caller's
+// terminal event then has nobody to go to).
 func (f *Feed[T]) Stream(ctx context.Context, emit func(batch []T)) bool {
 	wake := make(chan struct{}, 1)
 	f.mu.Lock()
@@ -100,7 +104,7 @@ func (f *Feed[T]) Stream(ctx context.Context, emit func(batch []T)) bool {
 		delete(f.subs, wake)
 		f.mu.Unlock()
 	}()
-	cursor := 0
+	cursor, waited := 0, false
 	for {
 		// Look at done before the log: if the feed had finished by now, the
 		// log read next holds every event there will ever be.
@@ -121,6 +125,10 @@ func (f *Feed[T]) Stream(ctx context.Context, emit func(batch []T)) bool {
 		if finished {
 			return true
 		}
+		if !waited && cursor == 0 {
+			emit(batch) // empty: nothing was published yet
+		}
+		waited = true
 		select {
 		case <-wake:
 		case <-f.done:

@@ -129,19 +129,24 @@ func TestFeedStreamStopsWithContext(t *testing.T) {
 // TestFeedSubscribersKeepTheirOwnCursor: a subscriber that reads as events
 // come and one that is held back until the end both see the whole log — the
 // first an event at a time (a live trickle is one batch, so one flush, per
-// event), the second in at most two batches.
+// event, after at most the one empty batch a subscriber that finds nothing
+// gets before it waits), the second in at most two batches.
 func TestFeedSubscribersKeepTheirOwnCursor(t *testing.T) {
 	const n = 300
 	f := NewFeed[int]()
 	var mu sync.Mutex
-	fast, fastBatches := 0, 0
+	fast, fastBatches, fastEmpty := 0, 0, 0
 	caughtUp := sync.NewCond(&mu)
 	fastVerdict := make(chan bool, 1)
 	go func() {
 		fastVerdict <- f.Stream(context.Background(), func(batch []int) {
 			mu.Lock()
-			fast += len(batch)
-			fastBatches++
+			if len(batch) == 0 && fastBatches == 0 {
+				fastEmpty++ // only ever the first batch
+			} else {
+				fast += len(batch)
+				fastBatches++
+			}
 			mu.Unlock()
 			caughtUp.Broadcast()
 		})
@@ -171,8 +176,9 @@ func TestFeedSubscribersKeepTheirOwnCursor(t *testing.T) {
 	if !<-fastVerdict || !<-slowVerdict {
 		t.Fatal("a subscriber reported the context ended")
 	}
-	if fastBatches != n {
-		t.Fatalf("the subscriber that kept up got %d batches for %d events, want one each", fastBatches, n)
+	if fastBatches != n || fastEmpty > 1 {
+		t.Fatalf("the subscriber that kept up got %d batches for %d events and %d empty first batches, want one each and at most one",
+			fastBatches, n, fastEmpty)
 	}
 	wantSequence(t, slow, n)
 	if slowBatches > 2 {
@@ -228,5 +234,53 @@ func TestFeedLast(t *testing.T) {
 	f.Finish()
 	if v, ok := f.Last(); !ok || v != 5 {
 		t.Fatalf("after Finish: Last = %d, %v; want 5, true", v, ok)
+	}
+}
+
+// TestFeedEmptyBatchBeforeFirstWait: a subscriber that finds nothing gets
+// one empty batch before it waits, then the events; one whose first look
+// finds events, or finds the feed finished, gets no empty batch.
+func TestFeedEmptyBatchBeforeFirstWait(t *testing.T) {
+	f := NewFeed[int]()
+	batches := make(chan []int, 4)
+	verdict := make(chan bool, 1)
+	go func() {
+		verdict <- f.Stream(context.Background(), func(batch []int) { batches <- batch })
+	}()
+	if first := <-batches; len(first) != 0 {
+		t.Fatalf("first batch of an empty feed = %v, want empty", first)
+	}
+	f.Publish(0)
+	if b := <-batches; len(b) != 1 || b[0] != 0 {
+		t.Fatalf("batch after Publish = %v, want [0]", b)
+	}
+	f.Finish()
+	if !<-verdict {
+		t.Fatal("Stream reported the context ended")
+	}
+	if len(batches) != 0 {
+		t.Fatalf("extra batch %v", <-batches)
+	}
+
+	for _, finish := range []bool{false, true} {
+		g := NewFeed[int]()
+		g.Publish(0)
+		if finish {
+			g.Finish()
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var got [][]int
+		done := make(chan bool, 1)
+		go func() {
+			done <- g.Stream(ctx, func(batch []int) {
+				got = append(got, batch)
+				cancel()
+			})
+		}()
+		<-done
+		cancel()
+		if len(got) != 1 || len(got[0]) != 1 {
+			t.Fatalf("finished=%v: batches %v, want one holding the event", finish, got)
+		}
 	}
 }

@@ -27,13 +27,18 @@ type GradInto interface {
 	LossAndGradInto(grad *tensor.Dense, logits *tensor.Dense, labels []int) float64
 }
 
-// softmaxRow writes softmax(z) into p and returns log-sum-exp for reuse.
+// softmaxRow writes softmax(z) into p. The exps come from tensor.ExpRow's
+// lane-wise kernel when it can run and from math.Exp otherwise — the same
+// bits either way — and are summed one by one, left to right.
 func softmaxRow(p, z []float64) {
 	m := tensor.Max(z)
+	if !tensor.ExpRow(p, z, m) {
+		for i, v := range z {
+			p[i] = math.Exp(v - m)
+		}
+	}
 	sum := 0.0
-	for i, v := range z {
-		e := math.Exp(v - m)
-		p[i] = e
+	for _, e := range p {
 		sum += e
 	}
 	inv := 1 / sum

@@ -166,3 +166,38 @@ func TestLabelOutOfRangePanics(t *testing.T) {
 	}()
 	CrossEntropy{}.LossAndGrad(tensor.NewDense(1, 3), []int{3})
 }
+
+// TestSoftmaxRowMatchesScalar holds softmaxRow to the loop it replaced —
+// math.Exp per class, summed as it goes — bit for bit, at every class
+// count from 1 to 128 and for rows whose spread passes the exp kernel's
+// range, so both of its paths run.
+func TestSoftmaxRowMatchesScalar(t *testing.T) {
+	r := xrand.New(61)
+	for n := 1; n <= 128; n++ {
+		for _, spread := range []float64{1, 30, 2000} {
+			z := make([]float64, n)
+			for i := range z {
+				z[i] = spread * r.NormFloat64()
+			}
+			want := make([]float64, n)
+			m := tensor.Max(z)
+			sum := 0.0
+			for i, v := range z {
+				e := math.Exp(v - m)
+				want[i] = e
+				sum += e
+			}
+			inv := 1 / sum
+			for i := range want {
+				want[i] *= inv
+			}
+			got := make([]float64, n)
+			softmaxRow(got, z)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d spread=%v: p[%d] = %v, want %v", n, spread, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

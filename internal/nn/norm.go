@@ -89,11 +89,13 @@ func (l *BatchNorm) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	l.nIn = n
 	l.train = train
 
-	// Two layouts, one arithmetic. Dense features (Spatial == 1) stream
-	// whole rows through the fused per-feature kernels; conv maps
-	// (Spatial == H·W) reduce each channel's runs of sp pixels four channels
-	// at a time (channelSums, bnSqDev) and normalise each run on a row kernel
-	// with the channel's constants broadcast. Per channel, the accumulation
+	// Two layouts, one arithmetic. Dense features (Spatial == 1) hand the
+	// whole batch to one whole-matrix kernel per pass (Dense.ColSumsInto,
+	// tensor.BNSqDevRows, tensor.BNNormRows; in Backward
+	// tensor.BNBwdSumsRows and tensor.BNBwdDxRows); conv maps (Spatial ==
+	// H·W) reduce each channel's runs of sp pixels four channels at a time
+	// (channelSums, bnSqDev) and normalise each run on a row kernel with the
+	// channel's constants broadcast. Per channel, the accumulation
 	// order over the batch, the mean/variance expressions, the running-stat
 	// update and the normalisation expression are the same in both, and the
 	// same as the per-channel loops the layer was first written with, so
@@ -104,10 +106,7 @@ func (l *BatchNorm) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 		mean = ensureVec(&l.mean, C)
 		sq := ensureVec(&l.varv, C)
 		if sp == 1 {
-			tensor.Zero(mean)
-			for s := 0; s < n; s++ {
-				tensor.AddVec(mean, x.Row(s))
-			}
+			x.ColSumsInto(mean)
 		} else {
 			channelSums(mean, x, sp)
 		}
@@ -115,10 +114,7 @@ func (l *BatchNorm) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 			mean[c] /= m
 		}
 		if sp == 1 {
-			tensor.Zero(sq)
-			for s := 0; s < n; s++ {
-				tensor.BNVarAccum(sq, x.Row(s), mean)
-			}
+			tensor.BNSqDevRows(sq, x.Data, mean)
 		} else {
 			bnSqDev(sq, x, mean, sp)
 		}
@@ -134,13 +130,12 @@ func (l *BatchNorm) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 			l.invstd[c] = 1 / math.Sqrt(l.RunVar.Data[c]+l.Eps)
 		}
 	}
+	if sp == 1 {
+		tensor.BNNormRows(out.Data, l.xmu, x.Data, mean, l.Gamma.Data, l.Beta.Data, l.invstd)
+		return out
+	}
 	for s := 0; s < n; s++ {
 		off := s * x.C
-		if sp == 1 {
-			tensor.BNNormInto(out.Data[off:off+C], l.xmu[off:off+C], x.Row(s),
-				mean, l.Gamma.Data, l.Beta.Data, l.invstd)
-			continue
-		}
 		for c := 0; c < C; c++ {
 			o := off + c*sp
 			tensor.BNNormScalarInto(out.Data[o:o+sp], l.xmu[o:o+sp], x.Data[o:o+sp],
@@ -236,12 +231,7 @@ func (l *BatchNorm) Backward(dout *tensor.Dense) *tensor.Dense {
 	sumD := ensureVec(&l.sumD, C)
 	sumDXmu := ensureVec(&l.sumDXmu, C)
 	if sp == 1 {
-		tensor.Zero(sumD)
-		tensor.Zero(sumDXmu)
-		for s := 0; s < n; s++ {
-			off := s * C
-			tensor.BNBwdAccum(sumD, sumDXmu, dout.Row(s), l.xmu[off:off+C])
-		}
+		tensor.BNBwdSumsRows(sumD, sumDXmu, dout.Data, l.xmu)
 	} else {
 		bnBwdSums(sumD, sumDXmu, dout, l.xmu, sp)
 	}
@@ -272,12 +262,12 @@ func (l *BatchNorm) Backward(dout *tensor.Dense) *tensor.Dense {
 		sumD[c] = g * inv / m * sumD[c]
 		sumDXmu[c] = g * inv * inv * inv / m * sumDXmu[c]
 	}
+	if sp == 1 {
+		tensor.BNBwdDxRows(dx.Data, dout.Data, l.xmu, kg, sumD, sumDXmu)
+		return dx
+	}
 	for s := 0; s < n; s++ {
 		off := s * dout.C
-		if sp == 1 {
-			tensor.BNBwdDx(dx.Data[off:off+C], dout.Row(s), l.xmu[off:off+C], kg, sumD, sumDXmu)
-			continue
-		}
 		for c := 0; c < C; c++ {
 			o := off + c*sp
 			tensor.BNBwdDxScalar(dx.Data[o:o+sp], dout.Data[o:o+sp], l.xmu[o:o+sp], kg[c], sumD[c], sumDXmu[c])

@@ -293,6 +293,28 @@ func TestSweepEventsStream(t *testing.T) {
 	}
 }
 
+// TestSweepEventsSendHeaderBeforeFirstCell: a client of a sweep's events
+// gets the response header while no cell has finished yet — here the only
+// worker slot is held by a blocked run — not when the first cell finishes.
+func TestSweepEventsSendHeaderBeforeFirstCell(t *testing.T) {
+	br := newBlockingRunner()
+	_, ts := newTestServer(t, Config{Runner: br.run, Workers: 1})
+	defer close(br.release)
+	_, sub := postSweep(t, ts, tinySweep())
+	<-br.started
+
+	tr := &http.Transport{ResponseHeaderTimeout: 2 * time.Second}
+	defer tr.CloseIdleConnections()
+	resp, err := (&http.Client{Transport: tr}).Get(ts.URL + "/v1/sweeps/" + sub.ID + "/events")
+	if err != nil {
+		t.Fatalf("no response header while every cell is pending: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "text/event-stream" {
+		t.Fatalf("HTTP %d, Content-Type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+}
+
 // TestSweepSharesInflightRuns: every way of asking goes through the one
 // engine, so a cell that is already running (from a direct /v1/runs
 // submission) is joined — by an HTTP sweep and by an in-process RunSweep

@@ -50,10 +50,15 @@ func (m *Dense) Row(i int) []float64 { return m.Data[i*m.C : (i+1)*m.C] }
 // ZeroAll sets all elements to zero.
 func (m *Dense) ZeroAll() { Zero(m.Data) }
 
-// AddRowVec adds vector v (len C) to every row.
+// AddRowVec adds vector v (len C) to every row: one masked AVX-512 pass
+// over the matrix where the host has it, else AddVec row by row.
 func (m *Dense) AddRowVec(v []float64) {
 	if len(v) != m.C {
 		panic("tensor: AddRowVec length mismatch")
+	}
+	if hasAVX512 && m.R > 0 && m.C > 0 {
+		addRowVecAVX512(&m.Data[0], &v[0], int64(m.R), int64(m.C))
+		return
 	}
 	for i := 0; i < m.R; i++ {
 		AddVec(m.Row(i), v)
@@ -61,10 +66,15 @@ func (m *Dense) AddRowVec(v []float64) {
 }
 
 // ColSumsInto writes the per-column sums into dst (len C), overwriting it:
-// zeroed, then rows added in ascending order.
+// zeroed, then rows added in ascending order. With AVX-512 it is one
+// masked pass that keeps each column's sum in a register.
 func (m *Dense) ColSumsInto(dst []float64) {
 	if len(dst) != m.C {
 		panic("tensor: ColSumsInto length mismatch")
+	}
+	if hasAVX512 && m.R > 0 && m.C > 0 {
+		colSumsAVX512(&dst[0], &m.Data[0], int64(m.R), int64(m.C))
+		return
 	}
 	Zero(dst)
 	for i := 0; i < m.R; i++ {

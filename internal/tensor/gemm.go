@@ -19,19 +19,22 @@ import "sync"
 // each strip split into micro-tiles whose accumulators live in registers.
 // Nothing is cache-blocked (the operands of every product the models run
 // fit in L2) and only A·Bᵀ packs an operand. On amd64 the micro-kernels
-// are hand-written assembly — 4 rows × 16 columns of float64 with AVX-512,
-// 4×8 with AVX, and a 4×4 one for a column remainder of four or more;
-// elsewhere a pure-Go register-tiled 4×8 kernel with the same accumulation
-// order runs instead. Columns past the last tile take a scalar loop over
-// the same four rows, and rows past the last full strip are padded to a
-// strip of their own (gemmTailRows), so no row count runs scalar code.
+// are hand-written assembly. With AVX-512 a strip runs 4 rows × 16 columns
+// of float64 per tile, and a remainder of 1–15 columns runs the same tile
+// with the missing lanes masked off, so no column runs scalar code. With
+// AVX only, a strip runs 4×8 tiles, one 4×4 tile for a remainder of four or
+// more, and a scalar loop over the same four rows for the last 0–3 columns.
+// Elsewhere a pure-Go register-tiled 4×8 kernel with the same accumulation
+// order runs, then the scalar loop. Rows past the last full strip are
+// padded to a strip of their own (gemmTailRows), so no row count runs
+// scalar code.
 
 // gemmMR×gemmNR is the micro-tile shape: 4×8 doubles = 8 YMM accumulators.
-// With AVX-512 a strip takes its columns gemmNRWide at a time first (the
-// same tile in 8 ZMM accumulators). A column remainder of gemmNRHalf or
-// more takes one half-width AVX tile (4×4, one YMM per row) before the
-// scalar edge loop: the 6×6 feature maps (36 columns) would otherwise leave
-// a ninth of every product to it.
+// With AVX-512 a strip takes its columns gemmNRWide at a time (the same
+// tile in 8 ZMM accumulators) and the remainder in one masked tile. Without
+// it, a column remainder of gemmNRHalf or more takes one half-width AVX
+// tile (4×4, one YMM per row) before the scalar edge loop: the 6×6 feature
+// maps (36 columns) would otherwise leave a ninth of every product to it.
 const (
 	gemmMR     = 4
 	gemmNRWide = 16
@@ -66,18 +69,24 @@ func GemmAcc(dst []float64, ldc int, a []float64, lda, astep int, b []float64, l
 }
 
 // gemmStrip computes one full gemmMR-row strip of GemmAcc. The tile width
-// is chosen by the columns that remain and the CPU alone: 16 while at least
-// 16 remain (AVX-512), then 8, then one 4×4 tile (AVX), then the scalar
-// edge. Columns are independent elements, so the width cannot change a bit.
-// The assembly kernels touch C through 3·ldc+width, A through
-// 3·lda+(k-1)·astep+1 and B through (k-1)·ldb+width — inside the caller's
-// slices because the strip is full and the tile fits the remaining columns.
+// is chosen by the columns that remain and the CPU alone: with AVX-512, 16
+// while at least 16 remain, then one masked tile of the 1–15 left; without
+// it, 8 at a time, then one 4×4 tile (AVX), then the scalar edge. Columns
+// are independent elements, so the width cannot change a bit. The assembly
+// kernels touch C through 3·ldc+width, A through 3·lda+(k-1)·astep+1 and B
+// through (k-1)·ldb+width — inside the caller's slices because the strip is
+// full and the tile fits the remaining columns (a masked lane is neither
+// read nor written).
 func gemmStrip(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, k, m int) {
 	j := 0
 	if hasAVX512 {
 		for ; m-j >= gemmNRWide; j += gemmNRWide {
 			gemmKernel4x16AVX512(&dst[j], &a[0], &b[j], int64(ldc), int64(lda), int64(astep), int64(ldb), int64(k))
 		}
+		if j < m {
+			gemmKernel4xNMaskAVX512(&dst[j], &a[0], &b[j], int64(ldc), int64(lda), int64(astep), int64(ldb), int64(k), int64(m-j))
+		}
+		return
 	}
 	for ; m-j >= gemmNR; j += gemmNR {
 		gemmKernel(dst[j:], ldc, a, lda, astep, b[j:], ldb, k)
@@ -121,8 +130,8 @@ func gemmTailRows(dst []float64, ldc int, a []float64, lda, astep int, b []float
 	putPanel(panel)
 }
 
-// gemmEdge handles the columns of a strip past its last tile (fewer than
-// gemmNRHalf with AVX, than gemmNR without) with the same per-element
+// gemmEdge handles the columns of a strip past its last tile on hosts
+// without AVX-512 (fewer than gemmNRHalf with AVX, than gemmNR without) with the same per-element
 // ascending-k accumulation as the micro-kernels: four accumulators in
 // locals, each B element shared across the strip's rows.
 func gemmEdge(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, k, cols int) {

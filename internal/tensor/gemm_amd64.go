@@ -12,6 +12,30 @@ func gemmKernel4x4AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
 func gemmKernel4x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
 
 //go:noescape
+func gemmKernel4xNMaskAVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64)
+
+//go:noescape
+func addRowVecAVX512(m, v *float64, rows, cols int64)
+
+//go:noescape
+func colSumsAVX512(dst, x *float64, rows, cols int64)
+
+//go:noescape
+func bnNormAVX512(out, xmu, x, mean, gam, bet, inv *float64, rows, cols int64)
+
+//go:noescape
+func bnSqDevAVX512(sq, x, mean *float64, rows, cols int64)
+
+//go:noescape
+func bnBwdSumsAVX512(sumD, sumDXmu, dout, xmu *float64, rows, cols int64)
+
+//go:noescape
+func bnBwdDxAVX512(dx, dout, xmu, k1, k2, k3 *float64, rows, cols int64)
+
+//go:noescape
+func expRowAVX512(dst, x *float64, m float64, n int64) (ok bool)
+
+//go:noescape
 func axpyBlocksAVX(dst, x *float64, alpha float64, blocks int64)
 
 //go:noescape
@@ -82,6 +106,17 @@ func detectAVX512() bool {
 	_, ebx, _, _ := cpuidAsm(7, 0)
 	eax, _ := xgetbvAsm()
 	return ebx&(1<<16) != 0 && eax&0xe6 == 0xe6
+}
+
+// hasFMA reports whether the CPU has FMA (CPUID.1:ECX bit 12). With AVX it
+// is the condition under which math.Exp takes the FMA path that ExpRow's
+// kernel reproduces, so ExpRow runs that kernel only when hasAVX512 and
+// hasFMA both hold.
+var hasFMA = hasAVX && detectFMA()
+
+func detectFMA() bool {
+	_, _, ecx, _ := cpuidAsm(1, 0)
+	return ecx&(1<<12) != 0
 }
 
 // gemmKernel computes one full gemmMR×gemmNR tile (see gemm.go for the

@@ -1,10 +1,12 @@
-// AVX micro-kernels (and one AVX-512 GEMM tile) for the float64 hot paths.
-// Every kernel preserves the per-element operation order of its pure-Go
-// counterpart (see gemm.go): multiplies and adds are emitted as separate
-// VMULPD/VADDPD so no FMA contraction changes rounding, and each output
-// element accumulates in the same sequence as the scalar loops — only
-// independent elements are processed in parallel. Results are therefore
-// bit-identical to the Go fallbacks on every input.
+// AVX micro-kernels, and the AVX-512 GEMM tiles and whole-matrix kernels,
+// for the float64 hot paths. Every kernel preserves the per-element
+// operation order of its pure-Go counterpart (see gemm.go): multiplies and
+// adds are emitted as separate VMULPD/VADDPD so no FMA contraction changes
+// rounding, and each output element accumulates in the same sequence as the
+// scalar loops — only independent elements are processed in parallel.
+// Results are therefore bit-identical to the Go fallbacks on every input.
+// The one exception is expRowAVX512 at the end of the file, whose fused
+// steps are those of math.Exp itself.
 
 #include "textflag.h"
 
@@ -587,5 +589,578 @@ bndxsloop:
 	ADDQ    $32, DX
 	DECQ    CX
 	JNZ     bndxsloop
+	VZEROUPPER
+	RET
+
+// AVX-512 whole-matrix kernels. Each takes a row-major rows×cols matrix,
+// walks its columns 16 at a time (two ZMM of eight lanes) with the lanes
+// past the last column masked off — masked loads read nothing there,
+// masked stores write nothing — holds that chunk's per-column constants
+// and accumulators in registers, and loops over every row inside. So a
+// whole BatchNorm pass, bias add or column sum is one call, and no column
+// count runs scalar code. Every element sees the same operations in the
+// same order as its scalar expression in simd.go and dense.go; a sum over
+// rows still starts at +0 and adds the rows in ascending order.
+
+// CHUNKMASK sets K1 to the lanes of columns 0-7 of the next 16 that exist
+// and K2 to those of columns 8-15, given BX columns left: all 16 lanes
+// while BX ≥ 16. Clobbers AX and CX.
+#define CHUNKMASK \
+	MOVQ    BX, CX; \
+	MOVQ    $16, AX; \
+	CMPQ    CX, AX; \
+	CMOVQGT AX, CX; \
+	MOVQ    $1, AX; \
+	SHLQ    CX, AX; \
+	DECQ    AX; \
+	KMOVW   AX, K1; \
+	SHRQ    $8, AX; \
+	KMOVW   AX, K2
+
+// func gemmKernel4xNMaskAVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64)
+//
+// dst[4][cols] += A[4][k]·B[k][cols] for 1 ≤ cols ≤ 15: the 4×16 tile with
+// the lanes past cols masked off, run on the column remainder of a strip.
+// Up to 8 columns take one ZMM per row (Z0-Z3); 9-15 take two, the second
+// masked. Addressing, the separate VMULPD/VADDPD and the ascending-k order
+// are gemmKernel4x16AVX512's.
+TEXT ·gemmKernel4xNMaskAVX512(SB), NOSPLIT, $0-72
+	MOVQ cols+64(FP), CX
+	MOVQ $1, AX
+	CMPQ CX, $8
+	JLE  narrow
+	SUBQ $8, CX
+
+narrow:
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K1 // lanes of the last (or only) ZMM per row
+	MOVQ  dst+0(FP), DI
+	MOVQ  a+8(FP), SI
+	MOVQ  b+16(FP), DX
+	MOVQ  ldc+24(FP), CX
+	MOVQ  lda+32(FP), R8
+	MOVQ  astep+40(FP), R14
+	MOVQ  ldb+48(FP), R9
+	MOVQ  k+56(FP), R10
+	SHLQ  $3, CX // strides: elements → bytes
+	SHLQ  $3, R8
+	SHLQ  $3, R14
+	SHLQ  $3, R9
+
+	// A row pointers: SI, R11, R12, R13.
+	LEAQ (SI)(R8*1), R11
+	LEAQ (SI)(R8*2), R12
+	LEAQ (R11)(R8*2), R13
+
+	CMPQ cols+64(FP), $8
+	JG   wide
+
+	// Load the 4×cols C tile into Z0-Z3.
+	MOVQ      DI, AX
+	VMOVUPD.Z (AX), K1, Z0
+	ADDQ      CX, AX
+	VMOVUPD.Z (AX), K1, Z1
+	ADDQ      CX, AX
+	VMOVUPD.Z (AX), K1, Z2
+	ADDQ      CX, AX
+	VMOVUPD.Z (AX), K1, Z3
+
+gemm8mloop:
+	VMOVUPD.Z (DX), K1, Z8
+
+	VBROADCASTSD (SI), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z0, Z0
+
+	VBROADCASTSD (R11), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z1, Z1
+
+	VBROADCASTSD (R12), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z2, Z2
+
+	VBROADCASTSD (R13), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z3, Z3
+
+	ADDQ R14, SI
+	ADDQ R14, R11
+	ADDQ R14, R12
+	ADDQ R14, R13
+	ADDQ R9, DX
+	DECQ R10
+	JNZ  gemm8mloop
+
+	VMOVUPD Z0, K1, (DI)
+	ADDQ    CX, DI
+	VMOVUPD Z1, K1, (DI)
+	ADDQ    CX, DI
+	VMOVUPD Z2, K1, (DI)
+	ADDQ    CX, DI
+	VMOVUPD Z3, K1, (DI)
+	VZEROUPPER
+	RET
+
+wide:
+	// Load the 4×cols C tile into Z0-Z7, the odd registers masked.
+	MOVQ      DI, AX
+	VMOVUPD   (AX), Z0
+	VMOVUPD.Z 64(AX), K1, Z1
+	ADDQ      CX, AX
+	VMOVUPD   (AX), Z2
+	VMOVUPD.Z 64(AX), K1, Z3
+	ADDQ      CX, AX
+	VMOVUPD   (AX), Z4
+	VMOVUPD.Z 64(AX), K1, Z5
+	ADDQ      CX, AX
+	VMOVUPD   (AX), Z6
+	VMOVUPD.Z 64(AX), K1, Z7
+
+gemm16mloop:
+	VMOVUPD   (DX), Z8
+	VMOVUPD.Z 64(DX), K1, Z9
+
+	VBROADCASTSD (SI), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z0, Z0
+	VMULPD       Z9, Z10, Z11
+	VADDPD       Z11, Z1, Z1
+
+	VBROADCASTSD (R11), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z2, Z2
+	VMULPD       Z9, Z10, Z11
+	VADDPD       Z11, Z3, Z3
+
+	VBROADCASTSD (R12), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z4, Z4
+	VMULPD       Z9, Z10, Z11
+	VADDPD       Z11, Z5, Z5
+
+	VBROADCASTSD (R13), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z6, Z6
+	VMULPD       Z9, Z10, Z11
+	VADDPD       Z11, Z7, Z7
+
+	ADDQ R14, SI
+	ADDQ R14, R11
+	ADDQ R14, R12
+	ADDQ R14, R13
+	ADDQ R9, DX
+	DECQ R10
+	JNZ  gemm16mloop
+
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, K1, 64(DI)
+	ADDQ    CX, DI
+	VMOVUPD Z2, (DI)
+	VMOVUPD Z3, K1, 64(DI)
+	ADDQ    CX, DI
+	VMOVUPD Z4, (DI)
+	VMOVUPD Z5, K1, 64(DI)
+	ADDQ    CX, DI
+	VMOVUPD Z6, (DI)
+	VMOVUPD Z7, K1, 64(DI)
+	VZEROUPPER
+	RET
+
+// func addRowVecAVX512(m, v *float64, rows, cols int64)
+// m[r][c] += v[c] for every row: v's chunk is loaded once per 16 columns.
+TEXT ·addRowVecAVX512(SB), NOSPLIT, $0-32
+	MOVQ m+0(FP), DI
+	MOVQ v+8(FP), SI
+	MOVQ cols+24(FP), BX
+	MOVQ BX, R12
+	SHLQ $3, R12 // row stride in bytes
+
+addrowcol:
+	CHUNKMASK
+	VMOVUPD.Z (SI), K1, Z16
+	VMOVUPD.Z 64(SI), K2, Z17
+	MOVQ      rows+16(FP), R13
+	MOVQ      DI, DX
+
+addrowrow:
+	VMOVUPD.Z (DX), K1, Z0
+	VMOVUPD.Z 64(DX), K2, Z1
+	VADDPD    Z16, Z0, Z0 // m + v
+	VADDPD    Z17, Z1, Z1
+	VMOVUPD   Z0, K1, (DX)
+	VMOVUPD   Z1, K2, 64(DX)
+	ADDQ      R12, DX
+	DECQ      R13
+	JNZ       addrowrow
+	ADDQ      $128, DI
+	ADDQ      $128, SI
+	SUBQ      $16, BX
+	JG        addrowcol
+	VZEROUPPER
+	RET
+
+// func colSumsAVX512(dst, x *float64, rows, cols int64)
+// dst[c] = Σ_r x[r][c]: each column's chain starts at +0 and adds the rows
+// in ascending order, two ZMM of chains per 16 columns.
+TEXT ·colSumsAVX512(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ cols+24(FP), BX
+	MOVQ BX, R12
+	SHLQ $3, R12
+
+colsumcol:
+	CHUNKMASK
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	MOVQ   rows+16(FP), R13
+	MOVQ   SI, DX
+
+colsumrow:
+	VMOVUPD.Z (DX), K1, Z2
+	VMOVUPD.Z 64(DX), K2, Z3
+	VADDPD    Z2, Z0, Z0 // sum + x
+	VADDPD    Z3, Z1, Z1
+	ADDQ      R12, DX
+	DECQ      R13
+	JNZ       colsumrow
+	VMOVUPD   Z0, K1, (DI)
+	VMOVUPD   Z1, K2, 64(DI)
+	ADDQ      $128, DI
+	ADDQ      $128, SI
+	SUBQ      $16, BX
+	JG        colsumcol
+	VZEROUPPER
+	RET
+
+// func bnNormAVX512(out, xmu, x, mean, gam, bet, inv *float64, rows, cols int64)
+// Per element: d = x - mean; xmu = d; out = ((g*d)*inv) + b, with mean, g,
+// b and inv held per 16 columns in Z16-Z23.
+TEXT ·bnNormAVX512(SB), NOSPLIT, $0-72
+	MOVQ out+0(FP), DI
+	MOVQ xmu+8(FP), SI
+	MOVQ x+16(FP), DX
+	MOVQ mean+24(FP), R8
+	MOVQ gam+32(FP), R9
+	MOVQ bet+40(FP), R10
+	MOVQ inv+48(FP), R11
+	MOVQ cols+64(FP), BX
+	MOVQ BX, R12
+	SHLQ $3, R12
+
+bnnormcol:
+	CHUNKMASK
+	VMOVUPD.Z (R8), K1, Z16
+	VMOVUPD.Z 64(R8), K2, Z17
+	VMOVUPD.Z (R9), K1, Z18
+	VMOVUPD.Z 64(R9), K2, Z19
+	VMOVUPD.Z (R10), K1, Z20
+	VMOVUPD.Z 64(R10), K2, Z21
+	VMOVUPD.Z (R11), K1, Z22
+	VMOVUPD.Z 64(R11), K2, Z23
+	MOVQ      rows+56(FP), R13
+	MOVQ      DI, AX
+	MOVQ      SI, CX
+	MOVQ      DX, R14
+
+bnnormrow:
+	VMOVUPD.Z (R14), K1, Z0
+	VMOVUPD.Z 64(R14), K2, Z1
+	VSUBPD    Z16, Z0, Z0 // d = x - mean
+	VSUBPD    Z17, Z1, Z1
+	VMOVUPD   Z0, K1, (CX)
+	VMOVUPD   Z1, K2, 64(CX)
+	VMULPD    Z0, Z18, Z0 // g*d
+	VMULPD    Z1, Z19, Z1
+	VMULPD    Z22, Z0, Z0 // (g*d)*inv
+	VMULPD    Z23, Z1, Z1
+	VADDPD    Z20, Z0, Z0 // + b
+	VADDPD    Z21, Z1, Z1
+	VMOVUPD   Z0, K1, (AX)
+	VMOVUPD   Z1, K2, 64(AX)
+	ADDQ      R12, AX
+	ADDQ      R12, CX
+	ADDQ      R12, R14
+	DECQ      R13
+	JNZ       bnnormrow
+	ADDQ      $128, DI
+	ADDQ      $128, SI
+	ADDQ      $128, DX
+	ADDQ      $128, R8
+	ADDQ      $128, R9
+	ADDQ      $128, R10
+	ADDQ      $128, R11
+	SUBQ      $16, BX
+	JG        bnnormcol
+	VZEROUPPER
+	RET
+
+// func bnSqDevAVX512(sq, x, mean *float64, rows, cols int64)
+// sq[c] = Σ_r (x[r][c] - mean[c])²: per element d = x - mean, d*d, added to
+// a chain that starts at +0, rows in ascending order.
+TEXT ·bnSqDevAVX512(SB), NOSPLIT, $0-40
+	MOVQ sq+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ mean+16(FP), R8
+	MOVQ cols+32(FP), BX
+	MOVQ BX, R12
+	SHLQ $3, R12
+
+bnsqcol:
+	CHUNKMASK
+	VMOVUPD.Z (R8), K1, Z16
+	VMOVUPD.Z 64(R8), K2, Z17
+	VPXORQ    Z0, Z0, Z0
+	VPXORQ    Z1, Z1, Z1
+	MOVQ      rows+24(FP), R13
+	MOVQ      SI, DX
+
+bnsqrow:
+	VMOVUPD.Z (DX), K1, Z2
+	VMOVUPD.Z 64(DX), K2, Z3
+	VSUBPD    Z16, Z2, Z2 // d = x - mean
+	VSUBPD    Z17, Z3, Z3
+	VMULPD    Z2, Z2, Z2  // d*d
+	VMULPD    Z3, Z3, Z3
+	VADDPD    Z2, Z0, Z0  // sq + d*d
+	VADDPD    Z3, Z1, Z1
+	ADDQ      R12, DX
+	DECQ      R13
+	JNZ       bnsqrow
+	VMOVUPD   Z0, K1, (DI)
+	VMOVUPD   Z1, K2, 64(DI)
+	ADDQ      $128, DI
+	ADDQ      $128, SI
+	ADDQ      $128, R8
+	SUBQ      $16, BX
+	JG        bnsqcol
+	VZEROUPPER
+	RET
+
+// func bnBwdSumsAVX512(sumD, sumDXmu, dout, xmu *float64, rows, cols int64)
+// sumD[c] = Σ_r dout; sumDXmu[c] = Σ_r dout*xmu: two chains per column,
+// each from +0, rows in ascending order.
+TEXT ·bnBwdSumsAVX512(SB), NOSPLIT, $0-48
+	MOVQ sumD+0(FP), DI
+	MOVQ sumDXmu+8(FP), SI
+	MOVQ dout+16(FP), R8
+	MOVQ xmu+24(FP), R9
+	MOVQ cols+40(FP), BX
+	MOVQ BX, R12
+	SHLQ $3, R12
+
+bnsumscol:
+	CHUNKMASK
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	MOVQ   rows+32(FP), R13
+	MOVQ   R8, DX
+	MOVQ   R9, R14
+
+bnsumsrow:
+	VMOVUPD.Z (DX), K1, Z4
+	VMOVUPD.Z 64(DX), K2, Z5
+	VADDPD    Z4, Z0, Z0 // sumD + d
+	VADDPD    Z5, Z1, Z1
+	VMOVUPD.Z (R14), K1, Z6
+	VMOVUPD.Z 64(R14), K2, Z7
+	VMULPD    Z6, Z4, Z6 // d*xmu
+	VMULPD    Z7, Z5, Z7
+	VADDPD    Z6, Z2, Z2 // sumDXmu + d*xmu
+	VADDPD    Z7, Z3, Z3
+	ADDQ      R12, DX
+	ADDQ      R12, R14
+	DECQ      R13
+	JNZ       bnsumsrow
+	VMOVUPD   Z0, K1, (DI)
+	VMOVUPD   Z1, K2, 64(DI)
+	VMOVUPD   Z2, K1, (SI)
+	VMOVUPD   Z3, K2, 64(SI)
+	ADDQ      $128, DI
+	ADDQ      $128, SI
+	ADDQ      $128, R8
+	ADDQ      $128, R9
+	SUBQ      $16, BX
+	JG        bnsumscol
+	VZEROUPPER
+	RET
+
+// func bnBwdDxAVX512(dx, dout, xmu, k1, k2, k3 *float64, rows, cols int64)
+// Per element: dx = ((k1*dout) - k2) - (k3*xmu), with k1, k2 and k3 held
+// per 16 columns in Z16-Z21.
+TEXT ·bnBwdDxAVX512(SB), NOSPLIT, $0-64
+	MOVQ dx+0(FP), DI
+	MOVQ dout+8(FP), SI
+	MOVQ xmu+16(FP), DX
+	MOVQ k1+24(FP), R8
+	MOVQ k2+32(FP), R9
+	MOVQ k3+40(FP), R10
+	MOVQ cols+56(FP), BX
+	MOVQ BX, R12
+	SHLQ $3, R12
+
+bndxcol:
+	CHUNKMASK
+	VMOVUPD.Z (R8), K1, Z16
+	VMOVUPD.Z 64(R8), K2, Z17
+	VMOVUPD.Z (R9), K1, Z18
+	VMOVUPD.Z 64(R9), K2, Z19
+	VMOVUPD.Z (R10), K1, Z20
+	VMOVUPD.Z 64(R10), K2, Z21
+	MOVQ      rows+48(FP), R13
+	MOVQ      DI, AX
+	MOVQ      SI, CX
+	MOVQ      DX, R14
+
+bndxrow:
+	VMOVUPD.Z (CX), K1, Z0
+	VMOVUPD.Z 64(CX), K2, Z1
+	VMULPD    Z0, Z16, Z0 // k1*dout
+	VMULPD    Z1, Z17, Z1
+	VSUBPD    Z18, Z0, Z0 // - k2
+	VSUBPD    Z19, Z1, Z1
+	VMOVUPD.Z (R14), K1, Z2
+	VMOVUPD.Z 64(R14), K2, Z3
+	VMULPD    Z2, Z20, Z2 // k3*xmu
+	VMULPD    Z3, Z21, Z3
+	VSUBPD    Z2, Z0, Z0  // - k3*xmu
+	VSUBPD    Z3, Z1, Z1
+	VMOVUPD   Z0, K1, (AX)
+	VMOVUPD   Z1, K2, 64(AX)
+	ADDQ      R12, AX
+	ADDQ      R12, CX
+	ADDQ      R12, R14
+	DECQ      R13
+	JNZ       bndxrow
+	ADDQ      $128, DI
+	ADDQ      $128, SI
+	ADDQ      $128, DX
+	ADDQ      $128, R8
+	ADDQ      $128, R9
+	ADDQ      $128, R10
+	SUBQ      $16, BX
+	JG        bndxcol
+	VZEROUPPER
+	RET
+
+// The exp kernel below is the one place in this package that fuses a
+// multiply with an add. It reproduces math.Exp on amd64, which takes its
+// FMA path (exp_amd64.s, after Shibata's SLEEF method) on every CPU that
+// has AVX and FMA: the same constants, the same operations in the same
+// order, each fused step an explicit VFNMADD231PD or VFMADD213PD where the
+// scalar code has VFNMADD231SD or VFMADD213SD. An FMA instruction rounds
+// once by definition, so each lane's result is as deterministic as the
+// scalar one, and equal to it bit for bit.
+DATA expconst<>+0(SB)/8, $1.4426950408889634073599246810018920       // LOG2E
+DATA expconst<>+8(SB)/8, $0.69314718055966295651160180568695068359375 // LN2U
+DATA expconst<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12 // LN2L
+DATA expconst<>+24(SB)/8, $0.0625
+DATA expconst<>+32(SB)/8, $2.4801587301587301587e-5
+DATA expconst<>+40(SB)/8, $1.9841269841269841270e-4
+DATA expconst<>+48(SB)/8, $1.3888888888888888889e-3
+DATA expconst<>+56(SB)/8, $8.3333333333333333333e-3
+DATA expconst<>+64(SB)/8, $4.1666666666666666667e-2
+DATA expconst<>+72(SB)/8, $1.6666666666666666667e-1
+DATA expconst<>+80(SB)/8, $0.5
+DATA expconst<>+88(SB)/8, $1.0
+DATA expconst<>+96(SB)/8, $2.0
+DATA expconst<>+104(SB)/8, $-708.0
+DATA expconst<>+112(SB)/8, $1023
+GLOBL expconst<>(SB), RODATA|NOPTR, $120
+
+// func expRowAVX512(dst, x *float64, m float64, n int64) (ok bool)
+//
+// dst[i] = exp(x[i] - m) for i < n, eight lanes at a time with the last
+// block masked. Lane by lane it is math.Exp's FMA path with its special
+// cases left out: those are unreachable for d = x - m in [-708, 0], where
+// the scaled exponent stays in [-1021, 0] and the result is normal. ok is
+// false, and dst must be recomputed, if any d lies outside that range or
+// is NaN (the compares are unordered-true).
+TEXT ·expRowAVX512(SB), NOSPLIT, $0-33
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	VBROADCASTSD m+16(FP), Z31
+	MOVQ         n+24(FP), BX
+	VBROADCASTSD expconst<>+0(SB), Z16
+	VBROADCASTSD expconst<>+8(SB), Z17
+	VBROADCASTSD expconst<>+16(SB), Z18
+	VBROADCASTSD expconst<>+24(SB), Z19
+	VBROADCASTSD expconst<>+32(SB), Z20
+	VBROADCASTSD expconst<>+40(SB), Z21
+	VBROADCASTSD expconst<>+48(SB), Z22
+	VBROADCASTSD expconst<>+56(SB), Z23
+	VBROADCASTSD expconst<>+64(SB), Z24
+	VBROADCASTSD expconst<>+72(SB), Z25
+	VBROADCASTSD expconst<>+80(SB), Z26
+	VBROADCASTSD expconst<>+88(SB), Z27
+	VBROADCASTSD expconst<>+96(SB), Z28
+	VBROADCASTSD expconst<>+104(SB), Z29
+	VPBROADCASTQ expconst<>+112(SB), Z14
+	VPXORQ       Z30, Z30, Z30
+	KXORW        K3, K3, K3 // lanes out of range so far
+
+exploop:
+	MOVQ    BX, CX
+	MOVQ    $8, AX
+	CMPQ    CX, AX
+	CMOVQGT AX, CX
+	MOVQ    $1, AX
+	SHLQ    CX, AX
+	DECQ    AX
+	KMOVW   AX, K1
+
+	VMOVUPD.Z (SI), K1, Z0
+	VSUBPD    Z31, Z0, Z0          // d = x - m
+	VCMPPD    $0x19, Z29, Z0, K1, K2 // !(d >= -708)
+	KORW      K2, K3, K3
+	VCMPPD    $0x16, Z30, Z0, K1, K2 // !(d <= 0)
+	KORW      K2, K3, K3
+
+	VMULPD       Z16, Z0, Z1 // d*LOG2E
+	VCVTPD2DQ    Z1, Y2      // exponent, rounded to nearest
+	VCVTDQ2PD    Y2, Z1
+	VFNMADD231PD Z17, Z1, Z0 // d -= e*LN2U
+	VFNMADD231PD Z18, Z1, Z0 // d -= e*LN2L
+	VMULPD       Z19, Z0, Z0 // r = d/16
+
+	// Taylor series: p = ((…(c8·r + c7)·r + …)·r + 1/2)·r + 1.
+	VMOVAPD     Z20, Z1
+	VFMADD213PD Z21, Z0, Z1
+	VFMADD213PD Z22, Z0, Z1
+	VFMADD213PD Z23, Z0, Z1
+	VFMADD213PD Z24, Z0, Z1
+	VFMADD213PD Z25, Z0, Z1
+	VFMADD213PD Z26, Z0, Z1
+	VFMADD213PD Z27, Z0, Z1
+	VMULPD      Z1, Z0, Z0 // y = r·p
+
+	// Square four times: y = y·(y+2), the last one fused with the + 1.
+	VADDPD      Z28, Z0, Z1
+	VMULPD      Z1, Z0, Z0
+	VADDPD      Z28, Z0, Z1
+	VMULPD      Z1, Z0, Z0
+	VADDPD      Z28, Z0, Z1
+	VMULPD      Z1, Z0, Z0
+	VADDPD      Z28, Z0, Z1
+	VFMADD213PD Z27, Z1, Z0
+
+	// Times 2^e: the exponent field (e + 1023) << 52.
+	VPMOVSXDQ Y2, Z3
+	VPADDQ    Z14, Z3, Z3
+	VPSLLQ    $52, Z3, Z3
+	VMULPD    Z3, Z0, Z0
+	VMOVUPD   Z0, K1, (DI)
+
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $8, BX
+	JG   exploop
+
+	KORTESTW K3, K3
+	SETEQ    ok+32(FP)
 	VZEROUPPER
 	RET

@@ -8,6 +8,7 @@ package tensor
 const (
 	hasAVX    = false
 	hasAVX512 = false
+	hasFMA    = false
 )
 
 func gemmKernel(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, k int) {
@@ -47,3 +48,27 @@ func bnNormScalarBlocksAVX(out, xmu, x *float64, mean, gam, bet, inv float64, bl
 func bnBwdDxScalarBlocksAVX(dx, dout, xmu *float64, k1, k2, k3 float64, blocks int64) {
 	panic("tensor: no AVX")
 }
+
+func gemmKernel4xNMaskAVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64) {
+	panic("tensor: no AVX-512")
+}
+
+func addRowVecAVX512(m, v *float64, rows, cols int64) { panic("tensor: no AVX-512") }
+
+func colSumsAVX512(dst, x *float64, rows, cols int64) { panic("tensor: no AVX-512") }
+
+func bnNormAVX512(out, xmu, x, mean, gam, bet, inv *float64, rows, cols int64) {
+	panic("tensor: no AVX-512")
+}
+
+func bnSqDevAVX512(sq, x, mean *float64, rows, cols int64) { panic("tensor: no AVX-512") }
+
+func bnBwdSumsAVX512(sumD, sumDXmu, dout, xmu *float64, rows, cols int64) {
+	panic("tensor: no AVX-512")
+}
+
+func bnBwdDxAVX512(dx, dout, xmu, k1, k2, k3 *float64, rows, cols int64) {
+	panic("tensor: no AVX-512")
+}
+
+func expRowAVX512(dst, x *float64, m float64, n int64) bool { panic("tensor: no AVX-512") }

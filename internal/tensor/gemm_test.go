@@ -52,7 +52,8 @@ var gemmShapes = [][3]int{
 }
 
 // Column counts ≡ 4…7 (mod 8) take the 4×4 remainder tile and then leave
-// 0…3 columns to the scalar edge; inner sizes 1, 27 and 144 are the
+// 0…3 columns to the scalar edge (without AVX-512; with it, every remainder
+// of 1–15 takes the masked tile); inner sizes 1, 27 and 144 are the
 // shortest sum and the conv layers' own. Each pair appears with the inner
 // size second (MatMul, MatMulBT) and first (MatMulAT), over 6 rows: one
 // 4-row strip plus two leftover rows for the padded strip.

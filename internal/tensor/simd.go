@@ -1,11 +1,16 @@
 package tensor
 
 // Fused elementwise kernels for the activation and normalisation hot paths.
-// Each function documents its exact per-element expression; the AVX path
-// (gemm_amd64.s) emits the same multiplies and adds in the same order with
-// no FMA contraction, so results are bit-identical to the scalar tails on
-// every input — including NaN (ordered compares treat it as "not ≤ 0") and
-// negative zero (clamped to +0 exactly like the scalar branch). The one
+// The 1-D batch norm (BNNormRows, BNSqDevRows, BNBwdSumsRows, BNBwdDxRows)
+// takes a whole n×C matrix per call, as do Dense.AddRowVec and
+// Dense.ColSumsInto: with AVX-512 each is one masked pass over the matrix,
+// elsewhere a loop of the row kernels. Each function documents its exact
+// per-element expression; the SIMD paths (gemm_amd64.s) emit the same
+// multiplies and adds in the same order with no FMA contraction, so results
+// are bit-identical to the scalar tails on every input — including NaN
+// (ordered compares treat it as "not ≤ 0") and negative zero (clamped to +0
+// exactly like the scalar branch). ExpRow is the one kernel with fused
+// multiply-adds, because the math.Exp it reproduces has them. The one
 // freedom is which NaN comes out when both operands of one operation are
 // NaNs with different bits (an input NaN meeting the one Inf−Inf or 0·Inf
 // makes): x86 returns the first operand's, and in a commutative scalar
@@ -59,94 +64,157 @@ func ReLUBwdInto(dst, dout, x []float64) {
 	}
 }
 
-// BNNormInto is the fused batch-norm normalisation row kernel. Per element:
+// rowsOf returns the number of rows of width cols in a matrix of size
+// elements, and panics (naming fn) when size is not a whole number of rows.
+func rowsOf(fn string, size, cols int) int {
+	if cols == 0 && size == 0 {
+		return 0
+	}
+	if cols == 0 || size%cols != 0 {
+		panic("tensor: " + fn + " length mismatch")
+	}
+	return size / cols
+}
+
+// BNNormRows is the fused batch-norm normalisation of a row-major n×C
+// matrix, C = len(mean). Per element of row r, column c:
 //
-//	d := x[i] - mean[i]; xmu[i] = d; out[i] = g[i]*d*inv[i] + b[i]
+//	d := x[r][c] - mean[c]; xmu[r][c] = d; out[r][c] = g[c]*d*inv[c] + b[c]
 //
 // with the product evaluated left to right, matching the scalar layer.
-func BNNormInto(out, xmu, x, mean, g, b, inv []float64) {
-	n := len(out)
-	if len(xmu) != n || len(x) != n || len(mean) != n || len(g) != n || len(b) != n || len(inv) != n {
-		panic("tensor: BNNormInto length mismatch")
+// With AVX-512 it is one call that holds each column block's constants in
+// registers; otherwise each row runs the AVX block kernel (when the host
+// has AVX) and a scalar tail.
+func BNNormRows(out, xmu, x, mean, g, b, inv []float64) {
+	C := len(mean)
+	if len(g) != C || len(b) != C || len(inv) != C || len(out) != len(x) || len(xmu) != len(x) {
+		panic("tensor: BNNormRows length mismatch")
 	}
-	i := 0
-	if hasAVX && n >= simdMinLen {
-		blocks := n >> 2
-		bnNormBlocksAVX(&out[0], &xmu[0], &x[0], &mean[0], &g[0], &b[0], &inv[0], int64(blocks))
-		i = blocks << 2
+	n := rowsOf("BNNormRows", len(x), C)
+	if n == 0 {
+		return
 	}
-	for ; i < n; i++ {
-		d := x[i] - mean[i]
-		xmu[i] = d
-		out[i] = float64(g[i]*d*inv[i]) + b[i]
+	if hasAVX512 {
+		bnNormAVX512(&out[0], &xmu[0], &x[0], &mean[0], &g[0], &b[0], &inv[0], int64(n), int64(C))
+		return
 	}
-}
-
-// BNVarAccum accumulates squared deviations: sq[i] += (x[i]-mean[i])².
-func BNVarAccum(sq, x, mean []float64) {
-	n := len(sq)
-	if len(x) != n || len(mean) != n {
-		panic("tensor: BNVarAccum length mismatch")
-	}
-	i := 0
-	if hasAVX && n >= simdMinLen {
-		blocks := n >> 2
-		bnVarAccumBlocksAVX(&sq[0], &x[0], &mean[0], int64(blocks))
-		i = blocks << 2
-	}
-	for ; i < n; i++ {
-		d := x[i] - mean[i]
-		sq[i] += float64(d * d)
+	for o := 0; o < len(x); o += C {
+		out, xmu, x := out[o:o+C], xmu[o:o+C], x[o:o+C]
+		i := 0
+		if hasAVX && C >= simdMinLen {
+			blocks := C >> 2
+			bnNormBlocksAVX(&out[0], &xmu[0], &x[0], &mean[0], &g[0], &b[0], &inv[0], int64(blocks))
+			i = blocks << 2
+		}
+		for ; i < C; i++ {
+			d := x[i] - mean[i]
+			xmu[i] = d
+			out[i] = float64(g[i]*d*inv[i]) + b[i]
+		}
 	}
 }
 
-// BNBwdAccum accumulates the two batch-norm backward reductions one row at
-// a time: sumD[i] += dout[i]; sumDXmu[i] += dout[i]*xmu[i].
-func BNBwdAccum(sumD, sumDXmu, dout, xmu []float64) {
-	n := len(sumD)
-	if len(sumDXmu) != n || len(dout) != n || len(xmu) != n {
-		panic("tensor: BNBwdAccum length mismatch")
+// BNSqDevRows writes into sq each column's sum of squared deviations over
+// the rows of the n×C matrix x, C = len(sq): per column a chain from +0
+// that adds (x[r][c]-mean[c])² in ascending r.
+func BNSqDevRows(sq, x, mean []float64) {
+	C := len(sq)
+	if len(mean) != C {
+		panic("tensor: BNSqDevRows length mismatch")
 	}
-	i := 0
-	if hasAVX && n >= simdMinLen {
-		blocks := n >> 2
-		bnBwdAccumBlocksAVX(&sumD[0], &sumDXmu[0], &dout[0], &xmu[0], int64(blocks))
-		i = blocks << 2
+	n := rowsOf("BNSqDevRows", len(x), C)
+	if hasAVX512 && n > 0 {
+		bnSqDevAVX512(&sq[0], &x[0], &mean[0], int64(n), int64(C))
+		return
 	}
-	for ; i < n; i++ {
-		d := dout[i]
-		sumD[i] += d
-		sumDXmu[i] += float64(d * xmu[i])
+	Zero(sq)
+	for o := 0; o < len(x); o += C {
+		x := x[o : o+C]
+		i := 0
+		if hasAVX && C >= simdMinLen {
+			blocks := C >> 2
+			bnVarAccumBlocksAVX(&sq[0], &x[0], &mean[0], int64(blocks))
+			i = blocks << 2
+		}
+		for ; i < C; i++ {
+			d := x[i] - mean[i]
+			sq[i] += float64(d * d)
+		}
 	}
 }
 
-// BNBwdDx is the fused batch-norm input-gradient row kernel. Per element:
+// BNBwdSumsRows writes the two batch-norm backward reductions over the
+// rows of the n×C matrices dout and xmu, C = len(sumD): per column, chains
+// from +0 in ascending r of sumD += dout and sumDXmu += dout*xmu.
+func BNBwdSumsRows(sumD, sumDXmu, dout, xmu []float64) {
+	C := len(sumD)
+	if len(sumDXmu) != C || len(xmu) != len(dout) {
+		panic("tensor: BNBwdSumsRows length mismatch")
+	}
+	n := rowsOf("BNBwdSumsRows", len(dout), C)
+	if hasAVX512 && n > 0 {
+		bnBwdSumsAVX512(&sumD[0], &sumDXmu[0], &dout[0], &xmu[0], int64(n), int64(C))
+		return
+	}
+	Zero(sumD)
+	Zero(sumDXmu)
+	for o := 0; o < len(dout); o += C {
+		dout, xmu := dout[o:o+C], xmu[o:o+C]
+		i := 0
+		if hasAVX && C >= simdMinLen {
+			blocks := C >> 2
+			bnBwdAccumBlocksAVX(&sumD[0], &sumDXmu[0], &dout[0], &xmu[0], int64(blocks))
+			i = blocks << 2
+		}
+		for ; i < C; i++ {
+			d := dout[i]
+			sumD[i] += d
+			sumDXmu[i] += float64(d * xmu[i])
+		}
+	}
+}
+
+// BNBwdDxRows is the fused batch-norm input gradient of a row-major n×C
+// matrix, C = len(k1). Per element of row r, column c:
 //
-//	dx[i] = k1[i]*dout[i] - k2[i] - k3[i]*xmu[i]
+//	dx[r][c] = k1[c]*dout[r][c] - k2[c] - k3[c]*xmu[r][c]
 //
-// evaluated left to right, matching the scalar layer.
-func BNBwdDx(dx, dout, xmu, k1, k2, k3 []float64) {
-	n := len(dx)
-	if len(dout) != n || len(xmu) != n || len(k1) != n || len(k2) != n || len(k3) != n {
-		panic("tensor: BNBwdDx length mismatch")
+// evaluated left to right, matching the scalar layer; the kernels split as
+// in BNNormRows.
+func BNBwdDxRows(dx, dout, xmu, k1, k2, k3 []float64) {
+	C := len(k1)
+	if len(k2) != C || len(k3) != C || len(dout) != len(dx) || len(xmu) != len(dx) {
+		panic("tensor: BNBwdDxRows length mismatch")
 	}
-	i := 0
-	if hasAVX && n >= simdMinLen {
-		blocks := n >> 2
-		bnBwdDxBlocksAVX(&dx[0], &dout[0], &xmu[0], &k1[0], &k2[0], &k3[0], int64(blocks))
-		i = blocks << 2
+	n := rowsOf("BNBwdDxRows", len(dx), C)
+	if n == 0 {
+		return
 	}
-	for ; i < n; i++ {
-		dx[i] = float64(k1[i]*dout[i]) - k2[i] - float64(k3[i]*xmu[i])
+	if hasAVX512 {
+		bnBwdDxAVX512(&dx[0], &dout[0], &xmu[0], &k1[0], &k2[0], &k3[0], int64(n), int64(C))
+		return
+	}
+	for o := 0; o < len(dx); o += C {
+		dx, dout, xmu := dx[o:o+C], dout[o:o+C], xmu[o:o+C]
+		i := 0
+		if hasAVX && C >= simdMinLen {
+			blocks := C >> 2
+			bnBwdDxBlocksAVX(&dx[0], &dout[0], &xmu[0], &k1[0], &k2[0], &k3[0], int64(blocks))
+			i = blocks << 2
+		}
+		for ; i < C; i++ {
+			dx[i] = float64(k1[i]*dout[i]) - k2[i] - float64(k3[i]*xmu[i])
+		}
 	}
 }
 
-// BNNormScalarInto is BNNormInto for one channel of a 2-D batch norm, whose
-// mean, γ, 1/σ and β are the same for the whole row. Per element:
+// BNNormScalarInto is BNNormRows for one run of one channel of a 2-D batch
+// norm, whose mean, γ, 1/σ and β are the same for the whole run. Per
+// element:
 //
 //	d := x[i] - mean; xmu[i] = d; out[i] = g*d*inv + b
 //
-// with the product evaluated left to right, matching BNNormInto bit for bit.
+// with the product evaluated left to right, matching BNNormRows bit for bit.
 func BNNormScalarInto(out, xmu, x []float64, mean, g, b, inv float64) {
 	n := len(out)
 	if len(xmu) != n || len(x) != n {
@@ -165,12 +233,12 @@ func BNNormScalarInto(out, xmu, x []float64, mean, g, b, inv float64) {
 	}
 }
 
-// BNBwdDxScalar is BNBwdDx for one channel of a 2-D batch norm, whose
-// constants are the same for the whole row. Per element:
+// BNBwdDxScalar is BNBwdDxRows for one run of one channel of a 2-D batch
+// norm, whose constants are the same for the whole run. Per element:
 //
 //	dx[i] = k1*dout[i] - k2 - k3*xmu[i]
 //
-// evaluated left to right, matching BNBwdDx bit for bit.
+// evaluated left to right, matching BNBwdDxRows bit for bit.
 func BNBwdDxScalar(dx, dout, xmu []float64, k1, k2, k3 float64) {
 	n := len(dx)
 	if len(dout) != n || len(xmu) != n {
@@ -185,4 +253,22 @@ func BNBwdDxScalar(dx, dout, xmu []float64, k1, k2, k3 float64) {
 	for ; i < n; i++ {
 		dx[i] = float64(k1*dout[i]) - k2 - float64(k3*xmu[i])
 	}
+}
+
+// ExpRow writes dst[i] = math.Exp(x[i] - m) for every i and reports true,
+// or reports false, leaving dst unspecified, when its kernel cannot run:
+// the host lacks AVX-512 or FMA, or some x[i] - m is NaN or lies outside
+// [-708, 0]. The kernel (gemm_amd64.s) is math.Exp's amd64 FMA path run
+// eight lanes at a time — the same constants and the same operations in
+// the same order — so every value it writes is math.Exp's, bit for bit
+// (TestExpRowMatchesMathExp). A caller recomputes dst with math.Exp on
+// false; softmax passes m = max(x).
+func ExpRow(dst, x []float64, m float64) bool {
+	if len(dst) != len(x) {
+		panic("tensor: ExpRow length mismatch")
+	}
+	if !hasAVX512 || !hasFMA || len(x) == 0 {
+		return false
+	}
+	return expRowAVX512(&dst[0], &x[0], m, int64(len(x)))
 }

@@ -12,11 +12,11 @@ import (
 
 // TestRowKernelsMatchScalarBits holds every fused row kernel of simd.go to
 // the per-element expression its doc states, bit for bit, as simd.go's
-// header promises: every length around the 4-wide blocks and the
-// simdMinLen cut plus a feature map's 144, inputs (constants included) that
-// mix zeros of both signs, NaN and both infinities into normals, at each
-// kernel level the host has — AVX, and the scalar loops non-AVX builds run
-// for everything. A NaN must meet a NaN; its bits are free (see simd.go).
+// header promises (TestMatrixKernelsMatchScalarBits holds the whole-matrix
+// ones): every length around the 4-wide blocks and the simdMinLen cut plus
+// a feature map's 144, inputs (constants included) that mix zeros of both
+// signs, NaN and both infinities into normals, at each kernel level the
+// host has — AVX, and the scalar loops non-AVX builds run for everything. A NaN must meet a NaN; its bits are free (see simd.go).
 // Every other result, ±0 and ±Inf included, must match bit for bit.
 func TestRowKernelsMatchScalarBits(t *testing.T) {
 	avx, avx512 := hasAVX, hasAVX512
@@ -64,8 +64,7 @@ func TestRowKernelsMatchScalarBits(t *testing.T) {
 							}
 						}
 					}
-					x, y, z := vec(n), vec(n), vec(n)
-					a, b, c := vec(n), vec(n), vec(n)
+					x, y := vec(n), vec(n)
 					got, got2 := make([]float64, n), make([]float64, n)
 					want, want2 := make([]float64, n), make([]float64, n)
 
@@ -88,39 +87,6 @@ func TestRowKernelsMatchScalarBits(t *testing.T) {
 						}
 					}
 					check("ReLUBwdInto", got, want)
-
-					BNNormInto(got, got2, x, y, a, b, c)
-					for i := range x {
-						d := x[i] - y[i]
-						want2[i] = d
-						want[i] = float64(a[i]*d*c[i]) + b[i]
-					}
-					check("BNNormInto out", got, want)
-					check("BNNormInto xmu", got2, want2)
-
-					copy(got, z)
-					BNVarAccum(got, x, y)
-					for i := range x {
-						d := x[i] - y[i]
-						want[i] = z[i] + float64(d*d)
-					}
-					check("BNVarAccum", got, want)
-
-					copy(got, z)
-					copy(got2, a)
-					BNBwdAccum(got, got2, x, y)
-					for i := range x {
-						want[i] = z[i] + x[i]
-						want2[i] = a[i] + float64(x[i]*y[i])
-					}
-					check("BNBwdAccum sumD", got, want)
-					check("BNBwdAccum sumDXmu", got2, want2)
-
-					BNBwdDx(got, x, y, a, b, c)
-					for i := range x {
-						want[i] = float64(a[i]*x[i]) - b[i] - float64(c[i]*y[i])
-					}
-					check("BNBwdDx", got, want)
 
 					mean, g, beta, inv := value(), value(), value(), value()
 					BNNormScalarInto(got, got2, x, mean, g, beta, inv)
