@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fedwcm/internal/nn"
+	"fedwcm/internal/tensor"
 	"fedwcm/internal/xrand"
 )
 
@@ -88,10 +89,9 @@ func WeightedDeltaInto(global []float64, etaG float64, results []*ClientResult, 
 		if w == 0 {
 			continue
 		}
-		s := etaG * w
-		for j, d := range res.Delta {
-			global[j] -= float64(s * d)
-		}
+		// global − s·d is global + (−s)·d bit for bit: negating a factor
+		// negates the rounded product, and x − y is x + (−y).
+		tensor.Axpy(global, -(etaG * w), res.Delta)
 	}
 }
 
@@ -139,16 +139,11 @@ func SizeWeightsInto(buf []float64, results []*ClientResult) []float64 {
 // MomentumFrom computes the gradient-scale momentum direction
 // Δ = Σ w_k · Delta_k / (η_l · Steps_k), writing into dst.
 func MomentumFrom(dst []float64, etaL float64, results []*ClientResult, weights []float64) {
-	for j := range dst {
-		dst[j] = 0
-	}
+	tensor.Zero(dst)
 	for i, res := range results {
 		if res == nil || res.Steps == 0 {
 			continue
 		}
-		s := weights[i] / (etaL * float64(res.Steps))
-		for j, d := range res.Delta {
-			dst[j] += float64(s * d)
-		}
+		tensor.Axpy(dst, weights[i]/(etaL*float64(res.Steps)), res.Delta)
 	}
 }

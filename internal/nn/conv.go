@@ -411,17 +411,15 @@ func (l *Conv2D) backwardTaps(xs, ds, dxs []float64) {
 		}
 	}
 	dwT := sc.dwT.Data
-	tensor.Zero(dwT)
 	for ti := range l.taps {
+		// Each tap writes its own InC rows of dWᵀ; an empty tap (lo = hi)
+		// is a sum of no products and leaves them zeroed.
 		t := &l.taps[ti]
-		if t.lo == t.hi {
-			continue
-		}
 		src := xs
 		if kx := ti % l.KW; kx != l.Pad {
 			src = l.maskedCopy(kx)
 		}
-		tensor.GemmAcc(dwT[ti*l.OutC:], kk*l.OutC, src[t.lo+t.shift:], p, 1,
+		tensor.GemmInto(dwT[ti*l.OutC:], kk*l.OutC, src[t.lo+t.shift:], p, 1,
 			sc.doutT[t.lo*l.OutC:], l.OutC, l.InC, t.hi-t.lo, l.OutC)
 	}
 	if dxs == nil {
@@ -432,8 +430,7 @@ func (l *Conv2D) backwardTaps(xs, ds, dxs []float64) {
 		if t.lo == t.hi {
 			continue
 		}
-		tensor.Zero(sc.dtap)
-		tensor.GemmAcc(sc.dtap, p, l.Wt.Data[ti:], kk, k, ds, p, l.InC, l.OutC, p)
+		tensor.GemmInto(sc.dtap, p, l.Wt.Data[ti:], kk, k, ds, p, l.InC, l.OutC, p)
 		for c := 0; c < l.InC; c++ {
 			row := sc.dtap[c*p:][:p]
 			t.zeroWrapped(row, l.W)

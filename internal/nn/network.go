@@ -51,10 +51,9 @@ func (n *Network) DeltaInto(dst, ref []float64) {
 	}
 	off := 0
 	for _, p := range n.params {
-		for i, v := range p.Data {
-			dst[off+i] = ref[off+i] - v
-		}
-		off += len(p.Data)
+		end := off + len(p.Data)
+		tensor.SubInto(dst[off:end], ref[off:end], p.Data)
+		off = end
 	}
 }
 

@@ -15,28 +15,37 @@ import "sync"
 // ±0 products is a bit-exact no-op. See DESIGN.md "Kernels & wire format".)
 //
 // Layout: GemmAcc computes dst[r][c] += Σ_p a[r][p]·b[p][c] over
-// row-major operands with explicit element strides, four rows at a time,
-// each strip split into micro-tiles whose accumulators live in registers.
-// Nothing is cache-blocked (the operands of every product the models run
-// fit in L2) and only A·Bᵀ packs an operand. On amd64 the micro-kernels
-// are hand-written assembly. With AVX-512 a strip runs 4 rows × 16 columns
-// of float64 per tile, and a remainder of 1–15 columns runs the same tile
-// with the missing lanes masked off, so no column runs scalar code. With
-// AVX only, a strip runs 4×8 tiles, one 4×4 tile for a remainder of four or
-// more, and a scalar loop over the same four rows for the last 0–3 columns.
-// Elsewhere a pure-Go register-tiled 4×8 kernel with the same accumulation
-// order runs, then the scalar loop. Rows past the last full strip are
-// padded to a strip of their own (gemmTailRows), so no row count runs
-// scalar code.
+// row-major operands with explicit element strides, a strip of rows at a
+// time, each strip split into micro-tiles whose accumulators live in
+// registers. Nothing is cache-blocked (the operands of every product the
+// models run fit in L2) and only A·Bᵀ packs an operand. On amd64 the
+// micro-kernels are hand-written assembly. With AVX-512 the driver walks
+// the rows 8 at a time, then takes one 4-row strip for a remainder of 4–7
+// rows; a strip runs tiles of 16 columns of float64, and a remainder of
+// 1–15 columns runs one tile with the missing lanes masked off, so no
+// column runs scalar code. An 8-row strip loads each B row once for eight
+// rows of A, half the B traffic of two 4-row strips. With AVX only, the
+// strips are 4 rows of 4×8 tiles, one 4×4 tile for a column remainder of
+// four or more, and a scalar loop over the same four rows for the last 0–3
+// columns. Elsewhere a pure-Go register-tiled 4×8 kernel with the same
+// accumulation order runs, then the scalar loop. The last 1–3 rows are
+// padded to a 4-row strip of their own (gemmTailRows), so no row count
+// runs scalar code.
+//
+// GemmInto computes dst = A·B. Its AVX-512 tiles start every accumulator
+// at +0 instead of loading dst — the bits a Zero pass would have left there
+// — and then add every product as GemmAcc does; the other arms zero dst and
+// run GemmAcc.
 
 // gemmMR×gemmNR is the micro-tile shape: 4×8 doubles = 8 YMM accumulators.
-// With AVX-512 a strip takes its columns gemmNRWide at a time (the same
-// tile in 8 ZMM accumulators) and the remainder in one masked tile. Without
-// it, a column remainder of gemmNRHalf or more takes one half-width AVX
-// tile (4×4, one YMM per row) before the scalar edge loop: the 6×6 feature
-// maps (36 columns) would otherwise leave a ninth of every product to it.
+// With AVX-512 a strip is gemmMRWide or gemmMR rows and takes its columns
+// gemmNRWide at a time, then the remainder in one masked tile. Without it,
+// a column remainder of gemmNRHalf or more takes one half-width AVX tile
+// (4×4, one YMM per row) before the scalar edge loop: the 6×6 feature maps
+// (36 columns) would otherwise leave a ninth of every product to it.
 const (
 	gemmMR     = 4
+	gemmMRWide = 8
 	gemmNRWide = 16
 	gemmNR     = 8
 	gemmNRHalf = 4
@@ -49,45 +58,82 @@ const (
 // its width), which lets the Aᵀ·B product stream A without packing. Any
 // other spacing works the same way: Conv2D multiplies one kernel tap's
 // column of its weights (lda = KH·KW, astep = the weight row width) and a
-// sample's shifted channels (lda = H·W) where they lie. dst rows must hold
-// the caller's intended starting partial sums (usually zero). Slices must
-// cover the strided extents: the assembly kernels do not check bounds, so
-// the last element of each operand is indexed once here, and a short slice
-// panics instead of being read or written past its end.
+// sample's shifted channels (lda = H·W) where they lie. dst rows hold the
+// caller's starting partial sums; GemmInto is the product from zero.
+// Slices must cover the strided extents: the assembly kernels do not check
+// bounds, so the last element of each operand is indexed once here, and a
+// short slice panics instead of being read or written past its end.
 func GemmAcc(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, n, k, m int) {
 	if k == 0 || n == 0 || m == 0 {
 		return
 	}
-	_, _, _ = dst[(n-1)*ldc+m-1], a[(n-1)*lda+(k-1)*astep], b[(k-1)*ldb+m-1]
-	nFull := n - n%gemmMR
-	for i := 0; i < nFull; i += gemmMR {
-		gemmStrip(dst[i*ldc:], ldc, a[i*lda:], lda, astep, b, ldb, k, m)
+	gemm(dst, ldc, a, lda, astep, b, ldb, n, k, m, true)
+}
+
+// GemmInto computes dst = A·B over GemmAcc's operands, overwriting the n×m
+// elements of dst whatever they held. Every element is the ascending-k sum
+// from +0, bit for bit what Zero followed by GemmAcc gives; k = 0 leaves
+// them zeroed.
+func GemmInto(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, n, k, m int) {
+	if n == 0 || m == 0 {
+		return
 	}
-	if nFull < n {
-		gemmTailRows(dst[nFull*ldc:], ldc, a[nFull*lda:], lda, astep, b, ldb, n-nFull, k, m)
+	if k == 0 || !hasAVX512 {
+		for i := 0; i < n; i++ {
+			Zero(dst[i*ldc : i*ldc+m])
+		}
+		GemmAcc(dst, ldc, a, lda, astep, b, ldb, n, k, m)
+		return
+	}
+	gemm(dst, ldc, a, lda, astep, b, ldb, n, k, m, false)
+}
+
+// gemm is GemmAcc (load) or, on AVX-512 hosts, GemmInto (!load) for
+// n, k, m ≥ 1.
+func gemm(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, n, k, m int, load bool) {
+	_, _, _ = dst[(n-1)*ldc+m-1], a[(n-1)*lda+(k-1)*astep], b[(k-1)*ldb+m-1]
+	i := 0
+	if hasAVX512 {
+		for ; n-i >= gemmMRWide; i += gemmMRWide {
+			gemmStripWide(dst[i*ldc:], ldc, a[i*lda:], lda, astep, b, ldb, k, m, load)
+		}
+	}
+	for ; n-i >= gemmMR; i += gemmMR {
+		gemmStrip(dst[i*ldc:], ldc, a[i*lda:], lda, astep, b, ldb, k, m, load)
+	}
+	if i < n {
+		gemmTailRows(dst[i*ldc:], ldc, a[i*lda:], lda, astep, b, ldb, n-i, k, m, load)
 	}
 }
 
-// gemmStrip computes one full gemmMR-row strip of GemmAcc. The tile width
-// is chosen by the columns that remain and the CPU alone: with AVX-512, 16
-// while at least 16 remain, then one masked tile of the 1–15 left; without
-// it, 8 at a time, then one 4×4 tile (AVX), then the scalar edge. Columns
-// are independent elements, so the width cannot change a bit. The assembly
-// kernels touch C through 3·ldc+width, A through 3·lda+(k-1)·astep+1 and B
-// through (k-1)·ldb+width — inside the caller's slices because the strip is
+// gemmStripWide computes one full gemmMRWide-row strip on an AVX-512 host,
+// 16 columns per tile and the last 1–15 in one masked tile. The kernel
+// touches C through 7·ldc+cols, A through 7·lda+(k-1)·astep+1 and B through
+// (k-1)·ldb+cols — inside the slices gemm checked, because the strip is
 // full and the tile fits the remaining columns (a masked lane is neither
 // read nor written).
-func gemmStrip(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, k, m int) {
-	j := 0
+func gemmStripWide(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, k, m int, load bool) {
+	for j := 0; j < m; j += gemmNRWide {
+		gemmKernel8x16AVX512(&dst[j], &a[0], &b[j], int64(ldc), int64(lda), int64(astep), int64(ldb), int64(k), int64(min(gemmNRWide, m-j)), load)
+	}
+}
+
+// gemmStrip computes one full gemmMR-row strip. The tile width is chosen
+// by the columns that remain and the CPU alone: with AVX-512, 16 while at
+// least 16 remain, then one masked tile of the 1–15 left; without it, 8 at
+// a time, then one 4×4 tile (AVX), then the scalar edge. Columns are
+// independent elements, so the width cannot change a bit. The assembly
+// kernels touch C through 3·ldc+width, A through 3·lda+(k-1)·astep+1 and B
+// through (k-1)·ldb+width, as in gemmStripWide. Only the AVX-512 tiles
+// take !load; the other arms always add to dst.
+func gemmStrip(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, k, m int, load bool) {
 	if hasAVX512 {
-		for ; m-j >= gemmNRWide; j += gemmNRWide {
-			gemmKernel4x16AVX512(&dst[j], &a[0], &b[j], int64(ldc), int64(lda), int64(astep), int64(ldb), int64(k))
-		}
-		if j < m {
-			gemmKernel4xNMaskAVX512(&dst[j], &a[0], &b[j], int64(ldc), int64(lda), int64(astep), int64(ldb), int64(k), int64(m-j))
+		for j := 0; j < m; j += gemmNRWide {
+			gemmKernel4x16AVX512(&dst[j], &a[0], &b[j], int64(ldc), int64(lda), int64(astep), int64(ldb), int64(k), int64(min(gemmNRWide, m-j)), load)
 		}
 		return
 	}
+	j := 0
 	for ; m-j >= gemmNR; j += gemmNR {
 		gemmKernel(dst[j:], ldc, a, lda, astep, b[j:], ldb, k)
 	}
@@ -101,13 +147,14 @@ func gemmStrip(dst []float64, ldc int, a []float64, lda, astep int, b []float64,
 }
 
 // gemmTailRows computes the rows (fewer than gemmMR) past the last full
-// strip: it copies them, and their dst rows, into one zero-padded strip in
-// a pooled panel, runs gemmStrip on it and copies the real rows back. An
-// element's sum starts from the same value and adds the same products in
-// the same order as it would in place — the padded rows never enter it —
-// so every bit, the sign of a zero included, is what a scalar dot gives;
-// the padding costs up to 4× the arithmetic at ≈ 16× the speed.
-func gemmTailRows(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, rows, k, m int) {
+// strip: it copies them, and with load their dst rows, into one
+// zero-padded strip in a pooled panel, runs gemmStrip on it and copies the
+// real rows back. An element's sum starts from the same value and adds the
+// same products in the same order as it would in place — the padded rows
+// never enter it — so every bit, the sign of a zero included, is what a
+// scalar dot gives; the padding costs up to 4× the arithmetic at ≈ 16× the
+// speed.
+func gemmTailRows(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, rows, k, m int, load bool) {
 	panel := getPanel(gemmMR * (k + m))
 	ap, cp := (*panel)[:gemmMR*k], (*panel)[gemmMR*k:]
 	for r := 0; r < rows; r++ {
@@ -119,11 +166,15 @@ func gemmTailRows(dst []float64, ldc int, a []float64, lda, astep int, b []float
 				prow[p] = arow[p*astep]
 			}
 		}
-		copy(cp[r*m:(r+1)*m], dst[r*ldc:])
 	}
 	Zero(ap[rows*k:])
-	Zero(cp[rows*m:])
-	gemmStrip(cp, m, ap, k, 1, b, ldb, k, m)
+	if load {
+		for r := 0; r < rows; r++ {
+			copy(cp[r*m:(r+1)*m], dst[r*ldc:])
+		}
+		Zero(cp[rows*m:])
+	}
+	gemmStrip(cp, m, ap, k, 1, b, ldb, k, m, load)
 	for r := 0; r < rows; r++ {
 		copy(dst[r*ldc:r*ldc+m], cp[r*m:])
 	}
@@ -242,26 +293,39 @@ func getPanel(n int) *[]float64 {
 func putPanel(p *[]float64) { packPool.Put(p) }
 
 // TransposeInto writes srcᵀ into dst: src is r×c row-major, dst becomes
-// c×r row-major. Four source rows at a time, so each pass reads four rows
-// in order and writes four adjacent elements of every dst row; a leftover
-// row is written element by element. Pure data movement: every value
-// keeps its bits.
+// c×r row-major. On AVX-512 hosts the 8×8 blocks that fit go through ZMM
+// registers; the rest, and every element elsewhere, takes transposeRows.
+// Pure data movement: every value keeps its bits.
 func TransposeInto(dst, src []float64, r, c int) {
 	_, _ = dst[:r*c], src[:r*c]
-	i := 0
-	for ; i+4 <= r; i += 4 {
-		s0 := src[i*c : i*c+c]
-		s1 := src[(i+1)*c:][:len(s0)]
-		s2 := src[(i+2)*c:][:len(s0)]
-		s3 := src[(i+3)*c:][:len(s0)]
+	rb, cb := 0, 0
+	if hasAVX512 && r >= 8 && c >= 8 {
+		rb, cb = r&^7, c&^7
+		transposeAVX512(&dst[0], &src[0], int64(r), int64(c), int64(rb), int64(cb))
+	}
+	transposeRows(dst, src, r, c, 0, rb, cb)
+	transposeRows(dst, src, r, c, rb, r, 0)
+}
+
+// transposeRows transposes columns [j0, c) of src rows [lo, hi) into dst
+// (see TransposeInto). Four source rows at a time, so each pass reads four
+// rows in order and writes four adjacent elements of every dst row; a
+// leftover row is written element by element.
+func transposeRows(dst, src []float64, r, c, lo, hi, j0 int) {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		s0 := src[i*c+j0 : i*c+c]
+		s1 := src[(i+1)*c+j0:][:len(s0)]
+		s2 := src[(i+2)*c+j0:][:len(s0)]
+		s3 := src[(i+3)*c+j0:][:len(s0)]
 		for j := range s0 {
-			d := dst[j*r+i:][:4]
+			d := dst[(j0+j)*r+i:][:4]
 			d[0], d[1], d[2], d[3] = s0[j], s1[j], s2[j], s3[j]
 		}
 	}
-	for ; i < r; i++ {
-		for j, v := range src[i*c : i*c+c] {
-			dst[j*r+i] = v
+	for ; i < hi; i++ {
+		for j, v := range src[i*c+j0 : i*c+c] {
+			dst[(j0+j)*r+i] = v
 		}
 	}
 }

@@ -9,10 +9,13 @@ func gemmKernel4x8AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
 func gemmKernel4x4AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
 
 //go:noescape
-func gemmKernel4x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
+func gemmKernel4x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64, load bool)
 
 //go:noescape
-func gemmKernel4xNMaskAVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64)
+func gemmKernel8x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64, load bool)
+
+//go:noescape
+func transposeAVX512(dst, src *float64, r, c, rb, cb int64)
 
 //go:noescape
 func addRowVecAVX512(m, v *float64, rows, cols int64)

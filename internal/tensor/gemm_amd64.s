@@ -175,96 +175,6 @@ gemm4loop:
 	VZEROUPPER
 	RET
 
-// func gemmKernel4x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
-//
-// dst[4][16] += A[4][k]·B[k][16]: the 4×8 kernel at twice the width, eight
-// ZMM accumulators (Z0-Z7, two per row). Per k step one 16-wide B row (Z8,
-// Z9), four broadcasts, separate VMULPD/VADDPD, ascending k. gemmStrip runs
-// it while at least 16 columns remain, on hosts where hasAVX512 holds.
-TEXT ·gemmKernel4x16AVX512(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ ldc+24(FP), CX
-	MOVQ lda+32(FP), R8
-	MOVQ astep+40(FP), R14
-	MOVQ ldb+48(FP), R9
-	MOVQ k+56(FP), R10
-	SHLQ $3, CX // strides: elements → bytes
-	SHLQ $3, R8
-	SHLQ $3, R14
-	SHLQ $3, R9
-
-	// A row pointers: SI, R11, R12, R13.
-	LEAQ (SI)(R8*1), R11
-	LEAQ (SI)(R8*2), R12
-	LEAQ (R11)(R8*2), R13
-
-	// Load the 4×16 C tile into Z0-Z7.
-	MOVQ    DI, AX
-	VMOVUPD (AX), Z0
-	VMOVUPD 64(AX), Z1
-	ADDQ    CX, AX
-	VMOVUPD (AX), Z2
-	VMOVUPD 64(AX), Z3
-	ADDQ    CX, AX
-	VMOVUPD (AX), Z4
-	VMOVUPD 64(AX), Z5
-	ADDQ    CX, AX
-	VMOVUPD (AX), Z6
-	VMOVUPD 64(AX), Z7
-
-gemm16loop:
-	VMOVUPD (DX), Z8
-	VMOVUPD 64(DX), Z9
-
-	VBROADCASTSD (SI), Z10
-	VMULPD       Z8, Z10, Z11
-	VADDPD       Z11, Z0, Z0
-	VMULPD       Z9, Z10, Z11
-	VADDPD       Z11, Z1, Z1
-
-	VBROADCASTSD (R11), Z10
-	VMULPD       Z8, Z10, Z11
-	VADDPD       Z11, Z2, Z2
-	VMULPD       Z9, Z10, Z11
-	VADDPD       Z11, Z3, Z3
-
-	VBROADCASTSD (R12), Z10
-	VMULPD       Z8, Z10, Z11
-	VADDPD       Z11, Z4, Z4
-	VMULPD       Z9, Z10, Z11
-	VADDPD       Z11, Z5, Z5
-
-	VBROADCASTSD (R13), Z10
-	VMULPD       Z8, Z10, Z11
-	VADDPD       Z11, Z6, Z6
-	VMULPD       Z9, Z10, Z11
-	VADDPD       Z11, Z7, Z7
-
-	ADDQ R14, SI
-	ADDQ R14, R11
-	ADDQ R14, R12
-	ADDQ R14, R13
-	ADDQ R9, DX
-	DECQ R10
-	JNZ  gemm16loop
-
-	// Store the tile back.
-	VMOVUPD Z0, (DI)
-	VMOVUPD Z1, 64(DI)
-	ADDQ    CX, DI
-	VMOVUPD Z2, (DI)
-	VMOVUPD Z3, 64(DI)
-	ADDQ    CX, DI
-	VMOVUPD Z4, (DI)
-	VMOVUPD Z5, 64(DI)
-	ADDQ    CX, DI
-	VMOVUPD Z6, (DI)
-	VMOVUPD Z7, 64(DI)
-	VZEROUPPER
-	RET
-
 // func axpyBlocksAVX(dst, x *float64, alpha float64, blocks int64)
 // dst[i] += alpha*x[i] over blocks×4 elements.
 TEXT ·axpyBlocksAVX(SB), NOSPLIT, $0-32
@@ -592,16 +502,6 @@ bndxsloop:
 	VZEROUPPER
 	RET
 
-// AVX-512 whole-matrix kernels. Each takes a row-major rows×cols matrix,
-// walks its columns 16 at a time (two ZMM of eight lanes) with the lanes
-// past the last column masked off — masked loads read nothing there,
-// masked stores write nothing — holds that chunk's per-column constants
-// and accumulators in registers, and loops over every row inside. So a
-// whole BatchNorm pass, bias add or column sum is one call, and no column
-// count runs scalar code. Every element sees the same operations in the
-// same order as its scalar expression in simd.go and dense.go; a sum over
-// rows still starts at +0 and adds the rows in ascending order.
-
 // CHUNKMASK sets K1 to the lanes of columns 0-7 of the next 16 that exist
 // and K2 to those of columns 8-15, given BX columns left: all 16 lanes
 // while BX ≥ 16. Clobbers AX and CX.
@@ -617,156 +517,340 @@ bndxsloop:
 	SHRQ    $8, AX; \
 	KMOVW   AX, K2
 
-// func gemmKernel4xNMaskAVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64)
+// AVX-512 GEMM tiles. Each computes dst[rows][cols] = A[rows][k]·B[k][cols]
+// plus, when load is true, what dst held: with load false every
+// accumulator starts at +0 instead, the bits a zeroed dst would have
+// loaded, so GemmInto needs no Zero pass. A tile holds its C block in
+// ZMM accumulators, two per row for 9-16 columns and one for up to 8; per
+// k step it loads one B row, broadcasts each row's A element and adds
+// each product to its accumulator with separate VMULPD and VADDPD, k
+// ascending. Lanes past cols are masked off: a masked load reads nothing
+// there and a masked store writes nothing. A row i, element p lives at
+// a + (i·lda + p·astep)·8, so a transposed operand streams unpacked.
 //
-// dst[4][cols] += A[4][k]·B[k][cols] for 1 ≤ cols ≤ 15: the 4×16 tile with
-// the lanes past cols masked off, run on the column remainder of a strip.
-// Up to 8 columns take one ZMM per row (Z0-Z3); 9-15 take two, the second
-// masked. Addressing, the separate VMULPD/VADDPD and the ascending-k order
-// are gemmKernel4x16AVX512's.
-TEXT ·gemmKernel4xNMaskAVX512(SB), NOSPLIT, $0-72
-	MOVQ cols+64(FP), CX
-	MOVQ $1, AX
-	CMPQ CX, $8
-	JLE  narrow
-	SUBQ $8, CX
+// Registers: DI walks the dst rows, AX the dst rows on load; SI, R11, R12
+// and R13 point at A rows 0-3 and, offset by BX = 4·lda, rows 4-7; DX is
+// the B row; CX ldc, R9 ldb and R14 astep are in bytes; R10 counts the k
+// steps left. Z16/Z17 hold the B row, Z18 the broadcast, Z19/Z20 products.
+// K1/K2 are the lanes of a row's first/second ZMM, K4/K5 the same lanes
+// when load is true and none when it is false.
 
-narrow:
-	SHLQ  CX, AX
-	DECQ  AX
-	KMOVW AX, K1 // lanes of the last (or only) ZMM per row
-	MOVQ  dst+0(FP), DI
-	MOVQ  a+8(FP), SI
-	MOVQ  b+16(FP), DX
-	MOVQ  ldc+24(FP), CX
-	MOVQ  lda+32(FP), R8
-	MOVQ  astep+40(FP), R14
-	MOVQ  ldb+48(FP), R9
-	MOVQ  k+56(FP), R10
-	SHLQ  $3, CX // strides: elements → bytes
-	SHLQ  $3, R8
-	SHLQ  $3, R14
-	SHLQ  $3, R9
+// GEMMSETUP derives the masks and pointers above once CHUNKMASK has set
+// K1/K2 for the tile's columns, the operands are in DI, SI, DX, CX, R8
+// (lda), R14, R9 and R10, and AX holds load (0 or 1).
+#define GEMMSETUP \
+	NEGQ  AX; \
+	KMOVW AX, K3; \
+	KANDW K1, K3, K4; \
+	KANDW K2, K3, K5; \
+	SHLQ  $3, CX; \
+	SHLQ  $3, R8; \
+	SHLQ  $3, R14; \
+	SHLQ  $3, R9; \
+	LEAQ  (SI)(R8*1), R11; \
+	LEAQ  (SI)(R8*2), R12; \
+	LEAQ  (R11)(R8*2), R13; \
+	MOVQ  R8, BX; \
+	SHLQ  $2, BX; \
+	MOVQ  DI, AX
 
-	// A row pointers: SI, R11, R12, R13.
-	LEAQ (SI)(R8*1), R11
-	LEAQ (SI)(R8*2), R12
-	LEAQ (R11)(R8*2), R13
+// CLOAD1/CLOAD2 start one dst row's accumulators and step AX to the next.
+#define CLOAD1(c0) \
+	VMOVUPD.Z (AX), K4, c0; \
+	ADDQ      CX, AX
 
+#define CLOAD2(c0, c1) \
+	VMOVUPD.Z (AX), K4, c0; \
+	VMOVUPD.Z 64(AX), K5, c1; \
+	ADDQ      CX, AX
+
+// CSTORE1/CSTORE2 store one row's accumulators and step DI to the next.
+#define CSTORE1(c0) \
+	VMOVUPD c0, K1, (DI); \
+	ADDQ    CX, DI
+
+#define CSTORE2(c0, c1) \
+	VMOVUPD c0, K1, (DI); \
+	VMOVUPD c1, K2, 64(DI); \
+	ADDQ    CX, DI
+
+// BLOAD1/BLOAD2 load the k step's B row.
+#define BLOAD1 \
+	VMOVUPD.Z (DX), K1, Z16
+
+#define BLOAD2 \
+	VMOVUPD.Z (DX), K1, Z16; \
+	VMOVUPD.Z 64(DX), K2, Z17
+
+// GEMMROW1/GEMMROW2 add one row's products for the k step: its A element
+// at arow times the B row, into the row's accumulators.
+#define GEMMROW1(arow, c0) \
+	VBROADCASTSD arow, Z18; \
+	VMULPD       Z16, Z18, Z19; \
+	VADDPD       Z19, c0, c0
+
+#define GEMMROW2(arow, c0, c1) \
+	VBROADCASTSD arow, Z18; \
+	VMULPD       Z16, Z18, Z19; \
+	VADDPD       Z19, c0, c0; \
+	VMULPD       Z17, Z18, Z20; \
+	VADDPD       Z20, c1, c1
+
+// GEMMNEXTK steps A and B to the next k and counts it, setting the flags
+// the loop's JNZ reads.
+#define GEMMNEXTK \
+	ADDQ R14, SI; \
+	ADDQ R14, R11; \
+	ADDQ R14, R12; \
+	ADDQ R14, R13; \
+	ADDQ R9, DX; \
+	DECQ R10
+
+// func gemmKernel4x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64, load bool)
+//
+// The 4-row tile on 1 ≤ cols ≤ 16 columns: two accumulators per row (Z0-Z7)
+// for 9-16 columns, the second masked below 16, and one (Z0-Z3) for up to
+// 8. GemmAcc runs it on the one 4-row strip left after the 8-row strips
+// and on the padded tail.
+TEXT ·gemmKernel4x16AVX512(SB), NOSPLIT, $0-73
+	MOVQ cols+64(FP), BX
+	CHUNKMASK
+	MOVQ    dst+0(FP), DI
+	MOVQ    a+8(FP), SI
+	MOVQ    b+16(FP), DX
+	MOVQ    ldc+24(FP), CX
+	MOVQ    lda+32(FP), R8
+	MOVQ    astep+40(FP), R14
+	MOVQ    ldb+48(FP), R9
+	MOVQ    k+56(FP), R10
+	MOVBQZX load+72(FP), AX
+	GEMMSETUP
 	CMPQ cols+64(FP), $8
-	JG   wide
+	JG   gemm4x16wide
+	CLOAD1(Z0)
+	CLOAD1(Z1)
+	CLOAD1(Z2)
+	CLOAD1(Z3)
 
-	// Load the 4×cols C tile into Z0-Z3.
-	MOVQ      DI, AX
-	VMOVUPD.Z (AX), K1, Z0
-	ADDQ      CX, AX
-	VMOVUPD.Z (AX), K1, Z1
-	ADDQ      CX, AX
-	VMOVUPD.Z (AX), K1, Z2
-	ADDQ      CX, AX
-	VMOVUPD.Z (AX), K1, Z3
+gemm4x16loop:
+	BLOAD1
+	GEMMROW1((SI), Z0)
+	GEMMROW1((R11), Z1)
+	GEMMROW1((R12), Z2)
+	GEMMROW1((R13), Z3)
+	GEMMNEXTK
+	JNZ gemm4x16loop
 
-gemm8mloop:
-	VMOVUPD.Z (DX), K1, Z8
-
-	VBROADCASTSD (SI), Z10
-	VMULPD       Z8, Z10, Z11
-	VADDPD       Z11, Z0, Z0
-
-	VBROADCASTSD (R11), Z10
-	VMULPD       Z8, Z10, Z11
-	VADDPD       Z11, Z1, Z1
-
-	VBROADCASTSD (R12), Z10
-	VMULPD       Z8, Z10, Z11
-	VADDPD       Z11, Z2, Z2
-
-	VBROADCASTSD (R13), Z10
-	VMULPD       Z8, Z10, Z11
-	VADDPD       Z11, Z3, Z3
-
-	ADDQ R14, SI
-	ADDQ R14, R11
-	ADDQ R14, R12
-	ADDQ R14, R13
-	ADDQ R9, DX
-	DECQ R10
-	JNZ  gemm8mloop
-
-	VMOVUPD Z0, K1, (DI)
-	ADDQ    CX, DI
-	VMOVUPD Z1, K1, (DI)
-	ADDQ    CX, DI
-	VMOVUPD Z2, K1, (DI)
-	ADDQ    CX, DI
-	VMOVUPD Z3, K1, (DI)
+	CSTORE1(Z0)
+	CSTORE1(Z1)
+	CSTORE1(Z2)
+	CSTORE1(Z3)
 	VZEROUPPER
 	RET
 
-wide:
-	// Load the 4×cols C tile into Z0-Z7, the odd registers masked.
-	MOVQ      DI, AX
-	VMOVUPD   (AX), Z0
-	VMOVUPD.Z 64(AX), K1, Z1
-	ADDQ      CX, AX
-	VMOVUPD   (AX), Z2
-	VMOVUPD.Z 64(AX), K1, Z3
-	ADDQ      CX, AX
-	VMOVUPD   (AX), Z4
-	VMOVUPD.Z 64(AX), K1, Z5
-	ADDQ      CX, AX
-	VMOVUPD   (AX), Z6
-	VMOVUPD.Z 64(AX), K1, Z7
+gemm4x16wide:
+	CLOAD2(Z0, Z1)
+	CLOAD2(Z2, Z3)
+	CLOAD2(Z4, Z5)
+	CLOAD2(Z6, Z7)
 
-gemm16mloop:
-	VMOVUPD   (DX), Z8
-	VMOVUPD.Z 64(DX), K1, Z9
+gemm4x16wideloop:
+	BLOAD2
+	GEMMROW2((SI), Z0, Z1)
+	GEMMROW2((R11), Z2, Z3)
+	GEMMROW2((R12), Z4, Z5)
+	GEMMROW2((R13), Z6, Z7)
+	GEMMNEXTK
+	JNZ gemm4x16wideloop
 
-	VBROADCASTSD (SI), Z10
-	VMULPD       Z8, Z10, Z11
-	VADDPD       Z11, Z0, Z0
-	VMULPD       Z9, Z10, Z11
-	VADDPD       Z11, Z1, Z1
-
-	VBROADCASTSD (R11), Z10
-	VMULPD       Z8, Z10, Z11
-	VADDPD       Z11, Z2, Z2
-	VMULPD       Z9, Z10, Z11
-	VADDPD       Z11, Z3, Z3
-
-	VBROADCASTSD (R12), Z10
-	VMULPD       Z8, Z10, Z11
-	VADDPD       Z11, Z4, Z4
-	VMULPD       Z9, Z10, Z11
-	VADDPD       Z11, Z5, Z5
-
-	VBROADCASTSD (R13), Z10
-	VMULPD       Z8, Z10, Z11
-	VADDPD       Z11, Z6, Z6
-	VMULPD       Z9, Z10, Z11
-	VADDPD       Z11, Z7, Z7
-
-	ADDQ R14, SI
-	ADDQ R14, R11
-	ADDQ R14, R12
-	ADDQ R14, R13
-	ADDQ R9, DX
-	DECQ R10
-	JNZ  gemm16mloop
-
-	VMOVUPD Z0, (DI)
-	VMOVUPD Z1, K1, 64(DI)
-	ADDQ    CX, DI
-	VMOVUPD Z2, (DI)
-	VMOVUPD Z3, K1, 64(DI)
-	ADDQ    CX, DI
-	VMOVUPD Z4, (DI)
-	VMOVUPD Z5, K1, 64(DI)
-	ADDQ    CX, DI
-	VMOVUPD Z6, (DI)
-	VMOVUPD Z7, K1, 64(DI)
+	CSTORE2(Z0, Z1)
+	CSTORE2(Z2, Z3)
+	CSTORE2(Z4, Z5)
+	CSTORE2(Z6, Z7)
 	VZEROUPPER
 	RET
+
+// func gemmKernel8x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64, load bool)
+//
+// The 8-row tile on 1 ≤ cols ≤ 16 columns: sixteen accumulators (Z0-Z15)
+// for 9-16 columns, so each B row it loads serves eight rows, and eight
+// (Z0-Z7, eight independent chains) for up to 8. GemmAcc walks the output
+// with it, 8 rows at a time.
+TEXT ·gemmKernel8x16AVX512(SB), NOSPLIT, $0-73
+	MOVQ cols+64(FP), BX
+	CHUNKMASK
+	MOVQ    dst+0(FP), DI
+	MOVQ    a+8(FP), SI
+	MOVQ    b+16(FP), DX
+	MOVQ    ldc+24(FP), CX
+	MOVQ    lda+32(FP), R8
+	MOVQ    astep+40(FP), R14
+	MOVQ    ldb+48(FP), R9
+	MOVQ    k+56(FP), R10
+	MOVBQZX load+72(FP), AX
+	GEMMSETUP
+	CMPQ cols+64(FP), $8
+	JG   gemm8x16wide
+	CLOAD1(Z0)
+	CLOAD1(Z1)
+	CLOAD1(Z2)
+	CLOAD1(Z3)
+	CLOAD1(Z4)
+	CLOAD1(Z5)
+	CLOAD1(Z6)
+	CLOAD1(Z7)
+
+gemm8x16loop:
+	BLOAD1
+	GEMMROW1((SI), Z0)
+	GEMMROW1((R11), Z1)
+	GEMMROW1((R12), Z2)
+	GEMMROW1((R13), Z3)
+	GEMMROW1((SI)(BX*1), Z4)
+	GEMMROW1((R11)(BX*1), Z5)
+	GEMMROW1((R12)(BX*1), Z6)
+	GEMMROW1((R13)(BX*1), Z7)
+	GEMMNEXTK
+	JNZ gemm8x16loop
+
+	CSTORE1(Z0)
+	CSTORE1(Z1)
+	CSTORE1(Z2)
+	CSTORE1(Z3)
+	CSTORE1(Z4)
+	CSTORE1(Z5)
+	CSTORE1(Z6)
+	CSTORE1(Z7)
+	VZEROUPPER
+	RET
+
+gemm8x16wide:
+	CLOAD2(Z0, Z1)
+	CLOAD2(Z2, Z3)
+	CLOAD2(Z4, Z5)
+	CLOAD2(Z6, Z7)
+	CLOAD2(Z8, Z9)
+	CLOAD2(Z10, Z11)
+	CLOAD2(Z12, Z13)
+	CLOAD2(Z14, Z15)
+
+gemm8x16wideloop:
+	BLOAD2
+	GEMMROW2((SI), Z0, Z1)
+	GEMMROW2((R11), Z2, Z3)
+	GEMMROW2((R12), Z4, Z5)
+	GEMMROW2((R13), Z6, Z7)
+	GEMMROW2((SI)(BX*1), Z8, Z9)
+	GEMMROW2((R11)(BX*1), Z10, Z11)
+	GEMMROW2((R12)(BX*1), Z12, Z13)
+	GEMMROW2((R13)(BX*1), Z14, Z15)
+	GEMMNEXTK
+	JNZ gemm8x16wideloop
+
+	CSTORE2(Z0, Z1)
+	CSTORE2(Z2, Z3)
+	CSTORE2(Z4, Z5)
+	CSTORE2(Z6, Z7)
+	CSTORE2(Z8, Z9)
+	CSTORE2(Z10, Z11)
+	CSTORE2(Z12, Z13)
+	CSTORE2(Z14, Z15)
+	VZEROUPPER
+	RET
+
+// func transposeAVX512(dst, src *float64, r, c, rb, cb int64)
+//
+// dst[j][i] = src[i][j] for i < rb and j < cb, both multiples of 8, where
+// src is r×c and dst c×r, row-major: the 8×8 blocks one at a time, eight
+// src rows into Z0-Z7, eight dst rows out of Z24-Z31. VUNPCKLPD/VUNPCKHPD
+// pair rows 2i and 2i+1 within each 128-bit lane, and two rounds of
+// VSHUFF64X2 gather a column's four lane pairs. Pure data movement: every
+// element keeps its bits.
+TEXT ·transposeAVX512(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ r+16(FP), R8 // dst row stride
+	MOVQ c+24(FP), R9 // src row stride
+	SHLQ $3, R8
+	SHLQ $3, R9
+	LEAQ (R8)(R8*2), R12 // 3 dst rows
+	LEAQ (R9)(R9*2), R13 // 3 src rows
+	MOVQ rb+32(FP), R10
+
+transrowblock:
+	MOVQ SI, AX // the block's first src row
+	MOVQ DI, DX // its first dst row
+	MOVQ cb+40(FP), R11
+
+transblock:
+	LEAQ    (AX)(R9*4), BX
+	VMOVUPD (AX), Z0
+	VMOVUPD (AX)(R9*1), Z1
+	VMOVUPD (AX)(R9*2), Z2
+	VMOVUPD (AX)(R13*1), Z3
+	VMOVUPD (BX), Z4
+	VMOVUPD (BX)(R9*1), Z5
+	VMOVUPD (BX)(R9*2), Z6
+	VMOVUPD (BX)(R13*1), Z7
+
+	VUNPCKLPD Z1, Z0, Z8 // r0[0] r1[0] | r0[2] r1[2] | r0[4] r1[4] | r0[6] r1[6]
+	VUNPCKHPD Z1, Z0, Z9 // the same for the odd columns
+	VUNPCKLPD Z3, Z2, Z10
+	VUNPCKHPD Z3, Z2, Z11
+	VUNPCKLPD Z5, Z4, Z12
+	VUNPCKHPD Z5, Z4, Z13
+	VUNPCKLPD Z7, Z6, Z14
+	VUNPCKHPD Z7, Z6, Z15
+
+	VSHUFF64X2 $0x44, Z10, Z8, Z16 // lanes 0, 1 of rows 0-1 and 2-3
+	VSHUFF64X2 $0x44, Z14, Z12, Z17 // lanes 0, 1 of rows 4-5 and 6-7
+	VSHUFF64X2 $0xee, Z10, Z8, Z18 // lanes 2, 3 of rows 0-1 and 2-3
+	VSHUFF64X2 $0xee, Z14, Z12, Z19 // lanes 2, 3 of rows 4-5 and 6-7
+	VSHUFF64X2 $0x44, Z11, Z9, Z20
+	VSHUFF64X2 $0x44, Z15, Z13, Z21
+	VSHUFF64X2 $0xee, Z11, Z9, Z22
+	VSHUFF64X2 $0xee, Z15, Z13, Z23
+
+	VSHUFF64X2 $0x88, Z17, Z16, Z24 // column 0
+	VSHUFF64X2 $0x88, Z21, Z20, Z25 // column 1
+	VSHUFF64X2 $0xdd, Z17, Z16, Z26 // column 2
+	VSHUFF64X2 $0xdd, Z21, Z20, Z27 // column 3
+	VSHUFF64X2 $0x88, Z19, Z18, Z28 // column 4
+	VSHUFF64X2 $0x88, Z23, Z22, Z29 // column 5
+	VSHUFF64X2 $0xdd, Z19, Z18, Z30 // column 6
+	VSHUFF64X2 $0xdd, Z23, Z22, Z31 // column 7
+
+	LEAQ    (DX)(R8*4), BX
+	VMOVUPD Z24, (DX)
+	VMOVUPD Z25, (DX)(R8*1)
+	VMOVUPD Z26, (DX)(R8*2)
+	VMOVUPD Z27, (DX)(R12*1)
+	VMOVUPD Z28, (BX)
+	VMOVUPD Z29, (BX)(R8*1)
+	VMOVUPD Z30, (BX)(R8*2)
+	VMOVUPD Z31, (BX)(R12*1)
+
+	ADDQ $64, AX // next 8 src columns
+	LEAQ (BX)(R8*4), DX // next 8 dst rows
+	SUBQ $8, R11
+	JNZ  transblock
+
+	LEAQ (SI)(R9*8), SI // next 8 src rows
+	ADDQ $64, DI // next 8 dst columns
+	SUBQ $8, R10
+	JNZ  transrowblock
+	VZEROUPPER
+	RET
+
+// AVX-512 whole-matrix kernels. Each takes a row-major rows×cols matrix,
+// walks its columns 16 at a time (two ZMM of eight lanes) with the lanes
+// past the last column masked off — masked loads read nothing there,
+// masked stores write nothing — holds that chunk's per-column constants
+// and accumulators in registers, and loops over every row inside. So a
+// whole BatchNorm pass, bias add or column sum is one call, and no column
+// count runs scalar code. Every element sees the same operations in the
+// same order as its scalar expression in simd.go and dense.go; a sum over
+// rows still starts at +0 and adds the rows in ascending order.
 
 // func addRowVecAVX512(m, v *float64, rows, cols int64)
 // m[r][c] += v[c] for every row: v's chunk is loaded once per 16 columns.

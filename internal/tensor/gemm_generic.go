@@ -17,7 +17,11 @@ func gemmKernel(dst []float64, ldc int, a []float64, lda, astep int, b []float64
 
 func gemmKernel4x4AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64) { panic("tensor: no AVX") }
 
-func gemmKernel4x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k int64) {
+func gemmKernel4x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64, load bool) {
+	panic("tensor: no AVX-512")
+}
+
+func gemmKernel8x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64, load bool) {
 	panic("tensor: no AVX-512")
 }
 
@@ -49,9 +53,7 @@ func bnBwdDxScalarBlocksAVX(dx, dout, xmu *float64, k1, k2, k3 float64, blocks i
 	panic("tensor: no AVX")
 }
 
-func gemmKernel4xNMaskAVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64) {
-	panic("tensor: no AVX-512")
-}
+func transposeAVX512(dst, src *float64, r, c, rb, cb int64) { panic("tensor: no AVX-512") }
 
 func addRowVecAVX512(m, v *float64, rows, cols int64) { panic("tensor: no AVX-512") }
 

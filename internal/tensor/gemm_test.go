@@ -265,20 +265,3 @@ func TestGemmZeroHeavyMatchesReference(t *testing.T) {
 	matmulRange(want, a, b, 0, 17)
 	bitsEqual(t, "zero-heavy MatMul", got, want)
 }
-
-func TestPackTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, s := range [][2]int{{1, 1}, {3, 5}, {8, 8}, {13, 29}, {64, 48}, {6, 7}, {8, 144}, {72, 8}} {
-		r, c := s[0], s[1]
-		src := randDenseMixed(rng, r, c)
-		dst := make([]float64, r*c)
-		TransposeInto(dst, src.Data, r, c)
-		for i := 0; i < r; i++ {
-			for j := 0; j < c; j++ {
-				if dst[j*r+i] != src.Data[i*c+j] {
-					t.Fatalf("TransposeInto(%d,%d): [%d,%d] mismatch", r, c, i, j)
-				}
-			}
-		}
-	}
-}

@@ -13,8 +13,9 @@ package tensor
 // products in ascending order — the same order as the retained reference
 // kernels (matmulRange / matmulBTRange / matmulATRange below), so results
 // are bit-identical and golden histories stay pinned. Each variant is one
-// GemmAcc call on the calling goroutine (a run's parallelism is its
-// client pool, which already keeps every core busy), so only a product's
+// GemmInto call on the calling goroutine (a run's parallelism is its
+// client pool, which already keeps every core busy): on AVX-512 hosts its
+// rows go 8 at a time, then at most one 4-row strip, and only a product's
 // last ≤ 3 rows take the padded tail strip (gemmTailRows).
 
 // matmulRange computes rows [lo, hi) of dst = A·B; dst rows must be zeroed.
@@ -42,9 +43,8 @@ func MatMulInto(dst, a, b *Dense) {
 	if a.C != b.R || dst.R != a.R || dst.C != b.C {
 		panic("tensor: MatMulInto dimension mismatch")
 	}
-	Zero(dst.Data)
 	n, k, m := a.R, a.C, b.C
-	GemmAcc(dst.Data, m, a.Data, k, 1, b.Data, m, n, k, m)
+	GemmInto(dst.Data, m, a.Data, k, 1, b.Data, m, n, k, m)
 }
 
 // matmulBTRange computes rows [lo, hi) of dst = A·Bᵀ. Retained as the
@@ -68,14 +68,10 @@ func MatMulBTInto(dst, a, b *Dense) {
 	if a.C != b.C || dst.R != a.R || dst.C != b.R {
 		panic("tensor: MatMulBTInto dimension mismatch")
 	}
-	Zero(dst.Data)
 	n, k, m := a.R, a.C, b.R
-	if k == 0 || m == 0 {
-		return
-	}
 	panel := getPanel(k * m)
 	TransposeInto(*panel, b.Data, m, k) // b (m×k) → panel (k×m)
-	GemmAcc(dst.Data, m, a.Data, k, 1, *panel, m, n, k, m)
+	GemmInto(dst.Data, m, a.Data, k, 1, *panel, m, n, k, m)
 	putPanel(panel)
 }
 
@@ -101,12 +97,11 @@ func matmulATRange(dst, a, b *Dense, lo, hi int) {
 // MatMulATInto computes dst = Aᵀ·B, overwriting dst (which must be a.C×b.C).
 // No packing needed: the kernel's generalized A addressing streams Aᵀ
 // directly (row stride 1, column stride a.C). Accumulation order matches
-// matmulATRange exactly (zeroed, then p-ascending per element).
+// matmulATRange exactly (from +0, then p-ascending per element).
 func MatMulATInto(dst, a, b *Dense) {
 	if a.R != b.R || dst.R != a.C || dst.C != b.C {
 		panic("tensor: MatMulATInto dimension mismatch")
 	}
-	Zero(dst.Data)
 	n, r, c := a.R, a.C, b.C
-	GemmAcc(dst.Data, c, a.Data, 1, r, b.Data, c, r, n, c)
+	GemmInto(dst.Data, c, a.Data, 1, r, b.Data, c, r, n, c)
 }

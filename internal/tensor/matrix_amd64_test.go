@@ -156,16 +156,20 @@ func TestMatrixKernelsMatchScalarBits(t *testing.T) {
 
 // TestGemmMaskedTileMatchesScalar holds GemmAcc to the per-element scalar
 // sum — dst plus the k products in ascending order — on every shape of
-// 1–9 rows by 1–40 columns at k ∈ {1, 7, 50}, for a row-major A and a
+// 1–17 rows by 1–40 columns at k ∈ {0, 1, 7, 50}, for a row-major A and a
 // strided one (astep ≠ 1, the Aᵀ·B addressing), with ±0, ±Inf and NaN
-// among the inputs, at each dispatch arm the host has. dst and B rows are
-// wider than the product, and the columns past it must keep their bits:
-// a masked lane is neither read into a sum nor written.
+// among the inputs, at each dispatch arm the host has. The row counts run
+// every mix of 8-row strip, 4-row strip and padded tail. dst and B rows
+// are wider than the product, and the columns past it must keep their
+// bits: a masked lane is neither read into a sum nor written. GemmInto is
+// held to the same sum from +0 with dst's product elements NaN and ±Inf
+// beforehand, so a start that read dst would show.
 func TestGemmMaskedTileMatchesScalar(t *testing.T) {
 	forEachLevel(t, func(t *testing.T) {
 		value := mixedValues(53, 200)
-		for _, k := range []int{1, 7, 50} {
-			for n := 1; n <= 9; n++ {
+		special := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+		for _, k := range []int{0, 1, 7, 50} {
+			for n := 1; n <= 17; n++ {
 				for m := 1; m <= 40; m++ {
 					for _, strided := range []bool{false, true} {
 						lda, astep := k, 1
@@ -180,20 +184,72 @@ func TestGemmMaskedTileMatchesScalar(t *testing.T) {
 								v[i] = value()
 							}
 						}
-						want := make([]float64, len(dst))
-						copy(want, dst)
+						// scalar returns dst with each product element
+						// replaced by from(its old value) plus the k
+						// products in ascending order.
+						scalar := func(dst []float64, from func(float64) float64) []float64 {
+							want := make([]float64, len(dst))
+							copy(want, dst)
+							for i := 0; i < n; i++ {
+								for j := 0; j < m; j++ {
+									c := from(want[i*ldc+j])
+									for p := 0; p < k; p++ {
+										c += float64(a[i*lda+p*astep] * b[p*ldb+j])
+									}
+									want[i*ldc+j] = c
+								}
+							}
+							return want
+						}
+						shape := fmt.Sprintf("n=%d k=%d m=%d strided=%v", n, k, m, strided)
+
+						want := scalar(dst, func(c float64) float64 { return c })
+						GemmAcc(dst, ldc, a, lda, astep, b, ldb, n, k, m)
+						sameBits(t, "GemmAcc "+shape, dst, want)
+
 						for i := 0; i < n; i++ {
 							for j := 0; j < m; j++ {
-								c := want[i*ldc+j]
-								for p := 0; p < k; p++ {
-									c += float64(a[i*lda+p*astep] * b[p*ldb+j])
-								}
-								want[i*ldc+j] = c
+								dst[i*ldc+j] = special[(i+j)%len(special)]
 							}
 						}
-						GemmAcc(dst, ldc, a, lda, astep, b, ldb, n, k, m)
-						sameBits(t, fmt.Sprintf("GemmAcc n=%d k=%d m=%d strided=%v", n, k, m, strided), dst, want)
+						want = scalar(dst, func(float64) float64 { return 0 })
+						GemmInto(dst, ldc, a, lda, astep, b, ldb, n, k, m)
+						sameBits(t, "GemmInto "+shape, dst, want)
 					}
+				}
+			}
+		}
+	})
+}
+
+// TestPackTranspose holds TransposeInto to an element-by-element copy, bit
+// for bit, on every shape of 1–19 rows by 1–19 columns — full 8×8 blocks,
+// with and without ragged edges on either side — and on the shapes the
+// workloads transpose, at each dispatch arm the host has.
+func TestPackTranspose(t *testing.T) {
+	forEachLevel(t, func(t *testing.T) {
+		value := mixedValues(7, 20)
+		shapes := [][2]int{{64, 32}, {32, 10}, {8, 144}, {16, 36}, {72, 8}}
+		for r := 1; r <= 19; r++ {
+			for c := 1; c <= 19; c++ {
+				shapes = append(shapes, [2]int{r, c})
+			}
+		}
+		for _, s := range shapes {
+			r, c := s[0], s[1]
+			src, dst, want := make([]float64, r*c), make([]float64, r*c), make([]float64, r*c)
+			for i := range src {
+				src[i] = value()
+			}
+			for i := 0; i < r; i++ {
+				for j := 0; j < c; j++ {
+					want[j*r+i] = src[i*c+j]
+				}
+			}
+			TransposeInto(dst, src, r, c)
+			for i := range want {
+				if g, w := math.Float64bits(dst[i]), math.Float64bits(want[i]); g != w {
+					t.Fatalf("TransposeInto(%d,%d) [%d] bits %#x, want %#x", r, c, i, g, w)
 				}
 			}
 		}

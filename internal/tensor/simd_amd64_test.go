@@ -16,7 +16,10 @@ import (
 // ones): every length around the 4-wide blocks and the simdMinLen cut plus
 // a feature map's 144, inputs (constants included) that mix zeros of both
 // signs, NaN and both infinities into normals, at each kernel level the
-// host has — AVX, and the scalar loops non-AVX builds run for everything. A NaN must meet a NaN; its bits are free (see simd.go).
+// host has — AVX, and the scalar loops non-AVX builds run for everything.
+// SubInto and Axpy (the latter with a negated factor, as fl's server update
+// uses it) ride along. A NaN must meet a NaN; its bits are free (see
+// simd.go).
 // Every other result, ±0 and ±Inf included, must match bit for bit.
 func TestRowKernelsMatchScalarBits(t *testing.T) {
 	avx, avx512 := hasAVX, hasAVX512
@@ -105,6 +108,22 @@ func TestRowKernelsMatchScalarBits(t *testing.T) {
 						want[i] = float64(k1*x[i]) - k2 - float64(k3*y[i])
 					}
 					check(fmt.Sprintf("BNBwdDxScalar(k1=%v k2=%v k3=%v)", k1, k2, k3), got, want)
+
+					SubInto(got, x, y)
+					for i := range x {
+						want[i] = x[i] - y[i]
+					}
+					check("SubInto", got, want)
+
+					// fl's server update: Axpy with a negated factor is
+					// the scalar dst −= s·x.
+					s := value()
+					copy(got, y)
+					Axpy(got, -s, x)
+					for i := range x {
+						want[i] = y[i] - float64(s*x[i])
+					}
+					check(fmt.Sprintf("Axpy(-%v)", s), got, want)
 				}
 			}
 		})

@@ -72,6 +72,24 @@ func AddVec(dst, x []float64) {
 	}
 }
 
+// SubInto computes dst = x - y elementwise. The vector blocks run Lerp's
+// kernel with the weights 1 and -1: 1·x is x and (-1)·y is -y exactly,
+// and x + (-y) is x - y, so every element has the scalar difference's bits.
+func SubInto(dst, x, y []float64) {
+	if len(dst) != len(x) || len(dst) != len(y) {
+		panic("tensor: SubInto length mismatch")
+	}
+	i := 0
+	if hasAVX && len(dst) >= simdMinLen {
+		blocks := len(dst) >> 2
+		lerpBlocksAVX(&dst[0], &x[0], &y[0], 1, -1, int64(blocks))
+		i = blocks << 2
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = x[i] - y[i]
+	}
+}
+
 // Lerp computes dst = a*x + (1-a)*y elementwise into dst.
 // This is exactly the momentum-mixing rule v = alpha*g + (1-alpha)*Delta.
 func Lerp(dst []float64, a float64, x, y []float64) {
