@@ -53,6 +53,17 @@ var goldenHistories = map[string]string{
 	"mofedsam":  "00840f9f8a38ac20b989b5e9c32876261cac3bfa195fede522c288e0112595c0",
 	"fedgrab":   "36e19056692f673e0e9064fb5bf23efb103c774a2815c25cfb0917489990e733",
 	"balancefl": "8e3efe5416da65c6647f8fba6d07815f4117e444d8541d069a88085779f260d4",
+	// Recorded later, on the commit before the network's parameters became
+	// two flat vectors: between them they cover every local-SGD option the
+	// rewrite touched (the prox term, SAM along the local gradient and along
+	// a global direction, a correction with SAM and prox) and the Focal and
+	// PriorCE losses.
+	"fedprox":           "a537d42cb167483d2b5a4bcdfa464940de68cf9534d5b7ef43017af1ee15194e",
+	"fedsam":            "858b69e1d6f5c4231651af3a352ba014dbbc24a1a2604e25dfd71d1b2aee6180",
+	"fedlesam":          "29fba49175a85ae34db28c1a250b745e9bc4697f9e68a90d6baac694284ce90e",
+	"fedsmoo":           "2e3758f1690822d4d2fe13409bff6a8634acdb7e089254bcfcd7d575cf5dc1ae",
+	"fedcm+focal":       "77dc821b975178c186d1c99d156297fa1ef7e293a7dd2dc30a70cf859a2dca43",
+	"fedcm+balanceloss": "e5ce26173ecbdd5045665bca2cd362452efcedf04968ac8c1eb2ae5be0dac42e",
 }
 
 // goldenPreShotHistories are the original PR 2 digests, recorded before
