@@ -92,11 +92,7 @@ func RunLocalSGD(ctx *ClientCtx, opts LocalOpts) *ClientResult {
 	}
 
 	net := ctx.Net
-	gbuf := scratch.gbuf
-	var xcur []float64
-	if opts.ProxMu > 0 {
-		xcur = scratch.proxBuf()
-	}
+	w, g := net.Weights(), net.Grads()
 	var predHist []float64
 	if opts.TrackPreds {
 		predHist = make([]float64, ds.Classes) // escapes into the result; small
@@ -106,22 +102,15 @@ func RunLocalSGD(ctx *ClientCtx, opts LocalOpts) *ClientResult {
 	gidx := scratch.gidx[:0]
 
 	useMomentum := opts.Momentum != nil && opts.Alpha > 0 && opts.Alpha < 1
-	gradSink, hasGradSink := lossFn.(loss.GradInto)
 
-	// computeGrad runs one forward/backward on the current batch and fills
-	// gbuf with the flat gradient, returning the batch loss.
+	// computeGrad runs one forward/backward on the current batch, leaving
+	// the flat gradient in g, and returns the batch loss.
 	computeGrad := func(trackPreds bool) float64 {
 		net.ZeroGrad()
 		logits := net.Forward(xb, true)
-		var l float64
-		var dl *tensor.Dense
-		if hasGradSink {
-			scratch.dl = tensor.ReuseDense(scratch.dl, logits.R, logits.C)
-			dl = scratch.dl
-			l = gradSink.LossAndGradInto(dl, logits, yb)
-		} else {
-			l, dl = lossFn.LossAndGrad(logits, yb)
-		}
+		scratch.dl = tensor.ReuseDense(scratch.dl, logits.R, logits.C)
+		dl := scratch.dl
+		l := lossFn.LossAndGradInto(dl, logits, yb)
 		if trackPreds && predHist != nil {
 			for s := 0; s < logits.R; s++ {
 				predHist[tensor.ArgMax(logits.Row(s))]++
@@ -136,7 +125,6 @@ func RunLocalSGD(ctx *ClientCtx, opts LocalOpts) *ClientResult {
 			}
 		}
 		net.BackwardParams(dl)
-		net.GradVectorInto(gbuf)
 		return l
 	}
 
@@ -169,11 +157,11 @@ local:
 			l := computeGrad(true)
 			if opts.SAMRho > 0 {
 				// Pinned seed quirk (golden-history test): in the local-dir
-				// case pdir aliases gbuf, which computeGrad overwrites, so the
+				// case pdir aliases g, which computeGrad overwrites, so the
 				// restore subtracts ε·g_perturbed rather than ε·g_old. Fixing
 				// the asymmetry changes every SAM-family history and must come
 				// with re-pinned golden hashes.
-				pdir := gbuf
+				pdir := g
 				if opts.SAMGlobalDir != nil {
 					pdir = opts.SAMGlobalDir
 				}
@@ -186,20 +174,17 @@ local:
 				}
 			}
 			if opts.ProxMu > 0 {
-				net.VectorInto(xcur)
-				for j := range gbuf {
-					gbuf[j] += float64(opts.ProxMu * (xcur[j] - ctx.Global[j]))
+				for j := range g {
+					g[j] += float64(opts.ProxMu * (w[j] - ctx.Global[j]))
 				}
 			}
 			if opts.Correction != nil {
-				tensor.AddVec(gbuf, opts.Correction)
+				tensor.AddVec(g, opts.Correction)
 			}
-			dir := gbuf
 			if useMomentum {
-				dir = scratch.dir
-				tensor.Lerp(dir, opts.Alpha, gbuf, opts.Momentum)
+				tensor.Lerp(g, opts.Alpha, g, opts.Momentum)
 			}
-			net.StepVec(lr, dir)
+			net.Step(lr)
 			steps++
 			lossSum += l
 		}
@@ -214,8 +199,7 @@ local:
 	res.N = n
 	res.Steps = steps
 	res.PredHist = predHist
-	// Delta = x_global − x_end, fused: read the end weights straight out of
-	// the parameter segments instead of flattening them first.
+	// Delta = x_global − x_end.
 	net.DeltaInto(res.Delta, ctx.Global)
 	if steps > 0 {
 		res.MeanLoss = lossSum / float64(steps)

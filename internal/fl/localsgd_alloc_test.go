@@ -14,8 +14,9 @@ import (
 // TestWarmLocalRoundAllocatesNothing: once a worker's scratch and network
 // have served one client round, the next round of that client — a table
 // cell's shape: BatchNorm MLP, 210 samples, batch 50 with a short last
-// batch, 5 epochs — allocates nothing, with either sampler, at any core
-// count: no kernel spawns a goroutine.
+// batch, 5 epochs — allocates nothing, with either sampler, with each loss
+// and with each option that transforms the gradient before the step, at
+// any core count: no kernel spawns a goroutine.
 func TestWarmLocalRoundAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("tensor's GEMM panel sync.Pool drops Puts under -race: a warm round measured 79 allocations there")
@@ -33,12 +34,21 @@ func TestWarmLocalRoundAllocatesNothing(t *testing.T) {
 	scratch := fl.NewClientScratch(len(global))
 	rng := xrand.New(0)
 	ctx := fl.ClientCtx{Client: client, Env: env, Net: net, Global: global, RNG: rng, Scratch: scratch}
+	dir := make([]float64, len(global))
+	xrand.New(3).FillNorm(dir, 0, 0.01)
 	for _, tc := range []struct {
 		name string
 		opts fl.LocalOpts
 	}{
 		{"shuffle", fl.LocalOpts{}},
 		{"balanced", fl.LocalOpts{Balanced: true}},
+		{"focal", fl.LocalOpts{Loss: loss.Focal{Gamma: 2}}},
+		{"priorce", fl.LocalOpts{Loss: loss.NewPriorCE(1, []float64{30, 20, 20, 20, 20, 20, 20, 20, 20, 10})}},
+		{"momentum", fl.LocalOpts{Alpha: 0.1, Momentum: dir}},
+		{"prox", fl.LocalOpts{ProxMu: 0.01}},
+		{"sam", fl.LocalOpts{SAMRho: 0.05}},
+		{"sam-global-dir", fl.LocalOpts{SAMRho: 0.05, SAMGlobalDir: dir}},
+		{"correction", fl.LocalOpts{Correction: dir}},
 	} {
 		round := 0
 		localRound := func() {

@@ -10,25 +10,23 @@ import (
 	"fedwcm/internal/xrand"
 )
 
-// ClientScratch is the per-worker reusable workspace for local training: the
-// dim-sized vectors RunLocalSGD needs every client (gradient, step direction,
-// prox snapshot), the samplers and batch-gather buffers, and a pool of
-// result slots whose Delta vectors live exactly one round. One scratch
+// ClientScratch is the per-worker reusable workspace for local training: a
+// method's correction vector, the samplers, the batch-gather and
+// d(loss)/d(logits) buffers, and a pool of result slots whose Delta vectors
+// live exactly one round. RunLocalSGD needs no dim-sized vector of its own:
+// it steps the network's weight and gradient vectors in place. One scratch
 // belongs to one worker, so nothing here is shared between goroutines; the
 // runtime resets the slot cursor at every round boundary, after which the
 // previous round's results are dead (Aggregate has consumed them).
 type ClientScratch struct {
 	dim int
 
-	gbuf []float64 // flat batch gradient
-	dir  []float64 // update direction after momentum mixing
-	xcur []float64 // current weights (prox term); lazy — only some methods
 	corr []float64 // method correction (SCAFFOLD, FedDyn, …); lazy
 
 	xb   *tensor.Dense // gathered batch features
 	yb   []int         // gathered batch labels
 	gidx []int         // global row indices of the current batch
-	dl   *tensor.Dense // d(loss)/d(logits) buffer (losses implementing GradInto)
+	dl   *tensor.Dense // d(loss)/d(logits)
 
 	// The local round's sampler, re-armed per client round over buffers
 	// that outlive it.
@@ -41,11 +39,7 @@ type ClientScratch struct {
 
 // NewClientScratch allocates a scratch for networks with dim parameters.
 func NewClientScratch(dim int) *ClientScratch {
-	return &ClientScratch{
-		dim:  dim,
-		gbuf: make([]float64, dim),
-		dir:  make([]float64, dim),
-	}
+	return &ClientScratch{dim: dim}
 }
 
 // Reset recycles all result slots. Call only when the previous round's
@@ -73,14 +67,6 @@ func (s *ClientScratch) CorrectionBuf() []float64 {
 		s.corr = make([]float64, s.dim)
 	}
 	return s.corr
-}
-
-// proxBuf returns the lazily allocated prox-snapshot buffer.
-func (s *ClientScratch) proxBuf() []float64 {
-	if s.xcur == nil {
-		s.xcur = make([]float64, s.dim)
-	}
-	return s.xcur
 }
 
 // kit is one worker's training equipment: a private network, its

@@ -1,8 +1,9 @@
 // Package loss implements the classification losses used in the paper's
 // evaluation: softmax cross-entropy, Focal loss and PriorCELoss
-// (logit-adjusted / balanced softmax). Each loss returns the batch-mean
-// loss value together with d(loss)/d(logits), already averaged over the
-// batch, so a training step is: logits → LossAndGrad → network.Backward(dLogits).
+// (logit-adjusted / balanced softmax). Each loss writes d(loss)/d(logits),
+// already averaged over the batch, into a caller-provided matrix and returns
+// the batch-mean loss value, so a training step is:
+// logits → LossAndGradInto → network.Backward(dLogits).
 package loss
 
 import (
@@ -12,24 +13,16 @@ import (
 )
 
 // Loss maps logits and integer labels to a scalar loss and its gradient
-// with respect to the logits.
+// with respect to the logits. LossAndGradInto writes the gradient into grad
+// (shaped like logits), allocating nothing.
 type Loss interface {
 	Name() string
-	LossAndGrad(logits *tensor.Dense, labels []int) (float64, *tensor.Dense)
+	LossAndGradInto(grad, logits *tensor.Dense, labels []int) float64
 }
 
-// GradInto is the allocation-free variant of Loss: the gradient is written
-// into a caller-provided buffer (shaped like logits) instead of a fresh
-// matrix. Every loss in this package implements it; hot loops type-assert
-// for it and fall back to LossAndGrad otherwise. Implementations must
-// compute bit-identical values through both entry points.
-type GradInto interface {
-	LossAndGradInto(grad *tensor.Dense, logits *tensor.Dense, labels []int) float64
-}
-
-// softmaxRow writes softmax(z) into p. The exps come from tensor.ExpRow's
-// lane-wise kernel when it can run and from math.Exp otherwise — the same
-// bits either way — and are summed one by one, left to right.
+// softmaxRow writes softmax(z) into p, which must not alias z. The exps
+// come from tensor.ExpRow's lane-wise kernel when it can run and from
+// math.Exp otherwise — the same bits either way.
 func softmaxRow(p, z []float64) {
 	m := tensor.Max(z)
 	if !tensor.ExpRow(p, z, m) {
@@ -37,6 +30,11 @@ func softmaxRow(p, z []float64) {
 			p[i] = math.Exp(v - m)
 		}
 	}
+	normalise(p)
+}
+
+// normalise divides p by its sum, added one by one, left to right.
+func normalise(p []float64) {
 	sum := 0.0
 	for _, e := range p {
 		sum += e
@@ -62,13 +60,13 @@ type CrossEntropy struct{}
 // Name implements Loss.
 func (CrossEntropy) Name() string { return "ce" }
 
-// LossAndGrad implements Loss.
+// LossAndGrad is LossAndGradInto into a fresh matrix.
 func (l CrossEntropy) LossAndGrad(logits *tensor.Dense, labels []int) (float64, *tensor.Dense) {
 	grad := tensor.NewDense(logits.R, logits.C)
 	return l.LossAndGradInto(grad, logits, labels), grad
 }
 
-// LossAndGradInto implements GradInto.
+// LossAndGradInto implements Loss.
 func (CrossEntropy) LossAndGradInto(grad *tensor.Dense, logits *tensor.Dense, labels []int) float64 {
 	checkLabels(logits, labels)
 	n := logits.R
@@ -97,21 +95,16 @@ type Focal struct {
 // Name implements Loss.
 func (f Focal) Name() string { return "focal" }
 
-// LossAndGrad implements Loss.
-func (f Focal) LossAndGrad(logits *tensor.Dense, labels []int) (float64, *tensor.Dense) {
-	grad := tensor.NewDense(logits.R, logits.C)
-	return f.LossAndGradInto(grad, logits, labels), grad
-}
-
-// LossAndGradInto implements GradInto.
+// LossAndGradInto implements Loss. Each row's probabilities are computed
+// in its gradient row and overwritten there one element at a time.
 func (f Focal) LossAndGradInto(grad *tensor.Dense, logits *tensor.Dense, labels []int) float64 {
 	checkLabels(logits, labels)
 	n := logits.R
 	total := 0.0
 	invN := 1 / float64(n)
 	g := f.Gamma
-	p := make([]float64, logits.C)
 	for s := 0; s < n; s++ {
+		p := grad.Row(s)
 		softmaxRow(p, logits.Row(s))
 		t := labels[s]
 		pt := clampProb(p[t])
@@ -125,13 +118,12 @@ func (f Focal) LossAndGradInto(grad *tensor.Dense, logits *tensor.Dense, labels 
 		} else {
 			coef = float64(g*pt*math.Pow(omp, g-1)*logPt) - math.Pow(omp, g)
 		}
-		row := grad.Row(s)
-		for j := range row {
+		for j := range p {
 			delta := 0.0
 			if j == t {
 				delta = 1
 			}
-			row[j] = coef * (delta - p[j]) * invN
+			p[j] = coef * (delta - p[j]) * invN
 		}
 	}
 	return total * invN
@@ -154,13 +146,8 @@ func NewPriorCE(tau float64, counts []float64) *PriorCE {
 // Name implements Loss.
 func (l *PriorCE) Name() string { return "priorce" }
 
-// LossAndGrad implements Loss.
-func (l *PriorCE) LossAndGrad(logits *tensor.Dense, labels []int) (float64, *tensor.Dense) {
-	grad := tensor.NewDense(logits.R, logits.C)
-	return l.LossAndGradInto(grad, logits, labels), grad
-}
-
-// LossAndGradInto implements GradInto.
+// LossAndGradInto implements Loss. Each row's adjusted logits are built
+// in its gradient row and turned into probabilities there.
 func (l *PriorCE) LossAndGradInto(grad *tensor.Dense, logits *tensor.Dense, labels []int) float64 {
 	checkLabels(logits, labels)
 	if len(l.LogPrior) != logits.C {
@@ -169,14 +156,20 @@ func (l *PriorCE) LossAndGradInto(grad *tensor.Dense, logits *tensor.Dense, labe
 	n := logits.R
 	total := 0.0
 	invN := 1 / float64(n)
-	adj := make([]float64, logits.C)
 	for s := 0; s < n; s++ {
 		row := logits.Row(s)
-		for j := range adj {
-			adj[j] = row[j] + float64(l.Tau*l.LogPrior[j])
-		}
 		p := grad.Row(s)
-		softmaxRow(p, adj)
+		l.adjust(p, row)
+		m := tensor.Max(p)
+		if !tensor.ExpRow(p, p, m) {
+			// The kernel may have overwritten p before it gave up: rebuild
+			// the adjusted logits and take math.Exp's path in place.
+			l.adjust(p, row)
+			for i, v := range p {
+				p[i] = math.Exp(v - m)
+			}
+		}
+		normalise(p)
 		t := labels[s]
 		total += -math.Log(clampProb(p[t]))
 		for j := range p {
@@ -185,6 +178,13 @@ func (l *PriorCE) LossAndGradInto(grad *tensor.Dense, logits *tensor.Dense, labe
 		p[t] -= invN
 	}
 	return total * invN
+}
+
+// adjust writes the adjusted logits z_j + τ·log(π_j) into dst.
+func (l *PriorCE) adjust(dst, z []float64) {
+	for j := range dst {
+		dst[j] = z[j] + float64(l.Tau*l.LogPrior[j])
+	}
 }
 
 // LogPriors converts raw class counts into log-probabilities, flooring

@@ -9,17 +9,23 @@ import (
 	"fedwcm/internal/xrand"
 )
 
+// lossAndGrad is LossAndGradInto into a fresh matrix.
+func lossAndGrad(l Loss, logits *tensor.Dense, labels []int) (float64, *tensor.Dense) {
+	grad := tensor.NewDense(logits.R, logits.C)
+	return l.LossAndGradInto(grad, logits, labels), grad
+}
+
 // numericGrad checks d(loss)/d(logits) by central differences.
 func numericGrad(t *testing.T, l Loss, logits *tensor.Dense, labels []int, tol float64) {
 	t.Helper()
-	_, grad := l.LossAndGrad(logits, labels)
+	_, grad := lossAndGrad(l, logits, labels)
 	const eps = 1e-6
 	for i := range logits.Data {
 		orig := logits.Data[i]
 		logits.Data[i] = orig + eps
-		lp, _ := l.LossAndGrad(logits, labels)
+		lp, _ := lossAndGrad(l, logits, labels)
 		logits.Data[i] = orig - eps
-		lm, _ := l.LossAndGrad(logits, labels)
+		lm, _ := lossAndGrad(l, logits, labels)
 		logits.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		denom := math.Max(math.Max(math.Abs(num), math.Abs(grad.Data[i])), 1e-4)
@@ -62,7 +68,7 @@ func TestFocalZeroGammaEqualsCE(t *testing.T) {
 	f := func(seed uint64) bool {
 		logits, labels := randomBatch(seed, 4, 3)
 		lce, gce := CrossEntropy{}.LossAndGrad(logits, labels)
-		lf, gf := Focal{Gamma: 0}.LossAndGrad(logits, labels)
+		lf, gf := lossAndGrad(Focal{Gamma: 0}, logits, labels)
 		if math.Abs(lce-lf) > 1e-10 {
 			return false
 		}
@@ -80,9 +86,9 @@ func TestFocalDownweightsEasyExamples(t *testing.T) {
 	hard := tensor.FromSlice(1, 3, []float64{0.1, 0, 0})
 	labels := []int{0}
 	ceEasy, _ := CrossEntropy{}.LossAndGrad(easy, labels)
-	fEasy, _ := Focal{Gamma: 2}.LossAndGrad(easy, labels)
+	fEasy, _ := lossAndGrad(Focal{Gamma: 2}, easy, labels)
 	ceHard, _ := CrossEntropy{}.LossAndGrad(hard, labels)
-	fHard, _ := Focal{Gamma: 2}.LossAndGrad(hard, labels)
+	fHard, _ := lossAndGrad(Focal{Gamma: 2}, hard, labels)
 	if fEasy >= ceEasy*0.01 {
 		t.Errorf("focal should crush easy-example loss: ce=%v focal=%v", ceEasy, fEasy)
 	}
@@ -98,7 +104,7 @@ func TestPriorCEBoostsTailClasses(t *testing.T) {
 	counts := []float64{1000, 10}
 	l := NewPriorCE(1, counts)
 	logits := tensor.FromSlice(1, 2, []float64{0, 0})
-	_, g := l.LossAndGrad(logits, []int{1})
+	_, g := lossAndGrad(l, logits, []int{1})
 	_, gce := CrossEntropy{}.LossAndGrad(tensor.FromSlice(1, 2, []float64{0, 0}), []int{1})
 	if g.Data[1] >= gce.Data[1] {
 		t.Errorf("PriorCE tail gradient %v should be more negative than CE %v", g.Data[1], gce.Data[1])
@@ -145,7 +151,7 @@ func TestLogPriors(t *testing.T) {
 func TestLossNumericalStability(t *testing.T) {
 	logits := tensor.FromSlice(1, 3, []float64{1e4, -1e4, 0})
 	for _, l := range []Loss{CrossEntropy{}, Focal{Gamma: 2}, NewPriorCE(1, []float64{1, 1, 1})} {
-		v, g := l.LossAndGrad(logits, []int{1})
+		v, g := lossAndGrad(l, logits, []int{1})
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Errorf("%s: loss not finite on extreme logits: %v", l.Name(), v)
 		}
@@ -196,6 +202,38 @@ func TestSoftmaxRowMatchesScalar(t *testing.T) {
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("n=%d spread=%v: p[%d] = %v, want %v", n, spread, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestPriorCEIsCEOnAdjustedLogits holds PriorCE, which builds the adjusted
+// logits z_j + τ·log(π_j) in its gradient rows, to cross-entropy over those
+// logits computed apart, bit for bit — also for rows whose spread passes
+// the exp kernel's range, where the kernel gives up part-way and the
+// adjusted row is rebuilt for math.Exp.
+func TestPriorCEIsCEOnAdjustedLogits(t *testing.T) {
+	counts := []float64{500, 120, 40, 9, 3, 1, 0, 70, 8, 200, 15}
+	for _, c := range []int{3, 8, 11} {
+		l := NewPriorCE(1, counts[:c])
+		for _, spread := range []float64{1, 30, 2000} {
+			logits, labels := randomBatch(uint64(c), 7, c)
+			tensor.Scale(logits.Data, spread)
+			adj := tensor.NewDense(logits.R, c)
+			for s := 0; s < logits.R; s++ {
+				for j, z := range logits.Row(s) {
+					adj.Row(s)[j] = z + float64(l.Tau*l.LogPrior[j])
+				}
+			}
+			lp, gp := lossAndGrad(l, logits, labels)
+			lce, gce := CrossEntropy{}.LossAndGrad(adj, labels)
+			if math.Float64bits(lp) != math.Float64bits(lce) {
+				t.Fatalf("C=%d spread=%v: loss %v, want %v", c, spread, lp, lce)
+			}
+			for i := range gce.Data {
+				if math.Float64bits(gp.Data[i]) != math.Float64bits(gce.Data[i]) {
+					t.Fatalf("C=%d spread=%v: grad[%d] = %v, want %v", c, spread, i, gp.Data[i], gce.Data[i])
 				}
 			}
 		}

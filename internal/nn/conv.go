@@ -26,7 +26,7 @@ type Conv2D struct {
 	sc convScratch
 
 	taps     []shiftedTap  // non-nil selects the shifted-copy im2col and backwardTaps
-	wview    *tensor.Dense // Wt.Data viewed as OutC×(InC·KH·KW)
+	wview    *tensor.Dense // Wt.Data viewed as OutC×(InC·KH·KW); WrapNetwork re-points it
 	fwd, bwd workspace
 }
 

@@ -15,7 +15,7 @@ type Linear struct {
 
 	x *tensor.Dense // cached input for backward
 
-	wview        *tensor.Dense // W.Data viewed as In×Out (W.Data is stable)
+	wview        *tensor.Dense // W.Data viewed as In×Out; WrapNetwork re-points it
 	fwd, bwd, dw workspace     // reusable out / dX / dW buffers
 	db           vecWorkspace  // reusable bias-gradient buffer
 }

@@ -9,53 +9,106 @@ import (
 )
 
 // Network is a Sequential with the bookkeeping the federated engine needs:
-// flat parameter-vector access and classifier metadata.
+// flat parameter-vector access and classifier metadata. Its parameters live
+// in two flat vectors, one of weights and one of gradients, in Params()
+// order: every Param.Data and Param.Grad is a window of them, so the whole
+// model is one vector to copy, zero, step or difference.
 type Network struct {
 	*Sequential
 	InDim   int
 	Classes int
 
 	params []*Param // cached Params() result (layer param sets are stable)
+	w, g   []float64
+	learn  []span // the non-Stat runs of w and g, adjacent params merged
 }
 
-// WrapNetwork builds a Network from layers plus metadata.
+// span is the index range [lo, hi) of the weight and gradient vectors.
+type span struct{ lo, hi int }
+
+// WrapNetwork builds a Network from layers plus metadata. It moves every
+// parameter's values into the network's weight vector, re-points Data and
+// Grad at their windows (gradients start at zero) and re-points the weight
+// matrices Linear and Conv2D view.
 func WrapNetwork(inDim, classes int, layers ...Layer) *Network {
 	n := &Network{Sequential: NewSequential(layers...), InDim: inDim, Classes: classes}
 	n.params = n.Sequential.Params()
+	size := 0
+	for _, p := range n.params {
+		size += len(p.Data)
+	}
+	n.w, n.g = make([]float64, size), make([]float64, size)
+	off := 0
+	for _, p := range n.params {
+		end := off + len(p.Data)
+		copy(n.w[off:end], p.Data)
+		p.Data, p.Grad = n.w[off:end:end], n.g[off:end:end]
+		if !p.Stat {
+			if k := len(n.learn) - 1; k >= 0 && n.learn[k].hi == off {
+				n.learn[k].hi = end
+			} else {
+				n.learn = append(n.learn, span{off, end})
+			}
+		}
+		off = end
+	}
+	bindViews(n.Sequential)
 	return n
+}
+
+// bindViews re-points the weight matrices Linear and Conv2D build over
+// their Param's Data at construction.
+func bindViews(l Layer) {
+	switch l := l.(type) {
+	case *Linear:
+		l.wview.Data = l.W.Data
+	case *Conv2D:
+		l.wview.Data = l.Wt.Data
+	case *Residual:
+		bindViews(l.Body)
+	case *Sequential:
+		for _, c := range l.Layers {
+			bindViews(c)
+		}
+	}
 }
 
 // Params returns the cached flat parameter list.
 func (n *Network) Params() []*Param { return n.params }
 
 // NumParams returns the total scalar parameter count.
-func (n *Network) NumParams() int { return ParamSize(n.params) }
+func (n *Network) NumParams() int { return len(n.w) }
+
+// Weights returns the network's weight vector itself, not a copy: writes
+// through it change the model.
+func (n *Network) Weights() []float64 { return n.w }
+
+// Grads returns the network's gradient vector itself, not a copy. Backward
+// accumulates into it, ZeroGrad clears it and Step reads it.
+func (n *Network) Grads() []float64 { return n.g }
 
 // Vector copies all parameters into a fresh flat vector.
-func (n *Network) Vector() []float64 {
-	return FlattenParams(n.params, make([]float64, n.NumParams()))
-}
+func (n *Network) Vector() []float64 { return tensor.CopyVec(n.w) }
 
 // VectorInto copies all parameters into dst.
-func (n *Network) VectorInto(dst []float64) { FlattenParams(n.params, dst) }
+func (n *Network) VectorInto(dst []float64) {
+	if len(dst) != len(n.w) {
+		panic(fmt.Sprintf("nn: VectorInto dst len %d, want %d", len(dst), len(n.w)))
+	}
+	copy(dst, n.w)
+}
 
 // SetVector loads all parameters from a flat vector.
-func (n *Network) SetVector(v []float64) { UnflattenParams(n.params, v) }
-
-// DeltaInto computes dst = ref - params directly from the parameter
-// segments, fusing VectorInto and the subtraction into one pass with no
-// intermediate flat copy. dst and ref are flat vectors over all parameters.
-func (n *Network) DeltaInto(dst, ref []float64) {
-	if len(dst) != n.NumParams() || len(ref) != n.NumParams() {
-		panic("nn: DeltaInto length mismatch")
+func (n *Network) SetVector(v []float64) {
+	if len(v) != len(n.w) {
+		panic(fmt.Sprintf("nn: SetVector src len %d, want %d", len(v), len(n.w)))
 	}
-	off := 0
-	for _, p := range n.params {
-		end := off + len(p.Data)
-		tensor.SubInto(dst[off:end], ref[off:end], p.Data)
-		off = end
-	}
+	copy(n.w, v)
 }
+
+// DeltaInto computes dst = ref - params. dst and ref are flat vectors over
+// all parameters.
+func (n *Network) DeltaInto(dst, ref []float64) { tensor.SubInto(dst, ref, n.w) }
 
 // BackwardParams is Backward for callers that want only the parameter
 // gradients — a training step, which has no use for d(loss)/d(input data).
@@ -77,39 +130,21 @@ func (n *Network) BackwardParams(dout *tensor.Dense) {
 	}
 }
 
-// GradVectorInto copies all gradients into dst.
-func (n *Network) GradVectorInto(dst []float64) { FlattenGrads(n.params, dst) }
-
 // ZeroGrad clears every gradient accumulator.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.params {
-		p.ZeroGrad()
-	}
-}
+func (n *Network) ZeroGrad() { tensor.Zero(n.g) }
 
 // Step applies params -= lr·grad to learnable parameters (Stat params are
 // skipped; their values evolve inside Forward).
-func (n *Network) Step(lr float64) {
-	for _, p := range n.params {
-		if p.Stat {
-			continue
-		}
-		tensor.Axpy(p.Data, -lr, p.Grad)
-	}
-}
+func (n *Network) Step(lr float64) { n.StepVec(lr, n.g) }
 
-// StepVec applies params -= lr·dir where dir is a flat vector over all
-// parameters (Stat segments included; pass zeros there to leave them alone).
+// StepVec applies params -= lr·dir to learnable parameters, where dir is a
+// flat vector over all parameters whose Stat segments are ignored.
 func (n *Network) StepVec(lr float64, dir []float64) {
-	if len(dir) != n.NumParams() {
+	if len(dir) != len(n.w) {
 		panic("nn: StepVec length mismatch")
 	}
-	off := 0
-	for _, p := range n.params {
-		if !p.Stat {
-			tensor.Axpy(p.Data, -lr, dir[off:off+len(p.Data)])
-		}
-		off += len(p.Data)
+	for _, s := range n.learn {
+		tensor.Axpy(n.w[s.lo:s.hi], -lr, dir[s.lo:s.hi])
 	}
 }
 

@@ -98,10 +98,79 @@ func TestStepVecMatchesStep(t *testing.T) {
 }
 
 // gradVector copies all gradients into a fresh flat vector.
-func gradVector(n *Network) []float64 {
-	g := make([]float64, n.NumParams())
-	n.GradVectorInto(g)
-	return g
+func gradVector(n *Network) []float64 { return tensor.CopyVec(n.Grads()) }
+
+// TestParamsAreWindowsOfTheVectors: for every builder, each Param.Data and
+// Param.Grad is the window of the network's weight and gradient vector at
+// its offset in Params() order — a write through either is read through
+// the other — and a Forward after SetVector computes with the loaded
+// weights, which fails if a layer kept a view of its weights from before
+// WrapNetwork moved them.
+func TestParamsAreWindowsOfTheVectors(t *testing.T) {
+	for name, tc := range map[string]struct {
+		build func(seed uint64) *Network
+		inDim int
+	}{
+		"mlp":        {func(s uint64) *Network { return NewMLP(s, 12, []int{9, 7}, 5, false) }, 12},
+		"mlpbn":      {func(s uint64) *Network { return NewMLP(s, 12, []int{9, 7}, 5, true) }, 12},
+		"softmax":    {func(s uint64) *Network { return NewSoftmaxRegression(s, 12, 5) }, 12},
+		"resnetlite": {func(s uint64) *Network { return NewResNetLite(s, 3, 6, 6, 5, 4) }, 3 * 6 * 6},
+	} {
+		t.Run(name, func(t *testing.T) {
+			net := tc.build(1)
+			for _, v := range [][]float64{net.Weights(), net.Grads()} {
+				if len(v) != net.NumParams() {
+					t.Fatalf("vector length %d, want %d", len(v), net.NumParams())
+				}
+			}
+			for _, vec := range []struct {
+				name  string
+				whole []float64
+				part  func(p *Param) []float64
+			}{
+				{"weights", net.Weights(), func(p *Param) []float64 { return p.Data }},
+				{"grads", net.Grads(), func(p *Param) []float64 { return p.Grad }},
+			} {
+				off := 0
+				for _, p := range net.Params() {
+					for i := range vec.part(p) {
+						vec.part(p)[i] = float64(off+i) + 0.5
+					}
+					off += len(vec.part(p))
+				}
+				if off != len(vec.whole) {
+					t.Fatalf("%s: params cover %d of %d entries", vec.name, off, len(vec.whole))
+				}
+				for j, v := range vec.whole {
+					if v != float64(j)+0.5 {
+						t.Fatalf("%s[%d] = %v after writing the params, want %v", vec.name, j, v, float64(j)+0.5)
+					}
+					vec.whole[j] = -v
+				}
+				off = 0
+				for _, p := range net.Params() {
+					for i, v := range vec.part(p) {
+						if want := -(float64(off+i) + 0.5); v != want {
+							t.Fatalf("%s: %s[%d] = %v after writing the vector, want %v", vec.name, p.Name, i, v, want)
+						}
+					}
+					off += len(vec.part(p))
+				}
+			}
+
+			other := tc.build(2)
+			x := tensor.NewDense(3, tc.inDim)
+			xrand.New(3).FillNorm(x.Data, 0, 1)
+			want := other.Forward(x, false)
+			net.SetVector(other.Vector())
+			got := net.Forward(x, false)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("Forward after SetVector: out[%d] = %v, want %v", i, got.Data[i], want.Data[i])
+				}
+			}
+		})
+	}
 }
 
 func TestZeroGrad(t *testing.T) {

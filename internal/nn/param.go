@@ -16,13 +16,14 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"fedwcm/internal/xrand"
 )
 
 // Param is a learnable (or state) tensor with its gradient accumulator.
+// Once a layer is wrapped in a Network, Data and Grad are windows of the
+// network's weight and gradient vectors.
 type Param struct {
 	Name string
 	Data []float64
@@ -36,61 +37,6 @@ type Param struct {
 // NewParam allocates a named parameter of length n.
 func NewParam(name string, n int) *Param {
 	return &Param{Name: name, Data: make([]float64, n), Grad: make([]float64, n)}
-}
-
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() {
-	for i := range p.Grad {
-		p.Grad[i] = 0
-	}
-}
-
-// ParamSize returns the total number of scalars across params.
-func ParamSize(params []*Param) int {
-	n := 0
-	for _, p := range params {
-		n += len(p.Data)
-	}
-	return n
-}
-
-// FlattenParams copies all parameter values into dst (which must have
-// exactly ParamSize capacity) and returns it.
-func FlattenParams(params []*Param, dst []float64) []float64 {
-	if len(dst) != ParamSize(params) {
-		panic(fmt.Sprintf("nn: FlattenParams dst len %d, want %d", len(dst), ParamSize(params)))
-	}
-	off := 0
-	for _, p := range params {
-		copy(dst[off:], p.Data)
-		off += len(p.Data)
-	}
-	return dst
-}
-
-// UnflattenParams copies src into the parameter values.
-func UnflattenParams(params []*Param, src []float64) {
-	if len(src) != ParamSize(params) {
-		panic(fmt.Sprintf("nn: UnflattenParams src len %d, want %d", len(src), ParamSize(params)))
-	}
-	off := 0
-	for _, p := range params {
-		copy(p.Data, src[off:off+len(p.Data)])
-		off += len(p.Data)
-	}
-}
-
-// FlattenGrads copies all gradients into dst (len must equal ParamSize).
-func FlattenGrads(params []*Param, dst []float64) []float64 {
-	if len(dst) != ParamSize(params) {
-		panic("nn: FlattenGrads length mismatch")
-	}
-	off := 0
-	for _, p := range params {
-		copy(dst[off:], p.Grad)
-		off += len(p.Grad)
-	}
-	return dst
 }
 
 // heInit fills w with He-normal values for fan-in fanIn.

@@ -90,7 +90,8 @@ func SubInto(dst, x, y []float64) {
 	}
 }
 
-// Lerp computes dst = a*x + (1-a)*y elementwise into dst.
+// Lerp computes dst = a*x + (1-a)*y elementwise into dst, which may alias
+// x or y: each element is read before it is written.
 // This is exactly the momentum-mixing rule v = alpha*g + (1-alpha)*Delta.
 func Lerp(dst []float64, a float64, x, y []float64) {
 	if len(dst) != len(x) || len(dst) != len(y) {

@@ -102,6 +102,35 @@ func TestLerpMatchesScalarBits(t *testing.T) {
 	}
 }
 
+// TestLerpInPlaceMatchesOutOfPlace: with dst aliasing x, as local SGD's
+// momentum mixing runs it on the gradient vector, or aliasing y, Lerp gives
+// the out-of-place bits — at lengths below simdMinLen, at multiples of the
+// 4-wide blocks and with a 1–3 element scalar tail after them.
+func TestLerpInPlaceMatchesOutOfPlace(t *testing.T) {
+	r := xrand.New(13)
+	for _, n := range []int{1, 3, 5, 7, 8, 12, 16, 20, 9, 10, 11, 13, 14, 15, 33, 34, 35} {
+		x, y, want := make([]float64, n), make([]float64, n), make([]float64, n)
+		r.FillNorm(x, 0, 1)
+		r.FillNorm(y, 0, 1)
+		const a = 0.1
+		Lerp(want, a, x, y)
+		for _, alias := range []string{"x", "y"} {
+			got := CopyVec(x)
+			if alias == "x" {
+				Lerp(got, a, got, y)
+			} else {
+				copy(got, y)
+				Lerp(got, a, x, got)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d dst=%s: [%d] = %v, want %v", n, alias, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestDotNormRelations(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
