@@ -178,3 +178,60 @@ func TestAsyncStragglerGoldenBitIdentical(t *testing.T) {
 		})
 	}
 }
+
+// asyncK3GoldenHistories pins every registered method in buffered-async
+// mode, one digest each. Recorded on the commit before the averaging
+// baselines became rows of one method type.
+var asyncK3GoldenHistories = map[string]string{
+	"balancefl":            "cc8240c9d2417acf057195e5d5980b542fb4492f1187cd9d48445b585aace2ad",
+	"fedavg":               "fa28d776a97edb4975b5af865c4c07f104e30df81089cc0036e6329a9b77e767",
+	"fedavgm":              "c2364aebf699f8f55df8d5ac07443030942af9d4fc556c4594cb8becf8606453",
+	"fedcm":                "6ce71af146c62ceacdd650b886359824c2055925f9c9903de65ebe302c555cce",
+	"fedcm+balanceloss":    "ed00c3d90d3d3455f48fffabd461a57b77689634d9b6a59d072e3122924868ae",
+	"fedcm+balancesampler": "ffafef37aabc905cf8130fd5fda3ba285ae191471b450abf2ab4850e501cbcc1",
+	"fedcm+focal":          "c0f12e6cfec5a56bd54411637ce6bb9051b0d4a998344881c1561d04f6fca111",
+	"feddyn":               "989e5cc255c2a04e439d48546d9dd41b76ba7b0eacc4afccc93258a433768de4",
+	"fedgrab":              "3400169375576f7a3aff4d3cc0ffddbe4defa6a11721a1514557b927c5097b4c",
+	"fedlesam":             "24dfbcf22c1f9783edb68d60bdb31facdd0a67afd2e4d7ae207d368ef6dd0c94",
+	"fedprox":              "ef5b52c5e03d910ab8a90c40d62ae7daed8b2d5bf96521633b3674d60fb42e95",
+	"fedsam":               "801d8d2fdffe819970824f3ea1e329195d210991e35d4cfd272c787959fdae5b",
+	"fedsmoo":              "ae35c658e34d72414be30513c92b51c4da37cc6c91008725adec12a3999cdeb0",
+	"fedspeed":             "a7bd89429a7ed3a0059f4e868ea1f49f1d776599de31075d28cdb5df56060a19",
+	"fedwcm":               "ebae3c394af7d7c3e8cd7cd3498efc244f9b0c965cc3a4a4aa4bac5cc6326019",
+	"fedwcm-absscore":      "27bb650b3d342ecc614ace140b835472ffffa2032ec8da14cfd4d5f70ba67994",
+	"fedwcm-alphaonly":     "9a941104f31f35076fc2c75fb3409d14065dc6311f6b4ea344b27fe73c87bc7e",
+	"fedwcm-weightonly":    "8d9fe55ce1ece2ff44a39b36ec09219023b96434e7c2a431758cf26124db6080",
+	"fedwcm-x":             "2d6ad1333fc237ae7ebf9056cd77b9d1e211af5ed87ab94275e2cc71f10f7d4a",
+	"mofedsam":             "7136d6b3ffbdbc2aa6cbdaaea85bf8f9e5230bfee7f820f3c7cd1ffced112302",
+	"scaffold":             "f453c229b98fba4d552ea0ffc272633c0989aebc8e65f73d42034b7d4394ae77",
+}
+
+// asyncK3GoldenSpec is asyncGoldenSpec with all 6 clients in the cohort, a
+// buffer of K = 3 and 6 rounds. A method without AggregateAsync takes the
+// engine's fallback: each delta is pre-scaled by its staleness weight times
+// the buffer size, then the synchronous Aggregate averages. When the buffer
+// size is a power of two, or no update in it is stale, that is bit for bit
+// a direct weighted average, so asyncGoldenSpec (K = 2, cohort 4) and the
+// same fixture at K = 3 (which sees no stale update) cannot tell the two
+// paths apart. This one can: giving MoFedSAM FedCM's AggregateAsync moves
+// its digest, and so does taking FedCM's away from its focal and
+// balance-loss variants.
+func asyncK3GoldenSpec(method string) RunSpec {
+	spec := asyncGoldenSpec(method)
+	spec.Cfg.SampleClients = spec.Clients
+	spec.Cfg.Rounds = 6
+	spec.Cfg.Async.K = 3
+	return spec
+}
+
+func TestAsyncK3GoldenHistoriesBitIdentical(t *testing.T) {
+	for method, want := range asyncK3GoldenHistories {
+		t.Run(method, func(t *testing.T) {
+			spec := asyncK3GoldenSpec(method)
+			if err := spec.Validate(); err != nil {
+				t.Fatalf("async golden spec must validate: %v", err)
+			}
+			runGolden(t, spec, want)
+		})
+	}
+}

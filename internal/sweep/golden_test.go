@@ -64,6 +64,29 @@ var goldenHistories = map[string]string{
 	"fedsmoo":           "2e3758f1690822d4d2fe13409bff6a8634acdb7e089254bcfcd7d575cf5dc1ae",
 	"fedcm+focal":       "77dc821b975178c186d1c99d156297fa1ef7e293a7dd2dc30a70cf859a2dca43",
 	"fedcm+balanceloss": "e5ce26173ecbdd5045665bca2cd362452efcedf04968ac8c1eb2ae5be0dac42e",
+	// Recorded on the commit before the averaging baselines became rows of
+	// one method type, so that every registered method has a sync pin.
+	"fedavgm":              "42f8670142c5d1d654879d5e51974b4102c00446b2ba4e1f519b00eec6b27dcd",
+	"fedspeed":             "696d41e6be571e81cee22b4032c570ca1e6a82ff4acaeae1a89397537ffadd90",
+	"fedcm+balancesampler": "f563c3a0b7bbc64fb75308451b7652a18544474d5ee62b8ce1ae8182224331ae",
+	"fedwcm-x":             "27937d60991954eba6c2fc95437337056be1f9d90816ee14f81b5cab0977b83b",
+	"fedwcm-absscore":      "bcbe2e172f763fa856d27910e2e4d0436caf3be6416c78da13f847f493c0be1b",
+	"fedwcm-weightonly":    "661c218caa25e3985ebb23893c3ee3fb562cf57d8e3a290910a498937280bcc5",
+	"fedwcm-alphaonly":     "62bb16d3f6a26599425d96dd130db12dadfdad8007588745b220bb6c1802081c",
+}
+
+// TestGoldenPinsEveryMethod: a method registered without a sync and an async
+// golden could change its arithmetic unseen, so registering one fails here
+// until both digests are recorded.
+func TestGoldenPinsEveryMethod(t *testing.T) {
+	for _, name := range methods.Names() {
+		if goldenHistories[name] == "" {
+			t.Errorf("%s has no sync golden in goldenHistories", name)
+		}
+		if asyncK3GoldenHistories[name] == "" {
+			t.Errorf("%s has no async golden in asyncK3GoldenHistories", name)
+		}
+	}
 }
 
 // goldenPreShotHistories are the original PR 2 digests, recorded before
