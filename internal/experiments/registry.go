@@ -102,7 +102,7 @@ func (e *Experiment) Execute(opt Options) (*sweep.Result, error) {
 	} else {
 		eng := &sweep.Engine{Store: opt.Store, Workers: opt.CellWorkers, Envs: opt.Envs}
 		defer eng.Close()
-		res, err = eng.RunSweep(sp, nil)
+		res, err = eng.RunSweep(sp)
 	}
 	if res != nil && res.Failed > 0 {
 		// Surface per-group causes, not a bare count: one line per failed

@@ -58,11 +58,9 @@ type FedCM struct {
 
 	serverMomentum
 	name string
-	// lossCache holds one LossFor-built loss per client, materialised at
-	// Init: client losses are pure functions of static client state, so
-	// rebuilding them per round was pure allocation churn. Safe because a
-	// client trains at most once per round, so no loss value is shared
-	// between concurrent LocalTrain calls.
+	// lossCache holds one LossFor-built loss per client, built at Init
+	// (clientLosses). A client trains at most once per round, so no loss
+	// value is shared between concurrent LocalTrain calls.
 	lossCache []loss.Loss
 }
 
@@ -83,17 +81,7 @@ func NewFedCMFocal(alpha, gamma float64) *FedCM {
 // NewFedCMBalanceLoss returns the FedCM + Balance Loss (PriorCE over local
 // class counts) baseline.
 func NewFedCMBalanceLoss(alpha, tau float64) *FedCM {
-	return &FedCM{
-		Alpha: alpha,
-		name:  "fedcm+balanceloss",
-		LossFor: func(c *fl.Client) loss.Loss {
-			counts := make([]float64, len(c.ClassCounts))
-			for i, n := range c.ClassCounts {
-				counts[i] = float64(n)
-			}
-			return loss.NewPriorCE(tau, counts)
-		},
-	}
+	return &FedCM{Alpha: alpha, name: "fedcm+balanceloss", LossFor: priorCE(tau)}
 }
 
 // NewFedCMBalanceSampler returns the FedCM + Balance Sampler baseline.
@@ -107,13 +95,7 @@ func (m *FedCM) Name() string { return m.name }
 // Init implements fl.Method.
 func (m *FedCM) Init(env *fl.Env, dim int) {
 	m.serverMomentum.init(env, dim)
-	m.lossCache = nil
-	if m.LossFor != nil {
-		m.lossCache = make([]loss.Loss, len(env.Clients))
-		for k, c := range env.Clients {
-			m.lossCache[k] = m.LossFor(c)
-		}
-	}
+	m.lossCache = clientLosses(env, m.LossFor)
 }
 
 // LocalTrain implements fl.Method.

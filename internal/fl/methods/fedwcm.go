@@ -24,16 +24,21 @@ const (
 	ScoreAbsDeviation
 )
 
+// FedWCM's fixed hyperparameters.
+const (
+	alphaBase float64 = 0.1  // α floor
+	alphaMax  float64 = 0.99 // α clamp ceiling
+	// tempMin and tempMax clamp the softmax temperature T = 1/(C·D + ε).
+	tempMin float64 = 0.02
+	tempMax float64 = 100
+	// devGain scales the imbalance exponent in Eq. 5's factor
+	// 1 − exp(−devGain·D·C/2).
+	devGain float64 = 1
+)
+
 // WCMOptions are FedWCM's knobs; DefaultWCMOptions matches the paper.
 type WCMOptions struct {
-	Score     ScoreMode
-	AlphaBase float64 // α floor (paper: 0.1)
-	AlphaMax  float64 // α clamp ceiling
-	// TempMin/TempMax clamp the softmax temperature T = 1/(C·D + ε).
-	TempMin, TempMax float64
-	// DevGain scales the imbalance exponent in Eq. 5's factor
-	// 1 − exp(−DevGain·D·C/2).
-	DevGain float64
+	Score ScoreMode
 	// Target is the global target distribution (nil = uniform), the
 	// user-adjustable prior of §5.1.
 	Target []float64
@@ -48,14 +53,7 @@ type WCMOptions struct {
 
 // DefaultWCMOptions returns the paper-default configuration.
 func DefaultWCMOptions() WCMOptions {
-	return WCMOptions{
-		Score:     ScoreScarcity,
-		AlphaBase: 0.1,
-		AlphaMax:  0.99,
-		TempMin:   0.02,
-		TempMax:   100,
-		DevGain:   1,
-	}
+	return WCMOptions{Score: ScoreScarcity}
 }
 
 // FedWCM is the paper's contribution: FedCM with (1) momentum aggregation
@@ -70,7 +68,7 @@ type FedWCM struct {
 	scores    []float64 // s_k per client
 	meanScore float64
 	temp      float64 // softmax temperature T
-	imbFactor float64 // 1 − exp(−DevGain·D·C/2)
+	imbFactor float64 // 1 − exp(−devGain·D·C/2)
 	alpha     float64 // current α_r
 	refSteps  float64 // reference local step count B̂·E for FedWCM-X
 
@@ -114,14 +112,14 @@ func (m *FedWCM) Init(env *fl.Env, dim int) {
 	global := env.GlobalProportions()
 
 	dev := data.L1Deviation(global, target)
-	m.imbFactor = 1 - math.Exp(-m.Opt.DevGain*dev*float64(classes)/2)
+	m.imbFactor = 1 - math.Exp(-devGain*dev*float64(classes)/2)
 
 	m.temp = 1 / (float64(float64(classes)*dev) + 1e-9)
-	if m.temp < m.Opt.TempMin {
-		m.temp = m.Opt.TempMin
+	if m.temp < tempMin {
+		m.temp = tempMin
 	}
-	if m.temp > m.Opt.TempMax {
-		m.temp = m.Opt.TempMax
+	if m.temp > tempMax {
+		m.temp = tempMax
 	}
 
 	classWeight := ClassRelevance(m.Opt.Score, global, target)
@@ -132,7 +130,7 @@ func (m *FedWCM) Init(env *fl.Env, dim int) {
 		sum += m.scores[k]
 	}
 	m.meanScore = sum / float64(len(env.Clients))
-	m.alpha = m.Opt.AlphaBase
+	m.alpha = alphaBase
 
 	// FedWCM-X reference step budget: the number of local steps a client
 	// would take if data were split evenly.
@@ -282,12 +280,12 @@ func (m *FedWCM) aggregate(global []float64, results []*fl.ClientResult, info *f
 	}
 	m.lastQ = q
 	if !m.Opt.DisableAdaptiveAlpha {
-		a := m.Opt.AlphaBase + float64((1-m.Opt.AlphaBase)*m.imbFactor*q*dbar)
-		if a < m.Opt.AlphaBase {
-			a = m.Opt.AlphaBase
+		a := alphaBase + float64((1-alphaBase)*m.imbFactor*q*dbar)
+		if a < alphaBase {
+			a = alphaBase
 		}
-		if a > m.Opt.AlphaMax {
-			a = m.Opt.AlphaMax
+		if a > alphaMax {
+			a = alphaMax
 		}
 		m.alpha = a
 	}

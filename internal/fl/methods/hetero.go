@@ -5,36 +5,6 @@ import (
 	"fedwcm/internal/tensor"
 )
 
-// FedProx adds the proximal term (μ/2)·‖x − x_r‖² to the local objective.
-type FedProx struct {
-	Mu   float64
-	env  *fl.Env
-	wbuf []float64
-}
-
-// NewFedProx returns FedProx with proximal strength mu.
-func NewFedProx(mu float64) *FedProx { return &FedProx{Mu: mu} }
-
-// Name implements fl.Method.
-func (m *FedProx) Name() string { return "fedprox" }
-
-// Init implements fl.Method.
-func (m *FedProx) Init(env *fl.Env, dim int) {
-	m.env = env
-	m.wbuf = make([]float64, 0, env.Cfg.SampleClients)
-}
-
-// LocalTrain implements fl.Method.
-func (m *FedProx) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
-	return fl.RunLocalSGD(ctx, fl.LocalOpts{ProxMu: m.Mu})
-}
-
-// Aggregate implements fl.Method.
-func (m *FedProx) Aggregate(round int, global []float64, results []*fl.ClientResult) {
-	m.wbuf = fl.SizeWeightsInto(m.wbuf, results)
-	fl.WeightedDeltaInto(global, m.env.Cfg.EtaG, results, m.wbuf)
-}
-
 // SCAFFOLD corrects client drift with control variates (Karimireddy et al.):
 // each local gradient is shifted by (c − c_i), and after local training the
 // client refreshes c_i from its accumulated update.
@@ -98,49 +68,4 @@ func (m *SCAFFOLD) Aggregate(round int, global []float64, results []*fl.ClientRe
 		}
 		tensor.Axpy(m.c, scale, res.Payload)
 	}
-}
-
-// FedDyn is a simplified FedDyn (dynamic regularisation): each client keeps
-// a linear correction h_i; the local gradient is g − h_i + μ(x − x_r), and
-// after training h_i ← h_i + μ·Delta. The server update stays standard
-// averaging (FedDyn-lite; see DESIGN.md substitutions).
-type FedDyn struct {
-	Mu   float64
-	env  *fl.Env
-	h    [][]float64
-	wbuf []float64
-}
-
-// NewFedDyn returns FedDyn-lite with regularisation strength mu.
-func NewFedDyn(mu float64) *FedDyn { return &FedDyn{Mu: mu} }
-
-// Name implements fl.Method.
-func (m *FedDyn) Name() string { return "feddyn" }
-
-// Init implements fl.Method.
-func (m *FedDyn) Init(env *fl.Env, dim int) {
-	m.env = env
-	m.h = make([][]float64, len(env.Clients))
-	for k := range m.h {
-		m.h[k] = make([]float64, dim)
-	}
-	m.wbuf = make([]float64, 0, env.Cfg.SampleClients)
-}
-
-// LocalTrain implements fl.Method.
-func (m *FedDyn) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
-	k := ctx.Client.ID
-	corr := ctx.CorrectionBuf(len(m.h[k]))
-	for j := range corr {
-		corr[j] = -m.h[k][j]
-	}
-	res := fl.RunLocalSGD(ctx, fl.LocalOpts{ProxMu: m.Mu, Correction: corr})
-	tensor.Axpy(m.h[k], m.Mu, res.Delta) // h_i ← h_i − μ(x_local − x_r)
-	return res
-}
-
-// Aggregate implements fl.Method.
-func (m *FedDyn) Aggregate(round int, global []float64, results []*fl.ClientResult) {
-	m.wbuf = fl.UniformWeightsInto(m.wbuf, len(results))
-	fl.WeightedDeltaInto(global, m.env.Cfg.EtaG, results, m.wbuf)
 }

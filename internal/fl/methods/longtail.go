@@ -4,55 +4,8 @@ import (
 	"math"
 
 	"fedwcm/internal/fl"
-	"fedwcm/internal/loss"
 	"fedwcm/internal/tensor"
 )
-
-// BalanceFL is a simplified BalanceFL (Shuai et al.): the local update
-// scheme forces each client to behave as if trained on a uniform label
-// distribution, here via class-balanced resampling plus a logit-adjusted
-// loss over the local class counts (BalanceFL-lite; see DESIGN.md).
-type BalanceFL struct {
-	Tau    float64
-	env    *fl.Env
-	losses []loss.Loss // one PriorCE per client, built once at Init
-	wbuf   []float64
-}
-
-// NewBalanceFL returns BalanceFL-lite with logit-adjustment strength tau.
-func NewBalanceFL(tau float64) *BalanceFL { return &BalanceFL{Tau: tau} }
-
-// Name implements fl.Method.
-func (m *BalanceFL) Name() string { return "balancefl" }
-
-// Init implements fl.Method: client losses are pure functions of static
-// class counts, so they are materialised here instead of per round.
-func (m *BalanceFL) Init(env *fl.Env, dim int) {
-	m.env = env
-	m.losses = make([]loss.Loss, len(env.Clients))
-	counts := make([]float64, env.Train.Classes)
-	for k, c := range env.Clients {
-		for i, n := range c.ClassCounts {
-			counts[i] = float64(n)
-		}
-		m.losses[k] = loss.NewPriorCE(m.Tau, counts)
-	}
-	m.wbuf = make([]float64, 0, env.Cfg.SampleClients)
-}
-
-// LocalTrain implements fl.Method.
-func (m *BalanceFL) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
-	return fl.RunLocalSGD(ctx, fl.LocalOpts{
-		Balanced: true,
-		Loss:     m.losses[ctx.Client.ID],
-	})
-}
-
-// Aggregate implements fl.Method.
-func (m *BalanceFL) Aggregate(round int, global []float64, results []*fl.ClientResult) {
-	m.wbuf = fl.SizeWeightsInto(m.wbuf, results)
-	fl.WeightedDeltaInto(global, m.env.Cfg.EtaG, results, m.wbuf)
-}
 
 // FedGraB is a simplified FedGraB (Xiao et al.): a self-adjusting gradient
 // balancer. The server maintains per-class logit-gradient gains b_c; clients
@@ -60,20 +13,22 @@ func (m *BalanceFL) Aggregate(round int, global []float64, results []*fl.ClientR
 // server nudges b using the aggregated predicted-class histogram toward the
 // target (uniform) prediction share (FedGraB-lite; see DESIGN.md).
 type FedGraB struct {
-	Rho     float64 // balancer step size
-	MinGain float64
-	MaxGain float64
-	env     *fl.Env
-	gains   []float64
-	target  []float64
-	hist    []float64 // per-round prediction histogram accumulator
-	wbuf    []float64
+	Rho    float64 // balancer step size
+	env    *fl.Env
+	gains  []float64
+	target []float64
+	hist   []float64 // per-round prediction histogram accumulator
+	wbuf   []float64
 }
 
+// FedGraB's gains stay within [minGain, maxGain].
+const (
+	minGain float64 = 0.2
+	maxGain float64 = 5
+)
+
 // NewFedGraB returns FedGraB-lite with balancer step rho.
-func NewFedGraB(rho float64) *FedGraB {
-	return &FedGraB{Rho: rho, MinGain: 0.2, MaxGain: 5}
-}
+func NewFedGraB(rho float64) *FedGraB { return &FedGraB{Rho: rho} }
 
 // Name implements fl.Method.
 func (m *FedGraB) Name() string { return "fedgrab" }
@@ -123,11 +78,11 @@ func (m *FedGraB) Aggregate(round int, global []float64, results []*fl.ClientRes
 	for c := range m.gains {
 		share := hist[c] / total
 		m.gains[c] *= math.Exp(-m.Rho * (share - m.target[c]))
-		if m.gains[c] < m.MinGain {
-			m.gains[c] = m.MinGain
+		if m.gains[c] < minGain {
+			m.gains[c] = minGain
 		}
-		if m.gains[c] > m.MaxGain {
-			m.gains[c] = m.MaxGain
+		if m.gains[c] > maxGain {
+			m.gains[c] = maxGain
 		}
 	}
 }

@@ -74,7 +74,7 @@ func TestFedAvgMWithZeroBetaMatchesFedAvg(t *testing.T) {
 		env := easyEnv(13, quickCfg(13, 8), 3, 6, 1, 0.5)
 		return fl.Run(env, m).FinalAcc()
 	}
-	a := run(NewFedAvg())
+	a := run(mustNew(t, "fedavg"))
 	b := run(NewFedAvgM(0))
 	if math.Abs(a-b) > 1e-12 {
 		t.Fatalf("FedAvgM(beta=0) should equal FedAvg: %v vs %v", a, b)
@@ -265,7 +265,7 @@ func TestFedGraBGainsTrackImbalance(t *testing.T) {
 		t.Fatalf("tail gain should exceed head gain: %v", gains)
 	}
 	for _, g := range gains {
-		if g < m.MinGain-1e-9 || g > m.MaxGain+1e-9 {
+		if g < minGain-1e-9 || g > maxGain+1e-9 {
 			t.Fatalf("gain out of clip range: %v", gains)
 		}
 	}

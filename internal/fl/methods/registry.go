@@ -9,9 +9,11 @@ import (
 
 // factories maps method names to constructors with the hyperparameters used
 // throughout the evaluation (α = 0.1 as in the paper; SAM ρ and proximal μ
-// set to the usual literature defaults).
+// set to the usual literature defaults). The averaging rows are the plain
+// baselines: a fixed set of local options, a choice of weights, and
+// optionally FedDyn's client correction or a per-client loss.
 var factories = map[string]func() fl.Method{
-	"fedavg":  func() fl.Method { return NewFedAvg() },
+	"fedavg":  func() fl.Method { return &averaging{name: "fedavg"} },
 	"fedavgm": func() fl.Method { return NewFedAvgM(0.9) },
 	"fedcm":   func() fl.Method { return NewFedCM(0.1) },
 	"fedcm+focal": func() fl.Method {
@@ -44,16 +46,26 @@ var factories = map[string]func() fl.Method{
 		opt.DisableWeighting = true
 		return NewFedWCM(opt)
 	},
-	"fedprox":   func() fl.Method { return NewFedProx(0.01) },
-	"scaffold":  func() fl.Method { return NewSCAFFOLD() },
-	"feddyn":    func() fl.Method { return NewFedDyn(0.01) },
-	"balancefl": func() fl.Method { return NewBalanceFL(0.5) },
-	"fedgrab":   func() fl.Method { return NewFedGraB(0.5) },
-	"fedsam":    func() fl.Method { return NewFedSAM(0.05) },
-	"mofedsam":  func() fl.Method { return NewMoFedSAM(0.1, 0.05) },
-	"fedlesam":  func() fl.Method { return NewFedLESAM(0.05) },
-	"fedsmoo":   func() fl.Method { return NewFedSMOO(0.05, 0.01) },
-	"fedspeed":  func() fl.Method { return NewFedSpeed(0.05, 0.01) },
+	"fedprox": func() fl.Method {
+		return &averaging{name: "fedprox", opts: fl.LocalOpts{ProxMu: 0.01}}
+	},
+	"scaffold": func() fl.Method { return NewSCAFFOLD() },
+	"feddyn": func() fl.Method {
+		return &averaging{name: "feddyn", opts: fl.LocalOpts{ProxMu: 0.01}, uniform: true, dyn: true}
+	},
+	"balancefl": func() fl.Method {
+		return &averaging{name: "balancefl", opts: fl.LocalOpts{Balanced: true}, lossFor: priorCE(0.5)}
+	},
+	"fedgrab":  func() fl.Method { return NewFedGraB(0.5) },
+	"fedsam":   func() fl.Method { return &averaging{name: "fedsam", opts: fl.LocalOpts{SAMRho: 0.05}} },
+	"mofedsam": func() fl.Method { return NewMoFedSAM(0.1, 0.05) },
+	"fedlesam": func() fl.Method { return NewFedLESAM(0.05) },
+	"fedsmoo": func() fl.Method {
+		return &averaging{name: "fedsmoo", opts: fl.LocalOpts{SAMRho: 0.05, ProxMu: 0.01}, uniform: true, dyn: true}
+	},
+	"fedspeed": func() fl.Method {
+		return &averaging{name: "fedspeed", opts: fl.LocalOpts{SAMRho: 0.05, ProxMu: 0.01}}
+	},
 }
 
 // New constructs a method by registry name.

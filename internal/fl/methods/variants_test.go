@@ -48,7 +48,7 @@ func TestFedLESAMFirstRoundFallsBackToPlainSGD(t *testing.T) {
 		return fl.Run(env, m).Stats
 	}
 	lesam := mkStats(NewFedLESAM(0.5))
-	avg := mkStats(NewFedAvg())
+	avg := mkStats(mustNew(t, "fedavg"))
 	if math.Abs(lesam[0].TestAcc-avg[0].TestAcc) > 1e-12 {
 		t.Fatalf("FedLESAM round 1 should equal FedAvg: %v vs %v",
 			lesam[0].TestAcc, avg[0].TestAcc)
@@ -60,7 +60,7 @@ func TestMoFedSAMDiffersFromFedSAM(t *testing.T) {
 		env := easyEnv(105, quickCfg(105, 6), 3, 6, 0.5, 0.5)
 		return fl.Run(env, m).FinalAcc()
 	}
-	sam := mk(NewFedSAM(0.05))
+	sam := mk(mustNew(t, "fedsam"))
 	mo := mk(NewMoFedSAM(0.1, 0.05))
 	if sam == mo {
 		t.Fatal("momentum should change the SAM trajectory")
@@ -70,7 +70,7 @@ func TestMoFedSAMDiffersFromFedSAM(t *testing.T) {
 func TestFedDynAccumulatesClientState(t *testing.T) {
 	cfg := quickCfg(107, 4)
 	env := easyEnv(107, cfg, 3, 4, 1, 1)
-	m := NewFedDyn(0.1)
+	m := mustNew(t, "feddyn").(*averaging)
 	fl.Run(env, m)
 	nonZero := 0
 	for _, h := range m.h {
@@ -148,7 +148,7 @@ func TestFedGraBVariantNamesAndClips(t *testing.T) {
 	env := easyEnv(115, cfg, 4, 6, 0.5, 0.05)
 	fl.Run(env, m)
 	for _, g := range m.Gains() {
-		if g < m.MinGain-1e-12 || g > m.MaxGain+1e-12 {
+		if g < minGain-1e-12 || g > maxGain+1e-12 {
 			t.Fatalf("gain escaped clip range: %v", m.Gains())
 		}
 	}

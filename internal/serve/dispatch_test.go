@@ -252,7 +252,7 @@ func TestClientExecutorDrivesEngine(t *testing.T) {
 	defer localEng.Close()
 	sp := exp.Grid
 	sp.Name, sp.Seeds, sp.Effort = exp.ID, []uint64{opt.Seed}, opt.Effort
-	localRes, err := localEng.RunSweep(sp, nil)
+	localRes, err := localEng.RunSweep(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -337,7 +337,7 @@ func TestSweepSharesInflightRuns(t *testing.T) {
 	_, sub := postSweep(t, ts, sp)
 	inproc := make(chan *sweep.Result, 1)
 	go func() {
-		res, _ := s.eng.RunSweep(sweep.Spec{Methods: []string{"fedavg", "fedwcm"}, Effort: 0.1}, nil)
+		res, _ := s.eng.RunSweep(sweep.Spec{Methods: []string{"fedavg", "fedwcm"}, Effort: 0.1})
 		inproc <- res
 	}()
 	wcm, err := sweep.Spec{Methods: []string{"fedwcm"}, Effort: 0.1}.Expand()
@@ -504,7 +504,7 @@ func TestSweepResultReadsNoStoreAndMatchesRunSweep(t *testing.T) {
 
 	eng := &sweep.Engine{Store: st, Runner: divergedRunner}
 	defer eng.Close()
-	want, err := eng.RunSweep(sp, nil)
+	want, err := eng.RunSweep(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,7 +256,7 @@ func TestDriveBuildsEachEnvOncePerGrid(t *testing.T) {
 	for rep := 0; rep < 10; rep++ {
 		envs := NewEnvCache(0)
 		eng := &Engine{Workers: 2, Envs: envs}
-		res, err := eng.RunSweep(sp, nil)
+		res, err := eng.RunSweep(sp)
 		eng.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -308,21 +308,10 @@ func (g *envGroups) probed(i int, miss bool, feed func(int)) {
 	}
 }
 
-// CellUpdate is one progress notification from RunSweep: the cell has
-// reached a terminal status (CellCached / CellComputed / CellFailed).
-type CellUpdate struct {
-	Index  int // position in the expanded cell order
-	Total  int
-	Cell   Cell
-	Status string
-	Err    error
-}
-
-// RunSweep expands the grid and drives every cell, invoking onCell (may be
-// nil) as each reaches a terminal state. It always returns the Result —
-// aggregated over whatever succeeded — and a non-nil error if any cell
-// failed.
-func (e *Engine) RunSweep(sp Spec, onCell func(CellUpdate)) (*Result, error) {
+// RunSweep expands the grid and drives every cell. It always returns the
+// Result — aggregated over whatever succeeded — and a non-nil error if any
+// cell failed.
+func (e *Engine) RunSweep(sp Spec) (*Result, error) {
 	cells, err := sp.Expand()
 	if err != nil {
 		return nil, err
@@ -332,9 +321,6 @@ func (e *Engine) RunSweep(sp Spec, onCell func(CellUpdate)) (*Result, error) {
 		results[i] = CellResult{Cell: cells[i], Status: status, Hist: hist}
 		if err != nil {
 			results[i].Err = err.Error()
-		}
-		if onCell != nil {
-			onCell(CellUpdate{Index: i, Total: len(cells), Cell: cells[i], Status: status, Err: err})
 		}
 	})
 	res := NewResult(sp, results)

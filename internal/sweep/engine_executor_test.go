@@ -54,7 +54,7 @@ func TestEngineDelegatesToExecutor(t *testing.T) {
 		},
 	}
 	sp := Spec{Methods: []string{"fedavg", "fedwcm"}, SeedCount: 2, Effort: 0.1}
-	res, err := eng.RunSweep(sp, nil)
+	res, err := eng.RunSweep(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestEngineDelegatesToExecutor(t *testing.T) {
 	}
 	// Artifacts landed in the engine's store; a repeat sweep never touches
 	// the executor again.
-	res2, err := eng.RunSweep(sp, nil)
+	res2, err := eng.RunSweep(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,7 @@ func TestEngineSweepBuildsEnvOnce(t *testing.T) {
 	}
 	envs := NewEnvCache(4)
 	eng := &Engine{Workers: 4, Envs: envs}
-	if _, err := eng.RunSweep(sp, nil); err != nil {
+	if _, err := eng.RunSweep(sp); err != nil {
 		t.Fatal(err)
 	}
 	st := envs.Stats()
@@ -313,7 +313,7 @@ func TestTableGridSynthesizesEachDatasetOnce(t *testing.T) {
 			mu.Unlock()
 			return canned(ctx, spec, onRound)
 		}}
-		res, err := eng.RunSweep(sp, nil)
+		res, err := eng.RunSweep(sp)
 		eng.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -232,7 +232,11 @@ func TestFedAvgMZeroBetaIsFedAvg(t *testing.T) {
 		}
 		return fl.Run(env, m)
 	}
-	avg, avgm := run(methods.NewFedAvg()), run(methods.NewFedAvgM(0))
+	fedavg, err := methods.New("fedavg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg, avgm := run(fedavg), run(methods.NewFedAvgM(0))
 	if got := historyHash(t, avg); got != goldenHistories["fedavg"] {
 		t.Fatalf("the FedAvg side is not the golden trajectory: %s", got)
 	}

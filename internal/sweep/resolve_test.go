@@ -196,7 +196,7 @@ func TestSweepOnSharedStorePersistsOnce(t *testing.T) {
 	}
 	defer local.Close()
 	eng := &Engine{Store: st, Executor: local}
-	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg", "fedwcm"}, SeedCount: 2, Effort: 0.1}, nil)
+	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg", "fedwcm"}, SeedCount: 2, Effort: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,7 +213,7 @@ func TestEngineOverlappingSweepsRecomputeOnlyMisses(t *testing.T) {
 	eng := &Engine{Store: st, Workers: 4, Runner: cannedRunner(&execs)}
 
 	first := Spec{Methods: []string{"fedavg", "fedwcm"}, IFs: []float64{1, 0.1}, Effort: 0.1}
-	res1, err := eng.RunSweep(first, nil)
+	res1, err := eng.RunSweep(first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestEngineOverlappingSweepsRecomputeOnlyMisses(t *testing.T) {
 	// Overlap: shares (fedavg, 1), (fedavg, 0.1), (fedwcm, 1), (fedwcm, 0.1)
 	// is the full first grid; add one new IF per method → 2 misses.
 	second := Spec{Methods: []string{"fedavg", "fedwcm"}, IFs: []float64{1, 0.1, 0.05}, Effort: 0.1}
-	res2, err := eng.RunSweep(second, nil)
+	res2, err := eng.RunSweep(second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestEngineOverlappingSweepsRecomputeOnlyMisses(t *testing.T) {
 	}
 
 	// A verbatim repeat is all hits, zero executions.
-	res3, err := eng.RunSweep(second, nil)
+	res3, err := eng.RunSweep(second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestEngineOverlappingSweepsRecomputeOnlyMisses(t *testing.T) {
 func TestEngineWithoutStore(t *testing.T) {
 	var execs atomic.Int64
 	eng := &Engine{Workers: 2, Runner: cannedRunner(&execs)}
-	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg"}, Effort: 0.1}, nil)
+	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg"}, Effort: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,13 +265,12 @@ func TestEngineReportsFailures(t *testing.T) {
 		var n atomic.Int64
 		return cannedRunner(&n)(context.Background(), spec, nil)
 	}}
-	var updates atomic.Int64 // onCell fires from both workers
-	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg", "fedcm"}, Effort: 0.1}, func(u CellUpdate) { updates.Add(1) })
+	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg", "fedcm"}, Effort: 0.1})
 	if err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("expected failure error, got %v", err)
 	}
-	if res == nil || res.Failed != 1 || res.Computed != 1 || updates.Load() != 2 {
-		t.Fatalf("partial result: %+v (updates %d)", res, updates.Load())
+	if res == nil || res.Failed != 1 || res.Computed != 1 {
+		t.Fatalf("partial result: %+v", res)
 	}
 	// The surviving cell still aggregates.
 	if g := res.Find(Axes{Method: "fedavg"}); g == nil {
@@ -287,7 +286,7 @@ func TestEngineReportsFailures(t *testing.T) {
 func TestAggregationMeanStd(t *testing.T) {
 	var execs atomic.Int64
 	eng := &Engine{Workers: 4, Runner: cannedRunner(&execs)}
-	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg", "fedwcm"}, Seeds: []uint64{1, 2, 3}, Effort: 0.1}, nil)
+	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg", "fedwcm"}, Seeds: []uint64{1, 2, 3}, Effort: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +313,7 @@ func TestAggregationMeanStd(t *testing.T) {
 func TestAggTableRendersVaryingAxes(t *testing.T) {
 	var execs atomic.Int64
 	eng := &Engine{Workers: 4, Runner: cannedRunner(&execs)}
-	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg", "fedwcm"}, IFs: []float64{1, 0.1}, Effort: 0.1}, nil)
+	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg", "fedwcm"}, IFs: []float64{1, 0.1}, Effort: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
