@@ -70,11 +70,19 @@ var factories = map[string]func() fl.Method{
 
 // New constructs a method by registry name.
 func New(name string) (fl.Method, error) {
-	f, ok := factories[name]
-	if !ok {
-		return nil, fmt.Errorf("methods: unknown method %q (known: %v)", name, Names())
+	if err := Known(name); err != nil {
+		return nil, err
 	}
-	return f(), nil
+	return factories[name](), nil
+}
+
+// Known returns New's error for an unregistered name, and nil otherwise,
+// without building the method.
+func Known(name string) error {
+	if _, ok := factories[name]; !ok {
+		return fmt.Errorf("methods: unknown method %q (known: %v)", name, Names())
+	}
+	return nil
 }
 
 // Names lists registered method names, sorted.

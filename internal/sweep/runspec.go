@@ -100,7 +100,7 @@ func (s RunSpec) Validate() error {
 	if err != nil {
 		return err
 	}
-	if _, err := methods.New(s.Method); err != nil {
+	if err := methods.Known(s.Method); err != nil {
 		return err
 	}
 	if _, err := partitionFor(s.Partition); err != nil {
