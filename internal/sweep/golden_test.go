@@ -75,13 +75,62 @@ var goldenHistories = map[string]string{
 	"fedwcm-alphaonly":     "62bb16d3f6a26599425d96dd130db12dadfdad8007588745b220bb6c1802081c",
 }
 
-// TestGoldenPinsEveryMethod: a method registered without a sync and an async
-// golden could change its arithmetic unseen, so registering one fails here
-// until both digests are recorded.
+// goldenFedgrabSpec is goldenSpec on the quantity-skewed partition. On the
+// equal partition every client holds the same sample count, so sample-size
+// weights give the bits uniform weights give; here clients differ in size,
+// which pins each method's choice of weights, and their epochs end on
+// batches of every length.
+func goldenFedgrabSpec(method string) RunSpec {
+	spec := goldenSpec(method)
+	spec.Partition = "fedgrab"
+	return spec
+}
+
+// goldenFedgrabHistories pins every registered method on goldenFedgrabSpec.
+// Recorded on the commit before the local step's vector passes were fused
+// and the GEMM's leftover rows stopped running a padded strip.
+var goldenFedgrabHistories = map[string]string{
+	"balancefl":            "a3fdef930032bcd0b2e879b6052fe6f69cd3c3cb6177169eb59450b8bea452ab",
+	"fedavg":               "c7ac1e06db602dd1f57ccadcf0acb854b1089be30f04cb8f2c310cd4d3fe27b9",
+	"fedavgm":              "d775dae768d34610f78f218a952a173d823a99538abe00fa0c200a3a2a56b2eb",
+	"fedcm":                "648c1362eac381188063e361ed2ebb22283f76e8233722465a6a77a6bd44add4",
+	"fedcm+balanceloss":    "057b2bb7f62fad5c60cb0f0fab55002e2cd22d078ab8ffb02ce3200e330c3444",
+	"fedcm+balancesampler": "bc737686b77ab08f6396f4105407cccc2a2ef4422c866540ae9fae999364825f",
+	"fedcm+focal":          "11268dd5f013943043caa68a5ff46b6c546358e10c521edbf4cc60665a6fe8a7",
+	"feddyn":               "300ec3848311761f9c9f9b5f9787df8da0350c076c542d2d949ea935544fb733",
+	"fedgrab":              "71eff6d61ff96846813549bce24ce3b86f05f7b5f62e97473d6b39d5cdc6b2f3",
+	"fedlesam":             "be32c2f8d60f2070fdf159dfff0107c77fbd1f815650feb1c970bd817971988b",
+	"fedprox":              "598c1d20b1c62f0931ed1de3e5a9fb0bdc0694610c6fe2b358003845f60a5c52",
+	"fedsam":               "762c92f7c0cc99255dfa37b255a1caae58461cea65c6e8df5ca4f5f79a940110",
+	"fedsmoo":              "e7cbc254b9a5e8564488ab7a86c44c291b4e5fbf70df570ab3271e781819a501",
+	"fedspeed":             "d1f550df8ba2536eeac2b63974b50a90e0825a04cb50da3ecc1aef54e27f26bd",
+	"fedwcm":               "17f3a82caf5bd68c24f03ae25afc769639216b6128f372a91b2106236b0ab676",
+	"fedwcm-absscore":      "e620da8dca4673cf0be1e5720c646c7188d5ede5d2e73c2562a3dd3f670833be",
+	"fedwcm-alphaonly":     "527fd6781f6d955d73c1957885cae91199167c55921379aa65ebf1d8f1dd6a9c",
+	"fedwcm-weightonly":    "9580268d2e4f8187d0374f743329a28e5a5e8b4c19d9331b3c67fdb05f5d739a",
+	"fedwcm-x":             "9d60ca90d60cb57eac018d48821fb8ce351b5dc314b79826f81f171cf5fc17b7",
+	"mofedsam":             "cb58b6f9db438cd7374f102d23324cb2f92f4cfc0f6535724de3c96cc1a49fe2",
+	"scaffold":             "e3ab9d16905ea9a5a06134040e5f29b13bb25b7babf4a81b840dee45569dd105",
+}
+
+func TestGoldenFedgrabHistoriesBitIdentical(t *testing.T) {
+	for method, want := range goldenFedgrabHistories {
+		t.Run(method, func(t *testing.T) {
+			runGolden(t, goldenFedgrabSpec(method), want)
+		})
+	}
+}
+
+// TestGoldenPinsEveryMethod: a method registered without a sync golden on
+// each partition and an async golden could change its arithmetic unseen,
+// so registering one fails here until all three digests are recorded.
 func TestGoldenPinsEveryMethod(t *testing.T) {
 	for _, name := range methods.Names() {
 		if goldenHistories[name] == "" {
 			t.Errorf("%s has no sync golden in goldenHistories", name)
+		}
+		if goldenFedgrabHistories[name] == "" {
+			t.Errorf("%s has no sync golden in goldenFedgrabHistories", name)
 		}
 		if asyncK3GoldenHistories[name] == "" {
 			t.Errorf("%s has no async golden in asyncK3GoldenHistories", name)
