@@ -92,7 +92,7 @@ func RunLocalSGD(ctx *ClientCtx, opts LocalOpts) *ClientResult {
 	}
 
 	net := ctx.Net
-	w, g := net.Weights(), net.Grads()
+	g := net.Grads()
 	var predHist []float64
 	if opts.TrackPreds {
 		predHist = make([]float64, ds.Classes) // escapes into the result; small
@@ -101,7 +101,17 @@ func RunLocalSGD(ctx *ClientCtx, opts LocalOpts) *ClientResult {
 	yb := scratch.yb
 	gidx := scratch.gidx[:0]
 
-	useMomentum := opts.Momentum != nil && opts.Alpha > 0 && opts.Alpha < 1
+	// The terms each step folds into the gradient, in one pass with the
+	// step itself (nn.Network.StepWith): the prox term, the correction and
+	// the momentum mix, each only when the options ask for it.
+	var terms tensor.StepTerms
+	if opts.ProxMu > 0 {
+		terms.ProxMu, terms.ProxRef = opts.ProxMu, ctx.Global
+	}
+	terms.Correction = opts.Correction
+	if opts.Momentum != nil && opts.Alpha > 0 && opts.Alpha < 1 {
+		terms.Alpha, terms.Momentum = opts.Alpha, opts.Momentum
+	}
 
 	// computeGrad runs one forward/backward on the current batch, leaving
 	// the flat gradient in g, and returns the batch loss.
@@ -173,18 +183,7 @@ local:
 					net.StepVec(eps, pdir)  // restore
 				}
 			}
-			if opts.ProxMu > 0 {
-				for j := range g {
-					g[j] += float64(opts.ProxMu * (w[j] - ctx.Global[j]))
-				}
-			}
-			if opts.Correction != nil {
-				tensor.AddVec(g, opts.Correction)
-			}
-			if useMomentum {
-				tensor.Lerp(g, opts.Alpha, g, opts.Momentum)
-			}
-			net.Step(lr)
+			net.StepWith(lr, terms)
 			steps++
 			lossSum += l
 		}

@@ -12,6 +12,7 @@ type SCAFFOLD struct {
 	env  *fl.Env
 	c    []float64   // server control variate
 	ci   [][]float64 // per-client control variates
+	pay  [][]float64 // per-client payload buffers: c_i⁺ − c_i
 	wbuf []float64
 }
 
@@ -21,14 +22,17 @@ func NewSCAFFOLD() *SCAFFOLD { return &SCAFFOLD{} }
 // Name implements fl.Method.
 func (m *SCAFFOLD) Name() string { return "scaffold" }
 
-// Init implements fl.Method: allocates all control variates up front so
-// concurrent LocalTrain calls only touch disjoint slices.
+// Init implements fl.Method: allocates all control variates and payload
+// buffers up front so concurrent LocalTrain calls only touch disjoint
+// slices and a round allocates nothing.
 func (m *SCAFFOLD) Init(env *fl.Env, dim int) {
 	m.env = env
 	m.c = make([]float64, dim)
 	m.ci = make([][]float64, len(env.Clients))
+	m.pay = make([][]float64, len(env.Clients))
 	for k := range m.ci {
 		m.ci[k] = make([]float64, dim)
+		m.pay[k] = make([]float64, dim)
 	}
 	m.wbuf = make([]float64, 0, env.Cfg.SampleClients)
 }
@@ -43,14 +47,15 @@ func (m *SCAFFOLD) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
 	res := fl.RunLocalSGD(ctx, fl.LocalOpts{Correction: corr})
 	if res.Steps > 0 {
 		// Option II refresh: c_i⁺ = c_i − c + (x_r − x_local)/(η_l·B)
+		// c_i and its payload buffer are client k's alone within a round
+		// (race-free), and the payload is read by Aggregate (the async
+		// engine copies it on arrival) before client k trains again.
 		inv := 1 / (m.env.Cfg.EtaL * float64(res.Steps))
-		ciNew := make([]float64, len(m.c))
-		payload := make([]float64, len(m.c))
-		for j := range ciNew {
-			ciNew[j] = m.ci[k][j] - m.c[j] + float64(res.Delta[j]*inv)
-			payload[j] = ciNew[j] - m.ci[k][j]
+		ci, payload := m.ci[k], m.pay[k]
+		for j, old := range ci {
+			ci[j] = old - m.c[j] + float64(res.Delta[j]*inv)
+			payload[j] = ci[j] - old
 		}
-		m.ci[k] = ciNew // disjoint per client within a round: race-free
 		res.Payload = payload
 	}
 	return res

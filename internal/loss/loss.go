@@ -20,31 +20,6 @@ type Loss interface {
 	LossAndGradInto(grad, logits *tensor.Dense, labels []int) float64
 }
 
-// softmaxRow writes softmax(z) into p, which must not alias z. The exps
-// come from tensor.ExpRow's lane-wise kernel when it can run and from
-// math.Exp otherwise — the same bits either way.
-func softmaxRow(p, z []float64) {
-	m := tensor.Max(z)
-	if !tensor.ExpRow(p, z, m) {
-		for i, v := range z {
-			p[i] = math.Exp(v - m)
-		}
-	}
-	normalise(p)
-}
-
-// normalise divides p by its sum, added one by one, left to right.
-func normalise(p []float64) {
-	sum := 0.0
-	for _, e := range p {
-		sum += e
-	}
-	inv := 1 / sum
-	for i := range p {
-		p[i] *= inv
-	}
-}
-
 // clampProb keeps probabilities away from 0 so log stays finite.
 func clampProb(p float64) float64 {
 	const floor = 1e-12
@@ -66,22 +41,29 @@ func (l CrossEntropy) LossAndGrad(logits *tensor.Dense, labels []int) (float64, 
 	return l.LossAndGradInto(grad, logits, labels), grad
 }
 
-// LossAndGradInto implements Loss.
+// LossAndGradInto implements Loss. The probabilities of the whole batch
+// come from one tensor.SoftmaxRows call into grad; the loss then reads each
+// row's label in order and the 1/N scale is one tensor.Scale pass.
 func (CrossEntropy) LossAndGradInto(grad *tensor.Dense, logits *tensor.Dense, labels []int) float64 {
 	checkLabels(logits, labels)
-	n := logits.R
+	tensor.SoftmaxRows(grad.Data, logits.Data, logits.C)
+	return ceFromProbs(grad, labels)
+}
+
+// ceFromProbs turns the softmax probabilities in p into the batch-mean
+// cross-entropy and its gradient: per row, -log(p_t) is added to the
+// total in row order, then p becomes (p - onehot)/N.
+func ceFromProbs(p *tensor.Dense, labels []int) float64 {
+	n := p.R
 	total := 0.0
 	invN := 1 / float64(n)
-	for s := 0; s < n; s++ {
-		p := grad.Row(s)
-		softmaxRow(p, logits.Row(s))
-		t := labels[s]
-		total += -math.Log(clampProb(p[t]))
-		// d/dz = (p - onehot)/N
-		for j := range p {
-			p[j] *= invN
-		}
-		p[t] -= invN
+	for s, t := range labels {
+		total += -math.Log(clampProb(p.Data[s*p.C+t]))
+	}
+	// d/dz = (p - onehot)/N
+	tensor.Scale(p.Data, invN)
+	for s, t := range labels {
+		p.Data[s*p.C+t] -= invN
 	}
 	return total * invN
 }
@@ -95,17 +77,17 @@ type Focal struct {
 // Name implements Loss.
 func (f Focal) Name() string { return "focal" }
 
-// LossAndGradInto implements Loss. Each row's probabilities are computed
-// in its gradient row and overwritten there one element at a time.
+// LossAndGradInto implements Loss. The batch's probabilities are computed
+// in grad and overwritten there one element at a time.
 func (f Focal) LossAndGradInto(grad *tensor.Dense, logits *tensor.Dense, labels []int) float64 {
 	checkLabels(logits, labels)
+	tensor.SoftmaxRows(grad.Data, logits.Data, logits.C)
 	n := logits.R
 	total := 0.0
 	invN := 1 / float64(n)
 	g := f.Gamma
 	for s := 0; s < n; s++ {
 		p := grad.Row(s)
-		softmaxRow(p, logits.Row(s))
 		t := labels[s]
 		pt := clampProb(p[t])
 		logPt := math.Log(pt)
@@ -146,38 +128,18 @@ func NewPriorCE(tau float64, counts []float64) *PriorCE {
 // Name implements Loss.
 func (l *PriorCE) Name() string { return "priorce" }
 
-// LossAndGradInto implements Loss. Each row's adjusted logits are built
-// in its gradient row and turned into probabilities there.
+// LossAndGradInto implements Loss. The adjusted logits are built in grad
+// and turned into probabilities there.
 func (l *PriorCE) LossAndGradInto(grad *tensor.Dense, logits *tensor.Dense, labels []int) float64 {
 	checkLabels(logits, labels)
 	if len(l.LogPrior) != logits.C {
 		panic("loss: PriorCE prior length mismatch")
 	}
-	n := logits.R
-	total := 0.0
-	invN := 1 / float64(n)
-	for s := 0; s < n; s++ {
-		row := logits.Row(s)
-		p := grad.Row(s)
-		l.adjust(p, row)
-		m := tensor.Max(p)
-		if !tensor.ExpRow(p, p, m) {
-			// The kernel may have overwritten p before it gave up: rebuild
-			// the adjusted logits and take math.Exp's path in place.
-			l.adjust(p, row)
-			for i, v := range p {
-				p[i] = math.Exp(v - m)
-			}
-		}
-		normalise(p)
-		t := labels[s]
-		total += -math.Log(clampProb(p[t]))
-		for j := range p {
-			p[j] *= invN
-		}
-		p[t] -= invN
+	for s := 0; s < logits.R; s++ {
+		l.adjust(grad.Row(s), logits.Row(s))
 	}
-	return total * invN
+	tensor.SoftmaxRows(grad.Data, grad.Data, grad.C)
+	return ceFromProbs(grad, labels)
 }
 
 // adjust writes the adjusted logits z_j + τ·log(π_j) into dst.

@@ -173,35 +173,41 @@ func TestLabelOutOfRangePanics(t *testing.T) {
 	CrossEntropy{}.LossAndGrad(tensor.NewDense(1, 3), []int{3})
 }
 
-// TestSoftmaxRowMatchesScalar holds softmaxRow to the loop it replaced —
-// math.Exp per class, summed as it goes — bit for bit, at every class
-// count from 1 to 128 and for rows whose spread passes the exp kernel's
+// TestSoftmaxRowMatchesScalar holds the batch softmax the losses call,
+// tensor.SoftmaxRows, to the per-row loop it replaced — math.Exp per
+// class, summed as it goes — bit for bit, at every class count from 1 to
+// 128, on batches of 1 and 7 rows whose spread passes the exp kernel's
 // range, so both of its paths run.
 func TestSoftmaxRowMatchesScalar(t *testing.T) {
 	r := xrand.New(61)
-	for n := 1; n <= 128; n++ {
-		for _, spread := range []float64{1, 30, 2000} {
-			z := make([]float64, n)
-			for i := range z {
-				z[i] = spread * r.NormFloat64()
-			}
-			want := make([]float64, n)
-			m := tensor.Max(z)
-			sum := 0.0
-			for i, v := range z {
-				e := math.Exp(v - m)
-				want[i] = e
-				sum += e
-			}
-			inv := 1 / sum
-			for i := range want {
-				want[i] *= inv
-			}
-			got := make([]float64, n)
-			softmaxRow(got, z)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("n=%d spread=%v: p[%d] = %v, want %v", n, spread, i, got[i], want[i])
+	for c := 1; c <= 128; c++ {
+		for _, rows := range []int{1, 7} {
+			for _, spread := range []float64{1, 30, 2000} {
+				z := make([]float64, rows*c)
+				for i := range z {
+					z[i] = spread * r.NormFloat64()
+				}
+				want := make([]float64, len(z))
+				for o := 0; o < len(z); o += c {
+					row := z[o : o+c]
+					m := tensor.Max(row)
+					sum := 0.0
+					for i, v := range row {
+						e := math.Exp(v - m)
+						want[o+i] = e
+						sum += e
+					}
+					inv := 1 / sum
+					for i := range row {
+						want[o+i] *= inv
+					}
+				}
+				got := make([]float64, len(z))
+				tensor.SoftmaxRows(got, z, c)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("C=%d rows=%d spread=%v: p[%d] = %v, want %v", c, rows, spread, i, got[i], want[i])
+					}
 				}
 			}
 		}
@@ -209,10 +215,10 @@ func TestSoftmaxRowMatchesScalar(t *testing.T) {
 }
 
 // TestPriorCEIsCEOnAdjustedLogits holds PriorCE, which builds the adjusted
-// logits z_j + τ·log(π_j) in its gradient rows, to cross-entropy over those
-// logits computed apart, bit for bit — also for rows whose spread passes
-// the exp kernel's range, where the kernel gives up part-way and the
-// adjusted row is rebuilt for math.Exp.
+// logits z_j + τ·log(π_j) in its gradient rows and takes their softmax in
+// place, to cross-entropy over those logits computed apart, bit for bit —
+// also for rows whose spread passes the exp kernel's range, where the
+// batch falls back to math.Exp.
 func TestPriorCEIsCEOnAdjustedLogits(t *testing.T) {
 	counts := []float64{500, 120, 40, 9, 3, 1, 0, 70, 8, 200, 15}
 	for _, c := range []int{3, 8, 11} {

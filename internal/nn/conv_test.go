@@ -102,9 +102,9 @@ func refConvBackward(l *Conv2D, x, dout *tensor.Dense) (dw, db []float64, dx *te
 // convGeometries: a same-size convolution (shifted path), a strided one
 // (general path) and ResNetLite's own stage-2 body conv, whose 36-column
 // products run the 4×4 remainder tile. Then the shifted taps as ResNetLite
-// meets them at 12×12 — its stem, whose three input channels send every
-// tap's dW product through the padded tail strip, and its stage-1 body
-// conv — and a 5×5 kernel on images so small that some taps lie wholly
+// meets them at 12×12 — its stem, whose three input channels give every
+// tap's dW product a 3-row tail (on AVX-512 hosts a 2-row and a 1-row
+// strip, in place), and its stage-1 body conv — and a 5×5 kernel on images so small that some taps lie wholly
 // outside and others wrap by more than one column.
 var convGeometries = []struct {
 	name                            string

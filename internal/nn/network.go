@@ -79,10 +79,6 @@ func (n *Network) Params() []*Param { return n.params }
 // NumParams returns the total scalar parameter count.
 func (n *Network) NumParams() int { return len(n.w) }
 
-// Weights returns the network's weight vector itself, not a copy: writes
-// through it change the model.
-func (n *Network) Weights() []float64 { return n.w }
-
 // Grads returns the network's gradient vector itself, not a copy. Backward
 // accumulates into it, ZeroGrad clears it and Step reads it.
 func (n *Network) Grads() []float64 { return n.g }
@@ -135,7 +131,32 @@ func (n *Network) ZeroGrad() { tensor.Zero(n.g) }
 
 // Step applies params -= lr·grad to learnable parameters (Stat params are
 // skipped; their values evolve inside Forward).
-func (n *Network) Step(lr float64) { n.StepVec(lr, n.g) }
+func (n *Network) Step(lr float64) { n.StepWith(lr, tensor.StepTerms{}) }
+
+// StepWith is Step with the gradient's optional terms folded in:
+// tensor.SGDStep over each learnable span, every vector of t windowed to
+// the span, so the gradient and its terms are read once and the weights
+// written once. t's vectors are flat over all parameters; their Stat
+// segments are ignored, and so is the gradient, which is not written.
+func (n *Network) StepWith(lr float64, t tensor.StepTerms) {
+	for _, s := range n.learn {
+		tensor.SGDStep(n.w[s.lo:s.hi], n.g[s.lo:s.hi], lr, tensor.StepTerms{
+			ProxMu:     t.ProxMu,
+			ProxRef:    s.of(t.ProxRef),
+			Correction: s.of(t.Correction),
+			Alpha:      t.Alpha,
+			Momentum:   s.of(t.Momentum),
+		})
+	}
+}
+
+// of returns the span's window of v, or nil for a nil v.
+func (s span) of(v []float64) []float64 {
+	if v == nil {
+		return nil
+	}
+	return v[s.lo:s.hi]
+}
 
 // StepVec applies params -= lr·dir to learnable parameters, where dir is a
 // flat vector over all parameters whose Stat segments are ignored.

@@ -10,6 +10,10 @@ import (
 	"fedwcm/internal/xrand"
 )
 
+// Weights returns the network's weight vector itself, not a copy: writes
+// through it change the model.
+func (n *Network) Weights() []float64 { return n.w }
+
 func TestVectorRoundTrip(t *testing.T) {
 	net := NewMLP(1, 4, []int{5}, 3, true)
 	v := net.Vector()

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"fedwcm/internal/tensor"
-)
+import "fedwcm/internal/tensor"
 
 // BatchNorm normalises activations per channel. With Spatial == 1 it is the
 // 1-D variant over features; with Spatial == H·W it is the 2-D variant over
@@ -99,7 +95,10 @@ func (l *BatchNorm) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	// order over the batch, the mean/variance expressions, the running-stat
 	// update and the normalisation expression are the same in both, and the
 	// same as the per-channel loops the layer was first written with, so
-	// outputs match those bit for bit.
+	// outputs match those bit for bit. The per-channel arithmetic between
+	// the passes — the mean's division, the running-stat update and
+	// 1/√(var+ε) — is one tensor call each (DivScalar, BNRunStats,
+	// InvSqrtInto), lane-wise on AVX-512 hosts.
 	C := l.Channels
 	var mean []float64
 	if train {
@@ -110,25 +109,16 @@ func (l *BatchNorm) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 		} else {
 			channelSums(mean, x, sp)
 		}
-		for c := range mean {
-			mean[c] /= m
-		}
+		tensor.DivScalar(mean, m)
 		if sp == 1 {
 			tensor.BNSqDevRows(sq, x.Data, mean)
 		} else {
 			bnSqDev(sq, x, mean, sp)
 		}
-		for c := 0; c < C; c++ {
-			variance := sq[c] / m
-			l.RunMean.Data[c] = float64((1-l.Momentum)*l.RunMean.Data[c]) + float64(l.Momentum*mean[c])
-			l.RunVar.Data[c] = float64((1-l.Momentum)*l.RunVar.Data[c]) + float64(l.Momentum*variance)
-			l.invstd[c] = 1 / math.Sqrt(variance+l.Eps)
-		}
+		tensor.BNRunStats(l.RunMean.Data, l.RunVar.Data, l.invstd, mean, sq, m, l.Momentum, l.Eps)
 	} else {
 		mean = l.RunMean.Data
-		for c := 0; c < C; c++ {
-			l.invstd[c] = 1 / math.Sqrt(l.RunVar.Data[c]+l.Eps)
-		}
+		tensor.InvSqrtInto(l.invstd, l.RunVar.Data, l.Eps)
 	}
 	if sp == 1 {
 		tensor.BNNormRows(out.Data, l.xmu, x.Data, mean, l.Gamma.Data, l.Beta.Data, l.invstd)
@@ -235,10 +225,12 @@ func (l *BatchNorm) Backward(dout *tensor.Dense) *tensor.Dense {
 	} else {
 		bnBwdSums(sumD, sumDXmu, dout, l.xmu, sp)
 	}
-	for c := 0; c < C; c++ {
-		l.Beta.Grad[c] += sumD[c]
-		l.Gamma.Grad[c] += float64(sumDXmu[c] * l.invstd[c])
-	}
+	// dxhat = dout*gamma; dx = inv/m * (m*dxhat - Σdxhat - xhat*Σ(dxhat·xhat))
+	// expressed with xmu: xhat = xmu*inv. With the parameter gradients
+	// added, fold the per-channel constants in place: kg holds k1, sumD
+	// becomes k2 and sumDXmu becomes k3 (unused in inference mode).
+	kg := ensureVec(&l.kg, C)
+	tensor.BNBwdConsts(kg, sumD, sumDXmu, l.Beta.Grad, l.Gamma.Grad, l.Gamma.Data, l.invstd, m)
 	if !l.train {
 		for s := 0; s < n; s++ {
 			for c := 0; c < C; c++ {
@@ -250,17 +242,6 @@ func (l *BatchNorm) Backward(dout *tensor.Dense) *tensor.Dense {
 			}
 		}
 		return dx
-	}
-	// dxhat = dout*gamma; dx = inv/m * (m*dxhat - Σdxhat - xhat*Σ(dxhat·xhat))
-	// expressed with xmu: xhat = xmu*inv. Fold the per-channel constants in
-	// place: kg holds k1, sumD becomes k2 and sumDXmu becomes k3.
-	kg := ensureVec(&l.kg, C)
-	for c := 0; c < C; c++ {
-		inv := l.invstd[c]
-		g := l.Gamma.Data[c]
-		kg[c] = g * inv
-		sumD[c] = g * inv / m * sumD[c]
-		sumDXmu[c] = g * inv * inv * inv / m * sumDXmu[c]
 	}
 	if sp == 1 {
 		tensor.BNBwdDxRows(dx.Data, dout.Data, l.xmu, kg, sumD, sumDXmu)

@@ -20,33 +20,32 @@ import "sync"
 // registers. Nothing is cache-blocked (the operands of every product the
 // models run fit in L2) and only A·Bᵀ packs an operand. On amd64 the
 // micro-kernels are hand-written assembly. With AVX-512 the driver walks
-// the rows 8 at a time, then takes one 4-row strip for a remainder of 4–7
-// rows; a strip runs tiles of 16 columns of float64, and a remainder of
-// 1–15 columns runs one tile with the missing lanes masked off, so no
-// column runs scalar code. An 8-row strip loads each B row once for eight
-// rows of A, half the B traffic of two 4-row strips. With AVX only, the
-// strips are 4 rows of 4×8 tiles, one 4×4 tile for a column remainder of
-// four or more, and a scalar loop over the same four rows for the last 0–3
-// columns. Elsewhere a pure-Go register-tiled 4×8 kernel with the same
-// accumulation order runs, then the scalar loop. The last 1–3 rows are
-// padded to a 4-row strip of their own (gemmTailRows), so no row count
-// runs scalar code.
+// the rows 8 at a time, then takes at most one strip each of 4, 2 and 1
+// rows for the remainder, so every row is computed where it lies. A strip
+// is one assembly call that walks its own columns: tiles of 16 columns of
+// float64, and a remainder of 1–15 columns in one tile with the missing
+// lanes masked off, so no column runs scalar code. An 8-row strip loads
+// each B row once for eight rows of A, half the B traffic of two 4-row
+// strips. With AVX only, the strips are 4 rows of 4×8 tiles, one 4×4 tile
+// for a column remainder of four or more, and a scalar loop over the same
+// four rows for the last 0–3 columns. Elsewhere a pure-Go register-tiled
+// 4×8 kernel with the same accumulation order runs, then the scalar loop.
+// Without AVX-512 the last 1–3 rows run gemmRows, a scalar loop in place.
 //
-// GemmInto computes dst = A·B. Its AVX-512 tiles start every accumulator
+// GemmInto computes dst = A·B. Its AVX-512 strips start every accumulator
 // at +0 instead of loading dst — the bits a Zero pass would have left there
 // — and then add every product as GemmAcc does; the other arms zero dst and
 // run GemmAcc.
 
-// gemmMR×gemmNR is the micro-tile shape: 4×8 doubles = 8 YMM accumulators.
-// With AVX-512 a strip is gemmMRWide or gemmMR rows and takes its columns
-// gemmNRWide at a time, then the remainder in one masked tile. Without it,
-// a column remainder of gemmNRHalf or more takes one half-width AVX tile
-// (4×4, one YMM per row) before the scalar edge loop: the 6×6 feature maps
-// (36 columns) would otherwise leave a ninth of every product to it.
+// gemmMR×gemmNR is the micro-tile shape of the AVX and Go arms: 4×8
+// doubles = 8 YMM accumulators. A column remainder of gemmNRHalf or more
+// takes one half-width AVX tile (4×4, one YMM per row) before the scalar
+// edge loop: the 6×6 feature maps (36 columns) would otherwise leave a
+// ninth of every product to it. The AVX-512 strips are gemmMRWide rows
+// and fewer, their tiles 16 columns wide.
 const (
 	gemmMR     = 4
 	gemmMRWide = 8
-	gemmNRWide = 16
 	gemmNR     = 8
 	gemmNRHalf = 4
 )
@@ -92,47 +91,50 @@ func GemmInto(dst []float64, ldc int, a []float64, lda, astep int, b []float64, 
 // n, k, m ≥ 1.
 func gemm(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, n, k, m int, load bool) {
 	_, _, _ = dst[(n-1)*ldc+m-1], a[(n-1)*lda+(k-1)*astep], b[(k-1)*ldb+m-1]
-	i := 0
 	if hasAVX512 {
-		for ; n-i >= gemmMRWide; i += gemmMRWide {
-			gemmStripWide(dst[i*ldc:], ldc, a[i*lda:], lda, astep, b, ldb, k, m, load)
-		}
-	}
-	for ; n-i >= gemmMR; i += gemmMR {
-		gemmStrip(dst[i*ldc:], ldc, a[i*lda:], lda, astep, b, ldb, k, m, load)
-	}
-	if i < n {
-		gemmTailRows(dst[i*ldc:], ldc, a[i*lda:], lda, astep, b, ldb, n-i, k, m, load)
-	}
-}
-
-// gemmStripWide computes one full gemmMRWide-row strip on an AVX-512 host,
-// 16 columns per tile and the last 1–15 in one masked tile. The kernel
-// touches C through 7·ldc+cols, A through 7·lda+(k-1)·astep+1 and B through
-// (k-1)·ldb+cols — inside the slices gemm checked, because the strip is
-// full and the tile fits the remaining columns (a masked lane is neither
-// read nor written).
-func gemmStripWide(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, k, m int, load bool) {
-	for j := 0; j < m; j += gemmNRWide {
-		gemmKernel8x16AVX512(&dst[j], &a[0], &b[j], int64(ldc), int64(lda), int64(astep), int64(ldb), int64(k), int64(min(gemmNRWide, m-j)), load)
-	}
-}
-
-// gemmStrip computes one full gemmMR-row strip. The tile width is chosen
-// by the columns that remain and the CPU alone: with AVX-512, 16 while at
-// least 16 remain, then one masked tile of the 1–15 left; without it, 8 at
-// a time, then one 4×4 tile (AVX), then the scalar edge. Columns are
-// independent elements, so the width cannot change a bit. The assembly
-// kernels touch C through 3·ldc+width, A through 3·lda+(k-1)·astep+1 and B
-// through (k-1)·ldb+width, as in gemmStripWide. Only the AVX-512 tiles
-// take !load; the other arms always add to dst.
-func gemmStrip(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, k, m int, load bool) {
-	if hasAVX512 {
-		for j := 0; j < m; j += gemmNRWide {
-			gemmKernel4x16AVX512(&dst[j], &a[0], &b[j], int64(ldc), int64(lda), int64(astep), int64(ldb), int64(k), int64(min(gemmNRWide, m-j)), load)
-		}
+		gemmStripsAVX512(dst, ldc, a, lda, astep, b, ldb, n, k, m, load)
 		return
 	}
+	i := 0
+	for ; n-i >= gemmMR; i += gemmMR {
+		gemmStrip(dst[i*ldc:], ldc, a[i*lda:], lda, astep, b, ldb, k, m)
+	}
+	if i < n {
+		gemmRows(dst[i*ldc:], ldc, a[i*lda:], lda, astep, b, ldb, n-i, k, m)
+	}
+}
+
+// gemmStripsAVX512 walks the rows in strips of 8, then one each of 4, 2
+// and 1 rows as the remainder needs. A strip of r rows touches C through
+// (r-1)·ldc+m, A through (r-1)·lda+(k-1)·astep+1 and B through
+// (k-1)·ldb+m — inside the slices gemm checked, because the strip's rows
+// exist and its last tile is masked to the columns left (a masked lane is
+// neither read nor written).
+func gemmStripsAVX512(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, n, k, m int, load bool) {
+	c, l, s, kk, mm := int64(ldc), int64(lda), int64(astep), int64(k), int64(m)
+	i := 0
+	for ; n-i >= gemmMRWide; i += gemmMRWide {
+		gemmStrip8AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, int64(ldb), kk, mm, load)
+	}
+	if n-i >= 4 {
+		gemmStrip4AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, int64(ldb), kk, mm, load)
+		i += 4
+	}
+	if n-i >= 2 {
+		gemmStrip2AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, int64(ldb), kk, mm, load)
+		i += 2
+	}
+	if i < n {
+		gemmStrip1AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, int64(ldb), kk, mm, load)
+	}
+}
+
+// gemmStrip computes one full gemmMR-row strip on a host without AVX-512:
+// 8 columns at a time, then one 4×4 tile (AVX), then the scalar edge.
+// Columns are independent elements, so the width cannot change a bit. The
+// assembly kernels touch C through 3·ldc+width, A through
+// 3·lda+(k-1)·astep+1 and B through (k-1)·ldb+width.
+func gemmStrip(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, k, m int) {
 	j := 0
 	for ; m-j >= gemmNR; j += gemmNR {
 		gemmKernel(dst[j:], ldc, a, lda, astep, b[j:], ldb, k)
@@ -146,39 +148,39 @@ func gemmStrip(dst []float64, ldc int, a []float64, lda, astep int, b []float64,
 	}
 }
 
-// gemmTailRows computes the rows (fewer than gemmMR) past the last full
-// strip: it copies them, and with load their dst rows, into one
-// zero-padded strip in a pooled panel, runs gemmStrip on it and copies the
-// real rows back. An element's sum starts from the same value and adds the
-// same products in the same order as it would in place — the padded rows
-// never enter it — so every bit, the sign of a zero included, is what a
-// scalar dot gives; the padding costs up to 4× the arithmetic at ≈ 16× the
-// speed.
-func gemmTailRows(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, rows, k, m int, load bool) {
-	panel := getPanel(gemmMR * (k + m))
-	ap, cp := (*panel)[:gemmMR*k], (*panel)[gemmMR*k:]
+// gemmRows computes the 1–3 rows past the last full strip on a host
+// without AVX-512, in place: per row, four columns at a time with their
+// sums in locals, so four independent chains overlap, then the last 0–3
+// columns one at a time. Each element adds its k products to what dst
+// held in ascending k, as the tiles do.
+func gemmRows(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, rows, k, m int) {
 	for r := 0; r < rows; r++ {
-		arow, prow := a[r*lda:], ap[r*k:(r+1)*k]
-		if astep == 1 {
-			copy(prow, arow)
-		} else {
-			for p := range prow {
-				prow[p] = arow[p*astep]
+		arow, crow := a[r*lda:], dst[r*ldc:r*ldc+m]
+		j := 0
+		for ; j+4 <= m; j += 4 {
+			c0, c1, c2, c3 := crow[j], crow[j+1], crow[j+2], crow[j+3]
+			bi, ai := j, 0
+			for p := 0; p < k; p++ {
+				av, bp := arow[ai], b[bi:bi+4]
+				c0 += float64(av * bp[0])
+				c1 += float64(av * bp[1])
+				c2 += float64(av * bp[2])
+				c3 += float64(av * bp[3])
+				bi += ldb
+				ai += astep
 			}
+			crow[j], crow[j+1], crow[j+2], crow[j+3] = c0, c1, c2, c3
+		}
+		for ; j < m; j++ {
+			c, bi, ai := crow[j], j, 0
+			for p := 0; p < k; p++ {
+				c += float64(arow[ai] * b[bi])
+				bi += ldb
+				ai += astep
+			}
+			crow[j] = c
 		}
 	}
-	Zero(ap[rows*k:])
-	if load {
-		for r := 0; r < rows; r++ {
-			copy(cp[r*m:(r+1)*m], dst[r*ldc:])
-		}
-		Zero(cp[rows*m:])
-	}
-	gemmStrip(cp, m, ap, k, 1, b, ldb, k, m, load)
-	for r := 0; r < rows; r++ {
-		copy(dst[r*ldc:r*ldc+m], cp[r*m:])
-	}
-	putPanel(panel)
 }
 
 // gemmEdge handles the columns of a strip past its last tile on hosts
@@ -277,8 +279,8 @@ func gemmKernelGo(dst []float64, ldc int, a []float64, lda, astep int, b []float
 	r3[0], r3[1], r3[2], r3[3], r3[4], r3[5], r3[6], r3[7] = c30, c31, c32, c33, c34, c35, c36, c37
 }
 
-// packPool recycles the A·Bᵀ transpose panels and the padded tail strips so
-// the kernels stay allocation-free in steady state.
+// packPool recycles the A·Bᵀ transpose panels and the softmax's transposed
+// batches so the kernels stay allocation-free in steady state.
 var packPool = sync.Pool{New: func() any { s := make([]float64, 0, 4096); return &s }}
 
 func getPanel(n int) *[]float64 {

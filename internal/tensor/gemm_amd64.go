@@ -9,10 +9,16 @@ func gemmKernel4x8AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
 func gemmKernel4x4AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
 
 //go:noescape
-func gemmKernel4x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64, load bool)
+func gemmStrip8AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
 
 //go:noescape
-func gemmKernel8x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64, load bool)
+func gemmStrip4AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
+
+//go:noescape
+func gemmStrip2AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
+
+//go:noescape
+func gemmStrip1AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
 
 //go:noescape
 func transposeAVX512(dst, src *float64, r, c, rb, cb int64)
@@ -36,7 +42,31 @@ func bnBwdSumsAVX512(sumD, sumDXmu, dout, xmu *float64, rows, cols int64)
 func bnBwdDxAVX512(dx, dout, xmu, k1, k2, k3 *float64, rows, cols int64)
 
 //go:noescape
-func expRowAVX512(dst, x *float64, m float64, n int64) (ok bool)
+func expRowAVX512(dst, x *float64, n int64) (ok bool)
+
+//go:noescape
+func softmaxShiftAVX512(x *float64, rows, cols int64)
+
+//go:noescape
+func softmaxScaleAVX512(x *float64, rows, cols int64)
+
+//go:noescape
+func divScalarAVX512(v *float64, d float64, n int64)
+
+//go:noescape
+func invSqrtAVX512(dst, v *float64, eps float64, n int64)
+
+//go:noescape
+func bnRunStatsAVX512(runMean, runVar, inv, mean, sq *float64, m, mom, keep, eps float64, n int64)
+
+//go:noescape
+func bnBwdConstsAVX512(kg, sumD, sumDXmu, betaGrad, gammaGrad, gam, inv *float64, m float64, n int64)
+
+//go:noescape
+func stepAVX512(w, grad, ref, corr, mom *float64, mu, nlr, a, b float64, terms, n int64)
+
+//go:noescape
+func stepBlocksAVX(w, grad, ref, corr, mom *float64, mu, nlr, a, b float64, terms, blocks int64)
 
 //go:noescape
 func axpyBlocksAVX(dst, x *float64, alpha float64, blocks int64)

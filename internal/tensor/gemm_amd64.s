@@ -10,6 +10,56 @@
 
 #include "textflag.h"
 
+// The GEMM strips' setup macros (see "AVX-512 GEMM strips" below) sit
+// here, ahead of every TEXT, because they read the strips' arguments and
+// go vet checks an argument reference against the function it follows.
+
+// STRIPSETUP turns the A and B strides into bytes, sets K3 and starts at
+// column 0.
+#define STRIPSETUP \
+	MOVQ    lda+32(FP), R8; \
+	MOVQ    astep+40(FP), R14; \
+	MOVQ    ldb+48(FP), R9; \
+	SHLQ    $3, R8; \
+	SHLQ    $3, R14; \
+	SHLQ    $3, R9; \
+	MOVBQZX load+72(FP), AX; \
+	NEGQ    AX; \
+	KMOVW   AX, K3; \
+	XORQ    R15, R15
+
+// TILESETUP starts the tile at column R15: the masks for the m-R15
+// columns left, BX, DI and AX at its dst columns, DX at its B columns, SI,
+// R11, R12 and R13 at A rows 0-3, CX = ldc in bytes and R10 = k.
+#define TILESETUP \
+	MOVQ  m+64(FP), BX; \
+	SUBQ  R15, BX; \
+	CHUNKMASK; \
+	KANDW K1, K3, K4; \
+	KANDW K2, K3, K5; \
+	MOVQ  R8, BX; \
+	SHLQ  $2, BX; \
+	MOVQ    ldc+24(FP), CX; \
+	SHLQ    $3, CX; \
+	MOVQ    dst+0(FP), DI; \
+	LEAQ    (DI)(R15*8), DI; \
+	MOVQ    DI, AX; \
+	MOVQ    b+16(FP), DX; \
+	LEAQ    (DX)(R15*8), DX; \
+	MOVQ    a+8(FP), SI; \
+	LEAQ    (SI)(R8*1), R11; \
+	LEAQ    (SI)(R8*2), R12; \
+	LEAQ    (R11)(R8*2), R13; \
+	MOVQ    k+56(FP), R10
+
+// NEXTTILE steps R15 to the next tile and jumps to label while columns
+// remain.
+#define NEXTTILE(label) \
+	ADDQ $16, R15; \
+	MOVQ m+64(FP), AX; \
+	CMPQ R15, AX; \
+	JLT  label
+
 // func gemmKernel4x8AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
 //
 // dst[4][8] += A[4][k]·B[k][8], strides in elements. A rows are spaced lda
@@ -322,6 +372,56 @@ lerploop:
 	VZEROUPPER
 	RET
 
+// func stepBlocksAVX(w, grad, ref, corr, mom *float64, mu, nlr, a, b float64, terms, blocks int64)
+// One local-SGD step over blocks×4 elements. Per element d = grad; with
+// terms&1, d += mu*(w - ref); with terms&2, d += corr; with terms&4, d =
+// a*d + b*mom; then w += nlr*d. grad is read, not written. Each block tests
+// the terms again; the branches go the same way on every block.
+TEXT ·stepBlocksAVX(SB), NOSPLIT, $0-88
+	MOVQ         w+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         ref+16(FP), DX
+	MOVQ         corr+24(FP), R8
+	MOVQ         mom+32(FP), R9
+	VBROADCASTSD mu+40(FP), Y10
+	VBROADCASTSD nlr+48(FP), Y11
+	VBROADCASTSD a+56(FP), Y12
+	VBROADCASTSD b+64(FP), Y13
+	MOVQ         terms+72(FP), BX
+	MOVQ         blocks+80(FP), CX
+	XORQ         AX, AX // byte offset
+
+steploop:
+	VMOVUPD (SI)(AX*1), Y0 // d = g
+	VMOVUPD (DI)(AX*1), Y1 // w
+	TESTQ   $1, BX
+	JZ      stepcorr
+	VSUBPD  (DX)(AX*1), Y1, Y2 // w - ref
+	VMULPD  Y2, Y10, Y2        // mu*(w - ref)
+	VADDPD  Y2, Y0, Y0
+
+stepcorr:
+	TESTQ  $2, BX
+	JZ     stepmom
+	VADDPD (R8)(AX*1), Y0, Y0 // d + corr
+
+stepmom:
+	TESTQ  $4, BX
+	JZ     stepw
+	VMULPD Y0, Y12, Y0        // a*d
+	VMULPD (R9)(AX*1), Y13, Y2 // b*mom
+	VADDPD Y2, Y0, Y0
+
+stepw:
+	VMULPD  Y0, Y11, Y0 // nlr*d
+	VADDPD  Y0, Y1, Y1  // w + nlr*d
+	VMOVUPD Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNZ     steploop
+	VZEROUPPER
+	RET
+
 // func bnNormBlocksAVX(out, xmu, x, mean, gam, bet, inv *float64, blocks int64)
 // Per element: d = x - mean; xmu = d; out = ((g*d)*inv) + b — the exact
 // expression order of the scalar BatchNorm forward.
@@ -517,42 +617,27 @@ bndxsloop:
 	SHRQ    $8, AX; \
 	KMOVW   AX, K2
 
-// AVX-512 GEMM tiles. Each computes dst[rows][cols] = A[rows][k]·B[k][cols]
-// plus, when load is true, what dst held: with load false every
+// AVX-512 GEMM strips. Each computes dst[rows][m] = A[rows][k]·B[k][m]
+// plus, when load is true, what dst held, for rows = 8, 4, 2 or 1, and
+// walks the strip's columns itself: tiles of 16, the last one holding the
+// 1–16 columns left with the missing lanes masked off, so a strip is one
+// call and a tail row is computed where it lies. With load false every
 // accumulator starts at +0 instead, the bits a zeroed dst would have
-// loaded, so GemmInto needs no Zero pass. A tile holds its C block in
-// ZMM accumulators, two per row for 9-16 columns and one for up to 8; per
-// k step it loads one B row, broadcasts each row's A element and adds
-// each product to its accumulator with separate VMULPD and VADDPD, k
-// ascending. Lanes past cols are masked off: a masked load reads nothing
-// there and a masked store writes nothing. A row i, element p lives at
-// a + (i·lda + p·astep)·8, so a transposed operand streams unpacked.
+// loaded, so GemmInto needs no Zero pass. A tile holds its C block in ZMM
+// accumulators, two per row for 9-16 columns and one for up to 8; per k
+// step it loads one B row, broadcasts each row's A element and adds each
+// product to its accumulator with separate VMULPD and VADDPD, k ascending.
+// A masked load reads nothing past the last column and a masked store
+// writes nothing there. A row i, element p lives at a + (i·lda + p·astep)·8,
+// so a transposed operand streams unpacked.
 //
-// Registers: DI walks the dst rows, AX the dst rows on load; SI, R11, R12
-// and R13 point at A rows 0-3 and, offset by BX = 4·lda, rows 4-7; DX is
-// the B row; CX ldc, R9 ldb and R14 astep are in bytes; R10 counts the k
-// steps left. Z16/Z17 hold the B row, Z18 the broadcast, Z19/Z20 products.
-// K1/K2 are the lanes of a row's first/second ZMM, K4/K5 the same lanes
-// when load is true and none when it is false.
-
-// GEMMSETUP derives the masks and pointers above once CHUNKMASK has set
-// K1/K2 for the tile's columns, the operands are in DI, SI, DX, CX, R8
-// (lda), R14, R9 and R10, and AX holds load (0 or 1).
-#define GEMMSETUP \
-	NEGQ  AX; \
-	KMOVW AX, K3; \
-	KANDW K1, K3, K4; \
-	KANDW K2, K3, K5; \
-	SHLQ  $3, CX; \
-	SHLQ  $3, R8; \
-	SHLQ  $3, R14; \
-	SHLQ  $3, R9; \
-	LEAQ  (SI)(R8*1), R11; \
-	LEAQ  (SI)(R8*2), R12; \
-	LEAQ  (R11)(R8*2), R13; \
-	MOVQ  R8, BX; \
-	SHLQ  $2, BX; \
-	MOVQ  DI, AX
+// Registers: R15 counts the columns done. Per tile, DI walks the dst rows,
+// AX the dst rows on load; SI, R11, R12 and R13 point at A rows 0-3 and,
+// offset by BX = 4·lda, rows 4-7; DX is the B row; CX ldc, R8 lda, R9 ldb
+// and R14 astep are in bytes; R10 counts the k steps left. Z16/Z17 hold the
+// B row, Z18 the broadcast, Z19/Z20 products. K3 is every lane when load is
+// true and none when it is false; K1/K2 are the lanes of a row's
+// first/second ZMM in the tile, K4/K5 the same lanes and K3.
 
 // CLOAD1/CLOAD2 start one dst row's accumulators and step AX to the next.
 #define CLOAD1(c0) \
@@ -596,9 +681,9 @@ bndxsloop:
 	VMULPD       Z17, Z18, Z20; \
 	VADDPD       Z20, c1, c1
 
-// GEMMNEXTK steps A and B to the next k and counts it, setting the flags
-// the loop's JNZ reads.
-#define GEMMNEXTK \
+// NEXTK4/NEXTK2/NEXTK1 step the A rows in use and B to the next k and
+// count it, setting the flags the loop's JNZ reads.
+#define NEXTK4 \
 	ADDQ R14, SI; \
 	ADDQ R14, R11; \
 	ADDQ R14, R12; \
@@ -606,91 +691,65 @@ bndxsloop:
 	ADDQ R9, DX; \
 	DECQ R10
 
-// func gemmKernel4x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64, load bool)
+#define NEXTK2 \
+	ADDQ R14, SI; \
+	ADDQ R14, R11; \
+	ADDQ R9, DX; \
+	DECQ R10
+
+#define NEXTK1 \
+	ADDQ R14, SI; \
+	ADDQ R9, DX; \
+	DECQ R10
+
+// func gemmStrip8AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
 //
-// The 4-row tile on 1 ≤ cols ≤ 16 columns: two accumulators per row (Z0-Z7)
-// for 9-16 columns, the second masked below 16, and one (Z0-Z3) for up to
-// 8. GemmAcc runs it on the one 4-row strip left after the 8-row strips
-// and on the padded tail.
-TEXT ·gemmKernel4x16AVX512(SB), NOSPLIT, $0-73
-	MOVQ cols+64(FP), BX
-	CHUNKMASK
-	MOVQ    dst+0(FP), DI
-	MOVQ    a+8(FP), SI
-	MOVQ    b+16(FP), DX
-	MOVQ    ldc+24(FP), CX
-	MOVQ    lda+32(FP), R8
-	MOVQ    astep+40(FP), R14
-	MOVQ    ldb+48(FP), R9
-	MOVQ    k+56(FP), R10
-	MOVBQZX load+72(FP), AX
-	GEMMSETUP
-	CMPQ cols+64(FP), $8
-	JG   gemm4x16wide
-	CLOAD1(Z0)
-	CLOAD1(Z1)
-	CLOAD1(Z2)
-	CLOAD1(Z3)
+// The 8-row strip: sixteen accumulators (Z0-Z15) per 16-column tile, so
+// each B row it loads serves eight rows, and eight (Z0-Z7, eight
+// independent chains) for a last tile of up to 8 columns. GemmAcc walks
+// the output with it, 8 rows at a time.
+TEXT ·gemmStrip8AVX512(SB), NOSPLIT, $0-73
+	STRIPSETUP
 
-gemm4x16loop:
-	BLOAD1
-	GEMMROW1((SI), Z0)
-	GEMMROW1((R11), Z1)
-	GEMMROW1((R12), Z2)
-	GEMMROW1((R13), Z3)
-	GEMMNEXTK
-	JNZ gemm4x16loop
-
-	CSTORE1(Z0)
-	CSTORE1(Z1)
-	CSTORE1(Z2)
-	CSTORE1(Z3)
-	VZEROUPPER
-	RET
-
-gemm4x16wide:
+gemm8tile:
+	TILESETUP
+	KORTESTW K2, K2
+	JZ       gemm8narrow
 	CLOAD2(Z0, Z1)
 	CLOAD2(Z2, Z3)
 	CLOAD2(Z4, Z5)
 	CLOAD2(Z6, Z7)
+	CLOAD2(Z8, Z9)
+	CLOAD2(Z10, Z11)
+	CLOAD2(Z12, Z13)
+	CLOAD2(Z14, Z15)
 
-gemm4x16wideloop:
+gemm8loop:
 	BLOAD2
 	GEMMROW2((SI), Z0, Z1)
 	GEMMROW2((R11), Z2, Z3)
 	GEMMROW2((R12), Z4, Z5)
 	GEMMROW2((R13), Z6, Z7)
-	GEMMNEXTK
-	JNZ gemm4x16wideloop
+	GEMMROW2((SI)(BX*1), Z8, Z9)
+	GEMMROW2((R11)(BX*1), Z10, Z11)
+	GEMMROW2((R12)(BX*1), Z12, Z13)
+	GEMMROW2((R13)(BX*1), Z14, Z15)
+	NEXTK4
+	JNZ gemm8loop
 
 	CSTORE2(Z0, Z1)
 	CSTORE2(Z2, Z3)
 	CSTORE2(Z4, Z5)
 	CSTORE2(Z6, Z7)
+	CSTORE2(Z8, Z9)
+	CSTORE2(Z10, Z11)
+	CSTORE2(Z12, Z13)
+	CSTORE2(Z14, Z15)
+	NEXTTILE(gemm8tile)
 	VZEROUPPER
 	RET
 
-// func gemmKernel8x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64, load bool)
-//
-// The 8-row tile on 1 ≤ cols ≤ 16 columns: sixteen accumulators (Z0-Z15)
-// for 9-16 columns, so each B row it loads serves eight rows, and eight
-// (Z0-Z7, eight independent chains) for up to 8. GemmAcc walks the output
-// with it, 8 rows at a time.
-TEXT ·gemmKernel8x16AVX512(SB), NOSPLIT, $0-73
-	MOVQ cols+64(FP), BX
-	CHUNKMASK
-	MOVQ    dst+0(FP), DI
-	MOVQ    a+8(FP), SI
-	MOVQ    b+16(FP), DX
-	MOVQ    ldc+24(FP), CX
-	MOVQ    lda+32(FP), R8
-	MOVQ    astep+40(FP), R14
-	MOVQ    ldb+48(FP), R9
-	MOVQ    k+56(FP), R10
-	MOVBQZX load+72(FP), AX
-	GEMMSETUP
-	CMPQ cols+64(FP), $8
-	JG   gemm8x16wide
+gemm8narrow:
 	CLOAD1(Z0)
 	CLOAD1(Z1)
 	CLOAD1(Z2)
@@ -700,7 +759,7 @@ TEXT ·gemmKernel8x16AVX512(SB), NOSPLIT, $0-73
 	CLOAD1(Z6)
 	CLOAD1(Z7)
 
-gemm8x16loop:
+gemm8nloop:
 	BLOAD1
 	GEMMROW1((SI), Z0)
 	GEMMROW1((R11), Z1)
@@ -710,8 +769,8 @@ gemm8x16loop:
 	GEMMROW1((R11)(BX*1), Z5)
 	GEMMROW1((R12)(BX*1), Z6)
 	GEMMROW1((R13)(BX*1), Z7)
-	GEMMNEXTK
-	JNZ gemm8x16loop
+	NEXTK4
+	JNZ gemm8nloop
 
 	CSTORE1(Z0)
 	CSTORE1(Z1)
@@ -724,37 +783,138 @@ gemm8x16loop:
 	VZEROUPPER
 	RET
 
-gemm8x16wide:
+// func gemmStrip4AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
+//
+// The 4-row strip (Z0-Z7 per tile, Z0-Z3 for a last tile of up to 8
+// columns): GemmAcc runs it once on a remainder of 4-7 rows.
+TEXT ·gemmStrip4AVX512(SB), NOSPLIT, $0-73
+	STRIPSETUP
+
+gemm4tile:
+	TILESETUP
+	KORTESTW K2, K2
+	JZ       gemm4narrow
 	CLOAD2(Z0, Z1)
 	CLOAD2(Z2, Z3)
 	CLOAD2(Z4, Z5)
 	CLOAD2(Z6, Z7)
-	CLOAD2(Z8, Z9)
-	CLOAD2(Z10, Z11)
-	CLOAD2(Z12, Z13)
-	CLOAD2(Z14, Z15)
 
-gemm8x16wideloop:
+gemm4loop:
 	BLOAD2
 	GEMMROW2((SI), Z0, Z1)
 	GEMMROW2((R11), Z2, Z3)
 	GEMMROW2((R12), Z4, Z5)
 	GEMMROW2((R13), Z6, Z7)
-	GEMMROW2((SI)(BX*1), Z8, Z9)
-	GEMMROW2((R11)(BX*1), Z10, Z11)
-	GEMMROW2((R12)(BX*1), Z12, Z13)
-	GEMMROW2((R13)(BX*1), Z14, Z15)
-	GEMMNEXTK
-	JNZ gemm8x16wideloop
+	NEXTK4
+	JNZ gemm4loop
 
 	CSTORE2(Z0, Z1)
 	CSTORE2(Z2, Z3)
 	CSTORE2(Z4, Z5)
 	CSTORE2(Z6, Z7)
-	CSTORE2(Z8, Z9)
-	CSTORE2(Z10, Z11)
-	CSTORE2(Z12, Z13)
-	CSTORE2(Z14, Z15)
+	NEXTTILE(gemm4tile)
+	VZEROUPPER
+	RET
+
+gemm4narrow:
+	CLOAD1(Z0)
+	CLOAD1(Z1)
+	CLOAD1(Z2)
+	CLOAD1(Z3)
+
+gemm4nloop:
+	BLOAD1
+	GEMMROW1((SI), Z0)
+	GEMMROW1((R11), Z1)
+	GEMMROW1((R12), Z2)
+	GEMMROW1((R13), Z3)
+	NEXTK4
+	JNZ gemm4nloop
+
+	CSTORE1(Z0)
+	CSTORE1(Z1)
+	CSTORE1(Z2)
+	CSTORE1(Z3)
+	VZEROUPPER
+	RET
+
+// func gemmStrip2AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
+//
+// The 2-row strip (Z0-Z3 per tile, Z0-Z1 for a last tile of up to 8
+// columns): GemmAcc runs it once on a remainder of 2 or 3 rows.
+TEXT ·gemmStrip2AVX512(SB), NOSPLIT, $0-73
+	STRIPSETUP
+
+gemm2tile:
+	TILESETUP
+	KORTESTW K2, K2
+	JZ       gemm2narrow
+	CLOAD2(Z0, Z1)
+	CLOAD2(Z2, Z3)
+
+gemm2loop:
+	BLOAD2
+	GEMMROW2((SI), Z0, Z1)
+	GEMMROW2((R11), Z2, Z3)
+	NEXTK2
+	JNZ gemm2loop
+
+	CSTORE2(Z0, Z1)
+	CSTORE2(Z2, Z3)
+	NEXTTILE(gemm2tile)
+	VZEROUPPER
+	RET
+
+gemm2narrow:
+	CLOAD1(Z0)
+	CLOAD1(Z1)
+
+gemm2nloop:
+	BLOAD1
+	GEMMROW1((SI), Z0)
+	GEMMROW1((R11), Z1)
+	NEXTK2
+	JNZ gemm2nloop
+
+	CSTORE1(Z0)
+	CSTORE1(Z1)
+	VZEROUPPER
+	RET
+
+// func gemmStrip1AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
+//
+// The 1-row strip (Z0-Z1 per tile, Z0 for a last tile of up to 8
+// columns): GemmAcc runs it on the last row of an odd row count.
+TEXT ·gemmStrip1AVX512(SB), NOSPLIT, $0-73
+	STRIPSETUP
+
+gemm1tile:
+	TILESETUP
+	KORTESTW K2, K2
+	JZ       gemm1narrow
+	CLOAD2(Z0, Z1)
+
+gemm1loop:
+	BLOAD2
+	GEMMROW2((SI), Z0, Z1)
+	NEXTK1
+	JNZ gemm1loop
+
+	CSTORE2(Z0, Z1)
+	NEXTTILE(gemm1tile)
+	VZEROUPPER
+	RET
+
+gemm1narrow:
+	CLOAD1(Z0)
+
+gemm1nloop:
+	BLOAD1
+	GEMMROW1((SI), Z0)
+	NEXTK1
+	JNZ gemm1nloop
+
+	CSTORE1(Z0)
 	VZEROUPPER
 	RET
 
@@ -1131,6 +1291,304 @@ bndxrow:
 	VZEROUPPER
 	RET
 
+// func softmaxShiftAVX512(x *float64, rows, cols int64)
+// The softmax of each column of x, whose rows are a batch's classes and
+// whose columns are its samples, begins here: per column, m starts at row
+// 0 and takes each later row's element when it is greater (VMAXPD keeps
+// its second operand, m, on a NaN and on equal zeros, as tensor.Max does),
+// then every element of the column becomes x - m.
+TEXT ·softmaxShiftAVX512(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), SI
+	MOVQ cols+16(FP), BX
+	MOVQ BX, R12
+	SHLQ $3, R12
+
+smshiftcol:
+	CHUNKMASK
+	VMOVUPD.Z (SI), K1, Z0
+	VMOVUPD.Z 64(SI), K2, Z1
+	MOVQ      rows+8(FP), R13
+	MOVQ      SI, DX
+	DECQ      R13
+	JZ        smshiftsub
+
+smshiftmax:
+	ADDQ      R12, DX
+	VMOVUPD.Z (DX), K1, Z2
+	VMOVUPD.Z 64(DX), K2, Z3
+	VMAXPD    Z0, Z2, Z0 // x > m ? x : m
+	VMAXPD    Z1, Z3, Z1
+	DECQ      R13
+	JNZ       smshiftmax
+
+smshiftsub:
+	MOVQ rows+8(FP), R13
+	MOVQ SI, DX
+
+smshiftrow:
+	VMOVUPD.Z (DX), K1, Z2
+	VMOVUPD.Z 64(DX), K2, Z3
+	VSUBPD    Z0, Z2, Z2 // x - m
+	VSUBPD    Z1, Z3, Z3
+	VMOVUPD   Z2, K1, (DX)
+	VMOVUPD   Z3, K2, 64(DX)
+	ADDQ      R12, DX
+	DECQ      R13
+	JNZ       smshiftrow
+	ADDQ      $128, SI
+	SUBQ      $16, BX
+	JG        smshiftcol
+	VZEROUPPER
+	RET
+
+// func softmaxScaleAVX512(x *float64, rows, cols int64)
+// The softmax of each column ends here, x holding its exps: per column, a
+// sum that starts at +0 and adds the rows in ascending order, inv = 1/sum,
+// then every element of the column becomes x*inv.
+TEXT ·softmaxScaleAVX512(SB), NOSPLIT, $0-24
+	MOVQ         x+0(FP), SI
+	MOVQ         cols+16(FP), BX
+	MOVQ         BX, R12
+	SHLQ         $3, R12
+	VBROADCASTSD one<>(SB), Z16
+
+smscalecol:
+	CHUNKMASK
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	MOVQ   rows+8(FP), R13
+	MOVQ   SI, DX
+
+smscalesum:
+	VMOVUPD.Z (DX), K1, Z2
+	VMOVUPD.Z 64(DX), K2, Z3
+	VADDPD    Z2, Z0, Z0 // sum + x
+	VADDPD    Z3, Z1, Z1
+	ADDQ      R12, DX
+	DECQ      R13
+	JNZ       smscalesum
+	VDIVPD    Z0, Z16, Z0 // inv = 1/sum
+	VDIVPD    Z1, Z16, Z1
+	MOVQ      rows+8(FP), R13
+	MOVQ      SI, DX
+
+smscalerow:
+	VMOVUPD.Z (DX), K1, Z2
+	VMOVUPD.Z 64(DX), K2, Z3
+	VMULPD    Z0, Z2, Z2 // x*inv
+	VMULPD    Z1, Z3, Z3
+	VMOVUPD   Z2, K1, (DX)
+	VMOVUPD   Z3, K2, 64(DX)
+	ADDQ      R12, DX
+	DECQ      R13
+	JNZ       smscalerow
+	ADDQ      $128, SI
+	SUBQ      $16, BX
+	JG        smscalecol
+	VZEROUPPER
+	RET
+
+// LANEMASK sets K1 to the lanes of the next 8 elements that exist, given
+// BX elements left: all 8 while BX ≥ 8. Clobbers AX and CX.
+#define LANEMASK \
+	MOVQ    BX, CX; \
+	MOVQ    $8, AX; \
+	CMPQ    CX, AX; \
+	CMOVQGT AX, CX; \
+	MOVQ    $1, AX; \
+	SHLQ    CX, AX; \
+	DECQ    AX; \
+	KMOVW   AX, K1
+
+// func divScalarAVX512(v *float64, d float64, n int64)
+// v[i] = v[i]/d, eight lanes at a time, the last block masked.
+TEXT ·divScalarAVX512(SB), NOSPLIT, $0-24
+	MOVQ         v+0(FP), DI
+	VBROADCASTSD d+8(FP), Z16
+	MOVQ         n+16(FP), BX
+
+divloop:
+	LANEMASK
+	VMOVUPD.Z (DI), K1, Z0
+	VDIVPD    Z16, Z0, Z0 // v/d
+	VMOVUPD   Z0, K1, (DI)
+	ADDQ      $64, DI
+	SUBQ      $8, BX
+	JG        divloop
+	VZEROUPPER
+	RET
+
+// func invSqrtAVX512(dst, v *float64, eps float64, n int64)
+// dst[i] = 1/sqrt(v[i]+eps): VSQRTPD and VDIVPD round correctly, as
+// math.Sqrt and the scalar division do.
+TEXT ·invSqrtAVX512(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         v+8(FP), SI
+	VBROADCASTSD eps+16(FP), Z16
+	VBROADCASTSD one<>(SB), Z17
+	MOVQ         n+24(FP), BX
+
+invsqrtloop:
+	LANEMASK
+	VMOVUPD.Z (SI), K1, Z0
+	VADDPD    Z16, Z0, Z0 // v + eps
+	VSQRTPD   Z0, Z0
+	VDIVPD    Z0, Z17, Z0 // 1/sqrt
+	VMOVUPD   Z0, K1, (DI)
+	ADDQ      $64, SI
+	ADDQ      $64, DI
+	SUBQ      $8, BX
+	JG        invsqrtloop
+	VZEROUPPER
+	RET
+
+// func bnRunStatsAVX512(runMean, runVar, inv, mean, sq *float64, m, mom, keep, eps float64, n int64)
+// Per channel: variance = sq/m; runMean = keep*runMean + mom*mean; runVar
+// = keep*runVar + mom*variance; inv = 1/sqrt(variance+eps), keep being
+// 1 - mom.
+TEXT ·bnRunStatsAVX512(SB), NOSPLIT, $0-80
+	MOVQ         runMean+0(FP), DI
+	MOVQ         runVar+8(FP), SI
+	MOVQ         inv+16(FP), DX
+	MOVQ         mean+24(FP), R8
+	MOVQ         sq+32(FP), R9
+	VBROADCASTSD m+40(FP), Z16
+	VBROADCASTSD mom+48(FP), Z17
+	VBROADCASTSD keep+56(FP), Z18
+	VBROADCASTSD eps+64(FP), Z19
+	VBROADCASTSD one<>(SB), Z20
+	MOVQ         n+72(FP), BX
+
+runstatsloop:
+	LANEMASK
+	VMOVUPD.Z (R9), K1, Z0
+	VDIVPD    Z16, Z0, Z0 // variance = sq/m
+	VMOVUPD.Z (DI), K1, Z1
+	VMULPD    Z1, Z18, Z1 // keep*runMean
+	VMOVUPD.Z (R8), K1, Z2
+	VMULPD    Z2, Z17, Z2 // mom*mean
+	VADDPD    Z2, Z1, Z1
+	VMOVUPD   Z1, K1, (DI)
+	VMOVUPD.Z (SI), K1, Z1
+	VMULPD    Z1, Z18, Z1 // keep*runVar
+	VMULPD    Z0, Z17, Z2 // mom*variance
+	VADDPD    Z2, Z1, Z1
+	VMOVUPD   Z1, K1, (SI)
+	VADDPD    Z19, Z0, Z0 // variance + eps
+	VSQRTPD   Z0, Z0
+	VDIVPD    Z0, Z20, Z0 // 1/sqrt
+	VMOVUPD   Z0, K1, (DX)
+	ADDQ      $64, DI
+	ADDQ      $64, SI
+	ADDQ      $64, DX
+	ADDQ      $64, R8
+	ADDQ      $64, R9
+	SUBQ      $8, BX
+	JG        runstatsloop
+	VZEROUPPER
+	RET
+
+// func bnBwdConstsAVX512(kg, sumD, sumDXmu, betaGrad, gammaGrad, gam, inv *float64, m float64, n int64)
+// Per channel, with gi = g*inv: betaGrad += sumD; gammaGrad += sumDXmu*inv;
+// kg = gi; sumD = (gi/m)*sumD; sumDXmu = (((gi*inv)*inv)/m)*sumDXmu.
+TEXT ·bnBwdConstsAVX512(SB), NOSPLIT, $0-72
+	MOVQ         kg+0(FP), DI
+	MOVQ         sumD+8(FP), SI
+	MOVQ         sumDXmu+16(FP), DX
+	MOVQ         betaGrad+24(FP), R8
+	MOVQ         gammaGrad+32(FP), R9
+	MOVQ         gam+40(FP), R10
+	MOVQ         inv+48(FP), R11
+	VBROADCASTSD m+56(FP), Z16
+	MOVQ         n+64(FP), BX
+	XORQ         R12, R12 // byte offset
+
+bnconstloop:
+	LANEMASK
+	VMOVUPD.Z (SI)(R12*1), K1, Z0  // sumD
+	VMOVUPD.Z (DX)(R12*1), K1, Z1  // sumDXmu
+	VMOVUPD.Z (R11)(R12*1), K1, Z2 // inv
+	VMOVUPD.Z (R8)(R12*1), K1, Z3
+	VADDPD    Z0, Z3, Z3 // betaGrad + sumD
+	VMOVUPD   Z3, K1, (R8)(R12*1)
+	VMULPD    Z2, Z1, Z3 // sumDXmu*inv
+	VMOVUPD.Z (R9)(R12*1), K1, Z4
+	VADDPD    Z3, Z4, Z4 // gammaGrad + sumDXmu*inv
+	VMOVUPD   Z4, K1, (R9)(R12*1)
+	VMOVUPD.Z (R10)(R12*1), K1, Z5
+	VMULPD    Z2, Z5, Z5 // gi = g*inv
+	VMOVUPD   Z5, K1, (DI)(R12*1)
+	VDIVPD    Z16, Z5, Z6 // gi/m
+	VMULPD    Z0, Z6, Z6  // (gi/m)*sumD
+	VMOVUPD   Z6, K1, (SI)(R12*1)
+	VMULPD    Z2, Z5, Z5  // gi*inv
+	VMULPD    Z2, Z5, Z5  // gi*inv*inv
+	VDIVPD    Z16, Z5, Z5 // /m
+	VMULPD    Z1, Z5, Z5  // *sumDXmu
+	VMOVUPD   Z5, K1, (DX)(R12*1)
+	ADDQ      $64, R12
+	SUBQ      $8, BX
+	JG        bnconstloop
+	VZEROUPPER
+	RET
+
+// func stepAVX512(w, grad, ref, corr, mom *float64, mu, nlr, a, b float64, terms, n int64)
+// SGDStep's terms over n elements, eight lanes at a time with the last
+// block masked: per element d = grad; with terms&1, d += mu*(w - ref);
+// with terms&2, d += corr; with terms&4, d = a*d + b*mom; then
+// w += nlr*d. grad is read, not written.
+TEXT ·stepAVX512(SB), NOSPLIT, $0-88
+	MOVQ         w+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         ref+16(FP), DX
+	MOVQ         corr+24(FP), R8
+	MOVQ         mom+32(FP), R9
+	VBROADCASTSD mu+40(FP), Z10
+	VBROADCASTSD nlr+48(FP), Z11
+	VBROADCASTSD a+56(FP), Z12
+	VBROADCASTSD b+64(FP), Z13
+	MOVQ         terms+72(FP), R10
+	MOVQ         n+80(FP), BX
+	XORQ         R11, R11 // byte offset
+
+step512loop:
+	LANEMASK
+	VMOVUPD.Z (SI)(R11*1), K1, Z0 // d = grad
+	VMOVUPD.Z (DI)(R11*1), K1, Z1 // w
+	TESTQ     $1, R10
+	JZ        step512corr
+	VMOVUPD.Z (DX)(R11*1), K1, Z2
+	VSUBPD    Z2, Z1, Z2 // w - ref
+	VMULPD    Z2, Z10, Z2 // mu*(w - ref)
+	VADDPD    Z2, Z0, Z0
+
+step512corr:
+	TESTQ     $2, R10
+	JZ        step512mom
+	VMOVUPD.Z (R8)(R11*1), K1, Z2
+	VADDPD    Z2, Z0, Z0 // d + corr
+
+step512mom:
+	TESTQ     $4, R10
+	JZ        step512w
+	VMULPD    Z0, Z12, Z0 // a*d
+	VMOVUPD.Z (R9)(R11*1), K1, Z2
+	VMULPD    Z2, Z13, Z2 // b*mom
+	VADDPD    Z2, Z0, Z0
+
+step512w:
+	VMULPD  Z0, Z11, Z0 // nlr*d
+	VADDPD  Z0, Z1, Z1  // w + nlr*d
+	VMOVUPD Z1, K1, (DI)(R11*1)
+	ADDQ    $64, R11
+	SUBQ    $8, BX
+	JG      step512loop
+	VZEROUPPER
+	RET
+
+DATA one<>+0(SB)/8, $1.0
+GLOBL one<>(SB), RODATA|NOPTR, $8
+
 // The exp kernel below is the one place in this package that fuses a
 // multiply with an add. It reproduces math.Exp on amd64, which takes its
 // FMA path (exp_amd64.s, after Shibata's SLEEF method) on every CPU that
@@ -1156,19 +1614,18 @@ DATA expconst<>+104(SB)/8, $-708.0
 DATA expconst<>+112(SB)/8, $1023
 GLOBL expconst<>(SB), RODATA|NOPTR, $120
 
-// func expRowAVX512(dst, x *float64, m float64, n int64) (ok bool)
+// func expRowAVX512(dst, x *float64, n int64) (ok bool)
 //
-// dst[i] = exp(x[i] - m) for i < n, eight lanes at a time with the last
-// block masked. Lane by lane it is math.Exp's FMA path with its special
-// cases left out: those are unreachable for d = x - m in [-708, 0], where
-// the scaled exponent stays in [-1021, 0] and the result is normal. ok is
-// false, and dst must be recomputed, if any d lies outside that range or
-// is NaN (the compares are unordered-true).
-TEXT ·expRowAVX512(SB), NOSPLIT, $0-33
+// dst[i] = exp(x[i]) for i < n, eight lanes at a time with the last block
+// masked. Lane by lane it is math.Exp's FMA path with its special cases
+// left out: those are unreachable for d = x in [-708, 0], where the scaled
+// exponent stays in [-1021, 0] and the result is normal. ok is false, and
+// dst must be recomputed, if any d lies outside that range or is NaN (the
+// compares are unordered-true).
+TEXT ·expRowAVX512(SB), NOSPLIT, $0-25
 	MOVQ         dst+0(FP), DI
 	MOVQ         x+8(FP), SI
-	VBROADCASTSD m+16(FP), Z31
-	MOVQ         n+24(FP), BX
+	MOVQ         n+16(FP), BX
 	VBROADCASTSD expconst<>+0(SB), Z16
 	VBROADCASTSD expconst<>+8(SB), Z17
 	VBROADCASTSD expconst<>+16(SB), Z18
@@ -1197,8 +1654,7 @@ exploop:
 	DECQ    AX
 	KMOVW   AX, K1
 
-	VMOVUPD.Z (SI), K1, Z0
-	VSUBPD    Z31, Z0, Z0          // d = x - m
+	VMOVUPD.Z (SI), K1, Z0         // d = x
 	VCMPPD    $0x19, Z29, Z0, K1, K2 // !(d >= -708)
 	KORW      K2, K3, K3
 	VCMPPD    $0x16, Z30, Z0, K1, K2 // !(d <= 0)
@@ -1245,6 +1701,6 @@ exploop:
 	JG   exploop
 
 	KORTESTW K3, K3
-	SETEQ    ok+32(FP)
+	SETEQ    ok+24(FP)
 	VZEROUPPER
 	RET

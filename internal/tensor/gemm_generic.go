@@ -17,11 +17,19 @@ func gemmKernel(dst []float64, ldc int, a []float64, lda, astep int, b []float64
 
 func gemmKernel4x4AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64) { panic("tensor: no AVX") }
 
-func gemmKernel4x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64, load bool) {
+func gemmStrip8AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool) {
 	panic("tensor: no AVX-512")
 }
 
-func gemmKernel8x16AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, cols int64, load bool) {
+func gemmStrip4AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool) {
+	panic("tensor: no AVX-512")
+}
+
+func gemmStrip2AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool) {
+	panic("tensor: no AVX-512")
+}
+
+func gemmStrip1AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool) {
 	panic("tensor: no AVX-512")
 }
 
@@ -73,4 +81,28 @@ func bnBwdDxAVX512(dx, dout, xmu, k1, k2, k3 *float64, rows, cols int64) {
 	panic("tensor: no AVX-512")
 }
 
-func expRowAVX512(dst, x *float64, m float64, n int64) bool { panic("tensor: no AVX-512") }
+func expRowAVX512(dst, x *float64, n int64) bool { panic("tensor: no AVX-512") }
+
+func softmaxShiftAVX512(x *float64, rows, cols int64) { panic("tensor: no AVX-512") }
+
+func softmaxScaleAVX512(x *float64, rows, cols int64) { panic("tensor: no AVX-512") }
+
+func divScalarAVX512(v *float64, d float64, n int64) { panic("tensor: no AVX-512") }
+
+func invSqrtAVX512(dst, v *float64, eps float64, n int64) { panic("tensor: no AVX-512") }
+
+func bnRunStatsAVX512(runMean, runVar, inv, mean, sq *float64, m, mom, keep, eps float64, n int64) {
+	panic("tensor: no AVX-512")
+}
+
+func bnBwdConstsAVX512(kg, sumD, sumDXmu, betaGrad, gammaGrad, gam, inv *float64, m float64, n int64) {
+	panic("tensor: no AVX-512")
+}
+
+func stepAVX512(w, grad, ref, corr, mom *float64, mu, nlr, a, b float64, terms, n int64) {
+	panic("tensor: no AVX-512")
+}
+
+func stepBlocksAVX(w, grad, ref, corr, mom *float64, mu, nlr, a, b float64, terms, blocks int64) {
+	panic("tensor: no AVX")
+}

@@ -56,7 +56,7 @@ var gemmShapes = [][3]int{
 // of 1–15 takes the masked tile); inner sizes 1, 27 and 144 are the
 // shortest sum and the conv layers' own. Each pair appears with the inner
 // size second (MatMul, MatMulBT) and first (MatMulAT), over 6 rows: one
-// 4-row strip plus two leftover rows for the padded strip.
+// 4-row strip plus two leftover rows (a 2-row strip on AVX-512 hosts).
 //
 // Then the leftover rows themselves: every remainder below, around and
 // far past one strip (50 is the preset batch) against the k×m of the MLP's
@@ -130,8 +130,8 @@ func TestMatMulATIntoMatchesReference(t *testing.T) {
 
 // TestGemmBlockAccumulatesIntoDst pins GemmAcc's own contract on shapes
 // with leftover rows: dst holds the caller's starting partial sums, and
-// each element continues from its own — through the padded strip too, for
-// both A addressings. The reference is the scalar loop from the same start.
+// each element continues from its own — in the leftover rows' strips too,
+// for both A addressings. The reference is the scalar loop from the same start.
 func TestGemmBlockAccumulatesIntoDst(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, s := range [][3]int{{3, 5, 7}, {6, 27, 36}, {50, 48, 64}, {51, 32, 10}, {7, 9, 31}} {

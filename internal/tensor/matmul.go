@@ -15,8 +15,8 @@ package tensor
 // are bit-identical and golden histories stay pinned. Each variant is one
 // GemmInto call on the calling goroutine (a run's parallelism is its
 // client pool, which already keeps every core busy): on AVX-512 hosts its
-// rows go 8 at a time, then at most one 4-row strip, and only a product's
-// last ≤ 3 rows take the padded tail strip (gemmTailRows).
+// rows go 8 at a time, then at most one strip each of 4, 2 and 1 rows, every
+// row computed where it lies.
 
 // matmulRange computes rows [lo, hi) of dst = A·B; dst rows must be zeroed.
 // Retained as the reference implementation the tiled path is tested

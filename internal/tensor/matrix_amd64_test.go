@@ -159,7 +159,8 @@ func TestMatrixKernelsMatchScalarBits(t *testing.T) {
 // 1–17 rows by 1–40 columns at k ∈ {0, 1, 7, 50}, for a row-major A and a
 // strided one (astep ≠ 1, the Aᵀ·B addressing), with ±0, ±Inf and NaN
 // among the inputs, at each dispatch arm the host has. The row counts run
-// every mix of 8-row strip, 4-row strip and padded tail. dst and B rows
+// every mix of 8-, 4-, 2- and 1-row strip (and, without AVX-512, of 4-row
+// strip and the in-place loop over the last 1–3 rows). dst and B rows
 // are wider than the product, and the columns past it must keep their
 // bits: a masked lane is neither read into a sum nor written. GemmInto is
 // held to the same sum from +0 with dst's product elements NaN and ±Inf
@@ -258,10 +259,9 @@ func TestPackTranspose(t *testing.T) {
 
 // TestExpRowMatchesMathExp holds the exp kernel to math.Exp bit for bit
 // over 2²⁰ inputs drawn across [-708, 0], the range's ends and zeros of
-// both signs, at every length whose last block is masked (1–7 lanes past
-// a multiple of 8), and with a non-zero shift m. Out-of-range, NaN and
-// infinite arguments must make it report false, and so must any row once
-// hasAVX512 is cleared.
+// both signs, and at every length whose last block is masked (1–7 lanes
+// past a multiple of 8). Out-of-range, NaN and infinite arguments must
+// make it report false, and so must any row once hasAVX512 is cleared.
 func TestExpRowMatchesMathExp(t *testing.T) {
 	if !hasAVX512 || !hasFMA {
 		t.Skip("the host lacks AVX-512 or FMA")
@@ -272,34 +272,29 @@ func TestExpRowMatchesMathExp(t *testing.T) {
 		x[i] = -708 * r.Float64()
 	}
 	copy(x, []float64{0, math.Copysign(0, -1), -708, -707.9999999999999, -1e-300, -0.5 * math.Ln2, -math.Ln2})
-	check := func(name string, x []float64, m float64) {
+	check := func(name string, x []float64) {
 		t.Helper()
 		got := make([]float64, len(x))
-		if !ExpRow(got, x, m) {
+		if !ExpRow(got, x) {
 			t.Fatalf("%s: ExpRow refused in-range input", name)
 		}
 		for i, v := range x {
-			if g, w := math.Float64bits(got[i]), math.Float64bits(math.Exp(v-m)); g != w {
-				t.Fatalf("%s: exp(%v - %v) = %v (bits %#x), want %v (bits %#x)", name, v, m, got[i], g, math.Exp(v-m), w)
+			if g, w := math.Float64bits(got[i]), math.Float64bits(math.Exp(v)); g != w {
+				t.Fatalf("%s: exp(%v) = %v (bits %#x), want %v (bits %#x)", name, v, got[i], g, math.Exp(v), w)
 			}
 		}
 	}
-	check("sweep", x, 0)
+	check("sweep", x)
 	for n := 1; n <= 23; n++ {
-		check(fmt.Sprintf("n=%d", n), x[len(x)-n:], 0)
+		check(fmt.Sprintf("n=%d", n), x[len(x)-n:])
 	}
-	shifted := make([]float64, 100)
-	for i := range shifted {
-		shifted[i] = 3.25 + x[i]
-	}
-	check("m=3.25", shifted, 3.25)
 
 	for _, bad := range []float64{-708.0000000000001, 1e-300, 1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, n := range []int{1, 5, 8, 13} {
 			row := make([]float64, n)
 			copy(row, x[:n])
 			row[n-1] = bad
-			if ExpRow(make([]float64, n), row, 0) {
+			if ExpRow(make([]float64, n), row) {
 				t.Fatalf("ExpRow accepted %v at lane %d of %d", bad, n-1, n)
 			}
 		}
@@ -307,7 +302,253 @@ func TestExpRowMatchesMathExp(t *testing.T) {
 
 	hasAVX512 = false
 	defer func() { hasAVX512 = true }()
-	if ExpRow(make([]float64, 8), x[:8], 0) {
+	if ExpRow(make([]float64, 8), x[:8]) {
 		t.Fatal("ExpRow ran its kernel with hasAVX512 cleared")
 	}
+}
+
+// TestSoftmaxRowsMatchesPerRow holds the batch softmax to the per-row code
+// the losses ran before it — Max, math.Exp(x − m) summed left to right,
+// 1/sum, one product per class — bit for bit, on every batch of 1–17 rows
+// by 1–20 classes, at each dispatch arm the host has. The rows mix in
+// zeros of both signs (so the maximum ties on ±0), NaN as a row's first
+// element and elsewhere, ±Inf, and spreads whose x − m falls below −708,
+// where the exp kernel gives up and math.Exp takes the whole batch. p is
+// written in place of x as well as beside it.
+func TestSoftmaxRowsMatchesPerRow(t *testing.T) {
+	forEachLevel(t, func(t *testing.T) {
+		// Finite rows keep the exp kernel's path open; a NaN or an infinity
+		// anywhere in the batch, or a spread of 1000, closes it.
+		finite, mixed := mixedValues(67, 1<<30), mixedValues(69, 40)
+		r := xrand.New(71)
+		for n := 1; n <= 17; n++ {
+			for C := 1; C <= 20; C++ {
+				for _, v := range []struct {
+					spread float64
+					value  func() float64
+				}{{1, finite}, {1, mixed}, {1000, finite}} {
+					spread := v.spread
+					x := make([]float64, n*C)
+					for i := range x {
+						x[i] = spread * v.value()
+					}
+					switch r.Intn(4) {
+					case 0: // a ±0 tie for the maximum
+						row := r.Intn(n) * C
+						for j := 0; j < C; j++ {
+							x[row+j] = -1 - float64(j)
+						}
+						x[row] = math.Copysign(0, -1)
+						x[row+r.Intn(C)] = 0
+					case 1: // NaN first in a row
+						x[r.Intn(n)*C] = math.NaN()
+					}
+					want := make([]float64, len(x))
+					for o := 0; o < len(x); o += C {
+						row := x[o : o+C]
+						m := row[0]
+						for _, v := range row[1:] {
+							if v > m {
+								m = v
+							}
+						}
+						sum := 0.0
+						for j, v := range row {
+							e := math.Exp(v - m)
+							want[o+j] = e
+							sum += e
+						}
+						inv := 1 / sum
+						for j := range row {
+							want[o+j] *= inv
+						}
+					}
+					shape := fmt.Sprintf("%dx%d spread=%v", n, C, spread)
+					got := make([]float64, len(x))
+					SoftmaxRows(got, x, C)
+					sameBits(t, "SoftmaxRows "+shape, got, want)
+					SoftmaxRows(x, x, C)
+					sameBits(t, "SoftmaxRows in place "+shape, x, want)
+				}
+			}
+		}
+	})
+}
+
+// TestSGDStepMatchesPasses holds the one-pass local step to the passes it
+// replaced — the prox loop, AddVec, Lerp, then Axpy(w, −lr, g) — bit for
+// bit, with every combination of the three optional terms, on every length
+// of 0–40 and a network's 5930, with ±0, ±Inf and NaN among the inputs, at
+// each dispatch arm the host has. g must keep its bits.
+func TestSGDStepMatchesPasses(t *testing.T) {
+	forEachLevel(t, func(t *testing.T) {
+		value := mixedValues(73, 50)
+		vec := func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = value()
+			}
+			return v
+		}
+		const mu, lr, alpha = 0.01, 0.05, 0.1
+		lengths := []int{5930}
+		for n := 0; n <= 40; n++ {
+			lengths = append(lengths, n)
+		}
+		for _, n := range lengths {
+			for terms := 0; terms < 8; terms++ {
+				w, g, ref, corr, mom := vec(n), vec(n), vec(n), vec(n), vec(n)
+				var st StepTerms
+				want, gref := CopyVec(w), CopyVec(g)
+				if terms&1 != 0 {
+					st.ProxMu, st.ProxRef = mu, ref
+					for j := range gref {
+						gref[j] += float64(mu * (w[j] - ref[j]))
+					}
+				}
+				if terms&2 != 0 {
+					st.Correction = corr
+					AddVec(gref, corr)
+				}
+				if terms&4 != 0 {
+					st.Alpha, st.Momentum = alpha, mom
+					Lerp(gref, alpha, gref, mom)
+				}
+				Axpy(want, -lr, gref)
+				g0 := CopyVec(g)
+				SGDStep(w, g, lr, st)
+				name := fmt.Sprintf("n=%d terms=%03b", n, terms)
+				sameBits(t, "SGDStep w "+name, w, want)
+				sameBits(t, "SGDStep g "+name, g, g0)
+			}
+		}
+	})
+}
+
+// TestGemmTailRowsInPlace holds the rows past the last 8-row strip — a
+// remainder of 1–7 rows, as the 4-, 2- and 1-row strips take it — to the
+// per-element scalar sum, bit for bit, for row-major A with padded rows and
+// for strided A, at each dispatch arm the host has. dst is wider and
+// longer than the product: the rows below it and the columns beside it
+// must keep their bits, so a tail reads and writes only its own rows, and
+// GemmInto's product elements start at NaN.
+func TestGemmTailRowsInPlace(t *testing.T) {
+	forEachLevel(t, func(t *testing.T) {
+		value := mixedValues(79, 300)
+		for _, n := range []int{1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 15, 49, 50, 51} {
+			for _, k := range []int{1, 5, 48} {
+				for _, m := range []int{1, 7, 8, 9, 10, 16, 17, 33, 64} {
+					for _, strided := range []bool{false, true} {
+						lda, astep := k+2, 1
+						if strided {
+							lda, astep = 1, n+1
+						}
+						ldb, ldc := m+1, m+3
+						a, b := make([]float64, (n+1)*(k+2)), make([]float64, k*ldb)
+						dst := make([]float64, (n+2)*ldc)
+						for _, v := range [][]float64{a, b, dst} {
+							for i := range v {
+								v[i] = value()
+							}
+						}
+						scalar := func(dst []float64, from func(float64) float64) []float64 {
+							want := CopyVec(dst)
+							for i := 0; i < n; i++ {
+								for j := 0; j < m; j++ {
+									c := from(want[i*ldc+j])
+									for p := 0; p < k; p++ {
+										c += float64(a[i*lda+p*astep] * b[p*ldb+j])
+									}
+									want[i*ldc+j] = c
+								}
+							}
+							return want
+						}
+						shape := fmt.Sprintf("n=%d k=%d m=%d strided=%v", n, k, m, strided)
+						want := scalar(dst, func(c float64) float64 { return c })
+						GemmAcc(dst, ldc, a, lda, astep, b, ldb, n, k, m)
+						sameBits(t, "GemmAcc "+shape, dst, want)
+
+						for i := 0; i < n; i++ {
+							Fill(dst[i*ldc:i*ldc+m], math.NaN())
+						}
+						want = scalar(dst, func(float64) float64 { return 0 })
+						GemmInto(dst, ldc, a, lda, astep, b, ldb, n, k, m)
+						sameBits(t, "GemmInto "+shape, dst, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestBatchNormChannelKernelsMatchScalarBits holds the per-channel steps
+// of a BatchNorm — the mean's division, the running-stat update with
+// 1/√(var+ε), 1/√(var+ε) alone, and the backward's gradient sums and dx
+// constants — to their scalar expressions, bit for bit, on 0–40 channels
+// with ±0, ±Inf and NaN among the inputs, at each dispatch arm the host
+// has.
+func TestBatchNormChannelKernelsMatchScalarBits(t *testing.T) {
+	forEachLevel(t, func(t *testing.T) {
+		value := mixedValues(83, 8)
+		vec := func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = math.Abs(value())
+			}
+			return v
+		}
+		const m, mom, eps = 50, 0.1, 1e-5
+		for C := 0; C <= 40; C++ {
+			mean, sq, rm, rv := vec(C), vec(C), vec(C), vec(C)
+			want := CopyVec(mean)
+			for c := range want {
+				want[c] /= m
+			}
+			DivScalar(mean, m)
+			sameBits(t, fmt.Sprintf("DivScalar C=%d", C), mean, want)
+
+			wrm, wrv, winv := CopyVec(rm), CopyVec(rv), make([]float64, C)
+			for c := 0; c < C; c++ {
+				variance := sq[c] / m
+				wrm[c] = float64((1-mom)*wrm[c]) + float64(mom*mean[c])
+				wrv[c] = float64((1-mom)*wrv[c]) + float64(mom*variance)
+				winv[c] = 1 / math.Sqrt(variance+eps)
+			}
+			inv := make([]float64, C)
+			BNRunStats(rm, rv, inv, mean, sq, m, mom, eps)
+			sameBits(t, fmt.Sprintf("BNRunStats runMean C=%d", C), rm, wrm)
+			sameBits(t, fmt.Sprintf("BNRunStats runVar C=%d", C), rv, wrv)
+			sameBits(t, fmt.Sprintf("BNRunStats inv C=%d", C), inv, winv)
+
+			for c := range winv {
+				winv[c] = 1 / math.Sqrt(rv[c]+eps)
+			}
+			InvSqrtInto(inv, rv, eps)
+			sameBits(t, fmt.Sprintf("InvSqrtInto C=%d", C), inv, winv)
+
+			sd, sdx, bg, gg, g := vec(C), vec(C), vec(C), vec(C), vec(C)
+			for _, v := range [][]float64{sd, sdx, bg, g} {
+				for c := range v {
+					v[c] = math.Copysign(v[c], value())
+				}
+			}
+			wkg, wsd, wsdx, wbg, wgg := make([]float64, C), CopyVec(sd), CopyVec(sdx), CopyVec(bg), CopyVec(gg)
+			for c := 0; c < C; c++ {
+				wbg[c] += wsd[c]
+				wgg[c] += float64(wsdx[c] * inv[c])
+				wkg[c] = g[c] * inv[c]
+				wsd[c] = g[c] * inv[c] / m * wsd[c]
+				wsdx[c] = g[c] * inv[c] * inv[c] * inv[c] / m * wsdx[c]
+			}
+			kg := make([]float64, C)
+			BNBwdConsts(kg, sd, sdx, bg, gg, g, inv, m)
+			name := fmt.Sprintf("BNBwdConsts C=%d", C)
+			sameBits(t, name+" kg", kg, wkg)
+			sameBits(t, name+" sumD", sd, wsd)
+			sameBits(t, name+" sumDXmu", sdx, wsdx)
+			sameBits(t, name+" betaGrad", bg, wbg)
+			sameBits(t, name+" gammaGrad", gg, wgg)
+		}
+	})
 }

@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Fused elementwise kernels for the activation and normalisation hot paths.
 // The 1-D batch norm (BNNormRows, BNSqDevRows, BNBwdSumsRows, BNBwdDxRows)
 // takes a whole n×C matrix per call, as do Dense.AddRowVec and
@@ -255,20 +257,162 @@ func BNBwdDxScalar(dx, dout, xmu []float64, k1, k2, k3 float64) {
 	}
 }
 
-// ExpRow writes dst[i] = math.Exp(x[i] - m) for every i and reports true,
-// or reports false, leaving dst unspecified, when its kernel cannot run:
-// the host lacks AVX-512 or FMA, or some x[i] - m is NaN or lies outside
+// ExpRow writes dst[i] = math.Exp(x[i]) for every i and reports true, or
+// reports false, leaving dst unspecified, when its kernel cannot run: the
+// host lacks AVX-512 or FMA, or some x[i] is NaN or lies outside
 // [-708, 0]. The kernel (gemm_amd64.s) is math.Exp's amd64 FMA path run
 // eight lanes at a time — the same constants and the same operations in
 // the same order — so every value it writes is math.Exp's, bit for bit
 // (TestExpRowMatchesMathExp). A caller recomputes dst with math.Exp on
-// false; softmax passes m = max(x).
-func ExpRow(dst, x []float64, m float64) bool {
+// false; SoftmaxRows passes each logit less its row's maximum.
+func ExpRow(dst, x []float64) bool {
 	if len(dst) != len(x) {
 		panic("tensor: ExpRow length mismatch")
 	}
 	if !hasAVX512 || !hasFMA || len(x) == 0 {
 		return false
 	}
-	return expRowAVX512(&dst[0], &x[0], m, int64(len(x)))
+	return expRowAVX512(&dst[0], &x[0], int64(len(x)))
+}
+
+// SoftmaxRows writes into p the softmax of each row of the row-major n×C
+// matrix x, C = cols; p may alias x. Per row, exactly the scalar recipe:
+//
+//	m := Max(row); e[j] = math.Exp(row[j] - m)
+//	sum := 0.0; sum += e[j] for j ascending; inv := 1/sum; p[j] = e[j]*inv
+//
+// With AVX-512 the batch's rows go in the lanes: x is transposed into a
+// pooled C×n panel, so a ZMM holds one class of eight rows and a walk down
+// the panel's rows visits each row's classes in order. Each lane's maximum
+// and sum are then the scalar chains, the subtraction, division and
+// product are one rounded operation each, and ExpRow (or math.Exp when it
+// gives up) runs once over the whole panel. The result is transposed back
+// into p. Elsewhere each row runs the recipe in Go.
+func SoftmaxRows(p, x []float64, cols int) {
+	if len(p) != len(x) {
+		panic("tensor: SoftmaxRows length mismatch")
+	}
+	n := rowsOf("SoftmaxRows", len(x), cols)
+	if n == 0 {
+		return
+	}
+	if !hasAVX512 {
+		for o := 0; o < len(x); o += cols {
+			softmaxRow(p[o:o+cols], x[o:o+cols])
+		}
+		return
+	}
+	panel := getPanel(2 * len(x))
+	d, e := (*panel)[:len(x)], (*panel)[len(x):]
+	TransposeInto(d, x, n, cols)
+	softmaxShiftAVX512(&d[0], int64(cols), int64(n))
+	if !ExpRow(e, d) {
+		for i, v := range d {
+			e[i] = math.Exp(v)
+		}
+	}
+	softmaxScaleAVX512(&e[0], int64(cols), int64(n))
+	TransposeInto(p, e, cols, n)
+	putPanel(panel)
+}
+
+// softmaxRow is SoftmaxRows' recipe on one row; p may alias z.
+func softmaxRow(p, z []float64) {
+	m := Max(z)
+	sum := 0.0
+	for i, v := range z {
+		e := math.Exp(v - m)
+		p[i] = e
+		sum += e
+	}
+	inv := 1 / sum
+	for i := range p {
+		p[i] *= inv
+	}
+}
+
+// DivScalar divides every element of v by d, each quotient rounded once:
+// the AVX-512 kernel's VDIVPD rounds as the scalar division does.
+func DivScalar(v []float64, d float64) {
+	if hasAVX512 && len(v) > 0 {
+		divScalarAVX512(&v[0], d, int64(len(v)))
+		return
+	}
+	for i := range v {
+		v[i] /= d
+	}
+}
+
+// InvSqrtInto writes dst[i] = 1/math.Sqrt(v[i]+eps): BatchNorm's inverse
+// standard deviation from its running variance. VSQRTPD and VDIVPD round
+// correctly, as math.Sqrt and the division do.
+func InvSqrtInto(dst, v []float64, eps float64) {
+	if len(dst) != len(v) {
+		panic("tensor: InvSqrtInto length mismatch")
+	}
+	if hasAVX512 && len(v) > 0 {
+		invSqrtAVX512(&dst[0], &v[0], eps, int64(len(v)))
+		return
+	}
+	for i, x := range v {
+		dst[i] = 1 / math.Sqrt(x+eps)
+	}
+}
+
+// BNRunStats is the per-channel tail of a training BatchNorm forward, for
+// m samples per channel, batch means mean and sums of squared deviations
+// sq. Per channel c, each product rounded on its own:
+//
+//	variance := sq[c] / m
+//	runMean[c] = (1-mom)*runMean[c] + mom*mean[c]
+//	runVar[c] = (1-mom)*runVar[c] + mom*variance
+//	inv[c] = 1 / math.Sqrt(variance+eps)
+//
+// With AVX-512 it is one masked pass, eight channels per ZMM.
+func BNRunStats(runMean, runVar, inv, mean, sq []float64, m, mom, eps float64) {
+	C := len(mean)
+	if len(runMean) != C || len(runVar) != C || len(inv) != C || len(sq) != C {
+		panic("tensor: BNRunStats length mismatch")
+	}
+	keep := 1 - mom
+	if hasAVX512 && C > 0 {
+		bnRunStatsAVX512(&runMean[0], &runVar[0], &inv[0], &mean[0], &sq[0], m, mom, keep, eps, int64(C))
+		return
+	}
+	for c := range mean {
+		variance := sq[c] / m
+		runMean[c] = float64(keep*runMean[c]) + float64(mom*mean[c])
+		runVar[c] = float64(keep*runVar[c]) + float64(mom*variance)
+		inv[c] = 1 / math.Sqrt(variance+eps)
+	}
+}
+
+// BNBwdConsts is the per-channel step of a BatchNorm backward between its
+// two batch passes, for m samples per channel. It adds the parameter
+// gradients and folds the dx constants, in place of the two sums, per
+// channel c, left to right with each operation rounded on its own:
+//
+//	betaGrad[c] += sumD[c]; gammaGrad[c] += sumDXmu[c]*inv[c]
+//	kg[c] = g[c]*inv[c]
+//	sumD[c] = g[c]*inv[c]/m*sumD[c]
+//	sumDXmu[c] = g[c]*inv[c]*inv[c]*inv[c]/m*sumDXmu[c]
+//
+// With AVX-512 it is one masked pass, eight channels per ZMM.
+func BNBwdConsts(kg, sumD, sumDXmu, betaGrad, gammaGrad, g, inv []float64, m float64) {
+	C := len(inv)
+	if len(kg) != C || len(sumD) != C || len(sumDXmu) != C || len(betaGrad) != C || len(gammaGrad) != C || len(g) != C {
+		panic("tensor: BNBwdConsts length mismatch")
+	}
+	if hasAVX512 && C > 0 {
+		bnBwdConstsAVX512(&kg[0], &sumD[0], &sumDXmu[0], &betaGrad[0], &gammaGrad[0], &g[0], &inv[0], m, int64(C))
+		return
+	}
+	for c, iv := range inv {
+		betaGrad[c] += sumD[c]
+		gammaGrad[c] += float64(sumDXmu[c] * iv)
+		gi := g[c] * iv
+		kg[c] = gi
+		sumD[c] = gi / m * sumD[c]
+		sumDXmu[c] = gi * iv * iv / m * sumDXmu[c]
+	}
 }

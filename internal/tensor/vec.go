@@ -72,8 +72,8 @@ func AddVec(dst, x []float64) {
 	}
 }
 
-// SubInto computes dst = x - y elementwise. The vector blocks run Lerp's
-// kernel with the weights 1 and -1: 1·x is x and (-1)·y is -y exactly,
+// SubInto computes dst = x - y elementwise. The vector blocks run the
+// lerp kernel (dst = a·x + b·y) with the weights 1 and -1: 1·x is x and (-1)·y is -y exactly,
 // and x + (-y) is x - y, so every element has the scalar difference's bits.
 func SubInto(dst, x, y []float64) {
 	if len(dst) != len(x) || len(dst) != len(y) {
@@ -90,23 +90,83 @@ func SubInto(dst, x, y []float64) {
 	}
 }
 
-// Lerp computes dst = a*x + (1-a)*y elementwise into dst, which may alias
-// x or y: each element is read before it is written.
-// This is exactly the momentum-mixing rule v = alpha*g + (1-alpha)*Delta.
-func Lerp(dst []float64, a float64, x, y []float64) {
-	if len(dst) != len(x) || len(dst) != len(y) {
-		panic("tensor: Lerp length mismatch")
+// StepTerms are the optional terms SGDStep adds to a gradient before it
+// steps. A nil vector leaves its term out.
+type StepTerms struct {
+	// ProxMu·(w − ProxRef) is FedProx's proximal gradient.
+	ProxMu  float64
+	ProxRef []float64
+	// Correction is added as it is (SCAFFOLD's c − c_i, FedDyn's −h_i).
+	Correction []float64
+	// Alpha·d + (1−Alpha)·Momentum mixes in a momentum direction.
+	Alpha    float64
+	Momentum []float64
+}
+
+// SGDStep moves w one step of size lr along g and the terms t, in one
+// pass. Per element, each product rounded on its own, in this order:
+//
+//	d := g[i]
+//	d += t.ProxMu * (w[i] - t.ProxRef[i])      (ProxRef != nil)
+//	d += t.Correction[i]                        (Correction != nil)
+//	d = t.Alpha*d + (1-t.Alpha)*t.Momentum[i]   (Momentum != nil)
+//	w[i] += -lr * d
+//
+// which is, bit for bit, what the separate passes over g — the prox loop,
+// AddVec, the momentum lerp g = Alpha·g + (1−Alpha)·Momentum — and then
+// Axpy(w, -lr, g) give. g is read, not written.
+// Like the other row kernels, the AVX blocks run the same operations four
+// elements at a time and a scalar loop takes the rest.
+func SGDStep(w, g []float64, lr float64, t StepTerms) {
+	n := len(w)
+	if len(g) != n || t.ProxRef != nil && len(t.ProxRef) != n ||
+		t.Correction != nil && len(t.Correction) != n || t.Momentum != nil && len(t.Momentum) != n {
+		panic("tensor: SGDStep length mismatch")
 	}
-	b := 1 - a
+	var terms int64
+	if t.ProxRef != nil {
+		terms |= 1
+	}
+	if t.Correction != nil {
+		terms |= 2
+	}
+	if t.Momentum != nil {
+		terms |= 4
+	}
+	nlr, a, b := -lr, t.Alpha, 1-t.Alpha
+	if hasAVX512 && n > 0 {
+		stepAVX512(&w[0], &g[0], first(t.ProxRef), first(t.Correction), first(t.Momentum),
+			t.ProxMu, nlr, a, b, terms, int64(n))
+		return
+	}
 	i := 0
-	if hasAVX && len(dst) >= simdMinLen {
-		blocks := len(dst) >> 2
-		lerpBlocksAVX(&dst[0], &x[0], &y[0], a, b, int64(blocks))
+	if hasAVX && n >= simdMinLen {
+		blocks := n >> 2
+		stepBlocksAVX(&w[0], &g[0], first(t.ProxRef), first(t.Correction), first(t.Momentum),
+			t.ProxMu, nlr, a, b, terms, int64(blocks))
 		i = blocks << 2
 	}
-	for ; i < len(dst); i++ {
-		dst[i] = float64(a*x[i]) + float64(b*y[i])
+	for ; i < n; i++ {
+		d := g[i]
+		if terms&1 != 0 {
+			d += float64(t.ProxMu * (w[i] - t.ProxRef[i]))
+		}
+		if terms&2 != 0 {
+			d += t.Correction[i]
+		}
+		if terms&4 != 0 {
+			d = float64(a*d) + float64(b*t.Momentum[i])
+		}
+		w[i] += float64(nlr * d)
 	}
+}
+
+// first returns &v[0], or nil for an empty v.
+func first(v []float64) *float64 {
+	if len(v) == 0 {
+		return nil
+	}
+	return &v[0]
 }
 
 // Dot returns the inner product of x and y.

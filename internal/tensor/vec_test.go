@@ -8,6 +8,26 @@ import (
 	"fedwcm/internal/xrand"
 )
 
+// Lerp computes dst = a*x + (1-a)*y elementwise into dst, which may alias
+// x or y: each element is read before it is written. It is the momentum
+// mix local SGD once ran as its own pass over the gradient, kept as the
+// reference SGDStep's momentum term is held to (TestSGDStepMatchesPasses).
+func Lerp(dst []float64, a float64, x, y []float64) {
+	if len(dst) != len(x) || len(dst) != len(y) {
+		panic("tensor: Lerp length mismatch")
+	}
+	b := 1 - a
+	i := 0
+	if hasAVX && len(dst) >= simdMinLen {
+		blocks := len(dst) >> 2
+		lerpBlocksAVX(&dst[0], &x[0], &y[0], a, b, int64(blocks))
+		i = blocks << 2
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = float64(a*x[i]) + float64(b*y[i])
+	}
+}
+
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestAxpy(t *testing.T) {
