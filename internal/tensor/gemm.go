@@ -111,21 +111,21 @@ func gemm(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb 
 // exist and its last tile is masked to the columns left (a masked lane is
 // neither read nor written).
 func gemmStripsAVX512(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, n, k, m int, load bool) {
-	c, l, s, kk, mm := int64(ldc), int64(lda), int64(astep), int64(k), int64(m)
+	c, l, s, lb, kk, mm := int64(ldc), int64(lda), int64(astep), int64(ldb), int64(k), int64(m)
 	i := 0
 	for ; n-i >= gemmMRWide; i += gemmMRWide {
-		gemmStrip8AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, int64(ldb), kk, mm, load)
+		gemmStrip8AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, lb, kk, mm, load)
 	}
 	if n-i >= 4 {
-		gemmStrip4AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, int64(ldb), kk, mm, load)
+		gemmStrip4AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, lb, kk, mm, load)
 		i += 4
 	}
 	if n-i >= 2 {
-		gemmStrip2AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, int64(ldb), kk, mm, load)
+		gemmStrip2AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, lb, kk, mm, load)
 		i += 2
 	}
 	if i < n {
-		gemmStrip1AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, int64(ldb), kk, mm, load)
+		gemmStrip1AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, lb, kk, mm, load)
 	}
 }
 

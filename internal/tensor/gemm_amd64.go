@@ -63,9 +63,6 @@ func bnRunStatsAVX512(runMean, runVar, inv, mean, sq *float64, m, mom, keep, eps
 func bnBwdConstsAVX512(kg, sumD, sumDXmu, betaGrad, gammaGrad, gam, inv *float64, m float64, n int64)
 
 //go:noescape
-func stepAVX512(w, grad, ref, corr, mom *float64, mu, nlr, a, b float64, terms, n int64)
-
-//go:noescape
 func stepBlocksAVX(w, grad, ref, corr, mom *float64, mu, nlr, a, b float64, terms, blocks int64)
 
 //go:noescape

@@ -1,4 +1,4 @@
-// AVX micro-kernels, and the AVX-512 GEMM tiles and whole-matrix kernels,
+// AVX micro-kernels, and the AVX-512 GEMM strips and whole-matrix kernels,
 // for the float64 hot paths. Every kernel preserves the per-element
 // operation order of its pure-Go counterpart (see gemm.go): multiplies and
 // adds are emitted as separate VMULPD/VADDPD so no FMA contraction changes
@@ -29,8 +29,9 @@
 	XORQ    R15, R15
 
 // TILESETUP starts the tile at column R15: the masks for the m-R15
-// columns left, BX, DI and AX at its dst columns, DX at its B columns, SI,
-// R11, R12 and R13 at A rows 0-3, CX = ldc in bytes and R10 = k.
+// columns left, BX = 4·lda in bytes, DI and AX at the tile's dst columns,
+// DX at its B columns, SI, R11, R12 and R13 at A rows 0-3, CX = ldc in
+// bytes and R10 = k.
 #define TILESETUP \
 	MOVQ  m+64(FP), BX; \
 	SUBQ  R15, BX; \
@@ -39,18 +40,18 @@
 	KANDW K2, K3, K5; \
 	MOVQ  R8, BX; \
 	SHLQ  $2, BX; \
-	MOVQ    ldc+24(FP), CX; \
-	SHLQ    $3, CX; \
-	MOVQ    dst+0(FP), DI; \
-	LEAQ    (DI)(R15*8), DI; \
-	MOVQ    DI, AX; \
-	MOVQ    b+16(FP), DX; \
-	LEAQ    (DX)(R15*8), DX; \
-	MOVQ    a+8(FP), SI; \
-	LEAQ    (SI)(R8*1), R11; \
-	LEAQ    (SI)(R8*2), R12; \
-	LEAQ    (R11)(R8*2), R13; \
-	MOVQ    k+56(FP), R10
+	MOVQ  ldc+24(FP), CX; \
+	SHLQ  $3, CX; \
+	MOVQ  dst+0(FP), DI; \
+	LEAQ  (DI)(R15*8), DI; \
+	MOVQ  DI, AX; \
+	MOVQ  b+16(FP), DX; \
+	LEAQ  (DX)(R15*8), DX; \
+	MOVQ  a+8(FP), SI; \
+	LEAQ  (SI)(R8*1), R11; \
+	LEAQ  (SI)(R8*2), R12; \
+	LEAQ  (R11)(R8*2), R13; \
+	MOVQ  k+56(FP), R10
 
 // NEXTTILE steps R15 to the next tile and jumps to label while columns
 // remain.
@@ -1529,60 +1530,6 @@ bnconstloop:
 	ADDQ      $64, R12
 	SUBQ      $8, BX
 	JG        bnconstloop
-	VZEROUPPER
-	RET
-
-// func stepAVX512(w, grad, ref, corr, mom *float64, mu, nlr, a, b float64, terms, n int64)
-// SGDStep's terms over n elements, eight lanes at a time with the last
-// block masked: per element d = grad; with terms&1, d += mu*(w - ref);
-// with terms&2, d += corr; with terms&4, d = a*d + b*mom; then
-// w += nlr*d. grad is read, not written.
-TEXT ·stepAVX512(SB), NOSPLIT, $0-88
-	MOVQ         w+0(FP), DI
-	MOVQ         grad+8(FP), SI
-	MOVQ         ref+16(FP), DX
-	MOVQ         corr+24(FP), R8
-	MOVQ         mom+32(FP), R9
-	VBROADCASTSD mu+40(FP), Z10
-	VBROADCASTSD nlr+48(FP), Z11
-	VBROADCASTSD a+56(FP), Z12
-	VBROADCASTSD b+64(FP), Z13
-	MOVQ         terms+72(FP), R10
-	MOVQ         n+80(FP), BX
-	XORQ         R11, R11 // byte offset
-
-step512loop:
-	LANEMASK
-	VMOVUPD.Z (SI)(R11*1), K1, Z0 // d = grad
-	VMOVUPD.Z (DI)(R11*1), K1, Z1 // w
-	TESTQ     $1, R10
-	JZ        step512corr
-	VMOVUPD.Z (DX)(R11*1), K1, Z2
-	VSUBPD    Z2, Z1, Z2 // w - ref
-	VMULPD    Z2, Z10, Z2 // mu*(w - ref)
-	VADDPD    Z2, Z0, Z0
-
-step512corr:
-	TESTQ     $2, R10
-	JZ        step512mom
-	VMOVUPD.Z (R8)(R11*1), K1, Z2
-	VADDPD    Z2, Z0, Z0 // d + corr
-
-step512mom:
-	TESTQ     $4, R10
-	JZ        step512w
-	VMULPD    Z0, Z12, Z0 // a*d
-	VMOVUPD.Z (R9)(R11*1), K1, Z2
-	VMULPD    Z2, Z13, Z2 // b*mom
-	VADDPD    Z2, Z0, Z0
-
-step512w:
-	VMULPD  Z0, Z11, Z0 // nlr*d
-	VADDPD  Z0, Z1, Z1  // w + nlr*d
-	VMOVUPD Z1, K1, (DI)(R11*1)
-	ADDQ    $64, R11
-	SUBQ    $8, BX
-	JG      step512loop
 	VZEROUPPER
 	RET
 

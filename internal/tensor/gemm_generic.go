@@ -99,10 +99,6 @@ func bnBwdConstsAVX512(kg, sumD, sumDXmu, betaGrad, gammaGrad, gam, inv *float64
 	panic("tensor: no AVX-512")
 }
 
-func stepAVX512(w, grad, ref, corr, mom *float64, mu, nlr, a, b float64, terms, n int64) {
-	panic("tensor: no AVX-512")
-}
-
 func stepBlocksAVX(w, grad, ref, corr, mom *float64, mu, nlr, a, b float64, terms, blocks int64) {
 	panic("tensor: no AVX")
 }

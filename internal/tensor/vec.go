@@ -134,11 +134,6 @@ func SGDStep(w, g []float64, lr float64, t StepTerms) {
 		terms |= 4
 	}
 	nlr, a, b := -lr, t.Alpha, 1-t.Alpha
-	if hasAVX512 && n > 0 {
-		stepAVX512(&w[0], &g[0], first(t.ProxRef), first(t.Correction), first(t.Momentum),
-			t.ProxMu, nlr, a, b, terms, int64(n))
-		return
-	}
 	i := 0
 	if hasAVX && n >= simdMinLen {
 		blocks := n >> 2
