@@ -374,10 +374,11 @@ lerploop:
 	RET
 
 // func stepBlocksAVX(w, grad, ref, corr, mom *float64, mu, nlr, a, b float64, terms, blocks int64)
-// One local-SGD step over blocks×4 elements. Per element d = grad; with
-// terms&1, d += mu*(w - ref); with terms&2, d += corr; with terms&4, d =
-// a*d + b*mom; then w += nlr*d. grad is read, not written. Each block tests
-// the terms again; the branches go the same way on every block.
+// One local-SGD step over blocks×8 elements, two YMM of four at a time.
+// Per element d = grad; with terms&1, d += mu*(w - ref); with terms&2,
+// d += corr; with terms&4, d = a*d + b*mom; then w += nlr*d. grad is read,
+// not written. Each iteration tests the terms again; the branches go the
+// same way every time, and two YMM per test halve what they cost.
 TEXT ·stepBlocksAVX(SB), NOSPLIT, $0-88
 	MOVQ         w+0(FP), DI
 	MOVQ         grad+8(FP), SI
@@ -393,31 +394,43 @@ TEXT ·stepBlocksAVX(SB), NOSPLIT, $0-88
 	XORQ         AX, AX // byte offset
 
 steploop:
-	VMOVUPD (SI)(AX*1), Y0 // d = g
-	VMOVUPD (DI)(AX*1), Y1 // w
+	VMOVUPD (SI)(AX*1), Y0   // d = grad
+	VMOVUPD 32(SI)(AX*1), Y4
+	VMOVUPD (DI)(AX*1), Y1   // w
+	VMOVUPD 32(DI)(AX*1), Y5
 	TESTQ   $1, BX
 	JZ      stepcorr
 	VSUBPD  (DX)(AX*1), Y1, Y2 // w - ref
+	VSUBPD  32(DX)(AX*1), Y5, Y6
 	VMULPD  Y2, Y10, Y2        // mu*(w - ref)
+	VMULPD  Y6, Y10, Y6
 	VADDPD  Y2, Y0, Y0
+	VADDPD  Y6, Y4, Y4
 
 stepcorr:
 	TESTQ  $2, BX
 	JZ     stepmom
 	VADDPD (R8)(AX*1), Y0, Y0 // d + corr
+	VADDPD 32(R8)(AX*1), Y4, Y4
 
 stepmom:
 	TESTQ  $4, BX
 	JZ     stepw
-	VMULPD Y0, Y12, Y0        // a*d
+	VMULPD Y0, Y12, Y0         // a*d
+	VMULPD Y4, Y12, Y4
 	VMULPD (R9)(AX*1), Y13, Y2 // b*mom
+	VMULPD 32(R9)(AX*1), Y13, Y6
 	VADDPD Y2, Y0, Y0
+	VADDPD Y6, Y4, Y4
 
 stepw:
 	VMULPD  Y0, Y11, Y0 // nlr*d
+	VMULPD  Y4, Y11, Y4
 	VADDPD  Y0, Y1, Y1  // w + nlr*d
+	VADDPD  Y4, Y5, Y5
 	VMOVUPD Y1, (DI)(AX*1)
-	ADDQ    $32, AX
+	VMOVUPD Y5, 32(DI)(AX*1)
+	ADDQ    $64, AX
 	DECQ    CX
 	JNZ     steploop
 	VZEROUPPER

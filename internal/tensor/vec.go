@@ -115,7 +115,7 @@ type StepTerms struct {
 // which is, bit for bit, what the separate passes over g — the prox loop,
 // AddVec, the momentum lerp g = Alpha·g + (1−Alpha)·Momentum — and then
 // Axpy(w, -lr, g) give. g is read, not written.
-// Like the other row kernels, the AVX blocks run the same operations four
+// Like the other row kernels, the AVX blocks run the same operations eight
 // elements at a time and a scalar loop takes the rest.
 func SGDStep(w, g []float64, lr float64, t StepTerms) {
 	n := len(w)
@@ -133,13 +133,19 @@ func SGDStep(w, g []float64, lr float64, t StepTerms) {
 	if t.Momentum != nil {
 		terms |= 4
 	}
+	if terms == 0 {
+		// The step alone is Axpy's expression; its kernel does not test
+		// for terms, which costs SGDStep's a taken branch per term per block.
+		Axpy(w, -lr, g)
+		return
+	}
 	nlr, a, b := -lr, t.Alpha, 1-t.Alpha
 	i := 0
 	if hasAVX && n >= simdMinLen {
-		blocks := n >> 2
+		blocks := n >> 3
 		stepBlocksAVX(&w[0], &g[0], first(t.ProxRef), first(t.Correction), first(t.Momentum),
 			t.ProxMu, nlr, a, b, terms, int64(blocks))
-		i = blocks << 2
+		i = blocks << 3
 	}
 	for ; i < n; i++ {
 		d := g[i]
