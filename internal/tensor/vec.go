@@ -72,9 +72,10 @@ func AddVec(dst, x []float64) {
 	}
 }
 
-// SubInto computes dst = x - y elementwise. The vector blocks run the
-// lerp kernel (dst = a·x + b·y) with the weights 1 and -1: 1·x is x and (-1)·y is -y exactly,
-// and x + (-y) is x - y, so every element has the scalar difference's bits.
+// SubInto computes dst = x - y elementwise. The vector blocks run the lerp
+// kernel (dst = a·x + b·y) with the weights 1 and -1: 1·x is x and (-1)·y
+// is -y exactly, and x + (-y) is x - y, so every element has the scalar
+// difference's bits.
 func SubInto(dst, x, y []float64) {
 	if len(dst) != len(x) || len(dst) != len(y) {
 		panic("tensor: SubInto length mismatch")
@@ -134,8 +135,8 @@ func SGDStep(w, g []float64, lr float64, t StepTerms) {
 		terms |= 4
 	}
 	if terms == 0 {
-		// The step alone is Axpy's expression; its kernel does not test
-		// for terms, which costs SGDStep's a taken branch per term per block.
+		// The step alone is Axpy's expression, and Axpy's kernel skips
+		// the term tests, each a taken branch per block in stepBlocksAVX.
 		Axpy(w, -lr, g)
 		return
 	}
