@@ -15,32 +15,43 @@ import (
 
 // averaging is every method whose client step is local SGD under fixed
 // options and whose server step is one weighted average of the client
-// deltas: FedAvg, FedProx, FedSAM, FedSpeed, BalanceFL, FedDyn and FedSMOO.
-// Each is one factories row; none has an AggregateAsync, so under async
-// they all take the engine's fallback.
+// deltas: FedAvg, FedProx, FedSAM, FedSpeed, BalanceFL, FedDyn and FedSMOO,
+// and, with alpha set, the client-momentum rows FedCM (with its focal,
+// balance-loss and balance-sampler variants) and MoFedSAM. Each is one
+// factories row. Only the fedcm* rows, wrapped in fedcm, have an
+// AggregateAsync; under async the rest take the engine's fallback.
 type averaging struct {
 	name string
 	opts fl.LocalOpts // the method's fixed local options
 	// uniform averages with equal weights instead of sample-size weights.
 	uniform bool
+	// alpha, when nonzero, mixes the server's last aggregate direction Δ_r
+	// into every local step, v = α·g + (1−α)·Δ_r (FedCM's client-level
+	// momentum, Xu et al. 2021), and refreshes Δ_r from each aggregation.
+	alpha float64
 	// dyn keeps FedDyn's per-client correction h_k: the local gradient
 	// gets −h_k, then h_k += opts.ProxMu·Δ_k (FedDyn-lite; see DESIGN.md).
 	dyn bool
 	// lossFor, when set, builds each client's loss once at Init.
 	lossFor func(*fl.Client) loss.Loss
 
-	env    *fl.Env
+	// serverMomentum holds env and the weight buffer for every row, and
+	// Δ_r only for a row with alpha.
+	serverMomentum
 	h      [][]float64 // h_k per client, when dyn
 	losses []loss.Loss
-	wbuf   []float64 // reusable per-round weight vector
 }
 
 // Name implements fl.Method.
 func (m *averaging) Name() string { return m.name }
 
-// Init implements fl.Method.
+// Init implements fl.Method. A row without alpha allocates no Δ_r.
 func (m *averaging) Init(env *fl.Env, dim int) {
-	m.env = env
+	momDim := 0
+	if m.alpha != 0 {
+		momDim = dim
+	}
+	m.serverMomentum.init(env, momDim)
 	if m.dyn {
 		m.h = make([][]float64, len(env.Clients))
 		for k := range m.h {
@@ -48,7 +59,6 @@ func (m *averaging) Init(env *fl.Env, dim int) {
 		}
 	}
 	m.losses = clientLosses(env, m.lossFor)
-	m.wbuf = make([]float64, 0, env.Cfg.SampleClients)
 }
 
 // LocalTrain implements fl.Method. A client trains at most once per round,
@@ -56,6 +66,10 @@ func (m *averaging) Init(env *fl.Env, dim int) {
 func (m *averaging) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
 	k := ctx.Client.ID
 	opts := m.opts
+	if m.alpha != 0 {
+		mix := m.localOpts(m.alpha)
+		opts.Alpha, opts.Momentum = mix.Alpha, mix.Momentum
+	}
 	if m.losses != nil {
 		opts.Loss = m.losses[k]
 	}
@@ -80,7 +94,34 @@ func (m *averaging) Aggregate(round int, global []float64, results []*fl.ClientR
 	} else {
 		m.wbuf = fl.SizeWeightsInto(m.wbuf, results)
 	}
+	if m.alpha != 0 {
+		m.step(global, results, m.wbuf)
+		return
+	}
 	fl.WeightedDeltaInto(global, m.env.Cfg.EtaG, results, m.wbuf)
+}
+
+// fedcm is a FedCM row (Xu et al. 2021): averaging with uniform weights and
+// alpha, plus AggregateAsync. It is a type apart from averaging only so that
+// MoFedSAM, the one other row with alpha, keeps the engine's async fallback:
+// the K = 3 async goldens pin which path each takes.
+type fedcm struct{ averaging }
+
+// NewFedCM returns FedCM with mixing coefficient alpha (the paper uses 0.1);
+// alpha = 0 would be the no-momentum row, uniformly weighted FedAvg.
+func NewFedCM(alpha float64) fl.Method {
+	return &fedcm{averaging{name: "fedcm", alpha: alpha, uniform: true}}
+}
+
+// AggregateAsync implements fl.AsyncAggregator: FedCM's base weights are
+// uniform, so composing them with the staleness discounts and renormalising
+// is the engine's convex info.Weights itself. Both the server step and the
+// momentum refresh stay convex combinations in which stale updates count
+// less (staleness-corrected momentum); with unit discounts the weights are
+// exactly 1/n and this is Aggregate bit for bit, which the degenerate-case
+// goldens rely on.
+func (m *fedcm) AggregateAsync(info *fl.AsyncInfo, global []float64, results []*fl.ClientResult) {
+	m.step(global, results, info.Weights)
 }
 
 // clientLosses builds lossFor once per client (nil when lossFor is): a

@@ -272,20 +272,35 @@ func TestFedGraBGainsTrackImbalance(t *testing.T) {
 }
 
 func TestFedCMVariantsApplyConfiguredLoss(t *testing.T) {
-	focal := NewFedCMFocal(0.1, 2)
-	if focal.LossFor == nil || focal.Name() != "fedcm+focal" {
+	row := func(name string) *averaging {
+		t.Helper()
+		m, ok := mustNew(t, name).(*fedcm)
+		if !ok || m.Name() != name || m.alpha != 0.1 || !m.uniform {
+			t.Fatalf("%s is not a uniform FedCM row with α = 0.1", name)
+		}
+		return &m.averaging
+	}
+	focal := row("fedcm+focal")
+	if focal.lossFor == nil {
 		t.Fatal("focal variant misconfigured")
 	}
-	if _, ok := focal.LossFor(&fl.Client{ClassCounts: []int{1, 1}}).(loss.Focal); !ok {
+	if _, ok := focal.lossFor(&fl.Client{ClassCounts: []int{1, 1}}).(loss.Focal); !ok {
 		t.Fatal("focal variant should build Focal loss")
 	}
-	bl := NewFedCMBalanceLoss(0.1, 1)
-	if _, ok := bl.LossFor(&fl.Client{ClassCounts: []int{5, 1}}).(*loss.PriorCE); !ok {
+	bl := row("fedcm+balanceloss")
+	if _, ok := bl.lossFor(&fl.Client{ClassCounts: []int{5, 1}}).(*loss.PriorCE); !ok {
 		t.Fatal("balance-loss variant should build PriorCE")
 	}
-	bs := NewFedCMBalanceSampler(0.1)
-	if !bs.Balanced {
+	if !row("fedcm+balancesampler").opts.Balanced {
 		t.Fatal("balance-sampler variant should enable balanced sampling")
+	}
+	for _, name := range []string{"fedcm", "fedcm+focal", "fedcm+balanceloss", "fedcm+balancesampler"} {
+		if _, ok := mustNew(t, name).(fl.AsyncAggregator); !ok {
+			t.Errorf("%s should aggregate async updates itself", name)
+		}
+	}
+	if _, ok := mustNew(t, "mofedsam").(fl.AsyncAggregator); ok {
+		t.Error("mofedsam should take the engine's async fallback")
 	}
 }
 

@@ -5,25 +5,29 @@ import (
 	"sort"
 
 	"fedwcm/internal/fl"
+	"fedwcm/internal/loss"
 )
 
 // factories maps method names to constructors with the hyperparameters used
 // throughout the evaluation (α = 0.1 as in the paper; SAM ρ and proximal μ
 // set to the usual literature defaults). The averaging rows are the plain
-// baselines: a fixed set of local options, a choice of weights, and
-// optionally FedDyn's client correction or a per-client loss.
+// baselines and the client-momentum rows: a fixed set of local options, a
+// choice of weights, and optionally FedCM's α, FedDyn's client correction or
+// a per-client loss.
 var factories = map[string]func() fl.Method{
 	"fedavg":  func() fl.Method { return &averaging{name: "fedavg"} },
 	"fedavgm": func() fl.Method { return NewFedAvgM(0.9) },
 	"fedcm":   func() fl.Method { return NewFedCM(0.1) },
 	"fedcm+focal": func() fl.Method {
-		return NewFedCMFocal(0.1, 2)
+		return &fedcm{averaging{name: "fedcm+focal", alpha: 0.1, uniform: true,
+			lossFor: func(*fl.Client) loss.Loss { return loss.Focal{Gamma: 2} }}}
 	},
 	"fedcm+balanceloss": func() fl.Method {
-		return NewFedCMBalanceLoss(0.1, 1)
+		return &fedcm{averaging{name: "fedcm+balanceloss", alpha: 0.1, uniform: true, lossFor: priorCE(1)}}
 	},
 	"fedcm+balancesampler": func() fl.Method {
-		return NewFedCMBalanceSampler(0.1)
+		return &fedcm{averaging{name: "fedcm+balancesampler", alpha: 0.1, uniform: true,
+			opts: fl.LocalOpts{Balanced: true}}}
 	},
 	"fedwcm": func() fl.Method { return NewFedWCM(DefaultWCMOptions()) },
 	"fedwcm-x": func() fl.Method {
@@ -56,9 +60,11 @@ var factories = map[string]func() fl.Method{
 	"balancefl": func() fl.Method {
 		return &averaging{name: "balancefl", opts: fl.LocalOpts{Balanced: true}, lossFor: priorCE(0.5)}
 	},
-	"fedgrab":  func() fl.Method { return NewFedGraB(0.5) },
-	"fedsam":   func() fl.Method { return &averaging{name: "fedsam", opts: fl.LocalOpts{SAMRho: 0.05}} },
-	"mofedsam": func() fl.Method { return NewMoFedSAM(0.1, 0.05) },
+	"fedgrab": func() fl.Method { return NewFedGraB(0.5) },
+	"fedsam":  func() fl.Method { return &averaging{name: "fedsam", opts: fl.LocalOpts{SAMRho: 0.05}} },
+	"mofedsam": func() fl.Method {
+		return &averaging{name: "mofedsam", alpha: 0.1, opts: fl.LocalOpts{SAMRho: 0.05}, uniform: true}
+	},
 	"fedlesam": func() fl.Method { return NewFedLESAM(0.05) },
 	"fedsmoo": func() fl.Method {
 		return &averaging{name: "fedsmoo", opts: fl.LocalOpts{SAMRho: 0.05, ProxMu: 0.01}, uniform: true, dyn: true}

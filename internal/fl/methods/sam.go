@@ -5,35 +5,6 @@ import (
 	"fedwcm/internal/tensor"
 )
 
-// MoFedSAM combines FedSAM's local perturbation with FedCM's client-level
-// momentum mixing.
-type MoFedSAM struct {
-	Alpha, Rho float64
-	serverMomentum
-}
-
-// NewMoFedSAM returns MoFedSAM.
-func NewMoFedSAM(alpha, rho float64) *MoFedSAM { return &MoFedSAM{Alpha: alpha, Rho: rho} }
-
-// Name implements fl.Method.
-func (m *MoFedSAM) Name() string { return "mofedsam" }
-
-// Init implements fl.Method.
-func (m *MoFedSAM) Init(env *fl.Env, dim int) { m.serverMomentum.init(env, dim) }
-
-// LocalTrain implements fl.Method.
-func (m *MoFedSAM) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
-	opts := m.localOpts(m.Alpha)
-	opts.SAMRho = m.Rho
-	return fl.RunLocalSGD(ctx, opts)
-}
-
-// Aggregate implements fl.Method.
-func (m *MoFedSAM) Aggregate(round int, global []float64, results []*fl.ClientResult) {
-	m.wbuf = fl.UniformWeightsInto(m.wbuf, len(results))
-	m.step(global, results, m.wbuf)
-}
-
 // FedLESAM perturbs along a *globally estimated* direction — the previous
 // round's aggregate update — instead of the local batch gradient, saving
 // one backward pass per step (simplified FedLESAM).

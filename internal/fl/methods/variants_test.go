@@ -61,9 +61,40 @@ func TestMoFedSAMDiffersFromFedSAM(t *testing.T) {
 		return fl.Run(env, m).FinalAcc()
 	}
 	sam := mk(mustNew(t, "fedsam"))
-	mo := mk(NewMoFedSAM(0.1, 0.05))
+	mo := mk(mustNew(t, "mofedsam"))
 	if sam == mo {
 		t.Fatal("momentum should change the SAM trajectory")
+	}
+}
+
+// TestOnlyAlphaRowsKeepMomentum holds the averaging rows' memory contract:
+// a row with alpha keeps one Δ_r the size of the model, and a row without
+// it (FedAvg and the other plain baselines) allocates none.
+func TestOnlyAlphaRowsKeepMomentum(t *testing.T) {
+	env := easyEnv(117, quickCfg(117, 1), 3, 4, 1, 1)
+	const dim = 50
+	rows := 0
+	for _, name := range Names() {
+		var m *averaging
+		switch v := mustNew(t, name).(type) {
+		case *averaging:
+			m = v
+		case *fedcm:
+			m = &v.averaging
+		default:
+			continue
+		}
+		rows++
+		m.Init(env, dim)
+		if m.alpha != 0 && len(m.momentum) != dim {
+			t.Errorf("%s: Δ_r has %d entries, want %d", name, len(m.momentum), dim)
+		}
+		if m.alpha == 0 && cap(m.momentum) != 0 {
+			t.Errorf("%s has no alpha but allocated a %d-entry Δ_r", name, cap(m.momentum))
+		}
+	}
+	if rows != 12 {
+		t.Errorf("%d averaging rows, want 12", rows)
 	}
 }
 

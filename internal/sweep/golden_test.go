@@ -302,6 +302,40 @@ func TestFedAvgMZeroBetaIsFedAvg(t *testing.T) {
 	}
 }
 
+// TestFedCMUnitAlphaIsFedAvg is the client-momentum identity: at α = 1 every
+// local step is v = 1·g + 0·Δ_r = g, and FedCM's server step is the same
+// weighted average as FedAvg's, so FedCM(α = 1) follows FedAvg's golden
+// trajectory bit for bit — the weights too, so even the train loss matches.
+// It holds on goldenSpec's `equal` partition only, where every client holds
+// the same count and FedCM's uniform weights are FedAvg's sample-size
+// weights; on the `fedgrab` partition the two weightings differ and so do
+// the histories.
+func TestFedCMUnitAlphaIsFedAvg(t *testing.T) {
+	run := func(m fl.Method) *fl.History {
+		env, err := goldenSpec("fedavg").BuildEnv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fl.Run(env, m)
+	}
+	fedavg, err := methods.New("fedavg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg, cm := run(fedavg), run(methods.NewFedCM(1))
+	if got := historyHash(t, avg); got != goldenHistories["fedavg"] {
+		t.Fatalf("the FedAvg side is not the golden trajectory: %s", got)
+	}
+	if len(cm.Stats) != len(avg.Stats) {
+		t.Fatalf("FedCM(α=1) has %d rounds, FedAvg %d", len(cm.Stats), len(avg.Stats))
+	}
+	for i := range avg.Stats {
+		if ja, jb := mustJSON(t, avg.Stats[i]), mustJSON(t, cm.Stats[i]); ja != jb {
+			t.Errorf("round %d: FedCM(α=1) differs from FedAvg:\n %s\n %s", avg.Stats[i].Round, jb, ja)
+		}
+	}
+}
+
 func mustJSON(t *testing.T, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)
