@@ -247,6 +247,28 @@ func goldenCNNSpec(method string) RunSpec {
 var goldenCNNHistories = map[string]string{
 	"fedavg": "f30a529ab23ed21d5d13a7eaed6c6db37013b1630bb6673f602642386f725c14",
 	"fedwcm": "ded0c1bb62e70e04dc88df0b4bb53fd712909d615d8549dcb15914d1d17c950b",
+	// Recorded later, on the commit before Conv2D read its shifted taps
+	// through a B-row table and added its products into dx and dW on store.
+	"fedcm": "8457406c67c7ab0c37260ba17806743061ce2b5934075b2a9ba6ebec313a5be9",
+}
+
+// goldenCNNFedgrabSpec is goldenCNNSpec on the quantity-skewed partition
+// with batches of 16: its clients hold 12, 65, 65 and 84 samples, so the
+// backward reduction meets halves of 8, 6, 2 and 1 samples and a batch
+// with no second half.
+func goldenCNNFedgrabSpec(method string) RunSpec {
+	spec := goldenCNNSpec(method)
+	spec.Partition = "fedgrab"
+	spec.Cfg.BatchSize = 16
+	return spec
+}
+
+// goldenCNNFedgrabHistories pins goldenCNNFedgrabSpec, recorded with the
+// fedcm entry of goldenCNNHistories.
+var goldenCNNFedgrabHistories = map[string]string{
+	"fedavg": "a5dc960c7a7b8831dfa801d55c963f347c39c2915ced9240285a3e450af369f7",
+	"fedcm":  "4145d4f02f69254d83317c08d7c6ad137cf5a8eb1e1a58ce7782a9cda7bf7c05",
+	"fedwcm": "6f04f7ec5ffc7e112430463fbaf3bfcabebcc56092704cbd608f13593ea4ec36",
 }
 
 // TestGoldenCNNHistoriesBitIdentical pins the image path and requires the
@@ -259,6 +281,17 @@ func TestGoldenCNNHistoriesBitIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/kernel-workers=%d", method, workers), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				runGolden(t, goldenCNNSpec(method), want)
+			})
+		}
+	}
+}
+
+func TestGoldenCNNFedgrabHistoriesBitIdentical(t *testing.T) {
+	for method, want := range goldenCNNFedgrabHistories {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/kernel-workers=%d", method, workers), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+				runGolden(t, goldenCNNFedgrabSpec(method), want)
 			})
 		}
 	}
