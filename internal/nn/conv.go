@@ -7,7 +7,8 @@ import (
 
 // Conv2D is a 2-D convolution over channel-outer flattened images.
 // Weights are stored as (outC × inC·kh·kw) so each sample's forward pass is
-// one matmul against its im2col matrix.
+// one matmul against its im2col matrix, or, for same-size geometry,
+// against the rows of that matrix read where they lie (shiftedTaps).
 type Conv2D struct {
 	InC, H, W    int // input geometry
 	OutC, KH, KW int
@@ -19,38 +20,40 @@ type Conv2D struct {
 
 	// The layer does not cache one im2col matrix per sample for Backward
 	// (≈ k·p floats each, a working set that dwarfs L2 for real
-	// geometries). With shifted taps Backward needs none: each tap's dW
-	// rows multiply the sample's channels where they lie. The strided
-	// geometry rebuilds the matrix from the cached input, which is cheap
-	// next to the matmuls it feeds and identical by construction.
+	// geometries). With shifted taps neither pass builds one: each reads
+	// the sample's padded copies (padSample). The strided geometry
+	// rebuilds the matrix from the cached input, which is cheap next to
+	// the matmuls it feeds and identical by construction.
 	sc convScratch
 
-	taps     []shiftedTap  // non-nil selects the shifted-copy im2col and backwardTaps
+	taps     []shiftedTap  // non-nil selects the padded copies and backwardTaps
+	rows     []int         // with taps: where row (c, ky, kx) of the im2col matrix starts in sc.pad
 	wview    *tensor.Dense // Wt.Data viewed as OutC×(InC·KH·KW); WrapNetwork re-points it
 	fwd, bwd workspace
 }
 
 // convScratch is what the layer needs to push samples through its GEMMs,
 // allocated on first use and kept for the layer's lifetime like the
-// workspaces: the k×p im2col matrix and an OutC×p header that is re-pointed
-// at each sample's row of the batch output (or of dOut), so no per-sample
-// Dense is allocated; then, from the first Backward on, the backward
-// products and one half's dW/dB partial sums. dW is summed in the k×OutC
-// layout its product comes out in, so each sample's add is one AddVec; the
-// half's sum is transposed into Wt.Grad's OutC×k once.
+// workspaces: the sample's padded copies (shifted taps) or its k×p im2col
+// matrix (strided), and an OutC×p header that is re-pointed at each
+// sample's row of the batch output (or of dOut), so no per-sample Dense
+// is allocated; then, from the first Backward on, the backward operands
+// and one half's dW/dB partial sums. dW is summed in the k×OutC layout its
+// product comes out in, each sample's products added into it on store;
+// the half's sum is transposed into Wt.Grad's OutC×k once.
 type convScratch struct {
-	cols   *tensor.Dense
 	seg    tensor.Dense
-	dwT    *tensor.Dense // k×OutC: one sample's dWᵀ, then the half's dW
-	dwPart []float64     // k×OutC: the half's dWᵀ
+	dw     []float64 // OutC×k: the half's dW
+	dwPart []float64 // k×OutC: the half's dWᵀ
 	dbPart []float64
+	doutT  []float64 // p×OutC: one sample's dOutᵀ
 
 	// shifted taps only
-	doutT  []float64 // p×OutC: one sample's dOutᵀ
-	masked []float64 // (KW-1)×InC·p: the sample per kx ≠ Pad, wrapped columns zeroed
-	dtap   []float64 // InC×p: one tap's Wᵀ·dOut before it is added into dx
+	pad    []float64 // KW padded copies of one sample (padSample)
+	masked []float64 // (KW-1)×OutC·p: dOut per kx ≠ Pad, wrapped columns zeroed
 
 	// strided geometry only
+	cols  *tensor.Dense // k×p: the sample's im2col matrix
 	dcols *tensor.Dense // k×p: Wᵀ·dOut before col2im
 }
 
@@ -71,6 +74,9 @@ func NewConv2D(r *xrand.RNG, inC, h, w, outC, k, stride, pad int) *Conv2D {
 	}
 	l.wview = tensor.FromSlice(outC, inC*k*k, l.Wt.Data)
 	l.taps = l.shiftedTaps()
+	if l.taps != nil {
+		l.rows = l.padRows()
+	}
 	l.init(r)
 	return l
 }
@@ -85,33 +91,23 @@ func (l *Conv2D) init(r *xrand.RNG) {
 // OutDim returns the flattened output width (outC·outH·outW).
 func (l *Conv2D) OutDim() int { return l.OutC * l.OutH * l.OutW }
 
-// im2col fills cols (K × P) from one sample's flattened image.
-func (l *Conv2D) im2col(img []float64, cols *tensor.Dense) {
-	if l.taps != nil {
-		l.im2colShifted(img, cols)
-	} else {
-		l.im2colGeneral(img, cols)
-	}
-}
-
 // shiftedTap describes kernel tap (dy, dx) = (ky-Pad, kx-Pad) of a same-size
 // convolution, where output pixel pi reads input pixel pi+shift of the same
 // channel. [lo, hi) is the part of the flat pixel range whose input row
-// exists and for which pi+shift is an index at all. Within output rows
-// [oyLo, oyHi), columns [oxLo, oxHi) are the ones where pi+shift is a valid
-// index but belongs to the neighbouring image row: the shift wrapped around
-// the edge.
+// exists and for which pi+shift is an index at all; within it, the columns
+// where the shift wrapped around a row edge read the neighbouring image
+// row (see maskWrapped).
 type shiftedTap struct {
-	shift, lo, hi          int
-	oyLo, oyHi, oxLo, oxHi int
+	shift, lo, hi int
 }
 
 // shiftedTaps returns the layer's KH·KW taps in (ky, kx) order when every
 // output pixel sits on the input pixel of the same index (stride 1, output
 // as large as the input — five of ResNetLite's six convolutions), and nil
 // otherwise. With taps, row (c, ky, kx) of the im2col matrix is channel c
-// moved by a constant offset, so im2col moves whole rows instead of testing
-// bounds per element and Backward reads the rows in place (backwardTaps).
+// moved by a constant offset, zero where the offset leaves the image: a
+// window of the sample's padded copies (padSample), which Forward's GEMM
+// reads through a row table and Backward reads in place (backwardTaps).
 // The strided downsampling convolution keeps the general loops, which are
 // also the reference the shifted path is tested against bit for bit.
 func (l *Conv2D) shiftedTaps() []shiftedTap {
@@ -123,18 +119,12 @@ func (l *Conv2D) shiftedTaps() []shiftedTap {
 		for kx := 0; kx < l.KW; kx++ {
 			dy, dx := ky-l.Pad, kx-l.Pad
 			t := shiftedTap{shift: dy*l.W + dx}
-			t.oyLo, t.oyHi = max(0, -dy), min(l.H, l.H-dy)
-			t.lo = max(t.oyLo*l.W, -t.shift)
-			t.hi = min(t.oyHi*l.W, l.H*l.W-t.shift)
+			t.lo = max(max(0, -dy)*l.W, -t.shift)
+			t.hi = min(min(l.H, l.H-dy)*l.W, l.H*l.W-t.shift)
 			if t.lo >= t.hi {
 				// The tap lies wholly outside a small image: an empty
 				// range that slices validly at any shift.
 				t.shift, t.lo, t.hi = 0, 0, 0
-			}
-			if dx < 0 {
-				t.oxLo, t.oxHi = 0, min(l.W, -dx)
-			} else {
-				t.oxLo, t.oxHi = max(0, l.W-dx), l.W
 			}
 			taps = append(taps, t)
 		}
@@ -142,40 +132,65 @@ func (l *Conv2D) shiftedTaps() []shiftedTap {
 	return taps
 }
 
-// zeroWrapped clears the entries of one cols (or dtap) row that the shift
-// carried in from the neighbouring image row.
-func (t *shiftedTap) zeroWrapped(row []float64, w int) {
-	for ox := t.oxLo; ox < t.oxHi; ox++ {
-		for i := t.oyLo*w + ox; i < t.oyHi*w; i += w {
-			row[i] = 0
-		}
-	}
+// The padded copies. For each kernel column kx, sc.pad holds the sample
+// with every channel set apart by padMargin zeros, Pad·(W+1): a tap moves
+// a pixel by (ky-Pad)·W + (kx-Pad), at most that far, so a read that
+// leaves the image through its top or bottom row, or the first or last
+// pixel, lands on a zero. A read that leaves through the left or right
+// edge lands inside the channel, on the neighbouring image row; in the
+// copy for kx those columns are zeroed (maskWrapped with dx = kx-Pad), and
+// no read of a tap in column kx that stays in its row meets them. So the
+// window of p elements at a tap's offset in channel c's copy holds exactly
+// row (c, ky, kx) of the im2col matrix: the pixel where it exists, +0
+// where it does not. The margins are zeroed once, when the copies are
+// allocated, and never written again.
+
+// padMargin is the number of zeros before, between and after the channels
+// of a padded copy.
+func (l *Conv2D) padMargin() int { return l.Pad * (l.W + 1) }
+
+// padOffset is where channel c of the padded copy for kernel column kx
+// starts in sc.pad; the channels of a copy are padMargin+H·W apart.
+func (l *Conv2D) padOffset(kx, c int) int {
+	m, p := l.padMargin(), l.H*l.W
+	return kx*(l.InC*(p+m)+m) + m + c*(p+m)
 }
 
-// im2colShifted is im2col for same-size geometry: per row one copy, one
-// clear of the output rows above or below the image, and a few stores for
-// the wrapped column. Pure data movement, so trivially bit-identical to
-// im2colGeneral.
-func (l *Conv2D) im2colShifted(img []float64, cols *tensor.Dense) {
-	p := l.H * l.W
+// padRows is the row table of the forward GEMM: im2col row (c, ky, kx) is
+// the window at channel c's offset in the copy for kx, moved by the tap.
+func (l *Conv2D) padRows() []int {
+	rows := make([]int, 0, l.InC*l.KH*l.KW)
 	for c := 0; c < l.InC; c++ {
-		ch := img[c*p : (c+1)*p]
-		for ti := range l.taps {
-			t := &l.taps[ti]
-			row := cols.Data[(c*len(l.taps)+ti)*p:][:p]
-			clear(row[:t.lo])
-			copy(row[t.lo:t.hi], ch[t.lo+t.shift:t.hi+t.shift])
-			clear(row[t.hi:])
-			t.zeroWrapped(row, l.W)
+		for ky := 0; ky < l.KH; ky++ {
+			for kx := 0; kx < l.KW; kx++ {
+				rows = append(rows, l.padOffset(kx, c)+(ky-l.Pad)*l.W+kx-l.Pad)
+			}
+		}
+	}
+	return rows
+}
+
+// padSample writes sample xs into the KW padded copies, allocating them
+// (margins zeroed) on first use.
+func (l *Conv2D) padSample(xs []float64) {
+	p := l.H * l.W
+	if l.sc.pad == nil {
+		l.sc.pad = make([]float64, l.padOffset(l.KW, 0)-l.padMargin())
+	}
+	for kx := 0; kx < l.KW; kx++ {
+		for c := 0; c < l.InC; c++ {
+			off := l.padOffset(kx, c)
+			l.maskWrapped(l.sc.pad[off:off+p], xs[c*p:(c+1)*p], kx-l.Pad)
 		}
 	}
 }
 
-// maskWrapped fills dst with the sample xs and zeroes, in every image row,
-// the columns a tap with column offset dx ≠ 0 reads only across a row edge:
-// the last -dx columns for dx < 0, the first dx for dx > 0. Every other
-// read of such a tap stays inside its row, so the copy serves all taps
-// with this dx.
+// maskWrapped fills dst with xs and zeroes, in every image row, the
+// columns a tap with column offset dx reads only across a row edge: the
+// last -dx columns for dx < 0, the first dx for dx > 0, none for dx = 0.
+// Every other read of such a tap stays inside its row, so the copy serves
+// all taps with this dx. Backward masks dOut the same way with -dx: the
+// output columns whose reads wrapped.
 func (l *Conv2D) maskWrapped(dst, xs []float64, dx int) {
 	copy(dst, xs)
 	c0, c1 := max(0, l.W+dx), l.W
@@ -189,13 +204,13 @@ func (l *Conv2D) maskWrapped(dst, xs []float64, dx int) {
 	}
 }
 
-// maskedCopy is the part of sc.masked that holds the sample for the taps in
-// kernel column kx ≠ Pad.
-func (l *Conv2D) maskedCopy(kx int) []float64 {
+// maskedDout is the part of sc.masked that holds the sample's dOut for
+// the taps in kernel column kx ≠ Pad.
+func (l *Conv2D) maskedDout(kx int) []float64 {
 	if kx > l.Pad {
 		kx--
 	}
-	n := l.InC * l.H * l.W
+	n := l.OutC * l.H * l.W
 	return l.sc.masked[kx*n : (kx+1)*n]
 }
 
@@ -264,7 +279,9 @@ func (l *Conv2D) col2imGeneral(cols *tensor.Dense, dimg []float64) {
 	}
 }
 
-// Forward convolves each sample in turn.
+// Forward convolves each sample in turn: with shifted taps one
+// GemmTableInto over the sample's padded copies, else MatMulInto against
+// its im2col matrix; then the bias, row[i] + B[oc], in one pass.
 func (l *Conv2D) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	if x.C != l.InC*l.H*l.W {
 		panic("nn: Conv2D input width mismatch")
@@ -273,21 +290,23 @@ func (l *Conv2D) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	n := x.R
 	out := l.fwd.get(n, l.OutDim())
 	sc := &l.sc
-	if sc.cols == nil {
-		sc.cols = tensor.NewDense(l.InC*l.KH*l.KW, l.OutH*l.OutW)
-		sc.seg = tensor.Dense{R: l.OutC, C: l.OutH * l.OutW}
+	k, p := l.InC*l.KH*l.KW, l.OutH*l.OutW
+	if sc.seg.R == 0 {
+		sc.seg = tensor.Dense{R: l.OutC, C: p}
+		if l.taps == nil {
+			sc.cols = tensor.NewDense(k, p)
+		}
 	}
 	for s := 0; s < n; s++ {
-		l.im2col(x.Row(s), sc.cols)
 		sc.seg.Data = out.Row(s)
-		tensor.MatMulInto(&sc.seg, l.wview, sc.cols)
-		for oc := 0; oc < l.OutC; oc++ {
-			b := l.B.Data[oc]
-			row := sc.seg.Row(oc)
-			for i := range row {
-				row[i] += b
-			}
+		if l.taps != nil {
+			l.padSample(x.Row(s))
+			tensor.GemmTableInto(sc.seg.Data, p, l.Wt.Data, k, 1, sc.pad, l.rows, l.OutC, k, p)
+		} else {
+			l.im2colGeneral(x.Row(s), sc.cols)
+			tensor.MatMulInto(&sc.seg, l.wview, sc.cols)
 		}
+		sc.seg.AddColVec(l.B.Data)
 	}
 	return out
 }
@@ -319,14 +338,13 @@ func (l *Conv2D) backward(dout *tensor.Dense, wantDx bool) *tensor.Dense {
 	}
 	sc := &l.sc
 	k, p := l.InC*l.KH*l.KW, l.OutH*l.OutW
-	if sc.dwT == nil {
-		sc.dwT = tensor.NewDense(k, l.OutC)
+	if sc.dw == nil {
+		sc.dw = make([]float64, len(l.Wt.Data))
 		sc.dwPart = make([]float64, len(l.Wt.Data))
 		sc.dbPart = make([]float64, len(l.B.Data))
+		sc.doutT = make([]float64, p*l.OutC)
 		if l.taps != nil {
-			sc.doutT = make([]float64, p*l.OutC)
-			sc.masked = make([]float64, (l.KW-1)*l.InC*p)
-			sc.dtap = make([]float64, l.InC*p)
+			sc.masked = make([]float64, (l.KW-1)*l.OutC*p)
 		} else {
 			sc.dcols = tensor.NewDense(k, p)
 		}
@@ -334,8 +352,8 @@ func (l *Conv2D) backward(dout *tensor.Dense, wantDx bool) *tensor.Dense {
 	mid := (n + 1) / 2
 	for h := 0; h < min(2, n); h++ { // a one-sample batch has no second half
 		l.backwardHalf(dout, dx, h*mid, min(n, (h+1)*mid))
-		tensor.TransposeInto(sc.dwT.Data, sc.dwPart, k, l.OutC)
-		tensor.AddVec(l.Wt.Grad, sc.dwT.Data)
+		tensor.TransposeInto(sc.dw, sc.dwPart, k, l.OutC)
+		tensor.AddVec(l.Wt.Grad, sc.dw)
 		tensor.AddVec(l.B.Grad, sc.dbPart)
 	}
 	return dx
@@ -343,7 +361,9 @@ func (l *Conv2D) backward(dout *tensor.Dense, wantDx bool) *tensor.Dense {
 
 // backwardHalf runs samples [lo, hi) of the batch through the backward
 // products, leaving their dWᵀ/dB sums in the scratch partials and, unless
-// dx is nil, their input gradients in dx.
+// dx is nil, their input gradients in dx. Each sample's dWᵀ is summed from
+// +0 and added into the zeroed partial as it is stored (GemmAddInto), the
+// bits of a per-sample product followed by AddVec.
 func (l *Conv2D) backwardHalf(dout, dx *tensor.Dense, lo, hi int) {
 	sc := &l.sc
 	p := l.OutH * l.OutW
@@ -359,7 +379,6 @@ func (l *Conv2D) backwardHalf(dout, dx *tensor.Dense, lo, hi int) {
 		} else {
 			l.backwardGeneral(l.x.Row(s), ds, dxs)
 		}
-		tensor.AddVec(sc.dwPart, sc.dwT.Data)
 	}
 	// dB: per output channel, each sample's Σ_p added in ascending s to a
 	// zeroed partial.
@@ -367,16 +386,18 @@ func (l *Conv2D) backwardHalf(dout, dx *tensor.Dense, lo, hi int) {
 	channelSums(sc.dbPart, &half, p)
 }
 
-// backwardGeneral leaves sample xs's dWᵀ in sc.dwT and, unless dxs is nil,
-// adds its input gradient into dxs, through the im2col matrix.
+// backwardGeneral adds sample xs's dWᵀ into sc.dwPart and, unless dxs is
+// nil, its input gradient into dxs, through the im2col matrix.
 func (l *Conv2D) backwardGeneral(xs, ds, dxs []float64) {
 	sc := &l.sc
+	k, p := l.InC*l.KH*l.KW, l.OutH*l.OutW
 	sc.seg.Data = ds
 	l.im2colGeneral(xs, sc.cols)
-	// dWᵀ = cols·dOutᵀ: MatMulBTInto packs its second operand, and dOut is
-	// k/OutC times smaller than cols. Each element is the ascending-p sum
-	// of the products dW = dOut·colsᵀ would form.
-	tensor.MatMulBTInto(sc.dwT, sc.cols, &sc.seg)
+	// dWᵀ = cols·dOutᵀ, MatMulBTInto's product with dOut, k/OutC times
+	// smaller than cols, as the packed operand. Each element is the
+	// ascending-p sum of the products dW = dOut·colsᵀ would form.
+	tensor.TransposeInto(sc.doutT, ds, l.OutC, p)
+	tensor.GemmAddInto(sc.dwPart, l.OutC, sc.cols.Data, p, 1, sc.doutT, l.OutC, k, p, l.OutC)
 	if dxs == nil {
 		return
 	}
@@ -390,52 +411,54 @@ func (l *Conv2D) backwardGeneral(xs, ds, dxs []float64) {
 // the same.
 //
 // dWᵀ: row (c, tap) of cols is channel c at offset lo+shift over [lo, hi)
-// and zero elsewhere, so the tap's InC rows are one strided product of the
-// sample's channels (lda = p) with dOutᵀ's rows [lo, hi). Products outside
-// [lo, hi) are ±0 and skipped: a sum that starts at +0 never becomes −0,
-// so adding them would change no bit. A read that wraps into the
-// neighbouring image row meets the zero a masked copy of the sample holds
-// there, as cols held it.
+// and zero elsewhere, so the tap's InC rows are one strided product of
+// the sample's padded copy for the tap's column (lda = the copies' channel
+// stride) with dOutᵀ's rows [lo, hi). Products outside [lo, hi) are ±0
+// and skipped: a sum that starts at +0 never becomes −0, so adding them
+// would change no bit. For the same reason an empty tap (lo = hi) is
+// skipped, not added as +0. A read that wraps into the neighbouring image
+// row meets the zero the copy holds there, as cols held it.
 //
-// dx: per tap, the InC×p slice Wᵀ_tap·dOut (the tap's column of the
-// weights, read in place) has its wrapped entries zeroed and is added into
-// each channel at its shift, as col2im added the tap's rows of dcols. Taps
-// run in ascending order, so every pixel receives them in that order.
+// dx: per tap, Wᵀ_tap·dOut (the tap's column of the weights, read in
+// place) over output pixels [lo, hi) is added into each channel at its
+// shift as it is stored, as col2im added the tap's rows of dcols. Where
+// the tap's read wrapped, col2im added a zero; here that column of dOut is
+// zeroed (maskWrapped with -dx) and, the weights being finite, its sum
+// from +0 is +0, the same add. Taps run in ascending order, so every pixel
+// receives them in that order.
 func (l *Conv2D) backwardTaps(xs, ds, dxs []float64) {
 	sc := &l.sc
 	p, kk, k := l.H*l.W, len(l.taps), l.InC*l.KH*l.KW
+	stride := p + l.padMargin()
+	l.padSample(xs)
 	tensor.TransposeInto(sc.doutT, ds, l.OutC, p)
-	for kx := 0; kx < l.KW; kx++ {
-		if kx != l.Pad {
-			l.maskWrapped(l.maskedCopy(kx), xs, kx-l.Pad)
-		}
-	}
-	dwT := sc.dwT.Data
 	for ti := range l.taps {
-		// Each tap writes its own InC rows of dWᵀ; an empty tap (lo = hi)
-		// is a sum of no products and leaves them zeroed.
 		t := &l.taps[ti]
-		src := xs
-		if kx := ti % l.KW; kx != l.Pad {
-			src = l.maskedCopy(kx)
+		if t.lo == t.hi {
+			continue
 		}
-		tensor.GemmInto(dwT[ti*l.OutC:], kk*l.OutC, src[t.lo+t.shift:], p, 1,
+		src := sc.pad[l.padOffset(ti%l.KW, 0)+t.lo+t.shift:]
+		tensor.GemmAddInto(sc.dwPart[ti*l.OutC:], kk*l.OutC, src, stride, 1,
 			sc.doutT[t.lo*l.OutC:], l.OutC, l.InC, t.hi-t.lo, l.OutC)
 	}
 	if dxs == nil {
 		return
+	}
+	for kx := 0; kx < l.KW; kx++ {
+		if kx != l.Pad {
+			l.maskWrapped(l.maskedDout(kx), ds, l.Pad-kx)
+		}
 	}
 	for ti := range l.taps {
 		t := &l.taps[ti]
 		if t.lo == t.hi {
 			continue
 		}
-		tensor.GemmInto(sc.dtap, p, l.Wt.Data[ti:], kk, k, ds, p, l.InC, l.OutC, p)
-		for c := 0; c < l.InC; c++ {
-			row := sc.dtap[c*p:][:p]
-			t.zeroWrapped(row, l.W)
-			tensor.AddVec(dxs[c*p+t.lo+t.shift:c*p+t.hi+t.shift], row[t.lo:t.hi])
+		b := ds
+		if kx := ti % l.KW; kx != l.Pad {
+			b = l.maskedDout(kx)
 		}
+		tensor.GemmAddInto(dxs[t.lo+t.shift:], p, l.Wt.Data[ti:], kk, k, b[t.lo:], p, l.InC, l.OutC, t.hi-t.lo)
 	}
 }
 

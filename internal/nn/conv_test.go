@@ -40,11 +40,12 @@ func sameBits(t *testing.T, name string, got, want []float64) {
 	}
 }
 
-// TestConvShiftedMatchesGeneral holds the shifted-copy im2col to the
-// general loops bit for bit, on kernels up to 5×5 and on images narrower
-// than the kernel's reach (where a shift skips whole rows). The shifted
-// backward, which builds no im2col matrix, is held to the general loops by
-// TestConvBackwardMatchesReference.
+// TestConvShiftedMatchesGeneral holds the rows Forward's GEMM reads
+// through its table — windows of the padded copies — to the general
+// im2col loops bit for bit, on kernels up to 5×5 and on images narrower
+// than the kernel's reach (where a shift skips whole rows). Forward
+// itself is held to the general loops by TestConvForwardMatchesReference,
+// and the shifted backward by TestConvBackwardMatchesReference.
 func TestConvShiftedMatchesGeneral(t *testing.T) {
 	for _, k := range []int{1, 3, 5} {
 		for _, hw := range [][2]int{{5, 7}, {7, 4}, {2, 3}, {1, 6}, {6, 1}, {12, 11}} {
@@ -58,10 +59,54 @@ func TestConvShiftedMatchesGeneral(t *testing.T) {
 
 			img := randSigned(uint64(10*k+h), 1, l.InC*p).Data
 			got, want := tensor.NewDense(rows, p), tensor.NewDense(rows, p)
-			tensor.Fill(got.Data, math.NaN()) // every element must be written
-			l.im2colShifted(img, got)
+			l.padSample(img)
+			for i, off := range l.rows {
+				copy(got.Row(i), l.sc.pad[off:off+p])
+			}
 			l.im2colGeneral(img, want)
 			sameBits(t, name+" im2col", got.Data, want.Data)
+		}
+	}
+}
+
+// refConvForward is Conv2D.Forward as every golden recorded it: per
+// sample, the general im2col matrix, MatMulInto with the weights, then
+// the bias added element by element.
+func refConvForward(l *Conv2D, x *tensor.Dense) *tensor.Dense {
+	k, p := l.InC*l.KH*l.KW, l.OutH*l.OutW
+	out := tensor.NewDense(x.R, l.OutDim())
+	for s := 0; s < x.R; s++ {
+		cols := tensor.NewDense(k, p)
+		l.im2colGeneral(x.Row(s), cols)
+		seg := tensor.FromSlice(l.OutC, p, out.Row(s))
+		tensor.MatMulInto(seg, l.wview, cols)
+		for oc := 0; oc < l.OutC; oc++ {
+			b := l.B.Data[oc]
+			row := seg.Row(oc)
+			for i := range row {
+				row[i] += b
+			}
+		}
+	}
+	return out
+}
+
+// TestConvForwardMatchesReference holds Forward to refConvForward bit for
+// bit on every convGeometries entry, with ±0 among the inputs and a bias
+// of normals and ±0, for batches from one sample to a full 50-row local
+// batch, and twice in a row, so the second pass runs on the scratch the
+// first left behind.
+func TestConvForwardMatchesReference(t *testing.T) {
+	for _, g := range convGeometries {
+		for _, n := range []int{1, 2, 5, 8, 50} {
+			l := NewConv2D(xrand.New(3), g.inC, g.h, g.w, g.outC, g.k, g.stride, g.pad)
+			copy(l.B.Data, randSigned(6, 1, g.outC).Data)
+			for pass := 0; pass < 2; pass++ {
+				x := randSigned(uint64(4+pass), n, g.inC*g.h*g.w)
+				want := refConvForward(l, x)
+				got := l.Forward(x, true)
+				sameBits(t, fmt.Sprintf("%s n=%d pass=%d", g.name, n, pass), got.Data, want.Data)
+			}
 		}
 	}
 }

@@ -15,9 +15,9 @@ type Linear struct {
 
 	x *tensor.Dense // cached input for backward
 
-	wview        *tensor.Dense // W.Data viewed as In×Out; WrapNetwork re-points it
-	fwd, bwd, dw workspace     // reusable out / dX / dW buffers
-	db           vecWorkspace  // reusable bias-gradient buffer
+	wview    *tensor.Dense // W.Data viewed as In×Out; WrapNetwork re-points it
+	fwd, bwd workspace     // reusable out / dX buffers
+	db       vecWorkspace  // reusable bias-gradient buffer
 }
 
 // NewLinear creates a Linear layer with He-initialised weights.
@@ -65,17 +65,18 @@ func (l *Linear) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	return out
 }
 
-// backwardParams accumulates dW = Xᵀ·dY and db = Σ rows(dY). Gradient
-// contributions are computed into scratch buffers and then added,
-// preserving the summation order (and hence the bits) of the allocating
-// implementation.
+// backwardParams accumulates dW = Xᵀ·dY and db = Σ rows(dY). Each
+// contribution is summed from +0 and then added to Grad — dW on store
+// (GemmAddInto), db from a scratch buffer — preserving the summation order
+// (and hence the bits) of the allocating implementation.
 func (l *Linear) backwardParams(dout *tensor.Dense) {
 	if l.x == nil {
 		panic("nn: Linear Backward before Forward")
 	}
-	dw := l.dw.get(l.In, l.Out)
-	tensor.MatMulATInto(dw, l.x, dout)
-	tensor.AddVec(l.W.Grad, dw.Data)
+	if dout.R != l.x.R || dout.C != l.Out {
+		panic("nn: Linear Backward gradient shape mismatch")
+	}
+	tensor.GemmAddInto(l.W.Grad, l.Out, l.x.Data, 1, l.In, dout.Data, l.Out, l.In, dout.R, l.Out)
 	db := l.db.get(l.Out)
 	dout.ColSumsInto(db)
 	tensor.AddVec(l.B.Grad, db)

@@ -65,6 +65,25 @@ func (m *Dense) AddRowVec(v []float64) {
 	}
 }
 
+// AddColVec adds v[r] (len R) to every element of row r, as row[i] + v[r]:
+// the per-channel bias of a channel-major feature map. One masked
+// AVX-512 pass over the matrix where the host has it, else a scalar loop.
+func (m *Dense) AddColVec(v []float64) {
+	if len(v) != m.R {
+		panic("tensor: AddColVec length mismatch")
+	}
+	if hasAVX512 && m.R > 0 && m.C > 0 {
+		addColVecAVX512(&m.Data[0], &v[0], int64(m.R), int64(m.C))
+		return
+	}
+	for r, b := range v {
+		row := m.Row(r)
+		for i := range row {
+			row[i] += b
+		}
+	}
+}
+
 // ColSumsInto writes the per-column sums into dst (len C), overwriting it:
 // zeroed, then rows added in ascending order. With AVX-512 it is one
 // masked pass that keeps each column's sum in a register.

@@ -35,7 +35,9 @@ import "sync"
 // GemmInto computes dst = A·B. Its AVX-512 strips start every accumulator
 // at +0 instead of loading dst — the bits a Zero pass would have left there
 // — and then add every product as GemmAcc does; the other arms zero dst and
-// run GemmAcc.
+// run GemmAcc. The same strips also add their sums into dst on store
+// (GemmAddInto) and read B's rows through a table of offsets
+// (GemmTableInto); elsewhere those two run as GemmInto plus a pass.
 
 // gemmMR×gemmNR is the micro-tile shape of the AVX and Go arms: 4×8
 // doubles = 8 YMM accumulators. A column remainder of gemmNRHalf or more
@@ -87,12 +89,62 @@ func GemmInto(dst []float64, ldc int, a []float64, lda, astep int, b []float64, 
 	gemm(dst, ldc, a, lda, astep, b, ldb, n, k, m, false)
 }
 
+// GemmAddInto computes dst += A·B over GemmAcc's operands, with A·B summed
+// from +0 and added to what dst held only at the end: each element is
+// dst + (p₁ + p₂ + … + p_k), bit for bit GemmInto into a scratch matrix
+// followed by AddVec of its rows, NaN payloads included. That is not
+// GemmAcc's ((dst + p₁) + p₂) + …. k = 0 still adds +0 (a −0 in dst
+// becomes +0). On AVX-512 hosts the strips add on store, with no scratch;
+// elsewhere it is that sequence through a pooled panel.
+func GemmAddInto(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, n, k, m int) {
+	if n == 0 || m == 0 {
+		return
+	}
+	if k > 0 && hasAVX512 {
+		_, _, _ = dst[(n-1)*ldc+m-1], a[(n-1)*lda+(k-1)*astep], b[(k-1)*ldb+m-1]
+		gemmStripsAVX512(dst, ldc, a, lda, astep, &b[0], ldb, nil, n, k, m, false, true)
+		return
+	}
+	panel := getPanel(n * m)
+	GemmInto(*panel, m, a, lda, astep, b, ldb, n, k, m)
+	for i := 0; i < n; i++ {
+		AddVec(dst[i*ldc:i*ldc+m], (*panel)[i*m:(i+1)*m])
+	}
+	putPanel(panel)
+}
+
+// GemmTableInto is GemmInto with B's rows wherever they lie: row p is
+// b[rows[p] : rows[p]+m], for p < k. Conv2D reads its shifted taps this
+// way, each a window of one padded channel, with no im2col copy. Every
+// element is the ascending-k sum from +0, bit for bit GemmInto on the
+// gathered rows, which is what hosts without AVX-512 run through a pooled
+// panel. A row that does not fit in b panics.
+func GemmTableInto(dst []float64, ldc int, a []float64, lda, astep int, b []float64, rows []int, n, k, m int) {
+	if n == 0 || m == 0 {
+		return
+	}
+	for _, r := range rows[:k] {
+		_ = b[r : r+m]
+	}
+	if k > 0 && hasAVX512 {
+		_, _ = dst[(n-1)*ldc+m-1], a[(n-1)*lda+(k-1)*astep]
+		gemmStripsAVX512(dst, ldc, a, lda, astep, &b[0], 0, &rows[0], n, k, m, false, false)
+		return
+	}
+	panel := getPanel(k * m)
+	for p, r := range rows[:k] {
+		copy((*panel)[p*m:(p+1)*m], b[r:r+m])
+	}
+	GemmInto(dst, ldc, a, lda, astep, *panel, m, n, k, m)
+	putPanel(panel)
+}
+
 // gemm is GemmAcc (load) or, on AVX-512 hosts, GemmInto (!load) for
 // n, k, m ≥ 1.
 func gemm(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, n, k, m int, load bool) {
 	_, _, _ = dst[(n-1)*ldc+m-1], a[(n-1)*lda+(k-1)*astep], b[(k-1)*ldb+m-1]
 	if hasAVX512 {
-		gemmStripsAVX512(dst, ldc, a, lda, astep, b, ldb, n, k, m, load)
+		gemmStripsAVX512(dst, ldc, a, lda, astep, &b[0], ldb, nil, n, k, m, load, false)
 		return
 	}
 	i := 0
@@ -107,25 +159,27 @@ func gemm(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb 
 // gemmStripsAVX512 walks the rows in strips of 8, then one each of 4, 2
 // and 1 rows as the remainder needs. A strip of r rows touches C through
 // (r-1)·ldc+m, A through (r-1)·lda+(k-1)·astep+1 and B through
-// (k-1)·ldb+m — inside the slices gemm checked, because the strip's rows
-// exist and its last tile is masked to the columns left (a masked lane is
-// neither read nor written).
-func gemmStripsAVX512(dst []float64, ldc int, a []float64, lda, astep int, b []float64, ldb int, n, k, m int, load bool) {
+// (k-1)·ldb+m, or through the last element of each row in the table —
+// inside the slices the callers checked, because the strip's rows exist
+// and its last tile is masked to the columns left (a masked lane is
+// neither read nor written). rows, load and add pass through to the
+// strips (see gemm_amd64.s); load and add are never both set.
+func gemmStripsAVX512(dst []float64, ldc int, a []float64, lda, astep int, b *float64, ldb int, rows *int, n, k, m int, load, add bool) {
 	c, l, s, lb, kk, mm := int64(ldc), int64(lda), int64(astep), int64(ldb), int64(k), int64(m)
 	i := 0
 	for ; n-i >= gemmMRWide; i += gemmMRWide {
-		gemmStrip8AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, lb, kk, mm, load)
+		gemmStrip8AVX512(&dst[i*ldc], &a[i*lda], b, c, l, s, lb, kk, mm, rows, load, add)
 	}
 	if n-i >= 4 {
-		gemmStrip4AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, lb, kk, mm, load)
+		gemmStrip4AVX512(&dst[i*ldc], &a[i*lda], b, c, l, s, lb, kk, mm, rows, load, add)
 		i += 4
 	}
 	if n-i >= 2 {
-		gemmStrip2AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, lb, kk, mm, load)
+		gemmStrip2AVX512(&dst[i*ldc], &a[i*lda], b, c, l, s, lb, kk, mm, rows, load, add)
 		i += 2
 	}
 	if i < n {
-		gemmStrip1AVX512(&dst[i*ldc], &a[i*lda], &b[0], c, l, s, lb, kk, mm, load)
+		gemmStrip1AVX512(&dst[i*ldc], &a[i*lda], b, c, l, s, lb, kk, mm, rows, load, add)
 	}
 }
 
@@ -295,39 +349,50 @@ func getPanel(n int) *[]float64 {
 func putPanel(p *[]float64) { packPool.Put(p) }
 
 // TransposeInto writes srcᵀ into dst: src is r×c row-major, dst becomes
-// c×r row-major. On AVX-512 hosts the 8×8 blocks that fit go through ZMM
-// registers; the rest, and every element elsewhere, takes transposeRows.
-// Pure data movement: every value keeps its bits.
+// c×r row-major. On AVX-512 hosts every element goes through ZMM
+// registers: the 8×8 blocks that fit, then the blocks on the right and
+// bottom edges with the missing rows and columns masked off. Elsewhere
+// transposeRows copies it. Pure data movement: every value keeps its bits.
 func TransposeInto(dst, src []float64, r, c int) {
 	_, _ = dst[:r*c], src[:r*c]
-	rb, cb := 0, 0
-	if hasAVX512 && r >= 8 && c >= 8 {
-		rb, cb = r&^7, c&^7
+	if !hasAVX512 {
+		transposeRows(dst, src, r, c)
+		return
+	}
+	rb, cb := r&^7, c&^7
+	if rb > 0 && cb > 0 {
 		transposeAVX512(&dst[0], &src[0], int64(r), int64(c), int64(rb), int64(cb))
 	}
-	transposeRows(dst, src, r, c, 0, rb, cb)
-	transposeRows(dst, src, r, c, rb, r, 0)
+	if cb < c {
+		for i := 0; i < rb; i += 8 {
+			transposeEdgeAVX512(&dst[0], &src[0], int64(r), int64(c), int64(i), int64(cb))
+		}
+	}
+	if rb < r {
+		for j := 0; j < c; j += 8 {
+			transposeEdgeAVX512(&dst[0], &src[0], int64(r), int64(c), int64(rb), int64(j))
+		}
+	}
 }
 
-// transposeRows transposes columns [j0, c) of src rows [lo, hi) into dst
-// (see TransposeInto). Four source rows at a time, so each pass reads four
-// rows in order and writes four adjacent elements of every dst row; a
-// leftover row is written element by element.
-func transposeRows(dst, src []float64, r, c, lo, hi, j0 int) {
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		s0 := src[i*c+j0 : i*c+c]
-		s1 := src[(i+1)*c+j0:][:len(s0)]
-		s2 := src[(i+2)*c+j0:][:len(s0)]
-		s3 := src[(i+3)*c+j0:][:len(s0)]
+// transposeRows is TransposeInto in Go: four source rows at a time, so
+// each pass reads four rows in order and writes four adjacent elements of
+// every dst row; a leftover row is written element by element.
+func transposeRows(dst, src []float64, r, c int) {
+	i := 0
+	for ; i+4 <= r; i += 4 {
+		s0 := src[i*c : i*c+c]
+		s1 := src[(i+1)*c:][:c]
+		s2 := src[(i+2)*c:][:c]
+		s3 := src[(i+3)*c:][:c]
 		for j := range s0 {
-			d := dst[(j0+j)*r+i:][:4]
+			d := dst[j*r+i:][:4]
 			d[0], d[1], d[2], d[3] = s0[j], s1[j], s2[j], s3[j]
 		}
 	}
-	for ; i < hi; i++ {
-		for j, v := range src[i*c+j0 : i*c+c] {
-			dst[(j0+j)*r+i] = v
+	for ; i < r; i++ {
+		for j, v := range src[i*c : i*c+c] {
+			dst[j*r+i] = v
 		}
 	}
 }

@@ -9,22 +9,28 @@ func gemmKernel4x8AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
 func gemmKernel4x4AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64)
 
 //go:noescape
-func gemmStrip8AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
+func gemmStrip8AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, rows *int, load, add bool)
 
 //go:noescape
-func gemmStrip4AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
+func gemmStrip4AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, rows *int, load, add bool)
 
 //go:noescape
-func gemmStrip2AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
+func gemmStrip2AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, rows *int, load, add bool)
 
 //go:noescape
-func gemmStrip1AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
+func gemmStrip1AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, rows *int, load, add bool)
 
 //go:noescape
 func transposeAVX512(dst, src *float64, r, c, rb, cb int64)
 
 //go:noescape
+func transposeEdgeAVX512(dst, src *float64, r, c, i0, j0 int64)
+
+//go:noescape
 func addRowVecAVX512(m, v *float64, rows, cols int64)
+
+//go:noescape
+func addColVecAVX512(m, v *float64, rows, cols int64)
 
 //go:noescape
 func colSumsAVX512(dst, x *float64, rows, cols int64)

@@ -23,10 +23,22 @@
 	SHLQ    $3, R8; \
 	SHLQ    $3, R14; \
 	SHLQ    $3, R9; \
-	MOVBQZX load+72(FP), AX; \
+	MOVBQZX load+80(FP), AX; \
 	NEGQ    AX; \
 	KMOVW   AX, K3; \
 	XORQ    R15, R15
+
+// TABSTART jumps to label when B's rows come through a table, with AX at
+// the table; otherwise it falls through with R9 still ldb.
+#define TABSTART(label) \
+	MOVQ  rows+72(FP), AX; \
+	TESTQ AX, AX; \
+	JNZ   label
+
+// ADDSTART jumps to label when the tile is to be added into dst on store.
+#define ADDSTART(label) \
+	CMPB add+81(FP), $0; \
+	JNE  label
 
 // TILESETUP starts the tile at column R15: the masks for the m-R15
 // columns left, BX = 4·lda in bytes, DI and AX at the tile's dst columns,
@@ -643,15 +655,22 @@ bndxsloop:
 // product to its accumulator with separate VMULPD and VADDPD, k ascending.
 // A masked load reads nothing past the last column and a masked store
 // writes nothing there. A row i, element p lives at a + (i·lda + p·astep)·8,
-// so a transposed operand streams unpacked.
+// so a transposed operand streams unpacked. B row p lives at b + p·ldb·8,
+// or, when rows is not nil, at b + rows[p]·8: the tile then runs a copy of
+// its k loop that reads each row's offset from the table. With add true
+// (and load false) the finished sums are added to what dst holds as they
+// are stored, dst the first operand of the VADDPD as in addVecBlocksAVX,
+// which is GemmInto into a scratch tile followed by AddVec, bit for bit.
 //
 // Registers: R15 counts the columns done. Per tile, DI walks the dst rows,
 // AX the dst rows on load; SI, R11, R12 and R13 point at A rows 0-3 and,
 // offset by BX = 4·lda, rows 4-7; DX is the B row; CX ldc, R8 lda, R9 ldb
-// and R14 astep are in bytes; R10 counts the k steps left. Z16/Z17 hold the
-// B row, Z18 the broadcast, Z19/Z20 products. K3 is every lane when load is
-// true and none when it is false; K1/K2 are the lanes of a row's
-// first/second ZMM in the tile, K4/K5 the same lanes and K3.
+// and R14 astep are in bytes; R10 counts the k steps left. In the table's
+// k loop R9 walks the table, AX holds the tile's first B column and DX
+// the row's offset. Z16/Z17 hold the B row, Z18 the broadcast, Z19/Z20
+// products (and dst on an add). K3 is every lane when load is true and
+// none when it is false; K1/K2 are the lanes of a row's first/second ZMM
+// in the tile, K4/K5 the same lanes and K3.
 
 // CLOAD1/CLOAD2 start one dst row's accumulators and step AX to the next.
 #define CLOAD1(c0) \
@@ -673,6 +692,23 @@ bndxsloop:
 	VMOVUPD c1, K2, 64(DI); \
 	ADDQ    CX, DI
 
+// CADD1/CADD2 store one row's accumulators added to what dst holds, dst
+// first, and step DI to the next.
+#define CADD1(c0) \
+	VMOVUPD.Z (DI), K1, Z19; \
+	VADDPD    c0, Z19, Z19; \
+	VMOVUPD   Z19, K1, (DI); \
+	ADDQ      CX, DI
+
+#define CADD2(c0, c1) \
+	VMOVUPD.Z (DI), K1, Z19; \
+	VMOVUPD.Z 64(DI), K2, Z20; \
+	VADDPD    c0, Z19, Z19; \
+	VADDPD    c1, Z20, Z20; \
+	VMOVUPD   Z19, K1, (DI); \
+	VMOVUPD   Z20, K2, 64(DI); \
+	ADDQ      CX, DI
+
 // BLOAD1/BLOAD2 load the k step's B row.
 #define BLOAD1 \
 	VMOVUPD.Z (DX), K1, Z16
@@ -680,6 +716,22 @@ bndxsloop:
 #define BLOAD2 \
 	VMOVUPD.Z (DX), K1, Z16; \
 	VMOVUPD.Z 64(DX), K2, Z17
+
+// TABSETUP points R9 at the table TABSTART found in AX and AX at the
+// tile's first B column; BLOADT1/BLOADT2 load the k step's B row through
+// the table.
+#define TABSETUP \
+	MOVQ AX, R9; \
+	MOVQ DX, AX
+
+#define BLOADT1 \
+	MOVQ      (R9), DX; \
+	VMOVUPD.Z (AX)(DX*8), K1, Z16
+
+#define BLOADT2 \
+	MOVQ      (R9), DX; \
+	VMOVUPD.Z (AX)(DX*8), K1, Z16; \
+	VMOVUPD.Z 64(AX)(DX*8), K2, Z17
 
 // GEMMROW1/GEMMROW2 add one row's products for the k step: its A element
 // at arow times the B row, into the row's accumulators.
@@ -716,13 +768,33 @@ bndxsloop:
 	ADDQ R9, DX; \
 	DECQ R10
 
-// func gemmStrip8AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
+// NEXTKT4/NEXTKT2/NEXTKT1 are the same steps for the table's k loop.
+#define NEXTKT4 \
+	ADDQ R14, SI; \
+	ADDQ R14, R11; \
+	ADDQ R14, R12; \
+	ADDQ R14, R13; \
+	ADDQ $8, R9; \
+	DECQ R10
+
+#define NEXTKT2 \
+	ADDQ R14, SI; \
+	ADDQ R14, R11; \
+	ADDQ $8, R9; \
+	DECQ R10
+
+#define NEXTKT1 \
+	ADDQ R14, SI; \
+	ADDQ $8, R9; \
+	DECQ R10
+
+// func gemmStrip8AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, rows *int, load, add bool)
 //
 // The 8-row strip: sixteen accumulators (Z0-Z15) per 16-column tile, so
 // each B row it loads serves eight rows, and eight (Z0-Z7, eight
 // independent chains) for a last tile of up to 8 columns. GemmAcc walks
 // the output with it, 8 rows at a time.
-TEXT ·gemmStrip8AVX512(SB), NOSPLIT, $0-73
+TEXT ·gemmStrip8AVX512(SB), NOSPLIT, $0-82
 	STRIPSETUP
 
 gemm8tile:
@@ -737,6 +809,7 @@ gemm8tile:
 	CLOAD2(Z10, Z11)
 	CLOAD2(Z12, Z13)
 	CLOAD2(Z14, Z15)
+	TABSTART(gemm8tab)
 
 gemm8loop:
 	BLOAD2
@@ -751,6 +824,8 @@ gemm8loop:
 	NEXTK4
 	JNZ gemm8loop
 
+gemm8store:
+	ADDSTART(gemm8add)
 	CSTORE2(Z0, Z1)
 	CSTORE2(Z2, Z3)
 	CSTORE2(Z4, Z5)
@@ -763,6 +838,36 @@ gemm8loop:
 	VZEROUPPER
 	RET
 
+gemm8add:
+	CADD2(Z0, Z1)
+	CADD2(Z2, Z3)
+	CADD2(Z4, Z5)
+	CADD2(Z6, Z7)
+	CADD2(Z8, Z9)
+	CADD2(Z10, Z11)
+	CADD2(Z12, Z13)
+	CADD2(Z14, Z15)
+	NEXTTILE(gemm8tile)
+	VZEROUPPER
+	RET
+
+gemm8tab:
+	TABSETUP
+
+gemm8tloop:
+	BLOADT2
+	GEMMROW2((SI), Z0, Z1)
+	GEMMROW2((R11), Z2, Z3)
+	GEMMROW2((R12), Z4, Z5)
+	GEMMROW2((R13), Z6, Z7)
+	GEMMROW2((SI)(BX*1), Z8, Z9)
+	GEMMROW2((R11)(BX*1), Z10, Z11)
+	GEMMROW2((R12)(BX*1), Z12, Z13)
+	GEMMROW2((R13)(BX*1), Z14, Z15)
+	NEXTKT4
+	JNZ gemm8tloop
+	JMP gemm8store
+
 gemm8narrow:
 	CLOAD1(Z0)
 	CLOAD1(Z1)
@@ -772,6 +877,7 @@ gemm8narrow:
 	CLOAD1(Z5)
 	CLOAD1(Z6)
 	CLOAD1(Z7)
+	TABSTART(gemm8ntab)
 
 gemm8nloop:
 	BLOAD1
@@ -786,6 +892,8 @@ gemm8nloop:
 	NEXTK4
 	JNZ gemm8nloop
 
+gemm8nstore:
+	ADDSTART(gemm8nadd)
 	CSTORE1(Z0)
 	CSTORE1(Z1)
 	CSTORE1(Z2)
@@ -797,11 +905,40 @@ gemm8nloop:
 	VZEROUPPER
 	RET
 
-// func gemmStrip4AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
+gemm8nadd:
+	CADD1(Z0)
+	CADD1(Z1)
+	CADD1(Z2)
+	CADD1(Z3)
+	CADD1(Z4)
+	CADD1(Z5)
+	CADD1(Z6)
+	CADD1(Z7)
+	VZEROUPPER
+	RET
+
+gemm8ntab:
+	TABSETUP
+
+gemm8ntloop:
+	BLOADT1
+	GEMMROW1((SI), Z0)
+	GEMMROW1((R11), Z1)
+	GEMMROW1((R12), Z2)
+	GEMMROW1((R13), Z3)
+	GEMMROW1((SI)(BX*1), Z4)
+	GEMMROW1((R11)(BX*1), Z5)
+	GEMMROW1((R12)(BX*1), Z6)
+	GEMMROW1((R13)(BX*1), Z7)
+	NEXTKT4
+	JNZ gemm8ntloop
+	JMP gemm8nstore
+
+// func gemmStrip4AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, rows *int, load, add bool)
 //
 // The 4-row strip (Z0-Z7 per tile, Z0-Z3 for a last tile of up to 8
 // columns): GemmAcc runs it once on a remainder of 4-7 rows.
-TEXT ·gemmStrip4AVX512(SB), NOSPLIT, $0-73
+TEXT ·gemmStrip4AVX512(SB), NOSPLIT, $0-82
 	STRIPSETUP
 
 gemm4tile:
@@ -812,6 +949,7 @@ gemm4tile:
 	CLOAD2(Z2, Z3)
 	CLOAD2(Z4, Z5)
 	CLOAD2(Z6, Z7)
+	TABSTART(gemm4tab)
 
 gemm4loop:
 	BLOAD2
@@ -822,6 +960,8 @@ gemm4loop:
 	NEXTK4
 	JNZ gemm4loop
 
+gemm4store:
+	ADDSTART(gemm4add)
 	CSTORE2(Z0, Z1)
 	CSTORE2(Z2, Z3)
 	CSTORE2(Z4, Z5)
@@ -830,11 +970,34 @@ gemm4loop:
 	VZEROUPPER
 	RET
 
+gemm4add:
+	CADD2(Z0, Z1)
+	CADD2(Z2, Z3)
+	CADD2(Z4, Z5)
+	CADD2(Z6, Z7)
+	NEXTTILE(gemm4tile)
+	VZEROUPPER
+	RET
+
+gemm4tab:
+	TABSETUP
+
+gemm4tloop:
+	BLOADT2
+	GEMMROW2((SI), Z0, Z1)
+	GEMMROW2((R11), Z2, Z3)
+	GEMMROW2((R12), Z4, Z5)
+	GEMMROW2((R13), Z6, Z7)
+	NEXTKT4
+	JNZ gemm4tloop
+	JMP gemm4store
+
 gemm4narrow:
 	CLOAD1(Z0)
 	CLOAD1(Z1)
 	CLOAD1(Z2)
 	CLOAD1(Z3)
+	TABSTART(gemm4ntab)
 
 gemm4nloop:
 	BLOAD1
@@ -845,6 +1008,8 @@ gemm4nloop:
 	NEXTK4
 	JNZ gemm4nloop
 
+gemm4nstore:
+	ADDSTART(gemm4nadd)
 	CSTORE1(Z0)
 	CSTORE1(Z1)
 	CSTORE1(Z2)
@@ -852,11 +1017,32 @@ gemm4nloop:
 	VZEROUPPER
 	RET
 
-// func gemmStrip2AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
+gemm4nadd:
+	CADD1(Z0)
+	CADD1(Z1)
+	CADD1(Z2)
+	CADD1(Z3)
+	VZEROUPPER
+	RET
+
+gemm4ntab:
+	TABSETUP
+
+gemm4ntloop:
+	BLOADT1
+	GEMMROW1((SI), Z0)
+	GEMMROW1((R11), Z1)
+	GEMMROW1((R12), Z2)
+	GEMMROW1((R13), Z3)
+	NEXTKT4
+	JNZ gemm4ntloop
+	JMP gemm4nstore
+
+// func gemmStrip2AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, rows *int, load, add bool)
 //
 // The 2-row strip (Z0-Z3 per tile, Z0-Z1 for a last tile of up to 8
 // columns): GemmAcc runs it once on a remainder of 2 or 3 rows.
-TEXT ·gemmStrip2AVX512(SB), NOSPLIT, $0-73
+TEXT ·gemmStrip2AVX512(SB), NOSPLIT, $0-82
 	STRIPSETUP
 
 gemm2tile:
@@ -865,6 +1051,7 @@ gemm2tile:
 	JZ       gemm2narrow
 	CLOAD2(Z0, Z1)
 	CLOAD2(Z2, Z3)
+	TABSTART(gemm2tab)
 
 gemm2loop:
 	BLOAD2
@@ -873,15 +1060,36 @@ gemm2loop:
 	NEXTK2
 	JNZ gemm2loop
 
+gemm2store:
+	ADDSTART(gemm2add)
 	CSTORE2(Z0, Z1)
 	CSTORE2(Z2, Z3)
 	NEXTTILE(gemm2tile)
 	VZEROUPPER
 	RET
 
+gemm2add:
+	CADD2(Z0, Z1)
+	CADD2(Z2, Z3)
+	NEXTTILE(gemm2tile)
+	VZEROUPPER
+	RET
+
+gemm2tab:
+	TABSETUP
+
+gemm2tloop:
+	BLOADT2
+	GEMMROW2((SI), Z0, Z1)
+	GEMMROW2((R11), Z2, Z3)
+	NEXTKT2
+	JNZ gemm2tloop
+	JMP gemm2store
+
 gemm2narrow:
 	CLOAD1(Z0)
 	CLOAD1(Z1)
+	TABSTART(gemm2ntab)
 
 gemm2nloop:
 	BLOAD1
@@ -890,16 +1098,35 @@ gemm2nloop:
 	NEXTK2
 	JNZ gemm2nloop
 
+gemm2nstore:
+	ADDSTART(gemm2nadd)
 	CSTORE1(Z0)
 	CSTORE1(Z1)
 	VZEROUPPER
 	RET
 
-// func gemmStrip1AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool)
+gemm2nadd:
+	CADD1(Z0)
+	CADD1(Z1)
+	VZEROUPPER
+	RET
+
+gemm2ntab:
+	TABSETUP
+
+gemm2ntloop:
+	BLOADT1
+	GEMMROW1((SI), Z0)
+	GEMMROW1((R11), Z1)
+	NEXTKT2
+	JNZ gemm2ntloop
+	JMP gemm2nstore
+
+// func gemmStrip1AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, rows *int, load, add bool)
 //
 // The 1-row strip (Z0-Z1 per tile, Z0 for a last tile of up to 8
 // columns): GemmAcc runs it on the last row of an odd row count.
-TEXT ·gemmStrip1AVX512(SB), NOSPLIT, $0-73
+TEXT ·gemmStrip1AVX512(SB), NOSPLIT, $0-82
 	STRIPSETUP
 
 gemm1tile:
@@ -907,6 +1134,7 @@ gemm1tile:
 	KORTESTW K2, K2
 	JZ       gemm1narrow
 	CLOAD2(Z0, Z1)
+	TABSTART(gemm1tab)
 
 gemm1loop:
 	BLOAD2
@@ -914,13 +1142,32 @@ gemm1loop:
 	NEXTK1
 	JNZ gemm1loop
 
+gemm1store:
+	ADDSTART(gemm1add)
 	CSTORE2(Z0, Z1)
 	NEXTTILE(gemm1tile)
 	VZEROUPPER
 	RET
 
+gemm1add:
+	CADD2(Z0, Z1)
+	NEXTTILE(gemm1tile)
+	VZEROUPPER
+	RET
+
+gemm1tab:
+	TABSETUP
+
+gemm1tloop:
+	BLOADT2
+	GEMMROW2((SI), Z0, Z1)
+	NEXTKT1
+	JNZ gemm1tloop
+	JMP gemm1store
+
 gemm1narrow:
 	CLOAD1(Z0)
+	TABSTART(gemm1ntab)
 
 gemm1nloop:
 	BLOAD1
@@ -928,18 +1175,63 @@ gemm1nloop:
 	NEXTK1
 	JNZ gemm1nloop
 
+gemm1nstore:
+	ADDSTART(gemm1nadd)
 	CSTORE1(Z0)
 	VZEROUPPER
 	RET
+
+gemm1nadd:
+	CADD1(Z0)
+	VZEROUPPER
+	RET
+
+gemm1ntab:
+	TABSETUP
+
+gemm1ntloop:
+	BLOADT1
+	GEMMROW1((SI), Z0)
+	NEXTKT1
+	JNZ gemm1ntloop
+	JMP gemm1nstore
+
+// TRANSPOSE8 transposes the 8×8 block whose rows are in Z0-Z7 into
+// Z24-Z31, column j in Z24+j with row i in its lane i. VUNPCKLPD/VUNPCKHPD
+// pair rows 2i and 2i+1 within each 128-bit lane, and two rounds of
+// VSHUFF64X2 gather a column's four lane pairs. Clobbers Z8-Z23.
+#define TRANSPOSE8 \
+	VUNPCKLPD Z1, Z0, Z8; \
+	VUNPCKHPD Z1, Z0, Z9; \
+	VUNPCKLPD Z3, Z2, Z10; \
+	VUNPCKHPD Z3, Z2, Z11; \
+	VUNPCKLPD Z5, Z4, Z12; \
+	VUNPCKHPD Z5, Z4, Z13; \
+	VUNPCKLPD Z7, Z6, Z14; \
+	VUNPCKHPD Z7, Z6, Z15; \
+	VSHUFF64X2 $0x44, Z10, Z8, Z16; \
+	VSHUFF64X2 $0x44, Z14, Z12, Z17; \
+	VSHUFF64X2 $0xee, Z10, Z8, Z18; \
+	VSHUFF64X2 $0xee, Z14, Z12, Z19; \
+	VSHUFF64X2 $0x44, Z11, Z9, Z20; \
+	VSHUFF64X2 $0x44, Z15, Z13, Z21; \
+	VSHUFF64X2 $0xee, Z11, Z9, Z22; \
+	VSHUFF64X2 $0xee, Z15, Z13, Z23; \
+	VSHUFF64X2 $0x88, Z17, Z16, Z24; \
+	VSHUFF64X2 $0x88, Z21, Z20, Z25; \
+	VSHUFF64X2 $0xdd, Z17, Z16, Z26; \
+	VSHUFF64X2 $0xdd, Z21, Z20, Z27; \
+	VSHUFF64X2 $0x88, Z19, Z18, Z28; \
+	VSHUFF64X2 $0x88, Z23, Z22, Z29; \
+	VSHUFF64X2 $0xdd, Z19, Z18, Z30; \
+	VSHUFF64X2 $0xdd, Z23, Z22, Z31
 
 // func transposeAVX512(dst, src *float64, r, c, rb, cb int64)
 //
 // dst[j][i] = src[i][j] for i < rb and j < cb, both multiples of 8, where
 // src is r×c and dst c×r, row-major: the 8×8 blocks one at a time, eight
-// src rows into Z0-Z7, eight dst rows out of Z24-Z31. VUNPCKLPD/VUNPCKHPD
-// pair rows 2i and 2i+1 within each 128-bit lane, and two rounds of
-// VSHUFF64X2 gather a column's four lane pairs. Pure data movement: every
-// element keeps its bits.
+// src rows into Z0-Z7, eight dst rows out of Z24-Z31 (TRANSPOSE8). Pure
+// data movement: every element keeps its bits.
 TEXT ·transposeAVX512(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
@@ -967,32 +1259,7 @@ transblock:
 	VMOVUPD (BX)(R9*2), Z6
 	VMOVUPD (BX)(R13*1), Z7
 
-	VUNPCKLPD Z1, Z0, Z8 // r0[0] r1[0] | r0[2] r1[2] | r0[4] r1[4] | r0[6] r1[6]
-	VUNPCKHPD Z1, Z0, Z9 // the same for the odd columns
-	VUNPCKLPD Z3, Z2, Z10
-	VUNPCKHPD Z3, Z2, Z11
-	VUNPCKLPD Z5, Z4, Z12
-	VUNPCKHPD Z5, Z4, Z13
-	VUNPCKLPD Z7, Z6, Z14
-	VUNPCKHPD Z7, Z6, Z15
-
-	VSHUFF64X2 $0x44, Z10, Z8, Z16 // lanes 0, 1 of rows 0-1 and 2-3
-	VSHUFF64X2 $0x44, Z14, Z12, Z17 // lanes 0, 1 of rows 4-5 and 6-7
-	VSHUFF64X2 $0xee, Z10, Z8, Z18 // lanes 2, 3 of rows 0-1 and 2-3
-	VSHUFF64X2 $0xee, Z14, Z12, Z19 // lanes 2, 3 of rows 4-5 and 6-7
-	VSHUFF64X2 $0x44, Z11, Z9, Z20
-	VSHUFF64X2 $0x44, Z15, Z13, Z21
-	VSHUFF64X2 $0xee, Z11, Z9, Z22
-	VSHUFF64X2 $0xee, Z15, Z13, Z23
-
-	VSHUFF64X2 $0x88, Z17, Z16, Z24 // column 0
-	VSHUFF64X2 $0x88, Z21, Z20, Z25 // column 1
-	VSHUFF64X2 $0xdd, Z17, Z16, Z26 // column 2
-	VSHUFF64X2 $0xdd, Z21, Z20, Z27 // column 3
-	VSHUFF64X2 $0x88, Z19, Z18, Z28 // column 4
-	VSHUFF64X2 $0x88, Z23, Z22, Z29 // column 5
-	VSHUFF64X2 $0xdd, Z19, Z18, Z30 // column 6
-	VSHUFF64X2 $0xdd, Z23, Z22, Z31 // column 7
+	TRANSPOSE8
 
 	LEAQ    (DX)(R8*4), BX
 	VMOVUPD Z24, (DX)
@@ -1013,6 +1280,120 @@ transblock:
 	ADDQ $64, DI // next 8 dst columns
 	SUBQ $8, R10
 	JNZ  transrowblock
+	VZEROUPPER
+	RET
+
+// func transposeEdgeAVX512(dst, src *float64, r, c, i0, j0 int64)
+//
+// The block of transposeAVX512 at src row i0 and column j0 when fewer than
+// 8 rows or columns are left there: nr = min(8, r-i0) src rows of nc =
+// min(8, c-j0) columns. The nr rows load the nc columns' lanes (K1); the
+// registers of the missing rows keep what they held, which only reaches
+// their own lanes. After TRANSPOSE8 each of the nc dst rows stores the nr
+// rows' lanes (K2). Nothing past either edge is read or written, and every
+// element keeps its bits.
+TEXT ·transposeEdgeAVX512(SB), NOSPLIT, $0-48
+	MOVQ    r+16(FP), R8
+	MOVQ    c+24(FP), R9
+	MOVQ    i0+32(FP), R10
+	MOVQ    j0+40(FP), R11
+	MOVQ    $8, AX
+	MOVQ    R8, BX
+	SUBQ    R10, BX
+	CMPQ    BX, AX
+	CMOVQGT AX, BX // nr
+	MOVQ    R9, DX
+	SUBQ    R11, DX
+	CMPQ    DX, AX
+	CMOVQGT AX, DX // nc
+	MOVQ    DX, CX
+	MOVQ    $1, AX
+	SHLQ    CX, AX
+	DECQ    AX
+	KMOVW   AX, K1
+	MOVQ    BX, CX
+	MOVQ    $1, AX
+	SHLQ    CX, AX
+	DECQ    AX
+	KMOVW   AX, K2
+
+	MOVQ  R10, AX
+	IMULQ R9, AX
+	ADDQ  R11, AX
+	MOVQ  src+8(FP), SI
+	LEAQ  (SI)(AX*8), SI // src[i0][j0]
+	MOVQ  R11, AX
+	IMULQ R8, AX
+	ADDQ  R10, AX
+	MOVQ  dst+0(FP), DI
+	LEAQ  (DI)(AX*8), DI // dst[j0][i0]
+	SHLQ  $3, R8 // dst row stride
+	SHLQ  $3, R9 // src row stride
+
+	VMOVUPD.Z (SI), K1, Z0
+	CMPQ      BX, $1
+	JLE       transedgeloaded
+	ADDQ      R9, SI
+	VMOVUPD.Z (SI), K1, Z1
+	CMPQ      BX, $2
+	JLE       transedgeloaded
+	ADDQ      R9, SI
+	VMOVUPD.Z (SI), K1, Z2
+	CMPQ      BX, $3
+	JLE       transedgeloaded
+	ADDQ      R9, SI
+	VMOVUPD.Z (SI), K1, Z3
+	CMPQ      BX, $4
+	JLE       transedgeloaded
+	ADDQ      R9, SI
+	VMOVUPD.Z (SI), K1, Z4
+	CMPQ      BX, $5
+	JLE       transedgeloaded
+	ADDQ      R9, SI
+	VMOVUPD.Z (SI), K1, Z5
+	CMPQ      BX, $6
+	JLE       transedgeloaded
+	ADDQ      R9, SI
+	VMOVUPD.Z (SI), K1, Z6
+	CMPQ      BX, $7
+	JLE       transedgeloaded
+	ADDQ      R9, SI
+	VMOVUPD.Z (SI), K1, Z7
+
+transedgeloaded:
+	TRANSPOSE8
+
+	VMOVUPD Z24, K2, (DI)
+	CMPQ    DX, $1
+	JLE     transedgedone
+	ADDQ    R8, DI
+	VMOVUPD Z25, K2, (DI)
+	CMPQ    DX, $2
+	JLE     transedgedone
+	ADDQ    R8, DI
+	VMOVUPD Z26, K2, (DI)
+	CMPQ    DX, $3
+	JLE     transedgedone
+	ADDQ    R8, DI
+	VMOVUPD Z27, K2, (DI)
+	CMPQ    DX, $4
+	JLE     transedgedone
+	ADDQ    R8, DI
+	VMOVUPD Z28, K2, (DI)
+	CMPQ    DX, $5
+	JLE     transedgedone
+	ADDQ    R8, DI
+	VMOVUPD Z29, K2, (DI)
+	CMPQ    DX, $6
+	JLE     transedgedone
+	ADDQ    R8, DI
+	VMOVUPD Z30, K2, (DI)
+	CMPQ    DX, $7
+	JLE     transedgedone
+	ADDQ    R8, DI
+	VMOVUPD Z31, K2, (DI)
+
+transedgedone:
 	VZEROUPPER
 	RET
 
@@ -1056,6 +1437,39 @@ addrowrow:
 	ADDQ      $128, SI
 	SUBQ      $16, BX
 	JG        addrowcol
+	VZEROUPPER
+	RET
+
+// func addColVecAVX512(m, v *float64, rows, cols int64)
+// m[r][c] += v[r] for every column: v[r] is broadcast once per row, and
+// the row is walked 16 columns at a time.
+TEXT ·addColVecAVX512(SB), NOSPLIT, $0-32
+	MOVQ m+0(FP), DI
+	MOVQ v+8(FP), SI
+	MOVQ rows+16(FP), R13
+	MOVQ cols+24(FP), R12
+	SHLQ $3, R12 // row stride in bytes
+
+addcolrow:
+	VBROADCASTSD (SI), Z16
+	MOVQ         DI, DX
+	MOVQ         cols+24(FP), BX
+
+addcolchunk:
+	CHUNKMASK
+	VMOVUPD.Z (DX), K1, Z0
+	VMOVUPD.Z 64(DX), K2, Z1
+	VADDPD    Z16, Z0, Z0 // m + v
+	VADDPD    Z16, Z1, Z1
+	VMOVUPD   Z0, K1, (DX)
+	VMOVUPD   Z1, K2, 64(DX)
+	ADDQ      $128, DX
+	SUBQ      $16, BX
+	JG        addcolchunk
+	ADDQ      R12, DI
+	ADDQ      $8, SI
+	DECQ      R13
+	JNZ       addcolrow
 	VZEROUPPER
 	RET
 

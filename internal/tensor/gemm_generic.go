@@ -17,19 +17,19 @@ func gemmKernel(dst []float64, ldc int, a []float64, lda, astep int, b []float64
 
 func gemmKernel4x4AVX(dst, a, b *float64, ldc, lda, astep, ldb, k int64) { panic("tensor: no AVX") }
 
-func gemmStrip8AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool) {
+func gemmStrip8AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, rows *int, load, add bool) {
 	panic("tensor: no AVX-512")
 }
 
-func gemmStrip4AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool) {
+func gemmStrip4AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, rows *int, load, add bool) {
 	panic("tensor: no AVX-512")
 }
 
-func gemmStrip2AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool) {
+func gemmStrip2AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, rows *int, load, add bool) {
 	panic("tensor: no AVX-512")
 }
 
-func gemmStrip1AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, load bool) {
+func gemmStrip1AVX512(dst, a, b *float64, ldc, lda, astep, ldb, k, m int64, rows *int, load, add bool) {
 	panic("tensor: no AVX-512")
 }
 
@@ -63,7 +63,11 @@ func bnBwdDxScalarBlocksAVX(dx, dout, xmu *float64, k1, k2, k3 float64, blocks i
 
 func transposeAVX512(dst, src *float64, r, c, rb, cb int64) { panic("tensor: no AVX-512") }
 
+func transposeEdgeAVX512(dst, src *float64, r, c, i0, j0 int64) { panic("tensor: no AVX-512") }
+
 func addRowVecAVX512(m, v *float64, rows, cols int64) { panic("tensor: no AVX-512") }
+
+func addColVecAVX512(m, v *float64, rows, cols int64) { panic("tensor: no AVX-512") }
 
 func colSumsAVX512(dst, x *float64, rows, cols int64) { panic("tensor: no AVX-512") }
 

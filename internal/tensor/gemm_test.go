@@ -187,6 +187,24 @@ func TestMatMulBTSwappedIsTranspose(t *testing.T) {
 	}
 }
 
+// TestGemmTableRejectsRowsOutsideB: the strips read B's rows through the
+// table without bounds checks, so a row that starts before b or ends past
+// it must panic before any is read.
+func TestGemmTableRejectsRowsOutsideB(t *testing.T) {
+	a, b, dst := make([]float64, 2*3), make([]float64, 10), make([]float64, 2*4)
+	for _, rows := range [][]int{{0, 6, 7}, {0, -1, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rows %v over a 10-element b: no panic", rows)
+				}
+			}()
+			GemmTableInto(dst, 4, a, 3, 1, b, rows, 2, 3, 4)
+		}()
+	}
+	GemmTableInto(dst, 4, a, 3, 1, b, []int{0, 6, 3}, 2, 3, 4) // every row fits
+}
+
 // TestMatMulIntoAllocFree: the *Into variants must not allocate at any
 // size — a conv layer calls them three times per sample, and the MLP's
 // 50-row batch sends its A·B and A·Bᵀ products through the pooled tail

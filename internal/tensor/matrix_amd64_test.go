@@ -62,10 +62,10 @@ func mixedValues(seed uint64, rare int) func() float64 {
 }
 
 // TestMatrixKernelsMatchScalarBits holds each whole-matrix kernel — the
-// 1-D BatchNorm passes, AddRowVec and ColSumsInto — to its per-element
-// scalar expression, bit for bit, on every shape of 1–9 rows by 1–40
-// columns (so every masked tail of a 16-column chunk, and the AVX blocks
-// with their scalar tails), with ±0, ±Inf and NaN among the inputs, at
+// 1-D BatchNorm passes, AddRowVec, AddColVec and ColSumsInto — to its
+// per-element scalar expression, bit for bit, on every shape of 1–9 rows
+// by 1–40 columns (so every masked tail of a 16-column chunk, and the AVX
+// blocks with their scalar tails), with ±0, ±Inf and NaN among the inputs, at
 // each dispatch arm the host has. Reductions must also overwrite, not add
 // to, what their output held.
 func TestMatrixKernelsMatchScalarBits(t *testing.T) {
@@ -94,6 +94,14 @@ func TestMatrixKernelsMatchScalarBits(t *testing.T) {
 					want[i] = x[i] + mean[i%C]
 				}
 				sameBits(t, "AddRowVec "+shape, got, want)
+
+				rowv := vec(n)
+				copy(got, x)
+				FromSlice(n, C, got).AddColVec(rowv)
+				for i := range x {
+					want[i] = x[i] + rowv[i/C]
+				}
+				sameBits(t, "AddColVec "+shape, got, want)
 
 				Fill(col, math.NaN())
 				FromSlice(n, C, x).ColSumsInto(col)
@@ -225,6 +233,87 @@ func TestGemmMaskedTileMatchesScalar(t *testing.T) {
 	})
 }
 
+// TestGemmAddAndTableMatchGemmInto holds GemmAddInto to GemmInto into a
+// scratch matrix followed by AddVec of each row, and GemmTableInto to
+// GemmInto on its rows gathered into a plain matrix, both bit for bit with
+// NaN payloads compared too, over TestGemmMaskedTileMatchesScalar's
+// shapes and strides at each dispatch arm the host has. dst starts with
+// ±0, ±Inf and a NaN whose payload no arithmetic makes, and the inputs
+// hold NaN and ±Inf, so a sum that comes out NaN meets a NaN in dst: the
+// add must keep dst as its first operand. The table's rows overlap, lie
+// in any order and repeat. The rows below the product and the columns
+// past it must keep their bits.
+func TestGemmAddAndTableMatchGemmInto(t *testing.T) {
+	dstNaN := math.Float64frombits(0x7ff80000000dead0)
+	special := []float64{dstNaN, math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	forEachLevel(t, func(t *testing.T) {
+		value := mixedValues(59, 40)
+		r := xrand.New(61)
+		fill := func(v []float64) {
+			for i := range v {
+				v[i] = value()
+			}
+		}
+		for _, k := range []int{0, 1, 7, 50} {
+			for n := 1; n <= 17; n++ {
+				for m := 1; m <= 40; m++ {
+					for _, strided := range []bool{false, true} {
+						lda, astep := k+2, 1
+						if strided {
+							lda, astep = 1, n
+						}
+						ldb, ldc := m+3, m+5
+						a, b := make([]float64, n*(k+2)), make([]float64, k*ldb)
+						fill(a)
+						fill(b)
+						dst := make([]float64, (n+2)*ldc)
+						for i := range dst {
+							dst[i] = special[r.Intn(len(special))]
+						}
+						shape := fmt.Sprintf("n=%d k=%d m=%d strided=%v", n, k, m, strided)
+
+						want := append([]float64(nil), dst...)
+						prod := make([]float64, n*m)
+						GemmInto(prod, m, a, lda, astep, b, ldb, n, k, m)
+						for i := 0; i < n; i++ {
+							AddVec(want[i*ldc:i*ldc+m], prod[i*m:(i+1)*m])
+						}
+						got := append([]float64(nil), dst...)
+						GemmAddInto(got, ldc, a, lda, astep, b, ldb, n, k, m)
+						exactBits(t, "GemmAddInto "+shape, got, want)
+
+						// The table: k rows of width m anywhere in a buffer
+						// of 2k+1 row widths, then the same rows gathered.
+						tb := make([]float64, (2*k+1)*m)
+						fill(tb)
+						rows, gathered := make([]int, k), make([]float64, k*m)
+						for p := range rows {
+							rows[p] = r.Intn(len(tb) - m + 1)
+							copy(gathered[p*m:(p+1)*m], tb[rows[p]:])
+						}
+						copy(want, dst)
+						GemmInto(want, ldc, a, lda, astep, gathered, m, n, k, m)
+						copy(got, dst)
+						GemmTableInto(got, ldc, a, lda, astep, tb, rows, n, k, m)
+						exactBits(t, "GemmTableInto "+shape, got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// exactBits fails unless got and want hold the same bits element by
+// element, NaN payloads included.
+func exactBits(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if g, w := math.Float64bits(got[i]), math.Float64bits(want[i]); g != w {
+			t.Fatalf("%s [%d] = %v (bits %#x), want %v (bits %#x)", name, i, got[i], g, want[i], w)
+		}
+	}
+}
+
 // TestPackTranspose holds TransposeInto to an element-by-element copy, bit
 // for bit, on every shape of 1–19 rows by 1–19 columns — full 8×8 blocks,
 // with and without ragged edges on either side — and on the shapes the
@@ -232,7 +321,7 @@ func TestGemmMaskedTileMatchesScalar(t *testing.T) {
 func TestPackTranspose(t *testing.T) {
 	forEachLevel(t, func(t *testing.T) {
 		value := mixedValues(7, 20)
-		shapes := [][2]int{{64, 32}, {32, 10}, {8, 144}, {16, 36}, {72, 8}}
+		shapes := [][2]int{{64, 32}, {32, 10}, {50, 10}, {10, 50}, {8, 144}, {16, 36}, {72, 8}, {144, 8}, {36, 16}}
 		for r := 1; r <= 19; r++ {
 			for c := 1; c <= 19; c++ {
 				shapes = append(shapes, [2]int{r, c})
