@@ -50,7 +50,7 @@ type convScratch struct {
 
 	// shifted taps only
 	pad    []float64 // KW padded copies of one sample (padSample)
-	masked []float64 // (KW-1)×OutC·p: dOut per kx ≠ Pad, wrapped columns zeroed
+	masked []float64 // (KW-1)×OutC·p: dOut per kx ≠ Pad, wrapped columns zeroed; from the first dx
 
 	// strided geometry only
 	cols  *tensor.Dense // k×p: the sample's im2col matrix
@@ -343,9 +343,7 @@ func (l *Conv2D) backward(dout *tensor.Dense, wantDx bool) *tensor.Dense {
 		sc.dwPart = make([]float64, len(l.Wt.Data))
 		sc.dbPart = make([]float64, len(l.B.Data))
 		sc.doutT = make([]float64, p*l.OutC)
-		if l.taps != nil {
-			sc.masked = make([]float64, (l.KW-1)*l.OutC*p)
-		} else {
+		if l.taps == nil {
 			sc.dcols = tensor.NewDense(k, p)
 		}
 	}
@@ -443,6 +441,9 @@ func (l *Conv2D) backwardTaps(xs, ds, dxs []float64) {
 	}
 	if dxs == nil {
 		return
+	}
+	if sc.masked == nil {
+		sc.masked = make([]float64, (l.KW-1)*l.OutC*p)
 	}
 	for kx := 0; kx < l.KW; kx++ {
 		if kx != l.Pad {
