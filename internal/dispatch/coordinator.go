@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -857,22 +856,6 @@ type resultResponse struct {
 	Next *Job `json:"next,omitempty"`
 }
 
-// readWire reads a heartbeat or result body. Both ends of this hop ship from
-// one tree, so the binary codec (internal/wire) is the only encoding: any
-// other Content-Type is answered 415 (and false returned).
-func readWire(w http.ResponseWriter, req *http.Request, what string) ([]byte, bool) {
-	if !strings.HasPrefix(req.Header.Get("Content-Type"), wire.ContentType) {
-		obs.HTTPError(w, http.StatusUnsupportedMediaType, "%s must be %s", what, wire.ContentType)
-		return nil, false
-	}
-	body, err := io.ReadAll(req.Body)
-	if err != nil {
-		obs.HTTPError(w, http.StatusBadRequest, "reading %s: %v", what, err)
-		return nil, false
-	}
-	return body, true
-}
-
 // Mount attaches the worker protocol to mux. Endpoint reference with
 // example flows: docs/API.md.
 func (c *Coordinator) Mount(mux *http.ServeMux) {
@@ -933,20 +916,18 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// handleHeartbeat takes an empty body as a bare liveness ping.
+// handleHeartbeat takes an empty body as a bare liveness ping. A body that
+// does not decode is a 400 and extends no lease.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	wid, jid := req.PathValue("id"), req.PathValue("job")
 	var rounds []fl.RoundStat
-	if req.ContentLength != 0 {
-		body, ok := readWire(w, req, "heartbeat")
-		if !ok {
-			return
-		}
-		var err error
-		if rounds, err = wire.DecodeStats(body); err != nil {
-			obs.HTTPError(w, http.StatusBadRequest, "decoding heartbeat: %v", err)
-			return
-		}
+	body, err := io.ReadAll(req.Body)
+	if err == nil && len(body) > 0 {
+		rounds, err = wire.DecodeStats(body)
+	}
+	if err != nil {
+		obs.HTTPError(w, http.StatusBadRequest, "decoding heartbeat: %v", err)
+		return
 	}
 	switch err := c.heartbeat(wid, jid, rounds); {
 	case errors.Is(err, errUnknownWorker):
@@ -961,11 +942,14 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 // handleResult asks for the uploader's next job with ?lease=1.
 func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	wid, jid := req.PathValue("id"), req.PathValue("job")
-	body, ok := readWire(w, req, "result")
-	if !ok {
-		return
+	var (
+		hist   *fl.History
+		errMsg string
+	)
+	body, err := io.ReadAll(req.Body)
+	if err == nil {
+		hist, errMsg, err = wire.DecodeResult(body)
 	}
-	hist, errMsg, err := wire.DecodeResult(body)
 	if err != nil {
 		obs.HTTPError(w, http.StatusBadRequest, "decoding result: %v", err)
 		return

@@ -137,7 +137,11 @@ func (h *coordHarness) deregister(wid string) {
 
 func (h *coordHarness) heartbeat(wid, jobID string, rounds []fl.RoundStat) int {
 	h.t.Helper()
-	return h.postBody(fmt.Sprintf("/v1/workers/%s/jobs/%s/heartbeat", wid, jobID), wire.ContentType, wire.EncodeStats(rounds), nil)
+	body, err := wire.EncodeStats(rounds)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	return h.postBody(fmt.Sprintf("/v1/workers/%s/jobs/%s/heartbeat", wid, jobID), wire.ContentType, body, nil)
 }
 
 func (h *coordHarness) upload(wid, jobID string, hist *fl.History, errStr string) (int, resultResponse) {
@@ -147,10 +151,13 @@ func (h *coordHarness) upload(wid, jobID string, hist *fl.History, errStr string
 	return code, resp
 }
 
-// TestWorkerHopIsWireOnly: heartbeat and result bodies are the binary codec
-// or nothing. JSON (what pre-wire workers sent) is refused with 415 and
-// changes no state; an empty heartbeat is still a liveness ping.
-func TestWorkerHopIsWireOnly(t *testing.T) {
+// TestWorkerHopRefusesMalformedBodies: a heartbeat or result body that does
+// not decode is a 400 and changes no state — the job stays running with no
+// round relayed and nothing stored. The bodies are the binary envelopes
+// workers sent before the hop spoke JSON (an empty result and an empty
+// batch), an object where the heartbeat's list belongs, and a truncated
+// result. An empty heartbeat is still a liveness ping.
+func TestWorkerHopRefusesMalformedBodies(t *testing.T) {
 	h := newCoordHarness(t, CoordinatorConfig{})
 	hd, err := h.coord.Submit(testJob(1), SubmitOpts{})
 	if err != nil {
@@ -161,23 +168,28 @@ func TestWorkerHopIsWireOnly(t *testing.T) {
 	hbURL := fmt.Sprintf("/v1/workers/%s/jobs/%s/heartbeat", wid, job.ID)
 	resURL := fmt.Sprintf("/v1/workers/%s/jobs/%s/result", wid, job.ID)
 
-	if code := h.postBody(hbURL, "application/json", []byte(`{"rounds":[{"round":1}]}`), nil); code != http.StatusUnsupportedMediaType {
-		t.Fatalf("JSON heartbeat: HTTP %d, want 415", code)
+	result := wire.EncodeResult(cannedHist(2), "")
+	for _, c := range []struct{ name, url, body string }{
+		{"binary heartbeat", hbURL, "FWR1\x02\x00\x00"},
+		{"object heartbeat", hbURL, `{"rounds":[{"round":1,"test_acc":0.4}]}`},
+		{"binary result", resURL, "FWR1\x01\x00\x00"},
+		{"truncated result", resURL, string(result[:len(result)/2])},
+	} {
+		if code := h.postBody(c.url, wire.ContentType, []byte(c.body), nil); code != http.StatusBadRequest {
+			t.Fatalf("%s: HTTP %d, want 400", c.name, code)
+		}
 	}
-	jsonResult, _ := json.Marshal(map[string]any{"history": cannedHist(2)})
-	if code := h.postBody(resURL, "application/json", jsonResult, nil); code != http.StatusUnsupportedMediaType {
-		t.Fatalf("JSON result: HTTP %d, want 415", code)
+	if hd.Status() != StatusRunning || len(hd.Rounds().Events()) != 0 {
+		t.Fatalf("after refused bodies: status %s, %d rounds relayed; want running, none", hd.Status(), len(hd.Rounds().Events()))
 	}
-	select {
-	case <-hd.Done():
-		t.Fatal("a refused JSON result completed the job")
-	default:
+	if _, ok, _ := h.store.Get(job.ID); ok {
+		t.Fatal("a refused result was stored")
 	}
 	if code := h.postBody(hbURL, "", nil, nil); code != http.StatusOK {
 		t.Fatalf("empty heartbeat: HTTP %d, want 200", code)
 	}
 	if code, ack := h.upload(wid, job.ID, cannedHist(2), ""); code != http.StatusOK || ack.Status != "stored" {
-		t.Fatalf("wire result: HTTP %d status %q", code, ack.Status)
+		t.Fatalf("result: HTTP %d status %q", code, ack.Status)
 	}
 	<-hd.Done()
 }

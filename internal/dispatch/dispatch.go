@@ -12,7 +12,9 @@
 //     survives a restart — and a Worker talks to exactly one (DESIGN.md
 //     "Why one coordinator" has the measurement behind that).
 //   - Worker is the pull side; fedserve -worker -join <url> runs one over
-//     HTTP (POST /v1/workers, ...).
+//     HTTP (POST /v1/workers, ...). The protocol is JSON throughout: its
+//     heartbeat and result bodies are internal/wire's, and one that does
+//     not decode is a 400.
 //   - Local, the backend of a plain fedserve or fedbench, is a Coordinator
 //     with no WAL and leases that never expire plus an in-process Worker
 //     that calls it directly.

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -290,6 +292,58 @@ func TestUnstorableHistoryIsRetainedDone(t *testing.T) {
 	if hist, _ := again.Result(); again != h || hist == nil || execs != 1 || l.Records() != 1 {
 		t.Fatalf("resubmission: same handle %t, history %v, %d executions, %d records; want the retained one, 1, 1",
 			again == h, hist, execs, l.Records())
+	}
+}
+
+// TestUnencodableHistoryFailsRemoteJob is the HTTP worker's counterpart of
+// TestUnstorableHistoryIsRetainedDone. JSON cannot carry the NaN loss, so
+// the upload carries its marshal error instead and the job fails with a
+// message that names it. The heartbeats go on without the NaN round: the
+// finite round before it is relayed exactly, the NaN round as nothing, and
+// the lease holds while the run outlives it several times over, so the job
+// runs once and is never requeued.
+func TestUnencodableHistoryFailsRemoteJob(t *testing.T) {
+	const ttl = 300 * time.Millisecond
+	h := newCoordHarness(t, CoordinatorConfig{LeaseTTL: ttl})
+	var (
+		execs atomic.Int64
+		hd    Handle
+	)
+	hist := &fl.History{Method: "fedavg", Stats: []fl.RoundStat{
+		{Round: 1, TestAcc: 0.25, TrainLoss: 1.5},
+		{Round: 2, TestAcc: 0.5, TrainLoss: math.NaN()},
+	}}
+	runner := func(ctx context.Context, job Job, onRound func(fl.RoundStat)) (*fl.History, error) {
+		execs.Add(1)
+		onRound(hist.Stats[0])
+		for len(hd.Rounds().Events()) == 0 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		onRound(hist.Stats[1])
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(3 * ttl):
+		}
+		return hist, nil
+	}
+	job := testJob(32)
+	hd, err := h.coord.Submit(job, SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startWorker(t, h, runner, 1)
+	if _, err := waitDone(t, hd); err == nil || !strings.Contains(err.Error(), "NaN") || hd.Status() != StatusFailed {
+		t.Fatalf("result error %v, status %s; want failed with the marshal error", err, hd.Status())
+	}
+	if n := execs.Load(); n != 1 {
+		t.Fatalf("%d executions, want 1 (the lease lapsed)", n)
+	}
+	if got := hd.Rounds().Events(); len(got) != 1 || !reflect.DeepEqual(got[0], hist.Stats[0]) {
+		t.Fatalf("relayed rounds %+v, want only round 1 as recorded", got)
+	}
+	if _, ok, _ := h.store.Get(job.ID); ok {
+		t.Fatal("an unencodable history was stored")
 	}
 }
 

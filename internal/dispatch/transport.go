@@ -60,8 +60,8 @@ func (d directTransport) deregister(_ context.Context, wid string) error {
 
 func (directTransport) String() string { return "the in-process coordinator" }
 
-// httpTransport is the worker protocol over HTTP (docs/API.md): JSON control
-// messages, heartbeat and result bodies in the binary codec.
+// httpTransport is the worker protocol over HTTP (docs/API.md), JSON
+// throughout: heartbeat and result bodies are internal/wire's.
 type httpTransport struct {
 	base   string // coordinator base URL without trailing slashes
 	client *http.Client
@@ -97,7 +97,13 @@ func (h *httpTransport) lease(ctx context.Context, wid string, wait time.Duratio
 }
 
 func (h *httpTransport) beat(ctx context.Context, wid, jid string, rounds []fl.RoundStat) error {
-	body := wire.EncodeStats(rounds)
+	body, err := wire.EncodeStats(rounds)
+	if err != nil {
+		// A round JSON cannot carry (NaN, ±Inf) is not relayed, and the beat
+		// still holds the lease; the upload fails the job with this error.
+		h.logf("dispatch: job %.12s: progress not relayed: %v", jid, err)
+		body = nil
+	}
 	code, err := h.do(ctx, http.MethodPost, fmt.Sprintf("%s/v1/workers/%s/jobs/%s/heartbeat", h.base, wid, jid), wire.ContentType, body, nil)
 	if err != nil || code == http.StatusOK {
 		return err
@@ -169,8 +175,8 @@ func (h *httpTransport) postJSON(ctx context.Context, url string, body, out any)
 	return h.do(ctx, http.MethodPost, url, "application/json", b, out)
 }
 
-// do sends one request; heartbeat and result bodies arrive pre-encoded in
-// the wire codec (responses stay JSON — acks are a handful of bytes).
+// do sends one request; heartbeat and result bodies arrive pre-encoded by
+// internal/wire.
 func (h *httpTransport) do(ctx context.Context, method, url, contentType string, body []byte, out any) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {

@@ -167,19 +167,6 @@ func TestLogitScaleScalesGradientExactly(t *testing.T) {
 	}
 }
 
-// TestEpochsOverride: LocalOpts.Epochs must override the config.
-func TestEpochsOverride(t *testing.T) {
-	cfg := Config{Rounds: 1, LocalEpochs: 5, BatchSize: 10, Seed: 81}.Defaults()
-	env := testEnv(81, cfg, 3, 4, 1, 1)
-	net := env.Build(cfg.Seed)
-	ctx := &ClientCtx{Round: 0, Client: env.Clients[0], Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(82)}
-	res := RunLocalSGD(ctx, LocalOpts{Epochs: 2})
-	batches := (env.Clients[0].N + 9) / 10
-	if res.Steps != 2*batches {
-		t.Fatalf("epochs override ignored: %d steps, want %d", res.Steps, 2*batches)
-	}
-}
-
 // TestLRScaleShrinksDelta: halving the local learning rate via LRScale must
 // shrink the first-step movement proportionally (single step, so exact).
 func TestLRScaleShrinksDelta(t *testing.T) {

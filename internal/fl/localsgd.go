@@ -40,8 +40,6 @@ type LocalOpts struct {
 	TrackPreds bool
 	// LRScale multiplies the local learning rate (FedWCM-X). 0 = 1.
 	LRScale float64
-	// Epochs overrides Config.LocalEpochs when > 0.
-	Epochs int
 }
 
 // RunLocalSGD executes the client's local training loop starting from the
@@ -54,9 +52,6 @@ func RunLocalSGD(ctx *ClientCtx, opts LocalOpts) *ClientResult {
 		lossFn = ctx.Env.Loss
 	}
 	epochs := cfg.LocalEpochs
-	if opts.Epochs > 0 {
-		epochs = opts.Epochs
-	}
 	lr := cfg.EtaL
 	if opts.LRScale > 0 {
 		lr *= opts.LRScale

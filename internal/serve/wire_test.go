@@ -4,14 +4,12 @@ import (
 	"io"
 	"net/http"
 	"testing"
-
-	"fedwcm/internal/wire"
 )
 
 // TestWireNegotiatedStatus pins the run-status encoding: /v1/runs/{id}
-// speaks JSON only, so a client that lists the wire codec in Accept gets
-// the same application/json body, byte for byte, as a plain client. The
-// wire codec is the worker→coordinator hop's, not the public API's.
+// speaks JSON only, so a client that asks for another media type in Accept
+// (here the binary codec the worker hop once spoke) gets the same
+// application/json body, byte for byte, as a plain client.
 func TestWireNegotiatedStatus(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 
@@ -51,8 +49,9 @@ func TestWireNegotiatedStatus(t *testing.T) {
 		return body
 	}
 	plain := get("")
-	viaWire := get(wire.ContentType)
+	const binary = "application/x-fedwcm-wire"
+	viaWire := get(binary)
 	if string(plain) != string(viaWire) {
-		t.Fatalf("Accept %q changed the body:\n%s\nvs\n%s", wire.ContentType, viaWire, plain)
+		t.Fatalf("Accept %q changed the body:\n%s\nvs\n%s", binary, viaWire, plain)
 	}
 }

@@ -41,7 +41,7 @@ func postJSON(t *testing.T, url string, body, out any) int {
 	return postBody(t, url, "application/json", b, out)
 }
 
-// postBody posts pre-encoded bytes (heartbeats ride the wire codec).
+// postBody posts pre-encoded bytes (heartbeats are internal/wire's).
 func postBody(t *testing.T, url, contentType string, b []byte, out any) int {
 	t.Helper()
 	resp, err := http.Post(url, contentType, bytes.NewReader(b))
@@ -127,7 +127,10 @@ func TestAsyncJobSurvivesWorkerCrash(t *testing.T) {
 	if leased.Job.ID != fp {
 		t.Fatalf("doomed worker leased %q, want %q", leased.Job.ID, fp)
 	}
-	beat := wire.EncodeStats([]fl.RoundStat{{Round: 1, TestAcc: 0.2, Time: 1.5}})
+	beat, err := wire.EncodeStats([]fl.RoundStat{{Round: 1, TestAcc: 0.2, Time: 1.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if code := postBody(t, ts.URL+"/v1/workers/"+reg.ID+"/jobs/"+fp+"/heartbeat", wire.ContentType, beat, nil); code != http.StatusOK {
 		t.Fatalf("mid-run heartbeat: HTTP %d", code)
 	}

@@ -380,7 +380,7 @@ func mustJSON(t *testing.T, v any) string {
 
 // goldenProbedHistories pins the golden fixture with a probe attached: the
 // probe's readings are part of the history bytes (and so of what the store,
-// the wire codec and SSE carry), pinned bit-for-bit like the trajectory.
+// the worker hop and SSE carry), pinned bit-for-bit like the trajectory.
 var goldenProbedHistories = map[string]struct{ probe, hash string }{
 	"fedcm":  {"collapse", "6f316e5d43083eac326e865260634456b5c5b78da121db1d2572d4b34d25e37d"},
 	"fedavg": {"train_acc", "c24e11747f5d5a3d89f1b7ad575e84d9aa41a18bd03729f3604ff0d25da9e8fb"},

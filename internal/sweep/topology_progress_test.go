@@ -17,14 +17,31 @@ import (
 // TestProgressMatchesAcrossTopologies: one spec, run on the local backend
 // and on a coordinator with an HTTP worker, reports the same round feed on
 // its handle — the same rounds in the same order, each the same JSON down to
-// the per-class accuracies. The runner waits after every round until the
-// submitter has read it from the feed, so on the remote leg every round
-// travels in a heartbeat rather than in the result upload's backfill: a
-// heartbeat must carry progress as exactly as the upload carries the
-// history.
+// the per-class accuracies — and the same history. The runner waits after
+// every round until the submitter has read it from the feed, so on the
+// remote leg every round travels in a heartbeat rather than in the result
+// upload's backfill: a heartbeat must carry progress as exactly as the
+// upload carries the history. The clocked async spec adds the fields only
+// such runs record, RoundStat.Time and RoundStat.Async, to both hops.
 func TestProgressMatchesAcrossTopologies(t *testing.T) {
-	spec := goldenSpec("fedwcm")
-	spec.Cfg.EvalEvery = 1
+	barrier := goldenSpec("fedwcm")
+	barrier.Cfg.EvalEvery = 1
+	async := barrier
+	async.Cfg.Async = &fl.AsyncConfig{K: 3}
+	async.Cfg.Clock = true
+	for _, c := range []struct {
+		name string
+		spec RunSpec
+		want []string // keys every round of the local feed carries
+	}{
+		{"sync", barrier, []string{`"per_class":[`}},
+		{"async", async, []string{`"per_class":[`, `"time":`, `"async":{`}},
+	} {
+		t.Run(c.name, func(t *testing.T) { progressMatchesAcrossTopologies(t, c.spec, c.want) })
+	}
+}
+
+func progressMatchesAcrossTopologies(t *testing.T, spec RunSpec, want []string) {
 	fp, err := spec.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
@@ -47,9 +64,8 @@ func TestProgressMatchesAcrossTopologies(t *testing.T) {
 			}
 		})
 	}
-	stream := func(ex dispatch.Executor) []string {
+	stream := func(ex dispatch.Executor) (rounds []string, history string) {
 		t.Helper()
-		var rounds []string
 		h, err := ex.Submit(job, dispatch.SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
@@ -69,10 +85,15 @@ func TestProgressMatchesAcrossTopologies(t *testing.T) {
 		if !finished {
 			t.Fatal("run never finished")
 		}
-		if _, err := h.Result(); err != nil {
+		hist, err := h.Result()
+		if err != nil {
 			t.Fatal(err)
 		}
-		return rounds
+		b, err := json.Marshal(hist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rounds, string(b)
 	}
 
 	local, err := dispatch.NewLocal(dispatch.LocalConfig{Runner: runner, Workers: 1, Logf: t.Logf})
@@ -80,7 +101,7 @@ func TestProgressMatchesAcrossTopologies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer local.Close()
-	localRounds := stream(local)
+	localRounds, localHist := stream(local)
 
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
@@ -105,10 +126,17 @@ func TestProgressMatchesAcrossTopologies(t *testing.T) {
 	exited := make(chan struct{})
 	go func() { defer close(exited); w.Run(ctx) }()
 	defer func() { cancel(); <-exited }()
-	remoteRounds := stream(coord)
+	remoteRounds, remoteHist := stream(coord)
 
-	if len(localRounds) != spec.Cfg.Rounds || !strings.Contains(localRounds[0], `"per_class":[`) {
-		t.Fatalf("local run reported %d rounds (%v), want %d carrying per-class accuracy", len(localRounds), localRounds, spec.Cfg.Rounds)
+	if len(localRounds) != spec.Cfg.Rounds {
+		t.Fatalf("local run reported %d rounds (%v), want %d", len(localRounds), localRounds, spec.Cfg.Rounds)
+	}
+	for i, r := range localRounds {
+		for _, key := range want {
+			if !strings.Contains(r, key) {
+				t.Fatalf("local round %d carries no %s: %s", i, key, r)
+			}
+		}
 	}
 	if len(remoteRounds) != len(localRounds) {
 		t.Fatalf("remote run reported %d rounds, local %d", len(remoteRounds), len(localRounds))
@@ -117,5 +145,8 @@ func TestProgressMatchesAcrossTopologies(t *testing.T) {
 		if remoteRounds[i] != localRounds[i] {
 			t.Fatalf("round %d differs across topologies:\nlocal:  %s\nremote: %s", i, localRounds[i], remoteRounds[i])
 		}
+	}
+	if remoteHist != localHist {
+		t.Fatalf("history differs across topologies:\nlocal:  %s\nremote: %s", localHist, remoteHist)
 	}
 }

@@ -8,9 +8,8 @@ import (
 )
 
 // SampleHistory builds a deterministic history shaped like real engine
-// output, used as the reference workload for transport-size tracking (the
-// bench/ wire.* probes and the size pin in wire_test.go).
-// It mirrors what Evaluate and the async engine actually emit: accuracy
+// output, used as the reference workload of the bench/ wire.* probes and
+// as a store and trace fixture. It mirrors what Evaluate and the async engine actually emit: accuracy
 // columns are correct/total quotients over a fixed test set (2000 samples,
 // 200 per class) that plateau as the run converges, losses and adaptive
 // metrics are full-entropy floats, and shot/async blocks appear at the

@@ -2,20 +2,20 @@ package wire
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fedwcm/internal/fl"
 	"fedwcm/internal/store"
 )
 
-// nastyFloat draws from a distribution heavy on encoder edge cases: exact
-// zeros of both signs, NaN, infinities, subnormals, values with long
-// matching bit prefixes, and fully random bit patterns.
+// nastyFloat draws finite values heavy on encoding edge cases: exact zeros
+// of both signs, the extremes of the range, subnormals, values with long
+// matching bit prefixes, and random bit patterns.
 func nastyFloat(r *rand.Rand) float64 {
 	switch r.Intn(10) {
 	case 0:
@@ -23,17 +23,21 @@ func nastyFloat(r *rand.Rand) float64 {
 	case 1:
 		return math.Copysign(0, -1)
 	case 2:
-		return math.NaN()
+		return math.SmallestNonzeroFloat64
 	case 3:
-		return math.Inf(1 - 2*r.Intn(2))
+		return float64(1-2*r.Intn(2)) * math.MaxFloat64
 	case 4:
 		return math.Float64frombits(r.Uint64() & 0xFFFFF) // subnormal
 	case 5:
 		return r.Float64() // [0,1): the realistic accuracy case
 	case 6:
-		return 0.5 + r.Float64()*1e-9 // tiny XOR against a nearby prev
+		return 0.5 + float64(r.Float64()*1e-9) // a long shared bit prefix
 	default:
-		return math.Float64frombits(r.Uint64())
+		for {
+			if v := math.Float64frombits(r.Uint64()); !math.IsNaN(v) && !math.IsInf(v, 0) {
+				return v
+			}
+		}
 	}
 }
 
@@ -47,7 +51,9 @@ func randStats(r *rand.Rand, n int) []fl.RoundStat {
 		s.TestAcc = nastyFloat(r)
 		s.TrainLoss = nastyFloat(r)
 		if r.Intn(2) == 0 {
-			s.Time = nastyFloat(r)
+			// "time" is omitempty, so a -0 is dropped like a +0 would be;
+			// the engine's clock never reads -0.
+			s.Time = math.Abs(nastyFloat(r))
 		}
 		switch r.Intn(3) {
 		case 0:
@@ -153,8 +159,8 @@ func statsEqual(t *testing.T, got, want []fl.RoundStat) {
 }
 
 // TestResultRoundtripExact: EncodeResult/DecodeResult is bit-for-bit
-// lossless on adversarial histories (NaN, ±Inf, ±0, subnormals, random bit
-// patterns, nil-vs-empty containers).
+// lossless on adversarial finite histories (±0, extremes, subnormals, random
+// bit patterns, nil-vs-empty containers).
 func TestResultRoundtripExact(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -185,9 +191,8 @@ func TestResultRoundtripExact(t *testing.T) {
 
 // TestResultJSONBytesIdentical is the store-boundary guarantee: a decoded
 // history must JSON-marshal to exactly the bytes of the original, so
-// artifact contents and content addresses are unaffected by the transport
-// (JSON can't represent NaN/Inf, so these fixtures stay finite — the
-// bit-level cases are covered above). The "probed" fixture carries the keys
+// artifact contents and content addresses are unaffected by the transport.
+// The "probed" fixture carries the keys
 // run probes emit beside a method's own diagnostics: they are ordinary
 // dynamic Metrics keys to the codec and to the store, which is why a probed
 // cell can be dispatched, uploaded and cached like any other.
@@ -268,7 +273,11 @@ func TestStatsRoundtripExact(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
 		stats := randStats(r, r.Intn(20))
-		got, err := DecodeStats(EncodeStats(stats))
+		p, err := EncodeStats(stats)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		got, err := DecodeStats(p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -276,31 +285,8 @@ func TestStatsRoundtripExact(t *testing.T) {
 	}
 }
 
-// retiredFloat16Stats is EncodeStats(stats) with the retired column-format
-// flag set — the byte after the row count, which once marked a float16
-// per-class column.
-func retiredFloat16Stats(stats []fl.RoundStat) []byte {
-	p := EncodeStats(stats)
-	p[len(magic)+1+len(binary.AppendUvarint(nil, uint64(len(stats))))] = 1
-	return p
-}
-
-// TestRetiredFloat16ColumnIsRefused: no path quantizes any more, so a
-// payload flagging the old float16 per-class column is an error, never a
-// silently lossy decode (and never a panic).
-func TestRetiredFloat16ColumnIsRefused(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	if _, err := DecodeStats(retiredFloat16Stats(randStats(r, 3))); err == nil {
-		t.Fatal("a float16-flagged stats payload decoded")
-	}
-	p := EncodeStats(randStats(r, 3))
-	if _, err := DecodeStats(p); err != nil {
-		t.Fatalf("lossless payload: %v", err)
-	}
-}
-
-// TestDecodeRejectsCorrupt: every truncation of a valid message, plus bad
-// magic and kind confusion, must error — never panic, never silently
+// TestDecodeRejectsCorrupt: every truncation of a valid message, a bad
+// first byte and kind confusion must error — never panic, never silently
 // succeed with wrong data.
 func TestDecodeRejectsCorrupt(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
@@ -314,29 +300,32 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	bad := append([]byte{}, p...)
 	bad[0] = 'X'
 	if _, _, err := DecodeResult(bad); err == nil {
-		t.Fatal("bad magic accepted")
+		t.Fatal("bad first byte accepted")
 	}
 	if _, err := DecodeStats(p); err == nil {
 		t.Fatal("result payload accepted as stats")
 	}
-}
-
-// TestWireSmallerThanJSON pins the transport-size win on the reference
-// workload (SampleHistory: engine-shaped accuracy quotients, plateaus,
-// shot/async blocks): the wire encoding must be at least 5× smaller than
-// the JSON body it replaces. The bench/ wire.* probes track the exact numbers.
-func TestWireSmallerThanJSON(t *testing.T) {
-	h := SampleHistory(100, 10)
-	jsonBody, err := json.Marshal(struct {
-		History *fl.History `json:"history,omitempty"`
-		Error   string      `json:"error,omitempty"`
-	}{History: h})
+	stats, err := EncodeStats(randStats(r, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wireBody := EncodeResult(h, "")
-	t.Logf("json=%d wire=%d ratio=%.1f", len(jsonBody), len(wireBody), float64(len(jsonBody))/float64(len(wireBody)))
-	if len(wireBody)*5 > len(jsonBody) {
-		t.Fatalf("wire encoding %d bytes not ≥5× smaller than JSON %d bytes", len(wireBody), len(jsonBody))
+	if _, _, err := DecodeResult(stats); err == nil {
+		t.Fatal("stats payload accepted as a result")
+	}
+}
+
+// TestNonFiniteHistoryUploadsItsMarshalError: JSON has no NaN or ±Inf, so a
+// result holding one uploads the marshal error as the run's error (and no
+// history), and a progress batch holding one fails to encode.
+func TestNonFiniteHistoryUploadsItsMarshalError(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rows := []fl.RoundStat{{Round: 1, TestAcc: 0.5}, {Round: 2, TestAcc: 0.5, Metrics: map[string]float64{"alpha": v}}}
+		got, msg, err := DecodeResult(EncodeResult(&fl.History{Method: "fedavg", Stats: rows}, ""))
+		if err != nil || got != nil || !strings.Contains(msg, "unsupported value") {
+			t.Fatalf("%v: decoded %+v, %q, %v; want no history and the marshal error", v, got, msg, err)
+		}
+		if _, err := EncodeStats(rows); err == nil {
+			t.Fatalf("%v: a stats batch encoded", v)
+		}
 	}
 }
