@@ -28,7 +28,7 @@ type Report struct {
 // use; networks without activations (linear models) are measured at every
 // layer output.
 func Concentration(net *nn.Network, x *tensor.Dense) Report {
-	outs := net.ForwardCollect(x, false)
+	outs := net.ForwardCollect(x)
 	var perLayer []float64
 	for i, l := range net.Layers {
 		if _, ok := l.(*nn.ReLU); ok {

@@ -252,10 +252,30 @@ func TestConvBackwardIndependentOfWorkers(t *testing.T) {
 
 // TestResNetLiteStepAllocs: a steady-state training step allocates
 // nothing — no layer spawns a goroutine or builds a closure, and every
-// buffer is a workspace, layer-owned scratch or a pooled GEMM panel.
+// buffer is a workspace, layer-owned scratch or a pooled GEMM panel. And
+// no ReLU or Residual grows a workspace, nor BatchNorm an output: all of
+// them write in place.
 func TestResNetLiteStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the GEMM panel pool allocates under -race")
+	}
+	var grown func(l Layer) bool
+	grown = func(l Layer) bool {
+		switch l := l.(type) {
+		case *Sequential:
+			for _, c := range l.Layers {
+				if grown(c) {
+					return true
+				}
+			}
+		case *Residual:
+			return l.fwd.d != nil || l.bwd.d != nil || grown(l.Body)
+		case *ReLU:
+			return l.fwd.d != nil || l.bwd.d != nil
+		case *BatchNorm:
+			return l.fwd.d != nil
+		}
+		return false
 	}
 	stepAllocs := func(n int) float64 {
 		net := NewResNetLite(1, 3, 12, 12, 10, 8)
@@ -268,6 +288,9 @@ func TestResNetLiteStepAllocs(t *testing.T) {
 			net.Step(0.1)
 		}
 		step() // grow the workspaces and scratch
+		if grown(net.Sequential) {
+			t.Errorf("a ResNetLite step at batch %d grew a ReLU or Residual workspace or a BatchNorm output", n)
+		}
 		return testing.AllocsPerRun(10, step)
 	}
 	a8, a32 := stepAllocs(8), stepAllocs(32)

@@ -43,13 +43,16 @@ func (s *Sequential) Backward(dout *tensor.Dense) *tensor.Dense {
 	return dout
 }
 
-// ForwardCollect runs the forward pass and returns every layer's output in
-// order (outputs[i] is the output of Layers[i]). It powers the layer-wise
-// neuron-concentration analysis.
-func (s *Sequential) ForwardCollect(x *tensor.Dense, train bool) []*tensor.Dense {
+// ForwardCollect runs the forward pass in inference mode and returns every
+// layer's output in order (outputs[i] is the output of Layers[i]). It
+// powers the layer-wise neuron-concentration analysis. A layer that writes
+// in place shares its buffer with the entry before it, so outputs[i] holds
+// Layers[i]'s output only when Layers[i+1] keeps its input — as every
+// layer fed by a ReLU does.
+func (s *Sequential) ForwardCollect(x *tensor.Dense) []*tensor.Dense {
 	outs := make([]*tensor.Dense, len(s.Layers))
 	for i, l := range s.Layers {
-		x = l.Forward(x, train)
+		x = l.Forward(x, false)
 		outs[i] = x
 	}
 	return outs

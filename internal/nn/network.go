@@ -28,8 +28,10 @@ type span struct{ lo, hi int }
 
 // WrapNetwork builds a Network from layers plus metadata. It moves every
 // parameter's values into the network's weight vector, re-points Data and
-// Grad at their windows (gradients start at zero) and re-points the weight
-// matrices Linear and Conv2D view.
+// Grad at their windows (gradients start at zero), re-points the weight
+// matrices Linear and Conv2D view, and marks which layers write in place
+// (planInPlace): the network's input is the caller's batch and its last
+// layer's gradient the caller's buffer, so both are kept.
 func WrapNetwork(inDim, classes int, layers ...Layer) *Network {
 	n := &Network{Sequential: NewSequential(layers...), InDim: inDim, Classes: classes}
 	n.params = n.Sequential.Params()
@@ -53,6 +55,7 @@ func WrapNetwork(inDim, classes int, layers ...Layer) *Network {
 		off = end
 	}
 	bindViews(n.Sequential)
+	planInPlace(n.Sequential, true, true)
 	return n
 }
 

@@ -25,7 +25,8 @@ type BatchNorm struct {
 	sumD, sumDXmu []float64
 	kg            []float64
 
-	fwd, bwd workspace
+	ip       inPlace
+	fwd, bwd workspace // used by a pass that does not write in place
 }
 
 // ensureVec grows s to length n, reusing capacity.
@@ -66,6 +67,9 @@ func (l *BatchNorm) init() {
 }
 
 // Forward normalises by batch statistics (train) or running statistics.
+// Backward reads xmu, never x or the output, so in place the output goes
+// over x: every statistic is reduced from x first, and the normalisation
+// reads each element before it writes it.
 func (l *BatchNorm) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	if x.C != l.Channels*l.Spatial {
 		panic("nn: BatchNorm input width mismatch")
@@ -73,7 +77,7 @@ func (l *BatchNorm) Forward(x *tensor.Dense, train bool) *tensor.Dense {
 	n := x.R
 	sp := l.Spatial
 	m := float64(n * sp)
-	out := l.fwd.get(n, x.C)
+	out := l.fwd.over(x, l.ip.fwd)
 	if cap(l.xmu) < len(x.Data) {
 		l.xmu = make([]float64, len(x.Data))
 	}
@@ -210,13 +214,14 @@ func bnSqDev(sq []float64, x *tensor.Dense, mean []float64, sp int) {
 
 // Backward implements the standard batch-norm gradient. In inference mode
 // the statistics are constants, so the layer behaves as a per-channel
-// affine map. The two layouts split as in Forward.
+// affine map. The two layouts split as in Forward. In place, dx goes over
+// dout: the sums read dout first, and the dx kernels are elementwise.
 func (l *BatchNorm) Backward(dout *tensor.Dense) *tensor.Dense {
 	n := l.nIn
 	sp := l.Spatial
 	m := float64(n * sp)
 	C := l.Channels
-	dx := l.bwd.get(n, dout.C)
+	dx := l.bwd.over(dout, l.ip.bwd)
 
 	sumD := ensureVec(&l.sumD, C)
 	sumDXmu := ensureVec(&l.sumDXmu, C)

@@ -8,13 +8,20 @@ import "fedwcm/internal/tensor"
 // batches — the overwhelmingly common case in the federated inner loop —
 // run the forward/backward chain allocation-free after the first batch.
 //
-// Correctness rests on two invariants the layer convention already
-// guarantees:
+// Within one pass a buffer may hold several layers' values in turn: a
+// layer that never reads its output again (ReLU, BatchNorm, Residual's
+// skip sum) writes that output over its input, and in Backward writes its
+// input gradient over the incoming gradient (see inPlace). Correctness
+// rests on three invariants:
 //
-//   - Each layer instance owns its workspaces, so within one forward (or
-//     backward) chain no two tensors alias: layer i's output buffer is
-//     distinct from layer j's for i ≠ j, and skip connections read inputs
-//     produced by *other* layers' buffers.
+//   - A buffer is overwritten only by a layer whose argument it is, and
+//     only when no one reads the old value afterwards. planInPlace decides
+//     that once, from the network's structure; a layer outside a Network
+//     copies.
+//   - Forward buffers (activations and the caller's batch) and backward
+//     buffers (gradients and the caller's dout) never alias each other, so
+//     what Backward reads of the forward pass — a cached input, ReLU's
+//     output, BatchNorm's xmu — survives the backward pass.
 //   - A layer's output is consumed before its next Forward call (networks
 //     are not safe for concurrent use, and callers never hold activations
 //     across steps), so overwriting the buffer on reuse is safe.
@@ -22,7 +29,8 @@ import "fedwcm/internal/tensor"
 // Reuse is capacity-based: a shrinking batch (the short last batch of an
 // epoch) re-slices the same backing array; only growth reallocates. The
 // values written are bit-identical to the allocating path — buffers are
-// fully overwritten (or explicitly zeroed) before use.
+// fully overwritten (or explicitly zeroed) before use, and every in-place
+// kernel is elementwise, reading each element before it writes it.
 type workspace struct {
 	d *tensor.Dense
 }
@@ -43,6 +51,15 @@ func (w *workspace) getZeroed(r, c int) *tensor.Dense {
 	return d
 }
 
+// over returns x itself when the pass writes in place, else an x-shaped
+// matrix of the workspace, which an in-place layer therefore never grows.
+func (w *workspace) over(x *tensor.Dense, inPlace bool) *tensor.Dense {
+	if inPlace {
+		return x
+	}
+	return w.get(x.R, x.C)
+}
+
 // vecWorkspace is the vector counterpart of workspace.
 type vecWorkspace struct {
 	v []float64
@@ -55,4 +72,44 @@ func (w *vecWorkspace) get(n int) []float64 {
 		w.v = make([]float64, n)
 	}
 	return w.v[:n]
+}
+
+// inPlace says which of a ReLU's or BatchNorm's passes write over their
+// argument: fwd, the output over the input; bwd, the input gradient over
+// the incoming gradient. The zero value copies both.
+type inPlace struct{ fwd, bwd bool }
+
+// planInPlace marks, from structure alone, which layers of l may write in
+// place, and reports whether l's output must be kept because l reads it in
+// Backward (ReLU takes its mask from its output). keepIn says l's input is
+// read after l's Forward, keepDout that l's incoming gradient is read after
+// l's Backward. A layer keeps its input when that input is
+//
+//   - the network's input, which is the caller's batch;
+//   - also a Residual's input, which the skip reads: the first layer of a
+//     body;
+//   - a ReLU's output, from which that ReLU reads its mask;
+//
+// and keeps its incoming gradient when its caller reads it afterwards: the
+// last layer of a Residual body, whose sum reads it, and the network's
+// last layer, whose gradient buffer belongs to the caller. A Residual sums
+// in place only when its body's last layer does not read its own output.
+// Conv2D, Linear and GlobalAvgPool change the shape, so they never write
+// in place; Conv2D and Linear cache their input.
+func planInPlace(l Layer, keepIn, keepDout bool) (keepOut bool) {
+	switch l := l.(type) {
+	case *Sequential:
+		for i, c := range l.Layers {
+			keepIn = planInPlace(c, keepIn, keepDout && i == len(l.Layers)-1)
+		}
+		return keepIn // an empty Sequential passes its input through
+	case *Residual:
+		l.inPlace = !planInPlace(l.Body, true, true)
+	case *ReLU:
+		l.ip = inPlace{fwd: !keepIn, bwd: !keepDout}
+		return true
+	case *BatchNorm:
+		l.ip = inPlace{fwd: !keepIn, bwd: !keepDout}
+	}
+	return false
 }

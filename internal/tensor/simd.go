@@ -25,7 +25,7 @@ import "math"
 const simdMinLen = 8
 
 // ReLUFwdInto computes dst[i] = x[i] if x[i] > 0, else +0 (NaN passes
-// through, matching `if v <= 0 { 0 } else { v }`).
+// through, matching `if v <= 0 { 0 } else { v }`). dst may be x.
 func ReLUFwdInto(dst, x []float64) {
 	if len(dst) != len(x) {
 		panic("tensor: ReLUFwdInto length mismatch")
@@ -46,7 +46,9 @@ func ReLUFwdInto(dst, x []float64) {
 }
 
 // ReLUBwdInto computes dst[i] = dout[i] where x[i] > 0, else +0 — the same
-// mask semantics as ReLUFwdInto, recomputed from the cached input.
+// mask semantics as ReLUFwdInto. x may be the forward input or its output:
+// x ≤ 0 and relu(x) ≤ 0 agree on every input, −0 and NaN included. dst may
+// be dout.
 func ReLUBwdInto(dst, dout, x []float64) {
 	if len(dst) != len(dout) || len(dst) != len(x) {
 		panic("tensor: ReLUBwdInto length mismatch")
