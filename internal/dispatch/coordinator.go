@@ -26,9 +26,6 @@ type CoordinatorConfig struct {
 	// LeaseTTL is how long a worker may hold a job without heartbeating
 	// before the job is requeued onto surviving workers. 0 = 15s.
 	LeaseTTL time.Duration
-	// MaxAttempts caps how many leases a job may consume (first execution
-	// included) before lease expiry fails it for good. 0 = 3.
-	MaxAttempts int
 	// Queue bounds jobs waiting for a lease. 0 = 4096 (one maximal sweep).
 	Queue int
 	// WALPath, when non-empty, backs the queue with a write-ahead log
@@ -38,9 +35,6 @@ type CoordinatorConfig struct {
 	// queues the rest in submission order with no attempts used. Empty =
 	// in-memory only.
 	WALPath string
-	// WALCompactEvery checkpoints the WAL (rewriting it down to the live job
-	// set) after this many terminal jobs. 0 = 1024.
-	WALCompactEvery int
 	// Logf defaults to the unified slog route (obs.Logf("dispatch")); tests
 	// pass t.Logf.
 	Logf func(format string, args ...any)
@@ -49,6 +43,13 @@ type CoordinatorConfig struct {
 	// process default tracer.
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
+
+	// maxAttempts caps how many leases a job may consume (first execution
+	// included) before lease expiry fails it for good. 0 = 3.
+	maxAttempts int
+	// walCompactEvery checkpoints the WAL (rewriting it down to the live job
+	// set) after this many terminal jobs. 0 = 1024.
+	walCompactEvery int
 }
 
 // Coordinator is the dispatch backend every topology runs: jobs queue here,
@@ -57,7 +58,7 @@ type CoordinatorConfig struct {
 // job fingerprint. The upload path writes straight into the store, so
 // duplicate uploads — a requeued job finished by two workers, a tardy worker
 // acking after its lease expired — are idempotent by content address. Lease
-// expiry requeues the job (capped by MaxAttempts); an explicit
+// expiry requeues the job (capped at three leases); an explicit
 // deregistration requeues without consuming an attempt (clean handover).
 //
 // Every one of those rules lives in the queue (queue.go); the Coordinator is
@@ -159,14 +160,14 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // NewLocal: no store means nothing persisted, a zero LeaseTTL leases that
 // never expire.
 func newCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
+	if cfg.maxAttempts <= 0 {
+		cfg.maxAttempts = 3
 	}
 	if cfg.Queue <= 0 {
 		cfg.Queue = 4096
 	}
-	if cfg.WALCompactEvery <= 0 {
-		cfg.WALCompactEvery = 1024
+	if cfg.walCompactEvery <= 0 {
+		cfg.walCompactEvery = 1024
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = obs.Logf("dispatch")
@@ -179,7 +180,7 @@ func newCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:      cfg,
-		q:        newQueue(cfg.Queue, cfg.MaxAttempts, cfg.LeaseTTL, cfg.WALPath != ""),
+		q:        newQueue(cfg.Queue, cfg.maxAttempts, cfg.LeaseTTL, cfg.WALPath != ""),
 		retained: make(map[string]*handle),
 		notify:   newSignal(), space: newSignal(), closed: make(chan struct{}),
 	}
@@ -314,7 +315,7 @@ func (c *Coordinator) checkpoint() {
 
 // run carries out what a transition left to do once c.mu is released: the
 // granted handle's status, failed handles, metrics and spans — and every
-// WALCompactEvery terminal jobs, however they ended, a checkpoint, so the
+// walCompactEvery terminal jobs, however they ended, a checkpoint, so the
 // log tracks the live set instead of the submission history.
 func (c *Coordinator) run(fx effects) {
 	if g := fx.granted; g.j != nil {
@@ -339,7 +340,7 @@ func (c *Coordinator) run(fx effects) {
 		if e.outcome == outcomeExpired {
 			c.cm.expiries.Inc()
 			c.cfg.Logf("dispatch: job %.12s: lease expired on worker %s, attempt %d/%d — %s",
-				e.job, e.worker, e.attempt, c.cfg.MaxAttempts, map[bool]string{true: "requeueing", false: "failing"}[e.requeued])
+				e.job, e.worker, e.attempt, c.cfg.maxAttempts, map[bool]string{true: "requeueing", false: "failing"}[e.requeued])
 		}
 	}
 	for _, f := range fx.failed {
@@ -348,7 +349,7 @@ func (c *Coordinator) run(fx effects) {
 	if fx.terminal > 0 && c.wal != nil {
 		c.mu.Lock()
 		c.completes += fx.terminal
-		due := c.completes >= c.cfg.WALCompactEvery
+		due := c.completes >= c.cfg.walCompactEvery
 		c.mu.Unlock()
 		if due {
 			c.checkpoint()

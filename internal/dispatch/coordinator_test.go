@@ -272,9 +272,9 @@ func TestWorkerCrashMidLeaseRequeues(t *testing.T) {
 }
 
 // TestLeaseExpiryCapFailsJob: a job that keeps losing its lease fails for
-// good after MaxAttempts instead of bouncing forever.
+// good after maxAttempts instead of bouncing forever.
 func TestLeaseExpiryCapFailsJob(t *testing.T) {
-	h := newCoordHarness(t, CoordinatorConfig{LeaseTTL: 40 * time.Millisecond, MaxAttempts: 2})
+	h := newCoordHarness(t, CoordinatorConfig{LeaseTTL: 40 * time.Millisecond, maxAttempts: 2})
 	job := testJob(3)
 	hd, err := h.coord.Submit(job, SubmitOpts{})
 	if err != nil {
@@ -352,7 +352,7 @@ func TestDuplicateResultUploadIdempotent(t *testing.T) {
 // its lease back immediately (no TTL wait) and the job survives even with
 // a retry budget of one — clean handover does not consume an attempt.
 func TestDeregisterRequeuesCleanly(t *testing.T) {
-	h := newCoordHarness(t, CoordinatorConfig{LeaseTTL: 10 * time.Second, MaxAttempts: 1})
+	h := newCoordHarness(t, CoordinatorConfig{LeaseTTL: 10 * time.Second, maxAttempts: 1})
 	job := testJob(5)
 	hd, err := h.coord.Submit(job, SubmitOpts{})
 	if err != nil {

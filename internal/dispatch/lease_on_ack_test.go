@@ -163,7 +163,7 @@ func TestAckedLeaseReplaysLikeAPolledOne(t *testing.T) {
 	st := tstore(t)
 	mk := func() *coordHarness {
 		return newCoordHarness(t, CoordinatorConfig{
-			Store: st, WALPath: walPath, LeaseTTL: 10 * time.Second, MaxAttempts: 1,
+			Store: st, WALPath: walPath, LeaseTTL: 10 * time.Second, maxAttempts: 1,
 		})
 	}
 	h1 := mk()
@@ -184,7 +184,7 @@ func TestAckedLeaseReplaysLikeAPolledOne(t *testing.T) {
 	if s := h2.coord.Stats(); s.Recovered != 1 || s.Pending != 1 {
 		t.Fatalf("recovery stats %+v, want the acked job back in the queue", s)
 	}
-	// MaxAttempts is 1 and the job was leased once before the crash: it can
+	// maxAttempts is 1 and the job was leased once before the crash: it can
 	// only be re-leased because recovery starts it with no attempts.
 	wid2 := h2.register(1)
 	if got := h2.leaseUntil(wid2, 5*time.Second); got.ID != jb.ID {
@@ -354,7 +354,7 @@ func TestShuttingDownWorkerDoesNotAskForMore(t *testing.T) {
 // was cancelled before the slot could start it. The job stays leased to the
 // worker until deregistration hands it back — without consuming an attempt.
 func TestAckedJobHandedBackOnShutdown(t *testing.T) {
-	h, rl := newLoggedHarness(t, CoordinatorConfig{LeaseTTL: 10 * time.Second, MaxAttempts: 1})
+	h, rl := newLoggedHarness(t, CoordinatorConfig{LeaseTTL: 10 * time.Second, maxAttempts: 1})
 	_, hd1 := h.submit(251, SubmitOpts{})
 	j2, _ := h.submit(252, SubmitOpts{})
 	// Cancel between ack and execute: the hook runs after the coordinator
@@ -386,7 +386,7 @@ func TestAckedJobHandedBackOnShutdown(t *testing.T) {
 		t.Fatalf("%d uploads, want 1 (the acked job must not have run)", got)
 	}
 	h.wantQueue("after deregistration", 1, 0)
-	// MaxAttempts is 1 and the ack's grant consumed it: the job is leasable
+	// maxAttempts is 1 and the ack's grant consumed it: the job is leasable
 	// again only because the handover refunded the attempt.
 	if got := h.leaseUntil(h.register(1), 5*time.Second); got.ID != j2.ID {
 		t.Fatalf("handed-back job: re-leased %.12s, want %.12s", got.ID, j2.ID)

@@ -23,7 +23,7 @@ type coordMetrics struct {
 	leasesOnAck *obs.Counter
 	// Durability series (all zero on an in-memory coordinator).
 	walRecords     *obs.Counter // submit records journaled to the WAL
-	walCheckpoints *obs.Counter // WAL compactions (startup + every WALCompactEvery completes)
+	walCheckpoints *obs.Counter // WAL compactions (startup + every walCompactEvery completes)
 }
 
 func newCoordMetrics(reg *obs.Registry, stats func() CoordinatorStats) coordMetrics {

@@ -32,11 +32,11 @@ import (
 func TestCoordinatorRecoversWALJobs(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "coord.wal")
 	st := tstore(t)
-	// MaxAttempts: 1: the job is leased once before the crash, and recovery
+	// maxAttempts: 1: the job is leased once before the crash, and recovery
 	// starts every job with no attempts used.
 	mk := func() *coordHarness {
 		return newCoordHarness(t, CoordinatorConfig{
-			Store: st, WALPath: walPath, LeaseTTL: 10 * time.Second, MaxAttempts: 1,
+			Store: st, WALPath: walPath, LeaseTTL: 10 * time.Second, maxAttempts: 1,
 		})
 	}
 
@@ -331,13 +331,13 @@ func TestSubmitRacingWorkerNeverDoubleBooksJob(t *testing.T) {
 }
 
 // TestExpiryFailuresCountTowardCheckpoint is bug (ii): a job that exhausts
-// MaxAttempts by lease expiry is as terminal as an uploaded one, and counts
-// toward WALCompactEvery like one.
+// maxAttempts by lease expiry is as terminal as an uploaded one, and counts
+// toward walCompactEvery like one.
 func TestExpiryFailuresCountTowardCheckpoint(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := newCoordHarness(t, CoordinatorConfig{
 		WALPath: filepath.Join(t.TempDir(), "coord.wal"), LeaseTTL: 40 * time.Millisecond,
-		MaxAttempts: 1, WALCompactEvery: 2, Metrics: reg,
+		maxAttempts: 1, walCompactEvery: 2, Metrics: reg,
 	})
 	checkpoints := func() float64 { return registryValues(t, reg)["fedwcm_dispatch_wal_checkpoints_total"] }
 	if n := checkpoints(); n != 1 {

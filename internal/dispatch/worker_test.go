@@ -177,7 +177,7 @@ func TestKilledWorkerJobMovesToSurvivor(t *testing.T) {
 // job still completes on the survivor, proving the handover consumed no
 // attempt.
 func TestWorkerShutdownDeregisters(t *testing.T) {
-	h := newCoordHarness(t, CoordinatorConfig{LeaseTTL: 10 * time.Second, MaxAttempts: 1})
+	h := newCoordHarness(t, CoordinatorConfig{LeaseTTL: 10 * time.Second, maxAttempts: 1})
 
 	leased := make(chan struct{}, 1)
 	cancel := startWorker(t, h, func(ctx context.Context, job Job, onRound func(fl.RoundStat)) (*fl.History, error) {

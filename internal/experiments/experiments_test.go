@@ -258,6 +258,41 @@ func TestSmallExperimentsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestExecuteOwnsItsBackend: an in-process Execute starts its own
+// dispatch.Local over Options.Store and closes it when the grid is done, so
+// two runs of a one-cell experiment over one store compute the cell once
+// and render the same text. It is the -short cover of that path.
+func TestExecuteOwnsItsBackend(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &Experiment{
+		ID: "one-cell",
+		Grid: sweep.Spec{Methods: []string{"fedavg"}, Clients: []int{4}, SampleRates: []float64{0.5},
+			LocalEpochs: []int{1}, Model: "linear", Rounds: 8},
+		Views: []View{{Title: "one cell", Cols: []string{"method"}}},
+	}
+	run := func() string {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := e.Execute(Options{Effort: 0.01, Store: st, Out: &buf}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	first, second := run(), run()
+	if !strings.Contains(first, "1 cells — 0 cached, 1 computed") {
+		t.Fatalf("first run:\n%s", first)
+	}
+	if !strings.Contains(second, "1 cells — 1 cached, 0 computed") {
+		t.Fatalf("second run:\n%s", second)
+	}
+	if tail(first) == "" || tail(first) != tail(second) {
+		t.Fatalf("cached rerun rendered differently:\nfirst:\n%s\nsecond:\n%s", first, second)
+	}
+}
+
 // TestProbedFiguresShareTheStore is the path a closure could never take:
 // fig4's probed cells are content-addressed, so a rerun is all store hits,
 // and fig13 — whose two FedCM cells are fig4's IF=1 and IF=0.1 cells —

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"sync"
 
+	"fedwcm/internal/dispatch"
 	"fedwcm/internal/store"
 	"fedwcm/internal/sweep"
 )
@@ -85,9 +86,10 @@ type Experiment struct {
 }
 
 // Execute runs the experiment: the grid — on the server at opt.Remote when
-// that is set, in-process otherwise — rendered through Views, unless Run is
-// set. It returns the grid's result, partial when an error names failed
-// cells, and nil for Run.
+// that is set, in-process otherwise, on a dispatch.Local of opt.CellWorkers
+// slots over opt.Store that lives as long as the grid — rendered through
+// Views, unless Run is set. It returns the grid's result, partial when an
+// error names failed cells, and nil for Run.
 func (e *Experiment) Execute(opt Options) (*sweep.Result, error) {
 	opt = opt.Defaults()
 	if e.Run != nil {
@@ -100,9 +102,14 @@ func (e *Experiment) Execute(opt Options) (*sweep.Result, error) {
 	if opt.Remote != "" {
 		res, err = runRemote(opt.Remote, sp, opt.Store)
 	} else {
-		eng := &sweep.Engine{Store: opt.Store, Workers: opt.CellWorkers, Envs: opt.Envs}
-		defer eng.Close()
-		res, err = eng.RunSweep(sp)
+		var local *dispatch.Local
+		if local, err = dispatch.NewLocal(dispatch.LocalConfig{
+			Runner: sweep.DispatchRunner(opt.Envs), Workers: opt.CellWorkers, Store: opt.Store,
+		}); err != nil {
+			return nil, err
+		}
+		defer local.Close()
+		res, err = (&sweep.Engine{Store: opt.Store, Executor: local}).RunSweep(sp)
 	}
 	if res != nil && res.Failed > 0 {
 		// Surface per-group causes, not a bare count: one line per failed

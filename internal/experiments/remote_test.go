@@ -3,6 +3,7 @@ package experiments_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"fedwcm/internal/dispatch"
 	"fedwcm/internal/experiments"
 	"fedwcm/internal/fl"
 	"fedwcm/internal/serve"
@@ -19,14 +21,21 @@ import (
 )
 
 // newRemote starts a fedserve over a fresh store behind httptest, with
-// front (when set) wrapping its handler.
-func newRemote(t *testing.T, runner sweep.Runner, front func(next http.Handler) http.Handler) string {
+// front (when set) wrapping its handler. A non-nil runner replaces training
+// in a two-slot local backend over that store.
+func newRemote(t *testing.T, runner dispatch.Runner, front func(next http.Handler) http.Handler) string {
 	t.Helper()
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := serve.New(serve.Config{Store: st, Workers: 2, Runner: runner, Logf: t.Logf})
+	cfg := serve.Config{Store: st, Workers: 2, Logf: t.Logf}
+	if runner != nil {
+		if cfg.Executor, err = dispatch.NewLocal(dispatch.LocalConfig{Runner: runner, Workers: 2, Store: st, Logf: t.Logf}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +104,12 @@ func TestRemoteRendersLikeLocal(t *testing.T) {
 
 // cannedRunner returns a one-evaluation history for every spec, and an
 // error for method fail.
-func cannedRunner(fail string) sweep.Runner {
-	return func(_ context.Context, spec sweep.RunSpec, _ func(fl.RoundStat)) (*fl.History, error) {
+func cannedRunner(fail string) dispatch.Runner {
+	return func(_ context.Context, job dispatch.Job, _ func(fl.RoundStat)) (*fl.History, error) {
+		var spec sweep.RunSpec
+		if err := json.Unmarshal(job.Spec, &spec); err != nil {
+			return nil, err
+		}
 		if spec.Method == fail {
 			return nil, errors.New("canned failure")
 		}

@@ -434,8 +434,8 @@ func (e *asyncEngine) aggregate() *AsyncInfo {
 		Uniform:   uniform,
 		Discount:  e.discount,
 	}
-	if e.env.AsyncHook != nil {
-		e.env.AsyncHook(info)
+	if e.env.asyncHook != nil {
+		e.env.asyncHook(info)
 	}
 	if aa, ok := e.m.(AsyncAggregator); ok {
 		aa.AggregateAsync(info, e.global, e.resbuf)

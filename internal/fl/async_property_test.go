@@ -24,7 +24,7 @@ type asyncInfoCopy struct {
 }
 
 // collectAsyncInfos runs a small buffered-async training and captures every
-// aggregation event through Env.AsyncHook.
+// aggregation event through Env.asyncHook.
 func collectAsyncInfos(t *testing.T, ac *AsyncConfig) []asyncInfoCopy {
 	t.Helper()
 	cfg := Config{Rounds: 10, SampleClients: 6, LocalEpochs: 1, BatchSize: 16,
@@ -33,7 +33,7 @@ func collectAsyncInfos(t *testing.T, ac *AsyncConfig) []asyncInfoCopy {
 	env := testEnv(41, cfg, 4, 12, 0.3, 0.5)
 	norm := env.Cfg.Async // Defaults applied by NewEnv
 	var infos []asyncInfoCopy
-	env.AsyncHook = func(info *AsyncInfo) {
+	env.asyncHook = func(info *AsyncInfo) {
 		infos = append(infos, asyncInfoCopy{
 			version:  info.Version,
 			partial:  info.Partial,

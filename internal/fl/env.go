@@ -59,12 +59,12 @@ type Env struct {
 	BaseIF      float64
 	Repartition func(seed uint64, beta float64) *partition.Partition
 
-	// AsyncHook, when set, observes every buffered aggregation event of an
+	// asyncHook, when set, observes every buffered aggregation event of an
 	// async run (called single-threaded from the event loop, after the
 	// staleness weights are computed and before the method aggregates). It
-	// must not retain the info or its slices past the call. Test-and-
-	// diagnostics only: it never affects the computed history.
-	AsyncHook func(info *AsyncInfo)
+	// must not retain the info or its slices past the call. Tests only: it
+	// never affects the computed history.
+	asyncHook func(info *AsyncInfo)
 
 	// Observability. Metrics nil means "use the process default" (see
 	// DefaultRunMetrics) — pass NewRunMetrics(nil) for a guaranteed no-op;

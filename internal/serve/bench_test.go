@@ -37,7 +37,9 @@ func BenchmarkWarmSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	s, err := New(Config{Store: st, Runner: neverRun, Metrics: obs.NewRegistry(), Logf: func(string, ...any) {}})
+	cfg := Config{Store: st, Metrics: obs.NewRegistry(), Logf: func(string, ...any) {}}
+	cfg.Executor = stubLocal(b, cfg, neverRun)
+	s, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

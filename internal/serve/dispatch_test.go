@@ -248,11 +248,14 @@ func TestClientExecutorDrivesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localEng := &sweep.Engine{Workers: 2, Envs: sweep.NewEnvCache(0)}
-	defer localEng.Close()
+	local, err := dispatch.NewLocal(dispatch.LocalConfig{Runner: sweep.DispatchRunner(sweep.NewEnvCache(0)), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
 	sp := exp.Grid
 	sp.Name, sp.Seeds, sp.Effort = exp.ID, []uint64{opt.Seed}, opt.Effort
-	localRes, err := localEng.RunSweep(sp)
+	localRes, err := (&sweep.Engine{Executor: local}).RunSweep(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func TestSweepEventsBytesForCachedSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, ts := newTestServer(t, Config{Store: st, Runner: neverRun})
+	s, ts := newStubServer(t, Config{Store: st}, neverRun)
 	_, sub := postSweep(t, ts, sp)
 	if sum := waitSweepDone(t, ts, sub.ID); sum.Counts[StatusCached] != 6 {
 		t.Fatalf("sweep not fully cached: %+v", sum)
@@ -132,7 +132,7 @@ func TestRunEventsBytesForStoredArtifact(t *testing.T) {
 	if err := st.Put(fp, hist); err != nil {
 		t.Fatal(err)
 	}
-	s, _ := newTestServer(t, Config{Store: st, Runner: neverRun})
+	s, _ := newStubServer(t, Config{Store: st}, neverRun)
 
 	rec := getEvents(t, s, "/v1/runs/"+fp+"/events")
 	if got := rec.Body.String(); got != storedRunEvents {
@@ -201,7 +201,7 @@ func TestSweepResultBytesForCachedGrid(t *testing.T) {
 	failing := func(context.Context, sweep.RunSpec, func(fl.RoundStat)) (*fl.History, error) {
 		return nil, errors.New("canned failure")
 	}
-	s, ts := newTestServer(t, Config{Store: st, Runner: failing})
+	s, ts := newStubServer(t, Config{Store: st}, failing)
 	_, sub := postSweep(t, ts, sp)
 	if sum := waitSweepDone(t, ts, sub.ID); sum.Counts[StatusCached] != 15 || sum.Counts[StatusFailed] != 1 {
 		t.Fatalf("sweep counts: %+v", sum)

@@ -14,7 +14,7 @@ import (
 
 // shotRunner returns canned histories carrying shot-bucket data, counting
 // executions so cache behaviour stays observable.
-func shotRunner(execs *atomic.Int64) sweep.Runner {
+func shotRunner(execs *atomic.Int64) specRun {
 	return func(_ context.Context, spec sweep.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
 		execs.Add(1)
 		stats := []fl.RoundStat{{
@@ -36,7 +36,7 @@ func shotRunner(execs *atomic.Int64) sweep.Runner {
 // is a cache hit; a malformed scenario is rejected at submission time.
 func TestRunSubmitWithScenario(t *testing.T) {
 	var execs atomic.Int64
-	_, ts := newTestServer(t, Config{Runner: shotRunner(&execs)})
+	_, ts := newStubServer(t, Config{}, shotRunner(&execs))
 
 	post := func(body string) (int, runResponse) {
 		t.Helper()
@@ -98,7 +98,7 @@ func TestRunSubmitWithScenario(t *testing.T) {
 // the rendered table, and resubmitting the grid is all store hits.
 func TestSweepWithScenarioAxis(t *testing.T) {
 	var execs atomic.Int64
-	_, ts := newTestServer(t, Config{Runner: shotRunner(&execs)})
+	_, ts := newStubServer(t, Config{}, shotRunner(&execs))
 
 	sp := sweep.Spec{
 		Name:      "scenario-sweep",

@@ -35,11 +35,7 @@ func tinySpec() sweep.RunSpec {
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Store == nil {
-		st, err := store.Open(t.TempDir(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Store = st
+		cfg.Store = tempStore(t)
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -48,6 +44,53 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() { ts.Close(); s.Close() })
 	return s, ts
+}
+
+func tempStore(tb testing.TB) *store.Store {
+	tb.Helper()
+	st, err := store.Open(tb.TempDir(), 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
+// specRun is a test runner over the decoded spec, standing in for training.
+type specRun func(ctx context.Context, spec sweep.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error)
+
+// stubLocal is the local backend New builds from cfg, with run in place of
+// training. Whoever it is handed to closes it.
+func stubLocal(tb testing.TB, cfg Config, run specRun) *dispatch.Local {
+	tb.Helper()
+	local, err := dispatch.NewLocal(dispatch.LocalConfig{
+		Runner: func(ctx context.Context, job dispatch.Job, onRound func(fl.RoundStat)) (*fl.History, error) {
+			var spec sweep.RunSpec
+			if err := json.Unmarshal(job.Spec, &spec); err != nil {
+				return nil, err
+			}
+			return run(ctx, spec, onRound)
+		},
+		Workers: cfg.Workers,
+		Queue:   cfg.QueueDepth,
+		Store:   cfg.Store,
+		Logf:    cfg.Logf,
+		Metrics: cfg.Metrics,
+		Tracer:  cfg.Tracer,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return local
+}
+
+// newStubServer is newTestServer over stubLocal(cfg, run).
+func newStubServer(t *testing.T, cfg Config, run specRun) (*Server, *httptest.Server) {
+	t.Helper()
+	if cfg.Store == nil {
+		cfg.Store = tempStore(t)
+	}
+	cfg.Executor = stubLocal(t, cfg, run)
+	return newTestServer(t, cfg)
 }
 
 func postSpec(t *testing.T, ts *httptest.Server, spec sweep.RunSpec) (int, runResponse) {
@@ -114,22 +157,18 @@ func TestSubmitCachesSecondIdenticalRun(t *testing.T) {
 	spec, blocker := tinySpec(), tinySpec()
 	blocker.Cfg.Seed = spec.Cfg.Seed + 1
 	held, gate := make(chan struct{}), make(chan struct{})
-	_, ts := newTestServer(t, Config{
-		Store:   st,
-		Workers: 1,
-		Runner: func(ctx context.Context, s sweep.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
-			if s.Cfg.Seed == blocker.Cfg.Seed {
-				close(held)
-				select {
-				case <-gate:
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-				return &fl.History{Method: s.Method, Stats: []fl.RoundStat{{Round: 1, TestAcc: 0.5}}}, nil
+	_, ts := newStubServer(t, Config{Store: st, Workers: 1}, func(ctx context.Context, s sweep.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
+		if s.Cfg.Seed == blocker.Cfg.Seed {
+			close(held)
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
 			}
-			executions.Add(1)
-			return s.RunCtx(context.Background(), nil, onRound)
-		},
+			return &fl.History{Method: s.Method, Stats: []fl.RoundStat{{Round: 1, TestAcc: 0.5}}}, nil
+		}
+		executions.Add(1)
+		return s.RunCtx(context.Background(), nil, onRound)
 	})
 	if code, _ := postSpec(t, ts, blocker); code != http.StatusAccepted {
 		t.Fatalf("blocker submit: HTTP %d", code)
@@ -202,7 +241,7 @@ func (b *blockingRunner) run(ctx context.Context, spec sweep.RunSpec, onRound fu
 // same run instead of a second execution.
 func TestConcurrentIdenticalSubmissionsCoalesce(t *testing.T) {
 	br := newBlockingRunner()
-	_, ts := newTestServer(t, Config{Runner: br.run})
+	_, ts := newStubServer(t, Config{}, br.run)
 
 	spec := tinySpec()
 	code, first := postSpec(t, ts, spec)
@@ -270,7 +309,7 @@ func readSSE(t *testing.T, r *bufio.Reader) sseEvent {
 // progress while the run is still executing, then a terminal done event.
 func TestEventsStreamDuringLiveRun(t *testing.T) {
 	br := newBlockingRunner()
-	_, ts := newTestServer(t, Config{Runner: br.run})
+	_, ts := newStubServer(t, Config{}, br.run)
 
 	_, first := postSpec(t, ts, tinySpec())
 	<-br.started // one round stat emitted, run still open
@@ -407,7 +446,7 @@ func TestStatusUnknownRun(t *testing.T) {
 
 func TestQueueFullReturns503(t *testing.T) {
 	br := newBlockingRunner()
-	_, ts := newTestServer(t, Config{Runner: br.run, Workers: 1, QueueDepth: 1})
+	_, ts := newStubServer(t, Config{Workers: 1, QueueDepth: 1}, br.run)
 	defer close(br.release)
 
 	// One spec occupies the single worker, one sits in the queue; the next
@@ -473,7 +512,7 @@ func TestQueueFullReportsExecutorPending(t *testing.T) {
 
 	t.Run("local", func(t *testing.T) {
 		br := newBlockingRunner()
-		_, ts := newTestServer(t, Config{Runner: br.run, Workers: 1, QueueDepth: 1})
+		_, ts := newStubServer(t, Config{Workers: 1, QueueDepth: 1}, br.run)
 		defer close(br.release)
 		// The first spec holds the one worker, the second fills the queue.
 		accept(t, ts, first)
@@ -523,13 +562,11 @@ func TestRegistryEndpoint(t *testing.T) {
 // schedules a fresh attempt instead of pinning the failure.
 func TestFailedRunRetries(t *testing.T) {
 	var attempts atomic.Int64
-	_, ts := newTestServer(t, Config{
-		Runner: func(_ context.Context, spec sweep.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
-			if attempts.Add(1) == 1 {
-				return nil, fmt.Errorf("transient failure")
-			}
-			return &fl.History{Method: spec.Method, Stats: []fl.RoundStat{{Round: 1, TestAcc: 0.9}}}, nil
-		},
+	_, ts := newStubServer(t, Config{}, func(_ context.Context, spec sweep.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
+		if attempts.Add(1) == 1 {
+			return nil, fmt.Errorf("transient failure")
+		}
+		return &fl.History{Method: spec.Method, Stats: []fl.RoundStat{{Round: 1, TestAcc: 0.9}}}, nil
 	})
 	spec := tinySpec()
 	_, first := postSpec(t, ts, spec)
@@ -569,13 +606,13 @@ func TestUnstoredRunServedFromRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	var execs atomic.Int64
-	_, ts := newTestServer(t, Config{Store: st, Runner: func(_ context.Context, s sweep.RunSpec, _ func(fl.RoundStat)) (*fl.History, error) {
+	_, ts := newStubServer(t, Config{Store: st}, func(_ context.Context, s sweep.RunSpec, _ func(fl.RoundStat)) (*fl.History, error) {
 		execs.Add(1)
 		if err := os.WriteFile(filepath.Join(root, fp[:2]), nil, 0o644); err != nil {
 			return nil, err
 		}
 		return &fl.History{Method: s.Method, Stats: []fl.RoundStat{{Round: 1, TestAcc: 0.25}, {Round: 2, TestAcc: 0.5}}}, nil
-	}})
+	})
 	if code, first := postSpec(t, ts, spec); code != http.StatusAccepted || first.ID != fp {
 		t.Fatalf("submit: HTTP %d %+v", code, first)
 	}

@@ -63,13 +63,10 @@ type Config struct {
 	Executor   dispatch.Executor
 	Workers    int // local backend: concurrent training runs; 0 = 2
 	QueueDepth int // local backend: queued (not yet running) submissions; 0 = 64
-	// Runner overrides how the local backend executes a spec (tests
-	// substitute counting or canned runners); nil runs specs for real.
-	Runner sweep.Runner
-	// Envs backs environment construction for the default runner: runs and
-	// sweep cells sharing a dataset+partition sub-spec build it once. Nil
-	// gets a fresh cache of DefaultEnvCacheCap; ignored when Runner or
-	// Executor is overridden (the cache counters then stay zero).
+	// Envs backs environment construction for the local backend's runner:
+	// runs and sweep cells sharing a dataset+partition sub-spec build it
+	// once. Nil gets a fresh cache of DefaultEnvCacheCap; ignored by an
+	// Executor set above (the cache counters then stay zero).
 	Envs *sweep.EnvCache
 	// Logf defaults to the unified slog route (obs.Logf("serve")).
 	Logf func(format string, args ...any)
@@ -108,12 +105,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("serve: Config.Store is required")
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
 	if cfg.Envs == nil {
 		cfg.Envs = sweep.NewEnvCache(0)
 	}
@@ -136,12 +127,8 @@ func New(cfg Config) (*Server, error) {
 	cfg.Envs.Instrument(cfg.Metrics)
 	exec := cfg.Executor
 	if exec == nil {
-		runner := sweep.DispatchRunner(cfg.Envs)
-		if cfg.Runner != nil {
-			runner = cfg.Runner.Dispatch()
-		}
 		local, err := dispatch.NewLocal(dispatch.LocalConfig{
-			Runner:  runner,
+			Runner:  sweep.DispatchRunner(cfg.Envs),
 			Workers: cfg.Workers,
 			Queue:   cfg.QueueDepth,
 			Store:   cfg.Store,
@@ -191,7 +178,6 @@ func (s *Server) Close() {
 	s.closing = true
 	s.mu.Unlock()
 	s.eng.Executor.Close()
-	s.eng.Close()
 	s.feedWg.Wait()
 }
 

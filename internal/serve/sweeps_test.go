@@ -23,7 +23,7 @@ import (
 )
 
 // countingRunner returns canned two-point histories and counts executions.
-func countingRunner(execs *atomic.Int64) sweep.Runner {
+func countingRunner(execs *atomic.Int64) specRun {
 	return func(_ context.Context, spec sweep.RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
 		execs.Add(1)
 		stats := []fl.RoundStat{{Round: 1, TestAcc: 0.4}, {Round: 2, TestAcc: 0.6}}
@@ -100,7 +100,7 @@ func tinySweep() sweep.Spec {
 // grid, watch it complete, and read back the aggregated mean±std groups.
 func TestSweepSubmitAggregatesResult(t *testing.T) {
 	var execs atomic.Int64
-	_, ts := newTestServer(t, Config{Runner: countingRunner(&execs)})
+	_, ts := newStubServer(t, Config{}, countingRunner(&execs))
 
 	code, sub := postSweep(t, ts, tinySweep())
 	if code != http.StatusAccepted || sub.Total != 4 {
@@ -154,7 +154,7 @@ func TestSweepSubmitAggregatesResult(t *testing.T) {
 // executes only its missing fingerprints; the shared cells report "cached".
 func TestSweepOverlapRecomputesOnlyMisses(t *testing.T) {
 	var execs atomic.Int64
-	_, ts := newTestServer(t, Config{Runner: countingRunner(&execs)})
+	_, ts := newStubServer(t, Config{}, countingRunner(&execs))
 
 	_, first := postSweep(t, ts, tinySweep())
 	waitSweepDone(t, ts, first.ID)
@@ -186,11 +186,50 @@ func TestSweepOverlapRecomputesOnlyMisses(t *testing.T) {
 	}
 }
 
+// TestSweepTouchesStoreOncePerCell: a sweep reads each cell from the store
+// once, at the engine's probe, and the backend's write is its only write. A
+// computed cell is read once more, as a miss, by the backend's admission
+// check (a submission racing a finished job reads its artifact instead of
+// computing it again); nothing re-reads or re-files a computed history.
+func TestSweepTouchesStoreOncePerCell(t *testing.T) {
+	st := tempStore(t)
+	cells, err := tinySweep().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		if err := st.Put(c.ID, &fl.History{Method: c.Axes.Method, Stats: []fl.RoundStat{{Round: 1, TestAcc: 0.5}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var execs atomic.Int64
+	_, ts := newStubServer(t, Config{Store: st}, countingRunner(&execs))
+	wider := tinySweep()
+	wider.IFs = []float64{1, 0.1, 0.05} // 4 stored cells, 2 to compute
+	before := st.Stats()
+	_, sub := postSweep(t, ts, wider)
+	sum := waitSweepDone(t, ts, sub.ID)
+	after := st.Stats()
+	cached, computed := int64(sum.Counts[StatusCached]), int64(sum.Counts[StatusDone])
+	if cached != 4 || computed != 2 || execs.Load() != 2 {
+		t.Fatalf("counts %+v after %d executions, want 4 cached 2 done", sum.Counts, execs.Load())
+	}
+	if hits := after.MemHits + after.DiskHits - before.MemHits - before.DiskHits; hits != cached {
+		t.Fatalf("%d store hits for %d cached cells: a computed history was read back", hits, cached)
+	}
+	if misses := after.Misses - before.Misses; misses != 2*computed {
+		t.Fatalf("%d store misses for %d computed cells, want the probe and the admission check each", misses, computed)
+	}
+	if puts := after.Puts - before.Puts; puts != computed {
+		t.Fatalf("%d store puts for %d computed cells, want one each", puts, computed)
+	}
+}
+
 // TestSweepLargerThanQueueTrickles: a grid bigger than the job queue must
 // complete (feeders block for space) rather than 503 or deadlock.
 func TestSweepLargerThanQueueTrickles(t *testing.T) {
 	var execs atomic.Int64
-	_, ts := newTestServer(t, Config{Runner: countingRunner(&execs), Workers: 1, QueueDepth: 1})
+	_, ts := newStubServer(t, Config{Workers: 1, QueueDepth: 1}, countingRunner(&execs))
 
 	sp := tinySweep()
 	sp.Methods = []string{"fedavg", "fedcm", "fedwcm"} // 6 cells through a depth-1 queue
@@ -208,7 +247,7 @@ func TestSweepLargerThanQueueTrickles(t *testing.T) {
 // aggregate.
 func TestSweepResultBeforeCompletion(t *testing.T) {
 	br := newBlockingRunner()
-	_, ts := newTestServer(t, Config{Runner: br.run})
+	_, ts := newStubServer(t, Config{}, br.run)
 	defer close(br.release)
 
 	_, sub := postSweep(t, ts, sweep.Spec{Methods: []string{"fedavg"}, Effort: 0.1})
@@ -251,7 +290,7 @@ func TestSweepRejectsBadGrids(t *testing.T) {
 // terminated by a "done" event carrying the final counts.
 func TestSweepEventsStream(t *testing.T) {
 	var execs atomic.Int64
-	_, ts := newTestServer(t, Config{Runner: countingRunner(&execs)})
+	_, ts := newStubServer(t, Config{}, countingRunner(&execs))
 	_, sub := postSweep(t, ts, tinySweep())
 
 	resp, err := http.Get(ts.URL + "/v1/sweeps/" + sub.ID + "/events")
@@ -298,7 +337,7 @@ func TestSweepEventsStream(t *testing.T) {
 // worker slot is held by a blocked run — not when the first cell finishes.
 func TestSweepEventsSendHeaderBeforeFirstCell(t *testing.T) {
 	br := newBlockingRunner()
-	_, ts := newTestServer(t, Config{Runner: br.run, Workers: 1})
+	_, ts := newStubServer(t, Config{Workers: 1}, br.run)
 	defer close(br.release)
 	_, sub := postSweep(t, ts, tinySweep())
 	<-br.started
@@ -321,7 +360,7 @@ func TestSweepEventsSendHeaderBeforeFirstCell(t *testing.T) {
 // over an overlapping grid alike — instead of being executed again.
 func TestSweepSharesInflightRuns(t *testing.T) {
 	br := newBlockingRunner()
-	s, ts := newTestServer(t, Config{Runner: br.run, Workers: 2})
+	s, ts := newStubServer(t, Config{Workers: 2}, br.run)
 
 	sp := sweep.Spec{Methods: []string{"fedavg"}, Effort: 0.1}
 	cells, err := sp.Expand()
@@ -408,12 +447,12 @@ func TestSweepStatusReportsEnvCache(t *testing.T) {
 	}
 }
 
-// TestCannedRunnerKeepsEnvCounters: with an overridden Runner no
-// environments are built, but the counters are still present (all zero) so
+// TestCannedRunnerKeepsEnvCounters: with a canned runner in the local
+// backend no environments are built, but the counters are still present (all zero) so
 // API clients get a stable response shape.
 func TestCannedRunnerKeepsEnvCounters(t *testing.T) {
 	var execs atomic.Int64
-	_, ts := newTestServer(t, Config{Runner: countingRunner(&execs)})
+	_, ts := newStubServer(t, Config{}, countingRunner(&execs))
 	_, sum := postSweep(t, ts, sweep.Spec{Methods: []string{"fedavg"}, Rounds: 8})
 	done := waitSweepDone(t, ts, sum.ID)
 	if done.EnvCache == nil {
@@ -461,7 +500,7 @@ func TestSweepResultReadsNoStoreAndMatchesRunSweep(t *testing.T) {
 			}
 		}
 	}
-	s, ts := newTestServer(t, Config{Store: st, Runner: divergedRunner})
+	s, ts := newStubServer(t, Config{Store: st}, divergedRunner)
 	getResult := func(id string) sweepResultResponse {
 		t.Helper()
 		before := storeGets(st)
@@ -502,9 +541,9 @@ func TestSweepResultReadsNoStoreAndMatchesRunSweep(t *testing.T) {
 	}
 	got := getResult(sub.ID)
 
-	eng := &sweep.Engine{Store: st, Runner: divergedRunner}
-	defer eng.Close()
-	want, err := eng.RunSweep(sp)
+	local := stubLocal(t, Config{Store: st}, divergedRunner)
+	defer local.Close()
+	want, err := (&sweep.Engine{Store: st, Executor: local}).RunSweep(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +568,7 @@ func TestSweepResultReadsNoStoreAndMatchesRunSweep(t *testing.T) {
 // oldest terminal record goes first, a live one is never evicted, and a
 // replaced record leaves no stale entry behind.
 func TestSweepEvictionKeepsLiveDropsOldestTerminal(t *testing.T) {
-	s, _ := newTestServer(t, Config{Runner: neverRun})
+	s, _ := newStubServer(t, Config{}, neverRun)
 	record := func(i int, live bool) *sweepRun {
 		sw := &sweepRun{id: fmt.Sprintf("%064x", i), finished: dispatch.NewFeed[int]()}
 		if live {

@@ -135,7 +135,6 @@ func TestDriveSubmitsThroughBoundedWindow(t *testing.T) {
 	// would pile all 200 cells into Submit.
 	exec := newWindowExec(2 * time.Millisecond)
 	eng := &Engine{Executor: exec}
-	defer eng.Close()
 	var log reportLog
 	live := make(map[int]bool)
 	var liveMu sync.Mutex
@@ -183,7 +182,6 @@ func TestDriveCachedGridStaysInline(t *testing.T) {
 	}
 	exec := newWindowExec(0)
 	eng := &Engine{Store: st, Executor: exec}
-	defer eng.Close()
 	caller := goroutineID()
 	var log reportLog
 	report := log.report(t)
@@ -214,16 +212,15 @@ func TestDriveTricklesThroughTinyQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := Runner(func(ctx context.Context, spec RunSpec, _ func(fl.RoundStat)) (*fl.History, error) {
+	run := specRun(func(ctx context.Context, spec RunSpec, _ func(fl.RoundStat)) (*fl.History, error) {
 		return &fl.History{Method: spec.Method, Stats: []fl.RoundStat{{Round: 1, TestAcc: 0.5}}}, nil
 	})
-	local, err := dispatch.NewLocal(dispatch.LocalConfig{Runner: run.Dispatch(), Workers: 1, Queue: 1, Store: st})
+	local, err := dispatch.NewLocal(dispatch.LocalConfig{Runner: run.runner(), Workers: 1, Queue: 1, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer local.Close()
 	eng := &Engine{Store: st, Executor: local}
-	defer eng.Close()
 	cells, err := Spec{SeedCount: 3 * submitWindow, Effort: 0.1}.Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -255,9 +252,9 @@ func TestDriveBuildsEachEnvOncePerGrid(t *testing.T) {
 	var builds []uint64
 	for rep := 0; rep < 10; rep++ {
 		envs := NewEnvCache(0)
-		eng := &Engine{Workers: 2, Envs: envs}
+		eng := localEngine(t, nil, 2, DispatchRunner(envs))
 		res, err := eng.RunSweep(sp)
-		eng.Close()
+		eng.Executor.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

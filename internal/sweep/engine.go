@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -9,24 +8,6 @@ import (
 	"fedwcm/internal/fl"
 	"fedwcm/internal/store"
 )
-
-// Runner executes one cell, reporting per-round progress and honouring ctx
-// cancellation between rounds. It is the spec-level seam of the local
-// backend: nil runs the spec for real, tests substitute counting or canned
-// runners.
-type Runner func(ctx context.Context, spec RunSpec, onRound func(fl.RoundStat)) (*fl.History, error)
-
-// Dispatch adapts r to the dispatch layer: the job's canonical spec JSON is
-// decoded back into the spec shape r expects.
-func (r Runner) Dispatch() dispatch.Runner {
-	return func(ctx context.Context, job dispatch.Job, onRound func(fl.RoundStat)) (*fl.History, error) {
-		spec, err := jobSpec(job)
-		if err != nil {
-			return nil, err
-		}
-		return r(ctx, spec, onRound)
-	}
-}
 
 // Engine is the one place that knows how a cell is resolved: a store hit,
 // or one Executor.Submit, which joins the cell's execution when the backend
@@ -37,57 +18,13 @@ func (r Runner) Dispatch() dispatch.Runner {
 // at most once per backend no matter who asks. The engine keeps no record
 // of its own: the backend's job handle is the cell's record.
 //
-// The backend's bounded queue is the only back-pressure. Without an
-// Executor the engine runs cells on its own dispatch.Local (Workers,
-// Runner, Envs), built on the first miss and released by Close: an
-// in-process coordinator whose worker slots call it directly, so a cell
-// computed here takes the lease, heartbeat relay and upload path a fleet's
-// cells take. With a nil Store that Local persists nothing.
+// The caller builds the backend over the engine's store (a dispatch.Local
+// over DispatchRunner in-process, a Coordinator for remote workers) and
+// closes it; the backend's write of a successful history is the one persist.
+// The backend's bounded queue is the only back-pressure.
 type Engine struct {
-	Store   *store.Store // optional: nil runs without result caching
-	Workers int          // own local backend: concurrent cells; 0 = 3
-	Runner  Runner       // own local backend: nil = run specs for real
-	// Envs backs environment construction for the own local backend's
-	// default runner: cells sharing a dataset+partition sub-spec build it
-	// once (see EnvCache). Ignored when Runner is overridden.
-	Envs *EnvCache
-	// Executor, when set, is the dispatch backend cells execute on (a
-	// remote-worker coordinator, or a shared dispatch.Local); it stays the
-	// caller's to close. A backend persists successful histories to the
-	// store it shares with the engine, so a shared store is written once.
-	Executor dispatch.Executor
-
-	mu      sync.Mutex
-	local   *dispatch.Local
-	closing bool
-}
-
-// executor returns the backend misses are submitted to.
-func (e *Engine) executor() (dispatch.Executor, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closing {
-		return nil, dispatch.ErrClosed
-	}
-	if e.Executor != nil {
-		return e.Executor, nil
-	}
-	if e.local == nil {
-		runner := DispatchRunner(e.Envs)
-		if e.Runner != nil {
-			runner = e.Runner.Dispatch()
-		}
-		workers := e.Workers
-		if workers <= 0 {
-			workers = 3
-		}
-		local, err := dispatch.NewLocal(dispatch.LocalConfig{Runner: runner, Workers: workers, Store: e.Store})
-		if err != nil {
-			return nil, err
-		}
-		e.local = local
-	}
-	return e.local, nil
+	Store    *store.Store      // optional: nil runs without result caching
+	Executor dispatch.Executor // required: the backend misses are submitted to
 }
 
 // Resolve resolves one cell to either its finished history (a store hit) or
@@ -105,15 +42,11 @@ func (e *Engine) Resolve(c Cell, block bool) (*fl.History, dispatch.Handle, erro
 
 // submit hands a cell the store did not have to the backend.
 func (e *Engine) submit(c Cell, block bool) (dispatch.Handle, error) {
-	exec, err := e.executor()
-	if err != nil {
-		return nil, err
-	}
 	specJSON, err := c.Spec.CanonicalJSON()
 	if err != nil {
 		return nil, err
 	}
-	return exec.Submit(dispatch.Job{ID: c.ID, Spec: specJSON}, dispatch.SubmitOpts{Block: block})
+	return e.Executor.Submit(dispatch.Job{ID: c.ID, Spec: specJSON}, dispatch.SubmitOpts{Block: block})
 }
 
 // stored probes the engine's store (a miss when there is none).
@@ -134,29 +67,10 @@ func (e *Engine) stored(fp string) (*fl.History, bool, error) {
 // method set, as serve finds Stats and Pending; a backend without one (a
 // wrapper that forwards only Submit and Close) holds nothing to look up.
 func (e *Engine) Lookup(fp string) dispatch.Handle {
-	e.mu.Lock()
-	exec := e.Executor
-	if exec == nil && e.local != nil {
-		exec = e.local
-	}
-	e.mu.Unlock()
-	if l, ok := exec.(interface{ Lookup(string) dispatch.Handle }); ok {
+	if l, ok := e.Executor.(interface{ Lookup(string) dispatch.Handle }); ok {
 		return l.Lookup(fp)
 	}
 	return nil
-}
-
-// Close refuses further misses and releases the engine's own local backend,
-// which ends every job it holds (cancelling what it was running). With a
-// caller-supplied Executor, close that first.
-func (e *Engine) Close() {
-	e.mu.Lock()
-	e.closing = true
-	local := e.local
-	e.mu.Unlock()
-	if local != nil {
-		local.Close()
-	}
 }
 
 // submitWindow bounds how many of a grid's misses Drive has inside
@@ -190,9 +104,8 @@ const submitWindow = 32
 //
 // onLive (may be nil) sees the handle of each cell that is executing rather
 // than stored, before its report. onLive and report are both invoked
-// concurrently. A computed history the engine's store lacks — the backend
-// files into another store, or none — is filed there before its report, so
-// the next probe is a hit.
+// concurrently. A computed history is the backend's to persist, so Drive
+// touches the store once per cell: the probe.
 func (e *Engine) Drive(cells []Cell, onLive func(i int, h dispatch.Handle), report func(i int, status string, hist *fl.History, err error)) {
 	var pending, feeders sync.WaitGroup
 	live := func(i int, h dispatch.Handle) {
@@ -207,11 +120,6 @@ func (e *Engine) Drive(cells []Cell, onLive func(i int, h dispatch.Handle), repo
 			if err != nil {
 				report(i, CellFailed, nil, err)
 				return
-			}
-			if e.Store != nil {
-				if _, ok, _ := e.Store.Get(cells[i].ID); !ok {
-					e.Store.Put(cells[i].ID, hist)
-				}
 			}
 			report(i, CellComputed, hist, nil)
 		}()

@@ -12,10 +12,37 @@ import (
 	"fedwcm/internal/store"
 )
 
-// TestEngineDelegatesToExecutor: with an Executor set, cells execute on
-// that backend (the engine's own Runner must never fire), results aggregate
-// exactly as its own backend's would, and the engine's store — a different
-// instance from the backend's — still fills so the next sweep is cache hits.
+// specRun is a test runner over the decoded spec, standing in for training.
+type specRun func(ctx context.Context, spec RunSpec, onRound func(fl.RoundStat)) (*fl.History, error)
+
+// runner adapts r to the dispatch layer, as DispatchRunner adapts training.
+func (r specRun) runner() dispatch.Runner {
+	return func(ctx context.Context, job dispatch.Job, onRound func(fl.RoundStat)) (*fl.History, error) {
+		spec, err := jobSpec(job)
+		if err != nil {
+			return nil, err
+		}
+		return r(ctx, spec, onRound)
+	}
+}
+
+// localEngine is an engine over st and a dispatch.Local of workers slots
+// that runs run and persists into the same store. The backend is the
+// caller's to close; the test's cleanup closes it too.
+func localEngine(t testing.TB, st *store.Store, workers int, run dispatch.Runner) *Engine {
+	t.Helper()
+	local, err := dispatch.NewLocal(dispatch.LocalConfig{Runner: run, Workers: workers, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(local.Close)
+	return &Engine{Store: st, Executor: local}
+}
+
+// TestEngineDelegatesToExecutor: cells execute on the engine's Executor,
+// which receives real canonical spec JSON, and results aggregate from its
+// histories; the store it shares with the engine fills so the next sweep is
+// cache hits.
 func TestEngineDelegatesToExecutor(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
@@ -24,6 +51,7 @@ func TestEngineDelegatesToExecutor(t *testing.T) {
 	var dispatched atomic.Int64
 	local, err := dispatch.NewLocal(dispatch.LocalConfig{
 		Workers: 2,
+		Store:   st,
 		Runner: func(ctx context.Context, job dispatch.Job, onRound func(fl.RoundStat)) (*fl.History, error) {
 			dispatched.Add(1)
 			// Decode the shipped canonical spec: the executor sees real spec
@@ -42,27 +70,17 @@ func TestEngineDelegatesToExecutor(t *testing.T) {
 	}
 	defer local.Close()
 
-	inline := int64(0)
-	eng := &Engine{
-		Store:    st,
-		Workers:  2,
-		Executor: local,
-		Runner: func(ctx context.Context, spec RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
-			atomic.AddInt64(&inline, 1)
-			t.Error("inline runner fired despite Executor being set")
-			return nil, nil
-		},
-	}
+	eng := &Engine{Store: st, Executor: local}
 	sp := Spec{Methods: []string{"fedavg", "fedwcm"}, SeedCount: 2, Effort: 0.1}
 	res, err := eng.RunSweep(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Computed != 4 || dispatched.Load() != 4 || atomic.LoadInt64(&inline) != 0 {
-		t.Fatalf("computed=%d dispatched=%d inline=%d, want 4/4/0", res.Computed, dispatched.Load(), inline)
+	if res.Computed != 4 || dispatched.Load() != 4 {
+		t.Fatalf("computed=%d dispatched=%d, want 4/4", res.Computed, dispatched.Load())
 	}
-	// Artifacts landed in the engine's store; a repeat sweep never touches
-	// the executor again.
+	// The backend filed the artifacts in the shared store; a repeat sweep
+	// never touches the executor again.
 	res2, err := eng.RunSweep(sp)
 	if err != nil {
 		t.Fatal(err)

@@ -100,7 +100,7 @@ type EnvCacheStats struct {
 
 // EnvCache memoises environment construction keyed by envKey, with
 // LRU eviction and single-flight builds. It is safe for concurrent use and
-// is shared by sweep.Engine and the internal/serve worker pool: repeated
+// is shared by every run of the DispatchRunner it backs: repeated
 // sweep expansion over one dataset pays partitioning once per environment
 // instead of once per cell. Datasets are shared further, between
 // environments: a new entry borrows its train split from a cached entry of

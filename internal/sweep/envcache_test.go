@@ -160,7 +160,7 @@ func TestEngineSweepBuildsEnvOnce(t *testing.T) {
 		t.Fatalf("want 6 cells, got %d", len(cells))
 	}
 	envs := NewEnvCache(4)
-	eng := &Engine{Workers: 4, Envs: envs}
+	eng := localEngine(t, nil, 4, DispatchRunner(envs))
 	if _, err := eng.RunSweep(sp); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestTableGridSynthesizesEachDatasetOnce(t *testing.T) {
 		trains, tests := map[*data.Dataset]bool{}, map[*data.Dataset]bool{}
 		var execs atomic.Int64
 		canned := cannedRunner(&execs)
-		eng := &Engine{Workers: 2, Runner: func(ctx context.Context, spec RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
+		eng := localEngine(t, nil, 2, specRun(func(ctx context.Context, spec RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
 			env, err := spec.BuildEnvCached(envs)
 			if err != nil {
 				return nil, err
@@ -312,9 +312,9 @@ func TestTableGridSynthesizesEachDatasetOnce(t *testing.T) {
 			trains[env.Train], tests[env.Test] = true, true
 			mu.Unlock()
 			return canned(ctx, spec, onRound)
-		}}
+		}).runner())
 		res, err := eng.RunSweep(sp)
-		eng.Close()
+		eng.Executor.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

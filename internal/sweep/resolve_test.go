@@ -32,7 +32,7 @@ func newResolveFixture(t *testing.T) *resolveFixture {
 		t.Fatal(err)
 	}
 	f := &resolveFixture{st: st, started: make(chan struct{}, 64)}
-	run := Runner(func(ctx context.Context, spec RunSpec, _ func(fl.RoundStat)) (*fl.History, error) {
+	run := specRun(func(ctx context.Context, spec RunSpec, _ func(fl.RoundStat)) (*fl.History, error) {
 		f.runs.Add(1)
 		f.started <- struct{}{}
 		if f.gate != nil {
@@ -47,12 +47,12 @@ func newResolveFixture(t *testing.T) *resolveFixture {
 		}
 		return &fl.History{Method: spec.Method, Stats: []fl.RoundStat{{Round: 1, TestAcc: 0.5}}}, nil
 	})
-	f.local, err = dispatch.NewLocal(dispatch.LocalConfig{Runner: run.Dispatch(), Workers: 1, Queue: 1, Store: st})
+	f.local, err = dispatch.NewLocal(dispatch.LocalConfig{Runner: run.runner(), Workers: 1, Queue: 1, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.eng = &Engine{Store: st, Executor: f.local}
-	t.Cleanup(func() { f.local.Close(); f.eng.Close() })
+	t.Cleanup(f.local.Close)
 	return f
 }
 
@@ -181,21 +181,16 @@ func TestResolve(t *testing.T) {
 	}
 }
 
-// TestSweepOnSharedStorePersistsOnce: a backend that already persisted into
-// the engine's own store is not persisted behind again — a sweep costs one
-// Put (temp file + two fsyncs) per computed cell, not two.
+// TestSweepOnSharedStorePersistsOnce: the backend's write is the one
+// persist — a sweep costs one Put (temp file + two fsyncs) per computed
+// cell, not two.
 func TestSweepOnSharedStorePersistsOnce(t *testing.T) {
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var execs atomic.Int64
-	local, err := dispatch.NewLocal(dispatch.LocalConfig{Runner: cannedRunner(&execs).Dispatch(), Workers: 2, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer local.Close()
-	eng := &Engine{Store: st, Executor: local}
+	eng := localEngine(t, st, 2, cannedRunner(&execs).runner())
 	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg", "fedwcm"}, SeedCount: 2, Effort: 0.1})
 	if err != nil {
 		t.Fatal(err)

@@ -185,7 +185,7 @@ func TestHugeSeedCountRejectedCheaply(t *testing.T) {
 }
 
 // cannedRunner returns a fixed-shape history and counts executions.
-func cannedRunner(execs *atomic.Int64) Runner {
+func cannedRunner(execs *atomic.Int64) specRun {
 	return func(_ context.Context, spec RunSpec, onRound func(fl.RoundStat)) (*fl.History, error) {
 		execs.Add(1)
 		acc := 0.5
@@ -210,7 +210,7 @@ func TestEngineOverlappingSweepsRecomputeOnlyMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	var execs atomic.Int64
-	eng := &Engine{Store: st, Workers: 4, Runner: cannedRunner(&execs)}
+	eng := localEngine(t, st, 4, cannedRunner(&execs).runner())
 
 	first := Spec{Methods: []string{"fedavg", "fedwcm"}, IFs: []float64{1, 0.1}, Effort: 0.1}
 	res1, err := eng.RunSweep(first)
@@ -247,7 +247,7 @@ func TestEngineOverlappingSweepsRecomputeOnlyMisses(t *testing.T) {
 
 func TestEngineWithoutStore(t *testing.T) {
 	var execs atomic.Int64
-	eng := &Engine{Workers: 2, Runner: cannedRunner(&execs)}
+	eng := localEngine(t, nil, 2, cannedRunner(&execs).runner())
 	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg"}, Effort: 0.1})
 	if err != nil {
 		t.Fatal(err)
@@ -258,13 +258,13 @@ func TestEngineWithoutStore(t *testing.T) {
 }
 
 func TestEngineReportsFailures(t *testing.T) {
-	eng := &Engine{Workers: 2, Runner: func(_ context.Context, spec RunSpec, _ func(fl.RoundStat)) (*fl.History, error) {
+	eng := localEngine(t, nil, 2, specRun(func(_ context.Context, spec RunSpec, _ func(fl.RoundStat)) (*fl.History, error) {
 		if spec.Method == "fedcm" {
 			return nil, fmt.Errorf("diverged")
 		}
 		var n atomic.Int64
 		return cannedRunner(&n)(context.Background(), spec, nil)
-	}}
+	}).runner())
 	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg", "fedcm"}, Effort: 0.1})
 	if err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("expected failure error, got %v", err)
@@ -285,7 +285,7 @@ func TestEngineReportsFailures(t *testing.T) {
 // group with sample statistics over TailMeanAcc.
 func TestAggregationMeanStd(t *testing.T) {
 	var execs atomic.Int64
-	eng := &Engine{Workers: 4, Runner: cannedRunner(&execs)}
+	eng := localEngine(t, nil, 4, cannedRunner(&execs).runner())
 	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg", "fedwcm"}, Seeds: []uint64{1, 2, 3}, Effort: 0.1})
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +312,7 @@ func TestAggregationMeanStd(t *testing.T) {
 
 func TestAggTableRendersVaryingAxes(t *testing.T) {
 	var execs atomic.Int64
-	eng := &Engine{Workers: 4, Runner: cannedRunner(&execs)}
+	eng := localEngine(t, nil, 4, cannedRunner(&execs).runner())
 	res, err := eng.RunSweep(Spec{Methods: []string{"fedavg", "fedwcm"}, IFs: []float64{1, 0.1}, Effort: 0.1})
 	if err != nil {
 		t.Fatal(err)
