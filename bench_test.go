@@ -36,7 +36,7 @@ func benchLocalEnv(b *testing.B) (*fl.Env, *fl.ClientCtx) {
 	env := fl.NewEnv(cfg, train, test, part, nn.MLPBuilder(48, []int{64, 32}, 10, true), loss.CrossEntropy{})
 	net := env.Build(1)
 	ctx := &fl.ClientCtx{
-		Round: 0, Client: env.Clients[0], Env: env, Net: net,
+		Client: env.Clients[0], Env: env, Net: net,
 		Global: net.Vector(), RNG: xrand.New(3),
 	}
 	return env, ctx

@@ -449,6 +449,9 @@ func (c *Coordinator) enterLocked(job Job) (*handle, *job, effects, error) {
 }
 
 // cached is the store fast path: the artifact exchange already has this cell.
+// It is the exactly-once guard, not a repeat of sweep.Engine's probe: a cell
+// can finish elsewhere between that probe and this submit, minutes apart
+// under Drive (TestResolveFindsArtifactStoredAfterProbe).
 func (c *Coordinator) cached(job Job) (*handle, error) {
 	if c.cfg.Store == nil {
 		return nil, nil

@@ -66,14 +66,14 @@ type Env struct {
 	// never affects the computed history.
 	asyncHook func(info *AsyncInfo)
 
-	// Observability. Metrics nil means "use the process default" (see
-	// DefaultRunMetrics) — pass NewRunMetrics(nil) for a guaranteed no-op;
-	// this run's own readings reach its caller only through onRound.
+	// Observability. metrics nil (set only by tests) means "use the process
+	// default", DefaultRunMetrics; this run's own readings reach its caller
+	// only through onRound.
 	// Tracer nil (the default) disables span recording; dispatch layers set
 	// it together with TraceID (the run's spec fingerprint) so round spans
 	// join the fleet-wide trace for that fingerprint. None of these affect
 	// the computed history.
-	Metrics *RunMetrics
+	metrics *RunMetrics
 	Tracer  *obs.Tracer
 	TraceID string
 }

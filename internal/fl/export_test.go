@@ -13,3 +13,6 @@ func FreshKitPools(t testing.TB) {
 	kitPools = new(sync.Map)
 	t.Cleanup(func() { kitPools = old })
 }
+
+// SetRunMetrics makes env's run report to m instead of the process default.
+func SetRunMetrics(env *Env, m *RunMetrics) { env.metrics = m }

@@ -84,7 +84,7 @@ func TestRunLocalSGDDeltaConsistency(t *testing.T) {
 	net := env.Build(env.Cfg.Seed)
 	global := net.Vector()
 	ctx := &ClientCtx{
-		Round: 0, Client: env.Clients[0], Env: env, Net: net,
+		Client: env.Clients[0], Env: env, Net: net,
 		Global: global, RNG: xrand.New(3),
 	}
 	res := RunLocalSGD(ctx, LocalOpts{})
@@ -112,7 +112,7 @@ func TestRunLocalSGDStepsCount(t *testing.T) {
 	env := testEnv(4, cfg, 3, 4, 1, 1)
 	client := env.Clients[0]
 	net := env.Build(env.Cfg.Seed)
-	ctx := &ClientCtx{Round: 0, Client: client, Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(5)}
+	ctx := &ClientCtx{Client: client, Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(5)}
 	res := RunLocalSGD(ctx, LocalOpts{})
 	wantBatches := (client.N + 9) / 10
 	if res.Steps != 3*wantBatches {
@@ -130,7 +130,7 @@ func TestRunLocalSGDMomentumPullsTowardDirection(t *testing.T) {
 	dir := make([]float64, dim)
 	r := xrand.New(7)
 	r.FillNorm(dir, 0, 1)
-	ctx := &ClientCtx{Round: 0, Client: env.Clients[0], Env: env, Net: net, Global: global, RNG: xrand.New(8)}
+	ctx := &ClientCtx{Client: env.Clients[0], Env: env, Net: net, Global: global, RNG: xrand.New(8)}
 	res := RunLocalSGD(ctx, LocalOpts{Alpha: 0.01, Momentum: dir})
 	// Delta ≈ etaL·steps·dir (for stat-free linear model)
 	cos := tensor.Dot(res.Delta, dir) / (tensor.Norm2(res.Delta) * tensor.Norm2(dir))
@@ -144,7 +144,7 @@ func TestRunLocalSGDProxShrinksDrift(t *testing.T) {
 	env := testEnv(9, cfg, 3, 4, 0.3, 1)
 	run := func(mu float64) float64 {
 		net := env.Build(env.Cfg.Seed)
-		ctx := &ClientCtx{Round: 0, Client: env.Clients[1], Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(10)}
+		ctx := &ClientCtx{Client: env.Clients[1], Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(10)}
 		res := RunLocalSGD(ctx, LocalOpts{ProxMu: mu})
 		return tensor.Norm2(res.Delta)
 	}
@@ -164,7 +164,7 @@ func TestRunLocalSGDCorrectionApplied(t *testing.T) {
 	for j := range corr {
 		corr[j] = 100
 	}
-	ctx := &ClientCtx{Round: 0, Client: env.Clients[0], Env: env, Net: net, Global: global, RNG: xrand.New(12)}
+	ctx := &ClientCtx{Client: env.Clients[0], Env: env, Net: net, Global: global, RNG: xrand.New(12)}
 	res := RunLocalSGD(ctx, LocalOpts{Correction: corr})
 	for j := range res.Delta {
 		if res.Delta[j] <= 0 {
@@ -177,7 +177,7 @@ func TestRunLocalSGDEmptyClient(t *testing.T) {
 	env := testEnv(13, Config{Rounds: 1}, 3, 4, 1, 1)
 	empty := &Client{ID: 99, ClassCounts: make([]int, 3)}
 	net := env.Build(env.Cfg.Seed)
-	ctx := &ClientCtx{Round: 0, Client: empty, Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(14)}
+	ctx := &ClientCtx{Client: empty, Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(14)}
 	res := RunLocalSGD(ctx, LocalOpts{})
 	if res.Steps != 0 || tensor.Norm2(res.Delta) != 0 {
 		t.Fatal("empty client must contribute nothing")
@@ -187,7 +187,7 @@ func TestRunLocalSGDEmptyClient(t *testing.T) {
 func TestRunLocalSGDTrackPreds(t *testing.T) {
 	env := testEnv(15, Config{Rounds: 1, LocalEpochs: 1, BatchSize: 10}, 3, 4, 1, 1)
 	net := env.Build(env.Cfg.Seed)
-	ctx := &ClientCtx{Round: 0, Client: env.Clients[0], Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(16)}
+	ctx := &ClientCtx{Client: env.Clients[0], Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(16)}
 	res := RunLocalSGD(ctx, LocalOpts{TrackPreds: true})
 	if res.PredHist == nil {
 		t.Fatal("PredHist missing")
@@ -404,7 +404,7 @@ func TestBalancedOptTrainsOnAllClasses(t *testing.T) {
 	cfg := Config{Rounds: 1, LocalEpochs: 2, BatchSize: 10, Seed: 43}
 	env := NewEnv(cfg, train, test, part, nn.SoftmaxBuilder(4, 2), nil)
 	net := env.Build(cfg.Seed)
-	ctx := &ClientCtx{Round: 0, Client: env.Clients[0], Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(44)}
+	ctx := &ClientCtx{Client: env.Clients[0], Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(44)}
 	res := RunLocalSGD(ctx, LocalOpts{Balanced: true, TrackPreds: true})
 	if res.Steps == 0 {
 		t.Fatal("no steps")

@@ -72,7 +72,7 @@ func TestMomentumEMARelation(t *testing.T) {
 	r := xrand.New(74)
 	r.FillNorm(mom, 0, 0.01)
 
-	ctx := &ClientCtx{Round: 0, Client: client, Env: env, Net: net, Global: global, RNG: xrand.New(75)}
+	ctx := &ClientCtx{Client: client, Env: env, Net: net, Global: global, RNG: xrand.New(75)}
 	res := RunLocalSGD(ctx, LocalOpts{Alpha: alpha, Momentum: mom})
 	if res.Steps != 1 {
 		t.Fatalf("expected a single full-batch step, got %d", res.Steps)
@@ -85,7 +85,7 @@ func TestMomentumEMARelation(t *testing.T) {
 	// refreshed = Delta/(η_l·1) = v = α·g + (1−α)·mom
 	// so (refreshed − (1−α)·mom)/α must be a valid gradient: finite, and
 	// reproducible from a second identical run.
-	ctx2 := &ClientCtx{Round: 0, Client: client, Env: env, Net: env.Build(cfg.Seed), Global: global, RNG: xrand.New(75)}
+	ctx2 := &ClientCtx{Client: client, Env: env, Net: env.Build(cfg.Seed), Global: global, RNG: xrand.New(75)}
 	res2 := RunLocalSGD(ctx2, LocalOpts{Alpha: alpha, Momentum: mom})
 	if tensor.L2Dist(res.Delta, res2.Delta) != 0 {
 		t.Fatal("identical seeds must reproduce identical deltas")
@@ -98,7 +98,7 @@ func TestMomentumEMARelation(t *testing.T) {
 	}
 	// And the pure-momentum component must be visible: with α→0 the delta
 	// equals η_l·Δ exactly.
-	ctx3 := &ClientCtx{Round: 0, Client: client, Env: env, Net: env.Build(cfg.Seed), Global: global, RNG: xrand.New(75)}
+	ctx3 := &ClientCtx{Client: client, Env: env, Net: env.Build(cfg.Seed), Global: global, RNG: xrand.New(75)}
 	res3 := RunLocalSGD(ctx3, LocalOpts{Alpha: 1e-12, Momentum: mom})
 	for j := range mom {
 		want := cfg.EtaL * mom[j]
@@ -150,7 +150,7 @@ func TestLogitScaleScalesGradientExactly(t *testing.T) {
 	client := env.Clients[0]
 	run := func(scale []float64) []float64 {
 		net := env.Build(cfg.Seed)
-		ctx := &ClientCtx{Round: 0, Client: client, Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(80)}
+		ctx := &ClientCtx{Client: client, Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(80)}
 		return RunLocalSGD(ctx, LocalOpts{LogitScale: scale}).Delta
 	}
 	base := run([]float64{1, 1, 1})
@@ -174,7 +174,7 @@ func TestLRScaleShrinksDelta(t *testing.T) {
 	env := testEnv(83, cfg, 3, 1, 100, 1)
 	run := func(scale float64) []float64 {
 		net := env.Build(cfg.Seed)
-		ctx := &ClientCtx{Round: 0, Client: env.Clients[0], Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(84)}
+		ctx := &ClientCtx{Client: env.Clients[0], Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(84)}
 		return RunLocalSGD(ctx, LocalOpts{LRScale: scale}).Delta
 	}
 	full := run(1)

@@ -28,7 +28,6 @@ type MetricsReporter interface {
 
 // ClientCtx is everything a method needs to run one client's local work.
 type ClientCtx struct {
-	Round  int
 	Client *Client
 	Env    *Env
 	// Net is a worker-local network pre-loaded with the global weights.

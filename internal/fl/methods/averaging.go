@@ -18,8 +18,9 @@ import (
 // deltas: FedAvg, FedProx, FedSAM, FedSpeed, BalanceFL, FedDyn and FedSMOO,
 // and, with alpha set, the client-momentum rows FedCM (with its focal,
 // balance-loss and balance-sampler variants) and MoFedSAM. Each is one
-// factories row. Only the fedcm* rows, wrapped in fedcm, have an
-// AggregateAsync; under async the rest take the engine's fallback.
+// factories row; FedAvgM, FedGraB and SCAFFOLD embed it. Only the fedcm*
+// rows, wrapped in fedcm, have an AggregateAsync; under async the rest take
+// the engine's fallback. averaging gains no method (see DESIGN.md).
 type averaging struct {
 	name string
 	opts fl.LocalOpts // the method's fixed local options
@@ -152,52 +153,37 @@ func priorCE(tau float64) func(*fl.Client) loss.Loss {
 
 // FedAvgM adds server-side momentum over the aggregated delta (SlowMo /
 // server-momentum style): FedAvg with the server optimiser swapped, nothing
-// else — with Beta = 0 it is FedAvg (pinned by TestFedAvgMZeroBetaIsFedAvg).
+// else — with beta = 0 it is FedAvg (pinned by TestFedAvgMZeroBetaIsFedAvg).
 //
-// It deliberately does not embed serverMomentum, although both keep "a
-// momentum vector on the server". serverMomentum is the FedCM family's
-// client-level momentum: Δ_r is the *last* aggregate gradient direction,
-// overwritten every round (no β, no accumulation), rescaled by 1/(η_l·B_k)
-// and handed into every local step, while the server update itself stays
-// plain FedAvg. FedAvgM is the opposite on each point: an *accumulating*
-// buffer m ← β·m + Σ w·Δ that exists only on the server, never reaches a
-// client, and replaces the server update (x ← x − η_g·m). Sharing a type
-// would share a name and one slice, and need a switch for everything else.
+// It reaches serverMomentum through averaging with a zero-length Δ_r: Δ_r
+// is the *last* aggregate direction, handed to clients, while FedAvgM's m
+// *accumulates*, never reaches a client and replaces the server update.
 type FedAvgM struct {
-	Beta float64
-	env  *fl.Env
+	averaging
+	beta float64
 	mom  []float64
-	wbuf []float64
 }
 
 // NewFedAvgM returns FedAvg with server momentum coefficient beta.
-func NewFedAvgM(beta float64) *FedAvgM { return &FedAvgM{Beta: beta} }
-
-// Name implements fl.Method.
-func (m *FedAvgM) Name() string { return "fedavgm" }
+func NewFedAvgM(beta float64) *FedAvgM {
+	return &FedAvgM{averaging: averaging{name: "fedavgm"}, beta: beta}
+}
 
 // Init implements fl.Method.
 func (m *FedAvgM) Init(env *fl.Env, dim int) {
-	m.env = env
+	m.averaging.Init(env, dim)
 	m.mom = make([]float64, dim)
-	m.wbuf = make([]float64, 0, env.Cfg.SampleClients)
-}
-
-// LocalTrain implements fl.Method.
-func (m *FedAvgM) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
-	return fl.RunLocalSGD(ctx, fl.LocalOpts{})
 }
 
 // Aggregate implements fl.Method: m ← β·m + Σ w·Δ; x ← x − η_g·m.
 func (m *FedAvgM) Aggregate(round int, global []float64, results []*fl.ClientResult) {
 	m.wbuf = fl.SizeWeightsInto(m.wbuf, results)
-	w := m.wbuf
-	tensor.Scale(m.mom, m.Beta)
+	tensor.Scale(m.mom, m.beta)
 	for i, res := range results {
 		if res == nil {
 			continue
 		}
-		tensor.Axpy(m.mom, w[i], res.Delta)
+		tensor.Axpy(m.mom, m.wbuf[i], res.Delta)
 	}
 	tensor.Axpy(global, -m.env.Cfg.EtaG, m.mom)
 }

@@ -5,7 +5,8 @@ import "fedwcm/internal/fl"
 // serverMomentum is the server side of client-level momentum, the part the
 // FedCM family shares: Δ_r, the aggregate gradient direction of the previous
 // round, handed to every local step and refreshed from each aggregation. A
-// method embedding it is its weights and its α — the rest is here.
+// method embedding it is its weights and its α — the rest is here. FedLESAM
+// embeds it too, and hands Δ_r to the SAM perturbation instead.
 type serverMomentum struct {
 	env          *fl.Env
 	momentum     []float64

@@ -36,24 +36,25 @@ const (
 	devGain float64 = 1
 )
 
-// WCMOptions are FedWCM's knobs; DefaultWCMOptions matches the paper.
+// WCMOptions are FedWCM's knobs, set by the registry's fedwcm rows;
+// DefaultWCMOptions matches the paper.
 type WCMOptions struct {
-	Score ScoreMode
-	// Target is the global target distribution (nil = uniform), the
+	score ScoreMode
+	// target is the global target distribution (nil = uniform), the
 	// user-adjustable prior of §5.1.
-	Target []float64
+	target []float64
 	// Ablations: disable one of the two mechanisms.
-	DisableWeighting     bool
-	DisableAdaptiveAlpha bool
-	// QuantityWeighted enables the FedWCM-X extension: weights additionally
+	disableWeighting     bool
+	disableAdaptiveAlpha bool
+	// quantityWeighted enables the FedWCM-X extension: weights additionally
 	// scale with client data volume and local learning rates normalise by
 	// batch counts (Algorithm 3).
-	QuantityWeighted bool
+	quantityWeighted bool
 }
 
 // DefaultWCMOptions returns the paper-default configuration.
 func DefaultWCMOptions() WCMOptions {
-	return WCMOptions{Score: ScoreScarcity}
+	return WCMOptions{score: ScoreScarcity}
 }
 
 // FedWCM is the paper's contribution: FedCM with (1) momentum aggregation
@@ -61,7 +62,7 @@ func DefaultWCMOptions() WCMOptions {
 // and (2) a per-round adaptive mixing coefficient α_r driven by the global
 // imbalance level and the sampled cohort's scarcity ratio q_r.
 type FedWCM struct {
-	Opt WCMOptions
+	opt WCMOptions
 
 	serverMomentum
 	name      string
@@ -83,16 +84,16 @@ type FedWCM struct {
 func NewFedWCM(opt WCMOptions) *FedWCM {
 	name := "fedwcm"
 	switch {
-	case opt.QuantityWeighted:
+	case opt.quantityWeighted:
 		name = "fedwcm-x"
-	case opt.DisableWeighting && !opt.DisableAdaptiveAlpha:
+	case opt.disableWeighting && !opt.disableAdaptiveAlpha:
 		name = "fedwcm-alphaonly"
-	case opt.DisableAdaptiveAlpha && !opt.DisableWeighting:
+	case opt.disableAdaptiveAlpha && !opt.disableWeighting:
 		name = "fedwcm-weightonly"
-	case opt.Score == ScoreAbsDeviation:
+	case opt.score == ScoreAbsDeviation:
 		name = "fedwcm-absscore"
 	}
-	return &FedWCM{Opt: opt, name: name}
+	return &FedWCM{opt: opt, name: name}
 }
 
 // Name implements fl.Method.
@@ -105,7 +106,7 @@ func (m *FedWCM) Init(env *fl.Env, dim int) {
 	m.serverMomentum.init(env, dim)
 	m.rawbuf = make([]float64, 0, env.Cfg.SampleClients)
 	classes := env.Train.Classes
-	target := m.Opt.Target
+	target := m.opt.target
 	if target == nil {
 		target = data.UniformTarget(classes)
 	}
@@ -122,7 +123,7 @@ func (m *FedWCM) Init(env *fl.Env, dim int) {
 		m.temp = tempMax
 	}
 
-	classWeight := ClassRelevance(m.Opt.Score, global, target)
+	classWeight := ClassRelevance(m.opt.score, global, target)
 	m.scores = make([]float64, len(env.Clients))
 	sum := 0.0
 	for k, c := range env.Clients {
@@ -186,7 +187,7 @@ func ClientScore(classWeight []float64, counts []int) float64 {
 // learning-rate normalisation when enabled.
 func (m *FedWCM) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
 	opts := m.localOpts(m.alpha)
-	if m.Opt.QuantityWeighted && ctx.Client.N > 0 {
+	if m.opt.quantityWeighted && ctx.Client.N > 0 {
 		batches := math.Ceil(float64(ctx.Client.N) / float64(ctx.Env.Cfg.BatchSize))
 		steps := batches * float64(ctx.Env.Cfg.LocalEpochs)
 		if steps > 0 {
@@ -217,7 +218,7 @@ func (m *FedWCM) aggregate(global []float64, results []*fl.ClientResult, info *f
 	n := len(results)
 	m.wbuf = fl.GrowWeights(m.wbuf, n)
 	w := m.wbuf
-	if m.Opt.DisableWeighting {
+	if m.opt.disableWeighting {
 		fl.UniformWeightsInto(w, n)
 	} else {
 		m.rawbuf = fl.GrowWeights(m.rawbuf, n)
@@ -226,7 +227,7 @@ func (m *FedWCM) aggregate(global []float64, results []*fl.ClientResult, info *f
 		}
 		tensor.Softmax(w, m.rawbuf, m.temp)
 	}
-	if m.Opt.QuantityWeighted {
+	if m.opt.quantityWeighted {
 		// w'_k = w_k · n_k/Σ n_j, renormalised so the server update stays a
 		// convex combination (the η_l·B̂ scale is already folded into the
 		// per-client lr normalisation).
@@ -279,7 +280,7 @@ func (m *FedWCM) aggregate(global []float64, results []*fl.ClientResult, info *f
 		q = sampledMean / m.meanScore
 	}
 	m.lastQ = q
-	if !m.Opt.DisableAdaptiveAlpha {
+	if !m.opt.disableAdaptiveAlpha {
 		a := alphaBase + float64((1-alphaBase)*m.imbFactor*q*dbar)
 		if a < alphaBase {
 			a = alphaBase

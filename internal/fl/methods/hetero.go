@@ -5,28 +5,22 @@ import (
 	"fedwcm/internal/tensor"
 )
 
-// SCAFFOLD corrects client drift with control variates (Karimireddy et al.):
-// each local gradient is shifted by (c − c_i), and after local training the
-// client refreshes c_i from its accumulated update.
-type SCAFFOLD struct {
-	env  *fl.Env
-	c    []float64   // server control variate
-	ci   [][]float64 // per-client control variates
-	pay  [][]float64 // per-client payload buffers: c_i⁺ − c_i
-	wbuf []float64
+// scaffold corrects client drift with control variates (Karimireddy et
+// al.) over uniformly weighted averaging: each local gradient is shifted by
+// (c − c_i), and after local training the client refreshes c_i from its
+// accumulated update.
+type scaffold struct {
+	averaging
+	c   []float64   // server control variate
+	ci  [][]float64 // per-client control variates
+	pay [][]float64 // per-client payload buffers: c_i⁺ − c_i
 }
-
-// NewSCAFFOLD returns a SCAFFOLD method.
-func NewSCAFFOLD() *SCAFFOLD { return &SCAFFOLD{} }
-
-// Name implements fl.Method.
-func (m *SCAFFOLD) Name() string { return "scaffold" }
 
 // Init implements fl.Method: allocates all control variates and payload
 // buffers up front so concurrent LocalTrain calls only touch disjoint
 // slices and a round allocates nothing.
-func (m *SCAFFOLD) Init(env *fl.Env, dim int) {
-	m.env = env
+func (m *scaffold) Init(env *fl.Env, dim int) {
+	m.averaging.Init(env, dim)
 	m.c = make([]float64, dim)
 	m.ci = make([][]float64, len(env.Clients))
 	m.pay = make([][]float64, len(env.Clients))
@@ -34,11 +28,10 @@ func (m *SCAFFOLD) Init(env *fl.Env, dim int) {
 		m.ci[k] = make([]float64, dim)
 		m.pay[k] = make([]float64, dim)
 	}
-	m.wbuf = make([]float64, 0, env.Cfg.SampleClients)
 }
 
 // LocalTrain implements fl.Method.
-func (m *SCAFFOLD) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
+func (m *scaffold) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
 	k := ctx.Client.ID
 	corr := ctx.CorrectionBuf(len(m.c))
 	for j := range corr {
@@ -63,9 +56,8 @@ func (m *SCAFFOLD) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
 
 // Aggregate implements fl.Method: average deltas; move c by the average
 // control update scaled by the participation fraction.
-func (m *SCAFFOLD) Aggregate(round int, global []float64, results []*fl.ClientResult) {
-	m.wbuf = fl.UniformWeightsInto(m.wbuf, len(results))
-	fl.WeightedDeltaInto(global, m.env.Cfg.EtaG, results, m.wbuf)
+func (m *scaffold) Aggregate(round int, global []float64, results []*fl.ClientResult) {
+	m.averaging.Aggregate(round, global, results)
 	scale := 1 / float64(len(m.ci))
 	for _, res := range results {
 		if res == nil || res.Payload == nil {

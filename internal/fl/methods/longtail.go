@@ -7,18 +7,17 @@ import (
 	"fedwcm/internal/tensor"
 )
 
-// FedGraB is a simplified FedGraB (Xiao et al.): a self-adjusting gradient
-// balancer. The server maintains per-class logit-gradient gains b_c; clients
-// scale column c of d(loss)/d(logits) by b_c, and after each round the
-// server nudges b using the aggregated predicted-class histogram toward the
-// target (uniform) prediction share (FedGraB-lite; see DESIGN.md).
-type FedGraB struct {
-	Rho    float64 // balancer step size
-	env    *fl.Env
-	gains  []float64
-	target []float64
+// fedgrab is a simplified FedGraB (Xiao et al.): a self-adjusting gradient
+// balancer over averaging. The server keeps per-class logit-gradient gains
+// b_c; clients scale column c of d(loss)/d(logits) by b_c, and after each
+// round the server nudges b using the aggregated predicted-class histogram
+// toward a uniform prediction share (FedGraB-lite; see DESIGN.md).
+type fedgrab struct {
+	averaging
+	rho    float64   // balancer step size
+	gains  []float64 // b_c, read by every LocalTrain through opts.LogitScale
+	target float64   // the uniform share 1/classes
 	hist   []float64 // per-round prediction histogram accumulator
-	wbuf   []float64
 }
 
 // FedGraB's gains stay within [minGain, maxGain].
@@ -27,39 +26,26 @@ const (
 	maxGain float64 = 5
 )
 
-// NewFedGraB returns FedGraB-lite with balancer step rho.
-func NewFedGraB(rho float64) *FedGraB { return &FedGraB{Rho: rho} }
-
-// Name implements fl.Method.
-func (m *FedGraB) Name() string { return "fedgrab" }
-
-// Init implements fl.Method.
-func (m *FedGraB) Init(env *fl.Env, dim int) {
-	m.env = env
+// Init implements fl.Method. The local options are set once: the gains
+// slice is updated in place, so every round's LocalTrain reads the current
+// gains. Workers read it concurrently; only Aggregate, which the engine
+// serialises, writes it.
+func (m *fedgrab) Init(env *fl.Env, dim int) {
+	m.averaging.Init(env, dim)
 	classes := env.Train.Classes
 	m.gains = make([]float64, classes)
 	for i := range m.gains {
 		m.gains[i] = 1
 	}
-	m.target = make([]float64, classes)
-	for i := range m.target {
-		m.target[i] = 1 / float64(classes)
-	}
+	m.target = 1 / float64(classes)
 	m.hist = make([]float64, classes)
-	m.wbuf = make([]float64, 0, env.Cfg.SampleClients)
+	m.opts = fl.LocalOpts{LogitScale: m.gains, TrackPreds: true}
 }
 
-// LocalTrain implements fl.Method. The gains slice is read concurrently by
-// workers and only written in Aggregate, which the engine serialises.
-func (m *FedGraB) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
-	return fl.RunLocalSGD(ctx, fl.LocalOpts{LogitScale: m.gains, TrackPreds: true})
-}
-
-// Aggregate implements fl.Method: standard averaging plus the balancer
-// update b_c ← clip(b_c·exp(−ρ·(share_c − target_c))).
-func (m *FedGraB) Aggregate(round int, global []float64, results []*fl.ClientResult) {
-	m.wbuf = fl.SizeWeightsInto(m.wbuf, results)
-	fl.WeightedDeltaInto(global, m.env.Cfg.EtaG, results, m.wbuf)
+// Aggregate implements fl.Method: averaging plus the balancer update
+// b_c ← clip(b_c·exp(−ρ·(share_c − 1/C))).
+func (m *fedgrab) Aggregate(round int, global []float64, results []*fl.ClientResult) {
+	m.averaging.Aggregate(round, global, results)
 	hist := m.hist
 	tensor.Zero(hist)
 	total := 0.0
@@ -77,7 +63,7 @@ func (m *FedGraB) Aggregate(round int, global []float64, results []*fl.ClientRes
 	}
 	for c := range m.gains {
 		share := hist[c] / total
-		m.gains[c] *= math.Exp(-m.Rho * (share - m.target[c]))
+		m.gains[c] *= math.Exp(-m.rho * (share - m.target))
 		if m.gains[c] < minGain {
 			m.gains[c] = minGain
 		}

@@ -172,7 +172,7 @@ func TestFedWCMScoresFavourTailHolders(t *testing.T) {
 	if bestTail == bestHead {
 		t.Skip("degenerate partition for this seed")
 	}
-	scores := m.Scores()
+	scores := m.scores
 	if scores[bestTail] <= scores[bestHead] {
 		t.Fatalf("tail-rich client should outscore head-rich client: %v vs %v",
 			scores[bestTail], scores[bestHead])
@@ -227,12 +227,12 @@ func TestFedWCMNamesForVariants(t *testing.T) {
 		t.Fatal("default name")
 	}
 	opt := DefaultWCMOptions()
-	opt.QuantityWeighted = true
+	opt.quantityWeighted = true
 	if NewFedWCM(opt).Name() != "fedwcm-x" {
 		t.Fatal("x name")
 	}
 	opt = DefaultWCMOptions()
-	opt.Score = ScoreAbsDeviation
+	opt.score = ScoreAbsDeviation
 	if NewFedWCM(opt).Name() != "fedwcm-absscore" {
 		t.Fatal("absscore name")
 	}
@@ -241,13 +241,13 @@ func TestFedWCMNamesForVariants(t *testing.T) {
 func TestSCAFFOLDControlVariateBookkeeping(t *testing.T) {
 	cfg := quickCfg(31, 3)
 	env := easyEnv(31, cfg, 3, 6, 1, 1)
-	m := NewSCAFFOLD()
+	m := mustNew(t, "scaffold").(*scaffold)
 	dim := len(env.Build(cfg.Seed).Vector())
 	m.Init(env, dim)
 	if tensor.Norm2(m.c) != 0 {
 		t.Fatal("server control must start at zero")
 	}
-	hist := fl.Run(env, NewSCAFFOLD())
+	hist := fl.Run(env, mustNew(t, "scaffold"))
 	if hist.FinalAcc() < 0.5 {
 		t.Fatalf("SCAFFOLD failed to learn: %v", hist.FinalAcc())
 	}
@@ -258,9 +258,9 @@ func TestFedGraBGainsTrackImbalance(t *testing.T) {
 	// above head-class gains within a few rounds.
 	cfg := quickCfg(37, 10)
 	env := easyEnv(37, cfg, 4, 8, 0.5, 0.05)
-	m := NewFedGraB(0.5)
+	m := mustNew(t, "fedgrab").(*fedgrab)
 	fl.Run(env, m)
-	gains := m.Gains()
+	gains := m.gains
 	if gains[3] <= gains[0] {
 		t.Fatalf("tail gain should exceed head gain: %v", gains)
 	}

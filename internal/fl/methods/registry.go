@@ -13,7 +13,8 @@ import (
 // set to the usual literature defaults). The averaging rows are the plain
 // baselines and the client-momentum rows: a fixed set of local options, a
 // choice of weights, and optionally FedCM's α, FedDyn's client correction or
-// a per-client loss.
+// a per-client loss. fedavgm, fedgrab and scaffold embed averaging, and
+// fedlesam and the fedwcm rows serverMomentum.
 var factories = map[string]func() fl.Method{
 	"fedavg":  func() fl.Method { return &averaging{name: "fedavg"} },
 	"fedavgm": func() fl.Method { return NewFedAvgM(0.9) },
@@ -32,40 +33,40 @@ var factories = map[string]func() fl.Method{
 	"fedwcm": func() fl.Method { return NewFedWCM(DefaultWCMOptions()) },
 	"fedwcm-x": func() fl.Method {
 		opt := DefaultWCMOptions()
-		opt.QuantityWeighted = true
+		opt.quantityWeighted = true
 		return NewFedWCM(opt)
 	},
 	"fedwcm-absscore": func() fl.Method {
 		opt := DefaultWCMOptions()
-		opt.Score = ScoreAbsDeviation
+		opt.score = ScoreAbsDeviation
 		return NewFedWCM(opt)
 	},
 	"fedwcm-weightonly": func() fl.Method {
 		opt := DefaultWCMOptions()
-		opt.DisableAdaptiveAlpha = true
+		opt.disableAdaptiveAlpha = true
 		return NewFedWCM(opt)
 	},
 	"fedwcm-alphaonly": func() fl.Method {
 		opt := DefaultWCMOptions()
-		opt.DisableWeighting = true
+		opt.disableWeighting = true
 		return NewFedWCM(opt)
 	},
 	"fedprox": func() fl.Method {
 		return &averaging{name: "fedprox", opts: fl.LocalOpts{ProxMu: 0.01}}
 	},
-	"scaffold": func() fl.Method { return NewSCAFFOLD() },
+	"scaffold": func() fl.Method { return &scaffold{averaging: averaging{name: "scaffold", uniform: true}} },
 	"feddyn": func() fl.Method {
 		return &averaging{name: "feddyn", opts: fl.LocalOpts{ProxMu: 0.01}, uniform: true, dyn: true}
 	},
 	"balancefl": func() fl.Method {
 		return &averaging{name: "balancefl", opts: fl.LocalOpts{Balanced: true}, lossFor: priorCE(0.5)}
 	},
-	"fedgrab": func() fl.Method { return NewFedGraB(0.5) },
+	"fedgrab": func() fl.Method { return &fedgrab{averaging: averaging{name: "fedgrab"}, rho: 0.5} },
 	"fedsam":  func() fl.Method { return &averaging{name: "fedsam", opts: fl.LocalOpts{SAMRho: 0.05}} },
 	"mofedsam": func() fl.Method {
 		return &averaging{name: "mofedsam", alpha: 0.1, opts: fl.LocalOpts{SAMRho: 0.05}, uniform: true}
 	},
-	"fedlesam": func() fl.Method { return NewFedLESAM(0.05) },
+	"fedlesam": func() fl.Method { return &fedlesam{rho: 0.05} },
 	"fedsmoo": func() fl.Method {
 		return &averaging{name: "fedsmoo", opts: fl.LocalOpts{SAMRho: 0.05, ProxMu: 0.01}, uniform: true, dyn: true}
 	},

@@ -1,49 +1,35 @@
 package methods
 
-import (
-	"fedwcm/internal/fl"
-	"fedwcm/internal/tensor"
-)
+import "fedwcm/internal/fl"
 
-// FedLESAM perturbs along a *globally estimated* direction — the previous
-// round's aggregate update — instead of the local batch gradient, saving
-// one backward pass per step (simplified FedLESAM).
-type FedLESAM struct {
-	Rho     float64
-	env     *fl.Env
-	dir     []float64
-	haveDir bool
-	wbuf    []float64
+// fedlesam perturbs along a *globally estimated* direction instead of the
+// local batch gradient, saving one backward pass per step (simplified
+// FedLESAM). The direction is serverMomentum's Δ_r, the previous round's
+// aggregate update, fed to the SAM perturbation rather than to the momentum
+// mix. The first round has no Δ_r and runs plain SGD; a zero Δ_r perturbs
+// nothing, because the local trainer skips a SAM direction of norm ≤ 1e-12.
+type fedlesam struct {
+	serverMomentum
+	rho float64
 }
-
-// NewFedLESAM returns FedLESAM-lite with radius rho.
-func NewFedLESAM(rho float64) *FedLESAM { return &FedLESAM{Rho: rho} }
 
 // Name implements fl.Method.
-func (m *FedLESAM) Name() string { return "fedlesam" }
+func (m *fedlesam) Name() string { return "fedlesam" }
 
 // Init implements fl.Method.
-func (m *FedLESAM) Init(env *fl.Env, dim int) {
-	m.env = env
-	m.dir = make([]float64, dim)
-	m.wbuf = make([]float64, 0, env.Cfg.SampleClients)
-}
+func (m *fedlesam) Init(env *fl.Env, dim int) { m.serverMomentum.init(env, dim) }
 
 // LocalTrain implements fl.Method.
-func (m *FedLESAM) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
-	opts := fl.LocalOpts{}
-	if m.haveDir {
-		opts.SAMRho = m.Rho
-		opts.SAMGlobalDir = m.dir
+func (m *fedlesam) LocalTrain(ctx *fl.ClientCtx) *fl.ClientResult {
+	var opts fl.LocalOpts
+	if m.haveMomentum {
+		opts.SAMRho, opts.SAMGlobalDir = m.rho, m.momentum
 	}
 	return fl.RunLocalSGD(ctx, opts)
 }
 
 // Aggregate implements fl.Method.
-func (m *FedLESAM) Aggregate(round int, global []float64, results []*fl.ClientResult) {
+func (m *fedlesam) Aggregate(round int, global []float64, results []*fl.ClientResult) {
 	m.wbuf = fl.SizeWeightsInto(m.wbuf, results)
-	w := m.wbuf
-	fl.WeightedDeltaInto(global, m.env.Cfg.EtaG, results, w)
-	fl.MomentumFrom(m.dir, m.env.Cfg.EtaL, results, w)
-	m.haveDir = tensor.Norm2(m.dir) > 0
+	m.step(global, results, m.wbuf)
 }

@@ -15,7 +15,7 @@ func TestFedWCMXScalesLearningRateByShardSize(t *testing.T) {
 	cfg := quickCfg(101, 1)
 	env := easyEnv(101, cfg, 3, 6, 1, 1)
 	opt := DefaultWCMOptions()
-	opt.QuantityWeighted = true
+	opt.quantityWeighted = true
 	m := NewFedWCM(opt)
 	dim := len(env.Build(cfg.Seed).Vector())
 	m.Init(env, dim)
@@ -31,7 +31,7 @@ func TestFedWCMXScalesLearningRateByShardSize(t *testing.T) {
 		t.Fatalf("bad reference steps %v", m.refSteps)
 	}
 	net := env.Build(cfg.Seed)
-	ctx := &fl.ClientCtx{Round: 0, Client: big, Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(1)}
+	ctx := &fl.ClientCtx{Client: big, Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(1)}
 	res := m.LocalTrain(ctx)
 	if res.Steps == 0 {
 		t.Fatal("no steps")
@@ -47,7 +47,7 @@ func TestFedLESAMFirstRoundFallsBackToPlainSGD(t *testing.T) {
 		env := easyEnv(103, cfg, 3, 6, 1, 1)
 		return fl.Run(env, m).Stats
 	}
-	lesam := mkStats(NewFedLESAM(0.5))
+	lesam := mkStats(&fedlesam{rho: 0.5})
 	avg := mkStats(mustNew(t, "fedavg"))
 	if math.Abs(lesam[0].TestAcc-avg[0].TestAcc) > 1e-12 {
 		t.Fatalf("FedLESAM round 1 should equal FedAvg: %v vs %v",
@@ -67,25 +67,41 @@ func TestMoFedSAMDiffersFromFedSAM(t *testing.T) {
 	}
 }
 
-// TestOnlyAlphaRowsKeepMomentum holds the averaging rows' memory contract:
-// a row with alpha keeps one Δ_r the size of the model, and a row without
-// it (FedAvg and the other plain baselines) allocates none.
+// TestOnlyAlphaRowsKeepMomentum holds the two cores' memory contract: an
+// averaging row with alpha keeps one Δ_r the size of the model; a row
+// without it (FedAvg, the other plain baselines and the fedavgm, fedgrab and
+// scaffold rows that embed averaging) allocates none; and fedlesam, whose
+// SAM direction is serverMomentum's Δ_r, keeps one.
 func TestOnlyAlphaRowsKeepMomentum(t *testing.T) {
 	env := easyEnv(117, quickCfg(117, 1), 3, 4, 1, 1)
 	const dim = 50
-	rows := 0
+	rows, lesam := 0, false
 	for _, name := range Names() {
+		row := mustNew(t, name)
 		var m *averaging
-		switch v := mustNew(t, name).(type) {
+		switch v := row.(type) {
 		case *averaging:
 			m = v
 		case *fedcm:
 			m = &v.averaging
+		case *FedAvgM:
+			m = &v.averaging
+		case *fedgrab:
+			m = &v.averaging
+		case *scaffold:
+			m = &v.averaging
+		case *fedlesam:
+			row.Init(env, dim)
+			if len(v.momentum) != dim {
+				t.Errorf("%s: Δ_r has %d entries, want %d", name, len(v.momentum), dim)
+			}
+			lesam = true
+			continue
 		default:
 			continue
 		}
 		rows++
-		m.Init(env, dim)
+		row.Init(env, dim)
 		if m.alpha != 0 && len(m.momentum) != dim {
 			t.Errorf("%s: Δ_r has %d entries, want %d", name, len(m.momentum), dim)
 		}
@@ -93,8 +109,47 @@ func TestOnlyAlphaRowsKeepMomentum(t *testing.T) {
 			t.Errorf("%s has no alpha but allocated a %d-entry Δ_r", name, cap(m.momentum))
 		}
 	}
-	if rows != 12 {
-		t.Errorf("%d averaging rows, want 12", rows)
+	if rows != 15 || !lesam {
+		t.Errorf("%d rows over averaging (want 15), fedlesam seen: %v", rows, lesam)
+	}
+}
+
+// TestFedLESAMZeroDirectionIsPlainSGD: an armed fedlesam whose Δ_r is all
+// zero trains bit for bit as plain local SGD, because the local trainer
+// skips a SAM direction of norm ≤ 1e-12. This is why fedlesam can arm on
+// serverMomentum's haveMomentum rather than on ‖Δ_r‖ > 0.
+func TestFedLESAMZeroDirectionIsPlainSGD(t *testing.T) {
+	cfg := quickCfg(119, 1)
+	env := easyEnv(119, cfg, 3, 4, 1, 1)
+	dim := len(env.Build(cfg.Seed).Vector())
+	m := &fedlesam{rho: 0.05}
+	m.Init(env, dim)
+	m.haveMomentum = true
+	train := func(local func(*fl.ClientCtx) *fl.ClientResult) *fl.ClientResult {
+		net := env.Build(cfg.Seed)
+		ctx := &fl.ClientCtx{Client: env.Clients[0], Env: env, Net: net, Global: net.Vector(), RNG: xrand.New(119)}
+		res := local(ctx)
+		res.Delta = append([]float64(nil), res.Delta...)
+		return res
+	}
+	plain := train(func(ctx *fl.ClientCtx) *fl.ClientResult { return fl.RunLocalSGD(ctx, fl.LocalOpts{}) })
+	same := func(a, b *fl.ClientResult) bool {
+		if a.Steps != b.Steps || math.Float64bits(a.MeanLoss) != math.Float64bits(b.MeanLoss) {
+			return false
+		}
+		for j := range a.Delta {
+			if math.Float64bits(a.Delta[j]) != math.Float64bits(b.Delta[j]) {
+				return false
+			}
+		}
+		return true
+	}
+	if got := train(m.LocalTrain); got.Steps == 0 || !same(got, plain) {
+		t.Fatal("an armed fedlesam with a zero Δ_r differs from plain local SGD")
+	}
+	m.momentum[0] = 1 // a nonzero Δ_r does perturb
+	if same(train(m.LocalTrain), plain) {
+		t.Fatal("a nonzero Δ_r left local training unchanged")
 	}
 }
 
@@ -117,7 +172,7 @@ func TestFedDynAccumulatesClientState(t *testing.T) {
 func TestSCAFFOLDServerControlMoves(t *testing.T) {
 	cfg := quickCfg(109, 5)
 	env := easyEnv(109, cfg, 3, 6, 0.5, 1)
-	m := NewSCAFFOLD()
+	m := mustNew(t, "scaffold").(*scaffold)
 	fl.Run(env, m)
 	if tensor.Norm2(m.c) == 0 {
 		t.Fatal("server control variate never moved")
@@ -159,13 +214,13 @@ func TestFedWCMTargetDistributionOverride(t *testing.T) {
 	cfg := quickCfg(113, 1)
 	env := easyEnv(113, cfg, 4, 6, 0.5, 0.1)
 	opt := DefaultWCMOptions()
-	opt.Target = env.GlobalProportions() // target == actual ⇒ no deviation
+	opt.target = env.GlobalProportions() // target == actual ⇒ no deviation
 	m := NewFedWCM(opt)
 	m.Init(env, 4)
-	first := m.Scores()[0]
-	for _, s := range m.Scores() {
+	first := m.scores[0]
+	for _, s := range m.scores {
 		if math.Abs(s-first) > 1e-4 {
-			t.Fatalf("matched target should equalise scores, got %v", m.Scores())
+			t.Fatalf("matched target should equalise scores, got %v", m.scores)
 		}
 	}
 	if m.imbFactor > 1e-6 {
@@ -174,13 +229,13 @@ func TestFedWCMTargetDistributionOverride(t *testing.T) {
 }
 
 func TestFedGraBVariantNamesAndClips(t *testing.T) {
-	m := NewFedGraB(10) // huge step to force clipping
+	m := &fedgrab{averaging: averaging{name: "fedgrab"}, rho: 10} // huge step to force clipping
 	cfg := quickCfg(115, 6)
 	env := easyEnv(115, cfg, 4, 6, 0.5, 0.05)
 	fl.Run(env, m)
-	for _, g := range m.Gains() {
+	for _, g := range m.gains {
 		if g < minGain-1e-12 || g > maxGain+1e-12 {
-			t.Fatalf("gain escaped clip range: %v", m.Gains())
+			t.Fatalf("gain escaped clip range: %v", m.gains)
 		}
 	}
 }

@@ -45,7 +45,7 @@ var (
 )
 
 // DefaultRunMetrics returns the process-wide bundle over obs.Default().
-// The engine falls back to it when Env.Metrics is unset, so instrumentation
+// The engine uses it unless a test set Env.metrics, so instrumentation
 // is on by default everywhere (including benchmarks — the hot path is
 // allocation-free by design, and BenchmarkRoundHotPath holds that floor).
 func DefaultRunMetrics() *RunMetrics {

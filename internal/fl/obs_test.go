@@ -29,14 +29,14 @@ func TestHistoryIdenticalWithMetricsEnabled(t *testing.T) {
 	}
 
 	baseline := run(func(env *Env) {
-		env.Metrics = NewRunMetrics(nil) // explicit no-op bundle
+		env.metrics = NewRunMetrics(nil) // explicit no-op bundle
 	})
 	enabled := run(func(env *Env) {
-		env.Metrics = NewRunMetrics(obs.NewRegistry())
+		env.metrics = NewRunMetrics(obs.NewRegistry())
 		env.Tracer = obs.NewTracer(128)
 		env.TraceID = "golden-trace"
 	})
-	defaulted := run(nil) // nil Metrics → DefaultRunMetrics()
+	defaulted := run(nil) // nil metrics → DefaultRunMetrics()
 
 	if !bytes.Equal(baseline, enabled) {
 		t.Errorf("history diverged with metrics+tracing enabled:\nno-op: %s\nenabled: %s", baseline, enabled)
@@ -53,12 +53,12 @@ func TestRunMetricsPopulated(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(256)
 	env := testEnv(11, Config{Rounds: 3, EvalEvery: 1, Workers: 2}, 4, 6, 0.5, 1)
-	env.Metrics = NewRunMetrics(reg)
+	env.metrics = NewRunMetrics(reg)
 	env.Tracer = tracer
 	env.TraceID = "populated"
 	Run(env, &sgdMethod{})
 
-	m := env.Metrics
+	m := env.metrics
 	if got := m.Rounds.Value(); got != 3 {
 		t.Errorf("rounds counter %d, want 3", got)
 	}

@@ -67,7 +67,7 @@ func (r kitRun) env(builds *int) *fl.Env {
 		return build(seed)
 	}, loss.CrossEntropy{})
 	env.Arch = build(0).Arch()
-	env.Metrics = fl.NewRunMetrics(nil)
+	fl.SetRunMetrics(env, fl.NewRunMetrics(nil))
 	if r.probe {
 		env.Probes = []fl.Probe{collapse.Probe(collapse.ProbeBatch(test, 12))}
 	}
@@ -185,7 +185,7 @@ func repeatEnv(builds *int, workers int) *fl.Env {
 		return build(seed)
 	}, loss.CrossEntropy{})
 	env.Arch = build(0).Arch()
-	env.Metrics = fl.NewRunMetrics(nil)
+	fl.SetRunMetrics(env, fl.NewRunMetrics(nil))
 	return env
 }
 

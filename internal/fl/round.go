@@ -46,7 +46,7 @@ type roundCore struct {
 func newRoundCore(env *Env, m Method, onRound func(RoundStat), parallel int) *roundCore {
 	cfg := env.Cfg
 	c := &roundCore{env: env, m: m, cfg: cfg, onRound: onRound,
-		hist: &History{Method: m.Name()}, mx: env.Metrics, baseClients: env.Clients}
+		hist: &History{Method: m.Name()}, mx: env.metrics, baseClients: env.Clients}
 	nClients := len(env.Clients)
 	c.cohort = min(cfg.SampleClients, nClients)
 	if c.mx == nil {

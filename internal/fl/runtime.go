@@ -272,7 +272,6 @@ func (w *runWorker) runClient(i int) {
 	w.net.SetVector(rt.global)
 	w.rng.Seed(xrand.DeriveSeed(rt.env.Cfg.Seed, uint64(job.round), uint64(client.ID), 0xc11e))
 	w.ctx = ClientCtx{
-		Round:    job.round,
 		Client:   client,
 		Env:      rt.env,
 		Net:      w.net,

@@ -74,8 +74,8 @@ type Config struct {
 	// backend's dispatch series, the store's and the env cache's) and is the
 	// registry /metrics serves; nil uses the process default, obs.Default().
 	// Training's fedwcm_fl_* series always land on obs.Default(), through
-	// fl.DefaultRunMetrics, whatever is passed here: the sweep runner never
-	// sets Env.Metrics. So a server built on obs.NewRegistry() scrapes no fl
+	// fl.DefaultRunMetrics, whatever is passed here: fl.Env takes no metrics
+	// bundle from outside its package. So a server built on obs.NewRegistry() scrapes no fl
 	// series (and no fedwcm_go_* series, which only obs.Default() registers).
 	// Tracer backs /debug/trace; nil uses the process default tracer.
 	Metrics *obs.Registry

@@ -105,7 +105,9 @@ const submitWindow = 32
 // onLive (may be nil) sees the handle of each cell that is executing rather
 // than stored, before its report. onLive and report are both invoked
 // concurrently. A computed history is the backend's to persist, so Drive
-// touches the store once per cell: the probe.
+// touches the store once per cell: the probe, which answers cached cells
+// without a submit. The backend's admission reads a miss again, the
+// exactly-once guard for a cell filed in between (Coordinator.cached).
 func (e *Engine) Drive(cells []Cell, onLive func(i int, h dispatch.Handle), report func(i int, status string, hist *fl.History, err error)) {
 	var pending, feeders sync.WaitGroup
 	live := func(i int, h dispatch.Handle) {

@@ -90,6 +90,61 @@ func TestEngineDelegatesToExecutor(t *testing.T) {
 	}
 }
 
+// fileOnSubmit is a backend that files want under every submitted cell's
+// fingerprint in st, then forwards the submission: the cell finishing
+// elsewhere between the engine's store probe and its submit.
+type fileOnSubmit struct {
+	*dispatch.Local
+	st   *store.Store
+	want *fl.History
+}
+
+func (f fileOnSubmit) Submit(job dispatch.Job, opts dispatch.SubmitOpts) (dispatch.Handle, error) {
+	if err := f.st.Put(job.ID, f.want); err != nil {
+		return nil, err
+	}
+	return f.Local.Submit(job, opts)
+}
+
+// TestResolveFindsArtifactStoredAfterProbe pins the coordinator's admission
+// probe (enterLocked → cached) as the exactly-once guard: a cell that
+// lands in the store after Engine.stored missed it is answered from the
+// store by the submit, and never runs again.
+func TestResolveFindsArtifactStoredAfterProbe(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int64
+	local, err := dispatch.NewLocal(dispatch.LocalConfig{Workers: 1, Store: st,
+		Runner: func(context.Context, dispatch.Job, func(fl.RoundStat)) (*fl.History, error) {
+			runs.Add(1)
+			return &fl.History{Method: "recomputed", Stats: []fl.RoundStat{{Round: 1}}}, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	want := &fl.History{Method: "stored elsewhere", Stats: []fl.RoundStat{{Round: 1, TestAcc: 0.5}}}
+	eng := &Engine{Store: st, Executor: fileOnSubmit{local, st, want}}
+	cells, err := Spec{Methods: []string{"fedavg"}, Effort: 0.1}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist, h, err := eng.Resolve(cells[0], false)
+	if err != nil || hist != nil || h == nil {
+		t.Fatalf("hist=%v handle=%v err=%v, want the probe to miss and a handle", hist, h, err)
+	}
+	<-h.Done()
+	got, err := h.Result()
+	if err != nil || got == nil || got.Method != want.Method || len(got.Stats) != 1 || got.Stats[0].TestAcc != 0.5 {
+		t.Fatalf("handle carries %+v (err %v), want the stored %+v", got, err, want)
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("runner ran %d times, want 0: the stored artifact was computed again", n)
+	}
+}
+
 // TestFailureSummaryGroupsErrors: failed cells collapse into one line per
 // seed-zeroed axes group carrying the group's first error — what fedbench
 // prints instead of a bare count.
